@@ -1,7 +1,6 @@
 //! Criterion benchmarks of the pluggable wire codecs: encode/decode
-//! throughput and bytes-per-message for `DBH1` (JSON), `DBH2` (canonical
-//! binary) and `DBHZ` (LZSS-compressed JSON) over the representative
-//! protocol payloads — a length-56 encrypted registry upload (element-wise
+//! throughput and bytes-per-message for `DBH1` (JSON) and `DBH2` (canonical
+//! binary) over the representative protocol payloads — a length-56 encrypted registry upload (element-wise
 //! and slot-packed at 16- and 32-bit widths) and a 10-class encrypted
 //! distribution.
 //!
@@ -89,7 +88,7 @@ fn bench_encode(c: &mut Criterion) {
     let msgs = sample_messages();
     let mut group = c.benchmark_group("wire_encode");
     for (name, msg) in &msgs {
-        for codec in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
+        for codec in [CodecKind::Json, CodecKind::Binary] {
             group.bench_with_input(BenchmarkId::new(*name, codec.name()), msg, |b, msg| {
                 b.iter(|| codec.encode(black_box(msg)).unwrap());
             });
@@ -102,7 +101,7 @@ fn bench_decode(c: &mut Criterion) {
     let msgs = sample_messages();
     let mut group = c.benchmark_group("wire_decode");
     for (name, msg) in &msgs {
-        for codec in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
+        for codec in [CodecKind::Json, CodecKind::Binary] {
             let payload = codec.encode(msg).unwrap();
             group.bench_with_input(
                 BenchmarkId::new(*name, codec.name()),
@@ -154,7 +153,7 @@ fn write_wire_report() {
     };
     let mut rows = Vec::new();
     for (name, msg) in &sample_messages() {
-        for codec in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
+        for codec in [CodecKind::Json, CodecKind::Binary] {
             let payload = codec.encode(msg).unwrap();
             let t = Instant::now();
             for _ in 0..iters {

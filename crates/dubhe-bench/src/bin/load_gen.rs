@@ -3,28 +3,22 @@
 //! Drives 10³–10⁵ concurrent synthetic clients, each on its own persistent
 //! framed connection, through a full selection session — public-key
 //! dispatch, the registration epoch, `H` multi-time tries and the verdict —
-//! against **both** coordinator listeners:
-//!
-//! * the thread-per-connection [`CoordinatorListener`], and
-//! * the event-loop [`ReactorListener`] from `dubhe-net`.
+//! against the event-loop [`ReactorListener`] from `dubhe-net`.
 //!
 //! The client side is a single-threaded [`MuxClient`] multiplexing every
 //! connection through one poller; the server side runs in a **subprocess**
 //! (`--serve`), because a loopback connection costs one file descriptor on
 //! each end and the default `RLIMIT_NOFILE` hard cap (20 000 here) would
-//! otherwise halve the reachable connection count. The threaded listener
-//! additionally holds a shutdown-clone per connection (two fds per client),
-//! so its scale is capped (`--threaded-cap`, default 9 000) while the
-//! reactor also runs at the full `--clients` scale.
+//! otherwise halve the reachable connection count.
 //!
 //! Every run is an acceptance check, not just a stopwatch: the parent folds
 //! the identical envelope set into an in-process [`ShardedCoordinator`] and
-//! compares a digest of the final ciphertext residues — the listeners must
+//! compares a digest of the final ciphertext residues — the listener must
 //! be *bit-identical* to the reference, or the bench aborts.
 //!
 //! ```text
 //! load_gen [--clients 10000] [--shards 4] [--key-bits 256] [--tries 3]
-//!          [--select 2048] [--threaded-cap 9000] [--seed 42] [--channel]
+//!          [--select 2048] [--seed 42] [--channel]
 //! ```
 //!
 //! `--channel` runs the whole bench over the authenticated channel: both
@@ -35,7 +29,6 @@
 //! listener's auth counters: one completed handshake per connection, zero
 //! failures, zero AEAD rejections, zero downgrades.
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -45,8 +38,8 @@ use dubhe_he::{EncryptedVector, Keypair, PublicKey};
 use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
 use dubhe_select::protocol::stats::{LatencySummary, ListenerStats};
 use dubhe_select::protocol::{
-    ChannelPolicy, CodecKind, Coordinator, CoordinatorListener, Envelope, ListenerConfig,
-    NodeIdentity, Party, ProtocolMsg, ShardedCoordinator, WireMsg,
+    ChannelPolicy, CodecKind, Coordinator, Envelope, NodeIdentity, Party, ProtocolMsg,
+    ShardedCoordinator, WireMsg,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -222,46 +215,21 @@ fn state_digest(state: &ShardedCoordinator) -> u64 {
 // --serve: the listener subprocess.
 // ---------------------------------------------------------------------------
 
-/// Serves one session: binds the requested listener, prints `ADDR`, waits
-/// for the parent to finish (a line or EOF on stdin), then reports the final
+/// Serves one session: binds the listener, prints `ADDR`, waits for the
+/// parent to finish (a line or EOF on stdin), then reports the final
 /// coordinator digest and the listener's connection metrics.
-fn serve(kind: &str, n: usize, shards: usize, channel: ChannelPolicy, seed: u64) {
-    let coordinator = ShardedCoordinator::new(n, shards);
-    let identity_seed = server_identity_seed(seed);
-    let (addr, stats, state): (_, ListenerStats, ShardedCoordinator) = match kind {
-        "threaded" => {
-            let listener = CoordinatorListener::spawn_with(
-                coordinator,
-                ListenerConfig::default()
-                    .with_channel(channel)
-                    .with_identity_seed(identity_seed),
-            )
-            .expect("spawn listener");
-            let addr = listener.addr();
-            announce_ready(addr);
-            wait_for_parent();
-            let stats = listener.stats();
-            let state = listener.shutdown().expect("coordinator state");
-            (addr, stats, state)
-        }
-        "reactor" => {
-            let listener = ReactorListener::spawn_with(
-                coordinator,
-                ReactorConfig::default()
-                    .with_channel(channel)
-                    .with_identity_seed(identity_seed),
-            )
-            .expect("spawn listener");
-            let addr = listener.addr();
-            announce_ready(addr);
-            wait_for_parent();
-            let stats = listener.stats();
-            let state = listener.shutdown().expect("coordinator state");
-            (addr, stats, state)
-        }
-        other => panic!("unknown --serve kind {other:?} (threaded|reactor)"),
-    };
-    let _ = addr;
+fn serve(n: usize, shards: usize, channel: ChannelPolicy, seed: u64) {
+    let listener = ReactorListener::spawn_with(
+        ShardedCoordinator::new(n, shards),
+        ReactorConfig::default()
+            .with_channel(channel)
+            .with_identity_seed(server_identity_seed(seed)),
+    )
+    .expect("spawn listener");
+    announce_ready(listener.addr());
+    wait_for_parent();
+    let stats = listener.stats();
+    let state = listener.shutdown().expect("coordinator state");
     println!("MSGS {}", state.messages_received());
     let (best_try, distance) = state.last_verdict().expect("verdict recorded");
     println!("VERDICT {best_try} {distance}");
@@ -288,7 +256,6 @@ fn wait_for_parent() {
 
 #[derive(Serialize)]
 struct BackendReport {
-    listener: String,
     clients: usize,
     connect_s: f64,
     registration_s: f64,
@@ -310,7 +277,6 @@ struct NetBenchReport {
     key_bits: u64,
     tries: usize,
     select: usize,
-    threaded_cap: usize,
     codec: String,
     channel: String,
     ciphertext_pool: usize,
@@ -324,17 +290,10 @@ struct ServerChild {
     addr: std::net::SocketAddr,
 }
 
-fn spawn_server(
-    kind: &str,
-    n: usize,
-    shards: usize,
-    channel: ChannelPolicy,
-    seed: u64,
-) -> ServerChild {
+fn spawn_server(n: usize, shards: usize, channel: ChannelPolicy, seed: u64) -> ServerChild {
     let exe = std::env::current_exe().expect("current exe");
     let mut args = vec![
         "--serve".to_string(),
-        kind.to_string(),
         "--clients".to_string(),
         n.to_string(),
         "--shards".to_string(),
@@ -377,20 +336,16 @@ fn check_replies(phase: &str, replies: &[(usize, WireMsg)]) {
 }
 
 fn run_backend(
-    kind: &str,
     n: usize,
     shards: usize,
     script: &SessionScript,
-    references: &mut HashMap<usize, (u64, usize)>,
     channel: ChannelPolicy,
     seed: u64,
 ) -> BackendReport {
-    let (ref_digest, ref_msgs) = *references
-        .entry(n)
-        .or_insert_with(|| script.reference(n, shards));
+    let (ref_digest, ref_msgs) = script.reference(n, shards);
 
-    println!("[{kind} n={n}] spawning listener subprocess...");
-    let mut server = spawn_server(kind, n, shards, channel, seed);
+    println!("[n={n}] spawning listener subprocess...");
+    let mut server = spawn_server(n, shards, channel, seed);
 
     let mut mux_config = MuxConfig::default()
         .with_codec(CodecKind::Binary)
@@ -405,7 +360,7 @@ fn run_backend(
     let t = Instant::now();
     let mut mux = MuxClient::connect(server.addr, n, mux_config).expect("connect mux clients");
     let connect_s = t.elapsed().as_secs_f64();
-    println!("[{kind} n={n}] {n} connections in {connect_s:.2}s");
+    println!("[n={n}] {n} connections in {connect_s:.2}s");
 
     // Key dispatch: one control envelope from the agent, on connection 0.
     let replies = mux
@@ -433,7 +388,7 @@ fn run_backend(
     let replies = mux.collect(n).expect("registration replies");
     check_replies("registration", &replies);
     let registration_s = t.elapsed().as_secs_f64();
-    println!("[{kind} n={n}] registration epoch in {registration_s:.2}s");
+    println!("[n={n}] registration epoch in {registration_s:.2}s");
 
     // Multi-time selection: H tries of announce → k contributions → sum.
     let k = script.select.min(n);
@@ -473,7 +428,7 @@ fn run_backend(
     check_replies("verdict", &replies);
     let tries_s = t.elapsed().as_secs_f64();
     println!(
-        "[{kind} n={n}] {} tries x {k} participants in {tries_s:.2}s",
+        "[n={n}] {} tries x {k} participants in {tries_s:.2}s",
         script.tries
     );
 
@@ -504,7 +459,7 @@ fn run_backend(
         }
     }
     let status = server.child.wait().expect("child exit");
-    assert!(status.success(), "[{kind} n={n}] server subprocess failed");
+    assert!(status.success(), "[n={n}] server subprocess failed");
     let msgs = msgs.expect("MSGS line");
     let digest = digest.expect("DIGEST line");
     let verdict = verdict.expect("VERDICT line");
@@ -515,13 +470,13 @@ fn run_backend(
     let expected_digest = format!("{ref_digest:016x}");
     assert_eq!(
         digest, expected_digest,
-        "[{kind} n={n}] ciphertext folds diverged from the in-process reference"
+        "[n={n}] ciphertext folds diverged from the in-process reference"
     );
-    assert_eq!(msgs, ref_msgs, "[{kind} n={n}] message count diverged");
+    assert_eq!(msgs, ref_msgs, "[n={n}] message count diverged");
     assert_eq!(
         verdict,
         format!("{} {}", VERDICT.0, VERDICT.1),
-        "[{kind} n={n}] verdict diverged"
+        "[n={n}] verdict diverged"
     );
     // The auth counters are part of the acceptance surface: with the channel
     // on, every connection authenticated exactly once and nothing was
@@ -529,21 +484,20 @@ fn run_backend(
     if channel.is_required() {
         assert_eq!(
             stats.handshakes_completed, n,
-            "[{kind} n={n}] every connection must complete its handshake"
+            "[n={n}] every connection must complete its handshake"
         );
     } else {
-        assert_eq!(stats.handshakes_completed, 0, "[{kind} n={n}]");
+        assert_eq!(stats.handshakes_completed, 0, "[n={n}]");
     }
-    assert_eq!(stats.handshakes_failed, 0, "[{kind} n={n}]");
-    assert_eq!(stats.aead_rejections, 0, "[{kind} n={n}]");
-    assert_eq!(stats.downgrades_refused, 0, "[{kind} n={n}]");
+    assert_eq!(stats.handshakes_failed, 0, "[n={n}]");
+    assert_eq!(stats.aead_rejections, 0, "[n={n}]");
+    assert_eq!(stats.downgrades_refused, 0, "[n={n}]");
     println!(
-        "[{kind} n={n}] bit-identical to reference (digest {digest}); p50 {:.0}us p99 {:.0}us, peak queue {}B",
+        "[n={n}] bit-identical to reference (digest {digest}); p50 {:.0}us p99 {:.0}us, peak queue {}B",
         latency_us.p50_us, latency_us.p99_us, stats.peak_write_queue
     );
 
     BackendReport {
-        listener: kind.to_string(),
         clients: n,
         connect_s,
         registration_s,
@@ -566,7 +520,6 @@ fn main() {
     let key_bits: u64 = parsed_after(&args, "--key-bits", 256);
     let tries: usize = parsed_after(&args, "--tries", 3);
     let select: usize = parsed_after(&args, "--select", 2048);
-    let threaded_cap: usize = parsed_after(&args, "--threaded-cap", 9_000);
     let seed: u64 = parsed_after(&args, "--seed", 42);
     let channel = if args.iter().any(|a| a == "--channel") {
         ChannelPolicy::Required
@@ -574,8 +527,8 @@ fn main() {
         ChannelPolicy::Plaintext
     };
 
-    if let Some(kind) = value_after(&args, "--serve") {
-        serve(&kind, clients, shards, channel, seed);
+    if args.iter().any(|a| a == "--serve") {
+        serve(clients, shards, channel, seed);
         return;
     }
 
@@ -584,42 +537,7 @@ fn main() {
          H={tries} tries of {select}, DBH2 framing, channel {channel:?}"
     );
     let script = SessionScript::build(key_bits, tries, select, seed);
-    let mut references = HashMap::new();
-
-    // Like-for-like comparison at the largest scale both listeners reach,
-    // then the reactor alone at the full client count (the threaded listener
-    // spends two fds per connection — its half of the fd budget caps it).
-    let n_eq = clients.min(threaded_cap);
-    let mut runs = Vec::new();
-    runs.push(run_backend(
-        "threaded",
-        n_eq,
-        shards,
-        &script,
-        &mut references,
-        channel,
-        seed,
-    ));
-    runs.push(run_backend(
-        "reactor",
-        n_eq,
-        shards,
-        &script,
-        &mut references,
-        channel,
-        seed,
-    ));
-    if clients > n_eq {
-        runs.push(run_backend(
-            "reactor",
-            clients,
-            shards,
-            &script,
-            &mut references,
-            channel,
-            seed,
-        ));
-    }
+    let runs = vec![run_backend(clients, shards, &script, channel, seed)];
 
     let report = NetBenchReport {
         clients,
@@ -627,7 +545,6 @@ fn main() {
         key_bits,
         tries,
         select,
-        threaded_cap,
         codec: "DBH2".to_string(),
         channel: format!("{channel:?}").to_lowercase(),
         ciphertext_pool: POOL,

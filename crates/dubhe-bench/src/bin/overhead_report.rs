@@ -25,19 +25,20 @@
 
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_fl::models::small_mlp;
-use dubhe_fl::{FlSimulation, ListenerKind, SecureMode, SimulationConfig};
+use dubhe_fl::{FlSimulation, SecureMode, SimulationConfig};
 use dubhe_he::packing::Packer;
 use dubhe_he::transport::{measure_packed, measure_vector, CommunicationCount};
 use dubhe_he::{
     CrtEncryptor, EncryptedVector, Encryptor, FixedPointCodec, Keypair, PrecomputedEncryptor,
     PrivateKey, PublicKey, RunningFold,
 };
+use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
     client_handshake, pump, run_registration, run_registration_with, run_try,
-    run_try_with_dropouts, ChannelPolicy, CodecKind, CoordinatorListener, CoordinatorServer,
-    Envelope, InMemoryTransport, LinkStats, ListenerConfig, NodeIdentity, Party, ProtocolMsg,
-    RegistryFrame, ShardedCoordinator, TcpConfig, TcpTransport, Transport, WireMsg,
-    HANDSHAKE_WIRE_BYTES, MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
+    run_try_with_dropouts, ChannelPolicy, CodecKind, CoordinatorServer, Envelope,
+    InMemoryTransport, LinkStats, NodeIdentity, Party, ProtocolMsg, RegistryFrame,
+    ShardedCoordinator, TcpConfig, TcpTransport, Transport, WireMsg, HANDSHAKE_WIRE_BYTES,
+    MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::{DubheConfig, DubheSelector};
 use rand::SeedableRng;
@@ -57,7 +58,7 @@ struct OverheadRow {
 }
 
 /// One registration round of `clients` length-`registry_len` uploads, timed
-/// stage by stage along the exact path the binary listeners take.
+/// stage by stage along the exact path the listener takes for `DBH2`.
 #[derive(Serialize)]
 struct LatencyBudget {
     clients: usize,
@@ -246,9 +247,9 @@ fn main() {
 /// total wire cost stays within 15% of the inner protocol bytes.
 fn channel_overhead(key_bits: u64, in_memory: &dubhe_select::TransportStats) -> ChannelOverheadRow {
     println!("\nauthenticated channel overhead (DBH2, 4-shard coordinator):");
-    let listener = CoordinatorListener::spawn_with(
+    let listener = ReactorListener::spawn_with(
         ShardedCoordinator::new(30, 4),
-        ListenerConfig::default().with_channel(ChannelPolicy::Required),
+        ReactorConfig::default().with_channel(ChannelPolicy::Required),
     )
     .expect("spawn channel listener");
     let pin = listener.public_identity().expect("identity resolved");
@@ -362,8 +363,8 @@ fn channel_overhead(key_bits: u64, in_memory: &dubhe_select::TransportStats) -> 
 
 /// The end-to-end per-round latency budget: where one registration round of
 /// K = 20 clients actually spends its time, stage by stage, along the path
-/// the binary (`DBH2`) listeners take — multi-exp encryption on the clients,
-/// payload encoding, the zero-copy deferred decode (the envelope prefix is
+/// the listener takes for binary (`DBH2`) frames — multi-exp encryption on
+/// the clients, payload encoding, the zero-copy deferred decode (the envelope prefix is
 /// parsed and the residue block validated in place; the fold then reads
 /// ciphertext residues straight out of the frame payload), the Montgomery
 /// running fold over the borrowed views, and the CRT batch decrypt of the
@@ -663,12 +664,11 @@ fn protocol_round_trip(key_bits: u64) -> dubhe_select::TransportStats {
 
 /// The identical session over loopback TCP against a 4-shard coordinator,
 /// once per payload codec: every server-bound message crosses a real socket
-/// as a length-prefixed `DBH1` (JSON), `DBH2` (canonical binary) or `DBHZ`
-/// (LZSS-compressed JSON) frame. The canonical byte totals must match the
-/// in-memory run exactly for all three; the measured frame bytes show what
-/// each codec's framing and encoding add on top. `DBH2` is asserted to stay
-/// within 1.10× of the canonical bytes — the paper's communication model —
-/// where `DBH1` pays ~2.5× and `DBHZ` sits between them.
+/// as a length-prefixed `DBH1` (JSON) or `DBH2` (canonical binary) frame.
+/// The canonical byte totals must match the in-memory run exactly for both;
+/// the measured frame bytes show what each codec's framing and encoding add
+/// on top. `DBH2` is asserted to stay within 1.10× of the canonical bytes —
+/// the paper's communication model — where `DBH1` pays ~2.5×.
 fn tcp_round_trip(key_bits: u64, in_memory: &dubhe_select::TransportStats) {
     println!("\nsame session over loopback TCP (4-shard coordinator), per wire codec:");
     let spec = FederatedSpec {
@@ -686,15 +686,19 @@ fn tcp_round_trip(key_bits: u64, in_memory: &dubhe_select::TransportStats) {
         "codec", "frames", "measured (B)", "canonical (B)", "overhead", "time"
     );
     let mut overheads = Vec::new();
-    for codec in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
+    for codec in [CodecKind::Json, CodecKind::Binary] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(101);
         let dists = spec.build_partition(&mut rng).client_distributions();
         let mut config = DubheConfig::group1();
         config.k = 10;
 
-        let listener = CoordinatorListener::spawn(ShardedCoordinator::new(30, 4))
+        let listener = ReactorListener::spawn(ShardedCoordinator::new(30, 4))
             .expect("spawn loopback listener");
-        let endpoint = TcpTransport::connect_with_codec(listener.addr(), codec).expect("connect");
+        let endpoint = TcpTransport::connect_with_config(
+            listener.addr(),
+            TcpConfig::default().with_codec(codec),
+        )
+        .expect("connect");
 
         let t = Instant::now();
         let mut transport = InMemoryTransport::new();
@@ -894,7 +898,6 @@ fn encrypted_simulation(key_bits: u64) {
         key_bits,
         shards: 4,
         codec: CodecKind::Json,
-        listener: ListenerKind::Threaded,
         packing: None,
         channel: ChannelPolicy::Plaintext,
     });
@@ -902,7 +905,6 @@ fn encrypted_simulation(key_bits: u64) {
         key_bits,
         shards: 4,
         codec: CodecKind::Binary,
-        listener: ListenerKind::Threaded,
         packing: None,
         channel: ChannelPolicy::Plaintext,
     });
@@ -973,7 +975,6 @@ fn encrypted_simulation(key_bits: u64) {
         key_bits,
         shards: 4,
         codec: CodecKind::Binary,
-        listener: ListenerKind::Threaded,
         packing: Some(32),
         channel: ChannelPolicy::Plaintext,
     });

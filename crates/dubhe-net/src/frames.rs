@@ -73,10 +73,7 @@ impl FrameBuffer {
             && CodecKind::from_magic([avail[0], avail[1], avail[2], avail[3]]).is_none()
         {
             return Err(ProtocolError::MalformedFrame {
-                detail: format!(
-                    "bad magic {:02x?}, expected DBH1, DBH2 or DBHZ",
-                    &avail[..4]
-                ),
+                detail: format!("bad magic {:02x?}, expected DBH1 or DBH2", &avail[..4]),
             });
         }
         if avail.len() < HEADER_BYTES {
@@ -187,7 +184,7 @@ impl FrameBuffer {
             || CodecKind::from_magic(magic).is_some();
         if !known {
             return Err(ProtocolError::MalformedFrame {
-                detail: format!("bad magic {magic:02x?}, expected DBH1, DBH2, DBHZ, DBHS or DBHE"),
+                detail: format!("bad magic {magic:02x?}, expected DBH1, DBH2, DBHS or DBHE"),
             });
         }
         if avail.len() < HEADER_BYTES {

@@ -1,31 +1,55 @@
 //! # dubhe-net — the event-driven coordinator network layer
 //!
-//! The thread-per-connection [`CoordinatorListener`] in `dubhe-select` is
-//! honest and simple, but a selection epoch at production scale means
-//! 10⁴–10⁵ *mostly idle* persistent client connections — far beyond what a
-//! thread per socket can carry. This crate adds the second deployment shape
-//! the roadmap calls for: one event-loop thread multiplexing every
+//! A selection epoch at production scale means 10⁴–10⁵ *mostly idle*
+//! persistent client connections — far beyond what a thread per socket can
+//! carry (the thread-per-connection listener this crate replaced accepted
+//! 2.4× and registered a 9 000-client cohort 10.8× slower). So the
+//! coordinator is served one way: one event-loop thread multiplexing every
 //! connection through a readiness poller ([`mini_mio`], the vendored
 //! epoll/poll(2) stand-in), with protocol work routed to the coordinator on
 //! a separate router thread.
 //!
 //! * [`ReactorListener`] — the server: non-blocking accept, per-connection
-//!   incremental DBH1/DBH2 frame reassembly, bounded write queues with
+//!   incremental DBH1/DBH2 frame reassembly, the authenticated-channel
+//!   phases, identity binding, bounded write queues with
 //!   `WouldBlock`-driven flow control and a typed
 //!   [`Backpressure`](dubhe_select::ProtocolError::Backpressure) disconnect
-//!   past the high-water mark, and a [`ListenerStats`] snapshot shared with
-//!   the threaded listener so benches compare like-for-like.
+//!   past the high-water mark, and a [`ListenerStats`] snapshot of all of it.
 //! * [`MuxClient`] — the load-generation side: many persistent client
 //!   connections multiplexed through the same poller from a single thread,
 //!   used by `dubhe-bench`'s `load_gen` to drive 10⁴+ concurrent clients.
 //!
 //! Wire format, codec negotiation, message types and coordinator semantics
-//! all come from `dubhe-select`; this crate only changes *how sockets are
+//! all come from `dubhe-select`; this crate only decides *how sockets are
 //! waited on*, which is why the ledgers it produces are bit-identical to the
-//! threaded listener and the in-memory transport (the running folds are
-//! commutative, so arrival order cannot matter).
+//! in-memory transport (the running folds are commutative, so arrival order
+//! cannot matter).
 //!
-//! [`CoordinatorListener`]: dubhe_select::protocol::tcp::CoordinatorListener
+//! ## Example: a coordinator behind a loopback port
+//!
+//! ```
+//! use dubhe_net::ReactorListener;
+//! use dubhe_select::protocol::{
+//!     Coordinator, Envelope, Party, ProtocolMsg, ShardedCoordinator, TcpTransport,
+//! };
+//!
+//! let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 2)).unwrap();
+//! let mut client = TcpTransport::connect(listener.addr()).unwrap();
+//! // A verdict is always accepted and triggers no broadcast.
+//! let replies = client
+//!     .deliver(Envelope {
+//!         from: Party::Agent,
+//!         to: Party::Server,
+//!         epoch: 0,
+//!         msg: ProtocolMsg::TryVerdict { best_try: 1, distance: 0.25 },
+//!     })
+//!     .unwrap();
+//! assert!(replies.is_empty());
+//! client.shutdown().unwrap();
+//! let coordinator = listener.shutdown().expect("state returned");
+//! assert_eq!(coordinator.last_verdict(), Some((1, 0.25)));
+//! ```
+//!
 //! [`ListenerStats`]: dubhe_select::protocol::stats::ListenerStats
 
 pub mod frames;

@@ -22,11 +22,10 @@
 //! router never touches a socket. Decoded requests cross to the router over
 //! an mpsc channel; replies come back over a second channel, and the router
 //! rings the [`Waker`] so a poll blocked on quiet sockets picks them up
-//! immediately. Exactly the actor split of the thread-per-connection
-//! [`CoordinatorListener`](dubhe_select::protocol::tcp::CoordinatorListener)
-//! — ordering from channel FIFO, exclusivity from ownership — but with all
-//! connections multiplexed onto one thread, so 10⁴+ mostly-idle persistent
-//! clients cost file descriptors, not stacks.
+//! immediately. Ordering comes from channel FIFO and exclusivity from
+//! ownership — no `Mutex` anywhere — and with all connections multiplexed
+//! onto one thread, 10⁴+ mostly-idle persistent clients cost file
+//! descriptors, not stacks.
 //!
 //! ## Flow control
 //!
@@ -38,14 +37,14 @@
 //! connection — it never buffers without bound and never blocks the event
 //! loop on one slow reader. A peer that stalls *mid-frame* on the read side
 //! is cut by [`ReactorConfig::read_timeout`], measured from its last byte of
-//! progress — identical semantics to the blocking listener's per-read
-//! timeout.
+//! progress; idleness *between* frames is healthy (a client may train for
+//! minutes between protocol rounds) and is never timed out.
 //!
 //! ## Authenticated channel
 //!
 //! Under [`ReactorConfig::channel`] = [`ChannelPolicy::Required`] every
-//! connection walks the same pre-protocol state machine as the threaded
-//! listener: a `Handshake` phase accepting nothing but `DBHS` frames (fed
+//! connection walks a pre-protocol state machine: a `Handshake` phase
+//! accepting nothing but `DBHS` frames (fed
 //! one payload at a time from readiness events, with the whole prelude
 //! under the read timeout so a handshake slow-loris is swept), then an
 //! `Established` phase accepting nothing but `DBHE` sealed frames.
@@ -57,9 +56,9 @@
 //!
 //! Because every coordinator fold is commutative (Montgomery-domain
 //! ciphertext multiplication), the ledgers this listener produces are
-//! bit-identical to the threaded listener's and the in-memory transport's,
-//! no matter how arrival order interleaves across connections — pinned by
-//! this crate's equivalence tests and `dubhe-fl`'s simulation suite.
+//! bit-identical to the in-memory transport's, no matter how arrival order
+//! interleaves across connections — pinned by this crate's equivalence
+//! tests and `dubhe-fl`'s simulation suite.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
@@ -72,9 +71,8 @@ use std::time::{Duration, Instant};
 use dubhe_select::protocol::channel::{ChannelFrame, ChannelPolicy, NodeIdentity, ServerHandshake};
 use dubhe_select::protocol::codec::CodecKind;
 use dubhe_select::protocol::stats::{ListenerMetrics, ListenerStats};
-use dubhe_select::protocol::tcp::claimed_client;
 use dubhe_select::protocol::wire::{
-    read_frame_lazy, write_frame_limited, LazyMsg, WireMsg, MAX_FRAME_BYTES,
+    claimed_client, read_frame_lazy, write_frame_limited, LazyMsg, WireMsg, MAX_FRAME_BYTES,
 };
 use dubhe_select::protocol::Coordinator;
 use dubhe_select::{ClientId, ProtocolError};
@@ -82,7 +80,8 @@ use mini_mio::{Backend, Events, Interest, Poll, Registry, Token, Waker};
 
 use crate::frames::FrameBuffer;
 
-/// Default mid-frame stall bound, matching the blocking listener.
+/// Default mid-frame stall bound, matching the connector's
+/// [`DEFAULT_READ_TIMEOUT`](dubhe_select::protocol::DEFAULT_READ_TIMEOUT).
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long a poll sleeps when nothing bounds it sooner. Purely a liveness
@@ -122,8 +121,7 @@ pub struct ReactorConfig {
     /// before any protocol frame is accepted. Under
     /// [`ChannelPolicy::Required`] every connection starts in a
     /// pre-protocol phase speaking nothing but `DBHS` frames; after mutual
-    /// authentication completes, nothing but `DBHE` sealed frames — the
-    /// same state machine as the thread-per-connection listener.
+    /// authentication completes, nothing but `DBHE` sealed frames.
     pub channel: ChannelPolicy,
     /// The listener's static X25519 identity secret under a `Required`
     /// policy; `None` generates a fresh identity at spawn (readable via
@@ -223,9 +221,9 @@ struct Reply {
     started: Instant,
 }
 
-/// The event-driven multiplexed coordinator listener. Serves the same wire
-/// protocol as the thread-per-connection listener — same frames, same codec
-/// negotiation, same typed errors — from a single event-loop thread.
+/// The event-driven multiplexed coordinator listener: serves the wire
+/// protocol — framing, per-frame codec negotiation, typed errors — to every
+/// connection from a single event-loop thread.
 #[derive(Debug)]
 pub struct ReactorListener<C: Coordinator + Send + 'static> {
     addrs: Vec<SocketAddr>,
@@ -340,8 +338,7 @@ impl<C: Coordinator + Send + 'static> ReactorListener<C> {
         self.public_identity
     }
 
-    /// A point-in-time [`ListenerStats`] snapshot — the same shape the
-    /// threaded listener reports, for like-for-like comparison.
+    /// A point-in-time [`ListenerStats`] snapshot.
     pub fn stats(&self) -> ListenerStats {
         self.metrics.snapshot()
     }
@@ -372,17 +369,16 @@ impl<C: Coordinator + Send + 'static> Drop for ReactorListener<C> {
     }
 }
 
-/// The router thread: the sole owner of the coordinator. Identical message
-/// semantics to the threaded listener's router; bursts of queued jobs are
-/// answered with a single waker ring.
+/// The router thread: the sole owner of the coordinator. Bursts of queued
+/// jobs are answered with a single waker ring.
 fn route_jobs<C: Coordinator>(
     mut coordinator: C,
     rx: mpsc::Receiver<Job>,
     tx: mpsc::Sender<Reply>,
     waker: Arc<Waker>,
 ) -> C {
-    // Session-hijack refusal, identical to the threaded listener's router:
-    // the first authenticated identity to speak as a ClientId owns that id
+    // Session-hijack refusal: the first authenticated identity to speak as a
+    // ClientId owns that id
     // for the listener's lifetime. A different channel identity reusing the
     // id gets a typed refusal before the coordinator ever sees the message;
     // reconnects present the same identity and sail through.
@@ -446,8 +442,9 @@ fn route_jobs<C: Coordinator>(
     coordinator
 }
 
-/// Maps one request onto the [`Coordinator`] trait — the same dispatch the
-/// threaded listener performs, so both backends answer identically.
+/// Maps one request onto the [`Coordinator`] trait. Epoch checks live in
+/// `deliver`, so a stale or future-epoch frame from a remote peer earns a
+/// typed error reply, exactly as it would in-process.
 fn route_msg<C: Coordinator>(coordinator: &mut C, msg: LazyMsg) -> WireMsg {
     let batch_or_error = |r: Result<Vec<dubhe_select::protocol::Envelope>, ProtocolError>| match r {
         Ok(envelopes) => WireMsg::Batch { envelopes },
@@ -505,7 +502,7 @@ struct PendingSend {
 /// leave [`ConnPhase::Plaintext`]; `Required` listeners walk
 /// `Handshake → Established` and refuse everything off-phase.
 enum ConnPhase {
-    /// Ordinary protocol frames (`DBH1`/`DBH2`/`DBHZ`), no channel.
+    /// Ordinary protocol frames (`DBH1`/`DBH2`), no channel.
     Plaintext,
     /// Pre-protocol: nothing but `DBHS` handshake frames is accepted.
     Handshake(ServerHandshake),
@@ -676,7 +673,7 @@ impl EventLoop {
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => {
-                    eprintln!("coordinator listener: accept failed, continuing: {e}");
+                    eprintln!("reactor listener: accept failed, continuing: {e}");
                     break;
                 }
             }
@@ -734,7 +731,7 @@ impl EventLoop {
     /// frames directly, handshake-phase connections feed the server
     /// handshake state machine, established connections unseal `DBHE`
     /// frames first — each phase refusing the other phases' traffic with
-    /// the same typed errors the threaded listener produces.
+    /// typed errors.
     fn parse_frames(&mut self, token: usize, progressed: bool) {
         loop {
             let again = match self.conns.get_mut(&token) {
@@ -794,7 +791,7 @@ impl EventLoop {
             }
             Err(e) => {
                 // Framing is lost: report in the last good codec, flush,
-                // hang up — the blocking listener's exact contract.
+                // hang up rather than guess at bytes.
                 self.metrics.decode_error();
                 let codec = conn.codec;
                 conn.closing = true;
@@ -969,8 +966,7 @@ impl EventLoop {
 
     /// Maintains the stall deadline after a pull came up short. A
     /// handshake-phase connection keeps a deadline even with an empty
-    /// buffer — the whole prelude runs under the read timeout, exactly like
-    /// the threaded listener's blocking prelude.
+    /// buffer — the whole prelude runs under the read timeout.
     fn update_deadline(&mut self, token: usize, progressed: bool) {
         let read_timeout = self.config.read_timeout;
         let Some(conn) = self.conns.get_mut(&token) else {
@@ -1039,7 +1035,7 @@ impl EventLoop {
     /// Appends pre-encoded bytes (handshake replies) to a connection's
     /// write queue. They advance the cumulative offsets but carry no
     /// [`PendingSend`] entry: handshake traffic is not a protocol frame and
-    /// is not counted as one — same accounting as the threaded listener.
+    /// is not counted as one.
     fn queue_bytes(&mut self, token: usize, bytes: &[u8]) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -1065,8 +1061,7 @@ impl EventLoop {
     /// Encodes a frame into a connection's write queue, flushes what the
     /// socket will take, and enforces the high-water mark. On an
     /// established channel the encoded frame is sealed into a `DBHE` frame
-    /// first; metrics count the sealed bytes, exactly like the threaded
-    /// listener's sealed reply path.
+    /// first; metrics count the sealed bytes.
     fn queue_frame(
         &mut self,
         token: usize,
@@ -1209,8 +1204,7 @@ impl EventLoop {
     }
 
     /// Cuts connections that stalled mid-frame past the read timeout,
-    /// telling the peer why first (best-effort, one nonblocking write) —
-    /// the same courtesy the blocking listener extends before hanging up.
+    /// telling the peer why first (best-effort, one nonblocking write).
     fn sweep_stalled(&mut self) {
         let now = Instant::now();
         let stalled: Vec<usize> = self
@@ -1257,8 +1251,7 @@ impl EventLoop {
         };
         let _ = self.registry.deregister(&conn.stream);
         // A connection that dies before mutual authentication completes is
-        // a failed handshake, whatever killed it — the same accounting the
-        // threaded prelude's error path produces.
+        // a failed handshake, whatever killed it.
         if matches!(conn.phase, ConnPhase::Handshake(_)) {
             self.metrics.handshake_failed();
         }

@@ -4,10 +4,9 @@
 //! registration + multi-time session served by the [`ReactorListener`] must
 //! be *bit-identical* — same decrypted overall registry, same ciphertext
 //! residues, same verdict, same canonical accounting — to the in-memory
-//! coordinator and the thread-per-connection listener, on both readiness
-//! backends. And every abuse a socket can deliver (garbage, mid-frame
-//! stalls, a reader that stops reading) must surface as typed flow control,
-//! never a panic or a hang.
+//! coordinator, on both readiness backends. And every abuse a socket can
+//! deliver (garbage, mid-frame stalls, a reader that stops reading) must
+//! surface as typed flow control, never a panic or a hang.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -17,9 +16,9 @@ use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
 use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
-    read_frame, run_registration_with, run_try, ChannelPolicy, CodecKind, Coordinator,
-    CoordinatorListener, Envelope, InMemoryTransport, Party, ProtocolMsg, ShardedCoordinator,
-    TcpConfig, TcpTransport, TransportStats, WireMsg,
+    read_frame, run_registration_with, run_try, ChannelPolicy, CodecKind, Coordinator, Envelope,
+    InMemoryTransport, ListenerStats, Party, ProtocolMsg, ShardedCoordinator, TcpConfig,
+    TcpTransport, TransportStats, WireMsg,
 };
 use dubhe_select::{ClientSelector, DubheConfig, DubheSelector};
 use mini_mio::Backend;
@@ -76,6 +75,27 @@ fn drive_session<C: Coordinator>(
     (overall, verdict, *transport.stats(), run.server)
 }
 
+/// Blocks until `done` holds of the listener's stats and returns that
+/// snapshot. The listener counts asynchronously to the client's reads, so a
+/// test pins totals only after waiting here — and `done` must be a
+/// condition on *monotonic* counters (`connections_closed == n`, never
+/// `connections_open == 0`, which also holds before anything was accepted).
+fn wait_for(
+    reactor: &ReactorListener<ShardedCoordinator>,
+    what: &str,
+    done: impl Fn(&ListenerStats) -> bool,
+) -> ListenerStats {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = reactor.stats();
+        if done(&stats) {
+            return stats;
+        }
+        assert!(Instant::now() < deadline, "{what}: {stats:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn verdict_envelope(best_try: usize) -> WireMsg {
     WireMsg::Envelope {
         envelope: Envelope {
@@ -91,22 +111,12 @@ fn verdict_envelope(best_try: usize) -> WireMsg {
 }
 
 #[test]
-fn reactor_session_is_bit_identical_to_memory_and_threaded_listener() {
+fn reactor_session_is_bit_identical_to_memory() {
     let dists = clients(20, 81);
 
     let (overall_mem, verdict_mem, stats_mem, server) =
         drive_session(&dists, 82, dubhe_select::CoordinatorServer::new(20));
     let total_mem = server.encrypted_total().expect("epoch complete");
-
-    // The threaded listener's result, as the middle reference point.
-    let threaded = CoordinatorListener::spawn(ShardedCoordinator::new(20, 2)).unwrap();
-    let endpoint = TcpTransport::connect_with_codec(threaded.addr(), CodecKind::Binary).unwrap();
-    let (overall_thr, verdict_thr, stats_thr, endpoint) = drive_session(&dists, 82, endpoint);
-    endpoint.shutdown().unwrap();
-    let threaded_state = threaded.shutdown().expect("listener state");
-    assert_eq!(overall_thr, overall_mem);
-    assert_eq!(verdict_thr, verdict_mem);
-    assert_eq!(stats_thr, stats_mem);
 
     // The reactor must match on both readiness backends.
     for backend in [Backend::Epoll, Backend::Portable] {
@@ -115,7 +125,11 @@ fn reactor_session_is_bit_identical_to_memory_and_threaded_listener() {
             ReactorConfig::default().with_backend(backend),
         )
         .unwrap();
-        let endpoint = TcpTransport::connect_with_codec(reactor.addr(), CodecKind::Binary).unwrap();
+        let endpoint = TcpTransport::connect_with_config(
+            reactor.addr(),
+            TcpConfig::default().with_codec(CodecKind::Binary),
+        )
+        .unwrap();
         let (overall, verdict, stats, endpoint) = drive_session(&dists, 82, endpoint);
         assert_eq!(overall, overall_mem, "{backend:?}");
         assert_eq!(verdict, verdict_mem, "{backend:?}");
@@ -124,17 +138,8 @@ fn reactor_session_is_bit_identical_to_memory_and_threaded_listener() {
 
         // The shutdown frame lands asynchronously; wait for the listener to
         // close the connection before pinning the frame totals.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while reactor.stats().connections_open > 0 {
-            assert!(
-                Instant::now() < deadline,
-                "{backend:?}: connection never drained: {:?}",
-                reactor.stats()
-            );
-            std::thread::sleep(Duration::from_millis(10));
-        }
-
-        let listener_stats = reactor.stats();
+        let what = format!("{backend:?}: connection never drained");
+        let listener_stats = wait_for(&reactor, &what, |s| s.connections_closed == 1);
         assert!(listener_stats.frames_received > 0, "{backend:?}");
         assert_eq!(
             listener_stats.frames_received,
@@ -144,15 +149,14 @@ fn reactor_session_is_bit_identical_to_memory_and_threaded_listener() {
         assert!(listener_stats.latency.count > 0, "{backend:?}");
 
         let state = reactor.shutdown().expect("listener state");
-        // Bit-identical ciphertext folds, element by element, against both
-        // references.
+        // Bit-identical ciphertext folds, element by element.
         let total = state.encrypted_total().expect("epoch complete");
         assert_eq!(total.len(), total_mem.len());
         for (a, b) in total.elements().iter().zip(total_mem.elements()) {
             assert_eq!(a.raw(), b.raw(), "{backend:?}: fold diverged from memory");
         }
         assert_eq!(state.messages_received(), server.messages_received());
-        assert_eq!(state.bytes_received(), threaded_state.bytes_received());
+        assert_eq!(state.bytes_received(), server.bytes_received());
         assert_eq!(state.last_verdict(), Some(verdict_mem));
     }
 }
@@ -190,12 +194,8 @@ fn required_channel_session_is_bit_identical_to_plaintext_on_both_backends() {
         assert_eq!(stats, stats_mem, "{backend:?}");
         endpoint.shutdown().unwrap();
 
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while reactor.stats().connections_open > 0 {
-            assert!(Instant::now() < deadline, "connection never drained");
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        let listener_stats = reactor.stats();
+        let what = format!("{backend:?}: connection never drained");
+        let listener_stats = wait_for(&reactor, &what, |s| s.connections_closed == 1);
         assert_eq!(listener_stats.handshakes_completed, 1, "{backend:?}");
         assert_eq!(listener_stats.handshakes_failed, 0, "{backend:?}");
         assert_eq!(listener_stats.aead_rejections, 0, "{backend:?}");
@@ -237,16 +237,9 @@ fn mux_client_runs_sealed_sessions_end_to_end() {
     assert_eq!(replies.len(), 7);
     mux.shutdown();
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while reactor.stats().connections_open > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "connections never drained: {:?}",
-            reactor.stats()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let stats = reactor.stats();
+    let stats = wait_for(&reactor, "connections never drained", |s| {
+        s.connections_closed == n
+    });
     assert_eq!(stats.connections_accepted, n);
     assert_eq!(stats.handshakes_completed, n);
     assert_eq!(stats.handshakes_failed, 0);
@@ -305,24 +298,30 @@ fn downgrades_and_handshake_stalls_get_typed_refusals_on_both_backends() {
         // A connection that never sends a byte is swept too — silence is
         // not a way to hold a pre-authentication slot open.
         let silent = TcpStream::connect(reactor.addr()).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while reactor.stats().connections_open > 0 {
-            assert!(
-                Instant::now() < deadline,
-                "{backend:?}: silent pre-auth connection never swept: {:?}",
-                reactor.stats()
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let what = format!("{backend:?}: silent pre-auth connection never swept");
+        let stats = wait_for(&reactor, &what, |s| s.connections_closed == 3);
         drop(silent);
 
-        let stats = reactor.stats();
         assert_eq!(stats.downgrades_refused, 1, "{backend:?}");
         assert_eq!(
             stats.handshakes_failed, 3,
             "{backend:?}: downgrade + loris + silent"
         );
         assert_eq!(stats.handshakes_completed, 0, "{backend:?}");
+
+        // Slots freed: an honest client still authenticates and is served.
+        let mut honest = TcpTransport::connect_with_config(
+            reactor.addr(),
+            TcpConfig::default()
+                .with_read_timeout(Duration::from_secs(5))
+                .with_channel(ChannelPolicy::Required)
+                .with_expected_server(reactor.public_identity().expect("identity resolved")),
+        )
+        .unwrap();
+        honest
+            .announce_try(0, &[1, 2])
+            .expect("listener healthy after sweeping the stalled handshakes");
+        assert_eq!(reactor.stats().handshakes_completed, 1, "{backend:?}");
         assert!(reactor.shutdown().is_some());
     }
 }
@@ -358,16 +357,9 @@ fn mux_client_multiplexes_many_persistent_connections() {
 
     // Shutdown frames land asynchronously; wait for the listener to close
     // every connection before pinning the totals.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while reactor.stats().connections_open > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "connections never drained: {:?}",
-            reactor.stats()
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let stats = reactor.stats();
+    let stats = wait_for(&reactor, "connections never drained", |s| {
+        s.connections_closed == n
+    });
     assert_eq!(stats.connections_accepted, n);
     assert_eq!(stats.peak_connections, n);
     assert_eq!(stats.frames_received, n + 16 + n, "requests + shutdowns");
@@ -402,32 +394,27 @@ fn stalled_reader_is_cut_by_backpressure_not_buffered_forever() {
             })
             .collect(),
     };
-    let deadline = Instant::now() + Duration::from_secs(20);
-    let mut sent = 0usize;
+    // Keep writing until the server cuts us — a write error is that signal
+    // arriving, not a test failure — or the counter trips first.
     while reactor.stats().backpressure_disconnects == 0 {
-        assert!(
-            Instant::now() < deadline,
-            "backpressure never tripped after {sent} bulky requests: {:?}",
-            reactor.stats()
-        );
-        // The server may cut us at any moment; write errors are the signal
-        // arriving, not a test failure.
         if dubhe_select::protocol::write_frame_with(&mut raw, &bulky, CodecKind::Binary).is_err() {
-            std::thread::sleep(Duration::from_millis(20));
-        } else {
-            sent += 1;
+            break;
         }
     }
-    let stats = reactor.stats();
-    assert_eq!(stats.backpressure_disconnects, 1);
+    let stats = wait_for(&reactor, "backpressure never tripped", |s| {
+        s.backpressure_disconnects == 1
+    });
     assert!(
         stats.peak_write_queue > 64 * 1024,
         "peak queue {} should exceed the high-water mark",
         stats.peak_write_queue
     );
     // The listener survives and serves the next client normally.
-    let mut healthy =
-        TcpTransport::connect_with_timeout(reactor.addr(), Duration::from_secs(5)).unwrap();
+    let mut healthy = TcpTransport::connect_with_config(
+        reactor.addr(),
+        TcpConfig::default().with_read_timeout(Duration::from_secs(5)),
+    )
+    .unwrap();
     healthy
         .announce_try(0, &[1, 2])
         .expect("listener healthy after cutting the stalled reader");

@@ -97,16 +97,15 @@
 //!
 //! ## Example: the identical exchange over loopback TCP
 //!
-//! [`TcpTransport`] connects the same driver slot to a
-//! [`CoordinatorListener`] across real sockets — length-prefixed frames,
-//! a mutex-free multi-threaded listener, typed errors on every failure
-//! mode:
+//! [`TcpTransport`] connects the same driver slot to `dubhe-net`'s
+//! `ReactorListener` across real sockets — length-prefixed frames, a
+//! mutex-free event-loop listener, typed errors on every failure mode:
 //!
 //! ```
 //! use dubhe_data::federated::{DatasetFamily, FederatedSpec};
+//! use dubhe_net::ReactorListener;
 //! use dubhe_select::protocol::{
-//!     run_registration_with, CoordinatorListener, InMemoryTransport, ShardedCoordinator,
-//!     TcpTransport,
+//!     run_registration_with, InMemoryTransport, ShardedCoordinator, TcpTransport,
 //! };
 //! use dubhe_select::DubheConfig;
 //! use rand::SeedableRng;
@@ -124,7 +123,7 @@
 //! let dists = spec.build_partition(&mut rng).client_distributions();
 //!
 //! // Server side: a sharded coordinator behind an ephemeral loopback port.
-//! let listener = CoordinatorListener::spawn(ShardedCoordinator::new(24, 4)).unwrap();
+//! let listener = ReactorListener::spawn(ShardedCoordinator::new(24, 4)).unwrap();
 //! // Client side: the connector fills the same coordinator slot.
 //! let endpoint = TcpTransport::connect(listener.addr()).unwrap();
 //!
@@ -168,8 +167,8 @@ pub use multi_time::{
 pub use param_search::{parameter_search, SearchGrid, SearchOutcome};
 pub use probability::participation_probability;
 pub use protocol::{
-    AgentNode, Coordinator, CoordinatorListener, CoordinatorServer, InMemoryTransport, Party,
-    ProtocolMsg, SelectClientNode, ShardedCoordinator, TcpTransport, Transport, TransportStats,
+    AgentNode, Coordinator, CoordinatorServer, InMemoryTransport, Party, ProtocolMsg,
+    SelectClientNode, ShardedCoordinator, TcpTransport, Transport, TransportStats,
 };
 pub use registry::{register, register_all, register_all_encrypted, Registration};
 pub use secure::{

@@ -12,7 +12,7 @@
 //!
 //! ## Wire formats
 //!
-//! Two new frame magics join `DBH1`/`DBH2`/`DBHZ`, both length-prefixed the
+//! Two new frame magics join `DBH1`/`DBH2`, both length-prefixed the
 //! same way (`magic + u32 BE length + payload`):
 //!
 //! ```text
@@ -21,7 +21,7 @@
 //! ```
 //!
 //! A sealed payload decrypts to one complete *inner* plaintext frame
-//! (`DBH1`/`DBH2`/`DBHZ`), so codec negotiation, lazy registry deferral and
+//! (`DBH1`/`DBH2`), so codec negotiation, lazy registry deferral and
 //! frame-size limits all apply unchanged inside the channel. The AEAD's
 //! associated data covers the `DBHE` magic and the sequence number: a
 //! spliced or re-sequenced frame fails the tag even if its ciphertext is
@@ -86,7 +86,7 @@ pub const HANDSHAKE_WIRE_BYTES: usize = (8 + HELLO_LEN) + (8 + M2_LEN) + (8 + CO
 /// Whether a connection endpoint runs the authenticated channel.
 ///
 /// `Plaintext` keeps the historical behaviour (frames travel as bare
-/// `DBH1`/`DBH2`/`DBHZ`) — loopback benches stay unauthenticated *by
+/// `DBH1`/`DBH2`) — loopback benches stay unauthenticated *by
 /// choice*. `Required` refuses every plaintext protocol frame with a typed
 /// [`ProtocolError::DowngradeRefused`], before, during and after the
 /// handshake.
@@ -326,7 +326,7 @@ pub enum ChannelFrame {
     Handshake(Vec<u8>),
     /// A `DBHE` sealed payload (`seq || ciphertext || tag`).
     Sealed(Vec<u8>),
-    /// A plaintext protocol frame (`DBH1`/`DBH2`/`DBHZ`): the *entire*
+    /// A plaintext protocol frame (`DBH1`/`DBH2`): the *entire*
     /// frame bytes, header included, so a `Plaintext`-policy caller can
     /// re-parse it with the ordinary wire readers.
     Plaintext {
@@ -389,7 +389,7 @@ pub fn read_channel_frame<R: Read>(
         return Ok((ChannelFrame::Plaintext { codec, frame }, total));
     }
     Err(ProtocolError::MalformedFrame {
-        detail: format!("bad magic {magic:02x?}, expected DBH1, DBH2, DBHZ, DBHS or DBHE"),
+        detail: format!("bad magic {magic:02x?}, expected DBH1, DBH2, DBHS or DBHE"),
     })
 }
 
@@ -464,8 +464,7 @@ pub fn client_handshake<S: Read + Write>(
 
 /// The server side of the handshake as an explicit state machine, so the
 /// event-driven reactor can feed it one `DBHS` payload at a time from
-/// readiness events. The threaded listener wraps it in
-/// [`server_handshake_blocking`].
+/// readiness events.
 pub struct ServerHandshake {
     identity: NodeIdentity,
     state: ServerHandshakeState,
@@ -567,45 +566,6 @@ impl ServerHandshake {
             ServerHandshakeState::Done => Err(ProtocolError::AuthFailure {
                 detail: "handshake message after the handshake completed".to_string(),
             }),
-        }
-    }
-}
-
-/// Runs the server side of the handshake over a blocking stream (the
-/// threaded listener's prelude). Plaintext protocol frames during the
-/// handshake are refused as downgrade attempts.
-pub fn server_handshake_blocking<S: Read + Write>(
-    stream: &mut S,
-    identity: NodeIdentity,
-    max_frame_bytes: usize,
-) -> Result<SecureChannel, ProtocolError> {
-    let mut hs = ServerHandshake::new(identity);
-    loop {
-        let (frame, _) = read_channel_frame(stream, max_frame_bytes)?;
-        let payload = match frame {
-            ChannelFrame::Handshake(payload) => payload,
-            ChannelFrame::Plaintext { frame, .. } => {
-                return Err(ProtocolError::DowngradeRefused {
-                    magic: frame[..4].try_into().expect("4-byte magic"),
-                })
-            }
-            ChannelFrame::Sealed(_) => {
-                return Err(ProtocolError::AuthFailure {
-                    detail: "sealed frame before the handshake finished".to_string(),
-                })
-            }
-        };
-        let step = hs.on_payload(&payload)?;
-        if let Some(reply) = step.reply {
-            stream
-                .write_all(&reply)
-                .map_err(|e| io_error("write handshake frame", e))?;
-            stream
-                .flush()
-                .map_err(|e| io_error("write handshake frame", e))?;
-        }
-        if let Some(channel) = step.established {
-            return Ok(channel);
         }
     }
 }
@@ -826,9 +786,12 @@ mod tests {
             other => panic!("expected plaintext, got {other:?}"),
         }
 
-        // Unknown magic is malformed; truncation is typed.
-        let err = read_channel_frame(&mut &b"EVIL\x00\x00\x00\x00"[..], 1 << 20).unwrap_err();
-        assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
+        // Unknown magic (the retired compressed-JSON one included) is
+        // malformed; truncation is typed.
+        for mut unknown in [&b"EVIL\x00\x00\x00\x00"[..], &b"DBHZ\x00\x00\x00\x00"[..]] {
+            let err = read_channel_frame(&mut unknown, 1 << 20).unwrap_err();
+            assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
+        }
         let err = read_channel_frame(&mut &buf[..3], 1 << 20).unwrap_err();
         assert!(matches!(err, ProtocolError::TruncatedFrame { .. }), "{err}");
     }

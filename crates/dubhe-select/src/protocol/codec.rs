@@ -86,9 +86,6 @@ pub enum CodecKind {
     Json,
     /// `DBH2`: canonical binary payloads.
     Binary,
-    /// `DBHZ`: `DBH1` JSON payloads under transparent per-frame LZSS
-    /// compression (see [`super::compress`]).
-    JsonLz,
 }
 
 impl CodecKind {
@@ -97,7 +94,6 @@ impl CodecKind {
         match self {
             CodecKind::Json => *b"DBH1",
             CodecKind::Binary => *b"DBH2",
-            CodecKind::JsonLz => *b"DBHZ",
         }
     }
 
@@ -106,17 +102,15 @@ impl CodecKind {
         match &magic {
             b"DBH1" => Some(CodecKind::Json),
             b"DBH2" => Some(CodecKind::Binary),
-            b"DBHZ" => Some(CodecKind::JsonLz),
             _ => None,
         }
     }
 
-    /// The wire-format name (`"DBH1"` / `"DBH2"` / `"DBHZ"`).
+    /// The wire-format name (`"DBH1"` / `"DBH2"`).
     pub fn name(self) -> &'static str {
         match self {
             CodecKind::Json => "DBH1",
             CodecKind::Binary => "DBH2",
-            CodecKind::JsonLz => "DBHZ",
         }
     }
 
@@ -125,7 +119,6 @@ impl CodecKind {
         match self {
             CodecKind::Json => &JsonCodec,
             CodecKind::Binary => &BinaryCodec,
-            CodecKind::JsonLz => &CompressedJsonCodec,
         }
     }
 
@@ -173,31 +166,6 @@ impl WireCodec for JsonCodec {
         serde_json::from_str(text).map_err(|e| ProtocolError::MalformedFrame {
             detail: format!("payload is not a wire message: {e}"),
         })
-    }
-}
-
-/// The `DBHZ` payload codec: the exact `DBH1` JSON rendering, LZSS-
-/// compressed per frame (see [`super::compress`]).
-///
-/// Compatibility is inherited from [`JsonCodec`] — inflate a `DBHZ`
-/// payload and a legacy DBH1 peer could read it verbatim. The declared
-/// inflated length is capped at the default frame ceiling, so a
-/// decompression bomb is refused before a byte of it is inflated.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CompressedJsonCodec;
-
-impl WireCodec for CompressedJsonCodec {
-    fn kind(&self) -> CodecKind {
-        CodecKind::JsonLz
-    }
-
-    fn encode(&self, msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
-        Ok(super::compress::compress(&JsonCodec.encode(msg)?))
-    }
-
-    fn decode(&self, payload: &[u8]) -> Result<WireMsg, ProtocolError> {
-        let inflated = super::compress::decompress(payload, super::wire::MAX_FRAME_BYTES)?;
-        JsonCodec.decode(&inflated)
     }
 }
 
@@ -846,7 +814,7 @@ mod tests {
     #[test]
     fn every_variant_round_trips_through_both_codecs() {
         for msg in sample_msgs() {
-            for kind in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
+            for kind in [CodecKind::Json, CodecKind::Binary] {
                 let payload = kind.encode(&msg).unwrap();
                 let back = kind.decode(&payload).unwrap();
                 assert_eq!(back, msg, "{} round trip", kind.name());
@@ -999,11 +967,12 @@ mod tests {
 
     #[test]
     fn magic_negotiation_is_a_bijection() {
-        for kind in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
+        for kind in [CodecKind::Json, CodecKind::Binary] {
             assert_eq!(CodecKind::from_magic(kind.magic()), Some(kind));
             assert_eq!(kind.as_codec().kind(), kind);
         }
         assert_eq!(CodecKind::from_magic(*b"DBH3"), None);
+        assert_eq!(CodecKind::from_magic(*b"DBHZ"), None, "retired magic");
         assert_eq!(CodecKind::from_magic(*b"HTTP"), None);
     }
 

@@ -61,10 +61,10 @@
 //! * [`CoordinatorServer`] — the single in-process fold;
 //! * [`ShardedCoordinator`] — registry positions partitioned across N shard
 //!   folds that advance rayon-parallel and merge into a bit-identical total;
-//! * [`TcpTransport`] → [`CoordinatorListener`] — the same messages as
+//! * [`TcpTransport`] → `dubhe_net::ReactorListener` — the same messages as
 //!   length-prefixed frames (see [`wire`]) over real loopback sockets, served
-//!   by a mutex-free multi-threaded listener. The frame payload codec is
-//!   pluggable (see [`codec`]): `DBH1` JSON for compatibility, `DBH2`
+//!   by `dubhe-net`'s mutex-free event-loop listener. The frame payload codec
+//!   is pluggable (see [`codec`]): `DBH1` JSON for compatibility, `DBH2`
 //!   canonical binary for wire traffic within 1.10× of the paper's
 //!   communication model, negotiated per connection from the frame magic.
 //!
@@ -84,7 +84,6 @@
 
 pub mod channel;
 pub mod codec;
-pub mod compress;
 pub mod driver;
 pub mod fault;
 pub mod message;
@@ -101,7 +100,7 @@ pub use channel::{
     NodeIdentity, RetrySchedule, SecureChannel, ServerHandshake, FRAME_MAGIC_HANDSHAKE,
     FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
 };
-pub use codec::{BinaryCodec, CodecKind, CompressedJsonCodec, JsonCodec, RegistryFrame, WireCodec};
+pub use codec::{BinaryCodec, CodecKind, JsonCodec, RegistryFrame, WireCodec};
 pub use driver::{
     pump, run_registration, run_registration_with, run_registration_with_packing, run_try,
     run_try_with_dropouts, RegistrationRun,
@@ -112,13 +111,10 @@ pub use packing::PackingPolicy;
 pub use roles::{AgentNode, CohortOutcome, Coordinator, CoordinatorServer, SelectClientNode};
 pub use shard::{shard_ranges, ShardedCoordinator};
 pub use stats::{LatencyHistogram, LatencySummary, ListenerMetrics, ListenerStats};
-pub use tcp::{
-    claimed_client, CoordinatorListener, ListenerConfig, TcpConfig, TcpTransport, WireStats,
-    DEFAULT_READ_TIMEOUT,
-};
+pub use tcp::{TcpConfig, TcpTransport, WireStats, DEFAULT_READ_TIMEOUT};
 pub use transport::{InMemoryTransport, LinkStats, Transport, TransportStats};
 pub use wire::{
-    read_frame, read_frame_lazy, read_frame_limited, read_frame_negotiated, write_frame,
-    write_frame_limited, write_frame_with, LazyMsg, WireMsg, FRAME_MAGIC, FRAME_MAGIC_V2,
-    MAX_FRAME_BYTES,
+    claimed_client, read_frame, read_frame_lazy, read_frame_limited, read_frame_negotiated,
+    write_frame, write_frame_limited, write_frame_with, LazyMsg, WireMsg, FRAME_MAGIC,
+    FRAME_MAGIC_V2, MAX_FRAME_BYTES,
 };

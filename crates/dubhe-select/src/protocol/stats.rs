@@ -1,18 +1,18 @@
 //! Shared listener observability: per-connection codec/latency metrics and
 //! the [`ListenerStats`] snapshot API.
 //!
-//! Both coordinator listeners — the thread-per-connection
-//! [`CoordinatorListener`](super::tcp::CoordinatorListener) and `dubhe-net`'s
-//! event-driven `ReactorListener` — record into the same
-//! [`ListenerMetrics`] recorder and publish the same [`ListenerStats`]
-//! snapshot, so a bench (`load_gen` → `results/BENCH_net.json`) can compare
-//! the two architectures like-for-like: frames and bytes in each direction,
-//! decode failures, write-queue high-water marks, and a per-request latency
-//! histogram (decode → reply handed to the socket).
+//! `dubhe-net`'s event-driven `ReactorListener` records into a
+//! [`ListenerMetrics`] recorder and publishes it as a [`ListenerStats`]
+//! snapshot — what `load_gen` writes to `results/BENCH_net.json` and the
+//! benchmark reads its `net.*` layer from: frames and bytes in each
+//! direction, decode failures, write-queue high-water marks, and a
+//! per-request latency histogram (decode → reply handed to the socket). The
+//! types live here, beside the wire they describe, so a connector-side
+//! consumer needs no dependency on the listener crate.
 //!
 //! The recorder is all atomics plus one mutex around the latency histogram —
 //! observability only, never on the coordinator-state path, so the
-//! "mutex-free protocol state" property of both listeners is untouched.
+//! listener's "mutex-free protocol state" property is untouched.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -182,7 +182,9 @@ pub struct ListenerStats {
 ///
 /// Shared as an `Arc` between a listener's I/O side and whoever holds the
 /// listener handle; every counter is a relaxed atomic (monotonic counters
-/// need no ordering), the latency histogram sits behind its own mutex.
+/// need no ordering) except `connections_closed`, whose release/acquire
+/// pairing publishes a closed connection's other counts with it; the
+/// latency histogram sits behind its own mutex.
 #[derive(Debug, Default)]
 pub struct ListenerMetrics {
     connections_accepted: AtomicUsize,
@@ -229,9 +231,13 @@ impl ListenerMetrics {
         bump_max(&self.peak_connections, accepted.saturating_sub(closed));
     }
 
-    /// Counts one closed connection.
+    /// Counts one closed connection. `Release`, paired with the `Acquire`
+    /// load in [`snapshot`](Self::snapshot): a snapshot that shows the close
+    /// also shows everything the listener counted for that connection before
+    /// it, so `connections_closed == n` is a sound condition to wait on
+    /// before pinning totals.
     pub fn connection_closed(&self) {
-        self.connections_closed.fetch_add(1, Ordering::Relaxed);
+        self.connections_closed.fetch_add(1, Ordering::Release);
     }
 
     /// Counts one decoded inbound frame of `bytes` total size.
@@ -299,7 +305,7 @@ impl ListenerMetrics {
     /// each exact; cross-counter skew is bounded by in-flight requests).
     pub fn snapshot(&self) -> ListenerStats {
         let accepted = self.connections_accepted.load(Ordering::Relaxed);
-        let closed = self.connections_closed.load(Ordering::Relaxed);
+        let closed = self.connections_closed.load(Ordering::Acquire);
         ListenerStats {
             connections_accepted: accepted,
             connections_closed: closed,

@@ -37,7 +37,7 @@ use std::io::{ErrorKind, Read, Write};
 use serde::{Deserialize, Serialize};
 
 use super::codec::{CodecKind, RegistryFrame};
-use super::message::Envelope;
+use super::message::{Envelope, Party};
 use crate::error::ProtocolError;
 use crate::selector::ClientId;
 
@@ -229,7 +229,7 @@ pub fn read_frame_limited<R: Read>(
     read_exact_or(r, &mut magic, "header", true)?;
     let Some(codec) = CodecKind::from_magic(magic) else {
         return Err(ProtocolError::MalformedFrame {
-            detail: format!("bad magic {magic:02x?}, expected DBH1, DBH2 or DBHZ"),
+            detail: format!("bad magic {magic:02x?}, expected DBH1 or DBH2"),
         });
     };
     let mut len_bytes = [0u8; 4];
@@ -288,6 +288,19 @@ impl LazyMsg {
     }
 }
 
+/// The `ClientId` a request speaks *as*, if any — what the listener's
+/// identity-binding check (session-hijack refusal) keys on.
+pub fn claimed_client(msg: &LazyMsg) -> Option<ClientId> {
+    match msg {
+        LazyMsg::DeferredRegistry(frame) => Some(frame.client()),
+        LazyMsg::Eager(WireMsg::Envelope { envelope }) => match envelope.from {
+            Party::Client(id) => Some(id),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// [`read_frame_limited`], but `DBH2` registry payloads are returned
 /// *undecoded* as [`LazyMsg::DeferredRegistry`] so the receiver can fold
 /// them straight out of the payload bytes. All other payloads (and every
@@ -302,7 +315,7 @@ pub fn read_frame_lazy<R: Read>(
     read_exact_or(r, &mut magic, "header", true)?;
     let Some(codec) = CodecKind::from_magic(magic) else {
         return Err(ProtocolError::MalformedFrame {
-            detail: format!("bad magic {magic:02x?}, expected DBH1, DBH2 or DBHZ"),
+            detail: format!("bad magic {magic:02x?}, expected DBH1 or DBH2"),
         });
     };
     let mut len_bytes = [0u8; 4];
@@ -330,7 +343,7 @@ pub fn read_frame_lazy<R: Read>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::message::{Party, ProtocolMsg};
+    use crate::protocol::message::ProtocolMsg;
 
     fn verdict_envelope() -> Envelope {
         Envelope {
@@ -561,9 +574,12 @@ mod tests {
         let err = read_frame(&mut &mixed[..]).unwrap_err();
         assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
 
-        // An unknown magic version is refused by name.
-        let err = read_frame(&mut &b"DBH3\x00\x00\x00\x00"[..]).unwrap_err();
-        assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
+        // An unknown magic version is refused by name — the retired
+        // compressed-JSON magic included.
+        for mut unknown in [&b"DBH3\x00\x00\x00\x00"[..], &b"DBHZ\x00\x00\x00\x00"[..]] {
+            let err = read_frame_negotiated(&mut unknown).unwrap_err();
+            assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
+        }
     }
 
     #[test]

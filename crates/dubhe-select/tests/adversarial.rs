@@ -19,10 +19,9 @@ use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
     client_handshake, pump, read_channel_frame, read_frame, read_frame_negotiated,
     run_registration_with, run_registration_with_packing, write_frame_with, ChannelFrame,
-    ChannelPolicy, CodecKind, Coordinator, CoordinatorListener, CoordinatorServer, Envelope,
-    FaultPlan, FaultyTransport, InMemoryTransport, ListenerConfig, ListenerStats, NodeIdentity,
-    PackingPolicy, Party, ProtocolMsg, SecureChannel, ShardedCoordinator, TcpConfig, TcpTransport,
-    Transport, WireMsg, MAX_FRAME_BYTES,
+    ChannelPolicy, CodecKind, Coordinator, CoordinatorServer, Envelope, FaultPlan, FaultyTransport,
+    InMemoryTransport, NodeIdentity, PackingPolicy, Party, ProtocolMsg, SecureChannel,
+    ShardedCoordinator, TcpConfig, TcpTransport, Transport, WireMsg, MAX_FRAME_BYTES,
 };
 use dubhe_select::{DubheConfig, ProtocolError, SelectError};
 use rand::SeedableRng;
@@ -41,6 +40,12 @@ fn clients(n: usize, seed: u64) -> Vec<ClassDistribution> {
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     spec.build_partition(&mut rng).client_distributions()
+}
+
+/// The connector config the live-listener tests dial with: a short read
+/// timeout so a wedged peer fails the test fast instead of stalling it.
+fn quick() -> TcpConfig {
+    TcpConfig::default().with_read_timeout(Duration::from_secs(5))
 }
 
 fn registry_envelope(client: usize, registry: EncryptedVector) -> Envelope {
@@ -353,7 +358,7 @@ fn truncated_packed_dbh2_payloads_do_not_kill_the_listener() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(251);
     let kp = Keypair::generate(KEY_BITS, &mut rng);
     let policy = PackingPolicy::new(32, KEY_BITS, 4).unwrap();
-    let listener = CoordinatorListener::spawn(
+    let listener = ReactorListener::spawn(
         ShardedCoordinator::with_public_key(kp.public.clone(), 4, 2).with_packing(policy),
     )
     .unwrap();
@@ -389,7 +394,7 @@ fn truncated_packed_dbh2_payloads_do_not_kill_the_listener() {
     drop(stream);
 
     // The listener survived and a healthy packed session still works.
-    let mut client = TcpTransport::connect_with_timeout(addr, Duration::from_secs(5)).unwrap();
+    let mut client = TcpTransport::connect_with_config(addr, quick()).unwrap();
     for id in 0..4 {
         let v = PackedEncryptedVector::encrypt(
             policy.packer(),
@@ -408,8 +413,8 @@ fn truncated_packed_dbh2_payloads_do_not_kill_the_listener() {
     assert_eq!(total.decrypt_u64(&kp.private), vec![0, 4, 0, 0, 0, 0]);
 }
 
-/// Drives the deferred-registry recovery exchange against whichever
-/// listener answers at `addr`: a registry whose ciphertext block is corrupt
+/// Drives the deferred-registry recovery exchange against the listener at
+/// `addr`: a registry whose ciphertext block is corrupt
 /// (but whose prefix is intact, so it takes the zero-copy deferred path)
 /// earns a typed Error *without* losing the connection — the fold never saw
 /// it and the client's slot is still free — and the same connection then
@@ -471,17 +476,9 @@ fn corrupt_deferred_registry_then_recover(
 }
 
 #[test]
-fn corrupt_deferred_registries_keep_the_connection_on_both_listeners() {
+fn corrupt_deferred_registries_keep_the_connection() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(271);
     let kp = Keypair::generate(KEY_BITS, &mut rng);
-
-    let listener =
-        CoordinatorListener::spawn(ShardedCoordinator::with_public_key(kp.public.clone(), 2, 2))
-            .unwrap();
-    corrupt_deferred_registry_then_recover(listener.addr(), &kp, &mut rng);
-    let coordinator = listener.shutdown().expect("listener state");
-    let total = coordinator.encrypted_total().expect("epoch complete");
-    assert_eq!(total.decrypt_u64(&kp.private).unwrap(), vec![3, 0, 4]);
 
     let reactor =
         ReactorListener::spawn(ShardedCoordinator::with_public_key(kp.public.clone(), 2, 2))
@@ -493,55 +490,6 @@ fn corrupt_deferred_registries_keep_the_connection_on_both_listeners() {
 }
 
 #[test]
-fn garbage_bytes_do_not_kill_the_listener() {
-    let listener = CoordinatorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
-    let addr = listener.addr();
-
-    // A flood of non-protocol bytes: wrong magic, then random junk. The
-    // connection is hung up on (framing is unrecoverable), the listener is
-    // not.
-    for garbage in [&b"GET / HTTP/1.1\r\n\r\n"[..], &[0xFFu8; 64][..]] {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(garbage).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        // Best-effort error reply then hangup; either way the read ends.
-        let mut sink = Vec::new();
-        let _ = stream.read_to_end(&mut sink);
-    }
-
-    // A truncated frame — valid magic, promised length never delivered —
-    // ends the same way: typed refusal, connection closed, listener alive.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    let mut partial = Vec::new();
-    partial.extend_from_slice(b"DBH1");
-    partial.extend_from_slice(&100u32.to_be_bytes());
-    partial.extend_from_slice(b"short");
-    stream.write_all(&partial).unwrap();
-    drop(stream);
-
-    // The listener survived the whole gauntlet: a well-formed session on a
-    // fresh connection still works.
-    let mut client = TcpTransport::connect_with_timeout(addr, Duration::from_secs(5)).unwrap();
-    let out = client
-        .deliver(Envelope {
-            from: Party::Agent,
-            to: Party::Server,
-            epoch: 0,
-            msg: ProtocolMsg::TryVerdict {
-                best_try: 1,
-                distance: 0.5,
-            },
-        })
-        .unwrap();
-    assert!(out.is_empty());
-    client.shutdown().unwrap();
-    let coordinator = listener.shutdown().expect("listener state");
-    assert_eq!(coordinator.last_verdict(), Some((1, 0.5)));
-}
-
-#[test]
 fn oversized_frames_are_refused_in_both_directions() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(181);
     let kp = Keypair::generate(KEY_BITS, &mut rng);
@@ -550,13 +498,12 @@ fn oversized_frames_are_refused_in_both_directions() {
     // Server side: a listener capped at 1 KiB refuses a multi-kilobyte
     // registry with a typed error — relayed if the reply gets out before
     // the poisoned connection closes, a clean disconnect otherwise.
-    let listener = CoordinatorListener::spawn_with(
+    let listener = ReactorListener::spawn_with(
         ShardedCoordinator::with_public_key(kp.public.clone(), 4, 1),
-        ListenerConfig::default().with_max_frame_bytes(1024),
+        ReactorConfig::default().with_max_frame_bytes(1024),
     )
     .unwrap();
-    let mut client =
-        TcpTransport::connect_with_timeout(listener.addr(), Duration::from_secs(5)).unwrap();
+    let mut client = TcpTransport::connect_with_config(listener.addr(), quick()).unwrap();
     let err = client
         .deliver(registry_envelope(0, big.clone()))
         .unwrap_err();
@@ -572,7 +519,7 @@ fn oversized_frames_are_refused_in_both_directions() {
 
     // Client side: a transport capped below its own payload refuses to send
     // at all — the frame never touches the socket.
-    let listener = CoordinatorListener::spawn(ShardedCoordinator::new(4, 1)).unwrap();
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(4, 1)).unwrap();
     let mut tiny = TcpTransport::connect_with_config(
         listener.addr(),
         TcpConfig::default().with_max_frame_bytes(256),
@@ -716,10 +663,9 @@ fn fault_injected_delays_reorder_but_never_lose_frames() {
 }
 
 // ---------------------------------------------------------------------------
-// The same gauntlet aimed at the event-loop listener (`dubhe-net`). The
-// reactor reassembles every connection's frames incrementally in one thread,
-// so partial-frame abuse that a thread-per-connection design absorbs with a
-// blocking read must here survive interleaving across connections.
+// Partial-frame abuse. The reactor reassembles every connection's frames
+// incrementally in one thread, so split headers and trickled payloads must
+// survive interleaving across connections.
 // ---------------------------------------------------------------------------
 
 fn verdict_envelope(best_try: usize) -> WireMsg {
@@ -808,7 +754,8 @@ fn reactor_reassembles_interleaved_partial_frames_per_connection() {
 fn reactor_decodes_headers_split_at_every_boundary() {
     // The frame header is 8 bytes (4 magic + 4 length). Deliver it split at
     // every possible byte boundary, with a pause at the split so the reactor
-    // definitely observes the partial header, then the payload in two
+    // gets to read the partial header on its own (the pause only shapes the
+    // input — no assertion depends on its length), then the payload in two
     // halves. No split position may confuse the reassembler.
     let reactor = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
     let mut frame = Vec::new();
@@ -839,55 +786,90 @@ fn reactor_decodes_headers_split_at_every_boundary() {
 
 #[test]
 fn reactor_survives_the_garbage_gauntlet_and_still_serves_tcp_transport() {
-    // The mirror of `garbage_bytes_do_not_kill_the_listener`, aimed at the
-    // reactor — and the healthy session afterwards runs over the stock
-    // `TcpTransport`, pinning that the threaded connector and the event-loop
-    // listener interoperate frame-for-frame.
-    let reactor = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
-    let addr = reactor.addr();
+    // A flood of non-protocol bytes, a truncated frame, and the `DBHZ`
+    // magic of the retired compressed-JSON codec — one more unknown magic —
+    // at a plaintext listener and at a channel-required one: every
+    // connection is hung up on (framing is unrecoverable), the listener is
+    // not, and the healthy session afterwards runs over the stock
+    // `TcpTransport`.
+    let mut retired = b"DBHZ".to_vec();
+    retired.extend_from_slice(&4u32.to_be_bytes());
+    retired.extend_from_slice(b"lzss");
+    let assert_bad_magic = |reply: WireMsg| match reply {
+        WireMsg::Error { detail } => assert!(detail.contains("bad magic"), "{detail}"),
+        other => panic!("expected a bad-magic refusal, got {other:?}"),
+    };
 
-    for garbage in [&b"GET / HTTP/1.1\r\n\r\n"[..], &[0xFFu8; 64][..]] {
+    for policy in [ChannelPolicy::Plaintext, ChannelPolicy::Required] {
+        let reactor = ReactorListener::spawn_with(
+            ShardedCoordinator::new(0, 1),
+            ReactorConfig::default().with_channel(policy),
+        )
+        .unwrap();
+        let addr = reactor.addr();
+
+        for garbage in [&b"GET / HTTP/1.1\r\n\r\n"[..], &[0xFFu8; 64][..]] {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.write_all(garbage).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            // Best-effort error reply then hangup; either way the read ends.
+            let mut sink = Vec::new();
+            let _ = stream.read_to_end(&mut sink);
+        }
+
+        // A truncated frame — valid magic, promised length never delivered.
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(garbage).unwrap();
+        let mut partial = Vec::new();
+        partial.extend_from_slice(b"DBH1");
+        partial.extend_from_slice(&100u32.to_be_bytes());
+        partial.extend_from_slice(b"short");
+        stream.write_all(&partial).unwrap();
+        drop(stream);
+
+        // The retired magic opening a connection (the Plaintext phase, or
+        // the Handshake phase under `Required`) is refused by name...
+        let mut stream = TcpStream::connect(addr).unwrap();
         stream
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        // Best-effort error reply then hangup; either way the read ends.
-        let mut sink = Vec::new();
-        let _ = stream.read_to_end(&mut sink);
+        stream.write_all(&retired).unwrap();
+        assert_bad_magic(read_frame(&mut stream).unwrap().0);
+
+        // ...and on an Established channel the same refusal comes back
+        // sealed.
+        let mut config = quick().with_channel(policy);
+        if let Some(pin) = reactor.public_identity() {
+            let (mut stream, mut channel) = sealed_session(addr, 71, pin);
+            stream.write_all(&retired).unwrap();
+            assert_bad_magic(read_sealed(&mut stream, &mut channel));
+            config = config.with_expected_server(pin);
+        }
+
+        let mut client = TcpTransport::connect_with_config(addr, config).unwrap();
+        let out = client
+            .deliver(Envelope {
+                from: Party::Agent,
+                to: Party::Server,
+                epoch: 0,
+                msg: ProtocolMsg::TryVerdict {
+                    best_try: 1,
+                    distance: 0.5,
+                },
+            })
+            .unwrap();
+        assert!(out.is_empty());
+        client.shutdown().unwrap();
+        let coordinator = reactor.shutdown().expect("listener state");
+        assert_eq!(coordinator.last_verdict(), Some((1, 0.5)));
     }
-
-    // A truncated frame — valid magic, promised length never delivered.
-    let mut stream = TcpStream::connect(addr).unwrap();
-    let mut partial = Vec::new();
-    partial.extend_from_slice(b"DBH1");
-    partial.extend_from_slice(&100u32.to_be_bytes());
-    partial.extend_from_slice(b"short");
-    stream.write_all(&partial).unwrap();
-    drop(stream);
-
-    let mut client = TcpTransport::connect_with_timeout(addr, Duration::from_secs(5)).unwrap();
-    let out = client
-        .deliver(Envelope {
-            from: Party::Agent,
-            to: Party::Server,
-            epoch: 0,
-            msg: ProtocolMsg::TryVerdict {
-                best_try: 1,
-                distance: 0.5,
-            },
-        })
-        .unwrap();
-    assert!(out.is_empty());
-    client.shutdown().unwrap();
-    let coordinator = reactor.shutdown().expect("listener state");
-    assert_eq!(coordinator.last_verdict(), Some((1, 0.5)));
 }
 
 // ---------------------------------------------------------------------------
 // The authenticated-channel gauntlet: a man-in-the-middle who can read,
 // flip, replay, or inject bytes on the wire — and a peer who simply refuses
-// to authenticate — against BOTH listener shapes. Every attack is a typed
+// to authenticate. Every attack is a typed
 // refusal (sealed when a channel exists to seal with, plaintext before one
 // does), never a panic, never a hang, and never a corrupted fold.
 // `docs/THREAT_MODEL.md` maps each scenario to the claim it makes executable.
@@ -928,8 +910,8 @@ fn read_sealed(stream: &mut TcpStream, channel: &mut SecureChannel) -> WireMsg {
     read_frame(&mut inner.as_slice()).unwrap().0
 }
 
-/// The MITM tamper + replay script, against whichever Required listener
-/// answers at `addr`. Returns nothing; every step asserts.
+/// The MITM tamper + replay script, against the Required listener at
+/// `addr`. Returns nothing; every step asserts.
 fn tamper_and_replay_gauntlet(addr: std::net::SocketAddr, pin: [u8; 32]) {
     // Tamper: a single flipped ciphertext bit voids the tag. The refusal
     // comes back *sealed* (the send direction outlives the poisoned
@@ -974,25 +956,8 @@ fn tamper_and_replay_gauntlet(addr: std::net::SocketAddr, pin: [u8; 32]) {
     assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
 }
 
-fn assert_tamper_replay_stats(stats: &ListenerStats, shape: &str) {
-    assert_eq!(stats.handshakes_completed, 2, "{shape}");
-    assert_eq!(stats.handshakes_failed, 0, "{shape}");
-    assert_eq!(stats.aead_rejections, 2, "{shape}: one tamper + one replay");
-    assert_eq!(stats.downgrades_refused, 0, "{shape}");
-}
-
 #[test]
-fn mitm_tampering_and_replay_are_sealed_refusals_on_both_shapes() {
-    let threaded = CoordinatorListener::spawn_with(
-        ShardedCoordinator::new(0, 1),
-        ListenerConfig::default().with_channel(ChannelPolicy::Required),
-    )
-    .unwrap();
-    let pin = threaded.public_identity().expect("identity resolved");
-    tamper_and_replay_gauntlet(threaded.addr(), pin);
-    assert_tamper_replay_stats(&threaded.stats(), "threaded");
-    threaded.shutdown();
-
+fn mitm_tampering_and_replay_are_sealed_refusals() {
     let reactor = ReactorListener::spawn_with(
         ShardedCoordinator::new(0, 1),
         ReactorConfig::default().with_channel(ChannelPolicy::Required),
@@ -1000,7 +965,11 @@ fn mitm_tampering_and_replay_are_sealed_refusals_on_both_shapes() {
     .unwrap();
     let pin = reactor.public_identity().expect("identity resolved");
     tamper_and_replay_gauntlet(reactor.addr(), pin);
-    assert_tamper_replay_stats(&reactor.stats(), "reactor");
+    let stats = reactor.stats();
+    assert_eq!(stats.handshakes_completed, 2);
+    assert_eq!(stats.handshakes_failed, 0);
+    assert_eq!(stats.aead_rejections, 2, "one tamper + one replay");
+    assert_eq!(stats.downgrades_refused, 0);
     reactor.shutdown();
 }
 
@@ -1072,20 +1041,9 @@ fn hijack_gauntlet(
 }
 
 #[test]
-fn session_hijack_is_refused_and_resume_survives_on_both_shapes() {
+fn session_hijack_is_refused_and_resume_survives() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(411);
     let kp = Keypair::generate(KEY_BITS, &mut rng);
-
-    let threaded = CoordinatorListener::spawn_with(
-        ShardedCoordinator::with_public_key(kp.public.clone(), 2, 1),
-        ListenerConfig::default().with_channel(ChannelPolicy::Required),
-    )
-    .unwrap();
-    let pin = threaded.public_identity().expect("identity resolved");
-    hijack_gauntlet(threaded.addr(), pin, &kp, &mut rng);
-    let coordinator = threaded.shutdown().expect("listener state");
-    let total = coordinator.encrypted_total().expect("epoch complete");
-    assert_eq!(total.decrypt_u64(&kp.private).unwrap(), vec![1, 2]);
 
     let reactor = ReactorListener::spawn_with(
         ShardedCoordinator::with_public_key(kp.public.clone(), 2, 1),
@@ -1142,22 +1100,7 @@ fn downgrade_gauntlet(addr: std::net::SocketAddr, pin: [u8; 32]) {
 }
 
 #[test]
-fn downgrade_attempts_are_refused_at_every_phase_on_both_shapes() {
-    let threaded = CoordinatorListener::spawn_with(
-        ShardedCoordinator::new(0, 1),
-        ListenerConfig::default().with_channel(ChannelPolicy::Required),
-    )
-    .unwrap();
-    let pin = threaded.public_identity().expect("identity resolved");
-    downgrade_gauntlet(threaded.addr(), pin);
-    let stats = threaded.stats();
-    assert_eq!(
-        stats.downgrades_refused, 2,
-        "threaded: pre + post handshake"
-    );
-    assert_eq!(stats.handshakes_completed, 1, "threaded");
-    threaded.shutdown();
-
+fn downgrade_attempts_are_refused_at_every_phase() {
     let reactor = ReactorListener::spawn_with(
         ShardedCoordinator::new(0, 1),
         ReactorConfig::default().with_channel(ChannelPolicy::Required),
@@ -1166,14 +1109,14 @@ fn downgrade_attempts_are_refused_at_every_phase_on_both_shapes() {
     let pin = reactor.public_identity().expect("identity resolved");
     downgrade_gauntlet(reactor.addr(), pin);
     let stats = reactor.stats();
-    assert_eq!(stats.downgrades_refused, 2, "reactor: pre + post handshake");
-    assert_eq!(stats.handshakes_completed, 1, "reactor");
+    assert_eq!(stats.downgrades_refused, 2, "pre + post handshake");
+    assert_eq!(stats.handshakes_completed, 1);
     reactor.shutdown();
 }
 
 #[test]
 fn sealed_frames_at_a_plaintext_listener_are_codec_confusion_not_a_crash() {
-    // The inverse direction: DBHS/DBHE frames arriving at listeners that
+    // The inverse direction: DBHS/DBHE frames arriving at a listener that
     // never opted into the channel are unknown magics — a typed decode
     // refusal and a hangup, and the listener keeps serving plaintext.
     let mut probe = Vec::new();
@@ -1181,77 +1124,31 @@ fn sealed_frames_at_a_plaintext_listener_are_codec_confusion_not_a_crash() {
     probe.extend_from_slice(&32u32.to_be_bytes());
     probe.extend_from_slice(&[0u8; 32]);
 
-    let threaded = CoordinatorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
     let reactor = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
-    for addr in [threaded.addr(), reactor.addr()] {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        stream.write_all(&probe).unwrap();
-        // Best-effort typed-error reply, then hangup; either way the read
-        // ends and the next (plaintext) session works.
-        let mut sink = Vec::new();
-        let _ = stream.read_to_end(&mut sink);
-
-        let mut client = TcpTransport::connect_with_timeout(addr, Duration::from_secs(5)).unwrap();
-        let out = client
-            .deliver(Envelope {
-                from: Party::Agent,
-                to: Party::Server,
-                epoch: 0,
-                msg: ProtocolMsg::TryVerdict {
-                    best_try: 2,
-                    distance: 0.25,
-                },
-            })
-            .unwrap();
-        assert!(out.is_empty());
-        client.shutdown().unwrap();
-    }
-    assert_eq!(threaded.stats().decode_errors, 1);
-    assert_eq!(reactor.stats().decode_errors, 1);
-    assert_eq!(threaded.shutdown().unwrap().last_verdict(), Some((2, 0.25)));
-    assert_eq!(reactor.shutdown().unwrap().last_verdict(), Some((2, 0.25)));
-}
-
-#[test]
-fn handshake_slow_loris_is_cut_by_the_threaded_prelude() {
-    // A peer that opens the handshake and stalls — or never sends a byte —
-    // cannot hold a pre-authentication slot open past the read timeout.
-    // (The reactor twin lives in dubhe-net's test suite.)
-    let listener = CoordinatorListener::spawn_with(
-        ShardedCoordinator::new(0, 1),
-        ListenerConfig::default()
-            .with_channel(ChannelPolicy::Required)
-            .with_read_timeout(Duration::from_millis(300)),
-    )
-    .unwrap();
-    let pin = listener.public_identity().expect("identity resolved");
-
-    let mut loris = TcpStream::connect(listener.addr()).unwrap();
-    loris
-        .set_read_timeout(Some(Duration::from_secs(10)))
+    let mut stream = TcpStream::connect(reactor.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    loris.write_all(b"DBHS").unwrap(); // a valid opening, then silence
+    stream.write_all(&probe).unwrap();
+    // Best-effort typed-error reply, then hangup; either way the read
+    // ends and the next (plaintext) session works.
     let mut sink = Vec::new();
-    let _ = loris.read_to_end(&mut sink); // cut at the timeout, not held
+    let _ = stream.read_to_end(&mut sink);
 
-    let silent = TcpStream::connect(listener.addr()).unwrap();
-    std::thread::sleep(Duration::from_millis(600));
-    drop(silent);
-
-    // Slots freed: an honest client authenticates and is served.
-    let (mut stream, mut channel) = sealed_session(listener.addr(), 61, pin);
-    let frame = sealed_bytes(&mut channel, &verdict_envelope(4));
-    stream.write_all(&frame).unwrap();
-    assert!(matches!(
-        read_sealed(&mut stream, &mut channel),
-        WireMsg::Batch { .. }
-    ));
-
-    let stats = listener.stats();
-    assert_eq!(stats.handshakes_failed, 2, "loris + silent");
-    assert_eq!(stats.handshakes_completed, 1);
-    listener.shutdown();
+    let mut client = TcpTransport::connect_with_config(reactor.addr(), quick()).unwrap();
+    let out = client
+        .deliver(Envelope {
+            from: Party::Agent,
+            to: Party::Server,
+            epoch: 0,
+            msg: ProtocolMsg::TryVerdict {
+                best_try: 2,
+                distance: 0.25,
+            },
+        })
+        .unwrap();
+    assert!(out.is_empty());
+    client.shutdown().unwrap();
+    assert_eq!(reactor.stats().decode_errors, 1);
+    assert_eq!(reactor.shutdown().unwrap().last_verdict(), Some((2, 0.25)));
 }

@@ -12,10 +12,11 @@ use std::time::Duration;
 
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
+use dubhe_net::ReactorListener;
 use dubhe_select::protocol::{
     pump, run_registration_with, run_registration_with_packing, run_try, run_try_with_dropouts,
-    Coordinator, CoordinatorListener, CoordinatorServer, Envelope, InMemoryTransport,
-    PackingPolicy, Party, ProtocolMsg, ShardedCoordinator, TcpTransport, Transport,
+    Coordinator, CoordinatorServer, Envelope, InMemoryTransport, PackingPolicy, Party, ProtocolMsg,
+    ShardedCoordinator, TcpTransport, Transport,
 };
 use dubhe_select::{ClientSelector, DubheConfig, DubheSelector, ProtocolError};
 use rand::SeedableRng;
@@ -126,7 +127,7 @@ fn rotation_drives_re_registration_over_tcp() {
     config.k = 4;
     let mut rng = rand::rngs::StdRng::seed_from_u64(92);
 
-    let listener = CoordinatorListener::spawn(ShardedCoordinator::new(8, 2)).unwrap();
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(8, 2)).unwrap();
     let endpoint = TcpTransport::connect(listener.addr()).unwrap();
     let mut transport = InMemoryTransport::new();
     let mut run = run_registration_with(

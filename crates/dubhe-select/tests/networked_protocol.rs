@@ -6,22 +6,66 @@
 //! overall registry, same ciphertext residues, same verdict, same canonical
 //! byte accounting — and the TCP layer must surface every failure mode as a
 //! `ProtocolError`, never a panic or a hang.
+//!
+//! The [`TcpTransport`] connector's own tests live here rather than beside
+//! it: they need a live [`ReactorListener`], and only an integration test
+//! can hand this crate's coordinator to the `dubhe-net` dev-dependency.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
-use std::time::Duration;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
+use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
-    read_frame, run_registration_with, run_try, CodecKind, Coordinator, CoordinatorListener,
-    Envelope, InMemoryTransport, Party, ProtocolMsg, ShardedCoordinator, TcpTransport,
-    TransportStats, WireMsg, FRAME_MAGIC,
+    read_frame, run_registration_with, run_try, ChannelPolicy, CodecKind, Coordinator, Envelope,
+    InMemoryTransport, ListenerStats, Party, ProtocolMsg, ShardedCoordinator, TcpConfig,
+    TcpTransport, TransportStats, FRAME_MAGIC, FRAME_MAGIC_V2, HANDSHAKE_WIRE_BYTES,
+    SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::{ClientSelector, DubheConfig, DubheSelector, ProtocolError};
 use rand::SeedableRng;
 
 const KEY_BITS: u64 = 256;
+
+/// The connector config every test here dials with: a short read timeout so
+/// a wedged peer fails the test fast instead of stalling the suite.
+fn quick() -> TcpConfig {
+    TcpConfig::default().with_read_timeout(Duration::from_secs(5))
+}
+
+/// Blocks until `done` holds of the listener's stats and returns that
+/// snapshot: the listener counts asynchronously to the client's reads, so
+/// totals are pinned only after waiting on a *monotonic* counter.
+fn wait_for(
+    listener: &ReactorListener<ShardedCoordinator>,
+    what: &str,
+    done: impl Fn(&ListenerStats) -> bool,
+) -> ListenerStats {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = listener.stats();
+        if done(&stats) {
+            return stats;
+        }
+        assert!(Instant::now() < deadline, "{what}: {stats:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+fn verdict(best_try: usize) -> Envelope {
+    Envelope {
+        from: Party::Agent,
+        to: Party::Server,
+        epoch: 0,
+        msg: ProtocolMsg::TryVerdict {
+            best_try,
+            distance: 0.1,
+        },
+    }
+}
 
 fn clients(n: usize, seed: u64) -> Vec<ClassDistribution> {
     let spec = FederatedSpec {
@@ -110,9 +154,13 @@ fn tcp_loopback_session_is_bit_identical_to_in_memory_under_both_codecs() {
     // canonical binary. Decisions and canonical accounting must be
     // identical; only the measured framing differs.
     let mut wire_totals = Vec::new();
-    for codec in [CodecKind::Json, CodecKind::Binary, CodecKind::JsonLz] {
-        let listener = CoordinatorListener::spawn(ShardedCoordinator::new(24, 4)).unwrap();
-        let endpoint = TcpTransport::connect_with_codec(listener.addr(), codec).unwrap();
+    for codec in [CodecKind::Json, CodecKind::Binary] {
+        let listener = ReactorListener::spawn(ShardedCoordinator::new(24, 4)).unwrap();
+        let endpoint = TcpTransport::connect_with_config(
+            listener.addr(),
+            TcpConfig::default().with_codec(codec),
+        )
+        .unwrap();
         let (overall_tcp, verdict_tcp, stats_tcp, endpoint) = drive_session(&dists, 62, endpoint);
 
         assert_eq!(overall_tcp, overall_mem, "{}", codec.name());
@@ -155,7 +203,7 @@ fn remote_coordinator_relays_protocol_errors() {
     let config = DubheConfig::group1();
     let mut rng = rand::rngs::StdRng::seed_from_u64(72);
 
-    let listener = CoordinatorListener::spawn(ShardedCoordinator::new(4, 2)).unwrap();
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(4, 2)).unwrap();
     let endpoint = TcpTransport::connect(listener.addr()).unwrap();
     let mut transport = InMemoryTransport::new();
     let mut run = run_registration_with(
@@ -192,38 +240,26 @@ fn remote_coordinator_relays_protocol_errors() {
 }
 
 #[test]
-fn garbage_frames_get_an_error_reply_and_a_hangup() {
-    let listener = CoordinatorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
-    let mut raw = TcpStream::connect(listener.addr()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    raw.write_all(b"GET / HTTP/1.1\r\nHost: dubhe\r\n\r\n")
-        .unwrap();
-    // The listener reports the malformed frame and closes.
-    let (reply, _) = read_frame(&mut raw).expect("an error frame before the hangup");
-    match reply {
-        WireMsg::Error { detail } => assert!(detail.contains("malformed"), "{detail}"),
-        other => panic!("expected an error reply, got {other:?}"),
+fn truncated_frames_are_a_counted_hangup() {
+    // A correct magic (either codec's) and a length announcing 100 bytes...
+    // of which only 3 arrive before the client half-closes. The listener
+    // counts the truncation and hangs up; the peer reads a typed
+    // disconnect, never a hang.
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
+    for magic in [FRAME_MAGIC, FRAME_MAGIC_V2] {
+        let mut raw = TcpStream::connect(listener.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        raw.write_all(&magic).unwrap();
+        raw.write_all(&100u32.to_be_bytes()).unwrap();
+        raw.write_all(b"abc").unwrap();
+        raw.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_eq!(read_frame(&mut raw), Err(ProtocolError::Disconnected));
     }
-    let mut rest = Vec::new();
-    assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0, "connection closed");
-}
-
-#[test]
-fn truncated_frame_surfaces_as_error_reply() {
-    let listener = CoordinatorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
-    let mut raw = TcpStream::connect(listener.addr()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    // A correct magic and a length announcing 100 bytes... of which only 3
-    // arrive before the client half-closes.
-    raw.write_all(&FRAME_MAGIC).unwrap();
-    raw.write_all(&100u32.to_be_bytes()).unwrap();
-    raw.write_all(b"abc").unwrap();
-    raw.shutdown(std::net::Shutdown::Write).unwrap();
-    let (reply, _) = read_frame(&mut raw).expect("an error frame before the hangup");
-    match reply {
-        WireMsg::Error { detail } => assert!(detail.contains("truncated"), "{detail}"),
-        other => panic!("expected an error reply, got {other:?}"),
-    }
+    let stats = wait_for(&listener, "truncations never counted", |s| {
+        s.connections_closed == 2
+    });
+    assert_eq!(stats.truncated_frames, 2);
+    assert_eq!(stats.decode_errors, 0);
 }
 
 #[test]
@@ -235,19 +271,9 @@ fn mid_exchange_disconnect_is_an_error_not_a_hang() {
         let (stream, _) = listener.accept().unwrap();
         drop(stream);
     });
-    let mut endpoint = TcpTransport::connect_with_timeout(addr, Duration::from_secs(2)).unwrap();
+    let mut endpoint = TcpTransport::connect_with_config(addr, quick()).unwrap();
     killer.join().unwrap();
-    let err = endpoint
-        .deliver(Envelope {
-            from: Party::Agent,
-            to: Party::Server,
-            epoch: 0,
-            msg: ProtocolMsg::TryVerdict {
-                best_try: 0,
-                distance: 0.0,
-            },
-        })
-        .unwrap_err();
+    let err = endpoint.deliver(verdict(0)).unwrap_err();
     assert!(
         matches!(
             err,
@@ -261,18 +287,23 @@ fn mid_exchange_disconnect_is_an_error_not_a_hang() {
 
 #[test]
 fn silent_peer_times_out_instead_of_hanging() {
-    // The "server" accepts and never replies; the connector's read timeout
-    // must bound the wait.
+    // The "server" accepts and never replies — it holds the socket open
+    // until the test releases it — so only the connector's read timeout can
+    // bound the wait.
     let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let addr = listener.local_addr().unwrap();
+    let (release, released) = mpsc::channel::<()>();
     let holder = std::thread::spawn(move || {
         let (stream, _) = listener.accept().unwrap();
-        std::thread::sleep(Duration::from_secs(3));
+        let _ = released.recv();
         drop(stream);
     });
-    let mut endpoint =
-        TcpTransport::connect_with_timeout(addr, Duration::from_millis(300)).unwrap();
-    let started = std::time::Instant::now();
+    let mut endpoint = TcpTransport::connect_with_config(
+        addr,
+        TcpConfig::default().with_read_timeout(Duration::from_millis(300)),
+    )
+    .unwrap();
+    let started = Instant::now();
     let err = endpoint
         .announce_try(0, &[1, 2, 3])
         .expect_err("silent peer must not look like success");
@@ -282,6 +313,7 @@ fn silent_peer_times_out_instead_of_hanging() {
         started.elapsed()
     );
     assert!(matches!(err, ProtocolError::Io { .. }), "{err}");
+    release.send(()).unwrap();
     holder.join().unwrap();
 }
 
@@ -294,4 +326,241 @@ fn connect_to_a_dead_port_fails_cleanly() {
     };
     let err = TcpTransport::connect(addr).unwrap_err();
     assert!(matches!(err, ProtocolError::Io { .. }), "{err}");
+}
+
+#[test]
+fn listener_spawns_serves_and_shuts_down() {
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 2)).unwrap();
+    let mut client = TcpTransport::connect_with_config(listener.addr(), quick()).unwrap();
+    // A verdict is always accepted and triggers nothing.
+    let out = client.deliver(verdict(0)).unwrap();
+    assert!(out.is_empty());
+    assert_eq!(client.wire_stats().frames_sent, 1);
+    assert_eq!(client.wire_stats().frames_received, 1);
+    assert!(client.wire_stats().total_bytes() > 0);
+    assert_eq!(client.stats().verdicts.messages, 1);
+    let stats = wait_for(&listener, "reply never counted", |s| {
+        s.frames_sent == 1 && s.latency.count == 1
+    });
+    assert_eq!(stats.connections_accepted, 1);
+    assert_eq!(stats.frames_received, 1);
+    assert_eq!(stats.frames_sent, 1);
+    assert!(stats.bytes_received > 0 && stats.bytes_sent > 0);
+    client.shutdown().unwrap();
+    let coordinator = listener.shutdown().expect("state returned");
+    assert_eq!(coordinator.messages_received(), 1);
+    assert_eq!(coordinator.last_verdict(), Some((0, 0.1)));
+}
+
+#[test]
+fn idle_connection_survives_and_shutdown_stays_prompt() {
+    let listener = ReactorListener::spawn_with(
+        ShardedCoordinator::new(0, 1),
+        ReactorConfig::default().with_read_timeout(Duration::from_millis(50)),
+    )
+    .unwrap();
+    let mut client = TcpTransport::connect_with_config(listener.addr(), quick()).unwrap();
+    // Stay silent past the read timeout, like a client that is busy training
+    // between protocol rounds: a second connection stalls mid-frame, and the
+    // listener cutting *it* proves the timeout elapsed and the sweep ran
+    // while the idle one sat there. Quiet between frames is not an error.
+    let mut stalled = TcpStream::connect(listener.addr()).unwrap();
+    stalled.write_all(&FRAME_MAGIC).unwrap();
+    wait_for(&listener, "stalled connection never swept", |s| {
+        s.truncated_frames == 1
+    });
+    client
+        .deliver(verdict(2))
+        .expect("connection still healthy");
+    // Drop the listener while the (idle) connection stays open: shutdown
+    // must complete via the stop flag, not wait for a client hangup.
+    let started = Instant::now();
+    drop(listener);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "listener shutdown took {:?}",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn both_codecs_interoperate_against_one_listener() {
+    // Frame-magic negotiation: a DBH1 peer and a DBH2 peer drive the
+    // same listener concurrently, and each gets replies in its own
+    // format (the reply decodes on a connector that only speaks that
+    // codec's framing — `request` verifies the round trip).
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 2)).unwrap();
+    let addr = listener.addr();
+    let mut json_client =
+        TcpTransport::connect_with_config(addr, quick().with_codec(CodecKind::Json)).unwrap();
+    let mut binary_client =
+        TcpTransport::connect_with_config(addr, quick().with_codec(CodecKind::Binary)).unwrap();
+    assert_eq!(json_client.codec(), CodecKind::Json);
+    assert_eq!(binary_client.codec(), CodecKind::Binary);
+
+    json_client.deliver(verdict(1)).unwrap();
+    binary_client.deliver(verdict(2)).unwrap();
+    json_client.announce_try(0, &[1, 2]).unwrap();
+    binary_client.announce_try(1, &[3]).unwrap();
+
+    // The identical verdict costs fewer wire bytes under DBH2.
+    assert!(
+        binary_client.wire_stats().bytes_sent < json_client.wire_stats().bytes_sent,
+        "binary framing ({}) should undercut JSON ({})",
+        binary_client.wire_stats().bytes_sent,
+        json_client.wire_stats().bytes_sent
+    );
+
+    json_client.shutdown().unwrap();
+    binary_client.shutdown().unwrap();
+    let coordinator = listener.shutdown().expect("state returned");
+    assert_eq!(coordinator.messages_received(), 2);
+    assert_eq!(coordinator.last_verdict(), Some((2, 0.1)));
+}
+
+#[test]
+fn required_channel_serves_sealed_sessions() {
+    let listener = ReactorListener::spawn_with(
+        ShardedCoordinator::new(0, 2),
+        ReactorConfig::default()
+            .with_channel(ChannelPolicy::Required)
+            .with_identity_seed(99),
+    )
+    .unwrap();
+    let server_pub = listener
+        .public_identity()
+        .expect("required listener has identity");
+    let config = quick()
+        .with_channel(ChannelPolicy::Required)
+        .with_identity_seed(1)
+        .with_expected_server(server_pub);
+    let mut client = TcpTransport::connect_with_config(listener.addr(), config).unwrap();
+    assert_eq!(client.peer_identity(), Some(server_pub));
+
+    let out = client.deliver(verdict(3)).unwrap();
+    assert!(out.is_empty());
+    client.announce_try(0, &[1, 2]).unwrap();
+
+    // The seal's cost lives in the overhead counters, not the
+    // ledger-facing frame bytes.
+    let wire = *client.wire_stats();
+    assert_eq!(wire.frames_sent, 2);
+    assert_eq!(wire.frames_received, 2);
+    assert!(wire.handshake_bytes >= HANDSHAKE_WIRE_BYTES);
+    assert_eq!(wire.sealed_overhead_bytes, 4 * SEALED_FRAME_OVERHEAD);
+
+    client.shutdown().unwrap();
+    let coordinator = listener.shutdown().expect("state returned");
+    assert_eq!(coordinator.messages_received(), 1);
+    assert_eq!(coordinator.last_verdict(), Some((3, 0.1)));
+}
+
+#[test]
+fn sealed_and_plaintext_sessions_meter_identical_protocol_bytes() {
+    // The FL ledger charges wire bytes off these counters; turning the
+    // channel on must not move them by a single byte.
+    let run = |policy: ChannelPolicy| {
+        let listener = ReactorListener::spawn_with(
+            ShardedCoordinator::new(0, 2),
+            ReactorConfig::default()
+                .with_channel(policy)
+                .with_identity_seed(7),
+        )
+        .unwrap();
+        let mut config = quick()
+            .with_codec(CodecKind::Binary)
+            .with_channel(policy)
+            .with_identity_seed(1);
+        if let Some(pin) = listener.public_identity() {
+            config = config.with_expected_server(pin);
+        }
+        let mut client = TcpTransport::connect_with_config(listener.addr(), config).unwrap();
+        client.deliver(verdict(1)).unwrap();
+        client.announce_try(0, &[4, 5, 6]).unwrap();
+        let wire = *client.wire_stats();
+        client.shutdown().unwrap();
+        drop(listener);
+        wire
+    };
+    let sealed = run(ChannelPolicy::Required);
+    let plain = run(ChannelPolicy::Plaintext);
+    assert_eq!(sealed.frames_sent, plain.frames_sent);
+    assert_eq!(sealed.frames_received, plain.frames_received);
+    assert_eq!(sealed.bytes_sent, plain.bytes_sent);
+    assert_eq!(sealed.bytes_received, plain.bytes_received);
+    assert_eq!(sealed.total_bytes(), plain.total_bytes());
+    assert_eq!(plain.channel_overhead_bytes(), 0);
+    assert!(sealed.channel_overhead_bytes() > 0);
+}
+
+#[test]
+fn session_hijack_is_refused_and_reconnect_resumes() {
+    let listener = ReactorListener::spawn_with(
+        ShardedCoordinator::new(0, 4),
+        ReactorConfig::default()
+            .with_channel(ChannelPolicy::Required)
+            .with_identity_seed(42),
+    )
+    .unwrap();
+    let pin = listener.public_identity().unwrap();
+    let config_for = |seed: u64| {
+        quick()
+            .with_channel(ChannelPolicy::Required)
+            .with_identity_seed(seed)
+            .with_expected_server(pin)
+    };
+    let client_envelope = Envelope {
+        from: Party::Client(7),
+        to: Party::Server,
+        epoch: 0,
+        msg: ProtocolMsg::TryVerdict {
+            best_try: 0,
+            distance: 0.5,
+        },
+    };
+
+    // Identity A speaks as ClientId 7 and binds it.
+    let mut honest = TcpTransport::connect_with_config(listener.addr(), config_for(1)).unwrap();
+    honest.deliver(client_envelope.clone()).unwrap();
+
+    // Identity B replaying ClientId 7 is refused with the typed error.
+    let mut hijacker = TcpTransport::connect_with_config(listener.addr(), config_for(2)).unwrap();
+    let err = hijacker.deliver(client_envelope.clone()).unwrap_err();
+    match err {
+        ProtocolError::Remote { detail } => {
+            assert!(detail.contains("session hijack refused"), "{detail}")
+        }
+        other => panic!("expected remote hijack refusal, got {other}"),
+    }
+
+    // The honest identity reconnecting resumes its binding untouched.
+    honest.reconnect().unwrap();
+    honest.deliver(client_envelope).unwrap();
+    assert_eq!(honest.wire_stats().reconnects, 1);
+
+    honest.shutdown().unwrap();
+    let stats = listener.stats();
+    assert_eq!(stats.handshakes_completed, 3);
+    assert_eq!(stats.handshakes_failed, 0);
+    drop(listener);
+}
+
+#[test]
+fn concurrent_connections_are_served() {
+    let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
+    let addr = listener.addr();
+    let threads: Vec<_> = (0..4)
+        .map(|i| {
+            std::thread::spawn(move || {
+                let mut client = TcpTransport::connect_with_config(addr, quick()).unwrap();
+                client.deliver(verdict(i)).unwrap();
+                client.shutdown().unwrap();
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    let coordinator = listener.shutdown().expect("state returned");
+    assert_eq!(coordinator.messages_received(), 4);
 }
