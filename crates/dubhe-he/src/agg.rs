@@ -29,7 +29,7 @@ use crate::codec;
 use crate::error::HeError;
 use crate::keys::PublicKey;
 use crate::transport::ciphertext_size_bytes;
-use crate::vector::{for_each_chunk_with_scratch, map_indexed, EncryptedVector, ScratchPool};
+use crate::vector::{for_each_chunk_with_scratch, map_indexed, EncryptedVector, ScratchPool, Work};
 
 #[cfg(doc)]
 use num_bigint::MontgomeryContext;
@@ -154,7 +154,8 @@ impl RunningFold {
                 // tests/alloc_counting.rs).
                 let ctx = public.mont_n2().expect("Mont state implies a context");
                 let arriving = v.elements();
-                for_each_chunk_with_scratch(elems, &self.scratch, |offset, block, scratch| {
+                let (pool, work) = (&self.scratch, Work::new(1, public.n_squared()));
+                for_each_chunk_with_scratch(elems, pool, work, |offset, block, scratch| {
                     for (j, acc) in block.iter_mut().enumerate() {
                         ctx.montgomery_mul_residue_assign(acc, arriving[offset + j].raw(), scratch);
                     }
@@ -162,7 +163,7 @@ impl RunningFold {
             }
             FoldState::Plain(elems) => {
                 let n_squared = public.n_squared();
-                let next = map_indexed(elems.len(), |i| {
+                let next = map_indexed(elems.len(), Work::new(2, n_squared), |i| {
                     (&elems[i] * v.elements()[i].raw()) % n_squared
                 });
                 *elems = next;
@@ -193,7 +194,8 @@ impl RunningFold {
         match &mut self.state {
             FoldState::Mont(elems) => {
                 let ctx = public.mont_n2().expect("Mont state implies a context");
-                for_each_chunk_with_scratch(elems, &self.scratch, |offset, block, scratch| {
+                let (pool, work) = (&self.scratch, Work::new(1, public.n_squared()));
+                for_each_chunk_with_scratch(elems, pool, work, |offset, block, scratch| {
                     for (j, acc) in block.iter_mut().enumerate() {
                         // The view validated every residue below n² at decode
                         // time, so the staging multiply cannot refuse.
@@ -205,7 +207,7 @@ impl RunningFold {
             }
             FoldState::Plain(elems) => {
                 let n_squared = public.n_squared();
-                let next = map_indexed(elems.len(), |i| {
+                let next = map_indexed(elems.len(), Work::new(2, n_squared), |i| {
                     (&elems[i] * &BigUint::from_bytes_be(v.residue_bytes(i))) % n_squared
                 });
                 *elems = next;
@@ -226,14 +228,16 @@ impl RunningFold {
                 // multiplies (deficit R^-(folded-1)); multiplying by
                 // R^(folded+1) and exiting lands exactly on the product.
                 let correction = ctx.montgomery_residue(&ctx.r_power(self.folded + 1));
-                map_indexed(elems.len(), |i| {
+                let exit = Work::new(2, self.public.n_squared());
+                map_indexed(elems.len(), exit, |i| {
                     let value = ctx.from_montgomery(&ctx.montgomery_mul(&elems[i], &correction));
                     Ciphertext::from_raw(value, self.public.clone())
                 })
             }
-            FoldState::Plain(elems) => map_indexed(elems.len(), |i| {
-                Ciphertext::from_raw(elems[i].clone(), self.public.clone())
-            }),
+            FoldState::Plain(elems) => elems
+                .iter()
+                .map(|e| Ciphertext::from_raw(e.clone(), self.public.clone()))
+                .collect(),
         };
         EncryptedVector::from_raw_parts(elements, self.public.clone())
     }

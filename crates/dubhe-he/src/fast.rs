@@ -69,7 +69,7 @@ use crate::ciphertext::Ciphertext;
 use crate::error::HeError;
 use crate::keys::{Keypair, PrivateKey, PublicKey};
 use crate::prime::mod_inverse;
-use crate::vector::map_indexed;
+use crate::vector::{map_indexed, Work};
 
 /// Bit length of the short randomness exponent `x` (≈ 2× the 128-bit
 /// security level targeted by 2048-bit moduli).
@@ -181,7 +181,7 @@ impl FastBase {
                 let wide = batch.wide_for(xs.len(), || WideLeg::new(leg));
                 let digits: Vec<Vec<u64>> = xs.iter().map(BigUint::to_u64_digits).collect();
                 let chunks = digits.len().div_ceil(BATCH_CHUNK);
-                let per_chunk: Vec<Vec<BigUint>> = map_indexed(chunks, |ci| {
+                let per_chunk: Vec<Vec<BigUint>> = map_indexed(chunks, leg.chunk_work(1), |ci| {
                     let lo = ci * BATCH_CHUNK;
                     let hi = (lo + BATCH_CHUNK).min(digits.len());
                     let mut scratch = MontgomeryScratch::new();
@@ -330,7 +330,12 @@ pub trait Encryptor: Sync {
     /// scratch arenas, and (past a volume threshold) lazily widened 8-bit
     /// tables. Registry-vector encryption calls this once per vector.
     fn randomizers_for(&self, xs: &[BigUint]) -> Vec<BigUint> {
-        map_indexed(xs.len(), |i| self.randomizer_for(&xs[i]))
+        // One multiply per 4-bit window of the exponent, under n².
+        let work = Work::new(
+            RANDOMNESS_EXPONENT_BITS.div_ceil(WINDOW_BITS),
+            self.public_key().n_squared(),
+        );
+        map_indexed(xs.len(), work, |i| self.randomizer_for(&xs[i]))
     }
 
     /// Samples a fresh randomness component `hˣ mod n²`.
@@ -436,6 +441,15 @@ impl WindowLeg {
         }
     }
 
+    /// Cost of one [`BATCH_CHUNK`] of exponents through
+    /// [`pow_chunk`](Self::pow_chunk) on `legs` legs of this width: one
+    /// multiply per 4-bit window per exponent (the wide tables halve it; the
+    /// estimate keeps the upper figure).
+    fn chunk_work(&self, legs: u64) -> Work {
+        let per_exponent = RANDOMNESS_EXPONENT_BITS.div_ceil(WINDOW_BITS);
+        Work::new(legs * BATCH_CHUNK as u64 * per_exponent, self.ctx.modulus())
+    }
+
     /// Simultaneous multi-exponentiation of one chunk of exponents: the
     /// window loop is outermost and the per-exponent accumulators advance
     /// together, so each table row is loaded once per chunk (not once per
@@ -497,7 +511,8 @@ impl WideLeg {
         let windows = RANDOMNESS_EXPONENT_BITS.div_ceil(WIDE_WINDOW_BITS) as usize;
         // Rows are independent given the narrow table's window bases, so the
         // (one-off) expansion fans out over cores.
-        let table = map_indexed(windows, |w| {
+        let row = Work::new(254, narrow.ctx.modulus());
+        let table = map_indexed(windows, row, |w| {
             let base = &narrow.table[2 * w][0];
             let mut scratch = MontgomeryScratch::new();
             let mut row = Vec::with_capacity(255);
@@ -623,7 +638,8 @@ impl Encryptor for CrtEncryptor {
         });
         let digits: Vec<Vec<u64>> = xs.iter().map(BigUint::to_u64_digits).collect();
         let chunks = digits.len().div_ceil(BATCH_CHUNK);
-        let per_chunk: Vec<Vec<BigUint>> = map_indexed(chunks, |ci| {
+        // Both legs share a modulus width (p² and q² of equal-size primes).
+        let per_chunk: Vec<Vec<BigUint>> = map_indexed(chunks, self.p_leg.chunk_work(2), |ci| {
             let lo = ci * BATCH_CHUNK;
             let hi = (lo + BATCH_CHUNK).min(digits.len());
             let mut scratch = MontgomeryScratch::new();

@@ -34,7 +34,8 @@
 //! * [`EncryptedVector`] — element-wise encrypted integer vectors (the registry
 //!   and the encrypted label distribution `p_l` of the multi-time selection),
 //!   with rayon-parallel encrypt/decrypt/sum behind the default-on `parallel`
-//!   feature, plus [`slice`](EncryptedVector::slice) /
+//!   feature (for calls that carry enough arithmetic to repay the hand-off;
+//!   smaller ones run inline — see [`vector`]), plus [`slice`](EncryptedVector::slice) /
 //!   [`concat`](EncryptedVector::concat) so a sharded coordinator can
 //!   partition positions across parallel folds and reassemble the total.
 //! * [`packing`] — BatchCrypt-style packing of many small counters into a single

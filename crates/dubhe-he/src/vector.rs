@@ -15,10 +15,15 @@
 //! Vector encryption goes through the [`PrecomputedEncryptor`] by default: one
 //! shared fixed-base table per key, short-exponent randomness per element
 //! (see [`crate::fast`]). With the `parallel` feature (default-on) the
-//! per-element exponentiations of `encrypt`, `decrypt`, `add` and
-//! [`sum_vectors`] additionally fan out over all cores. Every fast/parallel
-//! path is bit-for-bit equivalent to the serial naive one, which the property
-//! tests assert.
+//! per-element work of `encrypt`, `decrypt`, `add` and [`sum_vectors`]
+//! additionally fans out over all cores **when there is enough of it**: each
+//! call site states its cost as a `Work` estimate (elements × multiplies
+//! per element × limbs² of the modulus) and anything under
+//! `FAN_OUT_WORK` runs inline on the calling thread — a 10 × 256-bit
+//! registry fold is a microsecond of arithmetic and must not pay a
+//! cross-thread hand-off, a 56 × 1024-bit one or any encryption does fan
+//! out. Every fast/parallel path is bit-for-bit equivalent to the serial
+//! naive one, which the property tests assert.
 
 use std::sync::Mutex;
 
@@ -32,9 +37,44 @@ use crate::error::HeError;
 use crate::fast::{sample_exponents, Encryptor, PrecomputedEncryptor};
 use crate::keys::{PrivateKey, PublicKey};
 
-/// Minimum number of elements before vector operations fan out over cores
-/// (below this the thread hand-off costs more than the modular arithmetic).
-pub(crate) const PARALLEL_THRESHOLD: usize = 8;
+/// Work, in 64-bit limb multiply-accumulates, a vector operation must reach
+/// before it fans out over cores; below it the operation runs inline.
+///
+/// Set from two rungs of the benchmark ladder: `bigint.mont_mul_ns` puts one
+/// limb multiply-accumulate of the CIOS kernel at ≈ 2 ns (129 ns per 8-limb
+/// multiply at 256-bit keys), and handing a job to the parked pool and
+/// collecting it again breaks even with running it inline at 40–80 µs of
+/// arithmetic on the two-core reference host. 2¹⁵ ≈ 65 µs sits in that
+/// band: a 56-position fold at 1024-bit keys (57 344) fans out, a
+/// 14-position shard slice of it (14 336) or any 256-bit registry does not.
+const FAN_OUT_WORK: u64 = 1 << 15;
+
+/// What one vector operation costs: modular multiplications per element,
+/// and the modulus they run under. The call sites know both; the element
+/// count is supplied where the decision is made.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Work {
+    /// Limb multiply-accumulates per element: multiplies × limbs².
+    per_element: u64,
+}
+
+impl Work {
+    /// `muls_per_element` modular multiplications (or operations of the
+    /// same order: a reduction, a domain conversion) under `modulus`.
+    pub(crate) fn new(muls_per_element: u64, modulus: &BigUint) -> Self {
+        let limbs = modulus.bits().div_ceil(64);
+        Work {
+            per_element: muls_per_element.saturating_mul(limbs * limbs),
+        }
+    }
+
+    /// Whether `elements` of these are worth a cross-thread hand-off. Never
+    /// without the `parallel` feature.
+    fn fans_out(self, elements: usize) -> bool {
+        cfg!(feature = "parallel")
+            && self.per_element.saturating_mul(elements as u64) >= FAN_OUT_WORK
+    }
+}
 
 /// Number of chunks (and pooled scratch arenas) a fold splits its
 /// accumulator slice into. Fixed — not a function of the element count — so
@@ -72,11 +112,15 @@ impl Clone for ScratchPool {
 
 /// Runs `f` over contiguous chunks of `items` (at most [`FOLD_CHUNKS`] of
 /// them), each chunk with exclusive use of one pooled scratch arena; chunks
-/// run in parallel when the `parallel` feature is on and the slice is large
-/// enough. `f` receives the chunk's element offset, the chunk itself and its
-/// arena.
-pub(crate) fn for_each_chunk_with_scratch<T, F>(items: &mut [T], pool: &ScratchPool, f: F)
-where
+/// run in parallel when `work` says the slice carries enough arithmetic,
+/// inline through lane 0 otherwise. `f` receives the chunk's element offset,
+/// the chunk itself and its arena.
+pub(crate) fn for_each_chunk_with_scratch<T, F>(
+    items: &mut [T],
+    pool: &ScratchPool,
+    work: Work,
+    f: F,
+) where
     T: Send,
     F: Fn(usize, &mut [T], &mut MontgomeryScratch) + Sync,
 {
@@ -84,10 +128,10 @@ where
         return;
     }
     let chunk = items.len().div_ceil(FOLD_CHUNKS).max(1);
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        if items.len() >= PARALLEL_THRESHOLD {
+    if work.fans_out(items.len()) {
+        #[cfg(feature = "parallel")]
+        {
+            use rayon::prelude::*;
             items
                 .par_chunks_mut(chunk)
                 .enumerate()
@@ -104,19 +148,18 @@ where
     }
 }
 
-/// Runs `f` over every index in `0..len`, in parallel when the `parallel`
-/// feature is on and the workload is large enough. Results keep input order.
-pub(crate) fn map_indexed<T, F>(len: usize, f: F) -> Vec<T>
+/// Runs `f` over every index in `0..len`, in parallel when `work` says the
+/// elements carry enough arithmetic. Results keep input order.
+pub(crate) fn map_indexed<T, F>(len: usize, work: Work, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        use rayon::prelude::*;
-        if len >= PARALLEL_THRESHOLD {
-            let indices: Vec<usize> = (0..len).collect();
-            return indices.par_iter().map(|&i| f(i)).collect();
+    if work.fans_out(len) {
+        #[cfg(feature = "parallel")]
+        {
+            use rayon::prelude::*;
+            return (0..len).into_par_iter().map(f).collect();
         }
     }
     (0..len).map(f).collect()
@@ -201,7 +244,9 @@ impl EncryptedVector {
         // evaluator in one call (which parallelises internally).
         let exponents = sample_exponents(values.len(), rng);
         let randomizers = encryptor.randomizers_for(&exponents);
-        let elements = map_indexed(values.len(), |i| {
+        // At most one product and one reduction per element, under n².
+        let combine = Work::new(2, public.n_squared());
+        let elements = map_indexed(values.len(), combine, |i| {
             // g⁰ = 1 and the randomizer is already reduced below n², so the
             // zero elements that dominate one-hot registries skip the
             // full-width multiply-and-divide entirely.
@@ -264,7 +309,8 @@ impl EncryptedVector {
         }
         let exponents = sample_exponents(values.len(), rng);
         let randomizers = encryptor.randomizers_for(&exponents);
-        let elements = map_indexed(values.len(), |i| {
+        let combine = Work::new(2, public.n_squared());
+        let elements = map_indexed(values.len(), combine, |i| {
             // Same zero shortcut as the `u64` path: g⁰ = 1 makes the
             // randomizer the finished ciphertext.
             let value = if values[i].is_zero() {
@@ -319,7 +365,7 @@ impl EncryptedVector {
             return Err(HeError::KeyMismatch);
         }
         let n_squared = self.public.n_squared();
-        let elements = map_indexed(self.len(), |i| {
+        let elements = map_indexed(self.len(), Work::new(2, n_squared), |i| {
             let value = (self.elements[i].raw() * other.elements[i].raw()) % n_squared;
             Ciphertext::from_raw(value, self.public.clone())
         });
@@ -332,7 +378,9 @@ impl EncryptedVector {
     /// Element-wise plaintext-scalar multiplication.
     pub fn mul_plain_u64(&self, k: u64) -> EncryptedVector {
         let k = BigUint::from(k);
-        let elements = map_indexed(self.len(), |i| self.elements[i].mul_plain(&k));
+        // Square-and-multiply over the bits of `k`: about 1.5 multiplies a bit.
+        let work = Work::new(2 * k.bits().max(1), self.public.n_squared());
+        let elements = map_indexed(self.len(), work, |i| self.elements[i].mul_plain(&k));
         EncryptedVector {
             elements,
             public: self.public.clone(),
@@ -486,10 +534,13 @@ pub fn sum_vectors(vectors: &[EncryptedVector]) -> Result<Option<EncryptedVector
     // scratch arena: allocations are O(positions) for the seeds and the
     // final exit, never O(positions × vectors).
     let pool = ScratchPool::new();
-    let mut accs = map_indexed(first.len(), |i| {
+    let seed = Work::new(1, public.n_squared());
+    let mut accs = map_indexed(first.len(), seed, |i| {
         ctx.montgomery_residue(first.elements[i].raw())
     });
-    for_each_chunk_with_scratch(&mut accs, &pool, |offset, block, scratch| {
+    // One multiply per further vector plus the correction, per position.
+    let fold = Work::new(vectors.len() as u64, public.n_squared());
+    for_each_chunk_with_scratch(&mut accs, &pool, fold, |offset, block, scratch| {
         // Vector-major: one sequential pass over the inputs per chunk, so
         // the walk follows the heap layout of the vectors' limbs instead of
         // striding one position across every vector — the block's

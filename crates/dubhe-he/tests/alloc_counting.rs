@@ -2,9 +2,12 @@
 //!
 //! Wall-clock benches show the arena win; this test pins the *mechanism*: a
 //! steady-state Montgomery fold performs **zero** heap allocations per folded
-//! element, and the bookkeeping of a parallel fold is O(1) in the vector
-//! length. An integration test gets its own binary, so installing a counting
-//! `#[global_allocator]` here observes exactly this file's workload.
+//! element — none at all while it runs inline, below the fan-out work bound —
+//! and the bookkeeping of a parallel fold is O(1) in the vector length. An
+//! integration test gets its own binary, so installing a counting
+//! `#[global_allocator]` here observes exactly this file's workload. (That a
+//! fold creates no thread either is pinned in `tests/inline_fold.rs`, which
+//! has to be alone in its binary to read the process's thread count.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,25 +70,30 @@ fn registry_vectors(count: usize, len: usize) -> Vec<EncryptedVector> {
 #[test]
 fn serial_steady_state_fold_allocates_exactly_zero() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    // Below the parallel threshold the fold runs on this thread through one
+    // Below the fan-out work bound the fold runs on this thread through one
     // pooled arena: after the first fold warms it, the steady state must not
-    // touch the heap at all.
-    let vs = registry_vectors(6, 7);
-    let mut fold = RunningFold::new(&vs[0]);
-    fold.fold(&vs[1]).unwrap(); // warms the scratch arena
-    for v in &vs[2..] {
-        let n = allocs_during(|| fold.fold(v).unwrap());
-        assert_eq!(n, 0, "steady-state serial fold touched the heap");
+    // touch the heap at all — at any length under the bound, which at
+    // `TEST_KEY_BITS` (64 limb multiplies per element) is 512 elements.
+    for len in [1, 7, 64, 500] {
+        let vs = registry_vectors(6, len);
+        let mut fold = RunningFold::new(&vs[0]);
+        fold.fold(&vs[1]).unwrap(); // warms the scratch arena
+        for v in &vs[2..] {
+            let n = allocs_during(|| fold.fold(v).unwrap());
+            assert_eq!(n, 0, "steady-state inline fold of {len} touched the heap");
+        }
+        assert_eq!(fold.folded(), 6);
     }
-    assert_eq!(fold.folded(), 6);
 }
 
 #[test]
 fn parallel_fold_bookkeeping_is_constant_in_the_vector_length() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    // Above the threshold the fold fans out over a fixed number of chunks;
-    // thread bookkeeping may allocate, but the count must not grow with the
-    // element count — i.e. the per-element term is exactly zero.
+    // Above the work bound the fold fans out over a fixed number of chunks;
+    // publishing the job to the pool may allocate, but the count must not
+    // grow with the element count — i.e. the per-element term is exactly
+    // zero. Both lengths sit above the bound (512 elements at
+    // `TEST_KEY_BITS`), so both take the parallel route.
     let steady = |len: usize| -> u64 {
         let vs = registry_vectors(5, len);
         let mut fold = RunningFold::new(&vs[0]);
@@ -98,16 +106,16 @@ fn parallel_fold_bookkeeping_is_constant_in_the_vector_length() {
         });
         n / rounds
     };
-    let small = steady(64);
-    let large = steady(640);
+    let small = steady(640);
+    let large = steady(5120);
     assert!(
         large <= small + 8,
-        "per-fold allocations grew with the vector length: {small} at 64 \
-         elements vs {large} at 640"
+        "per-fold allocations grew with the vector length: {small} at 640 \
+         elements vs {large} at 5120"
     );
     assert!(
         large < 64,
-        "per-fold allocations ({large}) approach one per element at 640 elements"
+        "per-fold allocations ({large}) approach one per element at 5120 elements"
     );
 }
 

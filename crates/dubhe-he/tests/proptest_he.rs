@@ -32,6 +32,61 @@ fn wide_keys() -> &'static (PublicKey, PrivateKey) {
     })
 }
 
+/// A paper-sized 1024-bit keypair: with [`keys`] it puts the fan-out work
+/// bound at two very different lengths (32 positions here, 512 there).
+fn paper_keys() -> &'static (PublicKey, PrivateKey) {
+    static KEYS: OnceLock<(PublicKey, PrivateKey)> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1024);
+        Keypair::generate(1024, &mut rng).split()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The fold decides between its inline and fanned-out routes from a work
+    /// estimate (positions × multiplies × limbs² against 2¹⁵ limb
+    /// multiplies); the other pins sit well to either side of that bound.
+    /// This one draws lengths from a window straddling it — for the
+    /// per-vector `RunningFold` step (one multiply a position) and for
+    /// `sum_vectors` (one per folded vector) — at both key sizes, and holds
+    /// every route to the serial reference bit for bit.
+    #[test]
+    fn folds_straddling_the_fan_out_bound_match_the_serial_reference(
+        offset in 0usize..17,
+        count in 2usize..5,
+        seed in any::<u64>(),
+    ) {
+        for (pk, _sk) in [keys(), paper_keys()] {
+            let limbs = pk.n_squared().bits().div_ceil(64) as usize;
+            let bound = (1usize << 15) / (limbs * limbs);
+            for len in [bound - 8 + offset, (bound / count).saturating_sub(8).max(1) + offset] {
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                let vectors: Vec<EncryptedVector> = (0..count)
+                    .map(|i| {
+                        let v: Vec<u64> = (0..len).map(|j| ((i * 5 + j) % 9) as u64).collect();
+                        EncryptedVector::encrypt_u64(pk, &v, &mut rng)
+                    })
+                    .collect();
+                let serial = sum_vectors_serial(&vectors).unwrap().unwrap();
+                let batch = sum_vectors(&vectors).unwrap().unwrap();
+                let mut running = RunningFold::new(&vectors[0]);
+                for v in &vectors[1..] {
+                    running.fold(v).unwrap();
+                }
+                let running = running.total();
+                for (i, s) in serial.elements().iter().enumerate() {
+                    prop_assert_eq!(batch.elements()[i].raw(), s.raw(),
+                        "sum_vectors diverged at len {} count {} position {}", len, count, i);
+                    prop_assert_eq!(running.elements()[i].raw(), s.raw(),
+                        "RunningFold diverged at len {} count {} position {}", len, count, i);
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
