@@ -1,6 +1,7 @@
-//! Criterion micro-benchmarks of the Paillier substrate: key generation,
-//! scalar and vector encryption (naive `rⁿ` vs precomputed-base `hˣ`),
-//! batch decryption and homomorphic aggregation across key sizes — the raw
+//! Criterion micro-benchmarks of the Paillier substrate: the bigint floor
+//! (Montgomery multiply, square and `modpow` at the CRT-leg widths), key
+//! generation, scalar and vector encryption (naive `rⁿ` vs precomputed-base
+//! `hˣ`), batch decryption and homomorphic aggregation across key sizes — the raw
 //! numbers behind the §6.4 encryption-overhead discussion and the fast-path
 //! speedup claimed in the crate docs.
 
@@ -9,7 +10,39 @@ use dubhe_he::{
     sum_vectors, sum_vectors_serial, CrtEncryptor, EncryptedVector, Encryptor, Keypair,
     PrecomputedEncryptor,
 };
+use num_bigint::{MontgomeryContext, MontgomeryScratch, RandBigInt};
 use rand::SeedableRng;
+
+/// The floor every Paillier operation stands on, at the widths of the CRT
+/// decryption legs: `p²` is 16 limbs under a 1024-bit key and 32 under a
+/// 2048-bit one, and the exponent `p − 1` is half as long as the modulus.
+fn bench_bigint_floor(c: &mut Criterion) {
+    let mut group = c.benchmark_group("bigint_floor");
+    group.sample_size(10);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+    for limbs in [16u64, 32] {
+        let mut modulus = rng.gen_biguint(64 * limbs);
+        modulus.set_bit(64 * limbs - 1, true);
+        modulus.set_bit(0, true);
+        let ctx = MontgomeryContext::new(&modulus);
+        let b = ctx.to_montgomery(&rng.gen_biguint_below(&modulus));
+        let mut acc = ctx.to_montgomery(&rng.gen_biguint_below(&modulus));
+        let mut scratch = MontgomeryScratch::new();
+        group.bench_with_input(BenchmarkId::new("mont_mul", limbs), &limbs, |bench, _| {
+            bench.iter(|| ctx.montgomery_mul_assign(&mut acc, &b, &mut scratch));
+        });
+        group.bench_with_input(BenchmarkId::new("mont_sqr", limbs), &limbs, |bench, _| {
+            bench.iter(|| ctx.montgomery_sqr_assign(&mut acc, &mut scratch));
+        });
+        let base = rng.gen_biguint_below(&modulus);
+        let mut exponent = rng.gen_biguint(32 * limbs);
+        exponent.set_bit(32 * limbs - 1, true);
+        group.bench_with_input(BenchmarkId::new("modpow", limbs), &limbs, |bench, _| {
+            bench.iter(|| ctx.modpow(&base, &exponent));
+        });
+    }
+    group.finish();
+}
 
 fn bench_keygen(c: &mut Criterion) {
     let mut group = c.benchmark_group("paillier_keygen");
@@ -137,6 +170,7 @@ fn bench_epoch_aggregation(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_bigint_floor,
     bench_keygen,
     bench_encrypt_decrypt,
     bench_vector_fast_vs_naive,

@@ -11,7 +11,7 @@
 //!   ([`sum_vectors_serial`]), one full multiply + Knuth division per
 //!   element;
 //! * `mont`     — the Montgomery-domain batch fold ([`sum_vectors`]): one
-//!   CIOS multiply per element, one conversion out per position;
+//!   Montgomery multiply per element, one conversion out per position;
 //! * `running`  — the coordinator-style incremental [`RunningFold`] (one
 //!   vector at a time, as registries arrive over the wire);
 //! * `packed16` / `packed32` — the slot-packed [`PackedRunningFold`]: the

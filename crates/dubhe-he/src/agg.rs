@@ -8,7 +8,7 @@
 //! adds instead.
 //!
 //! [`RunningFold`] keeps the entire running state **inside the Montgomery
-//! domain**: arriving residues are multiplied in with a single CIOS
+//! domain**: arriving residues are multiplied in with a single Montgomery
 //! multiplication each (no per-element conversion — the fold tracks the
 //! accumulated `R⁻¹` deficit instead), and the state is converted out once
 //! per position when the total is read. The produced ciphertexts are
@@ -47,7 +47,7 @@ enum FoldState {
 /// A running homomorphic sum of same-shape encrypted vectors, accumulated in
 /// the Montgomery domain of the key's cached `n²` context.
 ///
-/// One CIOS multiplication per position per folded vector; one conversion
+/// One Montgomery multiplication per position per folded vector; one conversion
 /// out per position when [`total`](Self::total) is read. Equivalent, bit for
 /// bit, to folding with [`EncryptedVector::add`] — just without paying a
 /// full-width division per element.
@@ -57,7 +57,7 @@ pub struct RunningFold {
     /// How many vectors have been folded in (≥ 1).
     folded: u64,
     state: FoldState,
-    /// Pooled per-chunk CIOS scratch arenas: warmed by the first fold, then
+    /// Pooled per-chunk kernel scratch arenas: warmed by the first fold, then
     /// reused so the steady state allocates nothing per element.
     scratch: ScratchPool,
 }
@@ -149,9 +149,9 @@ impl RunningFold {
         let public = &self.public;
         match &mut self.state {
             FoldState::Mont(elems) => {
-                // In-place CIOS through the pooled arenas: the steady-state
-                // fold touches the heap zero times per element (pinned by
-                // tests/alloc_counting.rs).
+                // In-place Montgomery multiply through the pooled arenas: the
+                // steady-state fold touches the heap zero times per element
+                // (pinned by tests/alloc_counting.rs).
                 let ctx = public.mont_n2().expect("Mont state implies a context");
                 let arriving = v.elements();
                 let (pool, work) = (&self.scratch, Work::new(1, public.n_squared()));
@@ -175,7 +175,7 @@ impl RunningFold {
 
     /// Folds a borrowed frame view into the running sum without ever
     /// materialising its ciphertexts: each residue is staged from its
-    /// big-endian frame bytes directly into the CIOS kernel
+    /// big-endian frame bytes directly into the Montgomery kernel
     /// ([`MontgomeryContext::montgomery_mul_be_assign`]), so the steady
     /// state touches the heap zero times per element. Bit-identical to
     /// [`fold`](Self::fold) of the materialised vector; shape and key

@@ -101,7 +101,7 @@ const BATCH_CHUNK: usize = 4;
 /// Built lazily, once per key, behind the shared [`PublicKey`] handle; every
 /// ciphertext produced under the key amortises it. Generated keys (odd `n²`)
 /// hold the table in the Montgomery domain of the key's cached context so
-/// each window step is one CIOS multiplication; a forged even-modulus key
+/// each window step is one Montgomery multiplication; a forged even-modulus key
 /// falls back to plain multiply-and-divide rows with identical results.
 #[derive(Debug)]
 pub(crate) enum FastBase {
@@ -326,9 +326,10 @@ pub trait Encryptor: Sync {
     /// bit-identical to it, which the property tests pin — but
     /// implementations route it through the simultaneous
     /// multi-exponentiation evaluator: an interleaved window walk over all
-    /// exponents with shared table rows, in-place CIOS through per-chunk
-    /// scratch arenas, and (past a volume threshold) lazily widened 8-bit
-    /// tables. Registry-vector encryption calls this once per vector.
+    /// exponents with shared table rows, in-place Montgomery multiplies
+    /// through per-chunk scratch arenas, and (past a volume threshold)
+    /// lazily widened 8-bit tables. Registry-vector encryption calls this
+    /// once per vector.
     fn randomizers_for(&self, xs: &[BigUint]) -> Vec<BigUint> {
         // One multiply per 4-bit window of the exponent, under n².
         let work = Work::new(
@@ -387,8 +388,8 @@ pub(crate) fn sample_exponents<R: Rng + ?Sized>(count: usize, rng: &mut R) -> Ve
 /// One fixed-base window-table leg: `h mod s` for a leg modulus `s` (`n²`
 /// for the single-modulus tier, `p²`/`q²` for the CRT tiers), held entirely
 /// in the Montgomery domain of the key's cached context for `s`, so the
-/// per-ciphertext windowed product is a chain of CIOS multiplications with a
-/// single conversion out.
+/// per-ciphertext windowed product is a chain of Montgomery multiplications
+/// with a single conversion out.
 #[derive(Debug, Clone)]
 pub(crate) struct WindowLeg {
     /// The key's Montgomery context for this leg's modulus.
@@ -401,16 +402,28 @@ impl WindowLeg {
     fn new(ctx: &MontgomeryContext, h: &BigUint) -> Self {
         let windows = RANDOMNESS_EXPONENT_BITS.div_ceil(WINDOW_BITS) as usize;
         let mut table = Vec::with_capacity(windows);
+        let mut scratch = MontgomeryScratch::new();
         let mut window_base = ctx.to_montgomery(h);
         for w in 0..windows {
-            let mut row = Vec::with_capacity(15);
+            // row[d-1] = base^d: even powers are squares of the row's first
+            // half, odd ones one multiply past their predecessor.
+            let mut row: Vec<MontgomeryOperand> = Vec::with_capacity(15);
             row.push(window_base.clone());
-            for d in 1..15 {
-                row.push(ctx.montgomery_mul(&row[d - 1], &window_base));
+            for d in 2..=15 {
+                let mut power;
+                if d % 2 == 0 {
+                    power = row[d / 2 - 1].clone();
+                    ctx.montgomery_sqr_assign(&mut power, &mut scratch);
+                } else {
+                    power = row[d - 2].clone();
+                    ctx.montgomery_mul_assign(&mut power, &window_base, &mut scratch);
+                }
+                row.push(power);
             }
             if w + 1 < windows {
-                // base of the next window: h^(16^(w+1)) = (h^16^w)^16.
-                window_base = ctx.montgomery_mul(&row[14], &window_base);
+                // base of the next window: h^(16^(w+1)) = ((h^16^w)^8)².
+                window_base = row[7].clone();
+                ctx.montgomery_sqr_assign(&mut window_base, &mut scratch);
             }
             table.push(row);
         }
@@ -453,10 +466,10 @@ impl WindowLeg {
     /// Simultaneous multi-exponentiation of one chunk of exponents: the
     /// window loop is outermost and the per-exponent accumulators advance
     /// together, so each table row is loaded once per chunk (not once per
-    /// element) and every multiplication is an in-place CIOS through one
-    /// shared scratch arena. With `wide` tables the walk reads 8-bit digits
-    /// (half the multiplications); either way the result is the unique
-    /// `hˣ mod s`, bit-identical to [`pow`](Self::pow).
+    /// element) and every multiplication is an in-place Montgomery multiply
+    /// through one shared scratch arena. With `wide` tables the walk reads
+    /// 8-bit digits (half the multiplications); either way the result is
+    /// the unique `hˣ mod s`, bit-identical to [`pow`](Self::pow).
     fn pow_chunk(
         &self,
         wide: Option<&WideLeg>,
@@ -553,8 +566,8 @@ pub struct CrtEncryptor {
     q_squared: BigUint,
     /// `(q²)⁻¹ mod p²` (Garner's recombination constant), stored in the
     /// Montgomery domain of the p² context so the recombination reduction
-    /// is one CIOS multiply — `(q2_inv·R)·diff·R⁻¹ = q2_inv·diff mod p²` —
-    /// instead of a full-width multiply plus a Knuth division.
+    /// is one Montgomery multiply — `(q2_inv·R)·diff·R⁻¹ = q2_inv·diff mod
+    /// p²` — instead of a full-width multiply plus a Knuth division.
     q2_inv_mont: MontgomeryOperand,
     /// Batch-volume counter + lazily widened per-leg 8-bit tables, shared
     /// by clones so every handle to this encryptor amortises one expansion.

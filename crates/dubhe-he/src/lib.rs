@@ -25,10 +25,10 @@
 //!   key's cached Montgomery contexts and recombined, for another ≥2×
 //!   on encryption with bit-identical ciphertexts.
 //! * [`RunningFold`] — Montgomery-domain registry aggregation: the
-//!   coordinator's running homomorphic sums advance with one CIOS multiply
-//!   per position per arriving vector (no per-element division), converted
-//!   out once per position when the total is read — bit-identical to an
-//!   [`EncryptedVector::add`] chain.
+//!   coordinator's running homomorphic sums advance with one Montgomery
+//!   multiply per position per arriving vector (no per-element division),
+//!   converted out once per position when the total is read — bit-identical
+//!   to an [`EncryptedVector::add`] chain.
 //! * [`Ciphertext`] — a single encrypted value supporting `⊕` (ciphertext +
 //!   ciphertext), ciphertext + plaintext and ciphertext × plaintext-scalar.
 //! * [`EncryptedVector`] — element-wise encrypted integer vectors (the registry

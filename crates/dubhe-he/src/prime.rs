@@ -6,7 +6,7 @@
 //! rounds; for the key sizes used here (256–2048 bit moduli) 40 rounds pushes the
 //! error probability below 2⁻⁸⁰.
 
-use num_bigint::{BigUint, RandBigInt};
+use num_bigint::{BigUint, MontgomeryContext, MontgomeryScratch, RandBigInt};
 use num_integer::Integer;
 use num_traits::{One, Zero};
 use rand::Rng;
@@ -46,9 +46,14 @@ pub fn is_probable_prime<R: Rng + ?Sized>(n: &BigUint, rng: &mut R) -> bool {
 ///
 /// Callers should prefer [`is_probable_prime`], which also performs trial
 /// division; this function assumes `n` is odd and larger than the small primes.
+/// (An even `n` is answered directly: the Montgomery context every round
+/// shares needs an odd modulus.)
 pub fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut R) -> bool {
     let one = BigUint::one();
     let two = BigUint::from(2u32);
+    if n.is_even() {
+        return n == &two;
+    }
     let n_minus_one = n - &one;
 
     // Write n-1 = d * 2^s with d odd.
@@ -59,6 +64,12 @@ pub fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut R) -> b
         s += 1;
     }
 
+    // One context per candidate: every round's a^d and every squaring after
+    // it reuse the same R² mod n, and the squarings stay in the domain.
+    let ctx = MontgomeryContext::new(n);
+    let minus_one = ctx.to_montgomery(&n_minus_one);
+    let mut scratch = MontgomeryScratch::new();
+
     'witness: for _ in 0..rounds {
         // Random base in [2, n-2].
         let a = loop {
@@ -67,13 +78,14 @@ pub fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: u32, rng: &mut R) -> b
                 break candidate;
             }
         };
-        let mut x = a.modpow(&d, n);
+        let x = ctx.modpow(&a, &d);
         if x == one || x == n_minus_one {
             continue 'witness;
         }
+        let mut x = ctx.to_montgomery(&x);
         for _ in 0..s.saturating_sub(1) {
-            x = x.modpow(&two, n);
-            if x == n_minus_one {
+            ctx.montgomery_sqr_assign(&mut x, &mut scratch);
+            if x == minus_one {
                 continue 'witness;
             }
         }

@@ -41,8 +41,8 @@ use crate::keys::{PrivateKey, PublicKey};
 /// before it fans out over cores; below it the operation runs inline.
 ///
 /// Set from two rungs of the benchmark ladder: `bigint.mont_mul_ns` puts one
-/// limb multiply-accumulate of the CIOS kernel at ≈ 2 ns (129 ns per 8-limb
-/// multiply at 256-bit keys), and handing a job to the parked pool and
+/// limb multiply-accumulate of the Montgomery kernel at ≈ 2 ns (129 ns per
+/// 8-limb multiply at 256-bit keys), and handing a job to the parked pool and
 /// collecting it again breaks even with running it inline at 40–80 µs of
 /// arithmetic on the two-core reference host. 2¹⁵ ≈ 65 µs sits in that
 /// band: a 56-position fold at 1024-bit keys (57 344) fans out, a
@@ -82,7 +82,7 @@ impl Work {
 /// length, which the counting-allocator test pins.
 pub(crate) const FOLD_CHUNKS: usize = 8;
 
-/// A fixed pool of CIOS scratch arenas, one per fold chunk. The arenas warm
+/// A fixed pool of kernel scratch arenas, one per fold chunk. The arenas warm
 /// up on first use and are reused for every subsequent multiplication, which
 /// is what takes the steady-state fold to zero heap allocations per element.
 ///
@@ -497,8 +497,8 @@ impl Deserialize for EncryptedVector {
 /// independent per-position folds out over cores when `parallel` is enabled.
 ///
 /// The per-position product runs in the Montgomery domain of the key's
-/// cached `n²` context: each residue costs one CIOS multiplication instead
-/// of a full multiply plus a Knuth division, and the accumulated `R⁻¹`
+/// cached `n²` context: each residue costs one Montgomery multiplication
+/// instead of a full multiply plus a Knuth division, and the accumulated `R⁻¹`
 /// deficit is cancelled by a single correction multiply per position (see
 /// [`num_bigint::MontgomeryContext::montgomery_residue`]). The result is
 /// bit-for-bit identical to [`sum_vectors_serial`] — a modular product does

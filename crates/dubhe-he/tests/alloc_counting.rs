@@ -3,7 +3,9 @@
 //! Wall-clock benches show the arena win; this test pins the *mechanism*: a
 //! steady-state Montgomery fold performs **zero** heap allocations per folded
 //! element — none at all while it runs inline, below the fan-out work bound —
-//! and the bookkeeping of a parallel fold is O(1) in the vector length. An
+//! and the bookkeeping of a parallel fold is O(1) in the vector length. The
+//! exponentiation ladder under every decryption is held to the same kind of
+//! contract: a handful of allocations per `modpow`, whatever the exponent. An
 //! integration test gets its own binary, so installing a counting
 //! `#[global_allocator]` here observes exactly this file's workload. (That a
 //! fold creates no thread either is pinned in `tests/inline_fold.rs`, which
@@ -13,7 +15,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dubhe_he::{EncryptedVector, Keypair, RunningFold};
+use dubhe_he::{Ciphertext, EncryptedVector, Keypair, RunningFold};
+use num_bigint::{MontgomeryContext, RandBigInt};
 use rand::SeedableRng;
 
 /// Forwards to the system allocator, counting every allocation entry point.
@@ -136,4 +139,70 @@ fn sum_vectors_allocations_do_not_scale_with_the_vector_count() {
         "sum_vectors allocations scaled with the vector count: {few} for 4 \
          vectors vs {many} for 16"
     );
+}
+
+#[test]
+fn modpow_allocations_are_a_small_constant_whatever_the_exponent_length() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    // The ladder works inside one arena (accumulator, odd-power table,
+    // kernel scratch): reducing the base, the arena and the result are all a
+    // `modpow` allocates. A ladder that allocated per step would pay ~650
+    // here at 512 bits and twice that at 1024.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xA110C + 1);
+    let mut modulus = rng.gen_biguint(1024);
+    modulus.set_bit(1023, true);
+    modulus.set_bit(0, true);
+    let ctx = MontgomeryContext::new(&modulus);
+    let base = rng.gen_biguint_below(&modulus);
+    let counts: Vec<u64> = [2u64, 64, 512, 1024]
+        .into_iter()
+        .map(|bits| {
+            let mut exponent = rng.gen_biguint(bits);
+            exponent.set_bit(bits - 1, true);
+            // The fewest of three: a pool worker from an earlier test may
+            // still be putting its bookkeeping away on another thread.
+            (0..3)
+                .map(|_| {
+                    allocs_during(|| {
+                        std::hint::black_box(ctx.modpow(&base, &exponent));
+                    })
+                })
+                .min()
+                .expect("three runs")
+        })
+        .collect();
+    assert!(
+        counts.iter().all(|&n| n == counts[0]),
+        "modpow allocations depend on the exponent length: {counts:?} at 2 / 64 / 512 / 1024 bits"
+    );
+    assert!(counts[0] <= 4, "modpow allocated {} times", counts[0]);
+}
+
+#[test]
+fn batch_decryption_allocations_per_element_are_bounded_by_a_constant() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    // Per element: two ladders (a constant each, above), the L functions
+    // and the CRT recombination — none of it proportional to the key size.
+    // The difference of two batch lengths cancels the fan-out bookkeeping.
+    const PER_ELEMENT_BOUND: u64 = 64;
+    for bits in [dubhe_he::TEST_KEY_BITS, 1024] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xA110C + 2);
+        let kp = Keypair::generate(bits, &mut rng);
+        let cts: Vec<Ciphertext> = (0..24u64)
+            .map(|m| kp.public.encrypt_u64(m, &mut rng))
+            .collect();
+        kp.private.decrypt_batch(&cts); // start the pool, warm its queues
+        let few = allocs_during(|| {
+            std::hint::black_box(kp.private.decrypt_batch(&cts[..8]));
+        });
+        let many = allocs_during(|| {
+            std::hint::black_box(kp.private.decrypt_batch(&cts));
+        });
+        let per_element = many.saturating_sub(few) / 16;
+        assert!(
+            per_element <= PER_ELEMENT_BOUND,
+            "{bits}-bit key: {per_element} allocations per decrypted element \
+             ({few} for 8, {many} for 24)"
+        );
+    }
 }

@@ -129,7 +129,7 @@ pub struct CohortOutcome {
 
 /// Advances a running Montgomery-domain fold by one vector (seeding it from
 /// the first arrival). Bit-identical to an [`EncryptedVector::add`] chain —
-/// see [`RunningFold`] — with one CIOS multiply per position instead of a
+/// see [`RunningFold`] — with one Montgomery multiply per position instead of a
 /// full multiply + division.
 fn fold_in(acc: &mut Option<RunningFold>, v: &EncryptedVector) -> Result<(), ProtocolError> {
     match acc {

@@ -47,7 +47,7 @@ pub fn shard_ranges(len: usize, shards: usize) -> Vec<Range<usize>> {
 /// Advances every shard fold by its slice of `v`, in parallel across shards.
 /// `folds` and `v`-slices are disjoint per shard, so the folds are
 /// independent; each shard's [`RunningFold`] accumulates its slice in the
-/// Montgomery domain (one CIOS multiply per position), and each element
+/// Montgomery domain (one Montgomery multiply per position), and each element
 /// still sees the same multiplication order as the unsharded fold — the
 /// merged result stays bit-identical.
 ///
