@@ -10,10 +10,13 @@
 //!    `h = g₀ⁿ mod n²`. `h` is a uniformly random *n-th residue*, i.e. a
 //!    random element of exactly the subgroup textbook randomness `rⁿ` lives
 //!    in.
-//! 2. **Once per key**: build a windowed fixed-base power table for `h`
-//!    (all `h^(d·16ʷ)` for digits `d ∈ [1, 15]` and window positions `w`), so
-//!    any power of `h` with a [`RANDOMNESS_EXPONENT_BITS`]-bit exponent costs
-//!    ~64 modular multiplications and **zero** squarings.
+//! 2. **Once per key**: build a Lim–Lee fixed-base comb for `h` (CRYPTO
+//!    '94): the exponent is read as [`COMB_ROWS`] rows of [`COMB_COLUMNS`]
+//!    bits, and the table holds the product of `h^(2^(a·i))` over every
+//!    non-empty subset of rows `i` — 255 operands in one limb arena, built
+//!    by 224 squarings and 247 multiplications. Any power of `h` with a
+//!    [`RANDOMNESS_EXPONENT_BITS`]-bit exponent then costs one squaring and
+//!    at most one multiplication per *column*: 31 + 32.
 //! 3. **Per ciphertext**: sample a short random exponent `x` and encrypt as
 //!    `c = (1 + m·n) · hˣ mod n²`.
 //!
@@ -36,162 +39,147 @@
 //! ## Expected speed-up
 //!
 //! Binary exponentiation with an n-sized exponent costs ≈ `|n|` squarings
-//! plus `|n|/2` multiplications mod `n²`; the windowed fixed-base path costs
-//! `RANDOMNESS_EXPONENT_BITS / 4` multiplications. At 1024-bit keys that is
-//! ≈ 1536 vs 64 heavy operations — an order of magnitude on the randomness
-//! component, and 5–10× end-to-end once the (cheap) message component and
-//! final multiplication are included. The `paillier_ops` criterion bench
-//! measures both paths side by side.
+//! plus `|n|/2` multiplications mod `n²`; the comb costs
+//! `2 · COMB_COLUMNS − 1` operations, half of them squarings. At 1024-bit
+//! keys that is ≈ 1536 vs 63 heavy operations — an order of magnitude on the
+//! randomness component, and 5–10× end-to-end once the (cheap) message
+//! component and final multiplication are included. The `paillier_ops`
+//! criterion bench measures both paths side by side.
 //!
 //! ## The CRT-split tier
 //!
 //! Parties that hold the *keypair* — in Dubhe, every selection client and
 //! the agent, but never the coordinator — can do better still:
-//! [`CrtEncryptor`] evaluates the same fixed-base table modulo `p²` and
-//! `q²` (half-width operands, so each multiplication costs about a quarter
-//! of its `n²` counterpart), entirely inside the Montgomery domain of the
-//! private key's cached contexts, and Garner-recombines the two legs to the
-//! unique residue mod `n²`. Because both tiers share one `h` per key handle
-//! and the same exponent sampling, their ciphertexts are **bit-for-bit
-//! identical** given the same randomness stream — measured ≥2.5× over
-//! [`PrecomputedEncryptor`] on scalar and registry-vector encryption.
+//! [`CrtEncryptor`] evaluates the same comb modulo `p²` and `q²`
+//! (half-width operands, so each multiplication costs about a quarter of its
+//! `n²` counterpart), entirely inside the Montgomery domain of the private
+//! key's cached contexts, and Garner-recombines the two legs to the unique
+//! residue mod `n²`. Because both tiers share one `h` per key handle and the
+//! same exponent sampling, their ciphertexts are **bit-for-bit identical**
+//! given the same randomness stream. A client builds one such encryptor per
+//! epoch for a handful of ciphertexts, which is why the table is a comb (two
+//! legs build in ≈ 0.3 ms at 1024 bits, 64 KiB resident) and not the larger
+//! table a long-lived encryptor would amortise; the benchmark's
+//! `he.encryptor_build_ms` / `he.encrypt_vec_ms` rungs carry the numbers.
 //! [`EpochEncryptor::for_key_material`] picks the best tier the key
 //! material in hand supports.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use num_bigint::{BigUint, MontgomeryContext, MontgomeryOperand, MontgomeryScratch, RandBigInt};
+use num_bigint::{
+    BigUint, MontgomeryContext, MontgomeryOperand, MontgomeryScratch, MontgomeryTable, RandBigInt,
+};
 use num_traits::{One, Zero};
 use rand::Rng;
 
 use crate::ciphertext::Ciphertext;
 use crate::error::HeError;
 use crate::keys::{Keypair, PrivateKey, PublicKey};
-use crate::prime::mod_inverse;
 use crate::vector::{map_indexed, Work};
 
 /// Bit length of the short randomness exponent `x` (≈ 2× the 128-bit
 /// security level targeted by 2048-bit moduli).
 pub const RANDOMNESS_EXPONENT_BITS: u64 = 256;
 
-/// Window width of the fixed-base table (4 bits → 15 stored powers per
-/// window, one multiplication per window during exponentiation).
-const WINDOW_BITS: u64 = 4;
+/// Rows of the fixed-base comb: the table holds `2^COMB_ROWS − 1` operands.
+/// Picked from {6, 7, 8} on the benchmark ladder (CHANGES.md, PR 16): 8 is
+/// the only candidate whose per-exponent walk is no dearer than the 64
+/// multiplications of the table it replaced, and it still builds in half the
+/// operations. Not a parameter.
+const COMB_ROWS: usize = 8;
+
+/// Columns of the comb — bits per row, and squarings per exponent.
+const COMB_COLUMNS: usize = (RANDOMNESS_EXPONENT_BITS as usize).div_ceil(COMB_ROWS);
+
+/// What one exponent costs on the comb, for the fan-out estimates: a
+/// squaring and (all but one time in 256) a multiplication per column.
+const COMB_STEPS: u64 = 2 * COMB_COLUMNS as u64;
 
 /// Window width of the batch-only wide table (8 bits → 255 stored powers
-/// per window, half as many multiplications per exponent as the 4-bit walk).
-const WIDE_WINDOW_BITS: u64 = 8;
+/// per window): one multiplication per byte of the exponent, no squarings.
+const WIDE_WINDOW_BITS: usize = 8;
 
 /// Cumulative elements an encryptor must have batch-encrypted before its
-/// 8-bit wide tables are built. Expanding a wide table costs
-/// `32 rows × 254` multiplications per leg while saving ~28 per element, so
-/// the break-even sits near 300 elements per leg; one-shot registry
-/// encryptions (a simulated client encrypts one 56-element vector, ever)
-/// stay on the 4-bit tables and never pay the expansion.
+/// 8-bit wide tables are built. Expanding a wide table costs a 248-squaring
+/// chain plus `32 rows × 254` multiplications per leg, and a walk over it
+/// spends 32 multiplications per exponent where the comb spends 31 squarings
+/// (≈ 0.85 of a multiplication each) and 32 multiplications — ~27 saved per
+/// element, so the break-even sits near 320 elements per leg; one-shot
+/// registry encryptions (a simulated client encrypts one 56-element vector,
+/// ever) stay on the comb and never pay the expansion.
 const WIDE_TABLE_MIN_ELEMENTS: u64 = 512;
 
 /// Elements per interleaved-walk chunk: one scratch arena (and one pass of
 /// table-row reuse) covers this many exponents, while leaving registry-sized
 /// batches enough chunks to fan out over cores.
-const BATCH_CHUNK: usize = 4;
+pub(crate) const BATCH_CHUNK: usize = 4;
 
-/// A windowed fixed-base power table for `h = g₀ⁿ mod n²`.
+/// The fixed-base state for `h = g₀ⁿ mod n²`.
 ///
 /// Built lazily, once per key, behind the shared [`PublicKey`] handle; every
 /// ciphertext produced under the key amortises it. Generated keys (odd `n²`)
-/// hold the table in the Montgomery domain of the key's cached context so
-/// each window step is one Montgomery multiplication; a forged even-modulus key
-/// falls back to plain multiply-and-divide rows with identical results.
+/// hold a comb in the Montgomery domain of the key's cached context; a
+/// forged even-modulus key has no such domain and takes the generic `modpow`
+/// with identical results.
 #[derive(Debug)]
 pub(crate) enum FastBase {
-    /// Montgomery-domain table + batch state (the real-key path).
+    /// Montgomery-domain comb + batch state (the real-key path).
     Mont {
         leg: WindowLeg,
         batch: BatchState<WideLeg>,
     },
-    /// Plain-residue table for even (forged) moduli.
-    Plain {
-        /// `table[w][d-1] = h^(d · 2^(4w)) mod n²` for `d ∈ [1, 15]`.
-        table: Vec<Vec<BigUint>>,
-    },
+    /// Just `h`, for even (forged) moduli.
+    Plain { h: BigUint },
 }
 
 impl FastBase {
-    /// Expands the window table for the key's shared subgroup generator `h`
-    /// (see [`sample_subgroup_h`] — both encryptor tiers derive from the
-    /// same `h`, which is what keeps their ciphertexts interchangeable).
+    /// Builds the comb for the key's shared subgroup generator `h` (see
+    /// [`sample_subgroup_h`] — both encryptor tiers derive from the same
+    /// `h`, which is what keeps their ciphertexts interchangeable).
     pub(crate) fn new(public: &PublicKey, h: &BigUint) -> Self {
-        if let Some(ctx) = public.mont_n2() {
-            return FastBase::Mont {
-                leg: WindowLeg::new(ctx, h),
+        match public.mont_n2() {
+            Some(ctx) => FastBase::Mont {
+                leg: WindowLeg::new(ctx, h, &mut MontgomeryScratch::new()),
                 batch: BatchState::default(),
-            };
+            },
+            None => FastBase::Plain { h: h.clone() },
         }
-        let n_squared = public.n_squared();
-        let windows = RANDOMNESS_EXPONENT_BITS.div_ceil(WINDOW_BITS) as usize;
-        let mut table = Vec::with_capacity(windows);
-        let mut window_base = h.clone();
-        for w in 0..windows {
-            let mut row = Vec::with_capacity(15);
-            row.push(window_base.clone());
-            for d in 1..15 {
-                let next = (&row[d - 1] * &window_base) % n_squared;
-                row.push(next);
-            }
-            if w + 1 < windows {
-                // base of the next window: h^(16^(w+1)) = (h^16^w)^16.
-                window_base = (&row[14] * &window_base) % n_squared;
-            }
-            table.push(row);
-        }
-        FastBase::Plain { table }
     }
 
-    /// `hˣ mod n²` by one table lookup + multiplication per non-zero 4-bit
-    /// digit of `x`.
+    /// `hˣ mod n²`.
     pub(crate) fn pow(&self, x: &BigUint, n_squared: &BigUint) -> BigUint {
-        let digits = x.to_u64_digits();
         match self {
-            FastBase::Mont { leg, .. } => leg.pow(&digits),
-            FastBase::Plain { table } => {
-                let mut acc: Option<BigUint> = None;
-                for (w, row) in table.iter().enumerate() {
-                    let digit = window_digit(&digits, w);
-                    if digit == 0 {
-                        continue;
-                    }
-                    let factor = &row[digit - 1];
-                    acc = Some(match acc {
-                        None => factor.clone(),
-                        Some(a) => (a * factor) % n_squared,
-                    });
-                }
-                acc.unwrap_or_else(num_traits::One::one)
-            }
+            FastBase::Mont { leg, .. } => leg.pow(x),
+            FastBase::Plain { h } => h.modpow(x, n_squared),
         }
     }
 
     /// Batch `hˣ mod n²` for a whole exponent vector: the interleaved
-    /// multi-exponentiation walk when the table is Montgomery-domain, the
-    /// scalar path otherwise. Bit-identical to mapping [`pow`](Self::pow).
+    /// multi-exponentiation walk when there is a comb, the scalar path
+    /// otherwise. Bit-identical to mapping [`pow`](Self::pow).
     pub(crate) fn pow_batch(&self, xs: &[BigUint], n_squared: &BigUint) -> Vec<BigUint> {
         match self {
             FastBase::Mont { leg, batch } => {
                 let wide = batch.wide_for(xs.len(), || WideLeg::new(leg));
-                let digits: Vec<Vec<u64>> = xs.iter().map(BigUint::to_u64_digits).collect();
-                let chunks = digits.len().div_ceil(BATCH_CHUNK);
-                let per_chunk: Vec<Vec<BigUint>> = map_indexed(chunks, leg.chunk_work(1), |ci| {
-                    let lo = ci * BATCH_CHUNK;
-                    let hi = (lo + BATCH_CHUNK).min(digits.len());
-                    let mut scratch = MontgomeryScratch::new();
-                    leg.pow_chunk(wide, &digits[lo..hi], &mut scratch)
+                let chunks: Vec<&[BigUint]> = xs.chunks(BATCH_CHUNK).collect();
+                let work = chunk_work(1, leg.ctx.modulus());
+                let per_chunk = map_indexed(chunks.len(), work, |ci| {
+                    leg.pow_chunk(wide, chunks[ci], &mut MontgomeryScratch::new())
                 });
                 per_chunk.concat()
             }
             FastBase::Plain { .. } => xs.iter().map(|x| self.pow(x, n_squared)).collect(),
         }
     }
+}
+
+/// Cost of one [`BATCH_CHUNK`] of exponents through
+/// [`WindowLeg::pow_chunk`] on `legs` legs under `modulus`: the comb's
+/// [`COMB_STEPS`] per exponent (a walk over wide tables halves it; the
+/// estimate keeps the upper figure).
+pub(crate) fn chunk_work(legs: u64, modulus: &BigUint) -> Work {
+    Work::new(legs * BATCH_CHUNK as u64 * COMB_STEPS, modulus)
 }
 
 /// Shared lazy-upgrade state for the batch evaluator of one encryptor tier:
@@ -240,20 +228,13 @@ pub(crate) fn sample_subgroup_h<R: Rng + ?Sized>(public: &PublicKey, rng: &mut R
     public.pow_mod_n_squared(&g0, n)
 }
 
-/// The `w`-th 4-bit window of an exponent given as little-endian limbs.
-/// (`WINDOW_BITS` divides 64, so a window never straddles a limb boundary.)
-fn window_digit(digits: &[u64], w: usize) -> usize {
-    let bit = w as u64 * WINDOW_BITS;
-    let limb = digits.get((bit / 64) as usize).copied().unwrap_or(0);
-    ((limb >> (bit % 64)) & 0xF) as usize
-}
-
-/// The `w`-th 8-bit window (byte) of an exponent given as little-endian
-/// limbs.
-fn window_digit_wide(digits: &[u64], w: usize) -> usize {
-    let bit = w as u64 * WIDE_WINDOW_BITS;
-    let limb = digits.get((bit / 64) as usize).copied().unwrap_or(0);
-    ((limb >> (bit % 64)) & 0xFF) as usize
+/// The table digit made of `count` bits of `x`, `stride` apart from bit
+/// `start` up: a comb column (`stride = COMB_COLUMNS`, one bit per row) or a
+/// window of the wide table (`stride = 1`).
+fn gather_bits(x: &BigUint, start: usize, stride: usize, count: usize) -> usize {
+    (0..count).fold(0, |digit, j| {
+        digit | (x.bit((start + j * stride) as u64) as usize) << j
+    })
 }
 
 /// Fast Paillier encryptor bound to one shared [`PublicKey`].
@@ -316,26 +297,24 @@ pub trait Encryptor: Sync {
     /// The key ciphertexts are produced under.
     fn public_key(&self) -> &PublicKey;
 
-    /// The randomness component `hˣ mod n²` for a pre-sampled short
-    /// ([`RANDOMNESS_EXPONENT_BITS`]-bit) exponent `x`. Deterministic:
-    /// same `x`, same component, whichever implementation computes it.
+    /// The randomness component `hˣ mod n²` for a pre-sampled exponent
+    /// `x`. Deterministic: same `x`, same component, whichever
+    /// implementation computes it. Total in `x`: the fixed-base table
+    /// serves the short ([`RANDOMNESS_EXPONENT_BITS`]-bit) exponents
+    /// encryption samples, a wider one takes a generic exponentiation.
     fn randomizer_for(&self, x: &BigUint) -> BigUint;
 
     /// The randomness components for a whole exponent vector at once.
     /// Semantically `xs.iter().map(|x| self.randomizer_for(x))` — and
     /// bit-identical to it, which the property tests pin — but
     /// implementations route it through the simultaneous
-    /// multi-exponentiation evaluator: an interleaved window walk over all
+    /// multi-exponentiation evaluator: an interleaved comb walk over all
     /// exponents with shared table rows, in-place Montgomery multiplies
     /// through per-chunk scratch arenas, and (past a volume threshold)
     /// lazily widened 8-bit tables. Registry-vector encryption calls this
     /// once per vector.
     fn randomizers_for(&self, xs: &[BigUint]) -> Vec<BigUint> {
-        // One multiply per 4-bit window of the exponent, under n².
-        let work = Work::new(
-            RANDOMNESS_EXPONENT_BITS.div_ceil(WINDOW_BITS),
-            self.public_key().n_squared(),
-        );
+        let work = Work::new(COMB_STEPS, self.public_key().n_squared());
         map_indexed(xs.len(), work, |i| self.randomizer_for(&xs[i]))
     }
 
@@ -385,47 +364,39 @@ pub(crate) fn sample_exponents<R: Rng + ?Sized>(count: usize, rng: &mut R) -> Ve
     (0..count).map(|_| sample_short_exponent(rng)).collect()
 }
 
-/// One fixed-base window-table leg: `h mod s` for a leg modulus `s` (`n²`
-/// for the single-modulus tier, `p²`/`q²` for the CRT tiers), held entirely
-/// in the Montgomery domain of the key's cached context for `s`, so the
-/// per-ciphertext windowed product is a chain of Montgomery multiplications
-/// with a single conversion out.
+/// One fixed-base comb leg: `h mod s` for a leg modulus `s` (`n²` for the
+/// single-modulus tier, `p²`/`q²` for the CRT tier), held entirely in the
+/// Montgomery domain of the key's cached context for `s`, so a power of `h`
+/// is a chain of in-place Montgomery squarings and multiplications with a
+/// single conversion out.
 #[derive(Debug, Clone)]
 pub(crate) struct WindowLeg {
     /// The key's Montgomery context for this leg's modulus.
     ctx: MontgomeryContext,
-    /// `table[w][d-1]` = Montgomery form of `h^(d·16ʷ) mod s`.
-    table: Vec<Vec<MontgomeryOperand>>,
+    /// `table[d − 1]` = Montgomery form of `∏ h^(2^(a·i)) mod s` over the
+    /// set bits `i` of `d`, with `a =` [`COMB_COLUMNS`]; `table[0]` is `h`.
+    table: MontgomeryTable,
 }
 
 impl WindowLeg {
-    fn new(ctx: &MontgomeryContext, h: &BigUint) -> Self {
-        let windows = RANDOMNESS_EXPONENT_BITS.div_ceil(WINDOW_BITS) as usize;
-        let mut table = Vec::with_capacity(windows);
-        let mut scratch = MontgomeryScratch::new();
-        let mut window_base = ctx.to_montgomery(h);
-        for w in 0..windows {
-            // row[d-1] = base^d: even powers are squares of the row's first
-            // half, odd ones one multiply past their predecessor.
-            let mut row: Vec<MontgomeryOperand> = Vec::with_capacity(15);
-            row.push(window_base.clone());
-            for d in 2..=15 {
-                let mut power;
-                if d % 2 == 0 {
-                    power = row[d / 2 - 1].clone();
-                    ctx.montgomery_sqr_assign(&mut power, &mut scratch);
-                } else {
-                    power = row[d - 2].clone();
-                    ctx.montgomery_mul_assign(&mut power, &window_base, &mut scratch);
+    fn new(ctx: &MontgomeryContext, h: &BigUint, scratch: &mut MontgomeryScratch) -> Self {
+        let mut table = ctx.table((1 << COMB_ROWS) - 1);
+        let mut row_base = ctx.to_montgomery(h);
+        let mut product = row_base.clone();
+        for row in 0..COMB_ROWS {
+            if row > 0 {
+                for _ in 0..COMB_COLUMNS {
+                    ctx.montgomery_sqr_assign(&mut row_base, scratch);
                 }
-                row.push(power);
             }
-            if w + 1 < windows {
-                // base of the next window: h^(16^(w+1)) = ((h^16^w)^8)².
-                window_base = row[7].clone();
-                ctx.montgomery_sqr_assign(&mut window_base, &mut scratch);
+            // This row alone, then joined to every subset of the rows below.
+            let bit = 1 << row;
+            table.store(bit - 1, &row_base);
+            for below in 1..bit {
+                table.load(below - 1, &mut product);
+                ctx.montgomery_mul_assign(&mut product, &row_base, scratch);
+                table.store((bit | below) - 1, &product);
             }
-            table.push(row);
         }
         WindowLeg {
             ctx: ctx.clone(),
@@ -433,75 +404,58 @@ impl WindowLeg {
         }
     }
 
-    /// `hˣ mod s` for the exponent given as little-endian limbs: an
-    /// in-domain product over the non-zero windows, one conversion out.
-    fn pow(&self, digits: &[u64]) -> BigUint {
-        let mut acc: Option<MontgomeryOperand> = None;
-        for (w, row) in self.table.iter().enumerate() {
-            let digit = window_digit(digits, w);
-            if digit == 0 {
-                continue;
-            }
-            let factor = &row[digit - 1];
-            acc = Some(match acc {
-                None => factor.clone(),
-                Some(a) => self.ctx.montgomery_mul(&a, factor),
-            });
-        }
-        match acc {
-            None => BigUint::one(),
-            Some(a) => self.ctx.from_montgomery(&a),
-        }
-    }
-
-    /// Cost of one [`BATCH_CHUNK`] of exponents through
-    /// [`pow_chunk`](Self::pow_chunk) on `legs` legs of this width: one
-    /// multiply per 4-bit window per exponent (the wide tables halve it; the
-    /// estimate keeps the upper figure).
-    fn chunk_work(&self, legs: u64) -> Work {
-        let per_exponent = RANDOMNESS_EXPONENT_BITS.div_ceil(WINDOW_BITS);
-        Work::new(legs * BATCH_CHUNK as u64 * per_exponent, self.ctx.modulus())
+    /// `hˣ mod s`: a one-exponent [`pow_chunk`](Self::pow_chunk).
+    fn pow(&self, x: &BigUint) -> BigUint {
+        self.pow_chunk(None, std::slice::from_ref(x), &mut MontgomeryScratch::new())
+            .pop()
+            .expect("one exponent in, one power out")
     }
 
     /// Simultaneous multi-exponentiation of one chunk of exponents: the
-    /// window loop is outermost and the per-exponent accumulators advance
-    /// together, so each table row is loaded once per chunk (not once per
-    /// element) and every multiplication is an in-place Montgomery multiply
-    /// through one shared scratch arena. With `wide` tables the walk reads
-    /// 8-bit digits (half the multiplications); either way the result is
-    /// the unique `hˣ mod s`, bit-identical to [`pow`](Self::pow).
+    /// column loop is outermost and the per-exponent accumulators advance
+    /// together — square, then multiply by the column's table entry unless
+    /// the column is all zeros — so the table is walked once per chunk (not
+    /// once per element) and every operation is in place through one shared
+    /// scratch arena. With `wide` tables the walk is one multiplication per
+    /// byte of the exponent and no squarings; either way the result is the
+    /// unique `hˣ mod s`. An exponent wider than the tables cover takes the
+    /// context's generic `modpow` instead.
     fn pow_chunk(
         &self,
         wide: Option<&WideLeg>,
-        digits: &[Vec<u64>],
+        xs: &[BigUint],
         scratch: &mut MontgomeryScratch,
     ) -> Vec<BigUint> {
-        let mut accs: Vec<Option<MontgomeryOperand>> = vec![None; digits.len()];
-        let rows: &[Vec<MontgomeryOperand>] = match wide {
-            Some(w) => &w.table,
-            None => &self.table,
-        };
-        let digit_of = if wide.is_some() {
-            window_digit_wide
-        } else {
-            window_digit
-        };
-        for (w, row) in rows.iter().enumerate() {
-            for (acc, d) in accs.iter_mut().zip(digits) {
-                let digit = digit_of(d, w);
+        let mut accs: Vec<Option<MontgomeryOperand>> = vec![None; xs.len()];
+        let steps = wide.map_or(COMB_COLUMNS, |w| w.rows.len());
+        for step in (0..steps).rev() {
+            let (table, start, stride, bits) = match wide {
+                Some(w) => (&w.rows[step], step * WIDE_WINDOW_BITS, 1, WIDE_WINDOW_BITS),
+                None => (&self.table, step, COMB_COLUMNS, COMB_ROWS),
+            };
+            for (acc, x) in accs.iter_mut().zip(xs) {
+                if let (Some(a), None) = (acc.as_mut(), wide) {
+                    self.ctx.montgomery_sqr_assign(a, scratch);
+                }
+                let digit = gather_bits(x, start, stride, bits);
                 if digit == 0 {
                     continue;
                 }
-                let factor = &row[digit - 1];
-                if let Some(a) = acc.as_mut() {
-                    self.ctx.montgomery_mul_assign(a, factor, scratch);
-                } else {
-                    *acc = Some(factor.clone());
+                match acc.as_mut() {
+                    Some(a) => self
+                        .ctx
+                        .montgomery_mul_entry_assign(a, table, digit - 1, scratch),
+                    None => *acc = Some(table.entry(digit - 1)),
                 }
             }
         }
         accs.iter()
-            .map(|acc| match acc {
+            .zip(xs)
+            .map(|(acc, x)| match acc {
+                _ if x.bits() > RANDOMNESS_EXPONENT_BITS => {
+                    let h = self.ctx.from_montgomery(&self.table.entry(0));
+                    self.ctx.modpow(&h, x)
+                }
                 None => BigUint::one(),
                 Some(a) => self.ctx.from_montgomery(a),
             })
@@ -509,37 +463,45 @@ impl WindowLeg {
     }
 }
 
-/// The 8-bit wide-window companion of a [`WindowLeg`]: `table[w][d-1]` =
-/// Montgomery form of `h^(d·256ʷ) mod s` for `d ∈ [1, 255]`. Expanded
-/// lazily from the 4-bit table (window `w` here starts at the narrow
-/// table's window `2w`, digit 1) once an encryptor has batch-processed
-/// enough elements to amortise the `32 × 254` multiplications per leg.
+/// The 8-bit wide-window companion of a [`WindowLeg`]: `rows[w][d − 1]` =
+/// Montgomery form of `h^(d·256ʷ) mod s` for `d ∈ [1, 255]`. Expanded lazily
+/// from the comb's `h` once an encryptor has batch-processed enough elements
+/// to amortise the `32 × 254` multiplications per leg.
 #[derive(Debug)]
 pub(crate) struct WideLeg {
-    table: Vec<Vec<MontgomeryOperand>>,
+    rows: Vec<MontgomeryTable>,
 }
 
 impl WideLeg {
     fn new(narrow: &WindowLeg) -> Self {
-        let windows = RANDOMNESS_EXPONENT_BITS.div_ceil(WIDE_WINDOW_BITS) as usize;
-        // Rows are independent given the narrow table's window bases, so the
-        // (one-off) expansion fans out over cores.
-        let row = Work::new(254, narrow.ctx.modulus());
-        let table = map_indexed(windows, row, |w| {
-            let base = &narrow.table[2 * w][0];
+        let ctx = &narrow.ctx;
+        let windows = (RANDOMNESS_EXPONENT_BITS as usize).div_ceil(WIDE_WINDOW_BITS);
+        // The row bases h^(256ʷ): one squaring chain up from h.
+        let mut scratch = MontgomeryScratch::new();
+        let mut base = narrow.table.entry(0);
+        let mut bases = vec![base.clone()];
+        for _ in 1..windows {
+            for _ in 0..WIDE_WINDOW_BITS {
+                ctx.montgomery_sqr_assign(&mut base, &mut scratch);
+            }
+            bases.push(base.clone());
+        }
+        // Rows are independent given their bases, so the (one-off)
+        // expansion fans out over cores.
+        let digits = (1 << WIDE_WINDOW_BITS) - 1;
+        let row = Work::new(digits as u64 - 1, ctx.modulus());
+        let rows = map_indexed(windows, row, |w| {
             let mut scratch = MontgomeryScratch::new();
-            let mut row = Vec::with_capacity(255);
-            row.push(base.clone());
-            for d in 1..255 {
-                let mut next = row[d - 1].clone();
-                narrow
-                    .ctx
-                    .montgomery_mul_assign(&mut next, base, &mut scratch);
-                row.push(next);
+            let mut row = ctx.table(digits);
+            let mut power = bases[w].clone();
+            row.store(0, &power);
+            for d in 1..digits {
+                ctx.montgomery_mul_assign(&mut power, &bases[w], &mut scratch);
+                row.store(d, &power);
             }
             row
         });
-        WideLeg { table }
+        WideLeg { rows }
     }
 }
 
@@ -547,7 +509,7 @@ impl WideLeg {
 /// available (clients and the agent hold it; the coordinator, which never
 /// sees the private key, structurally cannot build one).
 ///
-/// Instead of evaluating the fixed-base table modulo `n²`, the randomness
+/// Instead of evaluating the fixed-base comb modulo `n²`, the randomness
 /// component `hˣ` is evaluated modulo `p²` and `q²` — half-width operands,
 /// so each multiplication costs a quarter of its full-width counterpart —
 /// through the private key's cached Montgomery contexts, and the two legs
@@ -560,10 +522,6 @@ pub struct CrtEncryptor {
     public: PublicKey,
     p_leg: WindowLeg,
     q_leg: WindowLeg,
-    /// `p²` (the p-leg modulus), cached for the recombination arithmetic.
-    p_squared: BigUint,
-    /// `q²` (the q-leg modulus).
-    q_squared: BigUint,
     /// `(q²)⁻¹ mod p²` (Garner's recombination constant), stored in the
     /// Montgomery domain of the p² context so the recombination reduction
     /// is one Montgomery multiply — `(q2_inv·R)·diff·R⁻¹ = q2_inv·diff mod
@@ -575,8 +533,8 @@ pub struct CrtEncryptor {
 }
 
 impl CrtEncryptor {
-    /// Binds to a keypair, building (or reusing) the key's shared fixed-base
-    /// table and expanding its per-leg Montgomery window tables.
+    /// Binds to a keypair, sampling (or reusing) the key's shared subgroup
+    /// generator and building its two per-leg Montgomery combs.
     pub fn new<R: Rng + ?Sized>(keypair: &Keypair, rng: &mut R) -> Result<Self, HeError> {
         CrtEncryptor::from_keys(&keypair.public, &keypair.private, rng)
     }
@@ -594,22 +552,18 @@ impl CrtEncryptor {
         // The same h = g₀ⁿ as the single-modulus path: encryptors on the
         // same key handle share one subgroup generator, which is what makes
         // their outputs interchangeable bit for bit — without forcing the
-        // full-width n² window table (which only the precomputed tier uses)
-        // to exist.
-        let h = public.subgroup_h(rng).clone();
+        // full-width n² comb (which only the precomputed tier uses) to
+        // exist.
+        let h = public.subgroup_h(rng);
         let (p_ctx, q_ctx) = private.crt_contexts();
-        let p_squared = p_ctx.modulus().clone();
-        let q_squared = q_ctx.modulus().clone();
-        let q2_inv =
-            mod_inverse(&(&q_squared % &p_squared), &p_squared).ok_or(HeError::MalformedKey {
-                detail: "q² is not invertible modulo p²",
-            })?;
+        let q2_inv = private.q_squared_inverse().ok_or(HeError::MalformedKey {
+            detail: "q² is not invertible modulo p²",
+        })?;
+        let mut scratch = MontgomeryScratch::new();
         Ok(CrtEncryptor {
             public: public.clone(),
-            p_leg: WindowLeg::new(p_ctx, &h),
-            q_leg: WindowLeg::new(q_ctx, &h),
-            p_squared,
-            q_squared,
+            p_leg: WindowLeg::new(p_ctx, h, &mut scratch),
+            q_leg: WindowLeg::new(q_ctx, h, &mut scratch),
             q2_inv_mont: p_ctx.to_montgomery(&q2_inv),
             batch: Arc::new(BatchState::default()),
         })
@@ -618,18 +572,19 @@ impl CrtEncryptor {
     /// Garner recombination of the two leg residues to the unique residue
     /// below `n² = p²·q²`: `c = a_q + q²·((a_p − a_q)·(q²)⁻¹ mod p²)`.
     fn recombine(&self, a_p: BigUint, a_q: BigUint) -> BigUint {
-        let a_q_mod_p = &a_q % &self.p_squared;
+        let (p_squared, q_squared) = (self.p_leg.ctx.modulus(), self.q_leg.ctx.modulus());
+        let a_q_mod_p = &a_q % p_squared;
         let diff = if a_p >= a_q_mod_p {
             a_p - a_q_mod_p
         } else {
-            &self.p_squared - (a_q_mod_p - a_p)
+            p_squared - (a_q_mod_p - a_p)
         };
         let t = self
             .p_leg
             .ctx
             .montgomery_mul_residue(&self.q2_inv_mont, &diff)
             .raw_residue();
-        a_q + &self.q_squared * t
+        a_q + q_squared * t
     }
 }
 
@@ -639,33 +594,28 @@ impl Encryptor for CrtEncryptor {
     }
 
     fn randomizer_for(&self, x: &BigUint) -> BigUint {
-        let digits = x.to_u64_digits();
-        let a_p = self.p_leg.pow(&digits);
-        let a_q = self.q_leg.pow(&digits);
-        self.recombine(a_p, a_q)
+        self.recombine(self.p_leg.pow(x), self.q_leg.pow(x))
     }
 
     fn randomizers_for(&self, xs: &[BigUint]) -> Vec<BigUint> {
         let wide = self.batch.wide_for(xs.len(), || {
             (WideLeg::new(&self.p_leg), WideLeg::new(&self.q_leg))
         });
-        let digits: Vec<Vec<u64>> = xs.iter().map(BigUint::to_u64_digits).collect();
-        let chunks = digits.len().div_ceil(BATCH_CHUNK);
         // Both legs share a modulus width (p² and q² of equal-size primes).
-        let per_chunk: Vec<Vec<BigUint>> = map_indexed(chunks, self.p_leg.chunk_work(2), |ci| {
-            let lo = ci * BATCH_CHUNK;
-            let hi = (lo + BATCH_CHUNK).min(digits.len());
-            let mut scratch = MontgomeryScratch::new();
+        let chunks: Vec<&[BigUint]> = xs.chunks(BATCH_CHUNK).collect();
+        let work = chunk_work(2, self.p_leg.ctx.modulus());
+        let per_chunk = map_indexed(chunks.len(), work, |ci| {
+            let (chunk, mut scratch) = (chunks[ci], MontgomeryScratch::new());
             let a_p = self
                 .p_leg
-                .pow_chunk(wide.map(|w| &w.0), &digits[lo..hi], &mut scratch);
+                .pow_chunk(wide.map(|w| &w.0), chunk, &mut scratch);
             let a_q = self
                 .q_leg
-                .pow_chunk(wide.map(|w| &w.1), &digits[lo..hi], &mut scratch);
+                .pow_chunk(wide.map(|w| &w.1), chunk, &mut scratch);
             a_p.into_iter()
                 .zip(a_q)
                 .map(|(p, q)| self.recombine(p, q))
-                .collect()
+                .collect::<Vec<_>>()
         });
         per_chunk.concat()
     }
@@ -676,7 +626,7 @@ impl Encryptor for CrtEncryptor {
 /// simulator) run the CRT-split path, public-key-only parties the
 /// single-modulus precomputed path. The choice is invisible downstream —
 /// both produce bit-identical ciphertexts from the same randomness stream.
-// The CRT variant carries two per-leg window tables and is built once per
+// The CRT variant carries two per-leg comb handles and is built once per
 // epoch per participant, then only borrowed; boxing it would add a pointer
 // chase to every randomizer evaluation for no allocation win that matters.
 #[allow(clippy::large_enum_variant)]
@@ -759,6 +709,7 @@ impl rand::RngCore for NoRng {
 mod tests {
     use super::*;
     use crate::keys::Keypair;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn setup() -> (crate::PublicKey, crate::PrivateKey, rand::rngs::StdRng) {
@@ -895,6 +846,55 @@ mod tests {
         for _ in 0..10 {
             let x = rng.gen_biguint(RANDOMNESS_EXPONENT_BITS);
             assert_eq!(base.pow(&x, pk.n_squared()), h.modpow(&x, pk.n_squared()));
+        }
+    }
+
+    /// The combs of a 256- and a 1024-bit key under `n²`, `p²` and `q²`,
+    /// each with the `h` it was built from.
+    fn combs() -> &'static [(WindowLeg, BigUint)] {
+        static COMBS: OnceLock<Vec<(WindowLeg, BigUint)>> = OnceLock::new();
+        COMBS.get_or_init(|| {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0B);
+            let mut combs = Vec::new();
+            for bits in [crate::TEST_KEY_BITS, 1024] {
+                let (pk, sk) = Keypair::generate(bits, &mut rng).split();
+                let h = pk.subgroup_h(&mut rng);
+                let (p_ctx, q_ctx) = sk.crt_contexts();
+                for ctx in [pk.mont_n2().unwrap(), p_ctx, q_ctx] {
+                    let leg = WindowLeg::new(ctx, h, &mut MontgomeryScratch::new());
+                    combs.push((leg, h.clone()));
+                }
+            }
+            combs
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn comb_walks_match_the_generic_ladder_under_every_leg(seed in any::<u64>()) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut xs: Vec<BigUint> = (0..3).map(|_| rng.gen_biguint(256)).collect();
+            // The shapes a comb can get wrong: all ones, every odd column
+            // all zeros, and one set bit in each row in turn.
+            xs.push((BigUint::one() << 256) - BigUint::one());
+            let mut sparse = xs[0].clone();
+            for bit in (0..256).filter(|bit| bit % COMB_COLUMNS % 2 == 1) {
+                sparse.set_bit(bit as u64, false);
+            }
+            xs.push(sparse);
+            for row in 0..COMB_ROWS {
+                let bit = row * COMB_COLUMNS + rng.gen_range(0..COMB_COLUMNS);
+                xs.push(BigUint::one() << bit as u32);
+            }
+            for (leg, h) in combs() {
+                let expected: Vec<BigUint> = xs.iter().map(|x| leg.ctx.modpow(h, x)).collect();
+                let scalar: Vec<BigUint> = xs.iter().map(|x| leg.pow(x)).collect();
+                prop_assert_eq!(&scalar, &expected, "pow under {}", leg.ctx.modulus());
+                let chunked = leg.pow_chunk(None, &xs, &mut MontgomeryScratch::new());
+                prop_assert_eq!(&chunked, &expected, "pow_chunk under {}", leg.ctx.modulus());
+            }
         }
     }
 }

@@ -35,7 +35,7 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use crate::ciphertext::Ciphertext;
 use crate::error::HeError;
 use crate::fast::FastBase;
-use crate::prime::{generate_prime_pair, mod_inverse};
+use crate::prime::{generate_prime_pair, lift_inverse_squared, mod_inverse};
 use crate::vector::{map_indexed, Work};
 
 /// Minimum supported modulus size in bits.
@@ -380,6 +380,14 @@ impl PrivateKey {
     /// no exponentiation under a live key re-derives `R²`.
     pub(crate) fn crt_contexts(&self) -> (&MontgomeryContext, &MontgomeryContext) {
         (&self.p_ctx, &self.q_ctx)
+    }
+
+    /// `(q²)⁻¹ mod p²`, Garner's constant for recombining the CRT
+    /// encryptor's two legs, lifted from the cached `q⁻¹ mod p` (see
+    /// [`lift_inverse_squared`]) rather than inverted afresh. `None` only
+    /// if the lift fails its own check.
+    pub(crate) fn q_squared_inverse(&self) -> Option<BigUint> {
+        lift_inverse_squared(&self.q_inv_p, &self.q, self.p_ctx.modulus())
     }
 
     /// CRT decryption of a raw ciphertext value in `Z*_{n²}`.

@@ -14,14 +14,14 @@
 //!   decryption. `PublicKey` is a cheap shared handle: every ciphertext
 //!   references one key allocation instead of owning a copy.
 //! * [`PrecomputedEncryptor`] — the encryption hot path: per-key precomputed
-//!   `h = g₀ⁿ mod n²` with a windowed fixed-base power table, so ciphertext
-//!   randomness costs a short (256-bit) windowed exponentiation instead of a
+//!   `h = g₀ⁿ mod n²` with a fixed-base comb table, so ciphertext
+//!   randomness costs a short (256-bit) comb exponentiation instead of a
 //!   full `rⁿ` (see [`fast`] for the construction and security argument).
 //!   [`EncryptedVector::encrypt_u64`] and the secure protocol use it by
 //!   default.
 //! * [`CrtEncryptor`] / [`EpochEncryptor`] — the CRT-split tier on top: when
 //!   the *keypair* is in hand (clients and the agent — never the server),
-//!   the fixed-base table is evaluated mod `p²` and mod `q²` through the
+//!   the same comb is evaluated mod `p²` and mod `q²` through the
 //!   key's cached Montgomery contexts and recombined, for another ≥2×
 //!   on encryption with bit-identical ciphertexts.
 //! * [`RunningFold`] — Montgomery-domain registry aggregation: the

@@ -140,6 +140,19 @@ pub fn mod_inverse(a: &BigUint, m: &BigUint) -> Option<BigUint> {
     Some(x.to_biguint().expect("normalised to non-negative"))
 }
 
+/// Given `x = q⁻¹ mod p`, returns `(q²)⁻¹ mod p²`: one Newton/Hensel step
+/// (`y = x·(2 − q·x) mod p²` inverts `q` modulo `p²`) and a squaring — four
+/// multiplications where a second [`mod_inverse`] would run an extended gcd
+/// at twice the width. The step is verified (`q·y ≡ 1 mod p²`), so an `x`
+/// that is not the inverse it is claimed to be yields `None`.
+pub fn lift_inverse_squared(x: &BigUint, q: &BigUint, p_squared: &BigUint) -> Option<BigUint> {
+    let q_x = (q * x) % p_squared;
+    let y = (x * (p_squared + BigUint::from(2u32) - q_x)) % p_squared;
+    ((q * &y) % p_squared)
+        .is_one()
+        .then(|| (&y * &y) % p_squared)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,5 +239,39 @@ mod tests {
     fn mod_inverse_absent_when_not_coprime() {
         let m = BigUint::from(12u32);
         assert!(mod_inverse(&BigUint::from(8u32), &m).is_none());
+    }
+
+    #[test]
+    fn lifted_inverse_matches_the_extended_gcd_for_generated_keys() {
+        let mut r = rng();
+        for _ in 0..32 {
+            let (p, q) = generate_prime_pair(64, &mut r);
+            let (p2, q2) = (&p * &p, &q * &q);
+            let x = mod_inverse(&(&q % &p), &p).expect("distinct primes");
+            assert_eq!(
+                lift_inverse_squared(&x, &q, &p2),
+                mod_inverse(&(&q2 % &p2), &p2),
+                "p = {p}, q = {q}"
+            );
+        }
+    }
+
+    #[test]
+    fn lifting_a_wrong_inverse_is_refused_not_a_panic() {
+        let (p, q) = (
+            BigUint::from(1_000_000_007u64),
+            BigUint::from(998_244_353u64),
+        );
+        let p2 = &p * &p;
+        let x = mod_inverse(&(&q % &p), &p).unwrap();
+        assert!(lift_inverse_squared(&x, &q, &p2).is_some());
+        for wrong in [BigUint::zero(), &x + BigUint::one(), p.clone(), p2.clone()] {
+            assert_eq!(lift_inverse_squared(&wrong, &q, &p2), None, "x = {wrong}");
+        }
+        // q sharing a factor with p has no inverse to lift, whatever x is.
+        assert_eq!(
+            lift_inverse_squared(&x, &(&p * BigUint::from(3u32)), &p2),
+            None
+        );
     }
 }

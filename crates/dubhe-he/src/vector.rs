@@ -611,6 +611,26 @@ mod tests {
     }
 
     #[test]
+    fn batch_randomizer_fan_out_is_decided_on_the_combs_work() {
+        use crate::fast::{chunk_work, BATCH_CHUNK};
+        // The CRT tier's two legs run under p², which is as wide as n. A
+        // 1024-bit client fans out whether it encrypts a packed registry
+        // (2 ciphertexts, one chunk) or an element-wise one (56); ten
+        // ciphertexts at 256 bits are 25 µs of arithmetic and stay inline.
+        for (key_bits, ciphertexts, expected) in
+            [(1024u32, 2usize, true), (1024, 56, true), (256, 10, false)]
+        {
+            let p_squared = BigUint::from(1u32) << (key_bits - 1);
+            let chunks = ciphertexts.div_ceil(BATCH_CHUNK);
+            assert_eq!(
+                chunk_work(2, &p_squared).fans_out(chunks),
+                expected && cfg!(feature = "parallel"),
+                "{ciphertexts} ciphertexts at {key_bits} bits"
+            );
+        }
+    }
+
+    #[test]
     fn vector_round_trip() {
         let (pk, sk, mut rng) = setup();
         let values = vec![0u64, 1, 2, 3, 4, 1000];

@@ -12,10 +12,10 @@
 //! has to be alone in its binary to read the process's thread count.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dubhe_he::{Ciphertext, EncryptedVector, Keypair, RunningFold};
+use dubhe_he::{Ciphertext, CrtEncryptor, EncryptedVector, Keypair, RunningFold};
 use num_bigint::{MontgomeryContext, RandBigInt};
 use rand::SeedableRng;
 
@@ -24,23 +24,30 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+/// Bytes currently allocated (requested sizes).
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 }
@@ -205,4 +212,30 @@ fn batch_decryption_allocations_per_element_are_bounded_by_a_constant() {
              ({few} for 8, {many} for 24)"
         );
     }
+}
+
+#[test]
+fn a_crt_encryptor_is_a_few_dozen_allocations_and_two_limb_arenas() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    // What every client pays once per epoch at the paper's key size: two
+    // combs of 255 operands × 16 limbs, each in one arena (65 280 B), the
+    // contexts and moduli beside them, and nothing per table entry. The
+    // 64 × 15 window tables this replaced made ≈ 1 950 allocations and kept
+    // ≈ 292 KB.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xA110C + 3);
+    let kp = Keypair::generate(1024, &mut rng);
+    drop(CrtEncryptor::new(&kp, &mut rng).unwrap()); // samples the key's h
+    let before = LIVE_BYTES.load(Ordering::SeqCst);
+    let mut built = None;
+    let allocs = allocs_during(|| built = Some(CrtEncryptor::new(&kp, &mut rng).unwrap()));
+    let retained = LIVE_BYTES.load(Ordering::SeqCst) - before;
+    assert!(
+        allocs <= 64,
+        "building a CRT encryptor allocated {allocs} times"
+    );
+    assert!(
+        retained <= 80 * 1024,
+        "a CRT encryptor keeps {retained} bytes"
+    );
+    drop(built);
 }

@@ -11,6 +11,8 @@ use dubhe_he::{
     HeadroomModel, Keypair, PackedEncryptedVector, PackedRunningFold, PrecomputedEncryptor,
     PrivateKey, PublicKey, RunningFold,
 };
+use num_bigint::{BigUint, RandBigInt};
+use num_traits::{One, Zero};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -486,6 +488,57 @@ fn batch_matches_per_element<E: Encryptor>(enc: &E, values: &[u64], seed: u64) {
             "batch multi-exp diverged from per-element encryption at element {i}"
         );
     }
+}
+
+/// `randomizer_for` is documented as `hˣ mod n²`, and it is — for every `x`,
+/// not only the 256-bit exponents the fixed-base table covers. Both tiers,
+/// scalar and batch, against the generic `modpow` on either side of the
+/// table's reach.
+#[test]
+fn randomizers_are_total_in_the_exponent() {
+    let (pk, sk) = keys();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x707A1);
+    let pre = PrecomputedEncryptor::new(pk, &mut rng);
+    let crt = CrtEncryptor::from_keys(pk, sk, &mut rng).unwrap();
+    let one = BigUint::one();
+    let h = pre.randomizer_for(&one);
+    let xs = [
+        BigUint::zero(),
+        one.clone(),
+        &one << 255,
+        (&one << 256) - &one,
+        &one << 256,
+        (&one << 299) + rng.gen_biguint(299),
+    ];
+    let expected: Vec<BigUint> = xs.iter().map(|x| h.modpow(x, pk.n_squared())).collect();
+    assert_eq!(expected[0], one, "h⁰");
+    for (i, x) in xs.iter().enumerate() {
+        assert_eq!(pre.randomizer_for(x), expected[i], "precomputed, x = {x}");
+        assert_eq!(crt.randomizer_for(x), expected[i], "crt, x = {x}");
+    }
+    assert_eq!(pre.randomizers_for(&xs), expected, "precomputed batch");
+    assert_eq!(crt.randomizers_for(&xs), expected, "crt batch");
+}
+
+/// A deserialized public key with an even modulus (necessarily forged) has
+/// no Montgomery domain to build a table in: the encryptor still binds to
+/// it and its randomizers are the generic `modpow`'s, never a panic.
+#[test]
+fn an_even_forged_modulus_takes_the_generic_exponentiation() {
+    let n = (BigUint::one() << 200) + BigUint::from(0xF0_46EDu32 * 2);
+    let pk: PublicKey = serde_json::from_str(&format!("{{\"n\":\"{n}\"}}")).unwrap();
+    assert_eq!(pk.n(), &n);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xF046ED);
+    let enc = PrecomputedEncryptor::new(&pk, &mut rng);
+    let h = enc.randomizer_for(&BigUint::one());
+    let mut xs: Vec<BigUint> = (0..5).map(|_| rng.gen_biguint(256)).collect();
+    xs.extend([BigUint::zero(), BigUint::one() << 256]);
+    let expected: Vec<BigUint> = xs.iter().map(|x| h.modpow(x, pk.n_squared())).collect();
+    for (x, e) in xs.iter().zip(&expected) {
+        assert_eq!(&enc.randomizer_for(x), e, "x = {x}");
+    }
+    assert_eq!(enc.randomizers_for(&xs), expected);
+    assert!(enc.encrypt(&BigUint::from(7u32), &mut rng).is_ok());
 }
 
 /// The fold-equivalence grid the issue pins: every Montgomery-domain fold
