@@ -23,6 +23,22 @@
 //! typed [`HeError`]s — never a panic, never an unbounded allocation (the
 //! element count is checked against the remaining payload *before* any
 //! buffer is reserved).
+//!
+//! ## One vector, many addressees
+//!
+//! A coordinator's registration broadcast carries the same total once per
+//! addressee. [`VectorEncodeMemo`] and [`VectorDecodeMemo`] make that cost
+//! one encoding and one parse plus a byte copy / byte compare per repeat,
+//! without changing a byte on the wire: the encoder copies the bytes it just
+//! wrote when the next vector is a handle on the same storage
+//! ([`EncryptedVector::shares_storage`]); the decoder reuses the vector it
+//! just validated when the next encoding is byte-identical to the one that
+//! produced it. An encoding is self-delimiting (key length, key, count,
+//! fixed-width residues), so a byte-identical prefix decodes to an equal
+//! vector and consumes the same bytes — the short-cut cannot return
+//! anything the full parse would not.
+
+use std::ops::Range;
 
 use num_bigint::BigUint;
 use num_traits::Zero;
@@ -155,6 +171,84 @@ pub fn encoded_vector_bytes(vector: &EncryptedVector) -> usize {
     4 + crate::transport::public_key_size_bytes(vector.public_key())
         + 4
         + crate::transport::vector_wire_bytes(vector)
+}
+
+/// Encoder-side memory of the vector most recently written to one output
+/// buffer: which vector it was and where its encoding sits. See the module
+/// docs; one memo serves one buffer, which must not be truncated below the
+/// remembered range while the memo is in use.
+#[derive(Debug, Default)]
+pub struct VectorEncodeMemo<'a> {
+    last: Option<(&'a EncryptedVector, Range<usize>)>,
+}
+
+impl<'a> VectorEncodeMemo<'a> {
+    /// [`encode_vector`], except that a vector sharing storage with the one
+    /// this memo wrote last is appended as a copy of those bytes.
+    pub fn encode_vector(
+        &mut self,
+        vector: &'a EncryptedVector,
+        out: &mut Vec<u8>,
+    ) -> Result<(), HeError> {
+        if let Some((last, range)) = &self.last {
+            if last.shares_storage(vector) {
+                out.extend_from_within(range.clone());
+                return Ok(());
+            }
+        }
+        let start = out.len();
+        encode_vector(vector, out)?;
+        self.last = Some((vector, start..out.len()));
+        Ok(())
+    }
+
+    /// [`encode_packed_vector`] with the inner vector written through
+    /// [`encode_vector`](Self::encode_vector).
+    pub fn encode_packed_vector(
+        &mut self,
+        packed: &'a PackedEncryptedVector,
+        out: &mut Vec<u8>,
+    ) -> Result<(), HeError> {
+        put_packed_header(packed, out);
+        self.encode_vector(packed.vector(), out)
+    }
+}
+
+/// Decoder-side memory of the vector most recently decoded from one input
+/// buffer, with the exact bytes it was decoded from. See the module docs.
+#[derive(Debug, Default)]
+pub struct VectorDecodeMemo<'a> {
+    last: Option<(&'a [u8], EncryptedVector)>,
+}
+
+impl<'a> VectorDecodeMemo<'a> {
+    /// [`decode_vector`], except that an encoding byte-identical to the one
+    /// this memo decoded last yields a handle on that already validated
+    /// vector. Only a successful decode is remembered.
+    pub fn decode_vector(&mut self, cur: &mut &'a [u8]) -> Result<EncryptedVector, HeError> {
+        if let Some((bytes, vector)) = &self.last {
+            if let Some(rest) = cur.strip_prefix(*bytes) {
+                *cur = rest;
+                return Ok(vector.clone());
+            }
+        }
+        let input = *cur;
+        let vector = decode_vector(cur)?;
+        self.last = Some((&input[..input.len() - cur.len()], vector.clone()));
+        Ok(vector)
+    }
+
+    /// [`decode_packed_vector`] with the inner vector read through
+    /// [`decode_vector`](Self::decode_vector); the slot layout is validated
+    /// against every envelope's own header regardless.
+    pub fn decode_packed_vector(
+        &mut self,
+        cur: &mut &'a [u8],
+    ) -> Result<PackedEncryptedVector, HeError> {
+        let (packer, count) = take_packed_header(cur)?;
+        let vector = self.decode_vector(cur)?;
+        PackedEncryptedVector::from_vector(vector, count, packer)
+    }
 }
 
 /// A decoded-but-not-materialised encrypted vector: the public key plus a
@@ -315,11 +409,16 @@ pub fn encode_packed_vector(
     out: &mut Vec<u8>,
 ) -> Result<(), HeError> {
     out.reserve(encoded_packed_vector_bytes(packed));
+    put_packed_header(packed, out);
+    encode_vector(packed.vector(), out)
+}
+
+/// The 20-byte slot layout header of a packed vector.
+fn put_packed_header(packed: &PackedEncryptedVector, out: &mut Vec<u8>) {
     let packer = packed.packer();
     put_u32(out, packer.slot_bits);
     put_u64(out, packer.key_bits);
     put_u64(out, packed.count() as u64);
-    encode_vector(packed.vector(), out)
 }
 
 /// Exact encoded size of [`encode_packed_vector`]'s output: the 20-byte slot
@@ -333,6 +432,13 @@ pub fn encoded_packed_vector_bytes(packed: &PackedEncryptedVector) -> usize {
 /// hostile widths, foreign key sizes and ciphertext counts that disagree
 /// with the layout are all typed errors.
 pub fn decode_packed_vector(cur: &mut &[u8]) -> Result<PackedEncryptedVector, HeError> {
+    let (packer, count) = take_packed_header(cur)?;
+    let vector = decode_vector(cur)?;
+    PackedEncryptedVector::from_vector(vector, count, packer)
+}
+
+/// Takes and validates the slot layout header of a packed vector.
+fn take_packed_header(cur: &mut &[u8]) -> Result<(Packer, usize), HeError> {
     let slot_bits = take_u32(cur)?;
     let key_bits = take_u64(cur)?;
     let count = take_u64(cur)?;
@@ -341,9 +447,7 @@ pub fn decode_packed_vector(cur: &mut &[u8]) -> Result<PackedEncryptedVector, He
             detail: "packed lane count overruns the u32 element space",
         });
     }
-    let packer = Packer::try_new(slot_bits, key_bits)?;
-    let vector = decode_vector(cur)?;
-    PackedEncryptedVector::from_vector(vector, count as usize, packer)
+    Ok((Packer::try_new(slot_bits, key_bits)?, count as usize))
 }
 
 /// Encodes a private key: its public key, then the two length-prefixed prime
@@ -613,6 +717,74 @@ mod tests {
             decode_vector_view(&mut &hostile[..]).unwrap_err(),
             HeError::MalformedEncoding { .. }
         ));
+    }
+
+    #[test]
+    fn memos_copy_and_reuse_without_changing_a_byte_or_a_value() {
+        let (pk, _sk, mut rng) = setup();
+        let a = EncryptedVector::encrypt_u64(&pk, &[1, 2, 3], &mut rng);
+        let rebuilt = EncryptedVector::from_ciphertexts(&pk, a.elements().to_vec()).unwrap();
+        let b = EncryptedVector::encrypt_u64(&pk, &[1, 2, 3], &mut rng);
+        assert!(a.shares_storage(&a.clone()));
+        assert!(a == rebuilt && !a.shares_storage(&rebuilt));
+        assert!(!a.shares_storage(&a.slice(0, 3).unwrap()));
+        let packed = PackedEncryptedVector::encrypt(
+            Packer::new(16, crate::TEST_KEY_BITS),
+            &pk,
+            &[7, 8, 9],
+            &mut rng,
+        )
+        .unwrap();
+
+        // Clones, an equal-but-separate vector, a different one, a packed
+        // pair: the memo's output is the plain encoders', byte for byte.
+        let sequence = [&a, &a.clone(), &rebuilt, &a, &b, &b.clone(), &a];
+        let (mut plain, mut memoed) = (b"head".to_vec(), b"head".to_vec());
+        let mut memo = VectorEncodeMemo::default();
+        for v in sequence {
+            encode_vector(v, &mut plain).unwrap();
+            memo.encode_vector(v, &mut memoed).unwrap();
+        }
+        for p in [&packed, &packed.clone()] {
+            encode_packed_vector(p, &mut plain).unwrap();
+            memo.encode_packed_vector(p, &mut memoed).unwrap();
+        }
+        assert_eq!(memoed, plain);
+
+        // Decoding with a memo yields the plain decoders' values and cursor;
+        // byte-identical neighbours come back as handles on one vector.
+        let (mut cur, mut memo_cur) = (&plain[4..], &memoed[4..]);
+        let mut memo = VectorDecodeMemo::default();
+        let mut decoded = Vec::new();
+        for _ in sequence {
+            let v = memo.decode_vector(&mut memo_cur).unwrap();
+            assert_eq!(v, decode_vector(&mut cur).unwrap());
+            assert_eq!(memo_cur, cur);
+            decoded.push(v);
+        }
+        assert!(decoded[0].shares_storage(&decoded[3]), "a, a, rebuilt, a");
+        assert!(!decoded[3].shares_storage(&decoded[4]), "a then b");
+        assert!(decoded[4].shares_storage(&decoded[5]), "b, b");
+        for _ in 0..2 {
+            let p = memo.decode_packed_vector(&mut memo_cur).unwrap();
+            assert_eq!(p, decode_packed_vector(&mut cur).unwrap());
+        }
+        assert!(memo_cur.is_empty() && cur.is_empty());
+
+        // A prefix of the remembered bytes is not a match: truncation is
+        // still the parser's typed error.
+        let mut memo = VectorDecodeMemo::default();
+        let mut two = Vec::new();
+        encode_vector(&a, &mut two).unwrap();
+        let one = two.len();
+        encode_vector(&a, &mut two).unwrap();
+        let mut cur = &two[..two.len() - 1];
+        memo.decode_vector(&mut cur).unwrap();
+        assert_eq!(cur.len(), one - 1);
+        assert_eq!(
+            memo.decode_vector(&mut cur),
+            decode_vector(&mut &two[one..two.len() - 1])
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! out. Every fast/parallel path is bit-for-bit equivalent to the serial
 //! naive one, which the property tests assert.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use num_bigint::{BigUint, MontgomeryScratch};
 use num_traits::Zero;
@@ -168,10 +168,15 @@ where
 /// A vector of Paillier ciphertexts sharing one public key.
 ///
 /// The key is stored once as a shared handle; elements alias it rather than
-/// owning per-element copies (see [`PublicKey`]).
+/// owning per-element copies (see [`PublicKey`]). The ciphertexts themselves
+/// sit in shared storage and are never mutated after construction, so a
+/// clone is a reference-count bump — a coordinator addressing one total to
+/// a thousand clients hands out a thousand handles, not a thousand copies —
+/// and [`shares_storage`](Self::shares_storage) lets an encoder notice that
+/// two handles are the same vector without comparing a residue.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EncryptedVector {
-    elements: Vec<Ciphertext>,
+    elements: Arc<[Ciphertext]>,
     public: PublicKey,
 }
 
@@ -180,7 +185,18 @@ impl EncryptedVector {
     /// deserialisation path). Callers must ensure every element was produced
     /// under `public`.
     pub(crate) fn from_raw_parts(elements: Vec<Ciphertext>, public: PublicKey) -> Self {
-        EncryptedVector { elements, public }
+        EncryptedVector {
+            elements: elements.into(),
+            public,
+        }
+    }
+
+    /// `true` when `self` and `other` are handles on the same stored
+    /// ciphertexts under the same key (one is a clone of the other), which
+    /// makes them equal element for element. Separately built vectors
+    /// answer `false` even when their contents happen to be equal.
+    pub fn shares_storage(&self, other: &EncryptedVector) -> bool {
+        Arc::ptr_eq(&self.elements, &other.elements) && self.public.same_key(&other.public)
     }
 
     /// Assembles a vector from ciphertexts that were produced individually
@@ -196,10 +212,7 @@ impl EncryptedVector {
                 return Err(HeError::KeyMismatch);
             }
         }
-        Ok(EncryptedVector {
-            elements,
-            public: public.clone(),
-        })
+        Ok(Self::from_raw_parts(elements, public.clone()))
     }
 
     /// Encrypts a slice of `u64` values element-by-element.
@@ -258,7 +271,7 @@ impl EncryptedVector {
             };
             Ciphertext::from_raw(value, public.clone())
         });
-        EncryptedVector { elements, public }
+        Self::from_raw_parts(elements, public)
     }
 
     /// Encrypts a slice of `u64` values with per-element textbook `rⁿ`
@@ -272,10 +285,7 @@ impl EncryptedVector {
         rng: &mut R,
     ) -> Self {
         let elements = values.iter().map(|&v| public.encrypt_u64(v, rng)).collect();
-        EncryptedVector {
-            elements,
-            public: public.clone(),
-        }
+        Self::from_raw_parts(elements, public.clone())
     }
 
     /// Encrypts a slice of arbitrary-precision values (fast path).
@@ -321,16 +331,13 @@ impl EncryptedVector {
             };
             Ciphertext::from_raw(value, public.clone())
         });
-        Ok(EncryptedVector { elements, public })
+        Ok(Self::from_raw_parts(elements, public))
     }
 
     /// An all-zero encrypted vector of the given length (identity for sums).
     pub fn zeros(public: &PublicKey, len: usize) -> Self {
         let elements = (0..len).map(|_| public.zero_ciphertext()).collect();
-        EncryptedVector {
-            elements,
-            public: public.clone(),
-        }
+        Self::from_raw_parts(elements, public.clone())
     }
 
     /// Number of encrypted elements.
@@ -369,10 +376,7 @@ impl EncryptedVector {
             let value = (self.elements[i].raw() * other.elements[i].raw()) % n_squared;
             Ciphertext::from_raw(value, self.public.clone())
         });
-        Ok(EncryptedVector {
-            elements,
-            public: self.public.clone(),
-        })
+        Ok(Self::from_raw_parts(elements, self.public.clone()))
     }
 
     /// Element-wise plaintext-scalar multiplication.
@@ -381,10 +385,7 @@ impl EncryptedVector {
         // Square-and-multiply over the bits of `k`: about 1.5 multiplies a bit.
         let work = Work::new(2 * k.bits().max(1), self.public.n_squared());
         let elements = map_indexed(self.len(), work, |i| self.elements[i].mul_plain(&k));
-        EncryptedVector {
-            elements,
-            public: self.public.clone(),
-        }
+        Self::from_raw_parts(elements, self.public.clone())
     }
 
     /// Decrypts every element to a `u64` (batch CRT decryption, parallel
@@ -439,7 +440,7 @@ impl EncryptedVector {
             });
         }
         Ok(EncryptedVector {
-            elements: self.elements[start..end].to_vec(),
+            elements: self.elements[start..end].into(),
             public: self.public.clone(),
         })
     }
@@ -460,10 +461,7 @@ impl EncryptedVector {
             }
             elements.extend_from_slice(&part.elements);
         }
-        Ok(Some(EncryptedVector {
-            elements,
-            public: first.public.clone(),
-        }))
+        Ok(Some(Self::from_raw_parts(elements, first.public.clone())))
     }
 }
 
@@ -489,7 +487,7 @@ impl Deserialize for EncryptedVector {
             .into_iter()
             .map(|value| Ciphertext::from_raw(value, public.clone()))
             .collect();
-        Ok(EncryptedVector { elements, public })
+        Ok(Self::from_raw_parts(elements, public))
     }
 }
 
@@ -560,7 +558,7 @@ pub fn sum_vectors(vectors: &[EncryptedVector]) -> Result<Option<EncryptedVector
         .iter()
         .map(|acc| Ciphertext::from_raw(ctx.from_montgomery(acc), public.clone()))
         .collect();
-    Ok(Some(EncryptedVector { elements, public }))
+    Ok(Some(EncryptedVector::from_raw_parts(elements, public)))
 }
 
 /// Reference implementation of [`sum_vectors`]: a strictly sequential
@@ -586,13 +584,10 @@ pub fn sum_vectors_serial(vectors: &[EncryptedVector]) -> Result<Option<Encrypte
         let elements = acc
             .elements
             .iter()
-            .zip(&v.elements)
+            .zip(v.elements.iter())
             .map(|(a, b)| Ciphertext::from_raw((a.raw() * b.raw()) % n_squared, acc.public.clone()))
             .collect();
-        acc = EncryptedVector {
-            elements,
-            public: acc.public.clone(),
-        };
+        acc = EncryptedVector::from_raw_parts(elements, acc.public.clone());
     }
     Ok(Some(acc))
 }

@@ -12,21 +12,57 @@
 //! same typed [`ProtocolError`]s the blocking reader produces.
 
 use dubhe_select::protocol::channel::{
-    ChannelFrame, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, SEALED_FRAME_OVERHEAD,
+    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::protocol::codec::{CodecKind, RegistryFrame};
-use dubhe_select::protocol::wire::{read_frame_limited, LazyMsg};
+use dubhe_select::protocol::wire::{decode_frame, decode_frame_lazy, LazyMsg};
 use dubhe_select::protocol::WireMsg;
 use dubhe_select::ProtocolError;
 
 /// Magic (4) + big-endian payload length (4).
 const HEADER_BYTES: usize = 8;
 
-/// Bytes of already-parsed prefix tolerated before the buffer compacts.
+/// Bytes of already-consumed prefix tolerated before a queue compacts.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
 
-/// Reassembles length-prefixed `DBH1`/`DBH2` frames from arbitrary byte
-/// slices. One per connection.
+/// Drops the consumed prefix `buf[..*pos]` of a byte queue when that is free
+/// (nothing is left behind it) or amortised: at least [`COMPACT_THRESHOLD`]
+/// consumed bytes **and** no more bytes left to move than were consumed
+/// since the last compaction. Over any sequence of appends and partial
+/// consumptions the bytes moved therefore never exceed the bytes consumed —
+/// a multi-megabyte frame draining through a slow socket is not shifted
+/// down once per `WouldBlock`.
+pub(crate) fn compact(buf: &mut Vec<u8>, pos: &mut usize) {
+    if *pos == buf.len() {
+        buf.clear();
+        *pos = 0;
+    } else if *pos >= COMPACT_THRESHOLD && *pos >= buf.len() - *pos {
+        buf.drain(..*pos);
+        *pos = 0;
+    }
+}
+
+/// One frame of any known magic, still undecoded and still inside the
+/// [`FrameBuffer`] it was reassembled in — the borrowed twin of
+/// [`ChannelFrame`](dubhe_select::protocol::channel::ChannelFrame).
+#[derive(Debug, PartialEq, Eq)]
+pub enum BufferedFrame<'a> {
+    /// A `DBHS` handshake message.
+    Handshake(&'a [u8]),
+    /// A `DBHE` sealed payload (`seq || ciphertext || tag`), mutable so the
+    /// channel can open it where it lies.
+    Sealed(&'a mut [u8]),
+    /// A plaintext protocol frame (`DBH1`/`DBH2`), header included.
+    Plaintext {
+        /// The plaintext codec the magic announced.
+        codec: CodecKind,
+        /// The full frame (magic + length + payload).
+        frame: &'a [u8],
+    },
+}
+
+/// Reassembles length-prefixed frames from arbitrary byte slices. One per
+/// connection.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
     buf: Vec<u8>,
@@ -42,6 +78,7 @@ impl FrameBuffer {
 
     /// Appends bytes read off the socket.
     pub fn extend(&mut self, bytes: &[u8]) {
+        compact(&mut self.buf, &mut self.pos);
         self.buf.extend_from_slice(bytes);
     }
 
@@ -57,7 +94,69 @@ impl FrameBuffer {
         self.pending_bytes() > 0
     }
 
-    /// Pulls the next complete frame, if one has fully arrived.
+    /// Validates the header at the front of the unparsed bytes and returns
+    /// the frame's total length once the whole frame has arrived; `None`
+    /// means "need more bytes". The magic is checked as soon as it is
+    /// complete — garbage is refused after 4 bytes, not held until a
+    /// phantom "length" dribbles in — and the announced length against the
+    /// ceiling before any payload is buffered. `channel` admits the `DBHS`
+    /// and `DBHE` magics, and a sealed frame's allowance above the inner
+    /// ceiling (exactly the seal).
+    ///
+    /// A frame that passed both checks but is still arriving gets its whole
+    /// announced length reserved here, once: a multi-megabyte reply is
+    /// reassembled in one allocation instead of doubling its way up.
+    fn arrived(
+        &mut self,
+        max_frame_bytes: usize,
+        channel: bool,
+    ) -> Result<Option<usize>, ProtocolError> {
+        let avail = &self.buf[self.pos..];
+        if avail.len() < 4 {
+            return Ok(None);
+        }
+        let magic = [avail[0], avail[1], avail[2], avail[3]];
+        let known = CodecKind::from_magic(magic).is_some()
+            || (channel && (magic == FRAME_MAGIC_HANDSHAKE || magic == FRAME_MAGIC_SEALED));
+        if !known {
+            let expected = if channel {
+                "DBH1, DBH2, DBHS or DBHE"
+            } else {
+                "DBH1 or DBH2"
+            };
+            return Err(ProtocolError::MalformedFrame {
+                detail: format!("bad magic {magic:02x?}, expected {expected}"),
+            });
+        }
+        if avail.len() < HEADER_BYTES {
+            return Ok(None);
+        }
+        let len = u32::from_be_bytes([avail[4], avail[5], avail[6], avail[7]]) as usize;
+        let ceiling = if channel {
+            max_frame_bytes + SEALED_FRAME_OVERHEAD
+        } else {
+            max_frame_bytes
+        };
+        if len > ceiling {
+            return Err(ProtocolError::FrameTooLarge {
+                len,
+                max: max_frame_bytes,
+            });
+        }
+        let total = HEADER_BYTES + len;
+        if avail.len() < total {
+            if self.buf.capacity() - self.pos < total {
+                self.buf.drain(..self.pos);
+                self.pos = 0;
+                self.buf.reserve_exact(total - self.buf.len());
+            }
+            return Ok(None);
+        }
+        Ok(Some(total))
+    }
+
+    /// Pulls the next complete frame, if one has fully arrived, decoding it
+    /// where it lies in the buffer.
     ///
     /// `Ok(None)` means "need more bytes"; errors are terminal for the
     /// connection (framing is lost once a header is bad — same contract as
@@ -66,39 +165,11 @@ impl FrameBuffer {
         &mut self,
         max_frame_bytes: usize,
     ) -> Result<Option<(WireMsg, usize, CodecKind)>, ProtocolError> {
-        let avail = &self.buf[self.pos..];
-        // Validate the magic as soon as it is complete: garbage is refused
-        // after 4 bytes, not held until a phantom "length" dribbles in.
-        if avail.len() >= 4
-            && CodecKind::from_magic([avail[0], avail[1], avail[2], avail[3]]).is_none()
-        {
-            return Err(ProtocolError::MalformedFrame {
-                detail: format!("bad magic {:02x?}, expected DBH1 or DBH2", &avail[..4]),
-            });
-        }
-        if avail.len() < HEADER_BYTES {
+        let Some(total) = self.arrived(max_frame_bytes, false)? else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes([avail[4], avail[5], avail[6], avail[7]]) as usize;
-        if len > max_frame_bytes {
-            return Err(ProtocolError::FrameTooLarge {
-                len,
-                max: max_frame_bytes,
-            });
-        }
-        let total = HEADER_BYTES + len;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let frame = read_frame_limited(&mut &avail[..total], max_frame_bytes)?;
+        };
+        let frame = decode_frame(&self.buf[self.pos..self.pos + total], max_frame_bytes)?;
         self.pos += total;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > COMPACT_THRESHOLD {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
         Ok(Some(frame))
     }
 
@@ -115,112 +186,61 @@ impl FrameBuffer {
         &mut self,
         max_frame_bytes: usize,
     ) -> Result<Option<(LazyMsg, usize, CodecKind)>, ProtocolError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < HEADER_BYTES {
-            return self
-                .next_frame(max_frame_bytes)
-                .map(|f| f.map(|(msg, n, c)| (LazyMsg::Eager(msg), n, c)));
-        }
-        let len = u32::from_be_bytes([avail[4], avail[5], avail[6], avail[7]]) as usize;
-        let total = HEADER_BYTES + len;
-        let is_deferrable = CodecKind::from_magic([avail[0], avail[1], avail[2], avail[3]])
-            == Some(CodecKind::Binary)
-            && len <= max_frame_bytes
-            && avail.len() >= total
-            && RegistryFrame::matches_prefix(&avail[HEADER_BYTES..total]);
-        if !is_deferrable {
-            return self
-                .next_frame(max_frame_bytes)
-                .map(|f| f.map(|(msg, n, c)| (LazyMsg::Eager(msg), n, c)));
-        }
-        let payload = if self.pos == 0 && self.buf.len() == total {
+        let Some(total) = self.arrived(max_frame_bytes, false)? else {
+            return Ok(None);
+        };
+        if self.pos == 0
+            && self.buf.len() == total
+            && self.buf[..4] == CodecKind::Binary.magic()
+            && RegistryFrame::matches_prefix(&self.buf[HEADER_BYTES..])
+        {
             // The frame is the buffer's whole content: take it, shave the
             // header — zero copies of the (dominant) ciphertext block.
             let mut taken = std::mem::take(&mut self.buf);
             taken.drain(..HEADER_BYTES);
-            taken
-        } else {
-            let payload = self.buf[self.pos + HEADER_BYTES..self.pos + total].to_vec();
-            self.pos += total;
-            if self.pos == self.buf.len() {
-                self.buf.clear();
-                self.pos = 0;
-            } else if self.pos > COMPACT_THRESHOLD {
-                self.buf.drain(..self.pos);
-                self.pos = 0;
-            }
-            payload
-        };
-        let frame =
-            RegistryFrame::try_from_payload(payload).expect("matches_prefix accepted this payload");
-        Ok(Some((
-            LazyMsg::DeferredRegistry(frame),
-            total,
-            CodecKind::Binary,
-        )))
+            let frame = RegistryFrame::try_from_payload(taken)
+                .expect("matches_prefix accepted this payload");
+            let lazy = LazyMsg::DeferredRegistry(frame);
+            return Ok(Some((lazy, total, CodecKind::Binary)));
+        }
+        let frame = decode_frame_lazy(&self.buf[self.pos..self.pos + total], max_frame_bytes)?;
+        self.pos += total;
+        Ok(Some(frame))
     }
 
     /// Pulls the next frame of *any* known magic — `DBHS` handshake, `DBHE`
-    /// sealed or plaintext protocol — still undecoded, as a
-    /// [`ChannelFrame`]. The nonblocking twin of
+    /// sealed or plaintext protocol — still undecoded and still in the
+    /// buffer, as a [`BufferedFrame`]. The nonblocking twin of
     /// [`read_channel_frame`](dubhe_select::protocol::channel::read_channel_frame):
     /// the reactor's pre-protocol handshake phase and its sealed sessions
     /// pull through this, and the caller decides which variants its policy
-    /// and phase accept. Same contract as [`next_frame`](Self::next_frame):
-    /// magic validated after 4 bytes, announced length checked against the
-    /// ceiling *before* buffering (sealed frames may exceed the inner
-    /// ceiling by exactly the seal), `Ok(None)` means "need more bytes".
+    /// and phase accept — a sealed payload is handed out mutably, to be
+    /// opened and decoded in place. Same contract as
+    /// [`next_frame`](Self::next_frame): magic validated after 4 bytes,
+    /// announced length checked against the ceiling *before* buffering
+    /// (sealed frames may exceed the inner ceiling by exactly the seal),
+    /// `Ok(None)` means "need more bytes".
     pub fn next_channel_frame(
         &mut self,
         max_frame_bytes: usize,
-    ) -> Result<Option<(ChannelFrame, usize)>, ProtocolError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+    ) -> Result<Option<(BufferedFrame<'_>, usize)>, ProtocolError> {
+        let Some(total) = self.arrived(max_frame_bytes, true)? else {
             return Ok(None);
-        }
-        let magic = [avail[0], avail[1], avail[2], avail[3]];
-        let known = magic == FRAME_MAGIC_HANDSHAKE
-            || magic == FRAME_MAGIC_SEALED
-            || CodecKind::from_magic(magic).is_some();
-        if !known {
-            return Err(ProtocolError::MalformedFrame {
-                detail: format!("bad magic {magic:02x?}, expected DBH1, DBH2, DBHS or DBHE"),
-            });
-        }
-        if avail.len() < HEADER_BYTES {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([avail[4], avail[5], avail[6], avail[7]]) as usize;
-        let ceiling = max_frame_bytes + SEALED_FRAME_OVERHEAD;
-        if len > ceiling {
-            return Err(ProtocolError::FrameTooLarge {
-                len,
-                max: max_frame_bytes,
-            });
-        }
-        let total = HEADER_BYTES + len;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let frame = if magic == FRAME_MAGIC_HANDSHAKE {
-            ChannelFrame::Handshake(avail[HEADER_BYTES..total].to_vec())
+        };
+        let frame = &mut self.buf[self.pos..self.pos + total];
+        self.pos += total;
+        let magic = [frame[0], frame[1], frame[2], frame[3]];
+        let pulled = if magic == FRAME_MAGIC_HANDSHAKE {
+            BufferedFrame::Handshake(&frame[HEADER_BYTES..])
         } else if magic == FRAME_MAGIC_SEALED {
-            ChannelFrame::Sealed(avail[HEADER_BYTES..total].to_vec())
+            BufferedFrame::Sealed(&mut frame[HEADER_BYTES..])
         } else {
-            ChannelFrame::Plaintext {
-                codec: CodecKind::from_magic(magic).expect("validated above"),
-                frame: avail[..total].to_vec(),
+            BufferedFrame::Plaintext {
+                codec: CodecKind::from_magic(magic).expect("validated on arrival"),
+                frame,
             }
         };
-        self.pos += total;
-        if self.pos == self.buf.len() {
-            self.buf.clear();
-            self.pos = 0;
-        } else if self.pos > COMPACT_THRESHOLD {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        Ok(Some((frame, total)))
+        Ok(Some((pulled, total)))
     }
 }
 
@@ -380,13 +400,13 @@ mod tests {
         }
         fb.extend(&burst[hs.len()..]);
         let (frame, n) = fb.next_channel_frame(1024).unwrap().unwrap();
-        assert_eq!(frame, ChannelFrame::Handshake(vec![7u8; 64]));
+        assert_eq!(frame, BufferedFrame::Handshake(&[7u8; 64]));
         assert_eq!(n, hs.len());
         let (frame, _) = fb.next_channel_frame(1024).unwrap().unwrap();
-        assert_eq!(frame, ChannelFrame::Sealed(vec![9u8; 24]));
+        assert_eq!(frame, BufferedFrame::Sealed(&mut [9u8; 24]));
         let (frame, _) = fb.next_channel_frame(1024).unwrap().unwrap();
         assert!(
-            matches!(frame, ChannelFrame::Plaintext { codec: CodecKind::Binary, ref frame } if *frame == plain)
+            matches!(frame, BufferedFrame::Plaintext { codec: CodecKind::Binary, frame } if *frame == plain[..])
         );
         assert!(fb.next_channel_frame(1024).unwrap().is_none());
         assert!(!fb.is_mid_frame());
@@ -410,6 +430,108 @@ mod tests {
             fb.next_channel_frame(64),
             Err(ProtocolError::FrameTooLarge { .. })
         ));
+    }
+
+    #[test]
+    fn compaction_never_moves_more_bytes_than_were_consumed() {
+        // A queue is appended to and consumed from the front in arbitrary
+        // splits (a write queue meeting `WouldBlock`s, a reassembly buffer
+        // meeting partial frames). Whatever the split sequence, the bytes
+        // `compact` shifts down stay within the bytes consumed so far, the
+        // queue's content is preserved, and a fully consumed queue is
+        // emptied for free.
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound as u64) as usize
+        };
+        for scale in [1usize, 1 << 9, 1 << 13, 1 << 16] {
+            let (mut buf, mut pos) = (Vec::new(), 0usize);
+            let (mut appended, mut consumed, mut moved) = (0usize, 0usize, 0usize);
+            for _ in 0..200 {
+                let grow = next(4 * scale);
+                buf.extend((appended..appended + grow).map(|i| i as u8));
+                appended += grow;
+                let take = next(buf.len() - pos + 1);
+                pos += take;
+                consumed += take;
+                let before = (buf.len(), pos);
+                compact(&mut buf, &mut pos);
+                assert_eq!(buf.len() - pos, before.0 - before.1, "content length kept");
+                if pos != before.1 {
+                    assert_eq!(pos, 0);
+                    moved += buf.len();
+                }
+                if before.0 == before.1 {
+                    assert!(buf.is_empty(), "a drained queue is cleared");
+                }
+                assert!(moved <= consumed, "moved {moved} > consumed {consumed}");
+                let unsent = &buf[pos..];
+                assert_eq!(unsent.len(), appended - consumed);
+                assert_eq!(
+                    unsent.first().copied(),
+                    (consumed < appended).then_some(consumed as u8)
+                );
+            }
+            let expect = (consumed..appended).map(|i| i as u8);
+            assert!(buf[pos..].iter().copied().eq(expect), "content kept");
+            // Not vacuous: small queues never pay a move, large ones do.
+            assert!(if scale == 1 {
+                moved == 0
+            } else {
+                scale < 1 << 16 || moved > 0
+            });
+        }
+        // An 8 MiB reply leaving through a socket that takes 200 KiB a
+        // write: draining on every partial write past the threshold would
+        // move ≈ 160 MiB; the amortised rule moves at most the 8.
+        let (mut buf, mut pos) = (vec![0u8; 8 << 20], 0usize);
+        let mut moved = 0usize;
+        while pos < buf.len() {
+            pos += (200 << 10).min(buf.len() - pos);
+            let before = pos;
+            compact(&mut buf, &mut pos);
+            if pos != before && !buf.is_empty() {
+                moved += buf.len();
+            }
+        }
+        assert!(moved <= 8 << 20, "moved {moved} bytes draining 8 MiB");
+    }
+
+    #[test]
+    fn an_announced_frame_is_reserved_once_not_doubled_into() {
+        // After the 8-byte header passes the ceiling check the whole frame
+        // is reserved; feeding the rest in socket-sized chunks never
+        // reallocates, even with a consumed frame still ahead of it.
+        let big = encode(
+            &WireMsg::Error {
+                detail: "x".repeat(3 << 20),
+            },
+            CodecKind::Binary,
+        );
+        let ack = encode(&WireMsg::Ack, CodecKind::Binary);
+        let mut fb = FrameBuffer::new();
+        fb.extend(&ack);
+        fb.extend(&big[..HEADER_BYTES]);
+        assert!(fb.next_frame(4 << 20).unwrap().is_some());
+        assert!(fb.next_frame(4 << 20).unwrap().is_none());
+        let reserved = fb.buf.capacity();
+        assert_eq!(reserved, big.len(), "exactly the announced frame");
+        let at = fb.buf.as_ptr();
+        for chunk in big[HEADER_BYTES..].chunks(16 * 1024) {
+            fb.extend(chunk);
+            assert_eq!((fb.buf.as_ptr(), fb.buf.capacity()), (at, reserved));
+        }
+        let (msg, bytes, _) = fb.next_frame(4 << 20).unwrap().unwrap();
+        assert_eq!(bytes, big.len());
+        assert!(matches!(msg, WireMsg::Error { detail } if detail.len() == 3 << 20));
+        // Over the ceiling nothing is reserved at all.
+        let mut fb = FrameBuffer::new();
+        fb.extend(&big[..HEADER_BYTES]);
+        assert!(fb.next_frame(1 << 20).is_err());
+        assert!(fb.buf.capacity() < 1024);
     }
 
     #[test]

@@ -56,6 +56,6 @@ pub mod frames;
 pub mod mux;
 pub mod reactor;
 
-pub use frames::FrameBuffer;
+pub use frames::{BufferedFrame, FrameBuffer};
 pub use mux::{MuxClient, MuxConfig};
 pub use reactor::{ReactorConfig, ReactorListener};

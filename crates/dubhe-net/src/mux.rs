@@ -21,18 +21,16 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use dubhe_select::protocol::channel::{
-    client_handshake, secret_bytes_from_seed, ChannelFrame, ChannelPolicy, NodeIdentity,
+    append_frame, client_handshake, secret_bytes_from_seed, ChannelPolicy, NodeIdentity,
     RetrySchedule, SecureChannel,
 };
 use dubhe_select::protocol::codec::CodecKind;
 use dubhe_select::protocol::stats::{LatencyHistogram, LatencySummary};
-use dubhe_select::protocol::wire::{
-    read_frame_limited, write_frame_limited, WireMsg, MAX_FRAME_BYTES,
-};
+use dubhe_select::protocol::wire::{decode_frame, WireMsg, MAX_FRAME_BYTES};
 use dubhe_select::ProtocolError;
 use mini_mio::{Backend, Events, Interest, Poll, Registry, Token};
 
-use crate::frames::FrameBuffer;
+use crate::frames::{BufferedFrame, FrameBuffer};
 
 fn io_error(context: &'static str, e: std::io::Error) -> ProtocolError {
     ProtocolError::Io {
@@ -166,6 +164,35 @@ struct MuxConn {
     /// The established secure channel, when the config requires one:
     /// requests seal on queue, replies unseal on read.
     channel: Option<SecureChannel>,
+}
+
+impl MuxConn {
+    /// Pulls the next complete reply out of the reassembly buffer, decoded
+    /// where it lies. Channel connections accept nothing but sealed frames
+    /// (opened in place): a plaintext reply is a downgrade (or an
+    /// unauthenticated splice), a handshake frame is out of phase, and a
+    /// seal that fails to open — tamper, replay, reorder — is a typed error.
+    fn next_reply(&mut self, max_frame_bytes: usize) -> Result<Option<WireMsg>, ProtocolError> {
+        let Some(channel) = self.channel.as_mut() else {
+            let frame = self.frames.next_frame(max_frame_bytes)?;
+            return Ok(frame.map(|(msg, _, _)| msg));
+        };
+        match self.frames.next_channel_frame(max_frame_bytes)? {
+            None => Ok(None),
+            Some((BufferedFrame::Sealed(payload), _)) => {
+                let inner = channel.open_in_place(payload)?;
+                Ok(Some(decode_frame(inner, max_frame_bytes)?.0))
+            }
+            Some((BufferedFrame::Plaintext { frame, .. }, _)) => {
+                Err(ProtocolError::DowngradeRefused {
+                    magic: frame[..4].try_into().expect("4-byte magic"),
+                })
+            }
+            Some((BufferedFrame::Handshake(_), _)) => Err(ProtocolError::AuthFailure {
+                detail: "handshake frame after the channel was established".to_string(),
+            }),
+        }
+    }
 }
 
 /// One dial (+ handshake under a `Required` policy) with the config's
@@ -327,24 +354,13 @@ impl MuxClient {
     /// [`collect`](Self::collect) (or [`exchange`](Self::exchange)).
     pub fn send(&mut self, conn: usize, msg: &WireMsg) -> Result<(), ProtocolError> {
         let c = &mut self.conns[conn];
-        if let Some(channel) = c.channel.as_mut() {
-            let mut inner = Vec::new();
-            write_frame_limited(
-                &mut inner,
-                msg,
-                self.config.codec,
-                self.config.max_frame_bytes,
-            )?;
-            let sealed = channel.seal_frame(&inner);
-            c.out.extend_from_slice(&sealed);
-        } else {
-            write_frame_limited(
-                &mut c.out,
-                msg,
-                self.config.codec,
-                self.config.max_frame_bytes,
-            )?;
-        }
+        append_frame(
+            &mut c.out,
+            msg,
+            self.config.codec,
+            self.config.max_frame_bytes,
+            c.channel.as_mut(),
+        )?;
         c.pending.push_back(Instant::now());
         Ok(())
     }
@@ -405,23 +421,13 @@ impl MuxClient {
     pub fn shutdown(mut self) {
         for token in 0..self.conns.len() {
             let c = &mut self.conns[token];
-            let mut inner = Vec::new();
-            if write_frame_limited(
-                &mut inner,
+            let _ = append_frame(
+                &mut c.out,
                 &WireMsg::Shutdown,
                 self.config.codec,
                 self.config.max_frame_bytes,
-            )
-            .is_ok()
-            {
-                match c.channel.as_mut() {
-                    Some(channel) => {
-                        let sealed = channel.seal_frame(&inner);
-                        c.out.extend_from_slice(&sealed);
-                    }
-                    None => c.out.extend_from_slice(&inner),
-                }
-            }
+                c.channel.as_mut(),
+            );
             // No reply follows a shutdown frame.
             let _ = self.flush(token);
         }
@@ -482,47 +488,23 @@ impl MuxClient {
                     }
                     break;
                 }
-                Ok(n) => c.frames.extend(&chunk[..n]),
+                Ok(n) => {
+                    c.frames.extend(&chunk[..n]);
+                    // Replies are pulled as their bytes land, not after the
+                    // socket has been drained: a multi-megabyte reply's
+                    // header is seen — and its length reserved, once — with
+                    // its first chunk, instead of the buffer doubling its
+                    // way past the frame.
+                    while let Some(msg) = c.next_reply(self.config.max_frame_bytes)? {
+                        if let Some(queued_at) = c.pending.pop_front() {
+                            self.latency.record(queued_at.elapsed());
+                        }
+                        replies.push((token, msg));
+                    }
+                }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(io_error("read frame", e)),
-            }
-        }
-        if let Some(channel) = c.channel.as_mut() {
-            // Channel connections accept nothing but sealed frames: a
-            // plaintext reply is a downgrade (or an unauthenticated
-            // splice), a handshake frame is out of phase, and a seal that
-            // fails to open — tamper, replay, reorder — is a typed error.
-            while let Some((frame, _)) = c.frames.next_channel_frame(self.config.max_frame_bytes)? {
-                let msg = match frame {
-                    ChannelFrame::Sealed(payload) => {
-                        let inner = channel.open_payload(&payload)?;
-                        let (msg, _, _) =
-                            read_frame_limited(&mut &inner[..], self.config.max_frame_bytes)?;
-                        msg
-                    }
-                    ChannelFrame::Plaintext { frame, .. } => {
-                        return Err(ProtocolError::DowngradeRefused {
-                            magic: frame[..4].try_into().expect("4-byte magic"),
-                        });
-                    }
-                    ChannelFrame::Handshake(_) => {
-                        return Err(ProtocolError::AuthFailure {
-                            detail: "handshake frame after the channel was established".to_string(),
-                        });
-                    }
-                };
-                if let Some(queued_at) = c.pending.pop_front() {
-                    self.latency.record(queued_at.elapsed());
-                }
-                replies.push((token, msg));
-            }
-        } else {
-            while let Some((msg, _, _)) = c.frames.next_frame(self.config.max_frame_bytes)? {
-                if let Some(queued_at) = c.pending.pop_front() {
-                    self.latency.record(queued_at.elapsed());
-                }
-                replies.push((token, msg));
             }
         }
         Ok(())

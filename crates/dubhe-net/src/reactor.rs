@@ -68,17 +68,19 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dubhe_select::protocol::channel::{ChannelFrame, ChannelPolicy, NodeIdentity, ServerHandshake};
+use dubhe_select::protocol::channel::{
+    append_frame, ChannelPolicy, NodeIdentity, SecureChannel, ServerHandshake,
+};
 use dubhe_select::protocol::codec::CodecKind;
 use dubhe_select::protocol::stats::{ListenerMetrics, ListenerStats};
 use dubhe_select::protocol::wire::{
-    claimed_client, read_frame_lazy, write_frame_limited, LazyMsg, WireMsg, MAX_FRAME_BYTES,
+    claimed_client, decode_frame_lazy, LazyMsg, WireMsg, MAX_FRAME_BYTES,
 };
 use dubhe_select::protocol::Coordinator;
 use dubhe_select::{ClientId, ProtocolError};
 use mini_mio::{Backend, Events, Interest, Poll, Registry, Token, Waker};
 
-use crate::frames::FrameBuffer;
+use crate::frames::{compact, BufferedFrame, FrameBuffer};
 
 /// Default mid-frame stall bound, matching the connector's
 /// [`DEFAULT_READ_TIMEOUT`](dubhe_select::protocol::DEFAULT_READ_TIMEOUT).
@@ -507,7 +509,17 @@ enum ConnPhase {
     /// Pre-protocol: nothing but `DBHS` handshake frames is accepted.
     Handshake(ServerHandshake),
     /// Mutually authenticated: nothing but `DBHE` sealed frames is.
-    Established(dubhe_select::protocol::channel::SecureChannel),
+    Established(SecureChannel),
+}
+
+impl ConnPhase {
+    /// The channel outgoing frames are sealed under, once established.
+    fn channel(&mut self) -> Option<&mut SecureChannel> {
+        match self {
+            ConnPhase::Established(channel) => Some(channel),
+            _ => None,
+        }
+    }
 }
 
 /// Per-connection state owned by the event loop.
@@ -818,11 +830,11 @@ impl EventLoop {
             return false;
         };
         match conn.frames.next_channel_frame(max) {
-            Ok(Some((ChannelFrame::Handshake(payload), _))) => {
+            Ok(Some((BufferedFrame::Handshake(payload), _))) => {
                 let ConnPhase::Handshake(hs) = &mut conn.phase else {
                     return false;
                 };
-                match hs.on_payload(&payload) {
+                match hs.on_payload(payload) {
                     Ok(step) => {
                         if let Some(channel) = step.established {
                             conn.peer = Some(channel.peer_identity());
@@ -841,7 +853,7 @@ impl EventLoop {
                     }
                 }
             }
-            Ok(Some((ChannelFrame::Plaintext { frame, .. }, _))) => {
+            Ok(Some((BufferedFrame::Plaintext { frame, .. }, _))) => {
                 self.metrics.downgrade_refused();
                 let e = ProtocolError::DowngradeRefused {
                     magic: frame[..4].try_into().expect("4-byte magic"),
@@ -849,7 +861,7 @@ impl EventLoop {
                 self.fail_handshake(token, &e);
                 false
             }
-            Ok(Some((ChannelFrame::Sealed(_), _))) => {
+            Ok(Some((BufferedFrame::Sealed(_), _))) => {
                 let e = ProtocolError::AuthFailure {
                     detail: "sealed frame before the handshake finished".to_string(),
                 };
@@ -867,8 +879,9 @@ impl EventLoop {
         }
     }
 
-    /// One established-phase pull: unseal a `DBHE` frame, parse exactly one
-    /// inner protocol frame out of it, ship it to the router. Tampered or
+    /// One established-phase pull: open a `DBHE` frame where it lies in the
+    /// reassembly buffer, parse exactly one inner protocol frame out of it
+    /// from there, ship it to the router. Tampered or
     /// replayed seals, plaintext downgrades and stray handshake frames all
     /// earn typed errors sealed back to the peer (the send direction
     /// survives a receive failure), then a hangup.
@@ -878,11 +891,11 @@ impl EventLoop {
             return false;
         };
         match conn.frames.next_channel_frame(max) {
-            Ok(Some((ChannelFrame::Sealed(payload), wire_bytes))) => {
+            Ok(Some((BufferedFrame::Sealed(payload), wire_bytes))) => {
                 let ConnPhase::Established(channel) = &mut conn.phase else {
                     return false;
                 };
-                let inner = match channel.open_payload(&payload) {
+                let inner = match channel.open_in_place(payload) {
                     Ok(inner) => inner,
                     Err(e) => {
                         // Tampered ciphertext or replayed/reordered
@@ -893,7 +906,7 @@ impl EventLoop {
                         return false;
                     }
                 };
-                match read_frame_lazy(&mut &inner[..], max) {
+                match decode_frame_lazy(inner, max) {
                     Ok((LazyMsg::Eager(WireMsg::Shutdown), _, _)) => {
                         self.metrics.frame_received(wire_bytes);
                         conn.closing = true;
@@ -929,7 +942,7 @@ impl EventLoop {
                     }
                 }
             }
-            Ok(Some((ChannelFrame::Plaintext { frame, .. }, _))) => {
+            Ok(Some((BufferedFrame::Plaintext { frame, .. }, _))) => {
                 // A plaintext protocol frame mid-session is a downgrade
                 // attempt (or an unauthenticated splice); refused.
                 self.metrics.downgrade_refused();
@@ -939,7 +952,7 @@ impl EventLoop {
                 self.fail_established(token, &e);
                 false
             }
-            Ok(Some((ChannelFrame::Handshake(_), _))) => {
+            Ok(Some((BufferedFrame::Handshake(_), _))) => {
                 self.metrics.decode_error();
                 let e = ProtocolError::AuthFailure {
                     detail: "handshake frame after the channel was established".to_string(),
@@ -1058,10 +1071,10 @@ impl EventLoop {
         }
     }
 
-    /// Encodes a frame into a connection's write queue, flushes what the
-    /// socket will take, and enforces the high-water mark. On an
-    /// established channel the encoded frame is sealed into a `DBHE` frame
-    /// first; metrics count the sealed bytes.
+    /// Encodes a frame straight into a connection's write queue — sealed in
+    /// place on an established channel — flushes what the socket will take,
+    /// and enforces the high-water mark. Metrics count the bytes queued,
+    /// seal included.
     fn queue_frame(
         &mut self,
         token: usize,
@@ -1073,17 +1086,7 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let written = if let ConnPhase::Established(channel) = &mut conn.phase {
-            let mut inner = Vec::new();
-            write_frame_limited(&mut inner, msg, codec, max).map(|_| {
-                let sealed = channel.seal_frame(&inner);
-                conn.out.extend_from_slice(&sealed);
-                sealed.len()
-            })
-        } else {
-            write_frame_limited(&mut conn.out, msg, codec, max)
-        };
-        match written {
+        match append_frame(&mut conn.out, msg, codec, max, conn.phase.channel()) {
             Ok(written) => {
                 conn.queued_total += written as u64;
                 conn.pending_sends.push_back(PendingSend {
@@ -1157,13 +1160,7 @@ impl EventLoop {
                 }
             }
         }
-        if conn.out_pos == conn.out.len() {
-            conn.out.clear();
-            conn.out_pos = 0;
-        } else if conn.out_pos > 64 * 1024 {
-            conn.out.drain(..conn.out_pos);
-            conn.out_pos = 0;
-        }
+        compact(&mut conn.out, &mut conn.out_pos);
         let drained = conn.out.is_empty();
         if drained && conn.closing {
             self.close_conn(token, CloseReason::Clean);
@@ -1228,17 +1225,13 @@ impl EventLoop {
                     )
                 };
                 let notice = WireMsg::Error { detail };
-                let mut buf = Vec::new();
-                if write_frame_limited(&mut buf, &notice, conn.codec, self.config.max_frame_bytes)
-                    .is_ok()
+                // An established peer only accepts sealed frames; the
+                // courtesy notice must arrive in one it can open.
+                let mut frame = Vec::new();
+                let max = self.config.max_frame_bytes;
+                if append_frame(&mut frame, &notice, conn.codec, max, conn.phase.channel()).is_ok()
                 {
-                    // An established peer only accepts sealed frames; the
-                    // courtesy notice must arrive in one it can open.
-                    let bytes = match &mut conn.phase {
-                        ConnPhase::Established(channel) => channel.seal_frame(&buf),
-                        _ => buf,
-                    };
-                    let _ = conn.stream.write(&bytes);
+                    let _ = conn.stream.write(&frame);
                 }
             }
             self.close_conn(token, CloseReason::Truncated);

@@ -18,7 +18,7 @@ use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
     read_frame, run_registration_with, run_try, ChannelPolicy, CodecKind, Coordinator, Envelope,
     InMemoryTransport, ListenerStats, Party, ProtocolMsg, ShardedCoordinator, TcpConfig,
-    TcpTransport, TransportStats, WireMsg,
+    TcpTransport, TransportStats, WireMsg, SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::{ClientSelector, DubheConfig, DubheSelector};
 use mini_mio::Backend;
@@ -250,6 +250,198 @@ fn mux_client_runs_sealed_sessions_end_to_end() {
     assert_eq!(stats.decode_errors, 0);
     let state = reactor.shutdown().expect("listener state");
     assert_eq!(state.messages_received(), n + 7);
+}
+
+/// `n` registry uploads (one pooled ciphertext vector, as a load generator
+/// replays them) whose last reply is the registration broadcast: a `Batch`
+/// of `n + 1` envelopes around one length-56 total — 3.6 KB an addressee at
+/// 256-bit keys, so `n = 800` is a 2.9 MB sealed frame.
+fn registry_uploads(n: usize) -> (WireMsg, Vec<Envelope>) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB16);
+    let keypair = dubhe_he::Keypair::generate(KEY_BITS, &mut rng);
+    let mut one_hot = [0u64; 56];
+    one_hot[5] = 1;
+    let registry = dubhe_he::EncryptedVector::encrypt_u64(&keypair.public, &one_hot, &mut rng);
+    let key_dispatch = WireMsg::Envelope {
+        envelope: Envelope {
+            from: Party::Agent,
+            to: Party::Server,
+            epoch: 0,
+            msg: ProtocolMsg::PublicKeyDispatch {
+                public_key: keypair.public.clone(),
+                private_key: None,
+            },
+        },
+    };
+    let uploads = (0..n).map(|client| Envelope {
+        from: Party::Client(client),
+        to: Party::Server,
+        epoch: 0,
+        msg: ProtocolMsg::EncryptedRegistry {
+            client,
+            registry: registry.clone(),
+        },
+    });
+    (key_dispatch, uploads.collect())
+}
+
+/// What a sealed `DBH2` frame for `msg` weighs on the wire.
+fn sealed_frame_bytes(msg: &WireMsg) -> usize {
+    8 + CodecKind::Binary.encode(msg).unwrap().len() + SEALED_FRAME_OVERHEAD
+}
+
+/// The broadcast checks shared by both big-batch tests: `n + 1` addressees
+/// in cohort order, every one holding the same total.
+fn assert_broadcast(envelopes: &[Envelope], n: usize) {
+    assert_eq!(envelopes.len(), n + 1);
+    let ProtocolMsg::EncryptedTotalBroadcast { total } = &envelopes[n].msg else {
+        panic!("the agent's copy closes the broadcast");
+    };
+    assert_eq!(total.len(), 56);
+    for (i, envelope) in envelopes.iter().enumerate() {
+        let to = if i < n {
+            Party::Client(i)
+        } else {
+            Party::Agent
+        };
+        assert_eq!((envelope.from, envelope.to), (Party::Server, to));
+        assert!(
+            matches!(&envelope.msg, ProtocolMsg::EncryptedTotalBroadcast { total: t } if t == total)
+        );
+    }
+}
+
+// Seconds-long under a debug-build ChaCha20; CI runs it with --release.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn multi_mib_sealed_broadcast_reaches_a_mux_client_byte_for_byte() {
+    let n = 800;
+    let (key_dispatch, uploads) = registry_uploads(n);
+    let reactor = ReactorListener::spawn_with(
+        ShardedCoordinator::new(n, 4),
+        ReactorConfig::default().with_channel(ChannelPolicy::Required),
+    )
+    .unwrap();
+    let conns = 2;
+    let mut mux = MuxClient::connect(
+        reactor.addr(),
+        conns,
+        MuxConfig::default()
+            .with_codec(CodecKind::Binary)
+            .with_channel(ChannelPolicy::Required)
+            .with_expected_server(reactor.public_identity().expect("identity resolved"))
+            .with_exchange_timeout(Duration::from_secs(30)),
+    )
+    .unwrap();
+
+    // Client `c` speaks on connection `c % 2` (the identity binding keeps
+    // one identity per client); everything is queued, then moved at once,
+    // so the 2.9 MB reply is reassembled from partial reads behind a queue
+    // of small replies.
+    let mut requests = vec![(0, key_dispatch)];
+    requests.extend(
+        uploads
+            .into_iter()
+            .enumerate()
+            .map(|(c, envelope)| (c % conns, WireMsg::Envelope { envelope })),
+    );
+    let replies = mux.exchange(&requests).unwrap();
+    assert_eq!(replies.len(), n + 1);
+    let mut bytes_out = 0;
+    let mut broadcasts = 0;
+    for (_, reply) in &replies {
+        bytes_out += sealed_frame_bytes(reply);
+        match reply {
+            WireMsg::Batch { envelopes } if envelopes.is_empty() => {}
+            WireMsg::Batch { envelopes } => {
+                assert_broadcast(envelopes, n);
+                assert!(sealed_frame_bytes(reply) > 2 << 20, "a multi-MiB frame");
+                broadcasts += 1;
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    assert_eq!(broadcasts, 1);
+    mux.shutdown();
+
+    let stats = wait_for(&reactor, "connections never drained", |s| {
+        s.connections_closed == conns
+    });
+    let bytes_in: usize = requests
+        .iter()
+        .map(|(_, msg)| sealed_frame_bytes(msg))
+        .sum();
+    let shutdowns = conns * sealed_frame_bytes(&WireMsg::Shutdown);
+    assert_eq!(stats.bytes_received, bytes_in + shutdowns);
+    assert_eq!(stats.bytes_sent, bytes_out);
+    assert_eq!(stats.frames_received, n + 1 + conns);
+    assert_eq!(stats.frames_sent, n + 1);
+    assert_eq!(
+        stats.aead_rejections + stats.decode_errors + stats.backpressure_disconnects,
+        0
+    );
+    let state = reactor.shutdown().expect("listener state");
+    assert_eq!(state.messages_received(), n + 1);
+}
+
+// Seconds-long under a debug-build ChaCha20; CI runs it with --release.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn multi_mib_sealed_broadcast_reaches_tcp_transport_byte_for_byte() {
+    let n = 800;
+    let (key_dispatch, uploads) = registry_uploads(n);
+    let reactor = ReactorListener::spawn_with(
+        ShardedCoordinator::new(n, 4),
+        ReactorConfig::default().with_channel(ChannelPolicy::Required),
+    )
+    .unwrap();
+    let mut client = TcpTransport::connect_with_config(
+        reactor.addr(),
+        TcpConfig::default()
+            .with_codec(CodecKind::Binary)
+            .with_channel(ChannelPolicy::Required)
+            .with_expected_server(reactor.public_identity().expect("identity resolved")),
+    )
+    .unwrap();
+    let WireMsg::Envelope { envelope } = key_dispatch else {
+        unreachable!()
+    };
+    assert!(client.deliver(envelope).unwrap().is_empty());
+    let mut broadcast = Vec::new();
+    for envelope in uploads {
+        assert!(
+            broadcast.is_empty(),
+            "the broadcast answers the last upload"
+        );
+        broadcast = client.deliver(envelope).unwrap();
+    }
+    assert_broadcast(&broadcast, n);
+
+    // Both sides metered the same bytes, the seal included, in each
+    // direction — and the reply was one multi-MiB frame.
+    let wire = *client.wire_stats();
+    let stats = wait_for(&reactor, "replies never counted", |s| {
+        s.frames_sent == n + 1
+    });
+    assert_eq!((wire.frames_sent, wire.frames_received), (n + 1, n + 1));
+    assert_eq!(
+        stats.bytes_received,
+        wire.bytes_sent + wire.frames_sent * SEALED_FRAME_OVERHEAD
+    );
+    assert_eq!(
+        stats.bytes_sent,
+        wire.bytes_received + wire.frames_received * SEALED_FRAME_OVERHEAD
+    );
+    assert_eq!(
+        wire.sealed_overhead_bytes,
+        2 * (n + 1) * SEALED_FRAME_OVERHEAD
+    );
+    let reply = WireMsg::Batch {
+        envelopes: broadcast,
+    };
+    assert!(sealed_frame_bytes(&reply) > 2 << 20, "a multi-MiB frame");
+    assert!(stats.bytes_sent > sealed_frame_bytes(&reply));
+    client.shutdown().unwrap();
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! THREAT_MODEL.md used to carry the caveat "codec negotiation is not
 //! authentication". This module is the in-repo answer: before any
-//! [`WireMsg`](super::wire::WireMsg) travels, the two endpoints of a
+//! [`WireMsg`] travels, the two endpoints of a
 //! connection run a three-message mutual-authentication handshake (X25519
 //! triple-DH, Noise-XX-shaped) and every subsequent frame is sealed with
 //! ChaCha20-Poly1305 under per-direction keys and strictly sequenced
@@ -59,7 +59,7 @@ use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use super::codec::CodecKind;
-use super::wire::read_exact_or;
+use super::wire::{append_plain_frame, read_exact_or, WireMsg};
 use crate::error::ProtocolError;
 
 /// The 4-byte preamble of a handshake (`DBHS`) frame.
@@ -71,7 +71,11 @@ pub const FRAME_MAGIC_SEALED: [u8; 4] = *b"DBHE";
 /// Fixed per-frame overhead a sealed frame adds on the wire: the `DBHE`
 /// header (magic + length) plus the sequence number and the AEAD tag. The
 /// inner plaintext frame travels byte-for-byte as ciphertext.
-pub const SEALED_FRAME_OVERHEAD: usize = 4 + 4 + 8 + TAG_LEN;
+pub const SEALED_FRAME_OVERHEAD: usize = SEALED_PREFIX_BYTES + TAG_LEN;
+
+/// What a sealed frame puts in front of its ciphertext: the `DBHE` magic,
+/// the payload length and the sequence number.
+const SEALED_PREFIX_BYTES: usize = 4 + 4 + 8;
 
 /// M1 = static(32) + ephemeral(32); M2 adds the confirmation tag.
 const HELLO_LEN: usize = 64;
@@ -210,40 +214,64 @@ fn nonce_for(seq: u64) -> [u8; 12] {
     nonce
 }
 
+/// The associated data of sealed frame `seq`: the `DBHE` magic and the
+/// sequence number, so a spliced or re-sequenced frame fails its tag.
+fn sealed_aad(seq: u64) -> [u8; 12] {
+    let mut aad = [0u8; 12];
+    aad[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
+    aad[4..].copy_from_slice(&seq.to_be_bytes());
+    aad
+}
+
 impl SecureChannel {
     /// The peer's authenticated public identity.
     pub fn peer_identity(&self) -> [u8; 32] {
         self.peer
     }
 
-    /// Seals one inner plaintext frame into a complete `DBHE` wire frame.
-    pub fn seal_frame(&mut self, inner: &[u8]) -> Vec<u8> {
+    /// Seals the frame under construction at `out[start..]` — 16 bytes of
+    /// room for the `DBHE` prefix followed by one inner plaintext frame —
+    /// where it lies: the prefix is filled in, the inner frame encrypted in
+    /// place and the tag appended. Takes the next send sequence number.
+    fn seal_in_place(&mut self, out: &mut Vec<u8>, start: usize) {
         let seq = self.send_seq;
         self.send_seq += 1;
-        let mut aad = [0u8; 12];
-        aad[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
-        aad[4..].copy_from_slice(&seq.to_be_bytes());
-        let sealed = self.send.seal(&nonce_for(seq), &aad, inner);
+        let (prefix, inner) = out[start..].split_at_mut(SEALED_PREFIX_BYTES);
+        let announced = u32::try_from(8 + inner.len() + TAG_LEN)
+            .expect("callers bound the inner frame below the u32 length field");
+        prefix[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
+        prefix[4..8].copy_from_slice(&announced.to_be_bytes());
+        prefix[8..].copy_from_slice(&seq.to_be_bytes());
+        let tag = self
+            .send
+            .encrypt_in_place_detached(&nonce_for(seq), &sealed_aad(seq), inner);
+        out.extend_from_slice(&tag);
+    }
+
+    /// Seals one inner plaintext frame into a complete `DBHE` wire frame of
+    /// its own — the allocating form of what [`append_frame`] does inside a
+    /// caller's buffer.
+    pub fn seal_frame(&mut self, inner: &[u8]) -> Vec<u8> {
         let mut frame = Vec::with_capacity(SEALED_FRAME_OVERHEAD + inner.len());
-        frame.extend_from_slice(&FRAME_MAGIC_SEALED);
-        frame.extend_from_slice(&((8 + sealed.len()) as u32).to_be_bytes());
-        frame.extend_from_slice(&seq.to_be_bytes());
-        frame.extend_from_slice(&sealed);
+        frame.resize(SEALED_PREFIX_BYTES, 0);
+        frame.extend_from_slice(inner);
+        self.seal_in_place(&mut frame, 0);
         frame
     }
 
-    /// Opens one `DBHE` payload (`seq || ciphertext || tag`), returning the
-    /// inner plaintext frame. Out-of-sequence frames surface
-    /// [`ProtocolError::ReplayDetected`]; tag failures surface
-    /// [`ProtocolError::AuthFailure`]. Either way the channel is dead: a
-    /// failed open does not advance the receive sequence, and callers cut
-    /// the connection.
-    pub fn open_payload(&mut self, payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
-        if payload.len() < 8 + TAG_LEN {
+    /// Opens one `DBHE` payload (`seq || ciphertext || tag`) where it lies
+    /// and returns the inner plaintext frame, borrowed from `payload`.
+    /// Out-of-sequence frames surface [`ProtocolError::ReplayDetected`];
+    /// tag failures surface [`ProtocolError::AuthFailure`] with `payload`
+    /// untouched — the tag is verified before a byte is decrypted. Either
+    /// way the channel is dead: a failed open does not advance the receive
+    /// sequence, and callers cut the connection.
+    pub fn open_in_place<'a>(&mut self, payload: &'a mut [u8]) -> Result<&'a [u8], ProtocolError> {
+        let Some(inner_len) = payload.len().checked_sub(8 + TAG_LEN) else {
             return Err(ProtocolError::AuthFailure {
                 detail: format!("sealed payload too short ({} bytes)", payload.len()),
             });
-        }
+        };
         let seq = u64::from_be_bytes(payload[..8].try_into().expect("8-byte slice"));
         if seq != self.recv_seq {
             return Err(ProtocolError::ReplayDetected {
@@ -251,18 +279,62 @@ impl SecureChannel {
                 got: seq,
             });
         }
-        let mut aad = [0u8; 12];
-        aad[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
-        aad[4..].copy_from_slice(&seq.to_be_bytes());
-        let inner = self
-            .recv
-            .open(&nonce_for(seq), &aad, &payload[8..])
+        let (inner, tag) = payload[8..].split_at_mut(inner_len);
+        let tag: &[u8; TAG_LEN] = (&*tag).try_into().expect("TAG_LEN bytes remain");
+        self.recv
+            .decrypt_in_place_detached(&nonce_for(seq), &sealed_aad(seq), inner, tag)
             .map_err(|_| ProtocolError::AuthFailure {
                 detail: format!("AEAD tag verification failed on sealed frame {seq}"),
             })?;
         self.recv_seq += 1;
         Ok(inner)
     }
+
+    /// [`open_in_place`](Self::open_in_place) on a copy: returns the inner
+    /// plaintext frame as a `Vec` of its own and leaves `payload` alone.
+    pub fn open_payload(&mut self, payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        let mut opened = payload.to_vec();
+        let inner_len = self.open_in_place(&mut opened)?.len();
+        opened.copy_within(8..8 + inner_len, 0);
+        opened.truncate(inner_len);
+        Ok(opened)
+    }
+}
+
+/// Appends one complete wire frame for `msg` to `out` — a bare plaintext
+/// frame when `channel` is `None`, a sealed `DBHE` frame when the connection
+/// runs the authenticated channel — and returns the bytes appended.
+///
+/// This is the one way a frame is built for a socket or a write queue:
+/// space is reserved once from the codec's size hint, the payload is
+/// encoded in place ([`append_plain_frame`]), and on a channel the inner
+/// frame is then encrypted where it lies with the tag appended — no
+/// intermediate `inner` / `sealed` buffer. A message that does not encode,
+/// or whose payload exceeds `max_frame_bytes`, is refused with `out`
+/// truncated back to what it held and the channel's send sequence
+/// untouched.
+pub fn append_frame(
+    out: &mut Vec<u8>,
+    msg: &WireMsg,
+    codec: CodecKind,
+    max_frame_bytes: usize,
+    channel: Option<&mut SecureChannel>,
+) -> Result<usize, ProtocolError> {
+    let Some(channel) = channel else {
+        return append_plain_frame(out, msg, codec, max_frame_bytes);
+    };
+    // The sealed frame announces seq + inner header + payload + tag in a
+    // u32 of its own.
+    let max_frame_bytes = max_frame_bytes.min(u32::MAX as usize - (8 + 8 + TAG_LEN));
+    let start = out.len();
+    out.reserve(SEALED_FRAME_OVERHEAD + 8 + codec.payload_size_hint(msg));
+    out.resize(start + SEALED_PREFIX_BYTES, 0);
+    if let Err(e) = append_plain_frame(out, msg, codec, max_frame_bytes) {
+        out.truncate(start);
+        return Err(e);
+    }
+    channel.seal_in_place(out, start);
+    Ok(out.len() - start)
 }
 
 /// The two key-schedule directions, so client and server construct mirror
@@ -794,6 +866,156 @@ mod tests {
         }
         let err = read_channel_frame(&mut &buf[..3], 1 << 20).unwrap_err();
         assert!(matches!(err, ProtocolError::TruncatedFrame { .. }), "{err}");
+    }
+
+    /// `write_frame_limited` as it stood at the parent commit (three writes
+    /// into a `Vec` sink), over a payload encoded one envelope at a time so
+    /// it owes nothing to the shared-vector short-cut either.
+    fn parent_write_frame(
+        msg: &WireMsg,
+        codec: CodecKind,
+        max_frame_bytes: usize,
+    ) -> Result<Vec<u8>, ProtocolError> {
+        use super::super::codec::tests::per_envelope_payload;
+        let payload = match codec {
+            CodecKind::Json => serde_json::to_string(msg).unwrap().into_bytes(),
+            CodecKind::Binary => per_envelope_payload(msg),
+        };
+        if payload.len() > max_frame_bytes {
+            return Err(ProtocolError::FrameTooLarge {
+                len: payload.len(),
+                max: max_frame_bytes,
+            });
+        }
+        let mut w = Vec::new();
+        w.extend_from_slice(&codec.magic());
+        w.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        w.extend_from_slice(&payload);
+        Ok(w)
+    }
+
+    /// `SecureChannel::seal_frame` as it stood at the parent commit: the
+    /// allocating AEAD, then a second buffer for the frame.
+    fn parent_seal_frame(channel: &mut SecureChannel, inner: &[u8]) -> Vec<u8> {
+        let seq = channel.send_seq;
+        channel.send_seq += 1;
+        let mut aad = [0u8; 12];
+        aad[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
+        aad[4..].copy_from_slice(&seq.to_be_bytes());
+        let sealed = channel.send.seal(&nonce_for(seq), &aad, inner);
+        let mut frame = Vec::with_capacity(SEALED_FRAME_OVERHEAD + inner.len());
+        frame.extend_from_slice(&FRAME_MAGIC_SEALED);
+        frame.extend_from_slice(&((8 + sealed.len()) as u32).to_be_bytes());
+        frame.extend_from_slice(&seq.to_be_bytes());
+        frame.extend_from_slice(&sealed);
+        frame
+    }
+
+    /// Channels over one fixed key schedule: as many identical senders and
+    /// receivers as a comparison needs.
+    fn fixed_channel(is_client: bool) -> SecureChannel {
+        let keys = SessionKeys {
+            c2s: [0x11; 32],
+            s2c: [0x22; 32],
+            confirm: [0; 32],
+            transcript: [0; 32],
+        };
+        channel_from(&keys, is_client, [9; 32])
+    }
+
+    #[test]
+    fn append_frame_puts_the_parent_commits_bytes_on_the_wire() {
+        use super::super::codec::tests::{broadcast_batches, sample_msgs};
+        use super::super::wire::decode_frame;
+        let max = 1 << 20;
+        let (mut sender, mut parent_sender) = (fixed_channel(true), fixed_channel(true));
+        let (mut receiver, mut copying_receiver) = (fixed_channel(false), fixed_channel(false));
+        for msg in sample_msgs().into_iter().chain(broadcast_batches()) {
+            for codec in [CodecKind::Json, CodecKind::Binary] {
+                // Plaintext, into an empty buffer and behind queued bytes.
+                let plain = parent_write_frame(&msg, codec, max).unwrap();
+                let mut out = Vec::new();
+                assert_eq!(
+                    append_frame(&mut out, &msg, codec, max, None),
+                    Ok(plain.len())
+                );
+                assert_eq!(out, plain, "{} {msg:?}", codec.name());
+                let mut out = b"queued".to_vec();
+                append_frame(&mut out, &msg, codec, max, None).unwrap();
+                assert_eq!(out, [&b"queued"[..], &plain].concat());
+                assert_eq!(
+                    decode_frame(&plain, max).unwrap(),
+                    (msg.clone(), plain.len(), codec)
+                );
+
+                // Sealed: the same bytes as encode → inner → seal → frame.
+                let sealed = parent_seal_frame(&mut parent_sender, &plain);
+                let mut out = b"queued".to_vec();
+                let written = append_frame(&mut out, &msg, codec, max, Some(&mut sender));
+                assert_eq!(written, Ok(sealed.len()));
+                assert_eq!(written, Ok(plain.len() + SEALED_FRAME_OVERHEAD));
+                assert_eq!(out, [&b"queued"[..], &sealed].concat(), "{}", codec.name());
+                // The allocating wrapper is the same frame, one sequence on.
+                let wrapped = parent_sender.seal_frame(&plain);
+                let mut out = Vec::new();
+                append_frame(&mut out, &msg, codec, max, Some(&mut sender)).unwrap();
+                assert_eq!(out, wrapped);
+
+                // Both open — in place and through the copying wrapper — to
+                // the plaintext frame, which decodes to the message.
+                for frame in [&sealed, &wrapped] {
+                    let mut payload = frame[8..].to_vec();
+                    assert_eq!(copying_receiver.open_payload(&payload).unwrap(), plain);
+                    let inner = receiver.open_in_place(&mut payload).unwrap();
+                    assert_eq!(inner, plain);
+                    assert_eq!(decode_frame(inner, max).unwrap().0, msg);
+                }
+            }
+        }
+
+        // A refusal leaves the buffer and the send sequence as they were.
+        let big = WireMsg::Error {
+            detail: "y".repeat(100),
+        };
+        for channel in [None, Some(&mut sender)] {
+            let mut out = b"queued".to_vec();
+            let err = append_frame(&mut out, &big, CodecKind::Binary, 16, channel).unwrap_err();
+            assert_eq!(err, ProtocolError::FrameTooLarge { len: 105, max: 16 });
+            assert_eq!(out, b"queued");
+        }
+        assert_eq!(sender.send_seq, parent_sender.send_seq);
+        let mut next = Vec::new();
+        append_frame(
+            &mut next,
+            &WireMsg::Ack,
+            CodecKind::Binary,
+            max,
+            Some(&mut sender),
+        )
+        .unwrap();
+        let plain = parent_write_frame(&WireMsg::Ack, CodecKind::Binary, max).unwrap();
+        assert_eq!(next, parent_seal_frame(&mut parent_sender, &plain));
+    }
+
+    #[test]
+    fn a_failed_open_in_place_leaves_the_payload_untouched() {
+        let (mut sender, mut receiver) = (fixed_channel(true), fixed_channel(false));
+        let frame = sender.seal_frame(b"DBH2\0\0\0\x01\x03");
+        let mut payload = frame[8..].to_vec();
+        let n = payload.len();
+        payload[n - 1] ^= 1;
+        let tampered = payload.clone();
+        let err = receiver.open_in_place(&mut payload).unwrap_err();
+        assert!(matches!(err, ProtocolError::AuthFailure { .. }), "{err}");
+        assert_eq!(payload, tampered, "verify first, decrypt after");
+        let mut short = vec![0u8; 8 + TAG_LEN - 1];
+        assert!(receiver.open_in_place(&mut short).is_err());
+        // The genuine payload still opens: a failed open took no sequence.
+        payload[n - 1] ^= 1;
+        assert_eq!(
+            receiver.open_in_place(&mut payload).unwrap(),
+            b"DBH2\0\0\0\x01\x03"
+        );
     }
 
     #[test]

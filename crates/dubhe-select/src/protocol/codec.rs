@@ -72,8 +72,22 @@ pub trait WireCodec {
     /// Which negotiable codec this is.
     fn kind(&self) -> CodecKind;
 
-    /// Serializes one message into a frame payload.
-    fn encode(&self, msg: &WireMsg) -> Result<Vec<u8>, ProtocolError>;
+    /// How many bytes [`encode_into`](Self::encode_into) will append for
+    /// `msg`, when the codec can tell without encoding — an upper bound
+    /// that is exact for every ciphertext-bearing message — else 0. What a
+    /// framer reserves before encoding in place.
+    fn payload_size_hint(&self, msg: &WireMsg) -> usize;
+
+    /// Appends the payload encoding of `msg` to `out`. On error `out` may
+    /// be left holding part of an encoding; the caller truncates it back.
+    fn encode_into(&self, msg: &WireMsg, out: &mut Vec<u8>) -> Result<(), ProtocolError>;
+
+    /// Serializes one message into a frame payload of its own.
+    fn encode(&self, msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
+        let mut out = Vec::with_capacity(self.payload_size_hint(msg));
+        self.encode_into(msg, &mut out)?;
+        Ok(out)
+    }
 
     /// Parses one frame payload. The whole payload must be consumed.
     fn decode(&self, payload: &[u8]) -> Result<WireMsg, ProtocolError>;
@@ -127,6 +141,16 @@ impl CodecKind {
         self.as_codec().encode(msg)
     }
 
+    /// Shorthand for `self.as_codec().encode_into(msg, out)`.
+    pub fn encode_into(self, msg: &WireMsg, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+        self.as_codec().encode_into(msg, out)
+    }
+
+    /// Shorthand for `self.as_codec().payload_size_hint(msg)`.
+    pub fn payload_size_hint(self, msg: &WireMsg) -> usize {
+        self.as_codec().payload_size_hint(msg)
+    }
+
     /// Shorthand for `self.as_codec().decode(payload)`.
     pub fn decode(self, payload: &[u8]) -> Result<WireMsg, ProtocolError> {
         self.as_codec().decode(payload)
@@ -149,6 +173,15 @@ pub struct JsonCodec;
 impl WireCodec for JsonCodec {
     fn kind(&self) -> CodecKind {
         CodecKind::Json
+    }
+
+    fn payload_size_hint(&self, _msg: &WireMsg) -> usize {
+        0
+    }
+
+    fn encode_into(&self, msg: &WireMsg, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+        out.extend_from_slice(&self.encode(msg)?);
+        Ok(())
     }
 
     fn encode(&self, msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
@@ -178,39 +211,45 @@ impl WireCodec for BinaryCodec {
         CodecKind::Binary
     }
 
-    fn encode(&self, msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
-        // Size-hint the buffer from the transport size model: ciphertext
-        // payloads dominate every frame, and their encoded width is an exact
-        // function of (length, key size) — so a registry upload is written
-        // into one allocation instead of doubling its way up.
-        let mut out = Vec::with_capacity(payload_size_hint(msg));
+    /// From the transport size model: ciphertext payloads dominate every
+    /// frame, and their encoded width is an exact function of (length, key
+    /// size) — so a registry upload is written into one allocation instead
+    /// of doubling its way up.
+    fn payload_size_hint(&self, msg: &WireMsg) -> usize {
+        payload_size_hint(msg)
+    }
+
+    fn encode_into(&self, msg: &WireMsg, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+        // Consecutive envelopes of a batch that carry one shared vector (a
+        // broadcast) encode it once and copy the bytes for the rest.
+        let mut memo = he::VectorEncodeMemo::default();
         match msg {
             WireMsg::Envelope { envelope } => {
                 out.push(0);
-                encode_envelope(envelope, &mut out)?;
+                encode_envelope(envelope, out, &mut memo)?;
             }
             WireMsg::AnnounceTry {
                 try_index,
                 participants,
             } => {
                 out.push(1);
-                he::put_u64(&mut out, *try_index as u64);
-                he::put_u32(&mut out, participants.len() as u32);
+                he::put_u64(out, *try_index as u64);
+                he::put_u32(out, participants.len() as u32);
                 for &p in participants {
-                    he::put_u64(&mut out, p as u64);
+                    he::put_u64(out, p as u64);
                 }
             }
             WireMsg::Batch { envelopes } => {
                 out.push(2);
-                he::put_u32(&mut out, envelopes.len() as u32);
+                he::put_u32(out, envelopes.len() as u32);
                 for e in envelopes {
-                    encode_envelope(e, &mut out)?;
+                    encode_envelope(e, out, &mut memo)?;
                 }
             }
             WireMsg::Ack => out.push(3),
             WireMsg::Error { detail } => {
                 out.push(4);
-                he::put_u32(&mut out, detail.len() as u32);
+                he::put_u32(out, detail.len() as u32);
                 out.extend_from_slice(detail.as_bytes());
             }
             WireMsg::Shutdown => out.push(5),
@@ -223,16 +262,16 @@ impl WireCodec for BinaryCodec {
                 expected_registrations,
             } => {
                 out.push(6);
-                he::put_u64(&mut out, *epoch);
-                he::put_u64(&mut out, *expected_registrations as u64);
+                he::put_u64(out, *epoch);
+                he::put_u64(out, *expected_registrations as u64);
             }
             WireMsg::CloseRegistration => out.push(7),
             WireMsg::CloseTry { try_index } => {
                 out.push(8);
-                he::put_u64(&mut out, *try_index as u64);
+                he::put_u64(out, *try_index as u64);
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     fn decode(&self, payload: &[u8]) -> Result<WireMsg, ProtocolError> {
@@ -296,7 +335,7 @@ fn envelope_hint(e: &Envelope) -> usize {
 }
 
 /// Encoded size of a whole frame payload (exact except for the key-dispatch
-/// slack noted on [`envelope_hint`]); what [`BinaryCodec::encode`] reserves.
+/// slack noted on [`envelope_hint`]); what [`BinaryCodec`] reserves.
 fn payload_size_hint(msg: &WireMsg) -> usize {
     1 + match msg {
         WireMsg::Envelope { envelope } => envelope_hint(envelope),
@@ -332,7 +371,11 @@ fn encode_party(party: &Party, out: &mut Vec<u8>) {
     }
 }
 
-fn encode_envelope(e: &Envelope, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+fn encode_envelope<'a>(
+    e: &'a Envelope,
+    out: &mut Vec<u8>,
+    memo: &mut he::VectorEncodeMemo<'a>,
+) -> Result<(), ProtocolError> {
     encode_party(&e.from, out);
     encode_party(&e.to, out);
     he::put_u64(out, e.epoch);
@@ -354,11 +397,11 @@ fn encode_envelope(e: &Envelope, out: &mut Vec<u8>) -> Result<(), ProtocolError>
         ProtocolMsg::EncryptedRegistry { client, registry } => {
             out.push(1);
             he::put_u64(out, *client as u64);
-            he::encode_vector(registry, out).map_err(he_err)?;
+            memo.encode_vector(registry, out).map_err(he_err)?;
         }
         ProtocolMsg::EncryptedTotalBroadcast { total } => {
             out.push(2);
-            he::encode_vector(total, out).map_err(he_err)?;
+            memo.encode_vector(total, out).map_err(he_err)?;
         }
         ProtocolMsg::EncryptedDistribution {
             client,
@@ -368,7 +411,7 @@ fn encode_envelope(e: &Envelope, out: &mut Vec<u8>) -> Result<(), ProtocolError>
             out.push(3);
             he::put_u64(out, *client as u64);
             he::put_u64(out, *try_index as u64);
-            he::encode_vector(distribution, out).map_err(he_err)?;
+            memo.encode_vector(distribution, out).map_err(he_err)?;
         }
         ProtocolMsg::EncryptedDistributionSum {
             try_index,
@@ -378,7 +421,7 @@ fn encode_envelope(e: &Envelope, out: &mut Vec<u8>) -> Result<(), ProtocolError>
             out.push(4);
             he::put_u64(out, *try_index as u64);
             he::put_u64(out, *contributors as u64);
-            he::encode_vector(sum, out).map_err(he_err)?;
+            memo.encode_vector(sum, out).map_err(he_err)?;
         }
         ProtocolMsg::TryVerdict { best_try, distance } => {
             out.push(5);
@@ -388,11 +431,11 @@ fn encode_envelope(e: &Envelope, out: &mut Vec<u8>) -> Result<(), ProtocolError>
         ProtocolMsg::PackedRegistry { client, registry } => {
             out.push(6);
             he::put_u64(out, *client as u64);
-            he::encode_packed_vector(registry, out).map_err(he_err)?;
+            memo.encode_packed_vector(registry, out).map_err(he_err)?;
         }
         ProtocolMsg::PackedTotalBroadcast { total } => {
             out.push(7);
-            he::encode_packed_vector(total, out).map_err(he_err)?;
+            memo.encode_packed_vector(total, out).map_err(he_err)?;
         }
         ProtocolMsg::PackedDistribution {
             client,
@@ -402,7 +445,8 @@ fn encode_envelope(e: &Envelope, out: &mut Vec<u8>) -> Result<(), ProtocolError>
             out.push(8);
             he::put_u64(out, *client as u64);
             he::put_u64(out, *try_index as u64);
-            he::encode_packed_vector(distribution, out).map_err(he_err)?;
+            memo.encode_packed_vector(distribution, out)
+                .map_err(he_err)?;
         }
         ProtocolMsg::PackedDistributionSum {
             try_index,
@@ -412,7 +456,7 @@ fn encode_envelope(e: &Envelope, out: &mut Vec<u8>) -> Result<(), ProtocolError>
             out.push(9);
             he::put_u64(out, *try_index as u64);
             he::put_u64(out, *contributors as u64);
-            he::encode_packed_vector(sum, out).map_err(he_err)?;
+            memo.encode_packed_vector(sum, out).map_err(he_err)?;
         }
     }
     Ok(())
@@ -572,7 +616,10 @@ fn malformed_tag(what: &str, tag: u8) -> ProtocolError {
     }
 }
 
-fn decode_envelope(cur: &mut &[u8]) -> Result<Envelope, ProtocolError> {
+fn decode_envelope<'a>(
+    cur: &mut &'a [u8],
+    memo: &mut he::VectorDecodeMemo<'a>,
+) -> Result<Envelope, ProtocolError> {
     let from = decode_party(cur)?;
     let to = decode_party(cur)?;
     let epoch = he::take_u64(cur).map_err(he_err)?;
@@ -591,20 +638,20 @@ fn decode_envelope(cur: &mut &[u8]) -> Result<Envelope, ProtocolError> {
         }
         1 => ProtocolMsg::EncryptedRegistry {
             client: take_usize(cur)?,
-            registry: he::decode_vector(cur).map_err(he_err)?,
+            registry: memo.decode_vector(cur).map_err(he_err)?,
         },
         2 => ProtocolMsg::EncryptedTotalBroadcast {
-            total: he::decode_vector(cur).map_err(he_err)?,
+            total: memo.decode_vector(cur).map_err(he_err)?,
         },
         3 => ProtocolMsg::EncryptedDistribution {
             client: take_usize(cur)?,
             try_index: take_usize(cur)?,
-            distribution: he::decode_vector(cur).map_err(he_err)?,
+            distribution: memo.decode_vector(cur).map_err(he_err)?,
         },
         4 => ProtocolMsg::EncryptedDistributionSum {
             try_index: take_usize(cur)?,
             contributors: take_usize(cur)?,
-            sum: he::decode_vector(cur).map_err(he_err)?,
+            sum: memo.decode_vector(cur).map_err(he_err)?,
         },
         5 => ProtocolMsg::TryVerdict {
             best_try: take_usize(cur)?,
@@ -612,20 +659,20 @@ fn decode_envelope(cur: &mut &[u8]) -> Result<Envelope, ProtocolError> {
         },
         6 => ProtocolMsg::PackedRegistry {
             client: take_usize(cur)?,
-            registry: he::decode_packed_vector(cur).map_err(he_err)?,
+            registry: memo.decode_packed_vector(cur).map_err(he_err)?,
         },
         7 => ProtocolMsg::PackedTotalBroadcast {
-            total: he::decode_packed_vector(cur).map_err(he_err)?,
+            total: memo.decode_packed_vector(cur).map_err(he_err)?,
         },
         8 => ProtocolMsg::PackedDistribution {
             client: take_usize(cur)?,
             try_index: take_usize(cur)?,
-            distribution: he::decode_packed_vector(cur).map_err(he_err)?,
+            distribution: memo.decode_packed_vector(cur).map_err(he_err)?,
         },
         9 => ProtocolMsg::PackedDistributionSum {
             try_index: take_usize(cur)?,
             contributors: take_usize(cur)?,
-            sum: he::decode_packed_vector(cur).map_err(he_err)?,
+            sum: memo.decode_packed_vector(cur).map_err(he_err)?,
         },
         tag => return Err(malformed_tag("protocol-message", tag)),
     };
@@ -638,9 +685,12 @@ fn decode_envelope(cur: &mut &[u8]) -> Result<Envelope, ProtocolError> {
 }
 
 fn decode_wiremsg(cur: &mut &[u8]) -> Result<WireMsg, ProtocolError> {
+    // Consecutive envelopes of a batch whose vector encodings are
+    // byte-identical (a broadcast) parse and validate the vector once.
+    let mut memo = he::VectorDecodeMemo::default();
     match take_u8(cur)? {
         0 => Ok(WireMsg::Envelope {
-            envelope: decode_envelope(cur)?,
+            envelope: decode_envelope(cur, &mut memo)?,
         }),
         1 => {
             let try_index = take_usize(cur)?;
@@ -674,7 +724,7 @@ fn decode_wiremsg(cur: &mut &[u8]) -> Result<WireMsg, ProtocolError> {
             // decodes from the (size-capped) payload.
             let mut envelopes = Vec::new();
             for _ in 0..count {
-                envelopes.push(decode_envelope(cur)?);
+                envelopes.push(decode_envelope(cur, &mut memo)?);
             }
             Ok(WireMsg::Batch { envelopes })
         }
@@ -701,12 +751,14 @@ fn decode_wiremsg(cur: &mut &[u8]) -> Result<WireMsg, ProtocolError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use dubhe_he::{EncryptedVector, Keypair};
     use rand::SeedableRng;
 
-    fn sample_msgs() -> Vec<WireMsg> {
+    /// One message of every `WireMsg` / `ProtocolMsg` shape; the channel
+    /// tests frame and seal the same set.
+    pub(crate) fn sample_msgs() -> Vec<WireMsg> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
         let kp = Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng);
         let v = EncryptedVector::encrypt_u64(&kp.public, &[0, 1, 0, 2], &mut rng);
@@ -809,6 +861,184 @@ mod tests {
             WireMsg::CloseRegistration,
             WireMsg::CloseTry { try_index: 2 },
         ]
+    }
+
+    /// The batches the shared-vector short-cuts exist for, and the ones that
+    /// must not trip them: a registration broadcast (`N + 1` addressees of
+    /// one total, element-wise and packed), and a batch alternating two
+    /// *equal but separately built* vectors, then two *different* vectors
+    /// of equal length, then a vector and its clone.
+    pub(crate) fn broadcast_batches() -> Vec<WireMsg> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(32);
+        let kp = Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng);
+        let total = EncryptedVector::encrypt_u64(&kp.public, &[3, 0, 1, 4], &mut rng);
+        let packer = dubhe_he::Packer::new(16, dubhe_he::TEST_KEY_BITS);
+        let values: Vec<u64> = (0..20).collect();
+        let packed =
+            dubhe_he::PackedEncryptedVector::encrypt(packer, &kp.public, &values, &mut rng)
+                .unwrap();
+        let broadcast = |msg: ProtocolMsg| {
+            let to = (0..5).map(Party::Client).chain([Party::Agent]);
+            let envelopes = to.map(|to| Envelope {
+                from: Party::Server,
+                to,
+                epoch: 7,
+                msg: msg.clone(),
+            });
+            WireMsg::Batch {
+                envelopes: envelopes.collect(),
+            }
+        };
+        let rebuilt =
+            EncryptedVector::from_ciphertexts(&kp.public, total.elements().to_vec()).unwrap();
+        assert!(rebuilt == total && !rebuilt.shares_storage(&total));
+        let other = EncryptedVector::encrypt_u64(&kp.public, &[9, 9, 9, 9], &mut rng);
+        let third = EncryptedVector::encrypt_u64(&kp.public, &[9, 9, 9, 9], &mut rng);
+        let sequence = [
+            &total, &rebuilt, &total, &rebuilt, &other, &third, &other, &third, &third,
+        ];
+        let envelopes = sequence.iter().enumerate().map(|(i, v)| Envelope {
+            from: Party::Server,
+            to: Party::Client(i),
+            epoch: 7,
+            msg: ProtocolMsg::EncryptedTotalBroadcast {
+                total: (*v).clone(),
+            },
+        });
+        let alternating = WireMsg::Batch {
+            envelopes: envelopes.collect(),
+        };
+        vec![
+            broadcast(ProtocolMsg::EncryptedTotalBroadcast { total }),
+            broadcast(ProtocolMsg::PackedTotalBroadcast { total: packed }),
+            alternating,
+        ]
+    }
+
+    /// The parent commit's `DBH2` encoding of a batch, from public pieces
+    /// only: every envelope encoded on its own (a lone envelope has nothing
+    /// to share a vector with), stitched behind the batch header.
+    pub(crate) fn per_envelope_payload(msg: &WireMsg) -> Vec<u8> {
+        let WireMsg::Batch { envelopes } = msg else {
+            return BinaryCodec.encode(msg).unwrap();
+        };
+        let mut out = vec![2];
+        he::put_u32(&mut out, envelopes.len() as u32);
+        for envelope in envelopes {
+            let alone = WireMsg::Envelope {
+                envelope: envelope.clone(),
+            };
+            out.extend_from_slice(&BinaryCodec.encode(&alone).unwrap()[1..]);
+        }
+        out
+    }
+
+    /// The parent commit's `DBH2` batch decoder: every envelope parsed and
+    /// validated in full, nothing carried from one to the next.
+    fn decode_per_envelope(payload: &[u8]) -> Result<WireMsg, ProtocolError> {
+        if payload.first() != Some(&2) {
+            return BinaryCodec.decode(payload);
+        }
+        let mut cur = &payload[1..];
+        let count = take_count(&mut cur)?;
+        if count.checked_mul(3).is_none_or(|need| need > cur.len()) {
+            return Err(malformed("envelope count overruns the payload"));
+        }
+        let mut envelopes = Vec::new();
+        for _ in 0..count {
+            let mut memo = he::VectorDecodeMemo::default();
+            envelopes.push(decode_envelope(&mut cur, &mut memo)?);
+        }
+        if !cur.is_empty() {
+            return Err(malformed("trailing bytes after the wire message"));
+        }
+        Ok(WireMsg::Batch { envelopes })
+    }
+
+    fn vector_of(envelope: &Envelope) -> &EncryptedVector {
+        match &envelope.msg {
+            ProtocolMsg::EncryptedTotalBroadcast { total } => total,
+            ProtocolMsg::PackedTotalBroadcast { total } => total.vector(),
+            other => panic!("not a broadcast: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn shared_vectors_change_no_byte_and_no_value() {
+        for msg in sample_msgs().into_iter().chain(broadcast_batches()) {
+            let payload = BinaryCodec.encode(&msg).unwrap();
+            assert_eq!(payload, per_envelope_payload(&msg), "{msg:?}");
+            let back = BinaryCodec.decode(&payload).unwrap();
+            assert_eq!(back, msg);
+            assert_eq!(decode_per_envelope(&payload).unwrap(), msg);
+        }
+        // The broadcast is where the short-cuts bite: the hint is exact, and
+        // the decoded addressees are handles on one validated vector.
+        for msg in &broadcast_batches()[..2] {
+            let payload = BinaryCodec.encode(msg).unwrap();
+            assert_eq!(payload.len(), payload_size_hint(msg));
+            let WireMsg::Batch { envelopes } = BinaryCodec.decode(&payload).unwrap() else {
+                panic!("a batch decodes to a batch");
+            };
+            let first = vector_of(&envelopes[0]);
+            assert!(envelopes.iter().all(|e| vector_of(e).shares_storage(first)));
+        }
+    }
+
+    #[test]
+    fn the_decode_short_cut_cannot_be_steered() {
+        // Differential against per-envelope decoding: whatever is done to
+        // the bytes of a 3-addressee broadcast, the decoder that reuses a
+        // byte-identical vector answers exactly as the one that parses
+        // every envelope — the same value or the same typed error.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+        let other_key = Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng).public;
+        for msg in &broadcast_batches()[..2] {
+            let WireMsg::Batch { envelopes } = msg else {
+                unreachable!()
+            };
+            let msg = WireMsg::Batch {
+                envelopes: envelopes[..3].to_vec(),
+            };
+            let payload = BinaryCodec.encode(&msg).unwrap();
+            let agree = |bytes: &[u8], what: &str| {
+                let (new, old) = (BinaryCodec.decode(bytes), decode_per_envelope(bytes));
+                assert_eq!(new, old, "{what}");
+                new
+            };
+            assert_eq!(agree(&payload, "intact").unwrap(), msg);
+
+            let mut errors = 0;
+            for i in 0..payload.len() {
+                for mask in [0x01, 0x80, 0xFF] {
+                    let mut bytes = payload.clone();
+                    bytes[i] ^= mask;
+                    errors += agree(&bytes, &format!("byte {i} ^ {mask:#04x}")).is_err() as usize;
+                }
+            }
+            // Header flips are refused; most residue flips are another valid
+            // ciphertext, which the changed addressee alone must receive.
+            assert!(0 < errors && errors < 3 * payload.len(), "{errors}");
+            assert!(agree(&payload[..payload.len() - 1], "last byte dropped").is_err());
+
+            // The second envelope under another key of the same width: its
+            // bytes differ from the first's, so it is parsed on its own
+            // (and refused or accepted on its own residues).
+            let vector_bytes = he::encoded_vector_bytes(vector_of(&envelopes[0]));
+            let second_end = payload.len() - (payload.len() - 5) / 3;
+            let key_at = second_end - vector_bytes + 4;
+            let mut bytes = payload.clone();
+            let n = other_key.n().to_bytes_be();
+            bytes[key_at..key_at + n.len()].copy_from_slice(&n);
+            let _ = agree(&bytes, "second key replaced");
+
+            // The second vector's last residue pushed to ≥ n².
+            let width = dubhe_he::transport::ciphertext_size_bytes(&other_key);
+            let mut bytes = payload.clone();
+            bytes[second_end - width..second_end].fill(0xFF);
+            let err = agree(&bytes, "second vector's last residue out of range").unwrap_err();
+            assert!(err.to_string().contains("not below n²"), "{err}");
+        }
     }
 
     #[test]

@@ -96,9 +96,9 @@ pub mod transport;
 pub mod wire;
 
 pub use channel::{
-    client_handshake, read_channel_frame, secret_bytes_from_seed, ChannelFrame, ChannelPolicy,
-    NodeIdentity, RetrySchedule, SecureChannel, ServerHandshake, FRAME_MAGIC_HANDSHAKE,
-    FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
+    append_frame, client_handshake, read_channel_frame, secret_bytes_from_seed, ChannelFrame,
+    ChannelPolicy, NodeIdentity, RetrySchedule, SecureChannel, ServerHandshake,
+    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
 };
 pub use codec::{BinaryCodec, CodecKind, JsonCodec, RegistryFrame, WireCodec};
 pub use driver::{
@@ -114,7 +114,7 @@ pub use stats::{LatencyHistogram, LatencySummary, ListenerMetrics, ListenerStats
 pub use tcp::{TcpConfig, TcpTransport, WireStats, DEFAULT_READ_TIMEOUT};
 pub use transport::{InMemoryTransport, LinkStats, Transport, TransportStats};
 pub use wire::{
-    claimed_client, read_frame, read_frame_lazy, read_frame_limited, read_frame_negotiated,
-    write_frame, write_frame_limited, write_frame_with, LazyMsg, WireMsg, FRAME_MAGIC,
-    FRAME_MAGIC_V2, MAX_FRAME_BYTES,
+    append_plain_frame, claimed_client, decode_frame, decode_frame_lazy, read_frame,
+    read_frame_limited, read_frame_negotiated, write_frame, write_frame_limited, write_frame_with,
+    LazyMsg, WireMsg, FRAME_MAGIC, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
 };

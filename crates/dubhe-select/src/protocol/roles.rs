@@ -379,6 +379,10 @@ impl CoordinatorServer {
     /// The registration broadcast for the current fold: `Enc(R_A)` to every
     /// *contributing* client plus the agent, stamped with the current epoch.
     /// Packed folds broadcast packed totals — same addressees, same order.
+    /// Every addressee's copy is a handle on the one total (a clone of an
+    /// [`EncryptedVector`](dubhe_he::EncryptedVector) is a reference-count
+    /// bump), which is also what lets the `DBH2` encoder write the
+    /// ciphertexts once and copy the bytes for the rest.
     fn registration_broadcast(&self) -> Vec<Envelope> {
         let msg = match (&self.registry_fold, &self.packed_registry_fold) {
             (Some(fold), _) => ProtocolMsg::EncryptedTotalBroadcast {

@@ -416,7 +416,9 @@ impl ShardedCoordinator {
     }
 
     /// The registration broadcast for the current merged fold, addressed to
-    /// every *contributing* client plus the agent.
+    /// every *contributing* client plus the agent. The shards are merged
+    /// once; every addressee's copy is a handle on that one total, as in
+    /// [`CoordinatorServer`](super::roles::CoordinatorServer).
     fn registration_broadcast(&self) -> Result<Vec<Envelope>, ProtocolError> {
         let msg = match (&self.packing, self.registry_lanes) {
             (Some(policy), Some(lanes)) => ProtocolMsg::PackedTotalBroadcast {

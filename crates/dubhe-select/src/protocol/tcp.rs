@@ -28,14 +28,15 @@ use std::time::Duration;
 use serde::{Deserialize, Serialize};
 
 use super::channel::{
-    client_handshake, read_channel_frame, secret_bytes_from_seed, ChannelFrame, ChannelPolicy,
-    NodeIdentity, RetrySchedule, SecureChannel, HANDSHAKE_WIRE_BYTES,
+    append_frame, client_handshake, read_channel_frame, secret_bytes_from_seed, ChannelFrame,
+    ChannelPolicy, NodeIdentity, RetrySchedule, SecureChannel, HANDSHAKE_WIRE_BYTES,
+    SEALED_FRAME_OVERHEAD,
 };
 use super::codec::CodecKind;
 use super::message::Envelope;
 use super::roles::Coordinator;
 use super::transport::TransportStats;
-use super::wire::{read_frame_limited, write_frame_limited, WireMsg, MAX_FRAME_BYTES};
+use super::wire::{decode_frame, read_frame_limited, write_whole_frame, WireMsg, MAX_FRAME_BYTES};
 use crate::error::ProtocolError;
 use crate::selector::ClientId;
 
@@ -177,7 +178,7 @@ pub struct WireStats {
     /// bit-identical with the channel on or off.
     pub handshake_bytes: usize,
     /// Extra bytes sealing added on top of the inner plaintext frames
-    /// ([`SEALED_FRAME_OVERHEAD`](super::channel::SEALED_FRAME_OVERHEAD)
+    /// ([`SEALED_FRAME_OVERHEAD`]
     /// per frame, both directions). Same separation rationale as
     /// `handshake_bytes`.
     pub sealed_overhead_bytes: usize,
@@ -376,45 +377,44 @@ impl TcpTransport {
         self.channel.as_ref().map(|c| c.peer_identity())
     }
 
+    /// Frames one wire message — bare on a plaintext connection, sealed on a
+    /// channel — and puts it on the socket in a single write. The
+    /// ledger-facing counters meter the *inner* frame bytes; the seal's cost
+    /// goes to the channel-overhead counters. An oversized message is
+    /// refused before a byte is written.
+    fn send(&mut self, msg: &WireMsg) -> Result<(), ProtocolError> {
+        let mut frame = Vec::new();
+        append_frame(
+            &mut frame,
+            msg,
+            self.codec,
+            self.max_frame_bytes,
+            self.channel.as_mut(),
+        )?;
+        write_whole_frame(self.reader.get_mut(), &frame)?;
+        let overhead = match self.channel {
+            Some(_) => SEALED_FRAME_OVERHEAD,
+            None => 0,
+        };
+        self.wire.frames_sent += 1;
+        self.wire.bytes_sent += frame.len() - overhead;
+        self.wire.sealed_overhead_bytes += overhead;
+        Ok(())
+    }
+
     /// Sends one wire message and reads the peer's single reply frame —
-    /// bare on a plaintext connection, sealed end-to-end on a channel.
+    /// bare on a plaintext connection, sealed end-to-end on a channel, where
+    /// the reply is opened and decoded inside the buffer it was read into.
     fn request(&mut self, msg: &WireMsg) -> Result<WireMsg, ProtocolError> {
-        if self.channel.is_none() {
-            let written =
-                write_frame_limited(self.reader.get_mut(), msg, self.codec, self.max_frame_bytes)?;
-            self.wire.frames_sent += 1;
-            self.wire.bytes_sent += written;
+        self.send(msg)?;
+        let Some(channel) = self.channel.as_mut() else {
             let (reply, read, _) = read_frame_limited(&mut self.reader, self.max_frame_bytes)?;
             self.wire.frames_received += 1;
             self.wire.bytes_received += read;
             return Ok(reply);
-        }
-        // Encode the inner plaintext frame, seal it, put one DBHE frame on
-        // the wire. The ledger-facing counters meter the *inner* bytes; the
-        // seal's cost goes to the channel-overhead counters.
-        let mut inner = Vec::new();
-        let inner_len = write_frame_limited(&mut inner, msg, self.codec, self.max_frame_bytes)?;
-        let sealed = self
-            .channel
-            .as_mut()
-            .expect("channel checked above")
-            .seal_frame(&inner);
-        {
-            use std::io::Write as _;
-            let stream = self.reader.get_mut();
-            stream
-                .write_all(&sealed)
-                .map_err(|e| io_error("write sealed frame", e))?;
-            stream
-                .flush()
-                .map_err(|e| io_error("write sealed frame", e))?;
-        }
-        self.wire.frames_sent += 1;
-        self.wire.bytes_sent += inner_len;
-        self.wire.sealed_overhead_bytes += sealed.len() - inner_len;
-
+        };
         let (frame, wire_read) = read_channel_frame(&mut self.reader, self.max_frame_bytes)?;
-        let payload = match frame {
+        let mut payload = match frame {
             ChannelFrame::Sealed(payload) => payload,
             ChannelFrame::Plaintext { frame, .. } => {
                 return Err(ProtocolError::DowngradeRefused {
@@ -427,12 +427,8 @@ impl TcpTransport {
                 })
             }
         };
-        let opened = self
-            .channel
-            .as_mut()
-            .expect("channel checked above")
-            .open_payload(&payload)?;
-        let (reply, read, _) = read_frame_limited(&mut &opened[..], self.max_frame_bytes)?;
+        let opened = channel.open_in_place(&mut payload)?;
+        let (reply, read, _) = decode_frame(opened, self.max_frame_bytes)?;
         self.wire.frames_received += 1;
         self.wire.bytes_received += read;
         self.wire.sealed_overhead_bytes += wire_read - read;
@@ -468,40 +464,7 @@ impl TcpTransport {
 
     /// Ends the session politely; the listener closes the connection.
     pub fn shutdown(mut self) -> Result<(), ProtocolError> {
-        match self.channel.as_mut() {
-            None => {
-                let written = write_frame_limited(
-                    self.reader.get_mut(),
-                    &WireMsg::Shutdown,
-                    self.codec,
-                    self.max_frame_bytes,
-                )?;
-                self.wire.frames_sent += 1;
-                self.wire.bytes_sent += written;
-            }
-            Some(channel) => {
-                use std::io::Write as _;
-                let mut inner = Vec::new();
-                let inner_len = write_frame_limited(
-                    &mut inner,
-                    &WireMsg::Shutdown,
-                    self.codec,
-                    self.max_frame_bytes,
-                )?;
-                let sealed = channel.seal_frame(&inner);
-                let stream = self.reader.get_mut();
-                stream
-                    .write_all(&sealed)
-                    .map_err(|e| io_error("write sealed frame", e))?;
-                stream
-                    .flush()
-                    .map_err(|e| io_error("write sealed frame", e))?;
-                self.wire.frames_sent += 1;
-                self.wire.bytes_sent += inner_len;
-                self.wire.sealed_overhead_bytes += sealed.len() - inner_len;
-            }
-        }
-        Ok(())
+        self.send(&WireMsg::Shutdown)
     }
 }
 

@@ -121,6 +121,50 @@ fn io_error(context: &'static str, e: std::io::Error) -> ProtocolError {
     }
 }
 
+/// Magic (4) + big-endian payload length (4).
+const HEADER_BYTES: usize = 8;
+
+/// Appends one complete plaintext frame — `magic | u32 length | payload` —
+/// to `out`, returning the bytes appended. The payload is encoded in place
+/// behind a length field patched afterwards, into space reserved once from
+/// the codec's size hint, so framing costs no buffer of its own.
+///
+/// A payload above `max_frame_bytes` (or one that fails to encode) is
+/// refused with `out` truncated back to what it held before the call:
+/// nothing is ever left half-written. [`append_frame`](super::channel::append_frame)
+/// is the same for a connection that may run the authenticated channel.
+pub fn append_plain_frame(
+    out: &mut Vec<u8>,
+    msg: &WireMsg,
+    codec: CodecKind,
+    max_frame_bytes: usize,
+) -> Result<usize, ProtocolError> {
+    let start = out.len();
+    out.reserve(HEADER_BYTES + codec.payload_size_hint(msg));
+    out.extend_from_slice(&codec.magic());
+    out.extend_from_slice(&[0u8; 4]);
+    let announced = codec.encode_into(msg, out).and_then(|()| {
+        let len = out.len() - start - HEADER_BYTES;
+        u32::try_from(len)
+            .ok()
+            .filter(|_| len <= max_frame_bytes)
+            .ok_or(ProtocolError::FrameTooLarge {
+                len,
+                max: max_frame_bytes,
+            })
+    });
+    match announced {
+        Ok(len) => {
+            out[start + 4..start + HEADER_BYTES].copy_from_slice(&len.to_be_bytes());
+            Ok(out.len() - start)
+        }
+        Err(e) => {
+            out.truncate(start);
+            Err(e)
+        }
+    }
+}
+
 /// Writes one frame in the given codec, returning the total bytes put on
 /// the wire (header included) so callers can meter real frame traffic.
 /// Enforces the default [`MAX_FRAME_BYTES`]; use
@@ -136,29 +180,24 @@ pub fn write_frame_with<W: Write>(
 /// [`write_frame_with`] with a caller-configured payload ceiling (see
 /// [`TcpConfig`](super::tcp::TcpConfig)): a payload above `max_frame_bytes`
 /// is refused *before* anything is written, so an oversized message never
-/// leaves a half-frame on the stream.
+/// leaves a half-frame on the stream. The frame goes out in **one** write —
+/// on a `TCP_NODELAY` socket, one segment train instead of three.
 pub fn write_frame_limited<W: Write>(
     w: &mut W,
     msg: &WireMsg,
     codec: CodecKind,
     max_frame_bytes: usize,
 ) -> Result<usize, ProtocolError> {
-    let payload = codec.encode(msg)?;
-    if payload.len() > max_frame_bytes {
-        return Err(ProtocolError::FrameTooLarge {
-            len: payload.len(),
-            max: max_frame_bytes,
-        });
-    }
-    let magic = codec.magic();
-    w.write_all(&magic)
-        .map_err(|e| io_error("write frame header", e))?;
-    w.write_all(&(payload.len() as u32).to_be_bytes())
-        .map_err(|e| io_error("write frame header", e))?;
-    w.write_all(&payload)
-        .map_err(|e| io_error("write frame payload", e))?;
-    w.flush().map_err(|e| io_error("flush frame", e))?;
-    Ok(magic.len() + 4 + payload.len())
+    let mut frame = Vec::new();
+    append_plain_frame(&mut frame, msg, codec, max_frame_bytes)?;
+    write_whole_frame(w, &frame)?;
+    Ok(frame.len())
+}
+
+/// Puts one already framed message on a stream with a single `write_all`.
+pub(crate) fn write_whole_frame<W: Write>(w: &mut W, frame: &[u8]) -> Result<(), ProtocolError> {
+    w.write_all(frame).map_err(|e| io_error("write frame", e))?;
+    w.flush().map_err(|e| io_error("flush frame", e))
 }
 
 /// Writes one `DBH1` (JSON) frame — the compatibility default (see
@@ -218,13 +257,13 @@ pub fn read_frame_negotiated<R: Read>(
     read_frame_limited(r, MAX_FRAME_BYTES)
 }
 
-/// [`read_frame_negotiated`] with a caller-configured payload ceiling (see
-/// [`TcpConfig`](super::tcp::TcpConfig)). The announced length is checked
-/// against `max_frame_bytes` before the payload buffer is allocated.
-pub fn read_frame_limited<R: Read>(
+/// Reads and validates one frame header: the magic as soon as it is
+/// complete, then the announced payload length against `max_frame_bytes` —
+/// before any payload is buffered.
+fn read_header<R: Read>(
     r: &mut R,
     max_frame_bytes: usize,
-) -> Result<(WireMsg, usize, CodecKind), ProtocolError> {
+) -> Result<(CodecKind, usize), ProtocolError> {
     let mut magic = [0u8; 4];
     read_exact_or(r, &mut magic, "header", true)?;
     let Some(codec) = CodecKind::from_magic(magic) else {
@@ -241,10 +280,45 @@ pub fn read_frame_limited<R: Read>(
             max: max_frame_bytes,
         });
     }
+    Ok((codec, len))
+}
+
+/// [`read_frame_negotiated`] with a caller-configured payload ceiling (see
+/// [`TcpConfig`](super::tcp::TcpConfig)). The announced length is checked
+/// against `max_frame_bytes` before the payload buffer is allocated.
+pub fn read_frame_limited<R: Read>(
+    r: &mut R,
+    max_frame_bytes: usize,
+) -> Result<(WireMsg, usize, CodecKind), ProtocolError> {
+    let (codec, len) = read_header(r, max_frame_bytes)?;
     let mut payload = vec![0u8; len];
     read_exact_or(r, &mut payload, "payload", false)?;
     let msg = codec.decode(&payload)?;
-    Ok((msg, magic.len() + 4 + len, codec))
+    Ok((msg, HEADER_BYTES + len, codec))
+}
+
+/// Splits the frame at the front of `bytes` into its codec and borrowed
+/// payload, with the stream readers' validation and errors (an empty slice
+/// is a clean close, a short one a truncated frame). Bytes after the frame
+/// are left alone.
+fn split_frame(bytes: &[u8], max_frame_bytes: usize) -> Result<(CodecKind, &[u8]), ProtocolError> {
+    let mut cur = bytes;
+    let (codec, len) = read_header(&mut cur, max_frame_bytes)?;
+    let payload = cur
+        .get(..len)
+        .ok_or(ProtocolError::TruncatedFrame { context: "payload" })?;
+    Ok((codec, payload))
+}
+
+/// [`read_frame_limited`] for a frame that already sits in memory — a
+/// reassembly buffer, a sealed frame opened in place: the payload is
+/// decoded where it lies instead of being copied out first.
+pub fn decode_frame(
+    bytes: &[u8],
+    max_frame_bytes: usize,
+) -> Result<(WireMsg, usize, CodecKind), ProtocolError> {
+    let (codec, payload) = split_frame(bytes, max_frame_bytes)?;
+    Ok((codec.decode(payload)?, HEADER_BYTES + payload.len(), codec))
 }
 
 /// Reads one frame of either codec, returning the message and the total
@@ -260,7 +334,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<(WireMsg, usize), ProtocolError>
 /// their constant-size envelope prefix and shipped to the router as raw
 /// payload bytes ([`RegistryFrame`]); the router folds their ciphertext
 /// block through a borrowed view with zero per-element allocation. Every
-/// other frame decodes eagerly, exactly as [`read_frame_limited`] would.
+/// other frame decodes eagerly, exactly as [`decode_frame`] would.
 // The size gap between variants is irrelevant: a `LazyMsg` lives for one
 // dispatch — decoded off the socket, matched, and consumed — never stored
 // in collections, so boxing `WireMsg` would add an allocation to the hot
@@ -301,43 +375,26 @@ pub fn claimed_client(msg: &LazyMsg) -> Option<ClientId> {
     }
 }
 
-/// [`read_frame_limited`], but `DBH2` registry payloads are returned
-/// *undecoded* as [`LazyMsg::DeferredRegistry`] so the receiver can fold
-/// them straight out of the payload bytes. All other payloads (and every
-/// malformed prefix) go through the eager decoder, keeping its exact error
-/// behaviour; note a deferred registry's ciphertext block is validated
-/// only when the receiver decodes its view.
-pub fn read_frame_lazy<R: Read>(
-    r: &mut R,
+/// [`decode_frame`], but a `DBH2` registry payload is returned *undecoded*
+/// as [`LazyMsg::DeferredRegistry`] — copied out of `bytes` once, so the
+/// receiver can fold it straight out of the payload after the buffer it
+/// arrived in has moved on. All other payloads (and every malformed prefix)
+/// go through the eager decoder, keeping its exact error behaviour; note a
+/// deferred registry's ciphertext block is validated only when the receiver
+/// decodes its view.
+pub fn decode_frame_lazy(
+    bytes: &[u8],
     max_frame_bytes: usize,
 ) -> Result<(LazyMsg, usize, CodecKind), ProtocolError> {
-    let mut magic = [0u8; 4];
-    read_exact_or(r, &mut magic, "header", true)?;
-    let Some(codec) = CodecKind::from_magic(magic) else {
-        return Err(ProtocolError::MalformedFrame {
-            detail: format!("bad magic {magic:02x?}, expected DBH1 or DBH2"),
-        });
+    let (codec, payload) = split_frame(bytes, max_frame_bytes)?;
+    let msg = if codec == CodecKind::Binary && RegistryFrame::matches_prefix(payload) {
+        let frame = RegistryFrame::try_from_payload(payload.to_vec())
+            .expect("matches_prefix accepted this payload");
+        LazyMsg::DeferredRegistry(frame)
+    } else {
+        LazyMsg::Eager(codec.decode(payload)?)
     };
-    let mut len_bytes = [0u8; 4];
-    read_exact_or(r, &mut len_bytes, "header", false)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > max_frame_bytes {
-        return Err(ProtocolError::FrameTooLarge {
-            len,
-            max: max_frame_bytes,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    read_exact_or(r, &mut payload, "payload", false)?;
-    let total = magic.len() + 4 + len;
-    if codec == CodecKind::Binary {
-        match RegistryFrame::try_from_payload(payload) {
-            Ok(frame) => return Ok((LazyMsg::DeferredRegistry(frame), total, codec)),
-            Err(returned) => payload = returned,
-        }
-    }
-    let msg = codec.decode(&payload)?;
-    Ok((LazyMsg::Eager(msg), total, codec))
+    Ok((msg, HEADER_BYTES + payload.len(), codec))
 }
 
 #[cfg(test)]
@@ -495,7 +552,7 @@ mod tests {
         // eager reader charges, and forces to the identical message.
         let mut buf = Vec::new();
         let written = write_frame_with(&mut buf, &registry, CodecKind::Binary).unwrap();
-        let (lazy, bytes, codec) = read_frame_lazy(&mut &buf[..], MAX_FRAME_BYTES).unwrap();
+        let (lazy, bytes, codec) = decode_frame_lazy(&buf, MAX_FRAME_BYTES).unwrap();
         assert_eq!((bytes, codec), (written, CodecKind::Binary));
         assert!(matches!(lazy, LazyMsg::DeferredRegistry(_)));
         assert_eq!(lazy.force().unwrap(), registry);
@@ -504,7 +561,7 @@ mod tests {
         // binary-layout optimisation, never a JSON one.
         let mut buf = Vec::new();
         write_frame_with(&mut buf, &registry, CodecKind::Json).unwrap();
-        let (lazy, _, codec) = read_frame_lazy(&mut &buf[..], MAX_FRAME_BYTES).unwrap();
+        let (lazy, _, codec) = decode_frame_lazy(&buf, MAX_FRAME_BYTES).unwrap();
         assert_eq!(codec, CodecKind::Json);
         assert!(matches!(lazy, LazyMsg::Eager(ref m) if *m == registry));
 
@@ -518,7 +575,7 @@ mod tests {
             CodecKind::Binary,
         )
         .unwrap();
-        let (lazy, _, _) = read_frame_lazy(&mut &buf[..], MAX_FRAME_BYTES).unwrap();
+        let (lazy, _, _) = decode_frame_lazy(&buf, MAX_FRAME_BYTES).unwrap();
         assert!(matches!(lazy, LazyMsg::Eager(WireMsg::Envelope { .. })));
 
         // Error paths are byte-for-byte the eager reader's: truncation,
@@ -526,12 +583,12 @@ mod tests {
         let mut full = Vec::new();
         write_frame_with(&mut full, &registry, CodecKind::Binary).unwrap();
         for cut in [2, 6, full.len() - 1] {
-            let lazy_err = read_frame_lazy(&mut &full[..cut], MAX_FRAME_BYTES).unwrap_err();
+            let lazy_err = decode_frame_lazy(&full[..cut], MAX_FRAME_BYTES).unwrap_err();
             let eager_err = read_frame_limited(&mut &full[..cut], MAX_FRAME_BYTES).unwrap_err();
             assert_eq!(lazy_err, eager_err, "cut at {cut}");
         }
         assert_eq!(
-            read_frame_lazy(&mut &full[..], 16).unwrap_err(),
+            decode_frame_lazy(&full, 16).unwrap_err(),
             ProtocolError::FrameTooLarge {
                 len: full.len() - 8,
                 max: 16
@@ -579,6 +636,36 @@ mod tests {
         for mut unknown in [&b"DBH3\x00\x00\x00\x00"[..], &b"DBHZ\x00\x00\x00\x00"[..]] {
             let err = read_frame_negotiated(&mut unknown).unwrap_err();
             assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn a_frame_goes_out_in_one_write_or_not_at_all() {
+        // On a TCP_NODELAY socket every `write` is a syscall and may be a
+        // segment: magic, length and payload travel together.
+        #[derive(Default)]
+        struct Sink {
+            writes: Vec<usize>,
+        }
+        impl Write for Sink {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let msg = WireMsg::Error {
+            detail: "z".repeat(100),
+        };
+        for codec in [CodecKind::Json, CodecKind::Binary] {
+            let mut sink = Sink::default();
+            let written = write_frame_limited(&mut sink, &msg, codec, 1 << 10).unwrap();
+            assert_eq!(sink.writes, [written], "{}", codec.name());
+            let mut sink = Sink::default();
+            assert!(write_frame_limited(&mut sink, &msg, codec, 16).is_err());
+            assert!(sink.writes.is_empty(), "refused before anything is written");
         }
     }
 

@@ -12,8 +12,8 @@ use std::time::Duration;
 use dubhe_he::{EncryptedVector, Keypair};
 use dubhe_net::ReactorListener;
 use dubhe_select::protocol::{
-    read_frame, write_frame_with, CodecKind, Envelope, Party, ProtocolMsg, ShardedCoordinator,
-    WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
+    append_plain_frame, read_frame, write_frame_with, CodecKind, Envelope, Party, ProtocolMsg,
+    ShardedCoordinator, WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
 };
 use dubhe_select::ProtocolError;
 use proptest::prelude::*;
@@ -102,6 +102,18 @@ fn wire_msg(
             try_index: scalars.1,
             participants: values.iter().map(|&v| v as usize).collect(),
         },
+        // The upper half of `inner` is a broadcast: one message cloned to
+        // every addressee, so its vector is shared rather than rebuilt.
+        2 if inner >= 6 => {
+            let first = envelope(rng);
+            let addressee = |to| Envelope {
+                to: Party::Client(to),
+                ..first.clone()
+            };
+            WireMsg::Batch {
+                envelopes: (0..1 + inner % 3).map(addressee).collect(),
+            }
+        }
         2 => WireMsg::Batch {
             envelopes: (0..inner % 3).map(|_| envelope(rng)).collect(),
         },
@@ -111,6 +123,32 @@ fn wire_msg(
         },
         _ => WireMsg::Shutdown,
     }
+}
+
+/// The frame the parent commit's `write_frame_limited` put on the wire,
+/// from public pieces: magic, length, and a payload in which a `DBH2` batch
+/// is stitched from envelopes encoded one at a time (a lone envelope has no
+/// neighbour to share a vector with).
+fn parent_frame(msg: &WireMsg, codec: CodecKind) -> Vec<u8> {
+    let payload = match (codec, msg) {
+        (CodecKind::Json, _) => serde_json::to_string(msg).unwrap().into_bytes(),
+        (CodecKind::Binary, WireMsg::Batch { envelopes }) => {
+            let mut out = vec![2];
+            out.extend_from_slice(&(envelopes.len() as u32).to_be_bytes());
+            for envelope in envelopes {
+                let alone = WireMsg::Envelope {
+                    envelope: envelope.clone(),
+                };
+                out.extend_from_slice(&codec.encode(&alone).unwrap()[1..]);
+            }
+            out
+        }
+        (CodecKind::Binary, _) => codec.encode(msg).unwrap(),
+    };
+    let mut frame = codec.magic().to_vec();
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(&payload);
+    frame
 }
 
 proptest! {
@@ -140,6 +178,12 @@ proptest! {
             let written = write_frame_with(&mut framed, &msg, codec).unwrap();
             prop_assert_eq!(written, framed.len());
             prop_assert_eq!(&framed[..4], &codec.magic()[..]);
+            // The wire bytes are pinned: in-place framing (shared vectors
+            // copied, not re-encoded) changes none of them.
+            prop_assert_eq!(&framed, &parent_frame(&msg, codec));
+            let mut queued = vec![0xEE; 3];
+            append_plain_frame(&mut queued, &msg, codec, MAX_FRAME_BYTES).unwrap();
+            prop_assert_eq!(&queued[3..], &framed[..]);
             let (back, consumed) = read_frame(&mut &framed[..]).unwrap();
             prop_assert_eq!(back, msg.clone());
             prop_assert_eq!(consumed, framed.len());

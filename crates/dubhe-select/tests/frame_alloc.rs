@@ -1,0 +1,212 @@
+//! Counting-allocator proof of the reply path's buffer discipline.
+//!
+//! The registration broadcast is one `Batch` of `N + 1` envelopes around a
+//! single total — a megabyte-scale frame at any real cohort size. Timings of
+//! that path swing with the host; what it *allocates* does not. This test
+//! pins the mechanism: framing and sealing the broadcast makes **one**
+//! frame-sized allocation (the frame itself, reserved exactly) and a number
+//! of small ones that does not grow with `N`; receiving it — reassembly,
+//! open in place, decode — makes one more. The parent commit held five
+//! frame-sized buffers at the sender's peak (payload, inner frame, AEAD
+//! output, sealed frame, write queue) and parsed every addressee's copy of
+//! the total into its own bignums. An integration test is its own binary,
+//! so the counting `#[global_allocator]` observes exactly this workload.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use dubhe_he::{EncryptedVector, Keypair};
+use dubhe_net::{BufferedFrame, FrameBuffer};
+use dubhe_select::protocol::{
+    append_frame, client_handshake, decode_frame, read_channel_frame, ChannelFrame, CodecKind,
+    Envelope, NodeIdentity, Party, ProtocolMsg, SecureChannel, ServerHandshake, WireMsg,
+    MAX_FRAME_BYTES,
+};
+use rand::SeedableRng;
+
+/// Forwards to the system allocator, counting calls, calls at or above
+/// [`BIG`] bytes, and the high-water mark of live bytes.
+struct CountingAlloc;
+
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static BIG: AtomicUsize = AtomicUsize::new(usize::MAX);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn count(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    if size >= BIG.load(Ordering::Relaxed) {
+        BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        grow(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        grow(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        // Priced as a fresh block beside the old one, which is what a
+        // moving realloc holds at its worst.
+        grow(new_size);
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// What `f` cost the heap: allocation calls, calls of at least `big` bytes,
+/// and the most bytes it held live above what was live when it started.
+fn measure<T>(big: usize, f: impl FnOnce() -> T) -> (T, usize, usize, usize) {
+    BIG.store(big, Ordering::SeqCst);
+    let (allocs, bigs) = (
+        ALLOCS.load(Ordering::SeqCst),
+        BIG_ALLOCS.load(Ordering::SeqCst),
+    );
+    let base = LIVE.load(Ordering::SeqCst);
+    PEAK.store(base, Ordering::SeqCst);
+    let out = f();
+    BIG.store(usize::MAX, Ordering::SeqCst);
+    (
+        out,
+        ALLOCS.load(Ordering::SeqCst) - allocs,
+        BIG_ALLOCS.load(Ordering::SeqCst) - bigs,
+        PEAK.load(Ordering::SeqCst) - base,
+    )
+}
+
+/// A real handshake over loopback; returns (client, server) channels.
+fn channel_pair() -> (SecureChannel, SecureChannel) {
+    let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let mut handshake = ServerHandshake::new(NodeIdentity::from_seed(2));
+        loop {
+            let (frame, _) = read_channel_frame(&mut stream, 1 << 10).unwrap();
+            let ChannelFrame::Handshake(payload) = frame else {
+                panic!("handshake frames only");
+            };
+            let step = handshake.on_payload(&payload).unwrap();
+            if let Some(reply) = step.reply {
+                stream.write_all(&reply).unwrap();
+            }
+            if let Some(channel) = step.established {
+                return channel;
+            }
+        }
+    });
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let identity = NodeIdentity::from_seed(1);
+    let client = client_handshake(&mut stream, &identity, None, 1 << 10).unwrap();
+    (client, server.join().expect("server handshake"))
+}
+
+/// The registration broadcast of an `n`-client cohort over a length-56
+/// total, built the way the coordinators build it: clones of one message.
+fn broadcast(n: usize) -> WireMsg {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB40ADCA5);
+    let keypair = Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng);
+    let total = EncryptedVector::encrypt_u64(&keypair.public, &[1; 56], &mut rng);
+    let msg = ProtocolMsg::EncryptedTotalBroadcast { total };
+    let to = (0..n).map(Party::Client).chain([Party::Agent]);
+    let envelopes = to.map(|to| Envelope {
+        from: Party::Server,
+        to,
+        epoch: 1,
+        msg: msg.clone(),
+    });
+    WireMsg::Batch {
+        envelopes: envelopes.collect(),
+    }
+}
+
+#[test]
+fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
+    let (mut client, mut server) = channel_pair();
+    let mut small_allocs = Vec::new();
+    for n in [75, 300] {
+        let msg = broadcast(n);
+        let wire = 8 + CodecKind::Binary.payload_size_hint(&msg) + 32;
+
+        // Out: encode, frame and seal straight into the write queue.
+        let (queue, allocs, frame_sized, peak) = measure(wire / 4, || {
+            let mut queue = Vec::new();
+            let channel = Some(&mut server);
+            append_frame(
+                &mut queue,
+                &msg,
+                CodecKind::Binary,
+                MAX_FRAME_BYTES,
+                channel,
+            )
+            .unwrap();
+            queue
+        });
+        assert_eq!(queue.len(), wire, "the size hint is exact for a broadcast");
+        assert_eq!(queue.capacity(), wire, "reserved exactly, once");
+        assert_eq!(frame_sized, 1, "n = {n}: frame-sized allocations sending");
+        assert!(
+            peak * 10 <= wire * 11,
+            "n = {n}: {peak} B live to put {wire} B on the wire"
+        );
+
+        // In: socket-sized chunks into the reassembly buffer, opened and
+        // decoded where they land.
+        let mut frames = FrameBuffer::new();
+        let (back, allocs_in, frame_sized, _) = measure(wire / 4, || {
+            for chunk in queue.chunks(16 * 1024) {
+                frames.extend(chunk);
+                if frames.pending_bytes() < wire {
+                    assert!(frames
+                        .next_channel_frame(MAX_FRAME_BYTES)
+                        .unwrap()
+                        .is_none());
+                }
+            }
+            let (frame, _) = frames.next_channel_frame(MAX_FRAME_BYTES).unwrap().unwrap();
+            let BufferedFrame::Sealed(payload) = frame else {
+                panic!("a sealed frame");
+            };
+            let inner = client.open_in_place(payload).unwrap();
+            decode_frame(inner, MAX_FRAME_BYTES).unwrap().0
+        });
+        assert_eq!(frame_sized, 1, "n = {n}: frame-sized allocations receiving");
+        assert_eq!(back, msg);
+        small_allocs.push((allocs, allocs_in));
+    }
+    // Four times the addressees: the same encode work (one vector, 56
+    // residues) and the same parse; only the envelope list's own growth
+    // adds a few reallocations on the way in.
+    let ((out_75, in_75), (out_300, in_300)) = (small_allocs[0], small_allocs[1]);
+    assert_eq!(out_75, out_300, "allocations sending must not scale with N");
+    assert!(out_300 < 150, "{out_300} allocations to send");
+    assert!(
+        in_300 <= in_75 + 4,
+        "{in_75} → {in_300} allocations receiving"
+    );
+}

@@ -329,6 +329,53 @@ fn connect_to_a_dead_port_fails_cleanly() {
 }
 
 #[test]
+fn an_oversized_request_is_refused_before_a_byte_reaches_the_socket() {
+    use std::io::Read;
+    // Plaintext, against a bare socket: the peer reads nothing at all.
+    let peer = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let mut client = TcpTransport::connect_with_config(
+        peer.local_addr().unwrap(),
+        quick().with_max_frame_bytes(16),
+    )
+    .unwrap();
+    let (mut accepted, _) = peer.accept().unwrap();
+    let err = client.deliver(verdict(0)).unwrap_err();
+    assert!(
+        matches!(err, ProtocolError::FrameTooLarge { max: 16, .. }),
+        "{err}"
+    );
+    assert_eq!(client.wire_stats().frames_sent, 0);
+    drop(client);
+    let mut seen = Vec::new();
+    assert_eq!(accepted.read_to_end(&mut seen).unwrap(), 0, "{seen:?}");
+
+    // Sealed, against the listener: a half-written frame or a consumed
+    // sequence number would desynchronise the channel, so the refusal is
+    // proven by the next request being served as the connection's first.
+    let listener = ReactorListener::spawn_with(
+        ShardedCoordinator::new(0, 1),
+        ReactorConfig::default().with_channel(ChannelPolicy::Required),
+    )
+    .unwrap();
+    let config = quick()
+        .with_codec(CodecKind::Binary)
+        .with_channel(ChannelPolicy::Required)
+        .with_max_frame_bytes(64);
+    let mut client = TcpTransport::connect_with_config(listener.addr(), config).unwrap();
+    let err = client.announce_try(0, &[1; 20]).unwrap_err();
+    assert!(
+        matches!(err, ProtocolError::FrameTooLarge { max: 64, .. }),
+        "{err}"
+    );
+    assert!(client.deliver(verdict(1)).unwrap().is_empty());
+    assert_eq!(client.wire_stats().frames_sent, 1);
+    let stats = wait_for(&listener, "reply never counted", |s| s.frames_sent == 1);
+    assert_eq!(stats.frames_received, 1);
+    assert_eq!(stats.aead_rejections + stats.decode_errors, 0);
+    client.shutdown().unwrap();
+}
+
+#[test]
 fn listener_spawns_serves_and_shuts_down() {
     let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 2)).unwrap();
     let mut client = TcpTransport::connect_with_config(listener.addr(), quick()).unwrap();
