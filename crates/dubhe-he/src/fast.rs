@@ -11,7 +11,7 @@
 //!    random element of exactly the subgroup textbook randomness `rⁿ` lives
 //!    in.
 //! 2. **Once per key**: build a Lim–Lee fixed-base comb for `h` (CRYPTO
-//!    '94): the exponent is read as [`COMB_ROWS`] rows of [`COMB_COLUMNS`]
+//!    '94): the exponent is read as `COMB_ROWS` rows of `COMB_COLUMNS`
 //!    bits, and the table holds the product of `h^(2^(a·i))` over every
 //!    non-empty subset of rows `i` — 255 operands in one limb arena, built
 //!    by 224 squarings and 247 multiplications. Any power of `h` with a

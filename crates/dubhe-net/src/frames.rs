@@ -1,4 +1,7 @@
-//! Incremental frame reassembly for non-blocking sockets.
+//! Both directions of a non-blocking socket's byte stream: incremental
+//! frame reassembly on the way in ([`FrameBuffer`]), one bounded write queue
+//! on the way out (`WriteQueue`, shared by the listener and the
+//! multiplexer).
 //!
 //! A blocking reader can hand `read_frame_limited` the stream and let it
 //! block until a whole frame arrives; an event loop cannot — it gets bytes
@@ -11,8 +14,10 @@
 //! payload — so a hostile header is refused after at most 8 bytes, with the
 //! same typed [`ProtocolError`]s the blocking reader produces.
 
+use std::io::{self, Write};
+
 use dubhe_select::protocol::channel::{
-    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, SEALED_FRAME_OVERHEAD,
+    append_frame, SecureChannel, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::protocol::codec::{CodecKind, RegistryFrame};
 use dubhe_select::protocol::wire::{decode_frame, decode_frame_lazy, LazyMsg};
@@ -32,13 +37,126 @@ const COMPACT_THRESHOLD: usize = 64 * 1024;
 /// consumptions the bytes moved therefore never exceed the bytes consumed —
 /// a multi-megabyte frame draining through a slow socket is not shifted
 /// down once per `WouldBlock`.
-pub(crate) fn compact(buf: &mut Vec<u8>, pos: &mut usize) {
+fn compact(buf: &mut Vec<u8>, pos: &mut usize) {
     if *pos == buf.len() {
         buf.clear();
         *pos = 0;
     } else if *pos >= COMPACT_THRESHOLD && *pos >= buf.len() - *pos {
         buf.drain(..*pos);
         *pos = 0;
+    }
+}
+
+/// The outgoing byte queue of one nonblocking connection — the listener's
+/// per-connection reply queue and the multiplexer's per-connection request
+/// queue are both this type, so there is one write loop and one compaction
+/// rule in the crate.
+///
+/// Frames are appended whole behind whatever is still unwritten
+/// ([`push_frame`](Self::push_frame), [`push`](Self::push)) and leave through
+/// [`flush`](Self::flush) in as few `write` calls as the sink allows: one,
+/// when it takes everything. Appending and writing are separate on purpose —
+/// an owner that answers sixteen requests in one loop turn pushes sixteen
+/// times and flushes once.
+#[derive(Debug, Default)]
+pub(crate) struct WriteQueue {
+    buf: Vec<u8>,
+    /// Start of the unwritten suffix in `buf`.
+    pos: usize,
+    /// Bytes ever appended / ever accepted by a sink: cumulative stream
+    /// offsets, so an owner can tell when a given frame has left completely
+    /// after any number of partial writes.
+    queued_total: u64,
+    written_total: u64,
+}
+
+impl WriteQueue {
+    /// Bytes appended but not yet accepted by a sink.
+    pub(crate) fn pending(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Cumulative bytes ever appended.
+    pub(crate) fn queued_total(&self) -> u64 {
+        self.queued_total
+    }
+
+    /// Cumulative bytes ever accepted by a sink.
+    pub(crate) fn written_total(&self) -> u64 {
+        self.written_total
+    }
+
+    /// Appends pre-encoded bytes (handshake replies).
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+        self.queued_total += bytes.len() as u64;
+    }
+
+    /// Encodes one frame straight into the queue — sealed in place when the
+    /// connection runs a channel — and returns its size on the wire. A
+    /// message that does not encode leaves the queue (and the channel's send
+    /// sequence) exactly as it was; see [`append_frame`].
+    pub(crate) fn push_frame(
+        &mut self,
+        msg: &WireMsg,
+        codec: CodecKind,
+        max_frame_bytes: usize,
+        channel: Option<&mut SecureChannel>,
+    ) -> Result<usize, ProtocolError> {
+        let written = append_frame(&mut self.buf, msg, codec, max_frame_bytes, channel)?;
+        self.queued_total += written as u64;
+        Ok(written)
+    }
+
+    /// Offers the unwritten bytes to `sink` until it has taken them all,
+    /// takes none, or would block, then reclaims the written prefix by the
+    /// amortised [`compact`] rule. A hard I/O error is returned after the
+    /// bytes written before it have been accounted for.
+    pub(crate) fn flush(&mut self, sink: &mut impl Write) -> io::Result<()> {
+        let mut outcome = Ok(());
+        while self.pos < self.buf.len() {
+            match sink.write(&self.buf[self.pos..]) {
+                Ok(0) => break,
+                Ok(n) => {
+                    self.pos += n;
+                    self.written_total += n as u64;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
+            }
+        }
+        compact(&mut self.buf, &mut self.pos);
+        outcome
+    }
+
+    /// Holds the queue to its bound after a push. At or under `high_water`
+    /// unwritten bytes nothing happens — the owner's once-a-turn flush will
+    /// take them (`Ok(false)`). Past it the bytes are offered to `sink` at
+    /// once (`Ok(true)`), and a queue the sink does not bring back under the
+    /// mark belongs to a peer that stopped reading:
+    /// [`ProtocolError::Backpressure`]. Checked after every push, this keeps
+    /// the queue within `high_water` plus the one frame just appended.
+    pub(crate) fn hold_to(
+        &mut self,
+        high_water: usize,
+        sink: &mut impl Write,
+    ) -> Result<bool, ProtocolError> {
+        if self.pending() <= high_water {
+            return Ok(false);
+        }
+        self.flush(sink).map_err(|e| ProtocolError::Io {
+            context: "write frame",
+            detail: e.to_string(),
+        })?;
+        let queued = self.pending();
+        if queued > high_water {
+            return Err(ProtocolError::Backpressure { queued, high_water });
+        }
+        Ok(true)
     }
 }
 
@@ -432,14 +550,50 @@ mod tests {
         ));
     }
 
+    /// A nonblocking socket as the write queue sees one: takes `room` more
+    /// bytes, then would block. Records what it was given and how often it
+    /// was asked.
+    #[derive(Default)]
+    struct Sink {
+        seen: Vec<u8>,
+        room: usize,
+        writes: usize,
+    }
+
+    impl Sink {
+        fn with_room(room: usize) -> Self {
+            Sink {
+                room,
+                ..Sink::default()
+            }
+        }
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            let n = buf.len().min(self.room);
+            if n == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            self.seen.extend_from_slice(&buf[..n]);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn compaction_never_moves_more_bytes_than_were_consumed() {
-        // A queue is appended to and consumed from the front in arbitrary
-        // splits (a write queue meeting `WouldBlock`s, a reassembly buffer
-        // meeting partial frames). Whatever the split sequence, the bytes
-        // `compact` shifts down stay within the bytes consumed so far, the
-        // queue's content is preserved, and a fully consumed queue is
-        // emptied for free.
+        // A write queue is appended to and drained through `flush` into a
+        // sink that takes an arbitrary share and then blocks (the same rule
+        // serves a reassembly buffer meeting partial frames). Whatever the
+        // split sequence, the bytes the compaction shifts down stay within
+        // the bytes written so far, the queue's content is preserved, and a
+        // fully written queue is emptied for free.
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move |bound: usize| {
             seed ^= seed << 13;
@@ -448,35 +602,39 @@ mod tests {
             (seed % bound as u64) as usize
         };
         for scale in [1usize, 1 << 9, 1 << 13, 1 << 16] {
-            let (mut buf, mut pos) = (Vec::new(), 0usize);
-            let (mut appended, mut consumed, mut moved) = (0usize, 0usize, 0usize);
+            let mut queue = WriteQueue::default();
+            let mut sink = Sink::default();
+            let (mut appended, mut moved) = (0usize, 0usize);
             for _ in 0..200 {
                 let grow = next(4 * scale);
-                buf.extend((appended..appended + grow).map(|i| i as u8));
+                let bytes: Vec<u8> = (appended..appended + grow).map(|i| i as u8).collect();
+                queue.push(&bytes);
                 appended += grow;
-                let take = next(buf.len() - pos + 1);
-                pos += take;
-                consumed += take;
-                let before = (buf.len(), pos);
-                compact(&mut buf, &mut pos);
-                assert_eq!(buf.len() - pos, before.0 - before.1, "content length kept");
-                if pos != before.1 {
-                    assert_eq!(pos, 0);
-                    moved += buf.len();
+                sink.room = next(queue.pending() + 1);
+                let uncompacted = queue.pos + sink.room;
+                queue.flush(&mut sink).unwrap();
+                let consumed = sink.seen.len();
+                if queue.pos != uncompacted {
+                    assert_eq!(queue.pos, 0);
+                    moved += queue.buf.len();
                 }
-                if before.0 == before.1 {
-                    assert!(buf.is_empty(), "a drained queue is cleared");
+                if queue.pending() == 0 {
+                    assert!(queue.buf.is_empty(), "a drained queue is cleared");
                 }
                 assert!(moved <= consumed, "moved {moved} > consumed {consumed}");
-                let unsent = &buf[pos..];
-                assert_eq!(unsent.len(), appended - consumed);
+                assert_eq!(queue.pending(), appended - consumed);
                 assert_eq!(
-                    unsent.first().copied(),
+                    (queue.queued_total(), queue.written_total()),
+                    (appended as u64, consumed as u64)
+                );
+                assert_eq!(
+                    queue.buf[queue.pos..].first().copied(),
                     (consumed < appended).then_some(consumed as u8)
                 );
             }
-            let expect = (consumed..appended).map(|i| i as u8);
-            assert!(buf[pos..].iter().copied().eq(expect), "content kept");
+            let expect = (0..appended).map(|i| i as u8);
+            let through = sink.seen.iter().chain(&queue.buf[queue.pos..]).copied();
+            assert!(through.eq(expect), "content kept, in order");
             // Not vacuous: small queues never pay a move, large ones do.
             assert!(if scale == 1 {
                 moved == 0
@@ -484,20 +642,148 @@ mod tests {
                 scale < 1 << 16 || moved > 0
             });
         }
-        // An 8 MiB reply leaving through a socket that takes 200 KiB a
+        // An 8 MiB request leaving through a socket that takes 200 KiB a
         // write: draining on every partial write past the threshold would
-        // move ≈ 160 MiB; the amortised rule moves at most the 8.
-        let (mut buf, mut pos) = (vec![0u8; 8 << 20], 0usize);
-        let mut moved = 0usize;
-        while pos < buf.len() {
-            pos += (200 << 10).min(buf.len() - pos);
-            let before = pos;
-            compact(&mut buf, &mut pos);
-            if pos != before && !buf.is_empty() {
-                moved += buf.len();
+        // move ≈ 160 MiB, reclaiming only once the queue is empty (what the
+        // multiplexer's own flush loop used to do) would hold all 8 MiB to
+        // the end; the amortised rule moves at most the 8.
+        let mut queue = WriteQueue::default();
+        queue.push(&vec![0u8; 8 << 20]);
+        let (mut moved, mut compactions) = (0usize, 0usize);
+        while queue.pending() > 0 {
+            let uncompacted = queue.pos + (200 << 10).min(queue.pending());
+            queue.flush(&mut Sink::with_room(200 << 10)).unwrap();
+            if queue.pos != uncompacted && !queue.buf.is_empty() {
+                moved += queue.buf.len();
+                compactions += 1;
             }
         }
         assert!(moved <= 8 << 20, "moved {moved} bytes draining 8 MiB");
+        assert!(
+            compactions > 0,
+            "the written prefix is reclaimed on the way"
+        );
+    }
+
+    fn replies(n: usize) -> Vec<WireMsg> {
+        (0..n)
+            .map(|i| WireMsg::Error {
+                detail: format!("reply {i}: {}", "x".repeat(7 * i)),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn replies_pushed_in_one_turn_leave_in_one_write() {
+        // Sixteen replies queued, one flush: the sink is asked once, and
+        // what it gets is the sixteen frames exactly as they would have
+        // gone out one by one.
+        let msgs = replies(16);
+        let mut queue = WriteQueue::default();
+        let mut one_by_one = Vec::new();
+        for msg in &msgs {
+            let written = queue
+                .push_frame(msg, CodecKind::Binary, 1 << 20, None)
+                .unwrap();
+            assert_eq!(written, encode(msg, CodecKind::Binary).len());
+            one_by_one.extend(encode(msg, CodecKind::Binary));
+        }
+        assert_eq!(queue.pending(), one_by_one.len());
+        let mut sink = Sink::with_room(usize::MAX);
+        queue.flush(&mut sink).unwrap();
+        assert_eq!(sink.writes, 1);
+        assert_eq!(sink.seen, one_by_one);
+        assert_eq!(queue.pending(), 0);
+        assert_eq!(queue.written_total(), one_by_one.len() as u64);
+        // Nothing queued, nothing asked of the socket.
+        queue.flush(&mut sink).unwrap();
+        assert_eq!(sink.writes, 1);
+    }
+
+    #[test]
+    fn a_queue_past_high_water_is_flushed_at_once_or_cut() {
+        let msgs = replies(64);
+        let high_water = 2048;
+        let largest = encode(&msgs[63], CodecKind::Binary).len();
+
+        // A sink that keeps up: under the mark pushes wait for the turn's
+        // flush, the push that crosses it goes out on the spot — with
+        // everything queued before it, in one write.
+        let mut queue = WriteQueue::default();
+        let mut sink = Sink::with_room(usize::MAX);
+        let mut flushed_early = 0;
+        for msg in &msgs {
+            queue
+                .push_frame(msg, CodecKind::Binary, 1 << 20, None)
+                .unwrap();
+            let over = queue.pending() > high_water;
+            let writes = sink.writes;
+            assert_eq!(queue.hold_to(high_water, &mut sink).unwrap(), over);
+            assert_eq!(sink.writes - writes, usize::from(over));
+            assert!(queue.pending() <= high_water);
+            flushed_early += usize::from(over);
+        }
+        assert!(flushed_early > 1, "the mark was crossed more than once");
+
+        // A sink that takes nothing: the first push past the mark is a
+        // backpressure disconnect, and the queue never held more than the
+        // mark plus that one frame.
+        let mut queue = WriteQueue::default();
+        let mut dead = Sink::with_room(0);
+        let mut cut = None;
+        for msg in &msgs {
+            queue
+                .push_frame(msg, CodecKind::Binary, 1 << 20, None)
+                .unwrap();
+            assert!(queue.pending() <= high_water + largest);
+            match queue.hold_to(high_water, &mut dead) {
+                Ok(flushed) => assert!(!flushed && queue.pending() <= high_water),
+                Err(e) => {
+                    cut = Some(e);
+                    break;
+                }
+            }
+        }
+        let queued = queue.pending();
+        assert!(queued > high_water && queued <= high_water + largest);
+        assert_eq!(
+            cut,
+            Some(ProtocolError::Backpressure { queued, high_water })
+        );
+        assert!(dead.seen.is_empty());
+    }
+
+    #[test]
+    fn a_frame_pushed_behind_a_partial_write_never_lands_inside_it() {
+        // The stall notice's path: a reply is half out when the listener
+        // decides to hang up, the notice is pushed behind it and the queue
+        // gets one more flush. However many bytes the socket takes in total
+        // — for every `k` — what it saw is a prefix of reply ‖ notice.
+        let reply = WireMsg::Error {
+            detail: "a reply the peer has not finished reading".repeat(3),
+        };
+        let notice = WireMsg::Error {
+            detail: "stalled mid-frame past the read timeout".to_string(),
+        };
+        let mut whole = encode(&reply, CodecKind::Binary);
+        let reply_len = whole.len();
+        whole.extend(encode(&notice, CodecKind::Binary));
+        for k in 0..=whole.len() {
+            let mut queue = WriteQueue::default();
+            let mut sink = Sink::with_room(k.min(reply_len.saturating_sub(1)));
+            queue
+                .push_frame(&reply, CodecKind::Binary, 1 << 20, None)
+                .unwrap();
+            queue.flush(&mut sink).unwrap();
+            assert!(queue.pending() > 0, "the reply is still partly queued");
+            queue
+                .push_frame(&notice, CodecKind::Binary, 1 << 20, None)
+                .unwrap();
+            sink.room = k - sink.seen.len();
+            queue.flush(&mut sink).unwrap();
+            assert_eq!(sink.seen, whole[..k], "k = {k}");
+            assert_eq!(queue.pending(), whole.len() - k);
+        }
     }
 
     #[test]

@@ -6,13 +6,16 @@
 //! 2.4× and registered a 9 000-client cohort 10.8× slower). So the
 //! coordinator is served one way: one event-loop thread multiplexing every
 //! connection through a readiness poller ([`mini_mio`], the vendored
-//! epoll/poll(2) stand-in), with protocol work routed to the coordinator on
-//! a separate router thread.
+//! epoll/poll(2) stand-in). Small requests that find the router idle are
+//! answered on that thread; everything else is routed to the coordinator
+//! on a separate router thread, so a large fold overlaps with the next
+//! frame's parse.
 //!
 //! * [`ReactorListener`] — the server: non-blocking accept, per-connection
 //!   incremental DBH1/DBH2 frame reassembly, the authenticated-channel
-//!   phases, identity binding, bounded write queues with
-//!   `WouldBlock`-driven flow control and a typed
+//!   phases, identity binding, bounded write queues flushed once per
+//!   connection per loop turn, with `WouldBlock`-driven flow control and a
+//!   typed
 //!   [`Backpressure`](dubhe_select::ProtocolError::Backpressure) disconnect
 //!   past the high-water mark, and a [`ListenerStats`] snapshot of all of it.
 //! * [`MuxClient`] — the load-generation side: many persistent client

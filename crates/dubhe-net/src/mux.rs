@@ -16,13 +16,13 @@
 //! FIFO matching — no request ids on the wire.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use dubhe_select::protocol::channel::{
-    append_frame, client_handshake, secret_bytes_from_seed, ChannelPolicy, NodeIdentity,
-    RetrySchedule, SecureChannel,
+    client_handshake, secret_bytes_from_seed, ChannelPolicy, NodeIdentity, RetrySchedule,
+    SecureChannel,
 };
 use dubhe_select::protocol::codec::CodecKind;
 use dubhe_select::protocol::stats::{LatencyHistogram, LatencySummary};
@@ -30,7 +30,7 @@ use dubhe_select::protocol::wire::{decode_frame, WireMsg, MAX_FRAME_BYTES};
 use dubhe_select::ProtocolError;
 use mini_mio::{Backend, Events, Interest, Poll, Registry, Token};
 
-use crate::frames::{BufferedFrame, FrameBuffer};
+use crate::frames::{BufferedFrame, FrameBuffer, WriteQueue};
 
 fn io_error(context: &'static str, e: std::io::Error) -> ProtocolError {
     ProtocolError::Io {
@@ -156,8 +156,7 @@ impl MuxConfig {
 struct MuxConn {
     stream: TcpStream,
     frames: FrameBuffer,
-    out: Vec<u8>,
-    out_pos: usize,
+    out: WriteQueue,
     /// Queue instants of requests still awaiting their reply, FIFO.
     pending: VecDeque<Instant>,
     wants_write: bool,
@@ -311,8 +310,7 @@ impl MuxClient {
             conns.push(MuxConn {
                 stream,
                 frames: FrameBuffer::new(),
-                out: Vec::new(),
-                out_pos: 0,
+                out: WriteQueue::default(),
                 pending: VecDeque::new(),
                 wants_write: false,
                 channel,
@@ -354,8 +352,7 @@ impl MuxClient {
     /// [`collect`](Self::collect) (or [`exchange`](Self::exchange)).
     pub fn send(&mut self, conn: usize, msg: &WireMsg) -> Result<(), ProtocolError> {
         let c = &mut self.conns[conn];
-        append_frame(
-            &mut c.out,
+        c.out.push_frame(
             msg,
             self.config.codec,
             self.config.max_frame_bytes,
@@ -421,8 +418,7 @@ impl MuxClient {
     pub fn shutdown(mut self) {
         for token in 0..self.conns.len() {
             let c = &mut self.conns[token];
-            let _ = append_frame(
-                &mut c.out,
+            let _ = c.out.push_frame(
                 &WireMsg::Shutdown,
                 self.config.codec,
                 self.config.max_frame_bytes,
@@ -435,24 +431,10 @@ impl MuxClient {
 
     fn flush(&mut self, token: usize) -> Result<(), ProtocolError> {
         let c = &mut self.conns[token];
-        loop {
-            let pending = &c.out[c.out_pos..];
-            if pending.is_empty() {
-                break;
-            }
-            match c.stream.write(pending) {
-                Ok(0) => break,
-                Ok(n) => c.out_pos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(io_error("write frame", e)),
-            }
-        }
-        if c.out_pos == c.out.len() {
-            c.out.clear();
-            c.out_pos = 0;
-        }
-        let want_write = !c.out.is_empty();
+        c.out
+            .flush(&mut &c.stream)
+            .map_err(|e| io_error("write frame", e))?;
+        let want_write = c.out.pending() > 0;
         if c.wants_write != want_write {
             let interest = if want_write {
                 Interest::BOTH
@@ -500,6 +482,11 @@ impl MuxClient {
                             self.latency.record(queued_at.elapsed());
                         }
                         replies.push((token, msg));
+                    }
+                    // A short read drained the socket; the level-triggered
+                    // poll reports whatever lands later, a hangup included.
+                    if n < chunk.len() {
+                        break;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,

@@ -1,5 +1,6 @@
 //! The event-driven coordinator listener: one event-loop thread serving
-//! every connection, one router thread owning the coordinator.
+//! every connection, one router thread for the requests it does not answer
+//! itself.
 //!
 //! ## Topology
 //!
@@ -9,33 +10,71 @@
 //!                    │   mini_mio::Poll (epoll / poll(2))         │
 //!                    │   nonblocking accept                       │
 //!                    │   per-conn FrameBuffer (read reassembly)   │
-//!                    │   per-conn bounded write queue + flush     │
-//!                    └───────┬───────────────────────▲────────────┘
-//!                       jobs │ mpsc             mpsc │ replies + Waker
-//!                    ┌───────▼───────────────────────┴────────────┐
-//!                    │ router thread — sole owner of the          │
-//!                    │ Coordinator (no Mutex anywhere)            │
-//!                    └────────────────────────────────────────────┘
+//!                    │   per-conn bounded WriteQueue, one flush   │
+//!                    │     per connection per loop turn           │
+//!                    │   small frame + idle router: answered here ├──┐
+//!                    └───────┬───────────────────────▲────────────┘  │
+//!                       jobs │ mpsc             mpsc │ replies       │
+//!                            │                       │ + Waker       │
+//!                    ┌───────▼───────────────────────┴────────────┐  │
+//!                    │ router thread: large frames, and whatever  │  │
+//!                    │ arrives while a job is outstanding         │  │
+//!                    └───────────────────┬────────────────────────┘  │
+//!                                  ┌─────▼───────────────────────────▼─┐
+//!                                  │ Mutex<Served>: the Coordinator +  │
+//!                                  │ the ClientId → identity bindings  │
+//!                                  └───────────────────────────────────┘
 //! ```
 //!
-//! The event loop does I/O only: it never touches coordinator state, and the
-//! router never touches a socket. Decoded requests cross to the router over
-//! an mpsc channel; replies come back over a second channel, and the router
-//! rings the [`Waker`] so a poll blocked on quiet sockets picks them up
-//! immediately. Ordering comes from channel FIFO and exclusivity from
-//! ownership — no `Mutex` anywhere — and with all connections multiplexed
-//! onto one thread, 10⁴+ mostly-idle persistent clients cost file
-//! descriptors, not stacks.
+//! ## Who touches the coordinator, and when
+//!
+//! The coordinator and the session-hijack bindings sit behind one mutex,
+//! uncontended by construction. The event loop counts the jobs it has sent
+//! to the router minus the replies it has drained from it; the router takes
+//! the mutex only between receiving a job and sending that job's reply, so
+//! whenever the count is zero the router holds nothing and is parked, or
+//! about to be, on its empty channel. Only then — and only for a frame of at most
+//! `INLINE_FRAME_BYTES` — does the loop take the mutex itself, run the
+//! *same* function the router runs (`Served::answer`: hijack check, then
+//! `route_msg`) and queue the reply. A larger frame, or any frame that
+//! arrives while a job is outstanding, crosses to the router over the mpsc
+//! channel as before, and its reply comes back over the second channel with
+//! a [`Waker`] ring so a poll blocked on quiet sockets picks it up
+//! immediately. Either way the coordinator sees requests in the order the
+//! loop decoded them, and a connection's replies are queued in its request
+//! order: an inline answer is queued only when every earlier reply already
+//! has been. The router exists so a 14 KB fold (or a multi-megabyte one)
+//! overlaps with parsing the next frame; a microsecond fold does not earn
+//! the two hand-offs and two context switches that overlap costs. Inline
+//! work is bounded per readiness event by what one connection may have read
+//! (`READ_BUDGET` plus one chunk), in frames of at most `INLINE_FRAME_BYTES`
+//! each, before the loop moves on to the next connection.
+//!
+//! With all connections multiplexed onto one thread, 10⁴+ mostly-idle
+//! persistent clients cost file descriptors, not stacks.
+//!
+//! ## Reads and writes
+//!
+//! A readable socket is read until a `read` comes back short — fewer bytes
+//! than the buffer holds means the socket is drained, and the poller is
+//! level-triggered, so anything that lands later (an EOF included) is
+//! reported again; no extra `read` is spent probing for `WouldBlock`.
+//! Replies — answered inline or drained from the router — are appended to
+//! their connection's queue and the connection is marked; every marked
+//! connection is flushed once when the loop turn ends, so sixteen replies to
+//! sixteen pipelined requests leave in one `write`.
 //!
 //! ## Flow control
 //!
 //! Replies are queued per connection and flushed as the socket accepts them
 //! (`WouldBlock` simply parks the remainder until the poller reports the
-//! socket writable again). The queue is *bounded*: if a peer stops reading
-//! while replies accumulate past [`ReactorConfig::high_water`], the listener
-//! records a [`ProtocolError::Backpressure`] disconnect and drops the
-//! connection — it never buffers without bound and never blocks the event
-//! loop on one slow reader. A peer that stalls *mid-frame* on the read side
+//! socket writable again). The queue is *bounded*: one that grows past
+//! [`ReactorConfig::high_water`] is flushed at once instead of at the end of
+//! the turn, and if the peer has stopped reading and the socket does not
+//! bring it back under the mark, the listener records a
+//! [`ProtocolError::Backpressure`] disconnect and drops the connection — it
+//! never holds more than `high_water` plus one frame and never blocks the
+//! event loop on one slow reader. A peer that stalls *mid-frame* on the read side
 //! is cut by [`ReactorConfig::read_timeout`], measured from its last byte of
 //! progress; idleness *between* frames is healthy (a client may train for
 //! minutes between protocol rounds) and is never timed out.
@@ -50,9 +89,9 @@
 //! `Established` phase accepting nothing but `DBHE` sealed frames.
 //! Plaintext protocol frames are refused as downgrade attempts in both
 //! phases, tampered or replayed seals earn typed errors sealed back before
-//! the hangup, and the router binds each `ClientId` to the first
-//! authenticated identity that speaks for it (session-hijack refusal, with
-//! reconnects presenting the same identity sailing through).
+//! the hangup, and each `ClientId` is bound to the first authenticated
+//! identity that speaks for it (session-hijack refusal, with reconnects
+//! presenting the same identity sailing through).
 //!
 //! Because every coordinator fold is commutative (Montgomery-domain
 //! ciphertext multiplication), the ledgers this listener produces are
@@ -61,15 +100,15 @@
 //! tests and `dubhe-fl`'s simulation suite.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dubhe_select::protocol::channel::{
-    append_frame, ChannelPolicy, NodeIdentity, SecureChannel, ServerHandshake,
+    ChannelPolicy, NodeIdentity, SecureChannel, ServerHandshake,
 };
 use dubhe_select::protocol::codec::CodecKind;
 use dubhe_select::protocol::stats::{ListenerMetrics, ListenerStats};
@@ -80,7 +119,7 @@ use dubhe_select::protocol::Coordinator;
 use dubhe_select::{ClientId, ProtocolError};
 use mini_mio::{Backend, Events, Interest, Poll, Registry, Token, Waker};
 
-use crate::frames::{compact, BufferedFrame, FrameBuffer};
+use crate::frames::{BufferedFrame, FrameBuffer, WriteQueue};
 
 /// Default mid-frame stall bound, matching the connector's
 /// [`DEFAULT_READ_TIMEOUT`](dubhe_select::protocol::DEFAULT_READ_TIMEOUT).
@@ -95,6 +134,25 @@ const IDLE_POLL_BACKSTOP: Duration = Duration::from_millis(500);
 /// loop moves on to the next event (level-triggered polling re-reports the
 /// leftover), so one firehose connection cannot starve the rest.
 const READ_BUDGET: usize = 256 * 1024;
+
+/// Largest request frame, in bytes on the wire, the event loop answers
+/// itself when the router is idle; anything larger is the router's.
+///
+/// Not a knob: it sits where the benchmark ladder puts the break-even
+/// between the hop a routed frame pays (two cross-thread wake-ups, both
+/// ways) and the overlap the router buys (it folds while this thread opens
+/// and parses the next frame). At 0.7 KB and 256-bit keys
+/// (`coordinator.registry_us` 2–3 µs) answering inline wins outright:
+/// `fanin_small_plain` runs its epoch in half the time. At 2.6 KB and
+/// 1024-bit keys over four shards (`coordinator.distribution_us` 33–43 µs)
+/// the overlap wins: with those frames answered inline the tries phase of
+/// `fanin_large_sealed` took 15–20 % longer (`driver.tries_s` 17–18 → 20–23
+/// ms, three alternating traced runs each), and routed it matches the
+/// parent's. 2 KiB separates the two, and sits safely under the fold's own
+/// fan-out decision: at 1024-bit keys it is 8 ciphertext residues, a
+/// quarter of `dubhe-he`'s `FAN_OUT_WORK`, so nothing answered on the loop
+/// thread would have been spread over cores by the router either.
+const INLINE_FRAME_BYTES: usize = 2 * 1024;
 
 /// Knobs for the reactor listener, builder-style.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,8 +267,8 @@ struct Job {
     msg: LazyMsg,
     codec: CodecKind,
     /// The authenticated channel identity of the connection this request
-    /// arrived on, when it ran the handshake — what the router's
-    /// session-hijack binding keys on.
+    /// arrived on, when it ran the handshake — what the session-hijack
+    /// binding keys on.
     identity: Option<[u8; 32]>,
     started: Instant,
 }
@@ -233,7 +291,9 @@ pub struct ReactorListener<C: Coordinator + Send + 'static> {
     waker: Arc<Waker>,
     metrics: Arc<ListenerMetrics>,
     event_thread: Option<JoinHandle<()>>,
-    router_thread: Option<JoinHandle<C>>,
+    /// Hands back its share of the coordinator when it ends; by then the
+    /// event thread has dropped the only other one.
+    router_thread: Option<JoinHandle<Arc<Mutex<Served<C>>>>>,
     /// The listener's public channel identity, when it requires the
     /// authenticated channel — what clients pin.
     public_identity: Option<[u8; 32]>,
@@ -290,9 +350,14 @@ impl<C: Coordinator + Send + 'static> ReactorListener<C> {
         });
         let public_identity = identity.as_ref().map(|id| id.public_bytes());
 
+        let served = Arc::new(Mutex::new(Served {
+            coordinator,
+            bindings: HashMap::new(),
+        }));
+        let router_served = Arc::clone(&served);
         let router_waker = Arc::clone(&waker);
         let router_thread =
-            std::thread::spawn(move || route_jobs(coordinator, job_rx, reply_tx, router_waker));
+            std::thread::spawn(move || route_jobs(router_served, job_rx, reply_tx, router_waker));
 
         let mut event_loop = EventLoop {
             poll,
@@ -305,6 +370,9 @@ impl<C: Coordinator + Send + 'static> ReactorListener<C> {
             next_token: waker_token + 1,
             job_tx,
             reply_rx,
+            outstanding: 0,
+            served,
+            flush_due: Vec::new(),
             stop: Arc::clone(&stop),
             metrics: Arc::clone(&metrics),
             identity,
@@ -357,9 +425,13 @@ impl<C: Coordinator + Send + 'static> ReactorListener<C> {
         if let Some(t) = self.event_thread.take() {
             let _ = t.join();
         }
-        // The event thread owned the only job Sender; with it gone the
-        // router drains its queue and returns the coordinator.
-        self.router_thread.take().and_then(|t| t.join().ok())
+        // The event thread owned the only job Sender and the only other
+        // share of the coordinator; with it gone the router drains its
+        // queue and returns the last one. A thread that panicked mid-request
+        // left the mutex poisoned: no coordinator state to vouch for.
+        let served = self.router_thread.take()?.join().ok()?;
+        let served = Arc::try_unwrap(served).ok()?.into_inner().ok()?;
+        Some(served.coordinator)
     }
 }
 
@@ -371,25 +443,52 @@ impl<C: Coordinator + Send + 'static> Drop for ReactorListener<C> {
     }
 }
 
-/// The router thread: the sole owner of the coordinator. Bursts of queued
+/// What a request touches beyond its own connection: the coordinator, and
+/// the session-hijack bindings in front of it. One instance per listener,
+/// behind the mutex the module doc describes.
+#[derive(Debug)]
+struct Served<C> {
+    coordinator: C,
+    /// The first authenticated identity to speak as a `ClientId` owns that
+    /// id for the listener's lifetime.
+    bindings: HashMap<ClientId, [u8; 32]>,
+}
+
+impl<C: Coordinator> Served<C> {
+    /// Answers one request — the one function both threads serve with. A
+    /// different channel identity reusing a bound `ClientId` gets a typed
+    /// refusal before the coordinator ever sees the message; reconnects
+    /// present the same identity and sail through.
+    fn answer(&mut self, msg: LazyMsg, identity: Option<[u8; 32]>) -> WireMsg {
+        if let (Some(id), Some(who)) = (claimed_client(&msg), identity) {
+            if *self.bindings.entry(id).or_insert(who) != who {
+                return WireMsg::Error {
+                    detail: ProtocolError::AuthFailure {
+                        detail: format!(
+                            "client {id} is bound to a different channel identity \
+                             (session hijack refused)"
+                        ),
+                    }
+                    .to_string(),
+                };
+            }
+        }
+        route_msg(&mut self.coordinator, msg)
+    }
+}
+
+/// The router thread: answers the requests the event loop hands over, in
+/// the order it sent them. The mutex is taken per job and released before
+/// the job's reply is sent — the event loop takes it only when every job it
+/// sent has been answered, so the two never meet there. Bursts of queued
 /// jobs are answered with a single waker ring.
 fn route_jobs<C: Coordinator>(
-    mut coordinator: C,
+    served: Arc<Mutex<Served<C>>>,
     rx: mpsc::Receiver<Job>,
     tx: mpsc::Sender<Reply>,
     waker: Arc<Waker>,
-) -> C {
-    // Session-hijack refusal: the first authenticated identity to speak as a
-    // ClientId owns that id
-    // for the listener's lifetime. A different channel identity reusing the
-    // id gets a typed refusal before the coordinator ever sees the message;
-    // reconnects present the same identity and sail through.
-    let mut bindings: HashMap<ClientId, [u8; 32]> = HashMap::new();
-    loop {
-        let first = match rx.recv() {
-            Ok(job) => job,
-            Err(_) => break,
-        };
+) -> Arc<Mutex<Served<C>>> {
+    while let Ok(first) = rx.recv() {
         let mut jobs = vec![first];
         while jobs.len() < 1024 {
             match rx.try_recv() {
@@ -398,50 +497,23 @@ fn route_jobs<C: Coordinator>(
             }
         }
         for job in jobs {
-            let Job {
-                token,
+            let msg = served
+                .lock()
+                .expect("the event loop panicked mid-request")
+                .answer(job.msg, job.identity);
+            let reply = Reply {
+                token: job.token,
                 msg,
-                codec,
-                identity,
-                started,
-            } = job;
-            let hijacked = match (claimed_client(&msg), identity) {
-                (Some(id), Some(who)) => match bindings.get(&id) {
-                    Some(bound) if *bound != who => Some(id),
-                    _ => {
-                        bindings.insert(id, who);
-                        None
-                    }
-                },
-                _ => None,
+                codec: job.codec,
+                started: job.started,
             };
-            let msg = match hijacked {
-                Some(id) => WireMsg::Error {
-                    detail: ProtocolError::AuthFailure {
-                        detail: format!(
-                            "client {id} is bound to a different channel identity \
-                             (session hijack refused)"
-                        ),
-                    }
-                    .to_string(),
-                },
-                None => route_msg(&mut coordinator, msg),
-            };
-            if tx
-                .send(Reply {
-                    token,
-                    msg,
-                    codec,
-                    started,
-                })
-                .is_err()
-            {
-                return coordinator;
+            if tx.send(reply).is_err() {
+                return served;
             }
         }
         let _ = waker.wake();
     }
-    coordinator
+    served
 }
 
 /// Maps one request onto the [`Coordinator`] trait. Epoch checks live in
@@ -530,13 +602,11 @@ struct Conn {
     phase: ConnPhase,
     /// The peer's authenticated identity once the handshake completes.
     peer: Option<[u8; 32]>,
-    /// Encoded-but-unwritten reply bytes; `out[out_pos..]` is pending.
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Cumulative bytes ever queued / ever flushed to the socket.
-    queued_total: u64,
-    sent_total: u64,
+    /// Encoded-but-unwritten reply bytes.
+    out: WriteQueue,
     pending_sends: VecDeque<PendingSend>,
+    /// Set while the connection sits in [`EventLoop::flush_due`].
+    flush_due: bool,
     /// Codec of the most recent decoded frame; error frames sent before any
     /// frame decoded default to DBH1.
     codec: CodecKind,
@@ -560,7 +630,22 @@ enum CloseReason {
     Backpressure,
 }
 
-struct EventLoop {
+/// A connection's socket as its write queue sees it: every `write` call is
+/// counted.
+struct CountedWrites<'a>(&'a TcpStream, &'a ListenerMetrics);
+
+impl Write for CountedWrites<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.1.socket_write();
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+struct EventLoop<C> {
     poll: Poll,
     registry: Registry,
     events: Events,
@@ -571,6 +656,16 @@ struct EventLoop {
     next_token: usize,
     job_tx: mpsc::Sender<Job>,
     reply_rx: mpsc::Receiver<Reply>,
+    /// Jobs sent to the router minus replies drained from it. Zero means
+    /// the router has answered everything it was sent: it holds no lock and
+    /// is parked, or about to be, on its empty channel.
+    outstanding: usize,
+    /// The coordinator, shared with the router; see the module doc for when
+    /// this thread may take it.
+    served: Arc<Mutex<Served<C>>>,
+    /// Connections holding replies queued this turn and not yet offered to
+    /// their socket.
+    flush_due: Vec<usize>,
     stop: Arc<AtomicBool>,
     metrics: Arc<ListenerMetrics>,
     /// The resolved server identity under a `Required` channel policy;
@@ -579,7 +674,7 @@ struct EventLoop {
     config: ReactorConfig,
 }
 
-impl EventLoop {
+impl<C: Coordinator> EventLoop<C> {
     fn run(&mut self) {
         while !self.stop.load(Ordering::SeqCst) {
             let timeout = self.next_timeout();
@@ -601,13 +696,20 @@ impl EventLoop {
                         self.handle_read(token);
                     }
                     if event.is_writable() {
-                        self.handle_write(token);
+                        self.flush_conn(token);
                     }
                 }
             }
             // Replies may have landed while the loop was busy with sockets;
             // drain opportunistically rather than waiting for the next ring.
             self.drain_replies();
+            // The turn's one write per connection: everything queued above,
+            // inline answers and router replies alike.
+            let mut due = std::mem::take(&mut self.flush_due);
+            for token in due.drain(..) {
+                self.flush_conn(token);
+            }
+            self.flush_due = due;
             self.sweep_stalled();
         }
         // Count every still-open connection as closed so a final stats
@@ -669,11 +771,9 @@ impl EventLoop {
                             frames: FrameBuffer::new(),
                             phase,
                             peer: None,
-                            out: Vec::new(),
-                            out_pos: 0,
-                            queued_total: 0,
-                            sent_total: 0,
+                            out: WriteQueue::default(),
                             pending_sends: VecDeque::new(),
+                            flush_due: false,
                             codec: CodecKind::Json,
                             frame_deadline,
                             closing: false,
@@ -701,6 +801,7 @@ impl EventLoop {
         let mut eof = false;
         let mut progressed = false;
         loop {
+            self.metrics.socket_read();
             match conn.stream.read(&mut chunk) {
                 Ok(0) => {
                     eof = true;
@@ -710,8 +811,12 @@ impl EventLoop {
                     conn.frames.extend(&chunk[..n]);
                     progressed = true;
                     budget = budget.saturating_sub(n);
-                    if budget == 0 {
-                        break; // level-triggered poll re-reports the rest
+                    // A short read drained the socket, a spent budget ends
+                    // this connection's share of the turn: either way the
+                    // level-triggered poll re-reports whatever is left or
+                    // lands later, an EOF included.
+                    if n < chunk.len() || budget == 0 {
+                        break;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -771,7 +876,7 @@ impl EventLoop {
             Ok(Some((LazyMsg::Eager(WireMsg::Shutdown), bytes, _))) => {
                 self.metrics.frame_received(bytes);
                 conn.closing = true;
-                if conn.out.len() == conn.out_pos {
+                if conn.out.pending() == 0 {
                     self.close_conn(token, CloseReason::Clean);
                 }
                 false
@@ -780,22 +885,7 @@ impl EventLoop {
                 self.metrics.frame_received(bytes);
                 conn.codec = codec;
                 let identity = conn.peer;
-                if self
-                    .job_tx
-                    .send(Job {
-                        token,
-                        msg,
-                        codec,
-                        identity,
-                        started: Instant::now(),
-                    })
-                    .is_err()
-                {
-                    // Router gone: the listener is shutting down.
-                    self.close_conn(token, CloseReason::Clean);
-                    return false;
-                }
-                true
+                self.dispatch(token, msg, codec, identity, bytes)
             }
             Ok(None) => {
                 self.update_deadline(token, progressed);
@@ -910,7 +1000,7 @@ impl EventLoop {
                     Ok((LazyMsg::Eager(WireMsg::Shutdown), _, _)) => {
                         self.metrics.frame_received(wire_bytes);
                         conn.closing = true;
-                        if conn.out.len() == conn.out_pos {
+                        if conn.out.pending() == 0 {
                             self.close_conn(token, CloseReason::Clean);
                         }
                         false
@@ -919,21 +1009,7 @@ impl EventLoop {
                         self.metrics.frame_received(wire_bytes);
                         conn.codec = codec;
                         let identity = conn.peer;
-                        if self
-                            .job_tx
-                            .send(Job {
-                                token,
-                                msg,
-                                codec,
-                                identity,
-                                started: Instant::now(),
-                            })
-                            .is_err()
-                        {
-                            self.close_conn(token, CloseReason::Clean);
-                            return false;
-                        }
-                        true
+                        self.dispatch(token, msg, codec, identity, wire_bytes)
                     }
                     Err(e) => {
                         self.metrics.decode_error();
@@ -975,6 +1051,47 @@ impl EventLoop {
                 false
             }
         }
+    }
+
+    /// Gets one decoded request answered; `false` if the connection had to
+    /// be closed instead. With no job outstanding at the router and a frame
+    /// of at most [`INLINE_FRAME_BYTES`], this thread answers it where it
+    /// stands — the router holds nothing, so the coordinator mutex is free —
+    /// and queues the reply; anything else goes to the router, behind
+    /// whatever it holds.
+    fn dispatch(
+        &mut self,
+        token: usize,
+        msg: LazyMsg,
+        codec: CodecKind,
+        identity: Option<[u8; 32]>,
+        wire_bytes: usize,
+    ) -> bool {
+        let started = Instant::now();
+        if self.outstanding == 0 && wire_bytes <= INLINE_FRAME_BYTES {
+            let reply = self
+                .served
+                .lock()
+                .expect("the router panicked mid-request")
+                .answer(msg, identity);
+            self.metrics.answered_inline();
+            self.queue_frame(token, &reply, codec, Some(started));
+            return true;
+        }
+        let job = Job {
+            token,
+            msg,
+            codec,
+            identity,
+            started,
+        };
+        if self.job_tx.send(job).is_err() {
+            // Router gone: the listener is shutting down.
+            self.close_conn(token, CloseReason::Clean);
+            return false;
+        }
+        self.outstanding += 1;
+        true
     }
 
     /// Maintains the stall deadline after a pull came up short. A
@@ -1053,27 +1170,12 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        conn.out.extend_from_slice(bytes);
-        conn.queued_total += bytes.len() as u64;
-        self.flush_conn(token);
-        let Some(conn) = self.conns.get(&token) else {
-            return;
-        };
-        let queued = conn.out.len() - conn.out_pos;
-        self.metrics.write_queue_depth(queued);
-        if queued > self.config.high_water {
-            let err = ProtocolError::Backpressure {
-                queued,
-                high_water: self.config.high_water,
-            };
-            eprintln!("reactor listener: {err}");
-            self.close_conn(token, CloseReason::Backpressure);
-        }
+        conn.out.push(bytes);
+        self.queued(token);
     }
 
     /// Encodes a frame straight into a connection's write queue — sealed in
-    /// place on an established channel — flushes what the socket will take,
-    /// and enforces the high-water mark. Metrics count the bytes queued,
+    /// place on an established channel. Metrics count the bytes queued,
     /// seal included.
     fn queue_frame(
         &mut self,
@@ -1086,15 +1188,12 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        match append_frame(&mut conn.out, msg, codec, max, conn.phase.channel()) {
-            Ok(written) => {
-                conn.queued_total += written as u64;
-                conn.pending_sends.push_back(PendingSend {
-                    end: conn.queued_total,
-                    started,
-                    bytes: written,
-                });
-            }
+        match conn.out.push_frame(msg, codec, max, conn.phase.channel()) {
+            Ok(written) => conn.pending_sends.push_back(PendingSend {
+                end: conn.out.queued_total(),
+                started,
+                bytes: written,
+            }),
             Err(e) => {
                 // An unencodable reply is a server-side bug surfaced safely:
                 // drop the connection rather than desync its framing.
@@ -1103,70 +1202,75 @@ impl EventLoop {
                 return;
             }
         }
-        self.flush_conn(token);
-        let Some(conn) = self.conns.get(&token) else {
+        self.queued(token);
+    }
+
+    /// After every push: marks the connection for the flush that ends the
+    /// turn — or, with more than the high-water mark unwritten, offers the
+    /// bytes to the socket now and cuts a peer that still will not take
+    /// them.
+    fn queued(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let queued = conn.out.len() - conn.out_pos;
-        self.metrics.write_queue_depth(queued);
-        if queued > self.config.high_water {
-            let err = ProtocolError::Backpressure {
-                queued,
-                high_water: self.config.high_water,
-            };
-            eprintln!("reactor listener: {err}");
-            self.close_conn(token, CloseReason::Backpressure);
+        let mut socket = CountedWrites(&conn.stream, &self.metrics);
+        match conn.out.hold_to(self.config.high_water, &mut socket) {
+            Ok(false) => {
+                if !conn.flush_due {
+                    conn.flush_due = true;
+                    self.flush_due.push(token);
+                }
+            }
+            Ok(true) => self.flushed(token),
+            Err(e @ ProtocolError::Backpressure { .. }) => {
+                eprintln!("reactor listener: {e}");
+                self.flushed(token);
+                self.close_conn(token, CloseReason::Backpressure);
+            }
+            Err(_) => self.close_conn(token, CloseReason::Truncated),
         }
     }
 
-    fn handle_write(&mut self, token: usize) {
-        self.flush_conn(token);
-    }
-
-    /// Writes as much queued output as the socket accepts, records completed
-    /// frames, keeps WRITABLE interest only while bytes remain, and finishes
-    /// a pending close once the queue drains.
+    /// Writes as much queued output as the socket accepts — in one `write`
+    /// when it takes it all.
     fn flush_conn(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        loop {
-            let pending = &conn.out[conn.out_pos..];
-            if pending.is_empty() {
-                break;
-            }
-            match conn.stream.write(pending) {
-                Ok(0) => break,
-                Ok(n) => {
-                    conn.out_pos += n;
-                    conn.sent_total += n as u64;
-                    while conn
-                        .pending_sends
-                        .front()
-                        .is_some_and(|p| p.end <= conn.sent_total)
-                    {
-                        let done = conn.pending_sends.pop_front().expect("front checked");
-                        self.metrics.frame_sent(done.bytes);
-                        if let Some(started) = done.started {
-                            self.metrics.record_latency(started.elapsed());
-                        }
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.close_conn(token, CloseReason::Truncated);
-                    return;
-                }
+        conn.flush_due = false;
+        let mut socket = CountedWrites(&conn.stream, &self.metrics);
+        match conn.out.flush(&mut socket) {
+            Ok(()) => self.flushed(token),
+            Err(_) => self.close_conn(token, CloseReason::Truncated),
+        }
+    }
+
+    /// After every write attempt: records the frames that left completely
+    /// and what the socket would not take, keeps WRITABLE interest only
+    /// while bytes remain, and finishes a pending close once the queue
+    /// drains.
+    fn flushed(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        while conn
+            .pending_sends
+            .front()
+            .is_some_and(|p| p.end <= conn.out.written_total())
+        {
+            let done = conn.pending_sends.pop_front().expect("front checked");
+            self.metrics.frame_sent(done.bytes);
+            if let Some(started) = done.started {
+                self.metrics.record_latency(started.elapsed());
             }
         }
-        compact(&mut conn.out, &mut conn.out_pos);
-        let drained = conn.out.is_empty();
-        if drained && conn.closing {
+        let unwritten = conn.out.pending();
+        self.metrics.write_queue_depth(unwritten);
+        if unwritten == 0 && conn.closing {
             self.close_conn(token, CloseReason::Clean);
             return;
         }
-        self.set_write_interest(token, !drained);
+        self.set_write_interest(token, unwritten > 0);
     }
 
     fn set_write_interest(&mut self, token: usize, want_write: bool) {
@@ -1192,16 +1296,19 @@ impl EventLoop {
 
     fn drain_replies(&mut self) {
         while let Ok(reply) = self.reply_rx.try_recv() {
+            self.outstanding -= 1;
             // The connection may have died while its request was at the
-            // router; its reply is simply dropped.
-            if self.conns.contains_key(&reply.token) {
-                self.queue_frame(reply.token, &reply.msg, reply.codec, Some(reply.started));
-            }
+            // router; its reply is simply dropped (`queue_frame` finds no
+            // connection to queue it on).
+            self.queue_frame(reply.token, &reply.msg, reply.codec, Some(reply.started));
         }
     }
 
     /// Cuts connections that stalled mid-frame past the read timeout,
-    /// telling the peer why first (best-effort, one nonblocking write).
+    /// telling the peer why first: the notice is queued behind whatever the
+    /// connection still owes — never into the middle of a half-written
+    /// reply, and on a channel sealed under the next sequence number in
+    /// line — and gets one nonblocking flush before the hangup.
     fn sweep_stalled(&mut self) {
         let now = Instant::now();
         let stalled: Vec<usize> = self
@@ -1211,7 +1318,7 @@ impl EventLoop {
             .map(|(t, _)| *t)
             .collect();
         for token in stalled {
-            if let Some(conn) = self.conns.get_mut(&token) {
+            if let Some(conn) = self.conns.get(&token) {
                 let detail = if matches!(conn.phase, ConnPhase::Handshake(_)) {
                     format!(
                         "handshake stalled past the {:?} read timeout",
@@ -1224,15 +1331,9 @@ impl EventLoop {
                         self.config.read_timeout
                     )
                 };
-                let notice = WireMsg::Error { detail };
-                // An established peer only accepts sealed frames; the
-                // courtesy notice must arrive in one it can open.
-                let mut frame = Vec::new();
-                let max = self.config.max_frame_bytes;
-                if append_frame(&mut frame, &notice, conn.codec, max, conn.phase.channel()).is_ok()
-                {
-                    let _ = conn.stream.write(&frame);
-                }
+                let codec = conn.codec;
+                self.queue_frame(token, &WireMsg::Error { detail }, codec, None);
+                self.flush_conn(token);
             }
             self.close_conn(token, CloseReason::Truncated);
         }

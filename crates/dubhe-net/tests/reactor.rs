@@ -9,7 +9,8 @@
 //! surface as typed flow control, never a panic or a hang.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
@@ -17,10 +18,10 @@ use dubhe_data::ClassDistribution;
 use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
     read_frame, run_registration_with, run_try, ChannelPolicy, CodecKind, Coordinator, Envelope,
-    InMemoryTransport, ListenerStats, Party, ProtocolMsg, ShardedCoordinator, TcpConfig,
-    TcpTransport, TransportStats, WireMsg, SEALED_FRAME_OVERHEAD,
+    InMemoryTransport, ListenerStats, Party, ProtocolMsg, RegistryFrame, ShardedCoordinator,
+    TcpConfig, TcpTransport, TransportStats, WireMsg, SEALED_FRAME_OVERHEAD,
 };
-use dubhe_select::{ClientSelector, DubheConfig, DubheSelector};
+use dubhe_select::{ClientId, ClientSelector, DubheConfig, DubheSelector, ProtocolError};
 use mini_mio::Backend;
 use rand::SeedableRng;
 
@@ -80,8 +81,8 @@ fn drive_session<C: Coordinator>(
 /// test pins totals only after waiting here — and `done` must be a
 /// condition on *monotonic* counters (`connections_closed == n`, never
 /// `connections_open == 0`, which also holds before anything was accepted).
-fn wait_for(
-    reactor: &ReactorListener<ShardedCoordinator>,
+fn wait_for<C: Coordinator + Send + 'static>(
+    reactor: &ReactorListener<C>,
     what: &str,
     done: impl Fn(&ListenerStats) -> bool,
 ) -> ListenerStats {
@@ -257,9 +258,16 @@ fn mux_client_runs_sealed_sessions_end_to_end() {
 /// of `n + 1` envelopes around one length-56 total — 3.6 KB an addressee at
 /// 256-bit keys, so `n = 800` is a 2.9 MB sealed frame.
 fn registry_uploads(n: usize) -> (WireMsg, Vec<Envelope>) {
+    uploads_of_length(n, 56)
+}
+
+/// [`registry_uploads`] at any registry length: 64 B a position at 256-bit
+/// keys, so length 10 is a 0.7 KB frame the event loop may answer itself and
+/// length 100 a 6.4 KB one that is always the router's.
+fn uploads_of_length(n: usize, length: usize) -> (WireMsg, Vec<Envelope>) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xB16);
     let keypair = dubhe_he::Keypair::generate(KEY_BITS, &mut rng);
-    let mut one_hot = [0u64; 56];
+    let mut one_hot = vec![0u64; length];
     one_hot[5] = 1;
     let registry = dubhe_he::EncryptedVector::encrypt_u64(&keypair.public, &one_hot, &mut rng);
     let key_dispatch = WireMsg::Envelope {
@@ -693,4 +701,336 @@ fn slow_loris_byte_at_a_time_frame_still_decodes() {
     assert_eq!(stats.truncated_frames, 0);
     assert_eq!(stats.decode_errors, 0);
     drop(reactor);
+}
+
+/// A coordinator whose deferred-registry path waits at a gate: every `DBH2`
+/// registry upload takes one token from the test before it is folded. A job
+/// held there is a job outstanding at the router for exactly as long as the
+/// test says — the interleaving is forced by a channel, not hoped for with
+/// a sleep.
+struct Gated {
+    inner: ShardedCoordinator,
+    gate: mpsc::Receiver<()>,
+}
+
+impl Coordinator for Gated {
+    fn deliver(&mut self, envelope: Envelope) -> Result<Vec<Envelope>, ProtocolError> {
+        self.inner.deliver(envelope)
+    }
+
+    fn announce_try(
+        &mut self,
+        try_index: usize,
+        participants: &[ClientId],
+    ) -> Result<(), ProtocolError> {
+        Coordinator::announce_try(&mut self.inner, try_index, participants)
+    }
+
+    fn begin_epoch(
+        &mut self,
+        epoch: u64,
+        expected_registrations: usize,
+    ) -> Result<(), ProtocolError> {
+        Coordinator::begin_epoch(&mut self.inner, epoch, expected_registrations)
+    }
+
+    fn close_registration(&mut self) -> Result<Vec<Envelope>, ProtocolError> {
+        Coordinator::close_registration(&mut self.inner)
+    }
+
+    fn close_try(&mut self, try_index: usize) -> Result<Vec<Envelope>, ProtocolError> {
+        Coordinator::close_try(&mut self.inner, try_index)
+    }
+
+    fn deliver_registry_frame(
+        &mut self,
+        frame: RegistryFrame,
+    ) -> Result<Vec<Envelope>, ProtocolError> {
+        self.gate.recv().expect("the test holds the gate open");
+        self.inner.deliver_registry_frame(frame)
+    }
+}
+
+/// What the in-memory coordinator answers `msg` with — the reference every
+/// reply off the wire is held to, whichever thread produced it.
+fn reply_in_memory(reference: &mut ShardedCoordinator, msg: &WireMsg) -> WireMsg {
+    let result = match msg.clone() {
+        WireMsg::Envelope { envelope } => reference
+            .deliver(envelope)
+            .map(|envelopes| WireMsg::Batch { envelopes }),
+        WireMsg::AnnounceTry {
+            try_index,
+            participants,
+        } => Coordinator::announce_try(reference, try_index, &participants).map(|()| WireMsg::Ack),
+        WireMsg::BeginEpoch {
+            epoch,
+            expected_registrations,
+        } => Coordinator::begin_epoch(reference, epoch, expected_registrations)
+            .map(|()| WireMsg::Ack),
+        other => panic!("the tests send no {other:?}"),
+    };
+    result.unwrap_or_else(|e| WireMsg::Error {
+        detail: e.to_string(),
+    })
+}
+
+/// The `DBH2` frames of `msgs`, back to back: one `write_all` of this is one
+/// pipelined burst.
+fn burst_of(msgs: &[WireMsg]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for msg in msgs {
+        dubhe_select::protocol::write_frame_with(&mut bytes, msg, CodecKind::Binary).unwrap();
+    }
+    bytes
+}
+
+fn envelope_msg(envelope: &Envelope) -> WireMsg {
+    WireMsg::Envelope {
+        envelope: envelope.clone(),
+    }
+}
+
+#[test]
+fn frames_behind_a_routed_one_are_routed_and_replies_keep_request_order() {
+    for backend in [Backend::Epoll, Backend::Portable] {
+        let (open_gate, gate) = mpsc::channel();
+        let reactor = ReactorListener::spawn_with(
+            Gated {
+                inner: ShardedCoordinator::new(3, 2),
+                gate,
+            },
+            ReactorConfig::default().with_backend(backend),
+        )
+        .unwrap();
+        let mut reference = ShardedCoordinator::new(3, 2);
+        let (key_dispatch, uploads) = uploads_of_length(3, 100);
+        let mut raw = TcpStream::connect(reactor.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut expect_replies = |raw: &mut TcpStream, msgs: &[WireMsg]| {
+            for msg in msgs {
+                let (reply, _) = read_frame(raw).expect("one reply per request");
+                assert_eq!(reply, reply_in_memory(&mut reference, msg), "{backend:?}");
+            }
+        };
+
+        // Alone, small, router idle: the event loop answers it itself.
+        let alone = [key_dispatch];
+        raw.write_all(&burst_of(&alone)).unwrap();
+        expect_replies(&mut raw, &alone);
+        let stats = wait_for(&reactor, "first reply never counted", |s| {
+            s.frames_sent == 1
+        });
+        assert_eq!(stats.answered_inline, 1, "{backend:?}");
+
+        // One write: a 6.4 KB registry — over the inline bound, so it is the
+        // router's, where the gate holds it — and two small frames behind
+        // it. Once all three are decoded the two small ones have met a job
+        // outstanding, and must have followed it to the router.
+        let burst = [
+            envelope_msg(&uploads[0]),
+            verdict_envelope(1),
+            WireMsg::AnnounceTry {
+                try_index: 0,
+                participants: vec![0, 2],
+            },
+        ];
+        raw.write_all(&burst_of(&burst)).unwrap();
+        wait_for(&reactor, "burst never decoded", |s| s.frames_received == 4);
+        open_gate.send(()).unwrap();
+        expect_replies(&mut raw, &burst);
+        let stats = wait_for(&reactor, "burst never answered", |s| s.frames_sent == 4);
+        assert_eq!(
+            stats.answered_inline, 1,
+            "{backend:?}: nothing overtakes a routed frame"
+        );
+
+        // The router is idle again: a small frame is answered inline again,
+        // a large one is still routed, and the order still holds when the
+        // small one comes first.
+        let burst = [verdict_envelope(2), envelope_msg(&uploads[1])];
+        raw.write_all(&burst_of(&burst)).unwrap();
+        open_gate.send(()).unwrap();
+        expect_replies(&mut raw, &burst);
+        let stats = wait_for(&reactor, "second burst never answered", |s| {
+            s.frames_sent == 6
+        });
+        assert_eq!(stats.answered_inline, 2, "{backend:?}");
+        assert!(stats.socket_reads >= 3 && stats.socket_writes >= 3);
+
+        // A mixed session hands back the same coordinator an in-memory one
+        // would have become.
+        raw.write_all(&burst_of(&[WireMsg::Shutdown])).unwrap();
+        wait_for(&reactor, "connection never drained", |s| {
+            s.connections_closed == 1
+        });
+        let state = reactor.shutdown().expect("listener state").inner;
+        assert_eq!(state.messages_received(), reference.messages_received());
+        assert_eq!(state.messages_received(), 5, "{backend:?}");
+        assert_eq!(state.bytes_received(), reference.bytes_received());
+    }
+}
+
+#[test]
+fn pipelined_small_frames_are_all_answered_inline_in_request_order() {
+    let n = 5;
+    let reactor = ReactorListener::spawn(ShardedCoordinator::new(n, 1)).unwrap();
+    let mut reference = ShardedCoordinator::new(n, 1);
+    let (key_dispatch, uploads) = uploads_of_length(n, 10);
+    let mut burst = vec![key_dispatch];
+    burst.extend(uploads.iter().map(envelope_msg));
+    burst.push(verdict_envelope(0));
+
+    // Seven 0.7 KB-or-less frames in one write, nothing ever at the router:
+    // every one is answered where it was read.
+    let mut raw = TcpStream::connect(reactor.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.write_all(&burst_of(&burst)).unwrap();
+    for (i, msg) in burst.iter().enumerate() {
+        let (reply, _) = read_frame(&mut raw).expect("one reply per request");
+        assert_eq!(reply, reply_in_memory(&mut reference, msg), "reply {i}");
+        // The upload that completes the cohort is answered with the
+        // broadcast, in its place in the order.
+        let broadcast = matches!(&reply, WireMsg::Batch { envelopes } if envelopes.len() == n + 1);
+        assert_eq!(broadcast, i == n, "reply {i}");
+    }
+    let stats = wait_for(&reactor, "replies never counted", |s| {
+        s.frames_sent == burst.len()
+    });
+    assert_eq!(stats.frames_received, burst.len());
+    assert_eq!(stats.answered_inline, burst.len());
+    assert!(stats.socket_reads >= 1);
+    assert!(
+        (1..=burst.len()).contains(&stats.socket_writes),
+        "{} writes for {} replies",
+        stats.socket_writes,
+        burst.len()
+    );
+    let state = reactor.shutdown().expect("listener state");
+    assert_eq!(state.messages_received(), reference.messages_received());
+}
+
+#[test]
+fn refusals_read_the_same_answered_inline_and_through_the_router() {
+    let (open_gate, gate) = mpsc::channel();
+    let reactor = ReactorListener::spawn_with(
+        Gated {
+            inner: ShardedCoordinator::new(3, 1),
+            gate,
+        },
+        ReactorConfig::default().with_channel(ChannelPolicy::Required),
+    )
+    .unwrap();
+    let mut mux = MuxClient::connect(
+        reactor.addr(),
+        2,
+        MuxConfig::default()
+            .with_codec(CodecKind::Binary)
+            .with_channel(ChannelPolicy::Required)
+            .with_expected_server(reactor.public_identity().expect("identity resolved"))
+            .with_exchange_timeout(Duration::from_secs(30)),
+    )
+    .unwrap();
+    let (_, uploads) = uploads_of_length(3, 100);
+    let begin = WireMsg::BeginEpoch {
+        epoch: 2,
+        expected_registrations: 3,
+    };
+    let as_client_7 = |epoch| WireMsg::Envelope {
+        envelope: Envelope {
+            from: Party::Client(7),
+            to: Party::Server,
+            epoch,
+            msg: ProtocolMsg::TryVerdict {
+                best_try: 0,
+                distance: 0.5,
+            },
+        },
+    };
+    let error_text = |reply: &WireMsg| match reply {
+        WireMsg::Error { detail } => detail.clone(),
+        other => panic!("expected a typed refusal, got {other:?}"),
+    };
+
+    // Inline: connection 0 opens epoch 2, then speaks as client 7 at epoch 0
+    // (stale — and the binding of 7 to its identity); connection 1, another
+    // identity, speaks as client 7 (hijack). All small, nothing outstanding.
+    let mut reference = ShardedCoordinator::new(3, 1);
+    let replies = mux.exchange(&[(0, begin.clone())]).unwrap();
+    assert_eq!(replies[0].1, reply_in_memory(&mut reference, &begin));
+    let stale_inline = error_text(&mux.exchange(&[(0, as_client_7(0))]).unwrap()[0].1);
+    let hijack_inline = error_text(&mux.exchange(&[(1, as_client_7(2))]).unwrap()[0].1);
+    let stats = wait_for(&reactor, "inline replies never counted", |s| {
+        s.frames_sent == 3
+    });
+    assert_eq!(stats.answered_inline, 3);
+    assert_eq!(
+        stale_inline,
+        error_text(&reply_in_memory(&mut reference, &as_client_7(0)))
+    );
+    assert!(stale_inline.contains("stale"), "{stale_inline}");
+    assert!(
+        hijack_inline.contains("session hijack refused"),
+        "{hijack_inline}"
+    );
+
+    // Routed: the same two frames, each behind a 6.4 KB registry the gate
+    // holds at the router until both frames of the burst are decoded.
+    let mut routed = Vec::new();
+    for (conn, client, frame) in [(0, 0, as_client_7(0)), (1, 1, as_client_7(2))] {
+        let decoded = reactor.stats().frames_received + 2;
+        let burst = [(conn, envelope_msg(&uploads[client])), (conn, frame)];
+        let replies = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                wait_for(&reactor, "burst never decoded", |s| {
+                    s.frames_received == decoded
+                });
+                open_gate.send(()).unwrap();
+            });
+            mux.exchange(&burst).unwrap()
+        });
+        assert_eq!(replies.len(), 2);
+        routed.push(error_text(&replies[1].1));
+    }
+    let stats = wait_for(&reactor, "routed replies never counted", |s| {
+        s.frames_sent == 7
+    });
+    assert_eq!(stats.answered_inline, 3, "all four went through the router");
+    assert_eq!(routed, [stale_inline, hijack_inline]);
+    mux.shutdown();
+    wait_for(&reactor, "connections never drained", |s| {
+        s.connections_closed == 2
+    });
+    assert!(reactor.shutdown().is_some());
+}
+
+#[test]
+fn a_request_followed_at_once_by_a_close_is_answered_then_reaped_on_both_backends() {
+    // A read that comes back short ends the turn without probing the socket
+    // again, so the EOF right behind the request is not seen by that read:
+    // the level-triggered poller must report it on the next turn — after
+    // the reply has left.
+    for backend in [Backend::Epoll, Backend::Portable] {
+        let reactor = ReactorListener::spawn_with(
+            ShardedCoordinator::new(0, 1),
+            ReactorConfig::default().with_backend(backend),
+        )
+        .unwrap();
+        let mut raw = TcpStream::connect(reactor.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        raw.write_all(&burst_of(&[verdict_envelope(3)])).unwrap();
+        raw.shutdown(Shutdown::Write).unwrap();
+        let (reply, _) = read_frame(&mut raw).expect("the reply precedes the hangup");
+        assert!(
+            matches!(&reply, WireMsg::Batch { envelopes } if envelopes.is_empty()),
+            "{backend:?}: {reply:?}"
+        );
+        let mut rest = Vec::new();
+        assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0, "{backend:?}");
+        let what = format!("{backend:?}: the EOF behind a short read was never re-reported");
+        let stats = wait_for(&reactor, &what, |s| s.connections_closed == 1);
+        assert_eq!((stats.frames_received, stats.frames_sent), (1, 1));
+        assert_eq!(stats.truncated_frames, 0, "{backend:?}");
+        let state = reactor.shutdown().expect("listener state");
+        assert_eq!(state.messages_received(), 1);
+    }
 }

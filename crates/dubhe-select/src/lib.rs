@@ -98,8 +98,8 @@
 //! ## Example: the identical exchange over loopback TCP
 //!
 //! [`TcpTransport`] connects the same driver slot to `dubhe-net`'s
-//! `ReactorListener` across real sockets — length-prefixed frames, a
-//! mutex-free event-loop listener, typed errors on every failure mode:
+//! `ReactorListener` across real sockets — length-prefixed frames, an
+//! event-loop listener, typed errors on every failure mode:
 //!
 //! ```
 //! use dubhe_data::federated::{DatasetFamily, FederatedSpec};

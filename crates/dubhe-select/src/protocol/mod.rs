@@ -63,7 +63,7 @@
 //!   folds that advance rayon-parallel and merge into a bit-identical total;
 //! * [`TcpTransport`] → `dubhe_net::ReactorListener` — the same messages as
 //!   length-prefixed frames (see [`wire`]) over real loopback sockets, served
-//!   by `dubhe-net`'s mutex-free event-loop listener. The frame payload codec
+//!   by `dubhe-net`'s event-loop listener. The frame payload codec
 //!   is pluggable (see [`codec`]): `DBH1` JSON for compatibility, `DBH2`
 //!   canonical binary for wire traffic within 1.10× of the paper's
 //!   communication model, negotiated per connection from the frame magic.

@@ -11,10 +11,10 @@
 //! consumer needs no dependency on the listener crate.
 //!
 //! The recorder is all atomics plus one mutex around the latency histogram —
-//! observability only, never on the coordinator-state path, so the
-//! listener's "mutex-free protocol state" property is untouched.
+//! observability only, never on the coordinator-state path, and never held
+//! while the listener's one coordinator mutex is.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -174,6 +174,14 @@ pub struct ListenerStats {
     /// Plaintext protocol frames refused because the listener requires the
     /// authenticated channel (downgrade attempts).
     pub downgrades_refused: usize,
+    /// Requests the event-loop thread answered itself — the router was idle
+    /// and the frame small — instead of handing them to the router thread.
+    pub answered_inline: usize,
+    /// `read` calls made on connection sockets.
+    pub socket_reads: usize,
+    /// `write` calls made on connection sockets; `frames_sent` over this is
+    /// how many replies one write carried on average.
+    pub socket_writes: usize,
     /// Per-request latency (frame decoded → reply handed to the socket).
     pub latency: LatencySummary,
 }
@@ -202,10 +210,10 @@ pub struct ListenerMetrics {
     handshakes_failed: AtomicUsize,
     aead_rejections: AtomicUsize,
     downgrades_refused: AtomicUsize,
+    answered_inline: AtomicUsize,
+    socket_reads: AtomicUsize,
+    socket_writes: AtomicUsize,
     latency_us_hist: Mutex<LatencyHistogram>,
-    /// Kept alongside the histogram mutex so `record_latency` stays a single
-    /// lock even under merge-heavy load.
-    _reserved: AtomicU64,
 }
 
 fn bump_max(slot: &AtomicUsize, candidate: usize) {
@@ -293,6 +301,21 @@ impl ListenerMetrics {
         self.downgrades_refused.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one request answered on the event-loop thread.
+    pub fn answered_inline(&self) {
+        self.answered_inline.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one `read` call on a connection socket.
+    pub fn socket_read(&self) {
+        self.socket_reads.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one `write` call on a connection socket.
+    pub fn socket_write(&self) {
+        self.socket_writes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one request latency (frame decoded → reply handed off).
     pub fn record_latency(&self, latency: Duration) {
         self.latency_us_hist
@@ -323,6 +346,9 @@ impl ListenerMetrics {
             handshakes_failed: self.handshakes_failed.load(Ordering::Relaxed),
             aead_rejections: self.aead_rejections.load(Ordering::Relaxed),
             downgrades_refused: self.downgrades_refused.load(Ordering::Relaxed),
+            answered_inline: self.answered_inline.load(Ordering::Relaxed),
+            socket_reads: self.socket_reads.load(Ordering::Relaxed),
+            socket_writes: self.socket_writes.load(Ordering::Relaxed),
             latency: self
                 .latency_us_hist
                 .lock()
@@ -385,6 +411,10 @@ mod tests {
         m.aead_rejection();
         m.aead_rejection();
         m.downgrade_refused();
+        m.answered_inline();
+        m.socket_read();
+        m.socket_read();
+        m.socket_write();
         m.record_latency(Duration::from_micros(42));
         let s = m.snapshot();
         assert_eq!(s.connections_accepted, 2);
@@ -398,6 +428,10 @@ mod tests {
         assert_eq!(s.handshakes_failed, 1);
         assert_eq!(s.aead_rejections, 2);
         assert_eq!(s.downgrades_refused, 1);
+        assert_eq!(
+            (s.answered_inline, s.socket_reads, s.socket_writes),
+            (1, 2, 1)
+        );
         assert_eq!(s.latency.count, 1);
         // Snapshots serialize for the bench report.
         let json = serde_json::to_string(&s).unwrap();
