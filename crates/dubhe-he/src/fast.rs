@@ -56,14 +56,33 @@
 //! key's cached contexts, and Garner-recombines the two legs to the unique
 //! residue mod `n²`. Because both tiers share one `h` per key handle and the
 //! same exponent sampling, their ciphertexts are **bit-for-bit identical**
-//! given the same randomness stream. A client builds one such encryptor per
-//! epoch for a handful of ciphertexts, which is why the table is a comb (two
-//! legs build in ≈ 0.3 ms at 1024 bits, 64 KiB resident) and not the larger
-//! table a long-lived encryptor would amortise; the benchmark's
-//! `he.encryptor_build_ms` / `he.encrypt_vec_ms` rungs carry the numbers.
+//! given the same randomness stream.
+//!
+//! The two per-leg combs are a pure function of `(p, q, h)`, so they are
+//! built **once per key per process**: the first [`CrtEncryptor`] made from
+//! any clone of a [`PrivateKey`] builds them (≈ 0.35 ms at 1024 bits, 64 KiB
+//! resident) into the key's shared half, and every later one — the other
+//! N − 1 clients of a simulated epoch, which all hold clones of the one
+//! dispatched key — is two refcount bumps. That base also owns the batch
+//! counter: elements encrypted under the key by *any* of its encryptors
+//! count towards one 512-element threshold, so a cohort that together
+//! encrypts past it widens the tables once (2 MiB at 1024 bits, 0.5 MiB at
+//! 256) and all of it walks them from then on; the base and its tables go
+//! when the last clone of the key does. This is sharing inside one process
+//! only: a real client, alone in its process with a key it decoded from the
+//! wire, builds one comb per key exactly as before — which is why the table
+//! is a comb and not the larger one a long-lived encryptor would amortise.
+//! What went away is a simulator paying for it N times. The base serves the
+//! `h` it was built from; a [`PublicKey`] handle that sampled another `h`
+//! (the same modulus decoded twice) gets combs of its own, built per
+//! encryptor and not kept, and stays bit-identical to its own precomputed
+//! tier. (The benchmark's `he.encryptor_build_ms` / `he.encrypt_vec_ms` rungs
+//! reuse one key, so they time the shared path; the cold build is pinned in
+//! `tests/alloc_counting.rs`.)
 //! [`EpochEncryptor::for_key_material`] picks the best tier the key
 //! material in hand supports.
 
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -100,14 +119,15 @@ const COMB_STEPS: u64 = 2 * COMB_COLUMNS as u64;
 /// per window): one multiplication per byte of the exponent, no squarings.
 const WIDE_WINDOW_BITS: usize = 8;
 
-/// Cumulative elements an encryptor must have batch-encrypted before its
-/// 8-bit wide tables are built. Expanding a wide table costs a 248-squaring
-/// chain plus `32 rows × 254` multiplications per leg, and a walk over it
-/// spends 32 multiplications per exponent where the comb spends 31 squarings
-/// (≈ 0.85 of a multiplication each) and 32 multiplications — ~27 saved per
-/// element, so the break-even sits near 320 elements per leg; one-shot
-/// registry encryptions (a simulated client encrypts one 56-element vector,
-/// ever) stay on the comb and never pay the expansion.
+/// Cumulative elements a key's encryptors of one tier must have
+/// batch-encrypted before the tier's 8-bit wide tables are built. Expanding
+/// a wide table costs a 248-squaring chain plus `32 rows × 254`
+/// multiplications per leg, and a walk over it spends 32 multiplications per
+/// exponent where the comb spends 31 squarings (≈ 0.85 of a multiplication
+/// each) and 32 multiplications — ~27 saved per element, so the break-even
+/// sits near 320 elements per leg; a key that only ever encrypts one
+/// registry (a real client: one 56-element vector per key) stays on the
+/// comb and never pays the expansion.
 const WIDE_TABLE_MIN_ELEMENTS: u64 = 512;
 
 /// Elements per interleaved-walk chunk: one scratch arena (and one pass of
@@ -369,7 +389,7 @@ pub(crate) fn sample_exponents<R: Rng + ?Sized>(count: usize, rng: &mut R) -> Ve
 /// Montgomery domain of the key's cached context for `s`, so a power of `h`
 /// is a chain of in-place Montgomery squarings and multiplications with a
 /// single conversion out.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct WindowLeg {
     /// The key's Montgomery context for this leg's modulus.
     ctx: MontgomeryContext,
@@ -505,21 +525,15 @@ impl WideLeg {
     }
 }
 
-/// CRT-split fast Paillier encryptor — the hot path when the *keypair* is
-/// available (clients and the agent hold it; the coordinator, which never
-/// sees the private key, structurally cannot build one).
-///
-/// Instead of evaluating the fixed-base comb modulo `n²`, the randomness
-/// component `hˣ` is evaluated modulo `p²` and `q²` — half-width operands,
-/// so each multiplication costs a quarter of its full-width counterpart —
-/// through the private key's cached Montgomery contexts, and the two legs
-/// are CRT-recombined to the unique residue mod `n² = p²·q²`. The output is
-/// **bit-for-bit identical** to [`PrecomputedEncryptor`] for the same key
-/// handle and randomness stream (both compute the same `hˣ mod n²`), which
-/// the property tests pin; only the arithmetic route differs.
-#[derive(Debug, Clone)]
-pub struct CrtEncryptor {
-    public: PublicKey,
+/// The CRT encryption base of one private key: the fixed-base state for
+/// `h` under `p²` and `q²`, plus what recombines the two legs. A pure
+/// function of `(p, q, h)`, built once per key per process and held behind
+/// the shared [`PrivateKey`] handle (`PrivateKey::crt_base`), where every
+/// [`CrtEncryptor`] of the key finds it. `h mod p²` next to the public `h`
+/// gives the factors away, so the base is as secret as they are.
+pub(crate) struct CrtBase {
+    /// The subgroup generator the combs were built from.
+    h: BigUint,
     p_leg: WindowLeg,
     q_leg: WindowLeg,
     /// `(q²)⁻¹ mod p²` (Garner's recombination constant), stored in the
@@ -527,46 +541,40 @@ pub struct CrtEncryptor {
     /// is one Montgomery multiply — `(q2_inv·R)·diff·R⁻¹ = q2_inv·diff mod
     /// p²` — instead of a full-width multiply plus a Knuth division.
     q2_inv_mont: MontgomeryOperand,
-    /// Batch-volume counter + lazily widened per-leg 8-bit tables, shared
-    /// by clones so every handle to this encryptor amortises one expansion.
-    batch: Arc<BatchState<(WideLeg, WideLeg)>>,
+    /// Batch-volume counter + lazily widened per-leg 8-bit tables: every
+    /// encryptor of the key counts into it, so the key as a whole amortises
+    /// one expansion.
+    batch: BatchState<(WideLeg, WideLeg)>,
 }
 
-impl CrtEncryptor {
-    /// Binds to a keypair, sampling (or reusing) the key's shared subgroup
-    /// generator and building its two per-leg Montgomery combs.
-    pub fn new<R: Rng + ?Sized>(keypair: &Keypair, rng: &mut R) -> Result<Self, HeError> {
-        CrtEncryptor::from_keys(&keypair.public, &keypair.private, rng)
+impl fmt::Debug for CrtBase {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("CrtBase(<redacted>)")
     }
+}
 
-    /// [`new`](Self::new) from the two key halves. Returns
-    /// [`HeError::KeyMismatch`] if `private` does not belong to `public`.
-    pub fn from_keys<R: Rng + ?Sized>(
-        public: &PublicKey,
-        private: &PrivateKey,
-        rng: &mut R,
-    ) -> Result<Self, HeError> {
-        if !private.public.same_key(public) {
-            return Err(HeError::KeyMismatch);
-        }
-        // The same h = g₀ⁿ as the single-modulus path: encryptors on the
-        // same key handle share one subgroup generator, which is what makes
-        // their outputs interchangeable bit for bit — without forcing the
-        // full-width n² comb (which only the precomputed tier uses) to
-        // exist.
-        let h = public.subgroup_h(rng);
+impl CrtBase {
+    /// Builds the two per-leg Montgomery combs for `h` through the private
+    /// key's cached contexts.
+    pub(crate) fn new(private: &PrivateKey, h: &BigUint) -> Result<Self, HeError> {
         let (p_ctx, q_ctx) = private.crt_contexts();
         let q2_inv = private.q_squared_inverse().ok_or(HeError::MalformedKey {
             detail: "q² is not invertible modulo p²",
         })?;
         let mut scratch = MontgomeryScratch::new();
-        Ok(CrtEncryptor {
-            public: public.clone(),
+        Ok(CrtBase {
+            h: h.clone(),
             p_leg: WindowLeg::new(p_ctx, h, &mut scratch),
             q_leg: WindowLeg::new(q_ctx, h, &mut scratch),
             q2_inv_mont: p_ctx.to_montgomery(&q2_inv),
-            batch: Arc::new(BatchState::default()),
+            batch: BatchState::default(),
         })
+    }
+
+    /// `true` if this base serves `h` — the combs are of no use to a public
+    /// handle that sampled another generator.
+    pub(crate) fn built_from(&self, h: &BigUint) -> bool {
+        self.h == *h
     }
 
     /// Garner recombination of the two leg residues to the unique residue
@@ -586,18 +594,15 @@ impl CrtEncryptor {
             .raw_residue();
         a_q + q_squared * t
     }
-}
 
-impl Encryptor for CrtEncryptor {
-    fn public_key(&self) -> &PublicKey {
-        &self.public
-    }
-
-    fn randomizer_for(&self, x: &BigUint) -> BigUint {
+    /// `hˣ mod n²`.
+    fn pow(&self, x: &BigUint) -> BigUint {
         self.recombine(self.p_leg.pow(x), self.q_leg.pow(x))
     }
 
-    fn randomizers_for(&self, xs: &[BigUint]) -> Vec<BigUint> {
+    /// Batch `hˣ mod n²`: the interleaved walk down both legs, chunk by
+    /// chunk. Bit-identical to mapping [`pow`](Self::pow).
+    fn pow_batch(&self, xs: &[BigUint]) -> Vec<BigUint> {
         let wide = self.batch.wide_for(xs.len(), || {
             (WideLeg::new(&self.p_leg), WideLeg::new(&self.q_leg))
         });
@@ -621,15 +626,76 @@ impl Encryptor for CrtEncryptor {
     }
 }
 
+/// CRT-split fast Paillier encryptor — the hot path when the *keypair* is
+/// available (clients and the agent hold it; the coordinator, which never
+/// sees the private key, structurally cannot build one).
+///
+/// Instead of evaluating the fixed-base comb modulo `n²`, the randomness
+/// component `hˣ` is evaluated modulo `p²` and `q²` — half-width operands,
+/// so each multiplication costs a quarter of its full-width counterpart —
+/// through the private key's cached Montgomery contexts, and the two legs
+/// are CRT-recombined to the unique residue mod `n² = p²·q²`. The output is
+/// **bit-for-bit identical** to [`PrecomputedEncryptor`] for the same key
+/// handle and randomness stream (both compute the same `hˣ mod n²`), which
+/// the property tests pin; only the arithmetic route differs.
+///
+/// The encryptor itself is two handles: the combs live with the private key
+/// and are shared by every encryptor made from any clone of it.
+#[derive(Debug, Clone)]
+pub struct CrtEncryptor {
+    public: PublicKey,
+    base: Arc<CrtBase>,
+}
+
+impl CrtEncryptor {
+    /// Binds to a keypair, sampling (or reusing) the key's shared subgroup
+    /// generator and building (or reusing) its two per-leg Montgomery combs.
+    pub fn new<R: Rng + ?Sized>(keypair: &Keypair, rng: &mut R) -> Result<Self, HeError> {
+        CrtEncryptor::from_keys(&keypair.public, &keypair.private, rng)
+    }
+
+    /// [`new`](Self::new) from the two key halves. Returns
+    /// [`HeError::KeyMismatch`] if `private` does not belong to `public`.
+    pub fn from_keys<R: Rng + ?Sized>(
+        public: &PublicKey,
+        private: &PrivateKey,
+        rng: &mut R,
+    ) -> Result<Self, HeError> {
+        if !private.public.same_key(public) {
+            return Err(HeError::KeyMismatch);
+        }
+        // The same h = g₀ⁿ as the single-modulus path: encryptors on the
+        // same key handle share one subgroup generator, which is what makes
+        // their outputs interchangeable bit for bit — without forcing the
+        // full-width n² comb (which only the precomputed tier uses) to
+        // exist.
+        let h = public.subgroup_h(rng);
+        Ok(CrtEncryptor {
+            public: public.clone(),
+            base: private.crt_base(h)?,
+        })
+    }
+}
+
+impl Encryptor for CrtEncryptor {
+    fn public_key(&self) -> &PublicKey {
+        &self.public
+    }
+
+    fn randomizer_for(&self, x: &BigUint) -> BigUint {
+        self.base.pow(x)
+    }
+
+    fn randomizers_for(&self, xs: &[BigUint]) -> Vec<BigUint> {
+        self.base.pow_batch(xs)
+    }
+}
+
 /// The encryptor an epoch participant uses, chosen from the key material it
 /// holds: parties with the private key (selection clients, the agent, the
 /// simulator) run the CRT-split path, public-key-only parties the
 /// single-modulus precomputed path. The choice is invisible downstream —
 /// both produce bit-identical ciphertexts from the same randomness stream.
-// The CRT variant carries two per-leg comb handles and is built once per
-// epoch per participant, then only borrowed; boxing it would add a pointer
-// chase to every randomizer evaluation for no allocation win that matters.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum EpochEncryptor {
     /// Public-key-only fixed-base path.
@@ -833,6 +899,155 @@ mod tests {
         for round in 0..rounds {
             assert_eq!(crt.randomizers_for(&xs), scalar, "crt tier, round {round}");
             assert_eq!(pre.randomizers_for(&xs), scalar, "pre tier, round {round}");
+        }
+    }
+
+    /// A copy of the keypair as another process would hold it: decoded from
+    /// the canonical bytes, nothing sampled and nothing built.
+    fn cold_copy(sk: &crate::PrivateKey) -> (crate::PublicKey, crate::PrivateKey) {
+        let mut bytes = Vec::new();
+        crate::codec::encode_private_key(sk, &mut bytes);
+        let cold = crate::codec::decode_private_key(&mut &bytes[..]).unwrap();
+        (cold.public.clone(), cold)
+    }
+
+    /// The CRT encryptor `for_key_material` hands a keypair holder.
+    fn epoch_crt<R: Rng>(
+        pk: &crate::PublicKey,
+        sk: &crate::PrivateKey,
+        rng: &mut R,
+    ) -> CrtEncryptor {
+        match EpochEncryptor::for_key_material(pk, Some(sk), rng) {
+            EpochEncryptor::Crt(enc) => enc,
+            EpochEncryptor::Precomputed(_) => panic!("keypair holders get the CRT tier"),
+        }
+    }
+
+    #[test]
+    fn every_clone_of_a_private_key_is_served_the_same_base() {
+        let (pk, sk, mut rng) = setup();
+        let first = CrtEncryptor::from_keys(&pk, &sk, &mut rng).unwrap();
+        for _ in 0..200 {
+            let enc = epoch_crt(&pk.clone(), &sk.clone(), &mut rng);
+            assert!(Arc::ptr_eq(&enc.base, &first.base));
+        }
+        // A decoded copy is the same key but another handle: its own base.
+        let (cold_pk, cold_sk) = cold_copy(&sk);
+        assert_eq!(cold_sk, sk);
+        let cold = CrtEncryptor::from_keys(&cold_pk, &cold_sk, &mut rng).unwrap();
+        assert!(!Arc::ptr_eq(&cold.base, &first.base));
+    }
+
+    #[test]
+    fn a_warm_base_and_a_cold_one_encrypt_bit_identically() {
+        let (pk, sk, _) = setup();
+        let (cold_pk, cold_sk) = cold_copy(&sk);
+        // Each handle samples its h on first use: the same stream, the same h.
+        let sample = || rand::rngs::StdRng::seed_from_u64(0x5A3E);
+        let first = CrtEncryptor::from_keys(&pk, &sk, &mut sample()).unwrap();
+        // Other holders of the key take its shared counter past the
+        // wide-table upgrade before this one encrypts anything.
+        let xs = sample_exponents(WIDE_TABLE_MIN_ELEMENTS as usize, &mut sample());
+        first.randomizers_for(&xs);
+        let warm = CrtEncryptor::from_keys(&pk, &sk, &mut NoRng).unwrap();
+        assert!(warm.base.batch.wide.get().is_some());
+        let cold = CrtEncryptor::from_keys(&cold_pk, &cold_sk, &mut sample()).unwrap();
+        assert!(cold.base.built_from(&warm.base.h), "same h on both handles");
+
+        let values: Vec<u64> = (0..56).collect();
+        let (mut warm_rng, mut cold_rng) = (sample(), sample());
+        // The cold base starts on its comb and crosses the threshold itself
+        // part-way through; the warm one walks wide tables throughout.
+        for round in 0..(WIDE_TABLE_MIN_ELEMENTS as usize / values.len() + 2) {
+            assert_eq!(
+                warm.encrypt_u64(round as u64, &mut warm_rng).raw(),
+                cold.encrypt_u64(round as u64, &mut cold_rng).raw(),
+                "scalar, round {round}"
+            );
+            let a = crate::EncryptedVector::encrypt_u64_with(&warm, &values, &mut warm_rng);
+            let b = crate::EncryptedVector::encrypt_u64_with(&cold, &values, &mut cold_rng);
+            let raw = |v: &crate::EncryptedVector| -> Vec<BigUint> {
+                v.elements().iter().map(|c| c.raw().clone()).collect()
+            };
+            assert_eq!(raw(&a), raw(&b), "batch, round {round}");
+        }
+        assert!(
+            cold.base.batch.wide.get().is_some(),
+            "the cold base crossed"
+        );
+    }
+
+    #[test]
+    fn a_public_handle_with_another_h_is_not_served_the_cached_base() {
+        let (pk, sk, mut rng) = setup();
+        let cached = CrtEncryptor::from_keys(&pk, &sk, &mut rng).unwrap();
+        // The same modulus decoded again: a handle that samples its own h.
+        let (other_pk, _) = cold_copy(&sk);
+        let other = CrtEncryptor::from_keys(&other_pk, &sk, &mut rng).unwrap();
+        assert!(!other.base.built_from(&cached.base.h), "two handles, two h");
+        assert!(!Arc::ptr_eq(&other.base, &cached.base));
+        let pre = PrecomputedEncryptor::new(&other_pk, &mut NoRng);
+        let xs = sample_exponents(9, &mut rng);
+        assert_eq!(other.randomizers_for(&xs), pre.randomizers_for(&xs));
+        for x in &xs {
+            assert_eq!(other.randomizer_for(x), pre.randomizer_for(x));
+        }
+        // The key still serves its first handle from the cache.
+        let again = CrtEncryptor::from_keys(&pk, &sk, &mut NoRng).unwrap();
+        assert!(Arc::ptr_eq(&again.base, &cached.base));
+    }
+
+    #[test]
+    fn racing_first_builds_on_one_key_share_one_base() {
+        let (pk, sk, mut rng) = setup();
+        let xs = sample_exponents(5, &mut rng);
+        let start = std::sync::Barrier::new(8);
+        let built: Vec<(CrtEncryptor, Vec<BigUint>)> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..8u64)
+                .map(|i| {
+                    let (pk, sk, xs, start) = (pk.clone(), sk.clone(), &xs, &start);
+                    scope.spawn(move || {
+                        let mut rng = rand::rngs::StdRng::seed_from_u64(i);
+                        start.wait();
+                        let enc = epoch_crt(&pk, &sk, &mut rng);
+                        let out = enc.randomizers_for(xs);
+                        (enc, out)
+                    })
+                })
+                .collect();
+            racers
+                .into_iter()
+                .map(|r| r.join().expect("racer"))
+                .collect()
+        });
+        let pre = PrecomputedEncryptor::new(&pk, &mut NoRng);
+        for (enc, out) in &built {
+            assert!(Arc::ptr_eq(&enc.base, &built[0].0.base));
+            assert_eq!(out, &pre.randomizers_for(&xs));
+        }
+    }
+
+    #[test]
+    fn debug_output_of_the_crt_tier_prints_no_secret() {
+        let (pk, sk, mut rng) = setup();
+        let crt = epoch_crt(&pk, &sk, &mut rng);
+        let enc = EpochEncryptor::Crt(crt.clone());
+        let kp = Keypair {
+            public: pk.clone(),
+            private: sk.clone(),
+        };
+        let printed = format!("{enc:?} {sk:?} {kp:?}");
+        assert!(printed.contains("<redacted>"), "{printed}");
+        let (p, q) = sk.primes();
+        for secret in [p, q, crt.base.p_leg.ctx.modulus()] {
+            assert!(!printed.contains(&secret.to_string()), "a factor printed");
+        }
+        for leg in [&crt.base.p_leg, &crt.base.q_leg] {
+            for entry in [0, 1, 254] {
+                for limb in leg.table.entry(entry).raw_residue().to_u64_digits() {
+                    assert!(!printed.contains(&limb.to_string()), "a comb limb printed");
+                }
+            }
         }
     }
 

@@ -23,7 +23,17 @@
 //! The handle also carries the lazily built fixed-base table behind
 //! [`PrecomputedEncryptor`](crate::PrecomputedEncryptor) (see [`crate::fast`]),
 //! so every consumer of the same key shares one table.
+//!
+//! A [`PrivateKey`] is the same kind of handle over the factors and
+//! everything derived from them: the dispatched key of Fig. 4 is one
+//! allocation however many in-process parties hold it. Its shared half also
+//! carries the lazily built `p²`/`q²` combs behind
+//! [`CrtEncryptor`](crate::CrtEncryptor), so they are built once per key per
+//! process, live until the last clone of the key is dropped, and — like the
+//! factors — never appear in `Debug` output. Sharing is by handle only: a key
+//! decoded from bytes is a new handle with nothing built yet.
 
+use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use num_bigint::{BigUint, MontgomeryContext, RandBigInt};
@@ -34,7 +44,7 @@ use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::ciphertext::Ciphertext;
 use crate::error::HeError;
-use crate::fast::FastBase;
+use crate::fast::{CrtBase, FastBase};
 use crate::prime::{generate_prime_pair, lift_inverse_squared, mod_inverse};
 use crate::vector::{map_indexed, Work};
 
@@ -274,20 +284,9 @@ impl Deserialize for PublicKey {
     }
 }
 
-/// The private (decryption) half of a Paillier keypair.
-///
-/// In Dubhe this key is dispatched by a randomly chosen *agent* client to all
-/// clients; the server never holds it.
-///
-/// Serialization carries only the prime factors `p`, `q` (plus the public
-/// modulus) — everything else, including the per-key Montgomery contexts for
-/// `p²` and `q²`, is recomputed on deserialization. This keeps the wire form
-/// aligned with the transport size model (two half-modulus factors) and lets
-/// every decryption reuse cached contexts instead of re-deriving `R²`.
-#[derive(Debug, Clone)]
-pub struct PrivateKey {
-    /// The public key this private key belongs to.
-    pub public: PublicKey,
+/// The private-key material, shared behind an [`Arc`] by every clone of the
+/// handle. Deliberately not `Debug`: every field is, or reveals, a factor.
+struct PrivateKeyInner {
     /// Prime factor `p` of `n`.
     p: BigUint,
     /// Prime factor `q` of `n`.
@@ -306,12 +305,48 @@ pub struct PrivateKey {
     h_q: BigUint,
     /// `q⁻¹ mod p` for CRT recombination.
     q_inv_p: BigUint,
+    /// Lazily built CRT encryption base (see `crate::fast`): the first
+    /// encryptor made from any clone of this key builds it, the rest share
+    /// it. A failed build is remembered too — it depends on the key alone.
+    crt: OnceLock<Result<Arc<CrtBase>, HeError>>,
+}
+
+/// The private (decryption) half of a Paillier keypair.
+///
+/// In Dubhe this key is dispatched by a randomly chosen *agent* client to all
+/// clients; the server never holds it.
+///
+/// `PrivateKey` is a shared handle like [`PublicKey`]: `clone()` is two
+/// refcount bumps, and equality compares handle identity before factors.
+/// Its `Debug` form prints the key size and nothing secret.
+///
+/// Serialization carries only the prime factors `p`, `q` (plus the public
+/// modulus) — everything else, including the per-key Montgomery contexts for
+/// `p²` and `q²`, is recomputed on deserialization. This keeps the wire form
+/// aligned with the transport size model (two half-modulus factors) and lets
+/// every decryption reuse cached contexts instead of re-deriving `R²`.
+#[derive(Clone)]
+pub struct PrivateKey {
+    /// The public key this private key belongs to.
+    pub public: PublicKey,
+    inner: Arc<PrivateKeyInner>,
+}
+
+impl fmt::Debug for PrivateKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PrivateKey")
+            .field("bits", &self.public.bits())
+            .field("factors", &format_args!("<redacted>"))
+            .finish()
+    }
 }
 
 impl PartialEq for PrivateKey {
     fn eq(&self, other: &Self) -> bool {
         // Everything else is derived from (public, p, q).
-        self.public == other.public && self.p == other.p && self.q == other.q
+        self.public == other.public
+            && (Arc::ptr_eq(&self.inner, &other.inner)
+                || (self.inner.p == other.inner.p && self.inner.q == other.inner.q))
     }
 }
 
@@ -354,15 +389,18 @@ impl PrivateKey {
 
         Ok(PrivateKey {
             public,
-            p,
-            q,
-            p_minus_1,
-            q_minus_1,
-            p_ctx,
-            q_ctx,
-            h_p,
-            h_q,
-            q_inv_p,
+            inner: Arc::new(PrivateKeyInner {
+                p,
+                q,
+                p_minus_1,
+                q_minus_1,
+                p_ctx,
+                q_ctx,
+                h_p,
+                h_q,
+                q_inv_p,
+                crt: OnceLock::new(),
+            }),
         })
     }
 
@@ -372,14 +410,14 @@ impl PrivateKey {
 
     /// The prime factors `(p, q)` — for the canonical codec only.
     pub(crate) fn primes(&self) -> (&BigUint, &BigUint) {
-        (&self.p, &self.q)
+        (&self.inner.p, &self.inner.q)
     }
 
     /// The cached Montgomery contexts for `p²` and `q²` (in that order) —
     /// the CRT encryptor evaluates its fixed-base tables through these, so
     /// no exponentiation under a live key re-derives `R²`.
     pub(crate) fn crt_contexts(&self) -> (&MontgomeryContext, &MontgomeryContext) {
-        (&self.p_ctx, &self.q_ctx)
+        (&self.inner.p_ctx, &self.inner.q_ctx)
     }
 
     /// `(q²)⁻¹ mod p²`, Garner's constant for recombining the CRT
@@ -387,7 +425,22 @@ impl PrivateKey {
     /// [`lift_inverse_squared`]) rather than inverted afresh. `None` only
     /// if the lift fails its own check.
     pub(crate) fn q_squared_inverse(&self) -> Option<BigUint> {
-        lift_inverse_squared(&self.q_inv_p, &self.q, self.p_ctx.modulus())
+        let key = &*self.inner;
+        lift_inverse_squared(&key.q_inv_p, &key.q, key.p_ctx.modulus())
+    }
+
+    /// The key's shared CRT encryption base for the subgroup generator `h`,
+    /// built by whichever clone asks first (concurrent first callers wait
+    /// for that one build). The base is a function of `(p, q, h)`, and `h`
+    /// is sampled per *public* handle, so a caller holding another `h` gets
+    /// a base of its own, built fresh and not kept.
+    pub(crate) fn crt_base(&self, h: &BigUint) -> Result<Arc<CrtBase>, HeError> {
+        let build = || CrtBase::new(self, h).map(Arc::new);
+        match self.inner.crt.get_or_init(build) {
+            Ok(base) if base.built_from(h) => Ok(Arc::clone(base)),
+            Ok(_) => build(),
+            Err(e) => Err(e.clone()),
+        }
     }
 
     /// CRT decryption of a raw ciphertext value in `Z*_{n²}`.
@@ -396,20 +449,19 @@ impl PrivateKey {
     /// Montgomery contexts: batch decryption pays zero `R²` setups instead
     /// of two per element.
     fn decrypt_raw(&self, c: &BigUint) -> BigUint {
+        let key = &*self.inner;
         // m_p = L_p(c^{p-1} mod p²) · h_p mod p
-        let m_p =
-            (l_function(&self.p_ctx.modpow(c, &self.p_minus_1), &self.p) * &self.h_p) % &self.p;
-        let m_q =
-            (l_function(&self.q_ctx.modpow(c, &self.q_minus_1), &self.q) * &self.h_q) % &self.q;
+        let m_p = (l_function(&key.p_ctx.modpow(c, &key.p_minus_1), &key.p) * &key.h_p) % &key.p;
+        let m_q = (l_function(&key.q_ctx.modpow(c, &key.q_minus_1), &key.q) * &key.h_q) % &key.q;
 
         // CRT recombination: m = m_q + q·((m_p - m_q)·q⁻¹ mod p)
         let diff = if m_p >= m_q {
-            (&m_p - &m_q) % &self.p
+            (&m_p - &m_q) % &key.p
         } else {
-            (&self.p - ((&m_q - &m_p) % &self.p)) % &self.p
+            (&key.p - ((&m_q - &m_p) % &key.p)) % &key.p
         };
-        let t = (diff * &self.q_inv_p) % &self.p;
-        m_q + &self.q * t
+        let t = (diff * &key.q_inv_p) % &key.p;
+        m_q + &key.q * t
     }
 
     /// Decrypts a ciphertext to its arbitrary-precision plaintext in `[0, n)`.
@@ -432,7 +484,7 @@ impl PrivateKey {
         // bit (three quarters of a multiply) plus a multiply per window
         // (every sixth bit at these lengths) and the odd-power table —
         // about one multiply per exponent bit per leg.
-        let ladders = Work::new(2 * self.p.bits(), self.p_ctx.modulus());
+        let ladders = Work::new(2 * self.inner.p.bits(), self.inner.p_ctx.modulus());
         map_indexed(cts.len(), ladders, |i| self.decrypt_raw(cts[i].raw()))
     }
 
@@ -482,8 +534,8 @@ impl Serialize for PrivateKey {
         // prices (p and q, together one modulus width).
         Value::Object(vec![
             ("public".to_string(), self.public.to_value()),
-            ("p".to_string(), self.p.to_value()),
-            ("q".to_string(), self.q.to_value()),
+            ("p".to_string(), self.inner.p.to_value()),
+            ("q".to_string(), self.inner.q.to_value()),
         ])
     }
 }

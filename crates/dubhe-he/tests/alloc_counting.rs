@@ -15,7 +15,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use dubhe_he::{Ciphertext, CrtEncryptor, EncryptedVector, Keypair, RunningFold};
+use dubhe_he::{
+    Ciphertext, EncryptedVector, EpochEncryptor, Keypair, PrecomputedEncryptor, RunningFold,
+};
 use num_bigint::{MontgomeryContext, RandBigInt};
 use rand::SeedableRng;
 
@@ -217,25 +219,43 @@ fn batch_decryption_allocations_per_element_are_bounded_by_a_constant() {
 #[test]
 fn a_crt_encryptor_is_a_few_dozen_allocations_and_two_limb_arenas() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    // What every client pays once per epoch at the paper's key size: two
-    // combs of 255 operands × 16 limbs, each in one arena (65 280 B), the
-    // contexts and moduli beside them, and nothing per table entry. The
-    // 64 × 15 window tables this replaced made ≈ 1 950 allocations and kept
-    // ≈ 292 KB.
+    // What a key pays once per process at the paper's key size: two combs
+    // of 255 operands × 16 limbs, each in one arena (65 280 B), the contexts
+    // and moduli beside them, and nothing per table entry. The 64 × 15
+    // window tables this replaced made ≈ 1 950 allocations and kept
+    // ≈ 292 KB. Every later encryptor of the key — any clone of it, the
+    // 200 clients of one simulated epoch — is two refcounts on that.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xA110C + 3);
     let kp = Keypair::generate(1024, &mut rng);
-    drop(CrtEncryptor::new(&kp, &mut rng).unwrap()); // samples the key's h
-    let before = LIVE_BYTES.load(Ordering::SeqCst);
-    let mut built = None;
-    let allocs = allocs_during(|| built = Some(CrtEncryptor::new(&kp, &mut rng).unwrap()));
-    let retained = LIVE_BYTES.load(Ordering::SeqCst) - before;
+    drop(PrecomputedEncryptor::new(&kp.public, &mut rng)); // samples the key's h
+    let mut build = |kp: &Keypair| {
+        let before = LIVE_BYTES.load(Ordering::SeqCst);
+        let mut built = None;
+        let allocs = allocs_during(|| {
+            let private = Some(&kp.private);
+            built = Some(EpochEncryptor::for_key_material(
+                &kp.public, private, &mut rng,
+            ));
+        });
+        let retained = LIVE_BYTES.load(Ordering::SeqCst) - before;
+        (built.expect("built"), allocs, retained)
+    };
+    let (cold, allocs, retained) = build(&kp);
+    assert!(cold.is_crt());
     assert!(
         allocs <= 64,
-        "building a CRT encryptor allocated {allocs} times"
+        "building a key's first CRT encryptor allocated {allocs} times"
     );
     assert!(
-        retained <= 80 * 1024,
-        "a CRT encryptor keeps {retained} bytes"
+        (60 * 1024..=80 * 1024).contains(&retained),
+        "a key's CRT base keeps {retained} bytes"
     );
-    drop(built);
+    for holder in 2..=200 {
+        let (warm, allocs, retained) = build(&kp.clone());
+        assert!(warm.is_crt());
+        assert!(
+            allocs <= 2 && retained < 1024,
+            "holder {holder} of the key: {allocs} allocations, {retained} bytes kept"
+        );
+    }
 }

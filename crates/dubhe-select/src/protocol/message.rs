@@ -317,4 +317,35 @@ mod tests {
         assert_eq!(verdict.wire_bytes(), 16);
         assert_eq!(verdict.kind(), MsgKind::Verdict);
     }
+
+    #[test]
+    fn a_key_dispatch_prints_no_secret() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let kp = Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng);
+        // The key as it is once a client has encrypted under it: its shared
+        // half carries the p²/q² combs as well as the factors.
+        let _ = dubhe_he::EpochEncryptor::for_key_material(&kp.public, Some(&kp.private), &mut rng);
+        let envelope = Envelope {
+            from: Party::Agent,
+            to: Party::Client(0),
+            epoch: 0,
+            msg: ProtocolMsg::PublicKeyDispatch {
+                public_key: kp.public.clone(),
+                private_key: Some(kp.private.clone()),
+            },
+        };
+        let printed = format!("{envelope:?}");
+        // The whole private half is this fixed text: no factor, no comb limb.
+        assert!(
+            printed.contains("private_key: Some(PrivateKey { bits: 256, factors: <redacted> })"),
+            "{printed}"
+        );
+        let json = serde_json::to_string(&kp.private).unwrap();
+        for name in ["\"p\":\"", "\"q\":\""] {
+            let digits = json.split(name).nth(1).expect("a factor field");
+            let factor = &digits[..digits.find('"').expect("closing quote")];
+            assert!(factor.len() > 30, "{factor} is not a 128-bit factor");
+            assert!(!printed.contains(factor), "a factor printed");
+        }
+    }
 }
