@@ -35,10 +35,9 @@ use dubhe_he::{
 use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
     client_handshake, pump, run_registration, run_registration_with, run_try,
-    run_try_with_dropouts, ChannelPolicy, CodecKind, CoordinatorServer, Envelope,
-    InMemoryTransport, LinkStats, NodeIdentity, Party, ProtocolMsg, RegistryFrame,
-    ShardedCoordinator, TcpConfig, TcpTransport, Transport, WireMsg, HANDSHAKE_WIRE_BYTES,
-    MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
+    run_try_with_dropouts, ChannelPolicy, CodecKind, Envelope, InMemoryTransport, LinkStats,
+    NodeIdentity, Party, ProtocolMsg, RegistryFrame, ShardedCoordinator, TcpConfig, TcpTransport,
+    Transport, WireMsg, HANDSHAKE_WIRE_BYTES, MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::{DubheConfig, DubheSelector};
 use rand::SeedableRng;
@@ -563,8 +562,8 @@ fn multi_exp_acceptance() -> MultiExpRow {
 /// Prints the registry-aggregation throughput next to the codec table: how
 /// fast the coordinator folds client registries with the reference
 /// multiply-and-divide path vs the Montgomery-domain fold (the route
-/// `sum_vectors`, `CoordinatorServer` and `ShardedCoordinator` actually
-/// take). The full 10²…10⁵ sweep lives in the `registry_agg` bench
+/// `sum_vectors` and every `ShardedCoordinator` shard actually take). The
+/// full 10²…10⁵ sweep lives in the `registry_agg` bench
 /// (`results/BENCH_agg.json`); this is the at-a-glance line for the report's
 /// key size.
 fn aggregation_throughput(pk: &dubhe_he::PublicKey) {
@@ -809,7 +808,7 @@ fn epoch_lifecycle(key_bits: u64) {
     // bytes alone, and check the restored fold is bit-identical.
     let t = Instant::now();
     let snapshot = run.server.snapshot().expect("snapshot");
-    let restored = CoordinatorServer::restore(&snapshot).expect("restore");
+    let restored = ShardedCoordinator::restore(&snapshot).expect("restore");
     let recovery = t.elapsed();
     let original = run.server.encrypted_total().expect("epoch complete");
     let recovered = restored.encrypted_total().expect("epoch complete");

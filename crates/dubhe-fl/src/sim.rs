@@ -26,8 +26,8 @@ use dubhe_select::multi_time_select;
 use dubhe_select::protocol::stats::ListenerStats;
 use dubhe_select::protocol::{
     pump, run_registration_with, run_registration_with_packing, run_try, run_try_with_dropouts,
-    ChannelPolicy, CodecKind, Coordinator, CoordinatorServer, Envelope, InMemoryTransport,
-    PackingPolicy, RegistrationRun, ShardedCoordinator, TcpConfig, TcpTransport, Transport,
+    ChannelPolicy, CodecKind, Coordinator, Envelope, InMemoryTransport, PackingPolicy,
+    RegistrationRun, ShardedCoordinator, TcpConfig, TcpTransport, Transport,
 };
 use dubhe_select::selector::{population_distribution, ClientSelector};
 use dubhe_select::{ProtocolError, SelectError};
@@ -150,7 +150,7 @@ impl SecureMode {
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 enum SimCoordinator {
-    Local(CoordinatorServer),
+    Local(ShardedCoordinator),
     Remote(TcpTransport),
 }
 
@@ -481,7 +481,7 @@ impl FlSimulation {
                         SimCoordinator::Remote(endpoint)
                     }
                     _ => {
-                        let mut coordinator = CoordinatorServer::new(n);
+                        let mut coordinator = ShardedCoordinator::new(n, 1);
                         if let Some(policy) = packing {
                             coordinator = coordinator.with_packing(policy);
                         }

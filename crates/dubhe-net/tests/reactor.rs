@@ -1,10 +1,12 @@
 //! Acceptance pins for the event-driven listener.
 //!
 //! The bar, mirroring `dubhe-select`'s `networked_protocol.rs`: a full
-//! registration + multi-time session served by the [`ReactorListener`] must
-//! be *bit-identical* — same decrypted overall registry, same ciphertext
-//! residues, same verdict, same canonical accounting — to the in-memory
-//! coordinator, on both readiness backends. And every abuse a socket can
+//! registration + multi-time session served by a four-shard
+//! [`ReactorListener`] must match the in-memory one-shard coordinator —
+//! same decrypted overall registry, same verdict, same canonical accounting
+//! — on both readiness backends, with ciphertext residues *bit-identical*
+//! to the left-to-right `EncryptedVector::add` chain over the recorded
+//! uploads. And every abuse a socket can
 //! deliver (garbage, mid-frame stalls, a reader that stops reading) must
 //! surface as typed flow control, never a panic or a hang.
 
@@ -15,6 +17,7 @@ use std::time::{Duration, Instant};
 
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
+use dubhe_he::EncryptedVector;
 use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
     read_frame, run_registration_with, run_try, ChannelPolicy, CodecKind, Coordinator, Envelope,
@@ -41,17 +44,25 @@ fn clients(n: usize, seed: u64) -> Vec<ClassDistribution> {
     spec.build_partition(&mut rng).client_distributions()
 }
 
-/// One full session (registration + H=3 multi-time round) against an
-/// arbitrary coordinator slot; returns everything the equivalence pins
-/// compare.
-fn drive_session<C: Coordinator>(
-    dists: &[ClassDistribution],
-    seed: u64,
+/// What one driven session leaves behind for the equivalence pins: the
+/// overall registry as the clients decrypted it, the verdict, the canonical
+/// transport accounting, the coordinator slot — and the definition the
+/// registry fold is pinned to, the left-to-right `EncryptedVector::add`
+/// chain over the recorded uploads in arrival order.
+struct Session<C> {
+    overall: Vec<u64>,
+    verdict: (usize, f64),
+    stats: TransportStats,
     server: C,
-) -> (Vec<u64>, (usize, f64), TransportStats, C) {
+    registry_chain: EncryptedVector,
+}
+
+/// One full session (registration + H=3 multi-time round) against an
+/// arbitrary coordinator slot, on a recording transport.
+fn drive_session<C: Coordinator>(dists: &[ClassDistribution], seed: u64, server: C) -> Session<C> {
     let config = DubheConfig::group1();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut transport = InMemoryTransport::new();
+    let mut transport = InMemoryTransport::recording();
     let mut run =
         run_registration_with(dists, &config, KEY_BITS, server, &mut transport, &mut rng).unwrap();
 
@@ -71,9 +82,30 @@ fn drive_session<C: Coordinator>(
         .unwrap();
     }
 
-    let overall = run.overall_registry().to_vec();
-    let verdict = run.agent.verdict().expect("all tries evaluated");
-    (overall, verdict, *transport.stats(), run.server)
+    let registry_chain = transport
+        .transcript()
+        .iter()
+        .filter_map(|e| match &e.msg {
+            ProtocolMsg::EncryptedRegistry { registry, .. } => Some(registry.clone()),
+            _ => None,
+        })
+        .reduce(|sum, registry| sum.add(&registry).unwrap())
+        .expect("every client uploaded a registry");
+    Session {
+        overall: run.overall_registry().to_vec(),
+        verdict: run.agent.verdict().expect("all tries evaluated"),
+        stats: *transport.stats(),
+        server: run.server,
+        registry_chain,
+    }
+}
+
+/// Asserts `total` is the add chain, residue for residue.
+fn assert_is_chain(total: &EncryptedVector, chain: &EncryptedVector, what: &str) {
+    assert_eq!(total.len(), chain.len(), "{what}");
+    for (a, b) in total.elements().iter().zip(chain.elements()) {
+        assert_eq!(a.raw(), b.raw(), "{what}: fold diverged from the add chain");
+    }
 }
 
 /// Blocks until `done` holds of the listener's stats and returns that
@@ -115,14 +147,14 @@ fn verdict_envelope(best_try: usize) -> WireMsg {
 fn reactor_session_is_bit_identical_to_memory() {
     let dists = clients(20, 81);
 
-    let (overall_mem, verdict_mem, stats_mem, server) =
-        drive_session(&dists, 82, dubhe_select::CoordinatorServer::new(20));
-    let total_mem = server.encrypted_total().expect("epoch complete");
+    let memory = drive_session(&dists, 82, ShardedCoordinator::new(20, 1));
+    let total_mem = memory.server.encrypted_total().expect("epoch complete");
+    assert_is_chain(&total_mem, &memory.registry_chain, "in memory, 1 shard");
 
     // The reactor must match on both readiness backends.
     for backend in [Backend::Epoll, Backend::Portable] {
         let reactor = ReactorListener::spawn_with(
-            ShardedCoordinator::new(20, 2),
+            ShardedCoordinator::new(20, 4),
             ReactorConfig::default().with_backend(backend),
         )
         .unwrap();
@@ -131,11 +163,11 @@ fn reactor_session_is_bit_identical_to_memory() {
             TcpConfig::default().with_codec(CodecKind::Binary),
         )
         .unwrap();
-        let (overall, verdict, stats, endpoint) = drive_session(&dists, 82, endpoint);
-        assert_eq!(overall, overall_mem, "{backend:?}");
-        assert_eq!(verdict, verdict_mem, "{backend:?}");
-        assert_eq!(stats, stats_mem, "{backend:?}");
-        endpoint.shutdown().unwrap();
+        let tcp = drive_session(&dists, 82, endpoint);
+        assert_eq!(tcp.overall, memory.overall, "{backend:?}");
+        assert_eq!(tcp.verdict, memory.verdict, "{backend:?}");
+        assert_eq!(tcp.stats, memory.stats, "{backend:?}");
+        tcp.server.shutdown().unwrap();
 
         // The shutdown frame lands asynchronously; wait for the listener to
         // close the connection before pinning the frame totals.
@@ -150,27 +182,26 @@ fn reactor_session_is_bit_identical_to_memory() {
         assert!(listener_stats.latency.count > 0, "{backend:?}");
 
         let state = reactor.shutdown().expect("listener state");
-        // Bit-identical ciphertext folds, element by element.
+        // Bit-identical ciphertext folds, element by element: the served
+        // four-shard fold is the add chain of the uploads this session
+        // recorded, and the one-shard in-memory fold.
         let total = state.encrypted_total().expect("epoch complete");
-        assert_eq!(total.len(), total_mem.len());
-        for (a, b) in total.elements().iter().zip(total_mem.elements()) {
-            assert_eq!(a.raw(), b.raw(), "{backend:?}: fold diverged from memory");
-        }
-        assert_eq!(state.messages_received(), server.messages_received());
-        assert_eq!(state.bytes_received(), server.bytes_received());
-        assert_eq!(state.last_verdict(), Some(verdict_mem));
+        assert_is_chain(&total, &tcp.registry_chain, &format!("{backend:?}"));
+        assert_is_chain(&total, &total_mem, &format!("{backend:?} vs memory"));
+        assert_eq!(state.messages_received(), memory.server.messages_received());
+        assert_eq!(state.bytes_received(), memory.server.bytes_received());
+        assert_eq!(state.last_verdict(), Some(memory.verdict));
     }
 }
 
 #[test]
 fn required_channel_session_is_bit_identical_to_plaintext_on_both_backends() {
     let dists = clients(20, 91);
-    let (overall_mem, verdict_mem, stats_mem, _server) =
-        drive_session(&dists, 92, dubhe_select::CoordinatorServer::new(20));
+    let memory = drive_session(&dists, 92, ShardedCoordinator::new(20, 1));
 
     for backend in [Backend::Epoll, Backend::Portable] {
         let reactor = ReactorListener::spawn_with(
-            ShardedCoordinator::new(20, 2),
+            ShardedCoordinator::new(20, 4),
             ReactorConfig::default()
                 .with_backend(backend)
                 .with_channel(ChannelPolicy::Required),
@@ -187,13 +218,13 @@ fn required_channel_session_is_bit_identical_to_plaintext_on_both_backends() {
                 .with_expected_server(pin),
         )
         .unwrap();
-        let (overall, verdict, stats, endpoint) = drive_session(&dists, 92, endpoint);
+        let tcp = drive_session(&dists, 92, endpoint);
         // Every protocol-level ledger — decrypted registry, verdict, per-kind
         // transport accounting — is bit-identical with the channel on.
-        assert_eq!(overall, overall_mem, "{backend:?}");
-        assert_eq!(verdict, verdict_mem, "{backend:?}");
-        assert_eq!(stats, stats_mem, "{backend:?}");
-        endpoint.shutdown().unwrap();
+        assert_eq!(tcp.overall, memory.overall, "{backend:?}");
+        assert_eq!(tcp.verdict, memory.verdict, "{backend:?}");
+        assert_eq!(tcp.stats, memory.stats, "{backend:?}");
+        tcp.server.shutdown().unwrap();
 
         let what = format!("{backend:?}: connection never drained");
         let listener_stats = wait_for(&reactor, &what, |s| s.connections_closed == 1);
@@ -202,7 +233,16 @@ fn required_channel_session_is_bit_identical_to_plaintext_on_both_backends() {
         assert_eq!(listener_stats.aead_rejections, 0, "{backend:?}");
         assert_eq!(listener_stats.downgrades_refused, 0, "{backend:?}");
         assert_eq!(listener_stats.decode_errors, 0, "{backend:?}");
-        assert!(reactor.shutdown().is_some());
+        // And so is the fold the sealed frames fed: the add chain of the
+        // uploads, which is also what the plaintext in-memory session folded.
+        let state = reactor.shutdown().expect("listener state");
+        let total = state.encrypted_total().expect("epoch complete");
+        assert_is_chain(&total, &tcp.registry_chain, &format!("{backend:?}"));
+        assert_is_chain(
+            &total,
+            &memory.registry_chain,
+            &format!("{backend:?} vs memory"),
+        );
     }
 }
 

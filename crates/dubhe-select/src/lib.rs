@@ -60,8 +60,8 @@
 //!
 //! The drivers are generic over the [`Coordinator`] slot. A
 //! [`ShardedCoordinator`] partitions registry positions across N
-//! rayon-parallel folds and merges a total that is bit-identical to the
-//! single server's:
+//! rayon-parallel folds and merges a total that is bit-identical at every
+//! shard count (one shard is what [`protocol::run_registration`] runs):
 //!
 //! ```
 //! use dubhe_data::federated::{DatasetFamily, FederatedSpec};
@@ -167,8 +167,8 @@ pub use multi_time::{
 pub use param_search::{parameter_search, SearchGrid, SearchOutcome};
 pub use probability::participation_probability;
 pub use protocol::{
-    AgentNode, Coordinator, CoordinatorServer, InMemoryTransport, Party, ProtocolMsg,
-    SelectClientNode, ShardedCoordinator, TcpTransport, Transport, TransportStats,
+    AgentNode, Coordinator, InMemoryTransport, Party, ProtocolMsg, SelectClientNode,
+    ShardedCoordinator, TcpTransport, Transport, TransportStats,
 };
 pub use registry::{register, register_all, register_all_encrypted, Registration};
 pub use secure::{

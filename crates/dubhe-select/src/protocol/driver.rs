@@ -16,7 +16,8 @@ use rand::Rng;
 
 use super::message::Party;
 use super::packing::PackingPolicy;
-use super::roles::{AgentNode, Coordinator, CoordinatorServer, SelectClientNode};
+use super::roles::{AgentNode, Coordinator, SelectClientNode};
+use super::shard::ShardedCoordinator;
 use super::transport::Transport;
 use crate::config::DubheConfig;
 use crate::error::SelectError;
@@ -26,8 +27,7 @@ use crate::selector::ClientId;
 /// Delivers queued messages to their addressees until the transport drains.
 ///
 /// The coordinator slot is any [`Coordinator`]: the in-process
-/// [`CoordinatorServer`], a
-/// [`ShardedCoordinator`](super::shard::ShardedCoordinator), or a
+/// [`ShardedCoordinator`] (at any shard count), or a
 /// [`TcpTransport`](super::tcp::TcpTransport) that ships every server-bound
 /// envelope across a real socket. The agent and client roles never know the
 /// difference — which is the point.
@@ -67,11 +67,11 @@ where
 /// reuse them for the round's multi-time exchanges via [`run_try`].
 ///
 /// Generic over the coordinator slot (`C`): `run_registration` fills it with
-/// the in-process [`CoordinatorServer`]; [`run_registration_with`] threads
-/// through whatever [`Coordinator`] the caller supplies (a sharded one, or a
-/// TCP connector to a remote listener).
+/// a one-shard in-process [`ShardedCoordinator`]; [`run_registration_with`]
+/// threads through whatever [`Coordinator`] the caller supplies (more
+/// shards, or a TCP connector to a remote listener).
 #[derive(Debug)]
-pub struct RegistrationRun<C = CoordinatorServer> {
+pub struct RegistrationRun<C = ShardedCoordinator> {
     /// Index of the client that played the key-dispatching agent.
     pub agent_id: ClientId,
     /// The agent role (keypair owner).
@@ -119,7 +119,7 @@ where
     T: Transport,
     R: Rng + ?Sized,
 {
-    let server = CoordinatorServer::new(client_distributions.len());
+    let server = ShardedCoordinator::new(client_distributions.len(), 1);
     run_registration_with(
         client_distributions,
         config,
@@ -131,8 +131,7 @@ where
 }
 
 /// [`run_registration`] with a caller-supplied coordinator slot: a
-/// [`ShardedCoordinator`](super::shard::ShardedCoordinator) for partitioned
-/// folds, or a [`TcpTransport`](super::tcp::TcpTransport) to drive the
+/// [`ShardedCoordinator`] with more shards for partitioned folds, or a [`TcpTransport`](super::tcp::TcpTransport) to drive the
 /// identical exchange against a remote listener (`dubhe-net`'s
 /// `ReactorListener`).
 ///

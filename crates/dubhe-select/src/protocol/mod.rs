@@ -11,7 +11,7 @@
 //! * [`SelectClientNode`] — an ordinary client. Receives the keypair, fills
 //!   and encrypts its registry (Algorithm 1), decrypts the broadcast total
 //!   and computes its own participation probability (Eq. 6).
-//! * [`CoordinatorServer`] — the honest-but-curious coordinator. Holds only
+//! * [`ShardedCoordinator`] — the honest-but-curious coordinator. Holds only
 //!   the [`PublicKey`](dubhe_he::PublicKey) and running ciphertext folds;
 //!   its struct has no field that could store a private key or a plaintext
 //!   distribution, and it refuses a key dispatch that carries one.
@@ -55,12 +55,12 @@
 //! end-to-end when its encrypted mode is enabled.
 //!
 //! The drivers are generic over the [`Coordinator`] slot, which is what lets
-//! one exchange run against three server shapes without the agent or client
-//! roles changing a line:
+//! one exchange run in process or across a socket without the agent or
+//! client roles changing a line:
 //!
-//! * [`CoordinatorServer`] — the single in-process fold;
-//! * [`ShardedCoordinator`] — registry positions partitioned across N shard
-//!   folds that advance rayon-parallel and merge into a bit-identical total;
+//! * [`ShardedCoordinator`] — the one coordinator state machine: registry
+//!   positions partitioned across N shard folds (one by default) that
+//!   advance rayon-parallel and merge into a bit-identical total;
 //! * [`TcpTransport`] → `dubhe_net::ReactorListener` — the same messages as
 //!   length-prefixed frames (see [`wire`]) over real loopback sockets, served
 //!   by `dubhe-net`'s event-loop listener. The frame payload codec
@@ -69,7 +69,7 @@
 //!   communication model, negotiated per connection from the frame magic.
 //!
 //! `docs/ARCHITECTURE.md` draws the full picture; `docs/THREAT_MODEL.md`
-//! explains why all three shapes uphold the same structural guarantee.
+//! explains why both uphold the same structural guarantee.
 //!
 //! [`PublicKeyDispatch`]: ProtocolMsg::PublicKeyDispatch
 //! [`EncryptedRegistry`]: ProtocolMsg::EncryptedRegistry
@@ -108,7 +108,9 @@ pub use driver::{
 pub use fault::{Fault, FaultPlan, FaultStats, FaultyTransport};
 pub use message::{Envelope, MsgKind, Party, ProtocolMsg};
 pub use packing::PackingPolicy;
-pub use roles::{AgentNode, CohortOutcome, Coordinator, CoordinatorServer, SelectClientNode};
+pub use roles::{AgentNode, CohortOutcome, Coordinator, SelectClientNode};
+#[doc(hidden)]
+pub use shard::CoordinatorServer;
 pub use shard::{shard_ranges, ShardedCoordinator};
 pub use stats::{LatencyHistogram, LatencySummary, ListenerMetrics, ListenerStats};
 pub use tcp::{TcpConfig, TcpTransport, WireStats, DEFAULT_READ_TIMEOUT};

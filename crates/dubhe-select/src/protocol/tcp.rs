@@ -1,7 +1,7 @@
 //! The networked transport's client half: a framed TCP connector.
 //!
 //! [`TcpTransport`] plugs into the same driver slot as a local
-//! [`CoordinatorServer`](super::roles::CoordinatorServer) (the
+//! [`ShardedCoordinator`](super::shard::ShardedCoordinator) (the
 //! [`Coordinator`] trait), so `AgentNode` and `SelectClientNode` drive the
 //! *identical* [`ProtocolMsg`](super::message::ProtocolMsg) exchange whether
 //! the coordinator is an in-process struct or a process across the network.

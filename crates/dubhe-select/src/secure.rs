@@ -35,7 +35,7 @@ use crate::codebook::RegistryLayout;
 use crate::config::DubheConfig;
 use crate::error::SelectError;
 use crate::protocol::{
-    run_registration, run_try, AgentNode, CoordinatorServer, InMemoryTransport, SelectClientNode,
+    run_registration, run_try, AgentNode, InMemoryTransport, SelectClientNode, ShardedCoordinator,
 };
 use crate::registry::Registration;
 
@@ -134,7 +134,7 @@ pub(crate) fn keyed_session(
     client_distributions: &[ClassDistribution],
     public_key: &PublicKey,
     private_key: &PrivateKey,
-) -> Result<(AgentNode, Vec<SelectClientNode>, CoordinatorServer), SelectError> {
+) -> Result<(AgentNode, Vec<SelectClientNode>, ShardedCoordinator), SelectError> {
     let classes = client_distributions
         .first()
         .ok_or(SelectError::NoClients)?
@@ -154,7 +154,7 @@ pub(crate) fn keyed_session(
     for c in &mut clients {
         c.install_keys(public_key.clone(), private_key.clone());
     }
-    let server = CoordinatorServer::with_public_key(public_key.clone(), 0);
+    let server = ShardedCoordinator::with_public_key(public_key.clone(), 0, 1);
     Ok((agent, clients, server))
 }
 

@@ -19,9 +19,9 @@ use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
     client_handshake, pump, read_channel_frame, read_frame, read_frame_negotiated,
     run_registration_with, run_registration_with_packing, write_frame_with, ChannelFrame,
-    ChannelPolicy, CodecKind, Coordinator, CoordinatorServer, Envelope, FaultPlan, FaultyTransport,
-    InMemoryTransport, NodeIdentity, PackingPolicy, Party, ProtocolMsg, SecureChannel,
-    ShardedCoordinator, TcpConfig, TcpTransport, Transport, WireMsg, MAX_FRAME_BYTES,
+    ChannelPolicy, CodecKind, Coordinator, Envelope, FaultPlan, FaultyTransport, InMemoryTransport,
+    NodeIdentity, PackingPolicy, Party, ProtocolMsg, SecureChannel, ShardedCoordinator, TcpConfig,
+    TcpTransport, Transport, WireMsg, MAX_FRAME_BYTES,
 };
 use dubhe_select::{DubheConfig, ProtocolError, SelectError};
 use rand::SeedableRng;
@@ -61,71 +61,75 @@ fn registry_envelope(client: usize, registry: EncryptedVector) -> Envelope {
 fn malformed_registries_are_typed_errors_not_corruption() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(151);
     let kp = Keypair::generate(KEY_BITS, &mut rng);
-    let mut server = CoordinatorServer::with_public_key(kp.public.clone(), 4);
+    // Every shard count runs the same gauntlet: a refused registry must leave
+    // each shard's running fold exactly as it was.
+    for shards in [1, 4] {
+        let mut server = ShardedCoordinator::with_public_key(kp.public.clone(), 4, shards);
 
-    // A well-formed first registry seeds the fold.
-    let good = EncryptedVector::encrypt_u64(&kp.public, &[1, 0, 0, 0, 0, 0], &mut rng);
-    Coordinator::deliver(&mut server, registry_envelope(0, good.clone())).unwrap();
+        // A well-formed first registry seeds the fold.
+        let good = EncryptedVector::encrypt_u64(&kp.public, &[1, 0, 0, 0, 0, 0], &mut rng);
+        Coordinator::deliver(&mut server, registry_envelope(0, good.clone())).unwrap();
 
-    // Wrong length: the shape mismatch is a typed homomorphic error.
-    let short = EncryptedVector::encrypt_u64(&kp.public, &[1, 0], &mut rng);
-    match Coordinator::deliver(&mut server, registry_envelope(1, short)) {
-        Err(ProtocolError::He(dubhe_he::HeError::LengthMismatch { left: 6, right: 2 })) => {}
-        other => panic!("expected a length mismatch, got {other:?}"),
+        // Wrong length: the shape mismatch is a typed homomorphic error.
+        let short = EncryptedVector::encrypt_u64(&kp.public, &[1, 0], &mut rng);
+        match Coordinator::deliver(&mut server, registry_envelope(1, short)) {
+            Err(ProtocolError::He(dubhe_he::HeError::LengthMismatch { left: 6, right: 2 })) => {}
+            other => panic!("expected a length mismatch, got {other:?}"),
+        }
+
+        // Wrong key: ciphertexts under a foreign modulus cannot enter the fold.
+        let foreign = Keypair::generate(KEY_BITS, &mut rng);
+        let alien = EncryptedVector::encrypt_u64(&foreign.public, &[0; 6], &mut rng);
+        match Coordinator::deliver(&mut server, registry_envelope(2, alien)) {
+            Err(ProtocolError::He(dubhe_he::HeError::KeyMismatch)) => {}
+            other => panic!("expected a key mismatch, got {other:?}"),
+        }
+
+        // A client id outside the cohort is refused by name.
+        match Coordinator::deliver(&mut server, registry_envelope(99, good.clone())) {
+            Err(ProtocolError::UnknownContributor {
+                client: 99,
+                try_index: None,
+            }) => {}
+            other => panic!("expected UnknownContributor, got {other:?}"),
+        }
+
+        // A dispatch smuggling a private key to the server is structurally
+        // refused — the coordinator has no field that could even hold it.
+        let smuggle = Envelope {
+            from: Party::Agent,
+            to: Party::Server,
+            epoch: 0,
+            msg: ProtocolMsg::PublicKeyDispatch {
+                public_key: kp.public.clone(),
+                private_key: Some(kp.private.clone()),
+            },
+        };
+        match Coordinator::deliver(&mut server, smuggle) {
+            Err(ProtocolError::PrivateKeyAtServer) => {}
+            other => panic!("expected PrivateKeyAtServer, got {other:?}"),
+        }
+
+        // The fold survived the gauntlet untouched: client 0's registry is the
+        // only contribution.
+        assert_eq!(server.cohort_outcomes().len(), 0);
+        for id in 1..4 {
+            let v = EncryptedVector::encrypt_u64(&kp.public, &[0, 1, 0, 0, 0, 0], &mut rng);
+            Coordinator::deliver(&mut server, registry_envelope(id, v)).unwrap();
+        }
+        let total = server.encrypted_total().expect("epoch complete");
+        assert_eq!(
+            total.decrypt_u64(&kp.private).unwrap(),
+            vec![1, 3, 0, 0, 0, 0]
+        );
     }
-
-    // Wrong key: ciphertexts under a foreign modulus cannot enter the fold.
-    let foreign = Keypair::generate(KEY_BITS, &mut rng);
-    let alien = EncryptedVector::encrypt_u64(&foreign.public, &[0; 6], &mut rng);
-    match Coordinator::deliver(&mut server, registry_envelope(2, alien)) {
-        Err(ProtocolError::He(dubhe_he::HeError::KeyMismatch)) => {}
-        other => panic!("expected a key mismatch, got {other:?}"),
-    }
-
-    // A client id outside the cohort is refused by name.
-    match Coordinator::deliver(&mut server, registry_envelope(99, good.clone())) {
-        Err(ProtocolError::UnknownContributor {
-            client: 99,
-            try_index: None,
-        }) => {}
-        other => panic!("expected UnknownContributor, got {other:?}"),
-    }
-
-    // A dispatch smuggling a private key to the server is structurally
-    // refused — the coordinator has no field that could even hold it.
-    let smuggle = Envelope {
-        from: Party::Agent,
-        to: Party::Server,
-        epoch: 0,
-        msg: ProtocolMsg::PublicKeyDispatch {
-            public_key: kp.public.clone(),
-            private_key: Some(kp.private.clone()),
-        },
-    };
-    match Coordinator::deliver(&mut server, smuggle) {
-        Err(ProtocolError::PrivateKeyAtServer) => {}
-        other => panic!("expected PrivateKeyAtServer, got {other:?}"),
-    }
-
-    // The fold survived the gauntlet untouched: client 0's registry is the
-    // only contribution.
-    assert_eq!(server.cohort_outcomes().len(), 0);
-    for id in 1..4 {
-        let v = EncryptedVector::encrypt_u64(&kp.public, &[0, 1, 0, 0, 0, 0], &mut rng);
-        Coordinator::deliver(&mut server, registry_envelope(id, v)).unwrap();
-    }
-    let total = server.encrypted_total().expect("epoch complete");
-    assert_eq!(
-        total.decrypt_u64(&kp.private).unwrap(),
-        vec![1, 3, 0, 0, 0, 0]
-    );
 }
 
 #[test]
 fn replayed_frames_are_rejected_at_every_stage() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(161);
     let kp = Keypair::generate(KEY_BITS, &mut rng);
-    let mut server = CoordinatorServer::with_public_key(kp.public.clone(), 2);
+    let mut server = ShardedCoordinator::with_public_key(kp.public.clone(), 2, 1);
 
     let v = EncryptedVector::encrypt_u64(&kp.public, &[1, 0, 0], &mut rng);
     Coordinator::deliver(&mut server, registry_envelope(0, v.clone())).unwrap();
@@ -194,7 +198,7 @@ fn stale_epoch_replays_are_refused_after_rotation() {
         &dists,
         &config,
         KEY_BITS,
-        CoordinatorServer::new(4),
+        ShardedCoordinator::new(4, 1),
         &mut transport,
         &mut rng,
     )
@@ -247,7 +251,8 @@ fn mismatched_packer_metadata_is_refused_without_corrupting_the_fold() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(231);
     let kp = Keypair::generate(KEY_BITS, &mut rng);
     let policy = PackingPolicy::new(32, KEY_BITS, 4).unwrap();
-    let mut server = CoordinatorServer::with_public_key(kp.public.clone(), 4).with_packing(policy);
+    let mut server =
+        ShardedCoordinator::with_public_key(kp.public.clone(), 4, 1).with_packing(policy);
 
     // A client packing 16-bit lanes against the coordinator's 32-bit policy:
     // folding across layouts would corrupt lanes, so the packer check fires.
@@ -272,7 +277,7 @@ fn mismatched_packer_metadata_is_refused_without_corrupting_the_fold() {
     }
 
     // And a packed registry at a policy-less coordinator is the reverse.
-    let mut plain_server = CoordinatorServer::with_public_key(kp.public.clone(), 4);
+    let mut plain_server = ShardedCoordinator::with_public_key(kp.public.clone(), 4, 1);
     let packed =
         PackedEncryptedVector::encrypt(policy.packer(), &kp.public, &[1, 0, 0, 0, 0, 0], &mut rng)
             .unwrap();
@@ -317,7 +322,7 @@ fn packed_frames_replayed_across_epochs_are_stale_after_rotation() {
         &config,
         KEY_BITS,
         policy,
-        CoordinatorServer::new(4).with_packing(policy),
+        ShardedCoordinator::new(4, 1).with_packing(policy),
         &mut transport,
         &mut rng,
     )
@@ -547,7 +552,7 @@ fn fault_injected_duplicates_surface_as_typed_errors() {
         &dists,
         &config,
         KEY_BITS,
-        CoordinatorServer::new(6),
+        ShardedCoordinator::new(6, 1),
         &mut transport,
         &mut rng,
     )
@@ -575,7 +580,7 @@ fn fault_injected_truncation_surfaces_as_a_typed_error() {
         &dists,
         &config,
         KEY_BITS,
-        CoordinatorServer::new(6),
+        ShardedCoordinator::new(6, 1),
         &mut transport,
         &mut rng,
     )
@@ -602,7 +607,7 @@ fn fault_injected_drops_end_in_an_explicit_partial_close_never_a_hang() {
         &dists,
         &config,
         KEY_BITS,
-        CoordinatorServer::new(6),
+        ShardedCoordinator::new(6, 1),
         &mut transport,
         &mut rng,
     )
@@ -649,7 +654,7 @@ fn fault_injected_delays_reorder_but_never_lose_frames() {
         &dists,
         &config,
         KEY_BITS,
-        CoordinatorServer::new(6),
+        ShardedCoordinator::new(6, 1),
         &mut transport,
         &mut rng,
     )

@@ -1,21 +1,25 @@
 //! End-to-end pins for the epoch lifecycle: key rotation with cohort
 //! re-registration (in memory and over TCP), stale/future frame rejection,
-//! coordinator crash recovery from a snapshot (single and sharded), the
-//! straggler deadline, and dropout-driven partial-cohort folds.
+//! coordinator crash recovery from a snapshot (element-wise and packed, at
+//! several shard counts), snapshot corruption, the straggler deadline, and
+//! dropout-driven partial-cohort folds.
 //!
 //! The acceptance bar: a coordinator killed mid-aggregation and restored
 //! from its snapshot must finish on a total *bit-identical* to the
-//! uninterrupted run, and a round with injected churn must always close —
+//! left-to-right `EncryptedVector::add` chain over the uploads — what an
+//! uninterrupted run folds to at any shard count — a corrupt snapshot must
+//! be a typed error, and a round with injected churn must always close —
 //! explicitly partial — instead of hanging.
 
 use std::time::Duration;
 
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
+use dubhe_he::EncryptedVector;
 use dubhe_net::ReactorListener;
 use dubhe_select::protocol::{
     pump, run_registration_with, run_registration_with_packing, run_try, run_try_with_dropouts,
-    Coordinator, CoordinatorServer, Envelope, InMemoryTransport, PackingPolicy, Party, ProtocolMsg,
+    Coordinator, Envelope, InMemoryTransport, PackingPolicy, Party, ProtocolMsg,
     ShardedCoordinator, TcpTransport, Transport,
 };
 use dubhe_select::{ClientSelector, DubheConfig, DubheSelector, ProtocolError};
@@ -48,7 +52,7 @@ fn rotation_re_registers_the_cohort_under_a_fresh_key() {
         &dists,
         &config,
         KEY_BITS,
-        CoordinatorServer::new(12),
+        ShardedCoordinator::new(12, 1),
         &mut transport,
         &mut rng,
     )
@@ -205,7 +209,7 @@ fn stale_and_future_frames_are_typed_errors_at_every_role() {
         &dists,
         &config,
         KEY_BITS,
-        CoordinatorServer::new(3),
+        ShardedCoordinator::new(3, 1),
         &mut transport,
         &mut rng,
     )
@@ -272,235 +276,204 @@ fn stale_and_future_frames_are_typed_errors_at_every_role() {
     }
 }
 
+/// The definition every registry fold is pinned to: the left-to-right
+/// `EncryptedVector::add` chain over the uploads, in arrival order.
+fn add_chain<'a>(uploads: impl Iterator<Item = &'a EncryptedVector>) -> EncryptedVector {
+    uploads
+        .cloned()
+        .reduce(|sum, v| sum.add(&v).unwrap())
+        .expect("at least one upload")
+}
+
+/// Asserts `total` is `chain`, residue for residue.
+fn assert_is_chain(total: &EncryptedVector, chain: &EncryptedVector, what: &str) {
+    assert_eq!(total.len(), chain.len(), "{what}");
+    for (a, b) in total.elements().iter().zip(chain.elements()) {
+        assert_eq!(a.raw(), b.raw(), "{what}: fold diverged from the add chain");
+    }
+}
+
+/// Asserts every envelope is the registration broadcast — packed iff
+/// `packed` — carrying `chain`, residue for residue.
+fn assert_broadcast_is_chain(
+    broadcast: &[Envelope],
+    packed: bool,
+    chain: &EncryptedVector,
+    what: &str,
+) {
+    for e in broadcast {
+        match &e.msg {
+            ProtocolMsg::EncryptedTotalBroadcast { total } if !packed => {
+                assert_is_chain(total, chain, what)
+            }
+            ProtocolMsg::PackedTotalBroadcast { total } if packed => {
+                assert_is_chain(total.vector(), chain, what)
+            }
+            other => panic!("{what}: unexpected {:?}", other.kind()),
+        }
+    }
+}
+
 /// Drives one full registration on a recording transport and returns the
-/// envelopes it carried (key dispatch first, then every registry upload)
-/// plus the uninterrupted coordinator's final total for comparison.
-fn recorded_registration(n: usize, seed: u64) -> (Vec<Envelope>, dubhe_he::EncryptedVector) {
+/// server-bound envelopes it carried (key dispatch first, then every
+/// registry upload, in arrival order) plus the add chain over those uploads
+/// — element-wise, or under `policy` when one is given (the chain then runs
+/// over the packed uploads' ciphertext vectors).
+fn recorded_registration(
+    n: usize,
+    seed: u64,
+    policy: Option<PackingPolicy>,
+) -> (Vec<Envelope>, EncryptedVector) {
     let dists = clients(n, seed);
     let config = DubheConfig::group1();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xFEED);
     let mut transport = InMemoryTransport::recording();
-    let run = run_registration_with(
-        &dists,
-        &config,
-        KEY_BITS,
-        CoordinatorServer::new(n),
-        &mut transport,
-        &mut rng,
-    )
+    let server = ShardedCoordinator::new(n, 1);
+    match policy {
+        None => run_registration_with(&dists, &config, KEY_BITS, server, &mut transport, &mut rng),
+        Some(policy) => run_registration_with_packing(
+            &dists,
+            &config,
+            KEY_BITS,
+            policy,
+            server.with_packing(policy),
+            &mut transport,
+            &mut rng,
+        ),
+    }
     .unwrap();
-    let total = run.server.encrypted_total().expect("epoch complete");
     let replay: Vec<Envelope> = transport
         .transcript()
         .iter()
         .filter(|e| {
             matches!(
                 e.msg,
-                ProtocolMsg::PublicKeyDispatch { .. } | ProtocolMsg::EncryptedRegistry { .. }
+                ProtocolMsg::PublicKeyDispatch { .. }
+                    | ProtocolMsg::EncryptedRegistry { .. }
+                    | ProtocolMsg::PackedRegistry { .. }
             ) && e.to == Party::Server
         })
         .cloned()
         .collect();
-    (replay, total)
-}
-
-#[test]
-fn coordinator_killed_mid_aggregation_resumes_bit_identically() {
-    let n = 10;
-    let (replay, reference) = recorded_registration(n, 111);
     // replay[0] is the server's key dispatch; the rest are registries.
     assert_eq!(replay.len(), n + 1);
+    let chain = add_chain(replay.iter().filter_map(|e| match &e.msg {
+        ProtocolMsg::EncryptedRegistry { registry, .. } => Some(registry),
+        ProtocolMsg::PackedRegistry { registry, .. } => Some(registry.vector()),
+        _ => None,
+    }));
+    (replay, chain)
+}
 
-    for cut in [1usize, 4, 9] {
-        let mut live = CoordinatorServer::new(n);
+/// The crash-recovery pin: kill the coordinator between uploads — right
+/// after the seeding upload, twice mid-fold, one short of completion — so
+/// all that survives is the snapshot bytes, restore it, and finish. At every
+/// shard count the resumed total, and the total in every envelope of the
+/// completion broadcast, must be the add chain bit for bit.
+fn killed_mid_aggregation_resumes_bit_identically(seed: u64, policy: Option<PackingPolicy>) {
+    let n = 12;
+    let (replay, reference) = recorded_registration(n, seed, policy);
+    for (shards, cut) in [1usize, 3, 4]
+        .into_iter()
+        .flat_map(|s| [1, 2, 7, n - 1].map(|cut| (s, cut)))
+    {
+        let what = format!("shards {shards} cut {cut}");
+        let mut live = ShardedCoordinator::new(n, shards);
+        if let Some(policy) = policy {
+            live = live.with_packing(policy);
+        }
         for e in replay.iter().take(1 + cut) {
             Coordinator::deliver(&mut live, e.clone()).unwrap();
         }
-        // Kill the coordinator mid-aggregation; all that survives is the
-        // snapshot bytes.
         let bytes = live.snapshot().unwrap();
         drop(live);
 
-        let mut resumed = CoordinatorServer::restore(&bytes).unwrap();
+        let mut resumed = ShardedCoordinator::restore(&bytes).unwrap();
+        assert_eq!(resumed.shards(), shards);
+        assert_eq!(
+            resumed.packing(),
+            policy.as_ref(),
+            "{what}: policy survives"
+        );
         let mut broadcast = Vec::new();
         for e in replay.iter().skip(1 + cut) {
             broadcast = Coordinator::deliver(&mut resumed, e.clone()).unwrap();
         }
         let total = resumed.encrypted_total().expect("epoch complete");
-        assert_eq!(total.len(), reference.len());
-        for (a, b) in total.elements().iter().zip(reference.elements()) {
-            assert_eq!(a.raw(), b.raw(), "cut {cut}: resumed fold diverged");
-        }
-        // The broadcast the resumed coordinator emits carries that exact
-        // bit-identical total.
-        assert!(
-            !broadcast.is_empty(),
-            "cut {cut}: completion must broadcast"
-        );
+        assert_is_chain(&total, &reference, &what);
+        let lanes = resumed.packed_encrypted_total().map(|total| total.count());
+        assert_eq!(lanes, policy.map(|_| 56), "{what}");
+        assert_eq!(broadcast.len(), n + 1, "{what}: completion must broadcast");
+        assert_broadcast_is_chain(&broadcast, policy.is_some(), &reference, &what);
     }
 }
 
 #[test]
 fn sharded_coordinator_killed_mid_aggregation_resumes_bit_identically() {
-    let n = 12;
-    let (replay, reference) = recorded_registration(n, 121);
-
-    for shards in [1usize, 3, 4] {
-        for cut in [2usize, 7] {
-            let mut live = ShardedCoordinator::new(n, shards);
-            for e in replay.iter().take(1 + cut) {
-                Coordinator::deliver(&mut live, e.clone()).unwrap();
-            }
-            let bytes = live.snapshot().unwrap();
-            drop(live);
-
-            let mut resumed = ShardedCoordinator::restore(&bytes).unwrap();
-            assert_eq!(resumed.shards(), shards);
-            for e in replay.iter().skip(1 + cut) {
-                Coordinator::deliver(&mut resumed, e.clone()).unwrap();
-            }
-            let total = resumed.encrypted_total().expect("epoch complete");
-            for (a, b) in total.elements().iter().zip(reference.elements()) {
-                assert_eq!(
-                    a.raw(),
-                    b.raw(),
-                    "shards {shards} cut {cut}: resumed fold diverged"
-                );
-            }
-        }
-    }
-}
-
-/// The packed twin of [`recorded_registration`]: the same full registration
-/// driven under a 32-bit [`PackingPolicy`], returning the server-bound
-/// envelopes and the uninterrupted packed total.
-fn recorded_packed_registration(
-    n: usize,
-    seed: u64,
-    policy: PackingPolicy,
-) -> (Vec<Envelope>, dubhe_he::PackedEncryptedVector) {
-    let dists = clients(n, seed);
-    let config = DubheConfig::group1();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xFEED);
-    let mut transport = InMemoryTransport::recording();
-    let run = run_registration_with_packing(
-        &dists,
-        &config,
-        KEY_BITS,
-        policy,
-        CoordinatorServer::new(n).with_packing(policy),
-        &mut transport,
-        &mut rng,
-    )
-    .unwrap();
-    let total = run.server.packed_encrypted_total().expect("epoch complete");
-    let replay: Vec<Envelope> = transport
-        .transcript()
-        .iter()
-        .filter(|e| {
-            matches!(
-                e.msg,
-                ProtocolMsg::PublicKeyDispatch { .. } | ProtocolMsg::PackedRegistry { .. }
-            ) && e.to == Party::Server
-        })
-        .cloned()
-        .collect();
-    (replay, total)
-}
-
-#[test]
-fn coordinator_killed_mid_packed_aggregation_resumes_bit_identically() {
-    // The packed crash-recovery pin: kill the coordinator between packed
-    // uploads (including right after the seeding upload and one short of
-    // completion), restore it from the snapshot bytes alone, and finish.
-    // The resumed packed total must be bit-identical, ciphertext for
-    // ciphertext, to the uninterrupted fold — and the restored coordinator
-    // must still know its slot layout (the snapshot carries the policy, and
-    // restore cross-validates fold against policy).
-    let n = 10;
-    let policy = PackingPolicy::new(32, KEY_BITS, n as u64).unwrap();
-    let (replay, reference) = recorded_packed_registration(n, 311, policy);
-    assert_eq!(replay.len(), n + 1);
-    // Length-56 registries at 7 lanes per 256-bit plaintext: 8 ciphertexts.
-    assert_eq!(reference.ciphertext_count(), 8);
-
-    for cut in [1usize, 4, 9] {
-        let mut live = CoordinatorServer::new(n).with_packing(policy);
-        for e in replay.iter().take(1 + cut) {
-            Coordinator::deliver(&mut live, e.clone()).unwrap();
-        }
-        let bytes = live.snapshot().unwrap();
-        drop(live);
-
-        let mut resumed = CoordinatorServer::restore(&bytes).unwrap();
-        assert_eq!(
-            resumed.packing(),
-            Some(&policy),
-            "policy survives the crash"
-        );
-        let mut broadcast = Vec::new();
-        for e in replay.iter().skip(1 + cut) {
-            broadcast = Coordinator::deliver(&mut resumed, e.clone()).unwrap();
-        }
-        let total = resumed.packed_encrypted_total().expect("epoch complete");
-        assert_eq!(total.count(), reference.count());
-        for (a, b) in total
-            .vector()
-            .elements()
-            .iter()
-            .zip(reference.vector().elements())
-        {
-            assert_eq!(a.raw(), b.raw(), "cut {cut}: resumed packed fold diverged");
-        }
-        assert!(
-            broadcast
-                .iter()
-                .any(|e| matches!(e.msg, ProtocolMsg::PackedTotalBroadcast { .. })),
-            "cut {cut}: completion must broadcast the packed total"
-        );
-    }
+    killed_mid_aggregation_resumes_bit_identically(121, None);
 }
 
 #[test]
 fn sharded_coordinator_killed_mid_packed_aggregation_resumes_bit_identically() {
-    // Same pin against the sharded coordinator, with shard counts that do
-    // NOT divide the 8-ciphertext layout evenly — the shard boundaries land
-    // mid-vector between plaintexts (3 shards -> ranges of 3/3/2
-    // ciphertexts, i.e. 21/21/14 lanes), so a crash straddles both a shard
+    // Length-56 registries at 7 lanes per 256-bit plaintext are 8
+    // ciphertexts, which 3 shards do NOT divide evenly — ranges of 3/3/2
+    // ciphertexts, i.e. 21/21/14 lanes — so a crash straddles both a shard
     // boundary and a plaintext boundary. The restored partition, lane count
-    // and every shard fold must line back up bit-identically.
-    let n = 12;
+    // and every shard fold must line back up, and the restored coordinator
+    // must still know its slot layout (the snapshot carries the policy, and
+    // restore cross-validates the lane count against it).
+    let policy = PackingPolicy::new(32, KEY_BITS, 12).unwrap();
+    assert_eq!(recorded_registration(12, 321, Some(policy)).1.len(), 8);
+    killed_mid_aggregation_resumes_bit_identically(321, Some(policy));
+}
+
+#[test]
+fn corrupt_coordinator_snapshots_are_typed_errors() {
+    // The reproducer: epoch 0, registration open, shards `u32::MAX`, an
+    // empty cohort, three zero counters, three zero flags. The shard count
+    // used to reach `Vec::with_capacity` unchecked and abort the process;
+    // every shard costs at least its one flag byte, so a count past the
+    // payload is refused before anything is allocated.
+    let mut hostile = Vec::new();
+    hostile.extend_from_slice(&0u64.to_be_bytes()); // epoch
+    hostile.push(0); // registration_closed
+    hostile.extend_from_slice(&u32::MAX.to_be_bytes()); // shards
+    hostile.extend_from_slice(&0u32.to_be_bytes()); // cohort
+    hostile.extend_from_slice(&[0; 24]); // registrations, bytes, messages
+    hostile.extend_from_slice(&[0; 3]); // no key, no policy, no partition
+    match ShardedCoordinator::restore(&hostile) {
+        Err(ProtocolError::MalformedFrame { detail }) => {
+            assert!(detail.contains("shard count"), "{detail}")
+        }
+        other => panic!("expected MalformedFrame, got {other:?}"),
+    }
+    // The same header with an honest count restores.
+    hostile[9..13].copy_from_slice(&4u32.to_be_bytes());
+    hostile.extend_from_slice(&[0; 4]); // four empty shard folds
+    assert_eq!(ShardedCoordinator::restore(&hostile).unwrap().shards(), 4);
+
+    // Every strict prefix of a valid four-shard snapshot — element-wise and
+    // packed, mid-fold — is a typed error, never a panic or a hang.
+    let n = 6;
     let policy = PackingPolicy::new(32, KEY_BITS, n as u64).unwrap();
-    let (replay, reference) = recorded_packed_registration(n, 321, policy);
-
-    for shards in [1usize, 3, 4] {
-        for cut in [2usize, 7, 11] {
-            let mut live = ShardedCoordinator::new(n, shards).with_packing(policy);
-            for e in replay.iter().take(1 + cut) {
-                Coordinator::deliver(&mut live, e.clone()).unwrap();
-            }
-            let bytes = live.snapshot().unwrap();
-            drop(live);
-
-            let mut resumed = ShardedCoordinator::restore(&bytes).unwrap();
-            assert_eq!(resumed.shards(), shards);
-            assert_eq!(resumed.packing(), Some(&policy));
-            for e in replay.iter().skip(1 + cut) {
-                Coordinator::deliver(&mut resumed, e.clone()).unwrap();
-            }
-            let total = resumed.packed_encrypted_total().expect("epoch complete");
-            for (a, b) in total
-                .vector()
-                .elements()
-                .iter()
-                .zip(reference.vector().elements())
-            {
-                assert_eq!(
-                    a.raw(),
-                    b.raw(),
-                    "shards {shards} cut {cut}: resumed packed fold diverged"
-                );
-            }
+    for policy in [None, Some(policy)] {
+        let (replay, _) = recorded_registration(n, 331, policy);
+        let mut live = ShardedCoordinator::new(n, 4);
+        if let Some(policy) = policy {
+            live = live.with_packing(policy);
+        }
+        for e in replay.iter().take(1 + 3) {
+            Coordinator::deliver(&mut live, e.clone()).unwrap();
+        }
+        let bytes = live.snapshot().unwrap();
+        assert_eq!(ShardedCoordinator::restore(&bytes).unwrap().shards(), 4);
+        for len in 0..bytes.len() {
+            assert!(
+                ShardedCoordinator::restore(&bytes[..len]).is_err(),
+                "packed {}: a {len}-byte prefix of {} restored",
+                policy.is_some(),
+                bytes.len()
+            );
         }
     }
 }
@@ -508,49 +481,71 @@ fn sharded_coordinator_killed_mid_packed_aggregation_resumes_bit_identically() {
 #[test]
 fn straggler_deadline_closes_partial_rounds_instead_of_hanging() {
     let n = 4;
-    let (replay, _) = recorded_registration(n, 131);
+    let packed = PackingPolicy::new(32, KEY_BITS, n as u64).unwrap();
+    for (policy, shards) in [(None, 1), (None, 4), (Some(packed), 1), (Some(packed), 4)] {
+        let what = format!("packed {}, shards {shards}", policy.is_some());
+        let (replay, _) = recorded_registration(n, 131, policy);
+        let coordinator = || match policy {
+            None => ShardedCoordinator::new(n, shards),
+            Some(policy) => ShardedCoordinator::new(n, shards).with_packing(policy),
+        };
 
-    // A zero deadline expires immediately: as soon as one registry is in,
-    // close_expired folds whatever arrived.
-    let mut server = CoordinatorServer::new(n).with_straggler_deadline(Duration::ZERO);
-    for e in replay.iter().take(1 + 2) {
-        Coordinator::deliver(&mut server, e.clone()).unwrap();
+        // A zero deadline expires immediately: as soon as one registry is
+        // in, close_expired folds whatever arrived.
+        let mut server = coordinator().with_straggler_deadline(Duration::ZERO);
+        for e in replay.iter().take(1 + 2) {
+            Coordinator::deliver(&mut server, e.clone()).unwrap();
+        }
+        let partial_chain = add_chain(replay[1..3].iter().map(|e| match &e.msg {
+            ProtocolMsg::EncryptedRegistry { registry, .. } => registry,
+            ProtocolMsg::PackedRegistry { registry, .. } => registry.vector(),
+            other => panic!("{what}: {:?} in the replay", other.kind()),
+        }));
+        let envelopes = server.close_expired().unwrap();
+        // An expired registration broadcasts its partial total — in the
+        // representation it was folded in — to the two contributors (in id
+        // order) and the agent, and to nobody else.
+        let mut expected: Vec<Party> = replay[1..3].iter().map(|e| e.from).collect();
+        expected.sort_by_key(|party| match party {
+            Party::Client(id) => *id,
+            other => panic!("{what}: a registry from {other:?}"),
+        });
+        expected.push(Party::Agent);
+        let addressees: Vec<Party> = envelopes.iter().map(|e| e.to).collect();
+        assert_eq!(addressees, expected, "{what}");
+        assert_broadcast_is_chain(&envelopes, policy.is_some(), &partial_chain, &what);
+        let outcome = *server.cohort_outcomes().last().expect("recorded");
+        assert_eq!(outcome.expected, n, "{what}");
+        assert_eq!(outcome.contributed, 2, "{what}");
+        assert!(outcome.partial, "{what}");
+        assert_eq!(outcome.try_index, None, "{what}");
+
+        // A straggler arriving after the close is a typed error, not
+        // corruption.
+        match Coordinator::deliver(&mut server, replay[3].clone()) {
+            Err(ProtocolError::EpochComplete { .. }) => {}
+            other => panic!("{what}: expected EpochComplete after partial close, got {other:?}"),
+        }
+
+        // An expired try nobody contributed to is abandoned — recorded, no
+        // envelope, no hang.
+        server.announce_try(7, &[0, 1]);
+        let envelopes = server.close_expired().unwrap();
+        assert!(envelopes.is_empty(), "{what}");
+        let outcome = *server.cohort_outcomes().last().expect("recorded");
+        assert_eq!(outcome.try_index, Some(7), "{what}");
+        assert_eq!(outcome.contributed, 0, "{what}");
+        assert!(outcome.partial, "{what}");
+        assert_eq!(server.cohort_outcomes().len(), 2, "{what}");
+
+        // Without a deadline, close_expired is a no-op (nothing ever
+        // "expires").
+        let mut patient = coordinator();
+        for e in replay.iter().take(1 + 2) {
+            Coordinator::deliver(&mut patient, e.clone()).unwrap();
+        }
+        assert!(patient.close_expired().unwrap().is_empty(), "{what}");
     }
-    let envelopes = server.close_expired().unwrap();
-    assert!(
-        envelopes
-            .iter()
-            .any(|e| matches!(e.msg, ProtocolMsg::EncryptedTotalBroadcast { .. })),
-        "an expired registration must broadcast its partial total"
-    );
-    let outcome = *server.cohort_outcomes().last().expect("recorded");
-    assert_eq!(outcome.expected, n);
-    assert_eq!(outcome.contributed, 2);
-    assert!(outcome.partial);
-    assert_eq!(outcome.try_index, None);
-
-    // A straggler arriving after the close is a typed error, not corruption.
-    match Coordinator::deliver(&mut server, replay[3].clone()) {
-        Err(ProtocolError::EpochComplete { .. }) => {}
-        other => panic!("expected EpochComplete after partial close, got {other:?}"),
-    }
-
-    // An expired try nobody contributed to is abandoned — recorded, no
-    // envelope, no hang.
-    server.announce_try(7, &[0, 1]);
-    let envelopes = server.close_expired().unwrap();
-    assert!(envelopes.is_empty());
-    let outcome = *server.cohort_outcomes().last().expect("recorded");
-    assert_eq!(outcome.try_index, Some(7));
-    assert_eq!(outcome.contributed, 0);
-    assert!(outcome.partial);
-
-    // Without a deadline, close_expired is a no-op (nothing ever "expires").
-    let mut patient = CoordinatorServer::new(n);
-    for e in replay.iter().take(1 + 2) {
-        Coordinator::deliver(&mut patient, e.clone()).unwrap();
-    }
-    assert!(patient.close_expired().unwrap().is_empty());
 }
 
 #[test]
@@ -564,7 +559,7 @@ fn dropout_partial_fold_feeds_the_agent_a_normalized_sum() {
         &dists,
         &config,
         KEY_BITS,
-        CoordinatorServer::new(10),
+        ShardedCoordinator::new(10, 1),
         &mut transport,
         &mut rng,
     )

@@ -17,8 +17,8 @@ use std::sync::Mutex;
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
 use dubhe_select::protocol::{
-    pump, run_registration_with_packing, CoordinatorServer, InMemoryTransport, PackingPolicy,
-    RegistrationRun, Transport,
+    pump, run_registration_with_packing, InMemoryTransport, PackingPolicy, RegistrationRun,
+    ShardedCoordinator, Transport,
 };
 use dubhe_select::DubheConfig;
 use rand::SeedableRng;
@@ -88,7 +88,7 @@ fn packed_registration(
     dists: &[ClassDistribution],
     transport: &mut InMemoryTransport,
     rng: &mut rand::rngs::StdRng,
-) -> RegistrationRun<CoordinatorServer> {
+) -> RegistrationRun<ShardedCoordinator> {
     let n = dists.len();
     let policy = PackingPolicy::new(32, KEY_BITS, n as u64).unwrap();
     run_registration_with_packing(
@@ -96,7 +96,7 @@ fn packed_registration(
         &DubheConfig::group1(),
         KEY_BITS,
         policy,
-        CoordinatorServer::new(n).with_packing(policy),
+        ShardedCoordinator::new(n, 1).with_packing(policy),
         transport,
         rng,
     )

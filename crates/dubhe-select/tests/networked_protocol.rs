@@ -1,11 +1,12 @@
 //! Equivalence and robustness pins for the networked/sharded coordinator.
 //!
-//! The acceptance bar of the transport work: a `ShardedCoordinator` (N ∈
-//! {1, 4}) and a TCP-loopback session must be *bit-identical* to the
-//! in-memory single-coordinator exchange on the same seed — same decrypted
-//! overall registry, same ciphertext residues, same verdict, same canonical
-//! byte accounting — and the TCP layer must surface every failure mode as a
-//! `ProtocolError`, never a panic or a hang.
+//! The acceptance bar of the transport work: a `ShardedCoordinator` at N ∈
+//! {1, 4} — in memory or behind a TCP loopback — must produce, on the same
+//! seed, the same decrypted overall registry, the same verdict, the same
+//! canonical byte accounting, and ciphertext residues *bit-identical* to the
+//! definition of the fold: the left-to-right `EncryptedVector::add` chain
+//! over the uploads in arrival order. And the TCP layer must surface every
+//! failure mode as a `ProtocolError`, never a panic or a hang.
 //!
 //! The [`TcpTransport`] connector's own tests live here rather than beside
 //! it: they need a live [`ReactorListener`], and only an integration test
@@ -18,6 +19,7 @@ use std::time::{Duration, Instant};
 
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
+use dubhe_he::EncryptedVector;
 use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
     read_frame, run_registration_with, run_try, ChannelPolicy, CodecKind, Coordinator, Envelope,
@@ -81,18 +83,25 @@ fn clients(n: usize, seed: u64) -> Vec<ClassDistribution> {
     spec.build_partition(&mut rng).client_distributions()
 }
 
-/// One full session (registration + H=3 multi-time round) against an
-/// arbitrary coordinator slot. Returns everything the equivalence pins
-/// compare: the decrypted overall registry, the agent's verdict, the
-/// canonical transport stats, and the coordinator slot back.
-fn drive_session<C: Coordinator>(
-    dists: &[ClassDistribution],
-    seed: u64,
+/// What one driven session leaves behind for the equivalence pins: the
+/// overall registry as the clients decrypted it, the verdict, the canonical
+/// transport accounting, the coordinator slot — and the definition the
+/// registry fold is pinned to, the left-to-right `EncryptedVector::add`
+/// chain over the recorded uploads in arrival order.
+struct Session<C> {
+    overall: Vec<u64>,
+    verdict: (usize, f64),
+    stats: TransportStats,
     server: C,
-) -> (Vec<u64>, (usize, f64), TransportStats, C) {
+    registry_chain: EncryptedVector,
+}
+
+/// One full session (registration + H=3 multi-time round) against an
+/// arbitrary coordinator slot, on a recording transport.
+fn drive_session<C: Coordinator>(dists: &[ClassDistribution], seed: u64, server: C) -> Session<C> {
     let config = DubheConfig::group1();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut transport = InMemoryTransport::new();
+    let mut transport = InMemoryTransport::recording();
     let mut run =
         run_registration_with(dists, &config, KEY_BITS, server, &mut transport, &mut rng).unwrap();
 
@@ -112,45 +121,71 @@ fn drive_session<C: Coordinator>(
         .unwrap();
     }
 
-    let overall = run.overall_registry().to_vec();
-    let verdict = run.agent.verdict().expect("all tries evaluated");
-    (overall, verdict, *transport.stats(), run.server)
+    let registry_chain = transport
+        .transcript()
+        .iter()
+        .filter_map(|e| match &e.msg {
+            ProtocolMsg::EncryptedRegistry { registry, .. } => Some(registry.clone()),
+            _ => None,
+        })
+        .reduce(|sum, registry| sum.add(&registry).unwrap())
+        .expect("every client uploaded a registry");
+    Session {
+        overall: run.overall_registry().to_vec(),
+        verdict: run.agent.verdict().expect("all tries evaluated"),
+        stats: *transport.stats(),
+        server: run.server,
+        registry_chain,
+    }
+}
+
+/// Asserts `total` is the add chain, residue for residue.
+fn assert_is_chain(total: &EncryptedVector, chain: &EncryptedVector, what: &str) {
+    assert_eq!(total.len(), chain.len(), "{what}");
+    for (a, b) in total.elements().iter().zip(chain.elements()) {
+        assert_eq!(a.raw(), b.raw(), "{what}: fold diverged from the add chain");
+    }
 }
 
 #[test]
 fn sharded_coordinator_is_bit_identical_to_single_for_n_1_and_4() {
+    // "Single" is the single fold: one left-to-right add chain. Both shard
+    // counts must land on it bit for bit, and agree with each other on
+    // everything else a session produces.
     let dists = clients(20, 51);
+    let [one, four] =
+        [1usize, 4].map(|shards| drive_session(&dists, 52, ShardedCoordinator::new(20, shards)));
 
-    let (overall_single, verdict_single, stats_single, single) =
-        drive_session(&dists, 52, dubhe_select::CoordinatorServer::new(20));
-    let total_single = single.encrypted_total().expect("epoch complete");
-
-    for shards in [1usize, 4] {
-        let (overall, verdict, stats, sharded) =
-            drive_session(&dists, 52, ShardedCoordinator::new(20, shards));
-        assert_eq!(overall, overall_single, "shards={shards}");
-        assert_eq!(verdict, verdict_single, "shards={shards}");
-        assert_eq!(stats, stats_single, "shards={shards}");
-        // Bit-identical ciphertext folds, element by element.
-        let total = sharded.encrypted_total().expect("epoch complete");
-        assert_eq!(total.len(), total_single.len());
-        for (a, b) in total.elements().iter().zip(total_single.elements()) {
-            assert_eq!(a.raw(), b.raw(), "shards={shards}: fold diverged");
-        }
-        assert_eq!(sharded.messages_received(), single.messages_received());
-        assert_eq!(sharded.bytes_received(), single.bytes_received());
+    for (shards, session) in [(1, &one), (4, &four)] {
+        let total = session.server.encrypted_total().expect("epoch complete");
+        assert_is_chain(&total, &session.registry_chain, &format!("shards={shards}"));
     }
+    // Same seed, same uploads: the two sessions folded the same ciphertexts.
+    assert_is_chain(
+        &four.registry_chain,
+        &one.registry_chain,
+        "recorded uploads",
+    );
+    assert_eq!(four.overall, one.overall);
+    assert_eq!(four.verdict, one.verdict);
+    assert_eq!(four.stats, one.stats);
+    assert_eq!(
+        four.server.messages_received(),
+        one.server.messages_received()
+    );
+    assert_eq!(four.server.bytes_received(), one.server.bytes_received());
 }
 
 #[test]
 fn tcp_loopback_session_is_bit_identical_to_in_memory_under_both_codecs() {
     let dists = clients(24, 61);
 
-    let (overall_mem, verdict_mem, stats_mem, server) =
-        drive_session(&dists, 62, dubhe_select::CoordinatorServer::new(24));
+    let memory = drive_session(&dists, 62, ShardedCoordinator::new(24, 1));
+    let total_mem = memory.server.encrypted_total().expect("epoch complete");
+    assert_is_chain(&total_mem, &memory.registry_chain, "in memory, 1 shard");
 
     // Same exchange, but every server-bound envelope crosses a real socket
-    // to a sharded listener — once framed as DBH1 JSON, once as DBH2
+    // to a four-shard listener — once framed as DBH1 JSON, once as DBH2
     // canonical binary. Decisions and canonical accounting must be
     // identical; only the measured framing differs.
     let mut wire_totals = Vec::new();
@@ -161,31 +196,39 @@ fn tcp_loopback_session_is_bit_identical_to_in_memory_under_both_codecs() {
             TcpConfig::default().with_codec(codec),
         )
         .unwrap();
-        let (overall_tcp, verdict_tcp, stats_tcp, endpoint) = drive_session(&dists, 62, endpoint);
+        let tcp = drive_session(&dists, 62, endpoint);
 
-        assert_eq!(overall_tcp, overall_mem, "{}", codec.name());
-        assert_eq!(verdict_tcp, verdict_mem, "{}", codec.name());
+        assert_eq!(tcp.overall, memory.overall, "{}", codec.name());
+        assert_eq!(tcp.verdict, memory.verdict, "{}", codec.name());
         // The local transport saw the identical message flow...
-        assert_eq!(stats_tcp, stats_mem, "{}", codec.name());
+        assert_eq!(tcp.stats, memory.stats, "{}", codec.name());
         // ...and the socket actually carried it: framed bytes exceed the
         // canonical ciphertext accounting (framing is not free).
-        let wire = *endpoint.wire_stats();
+        let wire = *tcp.server.wire_stats();
         assert!(wire.frames_sent > 0 && wire.frames_received > 0);
         assert!(
-            wire.total_bytes() > stats_mem.total().bytes,
+            wire.total_bytes() > memory.stats.total().bytes,
             "{}: framed traffic {} should exceed canonical bytes {}",
             codec.name(),
             wire.total_bytes(),
-            stats_mem.total().bytes
+            memory.stats.total().bytes
         );
         wire_totals.push(wire.total_bytes());
-        endpoint.shutdown().unwrap();
+        tcp.server.shutdown().unwrap();
         let coordinator = listener.shutdown().expect("listener state");
-        // The remote coordinator saw exactly what the in-memory server saw,
-        // in canonical units — regardless of the payload format.
-        assert_eq!(coordinator.messages_received(), server.messages_received());
-        assert_eq!(coordinator.bytes_received(), server.bytes_received());
-        assert_eq!(coordinator.last_verdict(), Some(verdict_mem));
+        // The remote four-shard coordinator folded the uploads this session
+        // recorded into exactly their add chain — whatever the payload
+        // format — and saw what the in-memory one-shard coordinator saw, in
+        // canonical units.
+        let total = coordinator.encrypted_total().expect("epoch complete");
+        assert_is_chain(&total, &tcp.registry_chain, codec.name());
+        assert_is_chain(&total, &total_mem, codec.name());
+        assert_eq!(
+            coordinator.messages_received(),
+            memory.server.messages_received()
+        );
+        assert_eq!(coordinator.bytes_received(), memory.server.bytes_received());
+        assert_eq!(coordinator.last_verdict(), Some(memory.verdict));
     }
     assert!(
         wire_totals[1] < wire_totals[0],

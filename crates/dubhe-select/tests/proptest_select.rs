@@ -168,8 +168,10 @@ proptest! {
 
     /// Crash-recovery property over the coordinator grid: for any registry
     /// length × shard count × crash point, a coordinator restored from its
-    /// snapshot finishes on a total bit-identical to both the uninterrupted
-    /// sharded run and the single-fold reference.
+    /// snapshot finishes on a total bit-identical to the uninterrupted run at
+    /// that shard count, to a run at a *different* shard count, and to the
+    /// definition of the fold — the left-to-right `EncryptedVector::add`
+    /// chain over the uploads in arrival order.
     #[test]
     fn sharded_snapshot_resumes_bit_identically(len in 1usize..16,
                                                 n in 2usize..7,
@@ -177,32 +179,34 @@ proptest! {
                                                 cut_seed in any::<u64>(),
                                                 seed in any::<u64>()) {
         use dubhe_select::protocol::{
-            Coordinator, CoordinatorServer, Envelope, Party, ProtocolMsg, ShardedCoordinator,
+            Coordinator, Envelope, Party, ProtocolMsg, ShardedCoordinator,
         };
 
         let kp = snapshot_keys();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let uploads: Vec<Envelope> = (0..n)
+        let registries: Vec<dubhe_he::EncryptedVector> = (0..n)
             .map(|client| {
                 let v: Vec<u64> = (0..len).map(|j| ((client * 13 + j * 7) % 9) as u64).collect();
-                Envelope {
-                    from: Party::Client(client),
-                    to: Party::Server,
-                    epoch: 0,
-                    msg: ProtocolMsg::EncryptedRegistry {
-                        client,
-                        registry: dubhe_he::EncryptedVector::encrypt_u64(&kp.public, &v, &mut rng),
-                    },
-                }
+                dubhe_he::EncryptedVector::encrypt_u64(&kp.public, &v, &mut rng)
+            })
+            .collect();
+        let uploads: Vec<Envelope> = (registries.iter().cloned().enumerate())
+            .map(|(client, registry)| Envelope {
+                from: Party::Client(client),
+                to: Party::Server,
+                epoch: 0,
+                msg: ProtocolMsg::EncryptedRegistry { client, registry },
             })
             .collect();
         let cut = 1 + (cut_seed as usize) % n;
+        let chain = (registries.into_iter()).reduce(|sum, v| sum.add(&v).unwrap());
 
-        let mut single = CoordinatorServer::with_public_key(kp.public.clone(), n);
+        // 1 ↔ 4, 2 ↔ 3: always a different partition of the same positions.
+        let mut other = ShardedCoordinator::with_public_key(kp.public.clone(), n, 5 - shards);
         let mut whole = ShardedCoordinator::with_public_key(kp.public.clone(), n, shards);
         let mut doomed = ShardedCoordinator::with_public_key(kp.public.clone(), n, shards);
         for e in &uploads {
-            Coordinator::deliver(&mut single, e.clone()).unwrap();
+            Coordinator::deliver(&mut other, e.clone()).unwrap();
             Coordinator::deliver(&mut whole, e.clone()).unwrap();
         }
         for e in uploads.iter().take(cut) {
@@ -216,17 +220,18 @@ proptest! {
             Coordinator::deliver(&mut resumed, e.clone()).unwrap();
         }
 
-        let reference = single.encrypted_total().expect("epoch complete");
+        let reference = chain.expect("n >= 2 uploads");
+        let repartitioned = other.encrypted_total().expect("epoch complete");
         let uninterrupted = whole.encrypted_total().expect("epoch complete");
         let total = resumed.encrypted_total().expect("epoch complete");
-        for ((a, b), c) in total
-            .elements()
-            .iter()
-            .zip(uninterrupted.elements())
-            .zip(reference.elements())
-        {
-            prop_assert_eq!(a.raw(), b.raw(), "resumed fold diverged from uninterrupted");
-            prop_assert_eq!(a.raw(), c.raw(), "sharded fold diverged from single");
+        prop_assert_eq!(total.len(), reference.len());
+        for (i, c) in reference.elements().iter().enumerate() {
+            let a = &total.elements()[i];
+            prop_assert_eq!(a.raw(), uninterrupted.elements()[i].raw(),
+                            "resumed fold diverged from uninterrupted");
+            prop_assert_eq!(a.raw(), repartitioned.elements()[i].raw(),
+                            "fold diverged between shard counts");
+            prop_assert_eq!(a.raw(), c.raw(), "sharded fold diverged from the add chain");
         }
     }
 }

@@ -144,7 +144,7 @@ fn full_epoch_never_shows_the_server_secrets() {
 fn the_server_rejects_a_smuggled_private_key() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(77);
     let kp = Keypair::generate(KEY_BITS, &mut rng);
-    let mut server = dubhe_select::CoordinatorServer::new(1);
+    let mut server = dubhe_select::ShardedCoordinator::new(1, 1);
     let err = server
         .handle(ProtocolMsg::PublicKeyDispatch {
             public_key: kp.public.clone(),
@@ -382,7 +382,7 @@ fn actor_multi_time_is_bit_identical_to_the_legacy_path() {
 /// folding them into the homomorphic sums.
 #[test]
 fn the_server_rejects_replayed_and_unknown_contributions() {
-    use dubhe_select::{CoordinatorServer, ProtocolError};
+    use dubhe_select::{ProtocolError, ShardedCoordinator};
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(88);
     let kp = Keypair::generate(KEY_BITS, &mut rng);
@@ -390,7 +390,7 @@ fn the_server_rejects_replayed_and_unknown_contributions() {
         |rng: &mut rand::rngs::StdRng| EncryptedVector::encrypt_u64(&kp.public, &[1, 0, 0], rng);
 
     // Registration: one upload per known client, none after the broadcast.
-    let mut server = CoordinatorServer::with_public_key(kp.public.clone(), 2);
+    let mut server = ShardedCoordinator::with_public_key(kp.public.clone(), 2, 1);
     server
         .handle(ProtocolMsg::EncryptedRegistry {
             client: 0,
