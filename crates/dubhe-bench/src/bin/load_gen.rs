@@ -38,8 +38,8 @@ use dubhe_he::{EncryptedVector, Keypair, PublicKey};
 use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
 use dubhe_select::protocol::stats::{LatencySummary, ListenerStats};
 use dubhe_select::protocol::{
-    ChannelPolicy, CodecKind, Coordinator, Envelope, NodeIdentity, Party, ProtocolMsg,
-    ShardedCoordinator, WireMsg,
+    ChannelPolicy, Coordinator, Envelope, NodeIdentity, Party, ProtocolMsg, ShardedCoordinator,
+    WireMsg,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -347,9 +347,7 @@ fn run_backend(
     println!("[n={n}] spawning listener subprocess...");
     let mut server = spawn_server(n, shards, channel, seed);
 
-    let mut mux_config = MuxConfig::default()
-        .with_codec(CodecKind::Binary)
-        .with_exchange_timeout(Duration::from_secs(300));
+    let mut mux_config = MuxConfig::default().with_exchange_timeout(Duration::from_secs(300));
     if channel.is_required() {
         // The child derived its identity from the shared seed; pin it.
         let pin = NodeIdentity::from_seed(server_identity_seed(seed)).public_bytes();

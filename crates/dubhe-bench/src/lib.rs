@@ -1,8 +1,9 @@
 //! # dubhe-bench — the experiment harness
 //!
 //! One binary per table / figure of the paper's evaluation section, plus
-//! criterion micro-benchmarks for the HE, registry, selection and training
-//! hot paths.
+//! `load_gen`, the 10³–10⁴-connection smoke of the listener. Timed numbers
+//! come from the detached `benchmark/` crate at the repo root — its
+//! per-layer ladder and its four end-to-end workloads — not from here.
 //!
 //! Every binary:
 //!
@@ -14,9 +15,7 @@
 //! * is deterministic for a fixed `--seed`.
 //!
 //! The experiment index, with its paper anchor, lives in each binary's
-//! module docs; `overhead_report` additionally cross-checks the in-memory,
-//! sharded and TCP-loopback protocol paths against each other (see
-//! `docs/ARCHITECTURE.md` at the repo root).
+//! module docs (see `docs/ARCHITECTURE.md` at the repo root).
 //!
 //! ## Example: building a comparable federation for any method
 //!
@@ -185,104 +184,10 @@ pub fn print_series(name: &str, values: &[f64]) {
     println!("{name:<22} {}", joined.join(" "));
 }
 
-/// Synthetic encrypted registries for aggregation sweeps: vectors of
-/// uniform residues below `n²`. Folding is arithmetic on residues, so
-/// synthetic inputs measure exactly what real registries cost without
-/// paying `count × len` encryptions to set a sweep up. Shared by the
-/// `registry_agg` bench and `overhead_report`'s throughput line so both
-/// generate identical inputs.
-pub fn synthetic_registries(
-    public: &dubhe_he::PublicKey,
-    count: usize,
-    len: usize,
-    seed: u64,
-) -> Vec<dubhe_he::EncryptedVector> {
-    use num_bigint::RandBigInt;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n_squared = public.n_squared().clone();
-    (0..count)
-        .map(|_| {
-            let elements: Vec<dubhe_he::Ciphertext> = (0..len)
-                .map(|_| {
-                    dubhe_he::Ciphertext::from_raw(
-                        rng.gen_biguint_below(&n_squared),
-                        public.clone(),
-                    )
-                })
-                .collect();
-            dubhe_he::EncryptedVector::from_ciphertexts(public, elements).expect("same key")
-        })
-        .collect()
-}
-
-/// The counting global allocator behind the `count-allocs` feature: every
-/// allocation entry point bumps one relaxed atomic, so the aggregation
-/// sweeps can report allocations/element alongside wall clock — the number
-/// that catches a scratch-arena regression even when the clock is noisy.
-#[cfg(feature = "count-allocs")]
-mod alloc_meter {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    struct CountingAlloc;
-
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc(layout)
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.alloc_zeroed(layout)
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            System.realloc(ptr, layout, new_size)
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            System.dealloc(ptr, layout)
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
-
-    pub fn allocation_count() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
-    }
-}
-
-/// Runs `f`, returning its result and — when the `count-allocs` feature is
-/// enabled — how many heap allocations it performed. `None` means the
-/// build carries no counter (the default), not "zero allocations".
-pub fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, Option<u64>) {
-    #[cfg(feature = "count-allocs")]
-    {
-        let before = alloc_meter::allocation_count();
-        let out = f();
-        (out, Some(alloc_meter::allocation_count() - before))
-    }
-    #[cfg(not(feature = "count-allocs"))]
-    {
-        (f(), None)
-    }
-}
-
 /// Writes any serialisable result object as JSON next to the binary output so
 /// EXPERIMENTS.md can reference machine-readable results.
 pub fn dump_json<T: Serialize>(experiment: &str, value: &T) {
-    dump_json_at(std::path::Path::new("results"), experiment, value);
-}
-
-/// [`dump_json`] with an explicit results directory — benches run with the
-/// package directory as cwd, so they pass the workspace-root `results/` to
-/// keep every machine-readable artifact in one place.
-pub fn dump_json_at<T: Serialize>(dir: &std::path::Path, experiment: &str, value: &T) {
+    let dir = std::path::Path::new("results");
     if std::fs::create_dir_all(dir).is_err() {
         return;
     }

@@ -5,7 +5,6 @@
 //! registration epoch happens and ≈ `H·K` encrypted-distribution transfers per
 //! round when multi-time selection is used for client determination.
 
-use dubhe_select::protocol::CodecKind;
 use dubhe_select::TransportStats;
 use serde::{Deserialize, Serialize};
 
@@ -35,11 +34,6 @@ pub struct RoundComm {
     /// [`ciphertext_bytes`](Self::ciphertext_bytes) this is *measured*, not
     /// canonical — it includes framing and encoding overhead.
     pub wire_frame_bytes: usize,
-    /// Which payload codec produced [`wire_frame_bytes`](Self::wire_frame_bytes)
-    /// (`None` for modeled and in-memory rounds). Recording the codec next
-    /// to the measured bytes is what lets the overhead study compare `DBH1`
-    /// and `DBH2` framing against the same canonical accounting.
-    pub wire_codec: Option<CodecKind>,
 }
 
 impl RoundComm {
@@ -63,15 +57,13 @@ impl RoundComm {
             ciphertext_bytes: stats.uplink_ciphertext_bytes(),
             model_bytes,
             wire_frame_bytes: 0,
-            wire_codec: None,
         }
     }
 
-    /// Attaches the measured socket traffic of the round and the codec that
-    /// framed it (see [`wire_frame_bytes`](Self::wire_frame_bytes)).
-    pub fn with_wire_frames(mut self, wire_frame_bytes: usize, codec: CodecKind) -> Self {
+    /// Attaches the measured socket traffic of the round (see
+    /// [`wire_frame_bytes`](Self::wire_frame_bytes)).
+    pub fn with_wire_frames(mut self, wire_frame_bytes: usize) -> Self {
         self.wire_frame_bytes = wire_frame_bytes;
-        self.wire_codec = Some(codec);
         self
     }
 }
@@ -116,16 +108,6 @@ impl CommLedger {
         self.rounds.iter().map(|r| r.wire_frame_bytes).sum()
     }
 
-    /// Measured socket bytes framed by a specific codec — the per-codec view
-    /// the DBH1-vs-DBH2 overhead comparison reads.
-    pub fn wire_frame_bytes_for(&self, codec: CodecKind) -> usize {
-        self.rounds
-            .iter()
-            .filter(|r| r.wire_codec == Some(codec))
-            .map(|r| r.wire_frame_bytes)
-            .sum()
-    }
-
     /// Fraction of transferred bytes attributable to Dubhe (ciphertext /
     /// (ciphertext + model)). The paper argues this is negligible because
     /// registries are KBs while models are MBs–GBs.
@@ -166,7 +148,6 @@ mod tests {
             ciphertext_bytes: ct,
             model_bytes: model,
             wire_frame_bytes: 0,
-            wire_codec: None,
         }
     }
 
@@ -225,15 +206,12 @@ mod tests {
     #[test]
     fn wire_frame_bytes_accumulate_separately_from_canonical_bytes() {
         let mut ledger = CommLedger::new();
-        ledger.record(round(10, 0, 100, 0).with_wire_frames(12_345, CodecKind::Json));
-        ledger.record(round(0, 5, 50, 0).with_wire_frames(5_000, CodecKind::Binary));
+        ledger.record(round(10, 0, 100, 0).with_wire_frames(12_345));
+        ledger.record(round(0, 5, 50, 0).with_wire_frames(5_000));
         ledger.record(round(0, 5, 50, 0));
         assert_eq!(ledger.total_wire_frame_bytes(), 17_345);
-        assert_eq!(ledger.wire_frame_bytes_for(CodecKind::Json), 12_345);
-        assert_eq!(ledger.wire_frame_bytes_for(CodecKind::Binary), 5_000);
         assert_eq!(ledger.total_ciphertext_bytes(), 200);
-        assert_eq!(ledger.rounds[0].wire_codec, Some(CodecKind::Json));
-        assert_eq!(ledger.rounds[2].wire_codec, None);
+        assert_eq!(ledger.rounds[2].wire_frame_bytes, 0);
     }
 
     #[test]

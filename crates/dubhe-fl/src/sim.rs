@@ -26,8 +26,8 @@ use dubhe_select::multi_time_select;
 use dubhe_select::protocol::stats::ListenerStats;
 use dubhe_select::protocol::{
     pump, run_registration_with, run_registration_with_packing, run_try, run_try_with_dropouts,
-    ChannelPolicy, CodecKind, Coordinator, Envelope, InMemoryTransport, PackingPolicy,
-    RegistrationRun, ShardedCoordinator, TcpConfig, TcpTransport, Transport,
+    ChannelPolicy, Coordinator, Envelope, InMemoryTransport, PackingPolicy, RegistrationRun,
+    ShardedCoordinator, TcpConfig, TcpTransport, Transport,
 };
 use dubhe_select::selector::{population_distribution, ClientSelector};
 use dubhe_select::{ProtocolError, SelectError};
@@ -70,23 +70,18 @@ pub enum SecureMode {
     },
     /// Like [`Encrypted`](Self::Encrypted), but the coordinator runs behind
     /// a loopback TCP listener: every server-bound message crosses a real
-    /// socket as a length-prefixed frame in the selected payload `codec`
-    /// (`DBH1` JSON or `DBH2` canonical binary — negotiated from the frame
-    /// magic by the listener), the coordinator state is sharded across
-    /// `shards` rayon-parallel folds, and the ledger additionally records
-    /// the measured frame bytes per codec
-    /// ([`RoundComm::wire_frame_bytes`](crate::comm::RoundComm::wire_frame_bytes)
-    /// / [`RoundComm::wire_codec`](crate::comm::RoundComm::wire_codec)).
+    /// socket as a length-prefixed `DBH2` frame, the coordinator state is
+    /// sharded across `shards` rayon-parallel folds, and the ledger
+    /// additionally records the measured frame bytes
+    /// ([`RoundComm::wire_frame_bytes`](crate::comm::RoundComm::wire_frame_bytes)).
     /// Selections, training history and canonical byte totals are identical
-    /// to the other two modes (and across codecs) on the same seed; only the
-    /// measured framing differs.
+    /// to the other two modes on the same seed; only the measured framing
+    /// is added.
     EncryptedTcp {
         /// Key size of the real epoch keypair the agent generates.
         key_bits: u64,
         /// Shard count of the remote coordinator (≥ 1).
         shards: usize,
-        /// The wire payload codec the connector frames requests in.
-        codec: CodecKind,
         /// Slot packing, exactly as in [`Encrypted`](Self::Encrypted) — the
         /// packed frames cross the socket like any other, so the measured
         /// wire bytes shrink along with the canonical ciphertext accounting.
@@ -121,14 +116,6 @@ impl SecureMode {
             self,
             SecureMode::Encrypted { .. } | SecureMode::EncryptedTcp { .. }
         )
-    }
-
-    /// The wire payload codec of a socket-backed mode (`None` otherwise).
-    pub fn wire_codec(&self) -> Option<CodecKind> {
-        match *self {
-            SecureMode::EncryptedTcp { codec, .. } => Some(codec),
-            _ => None,
-        }
     }
 
     /// The slot width of an encrypted mode's ciphertext packing (`None` when
@@ -454,10 +441,7 @@ impl FlSimulation {
                 let packing = self.packing_policy(key_bits)?;
                 let server = match self.config.secure {
                     SecureMode::EncryptedTcp {
-                        shards,
-                        codec,
-                        channel,
-                        ..
+                        shards, channel, ..
                     } => {
                         let mut coordinator = ShardedCoordinator::new(n, shards);
                         if let Some(policy) = packing {
@@ -470,8 +454,7 @@ impl FlSimulation {
                         // Under Required the connector pins the identity the
                         // listener just minted — trust is established at
                         // spawn, not on first use.
-                        let mut tcp_config =
-                            TcpConfig::default().with_codec(codec).with_channel(channel);
+                        let mut tcp_config = TcpConfig::default().with_channel(channel);
                         if let Some(pin) = listener.public_identity() {
                             tcp_config = tcp_config.with_expected_server(pin);
                         }
@@ -674,18 +657,14 @@ impl FlSimulation {
             // Measured accounting from the metered transport. Canonical
             // ciphertext widths make these totals identical to the modeled
             // branch below for the same key size. Socket-backed rounds also
-            // record the real framed bytes that crossed the loopback wire.
-            let base = RoundComm::from_transport(transport.stats(), k, model_bytes);
-            match self.config.secure.wire_codec() {
-                Some(codec) => {
-                    let wire_delta = self
-                        .protocol
-                        .as_ref()
-                        .map_or(0, |r| r.server.wire_bytes() - wire_before);
-                    base.with_wire_frames(wire_delta, codec)
-                }
-                None => base,
-            }
+            // record the real framed bytes that crossed the loopback wire (an
+            // in-process coordinator meters none).
+            let wire_delta = self
+                .protocol
+                .as_ref()
+                .map_or(0, |r| r.server.wire_bytes() - wire_before);
+            RoundComm::from_transport(transport.stats(), k, model_bytes)
+                .with_wire_frames(wire_delta)
         } else {
             // Modeled accounting: registration happens once (round 0) for
             // selectors with a registry epoch; its ciphertext cost is N
@@ -719,7 +698,6 @@ impl FlSimulation {
                 },
                 model_bytes,
                 wire_frame_bytes: 0,
-                wire_codec: None,
             }
         };
         self.ledger.record(comm);
@@ -1001,9 +979,9 @@ mod tests {
     fn tcp_encrypted_mode_matches_the_in_memory_modes_end_to_end() {
         // The acceptance pin of the socket-backed mode: same seeds, same
         // selector — one run modeled, one through in-process actors, and one
-        // over loopback TCP against a 4-shard coordinator *per codec*.
-        // Training history and canonical ledger totals must be identical
-        // across all of them; only the measured frame bytes differ by codec.
+        // over loopback TCP against a 4-shard coordinator. Training history
+        // and canonical ledger totals must be identical across all of them;
+        // only the socket-backed run measures frame bytes.
         let (client_data, test, dists) = build_federation(24, 10.0, 1.5, 9);
         let run_mode = |secure: SecureMode| {
             let selector = Box::new(DubheSelector::new(&dists, DubheConfig::group1()));
@@ -1029,74 +1007,47 @@ mod tests {
             key_bits: 256,
             packing: None,
         });
-        let (json_hist, json_ledger, json_stats) = run_mode(SecureMode::EncryptedTcp {
+        let (tcp_hist, tcp_ledger, tcp_stats) = run_mode(SecureMode::EncryptedTcp {
             key_bits: 256,
             shards: 4,
-            codec: CodecKind::Json,
-            packing: None,
-            channel: ChannelPolicy::Plaintext,
-        });
-        let (binary_hist, binary_ledger, binary_stats) = run_mode(SecureMode::EncryptedTcp {
-            key_bits: 256,
-            shards: 4,
-            codec: CodecKind::Binary,
             packing: None,
             channel: ChannelPolicy::Plaintext,
         });
 
-        assert_eq!(json_hist, modeled_hist, "TCP must reproduce the decisions");
-        assert_eq!(json_hist, encrypted_hist);
-        assert_eq!(
-            binary_hist, json_hist,
-            "codec choice must not change any decision"
-        );
+        assert_eq!(tcp_hist, modeled_hist, "TCP must reproduce the decisions");
+        assert_eq!(tcp_hist, encrypted_hist);
         // The listener saw the single persistent connector connection plus
-        // real frames, whichever codec framed them.
+        // real frames.
         assert!(modeled_stats.is_none(), "no listener in the modeled mode");
-        for stats in [&json_stats, &binary_stats] {
-            let stats = stats.as_ref().expect("socket-backed runs have stats");
-            assert_eq!(stats.connections_accepted, 1);
-            assert!(stats.frames_received > 0);
-            assert_eq!(stats.frames_sent, stats.frames_received);
-            assert!(stats.bytes_received > 0);
-            assert_eq!(stats.decode_errors, 0);
-            assert_eq!(stats.backpressure_disconnects, 0);
-            assert_eq!(stats.latency.count, stats.frames_sent as u64);
-        }
-        for tcp_ledger in [&json_ledger, &binary_ledger] {
-            assert_eq!(
-                tcp_ledger.total_ciphertext_bytes(),
-                modeled_ledger.total_ciphertext_bytes(),
-                "canonical accounting is transport- and codec-independent"
-            );
-            assert_eq!(
-                tcp_ledger.dubhe_overhead_messages(),
-                modeled_ledger.dubhe_overhead_messages()
-            );
-            // Framed traffic includes headers and encoding on top of the
-            // uplink ciphertexts, whichever codec frames it.
-            assert!(tcp_ledger.total_wire_frame_bytes() > tcp_ledger.total_ciphertext_bytes());
-            // Every round with protocol traffic shows measured frames.
-            assert!(tcp_ledger.rounds[0].wire_frame_bytes > 0);
-            assert!(
-                tcp_ledger.rounds[1].wire_frame_bytes > 0,
-                "multi-time rounds cross the wire too"
-            );
-        }
-        // Only the socket-backed runs pay (and measure, per codec) framing.
+        let stats = tcp_stats.expect("socket-backed runs have stats");
+        assert_eq!(stats.connections_accepted, 1);
+        assert!(stats.frames_received > 0);
+        assert_eq!(stats.frames_sent, stats.frames_received);
+        assert!(stats.bytes_received > 0);
+        assert_eq!(stats.decode_errors, 0);
+        assert_eq!(stats.backpressure_disconnects, 0);
+        assert_eq!(stats.latency.count, stats.frames_sent as u64);
+        assert_eq!(
+            tcp_ledger.total_ciphertext_bytes(),
+            modeled_ledger.total_ciphertext_bytes(),
+            "canonical accounting is transport-independent"
+        );
+        assert_eq!(
+            tcp_ledger.dubhe_overhead_messages(),
+            modeled_ledger.dubhe_overhead_messages()
+        );
+        // Framed traffic includes headers and encoding on top of the uplink
+        // ciphertexts.
+        assert!(tcp_ledger.total_wire_frame_bytes() > tcp_ledger.total_ciphertext_bytes());
+        // Every round with protocol traffic shows measured frames.
+        assert!(tcp_ledger.rounds[0].wire_frame_bytes > 0);
+        assert!(
+            tcp_ledger.rounds[1].wire_frame_bytes > 0,
+            "multi-time rounds cross the wire too"
+        );
+        // Only the socket-backed run pays (and measures) framing.
         assert_eq!(modeled_ledger.total_wire_frame_bytes(), 0);
         assert_eq!(encrypted_ledger.total_wire_frame_bytes(), 0);
-        assert_eq!(
-            json_ledger.wire_frame_bytes_for(CodecKind::Json),
-            json_ledger.total_wire_frame_bytes()
-        );
-        assert_eq!(json_ledger.wire_frame_bytes_for(CodecKind::Binary), 0);
-        assert!(
-            binary_ledger.total_wire_frame_bytes() < json_ledger.total_wire_frame_bytes(),
-            "DBH2 ({}) must frame the identical session in fewer bytes than DBH1 ({})",
-            binary_ledger.total_wire_frame_bytes(),
-            json_ledger.total_wire_frame_bytes()
-        );
     }
 
     #[test]
@@ -1129,7 +1080,6 @@ mod tests {
         let tcp_mode = |channel| SecureMode::EncryptedTcp {
             key_bits: 256,
             shards: 4,
-            codec: CodecKind::Binary,
             packing: None,
             channel,
         };
@@ -1192,7 +1142,6 @@ mod tests {
         let (tcp_unpacked_hist, tcp_unpacked_ledger, _) = run_mode(SecureMode::EncryptedTcp {
             key_bits: 256,
             shards: 4,
-            codec: CodecKind::Binary,
             packing: None,
             channel: ChannelPolicy::Plaintext,
         });
@@ -1200,7 +1149,6 @@ mod tests {
             run_mode(SecureMode::EncryptedTcp {
                 key_bits: 256,
                 shards: 4,
-                codec: CodecKind::Binary,
                 packing: Some(32),
                 channel: ChannelPolicy::Plaintext,
             });

@@ -43,8 +43,9 @@
 //! `2 · COMB_COLUMNS − 1` operations, half of them squarings. At 1024-bit
 //! keys that is ≈ 1536 vs 63 heavy operations — an order of magnitude on the
 //! randomness component, and 5–10× end-to-end once the (cheap) message
-//! component and final multiplication are included. The `paillier_ops`
-//! criterion bench measures both paths side by side.
+//! component and final multiplication are included. The `benchmark/`
+//! crate's `bigint.modpow_us` and `he.encrypt_vec_ms` rungs measure the two
+//! sides.
 //!
 //! ## The CRT-split tier
 //!

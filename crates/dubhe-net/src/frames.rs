@@ -19,8 +19,8 @@ use std::io::{self, Write};
 use dubhe_select::protocol::channel::{
     append_frame, SecureChannel, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, SEALED_FRAME_OVERHEAD,
 };
-use dubhe_select::protocol::codec::{CodecKind, RegistryFrame};
-use dubhe_select::protocol::wire::{decode_frame, decode_frame_lazy, LazyMsg};
+use dubhe_select::protocol::codec::RegistryFrame;
+use dubhe_select::protocol::wire::{decode_frame, decode_frame_lazy, LazyMsg, FRAME_MAGIC_V2};
 use dubhe_select::protocol::WireMsg;
 use dubhe_select::ProtocolError;
 
@@ -99,11 +99,10 @@ impl WriteQueue {
     pub(crate) fn push_frame(
         &mut self,
         msg: &WireMsg,
-        codec: CodecKind,
         max_frame_bytes: usize,
         channel: Option<&mut SecureChannel>,
     ) -> Result<usize, ProtocolError> {
-        let written = append_frame(&mut self.buf, msg, codec, max_frame_bytes, channel)?;
+        let written = append_frame(&mut self.buf, msg, max_frame_bytes, channel)?;
         self.queued_total += written as u64;
         Ok(written)
     }
@@ -170,13 +169,8 @@ pub enum BufferedFrame<'a> {
     /// A `DBHE` sealed payload (`seq || ciphertext || tag`), mutable so the
     /// channel can open it where it lies.
     Sealed(&'a mut [u8]),
-    /// A plaintext protocol frame (`DBH1`/`DBH2`), header included.
-    Plaintext {
-        /// The plaintext codec the magic announced.
-        codec: CodecKind,
-        /// The full frame (magic + length + payload).
-        frame: &'a [u8],
-    },
+    /// A plaintext `DBH2` protocol frame, header included.
+    Plaintext(&'a [u8]),
 }
 
 /// Reassembles length-prefixed frames from arbitrary byte slices. One per
@@ -234,13 +228,13 @@ impl FrameBuffer {
             return Ok(None);
         }
         let magic = [avail[0], avail[1], avail[2], avail[3]];
-        let known = CodecKind::from_magic(magic).is_some()
+        let known = magic == FRAME_MAGIC_V2
             || (channel && (magic == FRAME_MAGIC_HANDSHAKE || magic == FRAME_MAGIC_SEALED));
         if !known {
             let expected = if channel {
-                "DBH1, DBH2, DBHS or DBHE"
+                "DBH2, DBHS or DBHE"
             } else {
-                "DBH1 or DBH2"
+                "DBH2"
             };
             return Err(ProtocolError::MalformedFrame {
                 detail: format!("bad magic {magic:02x?}, expected {expected}"),
@@ -251,7 +245,7 @@ impl FrameBuffer {
         }
         let len = u32::from_be_bytes([avail[4], avail[5], avail[6], avail[7]]) as usize;
         let ceiling = if channel {
-            max_frame_bytes + SEALED_FRAME_OVERHEAD
+            max_frame_bytes.saturating_add(SEALED_FRAME_OVERHEAD)
         } else {
             max_frame_bytes
         };
@@ -282,7 +276,7 @@ impl FrameBuffer {
     pub fn next_frame(
         &mut self,
         max_frame_bytes: usize,
-    ) -> Result<Option<(WireMsg, usize, CodecKind)>, ProtocolError> {
+    ) -> Result<Option<(WireMsg, usize)>, ProtocolError> {
         let Some(total) = self.arrived(max_frame_bytes, false)? else {
             return Ok(None);
         };
@@ -291,7 +285,7 @@ impl FrameBuffer {
         Ok(Some(frame))
     }
 
-    /// [`next_frame`](Self::next_frame), but `DBH2` registry uploads come
+    /// [`next_frame`](Self::next_frame), but registry uploads come
     /// back *undecoded* as [`LazyMsg::DeferredRegistry`] — the router folds
     /// their ciphertext block straight out of the payload bytes instead of
     /// materialising per-element bignums on the event loop. Every other
@@ -303,13 +297,12 @@ impl FrameBuffer {
     pub fn next_frame_lazy(
         &mut self,
         max_frame_bytes: usize,
-    ) -> Result<Option<(LazyMsg, usize, CodecKind)>, ProtocolError> {
+    ) -> Result<Option<(LazyMsg, usize)>, ProtocolError> {
         let Some(total) = self.arrived(max_frame_bytes, false)? else {
             return Ok(None);
         };
         if self.pos == 0
             && self.buf.len() == total
-            && self.buf[..4] == CodecKind::Binary.magic()
             && RegistryFrame::matches_prefix(&self.buf[HEADER_BYTES..])
         {
             // The frame is the buffer's whole content: take it, shave the
@@ -318,8 +311,7 @@ impl FrameBuffer {
             taken.drain(..HEADER_BYTES);
             let frame = RegistryFrame::try_from_payload(taken)
                 .expect("matches_prefix accepted this payload");
-            let lazy = LazyMsg::DeferredRegistry(frame);
-            return Ok(Some((lazy, total, CodecKind::Binary)));
+            return Ok(Some((LazyMsg::DeferredRegistry(frame), total)));
         }
         let frame = decode_frame_lazy(&self.buf[self.pos..self.pos + total], max_frame_bytes)?;
         self.pos += total;
@@ -353,10 +345,7 @@ impl FrameBuffer {
         } else if magic == FRAME_MAGIC_SEALED {
             BufferedFrame::Sealed(&mut frame[HEADER_BYTES..])
         } else {
-            BufferedFrame::Plaintext {
-                codec: CodecKind::from_magic(magic).expect("validated on arrival"),
-                frame,
-            }
+            BufferedFrame::Plaintext(frame)
         };
         Ok(Some((pulled, total)))
     }
@@ -365,52 +354,53 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dubhe_select::protocol::write_frame_with;
+    use dubhe_select::protocol::write_frame;
 
-    fn encode(msg: &WireMsg, codec: CodecKind) -> Vec<u8> {
+    fn encode(msg: &WireMsg) -> Vec<u8> {
         let mut out = Vec::new();
-        write_frame_with(&mut out, msg, codec).unwrap();
+        write_frame(&mut out, msg).unwrap();
         out
     }
 
     #[test]
     fn reassembles_byte_at_a_time_and_pipelined_frames() {
-        let a = encode(&WireMsg::Ack, CodecKind::Json);
-        let b = encode(&WireMsg::CloseRegistration, CodecKind::Binary);
+        let a = encode(&WireMsg::Ack);
+        let b = encode(&WireMsg::CloseRegistration);
         let mut fb = FrameBuffer::new();
         // Slow-loris: one byte per feed, frame completes only on the last.
         for &byte in &a {
             assert!(fb.next_frame(1024).is_ok());
             fb.extend(&[byte]);
         }
-        let (msg, bytes, codec) = fb.next_frame(1024).unwrap().unwrap();
+        let (msg, bytes) = fb.next_frame(1024).unwrap().unwrap();
         assert!(matches!(msg, WireMsg::Ack));
         assert_eq!(bytes, a.len());
-        assert_eq!(codec, CodecKind::Json);
         assert!(!fb.is_mid_frame());
-        // Two pipelined frames in one burst, mixed codecs.
+        // Two pipelined frames in one burst.
         let mut burst = b.clone();
         burst.extend_from_slice(&a);
         fb.extend(&burst);
-        let (msg, _, codec) = fb.next_frame(1024).unwrap().unwrap();
+        let (msg, _) = fb.next_frame(1024).unwrap().unwrap();
         assert!(matches!(msg, WireMsg::CloseRegistration));
-        assert_eq!(codec, CodecKind::Binary);
         assert!(fb.is_mid_frame());
-        let (msg, _, _) = fb.next_frame(1024).unwrap().unwrap();
+        let (msg, _) = fb.next_frame(1024).unwrap().unwrap();
         assert!(matches!(msg, WireMsg::Ack));
         assert_eq!(fb.next_frame(1024).unwrap(), None);
     }
 
     #[test]
     fn bad_magic_and_oversized_length_fail_fast() {
+        // The retired JSON magic is as unknown as any other.
+        for magic in [b"HTTP", b"DBH1"] {
+            let mut fb = FrameBuffer::new();
+            fb.extend(magic);
+            assert!(matches!(
+                fb.next_frame(1024),
+                Err(ProtocolError::MalformedFrame { .. })
+            ));
+        }
         let mut fb = FrameBuffer::new();
-        fb.extend(b"HTTP");
-        assert!(matches!(
-            fb.next_frame(1024),
-            Err(ProtocolError::MalformedFrame { .. })
-        ));
-        let mut fb = FrameBuffer::new();
-        fb.extend(b"DBH1");
+        fb.extend(&FRAME_MAGIC_V2);
         fb.extend(&u32::MAX.to_be_bytes());
         assert!(matches!(
             fb.next_frame(1024),
@@ -420,7 +410,7 @@ mod tests {
 
     #[test]
     fn header_split_across_feeds_waits_for_completion() {
-        let frame = encode(&WireMsg::Ack, CodecKind::Binary);
+        let frame = encode(&WireMsg::Ack);
         let mut fb = FrameBuffer::new();
         fb.extend(&frame[..3]); // partial magic
         assert_eq!(fb.next_frame(1024).unwrap(), None);
@@ -456,14 +446,14 @@ mod tests {
     #[test]
     fn lazy_pull_defers_registries_in_every_buffer_shape() {
         let registry = registry_msg();
-        let frame = encode(&registry, CodecKind::Binary);
+        let frame = encode(&registry);
         let max = frame.len() * 4;
 
         // Sole content of the buffer: the zero-copy take path.
         let mut fb = FrameBuffer::new();
         fb.extend(&frame);
-        let (lazy, bytes, codec) = fb.next_frame_lazy(max).unwrap().unwrap();
-        assert_eq!((bytes, codec), (frame.len(), CodecKind::Binary));
+        let (lazy, bytes) = fb.next_frame_lazy(max).unwrap().unwrap();
+        assert_eq!(bytes, frame.len());
         assert!(matches!(lazy, LazyMsg::DeferredRegistry(_)));
         assert_eq!(lazy.force().unwrap(), registry);
         assert!(!fb.is_mid_frame());
@@ -474,22 +464,22 @@ mod tests {
             assert!(fb.next_frame_lazy(max).unwrap().is_none());
             fb.extend(&[byte]);
         }
-        let (lazy, _, _) = fb.next_frame_lazy(max).unwrap().unwrap();
+        let (lazy, _) = fb.next_frame_lazy(max).unwrap().unwrap();
         assert_eq!(lazy.force().unwrap(), registry);
 
         // Pipelined behind and ahead of eager frames: the registry mid-
         // buffer takes the copy path, neighbours stay eager, order holds.
-        let ack = encode(&WireMsg::Ack, CodecKind::Binary);
+        let ack = encode(&WireMsg::Ack);
         let mut fb = FrameBuffer::new();
         fb.extend(&ack);
         fb.extend(&frame);
         fb.extend(&ack);
-        let (lazy, _, _) = fb.next_frame_lazy(max).unwrap().unwrap();
+        let (lazy, _) = fb.next_frame_lazy(max).unwrap().unwrap();
         assert!(matches!(lazy, LazyMsg::Eager(WireMsg::Ack)));
-        let (lazy, _, _) = fb.next_frame_lazy(max).unwrap().unwrap();
+        let (lazy, _) = fb.next_frame_lazy(max).unwrap().unwrap();
         assert!(matches!(lazy, LazyMsg::DeferredRegistry(_)));
         assert_eq!(lazy.force().unwrap(), registry);
-        let (lazy, _, _) = fb.next_frame_lazy(max).unwrap().unwrap();
+        let (lazy, _) = fb.next_frame_lazy(max).unwrap().unwrap();
         assert!(matches!(lazy, LazyMsg::Eager(WireMsg::Ack)));
         assert!(fb.next_frame_lazy(max).unwrap().is_none());
     }
@@ -506,7 +496,7 @@ mod tests {
         sealed.extend_from_slice(&FRAME_MAGIC_SEALED);
         sealed.extend_from_slice(&(24u32).to_be_bytes());
         sealed.extend_from_slice(&[9u8; 24]);
-        let plain = encode(&WireMsg::Ack, CodecKind::Binary);
+        let plain = encode(&WireMsg::Ack);
         let mut burst = hs.clone();
         burst.extend_from_slice(&sealed);
         burst.extend_from_slice(&plain);
@@ -523,9 +513,7 @@ mod tests {
         let (frame, _) = fb.next_channel_frame(1024).unwrap().unwrap();
         assert_eq!(frame, BufferedFrame::Sealed(&mut [9u8; 24]));
         let (frame, _) = fb.next_channel_frame(1024).unwrap().unwrap();
-        assert!(
-            matches!(frame, BufferedFrame::Plaintext { codec: CodecKind::Binary, frame } if *frame == plain[..])
-        );
+        assert!(matches!(frame, BufferedFrame::Plaintext(frame) if *frame == plain[..]));
         assert!(fb.next_channel_frame(1024).unwrap().is_none());
         assert!(!fb.is_mid_frame());
 
@@ -682,11 +670,9 @@ mod tests {
         let mut queue = WriteQueue::default();
         let mut one_by_one = Vec::new();
         for msg in &msgs {
-            let written = queue
-                .push_frame(msg, CodecKind::Binary, 1 << 20, None)
-                .unwrap();
-            assert_eq!(written, encode(msg, CodecKind::Binary).len());
-            one_by_one.extend(encode(msg, CodecKind::Binary));
+            let written = queue.push_frame(msg, 1 << 20, None).unwrap();
+            assert_eq!(written, encode(msg).len());
+            one_by_one.extend(encode(msg));
         }
         assert_eq!(queue.pending(), one_by_one.len());
         let mut sink = Sink::with_room(usize::MAX);
@@ -704,7 +690,7 @@ mod tests {
     fn a_queue_past_high_water_is_flushed_at_once_or_cut() {
         let msgs = replies(64);
         let high_water = 2048;
-        let largest = encode(&msgs[63], CodecKind::Binary).len();
+        let largest = encode(&msgs[63]).len();
 
         // A sink that keeps up: under the mark pushes wait for the turn's
         // flush, the push that crosses it goes out on the spot — with
@@ -713,9 +699,7 @@ mod tests {
         let mut sink = Sink::with_room(usize::MAX);
         let mut flushed_early = 0;
         for msg in &msgs {
-            queue
-                .push_frame(msg, CodecKind::Binary, 1 << 20, None)
-                .unwrap();
+            queue.push_frame(msg, 1 << 20, None).unwrap();
             let over = queue.pending() > high_water;
             let writes = sink.writes;
             assert_eq!(queue.hold_to(high_water, &mut sink).unwrap(), over);
@@ -732,9 +716,7 @@ mod tests {
         let mut dead = Sink::with_room(0);
         let mut cut = None;
         for msg in &msgs {
-            queue
-                .push_frame(msg, CodecKind::Binary, 1 << 20, None)
-                .unwrap();
+            queue.push_frame(msg, 1 << 20, None).unwrap();
             assert!(queue.pending() <= high_water + largest);
             match queue.hold_to(high_water, &mut dead) {
                 Ok(flushed) => assert!(!flushed && queue.pending() <= high_water),
@@ -765,20 +747,16 @@ mod tests {
         let notice = WireMsg::Error {
             detail: "stalled mid-frame past the read timeout".to_string(),
         };
-        let mut whole = encode(&reply, CodecKind::Binary);
+        let mut whole = encode(&reply);
         let reply_len = whole.len();
-        whole.extend(encode(&notice, CodecKind::Binary));
+        whole.extend(encode(&notice));
         for k in 0..=whole.len() {
             let mut queue = WriteQueue::default();
             let mut sink = Sink::with_room(k.min(reply_len.saturating_sub(1)));
-            queue
-                .push_frame(&reply, CodecKind::Binary, 1 << 20, None)
-                .unwrap();
+            queue.push_frame(&reply, 1 << 20, None).unwrap();
             queue.flush(&mut sink).unwrap();
             assert!(queue.pending() > 0, "the reply is still partly queued");
-            queue
-                .push_frame(&notice, CodecKind::Binary, 1 << 20, None)
-                .unwrap();
+            queue.push_frame(&notice, 1 << 20, None).unwrap();
             sink.room = k - sink.seen.len();
             queue.flush(&mut sink).unwrap();
             assert_eq!(sink.seen, whole[..k], "k = {k}");
@@ -791,13 +769,10 @@ mod tests {
         // After the 8-byte header passes the ceiling check the whole frame
         // is reserved; feeding the rest in socket-sized chunks never
         // reallocates, even with a consumed frame still ahead of it.
-        let big = encode(
-            &WireMsg::Error {
-                detail: "x".repeat(3 << 20),
-            },
-            CodecKind::Binary,
-        );
-        let ack = encode(&WireMsg::Ack, CodecKind::Binary);
+        let big = encode(&WireMsg::Error {
+            detail: "x".repeat(3 << 20),
+        });
+        let ack = encode(&WireMsg::Ack);
         let mut fb = FrameBuffer::new();
         fb.extend(&ack);
         fb.extend(&big[..HEADER_BYTES]);
@@ -810,7 +785,7 @@ mod tests {
             fb.extend(chunk);
             assert_eq!((fb.buf.as_ptr(), fb.buf.capacity()), (at, reserved));
         }
-        let (msg, bytes, _) = fb.next_frame(4 << 20).unwrap().unwrap();
+        let (msg, bytes) = fb.next_frame(4 << 20).unwrap().unwrap();
         assert_eq!(bytes, big.len());
         assert!(matches!(msg, WireMsg::Error { detail } if detail.len() == 3 << 20));
         // Over the ceiling nothing is reserved at all.
@@ -823,7 +798,7 @@ mod tests {
     #[test]
     fn lazy_pull_keeps_the_eager_error_contract() {
         let registry = registry_msg();
-        let frame = encode(&registry, CodecKind::Binary);
+        let frame = encode(&registry);
 
         // Over the ceiling: refused with the same typed error, even though
         // the payload would have matched the registry prefix.

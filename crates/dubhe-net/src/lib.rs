@@ -12,7 +12,7 @@
 //! frame's parse.
 //!
 //! * [`ReactorListener`] — the server: non-blocking accept, per-connection
-//!   incremental DBH1/DBH2 frame reassembly, the authenticated-channel
+//!   incremental `DBH2` frame reassembly, the authenticated-channel
 //!   phases, identity binding, bounded write queues flushed once per
 //!   connection per loop turn, with `WouldBlock`-driven flow control and a
 //!   typed
@@ -22,9 +22,9 @@
 //!   connections multiplexed through the same poller from a single thread,
 //!   used by `dubhe-bench`'s `load_gen` to drive 10⁴+ concurrent clients.
 //!
-//! Wire format, codec negotiation, message types and coordinator semantics
-//! all come from `dubhe-select`; this crate only decides *how sockets are
-//! waited on*, which is why the ledgers it produces are bit-identical to the
+//! Wire format, channel, message types and coordinator semantics all come
+//! from `dubhe-select`; this crate only decides *how sockets are waited
+//! on*, which is why the ledgers it produces are bit-identical to the
 //! in-memory transport (the running folds are commutative, so arrival order
 //! cannot matter).
 //!

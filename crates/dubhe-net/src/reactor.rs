@@ -110,7 +110,6 @@ use std::time::{Duration, Instant};
 use dubhe_select::protocol::channel::{
     ChannelPolicy, NodeIdentity, SecureChannel, ServerHandshake,
 };
-use dubhe_select::protocol::codec::CodecKind;
 use dubhe_select::protocol::stats::{ListenerMetrics, ListenerStats};
 use dubhe_select::protocol::wire::{
     claimed_client, decode_frame_lazy, LazyMsg, WireMsg, MAX_FRAME_BYTES,
@@ -164,8 +163,8 @@ pub struct ReactorConfig {
     pub max_frame_bytes: usize,
     /// Per-connection write-queue bound, in bytes: a queue past this mark
     /// means the peer stopped reading, and the connection is dropped with a
-    /// [`ProtocolError::Backpressure`]. Defaults to `2 × max_frame_bytes`,
-    /// so no single in-flight reply can trip it on its own.
+    /// [`ProtocolError::Backpressure`]. Defaults to `2 × max_frame_bytes`
+    /// (saturating), so no single in-flight reply can trip it on its own.
     pub high_water: usize,
     /// Addresses to listen on. Several loopback aliases (`127.0.0.2`, …)
     /// spread very large client counts across source-port spaces; one
@@ -216,7 +215,7 @@ impl ReactorConfig {
     /// this to pin an explicit bound).
     pub fn with_max_frame_bytes(mut self, max_frame_bytes: usize) -> Self {
         self.max_frame_bytes = max_frame_bytes;
-        self.high_water = 2 * max_frame_bytes;
+        self.high_water = max_frame_bytes.saturating_mul(2);
         self
     }
 
@@ -265,7 +264,6 @@ impl ReactorConfig {
 struct Job {
     token: usize,
     msg: LazyMsg,
-    codec: CodecKind,
     /// The authenticated channel identity of the connection this request
     /// arrived on, when it ran the handshake — what the session-hijack
     /// binding keys on.
@@ -277,12 +275,11 @@ struct Job {
 struct Reply {
     token: usize,
     msg: WireMsg,
-    codec: CodecKind,
     started: Instant,
 }
 
 /// The event-driven multiplexed coordinator listener: serves the wire
-/// protocol — framing, per-frame codec negotiation, typed errors — to every
+/// protocol — framing, the authenticated channel, typed errors — to every
 /// connection from a single event-loop thread.
 #[derive(Debug)]
 pub struct ReactorListener<C: Coordinator + Send + 'static> {
@@ -504,7 +501,6 @@ fn route_jobs<C: Coordinator>(
             let reply = Reply {
                 token: job.token,
                 msg,
-                codec: job.codec,
                 started: job.started,
             };
             if tx.send(reply).is_err() {
@@ -576,7 +572,7 @@ struct PendingSend {
 /// leave [`ConnPhase::Plaintext`]; `Required` listeners walk
 /// `Handshake → Established` and refuse everything off-phase.
 enum ConnPhase {
-    /// Ordinary protocol frames (`DBH1`/`DBH2`), no channel.
+    /// Ordinary `DBH2` protocol frames, no channel.
     Plaintext,
     /// Pre-protocol: nothing but `DBHS` handshake frames is accepted.
     Handshake(ServerHandshake),
@@ -607,9 +603,6 @@ struct Conn {
     pending_sends: VecDeque<PendingSend>,
     /// Set while the connection sits in [`EventLoop::flush_due`].
     flush_due: bool,
-    /// Codec of the most recent decoded frame; error frames sent before any
-    /// frame decoded default to DBH1.
-    codec: CodecKind,
     /// Set while an incomplete frame sits in `frames`; pushed forward on
     /// every byte of progress, enforced by the sweep in the event loop.
     frame_deadline: Option<Instant>,
@@ -774,7 +767,6 @@ impl<C: Coordinator> EventLoop<C> {
                             out: WriteQueue::default(),
                             pending_sends: VecDeque::new(),
                             flush_due: false,
-                            codec: CodecKind::Json,
                             frame_deadline,
                             closing: false,
                             wants_write: false,
@@ -873,7 +865,7 @@ impl<C: Coordinator> EventLoop<C> {
             return false;
         };
         match conn.frames.next_frame_lazy(max) {
-            Ok(Some((LazyMsg::Eager(WireMsg::Shutdown), bytes, _))) => {
+            Ok(Some((LazyMsg::Eager(WireMsg::Shutdown), bytes))) => {
                 self.metrics.frame_received(bytes);
                 conn.closing = true;
                 if conn.out.pending() == 0 {
@@ -881,21 +873,19 @@ impl<C: Coordinator> EventLoop<C> {
                 }
                 false
             }
-            Ok(Some((msg, bytes, codec))) => {
+            Ok(Some((msg, bytes))) => {
                 self.metrics.frame_received(bytes);
-                conn.codec = codec;
                 let identity = conn.peer;
-                self.dispatch(token, msg, codec, identity, bytes)
+                self.dispatch(token, msg, identity, bytes)
             }
             Ok(None) => {
                 self.update_deadline(token, progressed);
                 false
             }
             Err(e) => {
-                // Framing is lost: report in the last good codec, flush,
-                // hang up rather than guess at bytes.
+                // Framing is lost: report, flush, hang up rather than guess
+                // at bytes.
                 self.metrics.decode_error();
-                let codec = conn.codec;
                 conn.closing = true;
                 conn.frame_deadline = None;
                 self.queue_frame(
@@ -903,7 +893,6 @@ impl<C: Coordinator> EventLoop<C> {
                     &WireMsg::Error {
                         detail: e.to_string(),
                     },
-                    codec,
                     None,
                 );
                 false
@@ -943,7 +932,7 @@ impl<C: Coordinator> EventLoop<C> {
                     }
                 }
             }
-            Ok(Some((BufferedFrame::Plaintext { frame, .. }, _))) => {
+            Ok(Some((BufferedFrame::Plaintext(frame), _))) => {
                 self.metrics.downgrade_refused();
                 let e = ProtocolError::DowngradeRefused {
                     magic: frame[..4].try_into().expect("4-byte magic"),
@@ -997,7 +986,7 @@ impl<C: Coordinator> EventLoop<C> {
                     }
                 };
                 match decode_frame_lazy(inner, max) {
-                    Ok((LazyMsg::Eager(WireMsg::Shutdown), _, _)) => {
+                    Ok((LazyMsg::Eager(WireMsg::Shutdown), _)) => {
                         self.metrics.frame_received(wire_bytes);
                         conn.closing = true;
                         if conn.out.pending() == 0 {
@@ -1005,11 +994,10 @@ impl<C: Coordinator> EventLoop<C> {
                         }
                         false
                     }
-                    Ok((msg, _, codec)) => {
+                    Ok((msg, _)) => {
                         self.metrics.frame_received(wire_bytes);
-                        conn.codec = codec;
                         let identity = conn.peer;
-                        self.dispatch(token, msg, codec, identity, wire_bytes)
+                        self.dispatch(token, msg, identity, wire_bytes)
                     }
                     Err(e) => {
                         self.metrics.decode_error();
@@ -1018,7 +1006,7 @@ impl<C: Coordinator> EventLoop<C> {
                     }
                 }
             }
-            Ok(Some((BufferedFrame::Plaintext { frame, .. }, _))) => {
+            Ok(Some((BufferedFrame::Plaintext(frame), _))) => {
                 // A plaintext protocol frame mid-session is a downgrade
                 // attempt (or an unauthenticated splice); refused.
                 self.metrics.downgrade_refused();
@@ -1063,7 +1051,6 @@ impl<C: Coordinator> EventLoop<C> {
         &mut self,
         token: usize,
         msg: LazyMsg,
-        codec: CodecKind,
         identity: Option<[u8; 32]>,
         wire_bytes: usize,
     ) -> bool {
@@ -1075,13 +1062,12 @@ impl<C: Coordinator> EventLoop<C> {
                 .expect("the router panicked mid-request")
                 .answer(msg, identity);
             self.metrics.answered_inline();
-            self.queue_frame(token, &reply, codec, Some(started));
+            self.queue_frame(token, &reply, Some(started));
             return true;
         }
         let job = Job {
             token,
             msg,
-            codec,
             identity,
             started,
         };
@@ -1111,18 +1097,11 @@ impl<C: Coordinator> EventLoop<C> {
         }
     }
 
-    /// Terminal handshake failure: count it, tell the peer in plaintext
-    /// (there is no channel to seal with — refusals go back in the
-    /// attempted codec when there was one, lowest-common DBH1 otherwise),
-    /// hang up once the reply drains.
+    /// Terminal handshake failure: count it, tell the peer in a plaintext
+    /// frame (there is no channel to seal with), hang up once the reply
+    /// drains.
     fn fail_handshake(&mut self, token: usize, e: &ProtocolError) {
         self.metrics.handshake_failed();
-        let reply_codec = match e {
-            ProtocolError::DowngradeRefused { magic } => {
-                CodecKind::from_magic(*magic).unwrap_or(CodecKind::Json)
-            }
-            _ => CodecKind::Json,
-        };
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -1131,13 +1110,11 @@ impl<C: Coordinator> EventLoop<C> {
         conn.phase = ConnPhase::Plaintext;
         conn.closing = true;
         conn.frame_deadline = None;
-        conn.codec = reply_codec;
         self.queue_frame(
             token,
             &WireMsg::Error {
                 detail: e.to_string(),
             },
-            reply_codec,
             None,
         );
     }
@@ -1151,13 +1128,11 @@ impl<C: Coordinator> EventLoop<C> {
         };
         conn.closing = true;
         conn.frame_deadline = None;
-        let codec = conn.codec;
         self.queue_frame(
             token,
             &WireMsg::Error {
                 detail: e.to_string(),
             },
-            codec,
             None,
         );
     }
@@ -1177,18 +1152,12 @@ impl<C: Coordinator> EventLoop<C> {
     /// Encodes a frame straight into a connection's write queue — sealed in
     /// place on an established channel. Metrics count the bytes queued,
     /// seal included.
-    fn queue_frame(
-        &mut self,
-        token: usize,
-        msg: &WireMsg,
-        codec: CodecKind,
-        started: Option<Instant>,
-    ) {
+    fn queue_frame(&mut self, token: usize, msg: &WireMsg, started: Option<Instant>) {
         let max = self.config.max_frame_bytes;
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        match conn.out.push_frame(msg, codec, max, conn.phase.channel()) {
+        match conn.out.push_frame(msg, max, conn.phase.channel()) {
             Ok(written) => conn.pending_sends.push_back(PendingSend {
                 end: conn.out.queued_total(),
                 started,
@@ -1300,7 +1269,7 @@ impl<C: Coordinator> EventLoop<C> {
             // The connection may have died while its request was at the
             // router; its reply is simply dropped (`queue_frame` finds no
             // connection to queue it on).
-            self.queue_frame(reply.token, &reply.msg, reply.codec, Some(reply.started));
+            self.queue_frame(reply.token, &reply.msg, Some(reply.started));
         }
     }
 
@@ -1331,8 +1300,7 @@ impl<C: Coordinator> EventLoop<C> {
                         self.config.read_timeout
                     )
                 };
-                let codec = conn.codec;
-                self.queue_frame(token, &WireMsg::Error { detail }, codec, None);
+                self.queue_frame(token, &WireMsg::Error { detail }, None);
                 self.flush_conn(token);
             }
             self.close_conn(token, CloseReason::Truncated);

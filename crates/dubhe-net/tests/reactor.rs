@@ -19,10 +19,11 @@ use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
 use dubhe_he::EncryptedVector;
 use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
+use dubhe_select::protocol::channel::write_handshake_frame;
 use dubhe_select::protocol::{
-    read_frame, run_registration_with, run_try, ChannelPolicy, CodecKind, Coordinator, Envelope,
-    InMemoryTransport, ListenerStats, Party, ProtocolMsg, RegistryFrame, ShardedCoordinator,
-    TcpConfig, TcpTransport, TransportStats, WireMsg, SEALED_FRAME_OVERHEAD,
+    codec, read_frame, run_registration_with, run_try, write_frame, ChannelPolicy, Coordinator,
+    Envelope, InMemoryTransport, ListenerStats, NodeIdentity, Party, ProtocolMsg, RegistryFrame,
+    ShardedCoordinator, TcpConfig, TcpTransport, TransportStats, WireMsg, SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::{ClientId, ClientSelector, DubheConfig, DubheSelector, ProtocolError};
 use mini_mio::Backend;
@@ -158,11 +159,8 @@ fn reactor_session_is_bit_identical_to_memory() {
             ReactorConfig::default().with_backend(backend),
         )
         .unwrap();
-        let endpoint = TcpTransport::connect_with_config(
-            reactor.addr(),
-            TcpConfig::default().with_codec(CodecKind::Binary),
-        )
-        .unwrap();
+        let endpoint =
+            TcpTransport::connect_with_config(reactor.addr(), TcpConfig::default()).unwrap();
         let tcp = drive_session(&dists, 82, endpoint);
         assert_eq!(tcp.overall, memory.overall, "{backend:?}");
         assert_eq!(tcp.verdict, memory.verdict, "{backend:?}");
@@ -213,7 +211,6 @@ fn required_channel_session_is_bit_identical_to_plaintext_on_both_backends() {
         let endpoint = TcpTransport::connect_with_config(
             reactor.addr(),
             TcpConfig::default()
-                .with_codec(CodecKind::Binary)
                 .with_channel(ChannelPolicy::Required)
                 .with_expected_server(pin),
         )
@@ -259,7 +256,6 @@ fn mux_client_runs_sealed_sessions_end_to_end() {
         reactor.addr(),
         n,
         MuxConfig::default()
-            .with_codec(CodecKind::Binary)
             .with_channel(ChannelPolicy::Required)
             .with_expected_server(pin)
             .with_exchange_timeout(Duration::from_secs(30)),
@@ -335,7 +331,7 @@ fn uploads_of_length(n: usize, length: usize) -> (WireMsg, Vec<Envelope>) {
 
 /// What a sealed `DBH2` frame for `msg` weighs on the wire.
 fn sealed_frame_bytes(msg: &WireMsg) -> usize {
-    8 + CodecKind::Binary.encode(msg).unwrap().len() + SEALED_FRAME_OVERHEAD
+    8 + codec::encode(msg).unwrap().len() + SEALED_FRAME_OVERHEAD
 }
 
 /// The broadcast checks shared by both big-batch tests: `n + 1` addressees
@@ -375,7 +371,6 @@ fn multi_mib_sealed_broadcast_reaches_a_mux_client_byte_for_byte() {
         reactor.addr(),
         conns,
         MuxConfig::default()
-            .with_codec(CodecKind::Binary)
             .with_channel(ChannelPolicy::Required)
             .with_expected_server(reactor.public_identity().expect("identity resolved"))
             .with_exchange_timeout(Duration::from_secs(30)),
@@ -446,7 +441,6 @@ fn multi_mib_sealed_broadcast_reaches_tcp_transport_byte_for_byte() {
     let mut client = TcpTransport::connect_with_config(
         reactor.addr(),
         TcpConfig::default()
-            .with_codec(CodecKind::Binary)
             .with_channel(ChannelPolicy::Required)
             .with_expected_server(reactor.public_identity().expect("identity resolved")),
     )
@@ -505,11 +499,10 @@ fn downgrades_and_handshake_stalls_get_typed_refusals_on_both_backends() {
         .unwrap();
 
         // Plaintext protocol traffic at a Required listener: refused as a
-        // downgrade attempt, in the codec the client attempted, then cut.
+        // downgrade attempt, then cut.
         let mut raw = TcpStream::connect(reactor.addr()).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        dubhe_select::protocol::write_frame_with(&mut raw, &verdict_envelope(0), CodecKind::Binary)
-            .unwrap();
+        write_frame(&mut raw, &verdict_envelope(0)).unwrap();
         let (reply, _) = read_frame(&mut raw).expect("a refusal frame before the hangup");
         match reply {
             WireMsg::Error { detail } => {
@@ -567,15 +560,108 @@ fn downgrades_and_handshake_stalls_get_typed_refusals_on_both_backends() {
 }
 
 #[test]
+fn a_low_order_hello_is_cut_and_counted() {
+    // A client holding no secret at all: static key 00…00 beside an honest
+    // ephemeral. Every DH share that key enters is zero, so the listener
+    // refuses the hello before deriving anything, tells the peer, hangs up
+    // and counts a failed handshake — no channel, no `00…00` identity.
+    let reactor = ReactorListener::spawn_with(
+        ShardedCoordinator::new(0, 1),
+        ReactorConfig::default().with_channel(ChannelPolicy::Required),
+    )
+    .unwrap();
+    let mut raw = TcpStream::connect(reactor.addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let eph = NodeIdentity::from_seed(3).public_bytes();
+    write_handshake_frame(&mut raw, &[[0u8; 32], eph].concat()).unwrap();
+    let (reply, _) = read_frame(&mut raw).expect("a refusal frame before the hangup");
+    match reply {
+        WireMsg::Error { detail } => assert!(detail.contains("not contributory"), "{detail}"),
+        other => panic!("expected a handshake refusal, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0);
+    let stats = wait_for(&reactor, "refused hello never reaped", |s| {
+        s.connections_closed == 1
+    });
+    assert_eq!(stats.handshakes_failed, 1);
+    assert_eq!(stats.handshakes_completed, 0);
+    assert!(reactor.shutdown().is_some());
+}
+
+#[test]
+fn an_unbounded_frame_ceiling_serves_sealed_registrations() {
+    // `usize::MAX` reads as "no ceiling": the listener's default
+    // high-water mark (twice the ceiling) and every sealed-frame allowance
+    // (the ceiling plus the seal) saturate instead of overflowing, so a
+    // sealed registration goes through on all three configs.
+    let n = 6;
+    let listener = || {
+        ReactorListener::spawn_with(
+            ShardedCoordinator::new(n, 1),
+            ReactorConfig::default()
+                .with_channel(ChannelPolicy::Required)
+                .with_max_frame_bytes(usize::MAX),
+        )
+        .unwrap()
+    };
+
+    // The blocking connector.
+    let (key_dispatch, uploads) = registry_uploads(n);
+    let reactor = listener();
+    let mut client = TcpTransport::connect_with_config(
+        reactor.addr(),
+        TcpConfig::default()
+            .with_channel(ChannelPolicy::Required)
+            .with_expected_server(reactor.public_identity().expect("identity resolved"))
+            .with_max_frame_bytes(usize::MAX),
+    )
+    .unwrap();
+    let WireMsg::Envelope { envelope } = key_dispatch.clone() else {
+        unreachable!()
+    };
+    assert!(client.deliver(envelope).unwrap().is_empty());
+    let mut broadcast = Vec::new();
+    for envelope in uploads.clone() {
+        broadcast = client.deliver(envelope).unwrap();
+    }
+    assert_broadcast(&broadcast, n);
+    client.shutdown().unwrap();
+
+    // The multiplexer.
+    let reactor = listener();
+    let mut mux = MuxClient::connect(
+        reactor.addr(),
+        1,
+        MuxConfig::default()
+            .with_channel(ChannelPolicy::Required)
+            .with_expected_server(reactor.public_identity().expect("identity resolved"))
+            .with_max_frame_bytes(usize::MAX)
+            .with_exchange_timeout(Duration::from_secs(30)),
+    )
+    .unwrap();
+    let mut requests = vec![(0, key_dispatch)];
+    requests.extend(
+        uploads
+            .into_iter()
+            .map(|envelope| (0, WireMsg::Envelope { envelope })),
+    );
+    let replies = mux.exchange(&requests).unwrap();
+    let Some((_, WireMsg::Batch { envelopes })) = replies.last() else {
+        panic!("the last upload is answered with the broadcast");
+    };
+    assert_broadcast(envelopes, n);
+    mux.shutdown();
+}
+
+#[test]
 fn mux_client_multiplexes_many_persistent_connections() {
     let n = 128;
     let reactor = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
     let mut mux = MuxClient::connect(
         reactor.addr(),
         n,
-        MuxConfig::default()
-            .with_codec(CodecKind::Binary)
-            .with_exchange_timeout(Duration::from_secs(30)),
+        MuxConfig::default().with_exchange_timeout(Duration::from_secs(30)),
     )
     .unwrap();
     assert_eq!(mux.len(), n);
@@ -637,7 +723,7 @@ fn stalled_reader_is_cut_by_backpressure_not_buffered_forever() {
     // Keep writing until the server cuts us — a write error is that signal
     // arriving, not a test failure — or the counter trips first.
     while reactor.stats().backpressure_disconnects == 0 {
-        if dubhe_select::protocol::write_frame_with(&mut raw, &bulky, CodecKind::Binary).is_err() {
+        if write_frame(&mut raw, &bulky).is_err() {
             break;
         }
     }
@@ -722,13 +808,12 @@ fn slow_loris_byte_at_a_time_frame_still_decodes() {
     let mut raw = TcpStream::connect(reactor.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     let mut frame = Vec::new();
-    dubhe_select::protocol::write_frame_with(
+    write_frame(
         &mut frame,
         &WireMsg::AnnounceTry {
             try_index: 0,
             participants: vec![1, 2, 3],
         },
-        CodecKind::Binary,
     )
     .unwrap();
     for byte in frame {
@@ -819,7 +904,7 @@ fn reply_in_memory(reference: &mut ShardedCoordinator, msg: &WireMsg) -> WireMsg
 fn burst_of(msgs: &[WireMsg]) -> Vec<u8> {
     let mut bytes = Vec::new();
     for msg in msgs {
-        dubhe_select::protocol::write_frame_with(&mut bytes, msg, CodecKind::Binary).unwrap();
+        write_frame(&mut bytes, msg).unwrap();
     }
     bytes
 }
@@ -964,7 +1049,6 @@ fn refusals_read_the_same_answered_inline_and_through_the_router() {
         reactor.addr(),
         2,
         MuxConfig::default()
-            .with_codec(CodecKind::Binary)
             .with_channel(ChannelPolicy::Required)
             .with_expected_server(reactor.public_identity().expect("identity resolved"))
             .with_exchange_timeout(Duration::from_secs(30)),

@@ -1,7 +1,7 @@
 //! The authenticated session layer: pre-protocol handshake + AEAD framing.
 //!
-//! THREAT_MODEL.md used to carry the caveat "codec negotiation is not
-//! authentication". This module is the in-repo answer: before any
+//! A bare `DBH2` frame authenticates nothing: anyone who can reach the
+//! socket can speak it. This module is the in-repo answer: before any
 //! [`WireMsg`] travels, the two endpoints of a
 //! connection run a three-message mutual-authentication handshake (X25519
 //! triple-DH, Noise-XX-shaped) and every subsequent frame is sealed with
@@ -12,17 +12,17 @@
 //!
 //! ## Wire formats
 //!
-//! Two new frame magics join `DBH1`/`DBH2`, both length-prefixed the
-//! same way (`magic + u32 BE length + payload`):
+//! Two frame magics join `DBH2`, both length-prefixed the same way
+//! (`magic + u32 BE length + payload`):
 //!
 //! ```text
 //! DBHS — handshake:  payload is one handshake message (below)
 //! DBHE — sealed:     payload = seq (u64 BE) || ciphertext || tag (16)
 //! ```
 //!
-//! A sealed payload decrypts to one complete *inner* plaintext frame
-//! (`DBH1`/`DBH2`), so codec negotiation, lazy registry deferral and
-//! frame-size limits all apply unchanged inside the channel. The AEAD's
+//! A sealed payload decrypts to one complete *inner* `DBH2` frame, so lazy
+//! registry deferral and frame-size limits apply unchanged inside the
+//! channel. The AEAD's
 //! associated data covers the `DBHE` magic and the sequence number: a
 //! spliced or re-sequenced frame fails the tag even if its ciphertext is
 //! untouched.
@@ -43,7 +43,16 @@
 //! session keys with HKDF salted by the SHA-256 transcript of the exact
 //! handshake bytes. `tag_s` / `tag_c` are HMAC confirmations over the
 //! transcript under a third derived key: each side proves it derived the
-//! same secrets *before* any protocol frame is accepted. A frame that
+//! same secrets *before* any protocol frame is accepted.
+//!
+//! A key proves possession only if the DH it enters can come out
+//! unpredictable. Each side therefore refuses, before deriving anything, a
+//! peer key with a non-canonical encoding (bit 255 set, or `u ≥ 2²⁵⁵ − 19`:
+//! an alias of a canonical point, one secret passing as two identities) and
+//! any DH output that is not contributory (a low-order point such as `u = 0`
+//! sends every share to zero, so the confirmation tags would follow from
+//! the sender's own ephemeral alone and `00…00` would pass as an identity
+//! any number of peers share). A frame that
 //! fails any check surfaces a typed
 //! [`ProtocolError::AuthFailure`] / [`ReplayDetected`] /
 //! [`DowngradeRefused`] — never a panic, never a hang.
@@ -58,8 +67,7 @@ use mini_crypto::{hkdf, hmac_sha256, sha256, ChaCha20Poly1305, PublicKey, Static
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use super::codec::CodecKind;
-use super::wire::{append_plain_frame, read_exact_or, WireMsg};
+use super::wire::{append_plain_frame, read_exact_or, WireMsg, FRAME_MAGIC_V2};
 use crate::error::ProtocolError;
 
 /// The 4-byte preamble of a handshake (`DBHS`) frame.
@@ -90,7 +98,7 @@ pub const HANDSHAKE_WIRE_BYTES: usize = (8 + HELLO_LEN) + (8 + M2_LEN) + (8 + CO
 /// Whether a connection endpoint runs the authenticated channel.
 ///
 /// `Plaintext` keeps the historical behaviour (frames travel as bare
-/// `DBH1`/`DBH2`) — loopback benches stay unauthenticated *by
+/// `DBH2`) — loopback benches stay unauthenticated *by
 /// choice*. `Required` refuses every plaintext protocol frame with a typed
 /// [`ProtocolError::DowngradeRefused`], before, during and after the
 /// handshake.
@@ -306,7 +314,8 @@ impl SecureChannel {
 /// runs the authenticated channel — and returns the bytes appended.
 ///
 /// This is the one way a frame is built for a socket or a write queue:
-/// space is reserved once from the codec's size hint, the payload is
+/// space is reserved once from
+/// [`payload_size_hint`](super::codec::payload_size_hint), the payload is
 /// encoded in place ([`append_plain_frame`]), and on a channel the inner
 /// frame is then encrypted where it lies with the tag appended — no
 /// intermediate `inner` / `sealed` buffer. A message that does not encode,
@@ -316,20 +325,19 @@ impl SecureChannel {
 pub fn append_frame(
     out: &mut Vec<u8>,
     msg: &WireMsg,
-    codec: CodecKind,
     max_frame_bytes: usize,
     channel: Option<&mut SecureChannel>,
 ) -> Result<usize, ProtocolError> {
     let Some(channel) = channel else {
-        return append_plain_frame(out, msg, codec, max_frame_bytes);
+        return append_plain_frame(out, msg, max_frame_bytes);
     };
     // The sealed frame announces seq + inner header + payload + tag in a
     // u32 of its own.
     let max_frame_bytes = max_frame_bytes.min(u32::MAX as usize - (8 + 8 + TAG_LEN));
     let start = out.len();
-    out.reserve(SEALED_FRAME_OVERHEAD + 8 + codec.payload_size_hint(msg));
+    out.reserve(SEALED_FRAME_OVERHEAD + 8 + super::codec::payload_size_hint(msg));
     out.resize(start + SEALED_PREFIX_BYTES, 0);
-    if let Err(e) = append_plain_frame(out, msg, codec, max_frame_bytes) {
+    if let Err(e) = append_plain_frame(out, msg, max_frame_bytes) {
         out.truncate(start);
         return Err(e);
     }
@@ -370,6 +378,34 @@ fn derive_keys(
     }
 }
 
+/// A peer's X25519 key off the wire, refused unless canonically encoded:
+/// bit 255 clear and `u < 2²⁵⁵ − 19`, so each point has one encoding and
+/// each secret one identity.
+fn peer_key(bytes: &[u8], whose: &str) -> Result<PublicKey, ProtocolError> {
+    let key: [u8; 32] = bytes.try_into().expect("32-byte key");
+    // u ≥ p exactly when every byte above the lowest is p's (0xff, 0x7f on
+    // top) and the lowest is at least p's 0xed.
+    let at_least_p = key[31] == 0x7f && key[1..31].iter().all(|&b| b == 0xff) && key[0] >= 0xed;
+    if key[31] & 0x80 != 0 || at_least_p {
+        return Err(ProtocolError::AuthFailure {
+            detail: format!("{whose} key is not canonically encoded"),
+        });
+    }
+    Ok(PublicKey::from_bytes(key))
+}
+
+/// One Diffie-Hellman share of the handshake, refused when it is not
+/// contributory: a low-order peer key makes it zero whatever the secret.
+fn dh_share(secret: &StaticSecret, peer: &PublicKey) -> Result<[u8; 32], ProtocolError> {
+    let shared = secret.diffie_hellman(peer);
+    if !shared.was_contributory() {
+        return Err(ProtocolError::AuthFailure {
+            detail: "low-order peer key: the key exchange is not contributory".to_string(),
+        });
+    }
+    Ok(shared.to_bytes())
+}
+
 fn confirm_tag(keys: &SessionKeys, label: &[u8]) -> [u8; 32] {
     hmac_sha256(&keys.confirm, &[label, &keys.transcript].concat())
 }
@@ -398,15 +434,10 @@ pub enum ChannelFrame {
     Handshake(Vec<u8>),
     /// A `DBHE` sealed payload (`seq || ciphertext || tag`).
     Sealed(Vec<u8>),
-    /// A plaintext protocol frame (`DBH1`/`DBH2`): the *entire*
-    /// frame bytes, header included, so a `Plaintext`-policy caller can
-    /// re-parse it with the ordinary wire readers.
-    Plaintext {
-        /// The plaintext codec the magic announced.
-        codec: CodecKind,
-        /// The full frame (magic + length + payload).
-        frame: Vec<u8>,
-    },
+    /// A plaintext `DBH2` protocol frame: the *entire* frame bytes, header
+    /// included, so a `Plaintext`-policy caller can re-parse it with the
+    /// ordinary wire readers.
+    Plaintext(Vec<u8>),
 }
 
 /// Writes one `DBHS` frame, returning the bytes put on the wire.
@@ -437,7 +468,7 @@ pub fn read_channel_frame<R: Read>(
     read_exact_or(r, &mut len_bytes, "header", false)?;
     let len = u32::from_be_bytes(len_bytes) as usize;
     // Sealed frames may exceed the inner ceiling by exactly the seal.
-    let ceiling = max_frame_bytes + SEALED_FRAME_OVERHEAD;
+    let ceiling = max_frame_bytes.saturating_add(SEALED_FRAME_OVERHEAD);
     if len > ceiling {
         return Err(ProtocolError::FrameTooLarge {
             len,
@@ -453,15 +484,15 @@ pub fn read_channel_frame<R: Read>(
     if magic == FRAME_MAGIC_SEALED {
         return Ok((ChannelFrame::Sealed(payload), total));
     }
-    if let Some(codec) = CodecKind::from_magic(magic) {
+    if magic == FRAME_MAGIC_V2 {
         let mut frame = Vec::with_capacity(total);
         frame.extend_from_slice(&magic);
         frame.extend_from_slice(&len_bytes);
         frame.extend_from_slice(&payload);
-        return Ok((ChannelFrame::Plaintext { codec, frame }, total));
+        return Ok((ChannelFrame::Plaintext(frame), total));
     }
     Err(ProtocolError::MalformedFrame {
-        detail: format!("bad magic {magic:02x?}, expected DBH1, DBH2, DBHS or DBHE"),
+        detail: format!("bad magic {magic:02x?}, expected DBH2, DBHS or DBHE"),
     })
 }
 
@@ -488,7 +519,7 @@ pub fn client_handshake<S: Read + Write>(
     let (frame, _) = read_channel_frame(stream, max_frame_bytes)?;
     let m2 = match frame {
         ChannelFrame::Handshake(payload) => payload,
-        ChannelFrame::Plaintext { frame, .. } => {
+        ChannelFrame::Plaintext(frame) => {
             return Err(ProtocolError::DowngradeRefused {
                 magic: frame[..4].try_into().expect("4-byte magic"),
             })
@@ -504,22 +535,17 @@ pub fn client_handshake<S: Read + Write>(
             detail: format!("server hello is {} bytes, expected {M2_LEN}", m2.len()),
         });
     }
-    let server_static: [u8; 32] = m2[..32].try_into().expect("32-byte key");
-    let server_eph: [u8; 32] = m2[32..64].try_into().expect("32-byte key");
-    if let Some(pinned) = expected_server {
-        if pinned != server_static {
-            return Err(ProtocolError::AuthFailure {
-                detail: "server identity does not match the pinned key".to_string(),
-            });
-        }
+    let server_static = peer_key(&m2[..32], "server static")?;
+    let server_eph = peer_key(&m2[32..64], "server ephemeral")?;
+    if expected_server.is_some_and(|pinned| pinned != server_static.to_bytes()) {
+        return Err(ProtocolError::AuthFailure {
+            detail: "server identity does not match the pinned key".to_string(),
+        });
     }
 
-    let server_eph_pk = PublicKey::from_bytes(server_eph);
-    let dh_ee = eph.diffie_hellman(&server_eph_pk).to_bytes();
-    let dh_se = identity.secret.diffie_hellman(&server_eph_pk).to_bytes();
-    let dh_es = eph
-        .diffie_hellman(&PublicKey::from_bytes(server_static))
-        .to_bytes();
+    let dh_ee = dh_share(&eph, &server_eph)?;
+    let dh_se = dh_share(&identity.secret, &server_eph)?;
+    let dh_es = dh_share(&eph, &server_static)?;
     let keys = derive_keys(&dh_ee, &dh_se, &dh_es, &m1, &m2[..64]);
 
     let expect_server_tag = confirm_tag(&keys, b"server");
@@ -529,7 +555,7 @@ pub fn client_handshake<S: Read + Write>(
         });
     }
     write_handshake_frame(stream, &confirm_tag(&keys, b"client"))?;
-    Ok(channel_from(&keys, true, server_static))
+    Ok(channel_from(&keys, true, server_static.to_bytes()))
 }
 
 // ------------------------------------------------------- server handshake
@@ -582,21 +608,14 @@ impl ServerHandshake {
                         ),
                     });
                 }
-                let client_static: [u8; 32] = payload[..32].try_into().expect("32-byte key");
-                let client_eph: [u8; 32] = payload[32..].try_into().expect("32-byte key");
+                let client_static = peer_key(&payload[..32], "client static")?;
+                let client_eph = peer_key(&payload[32..], "client ephemeral")?;
 
                 let eph = StaticSecret::from_bytes(fresh_secret());
                 let eph_pub = PublicKey::from(&eph).to_bytes();
-                let client_eph_pk = PublicKey::from_bytes(client_eph);
-                let dh_ee = eph.diffie_hellman(&client_eph_pk).to_bytes();
-                let dh_se = eph
-                    .diffie_hellman(&PublicKey::from_bytes(client_static))
-                    .to_bytes();
-                let dh_es = self
-                    .identity
-                    .secret
-                    .diffie_hellman(&client_eph_pk)
-                    .to_bytes();
+                let dh_ee = dh_share(&eph, &client_eph)?;
+                let dh_se = dh_share(&eph, &client_static)?;
+                let dh_es = dh_share(&self.identity.secret, &client_eph)?;
 
                 let mut hello = [0u8; HELLO_LEN];
                 hello[..32].copy_from_slice(&self.identity.public);
@@ -613,7 +632,7 @@ impl ServerHandshake {
 
                 self.state = ServerHandshakeState::AwaitConfirm {
                     keys,
-                    client_static,
+                    client_static: client_static.to_bytes(),
                 };
                 Ok(HandshakeStep {
                     reply: Some(reply),
@@ -850,17 +869,15 @@ mod tests {
         let mut buf = Vec::new();
         super::super::wire::write_frame(&mut buf, &super::super::wire::WireMsg::Ack).unwrap();
         let (frame, _) = read_channel_frame(&mut &buf[..], 1 << 20).unwrap();
-        match frame {
-            ChannelFrame::Plaintext { codec, frame } => {
-                assert_eq!(codec, CodecKind::Json);
-                assert_eq!(frame, buf);
-            }
-            other => panic!("expected plaintext, got {other:?}"),
-        }
+        assert_eq!(frame, ChannelFrame::Plaintext(buf.clone()));
 
-        // Unknown magic (the retired compressed-JSON one included) is
-        // malformed; truncation is typed.
-        for mut unknown in [&b"EVIL\x00\x00\x00\x00"[..], &b"DBHZ\x00\x00\x00\x00"[..]] {
+        // Unknown magic (the retired JSON and compressed-JSON ones
+        // included) is malformed; truncation is typed.
+        for mut unknown in [
+            &b"EVIL\x00\x00\x00\x00"[..],
+            b"DBH1\x00\x00\x00\x00",
+            b"DBHZ\x00\x00\x00\x00",
+        ] {
             let err = read_channel_frame(&mut unknown, 1 << 20).unwrap_err();
             assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
         }
@@ -871,16 +888,8 @@ mod tests {
     /// `write_frame_limited` as it stood at the parent commit (three writes
     /// into a `Vec` sink), over a payload encoded one envelope at a time so
     /// it owes nothing to the shared-vector short-cut either.
-    fn parent_write_frame(
-        msg: &WireMsg,
-        codec: CodecKind,
-        max_frame_bytes: usize,
-    ) -> Result<Vec<u8>, ProtocolError> {
-        use super::super::codec::tests::per_envelope_payload;
-        let payload = match codec {
-            CodecKind::Json => serde_json::to_string(msg).unwrap().into_bytes(),
-            CodecKind::Binary => per_envelope_payload(msg),
-        };
+    fn parent_write_frame(msg: &WireMsg, max_frame_bytes: usize) -> Result<Vec<u8>, ProtocolError> {
+        let payload = super::super::codec::tests::per_envelope_payload(msg);
         if payload.len() > max_frame_bytes {
             return Err(ProtocolError::FrameTooLarge {
                 len: payload.len(),
@@ -888,7 +897,7 @@ mod tests {
             });
         }
         let mut w = Vec::new();
-        w.extend_from_slice(&codec.magic());
+        w.extend_from_slice(&FRAME_MAGIC_V2);
         w.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         w.extend_from_slice(&payload);
         Ok(w)
@@ -931,45 +940,40 @@ mod tests {
         let (mut sender, mut parent_sender) = (fixed_channel(true), fixed_channel(true));
         let (mut receiver, mut copying_receiver) = (fixed_channel(false), fixed_channel(false));
         for msg in sample_msgs().into_iter().chain(broadcast_batches()) {
-            for codec in [CodecKind::Json, CodecKind::Binary] {
-                // Plaintext, into an empty buffer and behind queued bytes.
-                let plain = parent_write_frame(&msg, codec, max).unwrap();
-                let mut out = Vec::new();
-                assert_eq!(
-                    append_frame(&mut out, &msg, codec, max, None),
-                    Ok(plain.len())
-                );
-                assert_eq!(out, plain, "{} {msg:?}", codec.name());
-                let mut out = b"queued".to_vec();
-                append_frame(&mut out, &msg, codec, max, None).unwrap();
-                assert_eq!(out, [&b"queued"[..], &plain].concat());
-                assert_eq!(
-                    decode_frame(&plain, max).unwrap(),
-                    (msg.clone(), plain.len(), codec)
-                );
+            // Plaintext, into an empty buffer and behind queued bytes.
+            let plain = parent_write_frame(&msg, max).unwrap();
+            let mut out = Vec::new();
+            assert_eq!(append_frame(&mut out, &msg, max, None), Ok(plain.len()));
+            assert_eq!(out, plain, "{msg:?}");
+            let mut out = b"queued".to_vec();
+            append_frame(&mut out, &msg, max, None).unwrap();
+            assert_eq!(out, [&b"queued"[..], &plain].concat());
+            assert_eq!(
+                decode_frame(&plain, max).unwrap(),
+                (msg.clone(), plain.len())
+            );
 
-                // Sealed: the same bytes as encode → inner → seal → frame.
-                let sealed = parent_seal_frame(&mut parent_sender, &plain);
-                let mut out = b"queued".to_vec();
-                let written = append_frame(&mut out, &msg, codec, max, Some(&mut sender));
-                assert_eq!(written, Ok(sealed.len()));
-                assert_eq!(written, Ok(plain.len() + SEALED_FRAME_OVERHEAD));
-                assert_eq!(out, [&b"queued"[..], &sealed].concat(), "{}", codec.name());
-                // The allocating wrapper is the same frame, one sequence on.
-                let wrapped = parent_sender.seal_frame(&plain);
-                let mut out = Vec::new();
-                append_frame(&mut out, &msg, codec, max, Some(&mut sender)).unwrap();
-                assert_eq!(out, wrapped);
+            // Sealed: the same bytes as encode → inner → seal → frame.
+            let sealed = parent_seal_frame(&mut parent_sender, &plain);
+            let mut out = b"queued".to_vec();
+            let written = append_frame(&mut out, &msg, max, Some(&mut sender));
+            assert_eq!(written, Ok(sealed.len()));
+            assert_eq!(written, Ok(plain.len() + SEALED_FRAME_OVERHEAD));
+            assert_eq!(out, [&b"queued"[..], &sealed].concat());
+            // The allocating wrapper is the same frame, one sequence on.
+            let wrapped = parent_sender.seal_frame(&plain);
+            let mut out = Vec::new();
+            append_frame(&mut out, &msg, max, Some(&mut sender)).unwrap();
+            assert_eq!(out, wrapped);
 
-                // Both open — in place and through the copying wrapper — to
-                // the plaintext frame, which decodes to the message.
-                for frame in [&sealed, &wrapped] {
-                    let mut payload = frame[8..].to_vec();
-                    assert_eq!(copying_receiver.open_payload(&payload).unwrap(), plain);
-                    let inner = receiver.open_in_place(&mut payload).unwrap();
-                    assert_eq!(inner, plain);
-                    assert_eq!(decode_frame(inner, max).unwrap().0, msg);
-                }
+            // Both open — in place and through the copying wrapper — to the
+            // plaintext frame, which decodes to the message.
+            for frame in [&sealed, &wrapped] {
+                let mut payload = frame[8..].to_vec();
+                assert_eq!(copying_receiver.open_payload(&payload).unwrap(), plain);
+                let inner = receiver.open_in_place(&mut payload).unwrap();
+                assert_eq!(inner, plain);
+                assert_eq!(decode_frame(inner, max).unwrap().0, msg);
             }
         }
 
@@ -979,22 +983,108 @@ mod tests {
         };
         for channel in [None, Some(&mut sender)] {
             let mut out = b"queued".to_vec();
-            let err = append_frame(&mut out, &big, CodecKind::Binary, 16, channel).unwrap_err();
+            let err = append_frame(&mut out, &big, 16, channel).unwrap_err();
             assert_eq!(err, ProtocolError::FrameTooLarge { len: 105, max: 16 });
             assert_eq!(out, b"queued");
         }
         assert_eq!(sender.send_seq, parent_sender.send_seq);
         let mut next = Vec::new();
-        append_frame(
-            &mut next,
-            &WireMsg::Ack,
-            CodecKind::Binary,
-            max,
-            Some(&mut sender),
-        )
-        .unwrap();
-        let plain = parent_write_frame(&WireMsg::Ack, CodecKind::Binary, max).unwrap();
+        append_frame(&mut next, &WireMsg::Ack, max, Some(&mut sender)).unwrap();
+        let plain = parent_write_frame(&WireMsg::Ack, max).unwrap();
         assert_eq!(next, parent_seal_frame(&mut parent_sender, &plain));
+    }
+
+    /// An M1 for a server handshake: `static ‖ ephemeral`, as given.
+    fn hello(static_key: [u8; 32], eph: [u8; 32]) -> Vec<u8> {
+        [static_key, eph].concat()
+    }
+
+    fn assert_auth_failure(result: Result<HandshakeStep, ProtocolError>, what: &str) {
+        match result {
+            Err(ProtocolError::AuthFailure { .. }) => {}
+            Err(e) => panic!("{what}: {e}"),
+            Ok(_) => panic!("{what}: accepted"),
+        }
+    }
+
+    #[test]
+    fn a_hello_with_a_key_that_proves_nothing_is_refused() {
+        let server_id = NodeIdentity::from_seed(2);
+        let client_id = NodeIdentity::from_seed(1);
+        let eph = NodeIdentity::from_seed(3).public_bytes();
+        let server = || ServerHandshake::new(server_id.clone());
+
+        // The reproducer: no secret at all, static key 00…00. Every DH share
+        // it enters is zero, so the tags would follow from the ephemeral
+        // alone and any number of such peers would share one identity.
+        let zero = [0u8; 32];
+        assert_auth_failure(server().on_payload(&hello(zero, eph)), "zero static");
+        // The same point in the ephemeral slot, and another low-order one
+        // (u = 1) in each.
+        let one = {
+            let mut u = [0u8; 32];
+            u[0] = 1;
+            u
+        };
+        let honest = client_id.public_bytes();
+        for (s, e) in [(honest, zero), (one, eph), (honest, one)] {
+            assert_auth_failure(server().on_payload(&hello(s, e)), "low-order key");
+        }
+
+        // One secret, two encodings: bit 255 set is refused, and so is an
+        // encoding of u ≥ p (here p itself, an alias of 0).
+        let mut alias = honest;
+        alias[31] |= 0x80;
+        assert_auth_failure(server().on_payload(&hello(alias, eph)), "top-bit alias");
+        assert_auth_failure(server().on_payload(&hello(honest, alias)), "top-bit alias");
+        let mut p = [0xff; 32];
+        p[0] = 0xed;
+        p[31] = 0x7f;
+        assert_auth_failure(server().on_payload(&hello(p, eph)), "u = p");
+
+        // The canonical key behind the alias is an ordinary hello.
+        let step = server().on_payload(&hello(honest, eph)).unwrap();
+        assert!(step.reply.is_some() && step.established.is_none());
+    }
+
+    #[test]
+    fn the_client_refuses_a_low_order_server_key() {
+        // A server that answers M1 with a chosen M2, whatever M1 said.
+        struct Scripted(Vec<u8>);
+        impl Read for Scripted {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = buf.len().min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0.drain(..n);
+                Ok(n)
+            }
+        }
+        impl Write for Scripted {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let client_id = NodeIdentity::from_seed(1);
+        let honest = NodeIdentity::from_seed(2).public_bytes();
+        let eph = NodeIdentity::from_seed(3).public_bytes();
+        let mut alias = honest;
+        alias[31] |= 0x80;
+        for (s, e, what) in [
+            ([0u8; 32], eph, "zero static"),
+            (honest, [0u8; 32], "zero ephemeral"),
+            (alias, eph, "top-bit alias"),
+        ] {
+            let mut m2 = Vec::new();
+            write_handshake_frame(&mut m2, &[s, e, [7; 32]].concat()).unwrap();
+            let err = client_handshake(&mut Scripted(m2), &client_id, None, 1 << 20).unwrap_err();
+            assert!(
+                matches!(&err, ProtocolError::AuthFailure { detail } if !detail.contains("tag")),
+                "{what}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,24 +1,14 @@
-//! Pluggable payload codecs for the framed wire protocol.
+//! The `DBH2` payload codec: a [`WireMsg`] to frame-payload bytes and back.
 //!
-//! A frame (see [`super::wire`]) is `magic | u32 length | payload`; the
-//! 4-byte magic names both the protocol *and* the payload codec, so codec
-//! choice is negotiated per connection from the frames themselves — a
-//! listener serves `DBH1` and `DBH2` peers side by side and always replies
-//! in the codec a request arrived in.
+//! A frame (see [`super::wire`]) is `DBH2 | u32 length | payload`. The
+//! payload is a canonical binary layout whose ciphertext fields are the
+//! fixed-width big-endian limbs of [`dubhe_he::codec`], so a frame is its
+//! canonical payload plus a small constant header — within 1.10× of the
+//! paper's communication model, pinned by `tests/networked_protocol.rs`.
 //!
-//! Two codecs implement [`WireCodec`]:
-//!
-//! * [`JsonCodec`] — the original `DBH1` format: the [`WireMsg`] rendered as
-//!   JSON with decimal-string bignums. Kept for compatibility — decoding
-//!   accepts every pre-epoch frame unchanged (a missing `"epoch"` field
-//!   defaults to 0); costs ~2.5× the canonical ciphertext bytes.
-//! * [`BinaryCodec`] — `DBH2`: a canonical binary layout whose ciphertext
-//!   fields are the fixed-width big-endian limbs of
-//!   [`dubhe_he::codec`], so a frame is its canonical payload plus a small
-//!   constant header (≤ 1.10× canonical, asserted by `overhead_report`).
-//!
-//! Negotiation is *format* selection only — it authenticates nothing (see
-//! `docs/THREAT_MODEL.md`).
+//! Encoding is *total* over `WireMsg` (every variant encodes) and decoding
+//! is *defensive*: arbitrary bytes surface as
+//! [`ProtocolError::MalformedFrame`], never a panic.
 //!
 //! ## `DBH2` payload layout
 //!
@@ -56,231 +46,106 @@
 
 use dubhe_he::codec as he;
 use dubhe_he::transport::{private_key_size_bytes, public_key_size_bytes};
-use serde::{Deserialize, Serialize};
 
 use super::message::{Envelope, Party, ProtocolMsg};
 use super::wire::WireMsg;
 use crate::error::ProtocolError;
 use dubhe_he::HeError;
 
-/// A payload codec: encodes a [`WireMsg`] to frame-payload bytes and back.
-///
-/// Implementations must be *total* over `WireMsg` (every variant encodes)
-/// and *defensive* on decode: arbitrary bytes surface as
-/// [`ProtocolError::MalformedFrame`], never a panic.
-pub trait WireCodec {
-    /// Which negotiable codec this is.
-    fn kind(&self) -> CodecKind;
-
-    /// How many bytes [`encode_into`](Self::encode_into) will append for
-    /// `msg`, when the codec can tell without encoding — an upper bound
-    /// that is exact for every ciphertext-bearing message — else 0. What a
-    /// framer reserves before encoding in place.
-    fn payload_size_hint(&self, msg: &WireMsg) -> usize;
-
-    /// Appends the payload encoding of `msg` to `out`. On error `out` may
-    /// be left holding part of an encoding; the caller truncates it back.
-    fn encode_into(&self, msg: &WireMsg, out: &mut Vec<u8>) -> Result<(), ProtocolError>;
-
-    /// Serializes one message into a frame payload of its own.
-    fn encode(&self, msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
-        let mut out = Vec::with_capacity(self.payload_size_hint(msg));
-        self.encode_into(msg, &mut out)?;
-        Ok(out)
-    }
-
-    /// Parses one frame payload. The whole payload must be consumed.
-    fn decode(&self, payload: &[u8]) -> Result<WireMsg, ProtocolError>;
+/// Serializes one message into a frame payload of its own, in one
+/// allocation sized by [`payload_size_hint`].
+pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
+    let mut out = Vec::with_capacity(payload_size_hint(msg));
+    encode_into(msg, &mut out)?;
+    Ok(out)
 }
 
-/// The negotiable codec identifiers, i.e. the known frame magics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+/// Appends the payload encoding of `msg` to `out`. On error `out` may be
+/// left holding part of an encoding; the caller truncates it back.
+pub fn encode_into(msg: &WireMsg, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
+    // Consecutive envelopes of a batch that carry one shared vector (a
+    // broadcast) encode it once and copy the bytes for the rest.
+    let mut memo = he::VectorEncodeMemo::default();
+    match msg {
+        WireMsg::Envelope { envelope } => {
+            out.push(0);
+            encode_envelope(envelope, out, &mut memo)?;
+        }
+        WireMsg::AnnounceTry {
+            try_index,
+            participants,
+        } => {
+            out.push(1);
+            he::put_u64(out, *try_index as u64);
+            he::put_u32(out, participants.len() as u32);
+            for &p in participants {
+                he::put_u64(out, p as u64);
+            }
+        }
+        WireMsg::Batch { envelopes } => {
+            out.push(2);
+            he::put_u32(out, envelopes.len() as u32);
+            for e in envelopes {
+                encode_envelope(e, out, &mut memo)?;
+            }
+        }
+        WireMsg::Ack => out.push(3),
+        WireMsg::Error { detail } => {
+            out.push(4);
+            he::put_u32(out, detail.len() as u32);
+            out.extend_from_slice(detail.as_bytes());
+        }
+        WireMsg::Shutdown => out.push(5),
+        // The epoch-lifecycle control frames postdate tags 0–5; their
+        // tags extend the sequence rather than following the enum's
+        // declaration order, so every pre-lifecycle DBH2 peer still
+        // reads the original six unchanged.
+        WireMsg::BeginEpoch {
+            epoch,
+            expected_registrations,
+        } => {
+            out.push(6);
+            he::put_u64(out, *epoch);
+            he::put_u64(out, *expected_registrations as u64);
+        }
+        WireMsg::CloseRegistration => out.push(7),
+        WireMsg::CloseTry { try_index } => {
+            out.push(8);
+            he::put_u64(out, *try_index as u64);
+        }
+    }
+    Ok(())
+}
+
+/// Parses one frame payload. The whole payload must be consumed.
+pub fn decode(payload: &[u8]) -> Result<WireMsg, ProtocolError> {
+    let mut cur = payload;
+    let msg = decode_wiremsg(&mut cur)?;
+    if !cur.is_empty() {
+        return Err(malformed("trailing bytes after the wire message"));
+    }
+    Ok(msg)
+}
+
+// Kept for exactly one caller: the frozen `benchmark/`, whose ladder spells
+// `CodecKind::Binary.{encode, decode}` and whose epoch and fan-in workloads
+// pass `CodecKind::Binary` to the identity builders `TcpConfig::with_codec`
+// and `MuxConfig::with_codec`. The benchmark-only change of ROADMAP item
+// 1(d) re-points those lines at `codec::{encode, decode}`, drops the two
+// builder calls and deletes this shim with them. Nothing else may name it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecKind {
-    /// `DBH1`: JSON payloads (compatibility default).
-    Json,
-    /// `DBH2`: canonical binary payloads.
     Binary,
 }
 
 impl CodecKind {
-    /// The 4-byte frame magic announcing this codec.
-    pub fn magic(self) -> [u8; 4] {
-        match self {
-            CodecKind::Json => *b"DBH1",
-            CodecKind::Binary => *b"DBH2",
-        }
-    }
-
-    /// Resolves a frame magic to its codec, if known.
-    pub fn from_magic(magic: [u8; 4]) -> Option<CodecKind> {
-        match &magic {
-            b"DBH1" => Some(CodecKind::Json),
-            b"DBH2" => Some(CodecKind::Binary),
-            _ => None,
-        }
-    }
-
-    /// The wire-format name (`"DBH1"` / `"DBH2"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            CodecKind::Json => "DBH1",
-            CodecKind::Binary => "DBH2",
-        }
-    }
-
-    /// The codec implementation behind this identifier.
-    pub fn as_codec(self) -> &'static dyn WireCodec {
-        match self {
-            CodecKind::Json => &JsonCodec,
-            CodecKind::Binary => &BinaryCodec,
-        }
-    }
-
-    /// Shorthand for `self.as_codec().encode(msg)`.
     pub fn encode(self, msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
-        self.as_codec().encode(msg)
+        encode(msg)
     }
 
-    /// Shorthand for `self.as_codec().encode_into(msg, out)`.
-    pub fn encode_into(self, msg: &WireMsg, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
-        self.as_codec().encode_into(msg, out)
-    }
-
-    /// Shorthand for `self.as_codec().payload_size_hint(msg)`.
-    pub fn payload_size_hint(self, msg: &WireMsg) -> usize {
-        self.as_codec().payload_size_hint(msg)
-    }
-
-    /// Shorthand for `self.as_codec().decode(payload)`.
     pub fn decode(self, payload: &[u8]) -> Result<WireMsg, ProtocolError> {
-        self.as_codec().decode(payload)
-    }
-}
-
-/// The `DBH1` payload codec: `WireMsg` as JSON.
-///
-/// Compatibility with pre-codec-layer peers is one-directional since the
-/// epoch lifecycle landed: *decoding* still accepts every legacy frame (an
-/// envelope without an `"epoch"` field deserializes as epoch 0 via the serde
-/// default, pinned by a test), but *encoded* envelopes now carry their epoch
-/// stamp, so a strict legacy reader would see one extra field. The other
-/// JSON shape that changed in an earlier release is `PrivateKey` itself (now
-/// factors-only, see `dubhe-he::keys`), which affects only locally
-/// serialized key material, never protocol sockets.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct JsonCodec;
-
-impl WireCodec for JsonCodec {
-    fn kind(&self) -> CodecKind {
-        CodecKind::Json
-    }
-
-    fn payload_size_hint(&self, _msg: &WireMsg) -> usize {
-        0
-    }
-
-    fn encode_into(&self, msg: &WireMsg, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
-        out.extend_from_slice(&self.encode(msg)?);
-        Ok(())
-    }
-
-    fn encode(&self, msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
-        serde_json::to_string(msg)
-            .map(String::into_bytes)
-            .map_err(|e| ProtocolError::MalformedFrame {
-                detail: format!("could not serialize frame payload: {e}"),
-            })
-    }
-
-    fn decode(&self, payload: &[u8]) -> Result<WireMsg, ProtocolError> {
-        let text = std::str::from_utf8(payload).map_err(|e| ProtocolError::MalformedFrame {
-            detail: format!("payload is not UTF-8: {e}"),
-        })?;
-        serde_json::from_str(text).map_err(|e| ProtocolError::MalformedFrame {
-            detail: format!("payload is not a wire message: {e}"),
-        })
-    }
-}
-
-/// The `DBH2` payload codec: canonical fixed-width binary.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BinaryCodec;
-
-impl WireCodec for BinaryCodec {
-    fn kind(&self) -> CodecKind {
-        CodecKind::Binary
-    }
-
-    /// From the transport size model: ciphertext payloads dominate every
-    /// frame, and their encoded width is an exact function of (length, key
-    /// size) — so a registry upload is written into one allocation instead
-    /// of doubling its way up.
-    fn payload_size_hint(&self, msg: &WireMsg) -> usize {
-        payload_size_hint(msg)
-    }
-
-    fn encode_into(&self, msg: &WireMsg, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
-        // Consecutive envelopes of a batch that carry one shared vector (a
-        // broadcast) encode it once and copy the bytes for the rest.
-        let mut memo = he::VectorEncodeMemo::default();
-        match msg {
-            WireMsg::Envelope { envelope } => {
-                out.push(0);
-                encode_envelope(envelope, out, &mut memo)?;
-            }
-            WireMsg::AnnounceTry {
-                try_index,
-                participants,
-            } => {
-                out.push(1);
-                he::put_u64(out, *try_index as u64);
-                he::put_u32(out, participants.len() as u32);
-                for &p in participants {
-                    he::put_u64(out, p as u64);
-                }
-            }
-            WireMsg::Batch { envelopes } => {
-                out.push(2);
-                he::put_u32(out, envelopes.len() as u32);
-                for e in envelopes {
-                    encode_envelope(e, out, &mut memo)?;
-                }
-            }
-            WireMsg::Ack => out.push(3),
-            WireMsg::Error { detail } => {
-                out.push(4);
-                he::put_u32(out, detail.len() as u32);
-                out.extend_from_slice(detail.as_bytes());
-            }
-            WireMsg::Shutdown => out.push(5),
-            // The epoch-lifecycle control frames postdate tags 0–5; their
-            // tags extend the sequence rather than following the enum's
-            // declaration order, so every pre-lifecycle DBH2 peer still
-            // reads the original six unchanged.
-            WireMsg::BeginEpoch {
-                epoch,
-                expected_registrations,
-            } => {
-                out.push(6);
-                he::put_u64(out, *epoch);
-                he::put_u64(out, *expected_registrations as u64);
-            }
-            WireMsg::CloseRegistration => out.push(7),
-            WireMsg::CloseTry { try_index } => {
-                out.push(8);
-                he::put_u64(out, *try_index as u64);
-            }
-        }
-        Ok(())
-    }
-
-    fn decode(&self, payload: &[u8]) -> Result<WireMsg, ProtocolError> {
-        let mut cur = payload;
-        let msg = decode_wiremsg(&mut cur)?;
-        if !cur.is_empty() {
-            return Err(malformed("trailing bytes after the wire message"));
-        }
-        Ok(msg)
+        decode(payload)
     }
 }
 
@@ -334,9 +199,13 @@ fn envelope_hint(e: &Envelope) -> usize {
     party_hint(&e.from) + party_hint(&e.to) + 8 + 1 + body
 }
 
-/// Encoded size of a whole frame payload (exact except for the key-dispatch
-/// slack noted on [`envelope_hint`]); what [`BinaryCodec`] reserves.
-fn payload_size_hint(msg: &WireMsg) -> usize {
+/// How many bytes [`encode_into`] will append for `msg`, from the `dubhe-he`
+/// transport size model: exact for every ciphertext-bearing message, an
+/// upper bound within a few bytes for key dispatches (their prime factors
+/// may encode one byte short of the modeled width). What a framer reserves
+/// before encoding in place, so a registry upload is written into one
+/// allocation instead of doubling its way up.
+pub fn payload_size_hint(msg: &WireMsg) -> usize {
     1 + match msg {
         WireMsg::Envelope { envelope } => envelope_hint(envelope),
         WireMsg::AnnounceTry { participants, .. } => 8 + 4 + 8 * participants.len(),
@@ -580,7 +449,7 @@ impl RegistryFrame {
     /// escape hatch for receivers that need an owned [`Envelope`] (and the
     /// path that keeps error behaviour identical to an undeferred frame).
     pub fn materialize(&self) -> Result<Envelope, ProtocolError> {
-        match BinaryCodec.decode(&self.payload)? {
+        match decode(&self.payload)? {
             WireMsg::Envelope { envelope } => Ok(envelope),
             _ => Err(malformed("deferred frame is not an envelope")),
         }
@@ -920,7 +789,7 @@ pub(crate) mod tests {
     /// to share a vector with), stitched behind the batch header.
     pub(crate) fn per_envelope_payload(msg: &WireMsg) -> Vec<u8> {
         let WireMsg::Batch { envelopes } = msg else {
-            return BinaryCodec.encode(msg).unwrap();
+            return encode(msg).unwrap();
         };
         let mut out = vec![2];
         he::put_u32(&mut out, envelopes.len() as u32);
@@ -928,7 +797,7 @@ pub(crate) mod tests {
             let alone = WireMsg::Envelope {
                 envelope: envelope.clone(),
             };
-            out.extend_from_slice(&BinaryCodec.encode(&alone).unwrap()[1..]);
+            out.extend_from_slice(&encode(&alone).unwrap()[1..]);
         }
         out
     }
@@ -937,7 +806,7 @@ pub(crate) mod tests {
     /// validated in full, nothing carried from one to the next.
     fn decode_per_envelope(payload: &[u8]) -> Result<WireMsg, ProtocolError> {
         if payload.first() != Some(&2) {
-            return BinaryCodec.decode(payload);
+            return decode(payload);
         }
         let mut cur = &payload[1..];
         let count = take_count(&mut cur)?;
@@ -966,18 +835,18 @@ pub(crate) mod tests {
     #[test]
     fn shared_vectors_change_no_byte_and_no_value() {
         for msg in sample_msgs().into_iter().chain(broadcast_batches()) {
-            let payload = BinaryCodec.encode(&msg).unwrap();
+            let payload = encode(&msg).unwrap();
             assert_eq!(payload, per_envelope_payload(&msg), "{msg:?}");
-            let back = BinaryCodec.decode(&payload).unwrap();
+            let back = decode(&payload).unwrap();
             assert_eq!(back, msg);
             assert_eq!(decode_per_envelope(&payload).unwrap(), msg);
         }
         // The broadcast is where the short-cuts bite: the hint is exact, and
         // the decoded addressees are handles on one validated vector.
         for msg in &broadcast_batches()[..2] {
-            let payload = BinaryCodec.encode(msg).unwrap();
+            let payload = encode(msg).unwrap();
             assert_eq!(payload.len(), payload_size_hint(msg));
-            let WireMsg::Batch { envelopes } = BinaryCodec.decode(&payload).unwrap() else {
+            let WireMsg::Batch { envelopes } = decode(&payload).unwrap() else {
                 panic!("a batch decodes to a batch");
             };
             let first = vector_of(&envelopes[0]);
@@ -1000,9 +869,9 @@ pub(crate) mod tests {
             let msg = WireMsg::Batch {
                 envelopes: envelopes[..3].to_vec(),
             };
-            let payload = BinaryCodec.encode(&msg).unwrap();
+            let payload = encode(&msg).unwrap();
             let agree = |bytes: &[u8], what: &str| {
-                let (new, old) = (BinaryCodec.decode(bytes), decode_per_envelope(bytes));
+                let (new, old) = (decode(bytes), decode_per_envelope(bytes));
                 assert_eq!(new, old, "{what}");
                 new
             };
@@ -1044,66 +913,8 @@ pub(crate) mod tests {
     #[test]
     fn every_variant_round_trips_through_both_codecs() {
         for msg in sample_msgs() {
-            for kind in [CodecKind::Json, CodecKind::Binary] {
-                let payload = kind.encode(&msg).unwrap();
-                let back = kind.decode(&payload).unwrap();
-                assert_eq!(back, msg, "{} round trip", kind.name());
-            }
+            assert_eq!(decode(&encode(&msg).unwrap()).unwrap(), msg);
         }
-    }
-
-    #[test]
-    fn binary_is_much_smaller_than_json_for_ciphertext_payloads() {
-        for msg in sample_msgs() {
-            let json = CodecKind::Json.encode(&msg).unwrap();
-            let binary = CodecKind::Binary.encode(&msg).unwrap();
-            if matches!(&msg, WireMsg::Envelope { .. } | WireMsg::Batch { .. }) {
-                assert!(
-                    binary.len() * 2 < json.len(),
-                    "binary ({}) should be well under half of JSON ({})",
-                    binary.len(),
-                    json.len()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn json_codec_is_pinned_to_the_legacy_serialization() {
-        // DBH1 payloads must stay bit-identical to the direct serde_json
-        // rendering of the message types — the codec adds no framing of its
-        // own on top of serde.
-        for msg in sample_msgs() {
-            let payload = CodecKind::Json.encode(&msg).unwrap();
-            assert_eq!(payload, serde_json::to_string(&msg).unwrap().into_bytes());
-        }
-        // A literal fixture for a wire-crossing frame, so a change to any
-        // serde impl in the path (not just the codec plumbing) trips this
-        // test instead of silently breaking DBH1 peers. Verdicts are the
-        // only fixed-size wire message, hence the stable rendering.
-        let verdict = WireMsg::Envelope {
-            envelope: Envelope {
-                from: Party::Agent,
-                to: Party::Server,
-                epoch: 0,
-                msg: ProtocolMsg::TryVerdict {
-                    best_try: 2,
-                    distance: 0.25,
-                },
-            },
-        };
-        assert_eq!(
-            String::from_utf8(CodecKind::Json.encode(&verdict).unwrap()).unwrap(),
-            "{\"Envelope\":{\"envelope\":{\"from\":\"Agent\",\"to\":\"Server\",\
-             \"epoch\":0,\
-             \"msg\":{\"TryVerdict\":{\"best_try\":2,\"distance\":0.25}}}}}"
-        );
-        // The pre-epoch rendering of the same frame (no "epoch" field) must
-        // keep decoding — a frame recorded by an older peer deserializes
-        // with the epoch defaulted to 0.
-        let legacy = "{\"Envelope\":{\"envelope\":{\"from\":\"Agent\",\"to\":\"Server\",\
-             \"msg\":{\"TryVerdict\":{\"best_try\":2,\"distance\":0.25}}}}}";
-        assert_eq!(CodecKind::Json.decode(legacy.as_bytes()).unwrap(), verdict);
     }
 
     #[test]
@@ -1118,7 +929,7 @@ pub(crate) mod tests {
             _ => false,
         };
         for msg in sample_msgs() {
-            let payload = CodecKind::Binary.encode(&msg).unwrap();
+            let payload = encode(&msg).unwrap();
             let hint = payload_size_hint(&msg);
             assert!(
                 payload.len() <= hint,
@@ -1150,7 +961,7 @@ pub(crate) mod tests {
             vec![0, 0, 1, 0, 0, 0, 0, 0xFF, 0xFF], // bad detail: invalid utf8... actually envelope
         ];
         for bytes in cases {
-            let err = CodecKind::Binary.decode(&bytes).unwrap_err();
+            let err = decode(&bytes).unwrap_err();
             assert!(
                 matches!(err, ProtocolError::MalformedFrame { .. }),
                 "{bytes:?} -> {err}"
@@ -1176,9 +987,9 @@ pub(crate) mod tests {
                 )
             })
             .expect("sample set carries a packed registry");
-        let payload = CodecKind::Binary.encode(&packed).unwrap();
+        let payload = encode(&packed).unwrap();
         for cut in 0..payload.len() {
-            let err = CodecKind::Binary.decode(&payload[..cut]).unwrap_err();
+            let err = decode(&payload[..cut]).unwrap_err();
             assert!(
                 matches!(err, ProtocolError::MalformedFrame { .. }),
                 "cut {cut}: {err}"
@@ -1190,20 +1001,9 @@ pub(crate) mod tests {
         let layout_off = 1 + 9 + 1 + 8 + 1 + 8;
         bad[layout_off..layout_off + 4].copy_from_slice(&250u32.to_be_bytes());
         assert!(matches!(
-            CodecKind::Binary.decode(&bad).unwrap_err(),
+            decode(&bad).unwrap_err(),
             ProtocolError::MalformedFrame { .. }
         ));
-    }
-
-    #[test]
-    fn magic_negotiation_is_a_bijection() {
-        for kind in [CodecKind::Json, CodecKind::Binary] {
-            assert_eq!(CodecKind::from_magic(kind.magic()), Some(kind));
-            assert_eq!(kind.as_codec().kind(), kind);
-        }
-        assert_eq!(CodecKind::from_magic(*b"DBH3"), None);
-        assert_eq!(CodecKind::from_magic(*b"DBHZ"), None, "retired magic");
-        assert_eq!(CodecKind::from_magic(*b"HTTP"), None);
     }
 
     #[test]
@@ -1212,7 +1012,7 @@ pub(crate) mod tests {
         // nothing else — every other payload falls back to the eager
         // decoder byte-for-byte unchanged.
         for msg in sample_msgs() {
-            let payload = CodecKind::Binary.encode(&msg).unwrap();
+            let payload = encode(&msg).unwrap();
             let is_registry = matches!(
                 &msg,
                 WireMsg::Envelope {
@@ -1256,8 +1056,8 @@ pub(crate) mod tests {
                 )
             })
             .expect("sample set carries a registry");
-        let payload = CodecKind::Binary.encode(&msg).unwrap();
-        let WireMsg::Envelope { envelope } = CodecKind::Binary.decode(&payload).unwrap() else {
+        let payload = encode(&msg).unwrap();
+        let WireMsg::Envelope { envelope } = decode(&payload).unwrap() else {
             panic!("registry payload decodes to an envelope");
         };
         let ProtocolMsg::EncryptedRegistry { client, registry } = &envelope.msg else {
@@ -1298,12 +1098,12 @@ pub(crate) mod tests {
                 )
             })
             .expect("sample set carries a registry");
-        let payload = CodecKind::Binary.encode(&msg).unwrap();
+        let payload = encode(&msg).unwrap();
         for cut in 0..payload.len() {
             match RegistryFrame::try_from_payload(payload[..cut].to_vec()) {
                 Err(returned) => {
                     // Prefix incomplete: the eager decoder owns the error.
-                    let err = CodecKind::Binary.decode(&returned).unwrap_err();
+                    let err = decode(&returned).unwrap_err();
                     assert!(
                         matches!(err, ProtocolError::MalformedFrame { .. }),
                         "cut {cut}: {err}"

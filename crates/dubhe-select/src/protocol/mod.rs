@@ -62,11 +62,10 @@
 //!   positions partitioned across N shard folds (one by default) that
 //!   advance rayon-parallel and merge into a bit-identical total;
 //! * [`TcpTransport`] → `dubhe_net::ReactorListener` — the same messages as
-//!   length-prefixed frames (see [`wire`]) over real loopback sockets, served
-//!   by `dubhe-net`'s event-loop listener. The frame payload codec
-//!   is pluggable (see [`codec`]): `DBH1` JSON for compatibility, `DBH2`
-//!   canonical binary for wire traffic within 1.10× of the paper's
-//!   communication model, negotiated per connection from the frame magic.
+//!   length-prefixed `DBH2` frames (see [`wire`]) over real loopback
+//!   sockets, served by `dubhe-net`'s event-loop listener. The payload is
+//!   the canonical binary encoding of [`codec`], so wire traffic stays
+//!   within 1.10× of the paper's communication model.
 //!
 //! `docs/ARCHITECTURE.md` draws the full picture; `docs/THREAT_MODEL.md`
 //! explains why both uphold the same structural guarantee.
@@ -100,7 +99,9 @@ pub use channel::{
     ChannelPolicy, NodeIdentity, RetrySchedule, SecureChannel, ServerHandshake,
     FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
 };
-pub use codec::{BinaryCodec, CodecKind, JsonCodec, RegistryFrame, WireCodec};
+#[doc(hidden)]
+pub use codec::CodecKind;
+pub use codec::RegistryFrame;
 pub use driver::{
     pump, run_registration, run_registration_with, run_registration_with_packing, run_try,
     run_try_with_dropouts, RegistrationRun,
@@ -117,6 +118,6 @@ pub use tcp::{TcpConfig, TcpTransport, WireStats, DEFAULT_READ_TIMEOUT};
 pub use transport::{InMemoryTransport, LinkStats, Transport, TransportStats};
 pub use wire::{
     append_plain_frame, claimed_client, decode_frame, decode_frame_lazy, read_frame,
-    read_frame_limited, read_frame_negotiated, write_frame, write_frame_limited, write_frame_with,
-    LazyMsg, WireMsg, FRAME_MAGIC, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
+    read_frame_limited, write_frame, write_frame_limited, LazyMsg, WireMsg, FRAME_MAGIC_V2,
+    MAX_FRAME_BYTES,
 };

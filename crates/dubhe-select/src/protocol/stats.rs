@@ -1,4 +1,4 @@
-//! Shared listener observability: per-connection codec/latency metrics and
+//! Shared listener observability: per-connection frame/latency metrics and
 //! the [`ListenerStats`] snapshot API.
 //!
 //! `dubhe-net`'s event-driven `ReactorListener` records into a

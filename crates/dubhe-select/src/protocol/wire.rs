@@ -4,15 +4,14 @@
 //!
 //! ```text
 //! +-----------------+-----------------+----------------------+
-//! | magic           | payload length  | payload              |
-//! | "DBH1" / "DBH2" | u32, big-endian | codec-encoded WireMsg|
+//! | magic "DBH2"    | payload length  | payload              |
+//! |                 | u32, big-endian | DBH2-encoded WireMsg |
 //! +-----------------+-----------------+----------------------+
 //! ```
 //!
-//! The magic names the payload codec ([`CodecKind`]): `DBH1` frames carry
-//! JSON, `DBH2` frames carry the canonical binary encoding — see
-//! [`super::codec`]. [`read_frame_negotiated`] dispatches on the magic, which
-//! is what lets one listener serve both formats per connection.
+//! The payload is the canonical binary encoding of [`super::codec`]. `DBH2`
+//! is the one protocol magic; the authenticated channel adds `DBHS` and
+//! `DBHE` (see [`super::channel`]), and any other magic is refused.
 //!
 //! The framing is std-only (`std::io::Read`/`Write` over any byte stream —
 //! `std::net::TcpStream` in production, `&[u8]` cursors in tests) and
@@ -36,17 +35,13 @@ use std::io::{ErrorKind, Read, Write};
 
 use serde::{Deserialize, Serialize};
 
-use super::codec::{CodecKind, RegistryFrame};
+use super::codec::{self, RegistryFrame};
 use super::message::{Envelope, Party};
 use crate::error::ProtocolError;
 use crate::selector::ClientId;
 
-/// The 4-byte preamble of a JSON (`DBH1`) frame: protocol name + wire-format
-/// version. Equal to [`CodecKind::Json.magic()`](CodecKind::magic).
-pub const FRAME_MAGIC: [u8; 4] = *b"DBH1";
-
-/// The 4-byte preamble of a canonical-binary (`DBH2`) frame. Equal to
-/// [`CodecKind::Binary.magic()`](CodecKind::magic).
+/// The 4-byte preamble of a protocol (`DBH2`) frame: protocol name +
+/// wire-format version.
 pub const FRAME_MAGIC_V2: [u8; 4] = *b"DBH2";
 
 /// Upper bound on a frame payload. Generous: the largest legitimate message
@@ -127,7 +122,7 @@ const HEADER_BYTES: usize = 8;
 /// Appends one complete plaintext frame — `magic | u32 length | payload` —
 /// to `out`, returning the bytes appended. The payload is encoded in place
 /// behind a length field patched afterwards, into space reserved once from
-/// the codec's size hint, so framing costs no buffer of its own.
+/// [`codec::payload_size_hint`], so framing costs no buffer of its own.
 ///
 /// A payload above `max_frame_bytes` (or one that fails to encode) is
 /// refused with `out` truncated back to what it held before the call:
@@ -136,14 +131,13 @@ const HEADER_BYTES: usize = 8;
 pub fn append_plain_frame(
     out: &mut Vec<u8>,
     msg: &WireMsg,
-    codec: CodecKind,
     max_frame_bytes: usize,
 ) -> Result<usize, ProtocolError> {
     let start = out.len();
-    out.reserve(HEADER_BYTES + codec.payload_size_hint(msg));
-    out.extend_from_slice(&codec.magic());
+    out.reserve(HEADER_BYTES + codec::payload_size_hint(msg));
+    out.extend_from_slice(&FRAME_MAGIC_V2);
     out.extend_from_slice(&[0u8; 4]);
-    let announced = codec.encode_into(msg, out).and_then(|()| {
+    let announced = codec::encode_into(msg, out).and_then(|()| {
         let len = out.len() - start - HEADER_BYTES;
         u32::try_from(len)
             .ok()
@@ -165,19 +159,15 @@ pub fn append_plain_frame(
     }
 }
 
-/// Writes one frame in the given codec, returning the total bytes put on
-/// the wire (header included) so callers can meter real frame traffic.
-/// Enforces the default [`MAX_FRAME_BYTES`]; use
-/// [`write_frame_limited`] to enforce a configured limit.
-pub fn write_frame_with<W: Write>(
-    w: &mut W,
-    msg: &WireMsg,
-    codec: CodecKind,
-) -> Result<usize, ProtocolError> {
-    write_frame_limited(w, msg, codec, MAX_FRAME_BYTES)
+/// Writes one frame, returning the total bytes put on the wire (header
+/// included) so callers can meter real frame traffic. Enforces the default
+/// [`MAX_FRAME_BYTES`]; use [`write_frame_limited`] to enforce a configured
+/// limit.
+pub fn write_frame<W: Write>(w: &mut W, msg: &WireMsg) -> Result<usize, ProtocolError> {
+    write_frame_limited(w, msg, MAX_FRAME_BYTES)
 }
 
-/// [`write_frame_with`] with a caller-configured payload ceiling (see
+/// [`write_frame`] with a caller-configured payload ceiling (see
 /// [`TcpConfig`](super::tcp::TcpConfig)): a payload above `max_frame_bytes`
 /// is refused *before* anything is written, so an oversized message never
 /// leaves a half-frame on the stream. The frame goes out in **one** write —
@@ -185,11 +175,10 @@ pub fn write_frame_with<W: Write>(
 pub fn write_frame_limited<W: Write>(
     w: &mut W,
     msg: &WireMsg,
-    codec: CodecKind,
     max_frame_bytes: usize,
 ) -> Result<usize, ProtocolError> {
     let mut frame = Vec::new();
-    append_plain_frame(&mut frame, msg, codec, max_frame_bytes)?;
+    append_plain_frame(&mut frame, msg, max_frame_bytes)?;
     write_whole_frame(w, &frame)?;
     Ok(frame.len())
 }
@@ -198,13 +187,6 @@ pub fn write_frame_limited<W: Write>(
 pub(crate) fn write_whole_frame<W: Write>(w: &mut W, frame: &[u8]) -> Result<(), ProtocolError> {
     w.write_all(frame).map_err(|e| io_error("write frame", e))?;
     w.flush().map_err(|e| io_error("flush frame", e))
-}
-
-/// Writes one `DBH1` (JSON) frame — the compatibility default (see
-/// [`JsonCodec`](super::codec::JsonCodec) for the exact compatibility
-/// scope).
-pub fn write_frame<W: Write>(w: &mut W, msg: &WireMsg) -> Result<usize, ProtocolError> {
-    write_frame_with(w, msg, CodecKind::Json)
 }
 
 /// Reads exactly `buf.len()` bytes. `at_frame_start` distinguishes a clean
@@ -241,36 +223,17 @@ pub(crate) fn read_exact_or(
     Ok(())
 }
 
-/// Reads one frame in whichever known codec its magic announces, returning
-/// the message, the total bytes consumed, and the negotiated codec — the
-/// listener replies in the same codec, which is the whole per-connection
-/// negotiation protocol.
-///
-/// Never panics and never reads past the frame: unknown magics, oversized
-/// lengths, truncation, disconnects and undecodable payloads each map to
-/// their own [`ProtocolError`] variant. With a read timeout set on the
-/// underlying stream, a silent peer surfaces as [`ProtocolError::Io`] when
-/// the timeout elapses — a caller is never stuck forever.
-pub fn read_frame_negotiated<R: Read>(
-    r: &mut R,
-) -> Result<(WireMsg, usize, CodecKind), ProtocolError> {
-    read_frame_limited(r, MAX_FRAME_BYTES)
-}
-
 /// Reads and validates one frame header: the magic as soon as it is
 /// complete, then the announced payload length against `max_frame_bytes` —
 /// before any payload is buffered.
-fn read_header<R: Read>(
-    r: &mut R,
-    max_frame_bytes: usize,
-) -> Result<(CodecKind, usize), ProtocolError> {
+fn read_header<R: Read>(r: &mut R, max_frame_bytes: usize) -> Result<usize, ProtocolError> {
     let mut magic = [0u8; 4];
     read_exact_or(r, &mut magic, "header", true)?;
-    let Some(codec) = CodecKind::from_magic(magic) else {
+    if magic != FRAME_MAGIC_V2 {
         return Err(ProtocolError::MalformedFrame {
-            detail: format!("bad magic {magic:02x?}, expected DBH1 or DBH2"),
+            detail: format!("bad magic {magic:02x?}, expected DBH2"),
         });
-    };
+    }
     let mut len_bytes = [0u8; 4];
     read_exact_or(r, &mut len_bytes, "header", false)?;
     let len = u32::from_be_bytes(len_bytes) as usize;
@@ -280,34 +243,31 @@ fn read_header<R: Read>(
             max: max_frame_bytes,
         });
     }
-    Ok((codec, len))
+    Ok(len)
 }
 
-/// [`read_frame_negotiated`] with a caller-configured payload ceiling (see
+/// [`read_frame`] with a caller-configured payload ceiling (see
 /// [`TcpConfig`](super::tcp::TcpConfig)). The announced length is checked
 /// against `max_frame_bytes` before the payload buffer is allocated.
 pub fn read_frame_limited<R: Read>(
     r: &mut R,
     max_frame_bytes: usize,
-) -> Result<(WireMsg, usize, CodecKind), ProtocolError> {
-    let (codec, len) = read_header(r, max_frame_bytes)?;
+) -> Result<(WireMsg, usize), ProtocolError> {
+    let len = read_header(r, max_frame_bytes)?;
     let mut payload = vec![0u8; len];
     read_exact_or(r, &mut payload, "payload", false)?;
-    let msg = codec.decode(&payload)?;
-    Ok((msg, HEADER_BYTES + len, codec))
+    Ok((codec::decode(&payload)?, HEADER_BYTES + len))
 }
 
-/// Splits the frame at the front of `bytes` into its codec and borrowed
-/// payload, with the stream readers' validation and errors (an empty slice
-/// is a clean close, a short one a truncated frame). Bytes after the frame
-/// are left alone.
-fn split_frame(bytes: &[u8], max_frame_bytes: usize) -> Result<(CodecKind, &[u8]), ProtocolError> {
+/// Splits the frame at the front of `bytes` into its borrowed payload, with
+/// the stream readers' validation and errors (an empty slice is a clean
+/// close, a short one a truncated frame). Bytes after the frame are left
+/// alone.
+fn split_frame(bytes: &[u8], max_frame_bytes: usize) -> Result<&[u8], ProtocolError> {
     let mut cur = bytes;
-    let (codec, len) = read_header(&mut cur, max_frame_bytes)?;
-    let payload = cur
-        .get(..len)
-        .ok_or(ProtocolError::TruncatedFrame { context: "payload" })?;
-    Ok((codec, payload))
+    let len = read_header(&mut cur, max_frame_bytes)?;
+    cur.get(..len)
+        .ok_or(ProtocolError::TruncatedFrame { context: "payload" })
 }
 
 /// [`read_frame_limited`] for a frame that already sits in memory — a
@@ -316,16 +276,20 @@ fn split_frame(bytes: &[u8], max_frame_bytes: usize) -> Result<(CodecKind, &[u8]
 pub fn decode_frame(
     bytes: &[u8],
     max_frame_bytes: usize,
-) -> Result<(WireMsg, usize, CodecKind), ProtocolError> {
-    let (codec, payload) = split_frame(bytes, max_frame_bytes)?;
-    Ok((codec.decode(payload)?, HEADER_BYTES + payload.len(), codec))
+) -> Result<(WireMsg, usize), ProtocolError> {
+    let payload = split_frame(bytes, max_frame_bytes)?;
+    Ok((codec::decode(payload)?, HEADER_BYTES + payload.len()))
 }
 
-/// Reads one frame of either codec, returning the message and the total
-/// bytes consumed. Use [`read_frame_negotiated`] when the caller needs to
-/// know which codec the peer speaks.
+/// Reads one frame, returning the message and the total bytes consumed.
+///
+/// Never panics and never reads past the frame: unknown magics, oversized
+/// lengths, truncation, disconnects and undecodable payloads each map to
+/// their own [`ProtocolError`] variant. With a read timeout set on the
+/// underlying stream, a silent peer surfaces as [`ProtocolError::Io`] when
+/// the timeout elapses — a caller is never stuck forever.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<(WireMsg, usize), ProtocolError> {
-    read_frame_negotiated(r).map(|(msg, n, _)| (msg, n))
+    read_frame_limited(r, MAX_FRAME_BYTES)
 }
 
 /// A frame read whose payload decoding may have been *deferred*.
@@ -375,7 +339,7 @@ pub fn claimed_client(msg: &LazyMsg) -> Option<ClientId> {
     }
 }
 
-/// [`decode_frame`], but a `DBH2` registry payload is returned *undecoded*
+/// [`decode_frame`], but a registry payload is returned *undecoded*
 /// as [`LazyMsg::DeferredRegistry`] — copied out of `bytes` once, so the
 /// receiver can fold it straight out of the payload after the buffer it
 /// arrived in has moved on. All other payloads (and every malformed prefix)
@@ -385,16 +349,16 @@ pub fn claimed_client(msg: &LazyMsg) -> Option<ClientId> {
 pub fn decode_frame_lazy(
     bytes: &[u8],
     max_frame_bytes: usize,
-) -> Result<(LazyMsg, usize, CodecKind), ProtocolError> {
-    let (codec, payload) = split_frame(bytes, max_frame_bytes)?;
-    let msg = if codec == CodecKind::Binary && RegistryFrame::matches_prefix(payload) {
+) -> Result<(LazyMsg, usize), ProtocolError> {
+    let payload = split_frame(bytes, max_frame_bytes)?;
+    let msg = if RegistryFrame::matches_prefix(payload) {
         let frame = RegistryFrame::try_from_payload(payload.to_vec())
             .expect("matches_prefix accepted this payload");
         LazyMsg::DeferredRegistry(frame)
     } else {
-        LazyMsg::Eager(codec.decode(payload)?)
+        LazyMsg::Eager(codec::decode(payload)?)
     };
-    Ok((msg, HEADER_BYTES + payload.len(), codec))
+    Ok((msg, HEADER_BYTES + payload.len()))
 }
 
 #[cfg(test)]
@@ -464,7 +428,7 @@ mod tests {
     #[test]
     fn oversized_length_is_rejected_before_allocating() {
         let mut buf = Vec::new();
-        buf.extend_from_slice(&FRAME_MAGIC);
+        buf.extend_from_slice(&FRAME_MAGIC_V2);
         buf.extend_from_slice(&u32::MAX.to_be_bytes());
         let err = read_frame(&mut &buf[..]).unwrap_err();
         assert_eq!(
@@ -497,8 +461,10 @@ mod tests {
 
     #[test]
     fn undecodable_payload_is_malformed() {
+        // The magic commits the decoder to the binary layout: text behind
+        // it is malformed, not a panic.
         let mut buf = Vec::new();
-        buf.extend_from_slice(&FRAME_MAGIC);
+        buf.extend_from_slice(&FRAME_MAGIC_V2);
         let payload = b"{\"not\": \"a wire message\"}";
         buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         buf.extend_from_slice(payload);
@@ -508,24 +474,30 @@ mod tests {
 
     #[test]
     fn frames_negotiate_their_codec_from_the_magic() {
+        // The magic is the whole negotiation: `DBH2` commits the reader to
+        // the binary layout, and the retired JSON magic `DBH1` — a whole
+        // frame as its last peer would have sent it — is an unknown magic.
         let msg = WireMsg::AnnounceTry {
             try_index: 1,
             participants: vec![2, 4],
         };
         let mut buf = Vec::new();
-        let n1 = write_frame_with(&mut buf, &msg, CodecKind::Json).unwrap();
-        let n2 = write_frame_with(&mut buf, &msg, CodecKind::Binary).unwrap();
-        assert_eq!(buf[..4], FRAME_MAGIC);
-        assert_eq!(buf[n1..n1 + 4], FRAME_MAGIC_V2);
+        let n2 = write_frame(&mut buf, &msg).unwrap();
+        assert_eq!(buf[..4], FRAME_MAGIC_V2);
+        let json = br#"{"Ack":null}"#;
+        buf.extend_from_slice(b"DBH1");
+        buf.extend_from_slice(&(json.len() as u32).to_be_bytes());
+        buf.extend_from_slice(json);
 
         let mut cursor = &buf[..];
-        let (m1, r1, c1) = read_frame_negotiated(&mut cursor).unwrap();
-        let (m2, r2, c2) = read_frame_negotiated(&mut cursor).unwrap();
-        assert_eq!((m1, r1, c1), (msg.clone(), n1, CodecKind::Json));
-        assert_eq!((m2, r2, c2), (msg, n2, CodecKind::Binary));
+        assert_eq!(read_frame(&mut cursor).unwrap(), (msg, n2));
+        let err = read_frame(&mut cursor).unwrap_err();
+        assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
+        assert!(err.to_string().contains("bad magic"), "{err}");
         assert_eq!(
-            read_frame_negotiated(&mut cursor),
-            Err(ProtocolError::Disconnected)
+            decode_frame(&buf[n2..], MAX_FRAME_BYTES).unwrap_err(),
+            err,
+            "the in-memory reader refuses it the same way"
         );
     }
 
@@ -551,37 +523,28 @@ mod tests {
         // A DBH2 registry comes back deferred, with the same byte count the
         // eager reader charges, and forces to the identical message.
         let mut buf = Vec::new();
-        let written = write_frame_with(&mut buf, &registry, CodecKind::Binary).unwrap();
-        let (lazy, bytes, codec) = decode_frame_lazy(&buf, MAX_FRAME_BYTES).unwrap();
-        assert_eq!((bytes, codec), (written, CodecKind::Binary));
+        let written = write_frame(&mut buf, &registry).unwrap();
+        let (lazy, bytes) = decode_frame_lazy(&buf, MAX_FRAME_BYTES).unwrap();
+        assert_eq!(bytes, written);
         assert!(matches!(lazy, LazyMsg::DeferredRegistry(_)));
         assert_eq!(lazy.force().unwrap(), registry);
 
-        // The same message over DBH1 decodes eagerly — deferral is a
-        // binary-layout optimisation, never a JSON one.
+        // Non-registry frames decode eagerly.
         let mut buf = Vec::new();
-        write_frame_with(&mut buf, &registry, CodecKind::Json).unwrap();
-        let (lazy, _, codec) = decode_frame_lazy(&buf, MAX_FRAME_BYTES).unwrap();
-        assert_eq!(codec, CodecKind::Json);
-        assert!(matches!(lazy, LazyMsg::Eager(ref m) if *m == registry));
-
-        // Non-registry binary frames decode eagerly too.
-        let mut buf = Vec::new();
-        write_frame_with(
+        write_frame(
             &mut buf,
             &WireMsg::Envelope {
                 envelope: verdict_envelope(),
             },
-            CodecKind::Binary,
         )
         .unwrap();
-        let (lazy, _, _) = decode_frame_lazy(&buf, MAX_FRAME_BYTES).unwrap();
+        let (lazy, _) = decode_frame_lazy(&buf, MAX_FRAME_BYTES).unwrap();
         assert!(matches!(lazy, LazyMsg::Eager(WireMsg::Envelope { .. })));
 
         // Error paths are byte-for-byte the eager reader's: truncation,
         // oversized lengths, bad magic.
         let mut full = Vec::new();
-        write_frame_with(&mut full, &registry, CodecKind::Binary).unwrap();
+        write_frame(&mut full, &registry).unwrap();
         for cut in [2, 6, full.len() - 1] {
             let lazy_err = decode_frame_lazy(&full[..cut], MAX_FRAME_BYTES).unwrap_err();
             let eager_err = read_frame_limited(&mut &full[..cut], MAX_FRAME_BYTES).unwrap_err();
@@ -612,7 +575,7 @@ mod tests {
 
         // Truncation inside magic, length, and payload.
         let mut full = Vec::new();
-        write_frame_with(&mut full, &WireMsg::Ack, CodecKind::Binary).unwrap();
+        write_frame(&mut full, &WireMsg::Ack).unwrap();
         for cut in [2, 6, full.len() - 1] {
             let err = read_frame(&mut &full[..cut]).unwrap_err();
             assert!(
@@ -634,8 +597,9 @@ mod tests {
         // An unknown magic version is refused by name — the retired
         // compressed-JSON magic included.
         for mut unknown in [&b"DBH3\x00\x00\x00\x00"[..], &b"DBHZ\x00\x00\x00\x00"[..]] {
-            let err = read_frame_negotiated(&mut unknown).unwrap_err();
+            let err = read_frame(&mut unknown).unwrap_err();
             assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
+            assert!(err.to_string().contains("bad magic"), "{err}");
         }
     }
 
@@ -659,14 +623,12 @@ mod tests {
         let msg = WireMsg::Error {
             detail: "z".repeat(100),
         };
-        for codec in [CodecKind::Json, CodecKind::Binary] {
-            let mut sink = Sink::default();
-            let written = write_frame_limited(&mut sink, &msg, codec, 1 << 10).unwrap();
-            assert_eq!(sink.writes, [written], "{}", codec.name());
-            let mut sink = Sink::default();
-            assert!(write_frame_limited(&mut sink, &msg, codec, 16).is_err());
-            assert!(sink.writes.is_empty(), "refused before anything is written");
-        }
+        let mut sink = Sink::default();
+        let written = write_frame_limited(&mut sink, &msg, 1 << 10).unwrap();
+        assert_eq!(sink.writes, [written]);
+        let mut sink = Sink::default();
+        assert!(write_frame_limited(&mut sink, &msg, 16).is_err());
+        assert!(sink.writes.is_empty(), "refused before anything is written");
     }
 
     #[test]
@@ -674,12 +636,11 @@ mod tests {
         // A frame that fits the default limit but not a configured one is
         // refused on read, before the payload buffer is allocated…
         let mut full = Vec::new();
-        write_frame_with(
+        write_frame(
             &mut full,
             &WireMsg::Error {
                 detail: "x".repeat(100),
             },
-            CodecKind::Binary,
         )
         .unwrap();
         let err = read_frame_limited(&mut &full[..], 16).unwrap_err();
@@ -695,7 +656,6 @@ mod tests {
             &WireMsg::Error {
                 detail: "y".repeat(100),
             },
-            CodecKind::Binary,
             16,
         )
         .unwrap_err();
@@ -706,7 +666,7 @@ mod tests {
         assert!(sink.is_empty(), "nothing may be written before the check");
 
         // A generous configured limit behaves like the default.
-        let (msg, _, _) = read_frame_limited(&mut &full[..], MAX_FRAME_BYTES).unwrap();
+        let (msg, _) = read_frame_limited(&mut &full[..], MAX_FRAME_BYTES).unwrap();
         assert!(matches!(msg, WireMsg::Error { .. }));
     }
 }

@@ -17,11 +17,11 @@ use dubhe_he::packing::Packer;
 use dubhe_he::{EncryptedVector, Keypair, PackedEncryptedVector};
 use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
-    client_handshake, pump, read_channel_frame, read_frame, read_frame_negotiated,
-    run_registration_with, run_registration_with_packing, write_frame_with, ChannelFrame,
-    ChannelPolicy, CodecKind, Coordinator, Envelope, FaultPlan, FaultyTransport, InMemoryTransport,
-    NodeIdentity, PackingPolicy, Party, ProtocolMsg, SecureChannel, ShardedCoordinator, TcpConfig,
-    TcpTransport, Transport, WireMsg, MAX_FRAME_BYTES,
+    client_handshake, pump, read_channel_frame, read_frame, run_registration_with,
+    run_registration_with_packing, write_frame, ChannelFrame, ChannelPolicy, Coordinator, Envelope,
+    FaultPlan, FaultyTransport, InMemoryTransport, NodeIdentity, PackingPolicy, Party, ProtocolMsg,
+    SecureChannel, ShardedCoordinator, TcpConfig, TcpTransport, Transport, WireMsg, FRAME_MAGIC_V2,
+    MAX_FRAME_BYTES,
 };
 use dubhe_select::{DubheConfig, ProtocolError, SelectError};
 use rand::SeedableRng;
@@ -373,12 +373,11 @@ fn truncated_packed_dbh2_payloads_do_not_kill_the_listener() {
         PackedEncryptedVector::encrypt(policy.packer(), &kp.public, &[1, 0, 0, 0, 0, 0], &mut rng)
             .unwrap();
     let mut frame = Vec::new();
-    write_frame_with(
+    write_frame(
         &mut frame,
         &WireMsg::Envelope {
             envelope: packed_registry_envelope(0, registry),
         },
-        CodecKind::Binary,
     )
     .unwrap();
     // Rebuild the frame with 10 payload bytes chopped off and the length
@@ -437,19 +436,18 @@ fn corrupt_deferred_registry_then_recover(
 
     let registry = EncryptedVector::encrypt_u64(&kp.public, &[1, 0, 2], rng);
     let mut frame = Vec::new();
-    write_frame_with(
+    write_frame(
         &mut frame,
         &WireMsg::Envelope {
             envelope: registry_envelope(0, registry),
         },
-        CodecKind::Binary,
     )
     .unwrap();
     // Blow the last residue past n² — prefix and framing stay honest.
     let len = frame.len();
     frame[len - width..].fill(0xFF);
     stream.write_all(&frame).unwrap();
-    let (reply, _, _) = read_frame_negotiated(&mut stream).unwrap();
+    let (reply, _) = read_frame(&mut stream).unwrap();
     assert!(
         matches!(reply, WireMsg::Error { .. }),
         "corrupt block must earn a typed error, got {reply:?}"
@@ -460,23 +458,22 @@ fn corrupt_deferred_registry_then_recover(
     for id in 0..2 {
         let v = EncryptedVector::encrypt_u64(&kp.public, &[id as u64 + 1, 0, 2], rng);
         let mut f = Vec::new();
-        write_frame_with(
+        write_frame(
             &mut f,
             &WireMsg::Envelope {
                 envelope: registry_envelope(id, v),
             },
-            CodecKind::Binary,
         )
         .unwrap();
         stream.write_all(&f).unwrap();
-        let (reply, _, _) = read_frame_negotiated(&mut stream).unwrap();
+        let (reply, _) = read_frame(&mut stream).unwrap();
         assert!(
             matches!(reply, WireMsg::Batch { .. }),
             "healthy upload {id} after the refusal: got {reply:?}"
         );
     }
     let mut f = Vec::new();
-    write_frame_with(&mut f, &WireMsg::Shutdown, CodecKind::Binary).unwrap();
+    write_frame(&mut f, &WireMsg::Shutdown).unwrap();
     stream.write_all(&f).unwrap();
 }
 
@@ -689,21 +686,12 @@ fn verdict_envelope(best_try: usize) -> WireMsg {
 
 #[test]
 fn reactor_reassembles_interleaved_partial_frames_per_connection() {
-    // Eight connections trickle their frames in 3-byte slices, round-robin,
-    // in alternating codecs: every read the reactor makes lands mid-header
-    // or mid-payload of a *different* connection than the last. Each frame
-    // must still decode on its own connection, in its own codec.
+    // Eight connections trickle their frames in 3-byte slices, round-robin:
+    // every read the reactor makes lands mid-header or mid-payload of a
+    // *different* connection than the last. Each frame must still decode on
+    // its own connection.
     let reactor = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
     let n = 8;
-    let codecs: Vec<CodecKind> = (0..n)
-        .map(|i| {
-            if i % 2 == 0 {
-                CodecKind::Binary
-            } else {
-                CodecKind::Json
-            }
-        })
-        .collect();
     let mut streams: Vec<TcpStream> = (0..n)
         .map(|_| {
             let s = TcpStream::connect(reactor.addr()).unwrap();
@@ -714,7 +702,7 @@ fn reactor_reassembles_interleaved_partial_frames_per_connection() {
     let frames: Vec<Vec<u8>> = (0..n)
         .map(|i| {
             let mut frame = Vec::new();
-            write_frame_with(&mut frame, &verdict_envelope(i), codecs[i]).unwrap();
+            write_frame(&mut frame, &verdict_envelope(i)).unwrap();
             frame
         })
         .collect();
@@ -739,12 +727,11 @@ fn reactor_reassembles_interleaved_partial_frames_per_connection() {
     }
 
     for (i, stream) in streams.iter_mut().enumerate() {
-        let (reply, _, codec) = read_frame_negotiated(stream).unwrap();
+        let (reply, _) = read_frame(stream).unwrap();
         assert!(
             matches!(&reply, WireMsg::Batch { envelopes } if envelopes.is_empty()),
             "connection {i}: expected an empty batch, got {reply:?}"
         );
-        assert_eq!(codec, codecs[i], "replies follow each connection's codec");
     }
     let stats = reactor.stats();
     assert_eq!(stats.decode_errors, 0);
@@ -764,7 +751,7 @@ fn reactor_decodes_headers_split_at_every_boundary() {
     // halves. No split position may confuse the reassembler.
     let reactor = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
     let mut frame = Vec::new();
-    write_frame_with(&mut frame, &verdict_envelope(3), CodecKind::Binary).unwrap();
+    write_frame(&mut frame, &verdict_envelope(3)).unwrap();
     for split in 1..8 {
         let mut stream = TcpStream::connect(reactor.addr()).unwrap();
         stream
@@ -776,7 +763,7 @@ fn reactor_decodes_headers_split_at_every_boundary() {
         stream.write_all(&frame[split..mid]).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         stream.write_all(&frame[mid..]).unwrap();
-        let (reply, _, _) = read_frame_negotiated(&mut stream).unwrap();
+        let (reply, _) = read_frame(&mut stream).unwrap();
         assert!(
             matches!(&reply, WireMsg::Batch { envelopes } if envelopes.is_empty()),
             "split at {split}: got {reply:?}"
@@ -791,15 +778,22 @@ fn reactor_decodes_headers_split_at_every_boundary() {
 
 #[test]
 fn reactor_survives_the_garbage_gauntlet_and_still_serves_tcp_transport() {
-    // A flood of non-protocol bytes, a truncated frame, and the `DBHZ`
-    // magic of the retired compressed-JSON codec — one more unknown magic —
-    // at a plaintext listener and at a channel-required one: every
-    // connection is hung up on (framing is unrecoverable), the listener is
-    // not, and the healthy session afterwards runs over the stock
-    // `TcpTransport`.
-    let mut retired = b"DBHZ".to_vec();
-    retired.extend_from_slice(&4u32.to_be_bytes());
-    retired.extend_from_slice(b"lzss");
+    // A flood of non-protocol bytes, a truncated frame, and the magics of
+    // the retired JSON (`DBH1`) and compressed-JSON (`DBHZ`) codecs — two
+    // more unknown magics — at a plaintext listener and at a
+    // channel-required one: every connection is hung up on (framing is
+    // unrecoverable), the listener is not, and the healthy session
+    // afterwards runs over the stock `TcpTransport`.
+    let retired_frame = |magic: &[u8], payload: &[u8]| {
+        let mut frame = magic.to_vec();
+        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    };
+    let retired = [
+        retired_frame(b"DBH1", br#"{"Envelope":{"envelope":{"from":"Agent","to":"Server","epoch":0,"msg":{"TryVerdict":{"best_try":1,"distance":0.5}}}}}"#),
+        retired_frame(b"DBHZ", b"lzss"),
+    ];
     let assert_bad_magic = |reply: WireMsg| match reply {
         WireMsg::Error { detail } => assert!(detail.contains("bad magic"), "{detail}"),
         other => panic!("expected a bad-magic refusal, got {other:?}"),
@@ -827,28 +821,32 @@ fn reactor_survives_the_garbage_gauntlet_and_still_serves_tcp_transport() {
         // A truncated frame — valid magic, promised length never delivered.
         let mut stream = TcpStream::connect(addr).unwrap();
         let mut partial = Vec::new();
-        partial.extend_from_slice(b"DBH1");
+        partial.extend_from_slice(&FRAME_MAGIC_V2);
         partial.extend_from_slice(&100u32.to_be_bytes());
         partial.extend_from_slice(b"short");
         stream.write_all(&partial).unwrap();
         drop(stream);
 
-        // The retired magic opening a connection (the Plaintext phase, or
+        // A retired magic opening a connection (the Plaintext phase, or
         // the Handshake phase under `Required`) is refused by name...
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        stream.write_all(&retired).unwrap();
-        assert_bad_magic(read_frame(&mut stream).unwrap().0);
+        for frame in &retired {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream.write_all(frame).unwrap();
+            assert_bad_magic(read_frame(&mut stream).unwrap().0);
+        }
 
         // ...and on an Established channel the same refusal comes back
         // sealed.
         let mut config = quick().with_channel(policy);
         if let Some(pin) = reactor.public_identity() {
-            let (mut stream, mut channel) = sealed_session(addr, 71, pin);
-            stream.write_all(&retired).unwrap();
-            assert_bad_magic(read_sealed(&mut stream, &mut channel));
+            for (seed, frame) in (71..).zip(&retired) {
+                let (mut stream, mut channel) = sealed_session(addr, seed, pin);
+                stream.write_all(frame).unwrap();
+                assert_bad_magic(read_sealed(&mut stream, &mut channel));
+            }
             config = config.with_expected_server(pin);
         }
 
@@ -896,11 +894,11 @@ fn sealed_session(
     (stream, channel)
 }
 
-/// Encodes `msg` as a Binary inner frame and returns the sealed wire bytes
+/// Encodes `msg` as an inner `DBH2` frame and returns the sealed wire bytes
 /// (without sending them — tamper/replay tests want the raw frame).
 fn sealed_bytes(channel: &mut SecureChannel, msg: &WireMsg) -> Vec<u8> {
     let mut inner = Vec::new();
-    write_frame_with(&mut inner, msg, CodecKind::Binary).unwrap();
+    write_frame(&mut inner, msg).unwrap();
     channel.seal_frame(&inner)
 }
 
@@ -1065,21 +1063,20 @@ fn session_hijack_is_refused_and_resume_survives() {
 /// Downgrade attempts at every phase of a Required connection, plus the
 /// codec-confusion inverse (sealed frames at a plaintext listener).
 fn downgrade_gauntlet(addr: std::net::SocketAddr, pin: [u8; 32]) {
-    // Before the handshake: a plaintext protocol frame is refused in the
-    // codec it arrived in, then the connection ends.
+    // Before the handshake: a plaintext protocol frame is refused, then the
+    // connection ends.
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    write_frame_with(&mut stream, &verdict_envelope(0), CodecKind::Binary).unwrap();
-    let (reply, _, codec) = read_frame_negotiated(&mut stream).unwrap();
+    write_frame(&mut stream, &verdict_envelope(0)).unwrap();
+    let (reply, _) = read_frame(&mut stream).unwrap();
     match reply {
         WireMsg::Error { detail } => {
             assert!(detail.contains("authenticated channel"), "{detail}")
         }
         other => panic!("expected a downgrade refusal, got {other:?}"),
     }
-    assert_eq!(codec, CodecKind::Binary, "refused in the attempted codec");
     let mut rest = Vec::new();
     assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
 
@@ -1093,7 +1090,7 @@ fn downgrade_gauntlet(addr: std::net::SocketAddr, pin: [u8; 32]) {
         read_sealed(&mut stream, &mut channel),
         WireMsg::Batch { .. }
     ));
-    write_frame_with(&mut stream, &verdict_envelope(2), CodecKind::Json).unwrap();
+    write_frame(&mut stream, &verdict_envelope(2)).unwrap();
     match read_sealed(&mut stream, &mut channel) {
         WireMsg::Error { detail } => {
             assert!(detail.contains("authenticated channel"), "{detail}")

@@ -1,8 +1,7 @@
 //! Codec robustness: property-based round-trips of every [`WireMsg`]
-//! variant through both payload codecs, and `DBH2` frame error paths
-//! mirroring the `DBH1` suite — against byte cursors and against the live
-//! TCP listener (its truncated-frame case lives with the `DBH1` one in
-//! `networked_protocol.rs`).
+//! variant through the `DBH2` codec, and `DBH2` frame error paths against
+//! byte cursors and against the live TCP listener (its truncated-frame case
+//! lives in `networked_protocol.rs`).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -11,9 +10,10 @@ use std::time::Duration;
 
 use dubhe_he::{EncryptedVector, Keypair};
 use dubhe_net::ReactorListener;
+use dubhe_select::protocol::codec::{decode, encode};
 use dubhe_select::protocol::{
-    append_plain_frame, read_frame, write_frame_with, CodecKind, Envelope, Party, ProtocolMsg,
-    ShardedCoordinator, WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
+    append_plain_frame, read_frame, write_frame, Envelope, Party, ProtocolMsg, ShardedCoordinator,
+    WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
 };
 use dubhe_select::ProtocolError;
 use proptest::prelude::*;
@@ -126,26 +126,25 @@ fn wire_msg(
 }
 
 /// The frame the parent commit's `write_frame_limited` put on the wire,
-/// from public pieces: magic, length, and a payload in which a `DBH2` batch
-/// is stitched from envelopes encoded one at a time (a lone envelope has no
+/// from public pieces: magic, length, and a payload in which a batch is
+/// stitched from envelopes encoded one at a time (a lone envelope has no
 /// neighbour to share a vector with).
-fn parent_frame(msg: &WireMsg, codec: CodecKind) -> Vec<u8> {
-    let payload = match (codec, msg) {
-        (CodecKind::Json, _) => serde_json::to_string(msg).unwrap().into_bytes(),
-        (CodecKind::Binary, WireMsg::Batch { envelopes }) => {
+fn parent_frame(msg: &WireMsg) -> Vec<u8> {
+    let payload = match msg {
+        WireMsg::Batch { envelopes } => {
             let mut out = vec![2];
             out.extend_from_slice(&(envelopes.len() as u32).to_be_bytes());
             for envelope in envelopes {
                 let alone = WireMsg::Envelope {
                     envelope: envelope.clone(),
                 };
-                out.extend_from_slice(&codec.encode(&alone).unwrap()[1..]);
+                out.extend_from_slice(&encode(&alone).unwrap()[1..]);
             }
             out
         }
-        (CodecKind::Binary, _) => codec.encode(msg).unwrap(),
+        _ => encode(msg).unwrap(),
     };
-    let mut frame = codec.magic().to_vec();
+    let mut frame = FRAME_MAGIC_V2.to_vec();
     frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     frame.extend_from_slice(&payload);
     frame
@@ -155,8 +154,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every variant of every message, filled with random contents, must
-    /// survive encode → frame → read-frame → decode through both codecs,
-    /// and the negotiated codec must match the one that framed it.
+    /// survive encode → frame → read-frame → decode.
     #[test]
     fn every_wiremsg_round_trips_through_both_codecs(
         variant in 0usize..6,
@@ -169,25 +167,22 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(text_seed);
         let text = format!("error {}", rng.gen_range(0..100_000));
         let msg = wire_msg(variant, inner, &values, (a, b), &text, &mut rng);
-        for codec in [CodecKind::Json, CodecKind::Binary] {
-            // Payload-level round trip.
-            let payload = codec.encode(&msg).unwrap();
-            prop_assert_eq!(codec.decode(&payload).unwrap(), msg.clone());
-            // Frame-level round trip, including magic negotiation.
-            let mut framed = Vec::new();
-            let written = write_frame_with(&mut framed, &msg, codec).unwrap();
-            prop_assert_eq!(written, framed.len());
-            prop_assert_eq!(&framed[..4], &codec.magic()[..]);
-            // The wire bytes are pinned: in-place framing (shared vectors
-            // copied, not re-encoded) changes none of them.
-            prop_assert_eq!(&framed, &parent_frame(&msg, codec));
-            let mut queued = vec![0xEE; 3];
-            append_plain_frame(&mut queued, &msg, codec, MAX_FRAME_BYTES).unwrap();
-            prop_assert_eq!(&queued[3..], &framed[..]);
-            let (back, consumed) = read_frame(&mut &framed[..]).unwrap();
-            prop_assert_eq!(back, msg.clone());
-            prop_assert_eq!(consumed, framed.len());
-        }
+        // Payload-level round trip.
+        let payload = encode(&msg).unwrap();
+        prop_assert_eq!(decode(&payload).unwrap(), msg.clone());
+        // Frame-level round trip.
+        let mut framed = Vec::new();
+        let written = write_frame(&mut framed, &msg).unwrap();
+        prop_assert_eq!(written, framed.len());
+        // The wire bytes are pinned: in-place framing (shared vectors
+        // copied, not re-encoded) changes none of them.
+        prop_assert_eq!(&framed, &parent_frame(&msg));
+        let mut queued = vec![0xEE; 3];
+        append_plain_frame(&mut queued, &msg, MAX_FRAME_BYTES).unwrap();
+        prop_assert_eq!(&queued[3..], &framed[..]);
+        let (back, consumed) = read_frame(&mut &framed[..]).unwrap();
+        prop_assert_eq!(back, msg.clone());
+        prop_assert_eq!(consumed, framed.len());
     }
 
     /// Arbitrary byte soup handed to the binary decoder must fail with a
@@ -198,11 +193,11 @@ proptest! {
     fn binary_decoder_survives_random_bytes(
         bytes in prop::collection::vec(any::<u8>(), 0..300),
     ) {
-        match CodecKind::Binary.decode(&bytes) {
+        match decode(&bytes) {
             Ok(msg) => {
                 // If random bytes happen to decode, they must re-encode to
                 // the exact same bytes (the encoding is canonical).
-                prop_assert_eq!(CodecKind::Binary.encode(&msg).unwrap(), bytes);
+                prop_assert_eq!(encode(&msg).unwrap(), bytes);
             }
             Err(e) => prop_assert!(
                 matches!(e, ProtocolError::MalformedFrame { .. }),
@@ -212,7 +207,7 @@ proptest! {
     }
 
     /// Truncating a valid DBH2 frame at any byte yields a typed framing
-    /// error (truncated/disconnected), mirroring the DBH1 suite.
+    /// error (truncated/disconnected).
     #[test]
     fn truncated_dbh2_frames_are_typed_errors(
         cut_seed in any::<u64>(),
@@ -231,7 +226,7 @@ proptest! {
             },
         };
         let mut framed = Vec::new();
-        write_frame_with(&mut framed, &msg, CodecKind::Binary).unwrap();
+        write_frame(&mut framed, &msg).unwrap();
         let cut = rng.gen_range(0..framed.len());
         let err = read_frame(&mut &framed[..cut]).unwrap_err();
         prop_assert!(
@@ -260,9 +255,8 @@ fn oversized_dbh2_header_is_rejected_before_allocating() {
 
 #[test]
 fn garbage_dbh2_frames_get_an_error_reply_and_a_hangup() {
-    // The live-listener mirror of the DBH1 garbage-frame test: a frame with
-    // a valid DBH2 magic but an undecodable payload is reported as a typed
-    // error frame, then the connection closes.
+    // A frame with a valid DBH2 magic but an undecodable payload is
+    // reported as a typed error frame, then the connection closes.
     let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
     let mut raw = TcpStream::connect(listener.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();

@@ -24,7 +24,7 @@ use dubhe_he::{
     EncryptedVector, EpochEncryptor, HeError, Keypair, PackedEncryptedVector, Packer, TEST_KEY_BITS,
 };
 use dubhe_select::protocol::{
-    CodecKind, CohortOutcome, Coordinator, Envelope, MsgKind, PackingPolicy, Party, ProtocolMsg,
+    codec, CohortOutcome, Coordinator, Envelope, MsgKind, PackingPolicy, Party, ProtocolMsg,
     RegistryFrame, ShardedCoordinator, WireMsg,
 };
 use dubhe_select::ProtocolError;
@@ -651,7 +651,7 @@ fn run_sequence(shards: usize, packing: bool, seed: u64) {
                 let envelope = materialize(*epoch, arrival, &mut rng);
                 let frame = as_frame
                     .then(|| {
-                        CodecKind::Binary.encode(&WireMsg::Envelope {
+                        codec::encode(&WireMsg::Envelope {
                             envelope: envelope.clone(),
                         })
                     })

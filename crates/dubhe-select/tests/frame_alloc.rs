@@ -19,10 +19,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dubhe_he::{EncryptedVector, Keypair};
 use dubhe_net::{BufferedFrame, FrameBuffer};
+use dubhe_select::protocol::codec::payload_size_hint;
 use dubhe_select::protocol::{
-    append_frame, client_handshake, decode_frame, read_channel_frame, ChannelFrame, CodecKind,
-    Envelope, NodeIdentity, Party, ProtocolMsg, SecureChannel, ServerHandshake, WireMsg,
-    MAX_FRAME_BYTES,
+    append_frame, client_handshake, decode_frame, read_channel_frame, ChannelFrame, Envelope,
+    NodeIdentity, Party, ProtocolMsg, SecureChannel, ServerHandshake, WireMsg, MAX_FRAME_BYTES,
 };
 use rand::SeedableRng;
 
@@ -151,20 +151,13 @@ fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
     let mut small_allocs = Vec::new();
     for n in [75, 300] {
         let msg = broadcast(n);
-        let wire = 8 + CodecKind::Binary.payload_size_hint(&msg) + 32;
+        let wire = 8 + payload_size_hint(&msg) + 32;
 
         // Out: encode, frame and seal straight into the write queue.
         let (queue, allocs, frame_sized, peak) = measure(wire / 4, || {
             let mut queue = Vec::new();
             let channel = Some(&mut server);
-            append_frame(
-                &mut queue,
-                &msg,
-                CodecKind::Binary,
-                MAX_FRAME_BYTES,
-                channel,
-            )
-            .unwrap();
+            append_frame(&mut queue, &msg, MAX_FRAME_BYTES, channel).unwrap();
             queue
         });
         assert_eq!(queue.len(), wire, "the size hint is exact for a broadcast");
