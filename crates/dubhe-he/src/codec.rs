@@ -136,14 +136,23 @@ pub fn encode_ciphertext(ct: &Ciphertext, out: &mut Vec<u8>) -> Result<(), HeErr
     put_biguint_fixed(out, ct.raw(), ciphertext_size_bytes(ct.public_key()))
 }
 
+/// Why a zero residue is refused: it is no encryption (every ciphertext is a
+/// unit of `Z_{n²}`), and its decryption has no plaintext.
+const ZERO_RESIDUE: &str = "ciphertext residue is zero";
+
 /// Decodes one fixed-width ciphertext under `public`, rejecting residues
-/// outside `Z_{n²}`.
+/// outside `Z_{n²}` and zero, which encrypts nothing.
 pub fn decode_ciphertext(cur: &mut &[u8], public: &PublicKey) -> Result<Ciphertext, HeError> {
     let bytes = take_bytes(cur, ciphertext_size_bytes(public))?;
     let value = BigUint::from_bytes_be(bytes);
     if &value >= public.n_squared() {
         return Err(HeError::MalformedEncoding {
             detail: "ciphertext residue is not below n²",
+        });
+    }
+    if value.is_zero() {
+        return Err(HeError::MalformedEncoding {
+            detail: ZERO_RESIDUE,
         });
     }
     Ok(Ciphertext::from_raw(value, public.clone()))
@@ -344,8 +353,8 @@ impl<'a> EncryptedVectorView<'a> {
 /// [`decode_vector`], but no per-element allocation.
 ///
 /// Residues are range-checked against `n²` by fixed-width big-endian byte
-/// comparison (equivalent to the numeric comparison), so a returned view
-/// upholds the same invariants as a decoded vector.
+/// comparison (equivalent to the numeric comparison), and zero is refused,
+/// so a returned view upholds the same invariants as a decoded vector.
 pub fn decode_vector_view<'a>(cur: &mut &'a [u8]) -> Result<EncryptedVectorView<'a>, HeError> {
     let public = decode_public_key(cur)?;
     let count = take_u32(cur)? as usize;
@@ -366,6 +375,11 @@ pub fn decode_vector_view<'a>(cur: &mut &'a [u8]) -> Result<EncryptedVectorView<
         if chunk >= bound.as_slice() {
             return Err(HeError::MalformedEncoding {
                 detail: "ciphertext residue is not below n²",
+            });
+        }
+        if chunk.iter().all(|&b| b == 0) {
+            return Err(HeError::MalformedEncoding {
+                detail: ZERO_RESIDUE,
             });
         }
     }
@@ -593,6 +607,27 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_residue_is_refused_by_every_decoder() {
+        let (pk, _sk, mut rng) = setup();
+        let v = EncryptedVector::encrypt_u64(&pk, &[1, 2, 3], &mut rng);
+        let mut buf = Vec::new();
+        encode_vector(&v, &mut buf).unwrap();
+        // Zero the middle element's residue in place.
+        let width = ciphertext_size_bytes(&pk);
+        let start = 4 + public_key_size_bytes(&pk) + 4 + width;
+        buf[start..start + width].fill(0);
+        let zero = HeError::MalformedEncoding {
+            detail: ZERO_RESIDUE,
+        };
+        assert_eq!(decode_vector(&mut &buf[..]).unwrap_err(), zero);
+        assert_eq!(decode_vector_view(&mut &buf[..]).unwrap_err(), zero);
+        assert_eq!(
+            decode_ciphertext(&mut &buf[start..], &pk).unwrap_err(),
+            zero
+        );
+    }
+
+    #[test]
     fn packed_vector_round_trips_and_matches_its_size_model() {
         let (pk, sk, mut rng) = setup();
         let packer = Packer::new(16, crate::TEST_KEY_BITS);
@@ -607,7 +642,7 @@ mod tests {
         let back = decode_packed_vector(&mut cur).unwrap();
         assert!(cur.is_empty(), "decoding must consume the whole encoding");
         assert_eq!(back, packed);
-        assert_eq!(back.decrypt_u64(&sk), values);
+        assert_eq!(back.decrypt_u64(&sk).unwrap(), values);
     }
 
     #[test]

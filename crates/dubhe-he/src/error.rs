@@ -91,6 +91,10 @@ pub enum HeError {
         /// What was wrong with the key material.
         detail: &'static str,
     },
+    /// A ciphertext shares a factor with the modulus — zero, or a multiple
+    /// of `p` or `q` — so it is no encryption of anything and has no
+    /// plaintext.
+    CiphertextNotInvertible,
 }
 
 impl fmt::Display for HeError {
@@ -191,6 +195,12 @@ impl fmt::Display for HeError {
             }
             HeError::MalformedKey { detail } => {
                 write!(f, "invalid private-key material: {detail}")
+            }
+            HeError::CiphertextNotInvertible => {
+                write!(
+                    f,
+                    "ciphertext shares a factor with the modulus and encrypts nothing"
+                )
             }
         }
     }

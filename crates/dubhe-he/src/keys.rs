@@ -33,10 +33,13 @@
 //! factors — never appear in `Debug` output. Sharing is by handle only: a key
 //! decoded from bytes is a new handle with nothing built yet.
 
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-use num_bigint::{BigUint, MontgomeryContext, RandBigInt};
+use num_bigint::{BigUint, MontgomeryContext, MontgomeryScratch, MontgomeryTable, RandBigInt};
 use num_integer::Integer;
 use num_traits::{One, Zero};
 use rand::Rng;
@@ -443,49 +446,198 @@ impl PrivateKey {
         }
     }
 
-    /// CRT decryption of a raw ciphertext value in `Z*_{n²}`.
-    ///
-    /// The two heavy exponentiations go through the per-key cached
-    /// Montgomery contexts: batch decryption pays zero `R²` setups instead
-    /// of two per element.
-    fn decrypt_raw(&self, c: &BigUint) -> BigUint {
+    /// The two CRT legs of decryption, `p²` first, each through the key's
+    /// cached Montgomery context.
+    fn legs(&self) -> [DecryptLeg<'_>; 2] {
         let key = &*self.inner;
-        // m_p = L_p(c^{p-1} mod p²) · h_p mod p
-        let m_p = (l_function(&key.p_ctx.modpow(c, &key.p_minus_1), &key.p) * &key.h_p) % &key.p;
-        let m_q = (l_function(&key.q_ctx.modpow(c, &key.q_minus_1), &key.q) * &key.h_q) % &key.q;
+        [
+            DecryptLeg {
+                ctx: &key.p_ctx,
+                exponent: &key.p_minus_1,
+                prime: &key.p,
+                h: &key.h_p,
+            },
+            DecryptLeg {
+                ctx: &key.q_ctx,
+                exponent: &key.q_minus_1,
+                prime: &key.q,
+                h: &key.h_q,
+            },
+        ]
+    }
 
-        // CRT recombination: m = m_q + q·((m_p - m_q)·q⁻¹ mod p)
+    /// CRT recombination of the leg plaintexts `m_p = m mod p`,
+    /// `m_q = m mod q` to `m = m_q + q·((m_p − m_q)·q⁻¹ mod p)` in `[0, n)`.
+    fn recombine(&self, m_p: &BigUint, m_q: &BigUint) -> BigUint {
+        let key = &*self.inner;
         let diff = if m_p >= m_q {
-            (&m_p - &m_q) % &key.p
+            (m_p - m_q) % &key.p
         } else {
-            (&key.p - ((&m_q - &m_p) % &key.p)) % &key.p
+            (&key.p - ((m_q - m_p) % &key.p)) % &key.p
         };
         let t = (diff * &key.q_inv_p) % &key.p;
         m_q + &key.q * t
     }
 
-    /// Decrypts a ciphertext to its arbitrary-precision plaintext in `[0, n)`.
-    pub fn decrypt(&self, ct: &Ciphertext) -> BigUint {
-        self.decrypt_raw(ct.raw())
+    /// CRT decryption of a raw ciphertext value in `Z*_{n²}`.
+    ///
+    /// The two heavy exponentiations go through the per-key cached
+    /// Montgomery contexts: batch decryption pays zero `R²` setups instead
+    /// of two per element. A value sharing a factor with `n` is
+    /// [`HeError::CiphertextNotInvertible`].
+    fn decrypt_raw(&self, c: &BigUint) -> Result<BigUint, HeError> {
+        let [p_leg, q_leg] = self.legs();
+        Ok(self.recombine(&p_leg.plaintext(c)?, &q_leg.plaintext(c)?))
     }
 
-    /// Decrypts a batch of ciphertexts, fanning the per-element CRT
-    /// exponentiations out over all cores when the `parallel` feature is
+    /// Decrypts a ciphertext to its arbitrary-precision plaintext in `[0, n)`.
+    ///
+    /// # Panics
+    /// Panics if `ct` shares a factor with `n` (zero, or a multiple of `p`
+    /// or `q`): such a value encrypts nothing. Untrusted vectors go through
+    /// [`decrypt_batch`](Self::decrypt_batch) or
+    /// [`EncryptedVector::decrypt_u64`](crate::EncryptedVector::decrypt_u64),
+    /// which return [`HeError::CiphertextNotInvertible`] instead.
+    pub fn decrypt(&self, ct: &Ciphertext) -> BigUint {
+        self.decrypt_raw(ct.raw())
+            .expect("ciphertext is invertible modulo n")
+    }
+
+    /// Decrypts a batch of ciphertexts one CRT decryption per element,
+    /// fanning them out over all cores when the `parallel` feature is
     /// enabled (it is by default) and the batch clears the fan-out work
     /// bound — at 1024-bit keys two elements do, at the 256-bit test size
     /// eight.
     ///
-    /// The CRT context (`h_p`, `h_q`, `q⁻¹ mod p`) is computed once per key at
-    /// construction and shared by every element, so batching has no redundant
-    /// setup; the win over a `decrypt` loop is pure parallelism.
-    pub fn decrypt_batch(&self, cts: &[Ciphertext]) -> Vec<BigUint> {
-        // Two sliding-window ladders per element, over the bits of p − 1
-        // and q − 1, each under its own half-width square: a squaring per
-        // bit (three quarters of a multiply) plus a multiply per window
-        // (every sixth bit at these lengths) and the odd-power table —
-        // about one multiply per exponent bit per leg.
-        let ladders = Work::new(2 * self.inner.p.bits(), self.inner.p_ctx.modulus());
-        map_indexed(cts.len(), ladders, |i| self.decrypt_raw(cts[i].raw()))
+    /// This is the arbitrary-width path (packed plaintexts, `decrypt`);
+    /// vectors of `u64` counters take the repacking path behind
+    /// [`EncryptedVector::decrypt_u64`](crate::EncryptedVector::decrypt_u64),
+    /// which decrypts `⌈len / 15⌉ + 1` ciphertexts at 1024 bits instead of
+    /// `len` (5 for a 56-element registry). The first element that shares
+    /// a factor with `n` is
+    /// [`HeError::CiphertextNotInvertible`].
+    pub fn decrypt_batch(&self, cts: &[Ciphertext]) -> Result<Vec<BigUint>, HeError> {
+        map_indexed(cts.len(), self.ladders(), |i| {
+            self.decrypt_raw(cts[i].raw())
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// The cost of one CRT decryption: two sliding-window ladders, over the
+    /// bits of p − 1 and q − 1, each under its own half-width square — a
+    /// squaring per bit (three quarters of a multiply) plus a multiply per
+    /// window (every sixth bit at these lengths) and the odd-power table,
+    /// about one multiply per exponent bit per leg.
+    fn ladders(&self) -> Work {
+        Work::new(2 * self.inner.p.bits(), self.inner.p_ctx.modulus())
+    }
+
+    /// [`decrypt_batch`](Self::decrypt_batch) narrowed to `u64`, one
+    /// decryption per element: the first element that is not an
+    /// encryption, or whose plaintext needs more than 64 bits, is the
+    /// error.
+    fn decrypt_u64_each(&self, cts: &[Ciphertext]) -> Result<Vec<u64>, HeError> {
+        let narrow = |m: BigUint| match m.to_u64_digits()[..] {
+            [] => Ok(0),
+            [v] => Ok(v),
+            _ => Err(HeError::PlaintextTooWide {
+                bits: m.bits(),
+                max_bits: SLOT_BITS,
+            }),
+        };
+        map_indexed(cts.len(), self.ladders(), |i| {
+            self.decrypt_raw(cts[i].raw()).and_then(narrow)
+        })
+        .into_iter()
+        .collect()
+    }
+
+    /// Decrypts ciphertexts whose plaintexts must each fit a `u64`, with
+    /// `⌈len / slots⌉ + 1` CRT decryptions instead of `len`, where
+    /// `slots = ⌊(bits(n) − 1) / 64⌋` (15 at 1024 bits, 3 at 256).
+    ///
+    /// 1. **Repack.** Per leg, every residue goes into one Montgomery
+    ///    arena, and each group of `slots` elements folds by Horner into
+    ///    `Π cⱼ^(2^(64·j))` — an encryption of `Σ mⱼ·2^(64·j)`: 64
+    ///    squarings and one multiply per element.
+    /// 2. **Decrypt each group once** and split the plaintext into 64-bit
+    ///    slots `vⱼ`. A plaintext of `2^(64·count)` or more cannot come from
+    ///    `u64`s. Honest slots are exact: `2^(64·slots) < n` never wraps.
+    /// 3. **Check the unpacking.** Fresh secret 64-bit weights `wᵢ`, one
+    ///    simultaneous square-and-multiply `X = Π cᵢ^wᵢ` (64 squarings,
+    ///    ≈ 32 multiplies per element), and one decryption: `X` must
+    ///    decrypt to `Σ wᵢ·vᵢ mod n`. If some plaintext `mᵢ ≠ vᵢ` (an
+    ///    element of 2⁶⁴ or more carrying into its neighbour, two that
+    ///    cancel, `n − 1` wrapping the group), then `δᵢ = mᵢ − vᵢ ≢ 0 (mod
+    ///    n)` and `n / gcd(δᵢ, n) ≥ min(p, q) > 2⁶⁴`, so at most one of the
+    ///    2⁶⁴ values of `wᵢ` passes: the check fails except with
+    ///    probability 2⁻⁶⁴ at most.
+    ///
+    /// The weights come from [`check_weights`]; the output never depends on
+    /// them, so decryption stays deterministic. The (group, leg) and (check,
+    /// leg) chains are independent and fan out together. Whenever a step
+    /// refuses — a leg power of zero, a slot overflow, a failed check — the
+    /// per-element path runs instead, only to name the first offending
+    /// element with exactly the error it has always produced. Short batches
+    /// (fewer than three elements, where packing saves no ladder) and keys
+    /// whose primes do not exceed 2⁶⁴ (where the bound above does not hold)
+    /// take the per-element path throughout.
+    pub(crate) fn decrypt_u64_batch(&self, cts: &[Ciphertext]) -> Result<Vec<u64>, HeError> {
+        let key = &*self.inner;
+        if cts.len() < 3 || key.p.bits() <= SLOT_BITS || key.q.bits() <= SLOT_BITS {
+            return self.decrypt_u64_each(cts);
+        }
+        let slots = ((self.public.bits() - 1) / SLOT_BITS) as usize;
+        let groups: Vec<Range<usize>> = (0..cts.len())
+            .step_by(slots)
+            .map(|start| start..(start + slots).min(cts.len()))
+            .collect();
+        let weights = check_weights(cts.len());
+        let legs = self.legs();
+        // A reduction and a domain conversion per residue per leg.
+        let convert = Work::new(2 * cts.len() as u64, key.p_ctx.modulus());
+        let arenas = map_indexed(legs.len(), convert, |l| legs[l].arena(cts));
+        // The longest chain is a full group (or the check): 64 squarings
+        // per slot, then one leg ladder.
+        let chain = Work::new(SLOT_BITS * slots as u64 + key.p.bits(), key.p_ctx.modulus());
+        let chains = groups.len() + 1;
+        let shares = map_indexed(legs.len() * chains, chain, |j| {
+            let (l, c) = (j % legs.len(), j / legs.len());
+            let packed = match groups.get(c) {
+                Some(group) => legs[l].horner(&arenas[l], group.clone()),
+                None => legs[l].weighted(&arenas[l], &weights),
+            };
+            legs[l].plaintext(&packed).ok()
+        });
+        let plaintext = |c: usize| match &shares[c * legs.len()..][..legs.len()] {
+            [Some(m_p), Some(m_q)] => Some(self.recombine(m_p, m_q)),
+            _ => None,
+        };
+
+        let mut values = Vec::with_capacity(cts.len());
+        for (c, group) in groups.iter().enumerate() {
+            match plaintext(c) {
+                Some(m) if m.bits() <= SLOT_BITS * group.len() as u64 => {
+                    let mut digits = m.to_u64_digits();
+                    digits.resize(group.len(), 0);
+                    values.extend(digits);
+                }
+                _ => return self.decrypt_u64_each(cts),
+            }
+        }
+        // Σ wᵢ·vᵢ in 128 bits plus a count of carries out of them.
+        let (mut low, mut carries) = (0u128, 0u64);
+        for (&w, &v) in weights.iter().zip(&values) {
+            let (sum, carry) = low.overflowing_add(w as u128 * v as u128);
+            low = sum;
+            carries += carry as u64;
+        }
+        let expected = ((BigUint::from(carries) << 128u32) + BigUint::from(low)) % self.public.n();
+        if plaintext(chains - 1) != Some(expected) {
+            return self.decrypt_u64_each(cts);
+        }
+        Ok(values)
     }
 
     /// Decrypts to `u64`, panicking if the plaintext does not fit. Registry
@@ -502,7 +654,7 @@ impl PrivateKey {
 
     /// Decrypts a signed integer encoded via the `n/2` wrap-around convention.
     pub fn decrypt_i64(&self, ct: &Ciphertext) -> Result<i64, HeError> {
-        let m = self.decrypt(ct);
+        let m = self.decrypt_raw(ct.raw())?;
         let boundary = self.public.signed_boundary();
         if m < boundary {
             let digits = m.to_u64_digits();
@@ -552,6 +704,87 @@ impl Deserialize for PrivateKey {
 /// The Paillier `L` function: `L(x) = (x - 1) / d`.
 fn l_function(x: &BigUint, d: &BigUint) -> BigUint {
     (x - BigUint::one()) / d
+}
+
+/// Bits per slot of the repacking decryption: one `u64` plaintext each.
+const SLOT_BITS: u64 = 64;
+
+/// One CRT leg of decryption: modulus `p²` (through the key's cached
+/// context), exponent `p − 1`, and the constant `h_p` (or the same for `q`).
+struct DecryptLeg<'a> {
+    ctx: &'a MontgomeryContext,
+    exponent: &'a BigUint,
+    prime: &'a BigUint,
+    h: &'a BigUint,
+}
+
+impl DecryptLeg<'_> {
+    /// `m mod p` for a ciphertext `c` with plaintext `m`:
+    /// `L_p(c^(p−1) mod p²)·h_p mod p`. A `c` divisible by `p` (zero among
+    /// them) has power zero — by Fermat every other `c` has a power of 1
+    /// mod `p` — and no plaintext: [`HeError::CiphertextNotInvertible`].
+    fn plaintext(&self, c: &BigUint) -> Result<BigUint, HeError> {
+        let power = self.ctx.modpow(c, self.exponent);
+        if power.is_zero() {
+            return Err(HeError::CiphertextNotInvertible);
+        }
+        Ok((l_function(&power, self.prime) * self.h) % self.prime)
+    }
+
+    /// Every residue of `cts` reduced mod `p²` and mapped into the leg's
+    /// Montgomery domain, in one limb arena (7 KB for 56 elements at 1024
+    /// bits).
+    fn arena(&self, cts: &[Ciphertext]) -> MontgomeryTable {
+        let mut arena = self.ctx.table(cts.len());
+        for (i, ct) in cts.iter().enumerate() {
+            arena.store(i, &self.ctx.to_montgomery(ct.raw()));
+        }
+        arena
+    }
+
+    /// `Π cⱼ^(2^(64·(j − start))) mod p²` over `group` by Horner, highest
+    /// element first: an encryption (mod `p²`) of the group's plaintexts
+    /// packed into 64-bit slots, lowest element in the lowest slot.
+    fn horner(&self, arena: &MontgomeryTable, group: Range<usize>) -> BigUint {
+        let mut scratch = MontgomeryScratch::new();
+        let mut acc = arena.entry(group.end - 1);
+        for i in group.rev().skip(1) {
+            for _ in 0..SLOT_BITS {
+                self.ctx.montgomery_sqr_assign(&mut acc, &mut scratch);
+            }
+            self.ctx
+                .montgomery_mul_entry_assign(&mut acc, arena, i, &mut scratch);
+        }
+        self.ctx.from_montgomery(&acc)
+    }
+
+    /// `Π cᵢ^wᵢ mod p²` by one simultaneous square-and-multiply over the
+    /// weights' bits, top bit first.
+    fn weighted(&self, arena: &MontgomeryTable, weights: &[u64]) -> BigUint {
+        let mut scratch = MontgomeryScratch::new();
+        let mut acc = self.ctx.to_montgomery(&BigUint::one());
+        for bit in (0..SLOT_BITS).rev() {
+            self.ctx.montgomery_sqr_assign(&mut acc, &mut scratch);
+            for (i, &w) in weights.iter().enumerate() {
+                if w >> bit & 1 == 1 {
+                    self.ctx
+                        .montgomery_mul_entry_assign(&mut acc, arena, i, &mut scratch);
+                }
+            }
+        }
+        self.ctx.from_montgomery(&acc)
+    }
+}
+
+/// Fresh 64-bit weights for the unpacking check of
+/// [`PrivateKey::decrypt_u64_batch`], one per element: SipHash outputs
+/// under a new [`RandomState`] key, which the standard library seeds from
+/// the operating system. The weights must be unpredictable to whoever made
+/// the ciphertexts, so they never come from a caller's seeded generator (a
+/// seed is reproducible) or from the key (every client holds it).
+fn check_weights(len: usize) -> Vec<u64> {
+    let keys = RandomState::new();
+    (0..len).map(|i| keys.hash_one(i)).collect()
 }
 
 /// A freshly generated public/private keypair.
@@ -779,9 +1012,51 @@ mod tests {
         let cts: Vec<Ciphertext> = (0..40u64)
             .map(|m| kp.public.encrypt_u64(m * 11, &mut rng))
             .collect();
-        let batch = kp.private.decrypt_batch(&cts);
+        let batch = kp.private.decrypt_batch(&cts).unwrap();
         for (i, (ct, m)) in cts.iter().zip(&batch).enumerate() {
             assert_eq!(&kp.private.decrypt(ct), m, "element {i} diverged");
+        }
+    }
+
+    #[test]
+    fn ciphertexts_sharing_a_factor_with_n_are_typed_errors_on_every_decrypt_path() {
+        use crate::{EncryptedVector, PackedEncryptedVector, Packer};
+        let kp = keypair();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let (p, q) = kp.private.primes();
+        let hostile = [
+            BigUint::zero(),
+            p.clone(),
+            q * BigUint::from(3u64),
+            kp.public.n().clone(),
+        ];
+        for bad in hostile {
+            // Short (per-element) and repacked lengths, the bad element
+            // first, inside a group and last.
+            for (len, at) in [(1, 0), (2, 1), (7, 0), (7, 4), (7, 6)] {
+                let mut cts: Vec<Ciphertext> = (0..len as u64)
+                    .map(|m| kp.public.encrypt_u64(m, &mut rng))
+                    .collect();
+                cts[at] = Ciphertext::from_raw(bad.clone(), kp.public.clone());
+                let v = EncryptedVector::from_ciphertexts(&kp.public, cts).unwrap();
+                let expected = HeError::CiphertextNotInvertible;
+                let at = format!("{bad} at {at} of {len}");
+                assert_eq!(v.decrypt_u64(&kp.private).unwrap_err(), expected, "{at}");
+                assert_eq!(v.decrypt(&kp.private).unwrap_err(), expected, "{at}");
+                let packer = Packer::new(16, crate::TEST_KEY_BITS);
+                let lanes = len * packer.slots_per_plaintext().unwrap();
+                let packed = PackedEncryptedVector::from_vector(v, lanes, packer).unwrap();
+                assert_eq!(
+                    packed.decrypt_u64(&kp.private).unwrap_err(),
+                    expected,
+                    "{at}"
+                );
+            }
+            let ct = Ciphertext::from_raw(bad, kp.public.clone());
+            assert_eq!(
+                kp.private.decrypt_i64(&ct),
+                Err(HeError::CiphertextNotInvertible)
+            );
         }
     }
 }

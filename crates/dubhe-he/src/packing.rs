@@ -229,10 +229,12 @@ impl PackedCiphertext {
         })
     }
 
-    /// Decrypts (batch CRT) and unpacks back to the original counters.
-    pub fn decrypt(&self, private: &PrivateKey) -> Vec<u64> {
-        let plaintexts = private.decrypt_batch(&self.ciphertexts);
-        self.packer.unpack(&plaintexts, self.count)
+    /// Decrypts (batch CRT) and unpacks back to the original counters. A
+    /// ciphertext that shares a factor with the modulus is
+    /// [`HeError::CiphertextNotInvertible`].
+    pub fn decrypt(&self, private: &PrivateKey) -> Result<Vec<u64>, HeError> {
+        let plaintexts = private.decrypt_batch(&self.ciphertexts)?;
+        Ok(self.packer.unpack(&plaintexts, self.count))
     }
 
     /// Serialized ciphertext bytes (overhead accounting).
@@ -469,10 +471,12 @@ impl PackedEncryptedVector {
         })
     }
 
-    /// Decrypts (batch CRT) and unpacks back to the `count` lane values.
-    pub fn decrypt_u64(&self, private: &PrivateKey) -> Vec<u64> {
-        let plaintexts = private.decrypt_batch(self.vector.elements());
-        self.packer.unpack(&plaintexts, self.count)
+    /// Decrypts (batch CRT) and unpacks back to the `count` lane values. A
+    /// ciphertext that shares a factor with the modulus is
+    /// [`HeError::CiphertextNotInvertible`].
+    pub fn decrypt_u64(&self, private: &PrivateKey) -> Result<Vec<u64>, HeError> {
+        let plaintexts = private.decrypt_batch(self.vector.elements())?;
+        Ok(self.packer.unpack(&plaintexts, self.count))
     }
 
     /// Serialized ciphertext bytes (variable big-integer width; the canonical
@@ -680,7 +684,7 @@ mod tests {
         let p = Packer::new(16, crate::TEST_KEY_BITS);
         let values: Vec<u64> = (0..40).map(|i| i * 3).collect();
         let enc = p.encrypt(&pk, &values, &mut rng).unwrap();
-        assert_eq!(enc.decrypt(&sk), values);
+        assert_eq!(enc.decrypt(&sk).unwrap(), values);
         assert!(
             enc.ciphertext_count() < values.len(),
             "packing must reduce ciphertext count"
@@ -696,7 +700,7 @@ mod tests {
         let ea = p.encrypt(&pk, &a, &mut rng).unwrap();
         let eb = p.encrypt(&pk, &b, &mut rng).unwrap();
         let sum = ea.add(&eb).unwrap();
-        assert_eq!(sum.decrypt(&sk), vec![1, 2, 3, 4, 10, 12]);
+        assert_eq!(sum.decrypt(&sk).unwrap(), vec![1, 2, 3, 4, 10, 12]);
     }
 
     #[test]
@@ -709,7 +713,7 @@ mod tests {
             let c = p.encrypt(&pk, &one_hot, &mut rng).unwrap();
             acc = acc.add(&c).unwrap();
         }
-        assert_eq!(acc.decrypt(&sk), vec![0, 50, 0]);
+        assert_eq!(acc.decrypt(&sk).unwrap(), vec![0, 50, 0]);
     }
 
     #[test]
@@ -812,7 +816,7 @@ mod tests {
         );
         assert_eq!(fold.folded(), 3);
         assert_eq!(fold.total(), total_at_budget);
-        assert_eq!(total_at_budget.decrypt_u64(&sk), vec![6, 0, 27, 3]);
+        assert_eq!(total_at_budget.decrypt_u64(&sk).unwrap(), vec![6, 0, 27, 3]);
     }
 
     #[test]
@@ -845,7 +849,7 @@ mod tests {
                 *e += x;
             }
         }
-        assert_eq!(fold.total().decrypt_u64(&sk), expected);
+        assert_eq!(fold.total().decrypt_u64(&sk).unwrap(), expected);
     }
 
     #[test]
@@ -901,7 +905,7 @@ mod tests {
             a, b,
             "CRT tier must be bit-identical to the precomputed tier"
         );
-        assert_eq!(a.decrypt_u64(&kp.private), values);
+        assert_eq!(a.decrypt_u64(&kp.private).unwrap(), values);
     }
 
     #[test]

@@ -388,33 +388,29 @@ impl EncryptedVector {
         Self::from_raw_parts(elements, self.public.clone())
     }
 
-    /// Decrypts every element to a `u64` (batch CRT decryption, parallel
-    /// under the `parallel` feature).
+    /// Decrypts every element to a `u64`.
     ///
-    /// Returns [`HeError::PlaintextTooWide`] if any decrypted element does
-    /// not fit in a `u64` — e.g. a sum whose counters overflowed the word, or
-    /// a ciphertext that was never a small-integer encryption. A hostile or
-    /// corrupted vector therefore surfaces as a typed error, never a panic.
+    /// The private key repacks the vector homomorphically into slot-packed
+    /// ciphertexts under its own key and decrypts those — about
+    /// `⌈len / 15⌉ + 1` CRT decryptions at 1024 bits instead of `len` — then
+    /// verifies the unpacking with a secret random-weight check (see
+    /// `PrivateKey::decrypt_u64_batch`). Vectors shorter than three take
+    /// one decryption per element.
+    ///
+    /// Returns [`HeError::PlaintextTooWide`] for the first element that
+    /// does not fit in a `u64` — e.g. a sum whose counters overflowed the
+    /// word, or a ciphertext that was never a small-integer encryption —
+    /// and [`HeError::CiphertextNotInvertible`] for one that shares a factor
+    /// with the modulus. A hostile or corrupted vector therefore surfaces as
+    /// a typed error, never a panic.
     pub fn decrypt_u64(&self, private: &PrivateKey) -> Result<Vec<u64>, HeError> {
-        private
-            .decrypt_batch(&self.elements)
-            .into_iter()
-            .map(|m| {
-                let digits = m.to_u64_digits();
-                match digits.len() {
-                    0 => Ok(0),
-                    1 => Ok(digits[0]),
-                    _ => Err(HeError::PlaintextTooWide {
-                        bits: m.bits(),
-                        max_bits: 64,
-                    }),
-                }
-            })
-            .collect()
+        private.decrypt_u64_batch(&self.elements)
     }
 
-    /// Decrypts every element to an arbitrary-precision integer.
-    pub fn decrypt(&self, private: &PrivateKey) -> Vec<BigUint> {
+    /// Decrypts every element to an arbitrary-precision integer, one CRT
+    /// decryption per element; an element that shares a factor with the
+    /// modulus is [`HeError::CiphertextNotInvertible`].
+    pub fn decrypt(&self, private: &PrivateKey) -> Result<Vec<BigUint>, HeError> {
         private.decrypt_batch(&self.elements)
     }
 

@@ -8,8 +8,8 @@ use std::sync::OnceLock;
 use dubhe_he::packing::Packer;
 use dubhe_he::{
     sum_vectors, sum_vectors_serial, CrtEncryptor, EncryptedVector, Encryptor, FixedPointCodec,
-    HeadroomModel, Keypair, PackedEncryptedVector, PackedRunningFold, PrecomputedEncryptor,
-    PrivateKey, PublicKey, RunningFold,
+    HeError, HeadroomModel, Keypair, PackedEncryptedVector, PackedRunningFold,
+    PrecomputedEncryptor, PrivateKey, PublicKey, RunningFold,
 };
 use num_bigint::{BigUint, RandBigInt};
 use num_traits::{One, Zero};
@@ -149,7 +149,7 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let packer = Packer::new(16, dubhe_he::TEST_KEY_BITS);
         let packed = packer.encrypt(pk, &values, &mut rng).unwrap();
-        prop_assert_eq!(packed.decrypt(sk), values);
+        prop_assert_eq!(packed.decrypt(sk).unwrap(), values);
     }
 
     #[test]
@@ -161,7 +161,7 @@ proptest! {
         let doubled: Vec<u64> = values.iter().map(|v| v * 2).collect();
         let ea = packer.encrypt(pk, &values, &mut rng).unwrap();
         let eb = packer.encrypt(pk, &values, &mut rng).unwrap();
-        prop_assert_eq!(ea.add(&eb).unwrap().decrypt(sk), doubled);
+        prop_assert_eq!(ea.add(&eb).unwrap().decrypt(sk).unwrap(), doubled);
     }
 
     #[test]
@@ -225,6 +225,23 @@ proptest! {
         let batch = enc.decrypt_u64(sk).unwrap();
         let elementwise: Vec<u64> = enc.elements().iter().map(|c| sk.decrypt_u64(c)).collect();
         prop_assert_eq!(batch, elementwise);
+    }
+
+    #[test]
+    fn repacked_u64_decryption_matches_per_element_decryption(
+        values in prop::collection::vec(any::<u64>().prop_map(slot_edge), 0..=70),
+        seed in any::<u64>(),
+    ) {
+        // Lengths from empty through short (per-element) vectors to many
+        // 3-slot groups at `TEST_KEY_BITS`, values over all of u64 with the
+        // slot edges drawn often: the repacking path must agree with one
+        // decryption per element, element for element.
+        let (pk, sk) = keys();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let enc = EncryptedVector::encrypt_u64(pk, &values, &mut rng);
+        let repacked = enc.decrypt_u64(sk).unwrap();
+        prop_assert_eq!(&repacked, &values);
+        prop_assert_eq!(Ok(repacked), per_element_u64(sk, &enc));
     }
 
     #[test]
@@ -301,7 +318,7 @@ proptest! {
         let expected: Vec<u64> = (0..len)
             .map(|j| plain.iter().map(|v| v[j]).sum())
             .collect();
-        prop_assert_eq!(fold.total().decrypt_u64(sk), expected);
+        prop_assert_eq!(fold.total().decrypt_u64(sk).unwrap(), expected);
 
         // Pairwise `add` is the same slot-wise operation the fold uses.
         if clients >= 2 {
@@ -311,7 +328,7 @@ proptest! {
                 .zip(&plain[1])
                 .map(|(a, b)| a + b)
                 .collect();
-            prop_assert_eq!(pair.decrypt_u64(sk), pair_expected);
+            prop_assert_eq!(pair.decrypt_u64(sk).unwrap(), pair_expected);
         }
     }
 
@@ -342,7 +359,7 @@ proptest! {
         let mut fold = PackedRunningFold::new(&a, model).unwrap();
         fold.fold(&b).unwrap();
         let expected: Vec<u64> = values.iter().map(|v| v * 2).collect();
-        prop_assert_eq!(fold.total().decrypt_u64(sk), expected);
+        prop_assert_eq!(fold.total().decrypt_u64(sk).unwrap(), expected);
     }
 
     #[test]
@@ -472,6 +489,117 @@ proptest! {
             .collect();
         prop_assert_eq!(total.decrypt_u64(sk).unwrap(), expected);
     }
+}
+
+/// Maps a quarter of the draws onto the edges of a 64-bit slot (0, 1,
+/// 2⁶⁴ − 2, 2⁶⁴ − 1), where a carry or a borrow would cross into the
+/// neighbouring slot.
+fn slot_edge(r: u64) -> u64 {
+    match r % 8 {
+        0 => 0,
+        1 => 1,
+        2 => u64::MAX - 1,
+        3 => u64::MAX,
+        _ => r,
+    }
+}
+
+/// `u64` decryption one CRT decryption per element: the reference the
+/// repacking path behind [`EncryptedVector::decrypt_u64`] is held to, both
+/// in its values and in the exact error of the first offending element.
+fn per_element_u64(sk: &PrivateKey, v: &EncryptedVector) -> Result<Vec<u64>, HeError> {
+    sk.decrypt_batch(v.elements())?
+        .into_iter()
+        .map(|m| match m.to_u64_digits()[..] {
+            [] => Ok(0),
+            [d] => Ok(d),
+            _ => Err(HeError::PlaintextTooWide {
+                bits: m.bits(),
+                max_bits: 64,
+            }),
+        })
+        .collect()
+}
+
+/// Encrypts arbitrary plaintexts below `n` — honest `u64`s and hostile
+/// wide ones alike.
+fn encrypt_wide(pk: &PublicKey, plaintexts: &[BigUint], seed: u64) -> EncryptedVector {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let cts = plaintexts
+        .iter()
+        .map(|m| pk.encrypt(m, &mut rng).unwrap())
+        .collect();
+    EncryptedVector::from_ciphertexts(pk, cts).unwrap()
+}
+
+/// Vectors no honest party produces, each of which unpacks into valid-looking
+/// 64-bit slots or overflows a group: every one must be refused with exactly
+/// the error the per-element path names — the first element that does not
+/// fit a `u64`. At `TEST_KEY_BITS` a group is 3 slots, so a 7-element vector
+/// has groups {0, 1, 2}, {3, 4, 5} and {6}.
+#[test]
+fn hostile_vectors_keep_the_per_element_error() {
+    let (pk, sk) = keys();
+    let honest: Vec<BigUint> = [7u64, 0, u64::MAX, 3, 1, 9, 2]
+        .into_iter()
+        .map(BigUint::from)
+        .collect();
+    let two_64 = BigUint::one() << 64u32;
+    let too_wide = |bits| HeError::PlaintextTooWide { bits, max_bits: 64 };
+    let mut cases: Vec<(String, Vec<BigUint>, HeError)> = Vec::new();
+    for at in 0..honest.len() {
+        // 2⁶⁴ + 5 reads as 5 in its own slot plus a carry into the next.
+        let mut carry = honest.clone();
+        carry[at] = &two_64 + BigUint::from(5u32);
+        cases.push((format!("2^64 + 5 at {at}"), carry, too_wide(65)));
+        let mut wrap = honest.clone();
+        wrap[at] = pk.n() - BigUint::one();
+        cases.push((format!("n - 1 at {at}"), wrap, too_wide(pk.n().bits())));
+    }
+    // 2⁶⁴ in slot j and 4 in slot j + 1 pack to exactly the honest group
+    // with 0 at j and 5 at j + 1: only the weighted check sees them. Pairs
+    // inside each group, and one straddling two groups.
+    for j in [0, 1, 3, 4, 2] {
+        let mut pair = honest.clone();
+        pair[j] = two_64.clone();
+        pair[j + 1] = BigUint::from(4u32);
+        cases.push((format!("cancelling pair at {j}"), pair, too_wide(65)));
+    }
+    for (seed, (what, plaintexts, expected)) in cases.into_iter().enumerate() {
+        let v = encrypt_wide(pk, &plaintexts, seed as u64);
+        assert_eq!(
+            per_element_u64(sk, &v),
+            Err(expected.clone()),
+            "{what}: reference"
+        );
+        assert_eq!(v.decrypt_u64(sk), Err(expected), "{what}");
+    }
+}
+
+/// The paper's shape: a 56-element registry total under a 1024-bit key
+/// (four groups of 15 slots), values at the slot edges and beyond, and one
+/// hostile carry. Release builds only — a debug-build 1024-bit keygen and
+/// 56 per-element decryptions take tens of seconds.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn a_paper_sized_registry_decrypts_like_the_per_element_path() {
+    let (pk, sk) = paper_keys();
+    let values: Vec<u64> = (0..56u64)
+        .map(|i| slot_edge(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+        .collect();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(56);
+    let enc = EncryptedVector::encrypt_u64(pk, &values, &mut rng);
+    assert_eq!(enc.decrypt_u64(sk), Ok(values.clone()));
+    assert_eq!(per_element_u64(sk, &enc), Ok(values.clone()));
+
+    let mut plaintexts: Vec<BigUint> = values.into_iter().map(BigUint::from).collect();
+    plaintexts[29] = (BigUint::one() << 64u32) + BigUint::from(5u32);
+    let hostile = encrypt_wide(pk, &plaintexts, 57);
+    let expected = HeError::PlaintextTooWide {
+        bits: 65,
+        max_bits: 64,
+    };
+    assert_eq!(hostile.decrypt_u64(sk), Err(expected));
 }
 
 /// Batch vector encryption against a per-element loop on the same encryptor

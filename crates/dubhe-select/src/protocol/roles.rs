@@ -325,7 +325,7 @@ impl AgentNode {
                 Ok(Vec::new())
             }
             ProtocolMsg::PackedTotalBroadcast { total } => {
-                self.overall_registry = Some(total.decrypt_u64(&self.keypair.private));
+                self.overall_registry = Some(total.decrypt_u64(&self.keypair.private)?);
                 Ok(Vec::new())
             }
             ProtocolMsg::EncryptedDistributionSum {
@@ -347,7 +347,7 @@ impl AgentNode {
                 // sum, so the uplink ciphertext traffic of the try is
                 // `contributors ×` the sum's own packed wire size.
                 let ciphertext_bytes = contributors * packed_vector_wire_bytes(&sum);
-                let decrypted = sum.decrypt_u64(&self.keypair.private);
+                let decrypted = sum.decrypt_u64(&self.keypair.private)?;
                 self.record_try_outcome(try_index, contributors, decrypted, ciphertext_bytes)
             }
             other => Err(ProtocolError::UnexpectedMessage {
@@ -617,7 +617,7 @@ impl SelectClientNode {
                     .private_key
                     .as_ref()
                     .ok_or(ProtocolError::MissingKeyMaterial { role: "client" })?;
-                self.overall_registry = Some(total.decrypt_u64(sk));
+                self.overall_registry = Some(total.decrypt_u64(sk)?);
                 Ok(Vec::new())
             }
             other => Err(ProtocolError::UnexpectedMessage {

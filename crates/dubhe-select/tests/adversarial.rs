@@ -14,16 +14,17 @@ use std::time::Duration;
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
 use dubhe_he::packing::Packer;
-use dubhe_he::{EncryptedVector, Keypair, PackedEncryptedVector};
+use dubhe_he::{Ciphertext, EncryptedVector, HeError, Keypair, PackedEncryptedVector};
 use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
-    client_handshake, pump, read_channel_frame, read_frame, run_registration_with,
+    client_handshake, codec, pump, read_channel_frame, read_frame, run_registration_with,
     run_registration_with_packing, write_frame, ChannelFrame, ChannelPolicy, Coordinator, Envelope,
     FaultPlan, FaultyTransport, InMemoryTransport, NodeIdentity, PackingPolicy, Party, ProtocolMsg,
-    SecureChannel, ShardedCoordinator, TcpConfig, TcpTransport, Transport, WireMsg, FRAME_MAGIC_V2,
-    MAX_FRAME_BYTES,
+    RegistryFrame, SecureChannel, SelectClientNode, ShardedCoordinator, TcpConfig, TcpTransport,
+    Transport, WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
 };
 use dubhe_select::{DubheConfig, ProtocolError, SelectError};
+use num_bigint::BigUint;
 use rand::SeedableRng;
 
 const KEY_BITS: u64 = 256;
@@ -121,6 +122,98 @@ fn malformed_registries_are_typed_errors_not_corruption() {
         assert_eq!(
             total.decrypt_u64(&kp.private).unwrap(),
             vec![1, 3, 0, 0, 0, 0]
+        );
+    }
+}
+
+/// `vector` with element `at` replaced by the residue 0, which no
+/// encryption produces and no private key can decrypt.
+fn with_zero_at(vector: &EncryptedVector, at: usize) -> EncryptedVector {
+    let mut elements = vector.elements().to_vec();
+    elements[at] = Ciphertext::from_raw(BigUint::from(0u32), vector.public_key().clone());
+    EncryptedVector::from_ciphertexts(vector.public_key(), elements).unwrap()
+}
+
+#[test]
+fn a_broadcast_total_with_a_zero_element_is_a_typed_error_at_the_client() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(157);
+    let kp = Keypair::generate(KEY_BITS, &mut rng);
+    let mut client = SelectClientNode::without_registration(0, clients(1, 157).remove(0));
+    client.install_keys(kp.public.clone(), kp.private.clone());
+    let total = EncryptedVector::encrypt_u64(&kp.public, &[4, 1, 0, 2, 0, 3], &mut rng);
+    // Short vectors decrypt element by element, longer ones by repacking:
+    // both must refuse, wherever the zero sits.
+    for (len, at) in [(2, 1), (6, 0), (6, 4), (6, 5)] {
+        let total = with_zero_at(&total.slice(0, len).unwrap(), at);
+        match client.handle(ProtocolMsg::EncryptedTotalBroadcast { total }, &mut rng) {
+            Err(ProtocolError::He(HeError::CiphertextNotInvertible)) => {}
+            other => panic!("zero at {at} of {len}: expected a typed refusal, got {other:?}"),
+        }
+        assert_eq!(client.overall_registry(), None);
+    }
+    let packer = Packer::new(16, KEY_BITS);
+    let packed =
+        PackedEncryptedVector::encrypt(packer, &kp.public, &[4, 1, 0, 2], &mut rng).unwrap();
+    let total =
+        PackedEncryptedVector::from_vector(with_zero_at(packed.vector(), 0), 4, packer).unwrap();
+    match client.handle(ProtocolMsg::PackedTotalBroadcast { total }, &mut rng) {
+        Err(ProtocolError::He(HeError::CiphertextNotInvertible)) => {}
+        other => panic!("packed zero: expected a typed refusal, got {other:?}"),
+    }
+    assert_eq!(client.overall_registry(), None);
+}
+
+#[test]
+fn a_zero_residue_in_an_upload_is_refused_without_touching_the_fold() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(167);
+    let kp = Keypair::generate(KEY_BITS, &mut rng);
+    for shards in [1, 4] {
+        let mut server = ShardedCoordinator::with_public_key(kp.public.clone(), 3, shards);
+        let good = EncryptedVector::encrypt_u64(&kp.public, &[1, 0, 0, 0, 0, 0], &mut rng);
+        Coordinator::deliver(&mut server, registry_envelope(0, good)).unwrap();
+
+        // Client 1's upload with its third residue zeroed on the wire.
+        let upload = EncryptedVector::encrypt_u64(&kp.public, &[0, 0, 1, 0, 0, 0], &mut rng);
+        let mut payload = codec::encode(&WireMsg::Envelope {
+            envelope: registry_envelope(1, upload.clone()),
+        })
+        .unwrap();
+        let width = upload.elements()[0].byte_len();
+        let residue = upload.elements()[2].raw().to_bytes_be();
+        let mut needle = vec![0u8; width - residue.len()];
+        needle.extend(residue);
+        let at = payload
+            .windows(width)
+            .position(|w| w == needle)
+            .expect("the residue is in the payload");
+        payload[at..at + width].fill(0);
+
+        // Refused by the eager decoder and by the deferred fold alike.
+        assert!(
+            matches!(
+                codec::decode(&payload),
+                Err(ProtocolError::MalformedFrame { .. })
+            ),
+            "eager decode accepted a zero residue"
+        );
+        let frame = RegistryFrame::try_from_payload(payload).expect("a registry frame");
+        match Coordinator::deliver_registry_frame(&mut server, frame) {
+            Err(ProtocolError::MalformedFrame { detail }) => {
+                assert!(detail.contains("zero"), "{detail}")
+            }
+            other => panic!("expected a malformed frame, got {other:?}"),
+        }
+
+        // The slot stays open for a well-formed retry, and the fold holds
+        // exactly the accepted contributions.
+        for id in 1..3 {
+            let v = EncryptedVector::encrypt_u64(&kp.public, &[0, 0, 1, 0, 0, 0], &mut rng);
+            Coordinator::deliver(&mut server, registry_envelope(id, v)).unwrap();
+        }
+        let total = server.encrypted_total().expect("epoch complete");
+        assert_eq!(
+            total.decrypt_u64(&kp.private).unwrap(),
+            vec![1, 0, 2, 0, 0, 0]
         );
     }
 }
@@ -303,7 +396,10 @@ fn mismatched_packer_metadata_is_refused_without_corrupting_the_fold() {
         Coordinator::deliver(&mut server, packed_registry_envelope(id, v)).unwrap();
     }
     let total = server.packed_encrypted_total().expect("epoch complete");
-    assert_eq!(total.decrypt_u64(&kp.private), vec![0, 4, 0, 0, 0, 0]);
+    assert_eq!(
+        total.decrypt_u64(&kp.private).unwrap(),
+        vec![0, 4, 0, 0, 0, 0]
+    );
 }
 
 #[test]
@@ -414,7 +510,10 @@ fn truncated_packed_dbh2_payloads_do_not_kill_the_listener() {
     let total = coordinator
         .packed_encrypted_total()
         .expect("epoch complete");
-    assert_eq!(total.decrypt_u64(&kp.private), vec![0, 4, 0, 0, 0, 0]);
+    assert_eq!(
+        total.decrypt_u64(&kp.private).unwrap(),
+        vec![0, 4, 0, 0, 0, 0]
+    );
 }
 
 /// Drives the deferred-registry recovery exchange against the listener at

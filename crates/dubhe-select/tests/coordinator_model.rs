@@ -471,7 +471,7 @@ fn observe(envelope: &Envelope, key: usize) -> Reply {
         ProtocolMsg::EncryptedTotalBroadcast { total } => {
             (None, total.decrypt_u64(private).unwrap())
         }
-        ProtocolMsg::PackedTotalBroadcast { total } => (None, total.decrypt_u64(private)),
+        ProtocolMsg::PackedTotalBroadcast { total } => (None, total.decrypt_u64(private).unwrap()),
         ProtocolMsg::EncryptedDistributionSum {
             try_index,
             contributors,
@@ -484,7 +484,10 @@ fn observe(envelope: &Envelope, key: usize) -> Reply {
             try_index,
             contributors,
             sum,
-        } => (round(try_index, contributors), sum.decrypt_u64(private)),
+        } => (
+            round(try_index, contributors),
+            sum.decrypt_u64(private).unwrap(),
+        ),
         other => panic!("the server emitted a {:?}", other.kind()),
     };
     let packed = matches!(
@@ -732,7 +735,7 @@ fn run_sequence(shards: usize, packing: bool, seed: u64) {
             let private = &keys().pairs[sum.map_or(0, |s| s.key)].private;
             let running = match packing {
                 false => (real.encrypted_total()).map(|t| t.decrypt_u64(private).unwrap()),
-                true => (real.packed_encrypted_total()).map(|t| t.decrypt_u64(private)),
+                true => (real.packed_encrypted_total()).map(|t| t.decrypt_u64(private).unwrap()),
             };
             assert_eq!(running.as_ref(), sum.map(|s| &s.values), "{what}");
         }
