@@ -512,10 +512,10 @@ impl PrivateKey {
     /// This is the arbitrary-width path (packed plaintexts, `decrypt`);
     /// vectors of `u64` counters take the repacking path behind
     /// [`EncryptedVector::decrypt_u64`](crate::EncryptedVector::decrypt_u64),
-    /// which decrypts `⌈len / 15⌉ + 1` ciphertexts at 1024 bits instead of
-    /// `len` (5 for a 56-element registry). The first element that shares
-    /// a factor with `n` is
-    /// [`HeError::CiphertextNotInvertible`].
+    /// which decrypts one ciphertext for its check plus one per group of
+    /// slots instead of `len` (2 for a 56-element registry whose counts sum
+    /// below 2¹⁷ at 1024 bits). The first element that shares a factor with
+    /// `n` is [`HeError::CiphertextNotInvertible`].
     pub fn decrypt_batch(&self, cts: &[Ciphertext]) -> Result<Vec<BigUint>, HeError> {
         map_indexed(cts.len(), self.ladders(), |i| {
             self.decrypt_raw(cts[i].raw())
@@ -553,78 +553,110 @@ impl PrivateKey {
         .collect()
     }
 
-    /// Decrypts ciphertexts whose plaintexts must each fit a `u64`, with
-    /// `⌈len / slots⌉ + 1` CRT decryptions instead of `len`, where
-    /// `slots = ⌊(bits(n) − 1) / 64⌋` (15 at 1024 bits, 3 at 256).
+    /// Decrypts ciphertexts whose plaintexts must each fit a `u64`, with one
+    /// CRT decryption for a check plus one per group of slots instead of
+    /// `len` — two for the paper's 56-element registry at 1024 bits.
     ///
-    /// 1. **Repack.** Per leg, every residue goes into one Montgomery
-    ///    arena, and each group of `slots` elements folds by Horner into
-    ///    `Π cⱼ^(2^(64·j))` — an encryption of `Σ mⱼ·2^(64·j)`: 64
-    ///    squarings and one multiply per element.
-    /// 2. **Decrypt each group once** and split the plaintext into 64-bit
-    ///    slots `vⱼ`. A plaintext of `2^(64·count)` or more cannot come from
-    ///    `u64`s. Honest slots are exact: `2^(64·slots) < n` never wraps.
-    /// 3. **Check the unpacking.** Fresh secret 64-bit weights `wᵢ`, one
-    ///    simultaneous square-and-multiply `X = Π cᵢ^wᵢ` (64 squarings,
-    ///    ≈ 32 multiplies per element), and one decryption: `X` must
-    ///    decrypt to `Σ wᵢ·vᵢ mod n`. If some plaintext `mᵢ ≠ vᵢ` (an
-    ///    element of 2⁶⁴ or more carrying into its neighbour, two that
-    ///    cancel, `n − 1` wrapping the group), then `δᵢ = mᵢ − vᵢ ≢ 0 (mod
-    ///    n)` and `n / gcd(δᵢ, n) ≥ min(p, q) > 2⁶⁴`, so at most one of the
-    ///    2⁶⁴ values of `wᵢ` passes: the check fails except with
-    ///    probability 2⁻⁶⁴ at most.
-    ///
-    /// The weights come from [`check_weights`]; the output never depends on
-    /// them, so decryption stays deterministic. The (group, leg) and (check,
-    /// leg) chains are independent and fan out together. Whenever a step
-    /// refuses — a leg power of zero, a slot overflow, a failed check — the
-    /// per-element path runs instead, only to name the first offending
-    /// element with exactly the error it has always produced. Short batches
-    /// (fewer than three elements, where packing saves no ladder) and keys
-    /// whose primes do not exceed 2⁶⁴ (where the bound above does not hold)
-    /// take the per-element path throughout.
+    /// One [`repack`](Self::repack) answers every vector of `u64`s (under a
+    /// key of 256 bits or more, at any length): its check, decrypted first,
+    /// bounds the values and sizes the slots, so they unpack exactly
+    /// whatever the check's weights were. If it refuses
+    /// (a plaintext that is not a `u64`, a ciphertext that encrypts
+    /// nothing), the per-element path runs, only to name the first offending
+    /// element with exactly the error it has always produced — so values
+    /// and errors are one CRT decryption per element's, bit for bit. Short
+    /// batches (fewer than three elements, where packing saves no ladder)
+    /// and keys whose primes do not exceed 2⁶⁴ (where the check's bound does
+    /// not hold) take the per-element path throughout.
     pub(crate) fn decrypt_u64_batch(&self, cts: &[Ciphertext]) -> Result<Vec<u64>, HeError> {
         let key = &*self.inner;
         if cts.len() < 3 || key.p.bits() <= SLOT_BITS || key.q.bits() <= SLOT_BITS {
             return self.decrypt_u64_each(cts);
         }
-        let slots = ((self.public.bits() - 1) / SLOT_BITS) as usize;
+        match self.repack(cts) {
+            Some(values) => Ok(values),
+            None => self.decrypt_u64_each(cts),
+        }
+    }
+
+    /// One repacking decryption of `cts`, in two rounds of chains, one
+    /// chain per CRT leg (and group):
+    ///
+    /// 1. **Check.** Per leg, every residue goes into one Montgomery arena,
+    ///    fresh secret weights `wᵢ ∈ [2⁶³, 2⁶⁴)` from [`check_weights`]
+    ///    give `X = Π cᵢ^wᵢ` by [`multi_exp`], and `X` is decrypted once to
+    ///    `D = Σ wᵢ·mᵢ mod n`.
+    /// 2. **Size the slots.** For `u64`s `D` is that sum itself (it stays
+    ///    below `len·2¹²⁸`, less than `n` whenever `len < 2^(bits(n) −
+    ///    129)`), and every `mᵢ ≤ Σ mⱼ ≤ ⌊D / 2⁶³⌋`; so
+    ///    slots of `bits(⌊D / 2⁶³⌋)` bits, at most 64, hold every value.
+    ///    [`fitted_slot_bits`] packs them in the fewest groups.
+    /// 3. **Repack.** Each group of `⌊(bits(n) − 1) / s⌋` elements folds by
+    ///    Horner into `Π cⱼ^(2^(s·j))`, an encryption of `Σ mⱼ·2^(s·j)`
+    ///    below `2^(bits(n) − 1)`: `s` squarings and one multiply per
+    ///    element. It is decrypted once and cut into `s`-bit slots `vⱼ`; a
+    ///    plaintext of `2^(s·count)` or more refuses.
+    /// 4. **Verify.** `D` must equal `Σ wᵢ·vᵢ mod n`.
+    ///
+    /// `u64`s unpack exactly and pass, so the output never depends on the
+    /// weights; they choose only the width, within one bit. If some `mᵢ ≠
+    /// vᵢ` (a value of 2⁶⁴ or more, two that cancel, `n − 1` wrapping a
+    /// group), then `δᵢ = mᵢ − vᵢ ≢ 0 (mod n)` and `n / gcd(δᵢ, n) ≥ min(p,
+    /// q) > 2⁶⁴`, so at a given width at most one of the 2⁶³ values of `wᵢ`
+    /// passes. The width is read from `D`, which depends on the weights, so
+    /// the bound adds up over every width the length can take: one per
+    /// group count, `⌈len / ⌊(bits(n) − 1) / 64⌋⌉` of them. A forgery passes
+    /// with probability at most that many times 2⁻⁶³: 2⁻⁶¹ for the paper's
+    /// registry at 1024 bits.
+    ///
+    /// `None` when a step refuses: a leg power of zero, a slot overflow, a
+    /// failed check.
+    fn repack(&self, cts: &[Ciphertext]) -> Option<Vec<u64>> {
+        let key = &*self.inner;
+        let legs = self.legs();
+        let modulus = key.p_ctx.modulus();
+        let weights = check_weights(cts.len());
+        // Per leg: a reduction and a domain conversion per residue, the
+        // check's 64 squarings and `len + 15` multiplies in each of 16
+        // windows, then one leg ladder, about a multiply per exponent bit.
+        let len = cts.len() as u64;
+        let windows = (u64::BITS / WINDOW_BITS) as u64;
+        let check = 2 * len + 64 + windows * (len + (1 << WINDOW_BITS) - 1) + key.p.bits();
+        let checked = map_indexed(legs.len(), Work::new(check, modulus), |l| {
+            let arena = legs[l].arena(cts);
+            let share = legs[l].plaintext(&multi_exp(legs[l].ctx, &arena, &weights));
+            (arena, share.ok())
+        });
+        let [(arena_p, Some(d_p)), (arena_q, Some(d_q))] = &checked[..] else {
+            return None;
+        };
+        let (arenas, weighted) = ([arena_p, arena_q], self.recombine(d_p, d_q));
+
+        let need = (&weighted >> 63u32).bits().clamp(1, SLOT_BITS);
+        let slot_bits = fitted_slot_bits(self.public.bits(), cts.len(), need);
+        let slots = ((self.public.bits() - 1) / slot_bits) as usize;
         let groups: Vec<Range<usize>> = (0..cts.len())
             .step_by(slots)
             .map(|start| start..(start + slots).min(cts.len()))
             .collect();
-        let weights = check_weights(cts.len());
-        let legs = self.legs();
-        // A reduction and a domain conversion per residue per leg.
-        let convert = Work::new(2 * cts.len() as u64, key.p_ctx.modulus());
-        let arenas = map_indexed(legs.len(), convert, |l| legs[l].arena(cts));
-        // The longest chain is a full group (or the check): 64 squarings
-        // per slot, then one leg ladder.
-        let chain = Work::new(SLOT_BITS * slots as u64 + key.p.bits(), key.p_ctx.modulus());
-        let chains = groups.len() + 1;
-        let shares = map_indexed(legs.len() * chains, chain, |j| {
-            let (l, c) = (j % legs.len(), j / legs.len());
-            let packed = match groups.get(c) {
-                Some(group) => legs[l].horner(&arenas[l], group.clone()),
-                None => legs[l].weighted(&arenas[l], &weights),
-            };
+        // Per (group, leg): `s` squarings a slot, then one leg ladder.
+        let fold = slot_bits * slots.min(cts.len()) as u64 + key.p.bits();
+        let shares = map_indexed(legs.len() * groups.len(), Work::new(fold, modulus), |j| {
+            let (l, g) = (j % legs.len(), j / legs.len());
+            let packed = legs[l].horner(arenas[l], groups[g].clone(), slot_bits);
             legs[l].plaintext(&packed).ok()
         });
-        let plaintext = |c: usize| match &shares[c * legs.len()..][..legs.len()] {
-            [Some(m_p), Some(m_q)] => Some(self.recombine(m_p, m_q)),
-            _ => None,
-        };
 
         let mut values = Vec::with_capacity(cts.len());
-        for (c, group) in groups.iter().enumerate() {
-            match plaintext(c) {
-                Some(m) if m.bits() <= SLOT_BITS * group.len() as u64 => {
-                    let mut digits = m.to_u64_digits();
-                    digits.resize(group.len(), 0);
-                    values.extend(digits);
-                }
-                _ => return self.decrypt_u64_each(cts),
+        for (group, share) in groups.iter().zip(shares.chunks(legs.len())) {
+            let [Some(m_p), Some(m_q)] = share else {
+                return None;
+            };
+            let m = self.recombine(m_p, m_q);
+            if m.bits() > slot_bits * group.len() as u64 {
+                return None;
             }
+            values.extend(unpack(&m, slot_bits, group.len()));
         }
         // Σ wᵢ·vᵢ in 128 bits plus a count of carries out of them.
         let (mut low, mut carries) = (0u128, 0u64);
@@ -634,10 +666,7 @@ impl PrivateKey {
             carries += carry as u64;
         }
         let expected = ((BigUint::from(carries) << 128u32) + BigUint::from(low)) % self.public.n();
-        if plaintext(chains - 1) != Some(expected) {
-            return self.decrypt_u64_each(cts);
-        }
-        Ok(values)
+        (weighted == expected).then_some(values)
     }
 
     /// Decrypts to `u64`, panicking if the plaintext does not fit. Registry
@@ -706,8 +735,77 @@ fn l_function(x: &BigUint, d: &BigUint) -> BigUint {
     (x - BigUint::one()) / d
 }
 
-/// Bits per slot of the repacking decryption: one `u64` plaintext each.
+/// The widest repacking slot, one `u64` plaintext: the bound every
+/// decrypted value is held to.
 const SLOT_BITS: u64 = 64;
+
+/// Window width, in weight bits, of [`multi_exp`]. At registry lengths 4
+/// takes the fewest multiplies: ≈ 1 080 for 56 weights, against ≈ 1 110 at
+/// 5 bits and ≈ 1 230 at 3.
+const WINDOW_BITS: u32 = 4;
+
+/// The slot width for `len ≥ 1` values of at most `need ≤ 64` bits under a
+/// `key_bits`-bit modulus: the fewest groups whose slots hold `need` bits,
+/// then the widest slots, at most 64 bits, that fit a group's share of the
+/// elements below `2^(key_bits − 1)`. Widening costs squarings but leaves a
+/// length one width per group count, the count the check's bound adds up
+/// over. At 1024 bits a 56-element registry needing ≤ 18 bits is one group
+/// of 18-bit slots, and 52 try sums needing 26 are two groups of 39.
+fn fitted_slot_bits(key_bits: u64, len: usize, need: u64) -> u64 {
+    let capacity = key_bits - 1;
+    let groups = (len as u64).div_ceil(capacity / need);
+    (capacity / (len as u64).div_ceil(groups)).min(SLOT_BITS)
+}
+
+/// The `count` lowest `slot_bits`-bit slots of `m`, lowest first.
+fn unpack(m: &BigUint, slot_bits: u64, count: usize) -> impl Iterator<Item = u64> {
+    let limbs = m.to_u64_digits();
+    let limb = move |i: usize| limbs.get(i).copied().unwrap_or(0) as u128;
+    (0..count as u64).map(move |j| {
+        let (at, shift) = ((j * slot_bits / 64) as usize, j * slot_bits % 64);
+        let window = (limb(at) | (limb(at + 1) << 64)) >> shift;
+        window as u64 & (u64::MAX >> (64 - slot_bits))
+    })
+}
+
+/// `Π cᵢ^wᵢ mod m` over the first `weights.len()` entries of `arena`, in
+/// the Montgomery domain of `ctx`: Pippenger's bucket method over
+/// [`WINDOW_BITS`]-bit windows of the weights, top window first. Per
+/// window the accumulator is squared once a bit; then, for each digit `d`
+/// from the largest down, the elements whose window reads `d` join a
+/// running product, which is multiplied into the accumulator — an element
+/// enters `d` times for one multiply. Each bucket is spent as soon as it is
+/// formed, so none is stored. About `len + 15` multiplies a window, 16
+/// windows, against ≈ 32 per element for square-and-multiply.
+fn multi_exp(ctx: &MontgomeryContext, arena: &MontgomeryTable, weights: &[u64]) -> BigUint {
+    let top_digit = (1u64 << WINDOW_BITS) - 1;
+    let mut scratch = MontgomeryScratch::new();
+    let mut acc = ctx.to_montgomery(&BigUint::one());
+    let mut running = acc.clone();
+    for shift in (0..u64::BITS).step_by(WINDOW_BITS as usize).rev() {
+        for _ in 0..WINDOW_BITS {
+            ctx.montgomery_sqr_assign(&mut acc, &mut scratch);
+        }
+        let mut started = false;
+        for digit in (1..=top_digit).rev() {
+            for (i, &w) in weights.iter().enumerate() {
+                if (w >> shift) & top_digit != digit {
+                    continue;
+                }
+                if started {
+                    ctx.montgomery_mul_entry_assign(&mut running, arena, i, &mut scratch);
+                } else {
+                    arena.load(i, &mut running);
+                    started = true;
+                }
+            }
+            if started {
+                ctx.montgomery_mul_assign(&mut acc, &running, &mut scratch);
+            }
+        }
+    }
+    ctx.from_montgomery(&acc)
+}
 
 /// One CRT leg of decryption: modulus `p²` (through the key's cached
 /// context), exponent `p − 1`, and the constant `h_p` (or the same for `q`).
@@ -742,14 +840,15 @@ impl DecryptLeg<'_> {
         arena
     }
 
-    /// `Π cⱼ^(2^(64·(j − start))) mod p²` over `group` by Horner, highest
+    /// `Π cⱼ^(2^(s·(j − start))) mod p²` over `group` by Horner, highest
     /// element first: an encryption (mod `p²`) of the group's plaintexts
-    /// packed into 64-bit slots, lowest element in the lowest slot.
-    fn horner(&self, arena: &MontgomeryTable, group: Range<usize>) -> BigUint {
+    /// packed into `s = slot_bits`-bit slots, lowest element in the lowest
+    /// slot.
+    fn horner(&self, arena: &MontgomeryTable, group: Range<usize>, slot_bits: u64) -> BigUint {
         let mut scratch = MontgomeryScratch::new();
         let mut acc = arena.entry(group.end - 1);
         for i in group.rev().skip(1) {
-            for _ in 0..SLOT_BITS {
+            for _ in 0..slot_bits {
                 self.ctx.montgomery_sqr_assign(&mut acc, &mut scratch);
             }
             self.ctx
@@ -757,34 +856,18 @@ impl DecryptLeg<'_> {
         }
         self.ctx.from_montgomery(&acc)
     }
-
-    /// `Π cᵢ^wᵢ mod p²` by one simultaneous square-and-multiply over the
-    /// weights' bits, top bit first.
-    fn weighted(&self, arena: &MontgomeryTable, weights: &[u64]) -> BigUint {
-        let mut scratch = MontgomeryScratch::new();
-        let mut acc = self.ctx.to_montgomery(&BigUint::one());
-        for bit in (0..SLOT_BITS).rev() {
-            self.ctx.montgomery_sqr_assign(&mut acc, &mut scratch);
-            for (i, &w) in weights.iter().enumerate() {
-                if w >> bit & 1 == 1 {
-                    self.ctx
-                        .montgomery_mul_entry_assign(&mut acc, arena, i, &mut scratch);
-                }
-            }
-        }
-        self.ctx.from_montgomery(&acc)
-    }
 }
 
-/// Fresh 64-bit weights for the unpacking check of
-/// [`PrivateKey::decrypt_u64_batch`], one per element: SipHash outputs
-/// under a new [`RandomState`] key, which the standard library seeds from
-/// the operating system. The weights must be unpredictable to whoever made
-/// the ciphertexts, so they never come from a caller's seeded generator (a
-/// seed is reproducible) or from the key (every client holds it).
+/// Fresh weights in `[2⁶³, 2⁶⁴)` for the unpacking check of
+/// [`PrivateKey::repack`], one per element: SipHash outputs under a new
+/// [`RandomState`] key, which the standard library seeds from the operating
+/// system, with the top bit set so that the weighted sum over 2⁶³ bounds
+/// the plain one. The weights must be unpredictable to whoever made the
+/// ciphertexts, so they never come from a caller's seeded generator (a seed
+/// is reproducible) or from the key (every client holds it).
 fn check_weights(len: usize) -> Vec<u64> {
     let keys = RandomState::new();
-    (0..len).map(|i| keys.hash_one(i)).collect()
+    (0..len).map(|i| keys.hash_one(i) | 1 << 63).collect()
 }
 
 /// A freshly generated public/private keypair.
@@ -1015,6 +1098,171 @@ mod tests {
         let batch = kp.private.decrypt_batch(&cts).unwrap();
         for (i, (ct, m)) in cts.iter().zip(&batch).enumerate() {
             assert_eq!(&kp.private.decrypt(ct), m, "element {i} diverged");
+        }
+    }
+
+    #[test]
+    fn the_fitted_width_holds_the_need_in_the_fewest_groups() {
+        // (key bits, length, need, width): at 1024 bits a registry whose
+        // counts sum below 2¹⁷ is one group of 18-bit slots, 52 try sums of
+        // twenty 10⁶-scaled distributions (below 2²⁶) two groups of 39 and
+        // full `u64`s four groups of 14; at the test size 7 small values are
+        // one group of 36.
+        for (bits, len, need, width) in [
+            (1024, 56, 11, 18),
+            (1024, 56, 18, 18),
+            (1024, 56, 19, 36),
+            (1024, 52, 26, 39),
+            (1024, 56, 64, 64),
+            (1024, 10, 1, 64),
+            (256, 7, 1, 36),
+            (256, 7, 37, 63),
+            (256, 7, 64, 64),
+            (256, 70, 16, 18),
+        ] {
+            assert_eq!(
+                fitted_slot_bits(bits, len, need),
+                width,
+                "{len} values of {need} bits at {bits}"
+            );
+        }
+        // Every need fits, in the fewest groups, and a length takes at most
+        // one width per group count of its 64-bit packing.
+        for bits in [256u64, 1024] {
+            let capacity = bits - 1;
+            for len in 1..=80u64 {
+                let widths: std::collections::BTreeSet<u64> = (1..=SLOT_BITS)
+                    .map(|need| {
+                        let width = fitted_slot_bits(bits, len as usize, need);
+                        let groups = len.div_ceil(capacity / width);
+                        let at = format!("{len} values of {need} bits at {bits}");
+                        assert!(need <= width && width <= SLOT_BITS, "{at}: {width}");
+                        assert!(
+                            groups == 1 || len.div_ceil(groups - 1) > capacity / need,
+                            "{at}: {groups} groups"
+                        );
+                        width
+                    })
+                    .collect();
+                assert!(widths.len() as u64 <= len.div_ceil(capacity / SLOT_BITS));
+            }
+        }
+    }
+
+    /// The repacking on its own must return every vector of `u64`s at
+    /// whatever width its check sizes: a decoding bug would otherwise hide
+    /// behind the per-element path. Registry counts `0..=N`; try sums of
+    /// twenty 10⁶-scaled distributions, most of each on one class; values
+    /// on both sides of `2^s` for each width `s` the length can take;
+    /// random and full `u64`s.
+    fn the_repacking_returns_the_values_itself(kp: &Keypair, lens: &[usize]) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+        let bits = kp.public.bits();
+        for &len in lens {
+            let counts = (0..len as u64)
+                .map(|i| if i == 0 { 1000 } else { i * 37 % 1001 })
+                .collect();
+            let mut tries = vec![0u64; len];
+            for contributor in 0..20 {
+                tries[contributor * 7 % len] += 900_000;
+                for _ in 0..10 {
+                    tries[rng.gen_range(0..len)] += 10_000;
+                }
+            }
+            let widths: std::collections::BTreeSet<u64> = (1..=SLOT_BITS)
+                .map(|need| fitted_slot_bits(bits, len, need))
+                .collect();
+            let edges = widths.iter().map(|&s| {
+                let below = u64::MAX >> (64 - s);
+                let edge = [below, below.wrapping_add(1), below.wrapping_add(2), 3];
+                let values = (0..len).map(|i| edge[i % 4]).collect();
+                (format!("the edge of {s}-bit slots"), values)
+            });
+            let cases = [
+                ("registry counts".to_string(), counts),
+                ("try sums".to_string(), tries),
+                (
+                    "random u64s".to_string(),
+                    (0..len).map(|_| rng.gen()).collect(),
+                ),
+                ("u64::MAX".to_string(), vec![u64::MAX; len]),
+            ];
+            for (what, values) in cases.into_iter().chain(edges) {
+                let cts: Vec<Ciphertext> = values
+                    .iter()
+                    .map(|&m| kp.public.encrypt_u64(m, &mut rng))
+                    .collect();
+                assert_eq!(
+                    kp.private.repack(&cts),
+                    Some(values),
+                    "{what}, {len} elements"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_repacking_returns_u64_vectors_itself() {
+        the_repacking_returns_the_values_itself(&keypair(), &[3, 4, 7, 15, 16, 40, 70]);
+    }
+
+    /// Release builds only, like the other 1024-bit repacking case.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn the_repacking_returns_paper_sized_vectors_itself() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1024);
+        the_repacking_returns_the_values_itself(&Keypair::generate(1024, &mut rng), &[52, 56]);
+    }
+
+    #[test]
+    fn the_bucket_multi_exponentiation_is_the_product_of_powers() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        // 8 and 16 limbs: the legs' width at 512- and 1024-bit keys.
+        for bits in [512, 1024] {
+            let mut m = rng.gen_biguint(bits);
+            m.set_bit(bits - 1, true);
+            m.set_bit(0, true);
+            let ctx = MontgomeryContext::new(&m);
+            let bases: Vec<BigUint> = (0..56).map(|_| rng.gen_biguint_below(&m)).collect();
+            let mut arena = ctx.table(bases.len());
+            for (i, base) in bases.iter().enumerate() {
+                arena.store(i, &ctx.to_montgomery(base));
+            }
+            let random: Vec<u64> = (0..56).map(|_| rng.gen()).collect();
+            let cases = [
+                ("zeros", vec![0; 56]),
+                ("ones", vec![1; 56]),
+                ("u64::MAX", vec![u64::MAX; 56]),
+                (
+                    "0, 1 and u64::MAX among random weights",
+                    (0..56)
+                        .map(|i| [0, 1, u64::MAX, random[i]][i % 4])
+                        .collect(),
+                ),
+                (
+                    "windows 1 to 14 zero in every weight",
+                    random.iter().map(|&w| w & 0xF000_0000_0000_000F).collect(),
+                ),
+                (
+                    "one non-zero window per weight",
+                    (0..56).map(|i| 0x9u64 << (4 * (i % 16))).collect(),
+                ),
+                ("one element", vec![random[0]]),
+                ("56 random weights", random.clone()),
+            ];
+            for (what, weights) in cases {
+                let expected = weights
+                    .iter()
+                    .zip(&bases)
+                    .fold(BigUint::one(), |acc, (&w, b)| {
+                        acc * b.modpow(&BigUint::from(w), &m) % &m
+                    });
+                assert_eq!(
+                    multi_exp(&ctx, &arena, &weights),
+                    expected,
+                    "{what} at {bits} bits"
+                );
+            }
         }
     }
 

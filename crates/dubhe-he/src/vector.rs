@@ -390,12 +390,16 @@ impl EncryptedVector {
 
     /// Decrypts every element to a `u64`.
     ///
-    /// The private key repacks the vector homomorphically into slot-packed
-    /// ciphertexts under its own key and decrypts those — about
-    /// `⌈len / 15⌉ + 1` CRT decryptions at 1024 bits instead of `len` — then
-    /// verifies the unpacking with a secret random-weight check (see
-    /// `PrivateKey::decrypt_u64_batch`). Vectors shorter than three take
-    /// one decryption per element.
+    /// The private key first decrypts a secret random-weight combination of
+    /// the vector, which bounds the values' sum; then it repacks the vector
+    /// homomorphically, under its own key, into ciphertexts with slots just
+    /// wide enough for that sum, decrypts those and checks the unpacking
+    /// against the first decryption. That is one CRT decryption plus one
+    /// per group instead of one per element: 2 instead of 56 for the
+    /// paper's registry at 1024 bits, 3 instead of 52 for a 52-class sum of
+    /// twenty 10⁶-scaled distributions. See
+    /// `PrivateKey::decrypt_u64_batch`. Vectors shorter than three take one
+    /// decryption per element.
     ///
     /// Returns [`HeError::PlaintextTooWide`] for the first element that
     /// does not fit in a `u64` — e.g. a sum whose counters overflowed the

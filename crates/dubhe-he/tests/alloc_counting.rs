@@ -240,10 +240,12 @@ fn batch_decryption_allocations_per_element_are_bounded_by_a_constant() {
 fn repacked_u64_decryption_allocations_per_element_are_bounded_by_a_constant() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     // Per element: its residue reduced and mapped into each leg's Montgomery
-    // domain, and stored in that leg's one arena. Per group of slots and for
-    // the check: a Horner or weighted chain, one leg ladder per leg and the
-    // recombination — constants, amortised over 15 elements at 1024 bits
-    // (3 at `TEST_KEY_BITS`). Measured: ≈ 22 at 1024 bits, ≈ 38 at 256,
+    // domain, and stored in that leg's one arena. For the check and per
+    // group of slots: a bucket or Horner chain (a few operands, none per
+    // bucket or window), one leg ladder per leg and the recombination —
+    // constants, amortised over the groups the check sizes: these 120
+    // values sum below 2¹⁶, so 17-bit slots, 60 to a group at 1024 bits and
+    // 15 at `TEST_KEY_BITS`. Measured: 18 at 1024 bits, 22 at 256,
     // nearly all of them the reduction mod p² inside the domain mapping.
     // The difference of two lengths cancels the per-call terms.
     const PER_ELEMENT_BOUND: u64 = 48;
@@ -272,8 +274,9 @@ fn repacked_u64_decryption_allocations_per_element_are_bounded_by_a_constant() {
              ({a} for 30, {b} for 120)"
         );
         // The paper's registry length: both legs' arenas (≈ 14 KB at 1024
-        // bits) and the chains' transients stay far below the 43 KB an
-        // epoch's peak heap may grow by (5 % of ≈ 0.84 MiB).
+        // bits) and the chains' transients — measured 18–21 KB in all —
+        // stay far below the 43 KB an epoch's peak heap may grow by (5 % of
+        // ≈ 0.84 MiB).
         let registry = many.slice(0, 56).unwrap();
         let peak = peak_during(|| {
             std::hint::black_box(registry.decrypt_u64(&kp.private).unwrap());

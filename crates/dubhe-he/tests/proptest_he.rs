@@ -229,14 +229,21 @@ proptest! {
 
     #[test]
     fn repacked_u64_decryption_matches_per_element_decryption(
-        values in prop::collection::vec(any::<u64>().prop_map(slot_edge), 0..=70),
+        draws in prop::collection::vec(any::<u64>(), 0..=70),
+        need in 1..=64u64,
+        narrow in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        // Lengths from empty through short (per-element) vectors to many
-        // 3-slot groups at `TEST_KEY_BITS`, values over all of u64 with the
-        // slot edges drawn often: the repacking path must agree with one
-        // decryption per element, element for element.
+        // Lengths from empty through short (per-element) vectors to several
+        // groups at `TEST_KEY_BITS`, values over all of u64 with the edges
+        // of the 64-bit slot and of one width the length can take drawn
+        // often. Narrow vectors are cut to that width, so their check sizes
+        // narrower slots than the others'. At whatever width the check
+        // sizes, the values must agree with one decryption per element.
         let (pk, sk) = keys();
+        let width = fitted_width(pk.bits(), draws.len(), need);
+        let fit = if narrow { u64::MAX >> (64 - width) } else { u64::MAX };
+        let values: Vec<u64> = draws.iter().map(|&r| slot_edge(r, width) & fit).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let enc = EncryptedVector::encrypt_u64(pk, &values, &mut rng);
         let repacked = enc.decrypt_u64(sk).unwrap();
@@ -491,17 +498,32 @@ proptest! {
     }
 }
 
-/// Maps a quarter of the draws onto the edges of a 64-bit slot (0, 1,
-/// 2⁶⁴ − 2, 2⁶⁴ − 1), where a carry or a borrow would cross into the
-/// neighbouring slot.
-fn slot_edge(r: u64) -> u64 {
-    match r % 8 {
+/// Maps seven in sixteen draws onto slot edges, where a carry or a borrow
+/// would cross into the neighbouring slot: 0, 1, 2⁶⁴ − 2 and 2⁶⁴ − 1 for a
+/// 64-bit slot, and 2^s − 1, 2^s and 2^s + 1 for an `s`-bit one (the last
+/// two only while they are `u64`s).
+fn slot_edge(r: u64, s: u32) -> u64 {
+    match r % 16 {
         0 => 0,
         1 => 1,
         2 => u64::MAX - 1,
         3 => u64::MAX,
+        4 => u64::MAX >> (64 - s),
+        5 if s < 64 => 1 << s,
+        6 if s < 64 => (1 << s) + 1,
         _ => r,
     }
+}
+
+/// The repacking's slot width for `len` values of at most `need` bits under
+/// a `key_bits`-bit modulus, restated from `dubhe-he`'s rule: the fewest
+/// groups whose slots hold `need` bits, then the widest slots, at most 64
+/// bits, that fit a group's share below `2^(key_bits − 1)`. The check sizes
+/// `need` from the values' sum, so a length takes one of these widths.
+fn fitted_width(key_bits: u64, len: usize, need: u64) -> u32 {
+    let (capacity, len) = (key_bits - 1, len.max(1) as u64);
+    let groups = len.div_ceil(capacity / need);
+    (capacity / len.div_ceil(groups)).min(64) as u32
 }
 
 /// `u64` decryption one CRT decryption per element: the reference the
@@ -533,10 +555,11 @@ fn encrypt_wide(pk: &PublicKey, plaintexts: &[BigUint], seed: u64) -> EncryptedV
 }
 
 /// Vectors no honest party produces, each of which unpacks into valid-looking
-/// 64-bit slots or overflows a group: every one must be refused with exactly
-/// the error the per-element path names — the first element that does not
-/// fit a `u64`. At `TEST_KEY_BITS` a group is 3 slots, so a 7-element vector
-/// has groups {0, 1, 2}, {3, 4, 5} and {6}.
+/// slots or overflows a group: every one must be refused with exactly the
+/// error the per-element path names — the first element that does not fit a
+/// `u64`. At `TEST_KEY_BITS` a 7-element vector of small values packs into
+/// one group of 36-bit slots; a value of 2⁶⁴ or more sizes the slots at 64
+/// bits, in groups {0, 1, 2}, {3, 4, 5} and {6}.
 #[test]
 fn hostile_vectors_keep_the_per_element_error() {
     let (pk, sk) = keys();
@@ -545,8 +568,9 @@ fn hostile_vectors_keep_the_per_element_error() {
         .map(BigUint::from)
         .collect();
     let two_64 = BigUint::one() << 64u32;
-    let too_wide = |bits| HeError::PlaintextTooWide { bits, max_bits: 64 };
-    let mut cases: Vec<(String, Vec<BigUint>, HeError)> = Vec::new();
+    let too_wide = |bits| Err(HeError::PlaintextTooWide { bits, max_bits: 64 });
+    type Case = (String, Vec<BigUint>, Result<Vec<u64>, HeError>);
+    let mut cases: Vec<Case> = Vec::new();
     for at in 0..honest.len() {
         // 2⁶⁴ + 5 reads as 5 in its own slot plus a carry into the next.
         let mut carry = honest.clone();
@@ -565,34 +589,52 @@ fn hostile_vectors_keep_the_per_element_error() {
         pair[j + 1] = BigUint::from(4u32);
         cases.push((format!("cancelling pair at {j}"), pair, too_wide(65)));
     }
+    // The same pair at the width s the small values alone would take: 2^s
+    // at j and 4 at j + 1 pack into s-bit slots as the honest-looking 0
+    // and 5. Both are `u64`s, so the check must size slots wide enough to
+    // return them exactly.
+    let width = fitted_width(pk.bits(), honest.len(), 4);
+    assert_eq!(width, 36, "the small values' width at TEST_KEY_BITS");
+    let narrow = [7u64, 0, 11, 3, 1, 9, 2];
+    for j in 0..narrow.len() - 1 {
+        let mut pair = narrow;
+        pair[j] = 1 << width;
+        pair[j + 1] = 4;
+        let plaintexts = pair.into_iter().map(BigUint::from).collect();
+        let what = format!("cancelling pair at width {width} at {j}");
+        cases.push((what, plaintexts, Ok(pair.to_vec())));
+    }
     for (seed, (what, plaintexts, expected)) in cases.into_iter().enumerate() {
         let v = encrypt_wide(pk, &plaintexts, seed as u64);
-        assert_eq!(
-            per_element_u64(sk, &v),
-            Err(expected.clone()),
-            "{what}: reference"
-        );
-        assert_eq!(v.decrypt_u64(sk), Err(expected), "{what}");
+        assert_eq!(per_element_u64(sk, &v), expected, "{what}: reference");
+        assert_eq!(v.decrypt_u64(sk), expected, "{what}");
     }
 }
 
-/// The paper's shape: a 56-element registry total under a 1024-bit key
-/// (four groups of 15 slots), values at the slot edges and beyond, and one
-/// hostile carry. Release builds only — a debug-build 1024-bit keygen and
-/// 56 per-element decryptions take tens of seconds.
+/// The paper's shape: a 56-element registry total under a 1024-bit key.
+/// Counts up to N take one group of 18-bit slots; counts above 2¹⁸ two
+/// groups of 36-bit slots; values at both widths' slot edges and beyond
+/// four groups of 64-bit slots; and one hostile carry. Release builds only — a debug-build
+/// 1024-bit keygen and 56 per-element decryptions take tens of seconds.
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn a_paper_sized_registry_decrypts_like_the_per_element_path() {
     let (pk, sk) = paper_keys();
-    let values: Vec<u64> = (0..56u64)
-        .map(|i| slot_edge(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+    let width = fitted_width(pk.bits(), 56, 18);
+    assert_eq!(width, 18, "the counts' width at 1024 bits");
+    let edges: Vec<u64> = (0..56u64)
+        .map(|i| slot_edge(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), width))
         .collect();
+    let counts: Vec<u64> = (0..56).map(|i| i * 7 % 25).collect();
+    let above: Vec<u64> = (0..56).map(|i| (1 << width) + i * 1000).collect();
     let mut rng = rand::rngs::StdRng::seed_from_u64(56);
-    let enc = EncryptedVector::encrypt_u64(pk, &values, &mut rng);
-    assert_eq!(enc.decrypt_u64(sk), Ok(values.clone()));
-    assert_eq!(per_element_u64(sk, &enc), Ok(values.clone()));
+    for values in [&counts, &above, &edges] {
+        let enc = EncryptedVector::encrypt_u64(pk, values, &mut rng);
+        assert_eq!(enc.decrypt_u64(sk).as_ref(), Ok(values));
+        assert_eq!(per_element_u64(sk, &enc).as_ref(), Ok(values));
+    }
 
-    let mut plaintexts: Vec<BigUint> = values.into_iter().map(BigUint::from).collect();
+    let mut plaintexts: Vec<BigUint> = edges.into_iter().map(BigUint::from).collect();
     plaintexts[29] = (BigUint::one() << 64u32) + BigUint::from(5u32);
     let hostile = encrypt_wide(pk, &plaintexts, 57);
     let expected = HeError::PlaintextTooWide {
