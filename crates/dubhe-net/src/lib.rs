@@ -11,22 +11,22 @@
 //! on a separate router thread, so a large fold overlaps with the next
 //! frame's parse.
 //!
-//! * [`ReactorListener`] — the server: non-blocking accept, per-connection
-//!   incremental `DBH2` frame reassembly, the authenticated-channel
-//!   phases, identity binding, bounded write queues flushed once per
-//!   connection per loop turn, with `WouldBlock`-driven flow control and a
-//!   typed
+//! * [`ReactorListener`] — the server: non-blocking accept, identity
+//!   binding, bounded write queues flushed once per connection per loop
+//!   turn, with `WouldBlock`-driven flow control and a typed
 //!   [`Backpressure`](dubhe_select::ProtocolError::Backpressure) disconnect
 //!   past the high-water mark, and a [`ListenerStats`] snapshot of all of it.
 //! * [`MuxClient`] — the load-generation side: many persistent client
 //!   connections multiplexed through the same poller from a single thread,
 //!   used by `dubhe-bench`'s `load_gen` to drive 10⁴+ concurrent clients.
 //!
-//! Wire format, channel, message types and coordinator semantics all come
-//! from `dubhe-select`; this crate only decides *how sockets are waited
-//! on*, which is why the ledgers it produces are bit-identical to the
-//! in-memory transport (the running folds are commutative, so arrival order
-//! cannot matter).
+//! Wire format, channel, message types, coordinator semantics and the
+//! per-connection protocol itself — frame reassembly, the
+//! authenticated-channel phases, every refusal, in one sans-IO
+//! [`Connection`] per socket — all come from `dubhe-select`; this crate
+//! only decides *how sockets are waited on*, which is why the ledgers it
+//! produces are bit-identical to the in-memory transport (the running folds
+//! are commutative, so arrival order cannot matter).
 //!
 //! ## Example: a coordinator behind a loopback port
 //!
@@ -54,11 +54,10 @@
 //! ```
 //!
 //! [`ListenerStats`]: dubhe_select::protocol::stats::ListenerStats
+//! [`Connection`]: dubhe_select::protocol::Connection
 
-pub mod frames;
 pub mod mux;
 pub mod reactor;
 
-pub use frames::{BufferedFrame, FrameBuffer};
 pub use mux::{MuxClient, MuxConfig};
 pub use reactor::{ReactorConfig, ReactorListener};

@@ -20,17 +20,14 @@ use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use dubhe_select::protocol::channel::{
-    client_handshake, secret_bytes_from_seed, ChannelPolicy, NodeIdentity, RetrySchedule,
-    SecureChannel,
-};
+use dubhe_select::protocol::channel::{secret_bytes_from_seed, ChannelPolicy};
 use dubhe_select::protocol::codec::CodecKind;
+use dubhe_select::protocol::connection::{Connection, Event};
 use dubhe_select::protocol::stats::{LatencyHistogram, LatencySummary};
-use dubhe_select::protocol::wire::{decode_frame, WireMsg, MAX_FRAME_BYTES};
+use dubhe_select::protocol::tcp::{dial, TcpConfig};
+use dubhe_select::protocol::wire::{WireMsg, MAX_FRAME_BYTES};
 use dubhe_select::ProtocolError;
 use mini_mio::{Backend, Events, Interest, Poll, Registry, Token};
-
-use crate::frames::{BufferedFrame, FrameBuffer, WriteQueue};
 
 fn io_error(context: &'static str, e: std::io::Error) -> ProtocolError {
     ProtocolError::Io {
@@ -151,107 +148,34 @@ impl MuxConfig {
         self.retry_seed = retry_seed;
         self
     }
+
+    /// How connection `i` is dialled: the connector's own [`dial`], with
+    /// `exchange_timeout` bounding the handshake's socket waits, the
+    /// identity seeded at `identity_seed + i` and the retry jitter at
+    /// `retry_seed ^ i`.
+    fn dial_config(&self, i: usize) -> TcpConfig {
+        let identity_seed = self.identity_seed.wrapping_add(i as u64);
+        TcpConfig {
+            read_timeout: self.exchange_timeout,
+            max_frame_bytes: self.max_frame_bytes,
+            channel: self.channel,
+            identity: Some(secret_bytes_from_seed(identity_seed)),
+            expected_server: self.expected_server,
+            connect_attempts: self.connect_attempts,
+            retry_base: self.retry_base,
+            retry_seed: self.retry_seed ^ i as u64,
+        }
+    }
 }
 
 struct MuxConn {
     stream: TcpStream,
-    frames: FrameBuffer,
-    out: WriteQueue,
+    /// The connection's protocol state: requests seal on queue, replies
+    /// unseal on read when the config requires the channel.
+    connection: Connection,
     /// Queue instants of requests still awaiting their reply, FIFO.
     pending: VecDeque<Instant>,
     wants_write: bool,
-    /// The established secure channel, when the config requires one:
-    /// requests seal on queue, replies unseal on read.
-    channel: Option<SecureChannel>,
-}
-
-impl MuxConn {
-    /// Pulls the next complete reply out of the reassembly buffer, decoded
-    /// where it lies. Channel connections accept nothing but sealed frames
-    /// (opened in place): a plaintext reply is a downgrade (or an
-    /// unauthenticated splice), a handshake frame is out of phase, and a
-    /// seal that fails to open — tamper, replay, reorder — is a typed error.
-    fn next_reply(&mut self, max_frame_bytes: usize) -> Result<Option<WireMsg>, ProtocolError> {
-        let Some(channel) = self.channel.as_mut() else {
-            let frame = self.frames.next_frame(max_frame_bytes)?;
-            return Ok(frame.map(|(msg, _)| msg));
-        };
-        match self.frames.next_channel_frame(max_frame_bytes)? {
-            None => Ok(None),
-            Some((BufferedFrame::Sealed(payload), _)) => {
-                let inner = channel.open_in_place(payload)?;
-                Ok(Some(decode_frame(inner, max_frame_bytes)?.0))
-            }
-            Some((BufferedFrame::Plaintext(frame), _)) => Err(ProtocolError::DowngradeRefused {
-                magic: frame[..4].try_into().expect("4-byte magic"),
-            }),
-            Some((BufferedFrame::Handshake(_), _)) => Err(ProtocolError::AuthFailure {
-                detail: "handshake frame after the channel was established".to_string(),
-            }),
-        }
-    }
-}
-
-/// One dial (+ handshake under a `Required` policy) with the config's
-/// bounded-backoff retry schedule. Transient failures — socket errors,
-/// disconnects, truncated handshakes — retry; deterministic refusals
-/// (authentication failures, a wrong pinned key, downgrades) never do.
-fn connect_conn(
-    addr: SocketAddr,
-    index: usize,
-    config: &MuxConfig,
-) -> Result<(TcpStream, Option<SecureChannel>), ProtocolError> {
-    let attempts = config.connect_attempts.max(1);
-    let mut schedule = RetrySchedule::new(config.retry_base, config.retry_seed ^ index as u64);
-    let mut last = None;
-    for attempt in 0..attempts {
-        if attempt > 0 {
-            std::thread::sleep(schedule.delay(attempt as u32 - 1));
-        }
-        match connect_conn_once(addr, index, config) {
-            Ok(ok) => return Ok(ok),
-            Err(
-                e @ (ProtocolError::Io { .. }
-                | ProtocolError::Disconnected
-                | ProtocolError::TruncatedFrame { .. }),
-            ) => last = Some(e),
-            Err(e) => return Err(e),
-        }
-    }
-    if attempts == 1 {
-        Err(last.expect("one failed attempt recorded"))
-    } else {
-        Err(ProtocolError::RetriesExhausted { attempts })
-    }
-}
-
-fn connect_conn_once(
-    addr: SocketAddr,
-    index: usize,
-    config: &MuxConfig,
-) -> Result<(TcpStream, Option<SecureChannel>), ProtocolError> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| io_error("connect", e))?;
-    let _ = stream.set_nodelay(true);
-    if !config.channel.is_required() {
-        return Ok((stream, None));
-    }
-    // The handshake runs while the socket is still blocking (it turns
-    // nonblocking only after), bounded by the exchange timeout so a silent
-    // server cannot hang the connector.
-    stream
-        .set_read_timeout(Some(config.exchange_timeout))
-        .map_err(|e| io_error("configure socket", e))?;
-    let identity = NodeIdentity::from_secret_bytes(secret_bytes_from_seed(
-        config.identity_seed.wrapping_add(index as u64),
-    ));
-    let channel = client_handshake(
-        &mut stream,
-        &identity,
-        config.expected_server,
-        config.max_frame_bytes,
-    )?;
-    let _ = stream.set_read_timeout(None);
-    Ok((stream, Some(channel)))
 }
 
 /// Many persistent client connections to one coordinator listener, driven
@@ -293,7 +217,7 @@ impl MuxClient {
             // every further SYN waits out a 1 s retransmit. Descheduling for
             // a moment every half-backlog of connects lets the acceptor
             // drain; the pause is dwarfed by the retransmits it prevents.
-            let (stream, channel) = connect_conn(addrs[i % addrs.len()], i, &config)?;
+            let (stream, connection) = dial(addrs[i % addrs.len()], &config.dial_config(i))?;
             if i % 64 == 63 {
                 std::thread::sleep(Duration::from_millis(2));
             } else {
@@ -307,11 +231,9 @@ impl MuxClient {
                 .map_err(|e| io_error("register socket", e))?;
             conns.push(MuxConn {
                 stream,
-                frames: FrameBuffer::new(),
-                out: WriteQueue::default(),
+                connection,
                 pending: VecDeque::new(),
                 wants_write: false,
-                channel,
             });
         }
         Ok(MuxClient {
@@ -350,8 +272,7 @@ impl MuxClient {
     /// [`collect`](Self::collect) (or [`exchange`](Self::exchange)).
     pub fn send(&mut self, conn: usize, msg: &WireMsg) -> Result<(), ProtocolError> {
         let c = &mut self.conns[conn];
-        c.out
-            .push_frame(msg, self.config.max_frame_bytes, c.channel.as_mut())?;
+        c.connection.queue(msg)?;
         c.pending.push_back(Instant::now());
         Ok(())
     }
@@ -411,12 +332,7 @@ impl MuxClient {
     /// Tells every connection's listener side to hang up, best-effort.
     pub fn shutdown(mut self) {
         for token in 0..self.conns.len() {
-            let c = &mut self.conns[token];
-            let _ = c.out.push_frame(
-                &WireMsg::Shutdown,
-                self.config.max_frame_bytes,
-                c.channel.as_mut(),
-            );
+            let _ = self.conns[token].connection.queue(&WireMsg::Shutdown);
             // No reply follows a shutdown frame.
             let _ = self.flush(token);
         }
@@ -424,10 +340,11 @@ impl MuxClient {
 
     fn flush(&mut self, token: usize) -> Result<(), ProtocolError> {
         let c = &mut self.conns[token];
-        c.out
+        c.connection
+            .out
             .flush(&mut &c.stream)
             .map_err(|e| io_error("write frame", e))?;
-        let want_write = c.out.pending() > 0;
+        let want_write = c.connection.out.pending() > 0;
         if c.wants_write != want_write {
             let interest = if want_write {
                 Interest::BOTH
@@ -455,26 +372,25 @@ impl MuxClient {
                     // The listener hung up. Mid-frame or with replies still
                     // owed, that is an error the caller must see (e.g. a
                     // backpressure disconnect); otherwise it is clean.
-                    if c.frames.is_mid_frame() {
-                        return Err(ProtocolError::TruncatedFrame { context: "payload" });
-                    }
-                    if !c.pending.is_empty() {
-                        return Err(ProtocolError::Disconnected);
+                    if c.connection.is_mid_frame() || !c.pending.is_empty() {
+                        return Err(c.connection.closed_error());
                     }
                     break;
                 }
                 Ok(n) => {
-                    c.frames.extend(&chunk[..n]);
+                    c.connection.received(&chunk[..n]);
                     // Replies are pulled as their bytes land, not after the
                     // socket has been drained: a multi-megabyte reply's
                     // header is seen — and its length reserved, once — with
                     // its first chunk, instead of the buffer doubling its
                     // way past the frame.
-                    while let Some(msg) = c.next_reply(self.config.max_frame_bytes)? {
-                        if let Some(queued_at) = c.pending.pop_front() {
-                            self.latency.record(queued_at.elapsed());
+                    while let Some(event) = c.connection.poll().map_err(|r| r.error)? {
+                        if let Event::Frame { msg, .. } = event {
+                            if let Some(queued_at) = c.pending.pop_front() {
+                                self.latency.record(queued_at.elapsed());
+                            }
+                            replies.push((token, msg.force()?));
                         }
-                        replies.push((token, msg));
                     }
                     // A short read drained the socket; the level-triggered
                     // poll reports whatever lands later, a hangup included.

@@ -9,8 +9,8 @@
 //!   clients ──TCP──▶ │ event-loop thread                          │
 //!                    │   mini_mio::Poll (epoll / poll(2))         │
 //!                    │   nonblocking accept                       │
-//!                    │   per-conn FrameBuffer (read reassembly)   │
-//!                    │   per-conn bounded WriteQueue, one flush   │
+//!                    │   per-conn Connection: reassembly, phase,  │
+//!                    │   bounded write queue; one flush           │
 //!                    │     per connection per loop turn           │
 //!                    │   small frame + idle router: answered here ├──┐
 //!                    └───────┬───────────────────────▲────────────┘  │
@@ -81,17 +81,15 @@
 //!
 //! ## Authenticated channel
 //!
-//! Under [`ReactorConfig::channel`] = [`ChannelPolicy::Required`] every
-//! connection walks a pre-protocol state machine: a `Handshake` phase
-//! accepting nothing but `DBHS` frames (fed
-//! one payload at a time from readiness events, with the whole prelude
-//! under the read timeout so a handshake slow-loris is swept), then an
-//! `Established` phase accepting nothing but `DBHE` sealed frames.
-//! Plaintext protocol frames are refused as downgrade attempts in both
-//! phases, tampered or replayed seals earn typed errors sealed back before
-//! the hangup, and each `ClientId` is bound to the first authenticated
-//! identity that speaks for it (session-hijack refusal, with reconnects
-//! presenting the same identity sailing through).
+//! Every connection is a server-role [`Connection`]: under
+//! [`ReactorConfig::channel`] = [`ChannelPolicy::Required`] it starts in
+//! the handshake phase, with the whole prelude under the read timeout so a
+//! handshake slow-loris is swept. Which frames each phase accepts, which
+//! refusal the rest earn and which counter the refusal bumps is the
+//! `Connection`'s decision; this loop sends the refusal back — sealed once
+//! a channel exists — hangs up, and binds each `ClientId` to the first
+//! authenticated identity that speaks for it (session-hijack refusal, with
+//! reconnects presenting the same identity sailing through).
 //!
 //! Because every coordinator fold is commutative (Montgomery-domain
 //! ciphertext multiplication), the ledgers this listener produces are
@@ -107,18 +105,13 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dubhe_select::protocol::channel::{
-    ChannelPolicy, NodeIdentity, SecureChannel, ServerHandshake,
-};
+use dubhe_select::protocol::channel::{ChannelPolicy, NodeIdentity};
+use dubhe_select::protocol::connection::{Connection, Event};
 use dubhe_select::protocol::stats::{ListenerMetrics, ListenerStats};
-use dubhe_select::protocol::wire::{
-    claimed_client, decode_frame_lazy, LazyMsg, WireMsg, MAX_FRAME_BYTES,
-};
+use dubhe_select::protocol::wire::{claimed_client, LazyMsg, WireMsg, MAX_FRAME_BYTES};
 use dubhe_select::protocol::Coordinator;
 use dubhe_select::{ClientId, ProtocolError};
 use mini_mio::{Backend, Events, Interest, Poll, Registry, Token, Waker};
-
-use crate::frames::{BufferedFrame, FrameBuffer, WriteQueue};
 
 /// Default mid-frame stall bound, matching the connector's
 /// [`DEFAULT_READ_TIMEOUT`](dubhe_select::protocol::DEFAULT_READ_TIMEOUT).
@@ -567,46 +560,19 @@ struct PendingSend {
     bytes: usize,
 }
 
-/// Which language a connection currently speaks — the pre-protocol state
-/// machine of the authenticated channel. Plaintext-policy listeners never
-/// leave [`ConnPhase::Plaintext`]; `Required` listeners walk
-/// `Handshake → Established` and refuse everything off-phase.
-enum ConnPhase {
-    /// Ordinary `DBH2` protocol frames, no channel.
-    Plaintext,
-    /// Pre-protocol: nothing but `DBHS` handshake frames is accepted.
-    Handshake(ServerHandshake),
-    /// Mutually authenticated: nothing but `DBHE` sealed frames is.
-    Established(SecureChannel),
-}
-
-impl ConnPhase {
-    /// The channel outgoing frames are sealed under, once established.
-    fn channel(&mut self) -> Option<&mut SecureChannel> {
-        match self {
-            ConnPhase::Established(channel) => Some(channel),
-            _ => None,
-        }
-    }
-}
-
-/// Per-connection state owned by the event loop.
+/// Per-connection state owned by the event loop: the socket, and what only
+/// the loop tracks about it. The protocol itself — reassembly, channel
+/// phase, refusals, the write queue — is the [`Connection`].
 struct Conn {
     stream: TcpStream,
-    frames: FrameBuffer,
-    /// Channel phase; see [`ConnPhase`].
-    phase: ConnPhase,
-    /// The peer's authenticated identity once the handshake completes.
-    peer: Option<[u8; 32]>,
-    /// Encoded-but-unwritten reply bytes.
-    out: WriteQueue,
+    connection: Connection,
     pending_sends: VecDeque<PendingSend>,
     /// Set while the connection sits in [`EventLoop::flush_due`].
     flush_due: bool,
-    /// Set while an incomplete frame sits in `frames`; pushed forward on
+    /// Armed while the connection wants a read deadline; pushed forward on
     /// every byte of progress, enforced by the sweep in the event loop.
     frame_deadline: Option<Instant>,
-    /// Flush what is queued, then close (shutdown frames, decode errors).
+    /// Flush what is queued, then close (shutdown frames, refusals).
     closing: bool,
     /// Whether the current registration includes WRITABLE.
     wants_write: bool,
@@ -745,26 +711,21 @@ impl<C: Coordinator> EventLoop<C> {
                         eprintln!("reactor listener: register failed, refusing connection: {e}");
                         continue;
                     }
-                    // Under a `Required` policy the connection starts in the
-                    // handshake phase with the whole prelude under the read
-                    // timeout — a peer that connects and then trickles or
-                    // stays silent (handshake slow-loris) is swept, never
-                    // parked.
-                    let (phase, frame_deadline) = match &self.identity {
-                        Some(id) => (
-                            ConnPhase::Handshake(ServerHandshake::new(id.clone())),
-                            Some(Instant::now() + self.config.read_timeout),
-                        ),
-                        None => (ConnPhase::Plaintext, None),
+                    let max = self.config.max_frame_bytes;
+                    let connection = match &self.identity {
+                        Some(id) => Connection::server(id.clone(), max),
+                        None => Connection::plaintext(max),
                     };
+                    // A handshake starts under the read timeout: a peer that
+                    // connects and then stays silent is swept, never parked.
+                    let frame_deadline = connection
+                        .wants_read_deadline()
+                        .then(|| Instant::now() + self.config.read_timeout);
                     self.conns.insert(
                         token,
                         Conn {
                             stream,
-                            frames: FrameBuffer::new(),
-                            phase,
-                            peer: None,
-                            out: WriteQueue::default(),
+                            connection,
                             pending_sends: VecDeque::new(),
                             flush_due: false,
                             frame_deadline,
@@ -800,7 +761,7 @@ impl<C: Coordinator> EventLoop<C> {
                     break;
                 }
                 Ok(n) => {
-                    conn.frames.extend(&chunk[..n]);
+                    conn.connection.received(&chunk[..n]);
                     progressed = true;
                     budget = budget.saturating_sub(n);
                     // A short read drained the socket, a spent budget ends
@@ -824,7 +785,7 @@ impl<C: Coordinator> EventLoop<C> {
             let reason = if self
                 .conns
                 .get(&token)
-                .is_some_and(|c| c.frames.is_mid_frame())
+                .is_some_and(|c| c.connection.is_mid_frame())
             {
                 CloseReason::Truncated
             } else {
@@ -834,209 +795,57 @@ impl<C: Coordinator> EventLoop<C> {
         }
     }
 
-    /// Pulls every complete frame out of a connection's buffer and ships it
-    /// to the router; maintains the mid-frame stall deadline. Dispatches on
-    /// the connection's channel phase: plaintext connections pull protocol
-    /// frames directly, handshake-phase connections feed the server
-    /// handshake state machine, established connections unseal `DBHE`
-    /// frames first — each phase refusing the other phases' traffic with
-    /// typed errors.
+    /// Pulls every event out of a connection's buffered bytes: requests go
+    /// to [`dispatch`](Self::dispatch), handshake replies to the write
+    /// queue, and a refusal back to the peer as a typed error frame before
+    /// the hangup. What each phase accepts, and which counter a refusal is
+    /// charged to, is the [`Connection`]'s to decide.
     fn parse_frames(&mut self, token: usize, progressed: bool) {
         loop {
-            let again = match self.conns.get_mut(&token) {
-                None => return,
-                Some(conn) if conn.closing => return,
-                Some(conn) => match conn.phase {
-                    ConnPhase::Plaintext => self.step_plaintext(token, progressed),
-                    ConnPhase::Handshake(_) => self.step_handshake(token, progressed),
-                    ConnPhase::Established(_) => self.step_established(token, progressed),
-                },
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
             };
-            if !again {
+            if conn.closing {
                 return;
             }
-        }
-    }
-
-    /// One plaintext-phase pull: protocol frames straight off the buffer.
-    fn step_plaintext(&mut self, token: usize, progressed: bool) -> bool {
-        let max = self.config.max_frame_bytes;
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return false;
-        };
-        match conn.frames.next_frame_lazy(max) {
-            Ok(Some((LazyMsg::Eager(WireMsg::Shutdown), bytes))) => {
-                self.metrics.frame_received(bytes);
-                conn.closing = true;
-                if conn.out.pending() == 0 {
-                    self.close_conn(token, CloseReason::Clean);
-                }
-                false
-            }
-            Ok(Some((msg, bytes))) => {
-                self.metrics.frame_received(bytes);
-                let identity = conn.peer;
-                self.dispatch(token, msg, identity, bytes)
-            }
-            Ok(None) => {
-                self.update_deadline(token, progressed);
-                false
-            }
-            Err(e) => {
-                // Framing is lost: report, flush, hang up rather than guess
-                // at bytes.
-                self.metrics.decode_error();
-                conn.closing = true;
-                conn.frame_deadline = None;
-                self.queue_frame(
-                    token,
-                    &WireMsg::Error {
-                        detail: e.to_string(),
-                    },
-                    None,
-                );
-                false
-            }
-        }
-    }
-
-    /// One handshake-phase pull: nothing but `DBHS` frames is legal.
-    /// Plaintext protocol frames are refused as downgrade attempts, sealed
-    /// frames as out-of-phase; the M2 reply rides the ordinary write queue.
-    fn step_handshake(&mut self, token: usize, progressed: bool) -> bool {
-        let max = self.config.max_frame_bytes;
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return false;
-        };
-        match conn.frames.next_channel_frame(max) {
-            Ok(Some((BufferedFrame::Handshake(payload), _))) => {
-                let ConnPhase::Handshake(hs) = &mut conn.phase else {
-                    return false;
-                };
-                match hs.on_payload(payload) {
-                    Ok(step) => {
-                        if let Some(channel) = step.established {
-                            conn.peer = Some(channel.peer_identity());
-                            conn.phase = ConnPhase::Established(channel);
-                            conn.frame_deadline = None;
-                            self.metrics.handshake_completed();
-                        }
-                        if let Some(reply) = step.reply {
-                            self.queue_bytes(token, &reply);
-                        }
-                        true
-                    }
-                    Err(e) => {
-                        self.fail_handshake(token, &e);
-                        false
-                    }
-                }
-            }
-            Ok(Some((BufferedFrame::Plaintext(frame), _))) => {
-                self.metrics.downgrade_refused();
-                let e = ProtocolError::DowngradeRefused {
-                    magic: frame[..4].try_into().expect("4-byte magic"),
-                };
-                self.fail_handshake(token, &e);
-                false
-            }
-            Ok(Some((BufferedFrame::Sealed(_), _))) => {
-                let e = ProtocolError::AuthFailure {
-                    detail: "sealed frame before the handshake finished".to_string(),
-                };
-                self.fail_handshake(token, &e);
-                false
-            }
-            Ok(None) => {
-                self.update_deadline(token, progressed);
-                false
-            }
-            Err(e) => {
-                self.fail_handshake(token, &e);
-                false
-            }
-        }
-    }
-
-    /// One established-phase pull: open a `DBHE` frame where it lies in the
-    /// reassembly buffer, parse exactly one inner protocol frame out of it
-    /// from there, ship it to the router. Tampered or
-    /// replayed seals, plaintext downgrades and stray handshake frames all
-    /// earn typed errors sealed back to the peer (the send direction
-    /// survives a receive failure), then a hangup.
-    fn step_established(&mut self, token: usize, progressed: bool) -> bool {
-        let max = self.config.max_frame_bytes;
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return false;
-        };
-        match conn.frames.next_channel_frame(max) {
-            Ok(Some((BufferedFrame::Sealed(payload), wire_bytes))) => {
-                let ConnPhase::Established(channel) = &mut conn.phase else {
-                    return false;
-                };
-                let inner = match channel.open_in_place(payload) {
-                    Ok(inner) => inner,
-                    Err(e) => {
-                        // Tampered ciphertext or replayed/reordered
-                        // sequence: the receive direction is dead, the
-                        // connection with it.
-                        self.metrics.aead_rejection();
-                        self.fail_established(token, &e);
-                        return false;
-                    }
-                };
-                match decode_frame_lazy(inner, max) {
-                    Ok((LazyMsg::Eager(WireMsg::Shutdown), _)) => {
-                        self.metrics.frame_received(wire_bytes);
+            match conn.connection.poll() {
+                Ok(Some(Event::Frame {
+                    msg, wire_bytes, ..
+                })) => {
+                    self.metrics.frame_received(wire_bytes);
+                    if matches!(msg, LazyMsg::Eager(WireMsg::Shutdown)) {
                         conn.closing = true;
-                        if conn.out.pending() == 0 {
+                        if conn.connection.out.pending() == 0 {
                             self.close_conn(token, CloseReason::Clean);
                         }
-                        false
+                        return;
                     }
-                    Ok((msg, _)) => {
-                        self.metrics.frame_received(wire_bytes);
-                        let identity = conn.peer;
-                        self.dispatch(token, msg, identity, wire_bytes)
-                    }
-                    Err(e) => {
-                        self.metrics.decode_error();
-                        self.fail_established(token, &e);
-                        false
+                    let identity = conn.connection.peer();
+                    if !self.dispatch(token, msg, identity, wire_bytes) {
+                        return;
                     }
                 }
-            }
-            Ok(Some((BufferedFrame::Plaintext(frame), _))) => {
-                // A plaintext protocol frame mid-session is a downgrade
-                // attempt (or an unauthenticated splice); refused.
-                self.metrics.downgrade_refused();
-                let e = ProtocolError::DowngradeRefused {
-                    magic: frame[..4].try_into().expect("4-byte magic"),
-                };
-                self.fail_established(token, &e);
-                false
-            }
-            Ok(Some((BufferedFrame::Handshake(_), _))) => {
-                self.metrics.decode_error();
-                let e = ProtocolError::AuthFailure {
-                    detail: "handshake frame after the channel was established".to_string(),
-                };
-                self.fail_established(token, &e);
-                false
-            }
-            Ok(None) => {
-                self.update_deadline(token, progressed);
-                false
-            }
-            Err(e) => {
-                match e {
-                    ProtocolError::TruncatedFrame { .. } | ProtocolError::Io { .. } => {
-                        self.metrics.truncated_frame()
-                    }
-                    _ => self.metrics.decode_error(),
+                Ok(Some(Event::HandshakeReply)) => self.queued(token),
+                Ok(Some(Event::Established { .. })) => {
+                    conn.frame_deadline = None;
+                    self.metrics.handshake_completed();
                 }
-                self.fail_established(token, &e);
-                false
+                Ok(None) => {
+                    self.update_deadline(token, progressed);
+                    return;
+                }
+                Err(refusal) => {
+                    if let Some(counter) = refusal.counter {
+                        self.metrics.count(counter);
+                    }
+                    // Framing or trust is lost: tell the peer why, flush,
+                    // hang up rather than guess at bytes.
+                    conn.closing = true;
+                    conn.frame_deadline = None;
+                    let detail = refusal.error.to_string();
+                    self.queue_frame(token, &WireMsg::Error { detail }, None);
+                    return;
+                }
             }
         }
     }
@@ -1080,86 +889,30 @@ impl<C: Coordinator> EventLoop<C> {
         true
     }
 
-    /// Maintains the stall deadline after a pull came up short. A
-    /// handshake-phase connection keeps a deadline even with an empty
-    /// buffer — the whole prelude runs under the read timeout.
+    /// Arms, pushes forward or clears the read deadline after a pull came
+    /// up short, as the connection asks.
     fn update_deadline(&mut self, token: usize, progressed: bool) {
         let read_timeout = self.config.read_timeout;
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        if conn.frames.is_mid_frame() || matches!(conn.phase, ConnPhase::Handshake(_)) {
-            if progressed || conn.frame_deadline.is_none() {
-                conn.frame_deadline = Some(Instant::now() + read_timeout);
-            }
-        } else {
+        if !conn.connection.wants_read_deadline() {
             conn.frame_deadline = None;
+        } else if progressed || conn.frame_deadline.is_none() {
+            conn.frame_deadline = Some(Instant::now() + read_timeout);
         }
-    }
-
-    /// Terminal handshake failure: count it, tell the peer in a plaintext
-    /// frame (there is no channel to seal with), hang up once the reply
-    /// drains.
-    fn fail_handshake(&mut self, token: usize, e: &ProtocolError) {
-        self.metrics.handshake_failed();
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        // Leave the handshake phase so the close does not count the failure
-        // a second time.
-        conn.phase = ConnPhase::Plaintext;
-        conn.closing = true;
-        conn.frame_deadline = None;
-        self.queue_frame(
-            token,
-            &WireMsg::Error {
-                detail: e.to_string(),
-            },
-            None,
-        );
-    }
-
-    /// Terminal failure on an established channel: the typed error is
-    /// sealed back (via the ordinary write queue, which seals in this
-    /// phase), then the connection closes once it drains.
-    fn fail_established(&mut self, token: usize, e: &ProtocolError) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.closing = true;
-        conn.frame_deadline = None;
-        self.queue_frame(
-            token,
-            &WireMsg::Error {
-                detail: e.to_string(),
-            },
-            None,
-        );
-    }
-
-    /// Appends pre-encoded bytes (handshake replies) to a connection's
-    /// write queue. They advance the cumulative offsets but carry no
-    /// [`PendingSend`] entry: handshake traffic is not a protocol frame and
-    /// is not counted as one.
-    fn queue_bytes(&mut self, token: usize, bytes: &[u8]) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        conn.out.push(bytes);
-        self.queued(token);
     }
 
     /// Encodes a frame straight into a connection's write queue — sealed in
     /// place on an established channel. Metrics count the bytes queued,
     /// seal included.
     fn queue_frame(&mut self, token: usize, msg: &WireMsg, started: Option<Instant>) {
-        let max = self.config.max_frame_bytes;
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        match conn.out.push_frame(msg, max, conn.phase.channel()) {
+        match conn.connection.queue(msg) {
             Ok(written) => conn.pending_sends.push_back(PendingSend {
-                end: conn.out.queued_total(),
+                end: conn.connection.out.queued_total(),
                 started,
                 bytes: written,
             }),
@@ -1183,7 +936,11 @@ impl<C: Coordinator> EventLoop<C> {
             return;
         };
         let mut socket = CountedWrites(&conn.stream, &self.metrics);
-        match conn.out.hold_to(self.config.high_water, &mut socket) {
+        match conn
+            .connection
+            .out
+            .hold_to(self.config.high_water, &mut socket)
+        {
             Ok(false) => {
                 if !conn.flush_due {
                     conn.flush_due = true;
@@ -1208,7 +965,7 @@ impl<C: Coordinator> EventLoop<C> {
         };
         conn.flush_due = false;
         let mut socket = CountedWrites(&conn.stream, &self.metrics);
-        match conn.out.flush(&mut socket) {
+        match conn.connection.out.flush(&mut socket) {
             Ok(()) => self.flushed(token),
             Err(_) => self.close_conn(token, CloseReason::Truncated),
         }
@@ -1225,7 +982,7 @@ impl<C: Coordinator> EventLoop<C> {
         while conn
             .pending_sends
             .front()
-            .is_some_and(|p| p.end <= conn.out.written_total())
+            .is_some_and(|p| p.end <= conn.connection.out.written_total())
         {
             let done = conn.pending_sends.pop_front().expect("front checked");
             self.metrics.frame_sent(done.bytes);
@@ -1233,7 +990,7 @@ impl<C: Coordinator> EventLoop<C> {
                 self.metrics.record_latency(started.elapsed());
             }
         }
-        let unwritten = conn.out.pending();
+        let unwritten = conn.connection.out.pending();
         self.metrics.write_queue_depth(unwritten);
         if unwritten == 0 && conn.closing {
             self.close_conn(token, CloseReason::Clean);
@@ -1288,7 +1045,7 @@ impl<C: Coordinator> EventLoop<C> {
             .collect();
         for token in stalled {
             if let Some(conn) = self.conns.get(&token) {
-                let detail = if matches!(conn.phase, ConnPhase::Handshake(_)) {
+                let detail = if conn.connection.is_handshaking() {
                     format!(
                         "handshake stalled past the {:?} read timeout",
                         self.config.read_timeout
@@ -1314,7 +1071,7 @@ impl<C: Coordinator> EventLoop<C> {
         let _ = self.registry.deregister(&conn.stream);
         // A connection that dies before mutual authentication completes is
         // a failed handshake, whatever killed it.
-        if matches!(conn.phase, ConnPhase::Handshake(_)) {
+        if conn.connection.is_handshaking() {
             self.metrics.handshake_failed();
         }
         match reason {

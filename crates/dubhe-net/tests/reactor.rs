@@ -23,7 +23,8 @@ use dubhe_select::protocol::channel::write_handshake_frame;
 use dubhe_select::protocol::{
     codec, read_frame, run_registration_with, run_try, write_frame, ChannelPolicy, Coordinator,
     Envelope, InMemoryTransport, ListenerStats, NodeIdentity, Party, ProtocolMsg, RegistryFrame,
-    ShardedCoordinator, TcpConfig, TcpTransport, TransportStats, WireMsg, SEALED_FRAME_OVERHEAD,
+    ShardedCoordinator, TcpConfig, TcpTransport, TransportStats, WireMsg, FRAME_MAGIC_HANDSHAKE,
+    MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::{ClientId, ClientSelector, DubheConfig, DubheSelector, ProtocolError};
 use mini_mio::Backend;
@@ -587,6 +588,55 @@ fn a_low_order_hello_is_cut_and_counted() {
     assert_eq!(stats.handshakes_failed, 1);
     assert_eq!(stats.handshakes_completed, 0);
     assert!(reactor.shutdown().is_some());
+}
+
+#[test]
+fn an_oversized_handshake_header_is_refused_at_once_on_both_backends() {
+    // Before anyone has authenticated, the longest frame a listener buffers
+    // is M1's 64 bytes: a `DBHS` header announcing more — 1 MiB, or the
+    // whole frame ceiling — is refused on its eighth byte, not reserved and
+    // waited for until the read timeout (an hour here) sweeps it.
+    for backend in [Backend::Epoll, Backend::Portable] {
+        let reactor = ReactorListener::spawn_with(
+            ShardedCoordinator::new(0, 1),
+            ReactorConfig::default()
+                .with_backend(backend)
+                .with_channel(ChannelPolicy::Required)
+                .with_read_timeout(Duration::from_secs(3600)),
+        )
+        .unwrap();
+        for announced in [1u32 << 20, MAX_FRAME_BYTES as u32] {
+            let mut raw = TcpStream::connect(reactor.addr()).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            raw.write_all(&FRAME_MAGIC_HANDSHAKE).unwrap();
+            raw.write_all(&announced.to_be_bytes()).unwrap();
+            let (reply, _) = read_frame(&mut raw).expect("a refusal frame before the hangup");
+            match reply {
+                WireMsg::Error { detail } => assert!(
+                    detail.contains(&format!(
+                        "{announced}-byte payload, above the 64-byte limit"
+                    )),
+                    "{backend:?}: {detail}"
+                ),
+                other => panic!("expected a typed refusal, got {other:?}"),
+            }
+            let mut rest = Vec::new();
+            assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0, "{backend:?}");
+        }
+        let what = format!("{backend:?}: refused headers never reaped");
+        let stats = wait_for(&reactor, &what, |s| s.connections_closed == 2);
+        assert_eq!(
+            stats.handshakes_failed, 2,
+            "{backend:?}: one per connection"
+        );
+        assert_eq!(stats.handshakes_completed, 0, "{backend:?}");
+        assert_eq!(
+            stats.truncated_frames + stats.decode_errors,
+            0,
+            "{backend:?}"
+        );
+        assert!(reactor.shutdown().is_some());
+    }
 }
 
 #[test]

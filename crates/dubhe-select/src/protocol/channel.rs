@@ -67,7 +67,8 @@ use mini_crypto::{hkdf, hmac_sha256, sha256, ChaCha20Poly1305, PublicKey, Static
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use super::wire::{append_plain_frame, read_exact_or, WireMsg, FRAME_MAGIC_V2};
+use super::connection::Connection;
+use super::wire::{append_plain_frame, read_exact_or, write_whole_frame, WireMsg, FRAME_MAGIC_V2};
 use crate::error::ProtocolError;
 
 /// The 4-byte preamble of a handshake (`DBHS`) frame.
@@ -86,9 +87,9 @@ pub const SEALED_FRAME_OVERHEAD: usize = SEALED_PREFIX_BYTES + TAG_LEN;
 const SEALED_PREFIX_BYTES: usize = 4 + 4 + 8;
 
 /// M1 = static(32) + ephemeral(32); M2 adds the confirmation tag.
-const HELLO_LEN: usize = 64;
+pub(crate) const HELLO_LEN: usize = 64;
 const CONFIRM_LEN: usize = 32;
-const M2_LEN: usize = HELLO_LEN + CONFIRM_LEN;
+pub(crate) const M2_LEN: usize = HELLO_LEN + CONFIRM_LEN;
 
 /// Total bytes the three handshake frames put on the wire (headers
 /// included): M1 (8+64) + M2 (8+96) + M3 (8+32). What a connector charges
@@ -185,13 +186,6 @@ pub fn secret_bytes_from_seed(seed: u64) -> [u8; 32] {
     let mut bytes = [0u8; 32];
     rng.fill_bytes(&mut bytes);
     bytes
-}
-
-fn io_error(context: &'static str, e: std::io::Error) -> ProtocolError {
-    ProtocolError::Io {
-        context,
-        detail: e.to_string(),
-    }
 }
 
 /// The established channel: per-direction AEAD keys plus strictly
@@ -440,17 +434,20 @@ pub enum ChannelFrame {
     Plaintext(Vec<u8>),
 }
 
+/// One complete `DBHS` frame around a handshake message.
+fn handshake_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(8 + payload.len());
+    frame.extend_from_slice(&FRAME_MAGIC_HANDSHAKE);
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
 /// Writes one `DBHS` frame, returning the bytes put on the wire.
 pub fn write_handshake_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<usize, ProtocolError> {
-    w.write_all(&FRAME_MAGIC_HANDSHAKE)
-        .map_err(|e| io_error("write handshake frame", e))?;
-    w.write_all(&(payload.len() as u32).to_be_bytes())
-        .map_err(|e| io_error("write handshake frame", e))?;
-    w.write_all(payload)
-        .map_err(|e| io_error("write handshake frame", e))?;
-    w.flush()
-        .map_err(|e| io_error("write handshake frame", e))?;
-    Ok(8 + payload.len())
+    let frame = handshake_frame(payload);
+    write_whole_frame(w, &frame)?;
+    Ok(frame.len())
 }
 
 /// Reads one frame of *any* known magic — handshake, sealed or plaintext —
@@ -498,71 +495,97 @@ pub fn read_channel_frame<R: Read>(
 
 // ------------------------------------------------------- client handshake
 
-/// Runs the client side of the handshake over a blocking stream. On
-/// success the stream speaks sealed frames only. `expected_server` pins
-/// the server's public identity (connection refused with
-/// [`ProtocolError::AuthFailure`] on mismatch); `None` trusts first use.
+/// Runs the client side of the handshake over a blocking stream — a
+/// [`Connection`] pumped to establishment. On success the stream speaks
+/// sealed frames only. `expected_server` pins the server's public identity
+/// (connection refused with [`ProtocolError::AuthFailure`] on mismatch);
+/// `None` trusts first use.
 pub fn client_handshake<S: Read + Write>(
     stream: &mut S,
     identity: &NodeIdentity,
     expected_server: Option<[u8; 32]>,
     max_frame_bytes: usize,
 ) -> Result<SecureChannel, ProtocolError> {
-    let eph = StaticSecret::from_bytes(fresh_secret());
-    let eph_pub = PublicKey::from(&eph).to_bytes();
+    let mut connection = Connection::client(identity, expected_server, max_frame_bytes);
+    connection.handshake(stream)?;
+    Ok(connection
+        .into_channel()
+        .expect("a completed handshake leaves the channel established"))
+}
 
-    let mut m1 = [0u8; HELLO_LEN];
-    m1[..32].copy_from_slice(&identity.public);
-    m1[32..].copy_from_slice(&eph_pub);
-    write_handshake_frame(stream, &m1)?;
+/// The client side of the handshake as an explicit state machine, the
+/// mirror of [`ServerHandshake`]: [`hello`](Self::hello) is M1, and the
+/// server's M2 fed to [`on_payload`](Self::on_payload) yields M3 and the
+/// established channel at once.
+pub struct ClientHandshake {
+    identity: NodeIdentity,
+    expected_server: Option<[u8; 32]>,
+    eph: StaticSecret,
+    m1: [u8; HELLO_LEN],
+}
 
-    let (frame, _) = read_channel_frame(stream, max_frame_bytes)?;
-    let m2 = match frame {
-        ChannelFrame::Handshake(payload) => payload,
-        ChannelFrame::Plaintext(frame) => {
-            return Err(ProtocolError::DowngradeRefused {
-                magic: frame[..4].try_into().expect("4-byte magic"),
-            })
+impl ClientHandshake {
+    /// A fresh handshake under a fresh ephemeral key. `expected_server`
+    /// pins the server's public identity; `None` trusts first use.
+    pub fn new(identity: &NodeIdentity, expected_server: Option<[u8; 32]>) -> ClientHandshake {
+        let eph = StaticSecret::from_bytes(fresh_secret());
+        let mut m1 = [0u8; HELLO_LEN];
+        m1[..32].copy_from_slice(&identity.public);
+        m1[32..].copy_from_slice(&PublicKey::from(&eph).to_bytes());
+        ClientHandshake {
+            identity: identity.clone(),
+            expected_server,
+            eph,
+            m1,
         }
-        ChannelFrame::Sealed(_) => {
+    }
+
+    /// M1, as a complete `DBHS` frame.
+    pub fn hello(&self) -> Vec<u8> {
+        handshake_frame(&self.m1)
+    }
+
+    /// Feeds the server's M2. The step carries M3, as a complete `DBHS`
+    /// frame, and the established channel; errors are terminal.
+    pub fn on_payload(&mut self, m2: &[u8]) -> Result<HandshakeStep, ProtocolError> {
+        if m2.len() != M2_LEN {
             return Err(ProtocolError::AuthFailure {
-                detail: "server sent a sealed frame before the handshake finished".to_string(),
-            })
+                detail: format!("server hello is {} bytes, expected {M2_LEN}", m2.len()),
+            });
         }
-    };
-    if m2.len() != M2_LEN {
-        return Err(ProtocolError::AuthFailure {
-            detail: format!("server hello is {} bytes, expected {M2_LEN}", m2.len()),
-        });
-    }
-    let server_static = peer_key(&m2[..32], "server static")?;
-    let server_eph = peer_key(&m2[32..64], "server ephemeral")?;
-    if expected_server.is_some_and(|pinned| pinned != server_static.to_bytes()) {
-        return Err(ProtocolError::AuthFailure {
-            detail: "server identity does not match the pinned key".to_string(),
-        });
-    }
+        let server_static = peer_key(&m2[..32], "server static")?;
+        let server_eph = peer_key(&m2[32..64], "server ephemeral")?;
+        if self
+            .expected_server
+            .is_some_and(|pinned| pinned != server_static.to_bytes())
+        {
+            return Err(ProtocolError::AuthFailure {
+                detail: "server identity does not match the pinned key".to_string(),
+            });
+        }
 
-    let dh_ee = dh_share(&eph, &server_eph)?;
-    let dh_se = dh_share(&identity.secret, &server_eph)?;
-    let dh_es = dh_share(&eph, &server_static)?;
-    let keys = derive_keys(&dh_ee, &dh_se, &dh_es, &m1, &m2[..64]);
+        let dh_ee = dh_share(&self.eph, &server_eph)?;
+        let dh_se = dh_share(&self.identity.secret, &server_eph)?;
+        let dh_es = dh_share(&self.eph, &server_static)?;
+        let keys = derive_keys(&dh_ee, &dh_se, &dh_es, &self.m1, &m2[..64]);
 
-    let expect_server_tag = confirm_tag(&keys, b"server");
-    if !constant_time_eq(&m2[64..], &expect_server_tag) {
-        return Err(ProtocolError::AuthFailure {
-            detail: "server handshake confirmation tag did not verify".to_string(),
-        });
+        let expect_server_tag = confirm_tag(&keys, b"server");
+        if !constant_time_eq(&m2[64..], &expect_server_tag) {
+            return Err(ProtocolError::AuthFailure {
+                detail: "server handshake confirmation tag did not verify".to_string(),
+            });
+        }
+        Ok(HandshakeStep {
+            reply: Some(handshake_frame(&confirm_tag(&keys, b"client"))),
+            established: Some(channel_from(&keys, true, server_static.to_bytes())),
+        })
     }
-    write_handshake_frame(stream, &confirm_tag(&keys, b"client"))?;
-    Ok(channel_from(&keys, true, server_static.to_bytes()))
 }
 
 // ------------------------------------------------------- server handshake
 
-/// The server side of the handshake as an explicit state machine, so the
-/// event-driven reactor can feed it one `DBHS` payload at a time from
-/// readiness events.
+/// The server side of the handshake as an explicit state machine, fed one
+/// `DBHS` payload at a time by a server-role [`Connection`].
 pub struct ServerHandshake {
     identity: NodeIdentity,
     state: ServerHandshakeState,
@@ -577,8 +600,8 @@ enum ServerHandshakeState {
     Done,
 }
 
-/// What one handshake payload produced: an optional reply frame to write,
-/// and the established channel once the exchange completes.
+/// What one handshake payload produced, on either side: an optional reply
+/// frame to write, and the established channel once the exchange completes.
 pub struct HandshakeStep {
     /// A complete `DBHS` frame to send back, if this step produces one.
     pub reply: Option<Vec<u8>>,
@@ -625,10 +648,7 @@ impl ServerHandshake {
                 let mut m2 = Vec::with_capacity(M2_LEN);
                 m2.extend_from_slice(&hello);
                 m2.extend_from_slice(&confirm_tag(&keys, b"server"));
-                let mut reply = Vec::with_capacity(8 + M2_LEN);
-                reply.extend_from_slice(&FRAME_MAGIC_HANDSHAKE);
-                reply.extend_from_slice(&(m2.len() as u32).to_be_bytes());
-                reply.extend_from_slice(&m2);
+                let reply = handshake_frame(&m2);
 
                 self.state = ServerHandshakeState::AwaitConfirm {
                     keys,
@@ -1105,6 +1125,76 @@ mod tests {
         assert_eq!(
             receiver.open_in_place(&mut payload).unwrap(),
             b"DBH2\0\0\0\x01\x03"
+        );
+    }
+
+    #[test]
+    fn client_handshake_reads_only_between_its_two_flushes() {
+        // A peer that answers only on `flush` and reads as end-of-stream
+        // when it has nothing to give — an in-memory pipe like the
+        // benchmark ladder's. A pump that reads before M1 is flushed, or
+        // once more after M2 is whole, meets that end-of-stream.
+        struct FlushPipe {
+            server: ServerHandshake,
+            inbound: Vec<u8>,
+            outbound: Vec<u8>,
+            established: Option<SecureChannel>,
+            log: Vec<&'static str>,
+        }
+        impl Write for FlushPipe {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.log.push("write");
+                self.inbound.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                self.log.push("flush");
+                let mut pending = &self.inbound[..];
+                while !pending.is_empty() {
+                    let frame = read_channel_frame(&mut pending, 1 << 10);
+                    let Ok((ChannelFrame::Handshake(payload), _)) = frame else {
+                        return Err(std::io::Error::other("not a whole handshake frame"));
+                    };
+                    let step = self
+                        .server
+                        .on_payload(&payload)
+                        .map_err(std::io::Error::other)?;
+                    self.outbound.extend(step.reply.unwrap_or_default());
+                    self.established = step.established.or(self.established.take());
+                }
+                self.inbound.clear();
+                Ok(())
+            }
+        }
+        impl Read for FlushPipe {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.log.push("read");
+                let n = buf.len().min(self.outbound.len());
+                buf[..n].copy_from_slice(&self.outbound[..n]);
+                self.outbound.drain(..n);
+                Ok(n)
+            }
+        }
+        let server_id = NodeIdentity::from_seed(2);
+        let mut pipe = FlushPipe {
+            server: ServerHandshake::new(server_id.clone()),
+            inbound: Vec::new(),
+            outbound: Vec::new(),
+            established: None,
+            log: Vec::new(),
+        };
+        let pin = Some(server_id.public_bytes());
+        let mut client =
+            client_handshake(&mut pipe, &NodeIdentity::from_seed(1), pin, 1 << 20).unwrap();
+        // M1 out and flushed, reads until M2 is whole, M3 out and flushed —
+        // and nothing read after.
+        pipe.log.dedup();
+        assert_eq!(pipe.log, ["write", "flush", "read", "write", "flush"]);
+        let mut server = pipe.established.expect("M3 reached the server");
+        let frame = client.seal_frame(b"after the handshake");
+        assert_eq!(
+            server.open_payload(&frame[8..]).unwrap(),
+            b"after the handshake"
         );
     }
 

@@ -1,0 +1,711 @@
+//! One connection's protocol, sans I/O: the single place that classifies
+//! incoming frames, walks the authenticated channel's phases and decides
+//! which refusal — and which listener counter — each misbehaviour earns.
+//!
+//! A [`Connection`] is handed the bytes a socket delivered
+//! ([`received`](Connection::received)) and gives back, one
+//! [`poll`](Connection::poll) at a time, what they meant: a protocol frame,
+//! a handshake step, or a typed [`Refusal`]. Frames queued on it
+//! ([`queue`](Connection::queue)) land in its write queue
+//! ([`out`](Connection::out)), sealed once the channel is established. The
+//! state machine never touches a socket or reads a clock (the blocking
+//! helpers at the end pump it over a stream): it reports whether a read
+//! deadline should be armed ([`wants_read_deadline`](Connection::wants_read_deadline)),
+//! and whoever owns the socket decides how bytes move and when a stall has
+//! lasted too long. Three drivers pump it: `dubhe-net`'s `ReactorListener`
+//! (server role, nonblocking), `dubhe-net`'s `MuxClient` (client role,
+//! nonblocking) and [`TcpTransport`](super::tcp::TcpTransport) (client role,
+//! blocking, through [`next_event`](Connection::next_event)).
+//!
+//! A plaintext-policy connection stays in the `Plaintext` phase for life; a
+//! `Required` one walks `Handshake → Established`. What each phase does with
+//! each frame, and the [`Counter`] a refusal is charged to:
+//!
+//! | phase | `DBH2` | `DBHS` | `DBHE` | unknown magic, oversized header |
+//! |---|---|---|---|---|
+//! | Plaintext | frame | bad magic (decode) | bad magic (decode) | refused (decode) |
+//! | Handshake | downgrade (downgrade) | handshake step; longer than the role's longest message: too large (—) | out of phase (—) | refused (—) |
+//! | Established | downgrade (downgrade) | out of phase (decode) | frame; failed open (AEAD), bad inner frame (decode) | refused (decode) |
+//!
+//! "(—)": no counter of its own — a connection that dies before mutual
+//! authentication is one failed handshake, whatever killed it.
+
+use std::io::{self, Read, Write};
+
+use super::channel::{
+    ClientHandshake, HandshakeStep, NodeIdentity, SecureChannel, ServerHandshake,
+    FRAME_MAGIC_HANDSHAKE, HELLO_LEN, M2_LEN,
+};
+use super::frames::{BufferedFrame, FrameBuffer, WriteQueue};
+use super::stats::Counter;
+use super::wire::{decode_frame_lazy, LazyMsg, WireMsg};
+use crate::error::ProtocolError;
+
+/// The handshake a connection runs, by role.
+enum Handshake {
+    Client(ClientHandshake),
+    Server(ServerHandshake),
+}
+
+impl Handshake {
+    fn on_payload(&mut self, payload: &[u8]) -> Result<HandshakeStep, ProtocolError> {
+        match self {
+            Handshake::Client(hs) => hs.on_payload(payload),
+            Handshake::Server(hs) => hs.on_payload(payload),
+        }
+    }
+
+    /// The longest handshake message this role receives — M2 for a client,
+    /// M1 for a server (M3 is shorter) — and so the largest `DBHS` frame it
+    /// buffers before anyone has authenticated.
+    fn longest_message(&self) -> usize {
+        match self {
+            Handshake::Client(_) => M2_LEN,
+            Handshake::Server(_) => HELLO_LEN,
+        }
+    }
+}
+
+enum Phase {
+    /// Bare `DBH2` frames, no channel.
+    Plaintext,
+    /// Pre-protocol: nothing but `DBHS` frames is accepted.
+    Handshake(Handshake),
+    /// Mutually authenticated: nothing but `DBHE` sealed frames is.
+    Established(SecureChannel),
+}
+
+/// What one [`Connection::poll`] made of the buffered bytes.
+// Sized by `LazyMsg`, and for the same reason allowed: an event lives for
+// one dispatch and is never stored.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug)]
+pub enum Event {
+    /// A handshake message was answered; the reply is queued in
+    /// [`Connection::out`] for the driver to flush.
+    HandshakeReply,
+    /// Mutual authentication completed. On a client, the last handshake
+    /// message (M3) is queued in [`Connection::out`].
+    Established {
+        /// The peer's authenticated public identity.
+        peer: [u8; 32],
+    },
+    /// One protocol frame, decoded where it arrived (a registry upload
+    /// deferred, see [`LazyMsg`]).
+    Frame {
+        /// The message.
+        msg: LazyMsg,
+        /// Bytes the frame took on the wire, seal included.
+        wire_bytes: usize,
+        /// Bytes of the plaintext frame (equal to `wire_bytes` without a
+        /// channel).
+        frame_bytes: usize,
+    },
+}
+
+/// A frame the connection refuses: the typed error to surface (a server
+/// sends it back before hanging up) and the listener counter it is charged
+/// to. Every refusal is terminal — framing or trust is lost.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Refusal {
+    /// Why.
+    pub error: ProtocolError,
+    /// The [`ListenerStats`](super::stats::ListenerStats) counter this
+    /// refusal bumps; `None` in the handshake phase except for a downgrade.
+    pub counter: Option<Counter>,
+}
+
+fn refuse(counter: Option<Counter>) -> impl FnOnce(ProtocolError) -> Refusal {
+    move |error| Refusal { error, counter }
+}
+
+/// A frame whose magic the connection's phase does not speak.
+fn out_of_phase(frame: BufferedFrame<'_>) -> Refusal {
+    let auth = |detail: &str| ProtocolError::AuthFailure {
+        detail: detail.to_string(),
+    };
+    match frame {
+        BufferedFrame::Plaintext(frame) => Refusal {
+            error: ProtocolError::DowngradeRefused {
+                magic: frame[..4].try_into().expect("4-byte magic"),
+            },
+            counter: Some(Counter::DowngradesRefused),
+        },
+        // Only the handshake phase refuses a sealed frame...
+        BufferedFrame::Sealed(_) => Refusal {
+            error: auth("sealed frame before the handshake finished"),
+            counter: None,
+        },
+        // ...and only the established one a handshake frame.
+        BufferedFrame::Handshake(_) => Refusal {
+            error: auth("handshake frame after the channel was established"),
+            counter: Some(Counter::DecodeErrors),
+        },
+    }
+}
+
+/// One connection's protocol state: reassembly, channel phase, write queue.
+pub struct Connection {
+    phase: Phase,
+    frames: FrameBuffer,
+    /// Outgoing bytes for the driver to write: frames from
+    /// [`queue`](Self::queue) and the handshake's own messages.
+    pub out: WriteQueue,
+    max_frame_bytes: usize,
+}
+
+impl std::fmt::Debug for Connection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let peer = self.peer();
+        f.debug_struct("Connection")
+            .field("peer", &peer)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Connection {
+    fn new(phase: Phase, max_frame_bytes: usize) -> Connection {
+        Connection {
+            phase,
+            frames: FrameBuffer::new(),
+            out: WriteQueue::default(),
+            max_frame_bytes,
+        }
+    }
+
+    /// A connection without the channel, either role.
+    pub fn plaintext(max_frame_bytes: usize) -> Connection {
+        Connection::new(Phase::Plaintext, max_frame_bytes)
+    }
+
+    /// The server end of a `Required` connection, awaiting the client's M1.
+    pub fn server(identity: NodeIdentity, max_frame_bytes: usize) -> Connection {
+        let hs = Handshake::Server(ServerHandshake::new(identity));
+        Connection::new(Phase::Handshake(hs), max_frame_bytes)
+    }
+
+    /// The client end of a `Required` connection, with its M1 queued.
+    /// `expected_server` pins the server's public identity; `None` trusts
+    /// first use.
+    pub fn client(
+        identity: &NodeIdentity,
+        expected_server: Option<[u8; 32]>,
+        max_frame_bytes: usize,
+    ) -> Connection {
+        let hs = ClientHandshake::new(identity, expected_server);
+        let hello = hs.hello();
+        let mut connection =
+            Connection::new(Phase::Handshake(Handshake::Client(hs)), max_frame_bytes);
+        connection.out.push(&hello);
+        connection
+    }
+
+    /// Appends bytes read off the socket.
+    pub fn received(&mut self, bytes: &[u8]) {
+        self.frames.extend(bytes);
+    }
+
+    /// The next thing the buffered bytes hold, once they hold a whole one;
+    /// `Ok(None)` means "need more bytes". After a refusal the connection
+    /// is dead: the driver reports it and hangs up.
+    pub fn poll(&mut self) -> Result<Option<Event>, Refusal> {
+        let max = self.max_frame_bytes;
+        match &mut self.phase {
+            Phase::Plaintext => {
+                let frame = self
+                    .frames
+                    .next_frame_lazy(max)
+                    .map_err(refuse(Some(Counter::DecodeErrors)))?;
+                Ok(frame.map(|(msg, bytes)| Event::Frame {
+                    msg,
+                    wire_bytes: bytes,
+                    frame_bytes: bytes,
+                }))
+            }
+            Phase::Handshake(hs) => {
+                // Refused at its header, before a byte of it is reserved: no
+                // unauthenticated peer sizes this buffer.
+                let longest = hs.longest_message();
+                if let Some((FRAME_MAGIC_HANDSHAKE, len)) = self.frames.header() {
+                    if len > longest {
+                        let too_large = ProtocolError::FrameTooLarge { len, max: longest };
+                        return Err(refuse(None)(too_large));
+                    }
+                }
+                let payload = match self.frames.next_channel_frame(max).map_err(refuse(None))? {
+                    None => return Ok(None),
+                    Some((BufferedFrame::Handshake(payload), _)) => payload,
+                    Some((other, _)) => return Err(out_of_phase(other)),
+                };
+                let step = hs.on_payload(payload).map_err(refuse(None))?;
+                if let Some(reply) = step.reply {
+                    self.out.push(&reply);
+                }
+                let Some(channel) = step.established else {
+                    return Ok(Some(Event::HandshakeReply));
+                };
+                let peer = channel.peer_identity();
+                self.phase = Phase::Established(channel);
+                Ok(Some(Event::Established { peer }))
+            }
+            Phase::Established(channel) => {
+                let decode = Some(Counter::DecodeErrors);
+                let next = self
+                    .frames
+                    .next_channel_frame(max)
+                    .map_err(refuse(decode))?;
+                let (payload, wire_bytes) = match next {
+                    None => return Ok(None),
+                    Some((BufferedFrame::Sealed(payload), wire_bytes)) => (payload, wire_bytes),
+                    Some((other, _)) => return Err(out_of_phase(other)),
+                };
+                // Tampered ciphertext or a replayed/reordered sequence: the
+                // receive direction is dead, the connection with it.
+                let inner = channel
+                    .open_in_place(payload)
+                    .map_err(refuse(Some(Counter::AeadRejections)))?;
+                let (msg, frame_bytes) = decode_frame_lazy(inner, max).map_err(refuse(decode))?;
+                Ok(Some(Event::Frame {
+                    msg,
+                    wire_bytes,
+                    frame_bytes,
+                }))
+            }
+        }
+    }
+
+    /// Encodes `msg` into [`out`](Self::out) — sealed once the channel is
+    /// established, bare before — and returns its size on the wire. A
+    /// message that does not encode leaves the queue and the channel's send
+    /// sequence as they were.
+    pub fn queue(&mut self, msg: &WireMsg) -> Result<usize, ProtocolError> {
+        let channel = match &mut self.phase {
+            Phase::Established(channel) => Some(channel),
+            _ => None,
+        };
+        self.out.push_frame(msg, self.max_frame_bytes, channel)
+    }
+
+    /// True while the channel handshake is still running.
+    pub fn is_handshaking(&self) -> bool {
+        matches!(self.phase, Phase::Handshake(_))
+    }
+
+    /// The peer's authenticated identity, once the channel is established.
+    pub fn peer(&self) -> Option<[u8; 32]> {
+        match &self.phase {
+            Phase::Established(channel) => Some(channel.peer_identity()),
+            _ => None,
+        }
+    }
+
+    /// True if a frame has started arriving but is not complete yet.
+    pub fn is_mid_frame(&self) -> bool {
+        self.frames.is_mid_frame()
+    }
+
+    /// Whether the driver should hold the connection to a read deadline:
+    /// mid-frame, and for the whole handshake — a peer that connects and
+    /// then trickles or stays silent must not keep a pre-authentication
+    /// slot. Idleness between frames is healthy and never timed out.
+    pub fn wants_read_deadline(&self) -> bool {
+        self.is_mid_frame() || self.is_handshaking()
+    }
+
+    /// What the peer hanging up now means: a clean close between frames, a
+    /// truncated frame inside one.
+    pub fn closed_error(&self) -> ProtocolError {
+        match self.frames.pending_bytes() {
+            0 => ProtocolError::Disconnected,
+            1..=7 => ProtocolError::TruncatedFrame { context: "header" },
+            _ => ProtocolError::TruncatedFrame { context: "payload" },
+        }
+    }
+
+    /// The established channel, taken out of the connection.
+    pub fn into_channel(self) -> Option<SecureChannel> {
+        match self.phase {
+            Phase::Established(channel) => Some(channel),
+            _ => None,
+        }
+    }
+
+    /// Writes everything queued to a blocking `stream`, then flushes it. A
+    /// stream that stops taking bytes — its write timeout expired — is a
+    /// typed [`ProtocolError::Io`], never a hang.
+    pub fn write_queued(&mut self, stream: &mut impl Write) -> Result<(), ProtocolError> {
+        let io_error = |detail: String| ProtocolError::Io {
+            context: "write frame",
+            detail,
+        };
+        self.out
+            .flush(stream)
+            .map_err(|e| io_error(e.to_string()))?;
+        let unwritten = self.out.pending();
+        if unwritten > 0 {
+            return Err(io_error(format!(
+                "the peer stopped reading with {unwritten} bytes unwritten"
+            )));
+        }
+        stream.flush().map_err(|e| io_error(e.to_string()))?;
+        self.out.release();
+        Ok(())
+    }
+
+    /// Blocks on `stream` until the next event, reading only while the
+    /// bytes already buffered hold none. A refusal surfaces as its error, a
+    /// read timeout as [`ProtocolError::Io`]. Like
+    /// [`write_queued`](Self::write_queued), it leaves no buffer allocated
+    /// that holds nothing: a blocking client keeps neither its largest
+    /// request nor its largest reply while it waits for the next.
+    pub fn next_event(&mut self, stream: &mut impl Read) -> Result<Event, ProtocolError> {
+        let mut chunk = [0u8; 16 * 1024];
+        loop {
+            if let Some(event) = self.poll().map_err(|refusal| refusal.error)? {
+                if !self.frames.is_mid_frame() {
+                    self.frames = FrameBuffer::new();
+                }
+                return Ok(event);
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) => return Err(self.closed_error()),
+                Ok(n) => self.received(&chunk[..n]),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    return Err(ProtocolError::Io {
+                        context: "read frame",
+                        detail: e.to_string(),
+                    })
+                }
+            }
+        }
+    }
+
+    /// Runs a [`client`](Self::client) connection's handshake over a
+    /// blocking stream, in the one order a peer that answers only on
+    /// `flush` can serve: M1 written and flushed, reads until M2 is whole,
+    /// M3 written and flushed — and no read after M3.
+    pub fn handshake<S: Read + Write>(&mut self, stream: &mut S) -> Result<(), ProtocolError> {
+        self.write_queued(stream)?;
+        while !matches!(self.next_event(stream)?, Event::Established { .. }) {}
+        self.write_queued(stream)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::channel::{
+        FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
+    };
+    use crate::protocol::wire::{append_plain_frame, FRAME_MAGIC_V2, MAX_FRAME_BYTES};
+
+    const MAX: usize = 1024;
+
+    fn client_id() -> NodeIdentity {
+        NodeIdentity::from_seed(1)
+    }
+
+    fn server_id() -> NodeIdentity {
+        NodeIdentity::from_seed(2)
+    }
+
+    /// Everything `from` has queued, as it would leave the socket.
+    fn drain(from: &mut Connection) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        from.out.flush(&mut bytes).unwrap();
+        bytes
+    }
+
+    /// Moves everything `from` has queued into `to`; returns the byte count.
+    fn shuttle(from: &mut Connection, to: &mut Connection) -> usize {
+        let bytes = drain(from);
+        to.received(&bytes);
+        bytes.len()
+    }
+
+    /// A handshaken `(client, server)` pair over nothing but byte vectors.
+    fn established() -> (Connection, Connection) {
+        let server_pub = server_id().public_bytes();
+        let mut client = Connection::client(&client_id(), Some(server_pub), MAX);
+        let mut server = Connection::server(server_id(), MAX);
+        let mut moved = shuttle(&mut client, &mut server);
+        assert!(matches!(server.poll(), Ok(Some(Event::HandshakeReply))));
+        moved += shuttle(&mut server, &mut client);
+        let peer = |c: &mut Connection| match c.poll() {
+            Ok(Some(Event::Established { peer })) => peer,
+            other => panic!("expected establishment, got {other:?}"),
+        };
+        assert_eq!(peer(&mut client), server_pub);
+        moved += shuttle(&mut client, &mut server);
+        assert_eq!(peer(&mut server), client_id().public_bytes());
+        assert_eq!(moved, HANDSHAKE_WIRE_BYTES);
+        (client, server)
+    }
+
+    fn plain_ack() -> Vec<u8> {
+        let mut frame = Vec::new();
+        append_plain_frame(&mut frame, &WireMsg::Ack, MAX).unwrap();
+        frame
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Role {
+        Client,
+        Server,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum At {
+        Plaintext,
+        Handshake,
+        Established,
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Incoming {
+        Dbh2,
+        Dbhs,
+        Dbhe,
+        UnknownMagic,
+        OversizedHeader,
+        TamperedSeal,
+        ReplayedSeal,
+    }
+
+    /// A poll's outcome in comparable form: events by kind, refusals by
+    /// error variant and counter.
+    #[derive(Debug, PartialEq)]
+    enum Got {
+        HandshakeReply,
+        Established,
+        Frame(WireMsg),
+        Refused(String, Option<Counter>),
+    }
+
+    /// The connection under test, in `role` at `at`, and the bytes its
+    /// peer sends for `incoming`.
+    fn case(role: Role, at: At, incoming: Incoming) -> (Connection, Vec<u8>) {
+        let (mut conn, mut peer) = match (at, role) {
+            (At::Plaintext, _) => (Connection::plaintext(MAX), None),
+            (At::Handshake, Role::Server) => (
+                Connection::server(server_id(), MAX),
+                Some(Connection::client(&client_id(), None, MAX)),
+            ),
+            (At::Handshake, Role::Client) => {
+                let mut conn = Connection::client(&client_id(), None, MAX);
+                let mut server = Connection::server(server_id(), MAX);
+                shuttle(&mut conn, &mut server);
+                assert!(matches!(server.poll(), Ok(Some(Event::HandshakeReply))));
+                (conn, Some(server))
+            }
+            (At::Established, Role::Client) => {
+                let (client, server) = established();
+                (client, Some(server))
+            }
+            (At::Established, Role::Server) => {
+                let (client, server) = established();
+                (server, Some(client))
+            }
+        };
+        // A sealed frame from the connection's own peer once it is
+        // established; from an unrelated channel before.
+        let mut sealed = || {
+            let mut sender = match (at, peer.take()) {
+                (At::Established, Some(peer)) => peer,
+                _ => established().0,
+            };
+            sender.queue(&WireMsg::Ack).unwrap();
+            drain(&mut sender)
+        };
+        let header = |magic: [u8; 4], len: usize| [magic, (len as u32).to_be_bytes()].concat();
+        let bytes = match incoming {
+            Incoming::Dbh2 => plain_ack(),
+            Incoming::Dbhs => match (at, peer.as_mut()) {
+                (At::Handshake, Some(peer)) => drain(peer),
+                _ => drain(&mut Connection::client(&client_id(), None, MAX)),
+            },
+            Incoming::Dbhe => sealed(),
+            Incoming::UnknownMagic => b"HTTP/1.1 200 OK\r\n".to_vec(),
+            Incoming::OversizedHeader => match at {
+                At::Plaintext => header(FRAME_MAGIC_V2, MAX + 1),
+                At::Handshake => header(FRAME_MAGIC_HANDSHAKE, 1 << 20),
+                At::Established => header(FRAME_MAGIC_SEALED, MAX + SEALED_FRAME_OVERHEAD + 1),
+            },
+            Incoming::TamperedSeal => {
+                let mut frame = sealed();
+                frame[16] ^= 1; // first ciphertext byte: header(8) + seq(8)
+                frame
+            }
+            Incoming::ReplayedSeal => sealed().repeat(2),
+        };
+        if let Some(peer) = peer.as_mut() {
+            drain(peer);
+        }
+        drain(&mut conn);
+        (conn, bytes)
+    }
+
+    fn expected(role: Role, at: At, incoming: Incoming) -> Vec<Got> {
+        use Counter::*;
+        let refused = |variant: &str, counter| vec![Got::Refused(variant.to_string(), counter)];
+        let ack = || Got::Frame(WireMsg::Ack);
+        match (at, incoming) {
+            (At::Plaintext, Incoming::Dbh2) => vec![ack()],
+            (At::Plaintext, Incoming::OversizedHeader) => {
+                refused("FrameTooLarge", Some(DecodeErrors))
+            }
+            (At::Plaintext, _) => refused("MalformedFrame", Some(DecodeErrors)),
+            (At::Handshake, Incoming::Dbh2) => refused("DowngradeRefused", Some(DowngradesRefused)),
+            (At::Handshake, Incoming::Dbhs) => vec![match role {
+                Role::Server => Got::HandshakeReply,
+                Role::Client => Got::Established,
+            }],
+            (At::Handshake, Incoming::UnknownMagic) => refused("MalformedFrame", None),
+            (At::Handshake, Incoming::OversizedHeader) => refused("FrameTooLarge", None),
+            (At::Handshake, _) => refused("AuthFailure", None),
+            (At::Established, Incoming::Dbh2) => {
+                refused("DowngradeRefused", Some(DowngradesRefused))
+            }
+            (At::Established, Incoming::Dbhs) => refused("AuthFailure", Some(DecodeErrors)),
+            (At::Established, Incoming::Dbhe) => vec![ack()],
+            (At::Established, Incoming::UnknownMagic) => {
+                refused("MalformedFrame", Some(DecodeErrors))
+            }
+            (At::Established, Incoming::OversizedHeader) => {
+                refused("FrameTooLarge", Some(DecodeErrors))
+            }
+            (At::Established, Incoming::TamperedSeal) => {
+                refused("AuthFailure", Some(AeadRejections))
+            }
+            (At::Established, Incoming::ReplayedSeal) => vec![
+                ack(),
+                Got::Refused("ReplayDetected".to_string(), Some(AeadRejections)),
+            ],
+        }
+    }
+
+    /// Feeds `bytes` in `chunk`-sized pieces, polling after each until the
+    /// connection needs more or refuses.
+    fn run(conn: &mut Connection, bytes: &[u8], chunk: usize) -> Vec<Got> {
+        let mut got = Vec::new();
+        for piece in bytes.chunks(chunk) {
+            conn.received(piece);
+            loop {
+                match conn.poll() {
+                    Ok(None) => break,
+                    Ok(Some(Event::HandshakeReply)) => got.push(Got::HandshakeReply),
+                    Ok(Some(Event::Established { .. })) => got.push(Got::Established),
+                    Ok(Some(Event::Frame { msg, .. })) => {
+                        got.push(Got::Frame(msg.force().unwrap()))
+                    }
+                    Err(Refusal { error, counter }) => {
+                        let variant = format!("{error:?}");
+                        let variant = variant.split([' ', '{', '(']).next().unwrap();
+                        got.push(Got::Refused(variant.to_string(), counter));
+                        return got;
+                    }
+                }
+            }
+        }
+        got
+    }
+
+    #[test]
+    fn every_role_phase_and_frame_classifies_once_whole_or_byte_by_byte() {
+        use Incoming::*;
+        for role in [Role::Client, Role::Server] {
+            for at in [At::Plaintext, At::Handshake, At::Established] {
+                for incoming in [
+                    Dbh2,
+                    Dbhs,
+                    Dbhe,
+                    UnknownMagic,
+                    OversizedHeader,
+                    TamperedSeal,
+                    ReplayedSeal,
+                ] {
+                    let want = expected(role, at, incoming);
+                    for chunk in [usize::MAX, 1] {
+                        let (mut conn, bytes) = case(role, at, incoming);
+                        let got = run(&mut conn, &bytes, chunk);
+                        assert_eq!(
+                            got, want,
+                            "{role:?} at {at:?} given {incoming:?}, chunk {chunk}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_client_and_a_server_connection_hold_a_session_over_byte_vectors() {
+        let (mut client, mut server) = established();
+        for try_index in 0..3 {
+            let request = WireMsg::AnnounceTry {
+                try_index,
+                participants: vec![try_index, try_index + 7],
+            };
+            let sent = client.queue(&request).unwrap();
+            shuttle(&mut client, &mut server);
+            match server.poll() {
+                Ok(Some(Event::Frame {
+                    msg,
+                    wire_bytes,
+                    frame_bytes,
+                })) => {
+                    assert_eq!(msg.force().unwrap(), request);
+                    assert_eq!(
+                        (wire_bytes, frame_bytes + SEALED_FRAME_OVERHEAD),
+                        (sent, sent)
+                    );
+                }
+                other => panic!("round trip {try_index}: {other:?}"),
+            }
+            let reply = WireMsg::Error {
+                detail: format!("reply {try_index}"),
+            };
+            server.queue(&reply).unwrap();
+            shuttle(&mut server, &mut client);
+            match client.poll() {
+                Ok(Some(Event::Frame { msg, .. })) => assert_eq!(msg.force().unwrap(), reply),
+                other => panic!("round trip {try_index}: {other:?}"),
+            }
+            assert!(matches!(client.poll(), Ok(None)));
+            assert!(matches!(server.poll(), Ok(None)));
+        }
+        assert!(!client.wants_read_deadline() && !server.wants_read_deadline());
+    }
+
+    #[test]
+    fn an_unauthenticated_handshake_header_is_refused_on_its_eighth_byte() {
+        // Announcements of 1 MiB and of the whole frame ceiling; that
+        // nothing is reserved for them is pinned in `tests/frame_alloc.rs`.
+        for announced in [1 << 20, MAX_FRAME_BYTES] {
+            let roles = [
+                (Connection::server(server_id(), MAX_FRAME_BYTES), 64),
+                (Connection::client(&client_id(), None, MAX_FRAME_BYTES), 96),
+            ];
+            for (mut conn, longest) in roles {
+                let header = [FRAME_MAGIC_HANDSHAKE, (announced as u32).to_be_bytes()].concat();
+                conn.received(&header[..7]);
+                assert!(matches!(conn.poll(), Ok(None)));
+                conn.received(&header[7..]);
+                let refusal = conn.poll().unwrap_err();
+                assert_eq!(
+                    refusal.error,
+                    ProtocolError::FrameTooLarge {
+                        len: announced,
+                        max: longest
+                    }
+                );
+                assert_eq!(refusal.counter, None);
+                assert!(
+                    conn.is_handshaking(),
+                    "counted as a failed handshake at close"
+                );
+            }
+        }
+    }
+}

@@ -1,7 +1,7 @@
 //! Both directions of a non-blocking socket's byte stream: incremental
 //! frame reassembly on the way in ([`FrameBuffer`]), one bounded write queue
-//! on the way out (`WriteQueue`, shared by the listener and the
-//! multiplexer).
+//! on the way out ([`WriteQueue`]) — the byte-level halves of a
+//! [`Connection`](super::connection::Connection).
 //!
 //! A blocking reader can hand `read_frame_limited` the stream and let it
 //! block until a whole frame arrives; an event loop cannot — it gets bytes
@@ -16,13 +16,12 @@
 
 use std::io::{self, Write};
 
-use dubhe_select::protocol::channel::{
+use super::channel::{
     append_frame, SecureChannel, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, SEALED_FRAME_OVERHEAD,
 };
-use dubhe_select::protocol::codec::RegistryFrame;
-use dubhe_select::protocol::wire::{decode_frame, decode_frame_lazy, LazyMsg, FRAME_MAGIC_V2};
-use dubhe_select::protocol::WireMsg;
-use dubhe_select::ProtocolError;
+use super::codec::RegistryFrame;
+use super::wire::{decode_frame, decode_frame_lazy, LazyMsg, WireMsg, FRAME_MAGIC_V2};
+use crate::error::ProtocolError;
 
 /// Magic (4) + big-endian payload length (4).
 const HEADER_BYTES: usize = 8;
@@ -47,19 +46,19 @@ fn compact(buf: &mut Vec<u8>, pos: &mut usize) {
     }
 }
 
-/// The outgoing byte queue of one nonblocking connection — the listener's
-/// per-connection reply queue and the multiplexer's per-connection request
-/// queue are both this type, so there is one write loop and one compaction
-/// rule in the crate.
+/// The outgoing byte queue of one connection — every driver's, since it is
+/// the [`Connection`](super::connection::Connection)'s, so there is one
+/// write loop and one compaction rule.
 ///
 /// Frames are appended whole behind whatever is still unwritten
-/// ([`push_frame`](Self::push_frame), [`push`](Self::push)) and leave through
+/// ([`Connection::queue`](super::connection::Connection::queue), and the
+/// handshake's own messages) and leave through
 /// [`flush`](Self::flush) in as few `write` calls as the sink allows: one,
 /// when it takes everything. Appending and writing are separate on purpose —
 /// an owner that answers sixteen requests in one loop turn pushes sixteen
 /// times and flushes once.
 #[derive(Debug, Default)]
-pub(crate) struct WriteQueue {
+pub struct WriteQueue {
     buf: Vec<u8>,
     /// Start of the unwritten suffix in `buf`.
     pos: usize,
@@ -72,17 +71,17 @@ pub(crate) struct WriteQueue {
 
 impl WriteQueue {
     /// Bytes appended but not yet accepted by a sink.
-    pub(crate) fn pending(&self) -> usize {
+    pub fn pending(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Cumulative bytes ever appended.
-    pub(crate) fn queued_total(&self) -> u64 {
+    pub fn queued_total(&self) -> u64 {
         self.queued_total
     }
 
     /// Cumulative bytes ever accepted by a sink.
-    pub(crate) fn written_total(&self) -> u64 {
+    pub fn written_total(&self) -> u64 {
         self.written_total
     }
 
@@ -107,11 +106,21 @@ impl WriteQueue {
         Ok(written)
     }
 
+    /// Frees the buffer once everything queued has been written — for an
+    /// owner that waits on its peer between frames and should not hold the
+    /// largest frame it ever sent across that wait.
+    pub(crate) fn release(&mut self) {
+        if self.pending() == 0 {
+            self.buf = Vec::new();
+            self.pos = 0;
+        }
+    }
+
     /// Offers the unwritten bytes to `sink` until it has taken them all,
     /// takes none, or would block, then reclaims the written prefix by the
-    /// amortised [`compact`] rule. A hard I/O error is returned after the
+    /// amortised `compact` rule. A hard I/O error is returned after the
     /// bytes written before it have been accounted for.
-    pub(crate) fn flush(&mut self, sink: &mut impl Write) -> io::Result<()> {
+    pub fn flush(&mut self, sink: &mut impl Write) -> io::Result<()> {
         let mut outcome = Ok(());
         while self.pos < self.buf.len() {
             match sink.write(&self.buf[self.pos..]) {
@@ -139,7 +148,7 @@ impl WriteQueue {
     /// mark belongs to a peer that stopped reading:
     /// [`ProtocolError::Backpressure`]. Checked after every push, this keeps
     /// the queue within `high_water` plus the one frame just appended.
-    pub(crate) fn hold_to(
+    pub fn hold_to(
         &mut self,
         high_water: usize,
         sink: &mut impl Write,
@@ -161,7 +170,7 @@ impl WriteQueue {
 
 /// One frame of any known magic, still undecoded and still inside the
 /// [`FrameBuffer`] it was reassembled in — the borrowed twin of
-/// [`ChannelFrame`](dubhe_select::protocol::channel::ChannelFrame).
+/// [`ChannelFrame`](super::channel::ChannelFrame).
 #[derive(Debug, PartialEq, Eq)]
 pub enum BufferedFrame<'a> {
     /// A `DBHS` handshake message.
@@ -197,6 +206,15 @@ impl FrameBuffer {
     /// Bytes received but not yet consumed by a complete frame.
     pub fn pending_bytes(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// The magic and announced payload length of the frame at the front,
+    /// once its 8-byte header has arrived — what a caller with a ceiling of
+    /// its own checks before a pull reserves the announced length.
+    pub fn header(&self) -> Option<([u8; 4], usize)> {
+        let h = self.buf.get(self.pos..self.pos + HEADER_BYTES)?;
+        let len = u32::from_be_bytes([h[4], h[5], h[6], h[7]]) as usize;
+        Some(([h[0], h[1], h[2], h[3]], len))
     }
 
     /// True if a frame has started arriving but is not complete yet — the
@@ -321,7 +339,7 @@ impl FrameBuffer {
     /// Pulls the next frame of *any* known magic — `DBHS` handshake, `DBHE`
     /// sealed or plaintext protocol — still undecoded and still in the
     /// buffer, as a [`BufferedFrame`]. The nonblocking twin of
-    /// [`read_channel_frame`](dubhe_select::protocol::channel::read_channel_frame):
+    /// [`read_channel_frame`](super::channel::read_channel_frame):
     /// the reactor's pre-protocol handshake phase and its sealed sessions
     /// pull through this, and the caller decides which variants its policy
     /// and phase accept — a sealed payload is handed out mutably, to be
@@ -354,7 +372,7 @@ impl FrameBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dubhe_select::protocol::write_frame;
+    use crate::protocol::write_frame;
 
     fn encode(msg: &WireMsg) -> Vec<u8> {
         let mut out = Vec::new();
@@ -422,7 +440,7 @@ mod tests {
     }
 
     fn registry_msg() -> WireMsg {
-        use dubhe_select::protocol::{Envelope, Party, ProtocolMsg};
+        use crate::protocol::{Envelope, Party, ProtocolMsg};
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let kp = dubhe_he::Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng);
@@ -486,7 +504,7 @@ mod tests {
 
     #[test]
     fn channel_pull_classifies_every_magic_and_keeps_the_error_contract() {
-        use dubhe_select::protocol::channel::write_handshake_frame;
+        use crate::protocol::channel::write_handshake_frame;
 
         // A handshake frame, a sealed frame and a plaintext frame pipelined
         // in one burst classify in order, byte-at-a-time included.

@@ -67,6 +67,11 @@
 //!   the canonical binary encoding of [`codec`], so wire traffic stays
 //!   within 1.10× of the paper's communication model.
 //!
+//! Whatever drives a socket — the listener, its load generator, the
+//! connector — pumps one sans-IO [`Connection`] per socket: frame
+//! reassembly, the authenticated channel's phases and every refusal live
+//! there once.
+//!
 //! `docs/ARCHITECTURE.md` draws the full picture; `docs/THREAT_MODEL.md`
 //! explains why both uphold the same structural guarantee.
 //!
@@ -83,8 +88,10 @@
 
 pub mod channel;
 pub mod codec;
+pub mod connection;
 pub mod driver;
 pub mod fault;
+pub mod frames;
 pub mod message;
 pub mod packing;
 pub mod roles;
@@ -96,24 +103,26 @@ pub mod wire;
 
 pub use channel::{
     append_frame, client_handshake, read_channel_frame, secret_bytes_from_seed, ChannelFrame,
-    ChannelPolicy, NodeIdentity, RetrySchedule, SecureChannel, ServerHandshake,
+    ChannelPolicy, ClientHandshake, NodeIdentity, RetrySchedule, SecureChannel, ServerHandshake,
     FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
 };
 #[doc(hidden)]
 pub use codec::CodecKind;
 pub use codec::RegistryFrame;
+pub use connection::Connection;
 pub use driver::{
     pump, run_registration, run_registration_with, run_registration_with_packing, run_try,
     run_try_with_dropouts, RegistrationRun,
 };
 pub use fault::{Fault, FaultPlan, FaultStats, FaultyTransport};
+pub use frames::{BufferedFrame, FrameBuffer};
 pub use message::{Envelope, MsgKind, Party, ProtocolMsg};
 pub use packing::PackingPolicy;
 pub use roles::{AgentNode, CohortOutcome, Coordinator, SelectClientNode};
 #[doc(hidden)]
 pub use shard::CoordinatorServer;
 pub use shard::{shard_ranges, ShardedCoordinator};
-pub use stats::{LatencyHistogram, LatencySummary, ListenerMetrics, ListenerStats};
+pub use stats::{Counter, LatencyHistogram, LatencySummary, ListenerMetrics, ListenerStats};
 pub use tcp::{TcpConfig, TcpTransport, WireStats, DEFAULT_READ_TIMEOUT};
 pub use transport::{InMemoryTransport, LinkStats, Transport, TransportStats};
 pub use wire::{

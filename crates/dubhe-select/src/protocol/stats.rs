@@ -186,6 +186,20 @@ pub struct ListenerStats {
     pub latency: LatencySummary,
 }
 
+/// A [`ListenerStats`] failure counter: what a refused frame is charged
+/// to. The per-connection state machine
+/// ([`Connection`](super::connection::Connection)) picks it, in one place,
+/// for every refusal it makes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// [`ListenerStats::decode_errors`].
+    DecodeErrors,
+    /// [`ListenerStats::aead_rejections`].
+    AeadRejections,
+    /// [`ListenerStats::downgrades_refused`].
+    DowngradesRefused,
+}
+
 /// The live, thread-safe recorder behind a [`ListenerStats`] snapshot.
 ///
 /// Shared as an `Arc` between a listener's I/O side and whoever holds the
@@ -299,6 +313,15 @@ impl ListenerMetrics {
     /// Counts one plaintext frame refused by a channel-required listener.
     pub fn downgrade_refused(&self) {
         self.downgrades_refused.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one refusal against its counter.
+    pub fn count(&self, counter: Counter) {
+        match counter {
+            Counter::DecodeErrors => self.decode_error(),
+            Counter::AeadRejections => self.aead_rejection(),
+            Counter::DowngradesRefused => self.downgrade_refused(),
+        }
     }
 
     /// Counts one request answered on the event-loop thread.

@@ -15,43 +15,50 @@
 //! lives in its own crate because it needs the readiness poller; this crate
 //! only defines the wire it speaks.
 //!
+//! What each frame means — framing, the channel's phases, every refusal —
+//! is decided by the sans-IO [`Connection`] this connector pumps over a
+//! blocking socket, the same one under `dubhe-net`'s listener and
+//! multiplexer; [`dial`] is the one connect path of this connector and the
+//! multiplexer.
+//!
 //! Robustness contract (pinned by `tests/networked_protocol.rs`): a
-//! malformed, truncated or oversized frame, a mid-exchange disconnect, or a
-//! silent peer all surface as [`ProtocolError`] — never a panic, never an
-//! unbounded hang. Every read of a reply frame is bounded by
-//! [`TcpConfig::read_timeout`].
+//! malformed, truncated or oversized frame, a mid-exchange disconnect, a
+//! silent peer, or one that stops reading all surface as [`ProtocolError`]
+//! — never a panic, never an unbounded hang. Every socket read and every
+//! socket write is bounded by [`TcpConfig::read_timeout`], the per-I/O
+//! timeout.
 
-use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
 use super::channel::{
-    append_frame, client_handshake, read_channel_frame, secret_bytes_from_seed, ChannelFrame,
-    ChannelPolicy, NodeIdentity, RetrySchedule, SecureChannel, HANDSHAKE_WIRE_BYTES,
+    secret_bytes_from_seed, ChannelPolicy, NodeIdentity, RetrySchedule, HANDSHAKE_WIRE_BYTES,
     SEALED_FRAME_OVERHEAD,
 };
 use super::codec::CodecKind;
+use super::connection::{Connection, Event};
 use super::message::Envelope;
 use super::roles::Coordinator;
 use super::transport::TransportStats;
-use super::wire::{decode_frame, read_frame_limited, write_whole_frame, WireMsg, MAX_FRAME_BYTES};
+use super::wire::{WireMsg, MAX_FRAME_BYTES};
 use crate::error::ProtocolError;
 use crate::selector::ClientId;
 
-/// Default per-read timeout on protocol sockets. Long enough for a 2048-bit
+/// Default per-I/O timeout on protocol sockets. Long enough for a 2048-bit
 /// registration epoch on a loaded machine, short enough that a wedged peer
 /// cannot hang a driver forever.
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Socket knobs for the client-side connector, builder-style.
 ///
-/// Defaults: [`DEFAULT_READ_TIMEOUT`] (30 s) per read and the global
+/// Defaults: [`DEFAULT_READ_TIMEOUT`] (30 s) per socket read or write and the global
 /// [`MAX_FRAME_BYTES`] (64 MiB) frame ceiling in both directions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpConfig {
-    /// Per-read socket timeout (applies to every read of a reply frame).
+    /// Per-I/O socket timeout: bounds every read of a reply frame and every
+    /// write of a request, the handshake's included.
     pub read_timeout: Duration,
     /// Largest frame payload accepted *or produced* on this socket.
     pub max_frame_bytes: usize,
@@ -94,7 +101,7 @@ impl Default for TcpConfig {
 }
 
 impl TcpConfig {
-    /// Replaces the per-read timeout.
+    /// Replaces the per-I/O timeout.
     pub fn with_read_timeout(mut self, read_timeout: Duration) -> Self {
         self.read_timeout = read_timeout;
         self
@@ -206,6 +213,71 @@ fn io_error(context: &'static str, e: std::io::Error) -> ProtocolError {
     }
 }
 
+/// Dials `addr` and, under a `Required` policy, runs the client handshake.
+/// The stream comes back blocking, with
+/// [`read_timeout`](TcpConfig::read_timeout) on every read and write.
+///
+/// With `connect_attempts > 1`, *transient* failures (socket errors,
+/// disconnects, truncated handshakes — a coordinator that is still binding
+/// its port or restarting) are retried under bounded exponential backoff
+/// with deterministic jitter; exhaustion surfaces
+/// [`ProtocolError::RetriesExhausted`]. Deterministic refusals —
+/// authentication failures, a wrong pinned server key, downgrades — are
+/// *never* retried: repeating them cannot help and would hammer a peer that
+/// already said no.
+pub fn dial(
+    addr: SocketAddr,
+    config: &TcpConfig,
+) -> Result<(TcpStream, Connection), ProtocolError> {
+    let attempts = config.connect_attempts.max(1);
+    let mut schedule = RetrySchedule::new(config.retry_base, config.retry_seed);
+    let mut last = None;
+    for attempt in 0..attempts {
+        if attempt > 0 {
+            std::thread::sleep(schedule.delay(attempt as u32 - 1));
+        }
+        match dial_once(addr, config) {
+            Ok(dialed) => return Ok(dialed),
+            Err(
+                e @ (ProtocolError::Io { .. }
+                | ProtocolError::Disconnected
+                | ProtocolError::TruncatedFrame { .. }),
+            ) => last = Some(e),
+            Err(e) => return Err(e),
+        }
+    }
+    if attempts == 1 {
+        Err(last.expect("one failed attempt recorded"))
+    } else {
+        Err(ProtocolError::RetriesExhausted { attempts })
+    }
+}
+
+/// One dial + (policy permitting) handshake.
+fn dial_once(
+    addr: SocketAddr,
+    config: &TcpConfig,
+) -> Result<(TcpStream, Connection), ProtocolError> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| io_error("connect", e))?;
+    let timeout = Some(config.read_timeout);
+    stream
+        .set_read_timeout(timeout)
+        .and_then(|()| stream.set_write_timeout(timeout))
+        .and_then(|()| stream.set_nodelay(true))
+        .map_err(|e| io_error("configure socket", e))?;
+    if !config.channel.is_required() {
+        return Ok((stream, Connection::plaintext(config.max_frame_bytes)));
+    }
+    let identity = match config.identity {
+        Some(bytes) => NodeIdentity::from_secret_bytes(bytes),
+        None => NodeIdentity::generate(),
+    };
+    let mut connection =
+        Connection::client(&identity, config.expected_server, config.max_frame_bytes);
+    connection.handshake(&mut stream)?;
+    Ok((stream, connection))
+}
+
 /// The client-side connector: carries server-bound protocol messages over a
 /// framed TCP stream to a coordinator listener and hands the coordinator's
 /// replies back to the driver.
@@ -216,13 +288,12 @@ fn io_error(context: &'static str, e: std::io::Error) -> ProtocolError {
 /// [`pump`](super::driver::pump) exactly where a local server would go.
 #[derive(Debug)]
 pub struct TcpTransport {
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
+    /// The connection's protocol state; sealed when the config's policy is
+    /// [`ChannelPolicy::Required`].
+    connection: Connection,
     stats: TransportStats,
     wire: WireStats,
-    max_frame_bytes: usize,
-    /// The established AEAD session, when the config's policy is
-    /// [`ChannelPolicy::Required`]; `None` means bare plaintext frames.
-    channel: Option<SecureChannel>,
     /// Remembered so [`reconnect`](Self::reconnect) can redial and re-run
     /// the handshake with the same knobs and identity.
     addr: SocketAddr,
@@ -236,76 +307,25 @@ impl TcpTransport {
         TcpTransport::connect_with_config(addr, TcpConfig::default())
     }
 
-    /// Connects with every socket knob spelled out in a [`TcpConfig`].
-    ///
-    /// With `connect_attempts > 1`, *transient* failures (socket errors,
-    /// disconnects, truncated handshakes — a coordinator that is still
-    /// binding its port or restarting) are retried under bounded
-    /// exponential backoff with deterministic jitter; exhaustion surfaces
-    /// [`ProtocolError::RetriesExhausted`]. Deterministic refusals —
-    /// authentication failures, a wrong pinned server key, downgrades —
-    /// are *never* retried: repeating them cannot help and would hammer a
-    /// peer that already said no.
+    /// Connects with every socket knob spelled out in a [`TcpConfig`],
+    /// retrying transient failures as [`dial`] describes.
     pub fn connect_with_config(addr: SocketAddr, config: TcpConfig) -> Result<Self, ProtocolError> {
-        let attempts = config.connect_attempts.max(1);
-        let mut schedule = RetrySchedule::new(config.retry_base, config.retry_seed);
-        let mut last = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(schedule.delay(attempt as u32 - 1));
-            }
-            match Self::connect_once(addr, &config) {
-                Ok(transport) => return Ok(transport),
-                Err(
-                    e @ (ProtocolError::Io { .. }
-                    | ProtocolError::Disconnected
-                    | ProtocolError::TruncatedFrame { .. }),
-                ) => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        if attempts == 1 {
-            Err(last.expect("one failed attempt recorded"))
-        } else {
-            Err(ProtocolError::RetriesExhausted { attempts })
-        }
-    }
-
-    /// One dial + (policy permitting) handshake.
-    fn connect_once(addr: SocketAddr, config: &TcpConfig) -> Result<Self, ProtocolError> {
-        let stream = TcpStream::connect(addr).map_err(|e| io_error("connect", e))?;
-        stream
-            .set_read_timeout(Some(config.read_timeout))
-            .map_err(|e| io_error("configure socket", e))?;
-        stream
-            .set_nodelay(true)
-            .map_err(|e| io_error("configure socket", e))?;
-        let mut transport = TcpTransport {
-            reader: BufReader::new(stream),
-            stats: TransportStats::default(),
-            wire: WireStats::default(),
-            max_frame_bytes: config.max_frame_bytes,
-            channel: None,
-            addr,
-            config: *config,
+        let (stream, connection) = dial(addr, &config)?;
+        let handshake_bytes = match connection.peer() {
+            Some(_) => HANDSHAKE_WIRE_BYTES,
+            None => 0,
         };
-        if config.channel.is_required() {
-            let identity = match config.identity {
-                Some(bytes) => NodeIdentity::from_secret_bytes(bytes),
-                None => NodeIdentity::generate(),
-            };
-            // The handshake reads the raw stream (nothing is buffered yet:
-            // the server cannot speak before M1).
-            let channel = client_handshake(
-                transport.reader.get_mut(),
-                &identity,
-                config.expected_server,
-                config.max_frame_bytes,
-            )?;
-            transport.wire.handshake_bytes += HANDSHAKE_WIRE_BYTES;
-            transport.channel = Some(channel);
-        }
-        Ok(transport)
+        Ok(TcpTransport {
+            stream,
+            connection,
+            stats: TransportStats::default(),
+            wire: WireStats {
+                handshake_bytes,
+                ..WireStats::default()
+            },
+            addr,
+            config,
+        })
     }
 
     /// Tears the current socket down and dials + handshakes afresh with the
@@ -319,10 +339,10 @@ impl TcpTransport {
     /// burning a second cohort slot; see
     /// [`deliver_idempotent`](Self::deliver_idempotent).
     pub fn reconnect(&mut self) -> Result<(), ProtocolError> {
-        let _ = self.reader.get_ref().shutdown(Shutdown::Both);
+        let _ = self.stream.shutdown(Shutdown::Both);
         let fresh = Self::connect_with_config(self.addr, self.config)?;
-        self.reader = fresh.reader;
-        self.channel = fresh.channel;
+        self.stream = fresh.stream;
+        self.connection = fresh.connection;
         self.wire.handshake_bytes += fresh.wire.handshake_bytes;
         self.wire.reconnects += 1;
         Ok(())
@@ -363,59 +383,44 @@ impl TcpTransport {
     /// The server's authenticated public identity, once a `Required`
     /// channel is established.
     pub fn peer_identity(&self) -> Option<[u8; 32]> {
-        self.channel.as_ref().map(|c| c.peer_identity())
+        self.connection.peer()
     }
 
     /// Frames one wire message — bare on a plaintext connection, sealed on a
-    /// channel — and puts it on the socket in a single write. The
-    /// ledger-facing counters meter the *inner* frame bytes; the seal's cost
-    /// goes to the channel-overhead counters. An oversized message is
-    /// refused before a byte is written.
+    /// channel — and puts it on the socket. The ledger-facing counters meter
+    /// the *inner* frame bytes; the seal's cost goes to the channel-overhead
+    /// counters. An oversized message is refused before a byte is written.
     fn send(&mut self, msg: &WireMsg) -> Result<(), ProtocolError> {
-        let mut frame = Vec::new();
-        append_frame(&mut frame, msg, self.max_frame_bytes, self.channel.as_mut())?;
-        write_whole_frame(self.reader.get_mut(), &frame)?;
-        let overhead = match self.channel {
+        let written = self.connection.queue(msg)?;
+        self.connection.write_queued(&mut self.stream)?;
+        let overhead = match self.connection.peer() {
             Some(_) => SEALED_FRAME_OVERHEAD,
             None => 0,
         };
         self.wire.frames_sent += 1;
-        self.wire.bytes_sent += frame.len() - overhead;
+        self.wire.bytes_sent += written - overhead;
         self.wire.sealed_overhead_bytes += overhead;
         Ok(())
     }
 
-    /// Sends one wire message and reads the peer's single reply frame —
-    /// bare on a plaintext connection, sealed end-to-end on a channel, where
-    /// the reply is opened and decoded inside the buffer it was read into.
+    /// Sends one wire message and reads the peer's single reply frame,
+    /// opened and decoded inside the buffer it was read into.
     fn request(&mut self, msg: &WireMsg) -> Result<WireMsg, ProtocolError> {
         self.send(msg)?;
-        let Some(channel) = self.channel.as_mut() else {
-            let (reply, read) = read_frame_limited(&mut self.reader, self.max_frame_bytes)?;
-            self.wire.frames_received += 1;
-            self.wire.bytes_received += read;
-            return Ok(reply);
-        };
-        let (frame, wire_read) = read_channel_frame(&mut self.reader, self.max_frame_bytes)?;
-        let mut payload = match frame {
-            ChannelFrame::Sealed(payload) => payload,
-            ChannelFrame::Plaintext(frame) => {
-                return Err(ProtocolError::DowngradeRefused {
-                    magic: frame[..4].try_into().expect("4-byte magic"),
-                })
+        loop {
+            let event = self.connection.next_event(&mut self.stream)?;
+            if let Event::Frame {
+                msg,
+                wire_bytes,
+                frame_bytes,
+            } = event
+            {
+                self.wire.frames_received += 1;
+                self.wire.bytes_received += frame_bytes;
+                self.wire.sealed_overhead_bytes += wire_bytes - frame_bytes;
+                return msg.force();
             }
-            ChannelFrame::Handshake(_) => {
-                return Err(ProtocolError::AuthFailure {
-                    detail: "handshake frame after the channel was established".to_string(),
-                })
-            }
-        };
-        let opened = channel.open_in_place(&mut payload)?;
-        let (reply, read) = decode_frame(opened, self.max_frame_bytes)?;
-        self.wire.frames_received += 1;
-        self.wire.bytes_received += read;
-        self.wire.sealed_overhead_bytes += wire_read - read;
-        Ok(reply)
+        }
     }
 
     /// Expects the coordinator's reply batch; unwraps remote errors.

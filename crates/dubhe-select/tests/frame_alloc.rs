@@ -6,7 +6,9 @@
 //! pins the mechanism: framing and sealing the broadcast makes **one**
 //! frame-sized allocation (the frame itself, reserved exactly) and a number
 //! of small ones that does not grow with `N`; receiving it — reassembly,
-//! open in place, decode — makes one more. The parent commit held five
+//! open in place, decode — makes one more, through a bare reassembly buffer
+//! or a client-role `Connection` alike, and an unauthenticated handshake
+//! header sizes no buffer at all. The parent commit held five
 //! frame-sized buffers at the sender's peak (payload, inner frame, AEAD
 //! output, sealed frame, write queue) and parsed every addressee's copy of
 //! the total into its own bignums. An integration test is its own binary,
@@ -18,12 +20,14 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dubhe_he::{EncryptedVector, Keypair};
-use dubhe_net::{BufferedFrame, FrameBuffer};
 use dubhe_select::protocol::codec::payload_size_hint;
+use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::{
-    append_frame, client_handshake, decode_frame, read_channel_frame, ChannelFrame, Envelope,
-    NodeIdentity, Party, ProtocolMsg, SecureChannel, ServerHandshake, WireMsg, MAX_FRAME_BYTES,
+    append_frame, client_handshake, decode_frame, read_channel_frame, ChannelFrame, Connection,
+    Envelope, NodeIdentity, Party, ProtocolMsg, SecureChannel, ServerHandshake, WireMsg,
+    FRAME_MAGIC_HANDSHAKE, MAX_FRAME_BYTES,
 };
+use dubhe_select::protocol::{BufferedFrame, FrameBuffer};
 use rand::SeedableRng;
 
 /// Forwards to the system allocator, counting calls, calls at or above
@@ -126,6 +130,25 @@ fn channel_pair() -> (SecureChannel, SecureChannel) {
     (client, server.join().expect("server handshake"))
 }
 
+/// Moves what `from` has queued into `to` and polls `to` once.
+fn shuttle(from: &mut Connection, to: &mut Connection) -> Option<Event> {
+    let mut bytes = Vec::new();
+    from.out.flush(&mut bytes).unwrap();
+    to.received(&bytes);
+    to.poll().unwrap()
+}
+
+/// A handshaken (client, server) pair of connections, over byte vectors.
+fn connection_pair() -> (Connection, Connection) {
+    let mut client = Connection::client(&NodeIdentity::from_seed(1), None, MAX_FRAME_BYTES);
+    let mut server = Connection::server(NodeIdentity::from_seed(2), MAX_FRAME_BYTES);
+    shuttle(&mut client, &mut server);
+    shuttle(&mut server, &mut client);
+    shuttle(&mut client, &mut server);
+    assert!(client.peer().is_some() && server.peer().is_some());
+    (client, server)
+}
+
 /// The registration broadcast of an `n`-client cohort over a length-56
 /// total, built the way the coordinators build it: clones of one message.
 fn broadcast(n: usize) -> WireMsg {
@@ -148,6 +171,7 @@ fn broadcast(n: usize) -> WireMsg {
 #[test]
 fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
     let (mut client, mut server) = channel_pair();
+    let (mut client_link, mut server_link) = connection_pair();
     let mut small_allocs = Vec::new();
     for n in [75, 300] {
         let msg = broadcast(n);
@@ -190,6 +214,26 @@ fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
         });
         assert_eq!(frame_sized, 1, "n = {n}: frame-sized allocations receiving");
         assert_eq!(back, msg);
+
+        // The same through a client-role connection, polled as a driver
+        // polls it: chunk by chunk.
+        server_link.queue(&msg).unwrap();
+        let mut sealed = Vec::new();
+        server_link.out.flush(&mut sealed).unwrap();
+        let (back, _, frame_sized, _) = measure(wire / 4, || {
+            for chunk in sealed.chunks(16 * 1024) {
+                client_link.received(chunk);
+                if let Some(Event::Frame { msg, .. }) = client_link.poll().unwrap() {
+                    return msg.force().unwrap();
+                }
+            }
+            panic!("the broadcast never completed");
+        });
+        assert_eq!(
+            frame_sized, 1,
+            "n = {n}: frame-sized allocations in a Connection"
+        );
+        assert_eq!(back, msg);
         small_allocs.push((allocs, allocs_in));
     }
     // Four times the addressees: the same encode work (one vector, 56
@@ -202,4 +246,22 @@ fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
         in_300 <= in_75 + 4,
         "{in_75} → {in_300} allocations receiving"
     );
+
+    // A handshake-phase header announcing 1 MiB, or the whole frame
+    // ceiling, is refused on its eighth byte with nothing reserved for it.
+    for announced in [1u32 << 20, MAX_FRAME_BYTES as u32] {
+        let identity = NodeIdentity::from_seed(1);
+        for mut link in [
+            Connection::server(NodeIdentity::from_seed(2), MAX_FRAME_BYTES),
+            Connection::client(&identity, None, MAX_FRAME_BYTES),
+        ] {
+            let header = [FRAME_MAGIC_HANDSHAKE, announced.to_be_bytes()].concat();
+            let (refused, _, reserved, _) = measure(1024, || {
+                link.received(&header);
+                link.poll()
+            });
+            assert!(refused.is_err(), "{announced}: {refused:?}");
+            assert_eq!(reserved, 0, "{announced}: allocations of 1 KiB or more");
+        }
+    }
 }

@@ -349,6 +349,40 @@ fn silent_peer_times_out_instead_of_hanging() {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn a_peer_that_never_reads_cannot_hang_a_send() {
+    // The "server" accepts and never reads. Once the kernel buffers on both
+    // ends are full, only the per-I/O timeout bounds the write of a request
+    // larger than they are.
+    let peer = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let config = TcpConfig::default().with_read_timeout(Duration::from_millis(300));
+    let mut client = TcpTransport::connect_with_config(peer.local_addr().unwrap(), config).unwrap();
+    let (_silent, _) = peer.accept().unwrap();
+    // A 24 MiB registry without the encryption work: one ciphertext, repeated.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+    let kp = dubhe_he::Keypair::generate(KEY_BITS, &mut rng);
+    let one = EncryptedVector::encrypt_u64(&kp.public, &[1], &mut rng).elements()[0].clone();
+    let registry = EncryptedVector::from_ciphertexts(&kp.public, vec![one; 400_000]).unwrap();
+    let upload = Envelope {
+        from: Party::Client(0),
+        to: Party::Server,
+        epoch: 0,
+        msg: ProtocolMsg::EncryptedRegistry {
+            client: 0,
+            registry,
+        },
+    };
+    let started = Instant::now();
+    let err = client.deliver(upload).unwrap_err();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "timed out too slowly: {:?}",
+        started.elapsed()
+    );
+    assert!(matches!(err, ProtocolError::Io { .. }), "{err}");
+}
+
+#[test]
 fn connect_to_a_dead_port_fails_cleanly() {
     // Bind-then-drop guarantees the port is closed.
     let addr = {
