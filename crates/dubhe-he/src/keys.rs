@@ -479,15 +479,14 @@ impl PrivateKey {
         m_q + &key.q * t
     }
 
-    /// CRT decryption of a raw ciphertext value in `Z*_{n²}`.
-    ///
-    /// The two heavy exponentiations go through the per-key cached
-    /// Montgomery contexts: batch decryption pays zero `R²` setups instead
-    /// of two per element. A value sharing a factor with `n` is
-    /// [`HeError::CiphertextNotInvertible`].
-    fn decrypt_raw(&self, c: &BigUint) -> Result<BigUint, HeError> {
-        let [p_leg, q_leg] = self.legs();
-        Ok(self.recombine(&p_leg.plaintext(c)?, &q_leg.plaintext(c)?))
+    /// CRT decryption of one ciphertext: the lone case of
+    /// [`decrypt_stacks`](Self::decrypt_stacks), so its two leg ladders
+    /// run side by side when they clear the fan-out bound. A value sharing
+    /// a factor with `n` is [`HeError::CiphertextNotInvertible`].
+    fn decrypt_raw(&self, ct: &Ciphertext) -> Result<BigUint, HeError> {
+        self.decrypt_stacks(std::slice::from_ref(ct), 1, 0)
+            .pop()
+            .expect("one ciphertext is one stack")
     }
 
     /// Decrypts a ciphertext to its arbitrary-precision plaintext in `[0, n)`.
@@ -499,15 +498,18 @@ impl PrivateKey {
     /// [`EncryptedVector::decrypt_u64`](crate::EncryptedVector::decrypt_u64),
     /// which return [`HeError::CiphertextNotInvertible`] instead.
     pub fn decrypt(&self, ct: &Ciphertext) -> BigUint {
-        self.decrypt_raw(ct.raw())
+        self.decrypt_raw(ct)
             .expect("ciphertext is invertible modulo n")
     }
 
-    /// Decrypts a batch of ciphertexts one CRT decryption per element,
-    /// fanning them out over all cores when the `parallel` feature is
-    /// enabled (it is by default) and the batch clears the fan-out work
-    /// bound — at 1024-bit keys two elements do, at the 256-bit test size
-    /// eight.
+    /// Decrypts a batch of ciphertexts, one CRT decryption per element.
+    ///
+    /// The pool items are legs, not elements: each element's `p²` and `q²`
+    /// ladders are two items, fanned out over all cores when the `parallel`
+    /// feature is enabled (it is by default) and the `2·len` items clear
+    /// the fan-out work bound — at 1024-bit keys one element's two legs
+    /// do, at the 256-bit test size sixteen legs (eight elements). A lone
+    /// decryption therefore runs its two ladders side by side.
     ///
     /// This is the arbitrary-width path (packed plaintexts, `decrypt`);
     /// vectors of `u64` counters take the repacking path behind
@@ -515,22 +517,56 @@ impl PrivateKey {
     /// which decrypts one ciphertext for its check plus one per group of
     /// slots instead of `len` (2 for a 56-element registry whose counts sum
     /// below 2¹⁷ at 1024 bits). The first element that shares a factor with
-    /// `n` is [`HeError::CiphertextNotInvertible`].
+    /// `n` is [`HeError::CiphertextNotInvertible`]; the order is the
+    /// element-by-element one, lowest index first and its `p` leg before its
+    /// `q` leg.
     pub fn decrypt_batch(&self, cts: &[Ciphertext]) -> Result<Vec<BigUint>, HeError> {
-        map_indexed(cts.len(), self.ladders(), |i| {
-            self.decrypt_raw(cts[i].raw())
-        })
-        .into_iter()
-        .collect()
+        self.decrypt_stacks(cts, 1, 0).into_iter().collect()
     }
 
-    /// The cost of one CRT decryption: two sliding-window ladders, over the
-    /// bits of p − 1 and q − 1, each under its own half-width square — a
-    /// squaring per bit (three quarters of a multiply) plus a multiply per
-    /// window (every sixth bit at these lengths) and the odd-power table,
-    /// about one multiply per exponent bit per leg.
-    fn ladders(&self) -> Work {
-        Work::new(2 * self.inner.p.bits(), self.inner.p_ctx.modulus())
+    /// One CRT decryption per stack of `depth ≥ 1` consecutive ciphertexts
+    /// of `cts` (the last stack may be shorter), results in stack order.
+    ///
+    /// A stack `C₀ … C_{d−1}` is decrypted as `Π C_t^(2^(t·field_bits))`,
+    /// an encryption of `Σ m_t·2^(t·field_bits) mod n`, folded by Horner
+    /// inside each leg: `field_bits` squarings and one multiply per extra
+    /// ciphertext, then the leg's ladder. With `depth = 1` a stack is its
+    /// one ciphertext and `field_bits` is unused. Every (stack, leg) pair is
+    /// one pool item, `p²` first, as [`repack`](Self::repack) fans out its
+    /// (group, leg) chains. A stack holding a value that shares a factor
+    /// with `n` is [`HeError::CiphertextNotInvertible`], since the product
+    /// of a unit and a non-unit is a non-unit.
+    pub(crate) fn decrypt_stacks(
+        &self,
+        cts: &[Ciphertext],
+        depth: usize,
+        field_bits: u64,
+    ) -> Vec<Result<BigUint, HeError>> {
+        let key = &*self.inner;
+        let legs = self.legs();
+        let stacks: Vec<&[Ciphertext]> = cts.chunks(depth).collect();
+        // Per (stack, leg): the Horner chain's squarings, then one
+        // sliding-window ladder over the bits of p − 1 (or q − 1) under the
+        // half-width square — a squaring per bit (three quarters of a
+        // multiply) plus a multiply per window (every sixth bit at these
+        // lengths) and the odd-power table, about one multiply a bit.
+        let chain = field_bits * (depth as u64 - 1);
+        let work = Work::new(chain + key.p.bits(), key.p_ctx.modulus());
+        let shares = map_indexed(legs.len() * stacks.len(), work, |j| {
+            let (leg, stack) = (&legs[j % legs.len()], stacks[j / legs.len()]);
+            match stack {
+                [ct] => leg.plaintext(ct.raw()),
+                _ => leg.plaintext(&leg.horner(&leg.arena(stack), 0..stack.len(), field_bits)),
+            }
+        });
+        let mut shares = shares.into_iter();
+        (0..stacks.len())
+            .map(|_| {
+                let m_p = shares.next().expect("a share per leg");
+                let m_q = shares.next().expect("a share per leg");
+                Ok(self.recombine(&m_p?, &m_q?))
+            })
+            .collect()
     }
 
     /// [`decrypt_batch`](Self::decrypt_batch) narrowed to `u64`, one
@@ -546,11 +582,10 @@ impl PrivateKey {
                 max_bits: SLOT_BITS,
             }),
         };
-        map_indexed(cts.len(), self.ladders(), |i| {
-            self.decrypt_raw(cts[i].raw()).and_then(narrow)
-        })
-        .into_iter()
-        .collect()
+        self.decrypt_stacks(cts, 1, 0)
+            .into_iter()
+            .map(|m| m.and_then(narrow))
+            .collect()
     }
 
     /// Decrypts ciphertexts whose plaintexts must each fit a `u64`, with one
@@ -683,7 +718,7 @@ impl PrivateKey {
 
     /// Decrypts a signed integer encoded via the `n/2` wrap-around convention.
     pub fn decrypt_i64(&self, ct: &Ciphertext) -> Result<i64, HeError> {
-        let m = self.decrypt_raw(ct.raw())?;
+        let m = self.decrypt_raw(ct)?;
         let boundary = self.public.signed_boundary();
         if m < boundary {
             let digits = m.to_u64_digits();
@@ -760,12 +795,16 @@ fn fitted_slot_bits(key_bits: u64, len: usize, need: u64) -> u64 {
 /// The `count` lowest `slot_bits`-bit slots of `m`, lowest first.
 fn unpack(m: &BigUint, slot_bits: u64, count: usize) -> impl Iterator<Item = u64> {
     let limbs = m.to_u64_digits();
-    let limb = move |i: usize| limbs.get(i).copied().unwrap_or(0) as u128;
-    (0..count as u64).map(move |j| {
-        let (at, shift) = ((j * slot_bits / 64) as usize, j * slot_bits % 64);
-        let window = (limb(at) | (limb(at + 1) << 64)) >> shift;
-        window as u64 & (u64::MAX >> (64 - slot_bits))
-    })
+    (0..count as u64).map(move |j| bit_field(&limbs, j * slot_bits, slot_bits))
+}
+
+/// The `width` bits (1 to 64) of the little-endian `limbs` from bit `at`
+/// up, zero past the top limb.
+pub(crate) fn bit_field(limbs: &[u64], at: u64, width: u64) -> u64 {
+    let limb = |i: usize| limbs.get(i).copied().unwrap_or(0) as u128;
+    let (i, shift) = ((at / 64) as usize, at % 64);
+    let window = (limb(i) | (limb(i + 1) << 64)) >> shift;
+    window as u64 & (u64::MAX >> (64 - width))
 }
 
 /// `Π cᵢ^wᵢ mod m` over the first `weights.len()` entries of `arena`, in
@@ -1263,6 +1302,57 @@ mod tests {
                     "{what} at {bits} bits"
                 );
             }
+        }
+    }
+
+    /// Legs, not elements, are the pool items; the error is still the
+    /// element-by-element one. At the 256-bit test size a batch of eight
+    /// or more fans its legs out and a shorter one runs inline, so lengths
+    /// 1–9 cover both routes (and `--no-default-features` the serial one
+    /// throughout). A non-unit at every position is the batch's error, and
+    /// beside a plaintext too wide for `u64` the lower index names it.
+    #[test]
+    fn a_batch_fanned_out_by_legs_keeps_the_per_element_error_order() {
+        let kp = keypair();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let (p, q) = kp.private.primes();
+        let wide = kp
+            .public
+            .encrypt(&(BigUint::one() << 70u32), &mut rng)
+            .unwrap();
+        let too_wide = HeError::PlaintextTooWide {
+            bits: 71,
+            max_bits: SLOT_BITS,
+        };
+        for len in 1..=9usize {
+            let honest: Vec<Ciphertext> = (0..len as u64)
+                .map(|m| kp.public.encrypt_u64(m, &mut rng))
+                .collect();
+            for at in 0..len {
+                for bad in [p, q] {
+                    let mut cts = honest.clone();
+                    cts[at] = Ciphertext::from_raw(bad.clone(), kp.public.clone());
+                    let what = format!("{bad} at {at} of {len}");
+                    let expected = HeError::CiphertextNotInvertible;
+                    assert_eq!(
+                        kp.private.decrypt_batch(&cts),
+                        Err(expected.clone()),
+                        "{what}"
+                    );
+                    for w in (0..len).filter(|&w| w != at) {
+                        let mut mixed = cts.clone();
+                        mixed[w] = wide.clone();
+                        let first = if w < at { &too_wide } else { &expected };
+                        assert_eq!(
+                            kp.private.decrypt_u64_each(&mixed),
+                            Err(first.clone()),
+                            "{what}, too wide at {w}"
+                        );
+                    }
+                }
+            }
+            let values = kp.private.decrypt_u64_each(&honest).unwrap();
+            assert_eq!(values, (0..len as u64).collect::<Vec<_>>());
         }
     }
 

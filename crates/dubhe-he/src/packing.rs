@@ -23,7 +23,7 @@ use crate::ciphertext::Ciphertext;
 use crate::codec;
 use crate::error::HeError;
 use crate::fast::{Encryptor, PrecomputedEncryptor};
-use crate::keys::{PrivateKey, PublicKey};
+use crate::keys::{bit_field, PrivateKey, PublicKey};
 use crate::vector::EncryptedVector;
 
 /// Packs fixed-width unsigned slots into Paillier plaintexts.
@@ -471,12 +471,80 @@ impl PackedEncryptedVector {
         })
     }
 
-    /// Decrypts (batch CRT) and unpacks back to the `count` lane values. A
-    /// ciphertext that shares a factor with the modulus is
-    /// [`HeError::CiphertextNotInvertible`].
+    /// Decrypts (batch CRT) and unpacks back to the `count` lane values, one
+    /// CRT decryption per ciphertext: the depth-1 case of
+    /// [`decrypt_u64_under`](Self::decrypt_u64_under), for a receiver that
+    /// holds no [`HeadroomModel`]. Each slot is read whole, so any plaintext
+    /// decodes to its `count` lowest slots. A ciphertext that shares a
+    /// factor with the modulus is [`HeError::CiphertextNotInvertible`].
     pub fn decrypt_u64(&self, private: &PrivateKey) -> Result<Vec<u64>, HeError> {
-        let plaintexts = private.decrypt_batch(self.vector.elements())?;
-        Ok(self.packer.unpack(&plaintexts, self.count))
+        self.decrypt_stacked(private, self.packer.slot_bits)
+    }
+
+    /// Decrypts the `count` lanes of a total folded under `model`, stacking
+    /// `d` of its `k` ciphertexts into one decryption where the declared
+    /// lanes leave room.
+    ///
+    /// **Depth rule.** Every lane of an honest total is at most
+    /// `max_clients · max_counter`, of `b` bits; a `slot_bits`-bit slot has
+    /// room for `⌊slot_bits / b⌋` such lanes. So `d = min(⌊slot_bits / b⌋,
+    /// k)` consecutive ciphertexts `C_t` are decrypted as one, `Π
+    /// C_t^(2^(t·f))` with `f = ⌊slot_bits / d⌋`, and each lane is read from
+    /// its `f`-bit field: `⌈k / d⌉` CRT decryptions instead of `k`. For the
+    /// paper's 56-element registry in 32-bit slots with `N = 200` (8-bit
+    /// lanes) that is `d = 2`, `f = 16`: one decryption instead of two.
+    ///
+    /// **Honest bound.** Each plaintext `M_t` is below `2^(per·slot_bits)`,
+    /// `per` slots of a ciphertext, and every lane below `2^f`. Then the
+    /// stacked plaintext is `Σ M_t·2^(t·f)` exactly, below
+    /// `2^(per·slot_bits) < n`, its fields do not overlap, and the lanes
+    /// equal [`decrypt_u64`](Self::decrypt_u64)'s. The bound is the one the
+    /// model declares (assumption 3 of the threat model), and nothing
+    /// further is checked: a lane in `[2^f, 2^slot_bits)` reads wrong here
+    /// where `decrypt_u64` would read it whole.
+    ///
+    /// **Fallback.** A stacked plaintext with bits above `per·slot_bits`
+    /// is not an honest stack; the total is then decrypted again at depth
+    /// 1 and equals `decrypt_u64`. A ciphertext sharing a factor with the
+    /// modulus at any stacked position makes its stack a non-unit, which is
+    /// `decrypt_u64`'s [`HeError::CiphertextNotInvertible`]. A total whose
+    /// slot layout is not the model's is [`HeError::PackerMismatch`].
+    pub fn decrypt_u64_under(
+        &self,
+        private: &PrivateKey,
+        model: &HeadroomModel,
+    ) -> Result<Vec<u64>, HeError> {
+        model.check_packer(&self.packer)?;
+        let worst = model.max_clients as u128 * model.max_counter as u128;
+        self.decrypt_stacked(private, u128::BITS - worst.leading_zeros())
+    }
+
+    /// The lanes, if each needs at most `lane_bits`, from the `⌈k / d⌉`
+    /// stacked decryptions of [`stack_depth`]: field `t` of a stack's slot
+    /// holds that slot of the stack's `t`-th ciphertext.
+    fn decrypt_stacked(&self, private: &PrivateKey, lane_bits: u32) -> Result<Vec<u64>, HeError> {
+        let per = self.packer.slots_per_plaintext()?;
+        let (depth, field_bits) = stack_depth(self.packer.slot_bits, lane_bits, self.vector.len());
+        let (slot_bits, field_bits) = (self.packer.slot_bits as u64, field_bits as u64);
+        let stacks = private
+            .decrypt_stacks(self.vector.elements(), depth, field_bits)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        if depth > 1 && stacks.iter().any(|m| m.bits() > per as u64 * slot_bits) {
+            return self.decrypt_stacked(private, self.packer.slot_bits);
+        }
+        let mut lanes = Vec::with_capacity(stacks.len() * depth * per);
+        for m in &stacks {
+            let limbs = m.to_u64_digits();
+            for t in 0..depth as u64 {
+                lanes.extend(
+                    (0..per as u64)
+                        .map(|i| bit_field(&limbs, i * slot_bits + t * field_bits, field_bits)),
+                );
+            }
+        }
+        lanes.resize(self.count, 0);
+        Ok(lanes)
     }
 
     /// Serialized ciphertext bytes (variable big-integer width; the canonical
@@ -604,6 +672,17 @@ impl PackedRunningFold {
         }
         Ok(PackedRunningFold { fold, count, model })
     }
+}
+
+/// How deep a packed total of `ciphertexts` ciphertexts stacks when each
+/// lane needs at most `lane_bits` of a `slot_bits`-bit slot: `(d, f)` with
+/// `d = min(⌊slot_bits / lane_bits⌋, ciphertexts)`, at least 1, ciphertexts
+/// to a decryption and `f = ⌊slot_bits / d⌋` bits to a lane's field.
+fn stack_depth(slot_bits: u32, lane_bits: u32, ciphertexts: usize) -> (usize, u32) {
+    let depth = ((slot_bits / lane_bits.max(1)) as usize)
+        .min(ciphertexts)
+        .max(1);
+    (depth, slot_bits / depth as u32)
 }
 
 /// Default packer used by the overhead experiments: 32-bit slots dimensioned
@@ -1004,5 +1083,98 @@ mod tests {
             PackedEncryptedVector::from_vector(inner, 20, Packer::new(16, 512)).unwrap_err(),
             HeError::PackerMismatch { .. }
         ));
+    }
+
+    #[test]
+    fn the_stack_depth_fits_the_declared_lanes_into_a_slot() {
+        // The paper's registry: 8-bit lanes (N = 200) in 32-bit slots.
+        assert_eq!(stack_depth(32, 8, 2), (2, 16));
+        assert_eq!(stack_depth(32, 8, 5), (4, 8));
+        for k in 0..6 {
+            assert_eq!(stack_depth(32, 28, k), (1, 32), "{k} ciphertexts");
+        }
+        // A slot read whole: the model-less decode.
+        assert_eq!(stack_depth(64, 64, 3), (1, 64));
+        assert_eq!(stack_depth(8, 0, 3), (3, 2));
+    }
+
+    /// A 5-ciphertext total of 8-bit lanes in 32-bit slots at the test key
+    /// size — stacks of 4 and 1 — with its registration model.
+    fn five_deep() -> (Packer, HeadroomModel, usize) {
+        let packer = Packer::new(32, crate::TEST_KEY_BITS);
+        let model = HeadroomModel::new(packer, 200, 1).unwrap();
+        (packer, model, 5 * packer.slots_per_plaintext().unwrap())
+    }
+
+    fn packed_from(pk: &PublicKey, cts: Vec<Ciphertext>) -> PackedEncryptedVector {
+        let (packer, _, count) = five_deep();
+        let v = EncryptedVector::from_ciphertexts(pk, cts).unwrap();
+        PackedEncryptedVector::from_vector(v, count, packer).unwrap()
+    }
+
+    #[test]
+    fn a_non_unit_at_any_stacked_position_is_the_whole_slot_decodes_error() {
+        let (pk, sk, mut rng) = setup();
+        let (packer, model, count) = five_deep();
+        let honest = PackedEncryptedVector::encrypt(packer, &pk, &vec![3; count], &mut rng)
+            .unwrap()
+            .vector()
+            .elements()
+            .to_vec();
+        let (p, q) = sk.primes();
+        for bad in [BigUint::zero(), p.clone(), q * BigUint::from(5u32)] {
+            for at in 0..honest.len() {
+                let mut cts = honest.clone();
+                cts[at] = Ciphertext::from_raw(bad.clone(), pk.clone());
+                let v = packed_from(&pk, cts);
+                let expected = Err(HeError::CiphertextNotInvertible);
+                assert_eq!(v.decrypt_u64(&sk), expected, "{bad} at {at}");
+                assert_eq!(v.decrypt_u64_under(&sk, &model), expected, "{bad} at {at}");
+            }
+        }
+    }
+
+    /// Plaintexts no honest fold makes, each at every position: a bit just
+    /// above the `per` slots, and `n − 1` among zeros, which wraps its stack
+    /// to `n − 2^(t·f)`. Either way the stack has bits above the slots, and
+    /// the decode is the whole-slot one.
+    #[test]
+    fn a_stack_with_bits_above_its_slots_falls_back_to_the_whole_slot_decode() {
+        let (pk, sk, mut rng) = setup();
+        let (packer, model, count) = five_deep();
+        let lanes: Vec<u64> = (0..count as u64).map(|i| i * 37 % 201).collect();
+        let honest = packer.pack(&lanes).unwrap();
+        let above = BigUint::from(1u32) << (packer.slots_per_plaintext().unwrap() as u32 * 32);
+        for at in 0..honest.len() {
+            let mut high = honest.clone();
+            high[at] = &high[at] + &above;
+            let mut wrap = vec![BigUint::zero(); honest.len()];
+            wrap[at] = pk.n() - BigUint::from(1u32);
+            for plaintexts in [high, wrap] {
+                let cts = plaintexts
+                    .iter()
+                    .map(|m| pk.encrypt(m, &mut rng).unwrap())
+                    .collect();
+                let v = packed_from(&pk, cts);
+                let whole = v.decrypt_u64(&sk).unwrap();
+                assert_eq!(v.decrypt_u64_under(&sk, &model).unwrap(), whole, "at {at}");
+            }
+        }
+        let honest = PackedEncryptedVector::encrypt(packer, &pk, &lanes, &mut rng).unwrap();
+        assert_eq!(honest.decrypt_u64_under(&sk, &model).unwrap(), lanes);
+    }
+
+    #[test]
+    fn a_total_decoded_under_a_foreign_model_is_a_packer_mismatch() {
+        let (pk, sk, mut rng) = setup();
+        let (packer, _, count) = five_deep();
+        let v = PackedEncryptedVector::encrypt(packer, &pk, &vec![1; count], &mut rng).unwrap();
+        for foreign in [Packer::new(16, crate::TEST_KEY_BITS), Packer::new(32, 512)] {
+            let model = HeadroomModel::new(foreign, 200, 1).unwrap();
+            assert!(matches!(
+                v.decrypt_u64_under(&sk, &model),
+                Err(HeError::PackerMismatch { .. })
+            ));
+        }
     }
 }

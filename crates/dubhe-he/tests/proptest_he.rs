@@ -14,7 +14,7 @@ use dubhe_he::{
 use num_bigint::{BigUint, RandBigInt};
 use num_traits::{One, Zero};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn keys() -> &'static (PublicKey, PrivateKey) {
     static KEYS: OnceLock<(PublicKey, PrivateKey)> = OnceLock::new();
@@ -495,6 +495,77 @@ proptest! {
             .map(|j| plain.iter().map(|v| v[j]).sum())
             .collect();
         prop_assert_eq!(total.decrypt_u64(sk).unwrap(), expected);
+    }
+}
+
+/// One stacked-decode case: `k` ciphertexts of `slot_bits`-bit slots, the
+/// last `short` lanes short of full, under a model declaring lanes of
+/// `lane_bits` bits. Lanes are drawn below `2^f` of the depth rule,
+/// restated from `dubhe-he`'s — `d = min(⌊slot_bits / lane_bits⌋, k)`,
+/// `f = ⌊slot_bits / d⌋` — a quarter of them at that field's top value.
+/// The whole-slot decode must return the lanes, and the stacked one the
+/// same.
+fn stacked_matches_whole_slot(
+    (pk, sk): &(PublicKey, PrivateKey),
+    slot_bits: u32,
+    k: usize,
+    lane_bits: u32,
+    short: usize,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let packer = Packer::new(slot_bits, pk.bits());
+    let per = packer.slots_per_plaintext().unwrap();
+    let count = k * per - short % per;
+    let lane_bits = 1 + lane_bits % slot_bits;
+    let model = HeadroomModel::new(packer, u64::MAX >> (64 - lane_bits), 1).unwrap();
+    let depth = ((slot_bits / lane_bits) as usize).min(k);
+    let field = u64::MAX >> (64 - slot_bits / depth as u32);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let lanes: Vec<u64> = (0..count)
+        .map(|_| match rng.next_u64() {
+            r if r % 4 == 0 => field,
+            r => r & field,
+        })
+        .collect();
+    let v = PackedEncryptedVector::encrypt(packer, pk, &lanes, &mut rng).unwrap();
+    prop_assert_eq!(v.ciphertext_count(), k);
+    let whole = v.decrypt_u64(sk);
+    prop_assert_eq!(&whole, &Ok(lanes));
+    prop_assert_eq!(v.decrypt_u64_under(sk, &model), whole);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The stacked decode against the whole-slot one, over slot widths 8,
+    /// 16, 32 and 64, 1–5 ciphertexts and every declared lane width: equal,
+    /// and equal to the lanes, whenever every lane is below `2^f`.
+    #[test]
+    fn stacked_decode_matches_the_whole_slot_decode(
+        width in 0usize..4,
+        k in 1usize..=5,
+        lane_bits in any::<u32>(),
+        short in any::<usize>(),
+        seed in any::<u64>(),
+    ) {
+        let slot_bits = [8, 16, 32, 64][width];
+        stacked_matches_whole_slot(keys(), slot_bits, k, lane_bits, short, seed)?;
+    }
+
+    /// The same at 1024 bits, where a slot layout holds four times the
+    /// lanes. Release builds only, like the other 1024-bit decode pins.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn stacked_decode_matches_the_whole_slot_decode_at_1024_bits(
+        width in 0usize..4,
+        k in 1usize..=5,
+        lane_bits in any::<u32>(),
+        short in any::<usize>(),
+        seed in any::<u64>(),
+    ) {
+        let slot_bits = [8, 16, 32, 64][width];
+        stacked_matches_whole_slot(paper_keys(), slot_bits, k, lane_bits, short, seed)?;
     }
 }
 

@@ -617,7 +617,13 @@ impl SelectClientNode {
                     .private_key
                     .as_ref()
                     .ok_or(ProtocolError::MissingKeyMaterial { role: "client" })?;
-                self.overall_registry = Some(total.decrypt_u64(sk)?);
+                // Under a policy the lanes are bounded by its registry
+                // model, so the total's ciphertexts stack into fewer
+                // decryptions.
+                self.overall_registry = Some(match &self.packing {
+                    Some(policy) => total.decrypt_u64_under(sk, &policy.registry_model())?,
+                    None => total.decrypt_u64(sk)?,
+                });
                 Ok(Vec::new())
             }
             other => Err(ProtocolError::UnexpectedMessage {
