@@ -302,9 +302,11 @@ struct PrivateKeyInner {
     p_ctx: MontgomeryContext,
     /// Cached Montgomery context for `q²`.
     q_ctx: MontgomeryContext,
-    /// `h_p = L_p(g^{p-1} mod p²)⁻¹ mod p` (CRT precomputation).
+    /// `h_p = L_p(g^{p-1} mod p²)⁻¹ mod p` (CRT precomputation), which is
+    /// `p − (q⁻¹ mod p)` for `g = n + 1`.
     h_p: BigUint,
-    /// `h_q = L_q(g^{q-1} mod q²)⁻¹ mod q` (CRT precomputation).
+    /// `h_q = L_q(g^{q-1} mod q²)⁻¹ mod q` (CRT precomputation), which is
+    /// `q − (p⁻¹ mod q)` for `g = n + 1`.
     h_q: BigUint,
     /// `q⁻¹ mod p` for CRT recombination.
     q_inv_p: BigUint,
@@ -373,22 +375,22 @@ impl PrivateKey {
         }
         let p_ctx = MontgomeryContext::new(&(&p * &p));
         let q_ctx = MontgomeryContext::new(&(&q * &q));
-        let g = public.n() + &one;
-
         let p_minus_1 = &p - &one;
         let q_minus_1 = &q - &one;
 
-        let l_p = l_function(&p_ctx.modpow(&g, &p_minus_1), &p);
-        let l_q = l_function(&q_ctx.modpow(&g, &q_minus_1), &q);
-        let h_p = mod_inverse(&l_p, &p).ok_or(HeError::MalformedKey {
+        // In closed form, without a ladder: (1 + n)^(p−1) ≡ 1 + (p−1)·n
+        // (mod p²), since n² ≡ 0, so L_p = (p−1)·q ≡ −q (mod p) and
+        // h_p = L_p⁻¹ = p − (q⁻¹ mod p); likewise h_q = q − (p⁻¹ mod q).
+        // L_p is invertible exactly when q is modulo p, so one inverse
+        // serves both `h_p` and Garner's `q⁻¹ mod p`.
+        let q_inv_p = mod_inverse(&(&q % &p), &p).ok_or(HeError::MalformedKey {
             detail: "L_p is not invertible modulo p",
         })?;
-        let h_q = mod_inverse(&l_q, &q).ok_or(HeError::MalformedKey {
+        let p_inv_q = mod_inverse(&(&p % &q), &q).ok_or(HeError::MalformedKey {
             detail: "L_q is not invertible modulo q",
         })?;
-        let q_inv_p = mod_inverse(&(&q % &p), &p).ok_or(HeError::MalformedKey {
-            detail: "q is not invertible modulo p",
-        })?;
+        let h_p = &p - &q_inv_p;
+        let h_q = &q - &p_inv_q;
 
         Ok(PrivateKey {
             public,
@@ -953,6 +955,44 @@ mod tests {
     fn keypair() -> Keypair {
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         Keypair::generate(crate::TEST_KEY_BITS, &mut rng)
+    }
+
+    /// The CRT constants as `try_new` computed them before the closed
+    /// form: `L` of a `p − 1` / `q − 1` ladder on `g = n + 1`, inverted.
+    fn ladder_constants(key: &PrivateKey) -> (BigUint, BigUint) {
+        let k = &*key.inner;
+        let g = key.public.n() + BigUint::one();
+        let l_p = l_function(&k.p_ctx.modpow(&g, &k.p_minus_1), &k.p);
+        let l_q = l_function(&k.q_ctx.modpow(&g, &k.q_minus_1), &k.q);
+        (
+            mod_inverse(&l_p, &k.p).expect("L_p invertible"),
+            mod_inverse(&l_q, &k.q).expect("L_q invertible"),
+        )
+    }
+
+    #[test]
+    fn closed_form_crt_constants_match_the_ladder_form() {
+        for seed in 0..32 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let key = Keypair::generate(crate::TEST_KEY_BITS, &mut rng).private;
+            let (h_p, h_q) = ladder_constants(&key);
+            assert_eq!(
+                (&key.inner.h_p, &key.inner.h_q),
+                (&h_p, &h_q),
+                "seed {seed}"
+            );
+        }
+    }
+
+    // A 1024-bit prime search is seconds-long unoptimised; CI runs it with
+    // --release.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn closed_form_crt_constants_match_the_ladder_form_at_1024_bits() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1024);
+        let key = Keypair::generate(1024, &mut rng).private;
+        let (h_p, h_q) = ladder_constants(&key);
+        assert_eq!((&key.inner.h_p, &key.inner.h_q), (&h_p, &h_q));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!                    │   mini_mio::Poll (epoll / poll(2))         │
 //!                    │   nonblocking accept                       │
 //!                    │   per-conn Connection: reassembly, phase,  │
-//!                    │   bounded write queue; one flush           │
-//!                    │     per connection per loop turn           │
+//!                    │   bounded write queue; one flush, and one  │
+//!                    │     seal slice, per connection per turn    │
 //!                    │   small frame + idle router: answered here ├──┐
 //!                    └───────┬───────────────────────▲────────────┘  │
 //!                       jobs │ mpsc             mpsc │ replies       │
@@ -61,8 +61,18 @@
 //! reported again; no extra `read` is spent probing for `WouldBlock`.
 //! Replies — answered inline or drained from the router — are appended to
 //! their connection's queue and the connection is marked; every marked
-//! connection is flushed once when the loop turn ends, so sixteen replies to
-//! sixteen pipelined requests leave in one `write`.
+//! connection — and every one whose socket turned writable — is flushed
+//! once when the loop turn ends, so sixteen replies to sixteen pipelined
+//! requests leave in one `write`.
+//!
+//! On a sealed channel that flush also seals, one `SEAL_SLICE` (256 KiB,
+//! the read budget's size) ahead of what the socket has taken. A reply
+//! larger than that — the registration broadcast is `N + 1` copies of the
+//! total, 14.5 MB at `N = 1000` — is sealed a slice per turn: its first
+//! bytes leave after its first slice, the peer opens them while the next
+//! is sealed, and every other connection is read and answered between
+//! slices. A connection with bytes still to seal stays marked, and the
+//! poll does not sleep while one is.
 //!
 //! ## Flow control
 //!
@@ -74,8 +84,11 @@
 //! bring it back under the mark, the listener records a
 //! [`ProtocolError::Backpressure`] disconnect and drops the connection — it
 //! never holds more than `high_water` plus one frame and never blocks the
-//! event loop on one slow reader. A peer that stalls *mid-frame* on the read side
-//! is cut by [`ReactorConfig::read_timeout`], measured from its last byte of
+//! event loop on one slow reader. Bytes not sealed yet count against the
+//! mark, but the cut is for bytes the socket refused: sealing that has not
+//! caught up is never taken for a peer that stopped reading. A peer that
+//! stalls *mid-frame* on the read side is cut by
+//! [`ReactorConfig::read_timeout`], measured from its last byte of
 //! progress; idleness *between* frames is healthy (a client may train for
 //! minutes between protocol rounds) and is never timed out.
 //!
@@ -569,6 +582,9 @@ struct Conn {
     pending_sends: VecDeque<PendingSend>,
     /// Set while the connection sits in [`EventLoop::flush_due`].
     flush_due: bool,
+    /// The write queue's `sealed_total` already added to the listener's
+    /// `bytes_sealed`.
+    sealed_counted: u64,
     /// Armed while the connection wants a read deadline; pushed forward on
     /// every byte of progress, enforced by the sweep in the event loop.
     frame_deadline: Option<Instant>,
@@ -623,7 +639,8 @@ struct EventLoop<C> {
     /// this thread may take it.
     served: Arc<Mutex<Served<C>>>,
     /// Connections holding replies queued this turn and not yet offered to
-    /// their socket.
+    /// their socket, or a reply still to seal: flushed when the turn ends,
+    /// and the next poll does not sleep while any are left.
     flush_due: Vec<usize>,
     stop: Arc<AtomicBool>,
     metrics: Arc<ListenerMetrics>,
@@ -654,8 +671,10 @@ impl<C: Coordinator> EventLoop<C> {
                     if event.is_readable() || event.is_hup() || event.is_error() {
                         self.handle_read(token);
                     }
+                    // Written with the turn's other flushes, so a
+                    // connection gets one slice of sealing per turn.
                     if event.is_writable() {
-                        self.flush_conn(token);
+                        self.mark_flush_due(token);
                     }
                 }
             }
@@ -663,12 +682,16 @@ impl<C: Coordinator> EventLoop<C> {
             // drain opportunistically rather than waiting for the next ring.
             self.drain_replies();
             // The turn's one write per connection: everything queued above,
-            // inline answers and router replies alike.
+            // inline answers and router replies alike, with at most one
+            // slice of sealing each. A connection with more to seal marks
+            // itself again, for the next turn.
             let mut due = std::mem::take(&mut self.flush_due);
             for token in due.drain(..) {
                 self.flush_conn(token);
             }
-            self.flush_due = due;
+            if self.flush_due.is_empty() {
+                self.flush_due = due;
+            }
             self.sweep_stalled();
         }
         // Count every still-open connection as closed so a final stats
@@ -679,8 +702,12 @@ impl<C: Coordinator> EventLoop<C> {
         }
     }
 
-    /// Sleep until the nearest mid-frame deadline, else the idle backstop.
+    /// Sleep until the nearest mid-frame deadline, else the idle backstop —
+    /// or not at all while a connection still has a reply to seal.
     fn next_timeout(&self) -> Duration {
+        if !self.flush_due.is_empty() {
+            return Duration::ZERO;
+        }
         let now = Instant::now();
         self.conns
             .values()
@@ -728,6 +755,7 @@ impl<C: Coordinator> EventLoop<C> {
                             connection,
                             pending_sends: VecDeque::new(),
                             flush_due: false,
+                            sealed_counted: 0,
                             frame_deadline,
                             closing: false,
                             wants_write: false,
@@ -941,12 +969,7 @@ impl<C: Coordinator> EventLoop<C> {
             .out
             .hold_to(self.config.high_water, &mut socket)
         {
-            Ok(false) => {
-                if !conn.flush_due {
-                    conn.flush_due = true;
-                    self.flush_due.push(token);
-                }
-            }
+            Ok(false) => self.mark_flush_due(token),
             Ok(true) => self.flushed(token),
             Err(e @ ProtocolError::Backpressure { .. }) => {
                 eprintln!("reactor listener: {e}");
@@ -957,28 +980,46 @@ impl<C: Coordinator> EventLoop<C> {
         }
     }
 
-    /// Writes as much queued output as the socket accepts — in one `write`
-    /// when it takes it all.
+    /// Queues the connection for the flush that ends the turn.
+    fn mark_flush_due(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        if !conn.flush_due {
+            conn.flush_due = true;
+            self.flush_due.push(token);
+        }
+    }
+
+    /// Seals at most one slice more and writes as much sealed output as the
+    /// socket accepts — in one `write` when it takes it all.
     fn flush_conn(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         conn.flush_due = false;
         let mut socket = CountedWrites(&conn.stream, &self.metrics);
-        match conn.connection.out.flush(&mut socket) {
+        match conn.connection.out.flush_slice(&mut socket) {
             Ok(()) => self.flushed(token),
             Err(_) => self.close_conn(token, CloseReason::Truncated),
         }
     }
 
-    /// After every write attempt: records the frames that left completely
-    /// and what the socket would not take, keeps WRITABLE interest only
-    /// while bytes remain, and finishes a pending close once the queue
-    /// drains.
+    /// After every write attempt: records the bytes sealed and the frames
+    /// that left completely, and what the socket would not take; finishes a
+    /// pending close once the queue drains. Sealed bytes the socket refused
+    /// wait for WRITABLE interest; with every sealed byte written, what is
+    /// left is unsealed, and the connection is due again next turn.
     fn flushed(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
+        let sealed = conn.connection.out.sealed_total();
+        if sealed > conn.sealed_counted {
+            self.metrics
+                .bytes_sealed((sealed - conn.sealed_counted) as usize);
+            conn.sealed_counted = sealed;
+        }
         while conn
             .pending_sends
             .front()
@@ -991,12 +1032,17 @@ impl<C: Coordinator> EventLoop<C> {
             }
         }
         let unwritten = conn.connection.out.pending();
+        let unsealed = conn.connection.out.unsealed();
         self.metrics.write_queue_depth(unwritten);
         if unwritten == 0 && conn.closing {
             self.close_conn(token, CloseReason::Clean);
             return;
         }
-        self.set_write_interest(token, unwritten > 0);
+        let refused = unwritten > unsealed;
+        self.set_write_interest(token, refused);
+        if !refused && unsealed > 0 {
+            self.mark_flush_due(token);
+        }
     }
 
     fn set_write_interest(&mut self, token: usize, want_write: bool) {

@@ -20,6 +20,8 @@ use dubhe_data::ClassDistribution;
 use dubhe_he::EncryptedVector;
 use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
 use dubhe_select::protocol::channel::write_handshake_frame;
+use dubhe_select::protocol::connection::Event;
+use dubhe_select::protocol::tcp::dial;
 use dubhe_select::protocol::{
     codec, read_frame, run_registration_with, run_try, write_frame, ChannelPolicy, Coordinator,
     Envelope, InMemoryTransport, ListenerStats, NodeIdentity, Party, ProtocolMsg, RegistryFrame,
@@ -485,6 +487,88 @@ fn multi_mib_sealed_broadcast_reaches_tcp_transport_byte_for_byte() {
     assert!(sealed_frame_bytes(&reply) > 2 << 20, "a multi-MiB frame");
     assert!(stats.bytes_sent > sealed_frame_bytes(&reply));
     client.shutdown().unwrap();
+}
+
+// Seconds-long under a debug-build ChaCha20; CI runs it with --release.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn a_reply_still_being_sealed_does_not_hold_up_another_connection() {
+    // Connection A's registration broadcast: n + 1 copies of a length-700
+    // total, 45 KB an addressee at 256-bit keys, so ≈ 18 MB sealed — several
+    // times what a loopback socket buffers for a reader that does not read.
+    // A sends everything and reads nothing, so its seal stalls part-way.
+    let (n, length) = (400, 700);
+    let (key_dispatch, uploads) = uploads_of_length(n, length);
+    let requests: Vec<WireMsg> = std::iter::once(key_dispatch)
+        .chain(
+            uploads
+                .into_iter()
+                .map(|envelope| WireMsg::Envelope { envelope }),
+        )
+        .collect();
+    let mut reference = ShardedCoordinator::new(n, 4);
+    let replies: Vec<WireMsg> = requests
+        .iter()
+        .map(|msg| reply_in_memory(&mut reference, msg))
+        .collect();
+    let inner_bytes = |msg: &WireMsg| sealed_frame_bytes(msg) - SEALED_FRAME_OVERHEAD;
+    let broadcast = &replies[n];
+    assert!(
+        inner_bytes(broadcast) > 16 << 20,
+        "a reply of 16 MiB or more"
+    );
+    let before_broadcast: usize = replies[..n].iter().map(inner_bytes).sum();
+
+    let reactor = ReactorListener::spawn_with(
+        ShardedCoordinator::new(n, 4),
+        ReactorConfig::default().with_channel(ChannelPolicy::Required),
+    )
+    .unwrap();
+    let config = TcpConfig::default()
+        .with_channel(ChannelPolicy::Required)
+        .with_expected_server(reactor.public_identity().expect("identity resolved"))
+        .with_read_timeout(Duration::from_secs(30));
+    let (mut a_stream, mut a) = dial(reactor.addr(), &config.with_identity_seed(1)).unwrap();
+    for msg in &requests {
+        a.queue(msg).unwrap();
+    }
+    a.write_queued(&mut a_stream).unwrap();
+    wait_for(&reactor, "the broadcast never started sealing", |s| {
+        s.bytes_sealed > before_broadcast
+    });
+
+    // B's small request is answered while A's broadcast is part-sealed: the
+    // monotonic count says so, whenever it is read after the answer.
+    let mut b =
+        TcpTransport::connect_with_config(reactor.addr(), config.with_identity_seed(2)).unwrap();
+    Coordinator::announce_try(&mut b, 0, &[1, 2]).unwrap();
+    let ack = inner_bytes(&WireMsg::Ack);
+    let all_sealed = before_broadcast + inner_bytes(broadcast) + ack;
+    let sealed = reactor.stats().bytes_sealed;
+    assert!(
+        sealed < all_sealed,
+        "B answered only after A's broadcast was sealed whole ({sealed} B)"
+    );
+
+    // Then A reads: every reply, the broadcast byte for byte.
+    for (i, expect) in replies.iter().enumerate() {
+        match a.next_event(&mut a_stream).unwrap() {
+            Event::Frame { msg, .. } => assert_eq!(&msg.force().unwrap(), expect, "reply {i}"),
+            other => panic!("reply {i}: {other:?}"),
+        }
+    }
+    b.shutdown().unwrap();
+    a.queue(&WireMsg::Shutdown).unwrap();
+    a.write_queued(&mut a_stream).unwrap();
+    let stats = wait_for(&reactor, "connections never drained", |s| {
+        s.connections_closed == 2
+    });
+    assert_eq!(stats.bytes_sealed, all_sealed);
+    assert_eq!(stats.frames_sent, n + 2);
+    assert_eq!(
+        stats.aead_rejections + stats.decode_errors + stats.backpressure_disconnects,
+        0
+    );
 }
 
 #[test]

@@ -27,6 +27,21 @@
 //! spliced or re-sequenced frame fails the tag even if its ciphertext is
 //! untouched.
 //!
+//! ## A frame in slices
+//!
+//! RFC 8439's AEAD is a stream cipher plus a one-pass MAC, so a frame need
+//! not be sealed or opened in one go. A `FrameCursor` carries one frame's
+//! sequence number, keystream position and MAC state from one slice to the
+//! next: a write queue seals a multi-megabyte frame a slice ahead of each
+//! socket write, and a receiving [`Connection`] MACs and decrypts each run
+//! of ciphertext as it lands. The bytes on the wire are those of the
+//! one-step form — [`seal_frame`](SecureChannel::seal_frame) and
+//! [`open_in_place`](SecureChannel::open_in_place) are a cursor run over the
+//! whole frame at once. An opened prefix is never decoded or released
+//! before the tag verifies; on a failed tag it is encrypted back, so the
+//! payload is again exactly what arrived, and the receive sequence does not
+//! advance.
+//!
 //! ## Handshake state machine
 //!
 //! ```text
@@ -63,7 +78,9 @@
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mini_crypto::{hkdf, hmac_sha256, sha256, ChaCha20Poly1305, PublicKey, StaticSecret, TAG_LEN};
+use mini_crypto::{
+    hkdf, hmac_sha256, sha256, ChaCha20, Poly1305, PublicKey, StaticSecret, TAG_LEN,
+};
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -84,7 +101,7 @@ pub const SEALED_FRAME_OVERHEAD: usize = SEALED_PREFIX_BYTES + TAG_LEN;
 
 /// What a sealed frame puts in front of its ciphertext: the `DBHE` magic,
 /// the payload length and the sequence number.
-const SEALED_PREFIX_BYTES: usize = 4 + 4 + 8;
+pub(crate) const SEALED_PREFIX_BYTES: usize = 4 + 4 + 8;
 
 /// M1 = static(32) + ephemeral(32); M2 adds the confirmation tag.
 pub(crate) const HELLO_LEN: usize = 64;
@@ -191,8 +208,8 @@ pub fn secret_bytes_from_seed(seed: u64) -> [u8; 32] {
 /// The established channel: per-direction AEAD keys plus strictly
 /// sequenced nonces, bound to the authenticated peer identity.
 pub struct SecureChannel {
-    send: ChaCha20Poly1305,
-    recv: ChaCha20Poly1305,
+    send_key: [u8; 32],
+    recv_key: [u8; 32],
     send_seq: u64,
     recv_seq: u64,
     peer: [u8; 32],
@@ -225,29 +242,127 @@ fn sealed_aad(seq: u64) -> [u8; 12] {
     aad
 }
 
+/// One sealed frame's AEAD part-way through: RFC 8439 §2.8 run a slice at a
+/// time. The cursor holds the frame's sequence number, the keystream
+/// position and the MAC state between slices; sealing encrypts each run
+/// then MACs it, opening MACs each run then decrypts it. Every run but the
+/// last is a whole number of 64-byte keystream blocks, so the MAC's 16-byte
+/// padding falls only where the AEAD puts it, after the last ciphertext
+/// byte — any split gives the bytes and tag of the one-step form.
+pub(crate) struct FrameCursor {
+    seq: u64,
+    /// Ciphertext length: the inner frame's.
+    len: usize,
+    /// Ciphertext bytes through the cursor so far.
+    done: usize,
+    cipher: ChaCha20,
+    mac: Poly1305,
+}
+
+/// Keystream block: the unit every run but a frame's last is cut to.
+const BLOCK: usize = 64;
+
+impl FrameCursor {
+    fn new(key: &[u8; 32], seq: u64, len: usize) -> FrameCursor {
+        // RFC 8439 §2.6 / §2.8: block 0 keys the MAC, block 1 on encrypts.
+        let mut cipher = ChaCha20::new(key, &nonce_for(seq));
+        let mut one_time_key = [0u8; 32];
+        cipher.apply_keystream(&mut one_time_key);
+        cipher.seek(BLOCK as u64);
+        let mut mac = Poly1305::new(&one_time_key);
+        mac.update_padded(&sealed_aad(seq));
+        FrameCursor {
+            seq,
+            len,
+            done: 0,
+            cipher,
+            mac,
+        }
+    }
+
+    /// Ciphertext bytes not yet through the cursor.
+    pub(crate) fn remaining(&self) -> usize {
+        self.len - self.done
+    }
+
+    /// Where the run that `available` more bytes allow ends: the frame's
+    /// end if they reach it, else the last whole block they cover.
+    fn run_end(&self, available: usize) -> usize {
+        if available >= self.remaining() {
+            self.len
+        } else {
+            self.done + available / BLOCK * BLOCK
+        }
+    }
+
+    /// Encrypts then MACs the next run of `unsealed` — the frame's
+    /// ciphertext from where the cursor stands to its end — of at most
+    /// `budget` bytes, and returns its length.
+    pub(crate) fn seal(&mut self, unsealed: &mut [u8], budget: usize) -> usize {
+        let n = self.run_end(budget) - self.done;
+        let run = &mut unsealed[..n];
+        self.cipher.apply_keystream(run);
+        self.mac.update_padded(run);
+        self.done += n;
+        n
+    }
+
+    /// MACs then decrypts the run of ciphertext that has arrived since the
+    /// last call: `arrived` is the ciphertext region as far as it has
+    /// landed (anything past its end, the tag, is left alone).
+    pub(crate) fn open(&mut self, arrived: &mut [u8]) {
+        let available = arrived.len().min(self.len) - self.done;
+        let (start, end) = (self.done, self.run_end(available));
+        let run = &mut arrived[start..end];
+        self.mac.update_padded(run);
+        self.cipher.apply_keystream(run);
+        self.done = end;
+    }
+
+    /// The tag, once every ciphertext byte has been through the cursor,
+    /// and the cipher rewound to the first ciphertext byte (what undoes an
+    /// open).
+    fn finish(mut self) -> ([u8; TAG_LEN], ChaCha20) {
+        debug_assert_eq!(self.remaining(), 0, "finished before the last run");
+        let mut lengths = [0u8; 16];
+        lengths[..8].copy_from_slice(&(sealed_aad(self.seq).len() as u64).to_le_bytes());
+        lengths[8..].copy_from_slice(&(self.len as u64).to_le_bytes());
+        self.mac.update_padded(&lengths);
+        self.cipher.seek(BLOCK as u64);
+        (self.mac.finalize(), self.cipher)
+    }
+
+    /// Seals what is left of the frame in one run and writes the tag:
+    /// `rest` is the ciphertext from where the cursor stands, then the
+    /// tag's room.
+    pub(crate) fn seal_rest(mut self, rest: &mut [u8]) {
+        let (unsealed, tag) = rest.split_at_mut(self.remaining());
+        self.seal(unsealed, usize::MAX);
+        tag.copy_from_slice(&self.finish().0);
+    }
+}
+
 impl SecureChannel {
     /// The peer's authenticated public identity.
     pub fn peer_identity(&self) -> [u8; 32] {
         self.peer
     }
 
-    /// Seals the frame under construction at `out[start..]` — 16 bytes of
-    /// room for the `DBHE` prefix followed by one inner plaintext frame —
-    /// where it lies: the prefix is filled in, the inner frame encrypted in
-    /// place and the tag appended. Takes the next send sequence number.
-    fn seal_in_place(&mut self, out: &mut Vec<u8>, start: usize) {
+    /// Starts sealing `frame` — 16 bytes of room for the `DBHE` prefix, one
+    /// inner plaintext frame, 16 bytes of room for the tag — where it lies:
+    /// the prefix is filled in and the frame takes the next send sequence
+    /// number. The returned cursor encrypts the inner frame, which starts at
+    /// `frame[16]`, and its [`seal_rest`](FrameCursor::seal_rest) writes the
+    /// tag.
+    pub(crate) fn seal_cursor(&mut self, frame: &mut [u8]) -> FrameCursor {
         let seq = self.send_seq;
         self.send_seq += 1;
-        let (prefix, inner) = out[start..].split_at_mut(SEALED_PREFIX_BYTES);
-        let announced = u32::try_from(8 + inner.len() + TAG_LEN)
+        let announced = u32::try_from(frame.len() - 8)
             .expect("callers bound the inner frame below the u32 length field");
-        prefix[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
-        prefix[4..8].copy_from_slice(&announced.to_be_bytes());
-        prefix[8..].copy_from_slice(&seq.to_be_bytes());
-        let tag = self
-            .send
-            .encrypt_in_place_detached(&nonce_for(seq), &sealed_aad(seq), inner);
-        out.extend_from_slice(&tag);
+        frame[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
+        frame[4..8].copy_from_slice(&announced.to_be_bytes());
+        frame[8..SEALED_PREFIX_BYTES].copy_from_slice(&seq.to_be_bytes());
+        FrameCursor::new(&self.send_key, seq, frame.len() - SEALED_FRAME_OVERHEAD)
     }
 
     /// Seals one inner plaintext frame into a complete `DBHE` wire frame of
@@ -257,39 +372,73 @@ impl SecureChannel {
         let mut frame = Vec::with_capacity(SEALED_FRAME_OVERHEAD + inner.len());
         frame.resize(SEALED_PREFIX_BYTES, 0);
         frame.extend_from_slice(inner);
-        self.seal_in_place(&mut frame, 0);
+        frame.resize(frame.len() + TAG_LEN, 0);
+        let cursor = self.seal_cursor(&mut frame);
+        cursor.seal_rest(&mut frame[SEALED_PREFIX_BYTES..]);
         frame
     }
 
-    /// Opens one `DBHE` payload (`seq || ciphertext || tag`) where it lies
-    /// and returns the inner plaintext frame, borrowed from `payload`.
-    /// Out-of-sequence frames surface [`ProtocolError::ReplayDetected`];
-    /// tag failures surface [`ProtocolError::AuthFailure`] with `payload`
-    /// untouched — the tag is verified before a byte is decrypted. Either
-    /// way the channel is dead: a failed open does not advance the receive
-    /// sequence, and callers cut the connection.
-    pub fn open_in_place<'a>(&mut self, payload: &'a mut [u8]) -> Result<&'a [u8], ProtocolError> {
-        let Some(inner_len) = payload.len().checked_sub(8 + TAG_LEN) else {
+    /// Starts opening a `DBHE` payload (`seq || ciphertext || tag`) that
+    /// announced `len` bytes, once its first eight — the sequence number,
+    /// at the front of `arrived` — are in. A payload too short for a
+    /// sequence number and a tag surfaces [`ProtocolError::AuthFailure`],
+    /// an out-of-sequence one [`ProtocolError::ReplayDetected`].
+    pub(crate) fn open_cursor(
+        &self,
+        len: usize,
+        arrived: &[u8],
+    ) -> Result<FrameCursor, ProtocolError> {
+        let Some(inner_len) = len.checked_sub(8 + TAG_LEN) else {
             return Err(ProtocolError::AuthFailure {
-                detail: format!("sealed payload too short ({} bytes)", payload.len()),
+                detail: format!("sealed payload too short ({len} bytes)"),
             });
         };
-        let seq = u64::from_be_bytes(payload[..8].try_into().expect("8-byte slice"));
+        let seq = u64::from_be_bytes(arrived[..8].try_into().expect("8-byte slice"));
         if seq != self.recv_seq {
             return Err(ProtocolError::ReplayDetected {
                 expected: self.recv_seq,
                 got: seq,
             });
         }
-        let (inner, tag) = payload[8..].split_at_mut(inner_len);
-        let tag: &[u8; TAG_LEN] = (&*tag).try_into().expect("TAG_LEN bytes remain");
-        self.recv
-            .decrypt_in_place_detached(&nonce_for(seq), &sealed_aad(seq), inner, tag)
-            .map_err(|_| ProtocolError::AuthFailure {
+        Ok(FrameCursor::new(&self.recv_key, seq, inner_len))
+    }
+
+    /// Finishes opening the whole `payload` that `cursor` has opened part
+    /// of: the rest of the ciphertext is opened, the tag compared in
+    /// constant time, and the inner plaintext frame returned, borrowed from
+    /// `payload`, with the receive sequence one on. A failed tag surfaces
+    /// [`ProtocolError::AuthFailure`] with the opened ciphertext encrypted
+    /// back — `payload` is again exactly what arrived — and the sequence
+    /// where it was: the channel is dead, and callers cut the connection.
+    pub(crate) fn finish_open<'a>(
+        &mut self,
+        mut cursor: FrameCursor,
+        payload: &'a mut [u8],
+    ) -> Result<&'a [u8], ProtocolError> {
+        let (inner, tag) = payload[8..].split_at_mut(cursor.len);
+        cursor.open(inner);
+        let seq = cursor.seq;
+        let (expect, mut cipher) = cursor.finish();
+        if !constant_time_eq(tag, &expect) {
+            cipher.apply_keystream(inner);
+            return Err(ProtocolError::AuthFailure {
                 detail: format!("AEAD tag verification failed on sealed frame {seq}"),
-            })?;
+            });
+        }
         self.recv_seq += 1;
         Ok(inner)
+    }
+
+    /// Opens one whole `DBHE` payload (`seq || ciphertext || tag`) where it
+    /// lies and returns the inner plaintext frame, borrowed from `payload`:
+    /// `open_cursor` and `finish_open` in one step, with their errors — out
+    /// of sequence is [`ProtocolError::ReplayDetected`], too short or a
+    /// failed tag [`ProtocolError::AuthFailure`]. A
+    /// failed open leaves `payload` as it arrived and does not advance the
+    /// receive sequence.
+    pub fn open_in_place<'a>(&mut self, payload: &'a mut [u8]) -> Result<&'a [u8], ProtocolError> {
+        let cursor = self.open_cursor(payload.len(), payload)?;
+        self.finish_open(cursor, payload)
     }
 
     /// [`open_in_place`](Self::open_in_place) on a copy: returns the inner
@@ -311,10 +460,10 @@ impl SecureChannel {
 /// space is reserved once from
 /// [`payload_size_hint`](super::codec::payload_size_hint), the payload is
 /// encoded in place ([`append_plain_frame`]), and on a channel the inner
-/// frame is then encrypted where it lies with the tag appended — no
-/// intermediate `inner` / `sealed` buffer. A message that does not encode,
-/// or whose payload exceeds `max_frame_bytes`, is refused with `out`
-/// truncated back to what it held and the channel's send sequence
+/// frame is then encrypted where it lies with the tag written behind it —
+/// no intermediate `inner` / `sealed` buffer. A message that does not
+/// encode, or whose payload exceeds `max_frame_bytes`, is refused with
+/// `out` truncated back to what it held and the channel's send sequence
 /// untouched.
 pub fn append_frame(
     out: &mut Vec<u8>,
@@ -322,8 +471,27 @@ pub fn append_frame(
     max_frame_bytes: usize,
     channel: Option<&mut SecureChannel>,
 ) -> Result<usize, ProtocolError> {
+    let start = out.len();
+    let (written, cursor) = append_unsealed(out, msg, max_frame_bytes, channel)?;
+    if let Some(cursor) = cursor {
+        cursor.seal_rest(&mut out[start + SEALED_PREFIX_BYTES..]);
+    }
+    Ok(written)
+}
+
+/// [`append_frame`] up to the seal: on a channel the frame is encoded whole
+/// — prefix, inner plaintext frame, room for the tag — and has taken its
+/// sequence number, and the returned cursor seals it, from `start + 16`
+/// (`start` being `out.len()` on entry), in as many slices as its owner
+/// likes. Without a channel the frame is final and there is no cursor.
+pub(crate) fn append_unsealed(
+    out: &mut Vec<u8>,
+    msg: &WireMsg,
+    max_frame_bytes: usize,
+    channel: Option<&mut SecureChannel>,
+) -> Result<(usize, Option<FrameCursor>), ProtocolError> {
     let Some(channel) = channel else {
-        return append_plain_frame(out, msg, max_frame_bytes);
+        return Ok((append_plain_frame(out, msg, max_frame_bytes)?, None));
     };
     // The sealed frame announces seq + inner header + payload + tag in a
     // u32 of its own.
@@ -335,8 +503,9 @@ pub fn append_frame(
         out.truncate(start);
         return Err(e);
     }
-    channel.seal_in_place(out, start);
-    Ok(out.len() - start)
+    out.resize(out.len() + TAG_LEN, 0);
+    let cursor = channel.seal_cursor(&mut out[start..]);
+    Ok((out.len() - start, Some(cursor)))
 }
 
 /// The two key-schedule directions, so client and server construct mirror
@@ -411,8 +580,8 @@ fn channel_from(keys: &SessionKeys, is_client: bool, peer: [u8; 32]) -> SecureCh
         (&keys.s2c, &keys.c2s)
     };
     SecureChannel {
-        send: ChaCha20Poly1305::new(send),
-        recv: ChaCha20Poly1305::new(recv),
+        send_key: *send,
+        recv_key: *recv,
         send_seq: 0,
         recv_seq: 0,
         peer,
@@ -724,7 +893,7 @@ impl RetrySchedule {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Drives a real `client_handshake` against a [`ServerHandshake`] state
@@ -923,15 +1092,17 @@ mod tests {
         Ok(w)
     }
 
-    /// `SecureChannel::seal_frame` as it stood at the parent commit: the
-    /// allocating AEAD, then a second buffer for the frame.
-    fn parent_seal_frame(channel: &mut SecureChannel, inner: &[u8]) -> Vec<u8> {
+    /// `SecureChannel::seal_frame` as it stood before frames were sealed in
+    /// slices: the allocating one-shot AEAD, then a second buffer for the
+    /// frame.
+    pub(crate) fn parent_seal_frame(channel: &mut SecureChannel, inner: &[u8]) -> Vec<u8> {
         let seq = channel.send_seq;
         channel.send_seq += 1;
         let mut aad = [0u8; 12];
         aad[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
         aad[4..].copy_from_slice(&seq.to_be_bytes());
-        let sealed = channel.send.seal(&nonce_for(seq), &aad, inner);
+        let aead = mini_crypto::ChaCha20Poly1305::new(&channel.send_key);
+        let sealed = aead.seal(&nonce_for(seq), &aad, inner);
         let mut frame = Vec::with_capacity(SEALED_FRAME_OVERHEAD + inner.len());
         frame.extend_from_slice(&FRAME_MAGIC_SEALED);
         frame.extend_from_slice(&((8 + sealed.len()) as u32).to_be_bytes());
@@ -942,7 +1113,7 @@ mod tests {
 
     /// Channels over one fixed key schedule: as many identical senders and
     /// receivers as a comparison needs.
-    fn fixed_channel(is_client: bool) -> SecureChannel {
+    pub(crate) fn fixed_channel(is_client: bool) -> SecureChannel {
         let keys = SessionKeys {
             c2s: [0x11; 32],
             s2c: [0x22; 32],
@@ -1012,6 +1183,151 @@ mod tests {
         append_frame(&mut next, &WireMsg::Ack, max, Some(&mut sender)).unwrap();
         let plain = parent_write_frame(&WireMsg::Ack, max).unwrap();
         assert_eq!(next, parent_seal_frame(&mut parent_sender, &plain));
+    }
+
+    /// Seals `inner` through a cursor, `budgets` giving each slice's
+    /// budget in turn (the last one repeating) — what a write queue does
+    /// across flushes.
+    fn seal_in_slices(channel: &mut SecureChannel, inner: &[u8], budgets: &[usize]) -> Vec<u8> {
+        let mut frame = vec![0u8; SEALED_PREFIX_BYTES];
+        frame.extend_from_slice(inner);
+        frame.resize(frame.len() + TAG_LEN, 0);
+        let mut cursor = channel.seal_cursor(&mut frame);
+        let mut budgets = budgets
+            .iter()
+            .chain(std::iter::repeat(budgets.last().unwrap()));
+        let ciphertext = SEALED_PREFIX_BYTES..SEALED_PREFIX_BYTES + inner.len();
+        while cursor.remaining() > 0 {
+            let at = ciphertext.end - cursor.remaining();
+            cursor.seal(&mut frame[at..ciphertext.end], *budgets.next().unwrap());
+        }
+        cursor.seal_rest(&mut frame[ciphertext.end..]);
+        frame
+    }
+
+    #[test]
+    fn a_frame_sealed_in_slices_is_the_one_shot_frame_at_every_length_and_split() {
+        let (mut sender, mut oracle) = (fixed_channel(true), fixed_channel(true));
+        let mut receiver = fixed_channel(false);
+        for len in 0..=1200usize {
+            let inner: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            // Every slice size a cut can fall at: each whole number of
+            // keystream blocks up to the frame, and budgets that are not
+            // (a run is cut down to whole blocks).
+            let mut budgets: Vec<usize> = (1..=len.div_ceil(BLOCK)).map(|b| b * BLOCK).collect();
+            budgets.extend([BLOCK + 1, 3 * BLOCK - 1, usize::MAX]);
+            for budget in budgets {
+                let sliced = seal_in_slices(&mut sender, &inner, &[budget]);
+                assert_eq!(
+                    sliced,
+                    parent_seal_frame(&mut oracle, &inner),
+                    "length {len}, slices of {budget}"
+                );
+                assert_eq!(receiver.open_payload(&sliced[8..]).unwrap(), inner);
+            }
+        }
+    }
+
+    // Seconds-long under a debug-build ChaCha20; CI runs it with --release.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn a_mebibyte_frame_sealed_in_random_slices_is_the_one_shot_frame() {
+        let (mut sender, mut oracle) = (fixed_channel(true), fixed_channel(true));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EA1);
+        let inner: Vec<u8> = (0..(1 << 20) + 77).map(|i| (i % 251) as u8).collect();
+        for _ in 0..8 {
+            let budgets: Vec<usize> = (0..64)
+                .map(|_| match rng.next_u64() % 3 {
+                    0 => BLOCK + (rng.next_u64() % 512) as usize,
+                    1 => (rng.next_u64() % (64 << 10)) as usize,
+                    _ => (rng.next_u64() % (512 << 10)) as usize,
+                })
+                .collect();
+            let sliced = seal_in_slices(&mut sender, &inner, &budgets);
+            assert_eq!(sliced, parent_seal_frame(&mut oracle, &inner));
+        }
+    }
+
+    /// Opens `payload` as a receiving connection does, `cuts` giving the
+    /// sizes it arrives in: the cursor starts once the sequence number is
+    /// in, opens each arrival, and finishes on the last.
+    fn open_in_pieces(
+        channel: &mut SecureChannel,
+        payload: &mut [u8],
+        cuts: &mut impl FnMut() -> usize,
+    ) -> Result<Vec<u8>, ProtocolError> {
+        let (len, mut arrived) = (payload.len(), 0);
+        let mut cursor = None;
+        while arrived < len {
+            arrived = (arrived + cuts().max(1)).min(len);
+            if arrived == len {
+                break;
+            }
+            if cursor.is_none() && arrived >= 8 && len >= 8 + TAG_LEN {
+                cursor = Some(channel.open_cursor(len, &payload[..arrived])?);
+            }
+            if let Some(cursor) = cursor.as_mut() {
+                cursor.open(&mut payload[8..arrived]);
+            }
+        }
+        match cursor {
+            Some(cursor) => channel.finish_open(cursor, payload),
+            None => channel.open_in_place(payload),
+        }
+        .map(<[u8]>::to_vec)
+    }
+
+    #[test]
+    fn a_frame_opened_as_it_arrives_is_the_frame_opened_whole() {
+        let (mut sender, mut receiver) = (fixed_channel(true), fixed_channel(false));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x0BE4);
+        for len in (0..700).step_by(13).chain([4096, 70_000]) {
+            let inner: Vec<u8> = (0..len).map(|i| (i * 3) as u8).collect();
+            // A byte at a time, pieces that never end on a block, random.
+            for piece in [1, 63, 0] {
+                let mut cut = || match piece {
+                    0 => (rng.next_u64() % 300) as usize,
+                    n => n,
+                };
+                let mut payload = sender.seal_frame(&inner)[8..].to_vec();
+                let opened = open_in_pieces(&mut receiver, &mut payload, &mut cut);
+                assert_eq!(opened.unwrap(), inner, "length {len}, pieces of {piece}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tampered_frame_opened_as_it_arrives_is_refused_and_put_back() {
+        let (mut sender, mut receiver) = (fixed_channel(true), fixed_channel(false));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x7A3B);
+        let inner: Vec<u8> = (0..150).map(|i| i as u8).collect();
+        let genuine = sender.seal_frame(&inner)[8..].to_vec();
+        // Every byte of the payload: sequence number, ciphertext, tag.
+        for at in 0..genuine.len() {
+            for piece in [1usize, 7, 64, 0] {
+                let mut payload = genuine.clone();
+                payload[at] ^= 0x20;
+                let tampered = payload.clone();
+                let mut cut = || match piece {
+                    0 => (rng.next_u64() % 40) as usize,
+                    n => n,
+                };
+                let err = open_in_pieces(&mut receiver, &mut payload, &mut cut).unwrap_err();
+                if at < 8 {
+                    assert!(matches!(err, ProtocolError::ReplayDetected { .. }), "{err}");
+                } else {
+                    assert!(matches!(err, ProtocolError::AuthFailure { .. }), "{err}");
+                }
+                assert_eq!(payload, tampered, "byte {at}, pieces of {piece}: put back");
+                assert_eq!(receiver.recv_seq, 0, "byte {at}: no sequence taken");
+            }
+        }
+        let mut payload = genuine.clone();
+        assert_eq!(
+            open_in_pieces(&mut receiver, &mut payload, &mut || 5),
+            Ok(inner)
+        );
+        assert_eq!(receiver.recv_seq, 1);
     }
 
     /// An M1 for a server handshake: `static ‖ ephemeral`, as given.

@@ -29,17 +29,25 @@
 //!
 //! "(—)": no counter of its own — a connection that dies before mutual
 //! authentication is one failed handshake, whatever killed it.
+//!
+//! An established connection opens a sealed frame while it arrives: its
+//! sequence number is checked once its eight bytes are in, and each whole
+//! 64-byte block of ciphertext is MACed and decrypted where it lands (see
+//! the channel module's *A frame in slices*). The frame is decoded only
+//! once it is whole and its tag has verified; a refusal is the one it
+//! would have earned whole.
 
 use std::io::{self, Read, Write};
 
 use super::channel::{
-    ClientHandshake, HandshakeStep, NodeIdentity, SecureChannel, ServerHandshake,
-    FRAME_MAGIC_HANDSHAKE, HELLO_LEN, M2_LEN,
+    ClientHandshake, FrameCursor, HandshakeStep, NodeIdentity, SecureChannel, ServerHandshake,
+    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, HELLO_LEN, M2_LEN,
 };
 use super::frames::{BufferedFrame, FrameBuffer, WriteQueue};
 use super::stats::Counter;
 use super::wire::{decode_frame_lazy, LazyMsg, WireMsg};
 use crate::error::ProtocolError;
+use mini_crypto::TAG_LEN;
 
 /// The handshake a connection runs, by role.
 enum Handshake {
@@ -72,7 +80,11 @@ enum Phase {
     /// Pre-protocol: nothing but `DBHS` frames is accepted.
     Handshake(Handshake),
     /// Mutually authenticated: nothing but `DBHE` sealed frames is.
-    Established(SecureChannel),
+    Established {
+        channel: SecureChannel,
+        /// The sealed frame arriving now, opened as far as it has landed.
+        opening: Option<FrameCursor>,
+    },
 }
 
 /// What one [`Connection::poll`] made of the buffered bytes.
@@ -245,25 +257,46 @@ impl Connection {
                     return Ok(Some(Event::HandshakeReply));
                 };
                 let peer = channel.peer_identity();
-                self.phase = Phase::Established(channel);
+                self.phase = Phase::Established {
+                    channel,
+                    opening: None,
+                };
                 Ok(Some(Event::Established { peer }))
             }
-            Phase::Established(channel) => {
+            Phase::Established { channel, opening } => {
                 let decode = Some(Counter::DecodeErrors);
+                // Tampered ciphertext or a replayed/reordered sequence: the
+                // receive direction is dead, the connection with it.
+                let aead = refuse(Some(Counter::AeadRejections));
                 let next = self
                     .frames
                     .next_channel_frame(max)
                     .map_err(refuse(decode))?;
                 let (payload, wire_bytes) = match next {
-                    None => return Ok(None),
+                    None => {
+                        // A sealed frame still arriving, its header already
+                        // checked: its sequence number once it is in, then
+                        // every whole block of ciphertext as it lands.
+                        if let Some((FRAME_MAGIC_SEALED, len)) = self.frames.header() {
+                            let arrived = self.frames.arriving_payload();
+                            if opening.is_none() && arrived.len() >= 8 && len >= 8 + TAG_LEN {
+                                *opening = Some(channel.open_cursor(len, arrived).map_err(aead)?);
+                            }
+                            if let Some(cursor) = opening {
+                                cursor.open(&mut arrived[8..]);
+                            }
+                        }
+                        return Ok(None);
+                    }
                     Some((BufferedFrame::Sealed(payload), wire_bytes)) => (payload, wire_bytes),
                     Some((other, _)) => return Err(out_of_phase(other)),
                 };
-                // Tampered ciphertext or a replayed/reordered sequence: the
-                // receive direction is dead, the connection with it.
-                let inner = channel
-                    .open_in_place(payload)
-                    .map_err(refuse(Some(Counter::AeadRejections)))?;
+                // Only now, the tag verified, is a byte of the frame decoded.
+                let inner = match opening.take() {
+                    Some(cursor) => channel.finish_open(cursor, payload),
+                    None => channel.open_in_place(payload),
+                }
+                .map_err(aead)?;
                 let (msg, frame_bytes) = decode_frame_lazy(inner, max).map_err(refuse(decode))?;
                 Ok(Some(Event::Frame {
                     msg,
@@ -280,7 +313,7 @@ impl Connection {
     /// sequence as they were.
     pub fn queue(&mut self, msg: &WireMsg) -> Result<usize, ProtocolError> {
         let channel = match &mut self.phase {
-            Phase::Established(channel) => Some(channel),
+            Phase::Established { channel, .. } => Some(channel),
             _ => None,
         };
         self.out.push_frame(msg, self.max_frame_bytes, channel)
@@ -294,7 +327,7 @@ impl Connection {
     /// The peer's authenticated identity, once the channel is established.
     pub fn peer(&self) -> Option<[u8; 32]> {
         match &self.phase {
-            Phase::Established(channel) => Some(channel.peer_identity()),
+            Phase::Established { channel, .. } => Some(channel.peer_identity()),
             _ => None,
         }
     }
@@ -325,7 +358,7 @@ impl Connection {
     /// The established channel, taken out of the connection.
     pub fn into_channel(self) -> Option<SecureChannel> {
         match self.phase {
-            Phase::Established(channel) => Some(channel),
+            Phase::Established { channel, .. } => Some(channel),
             _ => None,
         }
     }
@@ -676,6 +709,59 @@ mod tests {
             assert!(matches!(server.poll(), Ok(None)));
         }
         assert!(!client.wants_read_deadline() && !server.wants_read_deadline());
+    }
+
+    #[test]
+    fn sealed_frames_fed_in_any_pieces_yield_the_events_fed_whole() {
+        // Pipelined frames across several keystream blocks each; what the
+        // server makes of them fed whole, a byte at a time and in seeded
+        // random pieces, polling after every piece.
+        let msgs: Vec<WireMsg> = [0usize, 1, 63, 64, 65, 500, 900]
+            .into_iter()
+            .map(|n| WireMsg::Error {
+                detail: "o".repeat(n),
+            })
+            .collect();
+        let events = |piece: &mut dyn FnMut() -> usize| {
+            let (mut client, mut server) = established();
+            for msg in &msgs {
+                client.queue(msg).unwrap();
+            }
+            let bytes = drain(&mut client);
+            let (mut at, mut got) = (0, Vec::new());
+            while at < bytes.len() {
+                let end = (at + piece().max(1)).min(bytes.len());
+                server.received(&bytes[at..end]);
+                at = end;
+                while let Some(event) = server.poll().unwrap() {
+                    let Event::Frame {
+                        msg,
+                        wire_bytes,
+                        frame_bytes,
+                    } = event
+                    else {
+                        panic!("protocol frames only: {event:?}");
+                    };
+                    got.push((msg.force().unwrap(), wire_bytes, frame_bytes));
+                }
+            }
+            assert!(!server.is_mid_frame());
+            got
+        };
+        let whole = events(&mut || usize::MAX);
+        assert_eq!(whole.len(), msgs.len());
+        assert!(whole.iter().zip(&msgs).all(|((got, ..), sent)| got == sent));
+        assert_eq!(events(&mut || 1), whole, "a byte at a time");
+        let mut seed = 0x51CE_u64;
+        for _ in 0..8 {
+            let mut random = || {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                (seed % 200) as usize
+            };
+            assert_eq!(events(&mut random), whole, "random pieces");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Both directions of a non-blocking socket's byte stream: incremental
 //! frame reassembly on the way in ([`FrameBuffer`]), one bounded write queue
-//! on the way out ([`WriteQueue`]) — the byte-level halves of a
+//! on the way out ([`WriteQueue`], which seals a channel's frames a slice
+//! ahead of each write) — the byte-level halves of a
 //! [`Connection`](super::connection::Connection).
 //!
 //! A blocking reader can hand `read_frame_limited` the stream and let it
@@ -14,10 +15,14 @@
 //! payload — so a hostile header is refused after at most 8 bytes, with the
 //! same typed [`ProtocolError`]s the blocking reader produces.
 
+use std::collections::VecDeque;
 use std::io::{self, Write};
 
+use mini_crypto::TAG_LEN;
+
 use super::channel::{
-    append_frame, SecureChannel, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, SEALED_FRAME_OVERHEAD,
+    append_unsealed, FrameCursor, SecureChannel, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED,
+    SEALED_FRAME_OVERHEAD, SEALED_PREFIX_BYTES,
 };
 use super::codec::RegistryFrame;
 use super::wire::{decode_frame, decode_frame_lazy, LazyMsg, WireMsg, FRAME_MAGIC_V2};
@@ -28,6 +33,12 @@ const HEADER_BYTES: usize = 8;
 
 /// Bytes of already-consumed prefix tolerated before a queue compacts.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
+
+/// Most ciphertext a write queue seals ahead of what its sink has taken:
+/// one slice per [`WriteQueue::flush_slice`]. The same 256 KiB as the
+/// reactor's per-readiness read budget, so a connection's share of a loop
+/// turn is bounded the same way in both directions.
+pub const SEAL_SLICE: usize = 256 * 1024;
 
 /// Drops the consumed prefix `buf[..*pos]` of a byte queue when that is free
 /// (nothing is left behind it) or amortised: at least [`COMPACT_THRESHOLD`]
@@ -52,12 +63,22 @@ fn compact(buf: &mut Vec<u8>, pos: &mut usize) {
 ///
 /// Frames are appended whole behind whatever is still unwritten
 /// ([`Connection::queue`](super::connection::Connection::queue), and the
-/// handshake's own messages) and leave through
-/// [`flush`](Self::flush) in as few `write` calls as the sink allows: one,
-/// when it takes everything. Appending and writing are separate on purpose —
-/// an owner that answers sixteen requests in one loop turn pushes sixteen
-/// times and flushes once.
-#[derive(Debug, Default)]
+/// handshake's own messages) and leave through [`flush`](Self::flush) in as
+/// few `write` calls as the sink allows. Appending and writing are separate
+/// on purpose — an owner that answers sixteen requests in one loop turn
+/// pushes sixteen times and flushes once.
+///
+/// A frame for a channel is encoded and takes its sequence number when it
+/// is pushed, but is sealed at flush time, at most [`SEAL_SLICE`] bytes
+/// ahead of what the sink has taken: only the sealed prefix of the queue is
+/// ever offered to a sink. So a multi-megabyte reply starts leaving after
+/// its first slice is sealed rather than its last, and an event loop that
+/// takes one slice per connection per turn
+/// ([`flush_slice`](Self::flush_slice)) keeps serving its other
+/// connections in between. Unsealed bytes are pending like any other —
+/// they hold a close-after-flush back and count against a high-water mark
+/// — but only bytes a sink refused mean a peer that stopped reading.
+#[derive(Default)]
 pub struct WriteQueue {
     buf: Vec<u8>,
     /// Start of the unwritten suffix in `buf`.
@@ -67,12 +88,39 @@ pub struct WriteQueue {
     /// after any number of partial writes.
     queued_total: u64,
     written_total: u64,
+    /// Ciphertext bytes ever sealed.
+    sealed_total: u64,
+    /// Frames not sealed to the end yet, oldest first. Everything in front
+    /// of the first one's unsealed ciphertext is final.
+    sealing: VecDeque<Sealing>,
+}
+
+/// A queued frame part-way through its seal.
+struct Sealing {
+    /// Stream offset of the frame's first ciphertext byte not sealed yet.
+    next: u64,
+    cursor: FrameCursor,
+}
+
+impl std::fmt::Debug for WriteQueue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WriteQueue")
+            .field("pending", &self.pending())
+            .field("unsealed", &self.unsealed())
+            .finish_non_exhaustive()
+    }
 }
 
 impl WriteQueue {
-    /// Bytes appended but not yet accepted by a sink.
+    /// Bytes appended but not yet accepted by a sink, sealed or not.
     pub fn pending(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// The part of [`pending`](Self::pending) not sealed yet, which no sink
+    /// has been offered.
+    pub fn unsealed(&self) -> usize {
+        (self.queued_total - self.sealed_end()) as usize
     }
 
     /// Cumulative bytes ever appended.
@@ -85,23 +133,48 @@ impl WriteQueue {
         self.written_total
     }
 
+    /// Cumulative ciphertext bytes ever sealed.
+    pub fn sealed_total(&self) -> u64 {
+        self.sealed_total
+    }
+
+    /// Stream offset up to which the queue is final: where the oldest
+    /// frame still being sealed has got to.
+    fn sealed_end(&self) -> u64 {
+        self.sealing
+            .front()
+            .map_or(self.queued_total, |front| front.next)
+    }
+
+    /// Where stream offset `offset` lies in `buf`.
+    fn index(&self, offset: u64) -> usize {
+        (offset - (self.written_total - self.pos as u64)) as usize
+    }
+
     /// Appends pre-encoded bytes (handshake replies).
     pub(crate) fn push(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
         self.queued_total += bytes.len() as u64;
     }
 
-    /// Encodes one frame straight into the queue — sealed in place when the
-    /// connection runs a channel — and returns its size on the wire. A
-    /// message that does not encode leaves the queue (and the channel's send
-    /// sequence) exactly as it was; see [`append_frame`].
+    /// Encodes one frame straight into the queue and returns its size on
+    /// the wire; on a channel the frame takes its sequence number now and
+    /// is sealed as it is flushed. A message that does not encode leaves
+    /// the queue (and the channel's send sequence) exactly as it was; see
+    /// [`append_frame`](super::channel::append_frame).
     pub(crate) fn push_frame(
         &mut self,
         msg: &WireMsg,
         max_frame_bytes: usize,
         channel: Option<&mut SecureChannel>,
     ) -> Result<usize, ProtocolError> {
-        let written = append_frame(&mut self.buf, msg, max_frame_bytes, channel)?;
+        let (written, cursor) = append_unsealed(&mut self.buf, msg, max_frame_bytes, channel)?;
+        if let Some(cursor) = cursor {
+            self.sealing.push_back(Sealing {
+                next: self.queued_total + SEALED_PREFIX_BYTES as u64,
+                cursor,
+            });
+        }
         self.queued_total += written as u64;
         Ok(written)
     }
@@ -116,38 +189,85 @@ impl WriteQueue {
         }
     }
 
-    /// Offers the unwritten bytes to `sink` until it has taken them all,
-    /// takes none, or would block, then reclaims the written prefix by the
-    /// amortised `compact` rule. A hard I/O error is returned after the
-    /// bytes written before it have been accounted for.
-    pub fn flush(&mut self, sink: &mut impl Write) -> io::Result<()> {
-        let mut outcome = Ok(());
-        while self.pos < self.buf.len() {
-            match sink.write(&self.buf[self.pos..]) {
-                Ok(0) => break,
+    /// Seals up to one slice more, stopping when [`SEAL_SLICE`] sealed
+    /// bytes wait unwritten. A frame sealed to its end gets its tag and
+    /// leaves the list.
+    fn seal_ahead(&mut self) {
+        let lead = (self.sealed_end() - self.written_total) as usize;
+        let mut budget = SEAL_SLICE.saturating_sub(lead);
+        while !self.sealing.is_empty() {
+            // Everything before the sealed end may have been written and
+            // reclaimed, the frame's own sealed prefix included.
+            let at = self.index(self.sealed_end());
+            let front = self.sealing.front_mut().expect("not empty");
+            let rest = front.cursor.remaining();
+            let sealed = front.cursor.seal(&mut self.buf[at..at + rest], budget);
+            front.next += sealed as u64;
+            budget -= sealed;
+            self.sealed_total += sealed as u64;
+            if sealed < rest {
+                return;
+            }
+            let done = self.sealing.pop_front().expect("front checked");
+            done.cursor
+                .seal_rest(&mut self.buf[at + sealed..at + sealed + TAG_LEN]);
+        }
+    }
+
+    /// Offers the sealed, unwritten bytes to `sink` until it has taken them
+    /// all (`Ok(true)`), takes none or would block (`Ok(false)`).
+    fn write_sealed(&mut self, sink: &mut impl Write) -> io::Result<bool> {
+        let end = self.index(self.sealed_end());
+        while self.pos < end {
+            match sink.write(&self.buf[self.pos..end]) {
+                Ok(0) => return Ok(false),
                 Ok(n) => {
                     self.pos += n;
                     self.written_total += n as u64;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    outcome = Err(e);
-                    break;
-                }
+                Err(e) => return Err(e),
             }
         }
+        Ok(true)
+    }
+
+    /// Seals a slice and offers it, with whatever else is final, to `sink`,
+    /// over and over until the sink has taken everything, takes none, or
+    /// would block; then reclaims the written prefix by the amortised
+    /// `compact` rule. A hard I/O error is returned after the bytes written
+    /// before it have been accounted for.
+    pub fn flush(&mut self, sink: &mut impl Write) -> io::Result<()> {
+        let outcome = loop {
+            self.seal_ahead();
+            match self.write_sealed(sink) {
+                Ok(true) if !self.sealing.is_empty() => continue,
+                outcome => break outcome,
+            }
+        };
         compact(&mut self.buf, &mut self.pos);
-        outcome
+        outcome.map(drop)
+    }
+
+    /// [`flush`](Self::flush) with one slice of sealing at most: an event
+    /// loop's once-a-turn write, which leaves the rest of a large frame to
+    /// later turns (the queue [`unsealed`](Self::unsealed) says how much).
+    pub fn flush_slice(&mut self, sink: &mut impl Write) -> io::Result<()> {
+        self.seal_ahead();
+        let outcome = self.write_sealed(sink);
+        compact(&mut self.buf, &mut self.pos);
+        outcome.map(drop)
     }
 
     /// Holds the queue to its bound after a push. At or under `high_water`
-    /// unwritten bytes nothing happens — the owner's once-a-turn flush will
-    /// take them (`Ok(false)`). Past it the bytes are offered to `sink` at
-    /// once (`Ok(true)`), and a queue the sink does not bring back under the
-    /// mark belongs to a peer that stopped reading:
-    /// [`ProtocolError::Backpressure`]. Checked after every push, this keeps
-    /// the queue within `high_water` plus the one frame just appended.
+    /// pending bytes nothing happens — the owner's once-a-turn flush will
+    /// take them (`Ok(false)`). Past it the bytes are sealed and offered to
+    /// `sink` at once, for as long as it takes them (`Ok(true)`), and a
+    /// queue the sink does not bring back under the mark belongs to a peer
+    /// that stopped reading: [`ProtocolError::Backpressure`]. Checked after
+    /// every push, this keeps the queue within `high_water` plus the one
+    /// frame just appended.
     pub fn hold_to(
         &mut self,
         high_water: usize,
@@ -215,6 +335,15 @@ impl FrameBuffer {
         let h = self.buf.get(self.pos..self.pos + HEADER_BYTES)?;
         let len = u32::from_be_bytes([h[4], h[5], h[6], h[7]]) as usize;
         Some(([h[0], h[1], h[2], h[3]], len))
+    }
+
+    /// The payload of the frame at the front as far as it has arrived, once
+    /// its header has — the bytes a sealed frame's open cursor works
+    /// through before the frame is whole. Only meaningful while that frame
+    /// is incomplete (a pull just came up short).
+    pub(crate) fn arriving_payload(&mut self) -> &mut [u8] {
+        let start = (self.pos + HEADER_BYTES).min(self.buf.len());
+        &mut self.buf[start..]
     }
 
     /// True if a frame has started arriving but is not complete yet — the
@@ -780,6 +909,75 @@ mod tests {
             assert_eq!(sink.seen, whole[..k], "k = {k}");
             assert_eq!(queue.pending(), whole.len() - k);
         }
+    }
+
+    #[test]
+    fn sealed_frames_leave_as_the_one_shot_seal_whatever_the_sink_takes() {
+        // Sealed frames from a few bytes to several slices, handshake-style
+        // raw pushes between them, drained through `flush` and
+        // `flush_slice` into a sink that takes an arbitrary share and then
+        // blocks. Whatever the split, the sink only ever sees a prefix of
+        // what the one-shot seal puts on the wire, sealing never runs more
+        // than a slice ahead of it, and the queue's counts stay exact.
+        use crate::protocol::channel::tests::{fixed_channel, parent_seal_frame};
+        let mut seed = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % bound as u64) as usize
+        };
+        let (mut sender, mut oracle) = (fixed_channel(true), fixed_channel(true));
+        let mut queue = WriteQueue::default();
+        let mut sink = Sink::default();
+        let mut expect = Vec::new();
+        let mut sealed_bytes = 0u64;
+        for step in 0..300 {
+            for _ in 0..next(3) {
+                if next(8) == 0 {
+                    queue.push(b"DBHS raw bytes");
+                    expect.extend_from_slice(b"DBHS raw bytes");
+                    continue;
+                }
+                let size = match next(10) {
+                    0 => next(3 * SEAL_SLICE),
+                    1..=3 => next(4 * 1024),
+                    _ => next(200),
+                };
+                let msg = WireMsg::Error {
+                    detail: "s".repeat(size),
+                };
+                let written = queue.push_frame(&msg, 1 << 22, Some(&mut sender)).unwrap();
+                let plain = encode(&msg);
+                sealed_bytes += plain.len() as u64;
+                let sealed = parent_seal_frame(&mut oracle, &plain);
+                assert_eq!(written, sealed.len());
+                expect.extend(sealed);
+            }
+            sink.room = next(2 * SEAL_SLICE);
+            let before = sink.seen.len();
+            if step % 2 == 0 {
+                queue.flush(&mut sink).unwrap();
+            } else {
+                queue.flush_slice(&mut sink).unwrap();
+            }
+            let seen = sink.seen.len();
+            assert_eq!(sink.seen[before..], expect[before..seen], "step {step}");
+            assert_eq!(queue.pending(), expect.len() - seen);
+            assert!(queue.unsealed() <= queue.pending());
+            let lead = queue.pending() - queue.unsealed();
+            assert!(
+                queue.unsealed() == 0 || lead <= SEAL_SLICE + 4 * 1024,
+                "step {step}: {lead} sealed bytes ahead of the sink"
+            );
+            assert_eq!(queue.written_total(), seen as u64);
+            assert_eq!(queue.queued_total(), expect.len() as u64);
+        }
+        sink.room = usize::MAX;
+        queue.flush(&mut sink).unwrap();
+        assert_eq!(sink.seen, expect);
+        assert_eq!((queue.pending(), queue.unsealed()), (0, 0));
+        assert_eq!(queue.sealed_total(), sealed_bytes);
     }
 
     #[test]

@@ -182,6 +182,11 @@ pub struct ListenerStats {
     /// `write` calls made on connection sockets; `frames_sent` over this is
     /// how many replies one write carried on average.
     pub socket_writes: usize,
+    /// Ciphertext bytes sealed for sending so far. A large reply is sealed
+    /// a slice per loop turn, ahead of what its socket has taken, so this
+    /// grows across turns — and stops short of the reply while its reader
+    /// does not read.
+    pub bytes_sealed: usize,
     /// Per-request latency (frame decoded → reply handed to the socket).
     pub latency: LatencySummary,
 }
@@ -227,6 +232,7 @@ pub struct ListenerMetrics {
     answered_inline: AtomicUsize,
     socket_reads: AtomicUsize,
     socket_writes: AtomicUsize,
+    bytes_sealed: AtomicUsize,
     latency_us_hist: Mutex<LatencyHistogram>,
 }
 
@@ -339,6 +345,11 @@ impl ListenerMetrics {
         self.socket_writes.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts `bytes` more ciphertext sealed for sending.
+    pub fn bytes_sealed(&self, bytes: usize) {
+        self.bytes_sealed.fetch_add(bytes, Ordering::Relaxed);
+    }
+
     /// Records one request latency (frame decoded → reply handed off).
     pub fn record_latency(&self, latency: Duration) {
         self.latency_us_hist
@@ -372,6 +383,7 @@ impl ListenerMetrics {
             answered_inline: self.answered_inline.load(Ordering::Relaxed),
             socket_reads: self.socket_reads.load(Ordering::Relaxed),
             socket_writes: self.socket_writes.load(Ordering::Relaxed),
+            bytes_sealed: self.bytes_sealed.load(Ordering::Relaxed),
             latency: self
                 .latency_us_hist
                 .lock()
