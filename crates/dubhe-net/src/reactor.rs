@@ -71,8 +71,9 @@
 //! total, 14.5 MB at `N = 1000` — is sealed a slice per turn: its first
 //! bytes leave after its first slice, the peer opens them while the next
 //! is sealed, and every other connection is read and answered between
-//! slices. A connection with bytes still to seal stays marked, and the
-//! poll does not sleep while one is.
+//! slices. A connection with bytes still to seal keeps its WRITABLE
+//! interest: its socket took every sealed byte, so the next poll reports
+//! it writable at once, and its next slice is sealed when that turn ends.
 //!
 //! ## Flow control
 //!
@@ -639,8 +640,8 @@ struct EventLoop<C> {
     /// this thread may take it.
     served: Arc<Mutex<Served<C>>>,
     /// Connections holding replies queued this turn and not yet offered to
-    /// their socket, or a reply still to seal: flushed when the turn ends,
-    /// and the next poll does not sleep while any are left.
+    /// their socket, or whose socket turned writable: flushed when the turn
+    /// ends.
     flush_due: Vec<usize>,
     stop: Arc<AtomicBool>,
     metrics: Arc<ListenerMetrics>,
@@ -683,15 +684,12 @@ impl<C: Coordinator> EventLoop<C> {
             self.drain_replies();
             // The turn's one write per connection: everything queued above,
             // inline answers and router replies alike, with at most one
-            // slice of sealing each. A connection with more to seal marks
-            // itself again, for the next turn.
+            // slice of sealing each.
             let mut due = std::mem::take(&mut self.flush_due);
             for token in due.drain(..) {
                 self.flush_conn(token);
             }
-            if self.flush_due.is_empty() {
-                self.flush_due = due;
-            }
+            self.flush_due = due;
             self.sweep_stalled();
         }
         // Count every still-open connection as closed so a final stats
@@ -702,12 +700,8 @@ impl<C: Coordinator> EventLoop<C> {
         }
     }
 
-    /// Sleep until the nearest mid-frame deadline, else the idle backstop —
-    /// or not at all while a connection still has a reply to seal.
+    /// Sleep until the nearest mid-frame deadline, else the idle backstop.
     fn next_timeout(&self) -> Duration {
-        if !self.flush_due.is_empty() {
-            return Duration::ZERO;
-        }
         let now = Instant::now();
         self.conns
             .values()
@@ -1007,9 +1001,9 @@ impl<C: Coordinator> EventLoop<C> {
 
     /// After every write attempt: records the bytes sealed and the frames
     /// that left completely, and what the socket would not take; finishes a
-    /// pending close once the queue drains. Sealed bytes the socket refused
-    /// wait for WRITABLE interest; with every sealed byte written, what is
-    /// left is unsealed, and the connection is due again next turn.
+    /// pending close once the queue drains. WRITABLE interest is kept while
+    /// bytes remain: sealed ones the socket refused, or unsealed ones, whose
+    /// next slice the writable socket asks for in the next turn.
     fn flushed(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
@@ -1032,17 +1026,12 @@ impl<C: Coordinator> EventLoop<C> {
             }
         }
         let unwritten = conn.connection.out.pending();
-        let unsealed = conn.connection.out.unsealed();
         self.metrics.write_queue_depth(unwritten);
         if unwritten == 0 && conn.closing {
             self.close_conn(token, CloseReason::Clean);
             return;
         }
-        let refused = unwritten > unsealed;
-        self.set_write_interest(token, refused);
-        if !refused && unsealed > 0 {
-            self.mark_flush_due(token);
-        }
+        self.set_write_interest(token, unwritten > 0);
     }
 
     fn set_write_interest(&mut self, token: usize, want_write: bool) {

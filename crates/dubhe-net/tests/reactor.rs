@@ -493,10 +493,28 @@ fn multi_mib_sealed_broadcast_reaches_tcp_transport_byte_for_byte() {
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn a_reply_still_being_sealed_does_not_hold_up_another_connection() {
-    // Connection A's registration broadcast: n + 1 copies of a length-700
-    // total, 45 KB an addressee at 256-bit keys, so ≈ 18 MB sealed — several
-    // times what a loopback socket buffers for a reader that does not read.
-    // A sends everything and reads nothing, so its seal stalls part-way.
+    reply_being_sealed_holds_up_no_one(false);
+}
+
+// Seconds-long under a debug-build ChaCha20; CI runs it with --release.
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn a_reply_still_being_sealed_does_not_hold_up_another_connection_while_its_reader_drains() {
+    reply_being_sealed_holds_up_no_one(true);
+}
+
+/// Connection A's registration broadcast is n + 1 copies of a length-700
+/// total, 45 KB an addressee at 256-bit keys, so ≈ 18 MB sealed — several
+/// times what a loopback socket buffers. Connection B's small request is
+/// answered while that broadcast still has bytes to seal; then A's replies
+/// open, the broadcast byte for byte.
+///
+/// Without `drain`, A reads nothing until B has been answered, so its full
+/// socket stalls the seal part-way. With it, a thread reads A's socket as
+/// fast as it fills, so it never refuses a byte and nothing but the loop's
+/// one slice per connection per turn stands between B and the ≈ 70 ms the
+/// seal takes; B then handshakes first, so its request needs one turn.
+fn reply_being_sealed_holds_up_no_one(drain: bool) {
     let (n, length) = (400, 700);
     let (key_dispatch, uploads) = uploads_of_length(n, length);
     let requests: Vec<WireMsg> = std::iter::once(key_dispatch)
@@ -518,6 +536,7 @@ fn a_reply_still_being_sealed_does_not_hold_up_another_connection() {
         "a reply of 16 MiB or more"
     );
     let before_broadcast: usize = replies[..n].iter().map(inner_bytes).sum();
+    let wire_bytes: usize = replies.iter().map(sealed_frame_bytes).sum();
 
     let reactor = ReactorListener::spawn_with(
         ShardedCoordinator::new(n, 4),
@@ -528,7 +547,17 @@ fn a_reply_still_being_sealed_does_not_hold_up_another_connection() {
         .with_channel(ChannelPolicy::Required)
         .with_expected_server(reactor.public_identity().expect("identity resolved"))
         .with_read_timeout(Duration::from_secs(30));
+    let connect_b =
+        || TcpTransport::connect_with_config(reactor.addr(), config.with_identity_seed(2)).unwrap();
+    let early_b = drain.then(connect_b);
     let (mut a_stream, mut a) = dial(reactor.addr(), &config.with_identity_seed(1)).unwrap();
+    let drained = drain.then(|| {
+        let mut reader = a_stream.try_clone().unwrap();
+        std::thread::spawn(move || {
+            let mut bytes = vec![0; wire_bytes];
+            reader.read_exact(&mut bytes).map(|()| bytes)
+        })
+    });
     for msg in &requests {
         a.queue(msg).unwrap();
     }
@@ -537,10 +566,9 @@ fn a_reply_still_being_sealed_does_not_hold_up_another_connection() {
         s.bytes_sealed > before_broadcast
     });
 
-    // B's small request is answered while A's broadcast is part-sealed: the
-    // monotonic count says so, whenever it is read after the answer.
-    let mut b =
-        TcpTransport::connect_with_config(reactor.addr(), config.with_identity_seed(2)).unwrap();
+    // B is answered while A's broadcast is part-sealed: the monotonic count
+    // says so, whenever it is read after the answer.
+    let mut b = early_b.unwrap_or_else(connect_b);
     Coordinator::announce_try(&mut b, 0, &[1, 2]).unwrap();
     let ack = inner_bytes(&WireMsg::Ack);
     let all_sealed = before_broadcast + inner_bytes(broadcast) + ack;
@@ -550,13 +578,23 @@ fn a_reply_still_being_sealed_does_not_hold_up_another_connection() {
         "B answered only after A's broadcast was sealed whole ({sealed} B)"
     );
 
-    // Then A reads: every reply, the broadcast byte for byte.
+    // Then A's replies open: every one, the broadcast byte for byte.
+    let bytes = match drained {
+        Some(reader) => reader.join().unwrap().unwrap(),
+        None => {
+            let mut bytes = vec![0; wire_bytes];
+            a_stream.read_exact(&mut bytes).unwrap();
+            bytes
+        }
+    };
+    let mut wire = &bytes[..];
     for (i, expect) in replies.iter().enumerate() {
-        match a.next_event(&mut a_stream).unwrap() {
+        match a.next_event(&mut wire).unwrap() {
             Event::Frame { msg, .. } => assert_eq!(&msg.force().unwrap(), expect, "reply {i}"),
             other => panic!("reply {i}: {other:?}"),
         }
     }
+    assert!(wire.is_empty());
     b.shutdown().unwrap();
     a.queue(&WireMsg::Shutdown).unwrap();
     a.write_queued(&mut a_stream).unwrap();
