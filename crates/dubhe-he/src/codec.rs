@@ -29,16 +29,15 @@
 //! A coordinator's registration broadcast carries the same total once per
 //! addressee. [`VectorEncodeMemo`] and [`VectorDecodeMemo`] make that cost
 //! one encoding and one parse plus a byte copy / byte compare per repeat,
-//! without changing a byte on the wire: the encoder copies the bytes it just
-//! wrote when the next vector is a handle on the same storage
-//! ([`EncryptedVector::shares_storage`]); the decoder reuses the vector it
-//! just validated when the next encoding is byte-identical to the one that
-//! produced it. An encoding is self-delimiting (key length, key, count,
+//! without changing a byte on the wire: the encoder hands out again the
+//! bytes it encoded last when the next vector is a handle on the same
+//! storage ([`EncryptedVector::shares_storage`]) — from a copy of its own,
+//! so a writer may reclaim its output as it leaves; the decoder reuses the
+//! vector it just validated when the next encoding is byte-identical to the
+//! one that produced it. An encoding is self-delimiting (key length, key, count,
 //! fixed-width residues), so a byte-identical prefix decodes to an equal
 //! vector and consumes the same bytes — the short-cut cannot return
 //! anything the full parse would not.
-
-use std::ops::Range;
 
 use num_bigint::BigUint;
 use num_traits::Zero;
@@ -115,6 +114,11 @@ pub fn encode_public_key(public: &PublicKey, out: &mut Vec<u8>) {
     out.extend_from_slice(&n);
 }
 
+/// Exact encoded size of [`encode_public_key`]'s output.
+pub fn encoded_public_key_bytes(public: &PublicKey) -> usize {
+    4 + crate::transport::public_key_size_bytes(public)
+}
+
 /// Decodes a public key. Rejects a zero modulus and non-minimal encodings
 /// (leading zero bytes), so one key has exactly one encoding.
 pub fn decode_public_key(cur: &mut &[u8]) -> Result<PublicKey, HeError> {
@@ -172,6 +176,20 @@ pub fn encode_vector(vector: &EncryptedVector, out: &mut Vec<u8>) -> Result<(), 
     Ok(())
 }
 
+/// Checks, without encoding it, that every residue of `vector` fits the
+/// fixed width [`encode_vector`] gives it — the one way that encoder can
+/// fail, refused with the error it would have returned.
+pub fn check_encodable(vector: &EncryptedVector) -> Result<(), HeError> {
+    let width = ciphertext_size_bytes(vector.public_key());
+    for ct in vector.elements() {
+        let bytes = (ct.raw().bits() as usize).div_ceil(8);
+        if bytes > width {
+            return Err(HeError::ValueTooWide { bytes, width });
+        }
+    }
+    Ok(())
+}
+
 /// Exact encoded size of [`encode_vector`]'s output, from the transport size
 /// model: the key header plus `count` fixed-width ciphertexts. Encoders
 /// reserve this up front so a registry never grows its buffer element by
@@ -182,44 +200,30 @@ pub fn encoded_vector_bytes(vector: &EncryptedVector) -> usize {
         + crate::transport::vector_wire_bytes(vector)
 }
 
-/// Encoder-side memory of the vector most recently written to one output
-/// buffer: which vector it was and where its encoding sits. See the module
-/// docs; one memo serves one buffer, which must not be truncated below the
-/// remembered range while the memo is in use.
+/// Encoder-side memory of the vector encoded last: a handle on it and a
+/// copy of its encoding. See the module docs.
 #[derive(Debug, Default)]
-pub struct VectorEncodeMemo<'a> {
-    last: Option<(&'a EncryptedVector, Range<usize>)>,
+pub struct VectorEncodeMemo {
+    last: Option<EncryptedVector>,
+    bytes: Vec<u8>,
 }
 
-impl<'a> VectorEncodeMemo<'a> {
-    /// [`encode_vector`], except that a vector sharing storage with the one
-    /// this memo wrote last is appended as a copy of those bytes.
-    pub fn encode_vector(
-        &mut self,
-        vector: &'a EncryptedVector,
-        out: &mut Vec<u8>,
-    ) -> Result<(), HeError> {
-        if let Some((last, range)) = &self.last {
-            if last.shares_storage(vector) {
-                out.extend_from_within(range.clone());
-                return Ok(());
-            }
+impl VectorEncodeMemo {
+    /// [`encode_vector`]'s bytes for `vector`: the remembered ones when it
+    /// shares storage with the vector this memo encoded last, else encoded
+    /// afresh (and remembered).
+    pub fn encoding(&mut self, vector: &EncryptedVector) -> Result<&[u8], HeError> {
+        if !self
+            .last
+            .as_ref()
+            .is_some_and(|last| last.shares_storage(vector))
+        {
+            self.last = None;
+            self.bytes.clear();
+            encode_vector(vector, &mut self.bytes)?;
+            self.last = Some(vector.clone());
         }
-        let start = out.len();
-        encode_vector(vector, out)?;
-        self.last = Some((vector, start..out.len()));
-        Ok(())
-    }
-
-    /// [`encode_packed_vector`] with the inner vector written through
-    /// [`encode_vector`](Self::encode_vector).
-    pub fn encode_packed_vector(
-        &mut self,
-        packed: &'a PackedEncryptedVector,
-        out: &mut Vec<u8>,
-    ) -> Result<(), HeError> {
-        put_packed_header(packed, out);
-        self.encode_vector(packed.vector(), out)
+        Ok(&self.bytes)
     }
 }
 
@@ -427,8 +431,9 @@ pub fn encode_packed_vector(
     encode_vector(packed.vector(), out)
 }
 
-/// The 20-byte slot layout header of a packed vector.
-fn put_packed_header(packed: &PackedEncryptedVector, out: &mut Vec<u8>) {
+/// Appends the 20-byte slot layout header of a packed vector: what
+/// [`encode_packed_vector`] writes in front of the inner vector.
+pub fn put_packed_header(packed: &PackedEncryptedVector, out: &mut Vec<u8>) {
     let packer = packed.packer();
     put_u32(out, packer.slot_bits);
     put_u64(out, packer.key_bits);
@@ -475,6 +480,15 @@ pub fn encode_private_key(private: &PrivateKey, out: &mut Vec<u8>) {
         put_u32(out, bytes.len() as u32);
         out.extend_from_slice(&bytes);
     }
+}
+
+/// Exact encoded size of [`encode_private_key`]'s output, from the primes'
+/// real byte lengths: a factor of a `b`-bit modulus may take a byte less
+/// than `b / 16`.
+pub fn encoded_private_key_bytes(private: &PrivateKey) -> usize {
+    let (p, q) = private.primes();
+    let factor = |f: &BigUint| 4 + (f.bits() as usize).div_ceil(8);
+    encoded_public_key_bytes(&private.public) + factor(p) + factor(q)
 }
 
 /// Decodes and *validates* a private key: factors that do not multiply to
@@ -778,13 +792,27 @@ mod tests {
         let mut memo = VectorEncodeMemo::default();
         for v in sequence {
             encode_vector(v, &mut plain).unwrap();
-            memo.encode_vector(v, &mut memoed).unwrap();
+            memoed.extend_from_slice(memo.encoding(v).unwrap());
         }
         for p in [&packed, &packed.clone()] {
             encode_packed_vector(p, &mut plain).unwrap();
-            memo.encode_packed_vector(p, &mut memoed).unwrap();
+            put_packed_header(p, &mut memoed);
+            memoed.extend_from_slice(memo.encoding(p.vector()).unwrap());
         }
         assert_eq!(memoed, plain);
+
+        // A residue wider than its field is refused by the check with the
+        // encoder's own error, and the memo remembers nothing of it.
+        let wide = Ciphertext::from_raw(pk.n_squared().clone() << 8u32, pk.clone());
+        let wide = EncryptedVector::from_ciphertexts(&pk, vec![wide]).unwrap();
+        let refused = encode_vector(&wide, &mut Vec::new()).unwrap_err();
+        assert!(matches!(refused, HeError::ValueTooWide { .. }));
+        assert_eq!(check_encodable(&wide), Err(refused.clone()));
+        assert_eq!(memo.encoding(&wide), Err(refused));
+        assert!(sequence.iter().all(|v| check_encodable(v).is_ok()));
+        let mut again = Vec::new();
+        encode_vector(&a, &mut again).unwrap();
+        assert_eq!(memo.encoding(&a).unwrap(), again);
 
         // Decoding with a memo yields the plain decoders' values and cursor;
         // byte-identical neighbours come back as handles on one vector.

@@ -272,7 +272,7 @@ impl MuxClient {
     /// [`collect`](Self::collect) (or [`exchange`](Self::exchange)).
     pub fn send(&mut self, conn: usize, msg: &WireMsg) -> Result<(), ProtocolError> {
         let c = &mut self.conns[conn];
-        c.connection.queue(msg)?;
+        c.connection.queue(msg.clone())?;
         c.pending.push_back(Instant::now());
         Ok(())
     }
@@ -332,7 +332,7 @@ impl MuxClient {
     /// Tells every connection's listener side to hang up, best-effort.
     pub fn shutdown(mut self) {
         for token in 0..self.conns.len() {
-            let _ = self.conns[token].connection.queue(&WireMsg::Shutdown);
+            let _ = self.conns[token].connection.queue(WireMsg::Shutdown);
             // No reply follows a shutdown frame.
             let _ = self.flush(token);
         }

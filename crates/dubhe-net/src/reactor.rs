@@ -865,7 +865,7 @@ impl<C: Coordinator> EventLoop<C> {
                     conn.closing = true;
                     conn.frame_deadline = None;
                     let detail = refusal.error.to_string();
-                    self.queue_frame(token, &WireMsg::Error { detail }, None);
+                    self.queue_frame(token, WireMsg::Error { detail }, None);
                     return;
                 }
             }
@@ -893,7 +893,7 @@ impl<C: Coordinator> EventLoop<C> {
                 .expect("the router panicked mid-request")
                 .answer(msg, identity);
             self.metrics.answered_inline();
-            self.queue_frame(token, &reply, Some(started));
+            self.queue_frame(token, reply, Some(started));
             return true;
         }
         let job = Job {
@@ -925,10 +925,10 @@ impl<C: Coordinator> EventLoop<C> {
         }
     }
 
-    /// Encodes a frame straight into a connection's write queue — sealed in
-    /// place on an established channel. Metrics count the bytes queued,
-    /// seal included.
-    fn queue_frame(&mut self, token: usize, msg: &WireMsg, started: Option<Instant>) {
+    /// Moves a reply into a connection's write queue, which encodes it — and
+    /// seals it on an established channel — a slice ahead of the socket.
+    /// Metrics count the bytes queued, seal included.
+    fn queue_frame(&mut self, token: usize, msg: WireMsg, started: Option<Instant>) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -1061,7 +1061,7 @@ impl<C: Coordinator> EventLoop<C> {
             // The connection may have died while its request was at the
             // router; its reply is simply dropped (`queue_frame` finds no
             // connection to queue it on).
-            self.queue_frame(reply.token, &reply.msg, Some(reply.started));
+            self.queue_frame(reply.token, reply.msg, Some(reply.started));
         }
     }
 
@@ -1092,7 +1092,7 @@ impl<C: Coordinator> EventLoop<C> {
                         self.config.read_timeout
                     )
                 };
-                self.queue_frame(token, &WireMsg::Error { detail }, None);
+                self.queue_frame(token, WireMsg::Error { detail }, None);
                 self.flush_conn(token);
             }
             self.close_conn(token, CloseReason::Truncated);

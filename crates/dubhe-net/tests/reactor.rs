@@ -559,7 +559,7 @@ fn reply_being_sealed_holds_up_no_one(drain: bool) {
         })
     });
     for msg in &requests {
-        a.queue(msg).unwrap();
+        a.queue(msg.clone()).unwrap();
     }
     a.write_queued(&mut a_stream).unwrap();
     wait_for(&reactor, "the broadcast never started sealing", |s| {
@@ -596,7 +596,7 @@ fn reply_being_sealed_holds_up_no_one(drain: bool) {
     }
     assert!(wire.is_empty());
     b.shutdown().unwrap();
-    a.queue(&WireMsg::Shutdown).unwrap();
+    a.queue(WireMsg::Shutdown).unwrap();
     a.write_queued(&mut a_stream).unwrap();
     let stats = wait_for(&reactor, "connections never drained", |s| {
         s.connections_closed == 2

@@ -32,12 +32,13 @@
 //! RFC 8439's AEAD is a stream cipher plus a one-pass MAC, so a frame need
 //! not be sealed or opened in one go. A `FrameCursor` carries one frame's
 //! sequence number, keystream position and MAC state from one slice to the
-//! next: a write queue seals a multi-megabyte frame a slice ahead of each
-//! socket write, and a receiving [`Connection`] MACs and decrypts each run
-//! of ciphertext as it lands. The bytes on the wire are those of the
-//! one-step form — [`seal_frame`](SecureChannel::seal_frame) and
-//! [`open_in_place`](SecureChannel::open_in_place) are a cursor run over the
-//! whole frame at once. An opened prefix is never decoded or released
+//! next: a write queue encodes and seals a multi-megabyte frame a slice
+//! ahead of each socket write (a `FrameProducer`), and a receiving
+//! [`Connection`] MACs and decrypts each run of ciphertext as it lands. The
+//! bytes on the wire are those of the one-step form —
+//! [`append_frame`], [`seal_frame`](SecureChannel::seal_frame) and
+//! [`open_in_place`](SecureChannel::open_in_place) are a producer or a
+//! cursor run over the whole frame at once. An opened prefix is never decoded or released
 //! before the tag verifies; on a failed tag it is encrypted back, so the
 //! payload is again exactly what arrived, and the receive sequence does not
 //! advance.
@@ -75,6 +76,7 @@
 //! [`ReplayDetected`]: ProtocolError::ReplayDetected
 //! [`DowngradeRefused`]: ProtocolError::DowngradeRefused
 
+use std::borrow::Borrow;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -84,8 +86,9 @@ use mini_crypto::{
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use super::codec::{payload_size_hint, PayloadEncoder};
 use super::connection::Connection;
-use super::wire::{append_plain_frame, read_exact_or, write_whole_frame, WireMsg, FRAME_MAGIC_V2};
+use super::wire::{read_exact_or, write_whole_frame, WireMsg, FRAME_MAGIC_V2};
 use crate::error::ProtocolError;
 
 /// The 4-byte preamble of a handshake (`DBHS`) frame.
@@ -332,13 +335,9 @@ impl FrameCursor {
         (self.mac.finalize(), self.cipher)
     }
 
-    /// Seals what is left of the frame in one run and writes the tag:
-    /// `rest` is the ciphertext from where the cursor stands, then the
-    /// tag's room.
-    pub(crate) fn seal_rest(mut self, rest: &mut [u8]) {
-        let (unsealed, tag) = rest.split_at_mut(self.remaining());
-        self.seal(unsealed, usize::MAX);
-        tag.copy_from_slice(&self.finish().0);
+    /// The tag, once every ciphertext byte has been sealed.
+    pub(crate) fn tag(self) -> [u8; TAG_LEN] {
+        self.finish().0
     }
 }
 
@@ -348,33 +347,36 @@ impl SecureChannel {
         self.peer
     }
 
-    /// Starts sealing `frame` — 16 bytes of room for the `DBHE` prefix, one
-    /// inner plaintext frame, 16 bytes of room for the tag — where it lies:
-    /// the prefix is filled in and the frame takes the next send sequence
-    /// number. The returned cursor encrypts the inner frame, which starts at
-    /// `frame[16]`, and its [`seal_rest`](FrameCursor::seal_rest) writes the
-    /// tag.
-    pub(crate) fn seal_cursor(&mut self, frame: &mut [u8]) -> FrameCursor {
+    /// Starts sealing a frame around an inner plaintext frame of
+    /// `inner_len` bytes: the frame takes the next send sequence number,
+    /// and comes back as its `DBHE` prefix (magic, length, sequence number)
+    /// and the cursor that encrypts the inner frame behind it and then
+    /// gives the [`tag`](FrameCursor::tag).
+    pub(crate) fn seal_cursor(
+        &mut self,
+        inner_len: usize,
+    ) -> ([u8; SEALED_PREFIX_BYTES], FrameCursor) {
         let seq = self.send_seq;
         self.send_seq += 1;
-        let announced = u32::try_from(frame.len() - 8)
+        let announced = u32::try_from(8 + inner_len + TAG_LEN)
             .expect("callers bound the inner frame below the u32 length field");
-        frame[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
-        frame[4..8].copy_from_slice(&announced.to_be_bytes());
-        frame[8..SEALED_PREFIX_BYTES].copy_from_slice(&seq.to_be_bytes());
-        FrameCursor::new(&self.send_key, seq, frame.len() - SEALED_FRAME_OVERHEAD)
+        let mut prefix = [0u8; SEALED_PREFIX_BYTES];
+        prefix[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
+        prefix[4..8].copy_from_slice(&announced.to_be_bytes());
+        prefix[8..].copy_from_slice(&seq.to_be_bytes());
+        (prefix, FrameCursor::new(&self.send_key, seq, inner_len))
     }
 
     /// Seals one inner plaintext frame into a complete `DBHE` wire frame of
-    /// its own — the allocating form of what [`append_frame`] does inside a
-    /// caller's buffer.
+    /// its own — the byte-slice form of what [`append_frame`] does for a
+    /// message.
     pub fn seal_frame(&mut self, inner: &[u8]) -> Vec<u8> {
+        let (prefix, mut cursor) = self.seal_cursor(inner.len());
         let mut frame = Vec::with_capacity(SEALED_FRAME_OVERHEAD + inner.len());
-        frame.resize(SEALED_PREFIX_BYTES, 0);
+        frame.extend_from_slice(&prefix);
         frame.extend_from_slice(inner);
-        frame.resize(frame.len() + TAG_LEN, 0);
-        let cursor = self.seal_cursor(&mut frame);
-        cursor.seal_rest(&mut frame[SEALED_PREFIX_BYTES..]);
+        cursor.seal(&mut frame[SEALED_PREFIX_BYTES..], usize::MAX);
+        frame.extend_from_slice(&cursor.tag());
         frame
     }
 
@@ -456,56 +458,135 @@ impl SecureChannel {
 /// frame when `channel` is `None`, a sealed `DBHE` frame when the connection
 /// runs the authenticated channel — and returns the bytes appended.
 ///
-/// This is the one way a frame is built for a socket or a write queue:
-/// space is reserved once from
-/// [`payload_size_hint`](super::codec::payload_size_hint), the payload is
-/// encoded in place ([`append_plain_frame`]), and on a channel the inner
-/// frame is then encrypted where it lies with the tag written behind it —
-/// no intermediate `inner` / `sealed` buffer. A message that does not
-/// encode, or whose payload exceeds `max_frame_bytes`, is refused with
-/// `out` truncated back to what it held and the channel's send sequence
-/// untouched.
+/// This is a `FrameProducer` run to the end in one step: space is
+/// reserved once for the frame's exact length, the payload is encoded in
+/// place, and on a channel the inner frame is encrypted where it lies with
+/// the tag written behind it — no intermediate `inner` / `sealed` buffer.
+/// A message that does not encode, or whose payload exceeds
+/// `max_frame_bytes`, is refused with `out` as it was and the channel's send
+/// sequence untouched.
 pub fn append_frame(
     out: &mut Vec<u8>,
     msg: &WireMsg,
     max_frame_bytes: usize,
     channel: Option<&mut SecureChannel>,
 ) -> Result<usize, ProtocolError> {
-    let start = out.len();
-    let (written, cursor) = append_unsealed(out, msg, max_frame_bytes, channel)?;
-    if let Some(cursor) = cursor {
-        cursor.seal_rest(&mut out[start + SEALED_PREFIX_BYTES..]);
-    }
-    Ok(written)
+    let mut frame = FrameProducer::new(msg, max_frame_bytes, channel)?;
+    let len = frame.wire_len();
+    out.reserve(len);
+    frame.produce(out, usize::MAX);
+    debug_assert!(frame.is_done());
+    Ok(len)
 }
 
-/// [`append_frame`] up to the seal: on a channel the frame is encoded whole
-/// — prefix, inner plaintext frame, room for the tag — and has taken its
-/// sequence number, and the returned cursor seals it, from `start + 16`
-/// (`start` being `out.len()` on entry), in as many slices as its owner
-/// likes. Without a channel the frame is final and there is no cursor.
-pub(crate) fn append_unsealed(
-    out: &mut Vec<u8>,
-    msg: &WireMsg,
-    max_frame_bytes: usize,
-    channel: Option<&mut SecureChannel>,
-) -> Result<(usize, Option<FrameCursor>), ProtocolError> {
-    let Some(channel) = channel else {
-        return Ok((append_plain_frame(out, msg, max_frame_bytes)?, None));
-    };
-    // The sealed frame announces seq + inner header + payload + tag in a
-    // u32 of its own.
-    let max_frame_bytes = max_frame_bytes.min(u32::MAX as usize - (8 + 8 + TAG_LEN));
-    let start = out.len();
-    out.reserve(SEALED_FRAME_OVERHEAD + 8 + super::codec::payload_size_hint(msg));
-    out.resize(start + SEALED_PREFIX_BYTES, 0);
-    if let Err(e) = append_plain_frame(out, msg, max_frame_bytes) {
-        out.truncate(start);
-        return Err(e);
+/// One wire frame — bare, or sealed on a channel — produced into the end of
+/// a byte queue a piece at a time.
+///
+/// [`new`](Self::new) does everything that can fail and nothing else: it
+/// checks the message encodes, fixes the frame's exact length against the
+/// ceiling and, on a channel, takes the frame's sequence number. Each
+/// [`produce`](Self::produce) then encodes the frame's next bytes behind
+/// what it put in the queue before and, on a channel, seals them, so the
+/// queue need only ever hold the slice on its way to the socket. The bytes
+/// are those of the whole frame built at once, however they are cut.
+pub(crate) struct FrameProducer<M> {
+    payload: PayloadEncoder<M>,
+    /// What goes in front of the payload and is not out yet: on a channel
+    /// the `DBHE` prefix, then the (inner) `DBH2` header.
+    head: Option<([u8; SEALED_PREFIX_BYTES + 8], usize)>,
+    /// The seal on a channel, until the tag is out.
+    seal: Option<FrameCursor>,
+    /// Bytes at the end of the queue this frame has encoded and not sealed.
+    unsealed: usize,
+    wire_len: usize,
+}
+
+impl<M: Borrow<WireMsg>> FrameProducer<M> {
+    /// Takes `msg` to be produced as one frame, or refuses it — it does not
+    /// encode, or its payload exceeds `max_frame_bytes` — with the channel's
+    /// send sequence untouched.
+    pub(crate) fn new(
+        msg: M,
+        max_frame_bytes: usize,
+        channel: Option<&mut SecureChannel>,
+    ) -> Result<Self, ProtocolError> {
+        // A sealed frame announces seq + inner header + payload + tag in a
+        // u32 of its own.
+        let max = match channel {
+            Some(_) => max_frame_bytes.min(u32::MAX as usize - (8 + 8 + TAG_LEN)),
+            None => max_frame_bytes,
+        };
+        let len = payload_size_hint(msg.borrow());
+        if len > max || u32::try_from(len).is_err() {
+            return Err(ProtocolError::FrameTooLarge { len, max });
+        }
+        let payload = PayloadEncoder::new(msg)?;
+        let mut head = [0u8; SEALED_PREFIX_BYTES + 8];
+        let (at, seal) = match channel {
+            Some(channel) => {
+                let (prefix, cursor) = channel.seal_cursor(8 + len);
+                head[..SEALED_PREFIX_BYTES].copy_from_slice(&prefix);
+                (SEALED_PREFIX_BYTES, Some(cursor))
+            }
+            None => (0, None),
+        };
+        head[at..at + 4].copy_from_slice(&FRAME_MAGIC_V2);
+        head[at + 4..at + 8].copy_from_slice(&(len as u32).to_be_bytes());
+        let wire_len = at + 8 + len + if seal.is_some() { TAG_LEN } else { 0 };
+        Ok(FrameProducer {
+            payload,
+            head: Some((head, at + 8)),
+            seal,
+            unsealed: 0,
+            wire_len,
+        })
     }
-    out.resize(out.len() + TAG_LEN, 0);
-    let cursor = channel.seal_cursor(&mut out[start..]);
-    Ok((out.len() - start, Some(cursor)))
+
+    /// The frame's size on the wire, seal included.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.wire_len
+    }
+
+    /// Bytes at the end of the queue this frame has put there but not
+    /// sealed: not final yet.
+    pub(crate) fn unsealed(&self) -> usize {
+        self.unsealed
+    }
+
+    /// True once every byte of the frame is in the queue, final.
+    pub(crate) fn is_done(&self) -> bool {
+        self.head.is_none() && self.payload.remaining() == 0 && self.seal.is_none()
+    }
+
+    /// Appends the frame's next bytes to `out` — whose last
+    /// [`unsealed`](Self::unsealed) bytes are this frame's — until `budget`
+    /// more are final or the whole frame is, and returns how many turned
+    /// final and how many of those are sealed ciphertext.
+    pub(crate) fn produce(&mut self, out: &mut Vec<u8>, budget: usize) -> (usize, usize) {
+        let final_end = out.len() - self.unsealed;
+        let mut encoded_from = out.len();
+        if let Some((head, len)) = self.head.take() {
+            out.extend_from_slice(&head[..len]);
+            // The prefix is final; the header behind it is ciphertext.
+            if self.seal.is_some() {
+                encoded_from += SEALED_PREFIX_BYTES;
+            }
+        }
+        let ahead = self.unsealed + out.len() - encoded_from;
+        self.payload.encode(out, budget.saturating_sub(ahead));
+        let Some(cursor) = self.seal.as_mut() else {
+            return (out.len() - final_end, 0);
+        };
+        self.unsealed += out.len() - encoded_from;
+        let at = out.len() - self.unsealed;
+        let sealed = cursor.seal(&mut out[at..], budget.min(self.unsealed));
+        self.unsealed -= sealed;
+        if cursor.remaining() == 0 {
+            let tag = self.seal.take().expect("sealing").tag();
+            out.extend_from_slice(&tag);
+        }
+        (out.len() - self.unsealed - final_end, sealed)
+    }
 }
 
 /// The two key-schedule directions, so client and server construct mirror
@@ -1189,19 +1270,17 @@ pub(crate) mod tests {
     /// budget in turn (the last one repeating) — what a write queue does
     /// across flushes.
     fn seal_in_slices(channel: &mut SecureChannel, inner: &[u8], budgets: &[usize]) -> Vec<u8> {
-        let mut frame = vec![0u8; SEALED_PREFIX_BYTES];
+        let (prefix, mut cursor) = channel.seal_cursor(inner.len());
+        let mut frame = prefix.to_vec();
         frame.extend_from_slice(inner);
-        frame.resize(frame.len() + TAG_LEN, 0);
-        let mut cursor = channel.seal_cursor(&mut frame);
         let mut budgets = budgets
             .iter()
             .chain(std::iter::repeat(budgets.last().unwrap()));
-        let ciphertext = SEALED_PREFIX_BYTES..SEALED_PREFIX_BYTES + inner.len();
         while cursor.remaining() > 0 {
-            let at = ciphertext.end - cursor.remaining();
-            cursor.seal(&mut frame[at..ciphertext.end], *budgets.next().unwrap());
+            let at = frame.len() - cursor.remaining();
+            cursor.seal(&mut frame[at..], *budgets.next().unwrap());
         }
-        cursor.seal_rest(&mut frame[ciphertext.end..]);
+        frame.extend_from_slice(&cursor.tag());
         frame
     }
 

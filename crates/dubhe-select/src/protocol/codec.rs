@@ -44,8 +44,10 @@
 //! The packed variants extend the tag sequence (6–9) rather than reordering
 //! it, so every pre-packing DBH2 peer still reads tags 0–5 unchanged.
 
+use std::borrow::Borrow;
+
 use dubhe_he::codec as he;
-use dubhe_he::transport::{private_key_size_bytes, public_key_size_bytes};
+use dubhe_he::EncryptedVector;
 
 use super::message::{Envelope, Party, ProtocolMsg};
 use super::wire::WireMsg;
@@ -53,24 +55,158 @@ use crate::error::ProtocolError;
 use dubhe_he::HeError;
 
 /// Serializes one message into a frame payload of its own, in one
-/// allocation sized by [`payload_size_hint`].
+/// allocation of its exact length: a `PayloadEncoder` run to the end in one
+/// call.
 pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
-    let mut out = Vec::with_capacity(payload_size_hint(msg));
-    encode_into(msg, &mut out)?;
+    let mut encoder = PayloadEncoder::new(msg)?;
+    let mut out = Vec::with_capacity(encoder.remaining());
+    encoder.encode(&mut out, usize::MAX);
     Ok(out)
 }
 
-/// Appends the payload encoding of `msg` to `out`. On error `out` may be
-/// left holding part of an encoding; the caller truncates it back.
-pub fn encode_into(msg: &WireMsg, out: &mut Vec<u8>) -> Result<(), ProtocolError> {
-    // Consecutive envelopes of a batch that carry one shared vector (a
-    // broadcast) encode it once and copy the bytes for the rest.
-    let mut memo = he::VectorEncodeMemo::default();
+/// One message's payload, encoded into the end of a buffer a piece at a
+/// time — what lets a write queue hold a registration broadcast a slice at
+/// a time instead of whole.
+///
+/// Everything that can fail is checked by [`new`](Self::new), which also
+/// fixes the payload's exact length ([`payload_size_hint`]); encoding is
+/// then infallible. The pieces are the message's head (all of it unless it
+/// carries envelopes or an error detail), then each envelope. A piece's
+/// fields go in whole; its trailing vector, or an error's detail, is cut
+/// at whatever byte a call's budget ends on and resumed by the next call.
+/// Consecutive envelopes carrying one shared vector (a broadcast) encode it
+/// once: the encoder keeps its own copy of the vector it encoded last
+/// ([`he::VectorEncodeMemo`]), since the buffer it writes to may be
+/// reclaimed as it leaves.
+pub(crate) struct PayloadEncoder<M> {
+    msg: M,
+    /// Payload bytes not encoded yet.
+    remaining: usize,
+    /// The next piece: 0 is the message's head, `i` its `i`-th envelope.
+    next: usize,
+    /// The rest of the piece under way: how much of its vector or detail
+    /// is already out.
+    tail: Tail,
+    memo: he::VectorEncodeMemo,
+}
+
+#[derive(Clone, Copy)]
+enum Tail {
+    None,
+    Vector(usize),
+    Detail(usize),
+}
+
+/// The envelopes a message carries, in order.
+fn envelopes(msg: &WireMsg) -> &[Envelope] {
     match msg {
-        WireMsg::Envelope { envelope } => {
-            out.push(0);
-            encode_envelope(envelope, out, &mut memo)?;
+        WireMsg::Envelope { envelope } => std::slice::from_ref(envelope),
+        WireMsg::Batch { envelopes } => envelopes,
+        _ => &[],
+    }
+}
+
+/// The vector a protocol message ends with, if it carries one.
+fn trailing_vector(msg: &ProtocolMsg) -> Option<&EncryptedVector> {
+    match msg {
+        ProtocolMsg::PublicKeyDispatch { .. } | ProtocolMsg::TryVerdict { .. } => None,
+        ProtocolMsg::EncryptedRegistry { registry: v, .. }
+        | ProtocolMsg::EncryptedTotalBroadcast { total: v }
+        | ProtocolMsg::EncryptedDistribution {
+            distribution: v, ..
         }
+        | ProtocolMsg::EncryptedDistributionSum { sum: v, .. } => Some(v),
+        ProtocolMsg::PackedRegistry { registry: v, .. }
+        | ProtocolMsg::PackedTotalBroadcast { total: v }
+        | ProtocolMsg::PackedDistribution {
+            distribution: v, ..
+        }
+        | ProtocolMsg::PackedDistributionSum { sum: v, .. } => Some(v.vector()),
+    }
+}
+
+impl<M: Borrow<WireMsg>> PayloadEncoder<M> {
+    /// Takes `msg` for encoding, or refuses it with the error encoding it
+    /// would meet: a vector with a residue wider than its field. Each
+    /// vector is checked once however many envelopes in a row carry it.
+    pub(crate) fn new(msg: M) -> Result<Self, ProtocolError> {
+        let mut last: Option<&EncryptedVector> = None;
+        for envelope in envelopes(msg.borrow()) {
+            let Some(vector) = trailing_vector(&envelope.msg) else {
+                continue;
+            };
+            if !last.is_some_and(|last| last.shares_storage(vector)) {
+                he::check_encodable(vector).map_err(he_err)?;
+                last = Some(vector);
+            }
+        }
+        Ok(PayloadEncoder {
+            remaining: payload_size_hint(msg.borrow()),
+            msg,
+            next: 0,
+            tail: Tail::None,
+            memo: he::VectorEncodeMemo::default(),
+        })
+    }
+
+    /// Payload bytes not encoded yet.
+    pub(crate) fn remaining(&self) -> usize {
+        self.remaining
+    }
+
+    /// Appends the payload's next bytes to `out` until `budget` more are in
+    /// or the payload is complete. A call may overshoot `budget` by the
+    /// fields of one piece — an envelope's up to its vector, tens of bytes,
+    /// or a whole key dispatch or try announcement — never by a vector.
+    pub(crate) fn encode(&mut self, out: &mut Vec<u8>, budget: usize) {
+        let start = out.len();
+        let end = start.saturating_add(budget);
+        let msg = self.msg.borrow();
+        while out.len() - start < self.remaining && out.len() < end {
+            let (bytes, at): (&[u8], usize) = match self.tail {
+                Tail::None => {
+                    self.tail = put_piece(msg, self.next, out);
+                    self.next += 1;
+                    continue;
+                }
+                Tail::Vector(at) => {
+                    let envelope = &envelopes(msg)[self.next - 2];
+                    let vector = trailing_vector(&envelope.msg).expect("a vector piece");
+                    let bytes = self.memo.encoding(vector);
+                    (bytes.expect("checked when the encoder was built"), at)
+                }
+                Tail::Detail(at) => match msg {
+                    WireMsg::Error { detail } => (detail.as_bytes(), at),
+                    _ => unreachable!("only an error has a detail"),
+                },
+            };
+            let n = (bytes.len() - at).min(end - out.len());
+            out.extend_from_slice(&bytes[at..at + n]);
+            self.tail = match self.tail {
+                _ if at + n == bytes.len() => Tail::None,
+                Tail::Vector(_) => Tail::Vector(at + n),
+                _ => Tail::Detail(at + n),
+            };
+        }
+        let appended = out.len() - start;
+        assert!(appended <= self.remaining, "payload_size_hint is exact");
+        self.remaining -= appended;
+    }
+}
+
+/// Appends the fields of piece `next` of `msg` — its head, or envelope
+/// `next - 1` up to its vector — and says what follows them.
+fn put_piece(msg: &WireMsg, next: usize, out: &mut Vec<u8>) -> Tail {
+    if next > 0 {
+        let envelope = &envelopes(msg)[next - 1];
+        put_envelope_fields(envelope, out);
+        return match trailing_vector(&envelope.msg) {
+            Some(_) => Tail::Vector(0),
+            None => Tail::None,
+        };
+    }
+    match msg {
+        WireMsg::Envelope { .. } => out.push(0),
         WireMsg::AnnounceTry {
             try_index,
             participants,
@@ -85,15 +221,12 @@ pub fn encode_into(msg: &WireMsg, out: &mut Vec<u8>) -> Result<(), ProtocolError
         WireMsg::Batch { envelopes } => {
             out.push(2);
             he::put_u32(out, envelopes.len() as u32);
-            for e in envelopes {
-                encode_envelope(e, out, &mut memo)?;
-            }
         }
         WireMsg::Ack => out.push(3),
         WireMsg::Error { detail } => {
             out.push(4);
             he::put_u32(out, detail.len() as u32);
-            out.extend_from_slice(detail.as_bytes());
+            return Tail::Detail(0);
         }
         WireMsg::Shutdown => out.push(5),
         // The epoch-lifecycle control frames postdate tags 0–5; their
@@ -114,7 +247,7 @@ pub fn encode_into(msg: &WireMsg, out: &mut Vec<u8>) -> Result<(), ProtocolError
             he::put_u64(out, *try_index as u64);
         }
     }
-    Ok(())
+    Tail::None
 }
 
 /// Parses one frame payload. The whole payload must be consumed.
@@ -157,28 +290,20 @@ fn party_hint(p: &Party) -> usize {
     }
 }
 
-/// Encoded size of one envelope, from the `dubhe-he` transport size model.
-/// Exact for every ciphertext-bearing message (their encodings are
-/// fixed-width); an upper bound (within a few bytes) for key dispatches,
-/// whose prime factors may encode one byte short of the modeled half-modulus
-/// width.
+/// Encoded size of one envelope: exact, from the `dubhe-he` size model —
+/// fixed-width ciphertexts, and a key dispatch's primes at their real
+/// byte lengths.
 fn envelope_hint(e: &Envelope) -> usize {
     let body = match &e.msg {
         ProtocolMsg::PublicKeyDispatch {
             public_key,
             private_key,
         } => {
-            let pk = 4 + public_key_size_bytes(public_key);
-            let sk = private_key
-                .as_ref()
-                .map(|sk| {
-                    4 + public_key_size_bytes(&sk.public)
-                        + 8
-                        + private_key_size_bytes(&sk.public)
-                        + 2
-                })
-                .unwrap_or(0);
-            pk + 1 + sk
+            he::encoded_public_key_bytes(public_key)
+                + 1
+                + private_key
+                    .as_ref()
+                    .map_or(0, he::encoded_private_key_bytes)
         }
         ProtocolMsg::EncryptedRegistry { registry, .. } => 8 + he::encoded_vector_bytes(registry),
         ProtocolMsg::EncryptedTotalBroadcast { total } => he::encoded_vector_bytes(total),
@@ -199,12 +324,9 @@ fn envelope_hint(e: &Envelope) -> usize {
     party_hint(&e.from) + party_hint(&e.to) + 8 + 1 + body
 }
 
-/// How many bytes [`encode_into`] will append for `msg`, from the `dubhe-he`
-/// transport size model: exact for every ciphertext-bearing message, an
-/// upper bound within a few bytes for key dispatches (their prime factors
-/// may encode one byte short of the modeled width). What a framer reserves
-/// before encoding in place, so a registry upload is written into one
-/// allocation instead of doubling its way up.
+/// Exactly how many bytes [`encode`] produces for `msg`, from the
+/// `dubhe-he` size model and without encoding anything: what a framer
+/// fixes a frame's length from before the first byte of it is encoded.
 pub fn payload_size_hint(msg: &WireMsg) -> usize {
     1 + match msg {
         WireMsg::Envelope { envelope } => envelope_hint(envelope),
@@ -240,11 +362,9 @@ fn encode_party(party: &Party, out: &mut Vec<u8>) {
     }
 }
 
-fn encode_envelope<'a>(
-    e: &'a Envelope,
-    out: &mut Vec<u8>,
-    memo: &mut he::VectorEncodeMemo<'a>,
-) -> Result<(), ProtocolError> {
+/// Appends an envelope's fields: everything up to the vector its message
+/// ends with, if it has one (see [`trailing_vector`]).
+fn put_envelope_fields(e: &Envelope, out: &mut Vec<u8>) {
     encode_party(&e.from, out);
     encode_party(&e.to, out);
     he::put_u64(out, e.epoch);
@@ -263,34 +383,26 @@ fn encode_envelope<'a>(
                 }
             }
         }
-        ProtocolMsg::EncryptedRegistry { client, registry } => {
+        ProtocolMsg::EncryptedRegistry { client, .. } => {
             out.push(1);
             he::put_u64(out, *client as u64);
-            memo.encode_vector(registry, out).map_err(he_err)?;
         }
-        ProtocolMsg::EncryptedTotalBroadcast { total } => {
-            out.push(2);
-            memo.encode_vector(total, out).map_err(he_err)?;
-        }
+        ProtocolMsg::EncryptedTotalBroadcast { .. } => out.push(2),
         ProtocolMsg::EncryptedDistribution {
-            client,
-            try_index,
-            distribution,
+            client, try_index, ..
         } => {
             out.push(3);
             he::put_u64(out, *client as u64);
             he::put_u64(out, *try_index as u64);
-            memo.encode_vector(distribution, out).map_err(he_err)?;
         }
         ProtocolMsg::EncryptedDistributionSum {
             try_index,
             contributors,
-            sum,
+            ..
         } => {
             out.push(4);
             he::put_u64(out, *try_index as u64);
             he::put_u64(out, *contributors as u64);
-            memo.encode_vector(sum, out).map_err(he_err)?;
         }
         ProtocolMsg::TryVerdict { best_try, distance } => {
             out.push(5);
@@ -300,11 +412,11 @@ fn encode_envelope<'a>(
         ProtocolMsg::PackedRegistry { client, registry } => {
             out.push(6);
             he::put_u64(out, *client as u64);
-            memo.encode_packed_vector(registry, out).map_err(he_err)?;
+            he::put_packed_header(registry, out);
         }
         ProtocolMsg::PackedTotalBroadcast { total } => {
             out.push(7);
-            memo.encode_packed_vector(total, out).map_err(he_err)?;
+            he::put_packed_header(total, out);
         }
         ProtocolMsg::PackedDistribution {
             client,
@@ -314,8 +426,7 @@ fn encode_envelope<'a>(
             out.push(8);
             he::put_u64(out, *client as u64);
             he::put_u64(out, *try_index as u64);
-            memo.encode_packed_vector(distribution, out)
-                .map_err(he_err)?;
+            he::put_packed_header(distribution, out);
         }
         ProtocolMsg::PackedDistributionSum {
             try_index,
@@ -325,10 +436,9 @@ fn encode_envelope<'a>(
             out.push(9);
             he::put_u64(out, *try_index as u64);
             he::put_u64(out, *contributors as u64);
-            memo.encode_packed_vector(sum, out).map_err(he_err)?;
+            he::put_packed_header(sum, out);
         }
     }
-    Ok(())
 }
 
 /// A recognised-but-undecoded `DBH2` registry upload: the owned frame
@@ -917,35 +1027,93 @@ pub(crate) mod tests {
         }
     }
 
+    /// A key dispatch of `kp`, with and without the private half.
+    fn key_dispatches(kp: &Keypair) -> [WireMsg; 2] {
+        let dispatch = |private_key: Option<dubhe_he::PrivateKey>| WireMsg::Envelope {
+            envelope: Envelope {
+                from: Party::Agent,
+                to: Party::Client(2),
+                epoch: 1,
+                msg: ProtocolMsg::PublicKeyDispatch {
+                    public_key: kp.public.clone(),
+                    private_key,
+                },
+            },
+        };
+        [dispatch(Some(kp.private.clone())), dispatch(None)]
+    }
+
+    /// A keypair over primes of 120 and 136 bits — a 255- or 256-bit
+    /// modulus whose smaller prime encodes a byte short of half its width,
+    /// as a key from another implementation's keygen may. (`Keypair`'s own
+    /// keygen draws both primes at exactly half the width.)
+    fn unbalanced_keypair(rng: &mut rand::rngs::StdRng) -> Keypair {
+        let p = dubhe_he::prime::generate_prime(120, rng);
+        let q = dubhe_he::prime::generate_prime(136, rng);
+        let mut bytes = Vec::new();
+        for value in [&p * &q, p, q] {
+            let value = value.to_bytes_be();
+            he::put_u32(&mut bytes, value.len() as u32);
+            bytes.extend_from_slice(&value);
+        }
+        let private = he::decode_private_key(&mut &bytes[..]).unwrap();
+        Keypair {
+            public: private.public.clone(),
+            private,
+        }
+    }
+
+    /// Whether a prime of `kp` encodes shorter than half the modulus.
+    fn has_a_short_prime(kp: &Keypair) -> bool {
+        let mut bytes = Vec::new();
+        he::encode_private_key(&kp.private, &mut bytes);
+        let modulus = dubhe_he::transport::public_key_size_bytes(&kp.public);
+        let mut cur = &bytes[4 + modulus..];
+        (0..2).any(|_| {
+            let len = he::take_u32(&mut cur).unwrap() as usize;
+            he::take_bytes(&mut cur, len).unwrap();
+            len < modulus.div_ceil(2)
+        })
+    }
+
     #[test]
     fn binary_encode_size_hint_covers_every_payload_in_one_allocation() {
-        let contains_key_dispatch = |msg: &WireMsg| match msg {
-            WireMsg::Envelope { envelope } => {
-                matches!(envelope.msg, ProtocolMsg::PublicKeyDispatch { .. })
-            }
-            WireMsg::Batch { envelopes } => envelopes
-                .iter()
-                .any(|e| matches!(e.msg, ProtocolMsg::PublicKeyDispatch { .. })),
-            _ => false,
-        };
-        for msg in sample_msgs() {
+        // The hint is the payload's exact length for every message — what a
+        // write queue fixes a frame's header from before encoding a byte of
+        // it — key dispatches included, whose primes may encode a byte short
+        // of half the modulus.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(35);
+        let keypairs: Vec<Keypair> = (0..64)
+            .map(|i| match i % 8 {
+                0 => unbalanced_keypair(&mut rng),
+                _ => Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng),
+            })
+            .collect();
+        assert!(
+            keypairs.iter().any(has_a_short_prime),
+            "the set carries a prime that encodes one byte short"
+        );
+        let dispatches = keypairs.iter().flat_map(key_dispatches);
+        for msg in sample_msgs()
+            .into_iter()
+            .chain(broadcast_batches())
+            .chain(dispatches)
+        {
             let payload = encode(&msg).unwrap();
-            let hint = payload_size_hint(&msg);
-            assert!(
-                payload.len() <= hint,
-                "hint {hint} under-reserves the {}-byte payload",
-                payload.len()
-            );
-            if !contains_key_dispatch(&msg) {
-                // Ciphertext-bearing payloads are fixed-width: the size
-                // model predicts them exactly, so the buffer never grows.
-                assert_eq!(payload.len(), hint, "hint should be exact");
-            } else {
-                // Key dispatches may come in a couple of bytes short of the
-                // modeled half-modulus factor widths — never more than the
-                // slack the hint carries.
-                assert!(hint - payload.len() <= 4, "key-dispatch slack too big");
-            }
+            assert_eq!(payload.len(), payload_size_hint(&msg), "{msg:?}");
+            assert_eq!(payload.capacity(), payload.len(), "one allocation");
+        }
+    }
+
+    // A 1024-bit keygen is seconds-long in a debug build; CI runs it with
+    // --release.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn the_size_hint_is_exact_for_a_1024_bit_key_dispatch() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(36);
+        let kp = Keypair::generate(1024, &mut rng);
+        for msg in key_dispatches(&kp) {
+            assert_eq!(encode(&msg).unwrap().len(), payload_size_hint(&msg));
         }
     }
 

@@ -5,9 +5,10 @@
 //! A [`Connection`] is handed the bytes a socket delivered
 //! ([`received`](Connection::received)) and gives back, one
 //! [`poll`](Connection::poll) at a time, what they meant: a protocol frame,
-//! a handshake step, or a typed [`Refusal`]. Frames queued on it
-//! ([`queue`](Connection::queue)) land in its write queue
-//! ([`out`](Connection::out)), sealed once the channel is established. The
+//! a handshake step, or a typed [`Refusal`]. Messages queued on it
+//! ([`queue`](Connection::queue)) join its write queue
+//! ([`out`](Connection::out)), which encodes them — and seals them once the
+//! channel is established — a slice ahead of the socket. The
 //! state machine never touches a socket or reads a clock (the blocking
 //! helpers at the end pump it over a stream): it reports whether a read
 //! deadline should be armed ([`wants_read_deadline`](Connection::wants_read_deadline)),
@@ -307,11 +308,13 @@ impl Connection {
         }
     }
 
-    /// Encodes `msg` into [`out`](Self::out) — sealed once the channel is
-    /// established, bare before — and returns its size on the wire. A
-    /// message that does not encode leaves the queue and the channel's send
+    /// Queues `msg` on [`out`](Self::out) — sealed once the channel is
+    /// established, bare before — and returns its size on the wire. The
+    /// queue keeps the message and encodes it a slice at a time as it is
+    /// flushed. A message that does not encode, or is over the frame
+    /// ceiling, is refused here, with the queue and the channel's send
     /// sequence as they were.
-    pub fn queue(&mut self, msg: &WireMsg) -> Result<usize, ProtocolError> {
+    pub fn queue(&mut self, msg: WireMsg) -> Result<usize, ProtocolError> {
         let channel = match &mut self.phase {
             Phase::Established { channel, .. } => Some(channel),
             _ => None,
@@ -429,9 +432,9 @@ impl Connection {
 mod tests {
     use super::*;
     use crate::protocol::channel::{
-        FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
+        append_frame, FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
     };
-    use crate::protocol::wire::{append_plain_frame, FRAME_MAGIC_V2, MAX_FRAME_BYTES};
+    use crate::protocol::wire::{FRAME_MAGIC_V2, MAX_FRAME_BYTES};
 
     const MAX: usize = 1024;
 
@@ -478,7 +481,7 @@ mod tests {
 
     fn plain_ack() -> Vec<u8> {
         let mut frame = Vec::new();
-        append_plain_frame(&mut frame, &WireMsg::Ack, MAX).unwrap();
+        append_frame(&mut frame, &WireMsg::Ack, MAX, None).unwrap();
         frame
     }
 
@@ -548,7 +551,7 @@ mod tests {
                 (At::Established, Some(peer)) => peer,
                 _ => established().0,
             };
-            sender.queue(&WireMsg::Ack).unwrap();
+            sender.queue(WireMsg::Ack).unwrap();
             drain(&mut sender)
         };
         let header = |magic: [u8; 4], len: usize| [magic, (len as u32).to_be_bytes()].concat();
@@ -680,7 +683,7 @@ mod tests {
                 try_index,
                 participants: vec![try_index, try_index + 7],
             };
-            let sent = client.queue(&request).unwrap();
+            let sent = client.queue(request.clone()).unwrap();
             shuttle(&mut client, &mut server);
             match server.poll() {
                 Ok(Some(Event::Frame {
@@ -699,7 +702,7 @@ mod tests {
             let reply = WireMsg::Error {
                 detail: format!("reply {try_index}"),
             };
-            server.queue(&reply).unwrap();
+            server.queue(reply.clone()).unwrap();
             shuttle(&mut server, &mut client);
             match client.poll() {
                 Ok(Some(Event::Frame { msg, .. })) => assert_eq!(msg.force().unwrap(), reply),
@@ -725,7 +728,7 @@ mod tests {
         let events = |piece: &mut dyn FnMut() -> usize| {
             let (mut client, mut server) = established();
             for msg in &msgs {
-                client.queue(msg).unwrap();
+                client.queue(msg.clone()).unwrap();
             }
             let bytes = drain(&mut client);
             let (mut at, mut got) = (0, Vec::new());

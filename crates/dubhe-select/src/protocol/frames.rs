@@ -1,7 +1,7 @@
 //! Both directions of a non-blocking socket's byte stream: incremental
 //! frame reassembly on the way in ([`FrameBuffer`]), one bounded write queue
-//! on the way out ([`WriteQueue`], which seals a channel's frames a slice
-//! ahead of each write) — the byte-level halves of a
+//! on the way out ([`WriteQueue`], which encodes and seals its frames a
+//! slice ahead of each write) — the byte-level halves of a
 //! [`Connection`](super::connection::Connection).
 //!
 //! A blocking reader can hand `read_frame_limited` the stream and let it
@@ -18,11 +18,8 @@
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
-use mini_crypto::TAG_LEN;
-
 use super::channel::{
-    append_unsealed, FrameCursor, SecureChannel, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED,
-    SEALED_FRAME_OVERHEAD, SEALED_PREFIX_BYTES,
+    FrameProducer, SecureChannel, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, SEALED_FRAME_OVERHEAD,
 };
 use super::codec::RegistryFrame;
 use super::wire::{decode_frame, decode_frame_lazy, LazyMsg, WireMsg, FRAME_MAGIC_V2};
@@ -34,8 +31,9 @@ const HEADER_BYTES: usize = 8;
 /// Bytes of already-consumed prefix tolerated before a queue compacts.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
 
-/// Most ciphertext a write queue seals ahead of what its sink has taken:
-/// one slice per [`WriteQueue::flush_slice`]. The same 256 KiB as the
+/// Most bytes a write queue produces — encodes and, on a channel, seals —
+/// ahead of what its sink has taken: one slice per
+/// [`WriteQueue::flush_slice`]. The same 256 KiB as the
 /// reactor's per-readiness read budget, so a connection's share of a loop
 /// turn is bounded the same way in both directions.
 pub const SEAL_SLICE: usize = 256 * 1024;
@@ -61,69 +59,80 @@ fn compact(buf: &mut Vec<u8>, pos: &mut usize) {
 /// the [`Connection`](super::connection::Connection)'s, so there is one
 /// write loop and one compaction rule.
 ///
-/// Frames are appended whole behind whatever is still unwritten
+/// Frames are queued behind whatever is still unwritten
 /// ([`Connection::queue`](super::connection::Connection::queue), and the
 /// handshake's own messages) and leave through [`flush`](Self::flush) in as
-/// few `write` calls as the sink allows. Appending and writing are separate
+/// few `write` calls as the sink allows. Queueing and writing are separate
 /// on purpose — an owner that answers sixteen requests in one loop turn
 /// pushes sixteen times and flushes once.
 ///
-/// A frame for a channel is encoded and takes its sequence number when it
-/// is pushed, but is sealed at flush time, at most [`SEAL_SLICE`] bytes
-/// ahead of what the sink has taken: only the sealed prefix of the queue is
-/// ever offered to a sink. So a multi-megabyte reply starts leaving after
-/// its first slice is sealed rather than its last, and an event loop that
-/// takes one slice per connection per turn
-/// ([`flush_slice`](Self::flush_slice)) keeps serving its other
-/// connections in between. Unsealed bytes are pending like any other —
-/// they hold a close-after-flush back and count against a high-water mark
-/// — but only bytes a sink refused mean a peer that stopped reading.
+/// A pushed frame is checked, sized and, on a channel, given its sequence
+/// number at once, but its bytes are produced — encoded and, on a channel,
+/// sealed — at flush time, at most [`SEAL_SLICE`] bytes ahead of what the
+/// sink has taken (a `FrameProducer` each): only that produced prefix of the
+/// queue is ever offered to a sink, and the queue holds about two slices of
+/// a frame, not the frame. So a multi-megabyte reply starts leaving after
+/// its first slice rather than its last, is encoded, sealed and written
+/// while still in cache, and an event loop that takes one slice per
+/// connection per turn ([`flush_slice`](Self::flush_slice)) keeps serving
+/// its other connections in between. Bytes not produced yet are pending
+/// like any other — they hold a close-after-flush back and count against a
+/// high-water mark — but only bytes a sink refused mean a peer that stopped
+/// reading.
 #[derive(Default)]
 pub struct WriteQueue {
+    /// Produced bytes from the first unwritten one on, behind `pos`; the
+    /// front frame's unsealed ones at the end.
     buf: Vec<u8>,
     /// Start of the unwritten suffix in `buf`.
     pos: usize,
-    /// Bytes ever appended / ever accepted by a sink: cumulative stream
+    /// Bytes ever queued / ever accepted by a sink: cumulative stream
     /// offsets, so an owner can tell when a given frame has left completely
     /// after any number of partial writes.
     queued_total: u64,
     written_total: u64,
     /// Ciphertext bytes ever sealed.
     sealed_total: u64,
-    /// Frames not sealed to the end yet, oldest first. Everything in front
-    /// of the first one's unsealed ciphertext is final.
-    sealing: VecDeque<Sealing>,
+    /// What is queued behind `buf`, oldest first: frames not produced to
+    /// their end (only the front one begun) and raw bytes pushed behind
+    /// them.
+    producing: VecDeque<Queued>,
 }
 
-/// A queued frame part-way through its seal.
-struct Sealing {
-    /// Stream offset of the frame's first ciphertext byte not sealed yet.
-    next: u64,
-    cursor: FrameCursor,
+// Nearly every entry is a frame: boxing it would cost an allocation per
+// frame to shrink the rare raw entry.
+#[allow(clippy::large_enum_variant)]
+enum Queued {
+    Frame(FrameProducer<WireMsg>),
+    Raw(Vec<u8>),
 }
+
+/// Room reserved past a slice for what a production step may overshoot it
+/// by: a piece's fields, a frame's headers and tag.
+const PRODUCE_SLACK: usize = 256;
 
 impl std::fmt::Debug for WriteQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WriteQueue")
             .field("pending", &self.pending())
-            .field("unsealed", &self.unsealed())
+            .field("unproduced", &self.unproduced())
             .finish_non_exhaustive()
     }
 }
 
 impl WriteQueue {
-    /// Bytes appended but not yet accepted by a sink, sealed or not.
+    /// Bytes queued but not yet accepted by a sink, produced or not.
     pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
+        (self.queued_total - self.written_total) as usize
     }
 
-    /// The part of [`pending`](Self::pending) not sealed yet, which no sink
-    /// has been offered.
-    pub fn unsealed(&self) -> usize {
-        (self.queued_total - self.sealed_end()) as usize
+    /// The part of [`pending`](Self::pending) not final yet — not encoded,
+    /// or on a channel not sealed — which no sink has been offered.
+    pub fn unproduced(&self) -> usize {
+        self.pending() - (self.final_end() - self.pos)
     }
 
-    /// Cumulative bytes ever appended.
+    /// Cumulative bytes ever queued.
     pub fn queued_total(&self) -> u64 {
         self.queued_total
     }
@@ -138,45 +147,42 @@ impl WriteQueue {
         self.sealed_total
     }
 
-    /// Stream offset up to which the queue is final: where the oldest
-    /// frame still being sealed has got to.
-    fn sealed_end(&self) -> u64 {
-        self.sealing
-            .front()
-            .map_or(self.queued_total, |front| front.next)
+    /// End of the final bytes in `buf`: all of it but the front frame's
+    /// unsealed tail.
+    fn final_end(&self) -> usize {
+        match self.producing.front() {
+            Some(Queued::Frame(frame)) => self.buf.len() - frame.unsealed(),
+            _ => self.buf.len(),
+        }
     }
 
-    /// Where stream offset `offset` lies in `buf`.
-    fn index(&self, offset: u64) -> usize {
-        (offset - (self.written_total - self.pos as u64)) as usize
-    }
-
-    /// Appends pre-encoded bytes (handshake replies).
+    /// Appends pre-encoded bytes (handshake messages), behind every frame
+    /// queued before them.
     pub(crate) fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        if self.producing.is_empty() {
+            self.buf.extend_from_slice(bytes);
+        } else {
+            self.producing.push_back(Queued::Raw(bytes.to_vec()));
+        }
         self.queued_total += bytes.len() as u64;
     }
 
-    /// Encodes one frame straight into the queue and returns its size on
-    /// the wire; on a channel the frame takes its sequence number now and
-    /// is sealed as it is flushed. A message that does not encode leaves
-    /// the queue (and the channel's send sequence) exactly as it was; see
-    /// [`append_frame`](super::channel::append_frame).
+    /// Queues one frame and returns its size on the wire; on a channel the
+    /// frame takes its sequence number now. Its bytes are produced as it is
+    /// flushed. A message that does not encode, or is over the ceiling,
+    /// leaves the queue (and the channel's send sequence) exactly as it
+    /// was; see [`append_frame`](super::channel::append_frame).
     pub(crate) fn push_frame(
         &mut self,
-        msg: &WireMsg,
+        msg: WireMsg,
         max_frame_bytes: usize,
         channel: Option<&mut SecureChannel>,
     ) -> Result<usize, ProtocolError> {
-        let (written, cursor) = append_unsealed(&mut self.buf, msg, max_frame_bytes, channel)?;
-        if let Some(cursor) = cursor {
-            self.sealing.push_back(Sealing {
-                next: self.queued_total + SEALED_PREFIX_BYTES as u64,
-                cursor,
-            });
-        }
-        self.queued_total += written as u64;
-        Ok(written)
+        let frame = FrameProducer::new(msg, max_frame_bytes, channel)?;
+        let len = frame.wire_len();
+        self.producing.push_back(Queued::Frame(frame));
+        self.queued_total += len as u64;
+        Ok(len)
     }
 
     /// Frees the buffer once everything queued has been written — for an
@@ -189,35 +195,45 @@ impl WriteQueue {
         }
     }
 
-    /// Seals up to one slice more, stopping when [`SEAL_SLICE`] sealed
-    /// bytes wait unwritten. A frame sealed to its end gets its tag and
-    /// leaves the list.
-    fn seal_ahead(&mut self) {
-        let lead = (self.sealed_end() - self.written_total) as usize;
+    /// Produces up to one slice more, stopping when [`SEAL_SLICE`] final
+    /// bytes wait unwritten. Room for the slice is made first: the written
+    /// prefix is dropped when the buffer would otherwise have to grow (a
+    /// move of fewer bytes than the reallocation it saves would copy).
+    fn produce_ahead(&mut self) {
+        let lead = self.final_end() - self.pos;
         let mut budget = SEAL_SLICE.saturating_sub(lead);
-        while !self.sealing.is_empty() {
-            // Everything before the sealed end may have been written and
-            // reclaimed, the frame's own sealed prefix included.
-            let at = self.index(self.sealed_end());
-            let front = self.sealing.front_mut().expect("not empty");
-            let rest = front.cursor.remaining();
-            let sealed = front.cursor.seal(&mut self.buf[at..at + rest], budget);
-            front.next += sealed as u64;
-            budget -= sealed;
-            self.sealed_total += sealed as u64;
-            if sealed < rest {
-                return;
+        // Where production can end, from `pos`: a slice past it and a
+        // piece's fields more, or the end of the queue.
+        let end = lead + (budget + PRODUCE_SLACK).min(self.pending() - lead);
+        if self.pos == self.buf.len() || self.buf.capacity() < self.pos + end {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        self.buf
+            .reserve((self.pos + end).saturating_sub(self.buf.len()));
+        while let Some(front) = self.producing.front_mut() {
+            match front {
+                Queued::Raw(bytes) => {
+                    self.buf.extend_from_slice(bytes);
+                    budget = budget.saturating_sub(bytes.len());
+                }
+                Queued::Frame(frame) => {
+                    let (made, sealed) = frame.produce(&mut self.buf, budget);
+                    budget = budget.saturating_sub(made);
+                    self.sealed_total += sealed as u64;
+                    if !frame.is_done() {
+                        return;
+                    }
+                }
             }
-            let done = self.sealing.pop_front().expect("front checked");
-            done.cursor
-                .seal_rest(&mut self.buf[at + sealed..at + sealed + TAG_LEN]);
+            self.producing.pop_front();
         }
     }
 
-    /// Offers the sealed, unwritten bytes to `sink` until it has taken them
+    /// Offers the final, unwritten bytes to `sink` until it has taken them
     /// all (`Ok(true)`), takes none or would block (`Ok(false)`).
-    fn write_sealed(&mut self, sink: &mut impl Write) -> io::Result<bool> {
-        let end = self.index(self.sealed_end());
+    fn write_final(&mut self, sink: &mut impl Write) -> io::Result<bool> {
+        let end = self.final_end();
         while self.pos < end {
             match sink.write(&self.buf[self.pos..end]) {
                 Ok(0) => return Ok(false),
@@ -233,16 +249,16 @@ impl WriteQueue {
         Ok(true)
     }
 
-    /// Seals a slice and offers it, with whatever else is final, to `sink`,
-    /// over and over until the sink has taken everything, takes none, or
-    /// would block; then reclaims the written prefix by the amortised
-    /// `compact` rule. A hard I/O error is returned after the bytes written
-    /// before it have been accounted for.
+    /// Produces a slice and offers it, with whatever else is final, to
+    /// `sink`, over and over until the sink has taken everything, takes
+    /// none, or would block; then reclaims the written prefix by the
+    /// amortised `compact` rule. A hard I/O error is returned after the
+    /// bytes written before it have been accounted for.
     pub fn flush(&mut self, sink: &mut impl Write) -> io::Result<()> {
         let outcome = loop {
-            self.seal_ahead();
-            match self.write_sealed(sink) {
-                Ok(true) if !self.sealing.is_empty() => continue,
+            self.produce_ahead();
+            match self.write_final(sink) {
+                Ok(true) if !self.producing.is_empty() => continue,
                 outcome => break outcome,
             }
         };
@@ -250,24 +266,25 @@ impl WriteQueue {
         outcome.map(drop)
     }
 
-    /// [`flush`](Self::flush) with one slice of sealing at most: an event
-    /// loop's once-a-turn write, which leaves the rest of a large frame to
-    /// later turns (the queue [`unsealed`](Self::unsealed) says how much).
+    /// [`flush`](Self::flush) with one slice of production at most: an
+    /// event loop's once-a-turn write, which leaves the rest of a large
+    /// frame to later turns (the queue's [`unproduced`](Self::unproduced)
+    /// says how much).
     pub fn flush_slice(&mut self, sink: &mut impl Write) -> io::Result<()> {
-        self.seal_ahead();
-        let outcome = self.write_sealed(sink);
+        self.produce_ahead();
+        let outcome = self.write_final(sink);
         compact(&mut self.buf, &mut self.pos);
         outcome.map(drop)
     }
 
     /// Holds the queue to its bound after a push. At or under `high_water`
     /// pending bytes nothing happens — the owner's once-a-turn flush will
-    /// take them (`Ok(false)`). Past it the bytes are sealed and offered to
-    /// `sink` at once, for as long as it takes them (`Ok(true)`), and a
+    /// take them (`Ok(false)`). Past it the bytes are produced and offered
+    /// to `sink` at once, for as long as it takes them (`Ok(true)`), and a
     /// queue the sink does not bring back under the mark belongs to a peer
     /// that stopped reading: [`ProtocolError::Backpressure`]. Checked after
     /// every push, this keeps the queue within `high_water` plus the one
-    /// frame just appended.
+    /// frame just queued.
     pub fn hold_to(
         &mut self,
         high_water: usize,
@@ -817,7 +834,7 @@ mod tests {
         let mut queue = WriteQueue::default();
         let mut one_by_one = Vec::new();
         for msg in &msgs {
-            let written = queue.push_frame(msg, 1 << 20, None).unwrap();
+            let written = queue.push_frame(msg.clone(), 1 << 20, None).unwrap();
             assert_eq!(written, encode(msg).len());
             one_by_one.extend(encode(msg));
         }
@@ -846,7 +863,7 @@ mod tests {
         let mut sink = Sink::with_room(usize::MAX);
         let mut flushed_early = 0;
         for msg in &msgs {
-            queue.push_frame(msg, 1 << 20, None).unwrap();
+            queue.push_frame(msg.clone(), 1 << 20, None).unwrap();
             let over = queue.pending() > high_water;
             let writes = sink.writes;
             assert_eq!(queue.hold_to(high_water, &mut sink).unwrap(), over);
@@ -863,7 +880,7 @@ mod tests {
         let mut dead = Sink::with_room(0);
         let mut cut = None;
         for msg in &msgs {
-            queue.push_frame(msg, 1 << 20, None).unwrap();
+            queue.push_frame(msg.clone(), 1 << 20, None).unwrap();
             assert!(queue.pending() <= high_water + largest);
             match queue.hold_to(high_water, &mut dead) {
                 Ok(flushed) => assert!(!flushed && queue.pending() <= high_water),
@@ -900,10 +917,10 @@ mod tests {
         for k in 0..=whole.len() {
             let mut queue = WriteQueue::default();
             let mut sink = Sink::with_room(k.min(reply_len.saturating_sub(1)));
-            queue.push_frame(&reply, 1 << 20, None).unwrap();
+            queue.push_frame(reply.clone(), 1 << 20, None).unwrap();
             queue.flush(&mut sink).unwrap();
             assert!(queue.pending() > 0, "the reply is still partly queued");
-            queue.push_frame(&notice, 1 << 20, None).unwrap();
+            queue.push_frame(notice.clone(), 1 << 20, None).unwrap();
             sink.room = k - sink.seen.len();
             queue.flush(&mut sink).unwrap();
             assert_eq!(sink.seen, whole[..k], "k = {k}");
@@ -911,73 +928,206 @@ mod tests {
         }
     }
 
+    /// Messages whose frames run from a few bytes to three slices, by size:
+    /// errors, key dispatches, and batches of one shared vector (a
+    /// broadcast), of distinct vectors and of everything at once.
+    fn frame_mix() -> Vec<WireMsg> {
+        use crate::protocol::codec::tests::{broadcast_batches, sample_msgs};
+        use crate::protocol::{Envelope, Party, ProtocolMsg};
+        use dubhe_he::{EncryptedVector, Keypair};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(34);
+        let kp = Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng);
+        let values: Vec<u64> = (0..56).collect();
+        let vectors: Vec<EncryptedVector> = (0..3)
+            .map(|_| EncryptedVector::encrypt_u64(&kp.public, &values, &mut rng))
+            .collect();
+        let envelope = |to: usize, msg: ProtocolMsg| Envelope {
+            from: Party::Server,
+            to: Party::Client(to),
+            epoch: 9,
+            msg,
+        };
+        let total = |v: &EncryptedVector| ProtocolMsg::EncryptedTotalBroadcast { total: v.clone() };
+        let batch = |envelopes: Vec<Envelope>| WireMsg::Batch { envelopes };
+        // 3.7 KB an envelope: 70, 140 and 210 of them span one, two and
+        // three slices.
+        let broadcast = |n: usize| batch((0..n).map(|i| envelope(i, total(&vectors[0]))).collect());
+        let distinct = |n: usize| {
+            batch(
+                (0..n)
+                    .map(|i| envelope(i, total(&vectors[i % 3])))
+                    .collect(),
+            )
+        };
+        let dispatch = ProtocolMsg::PublicKeyDispatch {
+            public_key: kp.public.clone(),
+            private_key: Some(kp.private.clone()),
+        };
+        let mixed = batch(
+            (0..150)
+                .map(|i| match i % 7 {
+                    0 => envelope(i, dispatch.clone()),
+                    1 | 2 => envelope(i, total(&vectors[i % 3])),
+                    3 => envelope(
+                        i,
+                        ProtocolMsg::TryVerdict {
+                            best_try: i,
+                            distance: 0.5,
+                        },
+                    ),
+                    _ => envelope(i, total(&vectors[1])),
+                })
+                .collect(),
+        );
+        let mut mix = sample_msgs();
+        mix.extend(broadcast_batches());
+        mix.push(WireMsg::Envelope {
+            envelope: envelope(1, dispatch),
+        });
+        mix.push(WireMsg::Error {
+            detail: "e".repeat(2 * SEAL_SLICE + 77),
+        });
+        mix.extend([
+            broadcast(1),
+            broadcast(70),
+            distinct(140),
+            mixed,
+            broadcast(210),
+        ]);
+        mix
+    }
+
     #[test]
     fn sealed_frames_leave_as_the_one_shot_seal_whatever_the_sink_takes() {
-        // Sealed frames from a few bytes to several slices, handshake-style
-        // raw pushes between them, drained through `flush` and
-        // `flush_slice` into a sink that takes an arbitrary share and then
-        // blocks. Whatever the split, the sink only ever sees a prefix of
-        // what the one-shot seal puts on the wire, sealing never runs more
-        // than a slice ahead of it, and the queue's counts stay exact.
-        use crate::protocol::channel::tests::{fixed_channel, parent_seal_frame};
-        let mut seed = 0x2545_F491_4F6C_DD1Du64;
-        let mut next = move |bound: usize| {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed % bound as u64) as usize
+        // Frames from a few bytes to three slices, plaintext and sealed,
+        // handshake-style raw pushes and refused pushes between them,
+        // drained through `flush` and `flush_slice` into a sink that takes
+        // an arbitrary share and then blocks. Whatever the split, the sink
+        // only ever sees a prefix of the `append_frame` outputs one after
+        // another, production never runs more than a slice ahead of it, the
+        // queue holds about two slices however large the frame, its counts
+        // stay exact, and a refusal changes nothing: every frame behind it
+        // opens and decodes.
+        use crate::protocol::channel::append_frame;
+        use crate::protocol::channel::tests::fixed_channel;
+        use crate::protocol::wire::decode_frame;
+        let mix = frame_mix();
+        let (small, large) = mix.split_at(mix.len() - 4);
+        let max = 3 * SEAL_SLICE;
+        let oversized = WireMsg::Error {
+            detail: "o".repeat(max),
         };
-        let (mut sender, mut oracle) = (fixed_channel(true), fixed_channel(true));
-        let mut queue = WriteQueue::default();
-        let mut sink = Sink::default();
-        let mut expect = Vec::new();
-        let mut sealed_bytes = 0u64;
-        for step in 0..300 {
-            for _ in 0..next(3) {
-                if next(8) == 0 {
-                    queue.push(b"DBHS raw bytes");
-                    expect.extend_from_slice(b"DBHS raw bytes");
-                    continue;
+        let too_wide = {
+            let mut wide = small[2].clone();
+            let WireMsg::Envelope { envelope } = &mut wide else {
+                unreachable!("the third sample is a registry upload")
+            };
+            let crate::protocol::ProtocolMsg::EncryptedRegistry { registry, .. } =
+                &mut envelope.msg
+            else {
+                unreachable!("the third sample is a registry upload")
+            };
+            let pk = registry.public_key().clone();
+            let residue =
+                dubhe_he::Ciphertext::from_raw(pk.n_squared().clone() << 8u32, pk.clone());
+            *registry = dubhe_he::EncryptedVector::from_ciphertexts(&pk, vec![residue]).unwrap();
+            WireMsg::Batch {
+                envelopes: vec![envelope.clone()],
+            }
+        };
+        for sealed in [false, true] {
+            let mut seed = 0x2545_F491_4F6C_DD1Du64 ^ sealed as u64;
+            let mut next = move |bound: usize| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                (seed % bound as u64) as usize
+            };
+            let channels = || sealed.then(|| fixed_channel(true));
+            let (mut sender, mut oracle) = (channels(), channels());
+            let mut queue = WriteQueue::default();
+            let mut sink = Sink::default();
+            let (mut expect, mut sent, mut sealed_bytes) = (Vec::new(), Vec::new(), 0u64);
+            for step in 0..240 {
+                for _ in 0..next(3) {
+                    let (pending, queued) = (queue.pending(), queue.queued_total());
+                    let refused = match next(16) {
+                        0 => {
+                            queue.push(b"DBHS raw bytes");
+                            expect.extend_from_slice(b"DBHS raw bytes");
+                            continue;
+                        }
+                        1 => queue.push_frame(oversized.clone(), max, sender.as_mut()),
+                        2 => queue.push_frame(too_wide.clone(), max, sender.as_mut()),
+                        _ => {
+                            let msg = match next(10) {
+                                0 => &large[next(large.len())],
+                                _ => &small[next(small.len())],
+                            };
+                            let written = queue.push_frame(msg.clone(), max, sender.as_mut());
+                            let start = expect.len();
+                            let one_step = append_frame(&mut expect, msg, max, oracle.as_mut());
+                            assert_eq!(written, one_step);
+                            assert_eq!(written, Ok(expect.len() - start));
+                            let inner = expect.len() - start - 32 * usize::from(sealed);
+                            sealed_bytes += (inner * usize::from(sealed)) as u64;
+                            sent.push(msg);
+                            continue;
+                        }
+                    };
+                    assert!(refused.is_err(), "step {step}");
+                    assert_eq!((queue.pending(), queue.queued_total()), (pending, queued));
                 }
-                let size = match next(10) {
-                    0 => next(3 * SEAL_SLICE),
-                    1..=3 => next(4 * 1024),
-                    _ => next(200),
-                };
-                let msg = WireMsg::Error {
-                    detail: "s".repeat(size),
-                };
-                let written = queue.push_frame(&msg, 1 << 22, Some(&mut sender)).unwrap();
-                let plain = encode(&msg);
-                sealed_bytes += plain.len() as u64;
-                let sealed = parent_seal_frame(&mut oracle, &plain);
-                assert_eq!(written, sealed.len());
-                expect.extend(sealed);
+                sink.room = next(2 * SEAL_SLICE);
+                let before = sink.seen.len();
+                if next(2) == 0 {
+                    queue.flush(&mut sink).unwrap();
+                } else {
+                    queue.flush_slice(&mut sink).unwrap();
+                }
+                let seen = sink.seen.len();
+                assert_eq!(sink.seen[before..], expect[before..seen], "step {step}");
+                assert_eq!(queue.pending(), expect.len() - seen);
+                assert!(queue.unproduced() <= queue.pending());
+                let lead = queue.pending() - queue.unproduced();
+                assert!(
+                    queue.unproduced() == 0 || lead <= SEAL_SLICE + 4 * 1024,
+                    "step {step}: {lead} final bytes ahead of the sink"
+                );
+                assert!(
+                    queue.buf.capacity() <= 2 * SEAL_SLICE + 4 * 1024,
+                    "step {step}: a {} B queue buffer",
+                    queue.buf.capacity()
+                );
+                assert_eq!(queue.written_total(), seen as u64);
+                assert_eq!(queue.queued_total(), expect.len() as u64);
             }
-            sink.room = next(2 * SEAL_SLICE);
-            let before = sink.seen.len();
-            if step % 2 == 0 {
-                queue.flush(&mut sink).unwrap();
-            } else {
-                queue.flush_slice(&mut sink).unwrap();
+            sink.room = usize::MAX;
+            queue.flush(&mut sink).unwrap();
+            assert_eq!(sink.seen, expect);
+            assert_eq!((queue.pending(), queue.unproduced()), (0, 0));
+            assert_eq!(queue.sealed_total(), sealed_bytes);
+            assert!(sent.len() > 100 && sent.iter().any(|m| large.contains(m)));
+
+            // Everything that left opens and decodes, in order.
+            let mut receiver = sealed.then(|| fixed_channel(false));
+            let raw = b"DBHS raw bytes";
+            let mut wire = &sink.seen[..];
+            for msg in sent {
+                while wire.starts_with(raw) {
+                    wire = &wire[raw.len()..];
+                }
+                let len = 8 + u32::from_be_bytes(wire[4..8].try_into().unwrap()) as usize;
+                let mut frame = wire[..len].to_vec();
+                let inner = match receiver.as_mut() {
+                    Some(channel) => channel.open_in_place(&mut frame[8..]).unwrap(),
+                    None => &frame[..],
+                };
+                assert_eq!(&decode_frame(inner, max).unwrap().0, msg);
+                wire = &wire[len..];
             }
-            let seen = sink.seen.len();
-            assert_eq!(sink.seen[before..], expect[before..seen], "step {step}");
-            assert_eq!(queue.pending(), expect.len() - seen);
-            assert!(queue.unsealed() <= queue.pending());
-            let lead = queue.pending() - queue.unsealed();
-            assert!(
-                queue.unsealed() == 0 || lead <= SEAL_SLICE + 4 * 1024,
-                "step {step}: {lead} sealed bytes ahead of the sink"
-            );
-            assert_eq!(queue.written_total(), seen as u64);
-            assert_eq!(queue.queued_total(), expect.len() as u64);
         }
-        sink.room = usize::MAX;
-        queue.flush(&mut sink).unwrap();
-        assert_eq!(sink.seen, expect);
-        assert_eq!((queue.pending(), queue.unsealed()), (0, 0));
-        assert_eq!(queue.sealed_total(), sealed_bytes);
     }
 
     #[test]

@@ -126,7 +126,6 @@ pub use stats::{Counter, LatencyHistogram, LatencySummary, ListenerMetrics, List
 pub use tcp::{TcpConfig, TcpTransport, WireStats, DEFAULT_READ_TIMEOUT};
 pub use transport::{InMemoryTransport, LinkStats, Transport, TransportStats};
 pub use wire::{
-    append_plain_frame, claimed_client, decode_frame, decode_frame_lazy, read_frame,
-    read_frame_limited, write_frame, write_frame_limited, LazyMsg, WireMsg, FRAME_MAGIC_V2,
-    MAX_FRAME_BYTES,
+    claimed_client, decode_frame, decode_frame_lazy, read_frame, read_frame_limited, write_frame,
+    write_frame_limited, LazyMsg, WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
 };

@@ -6,8 +6,14 @@
 //! field that could store a `PrivateKey` or a plaintext registry or
 //! distribution, and a key dispatch that tries to smuggle a private key in
 //! is refused with [`ProtocolError::PrivateKeyAtServer`]. Registries are
-//! folded into the running homomorphic sum *as they arrive*, so server
-//! memory is `O(registry_len)` regardless of the client count.
+//! folded into the running homomorphic sum *as they arrive*, so the folds
+//! are `O(registry_len)` whatever the client count. What grows with the
+//! client count `N` is the registration broadcast, and only as handles:
+//! the serving side holds one total, the `N + 1` envelopes that address
+//! it (each a handle on the total's shared storage, not a copy), and, per
+//! connection, at most two slices of the frame — its write queue encodes
+//! and seals the frame a slice ahead of the socket and never holds it
+//! whole.
 //!
 //! The *positions* `0..registry_len` are split into `N` contiguous shards,
 //! each holding its own running fold of its slice; an arriving vector is

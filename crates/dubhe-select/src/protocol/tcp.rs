@@ -391,7 +391,7 @@ impl TcpTransport {
     /// the *inner* frame bytes; the seal's cost goes to the channel-overhead
     /// counters. An oversized message is refused before a byte is written.
     fn send(&mut self, msg: &WireMsg) -> Result<(), ProtocolError> {
-        let written = self.connection.queue(msg)?;
+        let written = self.connection.queue(msg.clone())?;
         self.connection.write_queued(&mut self.stream)?;
         let overhead = match self.connection.peer() {
             Some(_) => SEALED_FRAME_OVERHEAD,

@@ -35,6 +35,7 @@ use std::io::{ErrorKind, Read, Write};
 
 use serde::{Deserialize, Serialize};
 
+use super::channel::append_frame;
 use super::codec::{self, RegistryFrame};
 use super::message::{Envelope, Party};
 use crate::error::ProtocolError;
@@ -119,46 +120,6 @@ fn io_error(context: &'static str, e: std::io::Error) -> ProtocolError {
 /// Magic (4) + big-endian payload length (4).
 const HEADER_BYTES: usize = 8;
 
-/// Appends one complete plaintext frame — `magic | u32 length | payload` —
-/// to `out`, returning the bytes appended. The payload is encoded in place
-/// behind a length field patched afterwards, into space reserved once from
-/// [`codec::payload_size_hint`], so framing costs no buffer of its own.
-///
-/// A payload above `max_frame_bytes` (or one that fails to encode) is
-/// refused with `out` truncated back to what it held before the call:
-/// nothing is ever left half-written. [`append_frame`](super::channel::append_frame)
-/// is the same for a connection that may run the authenticated channel.
-pub fn append_plain_frame(
-    out: &mut Vec<u8>,
-    msg: &WireMsg,
-    max_frame_bytes: usize,
-) -> Result<usize, ProtocolError> {
-    let start = out.len();
-    out.reserve(HEADER_BYTES + codec::payload_size_hint(msg));
-    out.extend_from_slice(&FRAME_MAGIC_V2);
-    out.extend_from_slice(&[0u8; 4]);
-    let announced = codec::encode_into(msg, out).and_then(|()| {
-        let len = out.len() - start - HEADER_BYTES;
-        u32::try_from(len)
-            .ok()
-            .filter(|_| len <= max_frame_bytes)
-            .ok_or(ProtocolError::FrameTooLarge {
-                len,
-                max: max_frame_bytes,
-            })
-    });
-    match announced {
-        Ok(len) => {
-            out[start + 4..start + HEADER_BYTES].copy_from_slice(&len.to_be_bytes());
-            Ok(out.len() - start)
-        }
-        Err(e) => {
-            out.truncate(start);
-            Err(e)
-        }
-    }
-}
-
 /// Writes one frame, returning the total bytes put on the wire (header
 /// included) so callers can meter real frame traffic. Enforces the default
 /// [`MAX_FRAME_BYTES`]; use [`write_frame_limited`] to enforce a configured
@@ -178,7 +139,7 @@ pub fn write_frame_limited<W: Write>(
     max_frame_bytes: usize,
 ) -> Result<usize, ProtocolError> {
     let mut frame = Vec::new();
-    append_plain_frame(&mut frame, msg, max_frame_bytes)?;
+    append_frame(&mut frame, msg, max_frame_bytes, None)?;
     write_whole_frame(w, &frame)?;
     Ok(frame.len())
 }

@@ -12,7 +12,7 @@ use dubhe_he::{EncryptedVector, Keypair};
 use dubhe_net::ReactorListener;
 use dubhe_select::protocol::codec::{decode, encode};
 use dubhe_select::protocol::{
-    append_plain_frame, read_frame, write_frame, Envelope, Party, ProtocolMsg, ShardedCoordinator,
+    append_frame, read_frame, write_frame, Envelope, Party, ProtocolMsg, ShardedCoordinator,
     WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
 };
 use dubhe_select::ProtocolError;
@@ -178,7 +178,7 @@ proptest! {
         // copied, not re-encoded) changes none of them.
         prop_assert_eq!(&framed, &parent_frame(&msg));
         let mut queued = vec![0xEE; 3];
-        append_plain_frame(&mut queued, &msg, MAX_FRAME_BYTES).unwrap();
+        append_frame(&mut queued, &msg, MAX_FRAME_BYTES, None).unwrap();
         prop_assert_eq!(&queued[3..], &framed[..]);
         let (back, consumed) = read_frame(&mut &framed[..]).unwrap();
         prop_assert_eq!(back, msg.clone());

@@ -8,11 +8,12 @@
 //! of small ones that does not grow with `N`; receiving it — reassembly,
 //! open in place, decode — makes one more, through a bare reassembly buffer
 //! or a client-role `Connection` alike, and an unauthenticated handshake
-//! header sizes no buffer at all. The parent commit held five
-//! frame-sized buffers at the sender's peak (payload, inner frame, AEAD
-//! output, sealed frame, write queue) and parsed every addressee's copy of
-//! the total into its own bignums. An integration test is its own binary,
-//! so the counting `#[global_allocator]` observes exactly this workload.
+//! header sizes no buffer at all. Queued on a connection, as the listener
+//! queues its replies, the broadcast is not even framed whole: the write
+//! queue encodes and seals it a slice ahead of the socket, so what the
+//! server holds for it is about two slices whatever the cohort size. An
+//! integration test is its own binary, so the counting `#[global_allocator]`
+//! observes exactly this workload.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
@@ -22,6 +23,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use dubhe_he::{EncryptedVector, Keypair};
 use dubhe_select::protocol::codec::payload_size_hint;
 use dubhe_select::protocol::connection::Event;
+use dubhe_select::protocol::frames::SEAL_SLICE;
 use dubhe_select::protocol::{
     append_frame, client_handshake, decode_frame, read_channel_frame, ChannelFrame, Connection,
     Envelope, NodeIdentity, Party, ProtocolMsg, SecureChannel, ServerHandshake, WireMsg,
@@ -82,6 +84,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Held by each test for its whole run: the counters are process-wide, and
+/// libtest runs tests on parallel threads.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// What `f` cost the heap: allocation calls, calls of at least `big` bytes,
 /// and the most bytes it held live above what was live when it started.
@@ -170,6 +176,7 @@ fn broadcast(n: usize) -> WireMsg {
 
 #[test]
 fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let (mut client, mut server) = channel_pair();
     let (mut client_link, mut server_link) = connection_pair();
     let mut small_allocs = Vec::new();
@@ -217,7 +224,7 @@ fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
 
         // The same through a client-role connection, polled as a driver
         // polls it: chunk by chunk.
-        server_link.queue(&msg).unwrap();
+        server_link.queue(msg.clone()).unwrap();
         let mut sealed = Vec::new();
         server_link.out.flush(&mut sealed).unwrap();
         let (back, _, frame_sized, _) = measure(wire / 4, || {
@@ -263,5 +270,75 @@ fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
             assert!(refused.is_err(), "{announced}: {refused:?}");
             assert_eq!(reserved, 0, "{announced}: allocations of 1 KiB or more");
         }
+    }
+}
+
+/// A nonblocking socket that takes at most 64 KiB a write, into a buffer
+/// reserved beforehand, and blocks on every fourth write.
+struct Trickle {
+    seen: Vec<u8>,
+    writes: usize,
+}
+
+impl Write for Trickle {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        if self.writes.is_multiple_of(4) {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let n = buf.len().min(64 * 1024);
+        self.seen.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_queued_broadcast_is_held_as_two_slices_not_as_a_frame() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // The reply path as the listener runs it: the broadcast moved into a
+    // server-role connection's queue and drained a slice per turn through a
+    // socket that takes at most 64 KiB a write. The sealed frame is 1.1 MB
+    // at n = 300 and 4.4 MB at n = 1 200; the queue never allocates a
+    // quarter of it, and holds the same two slices at most for either.
+    for n in [300, 1200] {
+        let (mut client_link, mut server_link) = connection_pair();
+        let msg = broadcast(n);
+        let wire = 8 + payload_size_hint(&msg) + 32;
+        let mut sink = Trickle {
+            seen: Vec::with_capacity(wire),
+            writes: 0,
+        };
+        let queued = msg.clone();
+        let (_, _, frame_sized, peak) = measure(wire / 4, || {
+            assert_eq!(server_link.queue(queued), Ok(wire));
+            while server_link.out.pending() > 0 {
+                server_link.out.flush_slice(&mut sink).unwrap();
+            }
+        });
+        assert_eq!(
+            frame_sized,
+            0,
+            "n = {n}: allocations of {} B or more",
+            wire / 4
+        );
+        assert!(
+            peak <= 2 * SEAL_SLICE + 64 * 1024,
+            "n = {n}: {peak} B live to send {wire} B"
+        );
+
+        // What left is the broadcast, whole.
+        assert_eq!(sink.seen.len(), wire);
+        let mut back = None;
+        for chunk in sink.seen.chunks(16 * 1024) {
+            client_link.received(chunk);
+            if let Some(Event::Frame { msg, .. }) = client_link.poll().unwrap() {
+                back = Some(msg.force().unwrap());
+            }
+        }
+        assert_eq!(back, Some(msg), "n = {n}");
     }
 }
