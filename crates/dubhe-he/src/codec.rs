@@ -31,10 +31,11 @@
 //! one encoding and one parse plus a byte copy / byte compare per repeat,
 //! without changing a byte on the wire: the encoder hands out again the
 //! bytes it encoded last when the next vector is a handle on the same
-//! storage ([`EncryptedVector::shares_storage`]) — from a copy of its own,
-//! so a writer may reclaim its output as it leaves; the decoder reuses the
+//! storage ([`EncryptedVector::shares_storage`]); the decoder reuses the
 //! vector it just validated when the next encoding is byte-identical to the
-//! one that produced it. An encoding is self-delimiting (key length, key, count,
+//! one that produced it. Each keeps a copy of those bytes of its own, so a
+//! writer may reclaim its output as it leaves and a reader drop its input as
+//! it is decoded. An encoding is self-delimiting (key length, key, count,
 //! fixed-width residues), so a byte-identical prefix decodes to an equal
 //! vector and consumes the same bytes — the short-cut cannot return
 //! anything the full parse would not.
@@ -227,27 +228,31 @@ impl VectorEncodeMemo {
     }
 }
 
-/// Decoder-side memory of the vector most recently decoded from one input
-/// buffer, with the exact bytes it was decoded from. See the module docs.
+/// Decoder-side memory of the vector decoded last: a handle on it and a copy
+/// of the bytes it was decoded from. See the module docs.
 #[derive(Debug, Default)]
-pub struct VectorDecodeMemo<'a> {
-    last: Option<(&'a [u8], EncryptedVector)>,
+pub struct VectorDecodeMemo {
+    last: Option<EncryptedVector>,
+    bytes: Vec<u8>,
 }
 
-impl<'a> VectorDecodeMemo<'a> {
+impl VectorDecodeMemo {
     /// [`decode_vector`], except that an encoding byte-identical to the one
     /// this memo decoded last yields a handle on that already validated
     /// vector. Only a successful decode is remembered.
-    pub fn decode_vector(&mut self, cur: &mut &'a [u8]) -> Result<EncryptedVector, HeError> {
-        if let Some((bytes, vector)) = &self.last {
-            if let Some(rest) = cur.strip_prefix(*bytes) {
+    pub fn decode_vector(&mut self, cur: &mut &[u8]) -> Result<EncryptedVector, HeError> {
+        if let Some(vector) = &self.last {
+            if let Some(rest) = cur.strip_prefix(self.bytes.as_slice()) {
                 *cur = rest;
                 return Ok(vector.clone());
             }
         }
         let input = *cur;
         let vector = decode_vector(cur)?;
-        self.last = Some((&input[..input.len() - cur.len()], vector.clone()));
+        self.bytes.clear();
+        self.bytes
+            .extend_from_slice(&input[..input.len() - cur.len()]);
+        self.last = Some(vector.clone());
         Ok(vector)
     }
 
@@ -256,7 +261,7 @@ impl<'a> VectorDecodeMemo<'a> {
     /// against every envelope's own header regardless.
     pub fn decode_packed_vector(
         &mut self,
-        cur: &mut &'a [u8],
+        cur: &mut &[u8],
     ) -> Result<PackedEncryptedVector, HeError> {
         let (packer, count) = take_packed_header(cur)?;
         let vector = self.decode_vector(cur)?;
@@ -848,6 +853,16 @@ mod tests {
             memo.decode_vector(&mut cur),
             decode_vector(&mut &two[one..two.len() - 1])
         );
+
+        // The memo outlives the buffer it decoded from: a reader that drops
+        // each encoding once decoded still gets the short-cut for the next.
+        let mut memo = VectorDecodeMemo::default();
+        let first = memo.decode_vector(&mut &two[..one]).unwrap();
+        let next = two[one..].to_vec();
+        drop(two);
+        let mut cur = &next[..];
+        assert!(memo.decode_vector(&mut cur).unwrap().shares_storage(&first));
+        assert!(cur.is_empty());
     }
 
     #[test]

@@ -968,6 +968,51 @@ fn garbage_and_mid_frame_stalls_get_typed_errors_on_both_backends() {
 }
 
 #[test]
+fn a_plaintext_batch_stalled_after_some_envelopes_is_swept_with_a_stall_notice() {
+    // A batch is decoded envelope by envelope as it lands, so a peer that
+    // stops at an envelope boundary leaves no byte of it unparsed: the
+    // connection is still mid-frame, and is swept at the read timeout like
+    // any other stall.
+    let batch = WireMsg::Batch {
+        envelopes: (0..20)
+            .map(|i| match verdict_envelope(i) {
+                WireMsg::Envelope { envelope } => envelope,
+                _ => unreachable!("a verdict is an envelope"),
+            })
+            .collect(),
+    };
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &batch).unwrap();
+    let envelope = (frame.len() - 8 - 5) / 20;
+    for backend in [Backend::Epoll, Backend::Portable] {
+        let reactor = ReactorListener::spawn_with(
+            ShardedCoordinator::new(0, 1),
+            ReactorConfig::default()
+                .with_backend(backend)
+                .with_read_timeout(Duration::from_millis(300)),
+        )
+        .unwrap();
+        let mut loris = TcpStream::connect(reactor.addr()).unwrap();
+        loris
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        loris.write_all(&frame[..8 + 5 + 7 * envelope]).unwrap();
+        let (reply, _) = read_frame(&mut loris).expect("a stall notice before the hangup");
+        match reply {
+            WireMsg::Error { detail } => assert!(detail.contains("stalled"), "{detail}"),
+            other => panic!("expected a stall notice, got {other:?}"),
+        }
+        let mut rest = Vec::new();
+        assert_eq!(loris.read_to_end(&mut rest).unwrap(), 0, "{backend:?}");
+        let stats = reactor.stats();
+        assert_eq!(stats.truncated_frames, 1, "{backend:?}");
+        assert_eq!(stats.decode_errors, 0, "{backend:?}");
+        assert_eq!(stats.connections_open, 0, "{backend:?}");
+        assert!(reactor.shutdown().is_some());
+    }
+}
+
+#[test]
 fn slow_loris_byte_at_a_time_frame_still_decodes() {
     // Trickling a whole valid frame one byte at a time — with pauses well
     // under the read timeout — must decode exactly like a burst: progress

@@ -8,7 +8,10 @@
 //!
 //! Encoding is *total* over `WireMsg` (every variant encodes) and decoding
 //! is *defensive*: arbitrary bytes surface as
-//! [`ProtocolError::MalformedFrame`], never a panic.
+//! [`ProtocolError::MalformedFrame`], never a panic. Both also run a piece
+//! at a time (`PayloadEncoder`, `PayloadDecoder`), so neither end of a
+//! connection holds a registration broadcast whole; [`encode`] and
+//! [`decode`] are the one-step cases.
 //!
 //! ## `DBH2` payload layout
 //!
@@ -250,14 +253,196 @@ fn put_piece(msg: &WireMsg, next: usize, out: &mut Vec<u8>) -> Tail {
     Tail::None
 }
 
-/// Parses one frame payload. The whole payload must be consumed.
+/// Parses one frame payload. The whole payload must be consumed. A
+/// `PayloadDecoder` run to the end in one call.
 pub fn decode(payload: &[u8]) -> Result<WireMsg, ProtocolError> {
-    let mut cur = payload;
-    let msg = decode_wiremsg(&mut cur)?;
-    if !cur.is_empty() {
-        return Err(malformed("trailing bytes after the wire message"));
+    let (_, msg) = PayloadDecoder::new(payload.len()).decode(payload)?;
+    Ok(msg.expect("a whole payload decodes or is refused"))
+}
+
+/// The wire-message tag of a [`WireMsg::Batch`], the one message decoded a
+/// piece at a time.
+pub(crate) const BATCH_TAG: u8 = 2;
+
+/// One message's payload, decoded a piece at a time as its bytes arrive —
+/// the dual of [`PayloadEncoder`], and what lets a receiver hold a
+/// registration broadcast an envelope at a time instead of whole.
+///
+/// The pieces are the encoder's: a batch's head (its tag and count), then
+/// each envelope, whose exact length is read off its leading fields
+/// ([`envelope_len`]) so it is parsed once all of it is in and its bytes can
+/// be dropped; any other message is one piece, the whole payload. Pieces
+/// are parsed by the functions a whole payload is, in the same order, with
+/// one [`he::VectorDecodeMemo`] across a batch; where a piece's length cannot
+/// be read off — fields that do not parse — it is taken to run to the end of
+/// the payload, so the parser meets exactly the bytes it would have met
+/// whole. However a payload is split, the decoder answers what [`decode`]
+/// answers for it whole: the same message, or the same error.
+#[derive(Debug)]
+pub(crate) struct PayloadDecoder {
+    /// The payload's length, from its frame header.
+    len: usize,
+    /// Payload bytes not decoded yet.
+    remaining: usize,
+    /// Once a batch's head is in: its envelopes decoded so far, and how many
+    /// are still to come.
+    batch: Option<(Vec<Envelope>, usize)>,
+    memo: he::VectorDecodeMemo,
+}
+
+impl PayloadDecoder {
+    /// A decoder for a payload of `len` bytes.
+    pub(crate) fn new(len: usize) -> Self {
+        PayloadDecoder {
+            len,
+            remaining: len,
+            batch: None,
+            memo: he::VectorDecodeMemo::default(),
+        }
     }
-    Ok(msg)
+
+    /// The payload's length.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Payload bytes decoded, and so no longer needed.
+    pub(crate) fn decoded(&self) -> usize {
+        self.len - self.remaining
+    }
+
+    /// Decodes whole pieces off the front of `bytes` — the payload's next
+    /// bytes, as far as they have arrived; any past its end are left alone
+    /// — and returns how many bytes it took, with the message once its last
+    /// piece is in. An error is terminal.
+    pub(crate) fn decode(
+        &mut self,
+        bytes: &[u8],
+    ) -> Result<(usize, Option<WireMsg>), ProtocolError> {
+        let bytes = &bytes[..bytes.len().min(self.remaining)];
+        let mut cur = bytes;
+        let outcome = self.take_pieces(&mut cur);
+        self.remaining -= bytes.len() - cur.len();
+        outcome.map(|msg| (bytes.len() - cur.len(), msg))
+    }
+
+    /// Parses pieces off `cur` until one has not arrived whole or the
+    /// message is complete.
+    fn take_pieces(&mut self, cur: &mut &[u8]) -> Result<Option<WireMsg>, ProtocolError> {
+        let arrived = cur.len();
+        loop {
+            // Payload bytes from the front of `cur` on, arrived or not.
+            let rest = self.remaining - (arrived - cur.len());
+            let Some((envelopes, left)) = &mut self.batch else {
+                let head = match cur.first() {
+                    Some(&BATCH_TAG) => rest.min(5),
+                    _ => rest,
+                };
+                if cur.len() < head {
+                    return Ok(None);
+                }
+                let mut piece = &cur[..head];
+                let parsed = decode_head(&mut piece, rest, &mut self.memo)?;
+                *cur = &cur[head - piece.len()..];
+                match parsed {
+                    Head::Batch(count) => self.batch = Some((Vec::new(), count)),
+                    Head::Msg(msg) if cur.is_empty() => return Ok(Some(msg)),
+                    Head::Msg(_) => return Err(malformed("trailing bytes after the wire message")),
+                }
+                continue;
+            };
+            if *left == 0 {
+                if rest > 0 {
+                    return Err(malformed("trailing bytes after the wire message"));
+                }
+                let envelopes = std::mem::take(envelopes);
+                return Ok(Some(WireMsg::Batch { envelopes }));
+            }
+            let len = match envelope_len(cur) {
+                Some(len) if len <= rest => len,
+                _ => rest,
+            };
+            if cur.len() < len {
+                return Ok(None);
+            }
+            let mut piece = &cur[..len];
+            envelopes.push(decode_envelope(&mut piece, &mut self.memo)?);
+            *cur = &cur[len - piece.len()..];
+            *left -= 1;
+        }
+    }
+}
+
+/// The exact encoded length of the envelope at the front of `bytes`, read
+/// off its fields as far as its vector's element count, no residue needed:
+/// the dual of [`envelope_hint`]. `None` while those fields have not all
+/// arrived, or when they do not parse — the decoder then waits for the rest
+/// of the payload and lets the parser say why.
+fn envelope_len(bytes: &[u8]) -> Option<usize> {
+    let mut cur = bytes;
+    let cur = &mut cur;
+    for _ in 0..2 {
+        match take_u8(cur).ok()? {
+            0 | 1 => {}
+            2 => skip(cur, 8)?,
+            _ => return None,
+        }
+    }
+    skip(cur, 8)?;
+    let residues = match take_u8(cur).ok()? {
+        0 => {
+            skip_blob(cur)?;
+            match take_u8(cur).ok()? {
+                0 => 0,
+                // A private key: the modulus again, then the two primes.
+                1 => {
+                    (0..3).try_for_each(|_| skip_blob(cur))?;
+                    0
+                }
+                _ => return None,
+            }
+        }
+        5 => {
+            skip(cur, 16)?;
+            0
+        }
+        tag @ 1..=9 => {
+            let scalars = match tag {
+                2 | 7 => 0,
+                1 | 6 => 8,
+                _ => 16,
+            };
+            skip(cur, scalars)?;
+            if tag >= 6 {
+                skip(cur, 20)?; // the slot layout
+            }
+            vector_len(cur)?
+        }
+        _ => return None,
+    };
+    (bytes.len() - cur.len()).checked_add(residues)
+}
+
+/// Steps `cur` over its vector's key and count and returns the bytes of its
+/// residue block, which fixed-width residues make `count × width`.
+fn vector_len(cur: &mut &[u8]) -> Option<usize> {
+    let key_len = he::take_u32(cur).ok()? as usize;
+    let n = he::take_bytes(cur, key_len).ok()?;
+    // A modulus the parser refuses has no width.
+    let &lead = n.first().filter(|&&lead| lead != 0)?;
+    let bits = 8 * n.len() - lead.leading_zeros() as usize;
+    let count = he::take_u32(cur).ok()? as usize;
+    count.checked_mul(dubhe_he::transport::ciphertext_size_bytes_for(bits as u64))
+}
+
+fn skip(cur: &mut &[u8], n: usize) -> Option<()> {
+    he::take_bytes(cur, n).ok().map(drop)
+}
+
+/// Steps over a `u32`-length-prefixed field.
+fn skip_blob(cur: &mut &[u8]) -> Option<()> {
+    let len = he::take_u32(cur).ok()?;
+    skip(cur, len as usize)
 }
 
 // Kept for exactly one caller: the frozen `benchmark/`, whose ladder spells
@@ -595,9 +780,9 @@ fn malformed_tag(what: &str, tag: u8) -> ProtocolError {
     }
 }
 
-fn decode_envelope<'a>(
-    cur: &mut &'a [u8],
-    memo: &mut he::VectorDecodeMemo<'a>,
+fn decode_envelope(
+    cur: &mut &[u8],
+    memo: &mut he::VectorDecodeMemo,
 ) -> Result<Envelope, ProtocolError> {
     let from = decode_party(cur)?;
     let to = decode_party(cur)?;
@@ -663,14 +848,24 @@ fn decode_envelope<'a>(
     })
 }
 
-fn decode_wiremsg(cur: &mut &[u8]) -> Result<WireMsg, ProtocolError> {
-    // Consecutive envelopes of a batch whose vector encodings are
-    // byte-identical (a broadcast) parse and validate the vector once.
-    let mut memo = he::VectorDecodeMemo::default();
-    match take_u8(cur)? {
-        0 => Ok(WireMsg::Envelope {
-            envelope: decode_envelope(cur, &mut memo)?,
-        }),
+/// What a payload holds in front of its envelopes: a batch's count, or the
+/// whole of any other message.
+enum Head {
+    Batch(usize),
+    Msg(WireMsg),
+}
+
+/// Parses a payload's head off `cur`, whose front is `rest` bytes from the
+/// payload's end.
+fn decode_head(
+    cur: &mut &[u8],
+    rest: usize,
+    memo: &mut he::VectorDecodeMemo,
+) -> Result<Head, ProtocolError> {
+    let msg = match take_u8(cur)? {
+        0 => WireMsg::Envelope {
+            envelope: decode_envelope(cur, memo)?,
+        },
         1 => {
             let try_index = take_usize(cur)?;
             let count = take_count(cur)?;
@@ -683,50 +878,46 @@ fn decode_wiremsg(cur: &mut &[u8]) -> Result<WireMsg, ProtocolError> {
             for _ in 0..count {
                 participants.push(take_usize(cur)?);
             }
-            Ok(WireMsg::AnnounceTry {
+            WireMsg::AnnounceTry {
                 try_index,
                 participants,
-            })
+            }
         }
-        2 => {
+        BATCH_TAG => {
             let count = take_count(cur)?;
             // Envelopes are variable-width; a lower bound of 3 bytes each
             // (two parties + message tag) rejects impossible counts early.
-            if count.checked_mul(3).is_none_or(|need| need > cur.len()) {
+            // No pre-reservation from the announced count either: an
+            // in-memory `Envelope` is two orders of magnitude larger than
+            // its 3-byte wire lower bound, so `with_capacity(count)` would
+            // let one hostile frame reserve gigabytes before the first
+            // envelope fails to decode. The list grows by what decodes.
+            if count.checked_mul(3).is_none_or(|need| need > rest - 5) {
                 return Err(malformed("envelope count overruns the payload"));
             }
-            // No pre-reservation from the announced count: an in-memory
-            // `Envelope` is two orders of magnitude larger than its 3-byte
-            // wire lower bound, so `with_capacity(count)` would let one
-            // hostile frame reserve gigabytes before the first envelope
-            // fails to decode. Growth stays bounded by what actually
-            // decodes from the (size-capped) payload.
-            let mut envelopes = Vec::new();
-            for _ in 0..count {
-                envelopes.push(decode_envelope(cur, &mut memo)?);
-            }
-            Ok(WireMsg::Batch { envelopes })
+            return Ok(Head::Batch(count));
         }
-        3 => Ok(WireMsg::Ack),
+        3 => WireMsg::Ack,
         4 => {
             let len = take_count(cur)?;
             let bytes = he::take_bytes(cur, len).map_err(he_err)?;
             let detail = std::str::from_utf8(bytes)
                 .map_err(|_| malformed("error detail is not UTF-8"))?
                 .to_string();
-            Ok(WireMsg::Error { detail })
+            WireMsg::Error { detail }
         }
-        5 => Ok(WireMsg::Shutdown),
-        6 => Ok(WireMsg::BeginEpoch {
+        5 => WireMsg::Shutdown,
+        6 => WireMsg::BeginEpoch {
             epoch: he::take_u64(cur).map_err(he_err)?,
             expected_registrations: take_usize(cur)?,
-        }),
-        7 => Ok(WireMsg::CloseRegistration),
-        8 => Ok(WireMsg::CloseTry {
+        },
+        7 => WireMsg::CloseRegistration,
+        8 => WireMsg::CloseTry {
             try_index: take_usize(cur)?,
-        }),
-        tag => Err(malformed_tag("wire-message", tag)),
-    }
+        },
+        tag => return Err(malformed_tag("wire-message", tag)),
+    };
+    Ok(Head::Msg(msg))
 }
 
 #[cfg(test)]
@@ -1018,6 +1209,190 @@ pub(crate) mod tests {
             let err = agree(&bytes, "second vector's last residue out of range").unwrap_err();
             assert!(err.to_string().contains("not below n²"), "{err}");
         }
+    }
+
+    /// Decodes `payload` through a [`PayloadDecoder`] fed it as a receiver
+    /// is: `piece()` more bytes arrive at a time, and only what the decoder
+    /// has not taken is offered again. Returns the outcome and the most
+    /// bytes ever held untaken.
+    fn streamed(
+        payload: &[u8],
+        mut piece: impl FnMut() -> usize,
+    ) -> (Result<WireMsg, ProtocolError>, usize) {
+        let mut decoder = PayloadDecoder::new(payload.len());
+        let (mut arrived, mut taken, mut held) = (0usize, 0, 0);
+        loop {
+            arrived = arrived.saturating_add(piece()).min(payload.len());
+            held = held.max(arrived - taken);
+            match decoder.decode(&payload[taken..arrived]) {
+                Err(e) => return (Err(e), held),
+                Ok((n, msg)) => {
+                    taken += n;
+                    assert_eq!(taken, decoder.decoded());
+                    if let Some(msg) = msg {
+                        assert_eq!(taken, payload.len(), "the whole payload is taken");
+                        return (Ok(msg), held);
+                    }
+                    assert!(arrived < payload.len(), "a whole payload is decided");
+                }
+            }
+        }
+    }
+
+    /// A seeded xorshift draw in `1..=bound`.
+    fn draws(seed: u64, bound: usize) -> impl FnMut() -> usize {
+        let mut state = seed | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            1 + (state % bound as u64) as usize
+        }
+    }
+
+    /// Batches for the streaming decoder: 300-addressee element-wise and
+    /// packed broadcasts, a mixed batch of every envelope shape over
+    /// several vectors and keys, and an empty batch.
+    fn streaming_batches() -> Vec<WireMsg> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(37);
+        let kp = Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng);
+        let values: Vec<u64> = (0..56).collect();
+        let total = EncryptedVector::encrypt_u64(&kp.public, &values, &mut rng);
+        let packer = dubhe_he::Packer::new(16, dubhe_he::TEST_KEY_BITS);
+        let packed =
+            dubhe_he::PackedEncryptedVector::encrypt(packer, &kp.public, &values, &mut rng)
+                .unwrap();
+        let vectors: Vec<EncryptedVector> = (0..3)
+            .map(|i| EncryptedVector::encrypt_u64(&kp.public, &values[i..], &mut rng))
+            .collect();
+        let env = |i: usize, msg: ProtocolMsg| Envelope {
+            from: Party::Server,
+            to: Party::Client(i),
+            epoch: 9,
+            msg,
+        };
+        let broadcast = |msg: ProtocolMsg| WireMsg::Batch {
+            envelopes: (0..300).map(|i| env(i, msg.clone())).collect(),
+        };
+        let mixed: Vec<Envelope> = (0..60)
+            .map(|i| {
+                env(
+                    i,
+                    match i % 7 {
+                        0 => ProtocolMsg::PublicKeyDispatch {
+                            public_key: kp.public.clone(),
+                            private_key: (i % 2 == 0).then(|| kp.private.clone()),
+                        },
+                        1 => ProtocolMsg::TryVerdict {
+                            best_try: i,
+                            distance: 0.25,
+                        },
+                        2 => ProtocolMsg::EncryptedDistribution {
+                            client: i,
+                            try_index: 1,
+                            distribution: vectors[i % 3].clone(),
+                        },
+                        3 => ProtocolMsg::PackedDistributionSum {
+                            try_index: 1,
+                            contributors: i,
+                            sum: packed.clone(),
+                        },
+                        4 => ProtocolMsg::EncryptedTotalBroadcast {
+                            total: total.clone(),
+                        },
+                        5 => ProtocolMsg::PackedRegistry {
+                            client: i,
+                            registry: packed.clone(),
+                        },
+                        _ => ProtocolMsg::EncryptedRegistry {
+                            client: i,
+                            registry: vectors[1].clone(),
+                        },
+                    },
+                )
+            })
+            .collect();
+        vec![
+            broadcast(ProtocolMsg::EncryptedTotalBroadcast { total }),
+            broadcast(ProtocolMsg::PackedTotalBroadcast { total: packed }),
+            WireMsg::Batch { envelopes: mixed },
+            WireMsg::Batch { envelopes: vec![] },
+        ]
+    }
+
+    #[test]
+    fn a_payload_split_anywhere_decodes_as_it_does_whole() {
+        for msg in sample_msgs().into_iter().chain(broadcast_batches()) {
+            let payload = encode(&msg).unwrap();
+            for at in 0..=payload.len() {
+                let mut pieces = [at, usize::MAX].into_iter();
+                let (got, _) = streamed(&payload, || pieces.next().unwrap());
+                assert_eq!(got, Ok(msg.clone()), "split at {at} of {msg:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_fed_in_seeded_chunks_is_held_an_envelope_at_a_time() {
+        for (i, msg) in streaming_batches().into_iter().enumerate() {
+            let payload = encode(&msg).unwrap();
+            let WireMsg::Batch { envelopes } = &msg else {
+                unreachable!("batches only")
+            };
+            let largest = envelopes
+                .iter()
+                .map(|e| {
+                    encode(&WireMsg::Envelope {
+                        envelope: e.clone(),
+                    })
+                    .unwrap()
+                    .len()
+                })
+                .max()
+                .map_or(5, |len| len.max(5));
+            for seed in 0..8 {
+                let bound = [1, 7, 64, 700, 4096, 16 * 1024, 1 << 20][seed as usize % 7];
+                let (got, held) = streamed(&payload, draws(seed + 1, bound));
+                assert_eq!(got, Ok(msg.clone()), "batch {i}, seed {seed}");
+                assert!(
+                    held <= bound + largest,
+                    "batch {i}, seed {seed}: {held} B held, {largest} B envelopes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn corrupted_and_truncated_payloads_stream_to_the_whole_parse_s_error() {
+        // Single-byte corruptions at seeded offsets, each fed in seeded
+        // chunks, and seeded truncations: the streamed outcome is the whole
+        // parse's, message or exact error.
+        let mut refused = 0;
+        let batches = streaming_batches();
+        for (i, msg) in batches.iter().enumerate() {
+            let payload = encode(msg).unwrap();
+            let mut offset = draws(100 + i as u64, payload.len());
+            let mut chunk = draws(200 + i as u64, 2048);
+            for trial in 0..120 {
+                let mut bytes = payload.clone();
+                let at = offset() - 1;
+                bytes[at] ^= [0x01, 0x80, 0xFF][trial % 3];
+                let whole = decode(&bytes);
+                refused += usize::from(whole.is_err());
+                let (got, _) = streamed(&bytes, &mut chunk);
+                assert_eq!(got, whole, "batch {i}: byte {at} flipped");
+            }
+            for _ in 0..20 {
+                let cut = offset() - 1;
+                let (got, _) = streamed(&payload[..cut], &mut chunk);
+                assert_eq!(got, decode(&payload[..cut]), "batch {i}: cut at {cut}");
+                assert!(got.is_err());
+            }
+        }
+        assert!(
+            refused > 100,
+            "the corruptions reach the refusals: {refused}"
+        );
     }
 
     #[test]

@@ -36,13 +36,24 @@
 //! 64-byte block of ciphertext is MACed and decrypted where it lands (see
 //! the channel module's *A frame in slices*). The frame is decoded only
 //! once it is whole and its tag has verified; a refusal is the one it
-//! would have earned whole.
+//! would have earned whole. Its peer is authenticated, so its header
+//! reserves the whole frame at once.
+//!
+//! A plaintext connection decodes a batch as it arrives instead: each
+//! envelope once all of its bytes are in, which are then dropped, so a
+//! registration broadcast is held about an envelope at a time and released
+//! as one [`Event::Frame`] when its last envelope is in. Until then the
+//! connection is mid-frame, for [`closed_error`](Connection::closed_error)
+//! and the read deadline alike. No plaintext header reserves anything: the
+//! buffer grows only as bytes land, never more than a read budget past
+//! them. Nor does a handshake-phase header — a handshake message longer
+//! than the role's longest, or a sealed frame, is refused at it.
 
 use std::io::{self, Read, Write};
 
 use super::channel::{
     ClientHandshake, FrameCursor, HandshakeStep, NodeIdentity, SecureChannel, ServerHandshake,
-    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, HELLO_LEN, M2_LEN,
+    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, HELLO_LEN, M2_LEN, SEALED_FRAME_OVERHEAD,
 };
 use super::frames::{BufferedFrame, FrameBuffer, WriteQueue};
 use super::stats::Counter;
@@ -237,13 +248,21 @@ impl Connection {
             }
             Phase::Handshake(hs) => {
                 // Refused at its header, before a byte of it is reserved: no
-                // unauthenticated peer sizes this buffer.
+                // unauthenticated peer sizes this buffer. Nor does a sealed
+                // frame under the ceiling, refused as out of phase at its
+                // header rather than once whole.
                 let longest = hs.longest_message();
-                if let Some((FRAME_MAGIC_HANDSHAKE, len)) = self.frames.header() {
-                    if len > longest {
+                match self.frames.header() {
+                    Some((FRAME_MAGIC_HANDSHAKE, len)) if len > longest => {
                         let too_large = ProtocolError::FrameTooLarge { len, max: longest };
                         return Err(refuse(None)(too_large));
                     }
+                    Some((FRAME_MAGIC_SEALED, len))
+                        if len <= max.saturating_add(SEALED_FRAME_OVERHEAD) =>
+                    {
+                        return Err(out_of_phase(BufferedFrame::Sealed(&mut [])));
+                    }
+                    _ => {}
                 }
                 let payload = match self.frames.next_channel_frame(max).map_err(refuse(None))? {
                     None => return Ok(None),
@@ -764,6 +783,61 @@ mod tests {
                 (seed % 200) as usize
             };
             assert_eq!(events(&mut random), whole, "random pieces");
+        }
+    }
+
+    #[test]
+    fn a_plaintext_frame_split_anywhere_yields_the_event_it_yields_whole() {
+        use crate::protocol::codec::tests::{broadcast_batches, sample_msgs};
+        for msg in sample_msgs().into_iter().chain(broadcast_batches()) {
+            let mut frame = Vec::new();
+            append_frame(&mut frame, &msg, MAX_FRAME_BYTES, None).unwrap();
+            for at in 0..=frame.len() {
+                let mut conn = Connection::plaintext(MAX_FRAME_BYTES);
+                conn.received(&frame[..at]);
+                if at < frame.len() {
+                    assert!(matches!(conn.poll(), Ok(None)), "split at {at}");
+                    assert_eq!(conn.is_mid_frame(), at > 0, "split at {at}");
+                }
+                conn.received(&frame[at..]);
+                let Ok(Some(Event::Frame {
+                    msg: got,
+                    wire_bytes,
+                    frame_bytes,
+                })) = conn.poll()
+                else {
+                    panic!("split at {at} of {msg:?}: no frame");
+                };
+                assert_eq!(got.force().unwrap(), msg, "split at {at}");
+                assert_eq!((wire_bytes, frame_bytes), (frame.len(), frame.len()));
+                assert!(!conn.wants_read_deadline());
+            }
+        }
+    }
+
+    #[test]
+    fn a_peer_hanging_up_after_k_envelopes_truncates_the_payload() {
+        // The broadcast's envelopes are decoded and dropped as they land, so
+        // at an envelope boundary nothing of the frame is left unparsed; the
+        // connection still knows it is inside one.
+        use crate::protocol::codec::tests::broadcast_batches;
+        let msg = broadcast_batches().swap_remove(0);
+        let WireMsg::Batch { envelopes } = &msg else {
+            unreachable!("a broadcast is a batch")
+        };
+        let mut frame = Vec::new();
+        append_frame(&mut frame, &msg, MAX_FRAME_BYTES, None).unwrap();
+        let envelope = (frame.len() - 8 - 5) / envelopes.len();
+        for k in 0..envelopes.len() {
+            let mut conn = Connection::plaintext(MAX_FRAME_BYTES);
+            conn.received(&frame[..8 + 5 + k * envelope]);
+            assert!(matches!(conn.poll(), Ok(None)), "k = {k}");
+            assert!(conn.is_mid_frame() && conn.wants_read_deadline(), "k = {k}");
+            assert_eq!(
+                conn.closed_error(),
+                ProtocolError::TruncatedFrame { context: "payload" },
+                "k = {k}"
+            );
         }
     }
 

@@ -14,6 +14,13 @@
 //! length, announced length against the ceiling *before* buffering a
 //! payload — so a hostile header is refused after at most 8 bytes, with the
 //! same typed [`ProtocolError`]s the blocking reader produces.
+//!
+//! A plaintext batch is decoded while it arrives, an envelope at a time
+//! (the codec's `PayloadDecoder`), and each envelope's bytes are left
+//! behind as consumed once decoded: the buffer holds about an envelope of a
+//! registration broadcast, not the frame. Only a sealed frame's announced
+//! length is reserved ahead of its bytes; every other buffer grows as they
+//! land.
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
@@ -21,8 +28,8 @@ use std::io::{self, Write};
 use super::channel::{
     FrameProducer, SecureChannel, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, SEALED_FRAME_OVERHEAD,
 };
-use super::codec::RegistryFrame;
-use super::wire::{decode_frame, decode_frame_lazy, LazyMsg, WireMsg, FRAME_MAGIC_V2};
+use super::codec::{PayloadDecoder, RegistryFrame, BATCH_TAG};
+use super::wire::{decode_frame_lazy, LazyMsg, WireMsg, FRAME_MAGIC_V2};
 use crate::error::ProtocolError;
 
 /// Magic (4) + big-endian payload length (4).
@@ -326,6 +333,9 @@ pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Start of the unparsed suffix in `buf`.
     pos: usize,
+    /// The plaintext batch being decoded as it arrives: its header and the
+    /// envelopes already decoded are behind `pos`.
+    decoding: Option<PayloadDecoder>,
 }
 
 impl FrameBuffer {
@@ -334,21 +344,43 @@ impl FrameBuffer {
         Self::default()
     }
 
-    /// Appends bytes read off the socket.
+    /// Appends bytes read off the socket. When they do not fit, the
+    /// consumed prefix is dropped first (a move of fewer bytes than the
+    /// reallocation it saves would copy) and the buffer grows only then:
+    /// it doubles, but never to more than [`SEAL_SLICE`] past the bytes it
+    /// holds. Only a sealed frame's header reserves ahead of its bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
         compact(&mut self.buf, &mut self.pos);
+        if self.buf.capacity() - self.buf.len() < bytes.len() {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+            let held = self.buf.len() + bytes.len();
+            if self.buf.capacity() < held {
+                let doubled = (2 * self.buf.capacity()).max(held);
+                let grown = doubled.min(held + SEAL_SLICE);
+                self.buf.reserve_exact(grown - self.buf.len());
+            }
+        }
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes received but not yet consumed by a complete frame.
+    /// Bytes received but not yet consumed by a complete frame — a batch's
+    /// decoded envelopes, dropped already, included.
     pub fn pending_bytes(&self) -> usize {
-        self.buf.len() - self.pos
+        let decoded = self
+            .decoding
+            .as_ref()
+            .map_or(0, |decoder| HEADER_BYTES + decoder.decoded());
+        self.buf.len() - self.pos + decoded
     }
 
     /// The magic and announced payload length of the frame at the front,
     /// once its 8-byte header has arrived — what a caller with a ceiling of
     /// its own checks before a pull reserves the announced length.
     pub fn header(&self) -> Option<([u8; 4], usize)> {
+        if self.decoding.is_some() {
+            return None;
+        }
         let h = self.buf.get(self.pos..self.pos + HEADER_BYTES)?;
         let len = u32::from_be_bytes([h[4], h[5], h[6], h[7]]) as usize;
         Some(([h[0], h[1], h[2], h[3]], len))
@@ -379,9 +411,11 @@ impl FrameBuffer {
     /// and `DBHE` magics, and a sealed frame's allowance above the inner
     /// ceiling (exactly the seal).
     ///
-    /// A frame that passed both checks but is still arriving gets its whole
-    /// announced length reserved here, once: a multi-megabyte reply is
-    /// reassembled in one allocation instead of doubling its way up.
+    /// A sealed frame that passed both checks but is still arriving gets its
+    /// whole announced length reserved here, once: a multi-megabyte reply is
+    /// opened in one allocation instead of growing its way up. Its peer is
+    /// authenticated (the handshake phase refuses a sealed frame at its
+    /// header); every other frame's buffer grows only as its bytes land.
     fn arrived(
         &mut self,
         max_frame_bytes: usize,
@@ -421,7 +455,7 @@ impl FrameBuffer {
         }
         let total = HEADER_BYTES + len;
         if avail.len() < total {
-            if self.buf.capacity() - self.pos < total {
+            if magic == FRAME_MAGIC_SEALED && self.buf.capacity() - self.pos < total {
                 self.buf.drain(..self.pos);
                 self.pos = 0;
                 self.buf.reserve_exact(total - self.buf.len());
@@ -431,8 +465,9 @@ impl FrameBuffer {
         Ok(Some(total))
     }
 
-    /// Pulls the next complete frame, if one has fully arrived, decoding it
-    /// where it lies in the buffer.
+    /// Pulls the next complete frame, if one has fully arrived:
+    /// [`next_frame_lazy`](Self::next_frame_lazy) with registry uploads
+    /// decoded too.
     ///
     /// `Ok(None)` means "need more bytes"; errors are terminal for the
     /// connection (framing is lost once a header is bad — same contract as
@@ -441,30 +476,60 @@ impl FrameBuffer {
         &mut self,
         max_frame_bytes: usize,
     ) -> Result<Option<(WireMsg, usize)>, ProtocolError> {
-        let Some(total) = self.arrived(max_frame_bytes, false)? else {
+        let Some((msg, bytes)) = self.next_frame_lazy(max_frame_bytes)? else {
             return Ok(None);
         };
-        let frame = decode_frame(&self.buf[self.pos..self.pos + total], max_frame_bytes)?;
-        self.pos += total;
-        Ok(Some(frame))
+        Ok(Some((msg.force()?, bytes)))
     }
 
-    /// [`next_frame`](Self::next_frame), but registry uploads come
-    /// back *undecoded* as [`LazyMsg::DeferredRegistry`] — the router folds
+    /// Pulls the next plaintext frame once it is complete, registry uploads
+    /// *undecoded* as [`LazyMsg::DeferredRegistry`] — the router folds
     /// their ciphertext block straight out of the payload bytes instead of
     /// materialising per-element bignums on the event loop. Every other
-    /// frame decodes eagerly with identical validation and errors.
+    /// frame decodes with identical validation and errors.
     ///
-    /// The deferral check runs on the borrowed reassembly buffer; only a
-    /// recognised registry's payload is copied out (and when the frame is
+    /// A batch is decoded while it arrives, from its first payload byte on:
+    /// each envelope as soon as all of it is in, its bytes then left behind
+    /// as consumed, so the buffer holds about one envelope of a
+    /// registration broadcast, not the frame; the message is released whole
+    /// when its last envelope is in. Any other frame is decoded where it
+    /// lies once whole. The deferral check runs on the borrowed buffer; only
+    /// a recognised registry's payload is copied out (and when the frame is
     /// the buffer's sole content, the buffer itself is taken — no copy).
     pub fn next_frame_lazy(
         &mut self,
         max_frame_bytes: usize,
     ) -> Result<Option<(LazyMsg, usize)>, ProtocolError> {
-        let Some(total) = self.arrived(max_frame_bytes, false)? else {
+        if self.decoding.is_none() {
+            if let Some(total) = self.arrived(max_frame_bytes, false)? {
+                return self.whole_frame_lazy(total, max_frame_bytes).map(Some);
+            }
+            let Some((_, len)) = self.header() else {
+                return Ok(None);
+            };
+            if self.buf.get(self.pos + HEADER_BYTES) != Some(&BATCH_TAG) {
+                return Ok(None);
+            }
+            self.pos += HEADER_BYTES;
+            self.decoding = Some(PayloadDecoder::new(len));
+        }
+        let decoder = self.decoding.as_mut().expect("a batch being decoded");
+        let (taken, msg) = decoder.decode(&self.buf[self.pos..])?;
+        self.pos += taken;
+        let Some(msg) = msg else {
             return Ok(None);
         };
+        let total = HEADER_BYTES + decoder.len();
+        self.decoding = None;
+        Ok(Some((LazyMsg::Eager(msg), total)))
+    }
+
+    /// Decodes the whole plaintext frame of `total` bytes at the front.
+    fn whole_frame_lazy(
+        &mut self,
+        total: usize,
+        max_frame_bytes: usize,
+    ) -> Result<(LazyMsg, usize), ProtocolError> {
         if self.pos == 0
             && self.buf.len() == total
             && RegistryFrame::matches_prefix(&self.buf[HEADER_BYTES..])
@@ -475,11 +540,11 @@ impl FrameBuffer {
             taken.drain(..HEADER_BYTES);
             let frame = RegistryFrame::try_from_payload(taken)
                 .expect("matches_prefix accepted this payload");
-            return Ok(Some((LazyMsg::DeferredRegistry(frame), total)));
+            return Ok((LazyMsg::DeferredRegistry(frame), total));
         }
         let frame = decode_frame_lazy(&self.buf[self.pos..self.pos + total], max_frame_bytes)?;
         self.pos += total;
-        Ok(Some(frame))
+        Ok(frame)
     }
 
     /// Pulls the next frame of *any* known magic — `DBHS` handshake, `DBHE`
@@ -1132,18 +1197,18 @@ mod tests {
 
     #[test]
     fn an_announced_frame_is_reserved_once_not_doubled_into() {
-        // After the 8-byte header passes the ceiling check the whole frame
-        // is reserved; feeding the rest in socket-sized chunks never
-        // reallocates, even with a consumed frame still ahead of it.
-        let big = encode(&WireMsg::Error {
-            detail: "x".repeat(3 << 20),
-        });
+        // After a sealed frame's 8-byte header passes the ceiling check the
+        // whole frame is reserved; feeding the rest in socket-sized chunks
+        // never reallocates, even with a consumed frame still ahead of it.
+        let mut big = FRAME_MAGIC_SEALED.to_vec();
+        big.extend_from_slice(&(3u32 << 20).to_be_bytes());
+        big.resize(HEADER_BYTES + (3 << 20), 0x5A);
         let ack = encode(&WireMsg::Ack);
         let mut fb = FrameBuffer::new();
         fb.extend(&ack);
         fb.extend(&big[..HEADER_BYTES]);
-        assert!(fb.next_frame(4 << 20).unwrap().is_some());
-        assert!(fb.next_frame(4 << 20).unwrap().is_none());
+        assert!(fb.next_channel_frame(4 << 20).unwrap().is_some());
+        assert!(fb.next_channel_frame(4 << 20).unwrap().is_none());
         let reserved = fb.buf.capacity();
         assert_eq!(reserved, big.len(), "exactly the announced frame");
         let at = fb.buf.as_ptr();
@@ -1151,14 +1216,65 @@ mod tests {
             fb.extend(chunk);
             assert_eq!((fb.buf.as_ptr(), fb.buf.capacity()), (at, reserved));
         }
-        let (msg, bytes) = fb.next_frame(4 << 20).unwrap().unwrap();
+        let (frame, bytes) = fb.next_channel_frame(4 << 20).unwrap().unwrap();
         assert_eq!(bytes, big.len());
-        assert!(matches!(msg, WireMsg::Error { detail } if detail.len() == 3 << 20));
+        assert!(matches!(frame, BufferedFrame::Sealed(payload) if payload.len() == 3 << 20));
         // Over the ceiling nothing is reserved at all.
         let mut fb = FrameBuffer::new();
         fb.extend(&big[..HEADER_BYTES]);
-        assert!(fb.next_frame(1 << 20).is_err());
+        assert!(fb.next_channel_frame(1 << 20).is_err());
         assert!(fb.buf.capacity() < 1024);
+    }
+
+    #[test]
+    fn a_plaintext_frame_grows_as_it_lands_and_a_batch_is_held_an_envelope_at_a_time() {
+        // No announced length sizes a plaintext buffer: its header reserves
+        // nothing, and a 3 MiB frame grows as it lands, never more than a
+        // slice past the bytes held.
+        let big = encode(&WireMsg::Error {
+            detail: "x".repeat(3 << 20),
+        });
+        let mut fb = FrameBuffer::new();
+        fb.extend(&big[..HEADER_BYTES]);
+        assert!(fb.next_frame(4 << 20).unwrap().is_none());
+        assert!(fb.buf.capacity() < 1024);
+        for chunk in big[HEADER_BYTES..].chunks(16 * 1024) {
+            fb.extend(chunk);
+            assert!(fb.buf.capacity() <= fb.buf.len() + SEAL_SLICE);
+        }
+        let (msg, bytes) = fb.next_frame(4 << 20).unwrap().unwrap();
+        assert_eq!(bytes, big.len());
+        assert!(matches!(msg, WireMsg::Error { detail } if detail.len() == 3 << 20));
+
+        // A batch is decoded as it lands, an envelope at a time: a 210-
+        // addressee broadcast (three slices) behind an ack and ahead of
+        // another, fed a socket's chunk at a time, is held in a buffer of at
+        // most twice a chunk and an envelope, reports mid-frame until its
+        // last envelope is in, and comes out whole, with its own size on
+        // the wire.
+        let broadcast = frame_mix().pop().expect("the mix ends with a broadcast");
+        let frame = encode(&broadcast);
+        let envelope = (frame.len() - HEADER_BYTES - 5) / 210;
+        let ack = encode(&WireMsg::Ack);
+        let stream = [&ack[..], &frame, &ack].concat();
+        let mut fb = FrameBuffer::new();
+        let (mut got, mut largest) = (Vec::new(), 0);
+        for chunk in stream.chunks(16 * 1024) {
+            fb.extend(chunk);
+            largest = largest.max(fb.buf.capacity());
+            while let Some(pulled) = fb.next_frame(1 << 20).unwrap() {
+                got.push(pulled);
+            }
+            let mid_broadcast = got.len() == 1;
+            assert_eq!(fb.is_mid_frame(), mid_broadcast, "{} frames out", got.len());
+        }
+        let want = [WireMsg::Ack, broadcast, WireMsg::Ack];
+        let sizes = [ack.len(), frame.len(), ack.len()];
+        assert!(got.into_iter().eq(want.into_iter().zip(sizes)));
+        assert!(
+            largest <= 2 * (16 * 1024 + envelope),
+            "a {largest} B buffer for {envelope} B envelopes"
+        );
     }
 
     #[test]

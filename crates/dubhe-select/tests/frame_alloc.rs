@@ -8,7 +8,11 @@
 //! of small ones that does not grow with `N`; receiving it — reassembly,
 //! open in place, decode — makes one more, through a bare reassembly buffer
 //! or a client-role `Connection` alike, and an unauthenticated handshake
-//! header sizes no buffer at all. Queued on a connection, as the listener
+//! header sizes no buffer at all. Received bare, by a plaintext
+//! connection, it is decoded an envelope at a time as it lands: no
+//! allocation of even a quarter of the frame, and live bytes within one
+//! envelope and 64 KiB of what decoding alone holds, whatever `N`; no
+//! plaintext header sizes a buffer either. Queued on a connection, as the listener
 //! queues its replies, the broadcast is not even framed whole: the write
 //! queue encodes and seals it a slice ahead of the socket, so what the
 //! server holds for it is about two slices whatever the cohort size. An
@@ -21,13 +25,13 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dubhe_he::{EncryptedVector, Keypair};
-use dubhe_select::protocol::codec::payload_size_hint;
+use dubhe_select::protocol::codec::{decode, payload_size_hint};
 use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::frames::SEAL_SLICE;
 use dubhe_select::protocol::{
     append_frame, client_handshake, decode_frame, read_channel_frame, ChannelFrame, Connection,
     Envelope, NodeIdentity, Party, ProtocolMsg, SecureChannel, ServerHandshake, WireMsg,
-    FRAME_MAGIC_HANDSHAKE, MAX_FRAME_BYTES,
+    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
 };
 use dubhe_select::protocol::{BufferedFrame, FrameBuffer};
 use rand::SeedableRng;
@@ -255,21 +259,89 @@ fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
     );
 
     // A handshake-phase header announcing 1 MiB, or the whole frame
-    // ceiling, is refused on its eighth byte with nothing reserved for it.
+    // ceiling, is refused on its eighth byte with nothing reserved for it —
+    // a sealed one as out of phase. A plaintext connection's is accepted,
+    // and still sizes nothing: its buffer grows only as bytes land.
     for announced in [1u32 << 20, MAX_FRAME_BYTES as u32] {
         let identity = NodeIdentity::from_seed(1);
-        for mut link in [
-            Connection::server(NodeIdentity::from_seed(2), MAX_FRAME_BYTES),
-            Connection::client(&identity, None, MAX_FRAME_BYTES),
-        ] {
-            let header = [FRAME_MAGIC_HANDSHAKE, announced.to_be_bytes()].concat();
-            let (refused, _, reserved, _) = measure(1024, || {
+        let handshaking = || {
+            [
+                Connection::server(NodeIdentity::from_seed(2), MAX_FRAME_BYTES),
+                Connection::client(&identity, None, MAX_FRAME_BYTES),
+            ]
+        };
+        let cases = handshaking()
+            .into_iter()
+            .map(|link| (link, FRAME_MAGIC_HANDSHAKE))
+            .chain(
+                handshaking()
+                    .into_iter()
+                    .map(|link| (link, FRAME_MAGIC_SEALED)),
+            )
+            .chain([(Connection::plaintext(MAX_FRAME_BYTES), FRAME_MAGIC_V2)]);
+        for (mut link, magic) in cases {
+            let header = [magic, announced.to_be_bytes()].concat();
+            let (polled, _, reserved, _) = measure(1024, || {
                 link.received(&header);
                 link.poll()
             });
-            assert!(refused.is_err(), "{announced}: {refused:?}");
-            assert_eq!(reserved, 0, "{announced}: allocations of 1 KiB or more");
+            match magic {
+                FRAME_MAGIC_V2 => assert!(matches!(polled, Ok(None)), "{announced}: {polled:?}"),
+                _ => assert!(polled.is_err(), "{announced}: {polled:?}"),
+            }
+            assert_eq!(
+                reserved, 0,
+                "{announced} under {magic:?}: allocations of 1 KiB or more"
+            );
         }
+    }
+}
+
+#[test]
+fn a_plaintext_broadcast_is_received_an_envelope_at_a_time_not_as_a_frame() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // A plaintext client-role connection receiving the broadcast in socket-
+    // sized chunks decodes each envelope as it lands and drops its bytes:
+    // the frame — 1.1 MB at n = 300, 4.4 MB at n = 1 200 — is never held,
+    // and beyond what decoding itself holds (the envelope list, measured on
+    // its own) the connection keeps one envelope and 64 KiB at most,
+    // whatever n.
+    for n in [300, 1200] {
+        let msg = broadcast(n);
+        let mut frame = Vec::new();
+        append_frame(&mut frame, &msg, MAX_FRAME_BYTES, None).unwrap();
+        let wire = frame.len();
+        let envelope = (wire - 8 - 5) / (n + 1);
+        let (list, _, _, list_peak) = measure(usize::MAX, || decode(&frame[8..]).unwrap());
+        assert_eq!(list, msg);
+        drop(list);
+
+        let mut link = Connection::plaintext(MAX_FRAME_BYTES);
+        let (back, _, frame_sized, peak) = measure(wire / 4, || {
+            for chunk in frame.chunks(16 * 1024) {
+                link.received(chunk);
+                if let Some(Event::Frame {
+                    msg, wire_bytes, ..
+                }) = link.poll().unwrap()
+                {
+                    assert_eq!(wire_bytes, wire);
+                    return msg.force().unwrap();
+                }
+                assert!(link.is_mid_frame());
+            }
+            panic!("the broadcast never completed");
+        });
+        assert_eq!(back, msg);
+        assert_eq!(
+            frame_sized,
+            0,
+            "n = {n}: allocations of {} B or more",
+            wire / 4
+        );
+        assert!(
+            peak <= list_peak + envelope + 64 * 1024,
+            "n = {n}: {peak} B live to receive {wire} B; the list alone took {list_peak} B"
+        );
     }
 }
 
