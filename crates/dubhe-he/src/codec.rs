@@ -33,12 +33,16 @@
 //! bytes it encoded last when the next vector is a handle on the same
 //! storage ([`EncryptedVector::shares_storage`]); the decoder reuses the
 //! vector it just validated when the next encoding is byte-identical to the
-//! one that produced it. Each keeps a copy of those bytes of its own, so a
-//! writer may reclaim its output as it leaves and a reader drop its input as
-//! it is decoded. An encoding is self-delimiting (key length, key, count,
+//! one that produced it. The encoder keeps a copy of those bytes of its
+//! own, so a writer may reclaim its output as it leaves; the decoder borrows
+//! them from its input, and copies them only when asked to outlive it
+//! ([`VectorDecodeMemo::into_owned`]), so a reader may drop its input as it
+//! is decoded. An encoding is self-delimiting (key length, key, count,
 //! fixed-width residues), so a byte-identical prefix decodes to an equal
 //! vector and consumes the same bytes — the short-cut cannot return
 //! anything the full parse would not.
+
+use std::borrow::Cow;
 
 use num_bigint::BigUint;
 use num_traits::Zero;
@@ -228,32 +232,41 @@ impl VectorEncodeMemo {
     }
 }
 
-/// Decoder-side memory of the vector decoded last: a handle on it and a copy
-/// of the bytes it was decoded from. See the module docs.
+/// Decoder-side memory of the vector decoded last: a handle on it and the
+/// bytes it was decoded from, borrowed from the input until
+/// [`into_owned`](Self::into_owned) copies them. See the module docs.
 #[derive(Debug, Default)]
-pub struct VectorDecodeMemo {
-    last: Option<EncryptedVector>,
-    bytes: Vec<u8>,
+pub struct VectorDecodeMemo<'a> {
+    last: Option<(Cow<'a, [u8]>, EncryptedVector)>,
 }
 
-impl VectorDecodeMemo {
+impl<'a> VectorDecodeMemo<'a> {
     /// [`decode_vector`], except that an encoding byte-identical to the one
     /// this memo decoded last yields a handle on that already validated
     /// vector. Only a successful decode is remembered.
-    pub fn decode_vector(&mut self, cur: &mut &[u8]) -> Result<EncryptedVector, HeError> {
-        if let Some(vector) = &self.last {
-            if let Some(rest) = cur.strip_prefix(self.bytes.as_slice()) {
+    pub fn decode_vector(&mut self, cur: &mut &'a [u8]) -> Result<EncryptedVector, HeError> {
+        if let Some((bytes, vector)) = &self.last {
+            if let Some(rest) = cur.strip_prefix(&bytes[..]) {
                 *cur = rest;
                 return Ok(vector.clone());
             }
         }
         let input = *cur;
         let vector = decode_vector(cur)?;
-        self.bytes.clear();
-        self.bytes
-            .extend_from_slice(&input[..input.len() - cur.len()]);
-        self.last = Some(vector.clone());
+        let bytes = &input[..input.len() - cur.len()];
+        self.last = Some((Cow::Borrowed(bytes), vector.clone()));
         Ok(vector)
+    }
+
+    /// This memo freed from its input, so that it may outlive it — as a
+    /// reader that drops its input as it is decoded keeps it from one read
+    /// to the next. Copies the remembered bytes if they are still borrowed.
+    pub fn into_owned(self) -> VectorDecodeMemo<'static> {
+        VectorDecodeMemo {
+            last: self
+                .last
+                .map(|(bytes, vector)| (Cow::Owned(bytes.into_owned()), vector)),
+        }
     }
 
     /// [`decode_packed_vector`] with the inner vector read through
@@ -261,7 +274,7 @@ impl VectorDecodeMemo {
     /// against every envelope's own header regardless.
     pub fn decode_packed_vector(
         &mut self,
-        cur: &mut &[u8],
+        cur: &mut &'a [u8],
     ) -> Result<PackedEncryptedVector, HeError> {
         let (packer, count) = take_packed_header(cur)?;
         let vector = self.decode_vector(cur)?;
@@ -854,10 +867,13 @@ mod tests {
             decode_vector(&mut &two[one..two.len() - 1])
         );
 
-        // The memo outlives the buffer it decoded from: a reader that drops
-        // each encoding once decoded still gets the short-cut for the next.
+        // The memo borrows what it decoded until it is made to outlive its
+        // input: a reader that drops each encoding once decoded still gets
+        // the short-cut for the next.
         let mut memo = VectorDecodeMemo::default();
         let first = memo.decode_vector(&mut &two[..one]).unwrap();
+        assert!(matches!(memo.last, Some((Cow::Borrowed(_), _))));
+        let mut memo = memo.into_owned();
         let next = two[one..].to_vec();
         drop(two);
         let mut cur = &next[..];

@@ -51,10 +51,7 @@
 //! each, before the loop moves on to the next connection.
 //!
 //! With all connections multiplexed onto one thread, 10⁴+ mostly-idle
-//! persistent clients cost file descriptors, not stacks — and, while none
-//! has a read deadline armed, nothing per loop turn: the loop counts its
-//! armed deadlines and walks the connections for the nearest one, or for
-//! stalls, only when the count is not zero.
+//! persistent clients cost file descriptors, not stacks.
 //!
 //! ## Reads and writes
 //!
@@ -380,7 +377,6 @@ impl<C: Coordinator + Send + 'static> ReactorListener<C> {
             outstanding: 0,
             served,
             flush_due: Vec::new(),
-            armed: 0,
             stop: Arc::clone(&stop),
             metrics: Arc::clone(&metrics),
             identity,
@@ -625,14 +621,6 @@ impl Write for CountedWrites<'_> {
     }
 }
 
-/// Arms, moves or clears one connection's read deadline, keeping `armed`,
-/// the count of connections with one, exact: every change of a
-/// `frame_deadline` goes through here.
-fn set_deadline(armed: &mut usize, slot: &mut Option<Instant>, deadline: Option<Instant>) {
-    *armed = *armed + usize::from(deadline.is_some()) - usize::from(slot.is_some());
-    *slot = deadline;
-}
-
 struct EventLoop<C> {
     poll: Poll,
     registry: Registry,
@@ -655,9 +643,6 @@ struct EventLoop<C> {
     /// their socket, or whose socket turned writable: flushed when the turn
     /// ends.
     flush_due: Vec<usize>,
-    /// How many connections have a read deadline armed, kept by
-    /// [`set_deadline`]: with none, a loop turn walks no connection for one.
-    armed: usize,
     stop: Arc<AtomicBool>,
     metrics: Arc<ListenerMetrics>,
     /// The resolved server identity under a `Required` channel policy;
@@ -717,9 +702,6 @@ impl<C: Coordinator> EventLoop<C> {
 
     /// Sleep until the nearest mid-frame deadline, else the idle backstop.
     fn next_timeout(&self) -> Duration {
-        if self.armed == 0 {
-            return IDLE_POLL_BACKSTOP;
-        }
         let now = Instant::now();
         self.conns
             .values()
@@ -757,11 +739,9 @@ impl<C: Coordinator> EventLoop<C> {
                     };
                     // A handshake starts under the read timeout: a peer that
                     // connects and then stays silent is swept, never parked.
-                    let mut frame_deadline = None;
-                    let deadline = connection
+                    let frame_deadline = connection
                         .wants_read_deadline()
                         .then(|| Instant::now() + self.config.read_timeout);
-                    set_deadline(&mut self.armed, &mut frame_deadline, deadline);
                     self.conns.insert(
                         token,
                         Conn {
@@ -869,7 +849,7 @@ impl<C: Coordinator> EventLoop<C> {
                 }
                 Ok(Some(Event::HandshakeReply)) => self.queued(token),
                 Ok(Some(Event::Established { .. })) => {
-                    set_deadline(&mut self.armed, &mut conn.frame_deadline, None);
+                    conn.frame_deadline = None;
                     self.metrics.handshake_completed();
                 }
                 Ok(None) => {
@@ -883,7 +863,7 @@ impl<C: Coordinator> EventLoop<C> {
                     // Framing or trust is lost: tell the peer why, flush,
                     // hang up rather than guess at bytes.
                     conn.closing = true;
-                    set_deadline(&mut self.armed, &mut conn.frame_deadline, None);
+                    conn.frame_deadline = None;
                     let detail = refusal.error.to_string();
                     self.queue_frame(token, WireMsg::Error { detail }, None);
                     return;
@@ -938,14 +918,11 @@ impl<C: Coordinator> EventLoop<C> {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let deadline = if !conn.connection.wants_read_deadline() {
-            None
+        if !conn.connection.wants_read_deadline() {
+            conn.frame_deadline = None;
         } else if progressed || conn.frame_deadline.is_none() {
-            Some(Instant::now() + read_timeout)
-        } else {
-            return;
-        };
-        set_deadline(&mut self.armed, &mut conn.frame_deadline, deadline);
+            conn.frame_deadline = Some(Instant::now() + read_timeout);
+        }
     }
 
     /// Moves a reply into a connection's write queue, which encodes it — and
@@ -1094,9 +1071,6 @@ impl<C: Coordinator> EventLoop<C> {
     /// reply, and on a channel sealed under the next sequence number in
     /// line — and gets one nonblocking flush before the hangup.
     fn sweep_stalled(&mut self) {
-        if self.armed == 0 {
-            return;
-        }
         let now = Instant::now();
         let stalled: Vec<usize> = self
             .conns
@@ -1126,10 +1100,9 @@ impl<C: Coordinator> EventLoop<C> {
     }
 
     fn close_conn(&mut self, token: usize, reason: CloseReason) {
-        let Some(mut conn) = self.conns.remove(&token) else {
+        let Some(conn) = self.conns.remove(&token) else {
             return;
         };
-        set_deadline(&mut self.armed, &mut conn.frame_deadline, None);
         let _ = self.registry.deregister(&conn.stream);
         // A connection that dies before mutual authentication completes is
         // a failed handshake, whatever killed it.
@@ -1142,129 +1115,5 @@ impl<C: Coordinator> EventLoop<C> {
             CloseReason::Backpressure => self.metrics.backpressure_disconnect(),
         }
         self.metrics.connection_closed();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dubhe_select::protocol::{append_frame, ShardedCoordinator};
-
-    /// An event loop on a fresh loopback listener, driven by hand: no
-    /// thread runs it, and no router answers it (every frame here is small
-    /// enough to be answered inline). Read deadlines fall due at once.
-    fn event_loop(channel: ChannelPolicy) -> (EventLoop<ShardedCoordinator>, SocketAddr) {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let poll = Poll::new().unwrap();
-        let registry = poll.registry();
-        registry
-            .register(&listener, Token(0), Interest::READABLE)
-            .unwrap();
-        let waker = Arc::new(Waker::new(&registry, Token(1)).unwrap());
-        let (job_tx, _) = mpsc::channel();
-        let (_, reply_rx) = mpsc::channel();
-        let served = Served {
-            coordinator: ShardedCoordinator::new(4, 1),
-            bindings: HashMap::new(),
-        };
-        let event_loop = EventLoop {
-            poll,
-            registry,
-            events: Events::with_capacity(64),
-            listeners: vec![listener],
-            waker,
-            waker_token: 1,
-            conns: HashMap::new(),
-            next_token: 2,
-            job_tx,
-            reply_rx,
-            outstanding: 0,
-            served: Arc::new(Mutex::new(served)),
-            flush_due: Vec::new(),
-            armed: 0,
-            stop: Arc::new(AtomicBool::new(false)),
-            metrics: Arc::new(ListenerMetrics::new()),
-            identity: channel.is_required().then(|| NodeIdentity::from_seed(2)),
-            config: ReactorConfig::default()
-                .with_read_timeout(Duration::ZERO)
-                .with_channel(channel),
-        };
-        (event_loop, addr)
-    }
-
-    #[test]
-    fn the_armed_deadline_count_is_the_walk_after_any_arm_clear_and_close() {
-        // Seeded sequences of accepts, partial and whole frames (arming and
-        // clearing a deadline), refused bytes, closes and sweeps, under both
-        // channel policies: after every step the count the loop keeps is
-        // the number of connections a walk finds armed, and with none armed
-        // the loop sleeps the backstop.
-        let mut ack = Vec::new();
-        append_frame(&mut ack, &WireMsg::Ack, 1024, None).unwrap();
-        for (channel, seed) in [
-            (ChannelPolicy::Plaintext, 1u64),
-            (ChannelPolicy::Plaintext, 2),
-            (ChannelPolicy::Required, 3),
-        ] {
-            let (mut el, addr) = event_loop(channel);
-            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let mut next = move |bound: usize| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state % bound as u64) as usize
-            };
-            let (mut peers, mut fed) = (Vec::new(), HashMap::new());
-            let mut most_armed = 0;
-            for step in 0..300 {
-                let tokens: Vec<usize> = el.conns.keys().copied().collect();
-                let token = (!tokens.is_empty()).then(|| tokens[next(tokens.len())]);
-                match (next(10), token) {
-                    (0..=1, _) | (_, None) => {
-                        peers.push(TcpStream::connect(addr).unwrap());
-                        let before = el.conns.len();
-                        while el.conns.len() == before {
-                            el.accept_all(0);
-                        }
-                    }
-                    (2..=5, Some(token)) => {
-                        // The next bytes of a stream of acks.
-                        let at: &mut usize = fed.entry(token).or_default();
-                        let n = 1 + next(2 * ack.len());
-                        let bytes: Vec<u8> = (*at..*at + n).map(|i| ack[i % ack.len()]).collect();
-                        *at += n;
-                        el.conns
-                            .get_mut(&token)
-                            .unwrap()
-                            .connection
-                            .received(&bytes);
-                        el.parse_frames(token, true);
-                    }
-                    (6, Some(token)) => {
-                        el.conns
-                            .get_mut(&token)
-                            .unwrap()
-                            .connection
-                            .received(b"HTTP");
-                        el.parse_frames(token, true);
-                    }
-                    (7..=8, Some(token)) => el.close_conn(token, CloseReason::Clean),
-                    (_, Some(_)) => el.sweep_stalled(),
-                }
-                let walked = el
-                    .conns
-                    .values()
-                    .filter(|c| c.frame_deadline.is_some())
-                    .count();
-                assert_eq!(el.armed, walked, "{channel:?}, step {step}");
-                if walked == 0 {
-                    assert_eq!(el.next_timeout(), IDLE_POLL_BACKSTOP);
-                }
-                most_armed = most_armed.max(walked);
-            }
-            assert!(most_armed > 1, "{channel:?}: at most {most_armed} armed");
-        }
     }
 }

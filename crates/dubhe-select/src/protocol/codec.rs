@@ -287,7 +287,9 @@ pub(crate) struct PayloadDecoder {
     /// Once a batch's head is in: its envelopes decoded so far, and how many
     /// are still to come.
     batch: Option<(Vec<Envelope>, usize)>,
-    memo: he::VectorDecodeMemo,
+    /// The batch's vector memo, kept (with its bytes copied) from one call
+    /// to the next only while the payload is unfinished.
+    memo: he::VectorDecodeMemo<'static>,
 }
 
 impl PayloadDecoder {
@@ -321,14 +323,22 @@ impl PayloadDecoder {
     ) -> Result<(usize, Option<WireMsg>), ProtocolError> {
         let bytes = &bytes[..bytes.len().min(self.remaining)];
         let mut cur = bytes;
-        let outcome = self.take_pieces(&mut cur);
+        let mut memo = std::mem::take(&mut self.memo);
+        let outcome = self.take_pieces(&mut cur, &mut memo);
+        if let Ok(None) = outcome {
+            self.memo = memo.into_owned();
+        }
         self.remaining -= bytes.len() - cur.len();
         outcome.map(|msg| (bytes.len() - cur.len(), msg))
     }
 
     /// Parses pieces off `cur` until one has not arrived whole or the
     /// message is complete.
-    fn take_pieces(&mut self, cur: &mut &[u8]) -> Result<Option<WireMsg>, ProtocolError> {
+    fn take_pieces<'a>(
+        &mut self,
+        cur: &mut &'a [u8],
+        memo: &mut he::VectorDecodeMemo<'a>,
+    ) -> Result<Option<WireMsg>, ProtocolError> {
         let arrived = cur.len();
         loop {
             // Payload bytes from the front of `cur` on, arrived or not.
@@ -342,7 +352,7 @@ impl PayloadDecoder {
                     return Ok(None);
                 }
                 let mut piece = &cur[..head];
-                let parsed = decode_head(&mut piece, rest, &mut self.memo)?;
+                let parsed = decode_head(&mut piece, rest, memo)?;
                 *cur = &cur[head - piece.len()..];
                 match parsed {
                     Head::Batch(count) => self.batch = Some((Vec::new(), count)),
@@ -366,7 +376,7 @@ impl PayloadDecoder {
                 return Ok(None);
             }
             let mut piece = &cur[..len];
-            envelopes.push(decode_envelope(&mut piece, &mut self.memo)?);
+            envelopes.push(decode_envelope(&mut piece, memo)?);
             *cur = &cur[len - piece.len()..];
             *left -= 1;
         }
@@ -780,9 +790,9 @@ fn malformed_tag(what: &str, tag: u8) -> ProtocolError {
     }
 }
 
-fn decode_envelope(
-    cur: &mut &[u8],
-    memo: &mut he::VectorDecodeMemo,
+fn decode_envelope<'a>(
+    cur: &mut &'a [u8],
+    memo: &mut he::VectorDecodeMemo<'a>,
 ) -> Result<Envelope, ProtocolError> {
     let from = decode_party(cur)?;
     let to = decode_party(cur)?;
@@ -857,10 +867,10 @@ enum Head {
 
 /// Parses a payload's head off `cur`, whose front is `rest` bytes from the
 /// payload's end.
-fn decode_head(
-    cur: &mut &[u8],
+fn decode_head<'a>(
+    cur: &mut &'a [u8],
     rest: usize,
-    memo: &mut he::VectorDecodeMemo,
+    memo: &mut he::VectorDecodeMemo<'a>,
 ) -> Result<Head, ProtocolError> {
     let msg = match take_u8(cur)? {
         0 => WireMsg::Envelope {

@@ -47,7 +47,8 @@
 //! and the read deadline alike. No plaintext header reserves anything: the
 //! buffer grows only as bytes land, never more than a read budget past
 //! them. Nor does a handshake-phase header — a handshake message longer
-//! than the role's longest, or a sealed frame, is refused at it.
+//! than the role's longest, a plaintext frame or a sealed one is refused
+//! at it.
 
 use std::io::{self, Read, Write};
 
@@ -57,7 +58,7 @@ use super::channel::{
 };
 use super::frames::{BufferedFrame, FrameBuffer, WriteQueue};
 use super::stats::Counter;
-use super::wire::{decode_frame_lazy, LazyMsg, WireMsg};
+use super::wire::{decode_frame_lazy, LazyMsg, WireMsg, FRAME_MAGIC_V2};
 use crate::error::ProtocolError;
 use mini_crypto::TAG_LEN;
 
@@ -247,19 +248,22 @@ impl Connection {
                 }))
             }
             Phase::Handshake(hs) => {
-                // Refused at its header, before a byte of it is reserved: no
-                // unauthenticated peer sizes this buffer. Nor does a sealed
-                // frame under the ceiling, refused as out of phase at its
-                // header rather than once whole.
+                // Refused at its header, before a byte of it is buffered: no
+                // unauthenticated peer makes this buffer hold more than the
+                // role's longest handshake message. A plaintext or sealed
+                // frame under the ceiling is out of phase at its header with
+                // the refusal it would earn whole.
                 let longest = hs.longest_message();
+                let ceiling = max.saturating_add(SEALED_FRAME_OVERHEAD);
                 match self.frames.header() {
                     Some((FRAME_MAGIC_HANDSHAKE, len)) if len > longest => {
                         let too_large = ProtocolError::FrameTooLarge { len, max: longest };
                         return Err(refuse(None)(too_large));
                     }
-                    Some((FRAME_MAGIC_SEALED, len))
-                        if len <= max.saturating_add(SEALED_FRAME_OVERHEAD) =>
-                    {
+                    Some((FRAME_MAGIC_V2, len)) if len <= ceiling => {
+                        return Err(out_of_phase(BufferedFrame::Plaintext(&FRAME_MAGIC_V2)));
+                    }
+                    Some((FRAME_MAGIC_SEALED, len)) if len <= ceiling => {
                         return Err(out_of_phase(BufferedFrame::Sealed(&mut [])));
                     }
                     _ => {}
@@ -453,7 +457,7 @@ mod tests {
     use crate::protocol::channel::{
         append_frame, FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
     };
-    use crate::protocol::wire::{FRAME_MAGIC_V2, MAX_FRAME_BYTES};
+    use crate::protocol::wire::MAX_FRAME_BYTES;
 
     const MAX: usize = 1024;
 
@@ -845,29 +849,45 @@ mod tests {
     fn an_unauthenticated_handshake_header_is_refused_on_its_eighth_byte() {
         // Announcements of 1 MiB and of the whole frame ceiling; that
         // nothing is reserved for them is pinned in `tests/frame_alloc.rs`.
+        // A plaintext or sealed header is out of phase whatever follows,
+        // refused with what the whole frame earns (the phase table above).
         for announced in [1 << 20, MAX_FRAME_BYTES] {
-            let roles = [
-                (Connection::server(server_id(), MAX_FRAME_BYTES), 64),
-                (Connection::client(&client_id(), None, MAX_FRAME_BYTES), 96),
-            ];
-            for (mut conn, longest) in roles {
-                let header = [FRAME_MAGIC_HANDSHAKE, (announced as u32).to_be_bytes()].concat();
-                conn.received(&header[..7]);
-                assert!(matches!(conn.poll(), Ok(None)));
-                conn.received(&header[7..]);
-                let refusal = conn.poll().unwrap_err();
-                assert_eq!(
-                    refusal.error,
-                    ProtocolError::FrameTooLarge {
-                        len: announced,
-                        max: longest
-                    }
-                );
-                assert_eq!(refusal.counter, None);
-                assert!(
-                    conn.is_handshaking(),
-                    "counted as a failed handshake at close"
-                );
+            for magic in [FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_V2, FRAME_MAGIC_SEALED] {
+                let roles = [
+                    (Connection::server(server_id(), MAX_FRAME_BYTES), 64),
+                    (Connection::client(&client_id(), None, MAX_FRAME_BYTES), 96),
+                ];
+                for (mut conn, longest) in roles {
+                    let header = [magic, (announced as u32).to_be_bytes()].concat();
+                    conn.received(&header[..7]);
+                    assert!(matches!(conn.poll(), Ok(None)));
+                    conn.received(&header[7..]);
+                    let refusal = conn.poll().unwrap_err();
+                    let expected = match magic {
+                        FRAME_MAGIC_HANDSHAKE => (
+                            ProtocolError::FrameTooLarge {
+                                len: announced,
+                                max: longest,
+                            },
+                            None,
+                        ),
+                        FRAME_MAGIC_V2 => (
+                            ProtocolError::DowngradeRefused { magic },
+                            Some(Counter::DowngradesRefused),
+                        ),
+                        _ => (
+                            ProtocolError::AuthFailure {
+                                detail: "sealed frame before the handshake finished".to_string(),
+                            },
+                            None,
+                        ),
+                    };
+                    assert_eq!((refusal.error, refusal.counter), expected);
+                    assert!(
+                        conn.is_handshaking(),
+                        "counted as a failed handshake at close"
+                    );
+                }
             }
         }
     }

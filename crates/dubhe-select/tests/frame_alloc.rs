@@ -260,34 +260,36 @@ fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
 
     // A handshake-phase header announcing 1 MiB, or the whole frame
     // ceiling, is refused on its eighth byte with nothing reserved for it —
-    // a sealed one as out of phase. A plaintext connection's is accepted,
-    // and still sizes nothing: its buffer grows only as bytes land.
+    // a plaintext or sealed one as out of phase. A plaintext connection's
+    // is accepted, and still sizes nothing: its buffer grows only as bytes
+    // land.
     for announced in [1u32 << 20, MAX_FRAME_BYTES as u32] {
         let identity = NodeIdentity::from_seed(1);
-        let handshaking = || {
+        let handshaking = |magic: [u8; 4]| {
             [
                 Connection::server(NodeIdentity::from_seed(2), MAX_FRAME_BYTES),
                 Connection::client(&identity, None, MAX_FRAME_BYTES),
             ]
+            .map(|link| (link, magic, true))
         };
-        let cases = handshaking()
+        let cases = [FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_V2, FRAME_MAGIC_SEALED]
             .into_iter()
-            .map(|link| (link, FRAME_MAGIC_HANDSHAKE))
-            .chain(
-                handshaking()
-                    .into_iter()
-                    .map(|link| (link, FRAME_MAGIC_SEALED)),
-            )
-            .chain([(Connection::plaintext(MAX_FRAME_BYTES), FRAME_MAGIC_V2)]);
-        for (mut link, magic) in cases {
+            .flat_map(handshaking)
+            .chain([(
+                Connection::plaintext(MAX_FRAME_BYTES),
+                FRAME_MAGIC_V2,
+                false,
+            )]);
+        for (mut link, magic, refused) in cases {
             let header = [magic, announced.to_be_bytes()].concat();
             let (polled, _, reserved, _) = measure(1024, || {
                 link.received(&header);
                 link.poll()
             });
-            match magic {
-                FRAME_MAGIC_V2 => assert!(matches!(polled, Ok(None)), "{announced}: {polled:?}"),
-                _ => assert!(polled.is_err(), "{announced}: {polled:?}"),
+            if refused {
+                assert!(polled.is_err(), "{announced}: {polled:?}");
+            } else {
+                assert!(matches!(polled, Ok(None)), "{announced}: {polled:?}");
             }
             assert_eq!(
                 reserved, 0,
