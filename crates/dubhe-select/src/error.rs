@@ -202,23 +202,15 @@ pub enum ProtocolError {
         detail: String,
     },
     /// Channel authentication failed: a handshake message did not verify,
-    /// a sealed frame's AEAD tag was wrong (tampering or a ciphertext bit
-    /// flip), or a peer presented a different identity than the session was
-    /// bound to (a hijack attempt). The connection is cut — decrypting or
+    /// a sealed record's AEAD tag was wrong (tampering, a ciphertext bit
+    /// flip, or a frame replayed, reordered, cut or spliced: a frame is
+    /// opened under the sequence number the receiver expects, which is not
+    /// on the wire), or a peer presented a different identity than the
+    /// session was bound to (a hijack attempt). The connection is cut — decrypting or
     /// folding anything after an authentication failure is unsound.
     AuthFailure {
         /// What failed to authenticate.
         detail: String,
-    },
-    /// A sealed frame arrived with the wrong nonce sequence number — a
-    /// replayed, reordered or dropped frame on an authenticated channel.
-    /// The channel's framing is strictly ordered, so this is always an
-    /// attack or a broken peer, never a benign race.
-    ReplayDetected {
-        /// The sequence number the receiver expected next.
-        expected: u64,
-        /// The sequence number the frame carried.
-        got: u64,
     },
     /// A plaintext protocol frame arrived on a connection whose policy
     /// requires the authenticated channel — a downgrade attempt (or a
@@ -341,13 +333,6 @@ impl std::fmt::Display for ProtocolError {
             ProtocolError::AuthFailure { detail } => {
                 write!(f, "channel authentication failed: {detail}")
             }
-            ProtocolError::ReplayDetected { expected, got } => {
-                write!(
-                    f,
-                    "sealed frame out of sequence: expected nonce {expected}, got {got} \
-                     (replayed, reordered or dropped frame)"
-                )
-            }
             ProtocolError::DowngradeRefused { magic } => {
                 write!(
                     f,
@@ -417,12 +402,6 @@ mod tests {
             detail: "bad tag".to_string(),
         };
         assert!(auth.to_string().contains("authentication failed"));
-        let replay = ProtocolError::ReplayDetected {
-            expected: 4,
-            got: 2,
-        };
-        assert!(replay.to_string().contains("expected nonce 4"));
-        assert!(replay.to_string().contains("got 2"));
         let downgrade = ProtocolError::DowngradeRefused { magic: *b"DBH2" };
         assert!(downgrade.to_string().contains("DBH2"));
         assert!(downgrade.to_string().contains("authenticated channel"));

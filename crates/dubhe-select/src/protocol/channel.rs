@@ -17,31 +17,38 @@
 //!
 //! ```text
 //! DBHS — handshake:  payload is one handshake message (below)
-//! DBHE — sealed:     payload = seq (u64 BE) || ciphertext || tag (16)
+//! DBHE — sealed:     payload = record 0 || record 1 || …
+//!                    record i = ciphertext of inner bytes [i·R, (i+1)·R) || tag (16)
 //! ```
 //!
 //! A sealed payload decrypts to one complete *inner* `DBH2` frame, so lazy
 //! registry deferral and frame-size limits apply unchanged inside the
-//! channel. The AEAD's
-//! associated data covers the `DBHE` magic and the sequence number: a
-//! spliced or re-sequenced frame fails the tag even if its ciphertext is
-//! untouched.
+//! channel. The inner bytes are cut into records of at most `R =`
+//! [`SEAL_SLICE`] (256 KiB) bytes, by the inner length alone, and each record
+//! is sealed by itself with ChaCha20-Poly1305 — TLS 1.3's record layer
+//! (RFC 8446 §5) and the STREAM construction (Hoang et al., CRYPTO 2015):
 //!
-//! ## A frame in slices
+//! - the nonce is the record's index (`u32` BE) followed by the frame's
+//!   sequence number (`u64` BE). The sequence number is not on the wire:
+//!   each side counts the frames of its direction, as TLS 1.3 does;
+//! - the associated data is the frame's 8-byte `DBHE` header, which binds
+//!   the total length.
 //!
-//! RFC 8439's AEAD is a stream cipher plus a one-pass MAC, so a frame need
-//! not be sealed or opened in one go. A `FrameCursor` carries one frame's
-//! sequence number, keystream position and MAC state from one slice to the
-//! next: a write queue encodes and seals a multi-megabyte frame a slice
-//! ahead of each socket write (a `FrameProducer`), and a receiving
-//! [`Connection`] MACs and decrypts each run of ciphertext as it lands. The
-//! bytes on the wire are those of the one-step form —
-//! [`append_frame`], [`seal_frame`](SecureChannel::seal_frame) and
-//! [`open_in_place`](SecureChannel::open_in_place) are a producer or a
-//! cursor run over the whole frame at once. An opened prefix is never decoded or released
-//! before the tag verifies; on a failed tag it is encrypted back, so the
-//! payload is again exactly what arrived, and the receive sequence does not
-//! advance.
+//! So a replayed, reordered or spliced frame, a frame cut at a record
+//! boundary, and records dropped or swapped within a frame all fail a tag:
+//! [`ProtocolError::AuthFailure`].
+//!
+//! ## A frame a record at a time
+//!
+//! A write queue encodes a multi-megabyte frame a slice ahead of each socket
+//! write (a `FrameProducer`), sealing each record once its last plaintext
+//! byte is encoded, its tag right behind it. A receiving [`Connection`]
+//! verifies each record as it completes, decrypts it where it lies and
+//! decodes its plaintext as a plaintext frame's: no byte is decoded before
+//! its own record's tag verifies, and the receiver holds one record, not
+//! the frame. The bytes are those of the one-step forms — [`append_frame`],
+//! [`seal_frame`](SecureChannel::seal_frame) and
+//! [`open_in_place`](SecureChannel::open_in_place) — however they are cut.
 //!
 //! ## Handshake state machine
 //!
@@ -69,26 +76,21 @@
 //! sends every share to zero, so the confirmation tags would follow from
 //! the sender's own ephemeral alone and `00…00` would pass as an identity
 //! any number of peers share). A frame that
-//! fails any check surfaces a typed
-//! [`ProtocolError::AuthFailure`] / [`ReplayDetected`] /
+//! fails any check surfaces a typed [`ProtocolError::AuthFailure`] /
 //! [`DowngradeRefused`] — never a panic, never a hang.
 //!
-//! [`ReplayDetected`]: ProtocolError::ReplayDetected
 //! [`DowngradeRefused`]: ProtocolError::DowngradeRefused
 
-use std::borrow::Borrow;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mini_crypto::{
-    hkdf, hmac_sha256, sha256, ChaCha20, Poly1305, PublicKey, StaticSecret, TAG_LEN,
-};
+use mini_crypto::{hkdf, hmac_sha256, sha256, ChaCha20Poly1305, PublicKey, StaticSecret, TAG_LEN};
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use super::codec::{payload_size_hint, PayloadEncoder};
 use super::connection::Connection;
-use super::wire::{read_exact_or, write_whole_frame, WireMsg, FRAME_MAGIC_V2};
+use super::frames::{FrameProducer, SEAL_SLICE};
+use super::wire::{read_exact_or, read_payload, write_whole_frame, WireMsg, FRAME_MAGIC_V2};
 use crate::error::ProtocolError;
 
 /// The 4-byte preamble of a handshake (`DBHS`) frame.
@@ -97,14 +99,25 @@ pub const FRAME_MAGIC_HANDSHAKE: [u8; 4] = *b"DBHS";
 /// The 4-byte preamble of a sealed (`DBHE`) frame.
 pub const FRAME_MAGIC_SEALED: [u8; 4] = *b"DBHE";
 
-/// Fixed per-frame overhead a sealed frame adds on the wire: the `DBHE`
-/// header (magic + length) plus the sequence number and the AEAD tag. The
-/// inner plaintext frame travels byte-for-byte as ciphertext.
-pub const SEALED_FRAME_OVERHEAD: usize = SEALED_PREFIX_BYTES + TAG_LEN;
+/// What sealing adds to a one-record frame on the wire: the `DBHE` header
+/// and one tag. The inner plaintext frame travels byte-for-byte as
+/// ciphertext; each record past the first adds another tag.
+pub const SEALED_FRAME_OVERHEAD: usize = 8 + TAG_LEN;
 
-/// What a sealed frame puts in front of its ciphertext: the `DBHE` magic,
-/// the payload length and the sequence number.
-pub(crate) const SEALED_PREFIX_BYTES: usize = 4 + 4 + 8;
+/// The wire length of a sealed frame around an inner frame of `inner_len`
+/// bytes: its header, the inner bytes and one tag a record. Every ceiling a
+/// sealed frame is held to is this function of the inner ceiling.
+pub(crate) fn sealed_frame_len(inner_len: usize) -> usize {
+    let records = inner_len.div_ceil(SEAL_SLICE).max(1);
+    inner_len.saturating_add(8 + TAG_LEN * records)
+}
+
+/// The most a channel-aware reader takes after a header under an inner
+/// ceiling of `max_frame_bytes`: a sealed frame around the largest inner
+/// frame, or the longest handshake message if that is more.
+pub(crate) fn channel_ceiling(max_frame_bytes: usize) -> usize {
+    (sealed_frame_len(max_frame_bytes.saturating_add(8)) - 8).max(M2_LEN)
+}
 
 /// M1 = static(32) + ephemeral(32); M2 adds the confirmation tag.
 pub(crate) const HELLO_LEN: usize = 64;
@@ -230,114 +243,113 @@ impl std::fmt::Debug for SecureChannel {
     }
 }
 
-fn nonce_for(seq: u64) -> [u8; 12] {
-    let mut nonce = [0u8; 12];
-    nonce[4..].copy_from_slice(&seq.to_be_bytes());
-    nonce
-}
-
-/// The associated data of sealed frame `seq`: the `DBHE` magic and the
-/// sequence number, so a spliced or re-sequenced frame fails its tag.
-fn sealed_aad(seq: u64) -> [u8; 12] {
-    let mut aad = [0u8; 12];
-    aad[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
-    aad[4..].copy_from_slice(&seq.to_be_bytes());
-    aad
-}
-
-/// One sealed frame's AEAD part-way through: RFC 8439 §2.8 run a slice at a
-/// time. The cursor holds the frame's sequence number, the keystream
-/// position and the MAC state between slices; sealing encrypts each run
-/// then MACs it, opening MACs each run then decrypts it. Every run but the
-/// last is a whole number of 64-byte keystream blocks, so the MAC's 16-byte
-/// padding falls only where the AEAD puts it, after the last ciphertext
-/// byte — any split gives the bytes and tag of the one-step form.
-pub(crate) struct FrameCursor {
+/// One sealed frame's records, sealed or opened in order: record `i` under
+/// the nonce `i ‖ seq` and the frame's header as associated data, each
+/// through `mini-crypto`'s whole-pass AEAD.
+pub(crate) struct Records {
+    aead: ChaCha20Poly1305,
+    /// The frame's `DBHE` header: the associated data of every record.
+    header: [u8; 8],
     seq: u64,
-    /// Ciphertext length: the inner frame's.
+    /// The next record's index.
+    next: u32,
+    /// The inner frame's length, and its bytes not through a record yet.
     len: usize,
-    /// Ciphertext bytes through the cursor so far.
-    done: usize,
-    cipher: ChaCha20,
-    mac: Poly1305,
+    left: usize,
 }
 
-/// Keystream block: the unit every run but a frame's last is cut to.
-const BLOCK: usize = 64;
-
-impl FrameCursor {
-    fn new(key: &[u8; 32], seq: u64, len: usize) -> FrameCursor {
-        // RFC 8439 §2.6 / §2.8: block 0 keys the MAC, block 1 on encrypts.
-        let mut cipher = ChaCha20::new(key, &nonce_for(seq));
-        let mut one_time_key = [0u8; 32];
-        cipher.apply_keystream(&mut one_time_key);
-        cipher.seek(BLOCK as u64);
-        let mut mac = Poly1305::new(&one_time_key);
-        mac.update_padded(&sealed_aad(seq));
-        FrameCursor {
+impl Records {
+    /// The records of frame `seq` around an inner frame of `len` bytes,
+    /// whose sealed payload length callers have bounded by the `u32` field.
+    fn new(key: &[u8; 32], seq: u64, len: usize) -> Records {
+        let mut header = [0u8; 8];
+        header[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
+        header[4..].copy_from_slice(&((sealed_frame_len(len) - 8) as u32).to_be_bytes());
+        Records {
+            aead: ChaCha20Poly1305::new(key),
+            header,
             seq,
+            next: 0,
             len,
-            done: 0,
-            cipher,
-            mac,
+            left: len,
         }
     }
 
-    /// Ciphertext bytes not yet through the cursor.
-    pub(crate) fn remaining(&self) -> usize {
-        self.len - self.done
-    }
-
-    /// Where the run that `available` more bytes allow ends: the frame's
-    /// end if they reach it, else the last whole block they cover.
-    fn run_end(&self, available: usize) -> usize {
-        if available >= self.remaining() {
-            self.len
-        } else {
-            self.done + available / BLOCK * BLOCK
+    /// The inner length a sealed payload of `payload_len` bytes carries: the
+    /// one whose sealed frame has that length, if any.
+    fn len_for(payload_len: usize) -> Result<usize, ProtocolError> {
+        let records = payload_len.div_ceil(SEAL_SLICE + TAG_LEN).max(1);
+        match payload_len.checked_sub(TAG_LEN * records) {
+            Some(len)
+                if sealed_frame_len(len) == 8 + payload_len && payload_len <= u32::MAX as usize =>
+            {
+                Ok(len)
+            }
+            _ => Err(ProtocolError::AuthFailure {
+                detail: format!("no record layout makes a {payload_len}-byte sealed payload"),
+            }),
         }
     }
 
-    /// Encrypts then MACs the next run of `unsealed` — the frame's
-    /// ciphertext from where the cursor stands to its end — of at most
-    /// `budget` bytes, and returns its length.
-    pub(crate) fn seal(&mut self, unsealed: &mut [u8], budget: usize) -> usize {
-        let n = self.run_end(budget) - self.done;
-        let run = &mut unsealed[..n];
-        self.cipher.apply_keystream(run);
-        self.mac.update_padded(run);
-        self.done += n;
-        n
+    /// The frame's `DBHE` header.
+    pub(crate) fn header(&self) -> [u8; 8] {
+        self.header
     }
 
-    /// MACs then decrypts the run of ciphertext that has arrived since the
-    /// last call: `arrived` is the ciphertext region as far as it has
-    /// landed (anything past its end, the tag, is left alone).
-    pub(crate) fn open(&mut self, arrived: &mut [u8]) {
-        let available = arrived.len().min(self.len) - self.done;
-        let (start, end) = (self.done, self.run_end(available));
-        let run = &mut arrived[start..end];
-        self.mac.update_padded(run);
-        self.cipher.apply_keystream(run);
-        self.done = end;
+    /// The inner frame's length.
+    pub(crate) fn inner_len(&self) -> usize {
+        self.len
     }
 
-    /// The tag, once every ciphertext byte has been through the cursor,
-    /// and the cipher rewound to the first ciphertext byte (what undoes an
-    /// open).
-    fn finish(mut self) -> ([u8; TAG_LEN], ChaCha20) {
-        debug_assert_eq!(self.remaining(), 0, "finished before the last run");
-        let mut lengths = [0u8; 16];
-        lengths[..8].copy_from_slice(&(sealed_aad(self.seq).len() as u64).to_le_bytes());
-        lengths[8..].copy_from_slice(&(self.len as u64).to_le_bytes());
-        self.mac.update_padded(&lengths);
-        self.cipher.seek(BLOCK as u64);
-        (self.mac.finalize(), self.cipher)
+    /// Plaintext bytes in the next record.
+    pub(crate) fn next_len(&self) -> usize {
+        self.left.min(SEAL_SLICE)
     }
 
-    /// The tag, once every ciphertext byte has been sealed.
-    pub(crate) fn tag(self) -> [u8; TAG_LEN] {
-        self.finish().0
+    /// True once every record is through.
+    pub(crate) fn is_done(&self) -> bool {
+        self.next > 0 && self.left == 0
+    }
+
+    fn nonce(&self) -> [u8; 12] {
+        let mut nonce = [0u8; 12];
+        nonce[..4].copy_from_slice(&self.next.to_be_bytes());
+        nonce[4..].copy_from_slice(&self.seq.to_be_bytes());
+        nonce
+    }
+
+    fn advance(&mut self, len: usize) {
+        self.next += 1;
+        self.left -= len;
+    }
+
+    /// Encrypts the next record's plaintext in place and returns its tag.
+    pub(crate) fn seal(&mut self, record: &mut [u8]) -> [u8; TAG_LEN] {
+        debug_assert_eq!(record.len(), self.next_len());
+        let tag = self
+            .aead
+            .encrypt_in_place_detached(&self.nonce(), &self.header, record);
+        self.advance(record.len());
+        tag
+    }
+
+    /// Opens the next record where it lies — its ciphertext, then its tag —
+    /// and leaves its plaintext in front of the tag. A failed tag leaves the
+    /// record as it arrived: [`ProtocolError::AuthFailure`].
+    pub(crate) fn open(&mut self, record: &mut [u8]) -> Result<(), ProtocolError> {
+        let (text, tag) = record.split_at_mut(record.len() - TAG_LEN);
+        debug_assert_eq!(text.len(), self.next_len());
+        let tag = (&*tag).try_into().expect("a TAG_LEN split");
+        self.aead
+            .decrypt_in_place_detached(&self.nonce(), &self.header, text, tag)
+            .map_err(|_| ProtocolError::AuthFailure {
+                detail: format!(
+                    "AEAD tag verification failed on record {} of sealed frame {}",
+                    self.next, self.seq
+                ),
+            })?;
+        self.advance(text.len());
+        Ok(())
     }
 }
 
@@ -347,109 +359,85 @@ impl SecureChannel {
         self.peer
     }
 
-    /// Starts sealing a frame around an inner plaintext frame of
-    /// `inner_len` bytes: the frame takes the next send sequence number,
-    /// and comes back as its `DBHE` prefix (magic, length, sequence number)
-    /// and the cursor that encrypts the inner frame behind it and then
-    /// gives the [`tag`](FrameCursor::tag).
-    pub(crate) fn seal_cursor(
-        &mut self,
-        inner_len: usize,
-    ) -> ([u8; SEALED_PREFIX_BYTES], FrameCursor) {
-        let seq = self.send_seq;
+    /// The records of the next frame this side sends, around an inner
+    /// frame of `inner_len` bytes: the frame takes the next send sequence
+    /// number.
+    pub(crate) fn seal_records(&mut self, inner_len: usize) -> Records {
         self.send_seq += 1;
-        let announced = u32::try_from(8 + inner_len + TAG_LEN)
-            .expect("callers bound the inner frame below the u32 length field");
-        let mut prefix = [0u8; SEALED_PREFIX_BYTES];
-        prefix[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
-        prefix[4..8].copy_from_slice(&announced.to_be_bytes());
-        prefix[8..].copy_from_slice(&seq.to_be_bytes());
-        (prefix, FrameCursor::new(&self.send_key, seq, inner_len))
+        Records::new(&self.send_key, self.send_seq - 1, inner_len)
+    }
+
+    /// The records of the next frame this side receives, from its `DBHE`
+    /// header: the frame takes the next receive sequence number. A length
+    /// no inner frame seals to is [`ProtocolError::AuthFailure`].
+    pub(crate) fn open_records(&mut self, header: [u8; 8]) -> Result<Records, ProtocolError> {
+        let payload_len = u32::from_be_bytes(header[4..].try_into().expect("4 bytes")) as usize;
+        let records = Records::new(
+            &self.recv_key,
+            self.recv_seq,
+            Records::len_for(payload_len)?,
+        );
+        self.recv_seq += 1;
+        Ok(records)
     }
 
     /// Seals one inner plaintext frame into a complete `DBHE` wire frame of
     /// its own — the byte-slice form of what [`append_frame`] does for a
     /// message.
     pub fn seal_frame(&mut self, inner: &[u8]) -> Vec<u8> {
-        let (prefix, mut cursor) = self.seal_cursor(inner.len());
-        let mut frame = Vec::with_capacity(SEALED_FRAME_OVERHEAD + inner.len());
-        frame.extend_from_slice(&prefix);
-        frame.extend_from_slice(inner);
-        cursor.seal(&mut frame[SEALED_PREFIX_BYTES..], usize::MAX);
-        frame.extend_from_slice(&cursor.tag());
+        let mut records = self.seal_records(inner.len());
+        let mut frame = Vec::with_capacity(sealed_frame_len(inner.len()));
+        frame.extend_from_slice(&records.header);
+        while !records.is_done() {
+            let (at, done) = (frame.len(), inner.len() - records.left);
+            frame.extend_from_slice(&inner[done..done + records.next_len()]);
+            let tag = records.seal(&mut frame[at..]);
+            frame.extend_from_slice(&tag);
+        }
         frame
     }
 
-    /// Starts opening a `DBHE` payload (`seq || ciphertext || tag`) that
-    /// announced `len` bytes, once its first eight — the sequence number,
-    /// at the front of `arrived` — are in. A payload too short for a
-    /// sequence number and a tag surfaces [`ProtocolError::AuthFailure`],
-    /// an out-of-sequence one [`ProtocolError::ReplayDetected`].
-    pub(crate) fn open_cursor(
-        &self,
-        len: usize,
-        arrived: &[u8],
-    ) -> Result<FrameCursor, ProtocolError> {
-        let Some(inner_len) = len.checked_sub(8 + TAG_LEN) else {
-            return Err(ProtocolError::AuthFailure {
-                detail: format!("sealed payload too short ({len} bytes)"),
-            });
-        };
-        let seq = u64::from_be_bytes(arrived[..8].try_into().expect("8-byte slice"));
-        if seq != self.recv_seq {
-            return Err(ProtocolError::ReplayDetected {
-                expected: self.recv_seq,
-                got: seq,
-            });
+    /// Opens one whole `DBHE` payload — its records, the frame's header
+    /// left off — where it lies and returns the inner plaintext frame,
+    /// borrowed from `payload`. A payload no inner frame seals to, or a
+    /// failed tag, is [`ProtocolError::AuthFailure`]; so is a frame out of
+    /// sequence, whose every tag fails. A failed open leaves `payload` as it
+    /// arrived — records opened before the failing one are encrypted back —
+    /// and does not advance the receive sequence.
+    pub fn open_in_place<'a>(&mut self, payload: &'a mut [u8]) -> Result<&'a [u8], ProtocolError> {
+        let len = Records::len_for(payload.len())?;
+        let mut records = Records::new(&self.recv_key, self.recv_seq, len);
+        let record = SEAL_SLICE + TAG_LEN;
+        let mut failure = None;
+        for (i, chunk) in payload.chunks_mut(record).enumerate() {
+            if let Err(error) = records.open(chunk) {
+                failure = Some((i, error));
+                break;
+            }
         }
-        Ok(FrameCursor::new(&self.recv_key, seq, inner_len))
-    }
-
-    /// Finishes opening the whole `payload` that `cursor` has opened part
-    /// of: the rest of the ciphertext is opened, the tag compared in
-    /// constant time, and the inner plaintext frame returned, borrowed from
-    /// `payload`, with the receive sequence one on. A failed tag surfaces
-    /// [`ProtocolError::AuthFailure`] with the opened ciphertext encrypted
-    /// back — `payload` is again exactly what arrived — and the sequence
-    /// where it was: the channel is dead, and callers cut the connection.
-    pub(crate) fn finish_open<'a>(
-        &mut self,
-        mut cursor: FrameCursor,
-        payload: &'a mut [u8],
-    ) -> Result<&'a [u8], ProtocolError> {
-        let (inner, tag) = payload[8..].split_at_mut(cursor.len);
-        cursor.open(inner);
-        let seq = cursor.seq;
-        let (expect, mut cipher) = cursor.finish();
-        if !constant_time_eq(tag, &expect) {
-            cipher.apply_keystream(inner);
-            return Err(ProtocolError::AuthFailure {
-                detail: format!("AEAD tag verification failed on sealed frame {seq}"),
-            });
+        if let Some((failed, error)) = failure {
+            let mut again = Records::new(&self.recv_key, self.recv_seq, len);
+            for opened in payload.chunks_mut(record).take(failed) {
+                again.seal(&mut opened[..SEAL_SLICE]);
+            }
+            return Err(error);
+        }
+        // Close the records up over their tags.
+        for i in 1..len.div_ceil(SEAL_SLICE) {
+            let start = i * record;
+            let end = (start + SEAL_SLICE).min(payload.len() - TAG_LEN);
+            payload.copy_within(start..end, i * SEAL_SLICE);
         }
         self.recv_seq += 1;
-        Ok(inner)
-    }
-
-    /// Opens one whole `DBHE` payload (`seq || ciphertext || tag`) where it
-    /// lies and returns the inner plaintext frame, borrowed from `payload`:
-    /// `open_cursor` and `finish_open` in one step, with their errors — out
-    /// of sequence is [`ProtocolError::ReplayDetected`], too short or a
-    /// failed tag [`ProtocolError::AuthFailure`]. A
-    /// failed open leaves `payload` as it arrived and does not advance the
-    /// receive sequence.
-    pub fn open_in_place<'a>(&mut self, payload: &'a mut [u8]) -> Result<&'a [u8], ProtocolError> {
-        let cursor = self.open_cursor(payload.len(), payload)?;
-        self.finish_open(cursor, payload)
+        Ok(&payload[..len])
     }
 
     /// [`open_in_place`](Self::open_in_place) on a copy: returns the inner
     /// plaintext frame as a `Vec` of its own and leaves `payload` alone.
     pub fn open_payload(&mut self, payload: &[u8]) -> Result<Vec<u8>, ProtocolError> {
         let mut opened = payload.to_vec();
-        let inner_len = self.open_in_place(&mut opened)?.len();
-        opened.copy_within(8..8 + inner_len, 0);
-        opened.truncate(inner_len);
+        let len = self.open_in_place(&mut opened)?.len();
+        opened.truncate(len);
         Ok(opened)
     }
 }
@@ -477,116 +465,6 @@ pub fn append_frame(
     frame.produce(out, usize::MAX);
     debug_assert!(frame.is_done());
     Ok(len)
-}
-
-/// One wire frame — bare, or sealed on a channel — produced into the end of
-/// a byte queue a piece at a time.
-///
-/// [`new`](Self::new) does everything that can fail and nothing else: it
-/// checks the message encodes, fixes the frame's exact length against the
-/// ceiling and, on a channel, takes the frame's sequence number. Each
-/// [`produce`](Self::produce) then encodes the frame's next bytes behind
-/// what it put in the queue before and, on a channel, seals them, so the
-/// queue need only ever hold the slice on its way to the socket. The bytes
-/// are those of the whole frame built at once, however they are cut.
-pub(crate) struct FrameProducer<M> {
-    payload: PayloadEncoder<M>,
-    /// What goes in front of the payload and is not out yet: on a channel
-    /// the `DBHE` prefix, then the (inner) `DBH2` header.
-    head: Option<([u8; SEALED_PREFIX_BYTES + 8], usize)>,
-    /// The seal on a channel, until the tag is out.
-    seal: Option<FrameCursor>,
-    /// Bytes at the end of the queue this frame has encoded and not sealed.
-    unsealed: usize,
-    wire_len: usize,
-}
-
-impl<M: Borrow<WireMsg>> FrameProducer<M> {
-    /// Takes `msg` to be produced as one frame, or refuses it — it does not
-    /// encode, or its payload exceeds `max_frame_bytes` — with the channel's
-    /// send sequence untouched.
-    pub(crate) fn new(
-        msg: M,
-        max_frame_bytes: usize,
-        channel: Option<&mut SecureChannel>,
-    ) -> Result<Self, ProtocolError> {
-        // A sealed frame announces seq + inner header + payload + tag in a
-        // u32 of its own.
-        let max = match channel {
-            Some(_) => max_frame_bytes.min(u32::MAX as usize - (8 + 8 + TAG_LEN)),
-            None => max_frame_bytes,
-        };
-        let len = payload_size_hint(msg.borrow());
-        if len > max || u32::try_from(len).is_err() {
-            return Err(ProtocolError::FrameTooLarge { len, max });
-        }
-        let payload = PayloadEncoder::new(msg)?;
-        let mut head = [0u8; SEALED_PREFIX_BYTES + 8];
-        let (at, seal) = match channel {
-            Some(channel) => {
-                let (prefix, cursor) = channel.seal_cursor(8 + len);
-                head[..SEALED_PREFIX_BYTES].copy_from_slice(&prefix);
-                (SEALED_PREFIX_BYTES, Some(cursor))
-            }
-            None => (0, None),
-        };
-        head[at..at + 4].copy_from_slice(&FRAME_MAGIC_V2);
-        head[at + 4..at + 8].copy_from_slice(&(len as u32).to_be_bytes());
-        let wire_len = at + 8 + len + if seal.is_some() { TAG_LEN } else { 0 };
-        Ok(FrameProducer {
-            payload,
-            head: Some((head, at + 8)),
-            seal,
-            unsealed: 0,
-            wire_len,
-        })
-    }
-
-    /// The frame's size on the wire, seal included.
-    pub(crate) fn wire_len(&self) -> usize {
-        self.wire_len
-    }
-
-    /// Bytes at the end of the queue this frame has put there but not
-    /// sealed: not final yet.
-    pub(crate) fn unsealed(&self) -> usize {
-        self.unsealed
-    }
-
-    /// True once every byte of the frame is in the queue, final.
-    pub(crate) fn is_done(&self) -> bool {
-        self.head.is_none() && self.payload.remaining() == 0 && self.seal.is_none()
-    }
-
-    /// Appends the frame's next bytes to `out` — whose last
-    /// [`unsealed`](Self::unsealed) bytes are this frame's — until `budget`
-    /// more are final or the whole frame is, and returns how many turned
-    /// final and how many of those are sealed ciphertext.
-    pub(crate) fn produce(&mut self, out: &mut Vec<u8>, budget: usize) -> (usize, usize) {
-        let final_end = out.len() - self.unsealed;
-        let mut encoded_from = out.len();
-        if let Some((head, len)) = self.head.take() {
-            out.extend_from_slice(&head[..len]);
-            // The prefix is final; the header behind it is ciphertext.
-            if self.seal.is_some() {
-                encoded_from += SEALED_PREFIX_BYTES;
-            }
-        }
-        let ahead = self.unsealed + out.len() - encoded_from;
-        self.payload.encode(out, budget.saturating_sub(ahead));
-        let Some(cursor) = self.seal.as_mut() else {
-            return (out.len() - final_end, 0);
-        };
-        self.unsealed += out.len() - encoded_from;
-        let at = out.len() - self.unsealed;
-        let sealed = cursor.seal(&mut out[at..], budget.min(self.unsealed));
-        self.unsealed -= sealed;
-        if cursor.remaining() == 0 {
-            let tag = self.seal.take().expect("sealing").tag();
-            out.extend_from_slice(&tag);
-        }
-        (out.len() - self.unsealed - final_end, sealed)
-    }
 }
 
 /// The two key-schedule directions, so client and server construct mirror
@@ -676,7 +554,7 @@ fn channel_from(keys: &SessionKeys, is_client: bool, peer: [u8; 32]) -> SecureCh
 pub enum ChannelFrame {
     /// A `DBHS` handshake message.
     Handshake(Vec<u8>),
-    /// A `DBHE` sealed payload (`seq || ciphertext || tag`).
+    /// A `DBHE` sealed payload: its records.
     Sealed(Vec<u8>),
     /// A plaintext `DBH2` protocol frame: the *entire* frame bytes, header
     /// included, so a `Plaintext`-policy caller can re-parse it with the
@@ -715,15 +593,13 @@ pub fn read_channel_frame<R: Read>(
     read_exact_or(r, &mut len_bytes, "header", false)?;
     let len = u32::from_be_bytes(len_bytes) as usize;
     // Sealed frames may exceed the inner ceiling by exactly the seal.
-    let ceiling = max_frame_bytes.saturating_add(SEALED_FRAME_OVERHEAD);
-    if len > ceiling {
+    if len > channel_ceiling(max_frame_bytes) {
         return Err(ProtocolError::FrameTooLarge {
             len,
             max: max_frame_bytes,
         });
     }
-    let mut payload = vec![0u8; len];
-    read_exact_or(r, &mut payload, "payload", false)?;
+    let payload = read_payload(r, len)?;
     let total = 8 + len;
     if magic == FRAME_MAGIC_HANDSHAKE {
         return Ok((ChannelFrame::Handshake(payload), total));
@@ -1092,22 +968,17 @@ pub(crate) mod tests {
         // The genuine frame still opens (failed opens do not advance seq).
         assert_eq!(server.open_payload(&frame[8..]).unwrap(), b"payload");
 
-        // Replaying it is now out of sequence.
+        // Replaying it is now out of sequence: sealed under sequence number
+        // 0 and opened under 1, its tag fails.
         let err = server.open_payload(&frame[8..]).unwrap_err();
-        assert_eq!(
-            err,
-            ProtocolError::ReplayDetected {
-                expected: 1,
-                got: 0
-            }
-        );
+        assert!(matches!(err, ProtocolError::AuthFailure { .. }), "{err}");
 
         // A reordered (future) frame is refused the same way.
         let f1 = client.seal_frame(b"one");
         let f2 = client.seal_frame(b"two");
         let err = server.open_payload(&f2[8..]).unwrap_err();
-        assert!(matches!(err, ProtocolError::ReplayDetected { .. }), "{err}");
-        let _ = f1;
+        assert!(matches!(err, ProtocolError::AuthFailure { .. }), "{err}");
+        assert_eq!(server.open_payload(&f1[8..]).unwrap(), b"one");
     }
 
     #[test]
@@ -1173,22 +1044,25 @@ pub(crate) mod tests {
         Ok(w)
     }
 
-    /// `SecureChannel::seal_frame` as it stood before frames were sealed in
-    /// slices: the allocating one-shot AEAD, then a second buffer for the
-    /// frame.
-    pub(crate) fn parent_seal_frame(channel: &mut SecureChannel, inner: &[u8]) -> Vec<u8> {
+    /// A sealed frame as the wire format defines it, built independently of
+    /// `Records`: the inner bytes cut into 256 KiB records, each sealed by
+    /// `mini-crypto`'s one-shot AEAD under the nonce `index ‖ seq` with the
+    /// frame's header as associated data.
+    pub(crate) fn reference_seal_frame(channel: &mut SecureChannel, inner: &[u8]) -> Vec<u8> {
         let seq = channel.send_seq;
         channel.send_seq += 1;
-        let mut aad = [0u8; 12];
-        aad[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
-        aad[4..].copy_from_slice(&seq.to_be_bytes());
-        let aead = mini_crypto::ChaCha20Poly1305::new(&channel.send_key);
-        let sealed = aead.seal(&nonce_for(seq), &aad, inner);
-        let mut frame = Vec::with_capacity(SEALED_FRAME_OVERHEAD + inner.len());
-        frame.extend_from_slice(&FRAME_MAGIC_SEALED);
-        frame.extend_from_slice(&((8 + sealed.len()) as u32).to_be_bytes());
-        frame.extend_from_slice(&seq.to_be_bytes());
-        frame.extend_from_slice(&sealed);
+        let mut records: Vec<&[u8]> = inner.chunks(SEAL_SLICE).collect();
+        if records.is_empty() {
+            records.push(&[]);
+        }
+        let len = inner.len() + TAG_LEN * records.len();
+        let mut frame = [FRAME_MAGIC_SEALED, (len as u32).to_be_bytes()].concat();
+        let aad = frame.clone();
+        let aead = ChaCha20Poly1305::new(&channel.send_key);
+        for (i, record) in records.into_iter().enumerate() {
+            let nonce = [&(i as u32).to_be_bytes()[..], &seq.to_be_bytes()].concat();
+            frame.extend(aead.seal(&nonce.try_into().unwrap(), &aad, record));
+        }
         frame
     }
 
@@ -1209,7 +1083,7 @@ pub(crate) mod tests {
         use super::super::codec::tests::{broadcast_batches, sample_msgs};
         use super::super::wire::decode_frame;
         let max = 1 << 20;
-        let (mut sender, mut parent_sender) = (fixed_channel(true), fixed_channel(true));
+        let (mut sender, mut reference_sender) = (fixed_channel(true), fixed_channel(true));
         let (mut receiver, mut copying_receiver) = (fixed_channel(false), fixed_channel(false));
         for msg in sample_msgs().into_iter().chain(broadcast_batches()) {
             // Plaintext, into an empty buffer and behind queued bytes.
@@ -1226,14 +1100,14 @@ pub(crate) mod tests {
             );
 
             // Sealed: the same bytes as encode → inner → seal → frame.
-            let sealed = parent_seal_frame(&mut parent_sender, &plain);
+            let sealed = reference_seal_frame(&mut reference_sender, &plain);
             let mut out = b"queued".to_vec();
             let written = append_frame(&mut out, &msg, max, Some(&mut sender));
             assert_eq!(written, Ok(sealed.len()));
-            assert_eq!(written, Ok(plain.len() + SEALED_FRAME_OVERHEAD));
+            assert_eq!(written, Ok(sealed_frame_len(plain.len())));
             assert_eq!(out, [&b"queued"[..], &sealed].concat());
             // The allocating wrapper is the same frame, one sequence on.
-            let wrapped = parent_sender.seal_frame(&plain);
+            let wrapped = reference_sender.seal_frame(&plain);
             let mut out = Vec::new();
             append_frame(&mut out, &msg, max, Some(&mut sender)).unwrap();
             assert_eq!(out, wrapped);
@@ -1259,154 +1133,205 @@ pub(crate) mod tests {
             assert_eq!(err, ProtocolError::FrameTooLarge { len: 105, max: 16 });
             assert_eq!(out, b"queued");
         }
-        assert_eq!(sender.send_seq, parent_sender.send_seq);
+        assert_eq!(sender.send_seq, reference_sender.send_seq);
         let mut next = Vec::new();
         append_frame(&mut next, &WireMsg::Ack, max, Some(&mut sender)).unwrap();
         let plain = parent_write_frame(&WireMsg::Ack, max).unwrap();
-        assert_eq!(next, parent_seal_frame(&mut parent_sender, &plain));
+        assert_eq!(next, reference_seal_frame(&mut reference_sender, &plain));
     }
 
-    /// Seals `inner` through a cursor, `budgets` giving each slice's
-    /// budget in turn (the last one repeating) — what a write queue does
-    /// across flushes.
-    fn seal_in_slices(channel: &mut SecureChannel, inner: &[u8], budgets: &[usize]) -> Vec<u8> {
-        let (prefix, mut cursor) = channel.seal_cursor(inner.len());
-        let mut frame = prefix.to_vec();
-        frame.extend_from_slice(inner);
+    /// An error message whose plaintext frame is `inner_len` bytes.
+    fn inner_of(inner_len: usize) -> WireMsg {
+        WireMsg::Error {
+            detail: "r".repeat(inner_len - 13),
+        }
+    }
+
+    /// Produces `msg`'s sealed frame a piece at a time, `budgets` giving
+    /// each step's budget beyond the bytes not sealed yet, in turn (the last
+    /// one repeating) — what a write queue does across flushes.
+    fn seal_in_slices(channel: &mut SecureChannel, msg: &WireMsg, budgets: &[usize]) -> Vec<u8> {
+        let mut frame = FrameProducer::new(msg, usize::MAX, Some(channel)).unwrap();
         let mut budgets = budgets
             .iter()
             .chain(std::iter::repeat(budgets.last().unwrap()));
-        while cursor.remaining() > 0 {
-            let at = frame.len() - cursor.remaining();
-            cursor.seal(&mut frame[at..], *budgets.next().unwrap());
+        let mut out = Vec::new();
+        while !frame.is_done() {
+            let budget = frame.unsealed() + budgets.next().unwrap().max(&1);
+            frame.produce(&mut out, budget);
         }
-        frame.extend_from_slice(&cursor.tag());
-        frame
+        assert_eq!(out.len(), frame.wire_len());
+        out
+    }
+
+    /// The plaintext frame of `msg`.
+    fn plain(msg: &WireMsg) -> Vec<u8> {
+        let mut out = Vec::new();
+        append_frame(&mut out, msg, usize::MAX, None).unwrap();
+        out
     }
 
     #[test]
     fn a_frame_sealed_in_slices_is_the_one_shot_frame_at_every_length_and_split() {
-        let (mut sender, mut oracle) = (fixed_channel(true), fixed_channel(true));
+        let (mut sender, mut reference) = (fixed_channel(true), fixed_channel(true));
         let mut receiver = fixed_channel(false);
-        for len in 0..=1200usize {
-            let inner: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
-            // Every slice size a cut can fall at: each whole number of
-            // keystream blocks up to the frame, and budgets that are not
-            // (a run is cut down to whole blocks).
-            let mut budgets: Vec<usize> = (1..=len.div_ceil(BLOCK)).map(|b| b * BLOCK).collect();
-            budgets.extend([BLOCK + 1, 3 * BLOCK - 1, usize::MAX]);
-            for budget in budgets {
-                let sliced = seal_in_slices(&mut sender, &inner, &[budget]);
-                assert_eq!(
-                    sliced,
-                    parent_seal_frame(&mut oracle, &inner),
-                    "length {len}, slices of {budget}"
-                );
+        // Every length to 600 bytes, and one- to three-record frames around
+        // each record boundary.
+        let around = |records: usize| (records * SEAL_SLICE - 2)..=(records * SEAL_SLICE + 2);
+        let lengths = (13..=600)
+            .chain(around(1))
+            .chain(around(2))
+            .chain([3 * SEAL_SLICE]);
+        for len in lengths {
+            let msg = inner_of(len);
+            let inner = plain(&msg);
+            // Budgets that cut anywhere — a byte, odd sizes, a byte either
+            // side of a record, everything at once — in at most 4096 steps.
+            let budgets = [1, 7, 64, 4093, SEAL_SLICE - 1, SEAL_SLICE + 1, usize::MAX];
+            for budget in budgets.into_iter().filter(|&b| len / b <= 4096) {
+                let sliced = seal_in_slices(&mut sender, &msg, &[budget]);
+                let one_shot = reference_seal_frame(&mut reference, &inner);
+                assert_eq!(sliced, one_shot, "length {len}, slices of {budget}");
                 assert_eq!(receiver.open_payload(&sliced[8..]).unwrap(), inner);
             }
         }
     }
 
-    // Seconds-long under a debug-build ChaCha20; CI runs it with --release.
     #[test]
-    #[cfg_attr(debug_assertions, ignore)]
     fn a_mebibyte_frame_sealed_in_random_slices_is_the_one_shot_frame() {
-        let (mut sender, mut oracle) = (fixed_channel(true), fixed_channel(true));
+        let (mut sender, mut reference) = (fixed_channel(true), fixed_channel(true));
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EA1);
-        let inner: Vec<u8> = (0..(1 << 20) + 77).map(|i| (i % 251) as u8).collect();
+        let msg = WireMsg::Error {
+            detail: (0..(1 << 20) + 77)
+                .map(|i| char::from(b'a' + (i % 26) as u8))
+                .collect(),
+        };
+        let inner = plain(&msg);
         for _ in 0..8 {
             let budgets: Vec<usize> = (0..64)
                 .map(|_| match rng.next_u64() % 3 {
-                    0 => BLOCK + (rng.next_u64() % 512) as usize,
+                    0 => 64 + (rng.next_u64() % 512) as usize,
                     1 => (rng.next_u64() % (64 << 10)) as usize,
                     _ => (rng.next_u64() % (512 << 10)) as usize,
                 })
                 .collect();
-            let sliced = seal_in_slices(&mut sender, &inner, &budgets);
-            assert_eq!(sliced, parent_seal_frame(&mut oracle, &inner));
+            let sliced = seal_in_slices(&mut sender, &msg, &budgets);
+            assert_eq!(sliced, reference_seal_frame(&mut reference, &inner));
         }
     }
 
-    /// Opens `payload` as a receiving connection does, `cuts` giving the
-    /// sizes it arrives in: the cursor starts once the sequence number is
-    /// in, opens each arrival, and finishes on the last.
+    /// Feeds `frame` to a receiving connection in pieces of the sizes `cuts`
+    /// gives, polling after each: what it released, or its refusal. Nothing
+    /// is released before the last piece.
     fn open_in_pieces(
-        channel: &mut SecureChannel,
-        payload: &mut [u8],
+        channel: SecureChannel,
+        frame: &[u8],
         cuts: &mut impl FnMut() -> usize,
-    ) -> Result<Vec<u8>, ProtocolError> {
-        let (len, mut arrived) = (payload.len(), 0);
-        let mut cursor = None;
-        while arrived < len {
-            arrived = (arrived + cuts().max(1)).min(len);
-            if arrived == len {
-                break;
-            }
-            if cursor.is_none() && arrived >= 8 && len >= 8 + TAG_LEN {
-                cursor = Some(channel.open_cursor(len, &payload[..arrived])?);
-            }
-            if let Some(cursor) = cursor.as_mut() {
-                cursor.open(&mut payload[8..arrived]);
+    ) -> Result<WireMsg, ProtocolError> {
+        use crate::protocol::connection::{tests::established_with, Event};
+        let mut conn = established_with(channel, usize::MAX);
+        let mut at = 0;
+        while at < frame.len() {
+            let end = (at + cuts().max(1)).min(frame.len());
+            conn.received(&frame[at..end]);
+            at = end;
+            match conn.poll().map_err(|refusal| refusal.error)? {
+                None => assert!(conn.wants_read_deadline()),
+                Some(Event::Frame {
+                    msg, wire_bytes, ..
+                }) => {
+                    assert_eq!((at, wire_bytes), (frame.len(), frame.len()));
+                    return Ok(msg.force().unwrap());
+                }
+                Some(other) => panic!("{other:?}"),
             }
         }
-        match cursor {
-            Some(cursor) => channel.finish_open(cursor, payload),
-            None => channel.open_in_place(payload),
-        }
-        .map(<[u8]>::to_vec)
+        Err(conn.closed_error())
     }
 
     #[test]
     fn a_frame_opened_as_it_arrives_is_the_frame_opened_whole() {
-        let (mut sender, mut receiver) = (fixed_channel(true), fixed_channel(false));
+        let mut sender = fixed_channel(true);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x0BE4);
-        for len in (0..700).step_by(13).chain([4096, 70_000]) {
-            let inner: Vec<u8> = (0..len).map(|i| (i * 3) as u8).collect();
-            // A byte at a time, pieces that never end on a block, random.
-            for piece in [1, 63, 0] {
+        let lengths = (13..700).step_by(13).chain([4096, 70_000, SEAL_SLICE + 9]);
+        for (seq, len) in lengths.enumerate() {
+            let msg = inner_of(len);
+            let frame = sender.seal_frame(&plain(&msg));
+            // A byte at a time, pieces that never end on a record, random.
+            for piece in [1, 4093, 0] {
+                if piece == 1 && len > 4096 {
+                    continue;
+                }
                 let mut cut = || match piece {
-                    0 => (rng.next_u64() % 300) as usize,
+                    0 => (rng.next_u64() % 30_000) as usize,
                     n => n,
                 };
-                let mut payload = sender.seal_frame(&inner)[8..].to_vec();
-                let opened = open_in_pieces(&mut receiver, &mut payload, &mut cut);
-                assert_eq!(opened.unwrap(), inner, "length {len}, pieces of {piece}");
+                let mut receiver = fixed_channel(false);
+                receiver.recv_seq = seq as u64;
+                let opened = open_in_pieces(receiver, &frame, &mut cut);
+                assert_eq!(opened.unwrap(), msg, "length {len}, pieces of {piece}");
             }
         }
     }
 
     #[test]
     fn a_tampered_frame_opened_as_it_arrives_is_refused_and_put_back() {
-        let (mut sender, mut receiver) = (fixed_channel(true), fixed_channel(false));
+        let mut sender = fixed_channel(true);
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x7A3B);
-        let inner: Vec<u8> = (0..150).map(|i| i as u8).collect();
-        let genuine = sender.seal_frame(&inner)[8..].to_vec();
-        // Every byte of the payload: sequence number, ciphertext, tag.
-        for at in 0..genuine.len() {
+        let msg = inner_of(150);
+        let genuine = sender.seal_frame(&plain(&msg));
+        let mut receiver = fixed_channel(false);
+        // Every byte of the payload, ciphertext and tag: refused as it
+        // arrives, and by the one-step open, which puts it back.
+        for at in 8..genuine.len() {
             for piece in [1usize, 7, 64, 0] {
-                let mut payload = genuine.clone();
-                payload[at] ^= 0x20;
-                let tampered = payload.clone();
+                let mut frame = genuine.clone();
+                frame[at] ^= 0x20;
                 let mut cut = || match piece {
                     0 => (rng.next_u64() % 40) as usize,
                     n => n,
                 };
-                let err = open_in_pieces(&mut receiver, &mut payload, &mut cut).unwrap_err();
-                if at < 8 {
-                    assert!(matches!(err, ProtocolError::ReplayDetected { .. }), "{err}");
-                } else {
-                    assert!(matches!(err, ProtocolError::AuthFailure { .. }), "{err}");
-                }
-                assert_eq!(payload, tampered, "byte {at}, pieces of {piece}: put back");
-                assert_eq!(receiver.recv_seq, 0, "byte {at}: no sequence taken");
+                let err = open_in_pieces(fixed_channel(false), &frame, &mut cut).unwrap_err();
+                assert!(matches!(err, ProtocolError::AuthFailure { .. }), "{err}");
             }
+            let mut payload = genuine[8..].to_vec();
+            payload[at - 8] ^= 0x20;
+            let tampered = payload.clone();
+            let err = receiver.open_in_place(&mut payload).unwrap_err();
+            assert!(matches!(err, ProtocolError::AuthFailure { .. }), "{err}");
+            assert_eq!(payload, tampered, "byte {at}: put back");
+            assert_eq!(receiver.recv_seq, 0, "byte {at}: no sequence taken");
         }
-        let mut payload = genuine.clone();
         assert_eq!(
-            open_in_pieces(&mut receiver, &mut payload, &mut || 5),
-            Ok(inner)
+            open_in_pieces(fixed_channel(false), &genuine, &mut || 5),
+            Ok(msg)
         );
-        assert_eq!(receiver.recv_seq, 1);
+    }
+
+    #[test]
+    fn a_multi_record_open_in_place_that_fails_puts_every_record_back() {
+        let mut sender = fixed_channel(true);
+        let inner: Vec<u8> = (0..2 * SEAL_SLICE + 300).map(|i| (i % 251) as u8).collect();
+        let genuine = sender.seal_frame(&inner)[8..].to_vec();
+        let mut receiver = fixed_channel(false);
+        let record = SEAL_SLICE + TAG_LEN;
+        for at in [
+            0,
+            record - 1,
+            record,
+            2 * record - 1,
+            2 * record,
+            genuine.len() - 1,
+        ] {
+            let mut payload = genuine.clone();
+            payload[at] ^= 1;
+            let tampered = payload.clone();
+            let err = receiver.open_in_place(&mut payload).unwrap_err();
+            assert!(matches!(err, ProtocolError::AuthFailure { .. }), "{err}");
+            assert_eq!(payload, tampered, "byte {at}: put back");
+        }
+        let mut payload = genuine;
+        assert_eq!(receiver.open_in_place(&mut payload).unwrap(), inner);
     }
 
     /// An M1 for a server handshake: `static ‖ ephemeral`, as given.

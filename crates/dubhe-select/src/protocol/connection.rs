@@ -28,37 +28,41 @@
 //! | Handshake | downgrade (downgrade) | handshake step; longer than the role's longest message: too large (—) | out of phase (—) | refused (—) |
 //! | Established | downgrade (downgrade) | out of phase (decode) | frame; failed open (AEAD), bad inner frame (decode) | refused (decode) |
 //!
+//! A replayed, reordered or spliced sealed frame is a failed open: the
+//! sequence number a frame is sealed under is not on the wire, so a frame
+//! out of sequence fails its tag.
+//!
 //! "(—)": no counter of its own — a connection that dies before mutual
 //! authentication is one failed handshake, whatever killed it.
 //!
-//! An established connection opens a sealed frame while it arrives: its
-//! sequence number is checked once its eight bytes are in, and each whole
-//! 64-byte block of ciphertext is MACed and decrypted where it lands (see
-//! the channel module's *A frame in slices*). The frame is decoded only
-//! once it is whole and its tag has verified; a refusal is the one it
-//! would have earned whole. Its peer is authenticated, so its header
-//! reserves the whole frame at once.
+//! An established connection opens a sealed frame record by record as it
+//! arrives (see the channel module's *A frame a record at a time*): each
+//! record is verified once all of it is in, decrypted where it lies, and
+//! its plaintext decoded as a plaintext connection decodes a frame. No byte
+//! is decoded before its own record's tag verifies, and the frame is
+//! released once its last record is in; until then the connection is
+//! mid-frame.
 //!
-//! A plaintext connection decodes a batch as it arrives instead: each
-//! envelope once all of its bytes are in, which are then dropped, so a
-//! registration broadcast is held about an envelope at a time and released
-//! as one [`Event::Frame`] when its last envelope is in. Until then the
-//! connection is mid-frame, for [`closed_error`](Connection::closed_error)
-//! and the read deadline alike. No plaintext header reserves anything: the
-//! buffer grows only as bytes land, never more than a read budget past
-//! them. Nor does a handshake-phase header — a handshake message longer
-//! than the role's longest, a plaintext frame or a sealed one is refused
-//! at it.
+//! A plaintext batch — bare, or a sealed frame's plaintext — is decoded as
+//! it arrives: each envelope once all of its bytes are in, which are then
+//! dropped, so a registration broadcast is held about an envelope (and on a
+//! channel a record) at a time and released as one [`Event::Frame`] when
+//! its last envelope is in. Until then the connection is mid-frame, for
+//! [`closed_error`](Connection::closed_error) and the read deadline alike.
+//! No header reserves more than one record: a buffer grows only as bytes
+//! land, never more than a read budget past them. A handshake-phase header
+//! reserves nothing — a handshake message longer than the role's longest, a
+//! plaintext frame or a sealed one is refused at it.
 
 use std::io::{self, Read, Write};
 
 use super::channel::{
-    ClientHandshake, FrameCursor, HandshakeStep, NodeIdentity, SecureChannel, ServerHandshake,
-    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, HELLO_LEN, M2_LEN, SEALED_FRAME_OVERHEAD,
+    sealed_frame_len, ClientHandshake, HandshakeStep, NodeIdentity, Records, SecureChannel,
+    ServerHandshake, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, HELLO_LEN, M2_LEN,
 };
-use super::frames::{BufferedFrame, FrameBuffer, WriteQueue};
+use super::frames::{FrameBuffer, WriteQueue};
 use super::stats::Counter;
-use super::wire::{decode_frame_lazy, LazyMsg, WireMsg, FRAME_MAGIC_V2};
+use super::wire::{LazyMsg, WireMsg, FRAME_MAGIC_V2};
 use crate::error::ProtocolError;
 use mini_crypto::TAG_LEN;
 
@@ -95,8 +99,8 @@ enum Phase {
     /// Mutually authenticated: nothing but `DBHE` sealed frames is.
     Established {
         channel: SecureChannel,
-        /// The sealed frame arriving now, opened as far as it has landed.
-        opening: Option<FrameCursor>,
+        /// The records of the sealed frame arriving now.
+        arriving: Option<Records>,
     },
 }
 
@@ -140,33 +144,41 @@ pub struct Refusal {
     pub counter: Option<Counter>,
 }
 
-fn refuse(counter: Option<Counter>) -> impl FnOnce(ProtocolError) -> Refusal {
+fn refuse(counter: Option<Counter>) -> impl Fn(ProtocolError) -> Refusal + Copy {
     move |error| Refusal { error, counter }
 }
 
-/// A frame whose magic the connection's phase does not speak.
-fn out_of_phase(frame: BufferedFrame<'_>) -> Refusal {
-    let auth = |detail: &str| ProtocolError::AuthFailure {
-        detail: detail.to_string(),
+/// A frame whose magic the connection's phase does not speak, refused at
+/// its header with what the whole frame would earn.
+fn out_of_phase(magic: [u8; 4]) -> Refusal {
+    let auth = |detail: &str, counter| Refusal {
+        error: ProtocolError::AuthFailure {
+            detail: detail.to_string(),
+        },
+        counter,
     };
-    match frame {
-        BufferedFrame::Plaintext(frame) => Refusal {
-            error: ProtocolError::DowngradeRefused {
-                magic: frame[..4].try_into().expect("4-byte magic"),
-            },
+    match magic {
+        FRAME_MAGIC_V2 => Refusal {
+            error: ProtocolError::DowngradeRefused { magic },
             counter: Some(Counter::DowngradesRefused),
         },
         // Only the handshake phase refuses a sealed frame...
-        BufferedFrame::Sealed(_) => Refusal {
-            error: auth("sealed frame before the handshake finished"),
-            counter: None,
-        },
+        FRAME_MAGIC_SEALED => auth("sealed frame before the handshake finished", None),
         // ...and only the established one a handshake frame.
-        BufferedFrame::Handshake(_) => Refusal {
-            error: auth("handshake frame after the channel was established"),
-            counter: Some(Counter::DecodeErrors),
-        },
+        _ => auth(
+            "handshake frame after the channel was established",
+            Some(Counter::DecodeErrors),
+        ),
     }
+}
+
+/// A frame header's magic and announced length.
+fn split_header(header: [u8; 8]) -> ([u8; 4], usize) {
+    let [m0, m1, m2, m3, l0, l1, l2, l3] = header;
+    (
+        [m0, m1, m2, m3],
+        u32::from_be_bytes([l0, l1, l2, l3]) as usize,
+    )
 }
 
 /// One connection's protocol state: reassembly, channel phase, write queue.
@@ -177,6 +189,9 @@ pub struct Connection {
     /// [`queue`](Self::queue) and the handshake's own messages.
     pub out: WriteQueue,
     max_frame_bytes: usize,
+    /// What [`received`](Self::received) made of a record it opened, for
+    /// the next [`poll`](Self::poll).
+    ready: Option<Result<Event, Refusal>>,
 }
 
 impl std::fmt::Debug for Connection {
@@ -190,11 +205,16 @@ impl std::fmt::Debug for Connection {
 
 impl Connection {
     fn new(phase: Phase, max_frame_bytes: usize) -> Connection {
+        let frames = match phase {
+            Phase::Plaintext => FrameBuffer::new(),
+            _ => FrameBuffer::channel(),
+        };
         Connection {
             phase,
-            frames: FrameBuffer::new(),
+            frames,
             out: WriteQueue::default(),
             max_frame_bytes,
+            ready: None,
         }
     }
 
@@ -225,8 +245,28 @@ impl Connection {
         connection
     }
 
-    /// Appends bytes read off the socket.
-    pub fn received(&mut self, bytes: &[u8]) {
+    /// Appends bytes read off the socket. On a channel, the bytes that
+    /// complete a record are taken first and the record opened and decoded
+    /// at once — what [`poll`](Self::poll) would do — before the bytes
+    /// behind it are buffered, so the buffer holds one record, not a record
+    /// and a read; what that made is kept for the next poll.
+    pub fn received(&mut self, mut bytes: &[u8]) {
+        while self.ready.is_none() {
+            let Phase::Established {
+                arriving: Some(records),
+                ..
+            } = &self.phase
+            else {
+                break;
+            };
+            let rest = (records.next_len() + TAG_LEN).saturating_sub(self.frames.unopened());
+            if records.is_done() || bytes.len() < rest {
+                break;
+            }
+            self.frames.extend(&bytes[..rest]);
+            bytes = &bytes[rest..];
+            self.ready = self.poll().transpose();
+        }
         self.frames.extend(bytes);
     }
 
@@ -234,6 +274,9 @@ impl Connection {
     /// `Ok(None)` means "need more bytes". After a refusal the connection
     /// is dead: the driver reports it and hangs up.
     pub fn poll(&mut self) -> Result<Option<Event>, Refusal> {
+        if let Some(ready) = self.ready.take() {
+            return ready.map(Some);
+        }
         let max = self.max_frame_bytes;
         match &mut self.phase {
             Phase::Plaintext => {
@@ -250,30 +293,23 @@ impl Connection {
             Phase::Handshake(hs) => {
                 // Refused at its header, before a byte of it is buffered: no
                 // unauthenticated peer makes this buffer hold more than the
-                // role's longest handshake message. A plaintext or sealed
-                // frame under the ceiling is out of phase at its header with
-                // the refusal it would earn whole.
-                let longest = hs.longest_message();
-                let ceiling = max.saturating_add(SEALED_FRAME_OVERHEAD);
-                match self.frames.header() {
-                    Some((FRAME_MAGIC_HANDSHAKE, len)) if len > longest => {
-                        let too_large = ProtocolError::FrameTooLarge { len, max: longest };
-                        return Err(refuse(None)(too_large));
-                    }
-                    Some((FRAME_MAGIC_V2, len)) if len <= ceiling => {
-                        return Err(out_of_phase(BufferedFrame::Plaintext(&FRAME_MAGIC_V2)));
-                    }
-                    Some((FRAME_MAGIC_SEALED, len)) if len <= ceiling => {
-                        return Err(out_of_phase(BufferedFrame::Sealed(&mut [])));
-                    }
-                    _ => {}
-                }
-                let payload = match self.frames.next_channel_frame(max).map_err(refuse(None))? {
-                    None => return Ok(None),
-                    Some((BufferedFrame::Handshake(payload), _)) => payload,
-                    Some((other, _)) => return Err(out_of_phase(other)),
+                // role's longest handshake message.
+                let Some(header) = self.frames.channel_header(max).map_err(refuse(None))? else {
+                    return Ok(None);
                 };
-                let step = hs.on_payload(payload).map_err(refuse(None))?;
+                let (magic, len) = split_header(header);
+                if magic != FRAME_MAGIC_HANDSHAKE {
+                    return Err(out_of_phase(magic));
+                }
+                let longest = hs.longest_message();
+                if len > longest {
+                    let too_large = ProtocolError::FrameTooLarge { len, max: longest };
+                    return Err(refuse(None)(too_large));
+                }
+                let Some(frame) = self.frames.take(8 + len) else {
+                    return Ok(None);
+                };
+                let step = hs.on_payload(&frame[8..]).map_err(refuse(None))?;
                 if let Some(reply) = step.reply {
                     self.out.push(&reply);
                 }
@@ -283,51 +319,58 @@ impl Connection {
                 let peer = channel.peer_identity();
                 self.phase = Phase::Established {
                     channel,
-                    opening: None,
+                    arriving: None,
                 };
                 Ok(Some(Event::Established { peer }))
             }
-            Phase::Established { channel, opening } => {
-                let decode = Some(Counter::DecodeErrors);
-                // Tampered ciphertext or a replayed/reordered sequence: the
-                // receive direction is dead, the connection with it.
+            Phase::Established { channel, arriving } => loop {
+                let decode = refuse(Some(Counter::DecodeErrors));
+                // Tampered ciphertext, or a frame replayed, reordered, cut
+                // or spliced: the receive direction is dead, and the
+                // connection with it.
                 let aead = refuse(Some(Counter::AeadRejections));
-                let next = self
-                    .frames
-                    .next_channel_frame(max)
-                    .map_err(refuse(decode))?;
-                let (payload, wire_bytes) = match next {
-                    None => {
-                        // A sealed frame still arriving, its header already
-                        // checked: its sequence number once it is in, then
-                        // every whole block of ciphertext as it lands.
-                        if let Some((FRAME_MAGIC_SEALED, len)) = self.frames.header() {
-                            let arrived = self.frames.arriving_payload();
-                            if opening.is_none() && arrived.len() >= 8 && len >= 8 + TAG_LEN {
-                                *opening = Some(channel.open_cursor(len, arrived).map_err(aead)?);
-                            }
-                            if let Some(cursor) = opening {
-                                cursor.open(&mut arrived[8..]);
-                            }
-                        }
+                let Some(records) = arriving else {
+                    // Between frames: the next header, in the clear.
+                    let Some(header) = self.frames.channel_header(max).map_err(decode)? else {
                         return Ok(None);
+                    };
+                    let (magic, _) = split_header(header);
+                    if magic != FRAME_MAGIC_SEALED {
+                        return Err(out_of_phase(magic));
                     }
-                    Some((BufferedFrame::Sealed(payload), wire_bytes)) => (payload, wire_bytes),
-                    Some((other, _)) => return Err(out_of_phase(other)),
+                    self.frames.take(8);
+                    *arriving = Some(channel.open_records(header).map_err(aead)?);
+                    continue;
                 };
-                // Only now, the tag verified, is a byte of the frame decoded.
-                let inner = match opening.take() {
-                    Some(cursor) => channel.finish_open(cursor, payload),
-                    None => channel.open_in_place(payload),
+                // Each record once all of it is in: verified, decrypted in
+                // place, and its plaintext put behind the frame's so far.
+                self.frames.open_records(records).map_err(aead)?;
+                // Only verified bytes are decoded: the inner frame, as far as
+                // its records have opened.
+                let Some((msg, frame_bytes)) = self.frames.next_frame_lazy(max).map_err(decode)?
+                else {
+                    if records.is_done() {
+                        // The seal ended inside its inner frame.
+                        return Err(decode(ProtocolError::TruncatedFrame { context: "payload" }));
+                    }
+                    self.frames.reserve_record(records.next_len() + TAG_LEN);
+                    return Ok(None);
+                };
+                if frame_bytes != records.inner_len() {
+                    return Err(decode(ProtocolError::MalformedFrame {
+                        detail: format!(
+                            "a sealed frame of {} inner bytes holds a {frame_bytes}-byte frame",
+                            records.inner_len()
+                        ),
+                    }));
                 }
-                .map_err(aead)?;
-                let (msg, frame_bytes) = decode_frame_lazy(inner, max).map_err(refuse(decode))?;
-                Ok(Some(Event::Frame {
+                *arriving = None;
+                return Ok(Some(Event::Frame {
                     msg,
-                    wire_bytes,
+                    wire_bytes: sealed_frame_len(frame_bytes),
                     frame_bytes,
-                }))
-            }
+                }));
+            },
         }
     }
 
@@ -360,7 +403,18 @@ impl Connection {
 
     /// True if a frame has started arriving but is not complete yet.
     pub fn is_mid_frame(&self) -> bool {
-        self.frames.is_mid_frame()
+        self.frames.is_mid_frame() || self.is_opening()
+    }
+
+    /// True while a sealed frame's header is in and its last record is not.
+    fn is_opening(&self) -> bool {
+        matches!(
+            self.phase,
+            Phase::Established {
+                arriving: Some(_),
+                ..
+            }
+        )
     }
 
     /// Whether the driver should hold the connection to a read deadline:
@@ -375,6 +429,7 @@ impl Connection {
     /// truncated frame inside one.
     pub fn closed_error(&self) -> ProtocolError {
         match self.frames.pending_bytes() {
+            _ if self.is_opening() => ProtocolError::TruncatedFrame { context: "payload" },
             0 => ProtocolError::Disconnected,
             1..=7 => ProtocolError::TruncatedFrame { context: "header" },
             _ => ProtocolError::TruncatedFrame { context: "payload" },
@@ -421,8 +476,8 @@ impl Connection {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             if let Some(event) = self.poll().map_err(|refusal| refusal.error)? {
-                if !self.frames.is_mid_frame() {
-                    self.frames = FrameBuffer::new();
+                if !self.is_mid_frame() {
+                    self.frames.release();
                 }
                 return Ok(event);
             }
@@ -452,14 +507,26 @@ impl Connection {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::protocol::channel::tests::fixed_channel;
     use crate::protocol::channel::{
         append_frame, FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
     };
-    use crate::protocol::wire::MAX_FRAME_BYTES;
+    use crate::protocol::frames::SEAL_SLICE;
+    use crate::protocol::wire::{decode_frame, MAX_FRAME_BYTES};
 
     const MAX: usize = 1024;
+
+    /// An established connection over `channel`, as if its handshake had
+    /// just completed.
+    pub(crate) fn established_with(channel: SecureChannel, max_frame_bytes: usize) -> Connection {
+        let phase = Phase::Established {
+            channel,
+            arriving: None,
+        };
+        Connection::new(phase, max_frame_bytes)
+    }
 
     fn client_id() -> NodeIdentity {
         NodeIdentity::from_seed(1)
@@ -593,7 +660,7 @@ mod tests {
             },
             Incoming::TamperedSeal => {
                 let mut frame = sealed();
-                frame[16] ^= 1; // first ciphertext byte: header(8) + seq(8)
+                frame[8] ^= 1; // first ciphertext byte, behind the header
                 frame
             }
             Incoming::ReplayedSeal => sealed().repeat(2),
@@ -639,7 +706,7 @@ mod tests {
             }
             (At::Established, Incoming::ReplayedSeal) => vec![
                 ack(),
-                Got::Refused("ReplayDetected".to_string(), Some(AeadRejections)),
+                Got::Refused("AuthFailure".to_string(), Some(AeadRejections)),
             ],
         }
     }
@@ -841,6 +908,192 @@ mod tests {
                 conn.closed_error(),
                 ProtocolError::TruncatedFrame { context: "payload" },
                 "k = {k}"
+            );
+        }
+    }
+
+    /// A batch of `n` envelopes around one `TEST_KEY_BITS` total: the
+    /// registration broadcast's shape, 3.6 KB an envelope.
+    fn broadcast(n: usize) -> WireMsg {
+        use crate::protocol::{Envelope, Party, ProtocolMsg};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(36);
+        let kp = dubhe_he::Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng);
+        let total = dubhe_he::EncryptedVector::encrypt_u64(&kp.public, &[1; 56], &mut rng);
+        let msg = ProtocolMsg::EncryptedTotalBroadcast { total };
+        let envelope = |i| Envelope {
+            from: Party::Server,
+            to: Party::Client(i),
+            epoch: 1,
+            msg: msg.clone(),
+        };
+        WireMsg::Batch {
+            envelopes: (0..n).map(envelope).collect(),
+        }
+    }
+
+    /// Sealed frames of one, two and three records — an error, then two
+    /// broadcasts — each the first a fixed channel sends, with its message.
+    fn record_frames() -> Vec<(WireMsg, Vec<u8>)> {
+        let short = WireMsg::Error {
+            detail: "one record".to_string(),
+        };
+        [short, broadcast(100), broadcast(160)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, msg)| {
+                let mut frame = Vec::new();
+                let mut sender = fixed_channel(true);
+                append_frame(&mut frame, &msg, MAX_FRAME_BYTES, Some(&mut sender)).unwrap();
+                assert_eq!((frame.len() - 8).div_ceil(SEAL_SLICE + TAG_LEN), i + 1);
+                (msg, frame)
+            })
+            .collect()
+    }
+
+    /// Where record `k` of a sealed frame starts.
+    fn record_at(k: usize) -> usize {
+        8 + k * (SEAL_SLICE + TAG_LEN)
+    }
+
+    #[test]
+    fn a_sealed_frame_split_anywhere_yields_the_event_it_yields_whole() {
+        // Split in two: at every byte of the header and around every record
+        // boundary and tag, and every 4093rd byte between — against what the
+        // one-step open and decode make of the frame.
+        for (msg, frame) in record_frames() {
+            let mut payload = frame[8..].to_vec();
+            let inner = fixed_channel(false).open_in_place(&mut payload).unwrap();
+            assert_eq!(decode_frame(inner, MAX_FRAME_BYTES).unwrap().0, msg);
+            let inner_len = inner.len();
+            let records = (frame.len() - 8).div_ceil(SEAL_SLICE + TAG_LEN);
+            let mut splits: Vec<usize> = (0..=24).chain((0..frame.len()).step_by(4093)).collect();
+            for k in 1..=records {
+                let end = record_at(k).min(frame.len());
+                splits.extend(end - TAG_LEN - 2..=end + 2);
+            }
+            for at in splits.into_iter().filter(|&at| at <= frame.len()) {
+                let mut conn = established_with(fixed_channel(false), MAX_FRAME_BYTES);
+                conn.received(&frame[..at]);
+                if at < frame.len() {
+                    assert!(matches!(conn.poll(), Ok(None)), "split at {at}");
+                    assert_eq!(conn.is_mid_frame(), at > 0, "split at {at}");
+                }
+                conn.received(&frame[at..]);
+                let Ok(Some(Event::Frame {
+                    msg: got,
+                    wire_bytes,
+                    frame_bytes,
+                })) = conn.poll()
+                else {
+                    panic!("split at {at}: no frame");
+                };
+                assert_eq!(got.force().unwrap(), msg, "split at {at}");
+                assert_eq!((wire_bytes, frame_bytes), (frame.len(), inner_len));
+                assert!(!conn.wants_read_deadline(), "split at {at}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_tampered_dropped_swapped_cut_or_relabelled_record_releases_nothing() {
+        let (_, frame) = record_frames().pop().expect("a three-record frame");
+        // A genuine frame behind, the second the sender seals: what a
+        // lengthened header reads into.
+        let next = {
+            let mut sender = fixed_channel(true);
+            sender.seal_frame(b"DBH2\0\0\0\x01\x03");
+            sender.seal_frame(b"DBH2\0\0\0\x01\x03")
+        };
+        let relabel = |mut bytes: Vec<u8>, len: usize| {
+            bytes[4..8].copy_from_slice(&(len as u32).to_be_bytes());
+            bytes
+        };
+        let (r0, r1, r2) = (record_at(0), record_at(1), record_at(2));
+        let mut cases: Vec<(String, Vec<u8>)> = Vec::new();
+        for (k, (start, end)) in [(r0, r1), (r1, r2), (r2, frame.len())]
+            .into_iter()
+            .enumerate()
+        {
+            for (what, at) in [("ciphertext", start + 5), ("tag", end - 1)] {
+                let mut tampered = frame.clone();
+                tampered[at] ^= 1;
+                cases.push((format!("the {what} of record {k} tampered"), tampered));
+            }
+        }
+        // Record 0 dropped: record 1 arrives in its place. Record 1 dropped:
+        // the frame is short by a record, so the header is relabelled to
+        // match (or the receiver would wait for it).
+        cases.push((
+            "record 0 dropped".into(),
+            [&frame[..r0], &frame[r1..], &next].concat(),
+        ));
+        let dropped = [&frame[..r1], &frame[r2..]].concat();
+        let dropped_len = dropped.len() - 8;
+        cases.push((
+            "record 1 dropped, the header relabelled".into(),
+            relabel(dropped, dropped_len),
+        ));
+        let swapped = [&frame[..r0], &frame[r1..r2], &frame[r0..r1], &frame[r2..]].concat();
+        cases.push(("records 0 and 1 swapped".into(), swapped));
+        for k in [1, 2] {
+            let cut = relabel(frame[..record_at(k)].to_vec(), record_at(k) - 8);
+            cases.push((format!("cut after record {k}, the header relabelled"), cut));
+        }
+        for len in [frame.len() - 9, frame.len() - 7] {
+            let edited = relabel(frame.clone(), len);
+            cases.push((
+                format!("the header length edited to {len}"),
+                [&edited[..], &next].concat(),
+            ));
+        }
+        for (what, bytes) in cases {
+            for chunk in [usize::MAX, 16 * 1024] {
+                let mut conn = established_with(fixed_channel(false), MAX_FRAME_BYTES);
+                let mut refused = None;
+                for piece in bytes.chunks(chunk) {
+                    conn.received(piece);
+                    match conn.poll() {
+                        Ok(None) => {}
+                        Ok(Some(event)) => panic!("{what}: released {event:?}"),
+                        Err(refusal) => {
+                            refused = Some(refusal);
+                            break;
+                        }
+                    }
+                }
+                let refusal = refused.unwrap_or_else(|| panic!("{what}: not refused"));
+                assert!(
+                    matches!(refusal.error, ProtocolError::AuthFailure { .. }),
+                    "{what}: {}",
+                    refusal.error
+                );
+                assert_eq!(refusal.counter, Some(Counter::AeadRejections), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_peer_hanging_up_between_records_truncates_the_payload() {
+        let (msg, frame) = record_frames().pop().expect("a three-record frame");
+        let cuts = [1, 7, 8, 9, record_at(1) - 1, record_at(1), record_at(1) + 1];
+        for cut in cuts.into_iter().chain([record_at(2), frame.len() - 1]) {
+            let mut conn = established_with(fixed_channel(false), MAX_FRAME_BYTES);
+            conn.received(&frame[..cut]);
+            assert!(matches!(conn.poll(), Ok(None)), "cut at {cut}");
+            assert!(conn.wants_read_deadline(), "cut at {cut}");
+            let context = if cut < 8 { "header" } else { "payload" };
+            assert_eq!(
+                conn.closed_error(),
+                ProtocolError::TruncatedFrame { context },
+                "cut at {cut}"
+            );
+            conn.received(&frame[cut..]);
+            assert!(
+                matches!(conn.poll(), Ok(Some(Event::Frame { msg: got, .. })) if got.clone().force().unwrap() == msg)
+            );
+            assert!(
+                !conn.wants_read_deadline() && conn.closed_error() == ProtocolError::Disconnected
             );
         }
     }

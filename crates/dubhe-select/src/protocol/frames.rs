@@ -18,19 +18,25 @@
 //! A plaintext batch is decoded while it arrives, an envelope at a time
 //! (the codec's `PayloadDecoder`), and each envelope's bytes are left
 //! behind as consumed once decoded: the buffer holds about an envelope of a
-//! registration broadcast, not the frame. Only a sealed frame's announced
-//! length is reserved ahead of its bytes; every other buffer grows as they
-//! land.
+//! registration broadcast, not the frame. On an established channel the
+//! same decoding reads only the records opened so far — each verified and
+//! decrypted in place by the [`Connection`](super::connection::Connection),
+//! its tag dropped — so the buffer holds about a record and an envelope. No
+//! announced length is reserved ahead of its bytes: a buffer grows as they
+//! land, by at most a record at a time.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
 use super::channel::{
-    FrameProducer, SecureChannel, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, SEALED_FRAME_OVERHEAD,
+    channel_ceiling, sealed_frame_len, Records, SecureChannel, FRAME_MAGIC_HANDSHAKE,
+    FRAME_MAGIC_SEALED,
 };
-use super::codec::{PayloadDecoder, RegistryFrame, BATCH_TAG};
+use super::codec::{payload_size_hint, PayloadDecoder, PayloadEncoder, RegistryFrame, BATCH_TAG};
 use super::wire::{decode_frame_lazy, LazyMsg, WireMsg, FRAME_MAGIC_V2};
 use crate::error::ProtocolError;
+use mini_crypto::TAG_LEN;
 
 /// Magic (4) + big-endian payload length (4).
 const HEADER_BYTES: usize = 8;
@@ -209,6 +215,10 @@ impl WriteQueue {
     fn produce_ahead(&mut self) {
         let lead = self.final_end() - self.pos;
         let mut budget = SEAL_SLICE.saturating_sub(lead);
+        // A record's header and tag can take the lead past a slice.
+        if budget == 0 {
+            return;
+        }
         // Where production can end, from `pos`: a slice past it and a
         // piece's fields more, or the end of the queue.
         let end = lead + (budget + PRODUCE_SLACK).min(self.pending() - lead);
@@ -312,18 +322,135 @@ impl WriteQueue {
     }
 }
 
-/// One frame of any known magic, still undecoded and still inside the
-/// [`FrameBuffer`] it was reassembled in — the borrowed twin of
-/// [`ChannelFrame`](super::channel::ChannelFrame).
-#[derive(Debug, PartialEq, Eq)]
-pub enum BufferedFrame<'a> {
-    /// A `DBHS` handshake message.
-    Handshake(&'a [u8]),
-    /// A `DBHE` sealed payload (`seq || ciphertext || tag`), mutable so the
-    /// channel can open it where it lies.
-    Sealed(&'a mut [u8]),
-    /// A plaintext `DBH2` protocol frame, header included.
-    Plaintext(&'a [u8]),
+/// One wire frame — bare, or sealed on a channel — produced into the end of
+/// a byte queue a piece at a time.
+///
+/// [`new`](Self::new) does everything that can fail and nothing else: it
+/// checks the message encodes, fixes the frame's exact length against the
+/// ceiling and, on a channel, takes the frame's sequence number. Each
+/// [`produce`](Self::produce) then encodes the frame's next bytes behind
+/// what it put in the queue before and, on a channel, seals each record once
+/// its last plaintext byte is encoded, its tag right behind it, so the queue
+/// need only ever hold the record on its way to the socket. The bytes are
+/// those of the whole frame built at once, however they are cut.
+pub(crate) struct FrameProducer<M> {
+    payload: PayloadEncoder<M>,
+    /// What goes in front of the payload and is not out yet: on a channel
+    /// the `DBHE` header, then the (inner) `DBH2` header.
+    head: Option<([u8; 16], usize)>,
+    /// The records on a channel, until the last tag is out.
+    seal: Option<Records>,
+    /// Bytes at the end of the queue this frame has encoded and not sealed:
+    /// the current record's so far.
+    unsealed: usize,
+    wire_len: usize,
+}
+
+impl<M: Borrow<WireMsg>> FrameProducer<M> {
+    /// Takes `msg` to be produced as one frame, or refuses it — it does not
+    /// encode, or its payload exceeds `max_frame_bytes` — with the channel's
+    /// send sequence untouched.
+    pub(crate) fn new(
+        msg: M,
+        max_frame_bytes: usize,
+        channel: Option<&mut SecureChannel>,
+    ) -> Result<Self, ProtocolError> {
+        let len = payload_size_hint(msg.borrow());
+        let wire_len = match channel {
+            Some(_) => sealed_frame_len(8 + len),
+            None => 8 + len,
+        };
+        // A frame announces what follows its header in a u32 of its own.
+        if len > max_frame_bytes || u32::try_from(wire_len - 8).is_err() {
+            return Err(ProtocolError::FrameTooLarge {
+                len,
+                max: max_frame_bytes,
+            });
+        }
+        let payload = PayloadEncoder::new(msg)?;
+        let seal = channel.map(|channel| channel.seal_records(8 + len));
+        let mut head = [0u8; 16];
+        let at = match &seal {
+            Some(records) => {
+                head[..8].copy_from_slice(&records.header());
+                8
+            }
+            None => 0,
+        };
+        head[at..at + 4].copy_from_slice(&FRAME_MAGIC_V2);
+        head[at + 4..at + 8].copy_from_slice(&(len as u32).to_be_bytes());
+        Ok(FrameProducer {
+            payload,
+            head: Some((head, at + 8)),
+            seal,
+            unsealed: 0,
+            wire_len,
+        })
+    }
+
+    /// The frame's size on the wire, seal included.
+    pub(crate) fn wire_len(&self) -> usize {
+        self.wire_len
+    }
+
+    /// Bytes at the end of the queue this frame has put there but not
+    /// sealed: not final yet.
+    pub(crate) fn unsealed(&self) -> usize {
+        self.unsealed
+    }
+
+    /// True once every byte of the frame is in the queue, final.
+    pub(crate) fn is_done(&self) -> bool {
+        self.head.is_none() && self.payload.remaining() == 0 && self.seal.is_none()
+    }
+
+    /// Appends the frame's next bytes to `out` — whose last
+    /// [`unsealed`](Self::unsealed) bytes are this frame's — until `budget`
+    /// more are in or the whole frame is, and returns how many turned final
+    /// and how many of those are sealed ciphertext. On a channel bytes turn
+    /// final a record at a time, and a record's unsealed bytes count against
+    /// the budget.
+    pub(crate) fn produce(&mut self, out: &mut Vec<u8>, budget: usize) -> (usize, usize) {
+        let final_end = out.len() - self.unsealed;
+        if let Some((head, len)) = self.head.take() {
+            out.extend_from_slice(&head[..len]);
+            // On a channel the inner header is record 0's first plaintext.
+            if self.seal.is_some() {
+                self.unsealed += 8;
+            }
+        }
+        let room = |out: &Vec<u8>| budget.saturating_sub(out.len() - final_end);
+        let Some(records) = self.seal.as_mut() else {
+            self.payload.encode(out, room(out));
+            return (out.len() - final_end, 0);
+        };
+        let mut sealed = 0;
+        loop {
+            let record = records.next_len();
+            if self.unsealed < record {
+                let before = out.len();
+                self.payload
+                    .encode(out, (record - self.unsealed).min(room(out)));
+                self.unsealed += out.len() - before;
+                if self.unsealed < record {
+                    break;
+                }
+            }
+            // The record's last byte is in (with perhaps a piece's fields
+            // past it): seal it and put its tag right behind it.
+            let at = out.len() - self.unsealed;
+            let tag = records.seal(&mut out[at..at + record]);
+            out.extend_from_slice(&tag);
+            out[at + record..].rotate_right(TAG_LEN);
+            self.unsealed -= record;
+            sealed += record;
+            if records.is_done() {
+                self.seal = None;
+                break;
+            }
+        }
+        (out.len() - self.unsealed - final_end, sealed)
+    }
 }
 
 /// Reassembles length-prefixed frames from arbitrary byte slices. One per
@@ -333,9 +460,62 @@ pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Start of the unparsed suffix in `buf`.
     pos: usize,
+    /// On an established channel, the bytes at the end of `buf` not opened
+    /// yet: the records still arriving and whatever follows them. A pull
+    /// reads only the plaintext in front of them.
+    sealed: Option<usize>,
     /// The plaintext batch being decoded as it arrives: its header and the
     /// envelopes already decoded are behind `pos`.
     decoding: Option<PayloadDecoder>,
+}
+
+/// Room made past a sealed record and the plaintext in front of it, so that
+/// the part of an envelope a later record leaves undecoded fits as well.
+const RECORD_SLACK: usize = 8 * 1024;
+
+/// Validates the frame header at the front of `avail`: the magic as soon as
+/// it is complete — garbage is refused after 4 bytes, not held until a
+/// phantom "length" dribbles in — and the announced length against the
+/// ceiling once the header is whole, which it returns with the magic.
+/// `channel` admits the `DBHS` and `DBHE` magics, and a channel's ceiling
+/// above the inner one: exactly a sealed frame's.
+fn check_header(
+    avail: &[u8],
+    max_frame_bytes: usize,
+    channel: bool,
+) -> Result<Option<([u8; 4], usize)>, ProtocolError> {
+    if avail.len() < 4 {
+        return Ok(None);
+    }
+    let magic = [avail[0], avail[1], avail[2], avail[3]];
+    let known = magic == FRAME_MAGIC_V2
+        || (channel && (magic == FRAME_MAGIC_HANDSHAKE || magic == FRAME_MAGIC_SEALED));
+    if !known {
+        let expected = if channel {
+            "DBH2, DBHS or DBHE"
+        } else {
+            "DBH2"
+        };
+        return Err(ProtocolError::MalformedFrame {
+            detail: format!("bad magic {magic:02x?}, expected {expected}"),
+        });
+    }
+    if avail.len() < HEADER_BYTES {
+        return Ok(None);
+    }
+    let len = u32::from_be_bytes([avail[4], avail[5], avail[6], avail[7]]) as usize;
+    let ceiling = if channel {
+        channel_ceiling(max_frame_bytes)
+    } else {
+        max_frame_bytes
+    };
+    if len > ceiling {
+        return Err(ProtocolError::FrameTooLarge {
+            len,
+            max: max_frame_bytes,
+        });
+    }
+    Ok(Some((magic, len)))
 }
 
 impl FrameBuffer {
@@ -344,11 +524,16 @@ impl FrameBuffer {
         Self::default()
     }
 
+    /// End of the plaintext a pull may read.
+    fn end(&self) -> usize {
+        self.buf.len() - self.sealed.unwrap_or(0)
+    }
+
     /// Appends bytes read off the socket. When they do not fit, the
     /// consumed prefix is dropped first (a move of fewer bytes than the
     /// reallocation it saves would copy) and the buffer grows only then:
     /// it doubles, but never to more than [`SEAL_SLICE`] past the bytes it
-    /// holds. Only a sealed frame's header reserves ahead of its bytes.
+    /// holds.
     pub fn extend(&mut self, bytes: &[u8]) {
         compact(&mut self.buf, &mut self.pos);
         if self.buf.capacity() - self.buf.len() < bytes.len() {
@@ -362,6 +547,9 @@ impl FrameBuffer {
             }
         }
         self.buf.extend_from_slice(bytes);
+        if let Some(sealed) = &mut self.sealed {
+            *sealed += bytes.len();
+        }
     }
 
     /// Bytes received but not yet consumed by a complete frame — a batch's
@@ -376,23 +564,14 @@ impl FrameBuffer {
 
     /// The magic and announced payload length of the frame at the front,
     /// once its 8-byte header has arrived — what a caller with a ceiling of
-    /// its own checks before a pull reserves the announced length.
+    /// its own checks before a pull.
     pub fn header(&self) -> Option<([u8; 4], usize)> {
         if self.decoding.is_some() {
             return None;
         }
-        let h = self.buf.get(self.pos..self.pos + HEADER_BYTES)?;
+        let h = self.buf[..self.end()].get(self.pos..self.pos + HEADER_BYTES)?;
         let len = u32::from_be_bytes([h[4], h[5], h[6], h[7]]) as usize;
         Some(([h[0], h[1], h[2], h[3]], len))
-    }
-
-    /// The payload of the frame at the front as far as it has arrived, once
-    /// its header has — the bytes a sealed frame's open cursor works
-    /// through before the frame is whole. Only meaningful while that frame
-    /// is incomplete (a pull just came up short).
-    pub(crate) fn arriving_payload(&mut self) -> &mut [u8] {
-        let start = (self.pos + HEADER_BYTES).min(self.buf.len());
-        &mut self.buf[start..]
     }
 
     /// True if a frame has started arriving but is not complete yet — the
@@ -402,67 +581,96 @@ impl FrameBuffer {
         self.pending_bytes() > 0
     }
 
-    /// Validates the header at the front of the unparsed bytes and returns
-    /// the frame's total length once the whole frame has arrived; `None`
-    /// means "need more bytes". The magic is checked as soon as it is
-    /// complete — garbage is refused after 4 bytes, not held until a
-    /// phantom "length" dribbles in — and the announced length against the
-    /// ceiling before any payload is buffered. `channel` admits the `DBHS`
-    /// and `DBHE` magics, and a sealed frame's allowance above the inner
-    /// ceiling (exactly the seal).
-    ///
-    /// A sealed frame that passed both checks but is still arriving gets its
-    /// whole announced length reserved here, once: a multi-megabyte reply is
-    /// opened in one allocation instead of growing its way up. Its peer is
-    /// authenticated (the handshake phase refuses a sealed frame at its
-    /// header); every other frame's buffer grows only as its bytes land.
-    fn arrived(
-        &mut self,
+    /// Frees the buffer once it holds nothing — for an owner that waits on
+    /// its peer between frames and should not hold the largest frame it
+    /// ever received across that wait.
+    pub(crate) fn release(&mut self) {
+        if self.pending_bytes() == 0 {
+            self.buf = Vec::new();
+            self.pos = 0;
+        }
+    }
+
+    /// An empty buffer for a channel's bytes, none of which a pull reads
+    /// until it is taken or opened.
+    pub(crate) fn channel() -> Self {
+        FrameBuffer {
+            sealed: Some(0),
+            ..Self::default()
+        }
+    }
+
+    /// On a channel, between frames: the next frame's header, once it is
+    /// whole and valid ([`check_header`]: a channel's magics and ceiling).
+    pub(crate) fn channel_header(
+        &self,
         max_frame_bytes: usize,
-        channel: bool,
-    ) -> Result<Option<usize>, ProtocolError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
-            return Ok(None);
+    ) -> Result<Option<[u8; 8]>, ProtocolError> {
+        let raw = &self.buf[self.end()..];
+        let header = check_header(raw, max_frame_bytes, true)?;
+        Ok(header.map(|_| raw[..HEADER_BYTES].try_into().expect("8-byte header")))
+    }
+
+    /// On a channel, between frames: takes the next `len` bytes off the
+    /// front — a sealed frame's header, a whole handshake frame — once they
+    /// are in.
+    pub(crate) fn take(&mut self, len: usize) -> Option<&[u8]> {
+        let start = self.end();
+        if self.buf.len() < start + len {
+            return None;
         }
-        let magic = [avail[0], avail[1], avail[2], avail[3]];
-        let known = magic == FRAME_MAGIC_V2
-            || (channel && (magic == FRAME_MAGIC_HANDSHAKE || magic == FRAME_MAGIC_SEALED));
-        if !known {
-            let expected = if channel {
-                "DBH2, DBHS or DBHE"
-            } else {
-                "DBH2"
+        self.pos = start + len;
+        *self.sealed.as_mut().expect("a channel's bytes") -= len;
+        Some(&self.buf[start..start + len])
+    }
+
+    /// Opens every record `records` walks that is in whole — verified, then
+    /// decrypted where it lies — and puts its plaintext behind what a pull
+    /// reads, its tag dropped. A failed tag leaves the record as it came.
+    pub(crate) fn open_records(&mut self, records: &mut Records) -> Result<(), ProtocolError> {
+        while !records.is_done() {
+            let (start, len) = (self.end(), records.next_len() + TAG_LEN);
+            let Some(record) = self.buf.get_mut(start..start + len) else {
+                break;
             };
-            return Err(ProtocolError::MalformedFrame {
-                detail: format!("bad magic {magic:02x?}, expected {expected}"),
-            });
+            records.open(record)?;
+            self.buf.drain(start + len - TAG_LEN..start + len);
+            *self.sealed.as_mut().expect("a channel's bytes") -= len;
         }
-        if avail.len() < HEADER_BYTES {
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes([avail[4], avail[5], avail[6], avail[7]]) as usize;
-        let ceiling = if channel {
-            max_frame_bytes.saturating_add(SEALED_FRAME_OVERHEAD)
-        } else {
-            max_frame_bytes
-        };
-        if len > ceiling {
-            return Err(ProtocolError::FrameTooLarge {
-                len,
-                max: max_frame_bytes,
-            });
-        }
-        let total = HEADER_BYTES + len;
-        if avail.len() < total {
-            if magic == FRAME_MAGIC_SEALED && self.buf.capacity() - self.pos < total {
-                self.buf.drain(..self.pos);
-                self.pos = 0;
-                self.buf.reserve_exact(total - self.buf.len());
+        Ok(())
+    }
+
+    /// Makes room for a sealed record of `len` bytes behind the plaintext
+    /// not yet decoded, once: a record is held whole before it is opened,
+    /// so its buffer is reserved rather than doubled into.
+    pub(crate) fn reserve_record(&mut self, len: usize) {
+        let need = self.end() - self.pos + len;
+        if self.buf.capacity() - self.pos < need {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+            if self.buf.capacity() < need {
+                let room = need + RECORD_SLACK;
+                self.buf.reserve_exact(room.saturating_sub(self.buf.len()));
             }
-            return Ok(None);
         }
-        Ok(Some(total))
+    }
+
+    /// Bytes not opened yet, on a channel.
+    pub(crate) fn unopened(&self) -> usize {
+        self.sealed.unwrap_or(0)
+    }
+
+    /// Validates the header at the front of the unparsed plaintext
+    /// ([`check_header`]) and returns the frame's total length once the
+    /// whole frame has arrived; `None` means "need more bytes". No announced
+    /// length is reserved: the buffer grows only as bytes land.
+    fn arrived(&mut self, max_frame_bytes: usize) -> Result<Option<usize>, ProtocolError> {
+        let avail = &self.buf[self.pos..self.end()];
+        let Some((_, len)) = check_header(avail, max_frame_bytes, false)? else {
+            return Ok(None);
+        };
+        let total = HEADER_BYTES + len;
+        Ok((avail.len() >= total).then_some(total))
     }
 
     /// Pulls the next complete frame, if one has fully arrived:
@@ -501,20 +709,21 @@ impl FrameBuffer {
         max_frame_bytes: usize,
     ) -> Result<Option<(LazyMsg, usize)>, ProtocolError> {
         if self.decoding.is_none() {
-            if let Some(total) = self.arrived(max_frame_bytes, false)? {
+            if let Some(total) = self.arrived(max_frame_bytes)? {
                 return self.whole_frame_lazy(total, max_frame_bytes).map(Some);
             }
             let Some((_, len)) = self.header() else {
                 return Ok(None);
             };
-            if self.buf.get(self.pos + HEADER_BYTES) != Some(&BATCH_TAG) {
+            if self.buf[..self.end()].get(self.pos + HEADER_BYTES) != Some(&BATCH_TAG) {
                 return Ok(None);
             }
             self.pos += HEADER_BYTES;
             self.decoding = Some(PayloadDecoder::new(len));
         }
+        let end = self.end();
         let decoder = self.decoding.as_mut().expect("a batch being decoded");
-        let (taken, msg) = decoder.decode(&self.buf[self.pos..])?;
+        let (taken, msg) = decoder.decode(&self.buf[self.pos..end])?;
         self.pos += taken;
         let Some(msg) = msg else {
             return Ok(None);
@@ -546,43 +755,12 @@ impl FrameBuffer {
         self.pos += total;
         Ok(frame)
     }
-
-    /// Pulls the next frame of *any* known magic — `DBHS` handshake, `DBHE`
-    /// sealed or plaintext protocol — still undecoded and still in the
-    /// buffer, as a [`BufferedFrame`]. The nonblocking twin of
-    /// [`read_channel_frame`](super::channel::read_channel_frame):
-    /// the reactor's pre-protocol handshake phase and its sealed sessions
-    /// pull through this, and the caller decides which variants its policy
-    /// and phase accept — a sealed payload is handed out mutably, to be
-    /// opened and decoded in place. Same contract as
-    /// [`next_frame`](Self::next_frame): magic validated after 4 bytes,
-    /// announced length checked against the ceiling *before* buffering
-    /// (sealed frames may exceed the inner ceiling by exactly the seal),
-    /// `Ok(None)` means "need more bytes".
-    pub fn next_channel_frame(
-        &mut self,
-        max_frame_bytes: usize,
-    ) -> Result<Option<(BufferedFrame<'_>, usize)>, ProtocolError> {
-        let Some(total) = self.arrived(max_frame_bytes, true)? else {
-            return Ok(None);
-        };
-        let frame = &mut self.buf[self.pos..self.pos + total];
-        self.pos += total;
-        let magic = [frame[0], frame[1], frame[2], frame[3]];
-        let pulled = if magic == FRAME_MAGIC_HANDSHAKE {
-            BufferedFrame::Handshake(&frame[HEADER_BYTES..])
-        } else if magic == FRAME_MAGIC_SEALED {
-            BufferedFrame::Sealed(&mut frame[HEADER_BYTES..])
-        } else {
-            BufferedFrame::Plaintext(frame)
-        };
-        Ok(Some((pulled, total)))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::channel::SEALED_FRAME_OVERHEAD;
     use crate::protocol::write_frame;
 
     fn encode(msg: &WireMsg) -> Vec<u8> {
@@ -717,52 +895,59 @@ mod tests {
     fn channel_pull_classifies_every_magic_and_keeps_the_error_contract() {
         use crate::protocol::channel::write_handshake_frame;
 
-        // A handshake frame, a sealed frame and a plaintext frame pipelined
-        // in one burst classify in order, byte-at-a-time included.
+        // A handshake frame, a sealed frame's header and a plaintext frame
+        // pipelined in one burst classify in order, byte-at-a-time included:
+        // each header once whole, each frame taken once in.
         let mut hs = Vec::new();
         write_handshake_frame(&mut hs, &[7u8; 64]).unwrap();
-        let mut sealed = Vec::new();
-        sealed.extend_from_slice(&FRAME_MAGIC_SEALED);
-        sealed.extend_from_slice(&(24u32).to_be_bytes());
-        sealed.extend_from_slice(&[9u8; 24]);
+        let sealed = [&FRAME_MAGIC_SEALED[..], &24u32.to_be_bytes()].concat();
         let plain = encode(&WireMsg::Ack);
-        let mut burst = hs.clone();
-        burst.extend_from_slice(&sealed);
-        burst.extend_from_slice(&plain);
+        let burst = [&hs[..], &sealed, &plain].concat();
 
-        let mut fb = FrameBuffer::new();
-        for &byte in &burst[..hs.len()] {
-            assert!(fb.next_channel_frame(1024).unwrap().is_none());
+        let mut fb = FrameBuffer::channel();
+        for &byte in &burst[..8] {
+            assert!(fb.channel_header(1024).unwrap().is_none());
             fb.extend(&[byte]);
         }
-        fb.extend(&burst[hs.len()..]);
-        let (frame, n) = fb.next_channel_frame(1024).unwrap().unwrap();
-        assert_eq!(frame, BufferedFrame::Handshake(&[7u8; 64]));
-        assert_eq!(n, hs.len());
-        let (frame, _) = fb.next_channel_frame(1024).unwrap().unwrap();
-        assert_eq!(frame, BufferedFrame::Sealed(&mut [9u8; 24]));
-        let (frame, _) = fb.next_channel_frame(1024).unwrap().unwrap();
-        assert!(matches!(frame, BufferedFrame::Plaintext(frame) if *frame == plain[..]));
-        assert!(fb.next_channel_frame(1024).unwrap().is_none());
+        assert_eq!(
+            fb.channel_header(1024).unwrap(),
+            Some(hs[..8].try_into().unwrap())
+        );
+        assert!(fb.take(hs.len()).is_none(), "the payload is not in yet");
+        fb.extend(&burst[8..]);
+        assert_eq!(fb.take(hs.len()), Some(&hs[..]));
+        assert_eq!(
+            fb.channel_header(1024).unwrap(),
+            Some(sealed[..].try_into().unwrap())
+        );
+        assert_eq!(fb.take(8), Some(&sealed[..]));
+        assert_eq!(
+            fb.channel_header(1024).unwrap(),
+            Some(plain[..8].try_into().unwrap())
+        );
+        assert_eq!(fb.take(plain.len()), Some(&plain[..]));
+        assert!(fb.channel_header(1024).unwrap().is_none());
         assert!(!fb.is_mid_frame());
 
         // Unknown magic refused after 4 bytes; a sealed frame may exceed the
         // inner ceiling by exactly the seal, but no more.
-        let mut fb = FrameBuffer::new();
+        let mut fb = FrameBuffer::channel();
         fb.extend(b"HTTP");
         assert!(matches!(
-            fb.next_channel_frame(1024),
+            fb.channel_header(1024),
             Err(ProtocolError::MalformedFrame { .. })
         ));
-        let mut fb = FrameBuffer::new();
+        // (An inner ceiling of 128: below about 100 bytes the longest
+        // handshake message sets the channel's ceiling instead.)
+        let mut fb = FrameBuffer::channel();
         fb.extend(&FRAME_MAGIC_SEALED);
-        fb.extend(&((64 + SEALED_FRAME_OVERHEAD) as u32).to_be_bytes());
-        assert!(fb.next_channel_frame(64).unwrap().is_none()); // exactly at ceiling: wait
-        let mut fb = FrameBuffer::new();
+        fb.extend(&((128 + SEALED_FRAME_OVERHEAD) as u32).to_be_bytes());
+        assert!(fb.channel_header(128).unwrap().is_some()); // exactly at ceiling
+        let mut fb = FrameBuffer::channel();
         fb.extend(&FRAME_MAGIC_SEALED);
-        fb.extend(&((65 + SEALED_FRAME_OVERHEAD) as u32).to_be_bytes());
+        fb.extend(&((129 + SEALED_FRAME_OVERHEAD) as u32).to_be_bytes());
         assert!(matches!(
-            fb.next_channel_frame(64),
+            fb.channel_header(128),
             Err(ProtocolError::FrameTooLarge { .. })
         ));
     }
@@ -1076,6 +1261,7 @@ mod tests {
         // opens and decodes.
         use crate::protocol::channel::append_frame;
         use crate::protocol::channel::tests::fixed_channel;
+        use crate::protocol::codec::payload_size_hint;
         use crate::protocol::wire::decode_frame;
         let mix = frame_mix();
         let (small, large) = mix.split_at(mix.len() - 4);
@@ -1135,7 +1321,7 @@ mod tests {
                             let one_step = append_frame(&mut expect, msg, max, oracle.as_mut());
                             assert_eq!(written, one_step);
                             assert_eq!(written, Ok(expect.len() - start));
-                            let inner = expect.len() - start - 32 * usize::from(sealed);
+                            let inner = 8 + payload_size_hint(msg);
                             sealed_bytes += (inner * usize::from(sealed)) as u64;
                             sent.push(msg);
                             continue;
@@ -1193,37 +1379,6 @@ mod tests {
                 wire = &wire[len..];
             }
         }
-    }
-
-    #[test]
-    fn an_announced_frame_is_reserved_once_not_doubled_into() {
-        // After a sealed frame's 8-byte header passes the ceiling check the
-        // whole frame is reserved; feeding the rest in socket-sized chunks
-        // never reallocates, even with a consumed frame still ahead of it.
-        let mut big = FRAME_MAGIC_SEALED.to_vec();
-        big.extend_from_slice(&(3u32 << 20).to_be_bytes());
-        big.resize(HEADER_BYTES + (3 << 20), 0x5A);
-        let ack = encode(&WireMsg::Ack);
-        let mut fb = FrameBuffer::new();
-        fb.extend(&ack);
-        fb.extend(&big[..HEADER_BYTES]);
-        assert!(fb.next_channel_frame(4 << 20).unwrap().is_some());
-        assert!(fb.next_channel_frame(4 << 20).unwrap().is_none());
-        let reserved = fb.buf.capacity();
-        assert_eq!(reserved, big.len(), "exactly the announced frame");
-        let at = fb.buf.as_ptr();
-        for chunk in big[HEADER_BYTES..].chunks(16 * 1024) {
-            fb.extend(chunk);
-            assert_eq!((fb.buf.as_ptr(), fb.buf.capacity()), (at, reserved));
-        }
-        let (frame, bytes) = fb.next_channel_frame(4 << 20).unwrap().unwrap();
-        assert_eq!(bytes, big.len());
-        assert!(matches!(frame, BufferedFrame::Sealed(payload) if payload.len() == 3 << 20));
-        // Over the ceiling nothing is reserved at all.
-        let mut fb = FrameBuffer::new();
-        fb.extend(&big[..HEADER_BYTES]);
-        assert!(fb.next_channel_frame(1 << 20).is_err());
-        assert!(fb.buf.capacity() < 1024);
     }
 
     #[test]

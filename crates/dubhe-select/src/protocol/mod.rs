@@ -115,7 +115,7 @@ pub use driver::{
     run_try_with_dropouts, RegistrationRun,
 };
 pub use fault::{Fault, FaultPlan, FaultStats, FaultyTransport};
-pub use frames::{BufferedFrame, FrameBuffer};
+pub use frames::FrameBuffer;
 pub use message::{Envelope, MsgKind, Party, ProtocolMsg};
 pub use packing::PackingPolicy;
 pub use roles::{AgentNode, CohortOutcome, Coordinator, SelectClientNode};

@@ -35,9 +35,8 @@ use serde::{Deserialize, Serialize};
 
 use super::channel::{
     secret_bytes_from_seed, ChannelPolicy, NodeIdentity, RetrySchedule, HANDSHAKE_WIRE_BYTES,
-    SEALED_FRAME_OVERHEAD,
 };
-use super::codec::CodecKind;
+use super::codec::{payload_size_hint, CodecKind};
 use super::connection::{Connection, Event};
 use super::message::Envelope;
 use super::roles::Coordinator;
@@ -182,8 +181,8 @@ pub struct WireStats {
     /// bit-identical with the channel on or off.
     pub handshake_bytes: usize,
     /// Extra bytes sealing added on top of the inner plaintext frames
-    /// ([`SEALED_FRAME_OVERHEAD`]
-    /// per frame, both directions). Same separation rationale as
+    /// ([`SEALED_FRAME_OVERHEAD`](super::channel::SEALED_FRAME_OVERHEAD) per frame of up to 256 KiB, a tag more per
+    /// 256 KiB past that; both directions). Same separation rationale as
     /// `handshake_bytes`.
     pub sealed_overhead_bytes: usize,
     /// Successful [`TcpTransport::reconnect`] cycles on this connector.
@@ -393,10 +392,7 @@ impl TcpTransport {
     fn send(&mut self, msg: &WireMsg) -> Result<(), ProtocolError> {
         let written = self.connection.queue(msg.clone())?;
         self.connection.write_queued(&mut self.stream)?;
-        let overhead = match self.connection.peer() {
-            Some(_) => SEALED_FRAME_OVERHEAD,
-            None => 0,
-        };
+        let overhead = written - 8 - payload_size_hint(msg);
         self.wire.frames_sent += 1;
         self.wire.bytes_sent += written - overhead;
         self.wire.sealed_overhead_bytes += overhead;

@@ -20,8 +20,9 @@
 //! * a frame that does not start with a known magic is rejected as
 //!   [`ProtocolError::MalformedFrame`] before any allocation happens;
 //! * the announced payload length is checked against [`MAX_FRAME_BYTES`]
-//!   ([`ProtocolError::FrameTooLarge`]) so garbage or hostile headers cannot
-//!   make the receiver allocate unboundedly;
+//!   ([`ProtocolError::FrameTooLarge`]), and the payload buffer grows only
+//!   as its bytes land, so garbage or hostile headers cannot make the
+//!   receiver allocate what the peer never sends;
 //! * a stream that ends mid-frame surfaces
 //!   [`ProtocolError::TruncatedFrame`]; a stream that ends cleanly *between*
 //!   frames surfaces [`ProtocolError::Disconnected`] — callers that expected
@@ -37,6 +38,7 @@ use serde::{Deserialize, Serialize};
 
 use super::channel::append_frame;
 use super::codec::{self, RegistryFrame};
+use super::frames::SEAL_SLICE;
 use super::message::{Envelope, Party};
 use crate::error::ProtocolError;
 use crate::selector::ClientId;
@@ -209,15 +211,29 @@ fn read_header<R: Read>(r: &mut R, max_frame_bytes: usize) -> Result<usize, Prot
 
 /// [`read_frame`] with a caller-configured payload ceiling (see
 /// [`TcpConfig`](super::tcp::TcpConfig)). The announced length is checked
-/// against `max_frame_bytes` before the payload buffer is allocated.
+/// against `max_frame_bytes` before a payload byte is read, and the payload
+/// buffer grows only as its bytes arrive.
 pub fn read_frame_limited<R: Read>(
     r: &mut R,
     max_frame_bytes: usize,
 ) -> Result<(WireMsg, usize), ProtocolError> {
     let len = read_header(r, max_frame_bytes)?;
-    let mut payload = vec![0u8; len];
-    read_exact_or(r, &mut payload, "payload", false)?;
+    let payload = read_payload(r, len)?;
     Ok((codec::decode(&payload)?, HEADER_BYTES + len))
+}
+
+/// Reads a payload of the `len` bytes an (unauthenticated) header announced
+/// into a buffer that grows as they land, at most [`SEAL_SLICE`] a step: a
+/// header announcing the ceiling, then silence or a hang-up, sizes nothing
+/// it has not received.
+pub(crate) fn read_payload(r: &mut impl Read, len: usize) -> Result<Vec<u8>, ProtocolError> {
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let at = payload.len();
+        payload.resize(at + (len - at).min(SEAL_SLICE), 0);
+        read_exact_or(r, &mut payload[at..], "payload", false)?;
+    }
+    Ok(payload)
 }
 
 /// Splits the frame at the front of `bytes` into its borrowed payload, with

@@ -1029,7 +1029,7 @@ fn tamper_and_replay_gauntlet(addr: std::net::SocketAddr, pin: [u8; 32]) {
         "the untampered frame establishes a healthy session first"
     );
     let mut evil = sealed_bytes(&mut channel, &verdict_envelope(2));
-    evil[16] ^= 0x01; // first ciphertext byte: header(8) + nonce(8) = 16
+    evil[8] ^= 0x01; // first ciphertext byte, behind the 8-byte header
     stream.write_all(&evil).unwrap();
     match read_sealed(&mut stream, &mut channel) {
         WireMsg::Error { detail } => {
@@ -1040,8 +1040,9 @@ fn tamper_and_replay_gauntlet(addr: std::net::SocketAddr, pin: [u8; 32]) {
     let mut rest = Vec::new();
     assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "then a hangup");
 
-    // Replay: byte-identical sealed frames do not re-enter. The nonce
-    // sequence makes the second copy a typed out-of-sequence rejection.
+    // Replay: byte-identical sealed frames do not re-enter. The receiver
+    // opens the second copy under the next sequence number, so its tag
+    // fails: a typed authentication failure.
     let (mut stream, mut channel) = sealed_session(addr, 32, pin);
     let once = sealed_bytes(&mut channel, &verdict_envelope(3));
     stream.write_all(&once).unwrap();
@@ -1051,7 +1052,7 @@ fn tamper_and_replay_gauntlet(addr: std::net::SocketAddr, pin: [u8; 32]) {
     ));
     stream.write_all(&once).unwrap();
     match read_sealed(&mut stream, &mut channel) {
-        WireMsg::Error { detail } => assert!(detail.contains("out of sequence"), "{detail}"),
+        WireMsg::Error { detail } => assert!(detail.contains("authentication failed"), "{detail}"),
         other => panic!("expected a replay rejection, got {other:?}"),
     }
     let mut rest = Vec::new();

@@ -5,19 +5,19 @@
 //! that path swing with the host; what it *allocates* does not. This test
 //! pins the mechanism: framing and sealing the broadcast makes **one**
 //! frame-sized allocation (the frame itself, reserved exactly) and a number
-//! of small ones that does not grow with `N`; receiving it — reassembly,
-//! open in place, decode — makes one more, through a bare reassembly buffer
-//! or a client-role `Connection` alike, and an unauthenticated handshake
-//! header sizes no buffer at all. Received bare, by a plaintext
-//! connection, it is decoded an envelope at a time as it lands: no
-//! allocation of even a quarter of the frame, and live bytes within one
-//! envelope and 64 KiB of what decoding alone holds, whatever `N`; no
-//! plaintext header sizes a buffer either. Queued on a connection, as the listener
-//! queues its replies, the broadcast is not even framed whole: the write
-//! queue encodes and seals it a slice ahead of the socket, so what the
-//! server holds for it is about two slices whatever the cohort size. An
-//! integration test is its own binary, so the counting `#[global_allocator]`
-//! observes exactly this workload.
+//! of small ones that does not grow with `N`; opening it in place and
+//! decoding it make none more. Received by a connection — bare, or sealed,
+//! its records verified and decrypted as they land — it is decoded an
+//! envelope at a time: no allocation of even a quarter of the frame, and
+//! live bytes within one envelope (and on a channel one record) and 64 KiB
+//! of what decoding alone holds, whatever `N`. No header sizes a buffer
+//! past what has landed: not an unauthenticated handshake header, not a
+//! plaintext one, and not one a blocking reader meets. Queued on a
+//! connection, as the listener queues its replies, the broadcast is not
+//! even framed whole: the write queue encodes and seals it a slice ahead of
+//! the socket, so what the server holds for it is about two slices whatever
+//! the cohort size. An integration test is its own binary, so the counting
+//! `#[global_allocator]` observes exactly this workload.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
@@ -29,11 +29,12 @@ use dubhe_select::protocol::codec::{decode, payload_size_hint};
 use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::frames::SEAL_SLICE;
 use dubhe_select::protocol::{
-    append_frame, client_handshake, decode_frame, read_channel_frame, ChannelFrame, Connection,
-    Envelope, NodeIdentity, Party, ProtocolMsg, SecureChannel, ServerHandshake, WireMsg,
-    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
+    append_frame, client_handshake, decode_frame, read_channel_frame, read_frame_limited,
+    ChannelFrame, Connection, Envelope, NodeIdentity, Party, ProtocolMsg, SecureChannel,
+    ServerHandshake, WireMsg, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, FRAME_MAGIC_V2,
+    MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
 };
-use dubhe_select::protocol::{BufferedFrame, FrameBuffer};
+use dubhe_select::ProtocolError;
 use rand::SeedableRng;
 
 /// Forwards to the system allocator, counting calls, calls at or above
@@ -159,6 +160,13 @@ fn connection_pair() -> (Connection, Connection) {
     (client, server)
 }
 
+/// A sealed frame's wire length around an inner frame of `inner` bytes: a
+/// one-record frame's overhead, and a tag more for each record past the
+/// first.
+fn sealed_len(inner: usize) -> usize {
+    inner + SEALED_FRAME_OVERHEAD + 16 * (inner.div_ceil(SEAL_SLICE) - 1)
+}
+
 /// The registration broadcast of an `n`-client cohort over a length-56
 /// total, built the way the coordinators build it: clones of one message.
 fn broadcast(n: usize) -> WireMsg {
@@ -186,7 +194,7 @@ fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
     let mut small_allocs = Vec::new();
     for n in [75, 300] {
         let msg = broadcast(n);
-        let wire = 8 + payload_size_hint(&msg) + 32;
+        let wire = sealed_len(8 + payload_size_hint(&msg));
 
         // Out: encode, frame and seal straight into the write queue.
         let (queue, allocs, frame_sized, peak) = measure(wire / 4, || {
@@ -203,24 +211,11 @@ fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
             "n = {n}: {peak} B live to put {wire} B on the wire"
         );
 
-        // In: socket-sized chunks into the reassembly buffer, opened and
-        // decoded where they land.
-        let mut frames = FrameBuffer::new();
+        // In, in one step: the payload in one buffer, opened and decoded
+        // where it lies.
         let (back, allocs_in, frame_sized, _) = measure(wire / 4, || {
-            for chunk in queue.chunks(16 * 1024) {
-                frames.extend(chunk);
-                if frames.pending_bytes() < wire {
-                    assert!(frames
-                        .next_channel_frame(MAX_FRAME_BYTES)
-                        .unwrap()
-                        .is_none());
-                }
-            }
-            let (frame, _) = frames.next_channel_frame(MAX_FRAME_BYTES).unwrap().unwrap();
-            let BufferedFrame::Sealed(payload) = frame else {
-                panic!("a sealed frame");
-            };
-            let inner = client.open_in_place(payload).unwrap();
+            let mut payload = queue[8..].to_vec();
+            let inner = client.open_in_place(&mut payload).unwrap();
             decode_frame(inner, MAX_FRAME_BYTES).unwrap().0
         });
         assert_eq!(frame_sized, 1, "n = {n}: frame-sized allocations receiving");
@@ -240,8 +235,12 @@ fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
             }
             panic!("the broadcast never completed");
         });
+        // It holds one record, not the frame: a record's buffer is a
+        // quarter of the frame or more at n = 75 (two records), and less at
+        // n = 300.
         assert_eq!(
-            frame_sized, 1,
+            frame_sized,
+            usize::from(4 * SEAL_SLICE >= wire),
             "n = {n}: frame-sized allocations in a Connection"
         );
         assert_eq!(back, msg);
@@ -347,6 +346,95 @@ fn a_plaintext_broadcast_is_received_an_envelope_at_a_time_not_as_a_frame() {
     }
 }
 
+#[test]
+fn a_sealed_broadcast_is_received_a_record_at_a_time_not_as_a_frame() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // The sealed twin of the plaintext pin above: a client-role connection
+    // on an established channel receives the broadcast in socket-sized
+    // chunks, verifies and decrypts each 256 KiB record as it completes and
+    // decodes its envelopes as they land. The frame — 1.1 MB at n = 300,
+    // 4.4 MB at n = 1 200 — is never held: beyond what decoding itself
+    // holds it keeps one record, one envelope and 64 KiB at most.
+    for n in [300, 1200] {
+        let (mut client_link, mut server_link) = connection_pair();
+        let msg = broadcast(n);
+        let mut plain = Vec::new();
+        append_frame(&mut plain, &msg, MAX_FRAME_BYTES, None).unwrap();
+        let envelope = (plain.len() - 8 - 5) / (n + 1);
+        let (list, _, _, list_peak) = measure(usize::MAX, || decode(&plain[8..]).unwrap());
+        assert_eq!(list, msg);
+        drop((list, plain));
+
+        server_link.queue(msg.clone()).unwrap();
+        let mut sealed = Vec::new();
+        server_link.out.flush(&mut sealed).unwrap();
+        let wire = sealed.len();
+        assert!(wire > 4 * SEAL_SLICE, "n = {n}: a multi-record frame");
+        let (back, _, frame_sized, peak) = measure(wire / 4, || {
+            for chunk in sealed.chunks(16 * 1024) {
+                client_link.received(chunk);
+                if let Some(Event::Frame {
+                    msg, wire_bytes, ..
+                }) = client_link.poll().unwrap()
+                {
+                    assert_eq!(wire_bytes, wire);
+                    return msg.force().unwrap();
+                }
+                assert!(client_link.is_mid_frame());
+            }
+            panic!("the broadcast never completed");
+        });
+        assert_eq!(back, msg);
+        assert_eq!(
+            frame_sized,
+            0,
+            "n = {n}: allocations of {} B or more",
+            wire / 4
+        );
+        assert!(
+            peak <= list_peak + SEAL_SLICE + envelope + 64 * 1024,
+            "n = {n}: {peak} B live to receive {wire} B; the list alone took {list_peak} B"
+        );
+    }
+}
+
+#[test]
+fn a_blocking_reader_sizes_no_buffer_from_an_unauthenticated_header() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // A header announcing the whole frame ceiling, then end of stream: both
+    // blocking readers refuse the truncated payload having allocated no
+    // more than a slice for it, and keep their error contract.
+    for magic in [FRAME_MAGIC_V2, FRAME_MAGIC_SEALED, FRAME_MAGIC_HANDSHAKE] {
+        let header = [magic, (MAX_FRAME_BYTES as u32).to_be_bytes()].concat();
+        let (errs, _, big, _) = measure(1 << 20, || {
+            let channel = read_channel_frame(&mut &header[..], MAX_FRAME_BYTES).unwrap_err();
+            let plain = read_frame_limited(&mut &header[..], MAX_FRAME_BYTES);
+            (channel, plain.map(|(msg, _)| msg))
+        });
+        assert_eq!(big, 0, "{magic:?}: allocations of 1 MiB or more");
+        let truncated = ProtocolError::TruncatedFrame { context: "payload" };
+        assert_eq!(errs.0, truncated, "{magic:?}");
+        if magic == FRAME_MAGIC_V2 {
+            assert_eq!(errs.1, Err(truncated));
+        }
+    }
+    // A clean close between frames and an over-ceiling header keep theirs.
+    let empty: &[u8] = &[];
+    assert_eq!(
+        read_channel_frame(&mut &empty[..], MAX_FRAME_BYTES).unwrap_err(),
+        ProtocolError::Disconnected
+    );
+    assert_eq!(
+        read_frame_limited(&mut &empty[..], MAX_FRAME_BYTES).unwrap_err(),
+        ProtocolError::Disconnected
+    );
+    let over = [FRAME_MAGIC_V2, (1u32 << 20).to_be_bytes()].concat();
+    assert!(matches!(
+        read_frame_limited(&mut &over[..], 1 << 10),
+        Err(ProtocolError::FrameTooLarge { .. })
+    ));
+}
+
 /// A nonblocking socket that takes at most 64 KiB a write, into a buffer
 /// reserved beforehand, and blocks on every fourth write.
 struct Trickle {
@@ -381,7 +469,7 @@ fn a_queued_broadcast_is_held_as_two_slices_not_as_a_frame() {
     for n in [300, 1200] {
         let (mut client_link, mut server_link) = connection_pair();
         let msg = broadcast(n);
-        let wire = 8 + payload_size_hint(&msg) + 32;
+        let wire = sealed_len(8 + payload_size_hint(&msg));
         let mut sink = Trickle {
             seen: Vec::with_capacity(wire),
             writes: 0,
