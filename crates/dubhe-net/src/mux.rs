@@ -380,11 +380,8 @@ impl MuxClient {
                 Ok(n) => {
                     c.connection.received(&chunk[..n]);
                     // Replies are pulled as their bytes land, not after the
-                    // socket has been drained: a sealed multi-megabyte
-                    // reply's header is seen — and its length reserved,
-                    // once — with its first chunk, and a plaintext batch is
-                    // decoded an envelope at a time, so the buffer never
-                    // holds a drained socket's worth of either.
+                    // socket has been drained: a batch is decoded an
+                    // envelope (and a sealed record) at a time.
                     while let Some(event) = c.connection.poll().map_err(|r| r.error)? {
                         if let Event::Frame { msg, .. } = event {
                             if let Some(queued_at) = c.pending.pop_front() {

@@ -21,34 +21,23 @@
 //!                    record i = ciphertext of inner bytes [i·R, (i+1)·R) || tag (16)
 //! ```
 //!
-//! A sealed payload decrypts to one complete *inner* `DBH2` frame, so lazy
-//! registry deferral and frame-size limits apply unchanged inside the
-//! channel. The inner bytes are cut into records of at most `R =`
-//! [`SEAL_SLICE`] (256 KiB) bytes, by the inner length alone, and each record
-//! is sealed by itself with ChaCha20-Poly1305 — TLS 1.3's record layer
-//! (RFC 8446 §5) and the STREAM construction (Hoang et al., CRYPTO 2015):
+//! A sealed payload decrypts to one *inner* `DBH2` frame, cut by its length
+//! alone into records of `R =` [`SEAL_SLICE`] (256 KiB) bytes, the last
+//! shorter, each sealed by itself — TLS 1.3's record layer (RFC 8446 §5),
+//! the STREAM construction (Hoang et al., CRYPTO 2015). Record `i`'s nonce is
+//! `i` (`u32` BE) then the frame's sequence number (`u64` BE), which is not
+//! on the wire: each side counts its direction's frames. Its associated
+//! data is the 8-byte `DBHE` header, which binds the total length. A frame
+//! replayed, reordered, spliced or cut, or a record dropped or swapped,
+//! fails a tag: [`ProtocolError::AuthFailure`].
 //!
-//! - the nonce is the record's index (`u32` BE) followed by the frame's
-//!   sequence number (`u64` BE). The sequence number is not on the wire:
-//!   each side counts the frames of its direction, as TLS 1.3 does;
-//! - the associated data is the frame's 8-byte `DBHE` header, which binds
-//!   the total length.
-//!
-//! So a replayed, reordered or spliced frame, a frame cut at a record
-//! boundary, and records dropped or swapped within a frame all fail a tag:
-//! [`ProtocolError::AuthFailure`].
-//!
-//! ## A frame a record at a time
-//!
-//! A write queue encodes a multi-megabyte frame a slice ahead of each socket
-//! write (a `FrameProducer`), sealing each record once its last plaintext
-//! byte is encoded, its tag right behind it. A receiving [`Connection`]
-//! verifies each record as it completes, decrypts it where it lies and
-//! decodes its plaintext as a plaintext frame's: no byte is decoded before
-//! its own record's tag verifies, and the receiver holds one record, not
-//! the frame. The bytes are those of the one-step forms — [`append_frame`],
-//! [`seal_frame`](SecureChannel::seal_frame) and
-//! [`open_in_place`](SecureChannel::open_in_place) — however they are cut.
+//! A write queue seals each record once its last plaintext byte is encoded
+//! (a `FrameProducer`); a receiving [`Connection`] verifies each record as
+//! it completes, decrypts it in place and decodes its plaintext as it would
+//! a plaintext frame's: no byte is decoded before its own record's tag
+//! verifies, and neither end holds more than a record of the frame. The
+//! bytes are those of [`append_frame`], [`seal_frame`](SecureChannel::seal_frame)
+//! and [`open_in_place`](SecureChannel::open_in_place), however they are cut.
 //!
 //! ## Handshake state machine
 //!
@@ -112,9 +101,8 @@ pub(crate) fn sealed_frame_len(inner_len: usize) -> usize {
     inner_len.saturating_add(8 + TAG_LEN * records)
 }
 
-/// The most a channel-aware reader takes after a header under an inner
-/// ceiling of `max_frame_bytes`: a sealed frame around the largest inner
-/// frame, or the longest handshake message if that is more.
+/// The most a channel-aware reader takes after a header: a sealed frame's
+/// payload around the largest inner frame, or the longest handshake message.
 pub(crate) fn channel_ceiling(max_frame_bytes: usize) -> usize {
     (sealed_frame_len(max_frame_bytes.saturating_add(8)) - 8).max(M2_LEN)
 }
@@ -243,24 +231,23 @@ impl std::fmt::Debug for SecureChannel {
     }
 }
 
-/// One sealed frame's records, sealed or opened in order: record `i` under
-/// the nonce `i ‖ seq` and the frame's header as associated data, each
-/// through `mini-crypto`'s whole-pass AEAD.
+/// One sealed frame's records, sealed or opened in order by `mini-crypto`'s
+/// AEAD: record `i` under nonce `i ‖ seq`, the frame's header as its AAD.
 pub(crate) struct Records {
     aead: ChaCha20Poly1305,
     /// The frame's `DBHE` header: the associated data of every record.
-    header: [u8; 8],
+    pub(crate) header: [u8; 8],
     seq: u64,
     /// The next record's index.
     next: u32,
     /// The inner frame's length, and its bytes not through a record yet.
-    len: usize,
+    pub(crate) len: usize,
     left: usize,
 }
 
 impl Records {
-    /// The records of frame `seq` around an inner frame of `len` bytes,
-    /// whose sealed payload length callers have bounded by the `u32` field.
+    /// The records of frame `seq` around an inner frame of `len` bytes (its
+    /// sealed length bounded by callers to the `u32` field).
     fn new(key: &[u8; 32], seq: u64, len: usize) -> Records {
         let mut header = [0u8; 8];
         header[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
@@ -289,16 +276,6 @@ impl Records {
                 detail: format!("no record layout makes a {payload_len}-byte sealed payload"),
             }),
         }
-    }
-
-    /// The frame's `DBHE` header.
-    pub(crate) fn header(&self) -> [u8; 8] {
-        self.header
-    }
-
-    /// The inner frame's length.
-    pub(crate) fn inner_len(&self) -> usize {
-        self.len
     }
 
     /// Plaintext bytes in the next record.
@@ -367,16 +344,13 @@ impl SecureChannel {
         Records::new(&self.send_key, self.send_seq - 1, inner_len)
     }
 
-    /// The records of the next frame this side receives, from its `DBHE`
-    /// header: the frame takes the next receive sequence number. A length
-    /// no inner frame seals to is [`ProtocolError::AuthFailure`].
-    pub(crate) fn open_records(&mut self, header: [u8; 8]) -> Result<Records, ProtocolError> {
-        let payload_len = u32::from_be_bytes(header[4..].try_into().expect("4 bytes")) as usize;
-        let records = Records::new(
-            &self.recv_key,
-            self.recv_seq,
-            Records::len_for(payload_len)?,
-        );
+    /// The records of the next frame this side receives, whose `DBHE`
+    /// header announced `payload_len` bytes: the frame takes the next
+    /// receive sequence number. A length no inner frame seals to is
+    /// [`ProtocolError::AuthFailure`].
+    pub(crate) fn open_records(&mut self, payload_len: usize) -> Result<Records, ProtocolError> {
+        let len = Records::len_for(payload_len)?;
+        let records = Records::new(&self.recv_key, self.recv_seq, len);
         self.recv_seq += 1;
         Ok(records)
     }
@@ -397,13 +371,11 @@ impl SecureChannel {
         frame
     }
 
-    /// Opens one whole `DBHE` payload — its records, the frame's header
-    /// left off — where it lies and returns the inner plaintext frame,
-    /// borrowed from `payload`. A payload no inner frame seals to, or a
-    /// failed tag, is [`ProtocolError::AuthFailure`]; so is a frame out of
-    /// sequence, whose every tag fails. A failed open leaves `payload` as it
-    /// arrived — records opened before the failing one are encrypted back —
-    /// and does not advance the receive sequence.
+    /// Opens one whole `DBHE` payload (its records) where it lies and
+    /// returns the inner frame, borrowed from `payload`. A payload no inner
+    /// frame seals to, a failed tag, or a frame out of sequence is
+    /// [`ProtocolError::AuthFailure`]; it leaves `payload` as it arrived
+    /// (opened records encrypted back) and the receive sequence unmoved.
     pub fn open_in_place<'a>(&mut self, payload: &'a mut [u8]) -> Result<&'a [u8], ProtocolError> {
         let len = Records::len_for(payload.len())?;
         let mut records = Records::new(&self.recv_key, self.recv_seq, len);
@@ -446,13 +418,10 @@ impl SecureChannel {
 /// frame when `channel` is `None`, a sealed `DBHE` frame when the connection
 /// runs the authenticated channel — and returns the bytes appended.
 ///
-/// This is a `FrameProducer` run to the end in one step: space is
-/// reserved once for the frame's exact length, the payload is encoded in
-/// place, and on a channel the inner frame is encrypted where it lies with
-/// the tag written behind it — no intermediate `inner` / `sealed` buffer.
-/// A message that does not encode, or whose payload exceeds
-/// `max_frame_bytes`, is refused with `out` as it was and the channel's send
-/// sequence untouched.
+/// A `FrameProducer` run to the end in one step, into space reserved once
+/// for the frame's exact length. A message that does not encode, or whose
+/// payload exceeds `max_frame_bytes`, is refused with `out` as it was and
+/// the channel's send sequence untouched.
 pub fn append_frame(
     out: &mut Vec<u8>,
     msg: &WireMsg,

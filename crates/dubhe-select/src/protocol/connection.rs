@@ -28,31 +28,20 @@
 //! | Handshake | downgrade (downgrade) | handshake step; longer than the role's longest message: too large (—) | out of phase (—) | refused (—) |
 //! | Established | downgrade (downgrade) | out of phase (decode) | frame; failed open (AEAD), bad inner frame (decode) | refused (decode) |
 //!
-//! A replayed, reordered or spliced sealed frame is a failed open: the
-//! sequence number a frame is sealed under is not on the wire, so a frame
-//! out of sequence fails its tag.
-//!
 //! "(—)": no counter of its own — a connection that dies before mutual
-//! authentication is one failed handshake, whatever killed it.
+//! authentication is one failed handshake, whatever killed it. A replayed,
+//! reordered or spliced sealed frame is a failed open: it fails its tag.
 //!
-//! An established connection opens a sealed frame record by record as it
-//! arrives (see the channel module's *A frame a record at a time*): each
-//! record is verified once all of it is in, decrypted where it lies, and
-//! its plaintext decoded as a plaintext connection decodes a frame. No byte
-//! is decoded before its own record's tag verifies, and the frame is
-//! released once its last record is in; until then the connection is
-//! mid-frame.
-//!
-//! A plaintext batch — bare, or a sealed frame's plaintext — is decoded as
-//! it arrives: each envelope once all of its bytes are in, which are then
-//! dropped, so a registration broadcast is held about an envelope (and on a
-//! channel a record) at a time and released as one [`Event::Frame`] when
-//! its last envelope is in. Until then the connection is mid-frame, for
+//! A batch is decoded as it arrives, an envelope at a time, each dropped
+//! once decoded; on the channel each record is verified as it completes and
+//! decrypted in place first (the channel module's *Wire formats*). So a
+//! registration broadcast is held about an envelope — and a record — at a
+//! time, and released as one [`Event::Frame`] when its last envelope is in;
+//! until then the connection is mid-frame, for
 //! [`closed_error`](Connection::closed_error) and the read deadline alike.
-//! No header reserves more than one record: a buffer grows only as bytes
-//! land, never more than a read budget past them. A handshake-phase header
-//! reserves nothing — a handshake message longer than the role's longest, a
-//! plaintext frame or a sealed one is refused at it.
+//! A buffer grows only as bytes land, by at most a record; a
+//! handshake-phase header sizes nothing — anything but a handshake message
+//! no longer than the role's longest is refused at it.
 
 use std::io::{self, Read, Write};
 
@@ -172,15 +161,6 @@ fn out_of_phase(magic: [u8; 4]) -> Refusal {
     }
 }
 
-/// A frame header's magic and announced length.
-fn split_header(header: [u8; 8]) -> ([u8; 4], usize) {
-    let [m0, m1, m2, m3, l0, l1, l2, l3] = header;
-    (
-        [m0, m1, m2, m3],
-        u32::from_be_bytes([l0, l1, l2, l3]) as usize,
-    )
-}
-
 /// One connection's protocol state: reassembly, channel phase, write queue.
 pub struct Connection {
     phase: Phase,
@@ -245,18 +225,13 @@ impl Connection {
         connection
     }
 
-    /// Appends bytes read off the socket. On a channel, the bytes that
-    /// complete a record are taken first and the record opened and decoded
-    /// at once — what [`poll`](Self::poll) would do — before the bytes
-    /// behind it are buffered, so the buffer holds one record, not a record
-    /// and a read; what that made is kept for the next poll.
+    /// Appends bytes read off the socket. Bytes that complete a sealed
+    /// record are polled at once, before those behind it are buffered (the
+    /// buffer holds a record, not a record and a read); the next
+    /// [`poll`](Self::poll) returns what that made.
     pub fn received(&mut self, mut bytes: &[u8]) {
         while self.ready.is_none() {
-            let Phase::Established {
-                arriving: Some(records),
-                ..
-            } = &self.phase
-            else {
+            let Some(records) = self.arriving() else {
                 break;
             };
             let rest = (records.next_len() + TAG_LEN).saturating_sub(self.frames.unopened());
@@ -294,10 +269,10 @@ impl Connection {
                 // Refused at its header, before a byte of it is buffered: no
                 // unauthenticated peer makes this buffer hold more than the
                 // role's longest handshake message.
-                let Some(header) = self.frames.channel_header(max).map_err(refuse(None))? else {
+                let Some((magic, len)) = self.frames.channel_header(max).map_err(refuse(None))?
+                else {
                     return Ok(None);
                 };
-                let (magic, len) = split_header(header);
                 if magic != FRAME_MAGIC_HANDSHAKE {
                     return Err(out_of_phase(magic));
                 }
@@ -331,15 +306,15 @@ impl Connection {
                 let aead = refuse(Some(Counter::AeadRejections));
                 let Some(records) = arriving else {
                     // Between frames: the next header, in the clear.
-                    let Some(header) = self.frames.channel_header(max).map_err(decode)? else {
+                    let Some((magic, len)) = self.frames.channel_header(max).map_err(decode)?
+                    else {
                         return Ok(None);
                     };
-                    let (magic, _) = split_header(header);
                     if magic != FRAME_MAGIC_SEALED {
                         return Err(out_of_phase(magic));
                     }
                     self.frames.take(8);
-                    *arriving = Some(channel.open_records(header).map_err(aead)?);
+                    *arriving = Some(channel.open_records(len).map_err(aead)?);
                     continue;
                 };
                 // Each record once all of it is in: verified, decrypted in
@@ -356,13 +331,12 @@ impl Connection {
                     self.frames.reserve_record(records.next_len() + TAG_LEN);
                     return Ok(None);
                 };
-                if frame_bytes != records.inner_len() {
-                    return Err(decode(ProtocolError::MalformedFrame {
-                        detail: format!(
-                            "a sealed frame of {} inner bytes holds a {frame_bytes}-byte frame",
-                            records.inner_len()
-                        ),
-                    }));
+                if frame_bytes != records.len {
+                    let detail = format!(
+                        "a {}-byte seal around a {frame_bytes}-byte frame",
+                        records.len
+                    );
+                    return Err(decode(ProtocolError::MalformedFrame { detail }));
                 }
                 *arriving = None;
                 return Ok(Some(Event::Frame {
@@ -403,18 +377,15 @@ impl Connection {
 
     /// True if a frame has started arriving but is not complete yet.
     pub fn is_mid_frame(&self) -> bool {
-        self.frames.is_mid_frame() || self.is_opening()
+        self.frames.is_mid_frame() || self.arriving().is_some()
     }
 
-    /// True while a sealed frame's header is in and its last record is not.
-    fn is_opening(&self) -> bool {
-        matches!(
-            self.phase,
-            Phase::Established {
-                arriving: Some(_),
-                ..
-            }
-        )
+    /// The records of the sealed frame arriving now, from its header in.
+    fn arriving(&self) -> Option<&Records> {
+        match &self.phase {
+            Phase::Established { arriving, .. } => arriving.as_ref(),
+            _ => None,
+        }
     }
 
     /// Whether the driver should hold the connection to a read deadline:
@@ -429,7 +400,7 @@ impl Connection {
     /// truncated frame inside one.
     pub fn closed_error(&self) -> ProtocolError {
         match self.frames.pending_bytes() {
-            _ if self.is_opening() => ProtocolError::TruncatedFrame { context: "payload" },
+            _ if self.arriving().is_some() => ProtocolError::TruncatedFrame { context: "payload" },
             0 => ProtocolError::Disconnected,
             1..=7 => ProtocolError::TruncatedFrame { context: "header" },
             _ => ProtocolError::TruncatedFrame { context: "payload" },

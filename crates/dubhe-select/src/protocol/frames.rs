@@ -15,15 +15,11 @@
 //! payload — so a hostile header is refused after at most 8 bytes, with the
 //! same typed [`ProtocolError`]s the blocking reader produces.
 //!
-//! A plaintext batch is decoded while it arrives, an envelope at a time
-//! (the codec's `PayloadDecoder`), and each envelope's bytes are left
-//! behind as consumed once decoded: the buffer holds about an envelope of a
-//! registration broadcast, not the frame. On an established channel the
-//! same decoding reads only the records opened so far — each verified and
-//! decrypted in place by the [`Connection`](super::connection::Connection),
-//! its tag dropped — so the buffer holds about a record and an envelope. No
-//! announced length is reserved ahead of its bytes: a buffer grows as they
-//! land, by at most a record at a time.
+//! A batch is decoded while it arrives, an envelope at a time (the codec's
+//! `PayloadDecoder`), each envelope's bytes dropped once decoded; on a
+//! channel the decoding reads only the records opened so far. So the buffer
+//! holds about an envelope (and a record) of a registration broadcast, not
+//! the frame, and no announced length is reserved ahead of its bytes.
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -323,16 +319,12 @@ impl WriteQueue {
 }
 
 /// One wire frame — bare, or sealed on a channel — produced into the end of
-/// a byte queue a piece at a time.
-///
-/// [`new`](Self::new) does everything that can fail and nothing else: it
-/// checks the message encodes, fixes the frame's exact length against the
-/// ceiling and, on a channel, takes the frame's sequence number. Each
-/// [`produce`](Self::produce) then encodes the frame's next bytes behind
-/// what it put in the queue before and, on a channel, seals each record once
-/// its last plaintext byte is encoded, its tag right behind it, so the queue
-/// need only ever hold the record on its way to the socket. The bytes are
-/// those of the whole frame built at once, however they are cut.
+/// a byte queue a piece at a time. [`new`](Self::new) does everything that
+/// can fail: it checks the message encodes, fixes the frame's length against
+/// the ceiling and, on a channel, takes its sequence number. Each
+/// [`produce`](Self::produce) encodes the next bytes and seals each record
+/// once its last plaintext byte is in, its tag right behind it. The bytes
+/// are those of the whole frame built at once, however they are cut.
 pub(crate) struct FrameProducer<M> {
     payload: PayloadEncoder<M>,
     /// What goes in front of the payload and is not out yet: on a channel
@@ -372,7 +364,7 @@ impl<M: Borrow<WireMsg>> FrameProducer<M> {
         let mut head = [0u8; 16];
         let at = match &seal {
             Some(records) => {
-                head[..8].copy_from_slice(&records.header());
+                head[..8].copy_from_slice(&records.header);
                 8
             }
             None => 0,
@@ -405,11 +397,9 @@ impl<M: Borrow<WireMsg>> FrameProducer<M> {
     }
 
     /// Appends the frame's next bytes to `out` — whose last
-    /// [`unsealed`](Self::unsealed) bytes are this frame's — until `budget`
-    /// more are in or the whole frame is, and returns how many turned final
-    /// and how many of those are sealed ciphertext. On a channel bytes turn
-    /// final a record at a time, and a record's unsealed bytes count against
-    /// the budget.
+    /// [`unsealed`](Self::unsealed) bytes are this frame's, and count
+    /// against `budget` — until `budget` more are in or the whole frame is;
+    /// returns how many turned final, and how many of those are ciphertext.
     pub(crate) fn produce(&mut self, out: &mut Vec<u8>, budget: usize) -> (usize, usize) {
         let final_end = out.len() - self.unsealed;
         if let Some((head, len)) = self.head.take() {
@@ -460,8 +450,7 @@ pub struct FrameBuffer {
     buf: Vec<u8>,
     /// Start of the unparsed suffix in `buf`.
     pos: usize,
-    /// On an established channel, the bytes at the end of `buf` not opened
-    /// yet: the records still arriving and whatever follows them. A pull
+    /// On a channel, the bytes at the end of `buf` not opened yet; a pull
     /// reads only the plaintext in front of them.
     sealed: Option<usize>,
     /// The plaintext batch being decoded as it arrives: its header and the
@@ -469,16 +458,14 @@ pub struct FrameBuffer {
     decoding: Option<PayloadDecoder>,
 }
 
-/// Room made past a sealed record and the plaintext in front of it, so that
-/// the part of an envelope a later record leaves undecoded fits as well.
+/// Room made past a record and the plaintext in front of it, for a larger
+/// undecoded rest of an envelope in front of a later record.
 const RECORD_SLACK: usize = 8 * 1024;
 
-/// Validates the frame header at the front of `avail`: the magic as soon as
-/// it is complete — garbage is refused after 4 bytes, not held until a
-/// phantom "length" dribbles in — and the announced length against the
-/// ceiling once the header is whole, which it returns with the magic.
-/// `channel` admits the `DBHS` and `DBHE` magics, and a channel's ceiling
-/// above the inner one: exactly a sealed frame's.
+/// Validates the frame header at the front of `avail` — the magic once its
+/// 4 bytes are in, the announced length against the ceiling once all 8 are
+/// — and returns both. `channel` admits `DBHS` and `DBHE` and a channel's
+/// ceiling.
 fn check_header(
     avail: &[u8],
     max_frame_bytes: usize,
@@ -562,18 +549,6 @@ impl FrameBuffer {
         self.buf.len() - self.pos + decoded
     }
 
-    /// The magic and announced payload length of the frame at the front,
-    /// once its 8-byte header has arrived — what a caller with a ceiling of
-    /// its own checks before a pull.
-    pub fn header(&self) -> Option<([u8; 4], usize)> {
-        if self.decoding.is_some() {
-            return None;
-        }
-        let h = self.buf[..self.end()].get(self.pos..self.pos + HEADER_BYTES)?;
-        let len = u32::from_be_bytes([h[4], h[5], h[6], h[7]]) as usize;
-        Some(([h[0], h[1], h[2], h[3]], len))
-    }
-
     /// True if a frame has started arriving but is not complete yet — the
     /// state in which a peer cutting off (or stalling past the read
     /// timeout) means a *truncated* frame rather than a clean close.
@@ -591,8 +566,8 @@ impl FrameBuffer {
         }
     }
 
-    /// An empty buffer for a channel's bytes, none of which a pull reads
-    /// until it is taken or opened.
+    /// An empty buffer for a channel's bytes, which a pull reads only once
+    /// they are opened.
     pub(crate) fn channel() -> Self {
         FrameBuffer {
             sealed: Some(0),
@@ -600,20 +575,17 @@ impl FrameBuffer {
         }
     }
 
-    /// On a channel, between frames: the next frame's header, once it is
-    /// whole and valid ([`check_header`]: a channel's magics and ceiling).
+    /// On a channel, between frames: the next frame's magic and length,
+    /// once its header is in and valid.
     pub(crate) fn channel_header(
         &self,
         max_frame_bytes: usize,
-    ) -> Result<Option<[u8; 8]>, ProtocolError> {
-        let raw = &self.buf[self.end()..];
-        let header = check_header(raw, max_frame_bytes, true)?;
-        Ok(header.map(|_| raw[..HEADER_BYTES].try_into().expect("8-byte header")))
+    ) -> Result<Option<([u8; 4], usize)>, ProtocolError> {
+        check_header(&self.buf[self.end()..], max_frame_bytes, true)
     }
 
-    /// On a channel, between frames: takes the next `len` bytes off the
-    /// front — a sealed frame's header, a whole handshake frame — once they
-    /// are in.
+    /// On a channel, between frames: takes the next `len` bytes — a sealed
+    /// frame's header, a whole handshake frame — once they are in.
     pub(crate) fn take(&mut self, len: usize) -> Option<&[u8]> {
         let start = self.end();
         if self.buf.len() < start + len {
@@ -624,9 +596,8 @@ impl FrameBuffer {
         Some(&self.buf[start..start + len])
     }
 
-    /// Opens every record `records` walks that is in whole — verified, then
-    /// decrypted where it lies — and puts its plaintext behind what a pull
-    /// reads, its tag dropped. A failed tag leaves the record as it came.
+    /// Opens each of `records` that is in whole, in place, and puts its
+    /// plaintext behind what a pull reads, its tag dropped.
     pub(crate) fn open_records(&mut self, records: &mut Records) -> Result<(), ProtocolError> {
         while !records.is_done() {
             let (start, len) = (self.end(), records.next_len() + TAG_LEN);
@@ -640,9 +611,8 @@ impl FrameBuffer {
         Ok(())
     }
 
-    /// Makes room for a sealed record of `len` bytes behind the plaintext
-    /// not yet decoded, once: a record is held whole before it is opened,
-    /// so its buffer is reserved rather than doubled into.
+    /// Makes room, once, for a sealed record of `len` bytes behind the
+    /// plaintext not yet decoded: it is reserved, not doubled into.
     pub(crate) fn reserve_record(&mut self, len: usize) {
         let need = self.end() - self.pos + len;
         if self.buf.capacity() - self.pos < need {
@@ -658,36 +628,6 @@ impl FrameBuffer {
     /// Bytes not opened yet, on a channel.
     pub(crate) fn unopened(&self) -> usize {
         self.sealed.unwrap_or(0)
-    }
-
-    /// Validates the header at the front of the unparsed plaintext
-    /// ([`check_header`]) and returns the frame's total length once the
-    /// whole frame has arrived; `None` means "need more bytes". No announced
-    /// length is reserved: the buffer grows only as bytes land.
-    fn arrived(&mut self, max_frame_bytes: usize) -> Result<Option<usize>, ProtocolError> {
-        let avail = &self.buf[self.pos..self.end()];
-        let Some((_, len)) = check_header(avail, max_frame_bytes, false)? else {
-            return Ok(None);
-        };
-        let total = HEADER_BYTES + len;
-        Ok((avail.len() >= total).then_some(total))
-    }
-
-    /// Pulls the next complete frame, if one has fully arrived:
-    /// [`next_frame_lazy`](Self::next_frame_lazy) with registry uploads
-    /// decoded too.
-    ///
-    /// `Ok(None)` means "need more bytes"; errors are terminal for the
-    /// connection (framing is lost once a header is bad — same contract as
-    /// the blocking reader).
-    pub fn next_frame(
-        &mut self,
-        max_frame_bytes: usize,
-    ) -> Result<Option<(WireMsg, usize)>, ProtocolError> {
-        let Some((msg, bytes)) = self.next_frame_lazy(max_frame_bytes)? else {
-            return Ok(None);
-        };
-        Ok(Some((msg.force()?, bytes)))
     }
 
     /// Pulls the next plaintext frame once it is complete, registry uploads
@@ -709,13 +649,17 @@ impl FrameBuffer {
         max_frame_bytes: usize,
     ) -> Result<Option<(LazyMsg, usize)>, ProtocolError> {
         if self.decoding.is_none() {
-            if let Some(total) = self.arrived(max_frame_bytes)? {
-                return self.whole_frame_lazy(total, max_frame_bytes).map(Some);
-            }
-            let Some((_, len)) = self.header() else {
+            // No announced length is reserved: the buffer grows as bytes land.
+            let avail = &self.buf[self.pos..self.end()];
+            let Some((_, len)) = check_header(avail, max_frame_bytes, false)? else {
                 return Ok(None);
             };
-            if self.buf[..self.end()].get(self.pos + HEADER_BYTES) != Some(&BATCH_TAG) {
+            if avail.len() >= HEADER_BYTES + len {
+                return self
+                    .whole_frame_lazy(HEADER_BYTES + len, max_frame_bytes)
+                    .map(Some);
+            }
+            if avail.get(HEADER_BYTES) != Some(&BATCH_TAG) {
                 return Ok(None);
             }
             self.pos += HEADER_BYTES;
@@ -763,6 +707,17 @@ mod tests {
     use crate::protocol::channel::SEALED_FRAME_OVERHEAD;
     use crate::protocol::write_frame;
 
+    /// The next complete frame, registry uploads decoded too.
+    fn next_frame(
+        fb: &mut FrameBuffer,
+        max_frame_bytes: usize,
+    ) -> Result<Option<(WireMsg, usize)>, ProtocolError> {
+        let Some((msg, bytes)) = fb.next_frame_lazy(max_frame_bytes)? else {
+            return Ok(None);
+        };
+        Ok(Some((msg.force()?, bytes)))
+    }
+
     fn encode(msg: &WireMsg) -> Vec<u8> {
         let mut out = Vec::new();
         write_frame(&mut out, msg).unwrap();
@@ -776,10 +731,10 @@ mod tests {
         let mut fb = FrameBuffer::new();
         // Slow-loris: one byte per feed, frame completes only on the last.
         for &byte in &a {
-            assert!(fb.next_frame(1024).is_ok());
+            assert!(next_frame(&mut fb, 1024).is_ok());
             fb.extend(&[byte]);
         }
-        let (msg, bytes) = fb.next_frame(1024).unwrap().unwrap();
+        let (msg, bytes) = next_frame(&mut fb, 1024).unwrap().unwrap();
         assert!(matches!(msg, WireMsg::Ack));
         assert_eq!(bytes, a.len());
         assert!(!fb.is_mid_frame());
@@ -787,12 +742,12 @@ mod tests {
         let mut burst = b.clone();
         burst.extend_from_slice(&a);
         fb.extend(&burst);
-        let (msg, _) = fb.next_frame(1024).unwrap().unwrap();
+        let (msg, _) = next_frame(&mut fb, 1024).unwrap().unwrap();
         assert!(matches!(msg, WireMsg::CloseRegistration));
         assert!(fb.is_mid_frame());
-        let (msg, _) = fb.next_frame(1024).unwrap().unwrap();
+        let (msg, _) = next_frame(&mut fb, 1024).unwrap().unwrap();
         assert!(matches!(msg, WireMsg::Ack));
-        assert_eq!(fb.next_frame(1024).unwrap(), None);
+        assert_eq!(next_frame(&mut fb, 1024).unwrap(), None);
     }
 
     #[test]
@@ -802,7 +757,7 @@ mod tests {
             let mut fb = FrameBuffer::new();
             fb.extend(magic);
             assert!(matches!(
-                fb.next_frame(1024),
+                next_frame(&mut fb, 1024),
                 Err(ProtocolError::MalformedFrame { .. })
             ));
         }
@@ -810,7 +765,7 @@ mod tests {
         fb.extend(&FRAME_MAGIC_V2);
         fb.extend(&u32::MAX.to_be_bytes());
         assert!(matches!(
-            fb.next_frame(1024),
+            next_frame(&mut fb, 1024),
             Err(ProtocolError::FrameTooLarge { .. })
         ));
     }
@@ -820,12 +775,12 @@ mod tests {
         let frame = encode(&WireMsg::Ack);
         let mut fb = FrameBuffer::new();
         fb.extend(&frame[..3]); // partial magic
-        assert_eq!(fb.next_frame(1024).unwrap(), None);
+        assert_eq!(next_frame(&mut fb, 1024).unwrap(), None);
         assert!(fb.is_mid_frame());
         fb.extend(&frame[3..6]); // magic complete, length partial
-        assert_eq!(fb.next_frame(1024).unwrap(), None);
+        assert_eq!(next_frame(&mut fb, 1024).unwrap(), None);
         fb.extend(&frame[6..]);
-        assert!(fb.next_frame(1024).unwrap().is_some());
+        assert!(next_frame(&mut fb, 1024).unwrap().is_some());
     }
 
     fn registry_msg() -> WireMsg {
@@ -909,22 +864,16 @@ mod tests {
             assert!(fb.channel_header(1024).unwrap().is_none());
             fb.extend(&[byte]);
         }
-        assert_eq!(
-            fb.channel_header(1024).unwrap(),
-            Some(hs[..8].try_into().unwrap())
-        );
+        let header = fb.channel_header(1024).unwrap();
+        assert_eq!(header, Some((FRAME_MAGIC_HANDSHAKE, 64)));
         assert!(fb.take(hs.len()).is_none(), "the payload is not in yet");
         fb.extend(&burst[8..]);
         assert_eq!(fb.take(hs.len()), Some(&hs[..]));
-        assert_eq!(
-            fb.channel_header(1024).unwrap(),
-            Some(sealed[..].try_into().unwrap())
-        );
+        let header = fb.channel_header(1024).unwrap();
+        assert_eq!(header, Some((FRAME_MAGIC_SEALED, 24)));
         assert_eq!(fb.take(8), Some(&sealed[..]));
-        assert_eq!(
-            fb.channel_header(1024).unwrap(),
-            Some(plain[..8].try_into().unwrap())
-        );
+        let header = fb.channel_header(1024).unwrap();
+        assert_eq!(header, Some((FRAME_MAGIC_V2, plain.len() - 8)));
         assert_eq!(fb.take(plain.len()), Some(&plain[..]));
         assert!(fb.channel_header(1024).unwrap().is_none());
         assert!(!fb.is_mid_frame());
@@ -1391,13 +1340,13 @@ mod tests {
         });
         let mut fb = FrameBuffer::new();
         fb.extend(&big[..HEADER_BYTES]);
-        assert!(fb.next_frame(4 << 20).unwrap().is_none());
+        assert!(next_frame(&mut fb, 4 << 20).unwrap().is_none());
         assert!(fb.buf.capacity() < 1024);
         for chunk in big[HEADER_BYTES..].chunks(16 * 1024) {
             fb.extend(chunk);
             assert!(fb.buf.capacity() <= fb.buf.len() + SEAL_SLICE);
         }
-        let (msg, bytes) = fb.next_frame(4 << 20).unwrap().unwrap();
+        let (msg, bytes) = next_frame(&mut fb, 4 << 20).unwrap().unwrap();
         assert_eq!(bytes, big.len());
         assert!(matches!(msg, WireMsg::Error { detail } if detail.len() == 3 << 20));
 
@@ -1417,7 +1366,7 @@ mod tests {
         for chunk in stream.chunks(16 * 1024) {
             fb.extend(chunk);
             largest = largest.max(fb.buf.capacity());
-            while let Some(pulled) = fb.next_frame(1 << 20).unwrap() {
+            while let Some(pulled) = next_frame(&mut fb, 1 << 20).unwrap() {
                 got.push(pulled);
             }
             let mid_broadcast = got.len() == 1;

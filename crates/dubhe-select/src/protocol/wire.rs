@@ -222,10 +222,8 @@ pub fn read_frame_limited<R: Read>(
     Ok((codec::decode(&payload)?, HEADER_BYTES + len))
 }
 
-/// Reads a payload of the `len` bytes an (unauthenticated) header announced
-/// into a buffer that grows as they land, at most [`SEAL_SLICE`] a step: a
-/// header announcing the ceiling, then silence or a hang-up, sizes nothing
-/// it has not received.
+/// Reads the `len`-byte payload an unauthenticated header announced into a
+/// buffer that grows as bytes land, at most [`SEAL_SLICE`] a step.
 pub(crate) fn read_payload(r: &mut impl Read, len: usize) -> Result<Vec<u8>, ProtocolError> {
     let mut payload = Vec::new();
     while payload.len() < len {
