@@ -984,10 +984,7 @@ mod tests {
         }
     }
 
-    // A 1024-bit prime search is seconds-long unoptimised; CI runs it with
-    // --release.
     #[test]
-    #[cfg_attr(debug_assertions, ignore)]
     fn closed_form_crt_constants_match_the_ladder_form_at_1024_bits() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1024);
         let key = Keypair::generate(1024, &mut rng).private;
@@ -1285,9 +1282,7 @@ mod tests {
         the_repacking_returns_the_values_itself(&keypair(), &[3, 4, 7, 15, 16, 40, 70]);
     }
 
-    /// Release builds only, like the other 1024-bit repacking case.
     #[test]
-    #[cfg_attr(debug_assertions, ignore)]
     fn the_repacking_returns_paper_sized_vectors_itself() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(1024);
         the_repacking_returns_the_values_itself(&Keypair::generate(1024, &mut rng), &[52, 56]);

@@ -554,9 +554,8 @@ proptest! {
     }
 
     /// The same at 1024 bits, where a slot layout holds four times the
-    /// lanes. Release builds only, like the other 1024-bit decode pins.
+    /// lanes.
     #[test]
-    #[cfg_attr(debug_assertions, ignore)]
     fn stacked_decode_matches_the_whole_slot_decode_at_1024_bits(
         width in 0usize..4,
         k in 1usize..=5,
@@ -685,10 +684,8 @@ fn hostile_vectors_keep_the_per_element_error() {
 /// The paper's shape: a 56-element registry total under a 1024-bit key.
 /// Counts up to N take one group of 18-bit slots; counts above 2¹⁸ two
 /// groups of 36-bit slots; values at both widths' slot edges and beyond
-/// four groups of 64-bit slots; and one hostile carry. Release builds only — a debug-build
-/// 1024-bit keygen and 56 per-element decryptions take tens of seconds.
+/// four groups of 64-bit slots; and one hostile carry.
 #[test]
-#[cfg_attr(debug_assertions, ignore)]
 fn a_paper_sized_registry_decrypts_like_the_per_element_path() {
     let (pk, sk) = paper_keys();
     let width = fitted_width(pk.bits(), 56, 18);

@@ -21,6 +21,7 @@ use dubhe_he::EncryptedVector;
 use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
 use dubhe_select::protocol::channel::write_handshake_frame;
 use dubhe_select::protocol::connection::Event;
+use dubhe_select::protocol::frames::SEAL_SLICE;
 use dubhe_select::protocol::tcp::dial;
 use dubhe_select::protocol::{
     codec, read_frame, run_registration_with, run_try, write_frame, ChannelPolicy, Coordinator,
@@ -332,9 +333,17 @@ fn uploads_of_length(n: usize, length: usize) -> (WireMsg, Vec<Envelope>) {
     (key_dispatch, uploads.collect())
 }
 
-/// What a sealed `DBH2` frame for `msg` weighs on the wire.
+/// What the plaintext `DBH2` frame for `msg` weighs: a sealed frame's
+/// inner bytes.
+fn inner_bytes(msg: &WireMsg) -> usize {
+    8 + codec::encode(msg).unwrap().len()
+}
+
+/// What a sealed `DBH2` frame for `msg` weighs on the wire: a one-record
+/// frame's overhead, and a tag more for each 256 KiB record past the first.
 fn sealed_frame_bytes(msg: &WireMsg) -> usize {
-    8 + codec::encode(msg).unwrap().len() + SEALED_FRAME_OVERHEAD
+    let inner = inner_bytes(msg);
+    inner + SEALED_FRAME_OVERHEAD + 16 * (inner.div_ceil(SEAL_SLICE) - 1)
 }
 
 /// The broadcast checks shared by both big-batch tests: `n + 1` addressees
@@ -358,9 +367,7 @@ fn assert_broadcast(envelopes: &[Envelope], n: usize) {
     }
 }
 
-// Seconds-long under a debug-build ChaCha20; CI runs it with --release.
 #[test]
-#[cfg_attr(debug_assertions, ignore)]
 fn multi_mib_sealed_broadcast_reaches_a_mux_client_byte_for_byte() {
     let n = 800;
     let (key_dispatch, uploads) = registry_uploads(n);
@@ -430,9 +437,7 @@ fn multi_mib_sealed_broadcast_reaches_a_mux_client_byte_for_byte() {
     assert_eq!(state.messages_received(), n + 1);
 }
 
-// Seconds-long under a debug-build ChaCha20; CI runs it with --release.
 #[test]
-#[cfg_attr(debug_assertions, ignore)]
 fn multi_mib_sealed_broadcast_reaches_tcp_transport_byte_for_byte() {
     let n = 800;
     let (key_dispatch, uploads) = registry_uploads(n);
@@ -473,32 +478,30 @@ fn multi_mib_sealed_broadcast_reaches_tcp_transport_byte_for_byte() {
         stats.bytes_received,
         wire.bytes_sent + wire.frames_sent * SEALED_FRAME_OVERHEAD
     );
-    assert_eq!(
-        stats.bytes_sent,
-        wire.bytes_received + wire.frames_received * SEALED_FRAME_OVERHEAD
-    );
-    assert_eq!(
-        wire.sealed_overhead_bytes,
-        2 * (n + 1) * SEALED_FRAME_OVERHEAD
-    );
     let reply = WireMsg::Batch {
         envelopes: broadcast,
     };
+    // The broadcast's records past its first carry a tag each.
+    let extra_tags = sealed_frame_bytes(&reply) - inner_bytes(&reply) - SEALED_FRAME_OVERHEAD;
+    assert_eq!(
+        stats.bytes_sent,
+        wire.bytes_received + wire.frames_received * SEALED_FRAME_OVERHEAD + extra_tags
+    );
+    assert_eq!(
+        wire.sealed_overhead_bytes,
+        2 * (n + 1) * SEALED_FRAME_OVERHEAD + extra_tags
+    );
     assert!(sealed_frame_bytes(&reply) > 2 << 20, "a multi-MiB frame");
     assert!(stats.bytes_sent > sealed_frame_bytes(&reply));
     client.shutdown().unwrap();
 }
 
-// Seconds-long under a debug-build ChaCha20; CI runs it with --release.
 #[test]
-#[cfg_attr(debug_assertions, ignore)]
 fn a_reply_still_being_sealed_does_not_hold_up_another_connection() {
     reply_being_sealed_holds_up_no_one(false);
 }
 
-// Seconds-long under a debug-build ChaCha20; CI runs it with --release.
 #[test]
-#[cfg_attr(debug_assertions, ignore)]
 fn a_reply_still_being_sealed_does_not_hold_up_another_connection_while_its_reader_drains() {
     reply_being_sealed_holds_up_no_one(true);
 }
@@ -529,7 +532,6 @@ fn reply_being_sealed_holds_up_no_one(drain: bool) {
         .iter()
         .map(|msg| reply_in_memory(&mut reference, msg))
         .collect();
-    let inner_bytes = |msg: &WireMsg| sealed_frame_bytes(msg) - SEALED_FRAME_OVERHEAD;
     let broadcast = &replies[n];
     assert!(
         inner_bytes(broadcast) > 16 << 20,

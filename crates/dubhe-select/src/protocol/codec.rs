@@ -1490,10 +1490,7 @@ pub(crate) mod tests {
         }
     }
 
-    // A 1024-bit keygen is seconds-long in a debug build; CI runs it with
-    // --release.
     #[test]
-    #[cfg_attr(debug_assertions, ignore)]
     fn the_size_hint_is_exact_for_a_1024_bit_key_dispatch() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(36);
         let kp = Keypair::generate(1024, &mut rng);

@@ -349,7 +349,6 @@ fn silent_peer_times_out_instead_of_hanging() {
 }
 
 #[test]
-#[cfg_attr(debug_assertions, ignore)]
 fn a_peer_that_never_reads_cannot_hang_a_send() {
     // The "server" accepts and never reads. Once the kernel buffers on both
     // ends are full, only the per-I/O timeout bounds the write of a request
