@@ -336,18 +336,16 @@ impl SecureChannel {
         self.peer
     }
 
-    /// The records of the next frame this side sends, around an inner
-    /// frame of `inner_len` bytes: the frame takes the next send sequence
-    /// number.
+    /// The records of the next frame sent, around an inner frame of
+    /// `inner_len` bytes, under the next send sequence number.
     pub(crate) fn seal_records(&mut self, inner_len: usize) -> Records {
         self.send_seq += 1;
         Records::new(&self.send_key, self.send_seq - 1, inner_len)
     }
 
-    /// The records of the next frame this side receives, whose `DBHE`
-    /// header announced `payload_len` bytes: the frame takes the next
-    /// receive sequence number. A length no inner frame seals to is
-    /// [`ProtocolError::AuthFailure`].
+    /// The records of the next frame received, whose header announced
+    /// `payload_len` bytes, under the next receive sequence number; a length
+    /// no inner frame seals to is [`ProtocolError::AuthFailure`].
     pub(crate) fn open_records(&mut self, payload_len: usize) -> Result<Records, ProtocolError> {
         let len = Records::len_for(payload_len)?;
         let records = Records::new(&self.recv_key, self.recv_seq, len);

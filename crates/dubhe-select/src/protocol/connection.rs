@@ -225,10 +225,9 @@ impl Connection {
         connection
     }
 
-    /// Appends bytes read off the socket. Bytes that complete a sealed
-    /// record are polled at once, before those behind it are buffered (the
-    /// buffer holds a record, not a record and a read); the next
-    /// [`poll`](Self::poll) returns what that made.
+    /// Appends bytes read off the socket; bytes that complete a sealed record
+    /// are polled before those behind them are buffered (the buffer holds one
+    /// record, not a record and a read), for [`poll`](Self::poll) to return.
     pub fn received(&mut self, mut bytes: &[u8]) {
         while self.ready.is_none() {
             let Some(records) = self.arriving() else {

@@ -462,10 +462,9 @@ pub struct FrameBuffer {
 /// undecoded rest of an envelope in front of a later record.
 const RECORD_SLACK: usize = 8 * 1024;
 
-/// Validates the frame header at the front of `avail` — the magic once its
-/// 4 bytes are in, the announced length against the ceiling once all 8 are
-/// — and returns both. `channel` admits `DBHS` and `DBHE` and a channel's
-/// ceiling.
+/// Validates the header at the front of `avail` — the magic once 4 bytes are
+/// in, the length against the ceiling once 8 are — and returns both.
+/// `channel` admits `DBHS` and `DBHE`, and a channel's ceiling.
 fn check_header(
     avail: &[u8],
     max_frame_bytes: usize,
@@ -556,9 +555,8 @@ impl FrameBuffer {
         self.pending_bytes() > 0
     }
 
-    /// Frees the buffer once it holds nothing — for an owner that waits on
-    /// its peer between frames and should not hold the largest frame it
-    /// ever received across that wait.
+    /// Frees the buffer once it holds nothing, for an owner that waits on
+    /// its peer between frames.
     pub(crate) fn release(&mut self) {
         if self.pending_bytes() == 0 {
             self.buf = Vec::new();
@@ -566,8 +564,7 @@ impl FrameBuffer {
         }
     }
 
-    /// An empty buffer for a channel's bytes, which a pull reads only once
-    /// they are opened.
+    /// An empty buffer for a channel's bytes, read only once opened.
     pub(crate) fn channel() -> Self {
         FrameBuffer {
             sealed: Some(0),
@@ -605,14 +602,20 @@ impl FrameBuffer {
                 break;
             };
             records.open(record)?;
-            self.buf.drain(start + len - TAG_LEN..start + len);
+            // Drop the tag moving the fewer bytes: those in front, or behind.
+            let tag = start + len - TAG_LEN;
+            if tag - self.pos <= self.buf.len() - (tag + TAG_LEN) {
+                self.buf.copy_within(self.pos..tag, self.pos + TAG_LEN);
+                self.pos += TAG_LEN;
+            } else {
+                self.buf.drain(tag..tag + TAG_LEN);
+            }
             *self.sealed.as_mut().expect("a channel's bytes") -= len;
         }
         Ok(())
     }
 
-    /// Makes room, once, for a sealed record of `len` bytes behind the
-    /// plaintext not yet decoded: it is reserved, not doubled into.
+    /// Reserves room, once, for a `len`-byte record behind undecoded plaintext.
     pub(crate) fn reserve_record(&mut self, len: usize) {
         let need = self.end() - self.pos + len;
         if self.buf.capacity() - self.pos < need {

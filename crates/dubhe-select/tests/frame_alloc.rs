@@ -38,8 +38,15 @@ use dubhe_select::ProtocolError;
 use rand::SeedableRng;
 
 /// Forwards to the system allocator, counting calls, calls at or above
-/// [`BIG`] bytes, and the high-water mark of live bytes.
+/// [`BIG`] bytes, and the high-water mark of live bytes. Calls are counted
+/// on the thread being measured only: a thread of the process's parallel
+/// pool that happens to start inside a measured window (it copies its name
+/// as it starts) is not the measured work.
 struct CountingAlloc;
+
+thread_local! {
+    static MEASURED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
@@ -48,6 +55,9 @@ static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
 fn count(size: usize) {
+    if !MEASURED.with(std::cell::Cell::get) {
+        return;
+    }
     ALLOCS.fetch_add(1, Ordering::Relaxed);
     if size >= BIG.load(Ordering::Relaxed) {
         BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -94,8 +104,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// libtest runs tests on parallel threads.
 static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// What `f` cost the heap: allocation calls, calls of at least `big` bytes,
-/// and the most bytes it held live above what was live when it started.
+/// What `f` cost the heap: the allocation calls it made on this thread,
+/// those of at least `big` bytes, and the most bytes the process held live
+/// above what was live when it started.
 fn measure<T>(big: usize, f: impl FnOnce() -> T) -> (T, usize, usize, usize) {
     BIG.store(big, Ordering::SeqCst);
     let (allocs, bigs) = (
@@ -104,7 +115,9 @@ fn measure<T>(big: usize, f: impl FnOnce() -> T) -> (T, usize, usize, usize) {
     );
     let base = LIVE.load(Ordering::SeqCst);
     PEAK.store(base, Ordering::SeqCst);
+    MEASURED.with(|m| m.set(true));
     let out = f();
+    MEASURED.with(|m| m.set(false));
     BIG.store(usize::MAX, Ordering::SeqCst);
     (
         out,
