@@ -246,12 +246,12 @@ pub(crate) struct Records {
 }
 
 impl Records {
-    /// The records of frame `seq` around an inner frame of `len` bytes (its
-    /// sealed length bounded by callers to the `u32` field).
+    /// The records of frame `seq` around an inner frame of `len` bytes.
     fn new(key: &[u8; 32], seq: u64, len: usize) -> Records {
         let mut header = [0u8; 8];
         header[..4].copy_from_slice(&FRAME_MAGIC_SEALED);
-        header[4..].copy_from_slice(&((sealed_frame_len(len) - 8) as u32).to_be_bytes());
+        let announced = u32::try_from(sealed_frame_len(len) - 8).expect("callers bound it");
+        header[4..].copy_from_slice(&announced.to_be_bytes());
         Records {
             aead: ChaCha20Poly1305::new(key),
             header,
