@@ -184,6 +184,8 @@ pub struct MuxClient {
     poll: Poll,
     registry: Registry,
     events: Events,
+    /// The last poll's events, copied out so handlers can borrow `self`.
+    ready: Vec<mini_mio::Event>,
     conns: Vec<MuxConn>,
     config: MuxConfig,
     latency: LatencyHistogram,
@@ -240,6 +242,7 @@ impl MuxClient {
             poll,
             registry,
             events: Events::with_capacity(1024),
+            ready: Vec::new(),
             conns,
             config,
             latency: LatencyHistogram::new(),
@@ -303,8 +306,9 @@ impl MuxClient {
             self.poll
                 .poll(&mut self.events, Some(timeout))
                 .map_err(|e| io_error("poll", e))?;
-            let batch: Vec<mini_mio::Event> = self.events.iter().copied().collect();
-            for event in batch {
+            let mut ready = std::mem::take(&mut self.ready);
+            ready.extend(self.events.iter().copied());
+            for event in ready.drain(..) {
                 let token = event.token().0;
                 if event.is_writable() {
                     self.flush(token)?;
@@ -313,6 +317,7 @@ impl MuxClient {
                     self.read_replies(token, &mut replies)?;
                 }
             }
+            self.ready = ready;
         }
         Ok(replies)
     }

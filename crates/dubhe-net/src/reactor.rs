@@ -367,6 +367,7 @@ impl<C: Coordinator + Send + 'static> ReactorListener<C> {
             poll,
             registry,
             events: Events::with_capacity(config.events_capacity),
+            ready: Vec::new(),
             listeners,
             waker: Arc::clone(&waker),
             waker_token,
@@ -492,15 +493,16 @@ fn route_jobs<C: Coordinator>(
     tx: mpsc::Sender<Reply>,
     waker: Arc<Waker>,
 ) -> Arc<Mutex<Served<C>>> {
+    let mut jobs = Vec::new();
     while let Ok(first) = rx.recv() {
-        let mut jobs = vec![first];
+        jobs.push(first);
         while jobs.len() < 1024 {
             match rx.try_recv() {
                 Ok(job) => jobs.push(job),
                 Err(_) => break,
             }
         }
-        for job in jobs {
+        for job in jobs.drain(..) {
             let msg = served
                 .lock()
                 .expect("the event loop panicked mid-request")
@@ -625,6 +627,8 @@ struct EventLoop<C> {
     poll: Poll,
     registry: Registry,
     events: Events,
+    /// The last poll's events, copied out so handlers can borrow `self`.
+    ready: Vec<mini_mio::Event>,
     listeners: Vec<TcpListener>,
     waker: Arc<Waker>,
     waker_token: usize,
@@ -659,9 +663,9 @@ impl<C: Coordinator> EventLoop<C> {
                 eprintln!("reactor listener: poll failed, shutting down: {e}");
                 break;
             }
-            // Events are copied out so handlers can borrow `self` freely.
-            let batch: Vec<mini_mio::Event> = self.events.iter().copied().collect();
-            for event in batch {
+            let mut ready = std::mem::take(&mut self.ready);
+            ready.extend(self.events.iter().copied());
+            for event in ready.drain(..) {
                 let token = event.token().0;
                 if token < self.listeners.len() {
                     self.accept_all(token);
@@ -679,6 +683,7 @@ impl<C: Coordinator> EventLoop<C> {
                     }
                 }
             }
+            self.ready = ready;
             // Replies may have landed while the loop was busy with sockets;
             // drain opportunistically rather than waiting for the next ring.
             self.drain_replies();

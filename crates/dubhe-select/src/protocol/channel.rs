@@ -70,6 +70,7 @@
 //!
 //! [`DowngradeRefused`]: ProtocolError::DowngradeRefused
 
+use std::borrow::Cow;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -426,7 +427,7 @@ pub fn append_frame(
     max_frame_bytes: usize,
     channel: Option<&mut SecureChannel>,
 ) -> Result<usize, ProtocolError> {
-    let mut frame = FrameProducer::new(msg, max_frame_bytes, channel)?;
+    let mut frame = FrameProducer::new(Cow::Borrowed(msg), max_frame_bytes, channel)?;
     let len = frame.wire_len();
     out.reserve(len);
     frame.produce(out, usize::MAX);
@@ -1118,7 +1119,7 @@ pub(crate) mod tests {
     /// each step's budget beyond the bytes not sealed yet, in turn (the last
     /// one repeating) — what a write queue does across flushes.
     fn seal_in_slices(channel: &mut SecureChannel, msg: &WireMsg, budgets: &[usize]) -> Vec<u8> {
-        let mut frame = FrameProducer::new(msg, usize::MAX, Some(channel)).unwrap();
+        let mut frame = FrameProducer::new(Cow::Borrowed(msg), usize::MAX, Some(channel)).unwrap();
         let mut budgets = budgets
             .iter()
             .chain(std::iter::repeat(budgets.last().unwrap()));

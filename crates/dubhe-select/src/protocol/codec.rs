@@ -47,7 +47,7 @@
 //! The packed variants extend the tag sequence (6–9) rather than reordering
 //! it, so every pre-packing DBH2 peer still reads tags 0–5 unchanged.
 
-use std::borrow::Borrow;
+use std::borrow::Cow;
 
 use dubhe_he::codec as he;
 use dubhe_he::EncryptedVector;
@@ -61,7 +61,7 @@ use dubhe_he::HeError;
 /// allocation of its exact length: a `PayloadEncoder` run to the end in one
 /// call.
 pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
-    let mut encoder = PayloadEncoder::new(msg)?;
+    let mut encoder = PayloadEncoder::new(Cow::Borrowed(msg))?;
     let mut out = Vec::with_capacity(encoder.remaining());
     encoder.encode(&mut out, usize::MAX);
     Ok(out)
@@ -80,9 +80,12 @@ pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
 /// Consecutive envelopes carrying one shared vector (a broadcast) encode it
 /// once: the encoder keeps its own copy of the vector it encoded last
 /// ([`he::VectorEncodeMemo`]), since the buffer it writes to may be
-/// reclaimed as it leaves.
-pub(crate) struct PayloadEncoder<M> {
-    msg: M,
+/// reclaimed as it leaves. An owned broadcast is held as its one envelope
+/// and its addressees, the other envelopes dropped before a byte is encoded.
+pub(crate) struct PayloadEncoder<'a> {
+    msg: Cow<'a, WireMsg>,
+    /// A broadcast's addressees, `msg` keeping its first envelope; or empty.
+    to: Vec<Party>,
     /// Payload bytes not encoded yet.
     remaining: usize,
     /// The next piece: 0 is the message's head, `i` its `i`-th envelope.
@@ -109,9 +112,29 @@ fn envelopes(msg: &WireMsg) -> &[Envelope] {
     }
 }
 
-/// The vector a protocol message ends with, if it carries one.
-fn trailing_vector(msg: &ProtocolMsg) -> Option<&EncryptedVector> {
-    match msg {
+/// Envelope `i` of a message and its addressee, where `to` holds the
+/// addressees of a broadcast held once (see [`PayloadEncoder`]).
+fn envelope<'m>(msg: &'m WireMsg, to: &[Party], i: usize) -> (&'m Envelope, Party) {
+    let envelope = &envelopes(msg)[if to.is_empty() { i } else { 0 }];
+    (envelope, to.get(i).copied().unwrap_or(envelope.to))
+}
+
+/// Whether `envelopes` are one message to several addressees: equal but for
+/// `to`, over one vector by storage — which `==` then compares by pointer
+/// (an `Arc` of `Eq` elements).
+fn one_message(envelopes: &[Envelope]) -> bool {
+    envelopes.len() > 1
+        && envelopes.iter().all(|e| {
+            let first = &envelopes[0];
+            let vectors = trailing_vector(e).zip(trailing_vector(first));
+            vectors.is_some_and(|(v, w)| v.shares_storage(w))
+                && (e.from, e.epoch, &e.msg) == (first.from, first.epoch, &first.msg)
+        })
+}
+
+/// The vector an envelope's message ends with, if it carries one.
+fn trailing_vector(envelope: &Envelope) -> Option<&EncryptedVector> {
+    match &envelope.msg {
         ProtocolMsg::PublicKeyDispatch { .. } | ProtocolMsg::TryVerdict { .. } => None,
         ProtocolMsg::EncryptedRegistry { registry: v, .. }
         | ProtocolMsg::EncryptedTotalBroadcast { total: v }
@@ -128,14 +151,14 @@ fn trailing_vector(msg: &ProtocolMsg) -> Option<&EncryptedVector> {
     }
 }
 
-impl<M: Borrow<WireMsg>> PayloadEncoder<M> {
+impl<'a> PayloadEncoder<'a> {
     /// Takes `msg` for encoding, or refuses it with the error encoding it
     /// would meet: a vector with a residue wider than its field. Each
     /// vector is checked once however many envelopes in a row carry it.
-    pub(crate) fn new(msg: M) -> Result<Self, ProtocolError> {
+    pub(crate) fn new(mut msg: Cow<'a, WireMsg>) -> Result<Self, ProtocolError> {
         let mut last: Option<&EncryptedVector> = None;
-        for envelope in envelopes(msg.borrow()) {
-            let Some(vector) = trailing_vector(&envelope.msg) else {
+        for envelope in envelopes(&msg) {
+            let Some(vector) = trailing_vector(envelope) else {
                 continue;
             };
             if !last.is_some_and(|last| last.shares_storage(vector)) {
@@ -143,9 +166,18 @@ impl<M: Borrow<WireMsg>> PayloadEncoder<M> {
                 last = Some(vector);
             }
         }
+        let remaining = payload_size_hint(&msg);
+        let mut to = Vec::new();
+        if let Cow::Owned(WireMsg::Batch { envelopes }) = &mut msg {
+            if one_message(envelopes) {
+                to = envelopes.iter().map(|e| e.to).collect();
+                *envelopes = envelopes.drain(..1).collect();
+            }
+        }
         Ok(PayloadEncoder {
-            remaining: payload_size_hint(msg.borrow()),
+            remaining,
             msg,
+            to,
             next: 0,
             tail: Tail::None,
             memo: he::VectorEncodeMemo::default(),
@@ -164,17 +196,17 @@ impl<M: Borrow<WireMsg>> PayloadEncoder<M> {
     pub(crate) fn encode(&mut self, out: &mut Vec<u8>, budget: usize) {
         let start = out.len();
         let end = start.saturating_add(budget);
-        let msg = self.msg.borrow();
+        let msg = &*self.msg;
         while out.len() - start < self.remaining && out.len() < end {
             let (bytes, at): (&[u8], usize) = match self.tail {
                 Tail::None => {
-                    self.tail = put_piece(msg, self.next, out);
+                    self.tail = put_piece(msg, &self.to, self.next, out);
                     self.next += 1;
                     continue;
                 }
                 Tail::Vector(at) => {
-                    let envelope = &envelopes(msg)[self.next - 2];
-                    let vector = trailing_vector(&envelope.msg).expect("a vector piece");
+                    let (envelope, _) = envelope(msg, &self.to, self.next - 2);
+                    let vector = trailing_vector(envelope).expect("a vector piece");
                     let bytes = self.memo.encoding(vector);
                     (bytes.expect("checked when the encoder was built"), at)
                 }
@@ -198,12 +230,12 @@ impl<M: Borrow<WireMsg>> PayloadEncoder<M> {
 }
 
 /// Appends the fields of piece `next` of `msg` — its head, or envelope
-/// `next - 1` up to its vector — and says what follows them.
-fn put_piece(msg: &WireMsg, next: usize, out: &mut Vec<u8>) -> Tail {
+/// `next - 1` up to its vector, [`envelope`] — and says what follows them.
+fn put_piece(msg: &WireMsg, to: &[Party], next: usize, out: &mut Vec<u8>) -> Tail {
     if next > 0 {
-        let envelope = &envelopes(msg)[next - 1];
-        put_envelope_fields(envelope, out);
-        return match trailing_vector(&envelope.msg) {
+        let (envelope, to) = envelope(msg, to, next - 1);
+        put_envelope_fields(envelope, to, out);
+        return match trailing_vector(envelope) {
             Some(_) => Tail::Vector(0),
             None => Tail::None,
         };
@@ -223,7 +255,7 @@ fn put_piece(msg: &WireMsg, next: usize, out: &mut Vec<u8>) -> Tail {
         }
         WireMsg::Batch { envelopes } => {
             out.push(2);
-            he::put_u32(out, envelopes.len() as u32);
+            he::put_u32(out, envelopes.len().max(to.len()) as u32);
         }
         WireMsg::Ack => out.push(3),
         WireMsg::Error { detail } => {
@@ -376,7 +408,12 @@ impl PayloadDecoder {
                 return Ok(None);
             }
             let mut piece = &cur[..len];
-            envelopes.push(decode_envelope(&mut piece, memo)?);
+            let decoded = decode_envelope(&mut piece, memo)?;
+            // Doubles, but never past the count: it ends at its count.
+            if envelopes.len() == envelopes.capacity() {
+                envelopes.reserve_exact(envelopes.len().clamp(1, *left));
+            }
+            envelopes.push(decoded);
             *cur = &cur[len - piece.len()..];
             *left -= 1;
         }
@@ -557,11 +594,11 @@ fn encode_party(party: &Party, out: &mut Vec<u8>) {
     }
 }
 
-/// Appends an envelope's fields: everything up to the vector its message
-/// ends with, if it has one (see [`trailing_vector`]).
-fn put_envelope_fields(e: &Envelope, out: &mut Vec<u8>) {
+/// Appends an envelope's fields, addressed `to`: everything up to the
+/// vector its message ends with, if it has one (see [`trailing_vector`]).
+fn put_envelope_fields(e: &Envelope, to: Party, out: &mut Vec<u8>) {
     encode_party(&e.from, out);
-    encode_party(&e.to, out);
+    encode_party(&to, out);
     he::put_u64(out, e.epoch);
     match &e.msg {
         ProtocolMsg::PublicKeyDispatch {
@@ -1045,9 +1082,12 @@ pub(crate) mod tests {
 
     /// The batches the shared-vector short-cuts exist for, and the ones that
     /// must not trip them: a registration broadcast (`N + 1` addressees of
-    /// one total, element-wise and packed), and a batch alternating two
-    /// *equal but separately built* vectors, then two *different* vectors
-    /// of equal length, then a vector and its clone.
+    /// one total, element-wise and packed); a batch alternating two *equal
+    /// but separately built* vectors, then two *different* vectors of equal
+    /// length, then a vector and its clone; and four near-broadcasts, the
+    /// element-wise one with its last envelope from another sender, of
+    /// another epoch, of another variant over the same vector, or over an
+    /// equal vector built apart.
     pub(crate) fn broadcast_batches() -> Vec<WireMsg> {
         let mut rng = rand::rngs::StdRng::seed_from_u64(32);
         let kp = Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng);
@@ -1088,10 +1128,36 @@ pub(crate) mod tests {
         let alternating = WireMsg::Batch {
             envelopes: envelopes.collect(),
         };
+        let one_off = |change: &dyn Fn(&mut Envelope)| {
+            let mut batch = broadcast(ProtocolMsg::EncryptedTotalBroadcast {
+                total: total.clone(),
+            });
+            let WireMsg::Batch { envelopes } = &mut batch else {
+                unreachable!("a broadcast is a batch")
+            };
+            change(envelopes.last_mut().expect("six addressees"));
+            batch
+        };
         vec![
-            broadcast(ProtocolMsg::EncryptedTotalBroadcast { total }),
+            broadcast(ProtocolMsg::EncryptedTotalBroadcast {
+                total: total.clone(),
+            }),
             broadcast(ProtocolMsg::PackedTotalBroadcast { total: packed }),
             alternating,
+            one_off(&|e| e.from = Party::Agent),
+            one_off(&|e| e.epoch = 8),
+            one_off(&|e| {
+                e.msg = ProtocolMsg::EncryptedDistributionSum {
+                    try_index: 0,
+                    contributors: 5,
+                    sum: total.clone(),
+                }
+            }),
+            one_off(&|e| {
+                e.msg = ProtocolMsg::EncryptedTotalBroadcast {
+                    total: rebuilt.clone(),
+                }
+            }),
         ]
     }
 
@@ -1234,7 +1300,12 @@ pub(crate) mod tests {
         loop {
             arrived = arrived.saturating_add(piece()).min(payload.len());
             held = held.max(arrived - taken);
-            match decoder.decode(&payload[taken..arrived]) {
+            let outcome = decoder.decode(&payload[taken..arrived]);
+            if let Some((list, _)) = &decoder.batch {
+                let (len, capacity) = (list.len(), list.capacity());
+                assert!(capacity <= 2 * len, "{capacity} slots for {len} envelopes");
+            }
+            match outcome {
                 Err(e) => return (Err(e), held),
                 Ok((n, msg)) => {
                     taken += n;
@@ -1364,6 +1435,14 @@ pub(crate) mod tests {
                 let bound = [1, 7, 64, 700, 4096, 16 * 1024, 1 << 20][seed as usize % 7];
                 let (got, held) = streamed(&payload, draws(seed + 1, bound));
                 assert_eq!(got, Ok(msg.clone()), "batch {i}, seed {seed}");
+                let Ok(WireMsg::Batch { envelopes: list }) = got else {
+                    unreachable!("a batch decodes to a batch")
+                };
+                assert_eq!(
+                    list.capacity(),
+                    list.len(),
+                    "batch {i}: the list ends at its count"
+                );
                 assert!(
                     held <= bound + largest,
                     "batch {i}, seed {seed}: {held} B held, {largest} B envelopes"
@@ -1478,15 +1557,27 @@ pub(crate) mod tests {
             keypairs.iter().any(has_a_short_prime),
             "the set carries a prime that encodes one byte short"
         );
+        // The first two broadcast batches are true broadcasts; the others
+        // may equal them by value, not by storage.
+        let broadcasts = broadcast_batches().into_iter().enumerate();
         let dispatches = keypairs.iter().flat_map(key_dispatches);
-        for msg in sample_msgs()
+        for (msg, held) in sample_msgs()
             .into_iter()
-            .chain(broadcast_batches())
-            .chain(dispatches)
+            .map(|msg| (msg, false))
+            .chain(broadcasts.map(|(i, msg)| (msg, i < 2)))
+            .chain(dispatches.map(|msg| (msg, false)))
         {
             let payload = encode(&msg).unwrap();
             assert_eq!(payload.len(), payload_size_hint(&msg), "{msg:?}");
             assert_eq!(payload.capacity(), payload.len(), "one allocation");
+            // Owned, only a broadcast is held as one envelope and its
+            // addressees, and its bytes do not change; a near-broadcast
+            // keeps its list.
+            let mut owned = PayloadEncoder::new(Cow::Owned(msg.clone())).unwrap();
+            assert_eq!(!owned.to.is_empty(), held, "{msg:?}");
+            let mut bytes = Vec::new();
+            owned.encode(&mut bytes, usize::MAX);
+            assert_eq!(bytes, payload, "{msg:?}");
         }
     }
 

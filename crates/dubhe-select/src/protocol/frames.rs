@@ -21,7 +21,7 @@
 //! holds about an envelope (and a record) of a registration broadcast, not
 //! the frame, and no announced length is reserved ahead of its bytes.
 
-use std::borrow::Borrow;
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
@@ -112,7 +112,7 @@ pub struct WriteQueue {
 // frame to shrink the rare raw entry.
 #[allow(clippy::large_enum_variant)]
 enum Queued {
-    Frame(FrameProducer<WireMsg>),
+    Frame(FrameProducer<'static>),
     Raw(Vec<u8>),
 }
 
@@ -187,7 +187,7 @@ impl WriteQueue {
         max_frame_bytes: usize,
         channel: Option<&mut SecureChannel>,
     ) -> Result<usize, ProtocolError> {
-        let frame = FrameProducer::new(msg, max_frame_bytes, channel)?;
+        let frame = FrameProducer::new(Cow::Owned(msg), max_frame_bytes, channel)?;
         let len = frame.wire_len();
         self.producing.push_back(Queued::Frame(frame));
         self.queued_total += len as u64;
@@ -325,8 +325,8 @@ impl WriteQueue {
 /// [`produce`](Self::produce) encodes the next bytes and seals each record
 /// once its last plaintext byte is in, its tag right behind it. The bytes
 /// are those of the whole frame built at once, however they are cut.
-pub(crate) struct FrameProducer<M> {
-    payload: PayloadEncoder<M>,
+pub(crate) struct FrameProducer<'a> {
+    payload: PayloadEncoder<'a>,
     /// What goes in front of the payload and is not out yet: on a channel
     /// the `DBHE` header, then the (inner) `DBH2` header.
     head: Option<([u8; 16], usize)>,
@@ -338,16 +338,16 @@ pub(crate) struct FrameProducer<M> {
     wire_len: usize,
 }
 
-impl<M: Borrow<WireMsg>> FrameProducer<M> {
+impl<'a> FrameProducer<'a> {
     /// Takes `msg` to be produced as one frame, or refuses it — it does not
     /// encode, or its payload exceeds `max_frame_bytes` — with the channel's
     /// send sequence untouched.
     pub(crate) fn new(
-        msg: M,
+        msg: Cow<'a, WireMsg>,
         max_frame_bytes: usize,
         channel: Option<&mut SecureChannel>,
     ) -> Result<Self, ProtocolError> {
-        let len = payload_size_hint(msg.borrow());
+        let len = payload_size_hint(&msg);
         let wire_len = match channel {
             Some(_) => sealed_frame_len(8 + len),
             None => 8 + len,

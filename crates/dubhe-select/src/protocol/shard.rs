@@ -8,12 +8,11 @@
 //! is refused with [`ProtocolError::PrivateKeyAtServer`]. Registries are
 //! folded into the running homomorphic sum *as they arrive*, so the folds
 //! are `O(registry_len)` whatever the client count. What grows with the
-//! client count `N` is the registration broadcast, and only as handles:
-//! the serving side holds one total, the `N + 1` envelopes that address
-//! it (each a handle on the total's shared storage, not a copy), and, per
-//! connection, at most two slices of the frame — its write queue encodes
-//! and seals the frame a slice ahead of the socket and never holds it
-//! whole.
+//! client count `N` is the registration broadcast, and only as its
+//! addressees: once the `N + 1` envelopes around one total are queued, the
+//! serving side holds the total, one envelope, the addressees (16 B each)
+//! and, per connection, at most two slices of the frame — its write queue
+//! encodes and seals the frame a slice ahead of the socket.
 //!
 //! The *positions* `0..registry_len` are split into `N` contiguous shards,
 //! each holding its own running fold of its slice; an arriving vector is
@@ -427,7 +426,8 @@ impl ShardedCoordinator {
     /// holders can open it. The shards are merged once; every addressee's
     /// copy is a handle on that one total (a clone of an [`EncryptedVector`]
     /// is a reference-count bump), which is also what lets the `DBH2`
-    /// encoder write the ciphertexts once and copy the bytes for the rest.
+    /// encoder write the ciphertexts once and copy the bytes for the rest,
+    /// and a write queue keep one envelope and the addressees.
     fn settle_registration(&mut self, partial: bool) -> Result<Vec<Envelope>, ProtocolError> {
         self.registration_closed = true;
         self.cohort_outcomes.push(CohortOutcome {

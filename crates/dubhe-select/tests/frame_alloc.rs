@@ -16,8 +16,9 @@
 //! connection, as the listener queues its replies, the broadcast is not
 //! even framed whole: the write queue encodes and seals it a slice ahead of
 //! the socket, so what the server holds for it is about two slices whatever
-//! the cohort size. An integration test is its own binary, so the counting
-//! `#[global_allocator]` observes exactly this workload.
+//! the cohort size, and the queue keeps one envelope and the addressees, not
+//! the `N + 1`-envelope list. An integration test is its own binary, so the
+//! counting `#[global_allocator]` observes exactly this workload.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
@@ -477,9 +478,11 @@ fn a_queued_broadcast_is_held_as_two_slices_not_as_a_frame() {
     // The reply path as the listener runs it: the broadcast moved into a
     // server-role connection's queue and drained a slice per turn through a
     // socket that takes at most 64 KiB a write. The sealed frame is 1.1 MB
-    // at n = 300 and 4.4 MB at n = 1 200; the queue never allocates a
-    // quarter of it, and holds the same two slices at most for either.
-    for n in [300, 1200] {
+    // at n = 300, 4.4 MB at n = 1 200 and 11 MB at n = 3 000; the queue
+    // never allocates a quarter of it, and holds the same two slices at
+    // most for each. It does not hold the `n + 1`-envelope list either:
+    // queueing keeps the one envelope and its addressees, 16 B each.
+    for n in [300, 1200, 3000] {
         let (mut client_link, mut server_link) = connection_pair();
         let msg = broadcast(n);
         let wire = sealed_len(8 + payload_size_hint(&msg));
@@ -489,7 +492,14 @@ fn a_queued_broadcast_is_held_as_two_slices_not_as_a_frame() {
         };
         let queued = msg.clone();
         let (_, _, frame_sized, peak) = measure(wire / 4, || {
+            let held = LIVE.load(Ordering::SeqCst);
             assert_eq!(server_link.queue(queued), Ok(wire));
+            let released = held.saturating_sub(LIVE.load(Ordering::SeqCst));
+            let list = (n + 1) * (std::mem::size_of::<Envelope>() - 16);
+            assert!(
+                released + 4 * 1024 >= list,
+                "n = {n}: queueing released {released} B of the envelope list"
+            );
             while server_link.out.pending() > 0 {
                 server_link.out.flush_slice(&mut sink).unwrap();
             }
