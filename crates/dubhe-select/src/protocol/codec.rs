@@ -1540,19 +1540,25 @@ pub(crate) mod tests {
         })
     }
 
+    /// 64 seeded `TEST_KEY_BITS` keypairs, every eighth over unbalanced
+    /// primes.
+    fn seeded_keypairs() -> Vec<Keypair> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(35);
+        (0..64)
+            .map(|i| match i % 8 {
+                0 => unbalanced_keypair(&mut rng),
+                _ => Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng),
+            })
+            .collect()
+    }
+
     #[test]
     fn binary_encode_size_hint_covers_every_payload_in_one_allocation() {
         // The hint is the payload's exact length for every message — what a
         // write queue fixes a frame's header from before encoding a byte of
         // it — key dispatches included, whose primes may encode a byte short
         // of half the modulus.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(35);
-        let keypairs: Vec<Keypair> = (0..64)
-            .map(|i| match i % 8 {
-                0 => unbalanced_keypair(&mut rng),
-                _ => Keypair::generate(dubhe_he::TEST_KEY_BITS, &mut rng),
-            })
-            .collect();
+        let keypairs = seeded_keypairs();
         assert!(
             keypairs.iter().any(has_a_short_prime),
             "the set carries a prime that encodes one byte short"
@@ -1578,6 +1584,52 @@ pub(crate) mod tests {
             let mut bytes = Vec::new();
             owned.encode(&mut bytes, usize::MAX);
             assert_eq!(bytes, payload, "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn every_message_encodes_to_its_committed_digest() {
+        // Each payload's SHA-256 and length, one line per message of the
+        // sample set, the broadcast batches and the seeded key dispatches:
+        // a change to the codec that moves a byte of any of them shows here,
+        // named. The expected lines are the committed
+        // `tests/fixtures/dbh2_payloads.txt`; on a mismatch the computed ones
+        // are written beside the build's output for the diff.
+        let named = |set: &'static str, msgs: Vec<WireMsg>| {
+            let msgs = msgs.into_iter().enumerate();
+            msgs.map(move |(i, msg)| (format!("{set} {i}"), msg))
+        };
+        let keypairs = seeded_keypairs();
+        let dispatches = keypairs.iter().flat_map(key_dispatches).collect();
+        let computed: Vec<String> = named("sample", sample_msgs())
+            .chain(named("broadcast", broadcast_batches()))
+            .chain(named("dispatch", dispatches))
+            .map(|(name, msg)| {
+                let payload = encode(&msg).unwrap();
+                let digest = mini_crypto::sha256(&payload);
+                let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
+                format!("{name} {hex} {}", payload.len())
+            })
+            .collect();
+        let committed: Vec<&str> = include_str!("../../tests/fixtures/dbh2_payloads.txt")
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .collect();
+        let exe = std::env::current_exe().unwrap();
+        let tmp = exe.ancestors().nth(3).unwrap().join("tmp");
+        std::fs::create_dir_all(&tmp).unwrap();
+        let written = tmp.join("dbh2_payloads.txt");
+        std::fs::write(&written, computed.join("\n") + "\n").unwrap();
+        if let Some(at) = (0..committed.len().max(computed.len()))
+            .find(|&i| committed.get(i).copied() != computed.get(i).map(String::as_str))
+        {
+            panic!(
+                "message {at} differs: committed {:?}, computed {:?} (all computed lines \
+                 written to {})",
+                committed.get(at),
+                computed.get(at),
+                written.display()
+            );
         }
     }
 
