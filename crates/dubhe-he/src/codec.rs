@@ -16,6 +16,7 @@
 //! ciphertext   := value, zero-padded to ⌈2·|n|/8⌉ bytes (width from the key)
 //! vector       := public key | u32 count | count × ciphertext
 //! private key  := public key | u32 len | p | u32 len | q
+//! packed       := u32 slot_bits | u64 key_bits | u64 count | vector
 //! ```
 //!
 //! Decoding is defensive: truncated input, counts that overrun the payload,
@@ -434,12 +435,8 @@ pub fn decode_vector(cur: &mut &[u8]) -> Result<EncryptedVector, HeError> {
     Ok(EncryptedVector::from_raw_parts(elements, public))
 }
 
-/// Encodes a packed encrypted vector: the slot layout header, the lane
-/// count, then the inner vector in its canonical form.
-///
-/// ```text
-/// packed vector := u32 slot_bits | u64 key_bits | u64 count | vector
-/// ```
+/// Encodes a packed encrypted vector: its slot layout header, then its
+/// inner vector in its canonical form.
 pub fn encode_packed_vector(
     packed: &PackedEncryptedVector,
     out: &mut Vec<u8>,
@@ -449,8 +446,10 @@ pub fn encode_packed_vector(
     encode_vector(packed.vector(), out)
 }
 
-/// Appends the 20-byte slot layout header of a packed vector: what
-/// [`encode_packed_vector`] writes in front of the inner vector.
+/// Bytes of a packed vector's slot layout header: `u32 slot_bits | u64 key_bits | u64 count`.
+pub const PACKED_HEADER_BYTES: usize = 4 + 8 + 8;
+
+/// Appends a packed vector's slot layout header, in front of its inner vector.
 pub fn put_packed_header(packed: &PackedEncryptedVector, out: &mut Vec<u8>) {
     let packer = packed.packer();
     put_u32(out, packer.slot_bits);
@@ -458,10 +457,9 @@ pub fn put_packed_header(packed: &PackedEncryptedVector, out: &mut Vec<u8>) {
     put_u64(out, packed.count() as u64);
 }
 
-/// Exact encoded size of [`encode_packed_vector`]'s output: the 20-byte slot
-/// layout header plus the inner vector's encoding.
+/// Exact encoded size of [`encode_packed_vector`]'s output.
 pub fn encoded_packed_vector_bytes(packed: &PackedEncryptedVector) -> usize {
-    4 + 8 + 8 + encoded_vector_bytes(packed.vector())
+    PACKED_HEADER_BYTES + encoded_vector_bytes(packed.vector())
 }
 
 /// Decodes a packed encrypted vector. Beyond the inner vector's defenses,

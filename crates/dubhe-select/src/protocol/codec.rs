@@ -6,60 +6,400 @@
 //! canonical payload plus a small constant header — within 1.10× of the
 //! paper's communication model, pinned by `tests/networked_protocol.rs`.
 //!
-//! Encoding is *total* over `WireMsg` (every variant encodes) and decoding
-//! is *defensive*: arbitrary bytes surface as
-//! [`ProtocolError::MalformedFrame`], never a panic. Both also run a piece
-//! at a time (`PayloadEncoder`, `PayloadDecoder`), so neither end of a
-//! connection holds a registration broadcast whole; [`encode`] and
-//! [`decode`] are the one-step cases.
+//! ## One layout, two walks
 //!
-//! ## `DBH2` payload layout
+//! Each message's layout is written once: the two `layout!` tables give
+//! every wire message, and every protocol message an envelope carries, as
+//! its tag and then its fields in order, and each field's type its own
+//! layout ([`dubhe_he::codec`]'s canonical one for keys and vectors; all
+//! integers big-endian). New tags extend a table, so an older `DBH2` peer
+//! still reads the tags it knows. Everything else walks that description:
+//! the *write walk* puts the fields into a sink — the payload
+//! (`PayloadEncoder`), or a count of its bytes ([`payload_size_hint`]),
+//! which is therefore exact; the *read walk* takes them off the bytes
+//! (`PayloadDecoder`, [`decode`]), or steps over them to read an envelope's
+//! length (`envelope_len`, which skips a residue block as `count × width`).
+//! [`RegistryFrame`] is the read walk stopped at a registry's vector.
 //!
-//! All integers big-endian; `uN` fields are fixed-width; bignums use the
-//! canonical encodings of [`dubhe_he::codec`].
-//!
-//! ```text
-//! wiremsg  := 0 envelope
-//!           | 1 u64 try_index  u32 count  count × u64 participant
-//!           | 2 u32 count  count × envelope
-//!           | 3                                  (Ack)
-//!           | 4 u32 len  utf-8 detail            (Error)
-//!           | 5                                  (Shutdown)
-//!           | 6 u64 epoch  u64 expected          (BeginEpoch)
-//!           | 7                                  (CloseRegistration)
-//!           | 8 u64 try_index                    (CloseTry)
-//! envelope := party party u64-epoch protocolmsg
-//! party    := 0 | 1 | 2 u64 client-id
-//! protocolmsg :=
-//!     0 public-key  u8 has-private  [private-key]
-//!   | 1 u64 client  vector
-//!   | 2 vector
-//!   | 3 u64 client  u64 try_index  vector
-//!   | 4 u64 try_index  u64 contributors  vector
-//!   | 5 u64 best_try  f64-bits distance
-//!   | 6 u64 client  packed-vector                      (PackedRegistry)
-//!   | 7 packed-vector                                  (PackedTotalBroadcast)
-//!   | 8 u64 client  u64 try_index  packed-vector       (PackedDistribution)
-//!   | 9 u64 try_index  u64 contributors  packed-vector (PackedDistributionSum)
-//! packed-vector := u32 slot_bits  u64 key_bits  u64 count  vector
-//! ```
-//!
-//! The packed variants extend the tag sequence (6–9) rather than reordering
-//! it, so every pre-packing DBH2 peer still reads tags 0–5 unchanged.
+//! Encoding is *total* over `WireMsg` and decoding is *defensive*:
+//! arbitrary bytes surface as [`ProtocolError::MalformedFrame`], never a
+//! panic. Both run a piece at a time — a message's head, then a batch's
+//! envelopes — so neither end of a connection holds a registration
+//! broadcast whole; [`encode`] and [`decode`] are the one-step cases.
 
 use std::borrow::Cow;
 
 use dubhe_he::codec as he;
-use dubhe_he::EncryptedVector;
+use dubhe_he::{EncryptedVector, HeError, PackedEncryptedVector, PrivateKey, PublicKey};
 
 use super::message::{Envelope, Party, ProtocolMsg};
 use super::wire::WireMsg;
 use crate::error::ProtocolError;
-use dubhe_he::HeError;
 
-/// Serializes one message into a frame payload of its own, in one
-/// allocation of its exact length: a `PayloadEncoder` run to the end in one
-/// call.
+/// Bytes of a tag and of a scalar.
+const TAG_BYTES: usize = size_of::<u8>();
+const SCALAR_BYTES: usize = size_of::<u64>();
+/// A batch's head: its tag and its `u32` envelope count.
+const BATCH_HEAD_BYTES: usize = TAG_BYTES + size_of::<u32>();
+/// The fewest bytes an envelope takes: two party tags and a message tag.
+const ENVELOPE_MIN_BYTES: usize = 3 * TAG_BYTES;
+
+/// The wire-message tag of a [`WireMsg::Batch`], the one message decoded a
+/// piece at a time.
+pub(crate) const BATCH_TAG: u8 = 2;
+/// The tags of the envelope a [`RegistryFrame`] defers, and of its message.
+const ENVELOPE_TAG: u8 = 0;
+const REGISTRY_TAG: u8 = 1;
+
+type Memo<'a> = he::VectorDecodeMemo<'a>;
+
+/// A field's layout: how the write walk puts it, and how the read walk
+/// takes it or steps over it. A message family is a field as well: its
+/// tag, then its variant's fields (see `layout!`).
+trait Field: Sized {
+    /// Puts the field into `sink`, all but the vector or error detail it
+    /// may end with: that is returned, for the encoder to cut to its budget.
+    fn put<'m>(&'m self, sink: &mut impl Sink) -> Option<Tail<'m>>;
+
+    fn take<'a>(cur: &mut &'a [u8], memo: &mut Memo<'a>) -> Result<Self, ProtocolError>;
+
+    /// Steps `cur` over the field but for a vector's residue block, and
+    /// returns the block's bytes; `None` where the bytes do not parse. A
+    /// field without a vector is stepped over by taking it (keys, which no
+    /// batch carries on a hot path, too).
+    fn step(cur: &mut &[u8]) -> Option<usize> {
+        Self::take(cur, &mut Memo::default()).ok().map(|_| 0)
+    }
+}
+
+/// Writes a message family's layout — each variant's tag, then its fields
+/// in order — as the family's [`Field`] implementation.
+macro_rules! layout {
+    ($family:ident, $what:literal; $($tag:tt $variant:ident { $($field:ident: $ty:ty),* },)*) => {
+        impl Field for $family {
+            fn put<'m>(&'m self, sink: &mut impl Sink) -> Option<Tail<'m>> {
+                match self {
+                    $($family::$variant { $($field),* } => {
+                        put_bytes(sink, &[$tag]);
+                        None $(.or(Field::put($field, sink)))*
+                    })*
+                }
+            }
+
+            fn take<'a>(cur: &mut &'a [u8], memo: &mut Memo<'a>) -> Result<Self, ProtocolError> {
+                Ok(match take_u8(cur)? {
+                    $($tag => $family::$variant {
+                        $($field: <$ty as Field>::take(cur, memo)?),*
+                    },)*
+                    tag => return Err(malformed_tag($what, tag)),
+                })
+            }
+
+            fn step(cur: &mut &[u8]) -> Option<usize> {
+                match take_u8(cur).ok()? {
+                    $($tag => Some(0 $(+ <$ty as Field>::step(cur)?)*),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+layout! { WireMsg, "wire-message";
+    ENVELOPE_TAG Envelope { envelope: Envelope },
+    1 AnnounceTry { try_index: usize, participants: Vec<usize> },
+    BATCH_TAG Batch { envelopes: Vec<Envelope> },
+    3 Ack {},
+    4 Error { detail: String },
+    5 Shutdown {},
+    6 BeginEpoch { epoch: u64, expected_registrations: usize },
+    7 CloseRegistration {},
+    8 CloseTry { try_index: usize },
+}
+
+layout! { ProtocolMsg, "protocol-message";
+    0 PublicKeyDispatch { public_key: PublicKey, private_key: Option<PrivateKey> },
+    REGISTRY_TAG EncryptedRegistry { client: usize, registry: EncryptedVector },
+    2 EncryptedTotalBroadcast { total: EncryptedVector },
+    3 EncryptedDistribution { client: usize, try_index: usize, distribution: EncryptedVector },
+    4 EncryptedDistributionSum { try_index: usize, contributors: usize, sum: EncryptedVector },
+    5 TryVerdict { best_try: usize, distance: f64 },
+    6 PackedRegistry { client: usize, registry: PackedEncryptedVector },
+    7 PackedTotalBroadcast { total: PackedEncryptedVector },
+    8 PackedDistribution { client: usize, try_index: usize, distribution: PackedEncryptedVector },
+    9 PackedDistributionSum { try_index: usize, contributors: usize, sum: PackedEncryptedVector },
+}
+
+/// A `u64` scalar: a `usize` as one, an `f64` as its bits.
+macro_rules! scalar {
+    ($($ty:ty: $to:expr, $from:expr;)*) => {$(
+        impl Field for $ty {
+            fn put<'m>(&'m self, sink: &mut impl Sink) -> Option<Tail<'m>> {
+                put_bytes(sink, &$to(*self).to_be_bytes());
+                None
+            }
+
+            fn take<'a>(cur: &mut &'a [u8], _: &mut Memo<'a>) -> Result<Self, ProtocolError> {
+                let scalar = he::take_u64(cur).map_err(he_err)?;
+                $from(scalar)
+            }
+        }
+    )*};
+}
+
+scalar! {
+    u64: |v| v, Ok;
+    usize: |v| v as u64,
+        |v| usize::try_from(v).map_err(|_| malformed("scalar does not fit in usize"));
+    f64: f64::to_bits, |v| Ok(f64::from_bits(v));
+}
+
+/// `0` the agent, `1` the server, `2` a client, then its id.
+impl Field for Party {
+    fn put<'m>(&'m self, sink: &mut impl Sink) -> Option<Tail<'m>> {
+        match self {
+            Party::Agent => put_bytes(sink, &[0]),
+            Party::Server => put_bytes(sink, &[1]),
+            Party::Client(id) => {
+                put_bytes(sink, &[2]);
+                id.put(sink);
+            }
+        }
+        None
+    }
+
+    fn take<'a>(cur: &mut &'a [u8], memo: &mut Memo<'a>) -> Result<Self, ProtocolError> {
+        match take_u8(cur)? {
+            0 => Ok(Party::Agent),
+            1 => Ok(Party::Server),
+            2 => Ok(Party::Client(usize::take(cur, memo)?)),
+            tag => Err(malformed_tag("party", tag)),
+        }
+    }
+}
+
+/// Its parties, its epoch, then its message.
+impl Field for Envelope {
+    fn put<'m>(&'m self, sink: &mut impl Sink) -> Option<Tail<'m>> {
+        put_envelope(self, self.to, sink)
+    }
+
+    fn take<'a>(cur: &mut &'a [u8], memo: &mut Memo<'a>) -> Result<Self, ProtocolError> {
+        Ok(Envelope {
+            from: Party::take(cur, memo)?,
+            to: Party::take(cur, memo)?,
+            epoch: u64::take(cur, memo)?,
+            msg: ProtocolMsg::take(cur, memo)?,
+        })
+    }
+
+    fn step(cur: &mut &[u8]) -> Option<usize> {
+        Some(Party::step(cur)? + Party::step(cur)? + u64::step(cur)? + ProtocolMsg::step(cur)?)
+    }
+}
+
+/// Puts `envelope`'s fields addressed `to`, which a broadcast held once
+/// (see [`PayloadEncoder`]) gives each of its pieces.
+fn put_envelope<'m>(envelope: &'m Envelope, to: Party, sink: &mut impl Sink) -> Option<Tail<'m>> {
+    envelope.from.put(sink);
+    to.put(sink);
+    envelope.epoch.put(sink);
+    envelope.msg.put(sink)
+}
+
+impl Field for PublicKey {
+    fn put<'m>(&'m self, sink: &mut impl Sink) -> Option<Tail<'m>> {
+        let len = he::encoded_public_key_bytes(self);
+        sink.put(len, |out| he::encode_public_key(self, out));
+        None
+    }
+
+    fn take<'a>(cur: &mut &'a [u8], _: &mut Memo<'a>) -> Result<Self, ProtocolError> {
+        he::decode_public_key(cur).map_err(he_err)
+    }
+}
+
+/// A byte saying whether a private key follows, then the key.
+impl Field for Option<PrivateKey> {
+    fn put<'m>(&'m self, sink: &mut impl Sink) -> Option<Tail<'m>> {
+        put_bytes(sink, &[u8::from(self.is_some())]);
+        if let Some(key) = self {
+            let len = he::encoded_private_key_bytes(key);
+            sink.put(len, |out| he::encode_private_key(key, out));
+        }
+        None
+    }
+
+    fn take<'a>(cur: &mut &'a [u8], _: &mut Memo<'a>) -> Result<Self, ProtocolError> {
+        match take_u8(cur)? {
+            0 => Ok(None),
+            1 => he::decode_private_key(cur).map(Some).map_err(he_err),
+            tag => Err(malformed_tag("private-key presence", tag)),
+        }
+    }
+}
+
+impl Field for EncryptedVector {
+    fn put<'m>(&'m self, _: &mut impl Sink) -> Option<Tail<'m>> {
+        Some(Tail::Vector(self))
+    }
+
+    fn take<'a>(cur: &mut &'a [u8], memo: &mut Memo<'a>) -> Result<Self, ProtocolError> {
+        memo.decode_vector(cur).map_err(he_err)
+    }
+
+    fn step(cur: &mut &[u8]) -> Option<usize> {
+        vector_len(cur)
+    }
+}
+
+/// Its slot header ([`he::PACKED_HEADER_BYTES`]), then its vector.
+impl Field for PackedEncryptedVector {
+    fn put<'m>(&'m self, sink: &mut impl Sink) -> Option<Tail<'m>> {
+        let header = he::PACKED_HEADER_BYTES;
+        sink.put(header, |out| he::put_packed_header(self, out));
+        self.vector().put(sink)
+    }
+
+    fn take<'a>(cur: &mut &'a [u8], memo: &mut Memo<'a>) -> Result<Self, ProtocolError> {
+        memo.decode_packed_vector(cur).map_err(he_err)
+    }
+
+    fn step(cur: &mut &[u8]) -> Option<usize> {
+        he::take_bytes(cur, he::PACKED_HEADER_BYTES).ok()?;
+        vector_len(cur)
+    }
+}
+
+/// A count, then that many scalars.
+impl Field for Vec<usize> {
+    fn put<'m>(&'m self, sink: &mut impl Sink) -> Option<Tail<'m>> {
+        put_count(sink, self.len());
+        for scalar in self {
+            scalar.put(sink);
+        }
+        None
+    }
+
+    fn take<'a>(cur: &mut &'a [u8], memo: &mut Memo<'a>) -> Result<Self, ProtocolError> {
+        let count = take_count(cur)?;
+        // Refuse counts the payload cannot hold before reserving anything.
+        let need = count.checked_mul(SCALAR_BYTES);
+        if need.is_none_or(|need| need > cur.len()) {
+            return Err(malformed("participant count overruns the payload"));
+        }
+        (0..count).map(|_| usize::take(cur, memo)).collect()
+    }
+}
+
+/// A batch's envelope count, then its envelopes: pieces of their own, which
+/// the encoder puts and the decoder takes one at a time.
+impl Field for Vec<Envelope> {
+    fn put<'m>(&'m self, sink: &mut impl Sink) -> Option<Tail<'m>> {
+        put_count(sink, self.len());
+        None
+    }
+
+    fn take<'a>(cur: &mut &'a [u8], memo: &mut Memo<'a>) -> Result<Self, ProtocolError> {
+        let count = take_count(cur)?;
+        (0..count).map(|_| Envelope::take(cur, memo)).collect()
+    }
+}
+
+/// A length, then that many bytes of UTF-8.
+impl Field for String {
+    fn put<'m>(&'m self, sink: &mut impl Sink) -> Option<Tail<'m>> {
+        put_count(sink, self.len());
+        Some(Tail::Detail(self))
+    }
+
+    fn take<'a>(cur: &mut &'a [u8], _: &mut Memo<'a>) -> Result<Self, ProtocolError> {
+        let len = take_count(cur)?;
+        let bytes = he::take_bytes(cur, len).map_err(he_err)?;
+        let detail = std::str::from_utf8(bytes).map_err(|_| malformed("error detail is not UTF-8"));
+        Ok(detail?.to_string())
+    }
+}
+
+/// Where the write walk puts a message's fields: into a payload, or into a
+/// count of its bytes — so [`payload_size_hint`] counts what [`encode`]
+/// writes.
+trait Sink {
+    /// Puts a field of `len` bytes, which `write` appends.
+    fn put(&mut self, len: usize, write: impl FnOnce(&mut Vec<u8>));
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, len: usize, write: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.len();
+        write(self);
+        debug_assert_eq!(self.len() - start, len, "a field's count is its length");
+    }
+}
+
+impl Sink for usize {
+    fn put(&mut self, len: usize, _: impl FnOnce(&mut Vec<u8>)) {
+        *self += len;
+    }
+}
+
+fn put_bytes(sink: &mut impl Sink, bytes: &[u8]) {
+    sink.put(bytes.len(), |out| out.extend_from_slice(bytes));
+}
+
+fn put_count(sink: &mut impl Sink, count: usize) {
+    put_bytes(sink, &(count as u32).to_be_bytes());
+}
+
+/// The end of a piece that the encoder cuts to its budget.
+#[derive(Clone, Copy)]
+enum Tail<'m> {
+    Vector(&'m EncryptedVector),
+    Detail(&'m str),
+}
+
+/// The write walk over piece `piece` of `msg`: its head — all of it but for
+/// a batch — or a batch's envelope `piece - 1`; see [`PayloadEncoder`] for
+/// `to`.
+fn put_piece<'m>(
+    msg: &'m WireMsg,
+    to: &[Party],
+    piece: usize,
+    sink: &mut impl Sink,
+) -> Option<Tail<'m>> {
+    match (msg, piece.checked_sub(1)) {
+        (WireMsg::Batch { envelopes }, Some(i)) => {
+            let envelope = &envelopes[if to.is_empty() { i } else { 0 }];
+            put_envelope(envelope, to.get(i).copied().unwrap_or(envelope.to), sink)
+        }
+        // A broadcast held once counts its addressees.
+        (WireMsg::Batch { .. }, None) if !to.is_empty() => {
+            put_bytes(sink, &[BATCH_TAG]);
+            put_count(sink, to.len());
+            None
+        }
+        _ => msg.put(sink),
+    }
+}
+
+/// Exactly how many bytes [`encode`] produces for `msg`: the write walk run
+/// into a count, without encoding anything — what a framer fixes a frame's
+/// length from before the first byte of it is encoded.
+pub fn payload_size_hint(msg: &WireMsg) -> usize {
+    let mut size = 0;
+    for piece in 0..=batch(msg).len() {
+        let tail = put_piece(msg, &[], piece, &mut size);
+        size += match tail {
+            None => 0,
+            Some(Tail::Vector(vector)) => he::encoded_vector_bytes(vector),
+            Some(Tail::Detail(detail)) => detail.len(),
+        };
+    }
+    size
+}
+
+/// Serializes one message into a payload of its own, in one allocation of
+/// its exact length: a `PayloadEncoder` run to the end in one call.
 pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
     let mut encoder = PayloadEncoder::new(Cow::Borrowed(msg))?;
     let mut out = Vec::with_capacity(encoder.remaining());
@@ -68,55 +408,32 @@ pub fn encode(msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
 }
 
 /// One message's payload, encoded into the end of a buffer a piece at a
-/// time — what lets a write queue hold a registration broadcast a slice at
-/// a time instead of whole.
-///
-/// Everything that can fail is checked by [`new`](Self::new), which also
-/// fixes the payload's exact length ([`payload_size_hint`]); encoding is
-/// then infallible. The pieces are the message's head (all of it unless it
-/// carries envelopes or an error detail), then each envelope. A piece's
-/// fields go in whole; its trailing vector, or an error's detail, is cut
-/// at whatever byte a call's budget ends on and resumed by the next call.
-/// Consecutive envelopes carrying one shared vector (a broadcast) encode it
-/// once: the encoder keeps its own copy of the vector it encoded last
-/// ([`he::VectorEncodeMemo`]), since the buffer it writes to may be
-/// reclaimed as it leaves. An owned broadcast is held as its one envelope
-/// and its addressees, the other envelopes dropped before a byte is encoded.
+/// time ([`put_piece`]), so a write queue holds a registration broadcast a
+/// slice at a time. [`new`](Self::new) checks all that can fail and fixes
+/// the payload's length. A piece goes in whole but for its trailing vector
+/// or detail, which is cut where a call's budget ends. A broadcast's shared
+/// vector is encoded once, into a copy the encoder keeps
+/// ([`he::VectorEncodeMemo`]); an owned broadcast is held as its one
+/// envelope and its addressees, the other envelopes dropped at once.
 pub(crate) struct PayloadEncoder<'a> {
     msg: Cow<'a, WireMsg>,
     /// A broadcast's addressees, `msg` keeping its first envelope; or empty.
     to: Vec<Party>,
     /// Payload bytes not encoded yet.
     remaining: usize,
-    /// The next piece: 0 is the message's head, `i` its `i`-th envelope.
+    /// The next piece.
     next: usize,
-    /// The rest of the piece under way: how much of its vector or detail
-    /// is already out.
-    tail: Tail,
+    /// While the last piece's vector or detail is not all out: how much is.
+    at: Option<usize>,
     memo: he::VectorEncodeMemo,
 }
 
-#[derive(Clone, Copy)]
-enum Tail {
-    None,
-    Vector(usize),
-    Detail(usize),
-}
-
-/// The envelopes a message carries, in order.
-fn envelopes(msg: &WireMsg) -> &[Envelope] {
+/// A batch's envelopes: its pieces past its head.
+fn batch(msg: &WireMsg) -> &[Envelope] {
     match msg {
-        WireMsg::Envelope { envelope } => std::slice::from_ref(envelope),
         WireMsg::Batch { envelopes } => envelopes,
         _ => &[],
     }
-}
-
-/// Envelope `i` of a message and its addressee, where `to` holds the
-/// addressees of a broadcast held once (see [`PayloadEncoder`]).
-fn envelope<'m>(msg: &'m WireMsg, to: &[Party], i: usize) -> (&'m Envelope, Party) {
-    let envelope = &envelopes(msg)[if to.is_empty() { i } else { 0 }];
-    (envelope, to.get(i).copied().unwrap_or(envelope.to))
 }
 
 /// Whether `envelopes` are one message to several addressees: equal but for
@@ -134,20 +451,9 @@ fn one_message(envelopes: &[Envelope]) -> bool {
 
 /// The vector an envelope's message ends with, if it carries one.
 fn trailing_vector(envelope: &Envelope) -> Option<&EncryptedVector> {
-    match &envelope.msg {
-        ProtocolMsg::PublicKeyDispatch { .. } | ProtocolMsg::TryVerdict { .. } => None,
-        ProtocolMsg::EncryptedRegistry { registry: v, .. }
-        | ProtocolMsg::EncryptedTotalBroadcast { total: v }
-        | ProtocolMsg::EncryptedDistribution {
-            distribution: v, ..
-        }
-        | ProtocolMsg::EncryptedDistributionSum { sum: v, .. } => Some(v),
-        ProtocolMsg::PackedRegistry { registry: v, .. }
-        | ProtocolMsg::PackedTotalBroadcast { total: v }
-        | ProtocolMsg::PackedDistribution {
-            distribution: v, ..
-        }
-        | ProtocolMsg::PackedDistributionSum { sum: v, .. } => Some(v.vector()),
+    match envelope.msg.put(&mut 0usize) {
+        Some(Tail::Vector(vector)) => Some(vector),
+        _ => None,
     }
 }
 
@@ -157,8 +463,8 @@ impl<'a> PayloadEncoder<'a> {
     /// vector is checked once however many envelopes in a row carry it.
     pub(crate) fn new(mut msg: Cow<'a, WireMsg>) -> Result<Self, ProtocolError> {
         let mut last: Option<&EncryptedVector> = None;
-        for envelope in envelopes(&msg) {
-            let Some(vector) = trailing_vector(envelope) else {
+        for piece in 0..=batch(&msg).len() {
+            let Some(Tail::Vector(vector)) = put_piece(&msg, &[], piece, &mut 0usize) else {
                 continue;
             };
             if !last.is_some_and(|last| last.shares_storage(vector)) {
@@ -179,7 +485,7 @@ impl<'a> PayloadEncoder<'a> {
             msg,
             to,
             next: 0,
-            tail: Tail::None,
+            at: None,
             memo: he::VectorEncodeMemo::default(),
         })
     }
@@ -198,91 +504,30 @@ impl<'a> PayloadEncoder<'a> {
         let end = start.saturating_add(budget);
         let msg = &*self.msg;
         while out.len() - start < self.remaining && out.len() < end {
-            let (bytes, at): (&[u8], usize) = match self.tail {
-                Tail::None => {
-                    self.tail = put_piece(msg, &self.to, self.next, out);
+            let (tail, at) = match self.at {
+                // The piece's fields are out: walk them into a count.
+                Some(at) => (put_piece(msg, &self.to, self.next - 1, &mut 0usize), at),
+                None => {
                     self.next += 1;
-                    continue;
+                    (put_piece(msg, &self.to, self.next - 1, out), 0)
                 }
-                Tail::Vector(at) => {
-                    let (envelope, _) = envelope(msg, &self.to, self.next - 2);
-                    let vector = trailing_vector(envelope).expect("a vector piece");
+            };
+            let bytes = match tail {
+                None => &[][..],
+                Some(Tail::Vector(vector)) => {
                     let bytes = self.memo.encoding(vector);
-                    (bytes.expect("checked when the encoder was built"), at)
+                    bytes.expect("checked when the encoder was built")
                 }
-                Tail::Detail(at) => match msg {
-                    WireMsg::Error { detail } => (detail.as_bytes(), at),
-                    _ => unreachable!("only an error has a detail"),
-                },
+                Some(Tail::Detail(detail)) => detail.as_bytes(),
             };
-            let n = (bytes.len() - at).min(end - out.len());
+            let n = (bytes.len() - at).min(end.saturating_sub(out.len()));
             out.extend_from_slice(&bytes[at..at + n]);
-            self.tail = match self.tail {
-                _ if at + n == bytes.len() => Tail::None,
-                Tail::Vector(_) => Tail::Vector(at + n),
-                _ => Tail::Detail(at + n),
-            };
+            self.at = Some(at + n).filter(|&at| at < bytes.len());
         }
         let appended = out.len() - start;
         assert!(appended <= self.remaining, "payload_size_hint is exact");
         self.remaining -= appended;
     }
-}
-
-/// Appends the fields of piece `next` of `msg` — its head, or envelope
-/// `next - 1` up to its vector, [`envelope`] — and says what follows them.
-fn put_piece(msg: &WireMsg, to: &[Party], next: usize, out: &mut Vec<u8>) -> Tail {
-    if next > 0 {
-        let (envelope, to) = envelope(msg, to, next - 1);
-        put_envelope_fields(envelope, to, out);
-        return match trailing_vector(envelope) {
-            Some(_) => Tail::Vector(0),
-            None => Tail::None,
-        };
-    }
-    match msg {
-        WireMsg::Envelope { .. } => out.push(0),
-        WireMsg::AnnounceTry {
-            try_index,
-            participants,
-        } => {
-            out.push(1);
-            he::put_u64(out, *try_index as u64);
-            he::put_u32(out, participants.len() as u32);
-            for &p in participants {
-                he::put_u64(out, p as u64);
-            }
-        }
-        WireMsg::Batch { envelopes } => {
-            out.push(2);
-            he::put_u32(out, envelopes.len().max(to.len()) as u32);
-        }
-        WireMsg::Ack => out.push(3),
-        WireMsg::Error { detail } => {
-            out.push(4);
-            he::put_u32(out, detail.len() as u32);
-            return Tail::Detail(0);
-        }
-        WireMsg::Shutdown => out.push(5),
-        // The epoch-lifecycle control frames postdate tags 0–5; their
-        // tags extend the sequence rather than following the enum's
-        // declaration order, so every pre-lifecycle DBH2 peer still
-        // reads the original six unchanged.
-        WireMsg::BeginEpoch {
-            epoch,
-            expected_registrations,
-        } => {
-            out.push(6);
-            he::put_u64(out, *epoch);
-            he::put_u64(out, *expected_registrations as u64);
-        }
-        WireMsg::CloseRegistration => out.push(7),
-        WireMsg::CloseTry { try_index } => {
-            out.push(8);
-            he::put_u64(out, *try_index as u64);
-        }
-    }
-    Tail::None
 }
 
 /// Parses one frame payload. The whole payload must be consumed. A
@@ -292,23 +537,34 @@ pub fn decode(payload: &[u8]) -> Result<WireMsg, ProtocolError> {
     Ok(msg.expect("a whole payload decodes or is refused"))
 }
 
-/// The wire-message tag of a [`WireMsg::Batch`], the one message decoded a
-/// piece at a time.
-pub(crate) const BATCH_TAG: u8 = 2;
+/// The exact encoded length of the envelope at the front of `bytes`, read
+/// by stepping over its fields. `None` while they have not all arrived, or
+/// when they do not parse: the decoder then waits for the whole payload and
+/// lets the parser say why.
+fn envelope_len(bytes: &[u8]) -> Option<usize> {
+    let mut cur = bytes;
+    let residues = Envelope::step(&mut cur)?;
+    (bytes.len() - cur.len()).checked_add(residues)
+}
+
+/// Steps `cur` over its vector's key and count and returns the bytes of its
+/// residue block, which fixed-width residues make `count × width`.
+fn vector_len(cur: &mut &[u8]) -> Option<usize> {
+    let key_len = he::take_u32(cur).ok()? as usize;
+    let n = he::take_bytes(cur, key_len).ok()?;
+    // A modulus the parser refuses has no width.
+    let &lead = n.first().filter(|&&lead| lead != 0)?;
+    let bits = 8 * n.len() - lead.leading_zeros() as usize;
+    let count = he::take_u32(cur).ok()? as usize;
+    count.checked_mul(dubhe_he::transport::ciphertext_size_bytes_for(bits as u64))
+}
 
 /// One message's payload, decoded a piece at a time as its bytes arrive —
-/// the dual of [`PayloadEncoder`], and what lets a receiver hold a
-/// registration broadcast an envelope at a time instead of whole.
-///
-/// The pieces are the encoder's: a batch's head (its tag and count), then
-/// each envelope, whose exact length is read off its leading fields
-/// ([`envelope_len`]) so it is parsed once all of it is in and its bytes can
-/// be dropped; any other message is one piece, the whole payload. Pieces
-/// are parsed by the functions a whole payload is, in the same order, with
-/// one [`he::VectorDecodeMemo`] across a batch; where a piece's length cannot
-/// be read off — fields that do not parse — it is taken to run to the end of
-/// the payload, so the parser meets exactly the bytes it would have met
-/// whole. However a payload is split, the decoder answers what [`decode`]
+/// [`PayloadEncoder`]'s dual, so a receiver holds a registration broadcast
+/// an envelope at a time. Each envelope of a batch is parsed once its
+/// length ([`envelope_len`]) has arrived, with one [`Memo`] across the
+/// batch; where no length can be read off, the piece runs to the payload's
+/// end, so however a payload is split the decoder answers what [`decode`]
 /// answers for it whole: the same message, or the same error.
 #[derive(Debug)]
 pub(crate) struct PayloadDecoder {
@@ -321,7 +577,7 @@ pub(crate) struct PayloadDecoder {
     batch: Option<(Vec<Envelope>, usize)>,
     /// The batch's vector memo, kept (with its bytes copied) from one call
     /// to the next only while the payload is unfinished.
-    memo: he::VectorDecodeMemo<'static>,
+    memo: Memo<'static>,
 }
 
 impl PayloadDecoder {
@@ -331,7 +587,7 @@ impl PayloadDecoder {
             len,
             remaining: len,
             batch: None,
-            memo: he::VectorDecodeMemo::default(),
+            memo: Memo::default(),
         }
     }
 
@@ -369,28 +625,37 @@ impl PayloadDecoder {
     fn take_pieces<'a>(
         &mut self,
         cur: &mut &'a [u8],
-        memo: &mut he::VectorDecodeMemo<'a>,
+        memo: &mut Memo<'a>,
     ) -> Result<Option<WireMsg>, ProtocolError> {
         let arrived = cur.len();
         loop {
             // Payload bytes from the front of `cur` on, arrived or not.
             let rest = self.remaining - (arrived - cur.len());
             let Some((envelopes, left)) = &mut self.batch else {
-                let head = match cur.first() {
-                    Some(&BATCH_TAG) => rest.min(5),
-                    _ => rest,
-                };
-                if cur.len() < head {
+                // Any message but a batch is one piece: the whole payload.
+                if cur.first() != Some(&BATCH_TAG) {
+                    if cur.len() < rest {
+                        return Ok(None);
+                    }
+                    let msg = WireMsg::take(cur, memo)?;
+                    if !cur.is_empty() {
+                        return Err(malformed("trailing bytes after the wire message"));
+                    }
+                    return Ok(Some(msg));
+                }
+                if cur.len() < rest.min(BATCH_HEAD_BYTES) {
                     return Ok(None);
                 }
-                let mut piece = &cur[..head];
-                let parsed = decode_head(&mut piece, rest, memo)?;
-                *cur = &cur[head - piece.len()..];
-                match parsed {
-                    Head::Batch(count) => self.batch = Some((Vec::new(), count)),
-                    Head::Msg(msg) if cur.is_empty() => return Ok(Some(msg)),
-                    Head::Msg(_) => return Err(malformed("trailing bytes after the wire message")),
+                let count = take_count(&mut &cur[TAG_BYTES..rest.min(BATCH_HEAD_BYTES)])?;
+                // A lower bound per envelope refuses impossible counts, but
+                // nothing is reserved from one: an `Envelope` is 100× its
+                // wire lower bound. The list grows by what decodes.
+                let need = count.checked_mul(ENVELOPE_MIN_BYTES);
+                if need.is_none_or(|need| need > rest - BATCH_HEAD_BYTES) {
+                    return Err(malformed("envelope count overruns the payload"));
                 }
+                *cur = &cur[BATCH_HEAD_BYTES..];
+                self.batch = Some((Vec::new(), count));
                 continue;
             };
             if *left == 0 {
@@ -408,7 +673,7 @@ impl PayloadDecoder {
                 return Ok(None);
             }
             let mut piece = &cur[..len];
-            let decoded = decode_envelope(&mut piece, memo)?;
+            let decoded = Envelope::take(&mut piece, memo)?;
             // Doubles, but never past the count: it ends at its count.
             if envelopes.len() == envelopes.capacity() {
                 envelopes.reserve_exact(envelopes.len().clamp(1, *left));
@@ -420,84 +685,9 @@ impl PayloadDecoder {
     }
 }
 
-/// The exact encoded length of the envelope at the front of `bytes`, read
-/// off its fields as far as its vector's element count, no residue needed:
-/// the dual of [`envelope_hint`]. `None` while those fields have not all
-/// arrived, or when they do not parse — the decoder then waits for the rest
-/// of the payload and lets the parser say why.
-fn envelope_len(bytes: &[u8]) -> Option<usize> {
-    let mut cur = bytes;
-    let cur = &mut cur;
-    for _ in 0..2 {
-        match take_u8(cur).ok()? {
-            0 | 1 => {}
-            2 => skip(cur, 8)?,
-            _ => return None,
-        }
-    }
-    skip(cur, 8)?;
-    let residues = match take_u8(cur).ok()? {
-        0 => {
-            skip_blob(cur)?;
-            match take_u8(cur).ok()? {
-                0 => 0,
-                // A private key: the modulus again, then the two primes.
-                1 => {
-                    (0..3).try_for_each(|_| skip_blob(cur))?;
-                    0
-                }
-                _ => return None,
-            }
-        }
-        5 => {
-            skip(cur, 16)?;
-            0
-        }
-        tag @ 1..=9 => {
-            let scalars = match tag {
-                2 | 7 => 0,
-                1 | 6 => 8,
-                _ => 16,
-            };
-            skip(cur, scalars)?;
-            if tag >= 6 {
-                skip(cur, 20)?; // the slot layout
-            }
-            vector_len(cur)?
-        }
-        _ => return None,
-    };
-    (bytes.len() - cur.len()).checked_add(residues)
-}
-
-/// Steps `cur` over its vector's key and count and returns the bytes of its
-/// residue block, which fixed-width residues make `count × width`.
-fn vector_len(cur: &mut &[u8]) -> Option<usize> {
-    let key_len = he::take_u32(cur).ok()? as usize;
-    let n = he::take_bytes(cur, key_len).ok()?;
-    // A modulus the parser refuses has no width.
-    let &lead = n.first().filter(|&&lead| lead != 0)?;
-    let bits = 8 * n.len() - lead.leading_zeros() as usize;
-    let count = he::take_u32(cur).ok()? as usize;
-    count.checked_mul(dubhe_he::transport::ciphertext_size_bytes_for(bits as u64))
-}
-
-fn skip(cur: &mut &[u8], n: usize) -> Option<()> {
-    he::take_bytes(cur, n).ok().map(drop)
-}
-
-/// Steps over a `u32`-length-prefixed field.
-fn skip_blob(cur: &mut &[u8]) -> Option<()> {
-    let len = he::take_u32(cur).ok()?;
-    skip(cur, len as usize)
-}
-
-// Kept for exactly one caller: the frozen `benchmark/`, whose ladder spells
-// `CodecKind::Binary.{encode, decode}` and whose epoch and fan-in workloads
-// pass `CodecKind::Binary` to the identity builders `TcpConfig::with_codec`
-// and `MuxConfig::with_codec`. The benchmark-only change of ROADMAP item
-// 1(d) re-points those lines at `codec::{encode, decode}`, drops the two
-// builder calls and deletes this shim with them. Nothing else may name it.
+// Kept for the frozen `benchmark/` alone, which spells it (and passes it to
+// `TcpConfig::with_codec` / `MuxConfig::with_codec`); ROADMAP item 1(d)
+// deletes it with those lines. Nothing else may name it.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodecKind {
@@ -514,63 +704,6 @@ impl CodecKind {
     }
 }
 
-/// Encoded size of a party tag (client ids carry a u64).
-fn party_hint(p: &Party) -> usize {
-    match p {
-        Party::Client(_) => 9,
-        _ => 1,
-    }
-}
-
-/// Encoded size of one envelope: exact, from the `dubhe-he` size model —
-/// fixed-width ciphertexts, and a key dispatch's primes at their real
-/// byte lengths.
-fn envelope_hint(e: &Envelope) -> usize {
-    let body = match &e.msg {
-        ProtocolMsg::PublicKeyDispatch {
-            public_key,
-            private_key,
-        } => {
-            he::encoded_public_key_bytes(public_key)
-                + 1
-                + private_key
-                    .as_ref()
-                    .map_or(0, he::encoded_private_key_bytes)
-        }
-        ProtocolMsg::EncryptedRegistry { registry, .. } => 8 + he::encoded_vector_bytes(registry),
-        ProtocolMsg::EncryptedTotalBroadcast { total } => he::encoded_vector_bytes(total),
-        ProtocolMsg::EncryptedDistribution { distribution, .. } => {
-            16 + he::encoded_vector_bytes(distribution)
-        }
-        ProtocolMsg::EncryptedDistributionSum { sum, .. } => 16 + he::encoded_vector_bytes(sum),
-        ProtocolMsg::TryVerdict { .. } => 16,
-        ProtocolMsg::PackedRegistry { registry, .. } => {
-            8 + he::encoded_packed_vector_bytes(registry)
-        }
-        ProtocolMsg::PackedTotalBroadcast { total } => he::encoded_packed_vector_bytes(total),
-        ProtocolMsg::PackedDistribution { distribution, .. } => {
-            16 + he::encoded_packed_vector_bytes(distribution)
-        }
-        ProtocolMsg::PackedDistributionSum { sum, .. } => 16 + he::encoded_packed_vector_bytes(sum),
-    };
-    party_hint(&e.from) + party_hint(&e.to) + 8 + 1 + body
-}
-
-/// Exactly how many bytes [`encode`] produces for `msg`, from the
-/// `dubhe-he` size model and without encoding anything: what a framer
-/// fixes a frame's length from before the first byte of it is encoded.
-pub fn payload_size_hint(msg: &WireMsg) -> usize {
-    1 + match msg {
-        WireMsg::Envelope { envelope } => envelope_hint(envelope),
-        WireMsg::AnnounceTry { participants, .. } => 8 + 4 + 8 * participants.len(),
-        WireMsg::Batch { envelopes } => 4 + envelopes.iter().map(envelope_hint).sum::<usize>(),
-        WireMsg::Ack | WireMsg::Shutdown | WireMsg::CloseRegistration => 0,
-        WireMsg::Error { detail } => 4 + detail.len(),
-        WireMsg::BeginEpoch { .. } => 16,
-        WireMsg::CloseTry { .. } => 8,
-    }
-}
-
 fn malformed(detail: &str) -> ProtocolError {
     ProtocolError::MalformedFrame {
         detail: format!("binary payload: {detail}"),
@@ -583,112 +716,13 @@ fn he_err(e: HeError) -> ProtocolError {
     }
 }
 
-fn encode_party(party: &Party, out: &mut Vec<u8>) {
-    match party {
-        Party::Agent => out.push(0),
-        Party::Server => out.push(1),
-        Party::Client(id) => {
-            out.push(2);
-            he::put_u64(out, *id as u64);
-        }
-    }
-}
-
-/// Appends an envelope's fields, addressed `to`: everything up to the
-/// vector its message ends with, if it has one (see [`trailing_vector`]).
-fn put_envelope_fields(e: &Envelope, to: Party, out: &mut Vec<u8>) {
-    encode_party(&e.from, out);
-    encode_party(&to, out);
-    he::put_u64(out, e.epoch);
-    match &e.msg {
-        ProtocolMsg::PublicKeyDispatch {
-            public_key,
-            private_key,
-        } => {
-            out.push(0);
-            he::encode_public_key(public_key, out);
-            match private_key {
-                None => out.push(0),
-                Some(sk) => {
-                    out.push(1);
-                    he::encode_private_key(sk, out);
-                }
-            }
-        }
-        ProtocolMsg::EncryptedRegistry { client, .. } => {
-            out.push(1);
-            he::put_u64(out, *client as u64);
-        }
-        ProtocolMsg::EncryptedTotalBroadcast { .. } => out.push(2),
-        ProtocolMsg::EncryptedDistribution {
-            client, try_index, ..
-        } => {
-            out.push(3);
-            he::put_u64(out, *client as u64);
-            he::put_u64(out, *try_index as u64);
-        }
-        ProtocolMsg::EncryptedDistributionSum {
-            try_index,
-            contributors,
-            ..
-        } => {
-            out.push(4);
-            he::put_u64(out, *try_index as u64);
-            he::put_u64(out, *contributors as u64);
-        }
-        ProtocolMsg::TryVerdict { best_try, distance } => {
-            out.push(5);
-            he::put_u64(out, *best_try as u64);
-            he::put_u64(out, distance.to_bits());
-        }
-        ProtocolMsg::PackedRegistry { client, registry } => {
-            out.push(6);
-            he::put_u64(out, *client as u64);
-            he::put_packed_header(registry, out);
-        }
-        ProtocolMsg::PackedTotalBroadcast { total } => {
-            out.push(7);
-            he::put_packed_header(total, out);
-        }
-        ProtocolMsg::PackedDistribution {
-            client,
-            try_index,
-            distribution,
-        } => {
-            out.push(8);
-            he::put_u64(out, *client as u64);
-            he::put_u64(out, *try_index as u64);
-            he::put_packed_header(distribution, out);
-        }
-        ProtocolMsg::PackedDistributionSum {
-            try_index,
-            contributors,
-            sum,
-        } => {
-            out.push(9);
-            he::put_u64(out, *try_index as u64);
-            he::put_u64(out, *contributors as u64);
-            he::put_packed_header(sum, out);
-        }
-    }
-}
-
-/// A recognised-but-undecoded `DBH2` registry upload: the owned frame
-/// payload plus the envelope prefix parsed out of it.
-///
-/// Registry uploads are the coordinator's hot path — thousands per round,
-/// each dominated by its fixed-width ciphertext block. Materialising that
-/// block into per-element `BigUint`s on the
-/// connection thread, only to multiply the values into a fold and drop
-/// them, is pure allocator traffic. [`RegistryFrame::try_from_payload`]
-/// instead parses just the constant-size envelope prefix (`O(1)`, no
-/// ciphertext touched) so the transport can ship the raw payload to the
-/// router, where [`view`](Self::view) decodes the vector as a borrowed
-/// [`EncryptedVectorView`](he::EncryptedVectorView) and the fold multiplies
-/// residues straight out of the frame bytes.
-///
-/// Anything that is not a plain single-registry `DBH2` envelope is handed
-/// back unparsed, so the eager path keeps its exact error behaviour.
+/// A recognised-but-undecoded `DBH2` registry upload — the coordinator's
+/// hot path: the owned payload and the envelope fields in front of its
+/// vector, read in `O(1)` without touching a ciphertext. The router then
+/// folds residues straight out of the payload through [`view`](Self::view),
+/// a borrowed [`EncryptedVectorView`](he::EncryptedVectorView), instead of
+/// materialising a `BigUint` per element. Anything else is handed back
+/// unparsed, so the eager path keeps its exact error behaviour.
 #[derive(Debug, Clone)]
 pub struct RegistryFrame {
     payload: Vec<u8>,
@@ -701,23 +735,13 @@ pub struct RegistryFrame {
 }
 
 impl RegistryFrame {
-    /// Parses the envelope prefix of a `DBH2` frame payload. Returns the
-    /// payload unchanged (`Err`) when it is anything other than a plain
-    /// `Envelope { msg: EncryptedRegistry }` — truncated prefixes included,
-    /// so the eager decoder owns every malformed-frame diagnosis.
-    ///
-    /// The ciphertext block is *not* validated here; [`view`](Self::view)
-    /// performs the full vector validation at fold time.
+    /// Reads the fields in front of a registry's vector, or returns the
+    /// payload unchanged when it is not a plain `EncryptedRegistry` envelope
+    /// — truncated ones included, so the eager decoder owns every diagnosis.
+    /// The vector is validated by [`view`](Self::view), at fold time.
     pub fn try_from_payload(payload: Vec<u8>) -> Result<RegistryFrame, Vec<u8>> {
         match Self::parse_prefix(&payload) {
-            Some((from, to, epoch, client, vector_offset)) => Ok(RegistryFrame {
-                payload,
-                from,
-                to,
-                epoch,
-                client,
-                vector_offset,
-            }),
+            Some(frame) => Ok(RegistryFrame { payload, ..frame }),
             None => Err(payload),
         }
     }
@@ -729,25 +753,26 @@ impl RegistryFrame {
         Self::parse_prefix(payload).is_some()
     }
 
-    /// The envelope-prefix parse shared by the owned and borrowed entry
-    /// points: `(from, to, epoch, client, vector_offset)`.
-    fn parse_prefix(payload: &[u8]) -> Option<(Party, Party, u64, usize, usize)> {
-        let mut cur = payload;
-        let parsed = (|cur: &mut &[u8]| -> Result<(Party, Party, u64, usize), ProtocolError> {
-            if take_u8(cur)? != 0 {
-                return Err(malformed("not an envelope"));
-            }
-            let from = decode_party(cur)?;
-            let to = decode_party(cur)?;
-            let epoch = he::take_u64(cur).map_err(he_err)?;
-            if take_u8(cur)? != 1 {
-                return Err(malformed("not a registry"));
-            }
-            let client = take_usize(cur)?;
-            Ok((from, to, epoch, client))
-        })(&mut cur);
-        let (from, to, epoch, client) = parsed.ok()?;
-        Some((from, to, epoch, client, payload.len() - cur.len()))
+    /// The read walk over an envelope, stopped at a registry's vector: the
+    /// frame it defers, but for its payload.
+    fn parse_prefix(payload: &[u8]) -> Option<RegistryFrame> {
+        let (cur, memo) = (&mut &payload[..], &mut Memo::default());
+        (take_u8(cur).ok()? == ENVELOPE_TAG).then_some(())?;
+        let from = Party::take(cur, memo).ok()?;
+        let to = Party::take(cur, memo).ok()?;
+        let epoch = u64::take(cur, memo).ok()?;
+        (take_u8(cur).ok()? == REGISTRY_TAG).then_some(())?;
+        let client = usize::take(cur, memo).ok()?;
+        let vector_offset = payload.len() - cur.len();
+        let payload = Vec::new();
+        Some(RegistryFrame {
+            payload,
+            from,
+            to,
+            epoch,
+            client,
+            vector_offset,
+        })
     }
 
     /// Sender of the deferred envelope.
@@ -799,172 +824,18 @@ impl RegistryFrame {
 }
 
 fn take_u8(cur: &mut &[u8]) -> Result<u8, ProtocolError> {
-    let b = he::take_bytes(cur, 1).map_err(he_err)?;
+    let b = he::take_bytes(cur, TAG_BYTES).map_err(he_err)?;
     Ok(b[0])
-}
-
-fn take_usize(cur: &mut &[u8]) -> Result<usize, ProtocolError> {
-    let v = he::take_u64(cur).map_err(he_err)?;
-    usize::try_from(v).map_err(|_| malformed("scalar does not fit in usize"))
 }
 
 fn take_count(cur: &mut &[u8]) -> Result<usize, ProtocolError> {
     Ok(he::take_u32(cur).map_err(he_err)? as usize)
 }
 
-fn decode_party(cur: &mut &[u8]) -> Result<Party, ProtocolError> {
-    match take_u8(cur)? {
-        0 => Ok(Party::Agent),
-        1 => Ok(Party::Server),
-        2 => Ok(Party::Client(take_usize(cur)?)),
-        tag => Err(malformed_tag("party", tag)),
-    }
-}
-
 fn malformed_tag(what: &str, tag: u8) -> ProtocolError {
     ProtocolError::MalformedFrame {
         detail: format!("binary payload: unknown {what} tag {tag}"),
     }
-}
-
-fn decode_envelope<'a>(
-    cur: &mut &'a [u8],
-    memo: &mut he::VectorDecodeMemo<'a>,
-) -> Result<Envelope, ProtocolError> {
-    let from = decode_party(cur)?;
-    let to = decode_party(cur)?;
-    let epoch = he::take_u64(cur).map_err(he_err)?;
-    let msg = match take_u8(cur)? {
-        0 => {
-            let public_key = he::decode_public_key(cur).map_err(he_err)?;
-            let private_key = match take_u8(cur)? {
-                0 => None,
-                1 => Some(he::decode_private_key(cur).map_err(he_err)?),
-                tag => return Err(malformed_tag("private-key presence", tag)),
-            };
-            ProtocolMsg::PublicKeyDispatch {
-                public_key,
-                private_key,
-            }
-        }
-        1 => ProtocolMsg::EncryptedRegistry {
-            client: take_usize(cur)?,
-            registry: memo.decode_vector(cur).map_err(he_err)?,
-        },
-        2 => ProtocolMsg::EncryptedTotalBroadcast {
-            total: memo.decode_vector(cur).map_err(he_err)?,
-        },
-        3 => ProtocolMsg::EncryptedDistribution {
-            client: take_usize(cur)?,
-            try_index: take_usize(cur)?,
-            distribution: memo.decode_vector(cur).map_err(he_err)?,
-        },
-        4 => ProtocolMsg::EncryptedDistributionSum {
-            try_index: take_usize(cur)?,
-            contributors: take_usize(cur)?,
-            sum: memo.decode_vector(cur).map_err(he_err)?,
-        },
-        5 => ProtocolMsg::TryVerdict {
-            best_try: take_usize(cur)?,
-            distance: f64::from_bits(he::take_u64(cur).map_err(he_err)?),
-        },
-        6 => ProtocolMsg::PackedRegistry {
-            client: take_usize(cur)?,
-            registry: memo.decode_packed_vector(cur).map_err(he_err)?,
-        },
-        7 => ProtocolMsg::PackedTotalBroadcast {
-            total: memo.decode_packed_vector(cur).map_err(he_err)?,
-        },
-        8 => ProtocolMsg::PackedDistribution {
-            client: take_usize(cur)?,
-            try_index: take_usize(cur)?,
-            distribution: memo.decode_packed_vector(cur).map_err(he_err)?,
-        },
-        9 => ProtocolMsg::PackedDistributionSum {
-            try_index: take_usize(cur)?,
-            contributors: take_usize(cur)?,
-            sum: memo.decode_packed_vector(cur).map_err(he_err)?,
-        },
-        tag => return Err(malformed_tag("protocol-message", tag)),
-    };
-    Ok(Envelope {
-        from,
-        to,
-        epoch,
-        msg,
-    })
-}
-
-/// What a payload holds in front of its envelopes: a batch's count, or the
-/// whole of any other message.
-enum Head {
-    Batch(usize),
-    Msg(WireMsg),
-}
-
-/// Parses a payload's head off `cur`, whose front is `rest` bytes from the
-/// payload's end.
-fn decode_head<'a>(
-    cur: &mut &'a [u8],
-    rest: usize,
-    memo: &mut he::VectorDecodeMemo<'a>,
-) -> Result<Head, ProtocolError> {
-    let msg = match take_u8(cur)? {
-        0 => WireMsg::Envelope {
-            envelope: decode_envelope(cur, memo)?,
-        },
-        1 => {
-            let try_index = take_usize(cur)?;
-            let count = take_count(cur)?;
-            // 8 bytes per participant: refuse counts the payload cannot hold
-            // before reserving anything.
-            if count.checked_mul(8).is_none_or(|need| need > cur.len()) {
-                return Err(malformed("participant count overruns the payload"));
-            }
-            let mut participants = Vec::with_capacity(count);
-            for _ in 0..count {
-                participants.push(take_usize(cur)?);
-            }
-            WireMsg::AnnounceTry {
-                try_index,
-                participants,
-            }
-        }
-        BATCH_TAG => {
-            let count = take_count(cur)?;
-            // Envelopes are variable-width; a lower bound of 3 bytes each
-            // (two parties + message tag) rejects impossible counts early.
-            // No pre-reservation from the announced count either: an
-            // in-memory `Envelope` is two orders of magnitude larger than
-            // its 3-byte wire lower bound, so `with_capacity(count)` would
-            // let one hostile frame reserve gigabytes before the first
-            // envelope fails to decode. The list grows by what decodes.
-            if count.checked_mul(3).is_none_or(|need| need > rest - 5) {
-                return Err(malformed("envelope count overruns the payload"));
-            }
-            return Ok(Head::Batch(count));
-        }
-        3 => WireMsg::Ack,
-        4 => {
-            let len = take_count(cur)?;
-            let bytes = he::take_bytes(cur, len).map_err(he_err)?;
-            let detail = std::str::from_utf8(bytes)
-                .map_err(|_| malformed("error detail is not UTF-8"))?
-                .to_string();
-            WireMsg::Error { detail }
-        }
-        5 => WireMsg::Shutdown,
-        6 => WireMsg::BeginEpoch {
-            epoch: he::take_u64(cur).map_err(he_err)?,
-            expected_registrations: take_usize(cur)?,
-        },
-        7 => WireMsg::CloseRegistration,
-        8 => WireMsg::CloseTry {
-            try_index: take_usize(cur)?,
-        },
-        tag => return Err(malformed_tag("wire-message", tag)),
-    };
-    Ok(Head::Msg(msg))
 }
 
 #[cfg(test)]
@@ -1193,7 +1064,7 @@ pub(crate) mod tests {
         let mut envelopes = Vec::new();
         for _ in 0..count {
             let mut memo = he::VectorDecodeMemo::default();
-            envelopes.push(decode_envelope(&mut cur, &mut memo)?);
+            envelopes.push(Envelope::take(&mut cur, &mut memo)?);
         }
         if !cur.is_empty() {
             return Err(malformed("trailing bytes after the wire message"));
@@ -1576,6 +1447,20 @@ pub(crate) mod tests {
             let payload = encode(&msg).unwrap();
             assert_eq!(payload.len(), payload_size_hint(&msg), "{msg:?}");
             assert_eq!(payload.capacity(), payload.len(), "one allocation");
+            // The length reader reads off each envelope's bytes the count the
+            // write walk makes of it.
+            let (mut at, envelopes) = match &msg {
+                WireMsg::Envelope { envelope } => (TAG_BYTES, std::slice::from_ref(envelope)),
+                _ => (BATCH_HEAD_BYTES, batch(&msg)),
+            };
+            for envelope in envelopes {
+                let mut count = 0;
+                if let Some(Tail::Vector(vector)) = envelope.put(&mut count) {
+                    count += he::encoded_vector_bytes(vector);
+                }
+                assert_eq!(envelope_len(&payload[at..]), Some(count), "{msg:?}");
+                at += count;
+            }
             // Owned, only a broadcast is held as one envelope and its
             // addressees, and its bytes do not change; a near-broadcast
             // keeps its list.
