@@ -432,7 +432,6 @@ impl Connection {
             )));
         }
         stream.flush().map_err(|e| io_error(e.to_string()))?;
-        self.out.release();
         Ok(())
     }
 
