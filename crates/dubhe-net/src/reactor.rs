@@ -232,12 +232,6 @@ impl ReactorConfig {
         self
     }
 
-    /// Replaces the listen addresses.
-    pub fn with_listen_addrs(mut self, listen_addrs: Vec<SocketAddr>) -> Self {
-        self.listen_addrs = listen_addrs;
-        self
-    }
-
     /// Pins a specific readiness backend.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = Some(backend);
