@@ -64,9 +64,9 @@ trait Field: Sized {
     fn take<'a>(cur: &mut &'a [u8], memo: &mut Memo<'a>) -> Result<Self, ProtocolError>;
 
     /// Steps `cur` over the field but for a vector's residue block, and
-    /// returns the block's bytes; `None` where the bytes do not parse. A
-    /// field without a vector is stepped over by taking it (keys, which no
-    /// batch carries on a hot path, too).
+    /// returns the block's bytes; `None` where the bytes do not parse. By
+    /// default by taking it: right for scalars and parties, and affordable
+    /// for keys, which no batch carries on a hot path.
     fn step(cur: &mut &[u8]) -> Option<usize> {
         Self::take(cur, &mut Memo::default()).ok().map(|_| 0)
     }
@@ -352,7 +352,6 @@ fn put_count(sink: &mut impl Sink, count: usize) {
 }
 
 /// The end of a piece that the encoder cuts to its budget.
-#[derive(Clone, Copy)]
 enum Tail<'m> {
     Vector(&'m EncryptedVector),
     Detail(&'m str),
