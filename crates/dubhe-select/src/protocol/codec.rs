@@ -65,8 +65,7 @@ trait Field: Sized {
 
     /// Steps `cur` over the field but for a vector's residue block, and
     /// returns the block's bytes; `None` where the bytes do not parse. By
-    /// default by taking it: right for scalars and parties, and affordable
-    /// for keys, which no batch carries on a hot path.
+    /// default by taking it, which costs a scalar or a party nothing.
     fn step(cur: &mut &[u8]) -> Option<usize> {
         Self::take(cur, &mut Memo::default()).ok().map(|_| 0)
     }
@@ -217,6 +216,12 @@ impl Field for PublicKey {
     fn take<'a>(cur: &mut &'a [u8], _: &mut Memo<'a>) -> Result<Self, ProtocolError> {
         he::decode_public_key(cur).map_err(he_err)
     }
+
+    /// Steps over the `u32`-length-prefixed modulus, building no key.
+    fn step(cur: &mut &[u8]) -> Option<usize> {
+        let len = he::take_u32(cur).ok()?;
+        he::take_bytes(cur, len as usize).ok().map(|_| 0)
+    }
 }
 
 /// A byte saying whether a private key follows, then the key.
@@ -237,6 +242,12 @@ impl Field for Option<PrivateKey> {
             tag => Err(malformed_tag("private-key presence", tag)),
         }
     }
+
+    /// Steps over the presence byte and the key's three blobs, building no key.
+    fn step(cur: &mut &[u8]) -> Option<usize> {
+        let blobs = [0, 3].get(usize::from(take_u8(cur).ok()?))?;
+        (0..*blobs).try_fold(0, |_, _| PublicKey::step(cur))
+    }
 }
 
 impl Field for EncryptedVector {
@@ -248,8 +259,16 @@ impl Field for EncryptedVector {
         memo.decode_vector(cur).map_err(he_err)
     }
 
+    /// Steps over its key and count: its residue block, which fixed-width
+    /// residues make `count × width`, is what is left.
     fn step(cur: &mut &[u8]) -> Option<usize> {
-        vector_len(cur)
+        let key_len = he::take_u32(cur).ok()? as usize;
+        let n = he::take_bytes(cur, key_len).ok()?;
+        // A modulus the parser refuses has no width.
+        let &lead = n.first().filter(|&&lead| lead != 0)?;
+        let bits = 8 * n.len() - lead.leading_zeros() as usize;
+        let count = he::take_u32(cur).ok()? as usize;
+        count.checked_mul(dubhe_he::transport::ciphertext_size_bytes_for(bits as u64))
     }
 }
 
@@ -267,7 +286,7 @@ impl Field for PackedEncryptedVector {
 
     fn step(cur: &mut &[u8]) -> Option<usize> {
         he::take_bytes(cur, he::PACKED_HEADER_BYTES).ok()?;
-        vector_len(cur)
+        EncryptedVector::step(cur)
     }
 }
 
@@ -300,9 +319,8 @@ impl Field for Vec<Envelope> {
         None
     }
 
-    fn take<'a>(cur: &mut &'a [u8], memo: &mut Memo<'a>) -> Result<Self, ProtocolError> {
-        let count = take_count(cur)?;
-        (0..count).map(|_| Envelope::take(cur, memo)).collect()
+    fn take<'a>(_: &mut &'a [u8], _: &mut Memo<'a>) -> Result<Self, ProtocolError> {
+        unreachable!("PayloadDecoder takes a batch's head and envelopes itself")
     }
 }
 
@@ -546,18 +564,6 @@ fn envelope_len(bytes: &[u8]) -> Option<usize> {
     (bytes.len() - cur.len()).checked_add(residues)
 }
 
-/// Steps `cur` over its vector's key and count and returns the bytes of its
-/// residue block, which fixed-width residues make `count × width`.
-fn vector_len(cur: &mut &[u8]) -> Option<usize> {
-    let key_len = he::take_u32(cur).ok()? as usize;
-    let n = he::take_bytes(cur, key_len).ok()?;
-    // A modulus the parser refuses has no width.
-    let &lead = n.first().filter(|&&lead| lead != 0)?;
-    let bits = 8 * n.len() - lead.leading_zeros() as usize;
-    let count = he::take_u32(cur).ok()? as usize;
-    count.checked_mul(dubhe_he::transport::ciphertext_size_bytes_for(bits as u64))
-}
-
 /// One message's payload, decoded a piece at a time as its bytes arrive —
 /// [`PayloadEncoder`]'s dual, so a receiver holds a registration broadcast
 /// an envelope at a time. Each envelope of a batch is parsed once its
@@ -710,9 +716,7 @@ fn malformed(detail: &str) -> ProtocolError {
 }
 
 fn he_err(e: HeError) -> ProtocolError {
-    ProtocolError::MalformedFrame {
-        detail: format!("binary payload: {e}"),
-    }
+    malformed(&e.to_string())
 }
 
 /// A recognised-but-undecoded `DBH2` registry upload — the coordinator's
@@ -763,9 +767,8 @@ impl RegistryFrame {
         (take_u8(cur).ok()? == REGISTRY_TAG).then_some(())?;
         let client = usize::take(cur, memo).ok()?;
         let vector_offset = payload.len() - cur.len();
-        let payload = Vec::new();
         Some(RegistryFrame {
-            payload,
+            payload: Vec::new(),
             from,
             to,
             epoch,
@@ -832,9 +835,7 @@ fn take_count(cur: &mut &[u8]) -> Result<usize, ProtocolError> {
 }
 
 fn malformed_tag(what: &str, tag: u8) -> ProtocolError {
-    ProtocolError::MalformedFrame {
-        detail: format!("binary payload: unknown {what} tag {tag}"),
-    }
+    malformed(&format!("unknown {what} tag {tag}"))
 }
 
 #[cfg(test)]
@@ -1281,6 +1282,14 @@ pub(crate) mod tests {
                 assert_eq!(got, Ok(msg.clone()), "split at {at} of {msg:?}");
             }
         }
+        // The length reader steps over a key without building it: a private
+        // key whose factors do not multiply to its modulus, which the parser
+        // refuses, still has its exact length read off.
+        let mut dispatch = encode(&sample_msgs()[0]).unwrap();
+        *dispatch.last_mut().unwrap() ^= 2;
+        assert!(decode(&dispatch).is_err_and(|e| e.to_string().contains("multiply")));
+        let envelope = &dispatch[TAG_BYTES..];
+        assert_eq!(envelope_len(envelope), Some(envelope.len()));
     }
 
     #[test]
@@ -1499,14 +1508,14 @@ pub(crate) mod tests {
             .lines()
             .filter(|line| !line.starts_with('#'))
             .collect();
-        let exe = std::env::current_exe().unwrap();
-        let tmp = exe.ancestors().nth(3).unwrap().join("tmp");
-        std::fs::create_dir_all(&tmp).unwrap();
-        let written = tmp.join("dbh2_payloads.txt");
-        std::fs::write(&written, computed.join("\n") + "\n").unwrap();
         if let Some(at) = (0..committed.len().max(computed.len()))
             .find(|&i| committed.get(i).copied() != computed.get(i).map(String::as_str))
         {
+            let exe = std::env::current_exe().unwrap();
+            let tmp = exe.ancestors().nth(3).unwrap().join("tmp");
+            std::fs::create_dir_all(&tmp).unwrap();
+            let written = tmp.join("dbh2_payloads.txt");
+            std::fs::write(&written, computed.join("\n") + "\n").unwrap();
             panic!(
                 "message {at} differs: committed {:?}, computed {:?} (all computed lines \
                  written to {})",
