@@ -432,6 +432,7 @@ impl Connection {
             )));
         }
         stream.flush().map_err(|e| io_error(e.to_string()))?;
+        self.out.release();
         Ok(())
     }
 

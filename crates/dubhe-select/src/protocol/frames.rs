@@ -194,6 +194,16 @@ impl WriteQueue {
         Ok(len)
     }
 
+    /// Frees the buffer once everything queued has been written — for an
+    /// owner that waits on its peer between frames and should not hold the
+    /// largest frame it ever sent across that wait.
+    pub(crate) fn release(&mut self) {
+        if self.pending() == 0 {
+            self.buf = Vec::new();
+            self.pos = 0;
+        }
+    }
+
     /// Produces up to one slice more, stopping when [`SEAL_SLICE`] final
     /// bytes wait unwritten. Room for the slice is made first: the written
     /// prefix is dropped when the buffer would otherwise have to grow (a
@@ -252,23 +262,11 @@ impl WriteQueue {
         Ok(true)
     }
 
-    /// Reclaims what the sink has taken: the whole buffer once nothing is
-    /// pending — so no owner, whichever driver runs it, holds the largest
-    /// frame it ever sent between frames — or else the written prefix, by
-    /// the amortised `compact` rule.
-    fn reclaim(&mut self) {
-        if self.pending() == 0 {
-            self.buf = Vec::new();
-            self.pos = 0;
-        } else {
-            compact(&mut self.buf, &mut self.pos);
-        }
-    }
-
     /// Produces a slice and offers it, with whatever else is final, to
     /// `sink`, over and over until the sink has taken everything, takes
-    /// none, or would block; then reclaims what it took. A hard I/O error is
-    /// returned after the bytes written before it have been accounted for.
+    /// none, or would block; then reclaims the written prefix by the
+    /// amortised `compact` rule. A hard I/O error is returned after the
+    /// bytes written before it have been accounted for.
     pub fn flush(&mut self, sink: &mut impl Write) -> io::Result<()> {
         let outcome = loop {
             self.produce_ahead();
@@ -277,7 +275,7 @@ impl WriteQueue {
                 outcome => break outcome,
             }
         };
-        self.reclaim();
+        compact(&mut self.buf, &mut self.pos);
         outcome.map(drop)
     }
 
@@ -288,7 +286,7 @@ impl WriteQueue {
     pub fn flush_slice(&mut self, sink: &mut impl Write) -> io::Result<()> {
         self.produce_ahead();
         let outcome = self.write_final(sink);
-        self.reclaim();
+        compact(&mut self.buf, &mut self.pos);
         outcome.map(drop)
     }
 

@@ -481,8 +481,7 @@ fn a_queued_broadcast_is_held_as_two_slices_not_as_a_frame() {
     // at n = 300, 4.4 MB at n = 1 200 and 11 MB at n = 3 000; the queue
     // never allocates a quarter of it, and holds the same two slices at
     // most for each. It does not hold the `n + 1`-envelope list either:
-    // queueing keeps the one envelope and its addressees, 16 B each. Once
-    // drained it holds nothing of the frame.
+    // queueing keeps the one envelope and its addressees, 16 B each.
     for n in [300, 1200, 3000] {
         let (mut client_link, mut server_link) = connection_pair();
         let msg = broadcast(n);
@@ -501,17 +500,9 @@ fn a_queued_broadcast_is_held_as_two_slices_not_as_a_frame() {
                 released + 4 * 1024 >= list,
                 "n = {n}: queueing released {released} B of the envelope list"
             );
-            let queued = LIVE.load(Ordering::SeqCst);
             while server_link.out.pending() > 0 {
                 server_link.out.flush_slice(&mut sink).unwrap();
             }
-            // Drained, the queue gives back its slice buffer, as every
-            // driver's does: the reactor's listener drains a slice per turn.
-            let left = LIVE.load(Ordering::SeqCst);
-            assert!(
-                left <= queued,
-                "n = {n}: {left} B live after the drain, {queued} B before a byte was produced"
-            );
         });
         assert_eq!(
             frame_sized,
