@@ -25,9 +25,9 @@ use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::multi_time_select;
 use dubhe_select::protocol::stats::ListenerStats;
 use dubhe_select::protocol::{
-    pump, run_registration_with, run_registration_with_packing, run_try, run_try_with_dropouts,
-    ChannelPolicy, Coordinator, Envelope, InMemoryTransport, PackingPolicy, RegistrationRun,
-    ShardedCoordinator, TcpConfig, TcpTransport, Transport,
+    pump, run_registration, run_try_with_dropouts, ChannelPolicy, Coordinator, Envelope,
+    InMemoryTransport, PackingPolicy, RegistrationRun, ShardedCoordinator, TcpConfig, TcpTransport,
+    Transport,
 };
 use dubhe_select::selector::{population_distribution, ClientSelector};
 use dubhe_select::{ProtocolError, SelectError};
@@ -471,29 +471,19 @@ impl FlSimulation {
                         SimCoordinator::Local(coordinator)
                     }
                 };
-                let run = match packing {
-                    Some(policy) => run_registration_with_packing(
-                        &self.client_distributions,
-                        &config,
-                        key_bits,
-                        policy,
-                        server,
-                        &mut transport,
-                        &mut crypto_rng,
-                    )?,
-                    None => run_registration_with(
-                        &self.client_distributions,
-                        &config,
-                        key_bits,
-                        server,
-                        &mut transport,
-                        &mut crypto_rng,
-                    )?,
-                };
+                let run = run_registration(
+                    &self.client_distributions,
+                    &config,
+                    key_bits,
+                    packing,
+                    server,
+                    &mut transport,
+                    &mut crypto_rng,
+                )?;
                 // The decrypted overall registry must agree bit-for-bit with
                 // the plaintext decision model the selector runs on.
                 if let Some(expected) = self.selector.overall_registry() {
-                    if run.overall_registry() != expected {
+                    if run.overall_registry() != Some(expected) {
                         return Err(dubhe_select::ProtocolError::RegistryDivergence.into());
                     }
                 }
@@ -527,7 +517,7 @@ impl FlSimulation {
                 // the plaintext decision model — rotation changes the key,
                 // never the data.
                 if let Some(expected) = self.selector.overall_registry() {
-                    if run.overall_registry() != expected {
+                    if run.overall_registry() != Some(expected) {
                         return Err(dubhe_select::ProtocolError::RegistryDivergence.into());
                     }
                 }
@@ -540,7 +530,6 @@ impl FlSimulation {
             _ => Vec::new(),
         };
         let mut dropped_clients: Vec<usize> = Vec::new();
-        let mut partial_cohort = false;
 
         // 1. Client selection (optionally multi-time, §5.3.1).
         let mut selected = if self.config.multi_time_h > 1 {
@@ -557,37 +546,24 @@ impl FlSimulation {
                         .copied()
                         .filter(|c| tentative.contains(c))
                         .collect();
-                    if dropped.is_empty() {
-                        run_try(
-                            try_index,
-                            &tentative,
-                            &mut run.agent,
-                            &mut run.clients,
-                            &mut run.server,
-                            &mut transport,
-                            &mut crypto_rng,
-                        )?;
-                    } else {
-                        // The announced cohort loses its dropouts mid-try:
-                        // the coordinator explicitly closes the partial fold
-                        // and the agent scores the try over the survivors.
-                        partial_cohort = true;
-                        for &c in &dropped {
-                            if !dropped_clients.contains(&c) {
-                                dropped_clients.push(c);
-                            }
+                    // An announced cohort that loses dropouts mid-try is
+                    // closed explicitly, and the agent scores the try over
+                    // the survivors.
+                    for &c in &dropped {
+                        if !dropped_clients.contains(&c) {
+                            dropped_clients.push(c);
                         }
-                        run_try_with_dropouts(
-                            try_index,
-                            &tentative,
-                            &dropped,
-                            &mut run.agent,
-                            &mut run.clients,
-                            &mut run.server,
-                            &mut transport,
-                            &mut crypto_rng,
-                        )?;
                     }
+                    run_try_with_dropouts(
+                        try_index,
+                        &tentative,
+                        &dropped,
+                        &mut run.agent,
+                        &mut run.clients,
+                        &mut run.server,
+                        &mut transport,
+                        &mut crypto_rng,
+                    )?;
                     tries.push(tentative);
                 }
                 let (best_try, _) = run.agent.verdict().expect("all tries evaluated");
@@ -719,8 +695,8 @@ impl FlSimulation {
             population_distribution: p_o,
             selected_clients: selected,
             epoch,
+            partial_cohort: !dropped_clients.is_empty(),
             dropped_clients,
-            partial_cohort,
         })
     }
 

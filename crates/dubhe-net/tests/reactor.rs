@@ -24,7 +24,7 @@ use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::frames::SEAL_SLICE;
 use dubhe_select::protocol::tcp::dial;
 use dubhe_select::protocol::{
-    codec, read_frame, run_registration_with, run_try, write_frame, ChannelPolicy, Coordinator,
+    codec, read_frame, run_registration, run_try, write_frame, ChannelPolicy, Coordinator,
     Envelope, InMemoryTransport, ListenerStats, NodeIdentity, Party, ProtocolMsg, RegistryFrame,
     ShardedCoordinator, TcpConfig, TcpTransport, TransportStats, WireMsg, FRAME_MAGIC_HANDSHAKE,
     MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
@@ -68,8 +68,16 @@ fn drive_session<C: Coordinator>(dists: &[ClassDistribution], seed: u64, server:
     let config = DubheConfig::group1();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut transport = InMemoryTransport::recording();
-    let mut run =
-        run_registration_with(dists, &config, KEY_BITS, server, &mut transport, &mut rng).unwrap();
+    let mut run = run_registration(
+        dists,
+        &config,
+        KEY_BITS,
+        None,
+        server,
+        &mut transport,
+        &mut rng,
+    )
+    .unwrap();
 
     let mut selector = DubheSelector::new(dists, config);
     run.agent.expect_tries(3);
@@ -97,7 +105,7 @@ fn drive_session<C: Coordinator>(dists: &[ClassDistribution], seed: u64, server:
         .reduce(|sum, registry| sum.add(&registry).unwrap())
         .expect("every client uploaded a registry");
     Session {
-        overall: run.overall_registry().to_vec(),
+        overall: run.overall_registry().unwrap().to_vec(),
         verdict: run.agent.verdict().expect("all tries evaluated"),
         stats: *transport.stats(),
         server: run.server,

@@ -2,8 +2,8 @@
 //! replenish/trim to exactly `K` participants.
 //!
 //! The plaintext fast path in this module models the *decisions* each party
-//! takes; the [`crate::secure`] module wires the identical decisions through
-//! Paillier ciphertexts and asserts that the server only ever touches encrypted
+//! takes; the [`crate::protocol`] drivers run the identical decisions through
+//! Paillier ciphertexts, and the server's type only ever holds encrypted
 //! data. Keeping the two separated lets the large-scale experiments (1000–8962
 //! clients, hundreds of repetitions) run at full speed while the secure path is
 //! exercised end-to-end in its own tests and in the overhead study.

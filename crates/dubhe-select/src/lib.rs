@@ -16,9 +16,8 @@
 //!   category and a one-hot registry vector.
 //! * [`protocol`] — the role-separated protocol: typed wire messages, the
 //!   agent/client/server actors, and the metered transport they exchange
-//!   over. What the server can see is a property of its type.
-//! * [`secure`] — the historical free-function entry points for the
-//!   encrypted exchanges, now thin drivers over the actors.
+//!   over, and one driver per exchange. What the server can see is a
+//!   property of its type.
 //! * [`probability`] — Eq. (6)–(8): clients compute their own participation
 //!   probability from the decrypted overall registry.
 //! * [`selector`] / [`greedy`] / [`dubhe`] — the three selection policies the
@@ -61,11 +60,11 @@
 //! The drivers are generic over the [`Coordinator`] slot. A
 //! [`ShardedCoordinator`] partitions registry positions across N
 //! rayon-parallel folds and merges a total that is bit-identical at every
-//! shard count (one shard is what [`protocol::run_registration`] runs):
+//! shard count (one shard is the in-process default):
 //!
 //! ```
 //! use dubhe_data::federated::{DatasetFamily, FederatedSpec};
-//! use dubhe_select::protocol::{run_registration_with, InMemoryTransport, ShardedCoordinator};
+//! use dubhe_select::protocol::{run_registration, InMemoryTransport, ShardedCoordinator};
 //! use dubhe_select::DubheConfig;
 //! use rand::SeedableRng;
 //!
@@ -82,17 +81,18 @@
 //! let dists = spec.build_partition(&mut rng).client_distributions();
 //!
 //! let mut transport = InMemoryTransport::new();
-//! let run = run_registration_with(
+//! let run = run_registration(
 //!     &dists,
 //!     &DubheConfig::group1(),
 //!     dubhe_he::TEST_KEY_BITS,
+//!     None, // element-wise registries, no slot packing
 //!     ShardedCoordinator::new(24, 4), // registry positions split across 4 folds
 //!     &mut transport,
 //!     &mut rng,
 //! )
 //! .unwrap();
 //! // 24 clients registered; the shards' merged total decrypts to their sum.
-//! assert_eq!(run.overall_registry().iter().sum::<u64>(), 24);
+//! assert_eq!(run.overall_registry().unwrap().iter().sum::<u64>(), 24);
 //! ```
 //!
 //! ## Example: the identical exchange over loopback TCP
@@ -105,7 +105,7 @@
 //! use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 //! use dubhe_net::ReactorListener;
 //! use dubhe_select::protocol::{
-//!     run_registration_with, InMemoryTransport, ShardedCoordinator, TcpTransport,
+//!     run_registration, InMemoryTransport, ShardedCoordinator, TcpTransport,
 //! };
 //! use dubhe_select::DubheConfig;
 //! use rand::SeedableRng;
@@ -128,16 +128,17 @@
 //! let endpoint = TcpTransport::connect(listener.addr()).unwrap();
 //!
 //! let mut transport = InMemoryTransport::new();
-//! let run = run_registration_with(
+//! let run = run_registration(
 //!     &dists,
 //!     &DubheConfig::group1(),
 //!     dubhe_he::TEST_KEY_BITS,
+//!     None,
 //!     endpoint,
 //!     &mut transport,
 //!     &mut rng,
 //! )
 //! .unwrap();
-//! assert_eq!(run.overall_registry().iter().sum::<u64>(), 24);
+//! assert_eq!(run.overall_registry().unwrap().iter().sum::<u64>(), 24);
 //! // Real frames crossed the socket.
 //! assert!(run.server.wire_stats().total_bytes() > 0);
 //! run.server.shutdown().unwrap();
@@ -153,7 +154,6 @@ pub mod param_search;
 pub mod probability;
 pub mod protocol;
 pub mod registry;
-pub mod secure;
 pub mod selector;
 
 pub use codebook::{binomial, Category, RegistryLayout};
@@ -167,13 +167,10 @@ pub use multi_time::{
 pub use param_search::{parameter_search, SearchGrid, SearchOutcome};
 pub use probability::participation_probability;
 pub use protocol::{
-    AgentNode, Coordinator, InMemoryTransport, Party, ProtocolMsg, SelectClientNode,
-    ShardedCoordinator, TcpTransport, Transport, TransportStats,
+    AgentNode, Coordinator, InMemoryTransport, Party, ProtocolMsg, SecureTryOutcome,
+    SelectClientNode, ShardedCoordinator, TcpTransport, Transport, TransportStats,
 };
 pub use registry::{register, register_all, register_all_encrypted, Registration};
-pub use secure::{
-    secure_evaluate_try, secure_registration, SecureRegistrationEpoch, SecureTryOutcome, ServerView,
-};
 pub use selector::{
     population_distribution, population_unbiasedness, selection_stats, ClientId, ClientSelector,
     RandomSelector, SelectionStats,

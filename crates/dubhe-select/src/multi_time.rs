@@ -17,13 +17,14 @@
 //! issues the verdict.
 
 use dubhe_data::{l1_distance, mean_proportions, ClassDistribution};
-use dubhe_he::{PrivateKey, PublicKey};
+use dubhe_he::{Keypair, PrivateKey, PublicKey};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SelectError;
-use crate::protocol::{run_try, InMemoryTransport};
-use crate::secure::{keyed_session, SecureTryOutcome};
+use crate::protocol::{
+    run_try, AgentNode, InMemoryTransport, SecureTryOutcome, SelectClientNode, ShardedCoordinator,
+};
 use crate::selector::{population_distribution, ClientId, ClientSelector};
 
 /// The outcome of one multi-time selection round.
@@ -105,6 +106,37 @@ pub struct SecureMultiTimeOutcome {
     /// Total ciphertext bytes across all tries (≈ `H·K` encrypted
     /// distributions, the paper's §6.4 multi-time overhead).
     pub ciphertext_bytes: usize,
+}
+
+/// Builds the actors of a session whose epoch keys the caller already
+/// holds: the agent and every client get the keypair, the coordinator the
+/// public key.
+fn keyed_session(
+    client_distributions: &[ClassDistribution],
+    public_key: &PublicKey,
+    private_key: &PrivateKey,
+) -> Result<(AgentNode, Vec<SelectClientNode>, ShardedCoordinator), SelectError> {
+    let classes = client_distributions
+        .first()
+        .ok_or(SelectError::NoClients)?
+        .classes();
+    let agent = AgentNode::from_keypair(
+        Keypair {
+            public: public_key.clone(),
+            private: private_key.clone(),
+        },
+        classes,
+    );
+    let mut clients: Vec<SelectClientNode> = client_distributions
+        .iter()
+        .enumerate()
+        .map(|(id, d)| SelectClientNode::without_registration(id, d.clone()))
+        .collect();
+    for c in &mut clients {
+        c.install_keys(public_key.clone(), private_key.clone());
+    }
+    let server = ShardedCoordinator::with_public_key(public_key.clone(), 0, 1);
+    Ok((agent, clients, server))
 }
 
 /// Runs `h` tentative selections with the *secure* §5.3.1 exchange through

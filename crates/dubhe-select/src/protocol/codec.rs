@@ -744,21 +744,22 @@ impl RegistryFrame {
     /// The vector is validated by [`view`](Self::view), at fold time.
     pub fn try_from_payload(payload: Vec<u8>) -> Result<RegistryFrame, Vec<u8>> {
         match Self::parse_prefix(&payload) {
-            Some(frame) => Ok(RegistryFrame { payload, ..frame }),
+            Some(frame) => Ok(frame.with_payload(payload)),
             None => Err(payload),
         }
     }
 
     /// `true` iff [`try_from_payload`](Self::try_from_payload) would accept
-    /// this payload — the borrowed check an event loop runs before copying
-    /// the payload out of its reassembly buffer.
+    /// this payload, checked on a borrow.
     pub fn matches_prefix(payload: &[u8]) -> bool {
         Self::parse_prefix(payload).is_some()
     }
 
     /// The read walk over an envelope, stopped at a registry's vector: the
-    /// frame it defers, but for its payload.
-    fn parse_prefix(payload: &[u8]) -> Option<RegistryFrame> {
+    /// frame it defers, but for its payload, which
+    /// [`with_payload`](Self::with_payload) then hands over — so a receiver
+    /// that borrows the payload to check it parses the prefix once.
+    pub(crate) fn parse_prefix(payload: &[u8]) -> Option<RegistryFrame> {
         let (cur, memo) = (&mut &payload[..], &mut Memo::default());
         (take_u8(cur).ok()? == ENVELOPE_TAG).then_some(())?;
         let from = Party::take(cur, memo).ok()?;
@@ -775,6 +776,11 @@ impl RegistryFrame {
             client,
             vector_offset,
         })
+    }
+
+    /// The frame [`parse_prefix`](Self::parse_prefix) read off `payload`.
+    pub(crate) fn with_payload(self, payload: Vec<u8>) -> RegistryFrame {
+        RegistryFrame { payload, ..self }
     }
 
     /// Sender of the deferred envelope.

@@ -686,17 +686,14 @@ impl FrameBuffer {
         total: usize,
         max_frame_bytes: usize,
     ) -> Result<(LazyMsg, usize), ProtocolError> {
-        if self.pos == 0
-            && self.buf.len() == total
-            && RegistryFrame::matches_prefix(&self.buf[HEADER_BYTES..])
-        {
-            // The frame is the buffer's whole content: take it, shave the
-            // header — zero copies of the (dominant) ciphertext block.
-            let mut taken = std::mem::take(&mut self.buf);
-            taken.drain(..HEADER_BYTES);
-            let frame = RegistryFrame::try_from_payload(taken)
-                .expect("matches_prefix accepted this payload");
-            return Ok((LazyMsg::DeferredRegistry(frame), total));
+        if self.pos == 0 && self.buf.len() == total {
+            if let Some(prefix) = RegistryFrame::parse_prefix(&self.buf[HEADER_BYTES..]) {
+                // The frame is the buffer's whole content: take it, shave
+                // the header — zero copies of the (dominant) ciphertext block.
+                let mut taken = std::mem::take(&mut self.buf);
+                taken.drain(..HEADER_BYTES);
+                return Ok((LazyMsg::DeferredRegistry(prefix.with_payload(taken)), total));
+            }
         }
         let frame = decode_frame_lazy(&self.buf[self.pos..self.pos + total], max_frame_bytes)?;
         self.pos += total;

@@ -48,11 +48,11 @@
 //!
 //! ## Drivers and deployment shapes
 //!
-//! [`run_registration`] and [`run_try`] sequence the exchanges
-//! deterministically; [`crate::secure`] keeps the historical free-function
-//! API as thin wrappers over them (same signatures, bit-identical results on
-//! the same seed), and `dubhe-fl`'s simulator drives the same actors
-//! end-to-end when its encrypted mode is enabled.
+//! One driver per exchange sequences it deterministically:
+//! [`run_registration`] for Fig. 4, [`run_try_with_dropouts`] (and
+//! [`run_try`], its form without dropouts) for §5.3.1, both over [`pump`].
+//! `dubhe-fl`'s simulator, `secure_multi_time_select` and the examples
+//! drive the same actors through them.
 //!
 //! The drivers are generic over the [`Coordinator`] slot, which is what lets
 //! one exchange run in process or across a socket without the agent or
@@ -90,7 +90,6 @@ pub mod channel;
 pub mod codec;
 pub mod connection;
 pub mod driver;
-pub mod fault;
 pub mod frames;
 pub mod message;
 pub mod packing;
@@ -110,15 +109,11 @@ pub use channel::{
 pub use codec::CodecKind;
 pub use codec::RegistryFrame;
 pub use connection::Connection;
-pub use driver::{
-    pump, run_registration, run_registration_with, run_registration_with_packing, run_try,
-    run_try_with_dropouts, RegistrationRun,
-};
-pub use fault::{Fault, FaultPlan, FaultStats, FaultyTransport};
+pub use driver::{pump, run_registration, run_try, run_try_with_dropouts, RegistrationRun};
 pub use frames::FrameBuffer;
 pub use message::{Envelope, MsgKind, Party, ProtocolMsg};
 pub use packing::PackingPolicy;
-pub use roles::{AgentNode, CohortOutcome, Coordinator, SelectClientNode};
+pub use roles::{AgentNode, CohortOutcome, Coordinator, SecureTryOutcome, SelectClientNode};
 #[doc(hidden)]
 pub use shard::CoordinatorServer;
 pub use shard::{shard_ranges, ShardedCoordinator};

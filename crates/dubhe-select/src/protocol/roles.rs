@@ -25,6 +25,7 @@ use dubhe_he::{
     PackedEncryptedVector, PrecomputedEncryptor, PrivateKey, PublicKey,
 };
 use rand::Rng;
+use serde::{Deserialize, Serialize};
 
 use super::codec::RegistryFrame;
 use super::message::{ciphertext_width, Envelope, Party, ProtocolMsg};
@@ -34,7 +35,6 @@ use crate::config::DubheConfig;
 use crate::error::ProtocolError;
 use crate::probability::participation_probability;
 use crate::registry::{register, Registration};
-use crate::secure::SecureTryOutcome;
 use crate::selector::ClientId;
 
 /// The coordinator slot of the protocol drivers: where server-bound messages
@@ -51,7 +51,7 @@ use crate::selector::ClientId;
 ///   that same coordinator.
 ///
 /// The drivers ([`pump`](crate::protocol::pump),
-/// [`run_registration_with`](crate::protocol::run_registration_with),
+/// [`run_registration`](crate::protocol::run_registration),
 /// [`run_try`](crate::protocol::run_try)) are generic over this trait, so the
 /// same `AgentNode`/`SelectClientNode` exchange runs unchanged against
 /// either.
@@ -126,6 +126,21 @@ pub struct CohortOutcome {
     pub contributed: usize,
     /// `true` if the cohort was closed before everyone contributed.
     pub partial: bool,
+}
+
+/// The agent-side view of one multi-time tentative try: what
+/// [`AgentNode::try_outcomes`] reports once the try's sum is decrypted.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SecureTryOutcome {
+    /// The decrypted population distribution `p_o,h` of this try.
+    pub population: Vec<f64>,
+    /// `‖p_o,h − p_u‖₁`.
+    pub distance_to_uniform: f64,
+    /// Ciphertext bytes that crossed the network for this try (canonical
+    /// wire width).
+    pub ciphertext_bytes: usize,
+    /// Number of encrypted distribution messages (one per contributor).
+    pub messages: usize,
 }
 
 /// The keypair-owning agent: dispatches the epoch key, decrypts the per-try

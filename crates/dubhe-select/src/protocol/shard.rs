@@ -28,8 +28,8 @@
 //! result is bit-identical to a left-to-right [`EncryptedVector::add`] chain
 //! for any `N`, which the equivalence tests pin for `N ∈ {1, 4}`.
 //!
-//! A shard count of 1 is the in-process default ([`run_registration`],
-//! `dubhe-fl`'s local simulator, the `secure_*` wrappers). It has **no fast
+//! A shard count of 1 is the in-process default (`dubhe-fl`'s local
+//! simulator, [`secure_multi_time_select`], the examples). It has **no fast
 //! path**: one shard runs the same slice → fold → concat code as four, so
 //! there is one behaviour to test and measure (the `fanin_small_plain`
 //! benchmark workload times exactly this shape), and a one-shard slice or
@@ -38,7 +38,7 @@
 //! Sharding changes nothing about the threat model: every shard still holds
 //! only ciphertext slices and the public key (see `docs/THREAT_MODEL.md`).
 //!
-//! [`run_registration`]: super::driver::run_registration
+//! [`secure_multi_time_select`]: crate::multi_time::secure_multi_time_select
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;

@@ -282,7 +282,7 @@ fn dial_once(
 /// replies back to the driver.
 ///
 /// Implements [`Coordinator`], so it drops into
-/// [`run_registration_with`](super::driver::run_registration_with) /
+/// [`run_registration`](super::driver::run_registration) /
 /// [`run_try`](super::driver::run_try) /
 /// [`pump`](super::driver::pump) exactly where a local server would go.
 #[derive(Debug)]

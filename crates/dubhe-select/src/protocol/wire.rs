@@ -326,12 +326,9 @@ pub fn decode_frame_lazy(
     max_frame_bytes: usize,
 ) -> Result<(LazyMsg, usize), ProtocolError> {
     let payload = split_frame(bytes, max_frame_bytes)?;
-    let msg = if RegistryFrame::matches_prefix(payload) {
-        let frame = RegistryFrame::try_from_payload(payload.to_vec())
-            .expect("matches_prefix accepted this payload");
-        LazyMsg::DeferredRegistry(frame)
-    } else {
-        LazyMsg::Eager(codec::decode(payload)?)
+    let msg = match RegistryFrame::parse_prefix(payload) {
+        Some(prefix) => LazyMsg::DeferredRegistry(prefix.with_payload(payload.to_vec())),
+        None => LazyMsg::Eager(codec::decode(payload)?),
     };
     Ok((msg, HEADER_BYTES + payload.len()))
 }

@@ -18,9 +18,9 @@ use dubhe_data::ClassDistribution;
 use dubhe_he::EncryptedVector;
 use dubhe_net::ReactorListener;
 use dubhe_select::protocol::{
-    pump, run_registration_with, run_registration_with_packing, run_try, run_try_with_dropouts,
-    Coordinator, Envelope, InMemoryTransport, PackingPolicy, Party, ProtocolMsg,
-    ShardedCoordinator, TcpTransport, Transport,
+    pump, run_registration, run_try, run_try_with_dropouts, Coordinator, Envelope,
+    InMemoryTransport, PackingPolicy, Party, ProtocolMsg, ShardedCoordinator, TcpTransport,
+    Transport,
 };
 use dubhe_select::{ClientSelector, DubheConfig, DubheSelector, ProtocolError};
 use rand::SeedableRng;
@@ -48,17 +48,18 @@ fn rotation_re_registers_the_cohort_under_a_fresh_key() {
     config.k = 6;
     let mut rng = rand::rngs::StdRng::seed_from_u64(82);
     let mut transport = InMemoryTransport::new();
-    let mut run = run_registration_with(
+    let mut run = run_registration(
         &dists,
         &config,
         KEY_BITS,
+        None,
         ShardedCoordinator::new(12, 1),
         &mut transport,
         &mut rng,
     )
     .unwrap();
 
-    let overall_epoch0 = run.overall_registry().to_vec();
+    let overall_epoch0 = run.overall_registry().unwrap().to_vec();
     let old_modulus = run.agent.public_key().n().clone();
 
     // Mid-simulation rotation: fresh keypair, everyone re-registers.
@@ -86,7 +87,7 @@ fn rotation_re_registers_the_cohort_under_a_fresh_key() {
     );
     // Same distributions, fresh key: the re-derived overall registry is the
     // same plaintext decision even though every ciphertext changed.
-    assert_eq!(run.overall_registry(), &overall_epoch0[..]);
+    assert_eq!(run.overall_registry(), Some(&overall_epoch0[..]));
     assert_eq!(run.agent.overall_registry(), Some(&overall_epoch0[..]));
 
     // The new epoch is live: a multi-time round runs to a verdict.
@@ -134,16 +135,17 @@ fn rotation_drives_re_registration_over_tcp() {
     let listener = ReactorListener::spawn(ShardedCoordinator::new(8, 2)).unwrap();
     let endpoint = TcpTransport::connect(listener.addr()).unwrap();
     let mut transport = InMemoryTransport::new();
-    let mut run = run_registration_with(
+    let mut run = run_registration(
         &dists,
         &config,
         KEY_BITS,
+        None,
         endpoint,
         &mut transport,
         &mut rng,
     )
     .unwrap();
-    let overall_epoch0 = run.overall_registry().to_vec();
+    let overall_epoch0 = run.overall_registry().unwrap().to_vec();
 
     for e in run.agent.rotate_epoch(8, &mut rng) {
         transport.send(e);
@@ -158,7 +160,7 @@ fn rotation_drives_re_registration_over_tcp() {
     .unwrap();
 
     assert_eq!(run.agent.epoch(), 1);
-    assert_eq!(run.overall_registry(), &overall_epoch0[..]);
+    assert_eq!(run.overall_registry(), Some(&overall_epoch0[..]));
 
     // The remote coordinator refuses a stale frame with a relayed typed
     // error — never a hang or a dropped session.
@@ -205,10 +207,11 @@ fn stale_and_future_frames_are_typed_errors_at_every_role() {
     let config = DubheConfig::group1();
     let mut rng = rand::rngs::StdRng::seed_from_u64(102);
     let mut transport = InMemoryTransport::new();
-    let mut run = run_registration_with(
+    let mut run = run_registration(
         &dists,
         &config,
         KEY_BITS,
+        None,
         ShardedCoordinator::new(3, 1),
         &mut transport,
         &mut rng,
@@ -328,19 +331,19 @@ fn recorded_registration(
     let config = DubheConfig::group1();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xFEED);
     let mut transport = InMemoryTransport::recording();
-    let server = ShardedCoordinator::new(n, 1);
-    match policy {
-        None => run_registration_with(&dists, &config, KEY_BITS, server, &mut transport, &mut rng),
-        Some(policy) => run_registration_with_packing(
-            &dists,
-            &config,
-            KEY_BITS,
-            policy,
-            server.with_packing(policy),
-            &mut transport,
-            &mut rng,
-        ),
+    let mut server = ShardedCoordinator::new(n, 1);
+    if let Some(policy) = policy {
+        server = server.with_packing(policy);
     }
+    run_registration(
+        &dists,
+        &config,
+        KEY_BITS,
+        policy,
+        server,
+        &mut transport,
+        &mut rng,
+    )
     .unwrap();
     let replay: Vec<Envelope> = transport
         .transcript()
@@ -555,10 +558,11 @@ fn dropout_partial_fold_feeds_the_agent_a_normalized_sum() {
     config.k = 5;
     let mut rng = rand::rngs::StdRng::seed_from_u64(142);
     let mut transport = InMemoryTransport::new();
-    let mut run = run_registration_with(
+    let mut run = run_registration(
         &dists,
         &config,
         KEY_BITS,
+        None,
         ShardedCoordinator::new(10, 1),
         &mut transport,
         &mut rng,

@@ -25,9 +25,8 @@ use dubhe_data::ClassDistribution;
 use dubhe_he::TEST_KEY_BITS;
 use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::{
-    append_frame, run_registration_with, run_registration_with_packing, run_try, Connection,
-    Coordinator, Envelope, InMemoryTransport, NodeIdentity, PackingPolicy, ShardedCoordinator,
-    WireMsg, MAX_FRAME_BYTES,
+    append_frame, run_registration, run_try, Connection, Coordinator, Envelope, InMemoryTransport,
+    NodeIdentity, PackingPolicy, ShardedCoordinator, WireMsg, MAX_FRAME_BYTES,
 };
 use dubhe_select::{DubheConfig, ProtocolError};
 use rand::SeedableRng;
@@ -225,21 +224,22 @@ fn session(sealed: bool, packed: bool) -> Vec<String> {
     let mut run = if packed {
         let policy = PackingPolicy::new(32, TEST_KEY_BITS, CLIENTS as u64).unwrap();
         let server = Wired::new(sealed, coordinator.with_packing(policy));
-        run_registration_with_packing(
+        run_registration(
             &dists,
             &config,
             TEST_KEY_BITS,
-            policy,
+            Some(policy),
             server,
             &mut transport,
             &mut rng,
         )
     } else {
         let server = Wired::new(sealed, coordinator);
-        run_registration_with(
+        run_registration(
             &dists,
             &config,
             TEST_KEY_BITS,
+            None,
             server,
             &mut transport,
             &mut rng,

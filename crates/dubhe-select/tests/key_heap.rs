@@ -17,8 +17,8 @@ use std::sync::Mutex;
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
 use dubhe_select::protocol::{
-    pump, run_registration_with_packing, InMemoryTransport, PackingPolicy, RegistrationRun,
-    ShardedCoordinator, Transport,
+    pump, run_registration, InMemoryTransport, PackingPolicy, RegistrationRun, ShardedCoordinator,
+    Transport,
 };
 use dubhe_select::DubheConfig;
 use rand::SeedableRng;
@@ -91,11 +91,11 @@ fn packed_registration(
 ) -> RegistrationRun<ShardedCoordinator> {
     let n = dists.len();
     let policy = PackingPolicy::new(32, KEY_BITS, n as u64).unwrap();
-    run_registration_with_packing(
+    run_registration(
         dists,
         &DubheConfig::group1(),
         KEY_BITS,
-        policy,
+        Some(policy),
         ShardedCoordinator::new(n, 1).with_packing(policy),
         transport,
         rng,

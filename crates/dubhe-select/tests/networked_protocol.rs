@@ -23,10 +23,9 @@ use dubhe_he::EncryptedVector;
 use dubhe_net::{MuxClient, MuxConfig};
 use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::{
-    read_frame, run_registration_with, run_try, ChannelPolicy, Coordinator, Envelope,
-    InMemoryTransport, ListenerStats, Party, ProtocolMsg, ShardedCoordinator, TcpConfig,
-    TcpTransport, TransportStats, WireMsg, FRAME_MAGIC_V2, HANDSHAKE_WIRE_BYTES,
-    SEALED_FRAME_OVERHEAD,
+    read_frame, run_registration, run_try, ChannelPolicy, Coordinator, Envelope, InMemoryTransport,
+    ListenerStats, Party, ProtocolMsg, ShardedCoordinator, TcpConfig, TcpTransport, TransportStats,
+    WireMsg, FRAME_MAGIC_V2, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::{ClientSelector, DubheConfig, DubheSelector, ProtocolError};
 use rand::SeedableRng;
@@ -103,8 +102,16 @@ fn drive_session<C: Coordinator>(dists: &[ClassDistribution], seed: u64, server:
     let config = DubheConfig::group1();
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut transport = InMemoryTransport::recording();
-    let mut run =
-        run_registration_with(dists, &config, KEY_BITS, server, &mut transport, &mut rng).unwrap();
+    let mut run = run_registration(
+        dists,
+        &config,
+        KEY_BITS,
+        None,
+        server,
+        &mut transport,
+        &mut rng,
+    )
+    .unwrap();
 
     let mut selector = DubheSelector::new(dists, config);
     run.agent.expect_tries(3);
@@ -132,7 +139,7 @@ fn drive_session<C: Coordinator>(dists: &[ClassDistribution], seed: u64, server:
         .reduce(|sum, registry| sum.add(&registry).unwrap())
         .expect("every client uploaded a registry");
     Session {
-        overall: run.overall_registry().to_vec(),
+        overall: run.overall_registry().unwrap().to_vec(),
         verdict: run.agent.verdict().expect("all tries evaluated"),
         stats: *transport.stats(),
         server: run.server,
@@ -236,10 +243,11 @@ fn remote_coordinator_relays_protocol_errors() {
     let listener = ReactorListener::spawn(ShardedCoordinator::new(4, 2)).unwrap();
     let endpoint = TcpTransport::connect(listener.addr()).unwrap();
     let mut transport = InMemoryTransport::new();
-    let mut run = run_registration_with(
+    let mut run = run_registration(
         &dists,
         &config,
         KEY_BITS,
+        None,
         endpoint,
         &mut transport,
         &mut rng,

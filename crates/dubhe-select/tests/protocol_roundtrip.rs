@@ -5,9 +5,9 @@
 //!   audited: the server never receives a private key or anything but
 //!   ciphertexts, and the server role structurally cannot hold either.
 //! * **Serde** — every [`ProtocolMsg`] variant round-trips through JSON.
-//! * **Equivalence** — the actor-driven wrappers produce bit-identical
-//!   results (ciphertexts included) to a straight-line reimplementation of
-//!   the legacy `secure_registration` / `secure_multi_time_select` code on
+//! * **Equivalence** — the actor-driven registration driver and
+//!   `secure_multi_time_select` produce bit-identical results (ciphertexts
+//!   included) to a straight-line reimplementation of the pre-actor code on
 //!   the same seed, including participation probabilities and byte totals.
 
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
@@ -16,12 +16,10 @@ use dubhe_he::transport::ciphertext_size_bytes;
 use dubhe_he::{sum_vectors, EncryptedVector, FixedPointCodec, Keypair, PrecomputedEncryptor};
 use dubhe_select::participation_probability;
 use dubhe_select::protocol::{
-    run_registration, run_try, InMemoryTransport, MsgKind, Party, ProtocolMsg,
+    run_registration, run_try, InMemoryTransport, MsgKind, Party, ProtocolMsg, ShardedCoordinator,
 };
 use dubhe_select::registry::register_all_encrypted;
-use dubhe_select::{
-    secure_multi_time_select, secure_registration, ClientSelector, DubheConfig, DubheSelector,
-};
+use dubhe_select::{secure_multi_time_select, ClientSelector, DubheConfig, DubheSelector};
 use rand::{Rng, SeedableRng};
 
 const KEY_BITS: u64 = 256;
@@ -51,7 +49,16 @@ fn full_epoch_never_shows_the_server_secrets() {
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(42);
     let mut transport = InMemoryTransport::recording();
-    let mut run = run_registration(&dists, &config, KEY_BITS, &mut transport, &mut rng).unwrap();
+    let mut run = run_registration(
+        &dists,
+        &config,
+        KEY_BITS,
+        None,
+        ShardedCoordinator::new(dists.len(), 1),
+        &mut transport,
+        &mut rng,
+    )
+    .unwrap();
 
     // Multi-time round through the same actors.
     let mut selector = DubheSelector::new(&dists, config.clone());
@@ -136,7 +143,7 @@ fn full_epoch_never_shows_the_server_secrets() {
 
     // 4. And no plaintext registry ever equals what crossed the wire: the
     //    decrypted total exists only on key-holding parties.
-    let overall = run.overall_registry();
+    let overall = run.overall_registry().unwrap();
     assert_eq!(overall.iter().sum::<u64>(), 12);
 }
 
@@ -265,31 +272,37 @@ fn actor_registration_is_bit_identical_to_the_legacy_path() {
             &config,
             &mut rand::rngs::StdRng::seed_from_u64(500 + seed),
         );
-        let epoch = secure_registration(
+        let mut transport = InMemoryTransport::new();
+        let run = run_registration(
             &dists,
             &config,
             KEY_BITS,
+            None,
+            ShardedCoordinator::new(dists.len(), 1),
+            &mut transport,
             &mut rand::rngs::StdRng::seed_from_u64(500 + seed),
         )
         .unwrap();
+        let overall = run.overall_registry().unwrap();
 
-        assert_eq!(epoch.agent, legacy.agent, "seed {seed}: agent draw");
-        assert_eq!(epoch.overall_registry, legacy.overall, "seed {seed}");
+        assert_eq!(run.agent_id, legacy.agent, "seed {seed}: agent draw");
+        assert_eq!(overall, legacy.overall, "seed {seed}");
         assert_eq!(
-            epoch.server_view.bytes_received, legacy.uplink_ciphertext_bytes,
+            transport.stats().uplink_registry_ciphertext_bytes,
+            legacy.uplink_ciphertext_bytes,
             "seed {seed}: uplink byte totals"
         );
         // The ciphertexts themselves are bit-identical: the server's running
         // fold equals the legacy sum_vectors result element by element.
-        let total = epoch.server_view.encrypted_total.as_ref().unwrap();
+        let total = run.server.encrypted_total().unwrap();
         assert_eq!(total.len(), legacy.total.len());
         for (a, b) in total.elements().iter().zip(legacy.total.elements()) {
             assert_eq!(a.raw(), b.raw(), "seed {seed}: fold diverged");
         }
         // Bit-identical participation probabilities (exact f64 equality).
-        for (reg, &pos) in epoch.registrations.iter().zip(&legacy.positions) {
+        for (reg, &pos) in run.registrations().unwrap().iter().zip(&legacy.positions) {
             assert_eq!(reg.position, pos);
-            let p_new = participation_probability(&epoch.overall_registry, reg.position, config.k);
+            let p_new = participation_probability(overall, reg.position, config.k);
             let p_old = participation_probability(&legacy.overall, pos, config.k);
             assert!(p_new == p_old, "seed {seed}: probability drifted");
         }

@@ -10,10 +10,10 @@
 //! `--key-bits 2048` for the paper's production setting.
 
 use dubhe::data::federated::{DatasetFamily, FederatedSpec};
+use dubhe::he::{ciphertext_size_bytes, transport::plaintext_vector_bytes};
 use dubhe::select::probability::participation_probability;
-use dubhe::select::secure::{secure_evaluate_try, secure_registration};
+use dubhe::select::protocol::{run_registration, run_try, InMemoryTransport, ShardedCoordinator};
 use dubhe::select::DubheConfig;
-use dubhe::Keypair;
 use rand::SeedableRng;
 
 fn main() {
@@ -38,27 +38,36 @@ fn main() {
     let config = DubheConfig::group1();
 
     println!("== secure registration epoch ({key_bits}-bit Paillier) ==");
-    let epoch =
-        secure_registration(&clients, &config, key_bits, &mut rng).expect("non-empty federation");
-    println!("agent client              : #{}", epoch.agent);
-    println!(
-        "registries received       : {}",
-        epoch.server_view.messages_received
-    );
+    let mut transport = InMemoryTransport::new();
+    let mut run = run_registration(
+        &clients,
+        &config,
+        key_bits,
+        None,
+        ShardedCoordinator::new(clients.len(), 1),
+        &mut transport,
+        &mut rng,
+    )
+    .expect("non-empty federation");
+    let overall = run.overall_registry().expect("every client registered");
+    let registrations = run.registrations().expect("every client registered");
+    let layout = config.validate();
+    let plaintext_bytes = plaintext_vector_bytes(layout.len());
+    let ciphertext_bytes = layout.len() * ciphertext_size_bytes(run.agent.public_key());
+    let stats = transport.stats();
+    println!("agent client              : #{}", run.agent_id);
+    println!("registries received       : {}", stats.registries.messages);
     println!(
         "ciphertext bytes received : {}",
-        epoch.server_view.bytes_received
+        stats.uplink_registry_ciphertext_bytes
     );
     println!(
-        "one registry              : {} B plaintext -> {} B ciphertext ({:.0}x expansion)",
-        epoch.registry_plaintext_bytes,
-        epoch.registry_ciphertext_bytes,
-        epoch.registry_ciphertext_bytes as f64 / epoch.registry_plaintext_bytes as f64
+        "one registry              : {plaintext_bytes} B plaintext -> {ciphertext_bytes} B ciphertext ({:.0}x expansion)",
+        ciphertext_bytes as f64 / plaintext_bytes as f64
     );
 
     println!("\noverall registry (decrypted by clients, occupied categories only):");
-    let layout = config.validate();
-    for (pos, &count) in epoch.overall_registry.iter().enumerate() {
+    for (pos, &count) in overall.iter().enumerate() {
         if count > 0 {
             let cat = layout.category_at(pos);
             println!("  category {:?} -> {count} clients", cat.classes);
@@ -66,30 +75,38 @@ fn main() {
     }
 
     println!("\nper-client probabilities (first 10 clients):");
-    for (id, reg) in epoch.registrations.iter().take(10).enumerate() {
-        let p = participation_probability(&epoch.overall_registry, reg.position, config.k);
+    for (id, reg) in registrations.iter().take(10).enumerate() {
+        let p = participation_probability(overall, reg.position, config.k);
         println!(
             "  client {id:>2}: dominating classes {:?} -> P = {p:.3}",
             reg.category.classes
         );
     }
-    let expected: f64 = epoch
-        .registrations
+    let expected: f64 = registrations
         .iter()
-        .map(|r| participation_probability(&epoch.overall_registry, r.position, config.k))
+        .map(|r| participation_probability(overall, r.position, config.k))
         .sum();
     println!(
         "expected participants (Eq. 7): {expected:.2} (target K = {})",
         config.k
     );
 
-    // A secure multi-time tentative try: the agent learns only the aggregate.
+    // A secure multi-time tentative try under the same epoch key: the agent
+    // learns only the aggregate.
     println!("\n== secure tentative try (encrypted p_l aggregation) ==");
-    let keypair = Keypair::generate(key_bits, &mut rng);
-    let (pk, sk) = keypair.split();
     let selected: Vec<usize> = (0..20).collect();
-    let outcome = secure_evaluate_try(&selected, &clients, &pk, &sk, &mut rng)
-        .expect("non-empty tentative set");
+    run.agent.expect_tries(1);
+    run_try(
+        0,
+        &selected,
+        &mut run.agent,
+        &mut run.clients,
+        &mut run.server,
+        &mut transport,
+        &mut rng,
+    )
+    .expect("non-empty tentative set");
+    let outcome = run.agent.try_outcomes().pop().expect("the try completed");
     println!("tentative clients          : {}", outcome.messages);
     println!("ciphertext bytes exchanged : {}", outcome.ciphertext_bytes);
     println!(

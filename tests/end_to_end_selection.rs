@@ -4,10 +4,12 @@
 
 use dubhe::data::federated::{DatasetFamily, FederatedSpec};
 use dubhe::select::probability::participation_probability;
+use dubhe::select::protocol::{
+    run_registration, run_try, InMemoryTransport, RegistrationRun, ShardedCoordinator,
+};
 use dubhe::select::registry::register_all;
-use dubhe::select::secure::{secure_evaluate_try, secure_registration};
 use dubhe::select::selector::{population_unbiasedness, selection_stats};
-use dubhe::{ClientSelector, DubheConfig, DubheSelector, GreedySelector, Keypair, RandomSelector};
+use dubhe::{ClientSelector, DubheConfig, DubheSelector, GreedySelector, RandomSelector};
 use rand::SeedableRng;
 
 const TEST_KEY_BITS: u64 = 256;
@@ -32,6 +34,17 @@ fn build_clients(
     spec.build_partition(&mut rng).client_distributions()
 }
 
+/// One in-process registration epoch, one coordinator shard.
+fn register(
+    clients: &[dubhe::data::ClassDistribution],
+    config: &DubheConfig,
+    transport: &mut InMemoryTransport,
+    rng: &mut rand::rngs::StdRng,
+) -> RegistrationRun {
+    let server = ShardedCoordinator::new(clients.len(), 1);
+    run_registration(clients, config, TEST_KEY_BITS, None, server, transport, rng).unwrap()
+}
+
 #[test]
 fn secure_and_plaintext_registration_agree_end_to_end() {
     // 200 clients so no registry category saturates (Eq. 7's sum-to-K
@@ -40,16 +53,18 @@ fn secure_and_plaintext_registration_agree_end_to_end() {
     let config = DubheConfig::group1();
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
 
-    let epoch = secure_registration(&clients, &config, TEST_KEY_BITS, &mut rng).unwrap();
+    let run = register(&clients, &config, &mut InMemoryTransport::new(), &mut rng);
     let layout = config.validate();
     let (_, plaintext) = register_all(&clients, &layout, &config.effective_thresholds());
 
-    assert_eq!(epoch.overall_registry, plaintext);
+    let overall = run.overall_registry().unwrap();
+    assert_eq!(overall, plaintext);
     // Probabilities derived from the decrypted registry sum to ~K (Eq. 7).
-    let expected: f64 = epoch
-        .registrations
+    let expected: f64 = run
+        .registrations()
+        .unwrap()
         .iter()
-        .map(|r| participation_probability(&epoch.overall_registry, r.position, config.k))
+        .map(|r| participation_probability(overall, r.position, config.k))
         .sum();
     assert!(
         (expected - config.k as f64).abs() < 1.5,
@@ -97,12 +112,24 @@ fn greedy_baseline_requires_plaintext_but_is_most_balanced() {
 fn secure_tentative_try_is_consistent_with_plaintext_population() {
     let clients = build_clients(DatasetFamily::FemnistLike, 13.64, 0.554, 120, 7);
     let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-    let keypair = Keypair::generate(TEST_KEY_BITS, &mut rng);
-    let (pk, sk) = keypair.split();
+    let config = DubheConfig::group2();
+    let mut transport = InMemoryTransport::new();
+    let mut run = register(&clients, &config, &mut transport, &mut rng);
 
-    let mut selector = DubheSelector::new(&clients, DubheConfig::group2());
+    let mut selector = DubheSelector::new(&clients, config);
     let selected = selector.select(&mut rng);
-    let secure = secure_evaluate_try(&selected, &clients, &pk, &sk, &mut rng).unwrap();
+    run.agent.expect_tries(1);
+    run_try(
+        0,
+        &selected,
+        &mut run.agent,
+        &mut run.clients,
+        &mut run.server,
+        &mut transport,
+        &mut rng,
+    )
+    .unwrap();
+    let secure = run.agent.try_outcomes().pop().unwrap();
     let plaintext = population_unbiasedness(&selected, &clients).unwrap();
     assert!(
         (secure.distance_to_uniform - plaintext).abs() < 1e-3,
