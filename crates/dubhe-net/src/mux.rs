@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 use dubhe_select::protocol::channel::{secret_bytes_from_seed, ChannelPolicy};
 use dubhe_select::protocol::codec::CodecKind;
 use dubhe_select::protocol::connection::{Connection, Event};
+use dubhe_select::protocol::frames::CHUNK;
 use dubhe_select::protocol::stats::{LatencyHistogram, LatencySummary};
 use dubhe_select::protocol::tcp::{dial, TcpConfig};
 use dubhe_select::protocol::wire::{WireMsg, MAX_FRAME_BYTES};
@@ -370,7 +371,7 @@ impl MuxClient {
         replies: &mut Vec<(usize, WireMsg)>,
     ) -> Result<(), ProtocolError> {
         let c = &mut self.conns[token];
-        let mut chunk = [0u8; 16 * 1024];
+        let mut chunk = [0u8; CHUNK];
         loop {
             match c.stream.read(&mut chunk) {
                 Ok(0) => {

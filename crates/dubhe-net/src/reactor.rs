@@ -65,15 +65,18 @@
 //! once when the loop turn ends, so sixteen replies to sixteen pipelined
 //! requests leave in one `write`.
 //!
-//! On a sealed channel that flush also seals, one `SEAL_SLICE` (256 KiB,
-//! the read budget's size) ahead of what the socket has taken. A reply
-//! larger than that — the registration broadcast is `N + 1` copies of the
-//! total, 14.5 MB at `N = 1000` — is sealed a slice per turn: its first
-//! bytes leave after its first slice, the peer opens them while the next
-//! is sealed, and every other connection is read and answered between
-//! slices. A connection with bytes still to seal keeps its WRITABLE
-//! interest: its socket took every sealed byte, so the next poll reports
-//! it writable at once, and its next slice is sealed when that turn ends.
+//! That flush also produces the reply's bytes, a window ahead of what the
+//! socket has taken: a bare frame is encoded one `CHUNK` (16 KiB, the read
+//! buffer's size) ahead, and on a sealed channel a frame is encoded and
+//! sealed one `SEAL_SLICE` record (256 KiB, the read budget's size) ahead.
+//! A turn writes one slice of a connection's queue at most. A reply larger
+//! than that — the registration broadcast is `N + 1` copies of the total,
+//! 14.5 MB at `N = 1000` — leaves a slice per turn: its first bytes leave
+//! after its first window, the peer reads them while the next is produced,
+//! and every other connection is read and answered between slices. A
+//! connection with bytes still to produce keeps its WRITABLE interest: its
+//! socket took every produced byte, so the next poll reports it writable at
+//! once, and its next slice is produced when that turn ends.
 //!
 //! ## Flow control
 //!
@@ -121,6 +124,7 @@ use std::time::{Duration, Instant};
 
 use dubhe_select::protocol::channel::{ChannelPolicy, NodeIdentity};
 use dubhe_select::protocol::connection::{Connection, Event};
+use dubhe_select::protocol::frames::CHUNK;
 use dubhe_select::protocol::stats::{ListenerMetrics, ListenerStats};
 use dubhe_select::protocol::wire::{claimed_client, LazyMsg, WireMsg, MAX_FRAME_BYTES};
 use dubhe_select::protocol::Coordinator;
@@ -671,7 +675,7 @@ impl<C: Coordinator> EventLoop<C> {
                         self.handle_read(token);
                     }
                     // Written with the turn's other flushes, so a
-                    // connection gets one slice of sealing per turn.
+                    // connection gets one slice of production per turn.
                     if event.is_writable() {
                         self.mark_flush_due(token);
                     }
@@ -770,7 +774,7 @@ impl<C: Coordinator> EventLoop<C> {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let mut chunk = [0u8; 16 * 1024];
+        let mut chunk = [0u8; CHUNK];
         let mut budget = READ_BUDGET;
         let mut eof = false;
         let mut progressed = false;
@@ -924,8 +928,9 @@ impl<C: Coordinator> EventLoop<C> {
         }
     }
 
-    /// Moves a reply into a connection's write queue, which encodes it — and
-    /// seals it on an established channel — a slice ahead of the socket.
+    /// Moves a reply into a connection's write queue, which encodes it a
+    /// chunk ahead of the socket, or seals it a record ahead on an
+    /// established channel.
     /// Metrics count the bytes queued, seal included.
     fn queue_frame(&mut self, token: usize, msg: WireMsg, started: Option<Instant>) {
         let Some(conn) = self.conns.get_mut(&token) else {
@@ -984,8 +989,9 @@ impl<C: Coordinator> EventLoop<C> {
         }
     }
 
-    /// Seals at most one slice more and writes as much sealed output as the
-    /// socket accepts — in one `write` when it takes it all.
+    /// Produces at most one slice more and writes as much of it as the
+    /// socket accepts — a sealed slice in one `write` when it takes it all,
+    /// a bare one a chunk a `write`.
     fn flush_conn(&mut self, token: usize) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;

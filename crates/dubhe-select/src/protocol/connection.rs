@@ -7,9 +7,9 @@
 //! [`poll`](Connection::poll) at a time, what they meant: a protocol frame,
 //! a handshake step, or a typed [`Refusal`]. Messages queued on it
 //! ([`queue`](Connection::queue)) join its write queue
-//! ([`out`](Connection::out)), which encodes them — and seals them once the
-//! channel is established — a slice ahead of the socket. The
-//! state machine never touches a socket or reads a clock (the blocking
+//! ([`out`](Connection::out)), which encodes them a chunk ahead of the
+//! socket, or seals them a record ahead once the channel is established.
+//! The state machine never touches a socket or reads a clock (the blocking
 //! helpers at the end pump it over a stream): it reports whether a read
 //! deadline should be armed ([`wants_read_deadline`](Connection::wants_read_deadline)),
 //! and whoever owns the socket decides how bytes move and when a stall has
@@ -49,7 +49,7 @@ use super::channel::{
     sealed_frame_len, ClientHandshake, HandshakeStep, NodeIdentity, Records, SecureChannel,
     ServerHandshake, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, HELLO_LEN, M2_LEN,
 };
-use super::frames::{FrameBuffer, WriteQueue};
+use super::frames::{FrameBuffer, WriteQueue, CHUNK};
 use super::stats::Counter;
 use super::wire::{LazyMsg, WireMsg, FRAME_MAGIC_V2};
 use crate::error::ProtocolError;
@@ -443,7 +443,7 @@ impl Connection {
     /// that holds nothing: a blocking client keeps neither its largest
     /// request nor its largest reply while it waits for the next.
     pub fn next_event(&mut self, stream: &mut impl Read) -> Result<Event, ProtocolError> {
-        let mut chunk = [0u8; 16 * 1024];
+        let mut chunk = [0u8; CHUNK];
         loop {
             if let Some(event) = self.poll().map_err(|refusal| refusal.error)? {
                 if !self.is_mid_frame() {

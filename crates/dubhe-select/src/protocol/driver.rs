@@ -8,8 +8,12 @@
 //!
 //! There is one driver per exchange: [`run_registration`] for Fig. 4 and
 //! [`run_try_with_dropouts`] (with [`run_try`] its no-dropout form) for the
-//! §5.3.1 tries. Delivery is strictly FIFO and clients are dispatched to in
-//! id order, so a run consumes its RNG in exactly the order the pre-actor
+//! §5.3.1 tries. Clients are dispatched to in id order, and the in-memory
+//! transport delivers depth-first: what one delivery sends goes out before
+//! anything already waiting, so a client's upload reaches the coordinator
+//! before the next client encrypts. Only clients draw from the RNG, each
+//! while handling its own message, and they still handle those in id
+//! order, so a run consumes its RNG in exactly the order the pre-actor
 //! implementation did — which is what keeps the equivalence pins in
 //! `tests/protocol_roundtrip.rs` bit-identical on the same seed.
 

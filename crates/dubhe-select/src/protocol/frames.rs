@@ -1,7 +1,7 @@
 //! Both directions of a non-blocking socket's byte stream: incremental
 //! frame reassembly on the way in ([`FrameBuffer`]), one bounded write queue
-//! on the way out ([`WriteQueue`], which encodes and seals its frames a
-//! slice ahead of each write) — the byte-level halves of a
+//! on the way out ([`WriteQueue`], which encodes its frames a chunk, or
+//! seals them a record, ahead of each write) — the byte-level halves of a
 //! [`Connection`](super::connection::Connection).
 //!
 //! A blocking reader can hand `read_frame_limited` the stream and let it
@@ -40,12 +40,17 @@ const HEADER_BYTES: usize = 8;
 /// Bytes of already-consumed prefix tolerated before a queue compacts.
 const COMPACT_THRESHOLD: usize = 64 * 1024;
 
-/// Most bytes a write queue produces — encodes and, on a channel, seals —
-/// ahead of what its sink has taken: one slice per
-/// [`WriteQueue::flush_slice`]. The same 256 KiB as the
-/// reactor's per-readiness read budget, so a connection's share of a loop
-/// turn is bounded the same way in both directions.
+/// One sealed record — a sealed frame is produced a slice ahead of what its
+/// sink has taken, since a record's tag needs all of it — and what one
+/// [`WriteQueue::flush_slice`] writes, of a frame of either kind. The same
+/// 256 KiB as the reactor's per-readiness read budget, so a connection's
+/// share of a loop turn is bounded the same way in both directions.
 pub const SEAL_SLICE: usize = 256 * 1024;
+
+/// What a socket is read in and a bare frame is written in: every driver's
+/// read buffer, and how far a write queue encodes a bare frame ahead of
+/// what its sink has taken.
+pub const CHUNK: usize = 16 * 1024;
 
 /// Drops the consumed prefix `buf[..*pos]` of a byte queue when that is free
 /// (nothing is left behind it) or amortised: at least [`COMPACT_THRESHOLD`]
@@ -71,23 +76,24 @@ fn compact(buf: &mut Vec<u8>, pos: &mut usize) {
 /// Frames are queued behind whatever is still unwritten
 /// ([`Connection::queue`](super::connection::Connection::queue), and the
 /// handshake's own messages) and leave through [`flush`](Self::flush) in as
-/// few `write` calls as the sink allows. Queueing and writing are separate
-/// on purpose — an owner that answers sixteen requests in one loop turn
-/// pushes sixteen times and flushes once.
+/// few `write` calls as the sink and the window allow. Queueing and writing
+/// are separate on purpose — an owner that answers sixteen requests in one
+/// loop turn pushes sixteen times and flushes once.
 ///
 /// A pushed frame is checked, sized and, on a channel, given its sequence
 /// number at once, but its bytes are produced — encoded and, on a channel,
-/// sealed — at flush time, at most [`SEAL_SLICE`] bytes ahead of what the
-/// sink has taken (a `FrameProducer` each): only that produced prefix of the
-/// queue is ever offered to a sink, and the queue holds about two slices of
-/// a frame, not the frame. So a multi-megabyte reply starts leaving after
-/// its first slice rather than its last, is encoded, sealed and written
-/// while still in cache, and an event loop that takes one slice per
-/// connection per turn ([`flush_slice`](Self::flush_slice)) keeps serving
-/// its other connections in between. Bytes not produced yet are pending
-/// like any other — they hold a close-after-flush back and count against a
-/// high-water mark — but only bytes a sink refused mean a peer that stopped
-/// reading.
+/// sealed — at flush time, a window ahead of what the sink has taken (a
+/// `FrameProducer` each): a [`CHUNK`] for a bare frame, a [`SEAL_SLICE`]
+/// record for a sealed one. Only that produced prefix of the queue is ever
+/// offered to a sink, so the queue holds a chunk of a bare frame and about
+/// two slices of a sealed one, not the frame. A multi-megabyte reply starts
+/// leaving after its first window rather than its last, is encoded, sealed
+/// and written while still in cache, and an event loop that writes one
+/// slice per connection per turn ([`flush_slice`](Self::flush_slice))
+/// keeps serving its other connections in between. Bytes not produced yet
+/// are pending like any other — they hold a close-after-flush back and
+/// count against a high-water mark — but only bytes a sink refused mean a
+/// peer that stopped reading.
 #[derive(Default)]
 pub struct WriteQueue {
     /// Produced bytes from the first unwritten one on, behind `pos`; the
@@ -204,18 +210,27 @@ impl WriteQueue {
         }
     }
 
-    /// Produces up to one slice more, stopping when [`SEAL_SLICE`] final
-    /// bytes wait unwritten. Room for the slice is made first: the written
-    /// prefix is dropped when the buffer would otherwise have to grow (a
-    /// move of fewer bytes than the reallocation it saves would copy).
-    fn produce_ahead(&mut self) {
+    /// Produces up to one window more, and no more than `share`, stopping
+    /// when a window of final bytes waits unwritten; returns how many bytes
+    /// it made final. Room is made first: the written prefix is dropped
+    /// when the buffer would otherwise have to grow (a move of fewer bytes
+    /// than the reallocation it saves would copy).
+    fn produce_ahead(&mut self, share: usize) -> usize {
+        // A sealed frame is produced a record ahead, since its tag needs
+        // all of it; anything else a chunk.
+        let window = match self.producing.front() {
+            Some(Queued::Frame(frame)) if frame.seal.is_some() => SEAL_SLICE,
+            Some(_) => CHUNK,
+            None => return 0,
+        };
         let lead = self.final_end() - self.pos;
-        let mut budget = SEAL_SLICE.saturating_sub(lead);
-        // A record's header and tag can take the lead past a slice.
+        let mut budget = window.saturating_sub(lead).min(share);
+        // What a step overshoots by — a piece's fields, a record's header
+        // and tag — can take the lead past a window.
         if budget == 0 {
-            return;
+            return 0;
         }
-        // Where production can end, from `pos`: a slice past it and a
+        // Where production can end, from `pos`: a window past it and a
         // piece's fields more, or the end of the queue.
         let end = lead + (budget + PRODUCE_SLACK).min(self.pending() - lead);
         if self.pos == self.buf.len() || self.buf.capacity() < self.pos + end {
@@ -224,23 +239,27 @@ impl WriteQueue {
         }
         self.buf
             .reserve((self.pos + end).saturating_sub(self.buf.len()));
+        let mut made = 0;
         while let Some(front) = self.producing.front_mut() {
             match front {
                 Queued::Raw(bytes) => {
                     self.buf.extend_from_slice(bytes);
                     budget = budget.saturating_sub(bytes.len());
+                    made += bytes.len();
                 }
                 Queued::Frame(frame) => {
-                    let (made, sealed) = frame.produce(&mut self.buf, budget);
-                    budget = budget.saturating_sub(made);
+                    let (turned, sealed) = frame.produce(&mut self.buf, budget);
+                    budget = budget.saturating_sub(turned);
+                    made += turned;
                     self.sealed_total += sealed as u64;
                     if !frame.is_done() {
-                        return;
+                        return made;
                     }
                 }
             }
             self.producing.pop_front();
         }
+        made
     }
 
     /// Offers the final, unwritten bytes to `sink` until it has taken them
@@ -262,30 +281,40 @@ impl WriteQueue {
         Ok(true)
     }
 
-    /// Produces a slice and offers it, with whatever else is final, to
+    /// Produces a window and offers it, with whatever else is final, to
     /// `sink`, over and over until the sink has taken everything, takes
     /// none, or would block; then reclaims the written prefix by the
     /// amortised `compact` rule. A hard I/O error is returned after the
     /// bytes written before it have been accounted for.
     pub fn flush(&mut self, sink: &mut impl Write) -> io::Result<()> {
-        let outcome = loop {
-            self.produce_ahead();
-            match self.write_final(sink) {
-                Ok(true) if !self.producing.is_empty() => continue,
-                outcome => break outcome,
-            }
-        };
-        compact(&mut self.buf, &mut self.pos);
-        outcome.map(drop)
+        self.flush_share(usize::MAX, sink)
     }
 
     /// [`flush`](Self::flush) with one slice of production at most: an
     /// event loop's once-a-turn write, which leaves the rest of a large
     /// frame to later turns (the queue's [`unproduced`](Self::unproduced)
-    /// says how much).
+    /// says how much). A sealed frame's window is the slice, so its turn is
+    /// one step; a bare frame's slice is produced and written a chunk at a
+    /// time.
     pub fn flush_slice(&mut self, sink: &mut impl Write) -> io::Result<()> {
-        self.produce_ahead();
-        let outcome = self.write_final(sink);
+        self.flush_share(SEAL_SLICE.saturating_sub(self.final_end() - self.pos), sink)
+    }
+
+    /// [`flush`](Self::flush), producing no more than `share` bytes. A step
+    /// that neither produces nor writes a byte — a record that needs more
+    /// share than is left — ends it too.
+    fn flush_share(&mut self, mut share: usize, sink: &mut impl Write) -> io::Result<()> {
+        let outcome = loop {
+            let written = self.written_total;
+            let made = self.produce_ahead(share);
+            share -= made.min(share);
+            let outcome = self.write_final(sink);
+            let moved = made > 0 || self.written_total > written;
+            match outcome {
+                Ok(true) if share > 0 && moved && !self.producing.is_empty() => continue,
+                outcome => break outcome,
+            }
+        };
         compact(&mut self.buf, &mut self.pos);
         outcome.map(drop)
     }
@@ -1331,6 +1360,37 @@ mod tests {
     }
 
     #[test]
+    fn a_turn_writes_one_slice_of_a_bare_frame_produced_a_chunk_at_a_time() {
+        // An event loop's turn takes one slice of a connection's queue, bare
+        // or sealed. A bare frame is produced a chunk at a time, so a turn
+        // into a sink with unlimited room writes a chunk at a time until a
+        // slice has left — not one chunk, and not a slice and a chunk more —
+        // and the queue never holds more than a chunk and a piece's fields.
+        let broadcast = frame_mix().pop().expect("the mix ends with a broadcast");
+        let mut queue = WriteQueue::default();
+        let wire = queue.push_frame(broadcast.clone(), 1 << 20, None).unwrap();
+        assert!(wire > 2 * SEAL_SLICE, "a frame of several slices");
+        let mut sink = Sink::with_room(usize::MAX);
+        let mut turns = 0;
+        while queue.pending() > 0 {
+            let (before, writes) = (sink.seen.len(), sink.writes);
+            queue.flush_slice(&mut sink).unwrap();
+            let wrote = sink.seen.len() - before;
+            if queue.pending() > 0 {
+                assert!(
+                    (SEAL_SLICE..=SEAL_SLICE + CHUNK).contains(&wrote),
+                    "turn {turns}: {wrote} B written"
+                );
+            }
+            assert!(sink.writes - writes <= SEAL_SLICE.div_ceil(CHUNK));
+            assert!(queue.buf.capacity() <= CHUNK + PRODUCE_SLACK);
+            turns += 1;
+        }
+        assert_eq!(turns, wire.div_ceil(SEAL_SLICE));
+        assert_eq!(sink.seen, encode(&broadcast));
+    }
+
+    #[test]
     fn a_plaintext_frame_grows_as_it_lands_and_a_batch_is_held_an_envelope_at_a_time() {
         // No announced length sizes a plaintext buffer: its header reserves
         // nothing, and a 3 MiB frame grows as it lands, never more than a
@@ -1342,7 +1402,7 @@ mod tests {
         fb.extend(&big[..HEADER_BYTES]);
         assert!(next_frame(&mut fb, 4 << 20).unwrap().is_none());
         assert!(fb.buf.capacity() < 1024);
-        for chunk in big[HEADER_BYTES..].chunks(16 * 1024) {
+        for chunk in big[HEADER_BYTES..].chunks(CHUNK) {
             fb.extend(chunk);
             assert!(fb.buf.capacity() <= fb.buf.len() + SEAL_SLICE);
         }
@@ -1363,7 +1423,7 @@ mod tests {
         let stream = [&ack[..], &frame, &ack].concat();
         let mut fb = FrameBuffer::new();
         let (mut got, mut largest) = (Vec::new(), 0);
-        for chunk in stream.chunks(16 * 1024) {
+        for chunk in stream.chunks(CHUNK) {
             fb.extend(chunk);
             largest = largest.max(fb.buf.capacity());
             while let Some(pulled) = next_frame(&mut fb, 1 << 20).unwrap() {
@@ -1376,7 +1436,7 @@ mod tests {
         let sizes = [ack.len(), frame.len(), ack.len()];
         assert!(got.into_iter().eq(want.into_iter().zip(sizes)));
         assert!(
-            largest <= 2 * (16 * 1024 + envelope),
+            largest <= 2 * (CHUNK + envelope),
             "a {largest} B buffer for {envelope} B envelopes"
         );
     }

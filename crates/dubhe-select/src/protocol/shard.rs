@@ -11,8 +11,9 @@
 //! client count `N` is the registration broadcast, and only as its
 //! addressees: once the `N + 1` envelopes around one total are queued, the
 //! serving side holds the total, one envelope, the addressees (16 B each)
-//! and, per connection, at most two slices of the frame — its write queue
-//! encodes and seals the frame a slice ahead of the socket.
+//! and, per connection, one chunk of the frame, or two records sealed — its
+//! write queue encodes the frame a chunk, or seals it a record, ahead of
+//! the socket.
 //!
 //! The *positions* `0..registry_len` are split into `N` contiguous shards,
 //! each holding its own running fold of its slice; an arriving vector is

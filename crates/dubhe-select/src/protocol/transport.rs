@@ -1,16 +1,27 @@
 //! Message routing between protocol roles.
 //!
 //! A [`Transport`] moves [`Envelope`]s between parties. The in-memory
-//! implementation is a FIFO queue that meters every link — messages and
+//! implementation delivers depth-first and meters every link — messages and
 //! canonical wire bytes per [`MsgKind`] — which is exactly what the FL
 //! simulator charges to its [`CommLedger`](../../dubhe_fl/comm) and what the
-//! §6.4 overhead study prints. The networked hop lives one level up: the
-//! drivers' [`Coordinator`](super::roles::Coordinator) slot, which
+//! §6.4 overhead study prints.
+//!
+//! Depth-first means that what a delivery's handler sends goes out before
+//! anything that was already waiting, in the order it was sent. So a
+//! client's registry reaches the coordinator before the next client even
+//! sees its key, and the exchange holds one registry in flight, not `N`
+//! waiting. In the drivers' exchanges the order changes nothing a party
+//! can see: only clients draw from the RNG, each only while handling one of
+//! its own messages; the agent dispatches the coordinator's key ahead of
+//! the clients'; and every party still receives its own messages in the
+//! order a first-in-first-out queue gives them, which the transcript and
+//! frame-digest pins hold to.
+//!
+//! The networked hop lives one level up: the drivers'
+//! [`Coordinator`](super::roles::Coordinator) slot, which
 //! [`TcpTransport`](super::tcp::TcpTransport) fills by carrying every
-//! server-bound envelope over a framed socket while this local queue keeps
-//! sequencing (and metering) the exchange.
-
-use std::collections::VecDeque;
+//! server-bound envelope over a framed socket while this local transport
+//! keeps sequencing (and metering) the exchange.
 
 use serde::{Deserialize, Serialize};
 
@@ -124,11 +135,16 @@ impl TransportStats {
     }
 }
 
-/// The in-memory transport: FIFO delivery, full metering, and (optionally)
-/// a transcript of every envelope for threat-model auditing in tests.
+/// The in-memory transport: depth-first delivery, full metering, and
+/// (optionally) a transcript of every envelope for threat-model auditing in
+/// tests.
 #[derive(Debug, Default)]
 pub struct InMemoryTransport {
-    queue: VecDeque<Envelope>,
+    /// What waits, the next to go out last — but for the envelopes sent
+    /// since the last delivery, from `fresh` on, which are in send order
+    /// until the next delivery turns them round.
+    waiting: Vec<Envelope>,
+    fresh: usize,
     stats: TransportStats,
     transcript: Option<Vec<Envelope>>,
 }
@@ -161,7 +177,7 @@ impl InMemoryTransport {
 
     /// True if no message is waiting for delivery.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+        self.waiting.is_empty()
     }
 }
 
@@ -171,11 +187,14 @@ impl Transport for InMemoryTransport {
         if let Some(t) = &mut self.transcript {
             t.push(envelope.clone());
         }
-        self.queue.push_back(envelope);
+        self.waiting.push(envelope);
     }
 
     fn deliver(&mut self) -> Option<Envelope> {
-        self.queue.pop_front()
+        self.waiting[self.fresh..].reverse();
+        let next = self.waiting.pop();
+        self.fresh = self.waiting.len();
+        next
     }
 }
 
@@ -226,5 +245,45 @@ mod tests {
         assert_eq!(second.from, Party::Client(1));
         assert!(t.deliver().is_none());
         assert!(t.is_idle());
+    }
+
+    #[test]
+    fn a_reply_goes_before_what_was_already_waiting() {
+        let note = |id: usize| Envelope {
+            from: Party::Agent,
+            to: Party::Server,
+            epoch: 0,
+            msg: ProtocolMsg::TryVerdict {
+                best_try: id,
+                distance: 0.0,
+            },
+        };
+        let id = |e: Option<Envelope>| match e.map(|e| e.msg) {
+            Some(ProtocolMsg::TryVerdict { best_try, .. }) => Some(best_try),
+            _ => None,
+        };
+        let mut t = InMemoryTransport::recording();
+        // Seeded before the first delivery: first in, first out.
+        for i in [0, 1, 2] {
+            t.send(note(i));
+        }
+        assert_eq!(id(t.deliver()), Some(0));
+        // What handling 0 sends goes next, as a batch in its own order …
+        for i in [10, 11, 12] {
+            t.send(note(i));
+        }
+        assert_eq!(id(t.deliver()), Some(10));
+        // … and a reply to one of the batch goes before the batch's rest.
+        t.send(note(20));
+        let order: Vec<_> = std::iter::from_fn(|| id(t.deliver())).collect();
+        assert_eq!(order, [20, 11, 12, 1, 2]);
+        assert!(t.is_idle());
+        // The transcript keeps send order.
+        let sent: Vec<_> = t
+            .transcript()
+            .iter()
+            .map(|e| id(Some(e.clone())).unwrap())
+            .collect();
+        assert_eq!(sent, [0, 1, 2, 10, 11, 12, 20]);
     }
 }

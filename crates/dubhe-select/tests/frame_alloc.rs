@@ -14,10 +14,11 @@
 //! past what has landed: not an unauthenticated handshake header, not a
 //! plaintext one, and not one a blocking reader meets. Queued on a
 //! connection, as the listener queues its replies, the broadcast is not
-//! even framed whole: the write queue encodes and seals it a slice ahead of
-//! the socket, so what the server holds for it is about two slices whatever
-//! the cohort size, and the queue keeps one envelope and the addressees, not
-//! the `N + 1`-envelope list. An integration test is its own binary, so the
+//! even framed whole: the write queue seals it a slice ahead of the socket,
+//! and encodes a bare one a chunk ahead, so what the server holds for it is
+//! about two slices sealed and one chunk bare, whatever the cohort size;
+//! and the queue keeps one envelope and the addressees, not the
+//! `N + 1`-envelope list. An integration test is its own binary, so the
 //! counting `#[global_allocator]` observes exactly this workload.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -26,9 +27,9 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dubhe_he::{EncryptedVector, Keypair};
-use dubhe_select::protocol::codec::{decode, payload_size_hint};
+use dubhe_select::protocol::codec::{decode, encode, payload_size_hint};
 use dubhe_select::protocol::connection::Event;
-use dubhe_select::protocol::frames::SEAL_SLICE;
+use dubhe_select::protocol::frames::{CHUNK, SEAL_SLICE};
 use dubhe_select::protocol::{
     append_frame, client_handshake, decode_frame, read_channel_frame, read_frame_limited,
     ChannelFrame, Connection, Envelope, NodeIdentity, Party, ProtocolMsg, SecureChannel,
@@ -241,7 +242,7 @@ fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
         let mut sealed = Vec::new();
         server_link.out.flush(&mut sealed).unwrap();
         let (back, _, frame_sized, _) = measure(wire / 4, || {
-            for chunk in sealed.chunks(16 * 1024) {
+            for chunk in sealed.chunks(CHUNK) {
                 client_link.received(chunk);
                 if let Some(Event::Frame { msg, .. }) = client_link.poll().unwrap() {
                     return msg.force().unwrap();
@@ -333,7 +334,7 @@ fn a_plaintext_broadcast_is_received_an_envelope_at_a_time_not_as_a_frame() {
 
         let mut link = Connection::plaintext(MAX_FRAME_BYTES);
         let (back, _, frame_sized, peak) = measure(wire / 4, || {
-            for chunk in frame.chunks(16 * 1024) {
+            for chunk in frame.chunks(CHUNK) {
                 link.received(chunk);
                 if let Some(Event::Frame {
                     msg, wire_bytes, ..
@@ -385,7 +386,7 @@ fn a_sealed_broadcast_is_received_a_record_at_a_time_not_as_a_frame() {
         let wire = sealed.len();
         assert!(wire > 4 * SEAL_SLICE, "n = {n}: a multi-record frame");
         let (back, _, frame_sized, peak) = measure(wire / 4, || {
-            for chunk in sealed.chunks(16 * 1024) {
+            for chunk in sealed.chunks(CHUNK) {
                 client_link.received(chunk);
                 if let Some(Event::Frame {
                     msg, wire_bytes, ..
@@ -518,12 +519,59 @@ fn a_queued_broadcast_is_held_as_two_slices_not_as_a_frame() {
         // What left is the broadcast, whole.
         assert_eq!(sink.seen.len(), wire);
         let mut back = None;
-        for chunk in sink.seen.chunks(16 * 1024) {
+        for chunk in sink.seen.chunks(CHUNK) {
             client_link.received(chunk);
             if let Some(Event::Frame { msg, .. }) = client_link.poll().unwrap() {
                 back = Some(msg.force().unwrap());
             }
         }
         assert_eq!(back, Some(msg), "n = {n}");
+    }
+}
+
+/// What a production step of the write queue may overshoot its window by
+/// (a piece's fields): the queue's `PRODUCE_SLACK`.
+const PRODUCE_SLACK: usize = 256;
+
+#[test]
+fn a_queued_bare_broadcast_is_held_as_one_chunk_not_as_a_slice() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // The bare twin of the pin above. A plaintext frame has no tag to wait
+    // for, so the queue encodes it one chunk ahead of the socket, not one
+    // slice: the 1.1 MB broadcast at n = 300 and the 11 MB one at n = 3 000,
+    // queued and then drained a turn at a time through a socket that takes
+    // at most 64 KiB a write, hold one chunk and a piece's fields, whatever
+    // n. (Queueing itself is measured apart: it frees the envelope list,
+    // which would hide a larger buffer.)
+    for n in [300, 3000] {
+        let mut link = Connection::plaintext(MAX_FRAME_BYTES);
+        let msg = broadcast(n);
+        let wire = 8 + payload_size_hint(&msg);
+        let mut sink = Trickle {
+            seen: Vec::with_capacity(wire),
+            writes: 0,
+        };
+        assert_eq!(link.queue(msg.clone()), Ok(wire));
+        let (_, _, frame_sized, peak) = measure(wire / 4, || {
+            while link.out.pending() > 0 {
+                link.out.flush_slice(&mut sink).unwrap();
+            }
+        });
+        assert_eq!(
+            frame_sized,
+            0,
+            "n = {n}: allocations of {} B or more",
+            wire / 4
+        );
+        assert!(
+            peak <= CHUNK + PRODUCE_SLACK + 64 * 1024,
+            "n = {n}: {peak} B live to send {wire} B"
+        );
+
+        // What left is the frame the codec encodes, byte for byte.
+        assert_eq!(sink.seen.len(), wire);
+        assert_eq!(sink.seen[..4], FRAME_MAGIC_V2);
+        assert_eq!(sink.seen[4..8], ((wire - 8) as u32).to_be_bytes());
+        assert!(sink.seen[8..] == encode(&msg).unwrap()[..], "n = {n}");
     }
 }

@@ -83,20 +83,27 @@ fn clients(n: usize, seed: u64) -> Vec<ClassDistribution> {
     spec.build_partition(&mut rng).client_distributions()
 }
 
-/// A full in-memory registration of these clients under 32-bit packing.
-fn packed_registration(
+/// A full in-memory registration of these clients, under 32-bit packing
+/// or element-wise.
+fn registration(
     dists: &[ClassDistribution],
+    packed: bool,
     transport: &mut InMemoryTransport,
     rng: &mut rand::rngs::StdRng,
 ) -> RegistrationRun<ShardedCoordinator> {
     let n = dists.len();
-    let policy = PackingPolicy::new(32, KEY_BITS, n as u64).unwrap();
+    let policy = packed.then(|| PackingPolicy::new(32, KEY_BITS, n as u64).unwrap());
+    let server = ShardedCoordinator::new(n, 1);
+    let server = match policy {
+        Some(policy) => server.with_packing(policy),
+        None => server,
+    };
     run_registration(
         dists,
         &DubheConfig::group1(),
         KEY_BITS,
-        Some(policy),
-        ShardedCoordinator::new(n, 1).with_packing(policy),
+        policy,
+        server,
         transport,
         rng,
     )
@@ -105,12 +112,12 @@ fn packed_registration(
 
 /// The most bytes that registration holds live above what was live before
 /// it started.
-fn registration_peak(n: usize) -> usize {
+fn registration_peak(n: usize, packed: bool) -> usize {
     let dists = clients(n, 7);
     let mut rng = rand::rngs::StdRng::seed_from_u64(8);
     let base = LIVE.load(Ordering::SeqCst);
     PEAK.store(base, Ordering::SeqCst);
-    let run = packed_registration(&dists, &mut InMemoryTransport::new(), &mut rng);
+    let run = registration(&dists, packed, &mut InMemoryTransport::new(), &mut rng);
     assert_eq!(run.clients.len(), n);
     PEAK.load(Ordering::SeqCst) - base
 }
@@ -118,18 +125,26 @@ fn registration_peak(n: usize) -> usize {
 #[test]
 fn a_registration_epoch_holds_under_two_kib_per_extra_client() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
-    // The first run fills the process-wide lazies (pool, arenas). Both
-    // cohorts encrypt more than the 512 elements after which a key's shared
-    // batch counter widens its tables (once, 522 KB here), so that one-off
-    // is in both readings and cancels.
-    registration_peak(100);
-    let (small, large) = (registration_peak(100), registration_peak(250));
-    let per_client = large.saturating_sub(small) / 150;
-    // One comb pair per client would alone be 16 KB here.
-    assert!(
-        per_client < 2048,
-        "{per_client} B live per extra client ({small} B at N = 100, {large} B at N = 250)"
-    );
+    // Packed and element-wise alike: the transport holds the upload in
+    // flight, not every client's waiting to be folded. The first run of
+    // each shape fills the process-wide lazies (pool, arenas). Both cohorts
+    // encrypt more than the 512 elements after which a key's shared batch
+    // counter widens its tables (once, 522 KB here), so that one-off is in
+    // both readings and cancels.
+    for packed in [true, false] {
+        registration_peak(100, packed);
+        let (small, large) = (
+            registration_peak(100, packed),
+            registration_peak(250, packed),
+        );
+        let per_client = large.saturating_sub(small) / 150;
+        // One comb pair per client would alone be 16 KB here.
+        assert!(
+            per_client < 2048,
+            "packed {packed}: {per_client} B live per extra client \
+             ({small} B at N = 100, {large} B at N = 250)"
+        );
+    }
 }
 
 #[test]
@@ -138,7 +153,7 @@ fn a_rotated_out_key_leaves_nothing_behind() {
     let n = 12;
     let mut rng = rand::rngs::StdRng::seed_from_u64(10);
     let mut transport = InMemoryTransport::new();
-    let mut run = packed_registration(&clients(n, 9), &mut transport, &mut rng);
+    let mut run = registration(&clients(n, 9), true, &mut transport, &mut rng);
     // Every rotation builds a key, its tables and one CRT base, and every
     // client re-registers through that base. When the last handle to the
     // old key goes, so must all of it: live bytes after each rotation read
