@@ -73,6 +73,8 @@
 pub mod agg;
 pub mod ciphertext;
 pub mod codec;
+#[doc(hidden)]
+pub mod compat;
 pub mod error;
 pub mod fast;
 pub mod fixed;
@@ -85,15 +87,15 @@ pub mod vector;
 pub use agg::RunningFold;
 pub use ciphertext::Ciphertext;
 pub use codec::{decode_vector_view, EncryptedVectorView};
+#[doc(hidden)]
+pub use compat::PackedRunningFold;
 pub use error::HeError;
 pub use fast::{
     CrtEncryptor, Encryptor, EpochEncryptor, PrecomputedEncryptor, RANDOMNESS_EXPONENT_BITS,
 };
 pub use fixed::{FixedPointCodec, DEFAULT_FIXED_SCALE};
 pub use keys::{Keypair, PrivateKey, PublicKey};
-pub use packing::{
-    HeadroomModel, PackedCiphertext, PackedEncryptedVector, PackedRunningFold, Packer,
-};
+pub use packing::{HeadroomModel, PackedCiphertext, PackedEncryptedVector, Packer};
 pub use transport::{
     ciphertext_size_bytes, packed_vector_wire_bytes, packed_vector_wire_bytes_for,
     public_key_size_bytes, TransportSize,

@@ -18,9 +18,7 @@ use num_traits::Zero;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::agg::RunningFold;
 use crate::ciphertext::Ciphertext;
-use crate::codec;
 use crate::error::HeError;
 use crate::fast::{Encryptor, PrecomputedEncryptor};
 use crate::keys::{bit_field, PrivateKey, PublicKey};
@@ -338,7 +336,8 @@ impl HeadroomModel {
 /// carried as an ordinary [`EncryptedVector`] plus the [`Packer`] layout
 /// metadata a receiver needs to unpack. Slot-wise addition is plain
 /// ciphertext multiplication, so the coordinator's Montgomery-domain
-/// [`RunningFold`] applies unchanged to the inner vector.
+/// [`RunningFold`](crate::agg::RunningFold) applies unchanged to the inner
+/// vector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PackedEncryptedVector {
     vector: EncryptedVector,
@@ -555,125 +554,6 @@ impl PackedEncryptedVector {
     }
 }
 
-/// A running lane-wise homomorphic sum of packed vectors: the
-/// Montgomery-domain [`RunningFold`] over the inner ciphertexts, guarded by a
-/// [`HeadroomModel`] so no contribution past the declared client budget (and
-/// no foreign slot layout) is ever multiplied in.
-#[derive(Debug, Clone)]
-pub struct PackedRunningFold {
-    fold: RunningFold,
-    count: usize,
-    model: HeadroomModel,
-}
-
-impl PackedRunningFold {
-    /// Seeds the fold with its first packed vector, checking the layout
-    /// against the model and charging one contribution to the budget.
-    pub fn new(v: &PackedEncryptedVector, model: HeadroomModel) -> Result<Self, HeError> {
-        model.check_packer(&v.packer)?;
-        model.check_budget(1)?;
-        Ok(PackedRunningFold {
-            fold: RunningFold::new(&v.vector),
-            count: v.count,
-            model,
-        })
-    }
-
-    /// Folds one more packed vector in. Layout and lane-count mismatches are
-    /// typed errors, and the budget is checked **before** the multiply — a
-    /// refused fold leaves the running state untouched.
-    pub fn fold(&mut self, v: &PackedEncryptedVector) -> Result<(), HeError> {
-        self.model.check_packer(&v.packer)?;
-        if v.count != self.count {
-            return Err(HeError::LengthMismatch {
-                left: self.count,
-                right: v.count,
-            });
-        }
-        self.model.check_budget(self.fold.folded() + 1)?;
-        self.fold.fold(&v.vector)
-    }
-
-    /// How many packed vectors have been folded in so far.
-    pub fn folded(&self) -> u64 {
-        self.fold.folded()
-    }
-
-    /// Number of logical lanes.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// The guarding headroom model.
-    pub fn model(&self) -> &HeadroomModel {
-        &self.model
-    }
-
-    /// The key every folded vector was encrypted under.
-    pub fn public_key(&self) -> &PublicKey {
-        self.fold.public_key()
-    }
-
-    /// The running lane-wise total as a packed vector (non-destructive).
-    pub fn total(&self) -> PackedEncryptedVector {
-        PackedEncryptedVector {
-            vector: self.fold.total(),
-            count: self.count,
-            packer: self.model.packer,
-        }
-    }
-
-    /// Serializes the fold for crash recovery:
-    ///
-    /// ```text
-    /// snapshot := u32 slot_bits | u64 key_bits
-    ///           | u64 max_clients | u64 max_counter
-    ///           | u64 lane count
-    ///           | RunningFold snapshot
-    /// ```
-    ///
-    /// The inner snapshot keeps the accumulators **in-domain**, so a restored
-    /// fold resumes bit-identically to one that never stopped.
-    pub fn snapshot(&self) -> Result<Vec<u8>, HeError> {
-        let mut out = Vec::new();
-        codec::put_u32(&mut out, self.model.packer.slot_bits);
-        codec::put_u64(&mut out, self.model.packer.key_bits);
-        codec::put_u64(&mut out, self.model.max_clients);
-        codec::put_u64(&mut out, self.model.max_counter);
-        codec::put_u64(&mut out, self.count as u64);
-        out.extend_from_slice(&self.fold.snapshot()?);
-        Ok(out)
-    }
-
-    /// Rebuilds a fold from a [`snapshot`](Self::snapshot). Defensive like
-    /// every restore path: hostile slot widths, headroom-violating models,
-    /// budget-exceeding fold counts and layouts that contradict the inner
-    /// fold's shape are all typed errors.
-    pub fn restore(bytes: &[u8]) -> Result<Self, HeError> {
-        let cur = &mut &bytes[..];
-        let slot_bits = codec::take_u32(cur)?;
-        let key_bits = codec::take_u64(cur)?;
-        let max_clients = codec::take_u64(cur)?;
-        let max_counter = codec::take_u64(cur)?;
-        let count = codec::take_u64(cur)? as usize;
-        let packer = Packer::try_new(slot_bits, key_bits)?;
-        let model = HeadroomModel::new(packer, max_clients, max_counter)?;
-        let fold = RunningFold::restore(cur)?;
-        if packer.key_bits != fold.public_key().bits() {
-            return Err(HeError::MalformedEncoding {
-                detail: "packed fold snapshot layout disagrees with the restored key",
-            });
-        }
-        model.check_budget(fold.folded())?;
-        if fold.len() != count.div_ceil(packer.slots_per_plaintext()?) {
-            return Err(HeError::MalformedEncoding {
-                detail: "packed fold snapshot lane count disagrees with the fold shape",
-            });
-        }
-        Ok(PackedRunningFold { fold, count, model })
-    }
-}
-
 /// How deep a packed total of `ciphertexts` ciphertexts stacks when each
 /// lane needs at most `lane_bits` of a `slot_bits`-bit slot: `(d, f)` with
 /// `d = min(⌊slot_bits / lane_bits⌋, ciphertexts)`, at least 1, ciphertexts
@@ -880,21 +760,23 @@ mod tests {
         let contributions: Vec<PackedEncryptedVector> = (0..4)
             .map(|i| PackedEncryptedVector::encrypt(p, &pk, &[i + 1, 0, 9, i], &mut rng).unwrap())
             .collect();
-        let mut fold = PackedRunningFold::new(&contributions[0], model).unwrap();
-        fold.fold(&contributions[1]).unwrap();
-        fold.fold(&contributions[2]).unwrap();
-        let total_at_budget = fold.total();
+        // The coordinator's fold: each contribution checked against the
+        // model before it is multiplied in.
+        let mut fold = crate::RunningFold::new(contributions[0].vector());
+        for v in &contributions[1..3] {
+            model.check_budget(fold.folded() + 1).unwrap();
+            fold.fold(v.vector()).unwrap();
+        }
         // The 4th contribution exceeds the declared 3-client cohort: typed
-        // error, no silent wrap, no state change.
+        // error, no silent wrap, and nothing folded.
         assert_eq!(
-            fold.fold(&contributions[3]).unwrap_err(),
-            HeError::ClientBudgetExhausted {
+            model.check_budget(fold.folded() + 1),
+            Err(HeError::ClientBudgetExhausted {
                 folded: 4,
                 max_clients: 3,
-            }
+            })
         );
-        assert_eq!(fold.folded(), 3);
-        assert_eq!(fold.total(), total_at_budget);
+        let total_at_budget = PackedEncryptedVector::from_vector(fold.total(), 4, p).unwrap();
         assert_eq!(total_at_budget.decrypt_u64(&sk).unwrap(), vec![6, 0, 27, 3]);
     }
 
@@ -902,7 +784,6 @@ mod tests {
     fn packed_fold_matches_the_add_chain_bit_for_bit() {
         let (pk, sk, mut rng) = setup();
         let p = Packer::new(16, crate::TEST_KEY_BITS);
-        let model = HeadroomModel::new(p, 100, 600).unwrap();
         let lanes = 40; // several plaintexts at (256-16)/16 = 15 slots each
         let inputs: Vec<Vec<u64>> = (0..5)
             .map(|i| {
@@ -915,20 +796,22 @@ mod tests {
             .iter()
             .map(|v| PackedEncryptedVector::encrypt(p, &pk, v, &mut rng).unwrap())
             .collect();
-        let mut fold = PackedRunningFold::new(&packed[0], model).unwrap();
+        // The coordinator's fold over the inner vectors.
+        let mut fold = crate::RunningFold::new(packed[0].vector());
         let mut chain = packed[0].clone();
         for v in &packed[1..] {
-            fold.fold(v).unwrap();
+            fold.fold(v.vector()).unwrap();
             chain = chain.add(v).unwrap();
         }
-        assert_eq!(fold.total(), chain);
+        let total = PackedEncryptedVector::from_vector(fold.total(), lanes, p).unwrap();
+        assert_eq!(total, chain);
         let mut expected = vec![0u64; lanes];
         for v in &inputs {
             for (e, x) in expected.iter_mut().zip(v) {
                 *e += x;
             }
         }
-        assert_eq!(fold.total().decrypt_u64(&sk).unwrap(), expected);
+        assert_eq!(total.decrypt_u64(&sk).unwrap(), expected);
     }
 
     #[test]
@@ -944,15 +827,10 @@ mod tests {
         ));
         let model16 = HeadroomModel::new(p16, 10, 100).unwrap();
         assert!(matches!(
-            PackedRunningFold::new(&b, model16).unwrap_err(),
+            model16.check_packer(&b.packer()).unwrap_err(),
             HeError::PackerMismatch { .. }
         ));
-        let mut fold = PackedRunningFold::new(&a, model16).unwrap();
-        assert!(matches!(
-            fold.fold(&b).unwrap_err(),
-            HeError::PackerMismatch { .. }
-        ));
-        assert_eq!(fold.folded(), 1);
+        assert_eq!(model16.check_packer(&a.packer()), Ok(()));
         // A packer dimensioned for a different key size than the encryptor's
         // is refused before anything is packed.
         let foreign = Packer::new(16, 512);
@@ -985,84 +863,6 @@ mod tests {
             "CRT tier must be bit-identical to the precomputed tier"
         );
         assert_eq!(a.decrypt_u64(&kp.private).unwrap(), values);
-    }
-
-    #[test]
-    fn packed_fold_snapshot_restore_resumes_bit_identically() {
-        let (pk, _sk, mut rng) = setup();
-        let p = Packer::new(16, crate::TEST_KEY_BITS);
-        let model = HeadroomModel::new(p, 50, 1000).unwrap();
-        let packed: Vec<PackedEncryptedVector> = (0..6)
-            .map(|i| {
-                let v: Vec<u64> = (0..20).map(|j| ((i * 5 + j) % 1000) as u64).collect();
-                PackedEncryptedVector::encrypt(p, &pk, &v, &mut rng).unwrap()
-            })
-            .collect();
-        let mut uninterrupted = PackedRunningFold::new(&packed[0], model).unwrap();
-        for v in &packed[1..] {
-            uninterrupted.fold(v).unwrap();
-        }
-        for cut in 1..packed.len() {
-            let mut fold = PackedRunningFold::new(&packed[0], model).unwrap();
-            for v in &packed[1..cut] {
-                fold.fold(v).unwrap();
-            }
-            let snap = fold.snapshot().unwrap();
-            drop(fold); // the "crash"
-            let mut resumed = PackedRunningFold::restore(&snap).unwrap();
-            assert_eq!(resumed.folded(), cut as u64);
-            assert_eq!(resumed.model(), &model);
-            for v in &packed[cut..] {
-                resumed.fold(v).unwrap();
-            }
-            assert_eq!(resumed.total(), uninterrupted.total(), "cut {cut}");
-        }
-    }
-
-    #[test]
-    fn hostile_packed_fold_snapshots_are_typed_errors() {
-        let (pk, _sk, mut rng) = setup();
-        let p = Packer::new(16, crate::TEST_KEY_BITS);
-        let model = HeadroomModel::new(p, 2, 10).unwrap();
-        let v = PackedEncryptedVector::encrypt(p, &pk, &[1, 2, 3], &mut rng).unwrap();
-        let fold = PackedRunningFold::new(&v, model).unwrap();
-        let snap = fold.snapshot().unwrap();
-
-        for cut in [0, 3, 12, 35, snap.len() - 1] {
-            assert!(
-                PackedRunningFold::restore(&snap[..cut]).is_err(),
-                "cut {cut}"
-            );
-        }
-        // Hostile slot width.
-        let mut bad = snap.clone();
-        bad[..4].copy_from_slice(&200u32.to_be_bytes());
-        assert!(matches!(
-            PackedRunningFold::restore(&bad).unwrap_err(),
-            HeError::MalformedEncoding { .. }
-        ));
-        // A model that violates its own headroom argument.
-        let mut bad = snap.clone();
-        bad[12..20].copy_from_slice(&u64::MAX.to_be_bytes()); // max_clients
-        bad[20..28].copy_from_slice(&u64::MAX.to_be_bytes()); // max_counter
-        assert!(matches!(
-            PackedRunningFold::restore(&bad).unwrap_err(),
-            HeError::HeadroomExceeded { .. }
-        ));
-        // A fold count past the declared budget.
-        let mut bad = snap.clone();
-        bad[12..20].copy_from_slice(&0u64.to_be_bytes()); // max_clients = 0
-        assert!(matches!(
-            PackedRunningFold::restore(&bad).unwrap_err(),
-            HeError::ClientBudgetExhausted { .. }
-        ));
-        // A lane count that contradicts the fold's ciphertext shape.
-        let mut bad = snap.clone();
-        bad[28..36].copy_from_slice(&1000u64.to_be_bytes());
-        assert!(matches!(
-            PackedRunningFold::restore(&bad).unwrap_err(),
-            HeError::MalformedEncoding { .. }
-        ));
     }
 
     #[test]

@@ -8,8 +8,8 @@ use std::sync::OnceLock;
 use dubhe_he::packing::Packer;
 use dubhe_he::{
     sum_vectors, sum_vectors_serial, CrtEncryptor, EncryptedVector, Encryptor, FixedPointCodec,
-    HeError, HeadroomModel, Keypair, PackedEncryptedVector, PackedRunningFold,
-    PrecomputedEncryptor, PrivateKey, PublicKey, RunningFold,
+    HeError, HeadroomModel, Keypair, PackedEncryptedVector, PrecomputedEncryptor, PrivateKey,
+    PublicKey, RunningFold,
 };
 use num_bigint::{BigUint, RandBigInt};
 use num_traits::{One, Zero};
@@ -316,16 +316,18 @@ proptest! {
             .map(|v| PackedEncryptedVector::encrypt(packer, pk, v, &mut rng).unwrap())
             .collect();
 
-        let mut fold = PackedRunningFold::new(&encrypted[0], model).unwrap();
+        prop_assert!(model.check_budget(clients as u64).is_ok());
+        let mut fold = RunningFold::new(encrypted[0].vector());
         for v in &encrypted[1..] {
-            fold.fold(v).unwrap();
+            fold.fold(v.vector()).unwrap();
         }
         prop_assert_eq!(fold.folded(), clients as u64);
+        let total = PackedEncryptedVector::from_vector(fold.total(), len, packer).unwrap();
 
         let expected: Vec<u64> = (0..len)
             .map(|j| plain.iter().map(|v| v[j]).sum())
             .collect();
-        prop_assert_eq!(fold.total().decrypt_u64(sk).unwrap(), expected);
+        prop_assert_eq!(total.decrypt_u64(sk).unwrap(), expected);
 
         // Pairwise `add` is the same slot-wise operation the fold uses.
         if clients >= 2 {
@@ -362,11 +364,11 @@ proptest! {
             prop_assert_eq!(x.raw(), y.raw(), "packed ciphertexts diverged across tiers");
         }
 
-        let model = HeadroomModel::new(packer, 4, 4096).unwrap();
-        let mut fold = PackedRunningFold::new(&a, model).unwrap();
-        fold.fold(&b).unwrap();
+        let mut fold = RunningFold::new(a.vector());
+        fold.fold(b.vector()).unwrap();
+        let total = PackedEncryptedVector::from_vector(fold.total(), len, packer).unwrap();
         let expected: Vec<u64> = values.iter().map(|v| v * 2).collect();
-        prop_assert_eq!(fold.total().decrypt_u64(sk).unwrap(), expected);
+        prop_assert_eq!(total.decrypt_u64(sk).unwrap(), expected);
     }
 
     #[test]

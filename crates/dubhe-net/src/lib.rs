@@ -56,6 +56,8 @@
 //! [`ListenerStats`]: dubhe_select::protocol::stats::ListenerStats
 //! [`Connection`]: dubhe_select::protocol::Connection
 
+#[doc(hidden)]
+pub mod compat;
 pub mod mux;
 pub mod reactor;
 

@@ -21,7 +21,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use dubhe_select::protocol::channel::{secret_bytes_from_seed, ChannelPolicy};
-use dubhe_select::protocol::codec::CodecKind;
 use dubhe_select::protocol::connection::{Connection, Event};
 use dubhe_select::protocol::frames::CHUNK;
 use dubhe_select::protocol::stats::{LatencyHistogram, LatencySummary};
@@ -91,15 +90,6 @@ impl Default for MuxConfig {
 }
 
 impl MuxConfig {
-    // Kept for exactly one caller, the frozen `benchmark/`'s fan-in
-    // workloads (`fanin.rs:611`); it goes with the `CodecKind` shim in
-    // `dubhe-select`'s `codec.rs` in the benchmark-only change of ROADMAP
-    // item 1(d).
-    #[doc(hidden)]
-    pub fn with_codec(self, _: CodecKind) -> Self {
-        self
-    }
-
     /// Replaces the frame-payload ceiling.
     pub fn with_max_frame_bytes(mut self, max_frame_bytes: usize) -> Self {
         self.max_frame_bytes = max_frame_bytes;

@@ -19,12 +19,11 @@ use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
 use dubhe_he::EncryptedVector;
 use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
-use dubhe_select::protocol::channel::write_handshake_frame;
 use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::frames::SEAL_SLICE;
 use dubhe_select::protocol::tcp::dial;
 use dubhe_select::protocol::{
-    codec, read_frame, run_registration, run_try, write_frame, ChannelPolicy, Coordinator,
+    append_frame, codec, run_registration, run_try, ChannelPolicy, Connection, Coordinator,
     Envelope, InMemoryTransport, ListenerStats, NodeIdentity, Party, ProtocolMsg, RegistryFrame,
     ShardedCoordinator, TcpConfig, TcpTransport, TransportStats, WireMsg, FRAME_MAGIC_HANDSHAKE,
     MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
@@ -635,16 +634,13 @@ fn downgrades_and_handshake_stalls_get_typed_refusals_on_both_backends() {
         // downgrade attempt, then cut.
         let mut raw = TcpStream::connect(reactor.addr()).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(&mut raw, &verdict_envelope(0)).unwrap();
-        let (reply, _) = read_frame(&mut raw).expect("a refusal frame before the hangup");
-        match reply {
+        raw.write_all(&burst_of(&[verdict_envelope(0)])).unwrap();
+        match reply_then_hangup(&mut raw) {
             WireMsg::Error { detail } => {
                 assert!(detail.contains("authenticated channel"), "{detail}")
             }
             other => panic!("expected a downgrade refusal, got {other:?}"),
         }
-        let mut rest = Vec::new();
-        assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0, "{backend:?}");
 
         // Handshake slow-loris: a connection that opens the prelude and
         // stalls is swept at the read timeout, with a courtesy notice.
@@ -653,13 +649,10 @@ fn downgrades_and_handshake_stalls_get_typed_refusals_on_both_backends() {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         loris.write_all(b"DBHS").unwrap(); // valid handshake magic, then silence
-        let (reply, _) = read_frame(&mut loris).expect("a stall notice before the hangup");
-        match reply {
+        match reply_then_hangup(&mut loris) {
             WireMsg::Error { detail } => assert!(detail.contains("stalled"), "{detail}"),
             other => panic!("expected a stall notice, got {other:?}"),
         }
-        let mut rest = Vec::new();
-        assert_eq!(loris.read_to_end(&mut rest).unwrap(), 0, "{backend:?}");
 
         // A connection that never sends a byte is swept too — silence is
         // not a way to hold a pre-authentication slot open.
@@ -706,14 +699,18 @@ fn a_low_order_hello_is_cut_and_counted() {
     let mut raw = TcpStream::connect(reactor.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let eph = NodeIdentity::from_seed(3).public_bytes();
-    write_handshake_frame(&mut raw, &[[0u8; 32], eph].concat()).unwrap();
-    let (reply, _) = read_frame(&mut raw).expect("a refusal frame before the hangup");
-    match reply {
+    let hello = [
+        &FRAME_MAGIC_HANDSHAKE[..],
+        &64u32.to_be_bytes(),
+        &[0u8; 32],
+        &eph,
+    ]
+    .concat();
+    raw.write_all(&hello).unwrap();
+    match reply_then_hangup(&mut raw) {
         WireMsg::Error { detail } => assert!(detail.contains("not contributory"), "{detail}"),
         other => panic!("expected a handshake refusal, got {other:?}"),
     }
-    let mut rest = Vec::new();
-    assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0);
     let stats = wait_for(&reactor, "refused hello never reaped", |s| {
         s.connections_closed == 1
     });
@@ -742,8 +739,7 @@ fn an_oversized_handshake_header_is_refused_at_once_on_both_backends() {
             raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
             raw.write_all(&FRAME_MAGIC_HANDSHAKE).unwrap();
             raw.write_all(&announced.to_be_bytes()).unwrap();
-            let (reply, _) = read_frame(&mut raw).expect("a refusal frame before the hangup");
-            match reply {
+            match reply_then_hangup(&mut raw) {
                 WireMsg::Error { detail } => assert!(
                     detail.contains(&format!(
                         "{announced}-byte payload, above the 64-byte limit"
@@ -752,8 +748,6 @@ fn an_oversized_handshake_header_is_refused_at_once_on_both_backends() {
                 ),
                 other => panic!("expected a typed refusal, got {other:?}"),
             }
-            let mut rest = Vec::new();
-            assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0, "{backend:?}");
         }
         let what = format!("{backend:?}: refused headers never reaped");
         let stats = wait_for(&reactor, &what, |s| s.connections_closed == 2);
@@ -904,8 +898,9 @@ fn stalled_reader_is_cut_by_backpressure_not_buffered_forever() {
     };
     // Keep writing until the server cuts us — a write error is that signal
     // arriving, not a test failure — or the counter trips first.
+    let bulky = burst_of(&[bulky]);
     while reactor.stats().backpressure_disconnects == 0 {
-        if write_frame(&mut raw, &bulky).is_err() {
+        if raw.write_all(&bulky).is_err() {
             break;
         }
     }
@@ -945,13 +940,10 @@ fn garbage_and_mid_frame_stalls_get_typed_errors_on_both_backends() {
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         raw.write_all(b"GET / HTTP/1.1\r\nHost: dubhe\r\n\r\n")
             .unwrap();
-        let (reply, _) = read_frame(&mut raw).expect("an error frame before the hangup");
-        match reply {
+        match reply_then_hangup(&mut raw) {
             WireMsg::Error { detail } => assert!(detail.contains("malformed"), "{detail}"),
             other => panic!("expected an error reply, got {other:?}"),
         }
-        let mut rest = Vec::new();
-        assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0, "{backend:?}");
 
         // Mid-frame stall: header starts, then silence. The reactor must
         // reap the connection after the read timeout — with a courtesy
@@ -961,13 +953,10 @@ fn garbage_and_mid_frame_stalls_get_typed_errors_on_both_backends() {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         loris.write_all(b"DBH2").unwrap(); // valid magic, nothing more
-        let (reply, _) = read_frame(&mut loris).expect("a stall notice before the hangup");
-        match reply {
+        match reply_then_hangup(&mut loris) {
             WireMsg::Error { detail } => assert!(detail.contains("stalled"), "{detail}"),
             other => panic!("expected a stall notice, got {other:?}"),
         }
-        let mut rest = Vec::new();
-        assert_eq!(loris.read_to_end(&mut rest).unwrap(), 0, "{backend:?}");
 
         let stats = reactor.stats();
         assert_eq!(stats.decode_errors, 1, "{backend:?}");
@@ -991,8 +980,7 @@ fn a_plaintext_batch_stalled_after_some_envelopes_is_swept_with_a_stall_notice()
             })
             .collect(),
     };
-    let mut frame = Vec::new();
-    write_frame(&mut frame, &batch).unwrap();
+    let frame = burst_of(&[batch]);
     let envelope = (frame.len() - 8 - 5) / 20;
     for backend in [Backend::Epoll, Backend::Portable] {
         let reactor = ReactorListener::spawn_with(
@@ -1007,13 +995,10 @@ fn a_plaintext_batch_stalled_after_some_envelopes_is_swept_with_a_stall_notice()
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         loris.write_all(&frame[..8 + 5 + 7 * envelope]).unwrap();
-        let (reply, _) = read_frame(&mut loris).expect("a stall notice before the hangup");
-        match reply {
+        match reply_then_hangup(&mut loris) {
             WireMsg::Error { detail } => assert!(detail.contains("stalled"), "{detail}"),
             other => panic!("expected a stall notice, got {other:?}"),
         }
-        let mut rest = Vec::new();
-        assert_eq!(loris.read_to_end(&mut rest).unwrap(), 0, "{backend:?}");
         let stats = reactor.stats();
         assert_eq!(stats.truncated_frames, 1, "{backend:?}");
         assert_eq!(stats.decode_errors, 0, "{backend:?}");
@@ -1034,20 +1019,15 @@ fn slow_loris_byte_at_a_time_frame_still_decodes() {
     .unwrap();
     let mut raw = TcpStream::connect(reactor.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut frame = Vec::new();
-    write_frame(
-        &mut frame,
-        &WireMsg::AnnounceTry {
-            try_index: 0,
-            participants: vec![1, 2, 3],
-        },
-    )
-    .unwrap();
+    let frame = burst_of(&[WireMsg::AnnounceTry {
+        try_index: 0,
+        participants: vec![1, 2, 3],
+    }]);
     for byte in frame {
         raw.write_all(&[byte]).unwrap();
         std::thread::sleep(Duration::from_millis(2));
     }
-    let (reply, _) = read_frame(&mut raw).expect("the trickled frame decodes");
+    let reply = read_msg(&mut Connection::plaintext(MAX_FRAME_BYTES), &mut raw);
     assert!(matches!(reply, WireMsg::Ack), "got {reply:?}");
     let stats = reactor.stats();
     assert_eq!(stats.truncated_frames, 0);
@@ -1126,12 +1106,29 @@ fn reply_in_memory(reference: &mut ShardedCoordinator, msg: &WireMsg) -> WireMsg
     })
 }
 
+/// The next message `conn` — the one connection reading `stream` — gets.
+fn read_msg(conn: &mut Connection, stream: &mut TcpStream) -> WireMsg {
+    match conn.next_event(stream).unwrap() {
+        Event::Frame { msg, .. } => msg.force().unwrap(),
+        other => panic!("expected a protocol frame, got {other:?}"),
+    }
+}
+
+/// One plaintext reply off a raw socket, then the clean hangup behind it.
+fn reply_then_hangup(stream: &mut TcpStream) -> WireMsg {
+    let mut conn = Connection::plaintext(MAX_FRAME_BYTES);
+    let reply = read_msg(&mut conn, stream);
+    let end = conn.next_event(stream);
+    assert!(matches!(end, Err(ProtocolError::Disconnected)), "{end:?}");
+    reply
+}
+
 /// The `DBH2` frames of `msgs`, back to back: one `write_all` of this is one
 /// pipelined burst.
 fn burst_of(msgs: &[WireMsg]) -> Vec<u8> {
     let mut bytes = Vec::new();
     for msg in msgs {
-        write_frame(&mut bytes, msg).unwrap();
+        append_frame(&mut bytes, msg, MAX_FRAME_BYTES, None).unwrap();
     }
     bytes
 }
@@ -1158,9 +1155,10 @@ fn frames_behind_a_routed_one_are_routed_and_replies_keep_request_order() {
         let (key_dispatch, uploads) = uploads_of_length(3, 100);
         let mut raw = TcpStream::connect(reactor.addr()).unwrap();
         raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut conn = Connection::plaintext(MAX_FRAME_BYTES);
         let mut expect_replies = |raw: &mut TcpStream, msgs: &[WireMsg]| {
             for msg in msgs {
-                let (reply, _) = read_frame(raw).expect("one reply per request");
+                let reply = read_msg(&mut conn, raw);
                 assert_eq!(reply, reply_in_memory(&mut reference, msg), "{backend:?}");
             }
         };
@@ -1237,8 +1235,9 @@ fn pipelined_small_frames_are_all_answered_inline_in_request_order() {
     let mut raw = TcpStream::connect(reactor.addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     raw.write_all(&burst_of(&burst)).unwrap();
+    let mut conn = Connection::plaintext(MAX_FRAME_BYTES);
     for (i, msg) in burst.iter().enumerate() {
-        let (reply, _) = read_frame(&mut raw).expect("one reply per request");
+        let reply = read_msg(&mut conn, &mut raw);
         assert_eq!(reply, reply_in_memory(&mut reference, msg), "reply {i}");
         // The upload that completes the cohort is answered with the
         // broadcast, in its place in the order.
@@ -1370,13 +1369,11 @@ fn a_request_followed_at_once_by_a_close_is_answered_then_reaped_on_both_backend
         raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         raw.write_all(&burst_of(&[verdict_envelope(3)])).unwrap();
         raw.shutdown(Shutdown::Write).unwrap();
-        let (reply, _) = read_frame(&mut raw).expect("the reply precedes the hangup");
+        let reply = reply_then_hangup(&mut raw);
         assert!(
             matches!(&reply, WireMsg::Batch { envelopes } if envelopes.is_empty()),
             "{backend:?}: {reply:?}"
         );
-        let mut rest = Vec::new();
-        assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0, "{backend:?}");
         let what = format!("{backend:?}: the EOF behind a short read was never re-reported");
         let stats = wait_for(&reactor, &what, |s| s.connections_closed == 1);
         assert_eq!((stats.frames_received, stats.frames_sent), (1, 1));

@@ -145,6 +145,8 @@
 //! ```
 
 pub mod codebook;
+#[doc(hidden)]
+pub mod compat;
 pub mod config;
 pub mod dubhe;
 pub mod error;

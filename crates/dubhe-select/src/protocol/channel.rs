@@ -32,12 +32,14 @@
 //! fails a tag: [`ProtocolError::AuthFailure`].
 //!
 //! A write queue seals each record once its last plaintext byte is encoded
-//! (a `FrameProducer`); a receiving [`Connection`] verifies each record as
-//! it completes, decrypts it in place and decodes its plaintext as it would
-//! a plaintext frame's: no byte is decoded before its own record's tag
-//! verifies, and neither end holds more than a record of the frame. The
-//! bytes are those of [`append_frame`], [`seal_frame`](SecureChannel::seal_frame)
-//! and [`open_in_place`](SecureChannel::open_in_place), however they are cut.
+//! (a `FrameProducer`); a receiving [`Connection`](super::connection::Connection)
+//! verifies each record as it completes, decrypts it in place and decodes
+//! its plaintext as it would a plaintext frame's: no byte is decoded before
+//! its own record's tag verifies, and neither end holds more than a record
+//! of the frame. The one-step forms — [`append_frame`],
+//! [`seal_frame`](SecureChannel::seal_frame) and
+//! [`open_in_place`](SecureChannel::open_in_place) — are the reference the
+//! chunked path is held to: its bytes are theirs, however they are cut.
 //!
 //! ## Handshake state machine
 //!
@@ -71,16 +73,14 @@
 //! [`DowngradeRefused`]: ProtocolError::DowngradeRefused
 
 use std::borrow::Cow;
-use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mini_crypto::{hkdf, hmac_sha256, sha256, ChaCha20Poly1305, PublicKey, StaticSecret, TAG_LEN};
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use super::connection::Connection;
 use super::frames::{FrameProducer, SEAL_SLICE};
-use super::wire::{read_exact_or, read_payload, write_whole_frame, WireMsg, FRAME_MAGIC_V2};
+use super::wire::WireMsg;
 use crate::error::ProtocolError;
 
 /// The 4-byte preamble of a handshake (`DBHS`) frame.
@@ -515,23 +515,8 @@ fn channel_from(keys: &SessionKeys, is_client: bool, peer: [u8; 32]) -> SecureCh
     }
 }
 
-// ------------------------------------------------------------ raw framing
-
-/// One frame pulled off a channel-aware socket, still undecoded.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChannelFrame {
-    /// A `DBHS` handshake message.
-    Handshake(Vec<u8>),
-    /// A `DBHE` sealed payload: its records.
-    Sealed(Vec<u8>),
-    /// A plaintext `DBH2` protocol frame: the *entire* frame bytes, header
-    /// included, so a `Plaintext`-policy caller can re-parse it with the
-    /// ordinary wire readers.
-    Plaintext(Vec<u8>),
-}
-
 /// One complete `DBHS` frame around a handshake message.
-fn handshake_frame(payload: &[u8]) -> Vec<u8> {
+pub(crate) fn handshake_frame(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(8 + payload.len());
     frame.extend_from_slice(&FRAME_MAGIC_HANDSHAKE);
     frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
@@ -539,73 +524,7 @@ fn handshake_frame(payload: &[u8]) -> Vec<u8> {
     frame
 }
 
-/// Writes one `DBHS` frame, returning the bytes put on the wire.
-pub fn write_handshake_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<usize, ProtocolError> {
-    let frame = handshake_frame(payload);
-    write_whole_frame(w, &frame)?;
-    Ok(frame.len())
-}
-
-/// Reads one frame of *any* known magic — handshake, sealed or plaintext —
-/// returning it with the total bytes consumed. This is the read primitive
-/// of channel-aware blocking paths: the caller decides which variants its
-/// policy and phase accept (a `Required` endpoint maps
-/// [`ChannelFrame::Plaintext`] to [`ProtocolError::DowngradeRefused`]).
-pub fn read_channel_frame<R: Read>(
-    r: &mut R,
-    max_frame_bytes: usize,
-) -> Result<(ChannelFrame, usize), ProtocolError> {
-    let mut magic = [0u8; 4];
-    read_exact_or(r, &mut magic, "header", true)?;
-    let mut len_bytes = [0u8; 4];
-    read_exact_or(r, &mut len_bytes, "header", false)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    // Sealed frames may exceed the inner ceiling by exactly the seal.
-    if len > channel_ceiling(max_frame_bytes) {
-        return Err(ProtocolError::FrameTooLarge {
-            len,
-            max: max_frame_bytes,
-        });
-    }
-    let payload = read_payload(r, len)?;
-    let total = 8 + len;
-    if magic == FRAME_MAGIC_HANDSHAKE {
-        return Ok((ChannelFrame::Handshake(payload), total));
-    }
-    if magic == FRAME_MAGIC_SEALED {
-        return Ok((ChannelFrame::Sealed(payload), total));
-    }
-    if magic == FRAME_MAGIC_V2 {
-        let mut frame = Vec::with_capacity(total);
-        frame.extend_from_slice(&magic);
-        frame.extend_from_slice(&len_bytes);
-        frame.extend_from_slice(&payload);
-        return Ok((ChannelFrame::Plaintext(frame), total));
-    }
-    Err(ProtocolError::MalformedFrame {
-        detail: format!("bad magic {magic:02x?}, expected DBH2, DBHS or DBHE"),
-    })
-}
-
 // ------------------------------------------------------- client handshake
-
-/// Runs the client side of the handshake over a blocking stream — a
-/// [`Connection`] pumped to establishment. On success the stream speaks
-/// sealed frames only. `expected_server` pins the server's public identity
-/// (connection refused with [`ProtocolError::AuthFailure`] on mismatch);
-/// `None` trusts first use.
-pub fn client_handshake<S: Read + Write>(
-    stream: &mut S,
-    identity: &NodeIdentity,
-    expected_server: Option<[u8; 32]>,
-    max_frame_bytes: usize,
-) -> Result<SecureChannel, ProtocolError> {
-    let mut connection = Connection::client(identity, expected_server, max_frame_bytes);
-    connection.handshake(stream)?;
-    Ok(connection
-        .into_channel()
-        .expect("a completed handshake leaves the channel established"))
-}
 
 /// The client side of the handshake as an explicit state machine, the
 /// mirror of [`ServerHandshake`]: [`hello`](Self::hello) is M1, and the
@@ -679,7 +598,8 @@ impl ClientHandshake {
 // ------------------------------------------------------- server handshake
 
 /// The server side of the handshake as an explicit state machine, fed one
-/// `DBHS` payload at a time by a server-role [`Connection`].
+/// `DBHS` payload at a time by a server-role
+/// [`Connection`](super::connection::Connection).
 pub struct ServerHandshake {
     identity: NodeIdentity,
     state: ServerHandshakeState,
@@ -820,8 +740,25 @@ impl RetrySchedule {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::protocol::codec::decode;
+    use crate::protocol::connection::Connection;
+    use crate::protocol::wire::FRAME_MAGIC_V2;
+    use std::io::{Read, Write};
 
-    /// Drives a real `client_handshake` against a [`ServerHandshake`] state
+    /// The client side of the handshake over a blocking `stream`, as a
+    /// connector runs it: a client [`Connection`] pumped to establishment.
+    fn client_over<S: Read + Write>(
+        stream: &mut S,
+        identity: &NodeIdentity,
+        pin: Option<[u8; 32]>,
+        max_frame_bytes: usize,
+    ) -> Result<SecureChannel, ProtocolError> {
+        let mut connection = Connection::client(identity, pin, max_frame_bytes);
+        connection.handshake(stream)?;
+        Ok(connection.into_channel().expect("established"))
+    }
+
+    /// Drives a real client handshake against a [`ServerHandshake`] state
     /// machine without sockets or threads: the client's writes are parsed
     /// into DBHS frames and fed to the server, whose replies land in the
     /// client's read buffer.
@@ -885,7 +822,7 @@ pub(crate) mod tests {
             hs: &mut server_hs,
             server_channel: &mut server_channel,
         };
-        let client_channel = client_handshake(&mut shuttle, client_id, pin, 1 << 20)?;
+        let client_channel = client_over(&mut shuttle, client_id, pin, 1 << 20)?;
         let server_channel = server_channel.expect("server established");
         Ok((client_channel, server_channel))
     }
@@ -967,31 +904,34 @@ pub(crate) mod tests {
 
     #[test]
     fn channel_frames_parse_by_magic() {
-        // Handshake frame round-trips.
-        let mut buf = Vec::new();
-        write_handshake_frame(&mut buf, b"hello").unwrap();
-        let (frame, n) = read_channel_frame(&mut &buf[..], 1 << 20).unwrap();
-        assert_eq!(n, buf.len());
-        assert_eq!(frame, ChannelFrame::Handshake(b"hello".to_vec()));
-
-        // Plaintext frames come back whole for policy dispatch.
-        let mut buf = Vec::new();
-        super::super::wire::write_frame(&mut buf, &super::super::wire::WireMsg::Ack).unwrap();
-        let (frame, _) = read_channel_frame(&mut &buf[..], 1 << 20).unwrap();
-        assert_eq!(frame, ChannelFrame::Plaintext(buf.clone()));
+        use crate::protocol::frames::check_header;
+        // Each magic is told apart at its header, its length with it.
+        let header = |frame: &[u8]| check_header(frame, 1 << 20, true);
+        let hs = handshake_frame(b"hello");
+        assert_eq!(header(&hs), Ok(Some((FRAME_MAGIC_HANDSHAKE, 5))));
+        let plain = plain(&WireMsg::Ack);
+        let plain_len = plain.len() - 8;
+        assert_eq!(header(&plain), Ok(Some((FRAME_MAGIC_V2, plain_len))));
+        let sealed = fixed_channel(true).seal_frame(&plain);
+        let sealed_len = sealed.len() - 8;
+        assert_eq!(header(&sealed), Ok(Some((FRAME_MAGIC_SEALED, sealed_len))));
 
         // Unknown magic (the retired JSON and compressed-JSON ones
         // included) is malformed; truncation is typed.
-        for mut unknown in [
+        for unknown in [
             &b"EVIL\x00\x00\x00\x00"[..],
             b"DBH1\x00\x00\x00\x00",
             b"DBHZ\x00\x00\x00\x00",
         ] {
-            let err = read_channel_frame(&mut unknown, 1 << 20).unwrap_err();
+            let err = header(unknown).unwrap_err();
             assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
         }
-        let err = read_channel_frame(&mut &buf[..3], 1 << 20).unwrap_err();
-        assert!(matches!(err, ProtocolError::TruncatedFrame { .. }), "{err}");
+        assert_eq!(header(&plain[..3]), Ok(None));
+        let err = Connection::plaintext(1 << 20).next_event(&mut &plain[..3]);
+        assert!(
+            matches!(err, Err(ProtocolError::TruncatedFrame { .. })),
+            "{err:?}"
+        );
     }
 
     /// `write_frame_limited` as it stood at the parent commit (three writes
@@ -1049,7 +989,6 @@ pub(crate) mod tests {
     #[test]
     fn append_frame_puts_the_parent_commits_bytes_on_the_wire() {
         use super::super::codec::tests::{broadcast_batches, sample_msgs};
-        use super::super::wire::decode_frame;
         let max = 1 << 20;
         let (mut sender, mut reference_sender) = (fixed_channel(true), fixed_channel(true));
         let (mut receiver, mut copying_receiver) = (fixed_channel(false), fixed_channel(false));
@@ -1062,10 +1001,7 @@ pub(crate) mod tests {
             let mut out = b"queued".to_vec();
             append_frame(&mut out, &msg, max, None).unwrap();
             assert_eq!(out, [&b"queued"[..], &plain].concat());
-            assert_eq!(
-                decode_frame(&plain, max).unwrap(),
-                (msg.clone(), plain.len())
-            );
+            assert_eq!(decode(&plain[8..]).unwrap(), msg);
 
             // Sealed: the same bytes as encode → inner → seal → frame.
             let sealed = reference_seal_frame(&mut reference_sender, &plain);
@@ -1087,7 +1023,7 @@ pub(crate) mod tests {
                 assert_eq!(copying_receiver.open_payload(&payload).unwrap(), plain);
                 let inner = receiver.open_in_place(&mut payload).unwrap();
                 assert_eq!(inner, plain);
-                assert_eq!(decode_frame(inner, max).unwrap().0, msg);
+                assert_eq!(decode(&inner[8..]).unwrap(), msg);
             }
         }
 
@@ -1385,9 +1321,8 @@ pub(crate) mod tests {
             (honest, [0u8; 32], "zero ephemeral"),
             (alias, eph, "top-bit alias"),
         ] {
-            let mut m2 = Vec::new();
-            write_handshake_frame(&mut m2, &[s, e, [7; 32]].concat()).unwrap();
-            let err = client_handshake(&mut Scripted(m2), &client_id, None, 1 << 20).unwrap_err();
+            let m2 = handshake_frame(&[s, e, [7; 32]].concat());
+            let err = client_over(&mut Scripted(m2), &client_id, None, 1 << 20).unwrap_err();
             assert!(
                 matches!(&err, ProtocolError::AuthFailure { detail } if !detail.contains("tag")),
                 "{what}: {err}"
@@ -1439,13 +1374,15 @@ pub(crate) mod tests {
                 self.log.push("flush");
                 let mut pending = &self.inbound[..];
                 while !pending.is_empty() {
-                    let frame = read_channel_frame(&mut pending, 1 << 10);
-                    let Ok((ChannelFrame::Handshake(payload), _)) = frame else {
+                    let len = 8 + u32::from_be_bytes(pending[4..8].try_into().unwrap()) as usize;
+                    if pending[..4] != FRAME_MAGIC_HANDSHAKE || pending.len() < len {
                         return Err(std::io::Error::other("not a whole handshake frame"));
-                    };
+                    }
+                    let (frame, rest) = pending.split_at(len);
+                    pending = rest;
                     let step = self
                         .server
-                        .on_payload(&payload)
+                        .on_payload(&frame[8..])
                         .map_err(std::io::Error::other)?;
                     self.outbound.extend(step.reply.unwrap_or_default());
                     self.established = step.established.or(self.established.take());
@@ -1472,8 +1409,7 @@ pub(crate) mod tests {
             log: Vec::new(),
         };
         let pin = Some(server_id.public_bytes());
-        let mut client =
-            client_handshake(&mut pipe, &NodeIdentity::from_seed(1), pin, 1 << 20).unwrap();
+        let mut client = client_over(&mut pipe, &NodeIdentity::from_seed(1), pin, 1 << 20).unwrap();
         // M1 out and flushed, reads until M2 is whole, M3 out and flushed —
         // and nothing read after.
         pipe.log.dedup();

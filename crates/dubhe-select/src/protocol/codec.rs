@@ -690,25 +690,6 @@ impl PayloadDecoder {
     }
 }
 
-// Kept for the frozen `benchmark/` alone, which spells it (and passes it to
-// `TcpConfig::with_codec` / `MuxConfig::with_codec`); ROADMAP item 1(d)
-// deletes it with those lines. Nothing else may name it.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecKind {
-    Binary,
-}
-
-impl CodecKind {
-    pub fn encode(self, msg: &WireMsg) -> Result<Vec<u8>, ProtocolError> {
-        encode(msg)
-    }
-
-    pub fn decode(self, payload: &[u8]) -> Result<WireMsg, ProtocolError> {
-        decode(payload)
-    }
-}
-
 fn malformed(detail: &str) -> ProtocolError {
     ProtocolError::MalformedFrame {
         detail: format!("binary payload: {detail}"),

@@ -483,8 +483,9 @@ pub(crate) mod tests {
     use crate::protocol::channel::{
         append_frame, FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
     };
+    use crate::protocol::codec::decode;
     use crate::protocol::frames::SEAL_SLICE;
-    use crate::protocol::wire::{decode_frame, MAX_FRAME_BYTES};
+    use crate::protocol::wire::MAX_FRAME_BYTES;
 
     const MAX: usize = 1024;
 
@@ -934,7 +935,7 @@ pub(crate) mod tests {
         for (msg, frame) in record_frames() {
             let mut payload = frame[8..].to_vec();
             let inner = fixed_channel(false).open_in_place(&mut payload).unwrap();
-            assert_eq!(decode_frame(inner, MAX_FRAME_BYTES).unwrap().0, msg);
+            assert_eq!(decode(&inner[8..]).unwrap(), msg);
             let inner_len = inner.len();
             let records = (frame.len() - 8).div_ceil(SEAL_SLICE + TAG_LEN);
             let mut splits: Vec<usize> = (0..=24).chain((0..frame.len()).step_by(4093)).collect();

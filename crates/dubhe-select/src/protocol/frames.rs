@@ -4,16 +4,15 @@
 //! seals them a record, ahead of each write) — the byte-level halves of a
 //! [`Connection`](super::connection::Connection).
 //!
-//! A blocking reader can hand `read_frame_limited` the stream and let it
-//! block until a whole frame arrives; an event loop cannot — it gets bytes
-//! in whatever slices the kernel delivers (a header split across two reads,
-//! a byte-at-a-time slow-loris, three pipelined frames in one burst) and
-//! must never block. [`FrameBuffer`] bridges the two worlds: feed it raw
-//! bytes as they arrive, pull complete [`WireMsg`]s out as they become
-//! parseable. Validation order matches the blocking path — magic before
-//! length, announced length against the ceiling *before* buffering a
-//! payload — so a hostile header is refused after at most 8 bytes, with the
-//! same typed [`ProtocolError`]s the blocking reader produces.
+//! An event loop gets bytes in whatever slices the kernel delivers (a
+//! header split across two reads, a byte-at-a-time slow-loris, three
+//! pipelined frames in one burst) and must never block. [`FrameBuffer`] is
+//! fed raw bytes as they arrive, and complete [`WireMsg`]s are pulled out as
+//! they become parseable; a blocking client feeds it the same way, a read at
+//! a time. A header is validated here and nowhere else (`check_header`):
+//! the magic once 4 bytes are in, the announced length against the ceiling
+//! once 8 are, *before* a payload byte is buffered — so a hostile header is
+//! refused after at most 8 bytes, with a typed [`ProtocolError`].
 //!
 //! A batch is decoded while it arrives, an envelope at a time (the codec's
 //! `PayloadDecoder`), each envelope's bytes dropped once decoded; on a
@@ -29,8 +28,10 @@ use super::channel::{
     channel_ceiling, sealed_frame_len, Records, SecureChannel, FRAME_MAGIC_HANDSHAKE,
     FRAME_MAGIC_SEALED,
 };
-use super::codec::{payload_size_hint, PayloadDecoder, PayloadEncoder, RegistryFrame, BATCH_TAG};
-use super::wire::{decode_frame_lazy, LazyMsg, WireMsg, FRAME_MAGIC_V2};
+use super::codec::{
+    decode, payload_size_hint, PayloadDecoder, PayloadEncoder, RegistryFrame, BATCH_TAG,
+};
+use super::wire::{LazyMsg, WireMsg, FRAME_MAGIC_V2};
 use crate::error::ProtocolError;
 use mini_crypto::TAG_LEN;
 
@@ -494,7 +495,7 @@ const RECORD_SLACK: usize = 8 * 1024;
 /// Validates the header at the front of `avail` — the magic once 4 bytes are
 /// in, the length against the ceiling once 8 are — and returns both.
 /// `channel` admits `DBHS` and `DBHE`, and a channel's ceiling.
-fn check_header(
+pub(crate) fn check_header(
     avail: &[u8],
     max_frame_bytes: usize,
     channel: bool,
@@ -687,9 +688,7 @@ impl FrameBuffer {
                 return Ok(None);
             };
             if avail.len() >= HEADER_BYTES + len {
-                return self
-                    .whole_frame_lazy(HEADER_BYTES + len, max_frame_bytes)
-                    .map(Some);
+                return self.whole_frame_lazy(len).map(Some);
             }
             if avail.get(HEADER_BYTES) != Some(&BATCH_TAG) {
                 return Ok(None);
@@ -709,32 +708,33 @@ impl FrameBuffer {
         Ok(Some((LazyMsg::Eager(msg), total)))
     }
 
-    /// Decodes the whole plaintext frame of `total` bytes at the front.
-    fn whole_frame_lazy(
-        &mut self,
-        total: usize,
-        max_frame_bytes: usize,
-    ) -> Result<(LazyMsg, usize), ProtocolError> {
-        if self.pos == 0 && self.buf.len() == total {
-            if let Some(prefix) = RegistryFrame::parse_prefix(&self.buf[HEADER_BYTES..]) {
-                // The frame is the buffer's whole content: take it, shave
-                // the header — zero copies of the (dominant) ciphertext block.
+    /// Decodes the whole plaintext frame at the front, whose header
+    /// `check_header` passed with a `len`-byte payload. A registry upload
+    /// comes back undecoded, its payload copied out — or, when the frame is
+    /// the buffer's whole content, the buffer itself taken, its header
+    /// shaved: zero copies of the (dominant) ciphertext block.
+    fn whole_frame_lazy(&mut self, len: usize) -> Result<(LazyMsg, usize), ProtocolError> {
+        let total = HEADER_BYTES + len;
+        let start = self.pos + HEADER_BYTES;
+        let payload = &self.buf[start..start + len];
+        let msg = match RegistryFrame::parse_prefix(payload) {
+            Some(prefix) if self.pos == 0 && self.buf.len() == total => {
                 let mut taken = std::mem::take(&mut self.buf);
                 taken.drain(..HEADER_BYTES);
                 return Ok((LazyMsg::DeferredRegistry(prefix.with_payload(taken)), total));
             }
-        }
-        let frame = decode_frame_lazy(&self.buf[self.pos..self.pos + total], max_frame_bytes)?;
+            Some(prefix) => LazyMsg::DeferredRegistry(prefix.with_payload(payload.to_vec())),
+            None => LazyMsg::Eager(decode(payload)?),
+        };
         self.pos += total;
-        Ok(frame)
+        Ok((msg, total))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::channel::SEALED_FRAME_OVERHEAD;
-    use crate::protocol::write_frame;
+    use crate::protocol::channel::{append_frame, SEALED_FRAME_OVERHEAD};
 
     /// The next complete frame, registry uploads decoded too.
     fn next_frame(
@@ -749,7 +749,7 @@ mod tests {
 
     fn encode(msg: &WireMsg) -> Vec<u8> {
         let mut out = Vec::new();
-        write_frame(&mut out, msg).unwrap();
+        append_frame(&mut out, msg, usize::MAX, None).unwrap();
         out
     }
 
@@ -877,13 +877,12 @@ mod tests {
 
     #[test]
     fn channel_pull_classifies_every_magic_and_keeps_the_error_contract() {
-        use crate::protocol::channel::write_handshake_frame;
+        use crate::protocol::channel::handshake_frame;
 
         // A handshake frame, a sealed frame's header and a plaintext frame
         // pipelined in one burst classify in order, byte-at-a-time included:
         // each header once whole, each frame taken once in.
-        let mut hs = Vec::new();
-        write_handshake_frame(&mut hs, &[7u8; 64]).unwrap();
+        let hs = handshake_frame(&[7u8; 64]);
         let sealed = [&FRAME_MAGIC_SEALED[..], &24u32.to_be_bytes()].concat();
         let plain = encode(&WireMsg::Ack);
         let burst = [&hs[..], &sealed, &plain].concat();
@@ -1237,10 +1236,7 @@ mod tests {
         // queue holds about two slices however large the frame, its counts
         // stay exact, and a refusal changes nothing: every frame behind it
         // opens and decodes.
-        use crate::protocol::channel::append_frame;
         use crate::protocol::channel::tests::fixed_channel;
-        use crate::protocol::codec::payload_size_hint;
-        use crate::protocol::wire::decode_frame;
         let mix = frame_mix();
         let (small, large) = mix.split_at(mix.len() - 4);
         let max = 3 * SEAL_SLICE;
@@ -1353,7 +1349,7 @@ mod tests {
                     Some(channel) => channel.open_in_place(&mut frame[8..]).unwrap(),
                     None => &frame[..],
                 };
-                assert_eq!(&decode_frame(inner, max).unwrap().0, msg);
+                assert_eq!(&decode(&inner[8..]).unwrap(), msg);
                 wire = &wire[len..];
             }
         }

@@ -100,13 +100,15 @@ pub mod tcp;
 pub mod transport;
 pub mod wire;
 
-pub use channel::{
-    append_frame, client_handshake, read_channel_frame, secret_bytes_from_seed, ChannelFrame,
-    ChannelPolicy, ClientHandshake, NodeIdentity, RetrySchedule, SecureChannel, ServerHandshake,
-    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
-};
 #[doc(hidden)]
-pub use codec::CodecKind;
+pub use crate::compat::{
+    client_handshake, read_channel_frame, ChannelFrame, CodecKind, CoordinatorServer,
+};
+pub use channel::{
+    append_frame, secret_bytes_from_seed, ChannelPolicy, ClientHandshake, NodeIdentity,
+    RetrySchedule, SecureChannel, ServerHandshake, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED,
+    HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
+};
 pub use codec::RegistryFrame;
 pub use connection::Connection;
 pub use driver::{pump, run_registration, run_try, run_try_with_dropouts, RegistrationRun};
@@ -114,13 +116,8 @@ pub use frames::FrameBuffer;
 pub use message::{Envelope, MsgKind, Party, ProtocolMsg};
 pub use packing::PackingPolicy;
 pub use roles::{AgentNode, CohortOutcome, Coordinator, SecureTryOutcome, SelectClientNode};
-#[doc(hidden)]
-pub use shard::CoordinatorServer;
 pub use shard::{shard_ranges, ShardedCoordinator};
 pub use stats::{Counter, LatencyHistogram, LatencySummary, ListenerMetrics, ListenerStats};
 pub use tcp::{TcpConfig, TcpTransport, WireStats, DEFAULT_READ_TIMEOUT};
 pub use transport::{InMemoryTransport, LinkStats, Transport, TransportStats};
-pub use wire::{
-    claimed_client, decode_frame, decode_frame_lazy, read_frame, read_frame_limited, write_frame,
-    write_frame_limited, LazyMsg, WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
-};
+pub use wire::{claimed_client, LazyMsg, WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES};

@@ -954,64 +954,6 @@ impl Coordinator for ShardedCoordinator {
     }
 }
 
-// Kept for exactly one caller: the frozen `benchmark/src/epoch.rs:434`, whose
-// in-memory reference epoch spells `CoordinatorServer::new(clients)`,
-// `.with_packing(policy)` and passes the value as `C: Coordinator`. The next
-// benchmark-only PR re-points that line at `ShardedCoordinator::new(clients,
-// 1)` and deletes this shim (ROADMAP item 3). Nothing else may name it.
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct CoordinatorServer(ShardedCoordinator);
-
-impl CoordinatorServer {
-    #[doc(hidden)]
-    pub fn new(expected_registrations: usize) -> Self {
-        CoordinatorServer(ShardedCoordinator::new(expected_registrations, 1))
-    }
-
-    #[doc(hidden)]
-    pub fn with_packing(self, policy: PackingPolicy) -> Self {
-        CoordinatorServer(self.0.with_packing(policy))
-    }
-}
-
-impl Coordinator for CoordinatorServer {
-    fn deliver(&mut self, envelope: Envelope) -> Result<Vec<Envelope>, ProtocolError> {
-        self.0.deliver(envelope)
-    }
-
-    fn announce_try(
-        &mut self,
-        try_index: usize,
-        participants: &[ClientId],
-    ) -> Result<(), ProtocolError> {
-        Coordinator::announce_try(&mut self.0, try_index, participants)
-    }
-
-    fn begin_epoch(
-        &mut self,
-        epoch: u64,
-        expected_registrations: usize,
-    ) -> Result<(), ProtocolError> {
-        Coordinator::begin_epoch(&mut self.0, epoch, expected_registrations)
-    }
-
-    fn close_registration(&mut self) -> Result<Vec<Envelope>, ProtocolError> {
-        self.0.close_registration()
-    }
-
-    fn close_try(&mut self, try_index: usize) -> Result<Vec<Envelope>, ProtocolError> {
-        self.0.close_try(try_index)
-    }
-
-    fn deliver_registry_frame(
-        &mut self,
-        frame: RegistryFrame,
-    ) -> Result<Vec<Envelope>, ProtocolError> {
-        self.0.deliver_registry_frame(frame)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

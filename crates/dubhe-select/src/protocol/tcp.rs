@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use super::channel::{
     secret_bytes_from_seed, ChannelPolicy, NodeIdentity, RetrySchedule, HANDSHAKE_WIRE_BYTES,
 };
-use super::codec::{payload_size_hint, CodecKind};
+use super::codec::payload_size_hint;
 use super::connection::{Connection, Event};
 use super::message::Envelope;
 use super::roles::Coordinator;
@@ -109,14 +109,6 @@ impl TcpConfig {
     /// Replaces the frame-payload ceiling (both directions).
     pub fn with_max_frame_bytes(mut self, max_frame_bytes: usize) -> Self {
         self.max_frame_bytes = max_frame_bytes;
-        self
-    }
-
-    // Kept for exactly one caller, the frozen `benchmark/`'s epoch workload
-    // (`epoch.rs:474`); it goes with the `CodecKind` shim in `codec.rs` in
-    // the benchmark-only change of ROADMAP item 1(d).
-    #[doc(hidden)]
-    pub fn with_codec(self, _: CodecKind) -> Self {
         self
     }
 

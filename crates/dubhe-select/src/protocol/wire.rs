@@ -13,9 +13,9 @@
 //! is the one protocol magic; the authenticated channel adds `DBHS` and
 //! `DBHE` (see [`super::channel`]), and any other magic is refused.
 //!
-//! The framing is std-only (`std::io::Read`/`Write` over any byte stream —
-//! `std::net::TcpStream` in production, `&[u8]` cursors in tests) and
-//! defensive by construction:
+//! Frames are read and written by one sans-IO
+//! [`Connection`](super::connection::Connection) per socket (its byte-level
+//! halves are in [`super::frames`]), defensive by construction:
 //!
 //! * a frame that does not start with a known magic is rejected as
 //!   [`ProtocolError::MalformedFrame`] before any allocation happens;
@@ -32,13 +32,9 @@
 //! vocabulary a client ↔ coordinator session needs (try announcements,
 //! reply batches, relayed errors, shutdown).
 
-use std::io::{ErrorKind, Read, Write};
-
 use serde::{Deserialize, Serialize};
 
-use super::channel::append_frame;
-use super::codec::{self, RegistryFrame};
-use super::frames::SEAL_SLICE;
+use super::codec::RegistryFrame;
 use super::message::{Envelope, Party};
 use crate::error::ProtocolError;
 use crate::selector::ClientId;
@@ -112,168 +108,13 @@ pub enum WireMsg {
     Shutdown,
 }
 
-fn io_error(context: &'static str, e: std::io::Error) -> ProtocolError {
-    ProtocolError::Io {
-        context,
-        detail: e.to_string(),
-    }
-}
-
-/// Magic (4) + big-endian payload length (4).
-const HEADER_BYTES: usize = 8;
-
-/// Writes one frame, returning the total bytes put on the wire (header
-/// included) so callers can meter real frame traffic. Enforces the default
-/// [`MAX_FRAME_BYTES`]; use [`write_frame_limited`] to enforce a configured
-/// limit.
-pub fn write_frame<W: Write>(w: &mut W, msg: &WireMsg) -> Result<usize, ProtocolError> {
-    write_frame_limited(w, msg, MAX_FRAME_BYTES)
-}
-
-/// [`write_frame`] with a caller-configured payload ceiling (see
-/// [`TcpConfig`](super::tcp::TcpConfig)): a payload above `max_frame_bytes`
-/// is refused *before* anything is written, so an oversized message never
-/// leaves a half-frame on the stream. The frame goes out in **one** write —
-/// on a `TCP_NODELAY` socket, one segment train instead of three.
-pub fn write_frame_limited<W: Write>(
-    w: &mut W,
-    msg: &WireMsg,
-    max_frame_bytes: usize,
-) -> Result<usize, ProtocolError> {
-    let mut frame = Vec::new();
-    append_frame(&mut frame, msg, max_frame_bytes, None)?;
-    write_whole_frame(w, &frame)?;
-    Ok(frame.len())
-}
-
-/// Puts one already framed message on a stream with a single `write_all`.
-pub(crate) fn write_whole_frame<W: Write>(w: &mut W, frame: &[u8]) -> Result<(), ProtocolError> {
-    w.write_all(frame).map_err(|e| io_error("write frame", e))?;
-    w.flush().map_err(|e| io_error("flush frame", e))
-}
-
-/// Reads exactly `buf.len()` bytes. `at_frame_start` distinguishes a clean
-/// close (EOF before any byte of this frame → [`ProtocolError::Disconnected`])
-/// from a cut-off frame ([`ProtocolError::TruncatedFrame`]).
-pub(crate) fn read_exact_or(
-    r: &mut impl Read,
-    buf: &mut [u8],
-    context: &'static str,
-    at_frame_start: bool,
-) -> Result<(), ProtocolError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(if at_frame_start && filled == 0 {
-                    ProtocolError::Disconnected
-                } else {
-                    ProtocolError::TruncatedFrame { context }
-                });
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
-                return Err(if at_frame_start && filled == 0 {
-                    ProtocolError::Disconnected
-                } else {
-                    ProtocolError::TruncatedFrame { context }
-                });
-            }
-            Err(e) => return Err(io_error("read frame", e)),
-        }
-    }
-    Ok(())
-}
-
-/// Reads and validates one frame header: the magic as soon as it is
-/// complete, then the announced payload length against `max_frame_bytes` —
-/// before any payload is buffered.
-fn read_header<R: Read>(r: &mut R, max_frame_bytes: usize) -> Result<usize, ProtocolError> {
-    let mut magic = [0u8; 4];
-    read_exact_or(r, &mut magic, "header", true)?;
-    if magic != FRAME_MAGIC_V2 {
-        return Err(ProtocolError::MalformedFrame {
-            detail: format!("bad magic {magic:02x?}, expected DBH2"),
-        });
-    }
-    let mut len_bytes = [0u8; 4];
-    read_exact_or(r, &mut len_bytes, "header", false)?;
-    let len = u32::from_be_bytes(len_bytes) as usize;
-    if len > max_frame_bytes {
-        return Err(ProtocolError::FrameTooLarge {
-            len,
-            max: max_frame_bytes,
-        });
-    }
-    Ok(len)
-}
-
-/// [`read_frame`] with a caller-configured payload ceiling (see
-/// [`TcpConfig`](super::tcp::TcpConfig)). The announced length is checked
-/// against `max_frame_bytes` before a payload byte is read, and the payload
-/// buffer grows only as its bytes arrive.
-pub fn read_frame_limited<R: Read>(
-    r: &mut R,
-    max_frame_bytes: usize,
-) -> Result<(WireMsg, usize), ProtocolError> {
-    let len = read_header(r, max_frame_bytes)?;
-    let payload = read_payload(r, len)?;
-    Ok((codec::decode(&payload)?, HEADER_BYTES + len))
-}
-
-/// Reads the `len`-byte payload an unauthenticated header announced into a
-/// buffer that grows as bytes land, at most [`SEAL_SLICE`] a step.
-pub(crate) fn read_payload(r: &mut impl Read, len: usize) -> Result<Vec<u8>, ProtocolError> {
-    let mut payload = Vec::new();
-    while payload.len() < len {
-        let at = payload.len();
-        payload.resize(at + (len - at).min(SEAL_SLICE), 0);
-        read_exact_or(r, &mut payload[at..], "payload", false)?;
-    }
-    Ok(payload)
-}
-
-/// Splits the frame at the front of `bytes` into its borrowed payload, with
-/// the stream readers' validation and errors (an empty slice is a clean
-/// close, a short one a truncated frame). Bytes after the frame are left
-/// alone.
-fn split_frame(bytes: &[u8], max_frame_bytes: usize) -> Result<&[u8], ProtocolError> {
-    let mut cur = bytes;
-    let len = read_header(&mut cur, max_frame_bytes)?;
-    cur.get(..len)
-        .ok_or(ProtocolError::TruncatedFrame { context: "payload" })
-}
-
-/// [`read_frame_limited`] for a frame that already sits in memory — a
-/// reassembly buffer, a sealed frame opened in place: the payload is
-/// decoded where it lies instead of being copied out first.
-pub fn decode_frame(
-    bytes: &[u8],
-    max_frame_bytes: usize,
-) -> Result<(WireMsg, usize), ProtocolError> {
-    let payload = split_frame(bytes, max_frame_bytes)?;
-    Ok((codec::decode(payload)?, HEADER_BYTES + payload.len()))
-}
-
-/// Reads one frame, returning the message and the total bytes consumed.
-///
-/// Never panics and never reads past the frame: unknown magics, oversized
-/// lengths, truncation, disconnects and undecodable payloads each map to
-/// their own [`ProtocolError`] variant. With a read timeout set on the
-/// underlying stream, a silent peer surfaces as [`ProtocolError::Io`] when
-/// the timeout elapses — a caller is never stuck forever.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<(WireMsg, usize), ProtocolError> {
-    read_frame_limited(r, MAX_FRAME_BYTES)
-}
-
 /// A frame read whose payload decoding may have been *deferred*.
 ///
 /// `DBH2` registry uploads — the coordinator's hot path — are recognised by
 /// their constant-size envelope prefix and shipped to the router as raw
 /// payload bytes ([`RegistryFrame`]); the router folds their ciphertext
 /// block through a borrowed view with zero per-element allocation. Every
-/// other frame decodes eagerly, exactly as [`decode_frame`] would.
+/// other frame decodes eagerly.
 // The size gap between variants is irrelevant: a `LazyMsg` lives for one
 // dispatch — decoded off the socket, matched, and consumed — never stored
 // in collections, so boxing `WireMsg` would add an allocation to the hot
@@ -314,28 +155,11 @@ pub fn claimed_client(msg: &LazyMsg) -> Option<ClientId> {
     }
 }
 
-/// [`decode_frame`], but a registry payload is returned *undecoded*
-/// as [`LazyMsg::DeferredRegistry`] — copied out of `bytes` once, so the
-/// receiver can fold it straight out of the payload after the buffer it
-/// arrived in has moved on. All other payloads (and every malformed prefix)
-/// go through the eager decoder, keeping its exact error behaviour; note a
-/// deferred registry's ciphertext block is validated only when the receiver
-/// decodes its view.
-pub fn decode_frame_lazy(
-    bytes: &[u8],
-    max_frame_bytes: usize,
-) -> Result<(LazyMsg, usize), ProtocolError> {
-    let payload = split_frame(bytes, max_frame_bytes)?;
-    let msg = match RegistryFrame::parse_prefix(payload) {
-        Some(prefix) => LazyMsg::DeferredRegistry(prefix.with_payload(payload.to_vec())),
-        None => LazyMsg::Eager(codec::decode(payload)?),
-    };
-    Ok((msg, HEADER_BYTES + payload.len()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::channel::append_frame;
+    use crate::protocol::connection::{Connection, Event};
     use crate::protocol::message::ProtocolMsg;
 
     fn verdict_envelope() -> Envelope {
@@ -348,6 +172,32 @@ mod tests {
                 distance: 0.5,
             },
         }
+    }
+
+    /// The plaintext frame of `msg`.
+    fn frame(msg: &WireMsg) -> Vec<u8> {
+        let mut out = Vec::new();
+        append_frame(&mut out, msg, MAX_FRAME_BYTES, None).unwrap();
+        out
+    }
+
+    /// The next message a plaintext connection reads off `stream`, and its
+    /// bytes on the wire.
+    fn read_next(
+        conn: &mut Connection,
+        stream: &mut &[u8],
+    ) -> Result<(WireMsg, usize), ProtocolError> {
+        match conn.next_event(stream)? {
+            Event::Frame {
+                msg, wire_bytes, ..
+            } => Ok((msg.force()?, wire_bytes)),
+            other => panic!("a plaintext connection yields frames only: {other:?}"),
+        }
+    }
+
+    /// The first message a fresh plaintext connection reads off `bytes`.
+    fn read_one(bytes: &[u8]) -> Result<(WireMsg, usize), ProtocolError> {
+        read_next(&mut Connection::plaintext(MAX_FRAME_BYTES), &mut &bytes[..])
     }
 
     #[test]
@@ -375,36 +225,33 @@ mod tests {
             },
             WireMsg::Shutdown,
         ];
-        let mut buf = Vec::new();
-        let mut written = 0;
+        let buf: Vec<u8> = msgs.iter().flat_map(frame).collect();
+        let (mut conn, mut cursor) = (Connection::plaintext(MAX_FRAME_BYTES), &buf[..]);
+        let mut read = 0;
         for m in &msgs {
-            written += write_frame(&mut buf, m).unwrap();
-        }
-        assert_eq!(written, buf.len());
-        let mut cursor = &buf[..];
-        for m in &msgs {
-            let (back, _) = read_frame(&mut cursor).unwrap();
+            let (back, bytes) = read_next(&mut conn, &mut cursor).unwrap();
             assert_eq!(&back, m);
+            read += bytes;
         }
+        assert_eq!(read, buf.len());
         // The stream ends cleanly between frames.
-        assert_eq!(read_frame(&mut cursor), Err(ProtocolError::Disconnected));
+        assert_eq!(
+            read_next(&mut conn, &mut cursor),
+            Err(ProtocolError::Disconnected)
+        );
     }
 
     #[test]
     fn bad_magic_is_malformed_not_a_panic() {
-        let garbage = b"HTTP/1.1 200 OK\r\n\r\n";
-        let err = read_frame(&mut &garbage[..]).unwrap_err();
+        let err = read_one(b"HTTP/1.1 200 OK\r\n\r\n").unwrap_err();
         assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
     }
 
     #[test]
     fn oversized_length_is_rejected_before_allocating() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&FRAME_MAGIC_V2);
-        buf.extend_from_slice(&u32::MAX.to_be_bytes());
-        let err = read_frame(&mut &buf[..]).unwrap_err();
+        let buf = [FRAME_MAGIC_V2, u32::MAX.to_be_bytes()].concat();
         assert_eq!(
-            err,
+            read_one(&buf).unwrap_err(),
             ProtocolError::FrameTooLarge {
                 len: u32::MAX as usize,
                 max: MAX_FRAME_BYTES,
@@ -414,33 +261,31 @@ mod tests {
 
     #[test]
     fn truncation_points_are_distinguished_from_clean_close() {
-        let mut full = Vec::new();
-        write_frame(&mut full, &WireMsg::Ack).unwrap();
+        let full = frame(&WireMsg::Ack);
         // Cut inside the magic, inside the length, and inside the payload.
         for cut in [2, 6, full.len() - 1] {
-            let err = read_frame(&mut &full[..cut]).unwrap_err();
+            let err = read_one(&full[..cut]).unwrap_err();
             assert!(
                 matches!(err, ProtocolError::TruncatedFrame { .. }),
                 "cut at {cut}: {err}"
             );
         }
         // Zero bytes: a clean close.
-        assert_eq!(
-            read_frame(&mut &full[..0]),
-            Err(ProtocolError::Disconnected)
-        );
+        assert_eq!(read_one(&full[..0]), Err(ProtocolError::Disconnected));
     }
 
     #[test]
     fn undecodable_payload_is_malformed() {
         // The magic commits the decoder to the binary layout: text behind
         // it is malformed, not a panic.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&FRAME_MAGIC_V2);
         let payload = b"{\"not\": \"a wire message\"}";
-        buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        buf.extend_from_slice(payload);
-        let err = read_frame(&mut &buf[..]).unwrap_err();
+        let buf = [
+            &FRAME_MAGIC_V2[..],
+            &(payload.len() as u32).to_be_bytes(),
+            payload,
+        ]
+        .concat();
+        let err = read_one(&buf).unwrap_err();
         assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
     }
 
@@ -453,24 +298,19 @@ mod tests {
             try_index: 1,
             participants: vec![2, 4],
         };
-        let mut buf = Vec::new();
-        let n2 = write_frame(&mut buf, &msg).unwrap();
+        let mut buf = frame(&msg);
+        let n2 = buf.len();
         assert_eq!(buf[..4], FRAME_MAGIC_V2);
         let json = br#"{"Ack":null}"#;
         buf.extend_from_slice(b"DBH1");
         buf.extend_from_slice(&(json.len() as u32).to_be_bytes());
         buf.extend_from_slice(json);
 
-        let mut cursor = &buf[..];
-        assert_eq!(read_frame(&mut cursor).unwrap(), (msg, n2));
-        let err = read_frame(&mut cursor).unwrap_err();
+        let (mut conn, mut cursor) = (Connection::plaintext(MAX_FRAME_BYTES), &buf[..]);
+        assert_eq!(read_next(&mut conn, &mut cursor).unwrap(), (msg, n2));
+        let err = read_next(&mut conn, &mut cursor).unwrap_err();
         assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
         assert!(err.to_string().contains("bad magic"), "{err}");
-        assert_eq!(
-            decode_frame(&buf[n2..], MAX_FRAME_BYTES).unwrap_err(),
-            err,
-            "the in-memory reader refuses it the same way"
-        );
     }
 
     #[test]
@@ -491,39 +331,42 @@ mod tests {
                 },
             },
         };
+        let lazy = |bytes: &[u8], max: usize| match Connection::plaintext(max)
+            .next_event(&mut &bytes[..])?
+        {
+            Event::Frame {
+                msg, wire_bytes, ..
+            } => Ok((msg, wire_bytes)),
+            other => panic!("{other:?}"),
+        };
 
-        // A DBH2 registry comes back deferred, with the same byte count the
-        // eager reader charges, and forces to the identical message.
-        let mut buf = Vec::new();
-        let written = write_frame(&mut buf, &registry).unwrap();
-        let (lazy, bytes) = decode_frame_lazy(&buf, MAX_FRAME_BYTES).unwrap();
-        assert_eq!(bytes, written);
-        assert!(matches!(lazy, LazyMsg::DeferredRegistry(_)));
-        assert_eq!(lazy.force().unwrap(), registry);
+        // A DBH2 registry comes back deferred, charged its whole frame, and
+        // forces to the identical message.
+        let full = frame(&registry);
+        let (msg, bytes) = lazy(&full, MAX_FRAME_BYTES).unwrap();
+        assert_eq!(bytes, full.len());
+        assert!(matches!(msg, LazyMsg::DeferredRegistry(_)));
+        assert_eq!(claimed_client(&msg), Some(2));
+        assert_eq!(msg.force().unwrap(), registry);
 
         // Non-registry frames decode eagerly.
-        let mut buf = Vec::new();
-        write_frame(
-            &mut buf,
-            &WireMsg::Envelope {
-                envelope: verdict_envelope(),
-            },
-        )
-        .unwrap();
-        let (lazy, _) = decode_frame_lazy(&buf, MAX_FRAME_BYTES).unwrap();
-        assert!(matches!(lazy, LazyMsg::Eager(WireMsg::Envelope { .. })));
+        let verdict = frame(&WireMsg::Envelope {
+            envelope: verdict_envelope(),
+        });
+        let (msg, _) = lazy(&verdict, MAX_FRAME_BYTES).unwrap();
+        assert!(matches!(msg, LazyMsg::Eager(WireMsg::Envelope { .. })));
+        assert_eq!(claimed_client(&msg), None);
 
-        // Error paths are byte-for-byte the eager reader's: truncation,
-        // oversized lengths, bad magic.
-        let mut full = Vec::new();
-        write_frame(&mut full, &registry).unwrap();
+        // Error paths are the eager reader's: truncation, oversized lengths.
         for cut in [2, 6, full.len() - 1] {
-            let lazy_err = decode_frame_lazy(&full[..cut], MAX_FRAME_BYTES).unwrap_err();
-            let eager_err = read_frame_limited(&mut &full[..cut], MAX_FRAME_BYTES).unwrap_err();
-            assert_eq!(lazy_err, eager_err, "cut at {cut}");
+            let err = lazy(&full[..cut], MAX_FRAME_BYTES).unwrap_err();
+            assert!(
+                matches!(err, ProtocolError::TruncatedFrame { .. }),
+                "cut at {cut}: {err}"
+            );
         }
         assert_eq!(
-            decode_frame_lazy(&full, 16).unwrap_err(),
+            lazy(&full, 16).unwrap_err(),
             ProtocolError::FrameTooLarge {
                 len: full.len() - 8,
                 max: 16
@@ -534,11 +377,9 @@ mod tests {
     #[test]
     fn dbh2_error_paths_mirror_the_dbh1_suite() {
         // Oversized length: rejected before allocating.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&FRAME_MAGIC_V2);
-        buf.extend_from_slice(&u32::MAX.to_be_bytes());
+        let buf = [FRAME_MAGIC_V2, u32::MAX.to_be_bytes()].concat();
         assert_eq!(
-            read_frame(&mut &buf[..]).unwrap_err(),
+            read_one(&buf).unwrap_err(),
             ProtocolError::FrameTooLarge {
                 len: u32::MAX as usize,
                 max: MAX_FRAME_BYTES,
@@ -546,10 +387,9 @@ mod tests {
         );
 
         // Truncation inside magic, length, and payload.
-        let mut full = Vec::new();
-        write_frame(&mut full, &WireMsg::Ack).unwrap();
+        let full = frame(&WireMsg::Ack);
         for cut in [2, 6, full.len() - 1] {
-            let err = read_frame(&mut &full[..cut]).unwrap_err();
+            let err = read_one(&full[..cut]).unwrap_err();
             assert!(
                 matches!(err, ProtocolError::TruncatedFrame { .. }),
                 "cut at {cut}: {err}"
@@ -559,19 +399,37 @@ mod tests {
         // A DBH2 magic carrying a JSON payload is malformed, not a panic:
         // the magic commits the decoder to the binary layout.
         let payload = serde_json::to_string(&WireMsg::Ack).unwrap().into_bytes();
-        let mut mixed = Vec::new();
-        mixed.extend_from_slice(&FRAME_MAGIC_V2);
-        mixed.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        mixed.extend_from_slice(&payload);
-        let err = read_frame(&mut &mixed[..]).unwrap_err();
+        let mixed = [
+            &FRAME_MAGIC_V2[..],
+            &(payload.len() as u32).to_be_bytes(),
+            &payload,
+        ]
+        .concat();
+        let err = read_one(&mixed).unwrap_err();
         assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
 
         // An unknown magic version is refused by name — the retired
         // compressed-JSON magic included.
-        for mut unknown in [&b"DBH3\x00\x00\x00\x00"[..], &b"DBHZ\x00\x00\x00\x00"[..]] {
-            let err = read_frame(&mut unknown).unwrap_err();
+        for unknown in [&b"DBH3\x00\x00\x00\x00"[..], &b"DBHZ\x00\x00\x00\x00"[..]] {
+            let err = read_one(unknown).unwrap_err();
             assert!(matches!(err, ProtocolError::MalformedFrame { .. }), "{err}");
             assert!(err.to_string().contains("bad magic"), "{err}");
+        }
+    }
+
+    /// A sink that records the length of every write it is handed.
+    #[derive(Default)]
+    struct Sink {
+        writes: Vec<usize>,
+    }
+
+    impl std::io::Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
         }
     }
 
@@ -579,27 +437,18 @@ mod tests {
     fn a_frame_goes_out_in_one_write_or_not_at_all() {
         // On a TCP_NODELAY socket every `write` is a syscall and may be a
         // segment: magic, length and payload travel together.
-        #[derive(Default)]
-        struct Sink {
-            writes: Vec<usize>,
-        }
-        impl Write for Sink {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.writes.push(buf.len());
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let msg = WireMsg::Error {
             detail: "z".repeat(100),
         };
+        let mut conn = Connection::plaintext(1 << 10);
+        let written = conn.queue(msg.clone()).unwrap();
         let mut sink = Sink::default();
-        let written = write_frame_limited(&mut sink, &msg, 1 << 10).unwrap();
+        conn.write_queued(&mut sink).unwrap();
         assert_eq!(sink.writes, [written]);
+        let mut conn = Connection::plaintext(16);
+        assert!(conn.queue(msg).is_err());
         let mut sink = Sink::default();
-        assert!(write_frame_limited(&mut sink, &msg, 16).is_err());
+        conn.write_queued(&mut sink).unwrap();
         assert!(sink.writes.is_empty(), "refused before anything is written");
     }
 
@@ -607,38 +456,34 @@ mod tests {
     fn configured_frame_limits_bound_both_directions() {
         // A frame that fits the default limit but not a configured one is
         // refused on read, before the payload buffer is allocated…
-        let mut full = Vec::new();
-        write_frame(
-            &mut full,
-            &WireMsg::Error {
-                detail: "x".repeat(100),
-            },
-        )
-        .unwrap();
-        let err = read_frame_limited(&mut &full[..], 16).unwrap_err();
+        let full = frame(&WireMsg::Error {
+            detail: "x".repeat(100),
+        });
+        let err = read_next(&mut Connection::plaintext(16), &mut &full[..]).unwrap_err();
         assert!(
             matches!(err, ProtocolError::FrameTooLarge { max: 16, .. }),
             "{err}"
         );
 
         // …and on write, before anything reaches the stream.
-        let mut sink = Vec::new();
-        let err = write_frame_limited(
-            &mut sink,
-            &WireMsg::Error {
+        let mut conn = Connection::plaintext(16);
+        let err = conn
+            .queue(WireMsg::Error {
                 detail: "y".repeat(100),
-            },
-            16,
-        )
-        .unwrap_err();
+            })
+            .unwrap_err();
         assert!(
             matches!(err, ProtocolError::FrameTooLarge { max: 16, .. }),
             "{err}"
         );
-        assert!(sink.is_empty(), "nothing may be written before the check");
+        assert_eq!(
+            conn.out.pending(),
+            0,
+            "nothing may be queued before the check"
+        );
 
         // A generous configured limit behaves like the default.
-        let (msg, _) = read_frame_limited(&mut &full[..], MAX_FRAME_BYTES).unwrap();
+        let (msg, _) = read_one(&full).unwrap();
         assert!(matches!(msg, WireMsg::Error { .. }));
     }
 }

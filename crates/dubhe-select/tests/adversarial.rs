@@ -16,12 +16,12 @@ use dubhe_data::ClassDistribution;
 use dubhe_he::packing::Packer;
 use dubhe_he::{Ciphertext, EncryptedVector, HeError, Keypair, PackedEncryptedVector};
 use dubhe_net::{ReactorConfig, ReactorListener};
+use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::{
-    client_handshake, codec, pump, read_channel_frame, read_frame, run_registration, write_frame,
-    ChannelFrame, ChannelPolicy, Coordinator, Envelope, InMemoryTransport, NodeIdentity,
-    PackingPolicy, Party, ProtocolMsg, RegistryFrame, SecureChannel, SelectClientNode,
-    ShardedCoordinator, TcpConfig, TcpTransport, Transport, WireMsg, FRAME_MAGIC_V2,
-    MAX_FRAME_BYTES,
+    append_frame, codec, pump, run_registration, ChannelPolicy, Connection, Coordinator, Envelope,
+    InMemoryTransport, NodeIdentity, PackingPolicy, Party, ProtocolMsg, RegistryFrame,
+    SelectClientNode, ShardedCoordinator, TcpConfig, TcpTransport, Transport, WireMsg,
+    FRAME_MAGIC_V2, MAX_FRAME_BYTES,
 };
 use dubhe_select::{DubheConfig, ProtocolError, SelectError};
 use num_bigint::BigUint;
@@ -47,6 +47,35 @@ fn clients(n: usize, seed: u64) -> Vec<ClassDistribution> {
 /// timeout so a wedged peer fails the test fast instead of stalling it.
 fn quick() -> TcpConfig {
     TcpConfig::default().with_read_timeout(Duration::from_secs(5))
+}
+
+/// The plaintext `DBH2` frame of `msg`.
+fn frame(msg: &WireMsg) -> Vec<u8> {
+    let mut out = Vec::new();
+    append_frame(&mut out, msg, MAX_FRAME_BYTES, None).unwrap();
+    out
+}
+
+/// The next message `conn` — the one connection reading `stream` — gets.
+fn read_msg(conn: &mut Connection, stream: &mut TcpStream) -> WireMsg {
+    match conn.next_event(stream).unwrap() {
+        Event::Frame { msg, .. } => msg.force().unwrap(),
+        other => panic!("expected a protocol frame, got {other:?}"),
+    }
+}
+
+/// Asserts the peer hung up cleanly, with nothing more to read.
+fn assert_hangup(conn: &mut Connection, stream: &mut TcpStream) {
+    let end = conn.next_event(stream);
+    assert!(matches!(end, Err(ProtocolError::Disconnected)), "{end:?}");
+}
+
+/// One plaintext reply off a raw socket, then the hangup behind it.
+fn reply_then_hangup(stream: &mut TcpStream) -> WireMsg {
+    let mut conn = Connection::plaintext(MAX_FRAME_BYTES);
+    let reply = read_msg(&mut conn, stream);
+    assert_hangup(&mut conn, stream);
+    reply
 }
 
 fn registry_envelope(client: usize, registry: EncryptedVector) -> Envelope {
@@ -469,14 +498,9 @@ fn truncated_packed_dbh2_payloads_do_not_kill_the_listener() {
     let registry =
         PackedEncryptedVector::encrypt(policy.packer(), &kp.public, &[1, 0, 0, 0, 0, 0], &mut rng)
             .unwrap();
-    let mut frame = Vec::new();
-    write_frame(
-        &mut frame,
-        &WireMsg::Envelope {
-            envelope: packed_registry_envelope(0, registry),
-        },
-    )
-    .unwrap();
+    let frame = frame(&WireMsg::Envelope {
+        envelope: packed_registry_envelope(0, registry),
+    });
     // Rebuild the frame with 10 payload bytes chopped off and the length
     // header telling the truth about it — the *encoding* is what's cut.
     let payload = &frame[8..frame.len() - 10];
@@ -535,19 +559,15 @@ fn corrupt_deferred_registry_then_recover(
         .unwrap();
 
     let registry = EncryptedVector::encrypt_u64(&kp.public, &[1, 0, 2], rng);
-    let mut frame = Vec::new();
-    write_frame(
-        &mut frame,
-        &WireMsg::Envelope {
-            envelope: registry_envelope(0, registry),
-        },
-    )
-    .unwrap();
+    let mut corrupt = frame(&WireMsg::Envelope {
+        envelope: registry_envelope(0, registry),
+    });
     // Blow the last residue past n² — prefix and framing stay honest.
-    let len = frame.len();
-    frame[len - width..].fill(0xFF);
-    stream.write_all(&frame).unwrap();
-    let (reply, _) = read_frame(&mut stream).unwrap();
+    let len = corrupt.len();
+    corrupt[len - width..].fill(0xFF);
+    stream.write_all(&corrupt).unwrap();
+    let mut conn = Connection::plaintext(MAX_FRAME_BYTES);
+    let reply = read_msg(&mut conn, &mut stream);
     assert!(
         matches!(reply, WireMsg::Error { .. }),
         "corrupt block must earn a typed error, got {reply:?}"
@@ -557,24 +577,17 @@ fn corrupt_deferred_registry_then_recover(
     // completes, framing never desynchronised.
     for id in 0..2 {
         let v = EncryptedVector::encrypt_u64(&kp.public, &[id as u64 + 1, 0, 2], rng);
-        let mut f = Vec::new();
-        write_frame(
-            &mut f,
-            &WireMsg::Envelope {
-                envelope: registry_envelope(id, v),
-            },
-        )
-        .unwrap();
-        stream.write_all(&f).unwrap();
-        let (reply, _) = read_frame(&mut stream).unwrap();
+        let upload = frame(&WireMsg::Envelope {
+            envelope: registry_envelope(id, v),
+        });
+        stream.write_all(&upload).unwrap();
+        let reply = read_msg(&mut conn, &mut stream);
         assert!(
             matches!(reply, WireMsg::Batch { .. }),
             "healthy upload {id} after the refusal: got {reply:?}"
         );
     }
-    let mut f = Vec::new();
-    write_frame(&mut f, &WireMsg::Shutdown).unwrap();
-    stream.write_all(&f).unwrap();
+    stream.write_all(&frame(&WireMsg::Shutdown)).unwrap();
 }
 
 #[test]
@@ -872,13 +885,7 @@ fn reactor_reassembles_interleaved_partial_frames_per_connection() {
             s
         })
         .collect();
-    let frames: Vec<Vec<u8>> = (0..n)
-        .map(|i| {
-            let mut frame = Vec::new();
-            write_frame(&mut frame, &verdict_envelope(i)).unwrap();
-            frame
-        })
-        .collect();
+    let frames: Vec<Vec<u8>> = (0..n).map(|i| frame(&verdict_envelope(i))).collect();
 
     let mut offsets = vec![0usize; n];
     for round in 0.. {
@@ -900,7 +907,7 @@ fn reactor_reassembles_interleaved_partial_frames_per_connection() {
     }
 
     for (i, stream) in streams.iter_mut().enumerate() {
-        let (reply, _) = read_frame(stream).unwrap();
+        let reply = read_msg(&mut Connection::plaintext(MAX_FRAME_BYTES), stream);
         assert!(
             matches!(&reply, WireMsg::Batch { envelopes } if envelopes.is_empty()),
             "connection {i}: expected an empty batch, got {reply:?}"
@@ -923,8 +930,7 @@ fn reactor_decodes_headers_split_at_every_boundary() {
     // input — no assertion depends on its length), then the payload in two
     // halves. No split position may confuse the reassembler.
     let reactor = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
-    let mut frame = Vec::new();
-    write_frame(&mut frame, &verdict_envelope(3)).unwrap();
+    let frame = frame(&verdict_envelope(3));
     for split in 1..8 {
         let mut stream = TcpStream::connect(reactor.addr()).unwrap();
         stream
@@ -936,7 +942,7 @@ fn reactor_decodes_headers_split_at_every_boundary() {
         stream.write_all(&frame[split..mid]).unwrap();
         std::thread::sleep(Duration::from_millis(10));
         stream.write_all(&frame[mid..]).unwrap();
-        let (reply, _) = read_frame(&mut stream).unwrap();
+        let reply = read_msg(&mut Connection::plaintext(MAX_FRAME_BYTES), &mut stream);
         assert!(
             matches!(&reply, WireMsg::Batch { envelopes } if envelopes.is_empty()),
             "split at {split}: got {reply:?}"
@@ -1008,7 +1014,7 @@ fn reactor_survives_the_garbage_gauntlet_and_still_serves_tcp_transport() {
                 .set_read_timeout(Some(Duration::from_secs(5)))
                 .unwrap();
             stream.write_all(frame).unwrap();
-            assert_bad_magic(read_frame(&mut stream).unwrap().0);
+            assert_bad_magic(reply_then_hangup(&mut stream));
         }
 
         // ...and on an Established channel the same refusal comes back
@@ -1016,9 +1022,9 @@ fn reactor_survives_the_garbage_gauntlet_and_still_serves_tcp_transport() {
         let mut config = quick().with_channel(policy);
         if let Some(pin) = reactor.public_identity() {
             for (seed, frame) in (71..).zip(&retired) {
-                let (mut stream, mut channel) = sealed_session(addr, seed, pin);
+                let (mut stream, mut conn) = sealed_session(addr, seed, pin);
                 stream.write_all(frame).unwrap();
-                assert_bad_magic(read_sealed(&mut stream, &mut channel));
+                assert_bad_magic(read_msg(&mut conn, &mut stream));
             }
             config = config.with_expected_server(pin);
         }
@@ -1052,38 +1058,27 @@ fn reactor_survives_the_garbage_gauntlet_and_still_serves_tcp_transport() {
 // ---------------------------------------------------------------------------
 
 /// Connects and runs the client half of the handshake with a deterministic
-/// per-seed identity, pinning the listener's public key.
-fn sealed_session(
-    addr: std::net::SocketAddr,
-    seed: u64,
-    pin: [u8; 32],
-) -> (TcpStream, SecureChannel) {
+/// per-seed identity, pinning the listener's public key: the stream and
+/// its established connection, which seals what is sent and opens what
+/// comes back.
+fn sealed_session(addr: std::net::SocketAddr, seed: u64, pin: [u8; 32]) -> (TcpStream, Connection) {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     let identity = NodeIdentity::from_seed(seed);
-    let channel = client_handshake(&mut stream, &identity, Some(pin), MAX_FRAME_BYTES).unwrap();
-    (stream, channel)
+    let mut conn = Connection::client(&identity, Some(pin), MAX_FRAME_BYTES);
+    conn.handshake(&mut stream).unwrap();
+    (stream, conn)
 }
 
-/// Encodes `msg` as an inner `DBH2` frame and returns the sealed wire bytes
-/// (without sending them — tamper/replay tests want the raw frame).
-fn sealed_bytes(channel: &mut SecureChannel, msg: &WireMsg) -> Vec<u8> {
-    let mut inner = Vec::new();
-    write_frame(&mut inner, msg).unwrap();
-    channel.seal_frame(&inner)
-}
-
-/// Reads one sealed frame off the stream and opens it into a protocol
-/// message.
-fn read_sealed(stream: &mut TcpStream, channel: &mut SecureChannel) -> WireMsg {
-    let (frame, _) = read_channel_frame(stream, MAX_FRAME_BYTES).unwrap();
-    let ChannelFrame::Sealed(payload) = frame else {
-        panic!("expected a sealed reply, got {frame:?}");
-    };
-    let inner = channel.open_payload(&payload).unwrap();
-    read_frame(&mut inner.as_slice()).unwrap().0
+/// The sealed wire bytes of `msg`, under the connection's next sequence
+/// number (without sending them — tamper/replay tests want the raw frame).
+fn sealed_bytes(conn: &mut Connection, msg: &WireMsg) -> Vec<u8> {
+    conn.queue(msg.clone()).unwrap();
+    let mut bytes = Vec::new();
+    conn.write_queued(&mut bytes).unwrap();
+    bytes
 }
 
 /// The MITM tamper + replay script, against the Required listener at
@@ -1092,45 +1087,40 @@ fn tamper_and_replay_gauntlet(addr: std::net::SocketAddr, pin: [u8; 32]) {
     // Tamper: a single flipped ciphertext bit voids the tag. The refusal
     // comes back *sealed* (the send direction outlives the poisoned
     // receive direction), then the connection ends.
-    let (mut stream, mut channel) = sealed_session(addr, 31, pin);
-    let good = sealed_bytes(&mut channel, &verdict_envelope(1));
+    let (mut stream, mut conn) = sealed_session(addr, 31, pin);
+    let good = sealed_bytes(&mut conn, &verdict_envelope(1));
     stream.write_all(&good).unwrap();
     assert!(
-        matches!(
-            read_sealed(&mut stream, &mut channel),
-            WireMsg::Batch { .. }
-        ),
+        matches!(read_msg(&mut conn, &mut stream), WireMsg::Batch { .. }),
         "the untampered frame establishes a healthy session first"
     );
-    let mut evil = sealed_bytes(&mut channel, &verdict_envelope(2));
+    let mut evil = sealed_bytes(&mut conn, &verdict_envelope(2));
     evil[8] ^= 0x01; // first ciphertext byte, behind the 8-byte header
     stream.write_all(&evil).unwrap();
-    match read_sealed(&mut stream, &mut channel) {
+    match read_msg(&mut conn, &mut stream) {
         WireMsg::Error { detail } => {
             assert!(detail.contains("authentication failed"), "{detail}")
         }
         other => panic!("expected a sealed auth failure, got {other:?}"),
     }
-    let mut rest = Vec::new();
-    assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0, "then a hangup");
+    assert_hangup(&mut conn, &mut stream);
 
     // Replay: byte-identical sealed frames do not re-enter. The receiver
     // opens the second copy under the next sequence number, so its tag
     // fails: a typed authentication failure.
-    let (mut stream, mut channel) = sealed_session(addr, 32, pin);
-    let once = sealed_bytes(&mut channel, &verdict_envelope(3));
+    let (mut stream, mut conn) = sealed_session(addr, 32, pin);
+    let once = sealed_bytes(&mut conn, &verdict_envelope(3));
     stream.write_all(&once).unwrap();
     assert!(matches!(
-        read_sealed(&mut stream, &mut channel),
+        read_msg(&mut conn, &mut stream),
         WireMsg::Batch { .. }
     ));
     stream.write_all(&once).unwrap();
-    match read_sealed(&mut stream, &mut channel) {
+    match read_msg(&mut conn, &mut stream) {
         WireMsg::Error { detail } => assert!(detail.contains("authentication failed"), "{detail}"),
         other => panic!("expected a replay rejection, got {other:?}"),
     }
-    let mut rest = Vec::new();
-    assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
+    assert_hangup(&mut conn, &mut stream);
 }
 
 #[test]
@@ -1167,7 +1157,7 @@ fn hijack_gauntlet(
     let frame = sealed_bytes(&mut alice_ch, &upload);
     alice.write_all(&frame).unwrap();
     assert!(matches!(
-        read_sealed(&mut alice, &mut alice_ch),
+        read_msg(&mut alice_ch, &mut alice),
         WireMsg::Batch { .. }
     ));
 
@@ -1179,7 +1169,7 @@ fn hijack_gauntlet(
     };
     let frame = sealed_bytes(&mut mallory_ch, &forged);
     mallory.write_all(&frame).unwrap();
-    match read_sealed(&mut mallory, &mut mallory_ch) {
+    match read_msg(&mut mallory_ch, &mut mallory) {
         WireMsg::Error { detail } => {
             assert!(detail.contains("session hijack refused"), "{detail}")
         }
@@ -1194,7 +1184,7 @@ fn hijack_gauntlet(
     let (mut alice2, mut alice2_ch) = sealed_session(addr, 41, pin);
     let frame = sealed_bytes(&mut alice2_ch, &upload);
     alice2.write_all(&frame).unwrap();
-    match read_sealed(&mut alice2, &mut alice2_ch) {
+    match read_msg(&mut alice2_ch, &mut alice2) {
         WireMsg::Error { detail } => {
             assert!(
                 detail.contains("already uploaded") && !detail.contains("hijack"),
@@ -1212,7 +1202,7 @@ fn hijack_gauntlet(
     let frame = sealed_bytes(&mut mallory_ch, &honest);
     mallory.write_all(&frame).unwrap();
     assert!(matches!(
-        read_sealed(&mut mallory, &mut mallory_ch),
+        read_msg(&mut mallory_ch, &mut mallory),
         WireMsg::Batch { .. }
     ));
 }
@@ -1243,36 +1233,32 @@ fn downgrade_gauntlet(addr: std::net::SocketAddr, pin: [u8; 32]) {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    write_frame(&mut stream, &verdict_envelope(0)).unwrap();
-    let (reply, _) = read_frame(&mut stream).unwrap();
-    match reply {
+    stream.write_all(&frame(&verdict_envelope(0))).unwrap();
+    match reply_then_hangup(&mut stream) {
         WireMsg::Error { detail } => {
             assert!(detail.contains("authenticated channel"), "{detail}")
         }
         other => panic!("expected a downgrade refusal, got {other:?}"),
     }
-    let mut rest = Vec::new();
-    assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
 
     // After establishment: falling back to plaintext mid-session is the
     // same refusal, now sealed (the peer proved it holds the session keys,
     // so the error travels under them).
-    let (mut stream, mut channel) = sealed_session(addr, 51, pin);
-    let good = sealed_bytes(&mut channel, &verdict_envelope(1));
+    let (mut stream, mut conn) = sealed_session(addr, 51, pin);
+    let good = sealed_bytes(&mut conn, &verdict_envelope(1));
     stream.write_all(&good).unwrap();
     assert!(matches!(
-        read_sealed(&mut stream, &mut channel),
+        read_msg(&mut conn, &mut stream),
         WireMsg::Batch { .. }
     ));
-    write_frame(&mut stream, &verdict_envelope(2)).unwrap();
-    match read_sealed(&mut stream, &mut channel) {
+    stream.write_all(&frame(&verdict_envelope(2))).unwrap();
+    match read_msg(&mut conn, &mut stream) {
         WireMsg::Error { detail } => {
             assert!(detail.contains("authenticated channel"), "{detail}")
         }
         other => panic!("expected a sealed downgrade refusal, got {other:?}"),
     }
-    let mut rest = Vec::new();
-    assert_eq!(stream.read_to_end(&mut rest).unwrap(), 0);
+    assert_hangup(&mut conn, &mut stream);
 }
 
 #[test]

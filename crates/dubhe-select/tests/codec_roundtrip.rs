@@ -1,9 +1,9 @@
 //! Codec robustness: property-based round-trips of every [`WireMsg`]
 //! variant through the `DBH2` codec, and `DBH2` frame error paths against
-//! byte cursors and against the live TCP listener (its truncated-frame case
-//! lives in `networked_protocol.rs`).
+//! a connection reading byte cursors and against the live TCP listener (its
+//! truncated-frame case lives in `networked_protocol.rs`).
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -11,9 +11,10 @@ use std::time::Duration;
 use dubhe_he::{EncryptedVector, Keypair};
 use dubhe_net::ReactorListener;
 use dubhe_select::protocol::codec::{decode, encode};
+use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::{
-    append_frame, read_frame, write_frame, Envelope, Party, ProtocolMsg, ShardedCoordinator,
-    WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
+    append_frame, Connection, Envelope, Party, ProtocolMsg, ShardedCoordinator, WireMsg,
+    FRAME_MAGIC_V2, MAX_FRAME_BYTES,
 };
 use dubhe_select::ProtocolError;
 use proptest::prelude::*;
@@ -125,6 +126,25 @@ fn wire_msg(
     }
 }
 
+/// The next message a plaintext connection reads off `stream`, and its
+/// bytes on the wire.
+fn read_next(
+    conn: &mut Connection,
+    stream: &mut impl std::io::Read,
+) -> Result<(WireMsg, usize), ProtocolError> {
+    match conn.next_event(stream)? {
+        Event::Frame {
+            msg, wire_bytes, ..
+        } => Ok((msg.force()?, wire_bytes)),
+        other => panic!("a plaintext connection yields frames only: {other:?}"),
+    }
+}
+
+/// The first message a fresh plaintext connection reads off `bytes`.
+fn read_one(bytes: &[u8]) -> Result<(WireMsg, usize), ProtocolError> {
+    read_next(&mut Connection::plaintext(MAX_FRAME_BYTES), &mut &bytes[..])
+}
+
 /// The frame the parent commit's `write_frame_limited` put on the wire,
 /// from public pieces: magic, length, and a payload in which a batch is
 /// stitched from envelopes encoded one at a time (a lone envelope has no
@@ -171,16 +191,14 @@ proptest! {
         let payload = encode(&msg).unwrap();
         prop_assert_eq!(decode(&payload).unwrap(), msg.clone());
         // Frame-level round trip.
-        let mut framed = Vec::new();
-        let written = write_frame(&mut framed, &msg).unwrap();
+        let mut framed = vec![0xEE; 3];
+        let written = append_frame(&mut framed, &msg, MAX_FRAME_BYTES, None).unwrap();
+        let framed = framed.split_off(3);
         prop_assert_eq!(written, framed.len());
         // The wire bytes are pinned: in-place framing (shared vectors
         // copied, not re-encoded) changes none of them.
         prop_assert_eq!(&framed, &parent_frame(&msg));
-        let mut queued = vec![0xEE; 3];
-        append_frame(&mut queued, &msg, MAX_FRAME_BYTES, None).unwrap();
-        prop_assert_eq!(&queued[3..], &framed[..]);
-        let (back, consumed) = read_frame(&mut &framed[..]).unwrap();
+        let (back, consumed) = read_one(&framed).unwrap();
         prop_assert_eq!(back, msg.clone());
         prop_assert_eq!(consumed, framed.len());
     }
@@ -226,9 +244,9 @@ proptest! {
             },
         };
         let mut framed = Vec::new();
-        write_frame(&mut framed, &msg).unwrap();
+        append_frame(&mut framed, &msg, MAX_FRAME_BYTES, None).unwrap();
         let cut = rng.gen_range(0..framed.len());
-        let err = read_frame(&mut &framed[..cut]).unwrap_err();
+        let err = read_one(&framed[..cut]).unwrap_err();
         prop_assert!(
             matches!(
                 err,
@@ -245,7 +263,7 @@ fn oversized_dbh2_header_is_rejected_before_allocating() {
     buf.extend_from_slice(&FRAME_MAGIC_V2);
     buf.extend_from_slice(&(u32::MAX).to_be_bytes());
     assert_eq!(
-        read_frame(&mut &buf[..]).unwrap_err(),
+        read_one(&buf).unwrap_err(),
         ProtocolError::FrameTooLarge {
             len: u32::MAX as usize,
             max: MAX_FRAME_BYTES,
@@ -265,11 +283,16 @@ fn garbage_dbh2_frames_get_an_error_reply_and_a_hangup() {
     raw.write_all(&(payload.len() as u32).to_be_bytes())
         .unwrap();
     raw.write_all(&payload).unwrap();
-    let (reply, _) = read_frame(&mut raw).expect("an error frame before the hangup");
+    let mut conn = Connection::plaintext(MAX_FRAME_BYTES);
+    let (reply, _) = read_next(&mut conn, &mut raw).expect("an error frame before the hangup");
     match reply {
         WireMsg::Error { detail } => assert!(detail.contains("malformed"), "{detail}"),
         other => panic!("expected an error reply, got {other:?}"),
     }
-    let mut rest = Vec::new();
-    assert_eq!(raw.read_to_end(&mut rest).unwrap(), 0, "connection closed");
+    let closed = read_next(&mut conn, &mut raw);
+    assert_eq!(
+        closed,
+        Err(ProtocolError::Disconnected),
+        "connection closed"
+    );
 }

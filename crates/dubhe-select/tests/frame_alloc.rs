@@ -12,7 +12,7 @@
 //! live bytes within one envelope (and on a channel one record) and 64 KiB
 //! of what decoding alone holds, whatever `N`. No header sizes a buffer
 //! past what has landed: not an unauthenticated handshake header, not a
-//! plaintext one, and not one a blocking reader meets. Queued on a
+//! plaintext one, and not one a blocking client meets. Queued on a
 //! connection, as the listener queues its replies, the broadcast is not
 //! even framed whole: the write queue seals it a slice ahead of the socket,
 //! and encodes a bare one a chunk ahead, so what the server holds for it is
@@ -31,10 +31,9 @@ use dubhe_select::protocol::codec::{decode, encode, payload_size_hint};
 use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::frames::{CHUNK, SEAL_SLICE};
 use dubhe_select::protocol::{
-    append_frame, client_handshake, decode_frame, read_channel_frame, read_frame_limited,
-    ChannelFrame, Connection, Envelope, NodeIdentity, Party, ProtocolMsg, SecureChannel,
-    ServerHandshake, WireMsg, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, FRAME_MAGIC_V2,
-    MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
+    append_frame, Connection, Envelope, NodeIdentity, Party, ProtocolMsg, SecureChannel, WireMsg,
+    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
+    SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::ProtocolError;
 use rand::SeedableRng;
@@ -135,24 +134,19 @@ fn channel_pair() -> (SecureChannel, SecureChannel) {
     let addr = listener.local_addr().unwrap();
     let server = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
-        let mut handshake = ServerHandshake::new(NodeIdentity::from_seed(2));
-        loop {
-            let (frame, _) = read_channel_frame(&mut stream, 1 << 10).unwrap();
-            let ChannelFrame::Handshake(payload) = frame else {
-                panic!("handshake frames only");
-            };
-            let step = handshake.on_payload(&payload).unwrap();
-            if let Some(reply) = step.reply {
-                stream.write_all(&reply).unwrap();
-            }
-            if let Some(channel) = step.established {
-                return channel;
-            }
+        let mut server = Connection::server(NodeIdentity::from_seed(2), 1 << 10);
+        while !matches!(
+            server.next_event(&mut stream),
+            Ok(Event::Established { .. })
+        ) {
+            server.write_queued(&mut stream).unwrap();
         }
+        server.into_channel().expect("established")
     });
     let mut stream = TcpStream::connect(addr).unwrap();
-    let identity = NodeIdentity::from_seed(1);
-    let client = client_handshake(&mut stream, &identity, None, 1 << 10).unwrap();
+    let mut client = Connection::client(&NodeIdentity::from_seed(1), None, 1 << 10);
+    client.handshake(&mut stream).unwrap();
+    let client = client.into_channel().expect("established");
     (client, server.join().expect("server handshake"))
 }
 
@@ -231,7 +225,7 @@ fn a_broadcast_is_framed_sealed_and_received_in_one_buffer_each() {
         let (back, allocs_in, frame_sized, _) = measure(wire / 4, || {
             let mut payload = queue[8..].to_vec();
             let inner = client.open_in_place(&mut payload).unwrap();
-            decode_frame(inner, MAX_FRAME_BYTES).unwrap().0
+            decode(&inner[8..]).unwrap()
         });
         assert_eq!(frame_sized, 1, "n = {n}: frame-sized allocations receiving");
         assert_eq!(back, msg);
@@ -414,40 +408,73 @@ fn a_sealed_broadcast_is_received_a_record_at_a_time_not_as_a_frame() {
 }
 
 #[test]
-fn a_blocking_reader_sizes_no_buffer_from_an_unauthenticated_header() {
+fn a_blocking_client_sizes_no_buffer_from_a_hostile_header() {
     let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-    // A header announcing the whole frame ceiling, then end of stream: both
-    // blocking readers refuse the truncated payload having allocated no
-    // more than a slice for it, and keep their error contract.
-    for magic in [FRAME_MAGIC_V2, FRAME_MAGIC_SEALED, FRAME_MAGIC_HANDSHAKE] {
-        let header = [magic, (MAX_FRAME_BYTES as u32).to_be_bytes()].concat();
-        let (errs, _, big, _) = measure(1 << 20, || {
-            let channel = read_channel_frame(&mut &header[..], MAX_FRAME_BYTES).unwrap_err();
-            let plain = read_frame_limited(&mut &header[..], MAX_FRAME_BYTES);
-            (channel, plain.map(|(msg, _)| msg))
-        });
-        assert_eq!(big, 0, "{magic:?}: allocations of 1 MiB or more");
-        let truncated = ProtocolError::TruncatedFrame { context: "payload" };
-        assert_eq!(errs.0, truncated, "{magic:?}");
-        if magic == FRAME_MAGIC_V2 {
-            assert_eq!(errs.1, Err(truncated));
+    // What a blocking client's connection reads off a stream — a plaintext
+    // one, and a client's past its handshake: each magic's header
+    // announcing the whole frame ceiling, then end of stream; an empty
+    // stream; and a length over the ceiling. Each gets its typed error, and
+    // nothing of 1 MiB or more is allocated for any of them.
+    let header = |magic: [u8; 4], len: usize| [magic, (len as u32).to_be_bytes()].concat();
+    let truncated = || ProtocolError::TruncatedFrame { context: "payload" };
+    let bad_magic = |magic: [u8; 4]| ProtocolError::MalformedFrame {
+        detail: format!("bad magic {magic:02x?}, expected DBH2"),
+    };
+    let downgrade = || ProtocolError::DowngradeRefused {
+        magic: FRAME_MAGIC_V2,
+    };
+    let out_of_phase = ProtocolError::AuthFailure {
+        detail: "handshake frame after the channel was established".to_string(),
+    };
+    let too_large = |len| ProtocolError::FrameTooLarge {
+        len,
+        max: MAX_FRAME_BYTES,
+    };
+    // The longest announcement a sealed frame's ceiling admits, plus one.
+    let over_sealed = sealed_len(MAX_FRAME_BYTES + 8) - 8 + 1;
+    let cases = [
+        (
+            header(FRAME_MAGIC_V2, MAX_FRAME_BYTES),
+            truncated(),
+            downgrade(),
+        ),
+        (
+            header(FRAME_MAGIC_SEALED, MAX_FRAME_BYTES),
+            bad_magic(FRAME_MAGIC_SEALED),
+            truncated(),
+        ),
+        (
+            header(FRAME_MAGIC_HANDSHAKE, MAX_FRAME_BYTES),
+            bad_magic(FRAME_MAGIC_HANDSHAKE),
+            out_of_phase,
+        ),
+        (
+            Vec::new(),
+            ProtocolError::Disconnected,
+            ProtocolError::Disconnected,
+        ),
+        (
+            header(FRAME_MAGIC_V2, MAX_FRAME_BYTES + 1),
+            too_large(MAX_FRAME_BYTES + 1),
+            downgrade(),
+        ),
+        (
+            header(FRAME_MAGIC_SEALED, over_sealed),
+            bad_magic(FRAME_MAGIC_SEALED),
+            too_large(over_sealed),
+        ),
+    ];
+    for (bytes, plaintext, sealed) in cases {
+        let (client, _server) = connection_pair();
+        for (mut link, expected) in [
+            (Connection::plaintext(MAX_FRAME_BYTES), plaintext),
+            (client, sealed),
+        ] {
+            let (got, _, big, _) = measure(1 << 20, || link.next_event(&mut &bytes[..]));
+            assert_eq!(big, 0, "{bytes:?}: allocations of 1 MiB or more");
+            assert_eq!(got.unwrap_err(), expected, "{bytes:?}");
         }
     }
-    // A clean close between frames and an over-ceiling header keep theirs.
-    let empty: &[u8] = &[];
-    assert_eq!(
-        read_channel_frame(&mut &empty[..], MAX_FRAME_BYTES).unwrap_err(),
-        ProtocolError::Disconnected
-    );
-    assert_eq!(
-        read_frame_limited(&mut &empty[..], MAX_FRAME_BYTES).unwrap_err(),
-        ProtocolError::Disconnected
-    );
-    let over = [FRAME_MAGIC_V2, (1u32 << 20).to_be_bytes()].concat();
-    assert!(matches!(
-        read_frame_limited(&mut &over[..], 1 << 10),
-        Err(ProtocolError::FrameTooLarge { .. })
-    ));
 }
 
 /// A nonblocking socket that takes at most 64 KiB a write, into a buffer

@@ -22,10 +22,11 @@ use dubhe_data::ClassDistribution;
 use dubhe_he::EncryptedVector;
 use dubhe_net::{MuxClient, MuxConfig};
 use dubhe_net::{ReactorConfig, ReactorListener};
+use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::{
-    read_frame, run_registration, run_try, ChannelPolicy, Coordinator, Envelope, InMemoryTransport,
+    run_registration, run_try, ChannelPolicy, Connection, Coordinator, Envelope, InMemoryTransport,
     ListenerStats, Party, ProtocolMsg, ShardedCoordinator, TcpConfig, TcpTransport, TransportStats,
-    WireMsg, FRAME_MAGIC_V2, HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
+    WireMsg, FRAME_MAGIC_V2, HANDSHAKE_WIRE_BYTES, MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::{ClientSelector, DubheConfig, DubheSelector, ProtocolError};
 use rand::SeedableRng;
@@ -292,7 +293,11 @@ fn truncated_frames_are_a_counted_hangup() {
         raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         raw.write_all(&frame[..cut]).unwrap();
         raw.shutdown(std::net::Shutdown::Write).unwrap();
-        assert_eq!(read_frame(&mut raw), Err(ProtocolError::Disconnected));
+        let closed = Connection::plaintext(MAX_FRAME_BYTES).next_event(&mut raw);
+        assert!(
+            matches!(closed, Err(ProtocolError::Disconnected)),
+            "{closed:?}"
+        );
     }
     let stats = wait_for(&listener, "truncations never counted", |s| {
         s.connections_closed == 2
@@ -515,8 +520,12 @@ fn a_retired_dbh1_reply_is_a_malformed_frame_to_both_connectors() {
     let server = std::thread::spawn(move || {
         for _ in 0..2 {
             let (mut stream, _) = peer.accept().unwrap();
-            let (request, _) = read_frame(&mut stream).expect("a DBH2 request");
-            assert!(matches!(request, WireMsg::Envelope { .. }), "{request:?}");
+            let request = Connection::plaintext(MAX_FRAME_BYTES).next_event(&mut stream);
+            assert!(
+                matches!(&request, Ok(Event::Frame { msg, .. })
+                    if matches!(msg.clone().force(), Ok(WireMsg::Envelope { .. }))),
+                "{request:?}"
+            );
             stream.write_all(&reply).unwrap();
         }
     });
