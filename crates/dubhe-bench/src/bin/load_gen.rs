@@ -5,7 +5,7 @@
 //! dispatch, the registration epoch, `H` multi-time tries and the verdict —
 //! against the event-loop [`ReactorListener`] from `dubhe-net`.
 //!
-//! The client side is a single-threaded [`MuxClient`] multiplexing every
+//! The client side is a single-threaded [`Client`] multiplexing every
 //! connection through one poller; the server side runs in a **subprocess**
 //! (`--serve`), because a loopback connection costs one file descriptor on
 //! each end and the default `RLIMIT_NOFILE` hard cap (20 000 here) would
@@ -35,11 +35,11 @@ use std::time::{Duration, Instant};
 
 use dubhe_bench::dump_json;
 use dubhe_he::{EncryptedVector, Keypair, PublicKey};
-use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
+use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::stats::{LatencySummary, ListenerStats};
 use dubhe_select::protocol::{
-    ChannelPolicy, Coordinator, Envelope, NodeIdentity, Party, ProtocolMsg, ShardedCoordinator,
-    WireMsg,
+    ChannelPolicy, Client, ClientConfig, Coordinator, Envelope, NodeIdentity, Party, ProtocolMsg,
+    ShardedCoordinator, WireMsg,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -347,21 +347,24 @@ fn run_backend(
     println!("[n={n}] spawning listener subprocess...");
     let mut server = spawn_server(n, shards, channel, seed);
 
-    let mut mux_config = MuxConfig::default().with_exchange_timeout(Duration::from_secs(300));
+    // Connection `i` speaks with the identity seeded at `i` on every run.
+    let mut config = ClientConfig::default()
+        .with_exchange_timeout(Duration::from_secs(300))
+        .with_identity_seed(0);
     if channel.is_required() {
         // The child derived its identity from the shared seed; pin it.
         let pin = NodeIdentity::from_seed(server_identity_seed(seed)).public_bytes();
-        mux_config = mux_config
+        config = config
             .with_channel(ChannelPolicy::Required)
             .with_expected_server(pin);
     }
     let t = Instant::now();
-    let mut mux = MuxClient::connect(server.addr, n, mux_config).expect("connect mux clients");
+    let mut clients = Client::connect(server.addr, n, config).expect("connect clients");
     let connect_s = t.elapsed().as_secs_f64();
     println!("[n={n}] {n} connections in {connect_s:.2}s");
 
     // Key dispatch: one control envelope from the agent, on connection 0.
-    let replies = mux
+    let replies = clients
         .exchange(&[(
             0,
             WireMsg::Envelope {
@@ -375,15 +378,16 @@ fn run_backend(
     // own connection; the upload completing the cohort pulls the broadcast.
     let t = Instant::now();
     for client in 0..n {
-        mux.send(
-            client,
-            &WireMsg::Envelope {
-                envelope: script.registry(client),
-            },
-        )
-        .expect("queue registry");
+        clients
+            .send(
+                client,
+                WireMsg::Envelope {
+                    envelope: script.registry(client),
+                },
+            )
+            .expect("queue registry");
     }
-    let replies = mux.collect(n).expect("registration replies");
+    let replies = clients.collect(n).expect("registration replies");
     check_replies("registration", &replies);
     let registration_s = t.elapsed().as_secs_f64();
     println!("[n={n}] registration epoch in {registration_s:.2}s");
@@ -393,7 +397,7 @@ fn run_backend(
     let t = Instant::now();
     for try_index in 0..script.tries {
         let participants = script.participants(try_index, n);
-        let replies = mux
+        let replies = clients
             .exchange(&[(
                 0,
                 WireMsg::AnnounceTry {
@@ -404,18 +408,19 @@ fn run_backend(
             .expect("announce try");
         check_replies("announce", &replies);
         for &client in &participants {
-            mux.send(
-                client,
-                &WireMsg::Envelope {
-                    envelope: script.distribution(client, try_index),
-                },
-            )
-            .expect("queue distribution");
+            clients
+                .send(
+                    client,
+                    WireMsg::Envelope {
+                        envelope: script.distribution(client, try_index),
+                    },
+                )
+                .expect("queue distribution");
         }
-        let replies = mux.collect(participants.len()).expect("try replies");
+        let replies = clients.collect(participants.len()).expect("try replies");
         check_replies("try", &replies);
     }
-    let replies = mux
+    let replies = clients
         .exchange(&[(
             0,
             WireMsg::Envelope {
@@ -430,8 +435,8 @@ fn run_backend(
         script.tries
     );
 
-    let latency_us = mux.latency_summary();
-    mux.shutdown();
+    let latency_us = clients.latency().summary();
+    clients.shutdown().expect("shutdown frames");
 
     // Tell the child to wrap up, then read its report.
     let mut stdin = server.child.stdin.take().expect("child stdin");

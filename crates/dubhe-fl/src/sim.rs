@@ -25,8 +25,8 @@ use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::multi_time_select;
 use dubhe_select::protocol::stats::ListenerStats;
 use dubhe_select::protocol::{
-    pump, run_registration, run_try_with_dropouts, ChannelPolicy, Coordinator, Envelope,
-    InMemoryTransport, PackingPolicy, RegistrationRun, ShardedCoordinator, TcpConfig, TcpTransport,
+    pump, run_registration, run_try_with_dropouts, ChannelPolicy, Client, ClientConfig,
+    Coordinator, Envelope, InMemoryTransport, PackingPolicy, RegistrationRun, ShardedCoordinator,
     Transport,
 };
 use dubhe_select::selector::{population_distribution, ClientSelector};
@@ -87,13 +87,13 @@ pub enum SecureMode {
         /// wire bytes shrink along with the canonical ciphertext accounting.
         packing: Option<u32>,
         /// Whether the loopback connection runs the authenticated channel:
-        /// under [`ChannelPolicy::Required`] the listener and connector run
-        /// the handshake at round 0 (the connector pins the listener's
+        /// under [`ChannelPolicy::Required`] the listener and client run
+        /// the handshake at round 0 (the client pins the listener's
         /// public identity) and every protocol frame crosses the socket
         /// AEAD-sealed. Selections, histories and canonical byte ledgers
         /// are bit-identical to a `Plaintext` run on the same seed — the
         /// channel pays only handshake + per-frame sealing bytes, metered
-        /// separately in the connector's [`WireStats`].
+        /// separately in the client's [`WireStats`].
         ///
         /// [`WireStats`]: dubhe_select::protocol::WireStats
         channel: ChannelPolicy,
@@ -138,7 +138,7 @@ impl SecureMode {
 #[derive(Debug)]
 enum SimCoordinator {
     Local(ShardedCoordinator),
-    Remote(TcpTransport),
+    Remote(Client),
 }
 
 impl SimCoordinator {
@@ -451,15 +451,14 @@ impl FlSimulation {
                             coordinator,
                             ReactorConfig::default().with_channel(channel),
                         )?;
-                        // Under Required the connector pins the identity the
+                        // Under Required the client pins the identity the
                         // listener just minted — trust is established at
                         // spawn, not on first use.
-                        let mut tcp_config = TcpConfig::default().with_channel(channel);
+                        let mut client_config = ClientConfig::default().with_channel(channel);
                         if let Some(pin) = listener.public_identity() {
-                            tcp_config = tcp_config.with_expected_server(pin);
+                            client_config = client_config.with_expected_server(pin);
                         }
-                        let endpoint =
-                            TcpTransport::connect_with_config(listener.addr(), tcp_config)?;
+                        let endpoint = Client::connect(listener.addr(), 1, client_config)?;
                         self.listener = Some(listener);
                         SimCoordinator::Remote(endpoint)
                     }
@@ -992,7 +991,7 @@ mod tests {
 
         assert_eq!(tcp_hist, modeled_hist, "TCP must reproduce the decisions");
         assert_eq!(tcp_hist, encrypted_hist);
-        // The listener saw the single persistent connector connection plus
+        // The listener saw the single persistent client connection plus
         // real frames.
         assert!(modeled_stats.is_none(), "no listener in the modeled mode");
         let stats = tcp_stats.expect("socket-backed runs have stats");

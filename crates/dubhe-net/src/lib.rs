@@ -1,4 +1,4 @@
-//! # dubhe-net — the event-driven coordinator network layer
+//! # dubhe-net — the event-driven coordinator listener
 //!
 //! A selection epoch at production scale means 10⁴–10⁵ *mostly idle*
 //! persistent client connections — far beyond what a thread per socket can
@@ -11,33 +11,32 @@
 //! on a separate router thread, so a large fold overlaps with the next
 //! frame's parse.
 //!
-//! * [`ReactorListener`] — the server: non-blocking accept, identity
-//!   binding, bounded write queues flushed once per connection per loop
-//!   turn, with `WouldBlock`-driven flow control and a typed
-//!   [`Backpressure`](dubhe_select::ProtocolError::Backpressure) disconnect
-//!   past the high-water mark, and a [`ListenerStats`] snapshot of all of it.
-//! * [`MuxClient`] — the load-generation side: many persistent client
-//!   connections multiplexed through the same poller from a single thread,
-//!   used by `dubhe-bench`'s `load_gen` to drive 10⁴+ concurrent clients.
+//! [`ReactorListener`] is that server: non-blocking accept, identity
+//! binding, bounded write queues flushed once per connection per loop
+//! turn, with `WouldBlock`-driven flow control and a typed
+//! [`Backpressure`](dubhe_select::ProtocolError::Backpressure) disconnect
+//! past the high-water mark, and a [`ListenerStats`] snapshot of all of it.
+//! The client side — one connection for a driver, 10⁴+ for `dubhe-bench`'s
+//! `load_gen` — is `dubhe-select`'s [`Client`].
 //!
 //! Wire format, channel, message types, coordinator semantics and the
 //! per-connection protocol itself — frame reassembly, the
 //! authenticated-channel phases, every refusal, in one sans-IO
 //! [`Connection`] per socket — all come from `dubhe-select`; this crate
-//! only decides *how sockets are waited on*, which is why the ledgers it
-//! produces are bit-identical to the in-memory transport (the running folds
-//! are commutative, so arrival order cannot matter).
+//! only decides *how the listener's sockets are waited on*, which is why
+//! the ledgers it produces are bit-identical to the in-memory transport
+//! (the running folds are commutative, so arrival order cannot matter).
 //!
 //! ## Example: a coordinator behind a loopback port
 //!
 //! ```
 //! use dubhe_net::ReactorListener;
 //! use dubhe_select::protocol::{
-//!     Coordinator, Envelope, Party, ProtocolMsg, ShardedCoordinator, TcpTransport,
+//!     Client, ClientConfig, Coordinator, Envelope, Party, ProtocolMsg, ShardedCoordinator,
 //! };
 //!
 //! let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 2)).unwrap();
-//! let mut client = TcpTransport::connect(listener.addr()).unwrap();
+//! let mut client = Client::connect(listener.addr(), 1, ClientConfig::default()).unwrap();
 //! // A verdict is always accepted and triggers no broadcast.
 //! let replies = client
 //!     .deliver(Envelope {
@@ -55,11 +54,12 @@
 //!
 //! [`ListenerStats`]: dubhe_select::protocol::stats::ListenerStats
 //! [`Connection`]: dubhe_select::protocol::Connection
+//! [`Client`]: dubhe_select::protocol::Client
 
 #[doc(hidden)]
 pub mod compat;
-pub mod mux;
 pub mod reactor;
 
-pub use mux::{MuxClient, MuxConfig};
+#[doc(hidden)]
+pub use compat::{MuxClient, MuxConfig};
 pub use reactor::{ReactorConfig, ReactorListener};

@@ -131,8 +131,8 @@ use dubhe_select::protocol::Coordinator;
 use dubhe_select::{ClientId, ProtocolError};
 use mini_mio::{Backend, Events, Interest, Poll, Registry, Token, Waker};
 
-/// Default mid-frame stall bound, matching the connector's
-/// [`DEFAULT_READ_TIMEOUT`](dubhe_select::protocol::DEFAULT_READ_TIMEOUT).
+/// Default mid-frame stall bound, matching the client's
+/// [`DEFAULT_EXCHANGE_TIMEOUT`](dubhe_select::protocol::DEFAULT_EXCHANGE_TIMEOUT).
 pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// How long a poll sleeps when nothing bounds it sooner. Purely a liveness

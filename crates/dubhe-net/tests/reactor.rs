@@ -18,14 +18,14 @@ use std::time::{Duration, Instant};
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
 use dubhe_he::EncryptedVector;
-use dubhe_net::{MuxClient, MuxConfig, ReactorConfig, ReactorListener};
+use dubhe_net::{ReactorConfig, ReactorListener};
+use dubhe_select::protocol::client::dial;
 use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::frames::SEAL_SLICE;
-use dubhe_select::protocol::tcp::dial;
 use dubhe_select::protocol::{
-    append_frame, codec, run_registration, run_try, ChannelPolicy, Connection, Coordinator,
-    Envelope, InMemoryTransport, ListenerStats, NodeIdentity, Party, ProtocolMsg, RegistryFrame,
-    ShardedCoordinator, TcpConfig, TcpTransport, TransportStats, WireMsg, FRAME_MAGIC_HANDSHAKE,
+    append_frame, codec, run_registration, run_try, ChannelPolicy, Client, ClientConfig,
+    Connection, Coordinator, Envelope, InMemoryTransport, ListenerStats, NodeIdentity, Party,
+    ProtocolMsg, RegistryFrame, ShardedCoordinator, TransportStats, WireMsg, FRAME_MAGIC_HANDSHAKE,
     MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::{ClientId, ClientSelector, DubheConfig, DubheSelector, ProtocolError};
@@ -170,8 +170,7 @@ fn reactor_session_is_bit_identical_to_memory() {
             ReactorConfig::default().with_backend(backend),
         )
         .unwrap();
-        let endpoint =
-            TcpTransport::connect_with_config(reactor.addr(), TcpConfig::default()).unwrap();
+        let endpoint = Client::connect(reactor.addr(), 1, ClientConfig::default()).unwrap();
         let tcp = drive_session(&dists, 82, endpoint);
         assert_eq!(tcp.overall, memory.overall, "{backend:?}");
         assert_eq!(tcp.verdict, memory.verdict, "{backend:?}");
@@ -219,9 +218,10 @@ fn required_channel_session_is_bit_identical_to_plaintext_on_both_backends() {
         let pin = reactor
             .public_identity()
             .expect("required channel resolves an identity");
-        let endpoint = TcpTransport::connect_with_config(
+        let endpoint = Client::connect(
             reactor.addr(),
-            TcpConfig::default()
+            1,
+            ClientConfig::default()
                 .with_channel(ChannelPolicy::Required)
                 .with_expected_server(pin),
         )
@@ -263,10 +263,10 @@ fn mux_client_runs_sealed_sessions_end_to_end() {
     )
     .unwrap();
     let pin = reactor.public_identity().expect("identity resolved");
-    let mut mux = MuxClient::connect(
+    let mut mux = Client::connect(
         reactor.addr(),
         n,
-        MuxConfig::default()
+        ClientConfig::default()
             .with_channel(ChannelPolicy::Required)
             .with_expected_server(pin)
             .with_exchange_timeout(Duration::from_secs(30)),
@@ -283,7 +283,7 @@ fn mux_client_runs_sealed_sessions_end_to_end() {
         .all(|(_, msg)| matches!(msg, WireMsg::Batch { envelopes } if envelopes.is_empty())));
     let replies = mux.exchange(&requests[..7]).unwrap();
     assert_eq!(replies.len(), 7);
-    mux.shutdown();
+    mux.shutdown().unwrap();
 
     let stats = wait_for(&reactor, "connections never drained", |s| {
         s.connections_closed == n
@@ -384,10 +384,10 @@ fn multi_mib_sealed_broadcast_reaches_a_mux_client_byte_for_byte() {
     )
     .unwrap();
     let conns = 2;
-    let mut mux = MuxClient::connect(
+    let mut mux = Client::connect(
         reactor.addr(),
         conns,
-        MuxConfig::default()
+        ClientConfig::default()
             .with_channel(ChannelPolicy::Required)
             .with_expected_server(reactor.public_identity().expect("identity resolved"))
             .with_exchange_timeout(Duration::from_secs(30)),
@@ -422,7 +422,7 @@ fn multi_mib_sealed_broadcast_reaches_a_mux_client_byte_for_byte() {
         }
     }
     assert_eq!(broadcasts, 1);
-    mux.shutdown();
+    mux.shutdown().unwrap();
 
     let stats = wait_for(&reactor, "connections never drained", |s| {
         s.connections_closed == conns
@@ -453,9 +453,10 @@ fn multi_mib_sealed_broadcast_reaches_tcp_transport_byte_for_byte() {
         ReactorConfig::default().with_channel(ChannelPolicy::Required),
     )
     .unwrap();
-    let mut client = TcpTransport::connect_with_config(
+    let mut client = Client::connect(
         reactor.addr(),
-        TcpConfig::default()
+        1,
+        ClientConfig::default()
             .with_channel(ChannelPolicy::Required)
             .with_expected_server(reactor.public_identity().expect("identity resolved")),
     )
@@ -552,14 +553,13 @@ fn reply_being_sealed_holds_up_no_one(drain: bool) {
         ReactorConfig::default().with_channel(ChannelPolicy::Required),
     )
     .unwrap();
-    let config = TcpConfig::default()
+    let config = ClientConfig::default()
         .with_channel(ChannelPolicy::Required)
         .with_expected_server(reactor.public_identity().expect("identity resolved"))
-        .with_read_timeout(Duration::from_secs(30));
-    let connect_b =
-        || TcpTransport::connect_with_config(reactor.addr(), config.with_identity_seed(2)).unwrap();
+        .with_exchange_timeout(Duration::from_secs(30));
+    let connect_b = || Client::connect(reactor.addr(), 1, config.with_identity_seed(2)).unwrap();
     let early_b = drain.then(connect_b);
-    let (mut a_stream, mut a) = dial(reactor.addr(), &config.with_identity_seed(1)).unwrap();
+    let (mut a_stream, mut a) = dial(reactor.addr(), &config.with_identity_seed(1), 0).unwrap();
     let drained = drain.then(|| {
         let mut reader = a_stream.try_clone().unwrap();
         std::thread::spawn(move || {
@@ -669,10 +669,11 @@ fn downgrades_and_handshake_stalls_get_typed_refusals_on_both_backends() {
         assert_eq!(stats.handshakes_completed, 0, "{backend:?}");
 
         // Slots freed: an honest client still authenticates and is served.
-        let mut honest = TcpTransport::connect_with_config(
+        let mut honest = Client::connect(
             reactor.addr(),
-            TcpConfig::default()
-                .with_read_timeout(Duration::from_secs(5))
+            1,
+            ClientConfig::default()
+                .with_exchange_timeout(Duration::from_secs(5))
                 .with_channel(ChannelPolicy::Required)
                 .with_expected_server(reactor.public_identity().expect("identity resolved")),
         )
@@ -782,12 +783,13 @@ fn an_unbounded_frame_ceiling_serves_sealed_registrations() {
         .unwrap()
     };
 
-    // The blocking connector.
+    // The client as the driver's coordinator, a request at a time.
     let (key_dispatch, uploads) = registry_uploads(n);
     let reactor = listener();
-    let mut client = TcpTransport::connect_with_config(
+    let mut client = Client::connect(
         reactor.addr(),
-        TcpConfig::default()
+        1,
+        ClientConfig::default()
             .with_channel(ChannelPolicy::Required)
             .with_expected_server(reactor.public_identity().expect("identity resolved"))
             .with_max_frame_bytes(usize::MAX),
@@ -804,12 +806,12 @@ fn an_unbounded_frame_ceiling_serves_sealed_registrations() {
     assert_broadcast(&broadcast, n);
     client.shutdown().unwrap();
 
-    // The multiplexer.
+    // The client with every request queued at once.
     let reactor = listener();
-    let mut mux = MuxClient::connect(
+    let mut mux = Client::connect(
         reactor.addr(),
         1,
-        MuxConfig::default()
+        ClientConfig::default()
             .with_channel(ChannelPolicy::Required)
             .with_expected_server(reactor.public_identity().expect("identity resolved"))
             .with_max_frame_bytes(usize::MAX)
@@ -827,17 +829,17 @@ fn an_unbounded_frame_ceiling_serves_sealed_registrations() {
         panic!("the last upload is answered with the broadcast");
     };
     assert_broadcast(envelopes, n);
-    mux.shutdown();
+    mux.shutdown().unwrap();
 }
 
 #[test]
 fn mux_client_multiplexes_many_persistent_connections() {
     let n = 128;
     let reactor = ReactorListener::spawn(ShardedCoordinator::new(0, 1)).unwrap();
-    let mut mux = MuxClient::connect(
+    let mut mux = Client::connect(
         reactor.addr(),
         n,
-        MuxConfig::default().with_exchange_timeout(Duration::from_secs(30)),
+        ClientConfig::default().with_exchange_timeout(Duration::from_secs(30)),
     )
     .unwrap();
     assert_eq!(mux.len(), n);
@@ -855,7 +857,7 @@ fn mux_client_multiplexes_many_persistent_connections() {
     // A second phase over the same (persistent) connections still works.
     let replies = mux.exchange(&requests[..16]).unwrap();
     assert_eq!(replies.len(), 16);
-    mux.shutdown();
+    mux.shutdown().unwrap();
 
     // Shutdown frames land asynchronously; wait for the listener to close
     // every connection before pinning the totals.
@@ -913,9 +915,10 @@ fn stalled_reader_is_cut_by_backpressure_not_buffered_forever() {
         stats.peak_write_queue
     );
     // The listener survives and serves the next client normally.
-    let mut healthy = TcpTransport::connect_with_config(
+    let mut healthy = Client::connect(
         reactor.addr(),
-        TcpConfig::default().with_read_timeout(Duration::from_secs(5)),
+        1,
+        ClientConfig::default().with_exchange_timeout(Duration::from_secs(5)),
     )
     .unwrap();
     healthy
@@ -1271,10 +1274,10 @@ fn refusals_read_the_same_answered_inline_and_through_the_router() {
         ReactorConfig::default().with_channel(ChannelPolicy::Required),
     )
     .unwrap();
-    let mut mux = MuxClient::connect(
+    let mut mux = Client::connect(
         reactor.addr(),
         2,
-        MuxConfig::default()
+        ClientConfig::default()
             .with_channel(ChannelPolicy::Required)
             .with_expected_server(reactor.public_identity().expect("identity resolved"))
             .with_exchange_timeout(Duration::from_secs(30)),
@@ -1346,7 +1349,7 @@ fn refusals_read_the_same_answered_inline_and_through_the_router() {
     });
     assert_eq!(stats.answered_inline, 3, "all four went through the router");
     assert_eq!(routed, [stale_inline, hijack_inline]);
-    mux.shutdown();
+    mux.shutdown().unwrap();
     wait_for(&reactor, "connections never drained", |s| {
         s.connections_closed == 2
     });

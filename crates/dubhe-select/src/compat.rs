@@ -6,12 +6,13 @@
 //! change that re-points the benchmark's call sites, deletes this module.
 
 use std::io::{Read, Write};
+use std::net::SocketAddr;
 
 use crate::error::ProtocolError;
 use crate::protocol::frames::check_header;
 use crate::protocol::{
-    codec, Connection, NodeIdentity, SecureChannel, ShardedCoordinator, TcpConfig, WireMsg,
-    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED,
+    codec, Client, ClientConfig, Connection, NodeIdentity, SecureChannel, ShardedCoordinator,
+    WireMsg, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED,
 };
 
 /// The one wire codec, `DBH2`.
@@ -30,11 +31,28 @@ impl CodecKind {
     }
 }
 
-impl TcpConfig {
+/// The one [`ClientConfig`].
+pub type TcpConfig = ClientConfig;
+
+impl ClientConfig {
     /// The config unchanged: every frame is `DBH2`.
     #[doc(hidden)]
     pub fn with_codec(self, _: CodecKind) -> Self {
         self
+    }
+}
+
+/// The one [`Client`], holding one connection.
+pub type TcpTransport = Client;
+
+impl Client {
+    /// A one-connection client.
+    #[doc(hidden)]
+    pub fn connect_with_config(
+        addr: SocketAddr,
+        config: ClientConfig,
+    ) -> Result<Client, ProtocolError> {
+        Client::connect(addr, 1, config)
     }
 }
 
@@ -208,6 +226,9 @@ mod tests {
         assert_eq!(CodecKind::Binary.decode(&payload), Ok(msg));
         let config = TcpConfig::default().with_max_frame_bytes(99);
         assert_eq!(config.with_codec(CodecKind::Binary).max_frame_bytes, 99);
+        let peer = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let client = TcpTransport::connect_with_config(peer.local_addr().unwrap(), config);
+        assert_eq!(client.unwrap().len(), 1);
         let coordinator = CoordinatorServer::new(7);
         assert_eq!(coordinator.shards(), 1);
     }

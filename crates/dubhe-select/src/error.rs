@@ -219,12 +219,6 @@ pub enum ProtocolError {
         /// The plaintext frame magic that was refused.
         magic: [u8; 4],
     },
-    /// Every connect/handshake attempt failed within the configured retry
-    /// budget; the transport gave up after backing off between attempts.
-    RetriesExhausted {
-        /// How many attempts were made.
-        attempts: usize,
-    },
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -341,13 +335,6 @@ impl std::fmt::Display for ProtocolError {
                     String::from_utf8_lossy(magic)
                 )
             }
-            ProtocolError::RetriesExhausted { attempts } => {
-                write!(
-                    f,
-                    "gave up after {attempts} connect/handshake attempts (bounded backoff \
-                     exhausted)"
-                )
-            }
         }
     }
 }
@@ -405,7 +392,5 @@ mod tests {
         let downgrade = ProtocolError::DowngradeRefused { magic: *b"DBH2" };
         assert!(downgrade.to_string().contains("DBH2"));
         assert!(downgrade.to_string().contains("authenticated channel"));
-        let retries = ProtocolError::RetriesExhausted { attempts: 5 };
-        assert!(retries.to_string().contains("5 connect/handshake attempts"));
     }
 }

@@ -97,15 +97,16 @@
 //!
 //! ## Example: the identical exchange over loopback TCP
 //!
-//! [`TcpTransport`] connects the same driver slot to `dubhe-net`'s
-//! `ReactorListener` across real sockets — length-prefixed frames, an
-//! event-loop listener, typed errors on every failure mode:
+//! A one-connection [`Client`](protocol::Client) fills the same driver
+//! slot across real sockets to `dubhe-net`'s `ReactorListener` —
+//! length-prefixed frames, an event-loop listener, typed errors on every
+//! failure mode:
 //!
 //! ```
 //! use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 //! use dubhe_net::ReactorListener;
 //! use dubhe_select::protocol::{
-//!     run_registration, InMemoryTransport, ShardedCoordinator, TcpTransport,
+//!     run_registration, Client, ClientConfig, InMemoryTransport, ShardedCoordinator,
 //! };
 //! use dubhe_select::DubheConfig;
 //! use rand::SeedableRng;
@@ -124,8 +125,8 @@
 //!
 //! // Server side: a sharded coordinator behind an ephemeral loopback port.
 //! let listener = ReactorListener::spawn(ShardedCoordinator::new(24, 4)).unwrap();
-//! // Client side: the connector fills the same coordinator slot.
-//! let endpoint = TcpTransport::connect(listener.addr()).unwrap();
+//! // Client side: one connection fills the same coordinator slot.
+//! let endpoint = Client::connect(listener.addr(), 1, ClientConfig::default()).unwrap();
 //!
 //! let mut transport = InMemoryTransport::new();
 //! let run = run_registration(
@@ -170,7 +171,7 @@ pub use param_search::{parameter_search, SearchGrid, SearchOutcome};
 pub use probability::participation_probability;
 pub use protocol::{
     AgentNode, Coordinator, InMemoryTransport, Party, ProtocolMsg, SecureTryOutcome,
-    SelectClientNode, ShardedCoordinator, TcpTransport, Transport, TransportStats,
+    SelectClientNode, ShardedCoordinator, Transport, TransportStats,
 };
 pub use registry::{register, register_all, register_all_encrypted, Registration};
 pub use selector::{

@@ -114,7 +114,7 @@ const CONFIRM_LEN: usize = 32;
 pub(crate) const M2_LEN: usize = HELLO_LEN + CONFIRM_LEN;
 
 /// Total bytes the three handshake frames put on the wire (headers
-/// included): M1 (8+64) + M2 (8+96) + M3 (8+32). What a connector charges
+/// included): M1 (8+64) + M2 (8+96) + M3 (8+32). What a client charges
 /// to its channel-overhead accounting per handshake.
 pub const HANDSHAKE_WIRE_BYTES: usize = (8 + HELLO_LEN) + (8 + M2_LEN) + (8 + CONFIRM_LEN);
 
@@ -702,41 +702,6 @@ fn constant_time_eq(a: &[u8], b: &[u8]) -> bool {
     a.iter().zip(b).fold(0u8, |acc, (x, y)| acc | (x ^ y)) == 0
 }
 
-// ------------------------------------------------------------------ retry
-
-/// Bounded exponential backoff with deterministic jitter for transient
-/// connect/handshake failures: attempt `i` (0-based) sleeps
-/// `base · 2^i + jitter` where jitter is uniform in `[0, base)` from the
-/// vendored seeded `StdRng` — deterministic per (seed, attempt), so test
-/// runs are reproducible while a thundering herd still spreads out.
-#[derive(Debug, Clone)]
-pub struct RetrySchedule {
-    base: std::time::Duration,
-    rng: rand::rngs::StdRng,
-}
-
-impl RetrySchedule {
-    /// A schedule starting at `base` delay, jitter-seeded with `seed`.
-    pub fn new(base: std::time::Duration, seed: u64) -> RetrySchedule {
-        RetrySchedule {
-            base,
-            rng: rand::rngs::StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The delay before retry number `attempt` (0-based), jitter included.
-    pub fn delay(&mut self, attempt: u32) -> std::time::Duration {
-        let base_ns = self.base.as_nanos() as u64;
-        let backoff = base_ns.saturating_mul(1u64 << attempt.min(16));
-        let jitter = if base_ns == 0 {
-            0
-        } else {
-            self.rng.next_u64() % base_ns
-        };
-        std::time::Duration::from_nanos(backoff.saturating_add(jitter))
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -746,7 +711,7 @@ pub(crate) mod tests {
     use std::io::{Read, Write};
 
     /// The client side of the handshake over a blocking `stream`, as a
-    /// connector runs it: a client [`Connection`] pumped to establishment.
+    /// client runs it: a client [`Connection`] pumped to establishment.
     fn client_over<S: Read + Write>(
         stream: &mut S,
         identity: &NodeIdentity,
@@ -1420,23 +1385,5 @@ pub(crate) mod tests {
             server.open_payload(&frame[8..]).unwrap(),
             b"after the handshake"
         );
-    }
-
-    #[test]
-    fn retry_schedule_is_deterministic_and_bounded() {
-        let base = std::time::Duration::from_millis(10);
-        let mut a = RetrySchedule::new(base, 42);
-        let mut b = RetrySchedule::new(base, 42);
-        let mut c = RetrySchedule::new(base, 43);
-        let delays_a: Vec<_> = (0..4).map(|i| a.delay(i)).collect();
-        let delays_b: Vec<_> = (0..4).map(|i| b.delay(i)).collect();
-        assert_eq!(delays_a, delays_b, "same seed, same jitter");
-        let delays_c: Vec<_> = (0..4).map(|i| c.delay(i)).collect();
-        assert_ne!(delays_a, delays_c, "different seed, different jitter");
-        for (i, d) in delays_a.iter().enumerate() {
-            let backoff = base * (1 << i as u32);
-            assert!(*d >= backoff, "attempt {i}: {d:?} < {backoff:?}");
-            assert!(*d < backoff + base, "attempt {i}: {d:?} jitter too big");
-        }
     }
 }

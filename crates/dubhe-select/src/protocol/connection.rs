@@ -13,10 +13,10 @@
 //! helpers at the end pump it over a stream): it reports whether a read
 //! deadline should be armed ([`wants_read_deadline`](Connection::wants_read_deadline)),
 //! and whoever owns the socket decides how bytes move and when a stall has
-//! lasted too long. Three drivers pump it: `dubhe-net`'s `ReactorListener`
-//! (server role, nonblocking), `dubhe-net`'s `MuxClient` (client role,
-//! nonblocking) and [`TcpTransport`](super::tcp::TcpTransport) (client role,
-//! blocking, through [`next_event`](Connection::next_event)).
+//! lasted too long. Two drivers pump it: `dubhe-net`'s `ReactorListener`
+//! (server role) and the [`Client`](super::client::Client) (client role),
+//! both nonblocking; the client runs its handshake blocking, through
+//! [`handshake`](Connection::handshake).
 //!
 //! A plaintext-policy connection stays in the `Plaintext` phase for life; a
 //! `Required` one walks `Handshake → Established`. What each phase does with
@@ -406,6 +406,16 @@ impl Connection {
         }
     }
 
+    /// Frees what holds nothing — a drained write queue, the frame buffer
+    /// between frames — for an owner that waits on its peer and should not
+    /// keep its largest request or reply across the wait.
+    pub(crate) fn release_idle(&mut self) {
+        self.out.release();
+        if !self.is_mid_frame() {
+            self.frames.release();
+        }
+    }
+
     /// The established channel, taken out of the connection.
     pub fn into_channel(self) -> Option<SecureChannel> {
         match self.phase {
@@ -440,15 +450,12 @@ impl Connection {
     /// bytes already buffered hold none. A refusal surfaces as its error, a
     /// read timeout as [`ProtocolError::Io`]. Like
     /// [`write_queued`](Self::write_queued), it leaves no buffer allocated
-    /// that holds nothing: a blocking client keeps neither its largest
-    /// request nor its largest reply while it waits for the next.
+    /// that holds nothing.
     pub fn next_event(&mut self, stream: &mut impl Read) -> Result<Event, ProtocolError> {
         let mut chunk = [0u8; CHUNK];
         loop {
             if let Some(event) = self.poll().map_err(|refusal| refusal.error)? {
-                if !self.is_mid_frame() {
-                    self.frames.release();
-                }
+                self.release_idle();
                 return Ok(event);
             }
             match stream.read(&mut chunk) {

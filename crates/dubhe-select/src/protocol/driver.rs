@@ -34,7 +34,7 @@ use crate::selector::ClientId;
 ///
 /// The coordinator slot is any [`Coordinator`]: the in-process
 /// [`ShardedCoordinator`] (at any shard count), or a
-/// [`TcpTransport`](super::tcp::TcpTransport) that ships every server-bound
+/// [`Client`](super::client::Client) that ships every server-bound
 /// envelope across a real socket. The agent and client roles never know the
 /// difference — which is the point.
 pub fn pump<T, C, R>(
@@ -74,7 +74,8 @@ where
 ///
 /// Generic over the coordinator slot (`C`): whatever [`Coordinator`] the
 /// caller handed to [`run_registration`] (a [`ShardedCoordinator`] at any
-/// shard count, or a TCP connector to a remote listener).
+/// shard count, or a [`Client`](super::client::Client) of a remote
+/// listener).
 #[derive(Debug)]
 pub struct RegistrationRun<C = ShardedCoordinator> {
     /// Index of the client that played the key-dispatching agent.
@@ -84,7 +85,7 @@ pub struct RegistrationRun<C = ShardedCoordinator> {
     /// Every selection client, indexed by id.
     pub clients: Vec<SelectClientNode>,
     /// The coordinator slot (ciphertexts and the public key only — or a
-    /// connector to a remote process holding exactly that).
+    /// client of a remote process holding exactly that).
     pub server: C,
 }
 
@@ -117,7 +118,7 @@ impl<C> RegistrationRun<C> {
 ///
 /// `server` must expect `client_distributions.len()` registrations: a
 /// [`ShardedCoordinator`] (one shard in process, more for partitioned
-/// folds), or a [`TcpTransport`](super::tcp::TcpTransport) to run the
+/// folds), or a [`Client`](super::client::Client) to run the
 /// identical exchange against a remote listener (`dubhe-net`'s
 /// `ReactorListener`). It comes back inside the run, so the caller can keep
 /// using it for multi-time rounds.

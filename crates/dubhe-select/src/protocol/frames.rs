@@ -8,8 +8,8 @@
 //! header split across two reads, a byte-at-a-time slow-loris, three
 //! pipelined frames in one burst) and must never block. [`FrameBuffer`] is
 //! fed raw bytes as they arrive, and complete [`WireMsg`]s are pulled out as
-//! they become parseable; a blocking client feeds it the same way, a read at
-//! a time. A header is validated here and nowhere else (`check_header`):
+//! they become parseable; a blocking reader feeds it the same way, a read
+//! at a time. A header is validated here and nowhere else (`check_header`):
 //! the magic once 4 bytes are in, the announced length against the ceiling
 //! once 8 are, *before* a payload byte is buffered — so a hostile header is
 //! refused after at most 8 bytes, with a typed [`ProtocolError`].
@@ -201,13 +201,15 @@ impl WriteQueue {
         Ok(len)
     }
 
-    /// Frees the buffer once everything queued has been written — for an
-    /// owner that waits on its peer between frames and should not hold the
-    /// largest frame it ever sent across that wait.
+    /// Frees the buffer and the list of frames behind it once everything
+    /// queued has been written — for an owner that waits on its peer
+    /// between frames and should not hold the largest frame it ever sent
+    /// across that wait.
     pub(crate) fn release(&mut self) {
         if self.pending() == 0 {
             self.buf = Vec::new();
             self.pos = 0;
+            self.producing = VecDeque::new();
         }
     }
 

@@ -61,16 +61,16 @@
 //! * [`ShardedCoordinator`] — the one coordinator state machine: registry
 //!   positions partitioned across N shard folds (one by default) that
 //!   advance rayon-parallel and merge into a bit-identical total;
-//! * [`TcpTransport`] → `dubhe_net::ReactorListener` — the same messages as
+//! * [`Client`] → `dubhe_net::ReactorListener` — the same messages as
 //!   length-prefixed `DBH2` frames (see [`wire`]) over real loopback
 //!   sockets, served by `dubhe-net`'s event-loop listener. The payload is
 //!   the canonical binary encoding of [`codec`], so wire traffic stays
 //!   within 1.10× of the paper's communication model.
 //!
-//! Whatever drives a socket — the listener, its load generator, the
-//! connector — pumps one sans-IO [`Connection`] per socket: frame
-//! reassembly, the authenticated channel's phases and every refusal live
-//! there once.
+//! Both ends of a socket — the listener, and the one [`Client`] that a
+//! driver (over one connection) and the load generator (over 10⁴+) share —
+//! pump one sans-IO [`Connection`] per socket: frame reassembly, the
+//! authenticated channel's phases and every refusal live there once.
 //!
 //! `docs/ARCHITECTURE.md` draws the full picture; `docs/THREAT_MODEL.md`
 //! explains why both uphold the same structural guarantee.
@@ -87,6 +87,7 @@
 //! [`PackedDistributionSum`]: ProtocolMsg::PackedDistributionSum
 
 pub mod channel;
+pub mod client;
 pub mod codec;
 pub mod connection;
 pub mod driver;
@@ -96,19 +97,20 @@ pub mod packing;
 pub mod roles;
 pub mod shard;
 pub mod stats;
-pub mod tcp;
 pub mod transport;
 pub mod wire;
 
 #[doc(hidden)]
 pub use crate::compat::{
-    client_handshake, read_channel_frame, ChannelFrame, CodecKind, CoordinatorServer,
+    client_handshake, read_channel_frame, ChannelFrame, CodecKind, CoordinatorServer, TcpConfig,
+    TcpTransport,
 };
 pub use channel::{
     append_frame, secret_bytes_from_seed, ChannelPolicy, ClientHandshake, NodeIdentity,
-    RetrySchedule, SecureChannel, ServerHandshake, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED,
+    SecureChannel, ServerHandshake, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED,
     HANDSHAKE_WIRE_BYTES, SEALED_FRAME_OVERHEAD,
 };
+pub use client::{Client, ClientConfig, WireStats, DEFAULT_EXCHANGE_TIMEOUT};
 pub use codec::RegistryFrame;
 pub use connection::Connection;
 pub use driver::{pump, run_registration, run_try, run_try_with_dropouts, RegistrationRun};
@@ -118,6 +120,5 @@ pub use packing::PackingPolicy;
 pub use roles::{AgentNode, CohortOutcome, Coordinator, SecureTryOutcome, SelectClientNode};
 pub use shard::{shard_ranges, ShardedCoordinator};
 pub use stats::{Counter, LatencyHistogram, LatencySummary, ListenerMetrics, ListenerStats};
-pub use tcp::{TcpConfig, TcpTransport, WireStats, DEFAULT_READ_TIMEOUT};
 pub use transport::{InMemoryTransport, LinkStats, Transport, TransportStats};
 pub use wire::{claimed_client, LazyMsg, WireMsg, FRAME_MAGIC_V2, MAX_FRAME_BYTES};

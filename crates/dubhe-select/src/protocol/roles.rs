@@ -45,10 +45,10 @@ use crate::selector::ClientId;
 /// * [`ShardedCoordinator`](crate::protocol::ShardedCoordinator) — the
 ///   coordinator itself: registry positions partitioned across N shard
 ///   folds (one in process by default), merged on completion;
-/// * [`TcpTransport`](crate::protocol::TcpTransport) — a client-side
-///   connector that carries every server-bound message over a framed TCP
-///   stream to a remote listener (`dubhe-net`'s `ReactorListener`) serving
-///   that same coordinator.
+/// * [`Client`](crate::protocol::Client) — the client side of the network,
+///   which carries every server-bound message over a framed TCP
+///   connection to a remote listener (`dubhe-net`'s `ReactorListener`)
+///   serving that same coordinator.
 ///
 /// The drivers ([`pump`](crate::protocol::pump),
 /// [`run_registration`](crate::protocol::run_registration),

@@ -7,7 +7,7 @@
 //! benchmark reads its `net.*` layer from: frames and bytes in each
 //! direction, decode failures, write-queue high-water marks, and a
 //! per-request latency histogram (decode → reply handed to the socket). The
-//! types live here, beside the wire they describe, so a connector-side
+//! types live here, beside the wire they describe, so a client-side
 //! consumer needs no dependency on the listener crate.
 //!
 //! The recorder is all atomics plus one mutex around the latency histogram —

@@ -18,10 +18,10 @@
 //! frame-digest pins hold to.
 //!
 //! The networked hop lives one level up: the drivers'
-//! [`Coordinator`](super::roles::Coordinator) slot, which
-//! [`TcpTransport`](super::tcp::TcpTransport) fills by carrying every
-//! server-bound envelope over a framed socket while this local transport
-//! keeps sequencing (and metering) the exchange.
+//! [`Coordinator`](super::roles::Coordinator) slot, which the
+//! [`Client`](super::client::Client) fills by carrying every server-bound
+//! envelope over a framed socket while this local transport keeps
+//! sequencing (and metering) the exchange.
 
 use serde::{Deserialize, Serialize};
 
@@ -118,9 +118,9 @@ impl TransportStats {
     }
 
     /// Charges one message to its per-kind link (and, for client → server
-    /// uplinks, to the ciphertext-only counters). Every transport — the
-    /// in-memory queue and the TCP connector alike — meters through this,
-    /// which is what keeps their canonical accounting comparable.
+    /// uplinks, to the ciphertext-only counters). The in-memory transport
+    /// meters every message through this: the one canonical ledger, which
+    /// a socket underneath it cannot move.
     pub fn charge(&mut self, msg: &ProtocolMsg) {
         self.of_kind_mut(msg.kind()).charge(msg);
         match msg.kind() {

@@ -18,10 +18,10 @@ use dubhe_he::{Ciphertext, EncryptedVector, HeError, Keypair, PackedEncryptedVec
 use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::{
-    append_frame, codec, pump, run_registration, ChannelPolicy, Connection, Coordinator, Envelope,
-    InMemoryTransport, NodeIdentity, PackingPolicy, Party, ProtocolMsg, RegistryFrame,
-    SelectClientNode, ShardedCoordinator, TcpConfig, TcpTransport, Transport, WireMsg,
-    FRAME_MAGIC_V2, MAX_FRAME_BYTES,
+    append_frame, codec, pump, run_registration, ChannelPolicy, Client, ClientConfig, Connection,
+    Coordinator, Envelope, InMemoryTransport, NodeIdentity, PackingPolicy, Party, ProtocolMsg,
+    RegistryFrame, SelectClientNode, ShardedCoordinator, Transport, WireMsg, FRAME_MAGIC_V2,
+    MAX_FRAME_BYTES,
 };
 use dubhe_select::{DubheConfig, ProtocolError, SelectError};
 use num_bigint::BigUint;
@@ -43,10 +43,10 @@ fn clients(n: usize, seed: u64) -> Vec<ClassDistribution> {
     spec.build_partition(&mut rng).client_distributions()
 }
 
-/// The connector config the live-listener tests dial with: a short read
+/// The client config the live-listener tests dial with: a short exchange
 /// timeout so a wedged peer fails the test fast instead of stalling it.
-fn quick() -> TcpConfig {
-    TcpConfig::default().with_read_timeout(Duration::from_secs(5))
+fn quick() -> ClientConfig {
+    ClientConfig::default().with_exchange_timeout(Duration::from_secs(5))
 }
 
 /// The plaintext `DBH2` frame of `msg`.
@@ -519,7 +519,7 @@ fn truncated_packed_dbh2_payloads_do_not_kill_the_listener() {
     drop(stream);
 
     // The listener survived and a healthy packed session still works.
-    let mut client = TcpTransport::connect_with_config(addr, quick()).unwrap();
+    let mut client = Client::connect(addr, 1, quick()).unwrap();
     for id in 0..4 {
         let v = PackedEncryptedVector::encrypt(
             policy.packer(),
@@ -618,7 +618,7 @@ fn oversized_frames_are_refused_in_both_directions() {
         ReactorConfig::default().with_max_frame_bytes(1024),
     )
     .unwrap();
-    let mut client = TcpTransport::connect_with_config(listener.addr(), quick()).unwrap();
+    let mut client = Client::connect(listener.addr(), 1, quick()).unwrap();
     let err = client
         .deliver(registry_envelope(0, big.clone()))
         .unwrap_err();
@@ -635,9 +635,10 @@ fn oversized_frames_are_refused_in_both_directions() {
     // Client side: a transport capped below its own payload refuses to send
     // at all — the frame never touches the socket.
     let listener = ReactorListener::spawn(ShardedCoordinator::new(4, 1)).unwrap();
-    let mut tiny = TcpTransport::connect_with_config(
+    let mut tiny = Client::connect(
         listener.addr(),
-        TcpConfig::default().with_max_frame_bytes(256),
+        1,
+        ClientConfig::default().with_max_frame_bytes(256),
     )
     .unwrap();
     match tiny.deliver(registry_envelope(0, big)) {
@@ -962,7 +963,7 @@ fn reactor_survives_the_garbage_gauntlet_and_still_serves_tcp_transport() {
     // more unknown magics — at a plaintext listener and at a
     // channel-required one: every connection is hung up on (framing is
     // unrecoverable), the listener is not, and the healthy session
-    // afterwards runs over the stock `TcpTransport`.
+    // afterwards runs over the stock one-connection `Client`.
     let retired_frame = |magic: &[u8], payload: &[u8]| {
         let mut frame = magic.to_vec();
         frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
@@ -1029,7 +1030,7 @@ fn reactor_survives_the_garbage_gauntlet_and_still_serves_tcp_transport() {
             config = config.with_expected_server(pin);
         }
 
-        let mut client = TcpTransport::connect_with_config(addr, config).unwrap();
+        let mut client = Client::connect(addr, 1, config).unwrap();
         let out = client
             .deliver(Envelope {
                 from: Party::Agent,
@@ -1297,7 +1298,7 @@ fn sealed_frames_at_a_plaintext_listener_are_codec_confusion_not_a_crash() {
     let mut sink = Vec::new();
     let _ = stream.read_to_end(&mut sink);
 
-    let mut client = TcpTransport::connect_with_config(reactor.addr(), quick()).unwrap();
+    let mut client = Client::connect(reactor.addr(), 1, quick()).unwrap();
     let out = client
         .deliver(Envelope {
             from: Party::Agent,

@@ -18,9 +18,8 @@ use dubhe_data::ClassDistribution;
 use dubhe_he::EncryptedVector;
 use dubhe_net::ReactorListener;
 use dubhe_select::protocol::{
-    pump, run_registration, run_try, run_try_with_dropouts, Coordinator, Envelope,
-    InMemoryTransport, PackingPolicy, Party, ProtocolMsg, ShardedCoordinator, TcpTransport,
-    Transport,
+    pump, run_registration, run_try, run_try_with_dropouts, Client, ClientConfig, Coordinator,
+    Envelope, InMemoryTransport, PackingPolicy, Party, ProtocolMsg, ShardedCoordinator, Transport,
 };
 use dubhe_select::{ClientSelector, DubheConfig, DubheSelector, ProtocolError};
 use rand::SeedableRng;
@@ -133,7 +132,7 @@ fn rotation_drives_re_registration_over_tcp() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(92);
 
     let listener = ReactorListener::spawn(ShardedCoordinator::new(8, 2)).unwrap();
-    let endpoint = TcpTransport::connect(listener.addr()).unwrap();
+    let endpoint = Client::connect(listener.addr(), 1, ClientConfig::default()).unwrap();
     let mut transport = InMemoryTransport::new();
     let mut run = run_registration(
         &dists,

@@ -18,8 +18,10 @@
 //! and encodes a bare one a chunk ahead, so what the server holds for it is
 //! about two slices sealed and one chunk bare, whatever the cohort size;
 //! and the queue keeps one envelope and the addressees, not the
-//! `N + 1`-envelope list. An integration test is its own binary, so the
-//! counting `#[global_allocator]` observes exactly this workload.
+//! `N + 1`-envelope list. And a one-connection client that has its reply
+//! holds nothing of 1 KiB or more: no write buffer, no frame buffer, no
+//! event batch. An integration test is its own binary, so the counting
+//! `#[global_allocator]` observes exactly this workload.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Write;
@@ -31,18 +33,19 @@ use dubhe_select::protocol::codec::{decode, encode, payload_size_hint};
 use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::frames::{CHUNK, SEAL_SLICE};
 use dubhe_select::protocol::{
-    append_frame, Connection, Envelope, NodeIdentity, Party, ProtocolMsg, SecureChannel, WireMsg,
-    FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, FRAME_MAGIC_V2, MAX_FRAME_BYTES,
-    SEALED_FRAME_OVERHEAD,
+    append_frame, Client, ClientConfig, Connection, Envelope, NodeIdentity, Party, ProtocolMsg,
+    SecureChannel, WireMsg, FRAME_MAGIC_HANDSHAKE, FRAME_MAGIC_SEALED, FRAME_MAGIC_V2,
+    MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::ProtocolError;
 use rand::SeedableRng;
 
 /// Forwards to the system allocator, counting calls, calls at or above
-/// [`BIG`] bytes, and the high-water mark of live bytes. Calls are counted
-/// on the thread being measured only: a thread of the process's parallel
-/// pool that happens to start inside a measured window (it copies its name
-/// as it starts) is not the measured work.
+/// [`BIG`] bytes, and the high-water mark of live bytes, and keeping the
+/// blocks of at least [`BIG`] bytes not freed yet ([`HELD`]). Calls are
+/// counted on the thread being measured only: a thread of the process's
+/// parallel pool that happens to start inside a measured window (it copies
+/// its name as it starts) is not the measured work.
 struct CountingAlloc;
 
 thread_local! {
@@ -54,6 +57,34 @@ static BIG_ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static BIG: AtomicUsize = AtomicUsize::new(usize::MAX);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+/// Address and size of each block of at least [`BIG`] bytes the measured
+/// thread allocated that is still live; address 0 is a free slot.
+static HELD: [(AtomicUsize, AtomicUsize); 32] =
+    [const { (AtomicUsize::new(0), AtomicUsize::new(0)) }; 32];
+
+fn hold(ptr: *mut u8, size: usize) {
+    if !MEASURED.with(std::cell::Cell::get) || size < BIG.load(Ordering::Relaxed) {
+        return;
+    }
+    for (addr, len) in &HELD {
+        if addr
+            .compare_exchange(0, ptr as usize, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+        {
+            len.store(size, Ordering::SeqCst);
+            return;
+        }
+    }
+    panic!("more than {} blocks held", HELD.len());
+}
+
+fn unhold(ptr: *mut u8) {
+    for (addr, _) in &HELD {
+        if addr.load(Ordering::Relaxed) == ptr as usize {
+            addr.store(0, Ordering::SeqCst);
+        }
+    }
+}
 
 fn count(size: usize) {
     if !MEASURED.with(std::cell::Cell::get) {
@@ -74,13 +105,17 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
         grow(layout.size());
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        hold(ptr, layout.size());
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
         grow(layout.size());
-        System.alloc_zeroed(layout)
+        let ptr = System.alloc_zeroed(layout);
+        hold(ptr, layout.size());
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -89,11 +124,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // moving realloc holds at its worst.
         grow(new_size);
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        unhold(ptr);
+        let moved = System.realloc(ptr, layout, new_size);
+        hold(moved, new_size);
+        moved
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        unhold(ptr);
         System.dealloc(ptr, layout)
     }
 }
@@ -126,6 +165,21 @@ fn measure<T>(big: usize, f: impl FnOnce() -> T) -> (T, usize, usize, usize) {
         BIG_ALLOCS.load(Ordering::SeqCst) - bigs,
         PEAK.load(Ordering::SeqCst) - base,
     )
+}
+
+/// What `f` returns, and the sizes of the blocks of at least `big` bytes it
+/// allocated on this thread that are still live when it returns.
+fn held_after<T>(big: usize, f: impl FnOnce() -> T) -> (T, Vec<usize>) {
+    for (addr, _) in &HELD {
+        addr.store(0, Ordering::SeqCst);
+    }
+    let (out, ..) = measure(big, f);
+    let held = HELD
+        .iter()
+        .filter(|(addr, _)| addr.load(Ordering::SeqCst) != 0)
+        .map(|(_, len)| len.load(Ordering::SeqCst))
+        .collect();
+    (out, held)
 }
 
 /// A real handshake over loopback; returns (client, server) channels.
@@ -601,4 +655,41 @@ fn a_queued_bare_broadcast_is_held_as_one_chunk_not_as_a_slice() {
         assert_eq!(sink.seen[4..8], ((wire - 8) as u32).to_be_bytes());
         assert!(sink.seen[8..] == encode(&msg).unwrap()[..], "n = {n}");
     }
+}
+
+#[test]
+fn a_one_connection_client_holds_no_buffer_once_it_has_its_reply() {
+    let _alone = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // A peer that answers every request with a 48-client broadcast. The
+    // request (two envelopes) and the reply (about 170 KB) each outgrow
+    // 1 KiB many times over, so a write queue or a frame buffer kept
+    // across the wait for the next exchange would show, as would an event
+    // batch sized for a thousand connections.
+    let (request, reply) = (broadcast(1), broadcast(48));
+    let peer = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+    let addr = peer.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut stream, _) = peer.accept().unwrap();
+        let mut conn = Connection::plaintext(MAX_FRAME_BYTES);
+        while let Ok(Event::Frame { msg, .. }) = conn.next_event(&mut stream) {
+            if matches!(msg.force(), Ok(WireMsg::Shutdown)) {
+                break;
+            }
+            conn.queue(reply.clone()).unwrap();
+            conn.write_queued(&mut stream).unwrap();
+        }
+    });
+    let (client, held) = held_after(1 << 10, || {
+        let mut client = Client::connect(addr, 1, ClientConfig::default()).unwrap();
+        for _ in 0..2 {
+            let replies = client.exchange(&[(0, request.clone())]).unwrap();
+            assert!(
+                matches!(&replies[..], [(0, WireMsg::Batch { envelopes })] if envelopes.len() == 49)
+            );
+        }
+        client
+    });
+    assert!(held.is_empty(), "blocks of 1 KiB or more held: {held:?}");
+    client.shutdown().unwrap();
+    server.join().unwrap();
 }

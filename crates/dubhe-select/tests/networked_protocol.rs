@@ -8,7 +8,7 @@
 //! over the uploads in arrival order. And the TCP layer must surface every
 //! failure mode as a `ProtocolError`, never a panic or a hang.
 //!
-//! The [`TcpTransport`] connector's own tests live here rather than beside
+//! The [`Client`]'s own tests live here rather than beside
 //! it: they need a live [`ReactorListener`], and only an integration test
 //! can hand this crate's coordinator to the `dubhe-net` dev-dependency.
 
@@ -20,23 +20,23 @@ use std::time::{Duration, Instant};
 use dubhe_data::federated::{DatasetFamily, FederatedSpec};
 use dubhe_data::ClassDistribution;
 use dubhe_he::EncryptedVector;
-use dubhe_net::{MuxClient, MuxConfig};
 use dubhe_net::{ReactorConfig, ReactorListener};
 use dubhe_select::protocol::connection::Event;
 use dubhe_select::protocol::{
-    run_registration, run_try, ChannelPolicy, Connection, Coordinator, Envelope, InMemoryTransport,
-    ListenerStats, Party, ProtocolMsg, ShardedCoordinator, TcpConfig, TcpTransport, TransportStats,
-    WireMsg, FRAME_MAGIC_V2, HANDSHAKE_WIRE_BYTES, MAX_FRAME_BYTES, SEALED_FRAME_OVERHEAD,
+    run_registration, run_try, ChannelPolicy, Client, ClientConfig, Connection, Coordinator,
+    Envelope, InMemoryTransport, ListenerStats, Party, ProtocolMsg, ShardedCoordinator,
+    TransportStats, WireMsg, FRAME_MAGIC_V2, HANDSHAKE_WIRE_BYTES, MAX_FRAME_BYTES,
+    SEALED_FRAME_OVERHEAD,
 };
 use dubhe_select::{ClientSelector, DubheConfig, DubheSelector, ProtocolError};
 use rand::SeedableRng;
 
 const KEY_BITS: u64 = 256;
 
-/// The connector config every test here dials with: a short read timeout so
+/// The client config every test here dials with: a short exchange timeout so
 /// a wedged peer fails the test fast instead of stalling the suite.
-fn quick() -> TcpConfig {
-    TcpConfig::default().with_read_timeout(Duration::from_secs(5))
+fn quick() -> ClientConfig {
+    ClientConfig::default().with_exchange_timeout(Duration::from_secs(5))
 }
 
 /// Blocks until `done` holds of the listener's stats and returns that
@@ -197,7 +197,7 @@ fn tcp_loopback_session_is_bit_identical_to_in_memory_under_both_codecs() {
     // to a four-shard listener as a `DBH2` frame. Decisions and canonical
     // accounting must be identical; only the measured framing is added.
     let listener = ReactorListener::spawn(ShardedCoordinator::new(24, 4)).unwrap();
-    let endpoint = TcpTransport::connect_with_config(listener.addr(), quick()).unwrap();
+    let endpoint = Client::connect(listener.addr(), 1, quick()).unwrap();
     let tcp = drive_session(&dists, 62, endpoint);
 
     assert_eq!(tcp.overall, memory.overall);
@@ -242,7 +242,7 @@ fn remote_coordinator_relays_protocol_errors() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(72);
 
     let listener = ReactorListener::spawn(ShardedCoordinator::new(4, 2)).unwrap();
-    let endpoint = TcpTransport::connect(listener.addr()).unwrap();
+    let endpoint = Client::connect(listener.addr(), 1, ClientConfig::default()).unwrap();
     let mut transport = InMemoryTransport::new();
     let mut run = run_registration(
         &dists,
@@ -315,7 +315,7 @@ fn mid_exchange_disconnect_is_an_error_not_a_hang() {
         let (stream, _) = listener.accept().unwrap();
         drop(stream);
     });
-    let mut endpoint = TcpTransport::connect_with_config(addr, quick()).unwrap();
+    let mut endpoint = Client::connect(addr, 1, quick()).unwrap();
     killer.join().unwrap();
     let err = endpoint.deliver(verdict(0)).unwrap_err();
     assert!(
@@ -332,7 +332,7 @@ fn mid_exchange_disconnect_is_an_error_not_a_hang() {
 #[test]
 fn silent_peer_times_out_instead_of_hanging() {
     // The "server" accepts and never replies — it holds the socket open
-    // until the test releases it — so only the connector's read timeout can
+    // until the test releases it — so only the client's exchange timeout can
     // bound the wait.
     let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let addr = listener.local_addr().unwrap();
@@ -342,9 +342,10 @@ fn silent_peer_times_out_instead_of_hanging() {
         let _ = released.recv();
         drop(stream);
     });
-    let mut endpoint = TcpTransport::connect_with_config(
+    let mut endpoint = Client::connect(
         addr,
-        TcpConfig::default().with_read_timeout(Duration::from_millis(300)),
+        1,
+        ClientConfig::default().with_exchange_timeout(Duration::from_millis(300)),
     )
     .unwrap();
     let started = Instant::now();
@@ -364,11 +365,11 @@ fn silent_peer_times_out_instead_of_hanging() {
 #[test]
 fn a_peer_that_never_reads_cannot_hang_a_send() {
     // The "server" accepts and never reads. Once the kernel buffers on both
-    // ends are full, only the per-I/O timeout bounds the write of a request
+    // ends are full, only the exchange timeout bounds the write of a request
     // larger than they are.
     let peer = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
-    let config = TcpConfig::default().with_read_timeout(Duration::from_millis(300));
-    let mut client = TcpTransport::connect_with_config(peer.local_addr().unwrap(), config).unwrap();
+    let config = ClientConfig::default().with_exchange_timeout(Duration::from_millis(300));
+    let mut client = Client::connect(peer.local_addr().unwrap(), 1, config).unwrap();
     let (_silent, _) = peer.accept().unwrap();
     // A 24 MiB registry without the encryption work: one ciphertext, repeated.
     let mut rng = rand::rngs::StdRng::seed_from_u64(17);
@@ -401,7 +402,7 @@ fn connect_to_a_dead_port_fails_cleanly() {
         let l = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
         l.local_addr().unwrap()
     };
-    let err = TcpTransport::connect(addr).unwrap_err();
+    let err = Client::connect(addr, 1, ClientConfig::default()).unwrap_err();
     assert!(matches!(err, ProtocolError::Io { .. }), "{err}");
 }
 
@@ -410,8 +411,9 @@ fn an_oversized_request_is_refused_before_a_byte_reaches_the_socket() {
     use std::io::Read;
     // Plaintext, against a bare socket: the peer reads nothing at all.
     let peer = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
-    let mut client = TcpTransport::connect_with_config(
+    let mut client = Client::connect(
         peer.local_addr().unwrap(),
+        1,
         quick().with_max_frame_bytes(16),
     )
     .unwrap();
@@ -437,7 +439,7 @@ fn an_oversized_request_is_refused_before_a_byte_reaches_the_socket() {
     let config = quick()
         .with_channel(ChannelPolicy::Required)
         .with_max_frame_bytes(64);
-    let mut client = TcpTransport::connect_with_config(listener.addr(), config).unwrap();
+    let mut client = Client::connect(listener.addr(), 1, config).unwrap();
     let err = client.announce_try(0, &[1; 20]).unwrap_err();
     assert!(
         matches!(err, ProtocolError::FrameTooLarge { max: 64, .. }),
@@ -454,14 +456,13 @@ fn an_oversized_request_is_refused_before_a_byte_reaches_the_socket() {
 #[test]
 fn listener_spawns_serves_and_shuts_down() {
     let listener = ReactorListener::spawn(ShardedCoordinator::new(0, 2)).unwrap();
-    let mut client = TcpTransport::connect_with_config(listener.addr(), quick()).unwrap();
+    let mut client = Client::connect(listener.addr(), 1, quick()).unwrap();
     // A verdict is always accepted and triggers nothing.
     let out = client.deliver(verdict(0)).unwrap();
     assert!(out.is_empty());
     assert_eq!(client.wire_stats().frames_sent, 1);
     assert_eq!(client.wire_stats().frames_received, 1);
     assert!(client.wire_stats().total_bytes() > 0);
-    assert_eq!(client.stats().verdicts.messages, 1);
     let stats = wait_for(&listener, "reply never counted", |s| {
         s.frames_sent == 1 && s.latency.count == 1
     });
@@ -482,7 +483,7 @@ fn idle_connection_survives_and_shutdown_stays_prompt() {
         ReactorConfig::default().with_read_timeout(Duration::from_millis(50)),
     )
     .unwrap();
-    let mut client = TcpTransport::connect_with_config(listener.addr(), quick()).unwrap();
+    let mut client = Client::connect(listener.addr(), 1, quick()).unwrap();
     // Stay silent past the read timeout, like a client that is busy training
     // between protocol rounds: a second connection stalls mid-frame, and the
     // listener cutting *it* proves the timeout elapsed and the sweep ran
@@ -510,7 +511,8 @@ fn idle_connection_survives_and_shutdown_stays_prompt() {
 fn a_retired_dbh1_reply_is_a_malformed_frame_to_both_connectors() {
     // A peer still answering in the retired JSON framing (`DBH1`): its
     // reply is an unknown magic like any other, refused as a typed
-    // malformed frame by the blocking connector and the multiplexer alike.
+    // malformed frame whether the client is driven as a coordinator or
+    // through a phase of its own.
     let peer = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
     let addr = peer.local_addr().unwrap();
     let json = br#"{"Batch":{"envelopes":[]}}"#;
@@ -536,12 +538,12 @@ fn a_retired_dbh1_reply_is_a_malformed_frame_to_both_connectors() {
         );
     };
 
-    let mut client = TcpTransport::connect_with_config(addr, quick()).unwrap();
+    let mut client = Client::connect(addr, 1, quick()).unwrap();
     assert_malformed(client.deliver(verdict(0)).unwrap_err());
-    let mut mux = MuxClient::connect(
+    let mut mux = Client::connect(
         addr,
         1,
-        MuxConfig::default().with_exchange_timeout(Duration::from_secs(5)),
+        ClientConfig::default().with_exchange_timeout(Duration::from_secs(5)),
     )
     .unwrap();
     let request = WireMsg::Envelope {
@@ -567,8 +569,8 @@ fn required_channel_serves_sealed_sessions() {
         .with_channel(ChannelPolicy::Required)
         .with_identity_seed(1)
         .with_expected_server(server_pub);
-    let mut client = TcpTransport::connect_with_config(listener.addr(), config).unwrap();
-    assert_eq!(client.peer_identity(), Some(server_pub));
+    let mut client = Client::connect(listener.addr(), 1, config).unwrap();
+    assert_eq!(client.peer_identity(0), Some(server_pub));
 
     let out = client.deliver(verdict(3)).unwrap();
     assert!(out.is_empty());
@@ -606,7 +608,7 @@ fn sealed_and_plaintext_sessions_meter_identical_protocol_bytes() {
         if let Some(pin) = listener.public_identity() {
             config = config.with_expected_server(pin);
         }
-        let endpoint = TcpTransport::connect_with_config(listener.addr(), config).unwrap();
+        let endpoint = Client::connect(listener.addr(), 1, config).unwrap();
         let session = drive_session(&dists, 66, endpoint);
         let wire = *session.server.wire_stats();
         session.server.shutdown().unwrap();
@@ -665,11 +667,11 @@ fn session_hijack_is_refused_and_reconnect_resumes() {
     };
 
     // Identity A speaks as ClientId 7 and binds it.
-    let mut honest = TcpTransport::connect_with_config(listener.addr(), config_for(1)).unwrap();
+    let mut honest = Client::connect(listener.addr(), 1, config_for(1)).unwrap();
     honest.deliver(client_envelope.clone()).unwrap();
 
     // Identity B replaying ClientId 7 is refused with the typed error.
-    let mut hijacker = TcpTransport::connect_with_config(listener.addr(), config_for(2)).unwrap();
+    let mut hijacker = Client::connect(listener.addr(), 1, config_for(2)).unwrap();
     let err = hijacker.deliver(client_envelope.clone()).unwrap_err();
     match err {
         ProtocolError::Remote { detail } => {
@@ -679,7 +681,7 @@ fn session_hijack_is_refused_and_reconnect_resumes() {
     }
 
     // The honest identity reconnecting resumes its binding untouched.
-    honest.reconnect().unwrap();
+    honest.reconnect(0).unwrap();
     honest.deliver(client_envelope).unwrap();
     assert_eq!(honest.wire_stats().reconnects, 1);
 
@@ -697,7 +699,7 @@ fn concurrent_connections_are_served() {
     let threads: Vec<_> = (0..4)
         .map(|i| {
             std::thread::spawn(move || {
-                let mut client = TcpTransport::connect_with_config(addr, quick()).unwrap();
+                let mut client = Client::connect(addr, 1, quick()).unwrap();
                 client.deliver(verdict(i)).unwrap();
                 client.shutdown().unwrap();
             })

@@ -28,14 +28,19 @@ fn ident(text: &str) -> String {
 }
 
 /// The names a `compat` file gives the outside: its top-level `pub` items,
-/// and the `pub fn`s of each `impl` block for a type it does not define.
-/// Its tests, after `#[cfg(test)]`, are not read.
+/// the new names of its top-level `pub use … as Name` re-exports, and the
+/// `pub fn`s of each `impl` block for a type it does not define. Its tests,
+/// after `#[cfg(test)]`, are not read.
 fn compat_names(source: &str) -> Vec<String> {
     let source = source.split("#[cfg(test)]").next().unwrap_or_default();
     let (mut defined, mut methods) = (Vec::new(), Vec::new());
-    let (mut depth, mut impl_of) = (0usize, None::<String>);
+    let (mut depth, mut impl_of, mut reexport) = (0usize, None::<String>, false);
     for line in source.lines() {
         let code = line.split("//").next().unwrap_or_default().trim();
+        if reexport || (depth == 0 && code.starts_with("pub use ")) {
+            reexport = !code.ends_with(';');
+            defined.extend(code.split(" as ").skip(1).map(ident));
+        }
         if depth == 0 {
             let kinds = ["fn", "struct", "enum", "trait", "type", "const", "static"];
             if let Some(rest) = kinds
@@ -131,6 +136,11 @@ fn the_reader_finds_items_and_methods_added_to_outside_types() {
     let source = "\
 use crate::Outside;
 pub struct Own;
+pub use crate::Outside as Renamed;
+pub use crate::{
+    First as Second,
+    Kept,
+};
 impl Own {
     pub fn own_method(self) {}
 }
@@ -143,7 +153,10 @@ pub fn free<T>(t: T) {}
 #[cfg(test)]
 pub fn tested() {}
 ";
-    assert_eq!(compat_names(source), ["Own", "free", "added"]);
+    assert_eq!(
+        compat_names(source),
+        ["Own", "Renamed", "Second", "free", "added"]
+    );
     let reexports =
         "#[doc(hidden)]\npub use crate::compat::{\n    A,\n    B,\n};\npub use other::C;\n";
     assert_eq!(
